@@ -31,6 +31,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> cargo test --release -p isrf-sim (release-only regressions)"
+# Tests under cfg(not(debug_assertions)): an out-of-range dynamic index
+# trips a debug_assert in debug builds and must clamp, not panic, in the
+# builds users actually run.
+cargo test -q --release -p isrf-sim
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -112,6 +118,16 @@ echo "==> snapshot/resume differential + bisector negative test"
 # deliberately injected single-word SRF corruption to its exact cycle.
 ./target/release/snapshot
 ./target/release/snapshot negative
+
+echo "==> benchmark package (build, unit tests, sim_idx smoke)"
+# benchmark/ is a workspace of its own, so nothing above compiles it: an
+# API change in the crates it drives would break BENCHMARK.json's command
+# unnoticed. Build it, run its unit tests, and run two seconds' worth of
+# the indexed workload, whose every job is checked against an oracle.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --workload sim_idx --seconds 2 --trace 0 | tail -n 1 \
+  | grep -q '"correct": true'
 
 if [[ "$miri" == 1 ]]; then
   echo "==> cargo miri test (foundation crates)"

@@ -440,7 +440,8 @@ impl MachineConfig {
     ///
     /// Returns a [`ConfigError`] describing the first violated invariant:
     /// zero lanes, SRF capacity not divisible into banks/sub-arrays,
-    /// indexed bandwidth exceeding the sub-array count, or zero-sized
+    /// indexed bandwidth exceeding the sub-array count, an indexed machine
+    /// wider than the arbiter's 64-lane / 64-sub-array masks, or zero-sized
     /// buffers/FIFOs.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.lanes == 0 {
@@ -472,6 +473,13 @@ impl MachineConfig {
             return Err(ConfigError::new("stream buffers must be nonzero"));
         }
         if let Some(idx) = &srf.indexed {
+            if self.lanes > 64 || srf.subarrays > 64 {
+                return Err(ConfigError::new(format!(
+                    "indexed arbitration tracks lanes and sub-arrays in 64-bit masks; \
+                     {} lanes of {} sub-arrays do not fit",
+                    self.lanes, srf.subarrays
+                )));
+            }
             if idx.addr_fifo_entries == 0 {
                 return Err(ConfigError::new("address FIFOs must be nonzero"));
             }
@@ -588,6 +596,28 @@ mod tests {
         let mut m = MachineConfig::preset(ConfigName::Cache);
         m.cache.as_mut().unwrap().associativity = 0;
         assert!(m.validate().is_err());
+    }
+
+    #[test]
+    fn indexed_machines_must_fit_the_arbiter_masks() {
+        // 128 banks of 256 words, 4 sub-arrays each: fine sequentially...
+        let mut m = MachineConfig::preset(ConfigName::Base);
+        m.lanes = 128;
+        m.validate().expect("sequential SRFs have no mask limit");
+        // ...but the indexed arbiter keeps one bit per lane.
+        let mut m = MachineConfig::preset(ConfigName::Isrf4);
+        m.lanes = 128;
+        let err = m.validate().expect_err("128 lanes overflow the lane masks");
+        assert!(err.to_string().contains("64-bit masks"), "{err}");
+        // Likewise one bit per sub-array of a bank.
+        let mut m = MachineConfig::preset(ConfigName::Isrf4);
+        m.srf.subarrays = 128;
+        let err = m
+            .validate()
+            .expect_err("128 sub-arrays overflow a bank's mask");
+        assert!(err.to_string().contains("64-bit masks"), "{err}");
+        m.srf.subarrays = 64;
+        m.validate().expect("64 sub-arrays of 64 words still fit");
     }
 
     #[test]

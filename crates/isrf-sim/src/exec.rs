@@ -191,12 +191,6 @@ impl KernelRun {
                         StreamKind::IdxInWrite => IdxKind::InLaneWrite,
                         _ => IdxKind::CrossLaneRead,
                     };
-                    if kind == IdxKind::InLaneWrite {
-                        assert_eq!(
-                            b.record_words, 1,
-                            "indexed write streams use word-granular addresses"
-                        );
-                    }
                     idx_states.push(IdxState::new(*b, kind, lanes, cfg));
                     SlotState::Idx(idx_states.len() - 1)
                 }
@@ -700,6 +694,14 @@ impl KernelRun {
         }
     }
 
+    /// Index into `idx_states` of the indexed stream bound to slot `s`.
+    fn idx_of(&self, s: isrf_kernel::ir::StreamSlot) -> usize {
+        match self.slots[s.0 as usize] {
+            SlotState::Idx(i) => i,
+            _ => unreachable!("validated kind"),
+        }
+    }
+
     /// Find the first op firing this cycle that cannot proceed, along with
     /// why. `None` means every op can fire. The distinction between a
     /// *starved* sequential input (its stream buffer is empty) and one
@@ -772,18 +774,14 @@ impl KernelRun {
                     }
                 }
                 Opcode::IdxAddr(s) | Opcode::IdxWrite(s) => {
-                    let SlotState::Idx(i) = self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    if (0..self.lanes).any(|l| !self.idx_states[i].can_push_addr(l)) {
+                    let i = self.idx_of(s);
+                    if self.idx_states[i].any_addr_full() {
                         return Some((s.0, StallReason::AddrFifoFull));
                     }
                 }
                 Opcode::IdxRead(s) => {
-                    let SlotState::Idx(i) = self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    if (0..self.lanes).any(|l| !self.idx_states[i].can_pop_data(l)) {
+                    let i = self.idx_of(s);
+                    if !self.idx_states[i].all_data_ready() {
                         return Some((s.0, StallReason::IdxDataNotReady));
                     }
                 }
@@ -929,24 +927,18 @@ impl KernelRun {
             }
             IdxAddr(s) => {
                 let addr = a(0, self);
-                let SlotState::Idx(i) = self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
+                let i = self.idx_of(s);
                 self.idx_states[i].push_addr(lane, addr);
                 addr
             }
             IdxRead(s) => {
-                let SlotState::Idx(i) = self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
+                let i = self.idx_of(s);
                 self.idx_states[i].pop_data(lane)
             }
             IdxWrite(s) => {
                 let addr = a(0, self);
                 let v = a(1, self);
-                let SlotState::Idx(i) = self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
+                let i = self.idx_of(s);
                 self.idx_states[i].push_write_word(lane, addr, v);
                 v
             }
@@ -1111,15 +1103,11 @@ impl KernelRun {
                 (!st.can_push(k)).then_some((slot, StallReason::CondOutFull))
             }
             MicroKind::IdxAddr { slot, idx } | MicroKind::IdxWrite { slot, idx } => {
-                let st = &self.idx_states[idx as usize];
-                ((0..self.lanes).any(|l| !st.can_push_addr(l)))
+                (self.idx_states[idx as usize].any_addr_full())
                     .then_some((slot, StallReason::AddrFifoFull))
             }
-            MicroKind::IdxRead { slot, idx } => {
-                let st = &self.idx_states[idx as usize];
-                ((0..self.lanes).any(|l| !st.can_pop_data(l)))
-                    .then_some((slot, StallReason::IdxDataNotReady))
-            }
+            MicroKind::IdxRead { slot, idx } => (!self.idx_states[idx as usize].all_data_ready())
+                .then_some((slot, StallReason::IdxDataNotReady)),
             _ => None,
         }
     }
@@ -1245,13 +1233,13 @@ impl KernelRun {
                 }
             }
             MicroKind::IdxRead { idx, .. } => {
-                let st = &mut idx_states[idx as usize];
-                for lane in 0..lanes {
-                    let v = st.pop_data(lane);
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
+                // A dead destination still pops: the data was addressed.
+                let out = if dst == NO_DST {
+                    &mut cond_scratch[..lanes]
+                } else {
+                    &mut ring[dst_base..dst_base + lanes]
+                };
+                idx_states[idx as usize].pop_row(out);
             }
             MicroKind::IdxWrite { idx, .. } => {
                 let ra = tape.rsrc(mop.a, j);

@@ -21,8 +21,15 @@
 //! Read data arrives `inlane_latency`/`crosslane_latency` cycles later into
 //! the stream's data buffer, from which the cluster's split data-read op
 //! pops it in issue order.
-
-use std::collections::VecDeque;
+//!
+//! ## State layout
+//!
+//! Both FIFOs of a stream are bounded, so a stream owns flat lane-major
+//! rings rather than per-lane queues: an address ring and **one** data
+//! ring whose words become ready when the lane's `d_land` count passes
+//! them (DESIGN.md, "Indexed-stream state layout"). Lane bitmasks answer
+//! the kernel's whole-row questions, and each lane caches its FIFO head's
+//! `(bank, sub-array, offset)`, recomputed only when the head changes.
 
 use isrf_core::config::{CrossLaneTopology, MachineConfig};
 use isrf_core::snap::{Dec, Enc, SnapError};
@@ -46,60 +53,50 @@ pub enum IdxKind {
     CrossLaneRead,
 }
 
-/// Write payload of a queued record access. Kernel indexed writes are
-/// word-granular, so the hot path stays allocation-free; multi-word
-/// payloads (direct `push_write` callers) still heap-allocate.
-#[derive(Debug, Clone)]
-enum IdxData {
-    /// A read: no payload.
-    None,
-    /// Single-word write (the kernel hot path).
-    One(Word),
-    /// Multi-word record write.
-    Many(Vec<Word>),
+/// Ring cursors and cached head target of one lane of one stream. The
+/// cursors are free-running counts (wrapping `u32`): a ring slot is the
+/// count masked to the ring's power-of-two length, an occupancy the
+/// difference of two counts.
+#[derive(Debug, Clone, Copy, Default)]
+struct LaneCur {
+    /// Records pushed into / retired from the address FIFO.
+    a_push: u32,
+    a_pop: u32,
+    /// Words of the FIFO head already issued to the SRAM.
+    head_word: u32,
+    /// Data words issued to the SRAM, arrived, and popped by the cluster:
+    /// `d_pop..d_land` are ready, `d_land..d_push` still in flight.
+    d_push: u32,
+    d_land: u32,
+    d_pop: u32,
+    /// Arrival cycle of the oldest in-flight word (`u64::MAX` when none).
+    front: u64,
+    /// Target of the next word of the FIFO head (valid while the FIFO is
+    /// non-empty): clamped per-bank offset, bank and sub-array.
+    off: u32,
+    bank: u8,
+    sub: u8,
 }
 
-impl IdxData {
-    fn word(&self, i: u32) -> Word {
-        match self {
-            IdxData::None => unreachable!("read request has no write data"),
-            IdxData::One(w) => {
-                debug_assert_eq!(i, 0);
-                *w
-            }
-            IdxData::Many(v) => v[i as usize],
-        }
+/// A lane with empty FIFOs and nothing in flight.
+fn idle() -> LaneCur {
+    let front = u64::MAX;
+    LaneCur {
+        front,
+        ..LaneCur::default()
     }
 }
 
-/// One queued record access.
-#[derive(Debug, Clone)]
-struct IdxReq {
-    record: u32,
-    /// Write data (one word per record word); `None` for reads.
-    data: IdxData,
+/// Slot of `count` in lane `lane`'s ring of `1 << shift` entries.
+fn slot(lane: usize, count: u32, shift: u32) -> usize {
+    (lane << shift) | (count as usize & ((1 << shift) - 1))
 }
 
-/// Per-lane FIFOs of one indexed stream.
-#[derive(Debug, Clone)]
-struct IdxLane {
-    addr_fifo: VecDeque<IdxReq>,
-    /// Words of the FIFO head already issued to the SRAM.
-    head_word: u32,
-    /// Issued reads awaiting their latency: `(ready_cycle, word)`.
-    inflight: VecDeque<(u64, Word)>,
-    /// Data ready for the cluster, in issue order.
-    data: VecDeque<Word>,
-}
-
-impl IdxLane {
-    fn new() -> Self {
-        IdxLane {
-            addr_fifo: VecDeque::new(),
-            head_word: 0,
-            inflight: VecDeque::new(),
-            data: VecDeque::new(),
-        }
+/// `(x / by, x % by)`, by shift and mask when `shift = log2(by)` is known.
+fn div_rem(x: u32, by: u32, shift: Option<u32>) -> (u32, u32) {
+    match shift {
+        Some(s) => (x >> s, x & (by - 1)),
+        None => (x / by, x % by),
     }
 }
 
@@ -110,15 +107,32 @@ pub struct IdxState {
     pub binding: StreamBinding,
     /// Stream flavor.
     pub kind: IdxKind,
-    lanes: Vec<IdxLane>,
-    fifo_cap: usize,
-    buf_cap: usize,
-    /// Address-FIFO entries across all lanes — lets the per-cycle
-    /// `pending_addresses`/`drained` checks skip the lane scan.
-    addr_entries: usize,
-    /// In-flight (issued, not yet arrived) words across all lanes — lets
-    /// `tick_arrivals` return immediately on the common no-arrival cycle.
-    inflight_words: usize,
+    cur: Vec<LaneCur>,
+    /// Address rings (`1 << a_shift >= fifo_cap` records per lane): each
+    /// queued record index with, on write streams, the word to write there.
+    addr: Vec<(u32, Word)>,
+    /// Data rings (`1 << d_shift >= buf_cap` words per lane) with each
+    /// word's arrival cycle.
+    data: Vec<Word>,
+    ready_at: Vec<u64>,
+    a_shift: u32,
+    d_shift: u32,
+    fifo_cap: u32,
+    buf_cap: u32,
+    /// Geometry for head targets: lane count, bank and sub-array sizes.
+    n_lanes: u32,
+    lane_shift: Option<u32>,
+    bank_words: u32,
+    sub_words: u32,
+    sub_shift: Option<u32>,
+    /// Lanes whose address FIFO holds a record / is full / whose data ring
+    /// holds an arrived word.
+    addr_nonempty: u64,
+    addr_full: u64,
+    data_ready: u64,
+    /// No in-flight word arrives before this cycle; `u64::MAX` exactly
+    /// when nothing is in flight.
+    next_arrival: u64,
 }
 
 impl IdxState {
@@ -130,62 +144,115 @@ impl IdxState {
             .indexed
             .as_ref()
             .expect("indexed stream on a machine without indexed SRF support");
+        assert!((1..=MAX_BANKS).contains(&lanes), "lane masks hold 64 lanes");
+        let write = kind == IdxKind::InLaneWrite;
+        assert!(
+            !write || binding.record_words == 1,
+            "indexed write streams use word-granular addresses"
+        );
+        let (fifo_cap, buf_cap) = (idx.addr_fifo_entries, m.srf.stream_buffer_words);
+        let a_shift = fifo_cap.next_power_of_two().trailing_zeros();
+        let d_shift = buf_cap.next_power_of_two().trailing_zeros();
+        let sub_words = m.srf.subarray_words(m.lanes) as u32;
+        let log2 = |x: u32| x.is_power_of_two().then(|| x.trailing_zeros());
         IdxState {
             binding,
             kind,
-            lanes: (0..lanes).map(|_| IdxLane::new()).collect(),
-            fifo_cap: idx.addr_fifo_entries,
-            buf_cap: m.srf.stream_buffer_words,
-            addr_entries: 0,
-            inflight_words: 0,
+            cur: vec![idle(); lanes],
+            addr: vec![(0, 0); lanes << a_shift],
+            data: vec![0; lanes << d_shift],
+            ready_at: vec![0; lanes << d_shift],
+            a_shift,
+            d_shift,
+            fifo_cap: fifo_cap as u32,
+            buf_cap: buf_cap as u32,
+            n_lanes: lanes as u32,
+            lane_shift: log2(lanes as u32),
+            bank_words: m.srf.bank_words(m.lanes) as u32,
+            sub_words,
+            sub_shift: log2(sub_words),
+            addr_nonempty: 0,
+            addr_full: 0,
+            data_ready: 0,
+            next_arrival: u64::MAX,
         }
+    }
+
+    /// Recompute lane `lane`'s cached head target. An out-of-range index
+    /// is clamped to the bank's last word — for the sub-array lookup and
+    /// the SRAM access alike — so buggy kernels fail loudly in functional
+    /// checks, not with a slice-index panic here.
+    #[inline]
+    fn retarget(&mut self, lane: usize) {
+        let c = &mut self.cur[lane];
+        let record = self.addr[slot(lane, c.a_pop, self.a_shift)].0;
+        let (row, bank) = if self.kind == IdxKind::CrossLaneRead {
+            div_rem(record, self.n_lanes, self.lane_shift)
+        } else {
+            (record, lane as u32)
+        };
+        let b = &self.binding;
+        let off = u64::from(b.range.base)
+            + u64::from(row) * u64::from(b.record_words)
+            + u64::from(c.head_word);
+        debug_assert!(
+            off < u64::from(b.range.base) + u64::from(b.range.words_per_bank),
+            "indexed record {record} out of range"
+        );
+        c.off = off.min(u64::from(self.bank_words) - 1) as u32;
+        c.bank = bank as u8;
+        c.sub = div_rem(c.off, self.sub_words, self.sub_shift).0 as u8;
+    }
+
+    /// Append `record` to lane `lane`'s address ring; returns its slot.
+    #[inline]
+    fn enqueue(&mut self, lane: usize, record: u32) -> usize {
+        debug_assert!(self.can_push_addr(lane));
+        let c = &mut self.cur[lane];
+        let at = slot(lane, c.a_push, self.a_shift);
+        self.addr[at].0 = record;
+        c.a_push = c.a_push.wrapping_add(1);
+        let len = c.a_push.wrapping_sub(c.a_pop);
+        self.addr_nonempty |= 1 << lane;
+        self.addr_full |= u64::from(len == self.fifo_cap) << lane;
+        if len == 1 {
+            self.retarget(lane);
+        }
+        at
     }
 
     /// Room in lane `l`'s address FIFO?
     pub fn can_push_addr(&self, lane: usize) -> bool {
-        self.lanes[lane].addr_fifo.len() < self.fifo_cap
+        self.addr_full & (1 << lane) == 0
+    }
+
+    /// Is any lane's address FIFO full (a whole-row push must stall)?
+    pub(crate) fn any_addr_full(&self) -> bool {
+        self.addr_full != 0
     }
 
     /// Queue a read-record address from lane `l`'s cluster.
     pub fn push_addr(&mut self, lane: usize, record: u32) {
-        debug_assert!(self.can_push_addr(lane));
         debug_assert!(self.kind != IdxKind::InLaneWrite);
-        self.lanes[lane].addr_fifo.push_back(IdxReq {
-            record,
-            data: IdxData::None,
-        });
-        self.addr_entries += 1;
+        self.enqueue(lane, record);
     }
 
-    /// Queue a write of `data` (one record) at `record` from lane `l`.
-    pub fn push_write(&mut self, lane: usize, record: u32, data: Vec<Word>) {
-        debug_assert!(self.can_push_addr(lane));
-        debug_assert_eq!(self.kind, IdxKind::InLaneWrite);
-        debug_assert_eq!(data.len(), self.binding.record_words as usize);
-        self.lanes[lane].addr_fifo.push_back(IdxReq {
-            record,
-            data: IdxData::Many(data),
-        });
-        self.addr_entries += 1;
-    }
-
-    /// Queue a single-word write at `record` from lane `l` without heap
-    /// allocation (the kernel hot path: indexed write bindings are
-    /// word-granular).
+    /// Queue a single-word write at `record` from lane `l` (indexed write
+    /// bindings are word-granular).
     pub fn push_write_word(&mut self, lane: usize, record: u32, word: Word) {
-        debug_assert!(self.can_push_addr(lane));
         debug_assert_eq!(self.kind, IdxKind::InLaneWrite);
-        debug_assert_eq!(self.binding.record_words, 1);
-        self.lanes[lane].addr_fifo.push_back(IdxReq {
-            record,
-            data: IdxData::One(word),
-        });
-        self.addr_entries += 1;
+        let at = self.enqueue(lane, record);
+        self.addr[at].1 = word;
     }
 
     /// Is a data word ready for lane `l`?
     pub fn can_pop_data(&self, lane: usize) -> bool {
-        !self.lanes[lane].data.is_empty()
+        self.data_ready & (1 << lane) != 0
+    }
+
+    /// Is a data word ready in every lane (a whole-row pop can proceed)?
+    pub(crate) fn all_data_ready(&self) -> bool {
+        self.data_ready == u64::MAX >> (64 - self.n_lanes)
     }
 
     /// Pop the next ready data word for lane `l`.
@@ -194,157 +261,190 @@ impl IdxState {
     ///
     /// Panics if no data is ready.
     pub fn pop_data(&mut self, lane: usize) -> Word {
-        self.lanes[lane]
-            .data
-            .pop_front()
-            .expect("no indexed data ready")
+        assert!(self.can_pop_data(lane), "no indexed data ready");
+        let c = &mut self.cur[lane];
+        let w = self.data[slot(lane, c.d_pop, self.d_shift)];
+        c.d_pop = c.d_pop.wrapping_add(1);
+        self.data_ready &= !(u64::from(c.d_pop == c.d_land) << lane);
+        w
     }
 
-    /// Move arrived in-flight words into the data buffers.
+    /// Pop one ready word per lane into `out` (a slot per lane; requires
+    /// [`IdxState::all_data_ready`]).
+    pub(crate) fn pop_row(&mut self, out: &mut [Word]) {
+        assert!(self.all_data_ready() && out.len() == self.cur.len());
+        let mut emptied = 0;
+        for (lane, (c, o)) in self.cur.iter_mut().zip(out).enumerate() {
+            *o = self.data[slot(lane, c.d_pop, self.d_shift)];
+            c.d_pop = c.d_pop.wrapping_add(1);
+            emptied |= u64::from(c.d_pop == c.d_land) << lane;
+        }
+        self.data_ready &= !emptied;
+    }
+
+    /// Mark arrived in-flight words ready.
     pub fn tick_arrivals(&mut self, now: u64) {
-        if self.inflight_words == 0 {
-            return; // nothing issued: the common per-cycle case
-        }
-        for lane in &mut self.lanes {
-            while lane.inflight.front().is_some_and(|&(t, _)| t <= now) {
-                let (_, w) = lane.inflight.pop_front().expect("checked front");
-                lane.data.push_back(w);
-                self.inflight_words -= 1;
-            }
-        }
+        self.tick_arrivals_budgeted(now, &mut { usize::MAX });
     }
 
-    /// Move arrived in-flight words into the data buffers, consuming one
-    /// unit of `budget` per word (cross-lane returns share the
-    /// inter-cluster data network with explicit communications, which have
-    /// priority; a queued return simply waits for a free slot).
+    /// Mark arrived in-flight words ready, consuming one unit of `budget`
+    /// per word (cross-lane returns share the inter-cluster data network
+    /// with explicit communications, which have priority; a queued return
+    /// simply waits for a free slot).
     pub fn tick_arrivals_budgeted(&mut self, now: u64, budget: &mut usize) {
-        if self.inflight_words == 0 {
-            return;
+        if now < self.next_arrival {
+            return; // nothing lands: the common per-cycle case
         }
-        for lane in &mut self.lanes {
-            while *budget > 0 && lane.inflight.front().is_some_and(|&(t, _)| t <= now) {
-                let (_, w) = lane.inflight.pop_front().expect("checked front");
-                lane.data.push_back(w);
-                self.inflight_words -= 1;
+        let mut next = u64::MAX;
+        for (lane, c) in self.cur.iter_mut().enumerate() {
+            while c.front <= now && *budget > 0 {
+                c.d_land = c.d_land.wrapping_add(1);
                 *budget -= 1;
+                self.data_ready |= 1 << lane;
+                c.front = if c.d_land == c.d_push {
+                    u64::MAX
+                } else {
+                    self.ready_at[slot(lane, c.d_land, self.d_shift)]
+                };
             }
+            next = next.min(c.front);
         }
+        self.next_arrival = next;
     }
 
     /// Any address still queued or being expanded?
     pub fn pending_addresses(&self) -> bool {
-        self.addr_entries > 0
+        self.addr_nonempty != 0
     }
 
     /// All queues empty (used to detect kernel-drain completion)?
     pub fn drained(&self) -> bool {
-        self.addr_entries == 0 && self.inflight_words == 0
+        self.addr_nonempty == 0 && self.next_arrival == u64::MAX
     }
 
-    /// Total occupancy of lane `l`'s data path (buffered + in flight),
-    /// in words — used to reserve buffer space before issuing.
-    fn data_occupancy(&self, lane: usize) -> usize {
-        self.lanes[lane].data.len() + self.lanes[lane].inflight.len()
+    /// Put `w`, read for lane `lane`, in flight until cycle `ready`.
+    #[inline]
+    fn land(&mut self, lane: usize, ready: u64, w: Word) {
+        let c = &mut self.cur[lane];
+        let at = slot(lane, c.d_push, self.d_shift);
+        self.data[at] = w;
+        self.ready_at[at] = ready;
+        if c.d_land == c.d_push {
+            c.front = ready;
+        }
+        c.d_push = c.d_push.wrapping_add(1);
+        self.next_arrival = self.next_arrival.min(ready);
     }
 
-    /// Lane-local SRF offset of word `head_word` of `record`.
-    fn inlane_offset(&self, record: u32, head_word: u32) -> u32 {
-        self.binding.range.base + record * self.binding.record_words + head_word
-    }
-
-    /// `(bank, offset)` of word `head_word` of global `record`.
-    fn crosslane_target(&self, record: u32, head_word: u32, lanes: usize) -> (usize, u32) {
-        let lane = (record as usize) % lanes;
-        let offset = self.binding.range.base
-            + (record / lanes as u32) * self.binding.record_words
-            + head_word;
-        (lane, offset)
+    /// One word of lane `lane`'s FIFO head was issued: advance its
+    /// expansion counter, retire the record when complete, and retarget.
+    /// Returns the FIFO occupancy afterwards.
+    #[inline]
+    fn advance_head(&mut self, lane: usize) -> u32 {
+        let c = &mut self.cur[lane];
+        c.head_word += 1;
+        if c.head_word == self.binding.record_words {
+            c.head_word = 0;
+            c.a_pop = c.a_pop.wrapping_add(1);
+            self.addr_full &= !(1 << lane);
+            if c.a_pop == c.a_push {
+                self.addr_nonempty &= !(1 << lane);
+                return 0;
+            }
+        }
+        let len = c.a_push.wrapping_sub(c.a_pop);
+        self.retarget(lane);
+        len
     }
 
     /// Serialize the dynamic state: every lane's address FIFO (with write
     /// payloads), head-expansion cursor, in-flight words, and ready data.
-    pub(crate) fn encode_state(&self, e: &mut Enc) {
-        e.usize(self.lanes.len());
-        for lane in &self.lanes {
-            e.usize(lane.addr_fifo.len());
-            for req in &lane.addr_fifo {
-                e.u32(req.record);
-                match &req.data {
-                    IdxData::None => e.u8(0),
-                    IdxData::One(w) => {
-                        e.u8(1);
-                        e.u32(*w);
-                    }
-                    IdxData::Many(v) => {
-                        e.u8(2);
-                        e.usize(v.len());
-                        for &w in v {
-                            e.u32(w);
-                        }
-                    }
+    pub fn encode_state(&self, e: &mut Enc) {
+        let write = self.kind == IdxKind::InLaneWrite;
+        let (mut entries, mut flying) = (0, 0);
+        e.usize(self.cur.len());
+        for (lane, c) in self.cur.iter().enumerate() {
+            let reqs = c.a_push.wrapping_sub(c.a_pop);
+            e.usize(reqs as usize);
+            for i in 0..reqs {
+                let at = slot(lane, c.a_pop.wrapping_add(i), self.a_shift);
+                e.u32(self.addr[at].0);
+                e.u8(u8::from(write));
+                if write {
+                    e.u32(self.addr[at].1);
                 }
             }
-            e.u32(lane.head_word);
-            e.usize(lane.inflight.len());
-            for &(t, w) in &lane.inflight {
-                e.u64(t);
-                e.u32(w);
+            e.u32(c.head_word);
+            let inflight = c.d_push.wrapping_sub(c.d_land);
+            e.usize(inflight as usize);
+            for i in 0..inflight {
+                let at = slot(lane, c.d_land.wrapping_add(i), self.d_shift);
+                e.u64(self.ready_at[at]);
+                e.u32(self.data[at]);
             }
-            e.usize(lane.data.len());
-            for &w in &lane.data {
-                e.u32(w);
+            let ready = c.d_land.wrapping_sub(c.d_pop);
+            e.usize(ready as usize);
+            for i in 0..ready {
+                e.u32(self.data[slot(lane, c.d_pop.wrapping_add(i), self.d_shift)]);
             }
+            entries += reqs as usize;
+            flying += inflight as usize;
         }
-        e.usize(self.addr_entries);
-        e.usize(self.inflight_words);
+        e.usize(entries);
+        e.usize(flying);
     }
 
-    /// Overwrite the dynamic state from [`IdxState::encode_state`] bytes.
-    pub(crate) fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        let n = d.usize()?;
-        if n != self.lanes.len() {
-            return Err(SnapError::Mismatch(format!(
-                "indexed stream lane count {n} != {}",
-                self.lanes.len()
-            )));
+    /// Overwrite the dynamic state from [`IdxState::encode_state`] bytes
+    /// by replaying them as pushes and issues on an emptied stream.
+    pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
+        let mismatch = |what: &str| Err(SnapError::Mismatch(format!("indexed stream {what}")));
+        if d.usize()? != self.cur.len() {
+            return mismatch("lane count differs");
         }
-        for lane in &mut self.lanes {
-            lane.addr_fifo.clear();
+        self.cur.fill(idle());
+        (self.addr_nonempty, self.addr_full, self.data_ready) = (0, 0, 0);
+        self.next_arrival = u64::MAX;
+        for lane in 0..self.cur.len() {
             let reqs = d.usize()?;
+            if reqs > self.fifo_cap as usize {
+                return mismatch("address FIFO overflows its capacity");
+            }
             for _ in 0..reqs {
-                let record = d.u32()?;
-                let data = match d.u8()? {
-                    0 => IdxData::None,
-                    1 => IdxData::One(d.u32()?),
-                    2 => {
-                        let len = d.usize()?;
-                        let mut v = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            v.push(d.u32()?);
-                        }
-                        IdxData::Many(v)
-                    }
-                    t => return Err(SnapError::Mismatch(format!("unknown IdxData tag {t}"))),
-                };
-                lane.addr_fifo.push_back(IdxReq { record, data });
+                let at = self.enqueue(lane, d.u32()?);
+                match (d.u8()?, self.kind == IdxKind::InLaneWrite) {
+                    (0, false) => {}
+                    (1, true) => self.addr[at].1 = d.u32()?,
+                    (t, _) => return mismatch(&format!("request tag {t} unsupported")),
+                }
             }
-            lane.head_word = d.u32()?;
-            lane.inflight.clear();
+            self.cur[lane].head_word = d.u32()?;
+            if self.cur[lane].head_word >= self.binding.record_words {
+                return mismatch("head cursor exceeds the record");
+            }
+            if reqs > 0 {
+                self.retarget(lane);
+            }
+            // In-flight words precede the ready ones in the frame but
+            // follow them in the ring: they are issued from count 0, and
+            // the ready words count down from it.
             let inflight = d.usize()?;
-            for _ in 0..inflight {
-                let t = d.u64()?;
-                let w = d.u32()?;
-                lane.inflight.push_back((t, w));
+            for _ in 0..inflight.min(self.buf_cap as usize) {
+                let ready = d.u64()?;
+                self.land(lane, ready, d.u32()?);
             }
-            lane.data.clear();
             let ready = d.usize()?;
-            for _ in 0..ready {
-                lane.data.push_back(d.u32()?);
+            if inflight.saturating_add(ready) > self.buf_cap as usize {
+                return mismatch("data buffer overflows its capacity");
             }
+            self.cur[lane].d_pop = 0u32.wrapping_sub(ready as u32);
+            for i in 0..ready as u32 {
+                self.data[slot(lane, i.wrapping_sub(ready as u32), self.d_shift)] = d.u32()?;
+            }
+            self.data_ready |= u64::from(ready > 0) << lane;
         }
-        self.addr_entries = d.usize()?;
-        self.inflight_words = d.usize()?;
+        // The frame's occupancy totals repeat what the queues just said.
+        d.usize()?;
+        d.usize()?;
         Ok(())
     }
 }
@@ -354,8 +454,6 @@ impl IdxState {
 pub struct IdxParams {
     /// Lanes in the machine.
     pub lanes: usize,
-    /// Sub-arrays per bank.
-    pub subarrays: usize,
     /// Peak in-lane indexed accesses per lane per cycle (1 or `s`).
     pub inlane_words_per_cycle: usize,
     /// Peak cross-lane issues per lane per cycle.
@@ -380,7 +478,6 @@ impl IdxParams {
         let idx = m.srf.indexed.as_ref().expect("machine lacks indexed SRF");
         IdxParams {
             lanes: m.lanes,
-            subarrays: m.srf.subarrays,
             inlane_words_per_cycle: idx.inlane_words_per_cycle,
             crosslane_words_per_cycle: idx.crosslane_words_per_cycle,
             inlane_latency: idx.inlane_latency as u64,
@@ -419,9 +516,10 @@ pub fn topology_issue_budget(topology: CrossLaneTopology, lanes: usize) -> usize
     }
 }
 
-/// Upper bound on SRF banks supported by the per-cycle occupancy masks in
-/// [`service_indexed`] (one `u64` of sub-array bits per bank, on the
-/// stack).
+/// Upper bound on SRF banks (and sub-arrays per bank) supported by the
+/// lane masks and the per-cycle occupancy masks in [`service_indexed`]
+/// (one `u64` of sub-array bits per bank, on the stack);
+/// `MachineConfig::validate` rejects wider indexed machines.
 const MAX_BANKS: usize = 64;
 
 /// One cycle of stage-2 (local) arbitration and SRAM access for all
@@ -441,226 +539,139 @@ pub fn service_indexed(
     traffic: &mut SrfTraffic,
     tracer: &mut Tracer,
 ) {
-    let n_streams = states.len();
-    if n_streams == 0 {
+    if states.is_empty() {
         return;
     }
-    // Sub-array occupancy per bank for this cycle (shared between in-lane
-    // and cross-lane accesses — the SRAM is single-ported per sub-array).
-    // One bit per sub-array, one word per bank: this is rebuilt every
-    // cycle, so it lives on the stack instead of the heap.
-    assert!(
-        p.lanes <= MAX_BANKS && p.subarrays <= 64,
-        "bank/sub-array occupancy masks support at most {MAX_BANKS} banks of 64 sub-arrays"
-    );
+    let start = if *rr < states.len() {
+        *rr
+    } else {
+        *rr % states.len()
+    };
+    // Sub-array occupancy per bank for this cycle, shared between in-lane
+    // and cross-lane accesses — the SRAM is single-ported per sub-array.
     let mut busy = [0u64; MAX_BANKS];
+    service_pass::<false>(states, srf, now, p, start, &mut busy, traffic, tracer);
+    service_pass::<true>(states, srf, now, p, start, &mut busy, traffic, tracer);
+    *rr = if start + 1 < states.len() {
+        start + 1
+    } else {
+        0
+    };
+}
 
-    // --- In-lane service: per lane, up to `inlane_words_per_cycle`
-    // accesses to distinct sub-arrays, at most one per stream. ---
-    #[allow(clippy::needless_range_loop)] // lane indexes several structures
-    for lane in 0..p.lanes {
-        let mut budget = p.inlane_words_per_cycle;
-        for k in 0..n_streams {
-            if budget == 0 {
+/// Arbitrate the FIFO heads of the in-lane (or, with `CROSS`, cross-lane)
+/// streams: lanes ascending, streams round-robin from `rr`, visiting only
+/// lanes where some such stream has a head. In-lane, a lane serves up to
+/// `inlane_words_per_cycle` accesses to distinct sub-arrays, at most one
+/// per stream. Cross-lane, each lane offers one index per cycle over the
+/// dedicated index network and banks accept up to
+/// `network_ports_per_bank`.
+#[allow(clippy::too_many_arguments)]
+fn service_pass<const CROSS: bool>(
+    states: &mut [IdxState],
+    srf: &mut Srf,
+    now: u64,
+    p: &IdxParams,
+    rr: usize,
+    busy: &mut [u64; MAX_BANKS],
+    traffic: &mut SrfTraffic,
+    tracer: &mut Tracer,
+) {
+    let mine = |st: &IdxState| (st.kind == IdxKind::CrossLaneRead) == CROSS;
+    let mut lanes = (states.iter().filter(|st| mine(st))).fold(0, |m, st| m | st.addr_nonempty);
+    if lanes == 0 {
+        return;
+    }
+    // Cross-lane accesses each bank has accepted this cycle (the issue
+    // budget is at most one per lane, so a byte cannot overflow).
+    let mut ports_used = [0u8; MAX_BANKS];
+    let (per_lane, mut global) = if CROSS {
+        let global = topology_issue_budget(p.topology, p.lanes);
+        (p.crosslane_words_per_cycle, global)
+    } else {
+        (p.inlane_words_per_cycle, usize::MAX)
+    };
+    while lanes != 0 && global != 0 {
+        let lane = lanes.trailing_zeros() as usize;
+        lanes &= lanes - 1;
+        let mut issues = per_lane;
+        for k in 0..states.len() {
+            if issues == 0 || global == 0 {
                 break;
             }
-            let si = (*rr + k) % n_streams;
-            let st = &mut states[si];
-            if st.kind == IdxKind::CrossLaneRead {
-                continue;
-            }
-            let Some(head) = st.lanes[lane].addr_fifo.front() else {
-                continue;
-            };
-            let record = head.record;
-            let head_word = st.lanes[lane].head_word;
-            let is_read = st.kind == IdxKind::InLaneRead;
-            if is_read && st.data_occupancy(lane) >= st.buf_cap {
-                if tracer.enabled() {
-                    tracer.emit(
-                        now,
-                        TraceEvent::IdxReject {
-                            stream: si as u8,
-                            lane: lane as u8,
-                            crosslane: false,
-                            reason: IdxRejectReason::DataBufferFull,
-                        },
-                    );
-                }
-                continue; // no room to land the data
-            }
-            let offset = st.inlane_offset(record, head_word);
-            if offset >= st.binding.range.base + st.binding.range.words_per_bank {
-                // Out-of-range address: treat as mapped to the last word so
-                // buggy kernels fail loudly in functional checks, not here.
-                debug_assert!(false, "in-lane index {record} out of range");
-            }
-            let sub = srf.subarray_of(offset.min(srf.bank_words() - 1));
-            if busy[lane] & (1 << sub) != 0 {
-                if tracer.enabled() {
-                    tracer.emit(
-                        now,
-                        TraceEvent::IdxReject {
-                            stream: si as u8,
-                            lane: lane as u8,
-                            crosslane: false,
-                            reason: IdxRejectReason::SubarrayConflict,
-                        },
-                    );
-                }
-                continue; // sub-array conflict: serialize (head-of-line)
-            }
-            busy[lane] |= 1 << sub;
-            budget -= 1;
-            traffic.inlane_words += 1;
-            if is_read {
-                let w = srf.read(lane, offset);
-                st.lanes[lane]
-                    .inflight
-                    .push_back((now + p.inlane_latency, w));
-                st.inflight_words += 1;
+            let si = if rr + k < states.len() {
+                rr + k
             } else {
-                let w = st.lanes[lane]
-                    .addr_fifo
-                    .front()
-                    .expect("head exists")
-                    .data
-                    .word(head_word);
-                srf.write(lane, offset, w);
+                rr + k - states.len()
+            };
+            let st = &mut states[si];
+            if !mine(st) || st.addr_nonempty & (1 << lane) == 0 {
+                continue;
             }
-            // Advance the head expansion counter.
-            let l = &mut st.lanes[lane];
-            l.head_word += 1;
-            if l.head_word == st.binding.record_words {
-                l.head_word = 0;
-                l.addr_fifo.pop_front();
-                st.addr_entries -= 1;
-            }
-            if tracer.enabled() {
-                let fifo_after = st.lanes[lane].addr_fifo.len() as u8;
+            let c = &st.cur[lane];
+            let (bank, sub, off, a_pop) = (c.bank as usize, c.sub, c.off, c.a_pop);
+            let write = st.kind == IdxKind::InLaneWrite;
+            // No room to land the data / bank's network ports exhausted /
+            // sub-array taken: the head waits (head-of-line).
+            let full = !write && c.d_push.wrapping_sub(c.d_pop) >= st.buf_cap;
+            let no_port = CROSS && ports_used[bank] as usize >= p.network_ports_per_bank;
+            if full || no_port || busy[bank] & (1 << sub) != 0 {
+                let reason = if full {
+                    IdxRejectReason::DataBufferFull
+                } else if no_port {
+                    IdxRejectReason::BankPortBusy
+                } else {
+                    IdxRejectReason::SubarrayConflict
+                };
+                let (stream, lane) = (si as u8, lane as u8);
                 tracer.emit(
                     now,
-                    TraceEvent::IdxAccess {
-                        stream: si as u8,
-                        lane: lane as u8,
-                        bank: lane as u8,
-                        subarray: sub as u8,
-                        write: !is_read,
-                        crosslane: false,
-                        hops: 0,
-                        fifo_after,
+                    TraceEvent::IdxReject {
+                        stream,
+                        lane,
+                        crosslane: CROSS,
+                        reason,
                     },
                 );
+                continue;
             }
-        }
-    }
-
-    // --- Cross-lane service: each lane offers one index per cycle over
-    // the dedicated index network; banks accept up to
-    // `network_ports_per_bank`; data returns are queued for the shared
-    // inter-cluster network. ---
-    {
-        let mut bank_ports = [0usize; MAX_BANKS];
-        bank_ports[..p.lanes].fill(p.network_ports_per_bank);
-        let mut global_budget = topology_issue_budget(p.topology, p.lanes);
-        for lane in 0..p.lanes {
-            let mut issues = p.crosslane_words_per_cycle;
-            for k in 0..n_streams {
-                if issues == 0 || global_budget == 0 {
-                    break;
-                }
-                let si = (*rr + k) % n_streams;
-                let st = &mut states[si];
-                if st.kind != IdxKind::CrossLaneRead {
-                    continue;
-                }
-                let Some(head) = st.lanes[lane].addr_fifo.front() else {
-                    continue;
-                };
-                if st.data_occupancy(lane) >= st.buf_cap {
-                    if tracer.enabled() {
-                        tracer.emit(
-                            now,
-                            TraceEvent::IdxReject {
-                                stream: si as u8,
-                                lane: lane as u8,
-                                crosslane: true,
-                                reason: IdxRejectReason::DataBufferFull,
-                            },
-                        );
-                    }
-                    continue;
-                }
-                let (bank, offset) =
-                    st.crosslane_target(head.record, st.lanes[lane].head_word, p.lanes);
-                if bank_ports[bank] == 0 {
-                    if tracer.enabled() {
-                        tracer.emit(
-                            now,
-                            TraceEvent::IdxReject {
-                                stream: si as u8,
-                                lane: lane as u8,
-                                crosslane: true,
-                                reason: IdxRejectReason::BankPortBusy,
-                            },
-                        );
-                    }
-                    continue; // bank's network ports exhausted this cycle
-                }
-                let sub = srf.subarray_of(offset.min(srf.bank_words() - 1));
-                if busy[bank] & (1 << sub) != 0 {
-                    if tracer.enabled() {
-                        tracer.emit(
-                            now,
-                            TraceEvent::IdxReject {
-                                stream: si as u8,
-                                lane: lane as u8,
-                                crosslane: true,
-                                reason: IdxRejectReason::SubarrayConflict,
-                            },
-                        );
-                    }
-                    continue; // sub-array conflict with another access
-                }
-                busy[bank] |= 1 << sub;
-                bank_ports[bank] -= 1;
-                issues -= 1;
-                global_budget -= 1;
+            busy[bank] |= 1 << sub;
+            issues -= 1;
+            let mut hops = 0;
+            if CROSS {
+                ports_used[bank] += 1;
+                global -= 1;
                 traffic.crosslane_words += 1;
-                let w = srf.read(bank, offset);
-                let extra = topology_extra_latency(p.topology, lane, bank, p.lanes);
-                st.lanes[lane]
-                    .inflight
-                    .push_back((now + p.crosslane_latency + extra, w));
-                st.inflight_words += 1;
-                let l = &mut st.lanes[lane];
-                l.head_word += 1;
-                if l.head_word == st.binding.record_words {
-                    l.head_word = 0;
-                    l.addr_fifo.pop_front();
-                    st.addr_entries -= 1;
-                }
-                if tracer.enabled() {
-                    let fifo_after = st.lanes[lane].addr_fifo.len() as u8;
-                    tracer.emit(
-                        now,
-                        TraceEvent::IdxAccess {
-                            stream: si as u8,
-                            lane: lane as u8,
-                            bank: bank as u8,
-                            subarray: sub as u8,
-                            write: false,
-                            crosslane: true,
-                            hops: extra as u8,
-                            fifo_after,
-                        },
-                    );
-                }
+                hops = topology_extra_latency(p.topology, lane, bank, p.lanes);
+            } else {
+                traffic.inlane_words += 1;
             }
+            if write {
+                srf.write(bank, off, st.addr[slot(lane, a_pop, st.a_shift)].1);
+            } else {
+                let latency = if CROSS {
+                    p.crosslane_latency + hops
+                } else {
+                    p.inlane_latency
+                };
+                st.land(lane, now + latency, srf.read(bank, off));
+            }
+            let fifo_after = st.advance_head(lane) as u8;
+            tracer.emit(
+                now,
+                TraceEvent::IdxAccess {
+                    stream: si as u8,
+                    lane: lane as u8,
+                    bank: bank as u8,
+                    subarray: sub,
+                    write,
+                    crosslane: CROSS,
+                    hops: hops as u8,
+                    fifo_after,
+                },
+            );
         }
     }
-
-    *rr = (*rr + 1) % n_streams.max(1);
 }
 
 #[cfg(test)]
@@ -743,7 +754,7 @@ mod tests {
         // Even on ISRF4, one stream issues at most one access per cycle.
         let (mut srf, mut st, p, _) = setup(IdxKind::InLaneRead);
         for r in 0..8 {
-            st.push_addr(0, r * 1024); // all different sub-arrays
+            st.push_addr(0, (r % 4) * 1024 + r / 4); // neighbours differ in sub-array
         }
         let mut states = [st];
         let t = run_cycles(&mut states, &mut srf, &p, 0, 4);
@@ -890,14 +901,149 @@ mod tests {
             base: 100,
             words_per_bank: 256,
         };
-        let b = StreamBinding::whole(range, 2, 128);
+        let b = StreamBinding::whole(range, 1, 256);
         let mut st = IdxState::new(b, IdxKind::InLaneWrite, 8, &m);
-        st.push_write(5, 3, vec![77, 88]);
+        st.push_write_word(5, 6, 77);
+        st.push_write_word(5, 7, 88);
         let mut states = [st];
         run_cycles(&mut states, &mut srf, &p, 0, 3);
         assert_eq!(srf.read(5, 106), 77);
         assert_eq!(srf.read(5, 107), 88);
         assert!(states[0].drained());
+    }
+
+    /// The snapshot layout is pinned byte for byte: per lane the address
+    /// FIFO (`record`, tag 0 for a read / tag 1 plus the word for a write),
+    /// the head cursor, in-flight `(cycle, word)` pairs, ready words; then
+    /// the two occupancy totals.
+    #[test]
+    fn snapshot_bytes_are_pinned_and_tag_2_is_rejected() {
+        let (mut srf, _, p, m) = setup(IdxKind::InLaneRead);
+        let range = SrfRange {
+            base: 100,
+            words_per_bank: 256,
+        };
+        let b = StreamBinding::whole(range, 1, 256);
+        let mut wr = IdxState::new(b, IdxKind::InLaneWrite, 8, &m);
+        wr.push_write_word(1, 6, 77);
+        let mut rd = IdxState::new(b, IdxKind::InLaneRead, 8, &m);
+        for r in [3, 4, 5] {
+            rd.push_addr(1, r);
+        }
+        let mut states = [rd];
+        let (mut traffic, mut rr) = (SrfTraffic::default(), 0);
+        // Issue record 3 at cycle 0 (lands at 4) and record 4 at cycle 5.
+        for now in [0, 5] {
+            states[0].tick_arrivals(now);
+            service_indexed(
+                &mut states,
+                &mut srf,
+                now,
+                &p,
+                &mut rr,
+                &mut traffic,
+                &mut Tracer::Null,
+            );
+        }
+        let lane =
+            |e: &mut Enc, reqs: &[(u32, Option<Word>)], flying: &[(u64, Word)], ready: &[Word]| {
+                e.usize(reqs.len());
+                for &(record, w) in reqs {
+                    e.u32(record);
+                    e.u8(u8::from(w.is_some()));
+                    if let Some(w) = w {
+                        e.u32(w);
+                    }
+                }
+                e.u32(0);
+                e.usize(flying.len());
+                for &(t, w) in flying {
+                    e.u64(t);
+                    e.u32(w);
+                }
+                e.usize(ready.len());
+                for &w in ready {
+                    e.u32(w);
+                }
+            };
+        for (st, reqs, flying, ready) in [
+            (&wr, &[(6, Some(77))][..], &[][..], &[][..]),
+            (
+                &states[0],
+                &[(5, None)][..],
+                &[(9, 10_104)][..],
+                &[10_103][..],
+            ),
+        ] {
+            let mut want = Enc::new();
+            want.usize(8);
+            for l in 0..8 {
+                if l == 1 {
+                    lane(&mut want, reqs, flying, ready);
+                } else {
+                    lane(&mut want, &[], &[], &[]);
+                }
+            }
+            want.usize(reqs.len());
+            want.usize(flying.len());
+            let mut got = Enc::new();
+            st.encode_state(&mut got);
+            assert_eq!(got.into_bytes(), want.into_bytes());
+        }
+        // Tag 2 was the multi-word write payload; no stream produces it.
+        let mut e = Enc::new();
+        wr.encode_state(&mut e);
+        let mut bytes = e.into_bytes();
+        let empty_lane = 8 + 4 + 8 + 8; // FIFO length, head cursor, in-flight, ready
+        let tag_at = 8 + empty_lane + 8 + 4; // lane count, lane 0, lane 1's length and record
+        assert_eq!(bytes[tag_at], 1, "the queued write's tag byte");
+        bytes[tag_at] = 2;
+        let err = wr.decode_state(&mut Dec::new(&bytes)).unwrap_err();
+        assert!(matches!(err, SnapError::Mismatch(_)), "{err}");
+    }
+
+    /// A dynamic index past the end of the bank is clamped once, so the
+    /// sub-array lookup and the SRAM access agree on the bank's last word
+    /// (debug builds assert instead).
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn out_of_range_indices_are_clamped_not_panicking() {
+        let (mut srf, _, p, m) = setup(IdxKind::InLaneRead);
+        let whole = SrfRange {
+            base: 0,
+            words_per_bank: 4096,
+        };
+        let mut inl = IdxState::new(
+            StreamBinding::whole(whole, 1, 4096),
+            IdxKind::InLaneRead,
+            8,
+            &m,
+        );
+        let mut xl = IdxState::new(
+            StreamBinding::whole(whole, 1, 32768),
+            IdxKind::CrossLaneRead,
+            8,
+            &m,
+        );
+        let mut wr = IdxState::new(
+            StreamBinding::whole(whole, 1, 4096),
+            IdxKind::InLaneWrite,
+            8,
+            &m,
+        );
+        inl.push_addr(2, 4096); // first word past the bank
+        inl.push_addr(3, u32::MAX);
+        xl.push_addr(0, 8 * 4096 + 5); // row 4096 of bank 5
+        xl.push_addr(1, u32::MAX);
+        wr.push_write_word(6, 1 << 20, 0xABCD);
+        let mut states = [inl, xl, wr];
+        let t = run_cycles(&mut states, &mut srf, &p, 0, 16);
+        assert_eq!((t.inlane_words, t.crosslane_words), (3, 2));
+        assert_eq!(states[0].pop_data(2), 20_000 + 4095);
+        assert_eq!(states[0].pop_data(3), 30_000 + 4095);
+        assert_eq!(states[1].pop_data(0), 50_000 + 4095);
+        assert_eq!(states[1].pop_data(1), 70_000 + 4095, "u32::MAX % 8 == 7");
+        assert_eq!(srf.read(6, 4095), 0xABCD);
     }
 
     #[test]
