@@ -3,8 +3,9 @@
 #
 #   ./ci.sh           tier-1 gate only
 #   ./ci.sh --check   tier-1 gate, then the perf basket in regression-check
-#                     mode: fails if simulator throughput drops >25% below
-#                     the committed results/BENCH_perf.json baseline (see
+#                     mode: fails if any point's cycle count differs from
+#                     the committed results/BENCH_perf.json baseline, or if
+#                     simulator throughput drops >25% below it (see
 #                     EXPERIMENTS.md, "Performance"). The fresh measurement
 #                     is written to results/BENCH_perf.current.json as the
 #                     run's trajectory artifact; the committed baseline is
@@ -68,11 +69,10 @@ echo "==> analyzer report drift check (golden reports)"
 ./target/release/verify all all --check results/VERIFY_report.json
 ./target/release/verify all all --paper --check results/VERIFY_report_paper.json
 
-echo "==> static cycle floor vs simulation (both engines, both profiles)"
+echo "==> static cycle floor vs simulation (both profiles)"
 # The model's whole-program cycle lower bound must be sound (floor <=
-# simulated cycles under Tape AND Interp) and not uselessly loose
-# (floor >= MIN_FLOOR_PCT of simulated; committed in the verify bin) on
-# every app x config point.
+# simulated cycles) and not uselessly loose (floor >= MIN_FLOOR_PCT of
+# simulated; committed in the verify bin) on every app x config point.
 ./target/release/verify all all --cycles
 ./target/release/verify all all --paper --cycles
 
@@ -94,15 +94,6 @@ else
   ./target/release/trace --validate "$smoke_json"
 fi
 
-echo "==> engine differential (tape vs interpreter)"
-# The compiled-tape engine must be unobservable next to the graph-walking
-# interpreter: identical stats, word-for-word identical trace streams, and
-# identical output memory on a conditional-stream point (sort ISRF4), an
-# indexed-landing point (filter Base), a cross-lane gather point
-# (spmv ISRF4), an in-lane halo-reuse point (stencil ISRF4), and an
-# irregular-frontier replication point (bfs Base).
-./target/release/engines
-
 echo "==> serve smoke test"
 # Spawn the batch server on an ephemeral port with a tiny queue, submit
 # sort/ISRF4 and filter/Base, poll to completion and diff the served
@@ -113,9 +104,9 @@ echo "==> serve smoke test"
 
 echo "==> snapshot/resume differential + bisector negative test"
 # Pausing sort/ISRF4 halfway, serializing the machine, restoring into a
-# fresh one and resuming must be byte-identical to an uninterrupted run
-# under both engines; and the first-divergence bisector must localize a
-# deliberately injected single-word SRF corruption to its exact cycle.
+# fresh one and resuming must be byte-identical to an uninterrupted run;
+# and the first-divergence bisector must localize a deliberately injected
+# single-word SRF corruption to its exact cycle.
 ./target/release/snapshot
 ./target/release/snapshot negative
 

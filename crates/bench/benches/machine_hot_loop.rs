@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use isrf_bench::perf::hot_loop_prepared;
-use isrf_sim::ExecEngine;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("machine_hot_loop");
@@ -13,36 +12,12 @@ fn bench(c: &mut Criterion) {
         let (mut m, p) = hot_loop_prepared();
         b.iter(|| m.run(&p))
     });
-    // The same workload on the graph-walking interpreter: the ratio to
-    // `single_kernel_no_mem` is the speedup of the compiled-tape engine.
-    g.bench_function("single_kernel_no_mem_interp", |b| {
-        let (mut m, p) = hot_loop_prepared();
-        m.set_engine(ExecEngine::Interp);
-        b.iter(|| m.run(&p))
-    });
     g.bench_function("prepare_and_run", |b| {
         b.iter(|| {
             let (mut m, p) = hot_loop_prepared();
             m.run(&p)
         })
     });
-    g.finish();
-
-    // Tape vs interpreter on a real benchmark kernel (the filter app's
-    // indexed-landing path, Base configuration).
-    let mut g = c.benchmark_group("engines_filter_base");
-    g.sample_size(10);
-    for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-        g.bench_function(format!("{engine:?}"), |b| {
-            let mut pr = isrf_bench::prepare_app(
-                "filter",
-                isrf_core::config::ConfigName::Base,
-                isrf_bench::Profile::Small,
-            );
-            pr.machine.set_engine(engine);
-            b.iter(|| pr.machine.run(&pr.program))
-        });
-    }
     g.finish();
 
     let (mut m, p) = hot_loop_prepared();

@@ -1,6 +1,8 @@
 //! `perf`: run the simulator-throughput basket and write
 //! `results/BENCH_perf.json`, or check a fresh run against the committed
-//! baseline (`--check`), failing on a >25% sim-cycles/sec regression.
+//! baseline (`--check`), failing on any per-point cycle count that differs
+//! from the baseline's (simulated timing changed) and on a >25%
+//! sim-cycles/sec regression.
 //!
 //! ```text
 //! perf [--out PATH] [--paper] [--runs N]        measure and write JSON
@@ -104,6 +106,30 @@ fn main() -> ExitCode {
                 eprintln!("perf --check: no basket_cycles_per_sec in {baseline_path}");
                 return ExitCode::FAILURE;
             };
+            let base_by_name: std::collections::BTreeMap<String, (u64, f64)> =
+                baseline_entries(&doc)
+                    .into_iter()
+                    .map(|(n, c, r)| (n, (c, r)))
+                    .collect();
+            // Cycle counts are exact: any difference means simulated
+            // timing changed, whatever the host throughput did.
+            let mut drifted = 0;
+            for e in &report.entries {
+                if let Some(&(bc, _)) = base_by_name.get(&e.name) {
+                    if bc != e.cycles {
+                        drifted += 1;
+                        eprintln!("{:<24} {:>12} cycles, baseline {bc}", e.name, e.cycles);
+                    }
+                }
+            }
+            if drifted > 0 {
+                eprintln!(
+                    "perf --check FAILED: {drifted} of {} cycle counts drifted from \
+                     {baseline_path}",
+                    report.entries.len()
+                );
+                return ExitCode::FAILURE;
+            }
             let now = report.basket_cycles_per_sec();
             let floor = base * REGRESSION_BUDGET;
             println!(
@@ -112,29 +138,17 @@ fn main() -> ExitCode {
                 REGRESSION_BUDGET * 100.0
             );
             if now < floor {
-                // Per-entry delta table: which points slowed down, and
-                // whether any cycle count drifted from the baseline
-                // (a correctness smell, not just a perf one).
-                let base_by_name: std::collections::BTreeMap<String, (u64, f64)> =
-                    baseline_entries(&doc)
-                        .into_iter()
-                        .map(|(n, c, r)| (n, (c, r)))
-                        .collect();
+                // Per-entry delta table: which points slowed down.
                 eprintln!(
                     "{:<24} {:>12} {:>14} {:>14} {:>8}",
                     "point", "cycles", "base cyc/s", "now cyc/s", "delta"
                 );
                 for e in &report.entries {
                     match base_by_name.get(&e.name) {
-                        Some(&(bc, bcps)) => {
+                        Some(&(_, bcps)) => {
                             let delta = (e.cycles_per_sec() / bcps - 1.0) * 100.0;
-                            let drift = if bc != e.cycles {
-                                format!("  CYCLES DRIFTED (baseline {bc})")
-                            } else {
-                                String::new()
-                            };
                             eprintln!(
-                                "{:<24} {:>12} {:>14.0} {:>14.0} {:>+7.1}%{drift}",
+                                "{:<24} {:>12} {:>14.0} {:>14.0} {:>+7.1}%",
                                 e.name,
                                 e.cycles,
                                 bcps,

@@ -2,8 +2,7 @@
 //! granularity, serialize the complete machine state, restore it into a
 //! *fresh* machine, resume, and require the stitched run to be
 //! byte-identical to an uninterrupted one — same `RunStats`, same recorded
-//! trace stream, same output memory — under both execution engines
-//! (DESIGN.md §12).
+//! trace stream, same output memory (DESIGN.md §12).
 //!
 //! Usage:
 //!
@@ -21,7 +20,7 @@ use isrf_check::{first_divergence, PerturbAt};
 use isrf_core::config::ConfigName;
 use isrf_core::stats::RunStats;
 use isrf_core::Word;
-use isrf_sim::{ExecEngine, Machine};
+use isrf_sim::Machine;
 use isrf_trace::{TraceEvent, Tracer};
 
 fn parse_config(s: &str) -> ConfigName {
@@ -40,10 +39,8 @@ struct Observed {
     outputs: Vec<(u32, Vec<Word>)>,
 }
 
-fn prepare(app: &str, cfg: ConfigName, engine: ExecEngine) -> isrf_apps::common::Prepared {
-    let mut pr = isrf_bench::prepare_app(app, cfg, isrf_bench::Profile::Small);
-    pr.machine.set_engine(engine);
-    pr
+fn prepare(app: &str, cfg: ConfigName) -> isrf_apps::common::Prepared {
+    isrf_bench::prepare_app(app, cfg, isrf_bench::Profile::Small)
 }
 
 fn drain_events(m: &mut Machine) -> Vec<(u64, TraceEvent)> {
@@ -64,8 +61,8 @@ fn read_outputs(m: &Machine, outputs: &[(u32, u32)]) -> Vec<(u32, Vec<Word>)> {
 }
 
 /// One uninterrupted run with a recording tracer.
-fn straight(app: &str, cfg: ConfigName, engine: ExecEngine) -> Observed {
-    let mut pr = prepare(app, cfg, engine);
+fn straight(app: &str, cfg: ConfigName) -> Observed {
+    let mut pr = prepare(app, cfg);
     pr.machine.set_tracer(Tracer::recording(1 << 20));
     let stats = pr.machine.run(&pr.program);
     let events = drain_events(&mut pr.machine);
@@ -79,8 +76,8 @@ fn straight(app: &str, cfg: ConfigName, engine: ExecEngine) -> Observed {
 
 /// Run to cycle `at`, snapshot, restore into a fresh machine, resume to
 /// completion, and stitch the two trace halves together.
-fn paused(app: &str, cfg: ConfigName, engine: ExecEngine, at: u64) -> (Observed, usize) {
-    let mut pr = prepare(app, cfg, engine);
+fn paused(app: &str, cfg: ConfigName, at: u64) -> (Observed, usize) {
+    let mut pr = prepare(app, cfg);
     pr.machine.set_tracer(Tracer::recording(1 << 20));
     assert!(
         pr.machine.run_for(&pr.program, at).is_none(),
@@ -89,7 +86,7 @@ fn paused(app: &str, cfg: ConfigName, engine: ExecEngine, at: u64) -> (Observed,
     let snapshot = pr.machine.save_state(&pr.program);
     let mut events = drain_events(&mut pr.machine);
 
-    let mut fresh = prepare(app, cfg, engine);
+    let mut fresh = prepare(app, cfg);
     fresh
         .machine
         .restore_state(&fresh.program, &snapshot)
@@ -111,11 +108,11 @@ fn paused(app: &str, cfg: ConfigName, engine: ExecEngine, at: u64) -> (Observed,
     )
 }
 
-/// Compare straight vs. snapshot/resume for one point under one engine.
-fn check(app: &str, cfg: ConfigName, engine: ExecEngine) -> bool {
-    let base = straight(app, cfg, engine);
+/// Compare straight vs. snapshot/resume for one point.
+fn check(app: &str, cfg: ConfigName) -> bool {
+    let base = straight(app, cfg);
     let at = base.stats.cycles / 2;
-    let (resumed, snap_bytes) = paused(app, cfg, engine, at);
+    let (resumed, snap_bytes) = paused(app, cfg, at);
     let mut ok = true;
 
     if base.stats != resumed.stats {
@@ -157,11 +154,10 @@ fn check(app: &str, cfg: ConfigName, engine: ExecEngine) -> bool {
         }
     }
     println!(
-        "{} {:<8} {:<6} {:<6} paused at {:>7}/{:<7}, {:>7}-byte snapshot, {:>6} events",
+        "{} {:<8} {:<6} paused at {:>7}/{:<7}, {:>7}-byte snapshot, {:>6} events",
         if ok { "PASS" } else { "FAIL" },
         app,
         format!("{cfg}"),
-        format!("{engine:?}"),
         at,
         base.stats.cycles,
         snap_bytes,
@@ -173,13 +169,12 @@ fn check(app: &str, cfg: ConfigName, engine: ExecEngine) -> bool {
 /// Negative mode: the bisector must localize an injected single-word SRF
 /// corruption to exactly the cycle it was injected at.
 fn negative(app: &str, cfg: ConfigName) -> bool {
-    let engine = ExecEngine::Tape;
     let total = {
-        let mut pr = prepare(app, cfg, engine);
+        let mut pr = prepare(app, cfg);
         pr.machine.run(&pr.program).cycles
     };
-    let mut a = prepare(app, cfg, engine);
-    let b = prepare(app, cfg, engine);
+    let mut a = prepare(app, cfg);
+    let b = prepare(app, cfg);
     let (mut bm, bp) = (b.machine, b.program);
     // Corrupt the first SRF word above the allocator high-water mark: no
     // stream transfer ever touches it, so the damage persists in
@@ -241,16 +236,14 @@ fn main() {
     };
     let mut all_ok = true;
     for (app, cfg) in &points {
-        for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-            all_ok &= check(app, *cfg, engine);
-        }
+        all_ok &= check(app, *cfg);
     }
     if !all_ok {
         eprintln!("snapshot/resume differential FAILED");
         std::process::exit(1);
     }
     println!(
-        "snapshot/resume differential: all {} point(s) identical under both engines",
+        "snapshot/resume differential: all {} point(s) identical",
         points.len()
     );
 }

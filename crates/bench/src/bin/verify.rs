@@ -16,9 +16,9 @@
 //!   `FILE` (`-` for stdout).
 //! * `--check FILE` — regenerate the report and diff it against the
 //!   committed golden `FILE`; exit non-zero on drift.
-//! * `--cycles` — additionally *simulate* each point under both engines
-//!   and check the static cycle floor is a true lower bound (and not
-//!   uselessly loose: floor ≥ `MIN_FLOOR_PCT`% of the simulated cycles).
+//! * `--cycles` — additionally *simulate* each point and check the static
+//!   cycle floor is a true lower bound (and not uselessly loose: floor ≥
+//!   `MIN_FLOOR_PCT`% of the simulated cycles).
 //! * `--explain CODE` — print the rule behind a diagnostic code, then any
 //!   findings with that code across the selected points, including the
 //!   derived intervals and dataflow path notes.
@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use isrf_bench::{prepare_app, Profile, DIFF_APPS};
 use isrf_core::config::ConfigName;
-use isrf_sim::ExecEngine;
 use isrf_verify::{explain, Report, Verifier};
 
 /// The static floor must recover at least this percentage of the simulated
@@ -314,21 +313,13 @@ fn main() {
             if !cycles {
                 continue;
             }
-            // Cross-validate the static floor against both engines.
+            // Cross-validate the static floor against the simulation.
             let floor = isrf_verify::cost_model(pr.machine.config(), &pr.program).cycle_floor;
-            let mut sim = Vec::new();
-            for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-                let mut pr = prepare_app(app, cfg, profile);
-                pr.machine.set_engine(engine);
-                sim.push(pr.machine.run(&pr.program).cycles);
-            }
-            let (tape, interp) = (sim[0], sim[1]);
-            let worst = tape.min(interp);
-            let pct = (floor * 100).checked_div(worst).unwrap_or(100);
-            let ok = floor <= worst && pct >= MIN_FLOOR_PCT;
+            let sim = pr.machine.run(&pr.program).cycles;
+            let pct = (floor * 100).checked_div(sim).unwrap_or(100);
+            let ok = floor <= sim && pct >= MIN_FLOOR_PCT;
             println!(
-                "{app} on {cfg}: floor {floor} <= tape {tape} / interp {interp} ({pct}% of \
-                 simulated){}",
+                "{app} on {cfg}: floor {floor} <= simulated {sim} ({pct}%){}",
                 if ok { "" } else { "  UNSOUND OR TOO LOOSE" }
             );
             if !ok {

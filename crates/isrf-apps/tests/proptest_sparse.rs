@@ -1,14 +1,12 @@
 //! Sparse-workload property tests: random CSR matrices — varying
 //! density, empty rows, single-column, pathological bandwidth — run
-//! through the SpMV app on both execution engines and diffed
-//! word-for-word against the bit-exact host reference; plus
-//! snapshot/resume at a random mid-run cycle, which must reproduce the
-//! uninterrupted run exactly.
+//! through the SpMV app and diffed word-for-word against the bit-exact
+//! host reference; plus snapshot/resume at a random mid-run cycle, which
+//! must reproduce the uninterrupted run exactly.
 
 use isrf_apps::spmv::{pad_of, prepare_csr, reference, Csr};
 use isrf_core::config::ConfigName;
 use isrf_core::word::{from_f32, Word};
-use isrf_sim::ExecEngine;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -105,25 +103,16 @@ fn read_output(pr: &isrf_apps::common::Prepared) -> Vec<Word> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random CSR × {Base, Isrf4} × {Tape, Interp}: the simulated
-    /// `y = A * x` equals the host reference in every bit.
+    /// Random CSR × {Base, Isrf4}: the simulated `y = A * x` equals the
+    /// host reference in every bit.
     #[test]
-    fn spmv_matches_reference_on_both_engines(r in recipes()) {
+    fn spmv_matches_reference(r in recipes()) {
         let (csr, x) = build(&r);
         let expect = expected_words(&csr, &x);
         for cfg in [ConfigName::Base, ConfigName::Isrf4] {
-            for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-                let mut pr = prepare_csr(cfg, &csr, &x, STRIP_ROWS);
-                pr.machine.set_engine(engine);
-                pr.machine.run(&pr.program);
-                prop_assert_eq!(
-                    &read_output(&pr),
-                    &expect,
-                    "y diverged on {:?} under {:?}",
-                    cfg,
-                    engine
-                );
-            }
+            let mut pr = prepare_csr(cfg, &csr, &x, STRIP_ROWS);
+            pr.machine.run(&pr.program);
+            prop_assert_eq!(&read_output(&pr), &expect, "y diverged on {:?}", cfg);
         }
     }
 
@@ -133,33 +122,28 @@ proptest! {
     #[test]
     fn spmv_snapshot_resume_is_invisible(r in recipes(), at in 1u64..4000) {
         let (csr, x) = build(&r);
-        for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-            let mut straight = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
-            straight.machine.set_engine(engine);
-            let stats_s = straight.machine.run(&straight.program);
-            let out_s = read_output(&straight);
+        let mut straight = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
+        let stats_s = straight.machine.run(&straight.program);
+        let out_s = read_output(&straight);
 
-            let mut pr = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
-            pr.machine.set_engine(engine);
-            let (stats_p, out_p) = match pr.machine.run_for(&pr.program, at) {
-                Some(stats) => (stats, read_output(&pr)),
-                None => {
-                    let snapshot = pr.machine.save_state(&pr.program);
-                    let mut fresh = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
-                    fresh.machine.set_engine(engine);
-                    fresh
-                        .machine
-                        .restore_state(&fresh.program, &snapshot)
-                        .expect("snapshot restores into the same recipe");
-                    let stats = fresh
-                        .machine
-                        .run_for(&fresh.program, u64::MAX)
-                        .expect("resumed run completes");
-                    (stats, read_output(&fresh))
-                }
-            };
-            prop_assert_eq!(stats_s, stats_p, "stats differ under {:?} at {}", engine, at);
-            prop_assert_eq!(&out_s, &out_p, "output differs under {:?} at {}", engine, at);
-        }
+        let mut pr = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
+        let (stats_p, out_p) = match pr.machine.run_for(&pr.program, at) {
+            Some(stats) => (stats, read_output(&pr)),
+            None => {
+                let snapshot = pr.machine.save_state(&pr.program);
+                let mut fresh = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
+                fresh
+                    .machine
+                    .restore_state(&fresh.program, &snapshot)
+                    .expect("snapshot restores into the same recipe");
+                let stats = fresh
+                    .machine
+                    .run_for(&fresh.program, u64::MAX)
+                    .expect("resumed run completes");
+                (stats, read_output(&fresh))
+            }
+        };
+        prop_assert_eq!(stats_s, stats_p, "stats differ at {}", at);
+        prop_assert_eq!(&out_s, &out_p, "output differs at {}", at);
     }
 }

@@ -1,7 +1,7 @@
 //! First-divergence bisection over machine snapshots (DESIGN.md §12).
 //!
-//! Given two machines that *should* be indistinguishable — two execution
-//! engines, two builds, or one machine with a deliberately injected fault —
+//! Given two machines that *should* be indistinguishable — two builds, or
+//! one machine with a deliberately injected fault —
 //! [`first_divergence`] runs them in lockstep through the same program and
 //! binary-searches over [`isrf_sim::Machine::save_state`] snapshots for
 //! the first cycle at which their architectural state differs, returning a
@@ -15,16 +15,8 @@
 //! cycle the mismatch cycle is exact. Cost is `O(T + log T · chunk)`
 //! simulated cycles rather than the `O(T)` snapshots a per-cycle scan
 //! would take.
-//!
-//! When the two machines run *different engines* (tape vs. interpreter),
-//! the comparison masks the engine-selection byte and skips the `kctx`
-//! section — the engines keep in-flight iteration values in different
-//! structures (flat ring vs. context queue), so only the engine-neutral
-//! state (SRF, memory, stream buffers, FIFOs, cursors, stats) is
-//! compared. Every architectural effect lands in that neutral state
-//! within a few cycles, so divergences are still localized tightly.
 
-use isrf_core::snap::{self, Enc, SnapError};
+use isrf_core::snap::SnapError;
 use isrf_core::Word;
 use isrf_sim::snapshot::{diff_snapshots, SnapshotDiff};
 use isrf_sim::{Machine, StreamProgram};
@@ -133,7 +125,6 @@ pub fn first_divergence(
     initial_chunk: u64,
     perturb_b: Option<PerturbAt>,
 ) -> Result<Option<Divergence>, SnapError> {
-    let cross_engine = a.engine() != b.engine();
     let mut sa = Side {
         m: a,
         at: 0,
@@ -152,7 +143,7 @@ pub fn first_divergence(
     // machines were prepared differently).
     let mut last_equal_a = sa.m.save_state(program);
     let mut last_equal_b = sb.m.save_state(program);
-    if comparable(&last_equal_a, cross_engine)? != comparable(&last_equal_b, cross_engine)? {
+    if last_equal_a != last_equal_b {
         let diffs = diff_snapshots(&last_equal_a, &last_equal_b)?;
         return Ok(Some(Divergence { cycle: 0, diffs }));
     }
@@ -166,7 +157,7 @@ pub fn first_divergence(
         sb.step(program, chunk);
         let na = sa.m.save_state(program);
         let nb = sb.m.save_state(program);
-        if comparable(&na, cross_engine)? == comparable(&nb, cross_engine)? {
+        if na == nb {
             last_equal_a = na;
             last_equal_b = nb;
             equal_at = sa.at;
@@ -184,26 +175,4 @@ pub fn first_divergence(
         sb.restore(program, &last_equal_b, equal_at)?;
         chunk = (chunk / 2).max(1);
     }
-}
-
-/// Project a snapshot onto its comparable bytes: the engine-selection
-/// byte of the `meta` section is masked (it is configuration, not state),
-/// and for cross-engine comparison the representation-dependent `kctx`
-/// section (tape ring vs. interpreter context queue) is skipped.
-fn comparable(snapshot: &[u8], cross_engine: bool) -> Result<Vec<u8>, SnapError> {
-    let payload = snap::unframe(snapshot)?;
-    let sections = snap::read_sections(payload)?;
-    let rebuilt: Vec<(String, Vec<u8>)> = sections
-        .into_iter()
-        .filter(|s| !(cross_engine && s.name == "kctx"))
-        .map(|mut s| {
-            if s.name == "meta" && s.bytes.len() > 16 {
-                s.bytes[16] = 0xff; // engine tag follows the two fingerprints
-            }
-            (s.name, s.bytes)
-        })
-        .collect();
-    let mut e = Enc::new();
-    snap::write_sections(&mut e, &rebuilt);
-    Ok(e.into_bytes())
 }

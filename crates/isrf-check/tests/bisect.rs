@@ -10,7 +10,7 @@ use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_mem::AddrPattern;
-use isrf_sim::{ExecEngine, Machine, StreamProgram};
+use isrf_sim::{Machine, StreamProgram};
 
 const OUT_BASE: u32 = 8192;
 const OUT_WORDS: u32 = 64;
@@ -18,10 +18,9 @@ const OUT_WORDS: u32 = 64;
 /// The table-lookup point also used by the snapshot round-trip tests:
 /// two loads (a LUT and an input stream), one indexed-access kernel, one
 /// store — long enough that a mid-run perturbation lands in live state.
-fn build_point(engine: ExecEngine) -> (Machine, StreamProgram) {
+fn build_point() -> (Machine, StreamProgram) {
     let cfg = MachineConfig::preset(ConfigName::Isrf4);
     let mut machine = Machine::new(cfg).unwrap();
-    machine.set_engine(engine);
 
     let mut b = KernelBuilder::new("lookup");
     let s_in = b.stream("in", StreamKind::SeqIn);
@@ -60,15 +59,15 @@ fn build_point(engine: ExecEngine) -> (Machine, StreamProgram) {
 }
 
 /// Total cycles of an uninterrupted run of the point.
-fn total_cycles(engine: ExecEngine) -> u64 {
-    let (mut m, p) = build_point(engine);
+fn total_cycles() -> u64 {
+    let (mut m, p) = build_point();
     m.run(&p).cycles
 }
 
 #[test]
 fn identical_machines_never_diverge() {
-    let (mut a, p) = build_point(ExecEngine::Tape);
-    let (mut b, _) = build_point(ExecEngine::Tape);
+    let (mut a, p) = build_point();
+    let (mut b, _) = build_point();
     let d = first_divergence(&mut a, &mut b, &p, 64, None).expect("snapshots restore");
     assert!(
         d.is_none(),
@@ -79,16 +78,8 @@ fn identical_machines_never_diverge() {
 }
 
 #[test]
-fn cross_engine_machines_never_diverge() {
-    let (mut a, p) = build_point(ExecEngine::Tape);
-    let (mut b, _) = build_point(ExecEngine::Interp);
-    let d = first_divergence(&mut a, &mut b, &p, 64, None).expect("snapshots restore");
-    assert!(d.is_none(), "tape vs interpreter diverged: {}", d.unwrap());
-}
-
-#[test]
 fn bisector_pinpoints_injected_cycle() {
-    let total = total_cycles(ExecEngine::Tape);
+    let total = total_cycles();
     assert!(total > 16, "point too short to host a mid-run injection");
     // Corrupt an SRF word above the allocator high-water mark (no stream
     // ever writes it, so the damage persists in state from the injection
@@ -100,8 +91,8 @@ fn bisector_pinpoints_injected_cycle() {
         (7, 1000),
         (total - 2, 3),
     ] {
-        let (mut a, p) = build_point(ExecEngine::Tape);
-        let (mut b, _) = build_point(ExecEngine::Tape);
+        let (mut a, p) = build_point();
+        let (mut b, _) = build_point();
         let perturb = PerturbAt {
             cycle: inject,
             lane: 3,
@@ -126,8 +117,8 @@ fn bisector_pinpoints_injected_cycle() {
 
 #[test]
 fn prepared_state_mismatch_reports_cycle_zero() {
-    let (mut a, p) = build_point(ExecEngine::Tape);
-    let (mut b, _) = build_point(ExecEngine::Tape);
+    let (mut a, p) = build_point();
+    let (mut b, _) = build_point();
     // Machines that disagree before a single cycle runs: a divergence "at
     // cycle 0" means the preparations differ, not the timing model.
     let w = b.srf().read(0, 5);

@@ -1,8 +1,8 @@
 //! Cross-check between the differential harness and the static cost
 //! model: on synthetic programs that pass the reference-executor
 //! differential, `isrf_verify::cost_model`'s whole-program cycle floor
-//! must be a true lower bound on the cycle-accurate machine under both
-//! engines. The app-suite version of this check runs in CI via
+//! must be a true lower bound on the cycle-accurate machine. The
+//! app-suite version of this check runs in CI via
 //! `verify all all --cycles`; this test keeps the property wired into the
 //! differential suite itself, on programs the apps never exercise.
 
@@ -15,7 +15,7 @@ use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_mem::AddrPattern;
 use isrf_sim::machine::Machine;
 use isrf_sim::program::StreamProgram;
-use isrf_sim::{ExecEngine, ProgramVerifier, StreamBinding};
+use isrf_sim::{ProgramVerifier, StreamBinding};
 use isrf_verify::{cost_model, Verifier};
 
 const SCALE_SRC: &str = r#"
@@ -88,23 +88,19 @@ fn static_floor_bounds_differentially_checked_points() {
             }
             // The point must be analyzer-clean before the floor means
             // anything.
-            let (m, p, _) = build(name, lookup);
+            let (mut m, p, regions) = build(name, lookup);
             let diags = Verifier::new().verify(m.config(), &m.verify_env(), &p);
             assert!(diags.is_empty(), "{name:?} lookup={lookup}: {diags:?}");
             let floor = cost_model(m.config(), &p).cycle_floor;
             assert!(floor > 0, "{name:?} lookup={lookup}: zero floor");
 
-            for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-                let (mut m, p, regions) = build(name, lookup);
-                m.set_engine(engine);
-                let out = run_differential(&mut m, &p, &regions)
-                    .unwrap_or_else(|e| panic!("{name:?} lookup={lookup} diverged: {e}"));
-                assert!(
-                    floor <= out.stats.cycles,
-                    "{name:?} lookup={lookup} {engine:?}: floor {floor} > simulated {}",
-                    out.stats.cycles
-                );
-            }
+            let out = run_differential(&mut m, &p, &regions)
+                .unwrap_or_else(|e| panic!("{name:?} lookup={lookup} diverged: {e}"));
+            assert!(
+                floor <= out.stats.cycles,
+                "{name:?} lookup={lookup}: floor {floor} > simulated {}",
+                out.stats.cycles
+            );
         }
     }
 }

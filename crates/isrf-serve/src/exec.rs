@@ -128,7 +128,6 @@ impl PointRunner {
     /// verification diagnostics.
     pub fn new(spec: &PointSpec, trace: bool) -> Result<PointRunner, String> {
         let mut runner = Self::build(spec)?;
-        runner.machine.set_engine(spec.engine);
         // Verify up front on both paths so a hazardous program surfaces as
         // a structured failure instead of a worker panic mid-simulation.
         runner
@@ -163,8 +162,8 @@ impl PointRunner {
         Ok(runner)
     }
 
-    /// Construct machine + program for `spec` without choosing an engine,
-    /// verifying, or installing a tracer. Shared between execution
+    /// Construct machine + program for `spec` without verifying or
+    /// installing a tracer. Shared between execution
     /// ([`PointRunner::new`]) and pre-admission analysis
     /// ([`analyze_point`]) so the two can never drift apart.
     fn build(spec: &PointSpec) -> Result<PointRunner, String> {

@@ -2,8 +2,8 @@
 //! reproduction.
 //!
 //! The server accepts simulation jobs — a named benchmark app or an
-//! inline KernelC-subset kernel, times a machine configuration, sizing
-//! profile and execution engine — over a hand-rolled HTTP/1.1 + JSON
+//! inline KernelC-subset kernel, times a machine configuration and sizing
+//! profile — over a hand-rolled HTTP/1.1 + JSON
 //! wire protocol (the build environment has no tokio/hyper/serde), and
 //! runs them on a work-stealing worker pool:
 //!

@@ -51,16 +51,15 @@ pub struct PointSpec {
     pub config: ConfigName,
     /// Sizing profile.
     pub profile: Profile,
-    /// Kernel-execution engine.
+    /// Kernel-execution engine: one value, written by the `benchmark/`
+    /// package and serialized as the constant `"tape"`.
     pub engine: ExecEngine,
 }
 
 impl PointSpec {
     /// Stable 128-bit hash of the fields that determine the point's
     /// *static verification* verdict: the program (app or source harness
-    /// shape) and the machine configuration. The execution engine is
-    /// deliberately excluded — both engines run the same verified
-    /// program — so an engine sweep of one app verifies once.
+    /// shape) and the machine configuration.
     pub fn verify_hash(&self) -> u128 {
         let mut h = StableHasher::new();
         h.write_u8(b'V');
@@ -144,8 +143,7 @@ fn parse_engine(v: Option<&Json>) -> Result<ExecEngine, String> {
         None => Ok(ExecEngine::Tape),
         Some(j) => match j.as_str() {
             Some(s) if s.eq_ignore_ascii_case("tape") => Ok(ExecEngine::Tape),
-            Some(s) if s.eq_ignore_ascii_case("interp") => Ok(ExecEngine::Interp),
-            _ => Err("\"engine\" must be \"tape\" or \"interp\"".into()),
+            _ => Err("\"engine\" must be \"tape\"".into()),
         },
     }
 }
@@ -310,7 +308,6 @@ impl JobSpec {
             });
             h.write_u8(match p.engine {
                 ExecEngine::Tape => 0,
-                ExecEngine::Interp => 1,
             });
         }
         h.write_u8(u8::from(self.trace));
@@ -362,7 +359,6 @@ fn point_json(p: &PointSpec) -> Json {
         "engine".into(),
         Json::str(match p.engine {
             ExecEngine::Tape => "tape",
-            ExecEngine::Interp => "interp",
         }),
     ));
     Json::Obj(obj)
@@ -389,14 +385,16 @@ mod tests {
     #[test]
     fn sweep_and_options() {
         let j = parse(
-            r#"{"sweep":[{"app":"sort","config":"isrf4"},{"app":"filter","engine":"interp"}],
+            r#"{"sweep":[{"app":"sort","config":"isrf4"},{"app":"filter","engine":"tape"}],
                 "nonce":"x"}"#,
         )
         .unwrap();
         assert_eq!(j.points.len(), 2);
         assert_eq!(j.points[0].config, ConfigName::Isrf4);
-        assert_eq!(j.points[1].engine, ExecEngine::Interp);
+        assert_eq!(j.points[1].engine, ExecEngine::Tape);
         assert_eq!(j.nonce.as_deref(), Some("x"));
+        let e = parse(r#"{"app":"filter","engine":"interp"}"#).unwrap_err();
+        assert!(e.contains("\"engine\" must be \"tape\""), "{e}");
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! drain ("flush"), which the machine accounts as kernel overhead along
 //! with software-pipeline fill/drain.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use isrf_core::config::MachineConfig;
@@ -37,29 +36,16 @@ use crate::srf::Srf;
 use crate::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
 use crate::tape::{cached_tape, rv, src_word, CompiledTape, MicroKind, MicroOp, RSrc, NO_DST};
 
-/// Which execution path a [`KernelRun`] uses for its kernel cycles.
-///
-/// Both engines implement identical stall/arbitration semantics; the tape
-/// engine executes a pre-compiled flat micro-op program
-/// ([`crate::tape::CompiledTape`]) instead of re-walking the kernel DAG
-/// every cycle. Select before the first tick of a run.
+/// The kernel execution engine. There is one — every [`KernelRun`]
+/// executes a pre-compiled flat micro-op program
+/// ([`crate::tape::CompiledTape`]) — and this type selects nothing: it
+/// survives only as the value of `isrf_serve::spec::PointSpec::engine`,
+/// which the frozen `benchmark/` package writes, and goes when that field
+/// does (ROADMAP item 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
-    /// Compiled flat-tape execution (the default).
+    /// Compiled flat-tape execution.
     Tape,
-    /// The retained DAG-walking interpreter — the triage fallback, and the
-    /// default when the `interp` feature is enabled.
-    Interp,
-}
-
-impl Default for ExecEngine {
-    fn default() -> Self {
-        if cfg!(feature = "interp") {
-            ExecEngine::Interp
-        } else {
-            ExecEngine::Tape
-        }
-    }
 }
 
 /// Per-slot runtime state.
@@ -82,12 +68,6 @@ enum SlotState {
 /// instead of growing fresh `Vec`s.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
-    /// `(iteration, op)` pairs firing this cycle.
-    firing: Vec<(u64, usize)>,
-    /// Per-lane results of the op being committed.
-    vals: Vec<Word>,
-    /// Retired iteration contexts awaiting reuse (re-zeroed on reissue).
-    ctx_pool: Vec<Vec<Word>>,
     /// Stage-1 arbitration requester list.
     requesters: Vec<usize>,
 }
@@ -119,21 +99,14 @@ pub struct KernelRun {
     idx_params: Option<IdxParams>,
     /// Kernel-local cycle (advances only on non-stall cycles).
     t: u64,
-    ops_by_slot: Vec<Vec<usize>>,
-    /// Value contexts for in-flight iterations: `ctxs[j - ctx_base]` holds
-    /// `ops × lanes` words.
-    ctx_base: u64,
-    ctxs: VecDeque<Vec<Word>>,
-    max_dist: u32,
     comm_busy_prev: bool,
     /// Per-lane staging for conditional-stream distribution within a cycle.
     cond_scratch: Vec<Word>,
-    engine: ExecEngine,
-    /// Compiled micro-op program (tape engine; compiled lazily on first
-    /// tick unless pre-set by the machine's per-dispatch memo).
+    /// Compiled micro-op program (compiled lazily on first tick unless
+    /// pre-set by the machine's per-dispatch memo).
     tape: Option<Arc<CompiledTape>>,
-    /// Flat context ring of the tape engine: `depth` rows of
-    /// `n_ctx x lanes` words, indexed by iteration modulo `depth`.
+    /// Flat context ring: `depth` rows of `n_ctx x lanes` words, indexed
+    /// by iteration modulo `depth`.
     ring: Vec<Word>,
     /// First iteration whose ring row has not been zeroed yet.
     ring_next_zero: u64,
@@ -197,16 +170,6 @@ impl KernelRun {
             };
             slots.push(state);
         }
-        let mut ops_by_slot = vec![Vec::new(); sched.span as usize];
-        for (i, &s) in sched.slots.iter().enumerate() {
-            ops_by_slot[s as usize].push(i);
-        }
-        let max_dist = kernel
-            .ops
-            .iter()
-            .flat_map(|o| o.operands.iter().map(|p| p.distance))
-            .max()
-            .unwrap_or(0);
         KernelRun {
             iters,
             lanes,
@@ -220,13 +183,8 @@ impl KernelRun {
                 .as_ref()
                 .map(|_| IdxParams::from_machine(cfg)),
             t: 0,
-            ops_by_slot,
-            ctx_base: 0,
-            ctxs: VecDeque::new(),
-            max_dist,
             comm_busy_prev: false,
             cond_scratch: vec![0; lanes],
-            engine: ExecEngine::default(),
             tape: None,
             ring: Vec::new(),
             ring_next_zero: 0,
@@ -246,22 +204,9 @@ impl KernelRun {
         &self.sched
     }
 
-    /// The engine this run executes with.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
-    }
-
-    /// Select the execution engine. Must be called before the first tick:
-    /// the engines keep their iteration contexts in different structures,
-    /// so switching mid-run loses in-flight values.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-    }
-
     /// Install a pre-compiled tape (skipping the lazy per-tick lookup) and
-    /// size the context ring for it. Also selects the tape engine.
+    /// size the context ring for it.
     pub(crate) fn set_tape(&mut self, tape: Arc<CompiledTape>) {
-        self.engine = ExecEngine::Tape;
         self.ring.clear();
         self.ring.resize(tape.ring_words(), 0);
         // Rows for iterations `0..depth` start zeroed by the resize.
@@ -275,10 +220,9 @@ impl KernelRun {
     }
 
     /// Serialize the dynamic state of an in-flight invocation: counters,
-    /// per-slot stream states, indexed streams, and the engine's iteration
-    /// contexts (tape ring or interpreter context queue). Static structure
-    /// (kernel, schedule, bindings, slot layout) is reconstructed from the
-    /// program on restore.
+    /// per-slot stream states and indexed streams (the iteration contexts
+    /// are [`KernelRun::encode_ctx`]'s). Static structure (kernel, schedule,
+    /// bindings, slot layout) is reconstructed from the program on restore.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         e.u64(self.t);
         e.u64(self.advance_cycles);
@@ -323,39 +267,21 @@ impl KernelRun {
         }
     }
 
-    /// Serialize the engine-specific iteration contexts (the tape's flat
-    /// context ring or the interpreter's per-iteration context queue).
-    /// Kept separate from [`KernelRun::encode_state`] so cross-engine
-    /// state comparison can skip exactly this representation-dependent
-    /// part.
+    /// Serialize the in-flight iteration contexts: the representation tag
+    /// (0, the context ring — the only one), then the ring.
     pub(crate) fn encode_ctx(&self, e: &mut Enc) {
-        match self.engine {
-            ExecEngine::Tape => {
-                e.u8(0);
-                e.usize(self.ring.len());
-                for &w in &self.ring {
-                    e.u32(w);
-                }
-                e.u64(self.ring_next_zero);
-            }
-            ExecEngine::Interp => {
-                e.u8(1);
-                e.u64(self.ctx_base);
-                e.usize(self.ctxs.len());
-                for ctx in &self.ctxs {
-                    e.usize(ctx.len());
-                    for &w in ctx {
-                        e.u32(w);
-                    }
-                }
-            }
+        e.u8(0);
+        e.usize(self.ring.len());
+        for &w in &self.ring {
+            e.u32(w);
         }
+        e.u64(self.ring_next_zero);
     }
 
     /// Overwrite the dynamic state of a freshly constructed run from
     /// [`KernelRun::encode_state`] bytes. The run must already have been
-    /// built from the same kernel/schedule/bindings and placed on the same
-    /// engine ([`KernelRun::set_tape`] or [`KernelRun::set_engine`]).
+    /// built from the same kernel/schedule/bindings and given its tape
+    /// ([`KernelRun::set_tape`]).
     pub(crate) fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
         self.t = d.u64()?;
         self.advance_cycles = d.u64()?;
@@ -409,47 +335,25 @@ impl KernelRun {
     }
 
     /// Restore the iteration contexts written by [`KernelRun::encode_ctx`].
-    /// The run must already be on the matching engine.
+    /// The run must already hold its tape.
     pub(crate) fn decode_ctx(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        match (d.u8()?, self.engine) {
-            (0, ExecEngine::Tape) => {
-                let ring_len = d.usize()?;
-                if ring_len != self.ring.len() {
-                    return Err(SnapError::Mismatch(format!(
-                        "tape ring length {ring_len} != {}",
-                        self.ring.len()
-                    )));
-                }
-                for w in &mut self.ring {
-                    *w = d.u32()?;
-                }
-                self.ring_next_zero = d.u64()?;
-            }
-            (1, ExecEngine::Interp) => {
-                self.ctx_base = d.u64()?;
-                let n_ctxs = d.usize()?;
-                self.ctxs.clear();
-                let ctx_words = self.kernel.ops.len() * self.lanes;
-                for _ in 0..n_ctxs {
-                    let len = d.usize()?;
-                    if len != ctx_words {
-                        return Err(SnapError::Mismatch(format!(
-                            "iteration context holds {len} words, expected {ctx_words}"
-                        )));
-                    }
-                    let mut ctx = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        ctx.push(d.u32()?);
-                    }
-                    self.ctxs.push_back(ctx);
-                }
-            }
-            (t, engine) => {
-                return Err(SnapError::Mismatch(format!(
-                    "engine tag {t} does not match restored engine {engine:?}"
-                )));
-            }
+        let tag = d.u8()?;
+        if tag != 0 {
+            return Err(SnapError::Mismatch(format!(
+                "iteration-context tag {tag} is not the tape ring's"
+            )));
         }
+        let ring_len = d.usize()?;
+        if ring_len != self.ring.len() {
+            return Err(SnapError::Mismatch(format!(
+                "tape ring length {ring_len} != {}",
+                self.ring.len()
+            )));
+        }
+        for w in &mut self.ring {
+            *w = d.u32()?;
+        }
+        self.ring_next_zero = d.u64()?;
         Ok(())
     }
 
@@ -521,17 +425,11 @@ impl KernelRun {
             self.flush_cycles += 1;
             return Phase::Flushing;
         }
-        let advanced = match self.engine {
-            ExecEngine::Tape => {
-                if self.tape.is_none() {
-                    let tape = cached_tape(&self.kernel, &self.sched, self.lanes);
-                    self.set_tape(tape);
-                }
-                self.fire_cycle_tape(now, scratch, tracer)
-            }
-            ExecEngine::Interp => self.fire_cycle(now, scratch, es, tracer),
-        };
-        if advanced {
+        if self.tape.is_none() {
+            let tape = cached_tape(&self.kernel, &self.sched, self.lanes);
+            self.set_tape(tape);
+        }
+        if self.fire_cycle_tape(now, scratch, tracer) {
             self.t += 1;
             self.advance_cycles += 1;
             self.consecutive_stalls = 0;
@@ -541,7 +439,10 @@ impl KernelRun {
             self.consecutive_stalls += 1;
             assert!(
                 self.consecutive_stalls < 1_000_000,
-                "kernel `{}` stalled for 1M consecutive cycles — likely an                  indexed stream needs more outstanding records per iteration                  than its address FIFO + stream buffer can hold; split the                  accesses across more indexed streams",
+                "kernel `{}` stalled for 1M consecutive cycles — likely an \
+                 indexed stream needs more outstanding records per iteration \
+                 than its address FIFO + stream buffer can hold; split the \
+                 accesses across more indexed streams",
                 self.kernel.name
             );
             Phase::Stalled
@@ -622,354 +523,9 @@ impl KernelRun {
         }
     }
 
-    /// Collect the `(iteration, op)` pairs scheduled for kernel cycle `t`
-    /// into `out` (cleared first).
-    fn fill_firing(&self, out: &mut Vec<(u64, usize)>) {
-        out.clear();
-        let ii = self.sched.ii as u64;
-        let span = self.sched.span as u64;
-        let t = self.t;
-        let j_hi = (t / ii).min(self.iters.saturating_sub(1));
-        let j_lo = if t >= span { (t - span) / ii + 1 } else { 0 };
-        for j in j_lo..=j_hi {
-            let slot = t - j * ii;
-            if slot < span {
-                for &op in &self.ops_by_slot[slot as usize] {
-                    out.push((j, op));
-                }
-            }
-        }
-    }
-
-    fn ensure_ctx(&mut self, j: u64, pool: &mut Vec<Vec<Word>>) {
-        let ctx_words = self.kernel.ops.len() * self.lanes;
-        while self.ctx_base + (self.ctxs.len() as u64) <= j {
-            // Recycled buffers must be re-zeroed: `resolve` reads slots of
-            // ops that never committed a value as 0.
-            let mut buf = pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.resize(ctx_words, 0);
-            self.ctxs.push_back(buf);
-        }
-        // Retire contexts no active iteration can still reference.
-        let ii = self.sched.ii as u64;
-        let span = self.sched.span as u64;
-        let oldest_active = if self.t >= span {
-            (self.t - span) / ii + 1
-        } else {
-            0
-        };
-        let keep_from = oldest_active.saturating_sub(self.max_dist as u64 + 1);
-        while self.ctx_base < keep_from && self.ctxs.len() > 1 {
-            pool.push(self.ctxs.pop_front().expect("checked non-empty"));
-            self.ctx_base += 1;
-        }
-    }
-
-    #[inline]
-    fn ctx_value(&self, j: u64, op: usize, lane: usize) -> Word {
-        let idx = (j - self.ctx_base) as usize;
-        self.ctxs[idx][op * self.lanes + lane]
-    }
-
-    /// Resolve an operand for iteration `j`, lane `lane`.
-    fn resolve(&self, j: u64, operand: &isrf_kernel::ir::Operand, lane: usize) -> Word {
-        let d = operand.distance as u64;
-        if d > j {
-            return operand.init;
-        }
-        let pj = j - d;
-        if pj < self.ctx_base {
-            return operand.init; // retired far-past context (distance misuse)
-        }
-        // Same-cycle Free producers may not be committed yet during checks;
-        // they are pure, so compute directly.
-        let producer = &self.kernel.ops[operand.value.index()];
-        match producer.opcode {
-            Opcode::Const(w) => w,
-            Opcode::LaneId => lane as Word,
-            Opcode::LaneCount => self.lanes as Word,
-            Opcode::IterId => pj as Word,
-            _ => self.ctx_value(pj, operand.value.index(), lane),
-        }
-    }
-
-    /// Index into `idx_states` of the indexed stream bound to slot `s`.
-    fn idx_of(&self, s: isrf_kernel::ir::StreamSlot) -> usize {
-        match self.slots[s.0 as usize] {
-            SlotState::Idx(i) => i,
-            _ => unreachable!("validated kind"),
-        }
-    }
-
-    /// Find the first op firing this cycle that cannot proceed, along with
-    /// why. `None` means every op can fire. The distinction between a
-    /// *starved* sequential input (its stream buffer is empty) and one
-    /// merely waiting out SRF access *latency* (words granted but not yet
-    /// arrived) is what stall attribution reports downstream.
-    fn first_blocker(&self, firing: &[(u64, usize)], now: u64) -> Option<(u8, StallReason)> {
-        for &(j, opi) in firing {
-            let op = &self.kernel.ops[opi];
-            match op.opcode {
-                Opcode::SeqRead(s) => {
-                    let SlotState::SeqIn(st) = &self.slots[s.0 as usize] else {
-                        unreachable!("validated kind");
-                    };
-                    for lane in 0..self.lanes {
-                        if !st.can_pop(lane, now) && !st.lane_done(lane) {
-                            let reason = if st.buffered_words(lane) == 0 {
-                                StallReason::SeqInStarved
-                            } else {
-                                StallReason::SeqInLatency
-                            };
-                            return Some((s.0, reason));
-                        }
-                    }
-                }
-                Opcode::SeqWrite(s) => {
-                    let SlotState::SeqOut(st) = &self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    if (0..self.lanes).any(|l| !st.can_push(l)) {
-                        return Some((s.0, StallReason::SeqOutFull));
-                    }
-                }
-                Opcode::CondLaneRead(s) => {
-                    let SlotState::CondLaneIn(st) = &self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    for lane in 0..self.lanes {
-                        let cond = word::as_bool(self.resolve(j, &op.operands[0], lane));
-                        if cond && !st.can_pop(lane, now) && !st.lane_done(lane) {
-                            let reason = if st.buffered_words(lane) == 0 {
-                                StallReason::SeqInStarved
-                            } else {
-                                StallReason::SeqInLatency
-                            };
-                            return Some((s.0, reason));
-                        }
-                    }
-                }
-                Opcode::CondRead(s) => {
-                    let SlotState::CondIn(st) = &self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    let k: usize = (0..self.lanes)
-                        .filter(|&l| word::as_bool(self.resolve(j, &op.operands[0], l)))
-                        .count();
-                    let k_eff = k.min(st.remaining_words() as usize);
-                    if !st.can_pop(k_eff, now) {
-                        return Some((s.0, StallReason::CondInStarved));
-                    }
-                }
-                Opcode::CondWrite(s) => {
-                    let SlotState::CondOut(st) = &self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    let k: usize = (0..self.lanes)
-                        .filter(|&l| word::as_bool(self.resolve(j, &op.operands[0], l)))
-                        .count();
-                    if !st.can_push(k) {
-                        return Some((s.0, StallReason::CondOutFull));
-                    }
-                }
-                Opcode::IdxAddr(s) | Opcode::IdxWrite(s) => {
-                    let i = self.idx_of(s);
-                    if self.idx_states[i].any_addr_full() {
-                        return Some((s.0, StallReason::AddrFifoFull));
-                    }
-                }
-                Opcode::IdxRead(s) => {
-                    let i = self.idx_of(s);
-                    if !self.idx_states[i].all_data_ready() {
-                        return Some((s.0, StallReason::IdxDataNotReady));
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    }
-
-    /// Fire all ops of this kernel cycle; returns false (and changes
-    /// nothing) when a stall condition exists.
-    fn fire_cycle(
-        &mut self,
-        now: u64,
-        scratch: &mut [Vec<Word>],
-        es: &mut ExecScratch,
-        tracer: &mut Tracer,
-    ) -> bool {
-        let ExecScratch {
-            firing,
-            vals,
-            ctx_pool,
-            ..
-        } = es;
-        self.fill_firing(firing);
-        firing.sort_unstable();
-        for &(j, _) in firing.iter() {
-            self.ensure_ctx(j, ctx_pool);
-        }
-        if let Some((slot, reason)) = self.first_blocker(firing, now) {
-            if tracer.enabled() {
-                tracer.emit(now, TraceEvent::KernelStall { slot, reason });
-            }
-            return false;
-        }
-        // Borrow the op list through the shared kernel handle so per-op
-        // execution needs no `Op` clone.
-        let kernel = Arc::clone(&self.kernel);
-        let mut comm_busy = false;
-        for &(j, opi) in firing.iter() {
-            let op = &kernel.ops[opi];
-            vals.clear();
-            for lane in 0..self.lanes {
-                vals.push(self.execute_lane(j, opi, op, lane, scratch, &mut comm_busy));
-            }
-            // Cross-lane ops (Comm, CondRead) need all-lane semantics;
-            // handled inside execute paths below via whole-op handling.
-            let idx = (j - self.ctx_base) as usize;
-            for (lane, &v) in vals.iter().enumerate() {
-                self.ctxs[idx][opi * self.lanes + lane] = v;
-            }
-        }
-        self.comm_busy_prev = comm_busy;
-        true
-    }
-
-    /// Execute `op` for `lane`; cross-lane ops are executed on their first
-    /// lane visit and buffered.
-    fn execute_lane(
-        &mut self,
-        j: u64,
-        _opi: usize,
-        op: &isrf_kernel::ir::Op,
-        lane: usize,
-        scratch: &mut [Vec<Word>],
-        comm_busy: &mut bool,
-    ) -> Word {
-        use Opcode::*;
-        let a = |k: usize, s: &Self| s.resolve(j, &op.operands[k], lane);
-        match op.opcode {
-            Const(w) => w,
-            LaneId => lane as Word,
-            LaneCount => self.lanes as Word,
-            IterId => j as Word,
-            SeqRead(s) => {
-                let SlotState::SeqIn(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                if st.lane_done(lane) {
-                    0
-                } else {
-                    st.pop(lane)
-                }
-            }
-            SeqWrite(s) => {
-                let v = a(0, self);
-                let SlotState::SeqOut(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                st.push(lane, v);
-                v
-            }
-            CondLaneRead(s) => {
-                let cond = word::as_bool(a(0, self));
-                *comm_busy = true;
-                let SlotState::CondLaneIn(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                if cond && !st.lane_done(lane) {
-                    st.pop(lane)
-                } else {
-                    0
-                }
-            }
-            CondRead(s) => {
-                // Whole-op semantics: on the first lane, distribute.
-                if lane == 0 {
-                    let conds: Vec<bool> = (0..self.lanes)
-                        .map(|l| word::as_bool(self.resolve(j, &op.operands[0], l)))
-                        .collect();
-                    let SlotState::CondIn(st) = &mut self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    let k = conds.iter().filter(|&&c| c).count();
-                    let k_eff = k.min(st.remaining_words() as usize);
-                    let mut words = st.pop(k_eff).into_iter();
-                    for (slot, &c) in self.cond_scratch.iter_mut().zip(&conds) {
-                        *slot = if c { words.next().unwrap_or(0) } else { 0 };
-                    }
-                    *comm_busy = true;
-                }
-                self.cond_scratch[lane]
-            }
-            CondWrite(s) => {
-                if lane == 0 {
-                    let pairs: Vec<(bool, Word)> = (0..self.lanes)
-                        .map(|l| {
-                            (
-                                word::as_bool(self.resolve(j, &op.operands[0], l)),
-                                self.resolve(j, &op.operands[1], l),
-                            )
-                        })
-                        .collect();
-                    let SlotState::CondOut(st) = &mut self.slots[s.0 as usize] else {
-                        unreachable!();
-                    };
-                    let vals: Vec<Word> =
-                        pairs.iter().filter(|(c, _)| *c).map(|&(_, v)| v).collect();
-                    st.push(&vals);
-                    *comm_busy = true;
-                }
-                0
-            }
-            IdxAddr(s) => {
-                let addr = a(0, self);
-                let i = self.idx_of(s);
-                self.idx_states[i].push_addr(lane, addr);
-                addr
-            }
-            IdxRead(s) => {
-                let i = self.idx_of(s);
-                self.idx_states[i].pop_data(lane)
-            }
-            IdxWrite(s) => {
-                let addr = a(0, self);
-                let v = a(1, self);
-                let i = self.idx_of(s);
-                self.idx_states[i].push_write_word(lane, addr, v);
-                v
-            }
-            ScratchRead => {
-                let addr = a(0, self) as usize % scratch[lane].len();
-                scratch[lane][addr]
-            }
-            ScratchWrite => {
-                let addr = a(0, self) as usize % scratch[lane].len();
-                let v = a(1, self);
-                scratch[lane][addr] = v;
-                v
-            }
-            Comm { rotate } => {
-                *comm_busy = true;
-                let src = (lane as i64 + rotate as i64).rem_euclid(self.lanes as i64) as usize;
-                self.resolve(j, &op.operands[0], src)
-            }
-            CommXor { mask } => {
-                *comm_busy = true;
-                let src = (lane ^ mask as usize) % self.lanes;
-                self.resolve(j, &op.operands[0], src)
-            }
-            // Pure ALU ops.
-            _ => eval_alu(op.opcode, |k, l| self.resolve(j, &op.operands[k], l), lane),
-        }
-    }
-
-    /// Tape-engine counterpart of [`KernelRun::fire_cycle`]: same firing
-    /// order, stall attribution and all-or-nothing semantics, but over the
-    /// pre-compiled micro-op groups and the flat context ring.
+    /// Fire every micro-op scheduled for this kernel cycle, for every
+    /// in-flight iteration; returns false (and changes nothing) when any of
+    /// them cannot proceed.
     fn fire_cycle_tape(
         &mut self,
         now: u64,
@@ -983,8 +539,7 @@ impl KernelRun {
         let j_hi = (t / ii).min(self.iters.saturating_sub(1));
         let j_lo = if t >= span { (t - span) / ii + 1 } else { 0 };
         // Zero the ring rows of newly-active iterations: consumers read
-        // slots of not-yet-fired producers as 0, exactly like the
-        // interpreter's freshly zeroed contexts. The ring is deep enough
+        // slots of not-yet-fired producers as 0. The ring is deep enough
         // (`stages + max_dist + 1` rounded up) that a reused row is fully
         // dead by the time it comes around again.
         while self.ring_next_zero <= j_hi {
@@ -1033,8 +588,11 @@ impl KernelRun {
         true
     }
 
-    /// Can this checkable micro-op fire for iteration `j`? Mirrors
-    /// [`KernelRun::first_blocker`] per op.
+    /// Can this checkable micro-op fire for iteration `j`? `None` means it
+    /// can; otherwise the stream slot and why not. The distinction between
+    /// a *starved* sequential input (its stream buffer is empty) and one
+    /// merely waiting out SRF access *latency* (words granted but not yet
+    /// arrived) is what stall attribution reports downstream.
     fn tape_blocker(
         &self,
         tape: &CompiledTape,
@@ -1302,10 +860,9 @@ impl KernelRun {
 
 /// Execute a pure ALU op across all lanes with the opcode dispatch
 /// hoisted out of the per-lane loop: one match, then a tight loop per
-/// opcode. Semantics mirror [`eval_alu`] exactly (wrapping `i32`
-/// arithmetic, zero divisor yields 0, shift counts masked to 5 bits,
-/// `f32` round-trips through the word encoding, `Select` reads only the
-/// taken operand); any opcode without a dedicated loop falls back to it.
+/// opcode. Wrapping `i32` arithmetic, zero divisor yields 0, shift counts
+/// masked to 5 bits, `f32` round-trips through the word encoding, `Select`
+/// reads only the taken operand.
 fn exec_alu_lanes(
     opc: Opcode,
     ring: &mut [Word],
@@ -1397,81 +954,6 @@ fn exec_alu_lanes(
                 ring[dst_base + lane] = v;
             }
         }
-        _ => {
-            for lane in 0..lanes {
-                let v = eval_alu(
-                    opc,
-                    |k, l| match k {
-                        0 => rv(ring, ra, l),
-                        1 => rv(ring, rb, l),
-                        _ => rv(ring, rc, l),
-                    },
-                    lane,
-                );
-                ring[dst_base + lane] = v;
-            }
-        }
-    }
-}
-
-/// Evaluate a pure ALU opcode for one lane.
-fn eval_alu(opcode: Opcode, resolve: impl Fn(usize, usize) -> Word, lane: usize) -> Word {
-    use Opcode::*;
-    let a = || resolve(0, lane);
-    let b = || resolve(1, lane);
-    let ia = || word::as_i32(resolve(0, lane));
-    let ib = || word::as_i32(resolve(1, lane));
-    let fa = || word::as_f32(resolve(0, lane));
-    let fb = || word::as_f32(resolve(1, lane));
-    match opcode {
-        Mov => a(),
-        Not => !a(),
-        Neg => word::from_i32(ia().wrapping_neg()),
-        FNeg => word::from_f32(-fa()),
-        IToF => word::from_f32(ia() as f32),
-        FToI => word::from_i32(fa() as i32),
-        Add => word::from_i32(ia().wrapping_add(ib())),
-        Sub => word::from_i32(ia().wrapping_sub(ib())),
-        Mul => word::from_i32(ia().wrapping_mul(ib())),
-        Div => word::from_i32(if ib() == 0 {
-            0
-        } else {
-            ia().wrapping_div(ib())
-        }),
-        Rem => word::from_i32(if ib() == 0 {
-            0
-        } else {
-            ia().wrapping_rem(ib())
-        }),
-        And => a() & b(),
-        Or => a() | b(),
-        Xor => a() ^ b(),
-        Shl => a().wrapping_shl(b() & 31),
-        Shr => a().wrapping_shr(b() & 31),
-        Sra => word::from_i32(ia().wrapping_shr(b() & 31)),
-        Lt => word::from_bool(ia() < ib()),
-        Le => word::from_bool(ia() <= ib()),
-        Eq => word::from_bool(a() == b()),
-        Ne => word::from_bool(a() != b()),
-        ULt => word::from_bool(a() < b()),
-        Min => word::from_i32(ia().min(ib())),
-        Max => word::from_i32(ia().max(ib())),
-        FAdd => word::from_f32(fa() + fb()),
-        FSub => word::from_f32(fa() - fb()),
-        FMul => word::from_f32(fa() * fb()),
-        FDiv => word::from_f32(fa() / fb()),
-        FLt => word::from_bool(fa() < fb()),
-        FLe => word::from_bool(fa() <= fb()),
-        FEq => word::from_bool(fa() == fb()),
-        FMin => word::from_f32(fa().min(fb())),
-        FMax => word::from_f32(fa().max(fb())),
-        Select => {
-            if word::as_bool(resolve(0, lane)) {
-                resolve(1, lane)
-            } else {
-                resolve(2, lane)
-            }
-        }
-        _ => unreachable!("non-ALU opcode {opcode:?} reached eval_alu"),
+        _ => unreachable!("non-ALU opcode {opc:?} compiled to MicroKind::Alu"),
     }
 }

@@ -26,7 +26,7 @@ use isrf_kernel::sched::Schedule;
 use isrf_mem::{MemorySystem, TransferId};
 use isrf_trace::{CycleAttr, TraceEvent, Tracer};
 
-use crate::exec::{ExecEngine, ExecScratch, KernelRun, Phase};
+use crate::exec::{ExecScratch, KernelRun, Phase};
 use crate::tape::{cached_tape, CompiledTape};
 
 /// A live memory transfer issued by [`Machine::run`]: the program op it
@@ -97,8 +97,6 @@ pub struct Machine {
     /// Per-bank word intervals known to hold data (sorted, disjoint):
     /// direct `write_stream` setup plus the outputs of completed runs.
     filled: Vec<(u32, u32)>,
-    /// Kernel execution engine installed on every dispatched run.
-    engine: ExecEngine,
     /// Loop state of a program paused mid-run by [`Machine::run_for`].
     active: Option<RunState>,
     /// Per-machine tape memo keyed by `(kernel, schedule)` Arc identity,
@@ -131,25 +129,10 @@ impl Machine {
             verifier: None,
             verify_policy: VerifyPolicy::default(),
             filled: Vec::new(),
-            engine: ExecEngine::default(),
             active: None,
             tape_memo: BTreeMap::new(),
             cfg,
         })
-    }
-
-    /// Select the kernel execution engine for subsequent dispatches.
-    ///
-    /// Both engines produce byte-identical stats and traces; the tape
-    /// engine (the default) is simply faster. The interpreter remains
-    /// available for differential testing and triage.
-    pub fn set_engine(&mut self, engine: ExecEngine) {
-        self.engine = engine;
-    }
-
-    /// The kernel execution engine installed on subsequent dispatches.
-    pub fn engine(&self) -> ExecEngine {
-        self.engine
     }
 
     /// The compiled tape for `(kernel, sched)`, via the per-machine
@@ -598,10 +581,9 @@ impl Machine {
         let mut meta = Enc::new();
         meta.u64(snap::fnv1a(format!("{:?}", self.cfg).as_bytes()));
         meta.u64(snap::fnv1a(format!("{program:?}").as_bytes()));
-        meta.u8(match self.engine {
-            ExecEngine::Tape => 0,
-            ExecEngine::Interp => 1,
-        });
+        // Reserved byte of the `meta` layout: always 0, and restore
+        // rejects anything else.
+        meta.u8(0);
         meta.bool(self.quiesce_skip);
         meta.u64(self.now);
         meta.f64(self.mem_port_words);
@@ -678,9 +660,7 @@ impl Machine {
                         run.bool(true);
                         run.usize(*ki);
                         kr.encode_state(&mut run);
-                        // Engine-specific iteration contexts live in their
-                        // own section so cross-engine state comparison can
-                        // skip exactly the representation-dependent part.
+                        // Iteration contexts are the `kctx` section.
                         kr.encode_ctx(&mut kctx);
                     }
                 }
@@ -709,7 +689,7 @@ impl Machine {
     /// The machine must be built from the same configuration and `program`
     /// must be (structurally) the same program as at capture — both are
     /// validated by fingerprint before anything is overwritten. Tracer,
-    /// verifier, and engine-selection caches are left untouched, so a
+    /// verifier, and the tape memo are left untouched, so a
     /// restored machine can trace or verify independently of the one that
     /// captured the snapshot.
     ///
@@ -747,12 +727,12 @@ impl Machine {
                 "snapshot was taken running a different program".into(),
             ));
         }
-        let engine = match meta.u8()? {
-            0 => ExecEngine::Tape,
-            1 => ExecEngine::Interp,
-            t => return Err(SnapError::Mismatch(format!("unknown engine tag {t}"))),
-        };
-        self.engine = engine;
+        let reserved = meta.u8()?;
+        if reserved != 0 {
+            return Err(SnapError::Mismatch(format!(
+                "reserved meta byte is {reserved}, not 0"
+            )));
+        }
         self.quiesce_skip = meta.bool()?;
         self.now = meta.u64()?;
         self.mem_port_words = meta.f64()?;
@@ -874,13 +854,7 @@ impl Machine {
                     bindings,
                     *iters,
                 );
-                match engine {
-                    ExecEngine::Tape => {
-                        let tape = self.tape_for(kernel, schedule);
-                        kr.set_tape(tape);
-                    }
-                    ExecEngine::Interp => kr.set_engine(ExecEngine::Interp),
-                }
+                kr.set_tape(self.tape_for(kernel, schedule));
                 kr.decode_state(&mut rn)?;
                 let mut kc = Dec::new(get("kctx")?);
                 kr.decode_ctx(&mut kc)?;
@@ -1000,13 +974,7 @@ impl Machine {
                             bindings,
                             *iters,
                         );
-                        match self.engine {
-                            ExecEngine::Tape => {
-                                let tape = self.tape_for(kernel, schedule);
-                                run.set_tape(tape);
-                            }
-                            ExecEngine::Interp => run.set_engine(ExecEngine::Interp),
-                        }
+                        run.set_tape(self.tape_for(kernel, schedule));
                         rs.kernel_run = Some((ki, run));
                         rs.kernel_dispatch_left = self.cfg.kernel_dispatch_cycles;
                     }
@@ -1534,6 +1502,55 @@ mod tests {
         // Lane l receives the value of lane (l+1) % 8.
         let expect: Vec<u32> = (0..8).map(|l| ((l + 1) % 8) * 10).collect();
         assert_eq!(got, expect);
+    }
+
+    /// Explicit communication has priority on the inter-cluster network:
+    /// the cycle after a `Comm` fires only `lanes - 2` cross-lane indexed
+    /// words may return. A kernel whose gather address comes through a
+    /// rotate therefore runs strictly longer than the same kernel with the
+    /// rotate replaced by a move, and by a pinned amount.
+    #[test]
+    fn comm_leaves_fewer_crosslane_return_slots() {
+        let run = |through_comm: bool| {
+            let mut m = machine(ConfigName::Isrf4);
+            let mut b = KernelBuilder::new("gather");
+            let data = b.stream("data", StreamKind::IdxCrossRead);
+            let so = b.stream("out", StreamKind::SeqOut);
+            let lane = b.lane_id();
+            let lanes = b.lane_count();
+            let iter = b.iter_id();
+            let src = if through_comm {
+                b.comm_rotate(1, lane)
+            } else {
+                b.push(isrf_kernel::Opcode::Mov, vec![Operand::from(lane)])
+            };
+            let base = b.mul(iter, lanes);
+            let rec = b.add(base, src);
+            let v = b.idx_load(data, rec);
+            b.seq_write(so, v);
+            let k = Arc::new(b.build().unwrap());
+            // Read 8 cycles after the address rather than the default 20:
+            // at II = 1 no more gathers are outstanding than the address
+            // FIFO holds, and every read waits for its last word to land.
+            let params = SchedParams::from_machine(m.config()).with_separations(6, 8);
+            let s = schedule(&k, &params).unwrap();
+            assert_eq!(s.ii, 1, "a rotate or move fires every cycle");
+            let n = 512u32;
+            let dstream = m.alloc_stream(1, n);
+            let ostream = m.alloc_stream(1, n);
+            let vals: Vec<u32> = (0..n).collect();
+            m.write_stream(&dstream, &vals);
+            let mut p = StreamProgram::new();
+            p.kernel(k, s, vec![dstream, ostream], (n / 8) as u64, &[]);
+            let stats = m.run(&p);
+            let shift = u32::from(through_comm);
+            let expect: Vec<u32> = (0..n).map(|r| r / 8 * 8 + (r % 8 + shift) % 8).collect();
+            assert_eq!(m.read_stream(&ostream), expect);
+            stats.cycles
+        };
+        let (with_comm, with_mov) = (run(true), run(false));
+        assert_eq!(with_comm, 146, "pinned: 8 words return through 6 slots");
+        assert!(with_comm > with_mov, "{with_comm} vs {with_mov}");
     }
 
     /// Memory stalls appear when a kernel waits on a long load.

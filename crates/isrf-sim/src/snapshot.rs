@@ -12,14 +12,14 @@
 //!
 //! | section   | contents |
 //! |-----------|----------|
-//! | `meta`    | config + program fingerprints, engine, quiescence flag, cycle counter, SRF-port debt, cumulative stats |
+//! | `meta`    | config + program fingerprints, a reserved zero byte, quiescence flag, cycle counter, SRF-port debt, cumulative stats |
 //! | `scratch` | per-lane scratchpad words |
 //! | `filled`  | per-bank SRF intervals known to hold data |
 //! | `pending` | the live-transfer slab (op index + pending load fills) |
 //! | `srf`     | allocator high-water mark + every bank word |
 //! | `mem`     | nested sections from `isrf_mem`: `sys` (credits, in-flight slab, ready heap, traffic), `data` (touched memory chunks), `cache` (tag/valid/dirty/LRU arrays, when configured) |
-//! | `run`     | the paused sequencer loop: dependence state, kernel cursor, and the engine-neutral half of the in-flight `KernelRun` (stream buffers, address FIFOs, arbitration state) |
-//! | `kctx`    | engine-specific in-flight iteration contexts of the `KernelRun` (tape result ring, or interpreter context queue); empty when no kernel is mid-flight |
+//! | `run`     | the paused sequencer loop: dependence state, kernel cursor, and the stream half of the in-flight `KernelRun` (stream buffers, address FIFOs, arbitration state) |
+//! | `kctx`    | in-flight iteration contexts of the `KernelRun` (tag 0, then the tape's context ring); empty when no kernel is mid-flight |
 //!
 //! Every field is little-endian and fixed-width (`f64` by IEEE-754 bit
 //! pattern), so re-serializing a decoded snapshot is byte-identical and

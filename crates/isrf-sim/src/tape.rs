@@ -1,12 +1,11 @@
 //! Kernel tape compilation: lower a scheduled kernel once into a flat,
 //! pre-resolved micro-op program for the zero-graph-walk hot loop.
 //!
-//! The interpreter in [`crate::exec`] re-walks the kernel DAG every cycle:
-//! each operand resolve re-reads the producing op, matches on its opcode
-//! to special-case the Free producers (`Const`/`LaneId`/`LaneCount`/
-//! `IterId`), and indexes a `VecDeque` of per-iteration contexts. This
-//! module performs all of that decision-making once per `(Kernel,
-//! Schedule, lanes)` triple:
+//! Walking the kernel DAG every cycle means every operand resolve re-reads
+//! the producing op, matches on its opcode to special-case the Free
+//! producers (`Const`/`LaneId`/`LaneCount`/`IterId`), and indexes a queue
+//! of per-iteration contexts. This module performs all of that
+//! decision-making once per `(Kernel, Schedule, lanes)` triple:
 //!
 //! * operand sources fold to `Src` values — immediates, lane/iteration
 //!   specializations, or direct dense context-slot reads;
@@ -15,16 +14,19 @@
 //!   blocker path;
 //! * context slots are densely renumbered (only values actually read
 //!   through the context get a slot) and live in a flat power-of-two ring
-//!   indexed by iteration, replacing the `VecDeque<Vec<Word>>`;
+//!   indexed by iteration;
 //! * Free ops and dead pure arithmetic are dropped from the tape entirely
 //!   (consumers never read their context slots, they never stall, and
 //!   they never touch `comm_busy`, so dropping them is unobservable).
 //!
-//! Execution of the tape lives in [`crate::exec`] (`fire_cycle_tape`);
-//! stall and arbitration semantics are byte-identical to the interpreter —
-//! the `interp` feature flips the default engine back for triage, and the
-//! differential proptest in `tests/proptest_engines.rs` holds the two
-//! paths equal.
+//! Execution of the tape lives in [`crate::exec`] (`fire_cycle_tape`), the
+//! only kernel executor. Two independent nets hold it: values are checked
+//! against `isrf-check`'s `RefMachine` (its own operand resolution and ALU
+//! semantics) on the app grid and on random kernels
+//! (`isrf-check/tests/proptest_kernels.rs`), and timing — cycles, stall
+//! attribution, the whole event stream — is pinned by
+//! `tests/golden/basket.digest` and the digest beside the random-kernel
+//! test.
 //!
 //! Compiled tapes are cached process-wide, keyed by content hash
 //! ([`isrf_kernel::hash`]), so repeated invocations across strip-mined
@@ -76,7 +78,7 @@ pub(crate) enum RSrc {
 /// Kind of one tape micro-op (the single dispatch point of the hot loop).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroKind {
-    /// Pure arithmetic, evaluated by `eval_alu`.
+    /// Pure arithmetic, evaluated by `exec_alu_lanes`.
     Alu(Opcode),
     /// Sequential stream pop, all lanes.
     SeqRead { slot: u8 },
@@ -132,8 +134,7 @@ pub(crate) struct Group {
 /// A kernel lowered against one schedule for one lane count: flat
 /// micro-ops grouped by kernel cycle, plus the context-ring geometry.
 ///
-/// Produced by [`cached_tape`]; executed by `KernelRun` when its engine is
-/// `ExecEngine::Tape`.
+/// Produced by [`cached_tape`]; executed by `KernelRun`.
 #[derive(Debug)]
 pub struct CompiledTape {
     /// Initiation interval (copied from the schedule for locality).
@@ -229,9 +230,9 @@ fn is_free(opc: Opcode) -> bool {
     matches!(opc.class(), OpClass::Free)
 }
 
-/// Ops `eval_alu` handles: pure, no machine-state side effects, safe to
-/// drop when dead. (`ScratchRead` is also pure but touches the scratch
-/// length — kept so out-of-range behavior matches the interpreter.)
+/// Ops `exec_alu_lanes` handles: pure, no machine-state side effects, safe
+/// to drop when dead. (`ScratchRead` is also pure but is kept: its address
+/// wraps at the scratchpad length.)
 fn is_pure_alu(opc: Opcode) -> bool {
     matches!(opc.class(), OpClass::Alu | OpClass::Divider)
 }
@@ -324,9 +325,9 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         !is_free(opc) && (ctx_read[i] || !is_pure_alu(opc))
     };
 
-    // Group by schedule slot, preserving op order within a slot — the
-    // interpreter fires `(iteration, op)` pairs sorted by op index, and
-    // stall attribution depends on that order.
+    // Group by schedule slot, preserving op order within a slot: ops fire
+    // as `(iteration, op)` pairs sorted by op index, and stall attribution
+    // (which blocker a stalled cycle names) depends on that order.
     let span = sched.span as usize;
     let mut by_slot: Vec<Vec<usize>> = vec![Vec::new(); span];
     for (i, &s) in sched.slots.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! at a random cycle, serializing the machine, restoring it into a fresh
 //! machine, and resuming must be indistinguishable from an uninterrupted
 //! run — identical `RunStats`, identical recorded trace streams, identical
-//! output memory — under both execution engines.
+//! output memory.
 
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use isrf_core::Word;
 use isrf_kernel::ir::{Kernel, KernelBuilder, Opcode, Operand, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_mem::AddrPattern;
-use isrf_sim::{ExecEngine, Machine, StreamProgram};
+use isrf_sim::{Machine, StreamProgram};
 use isrf_trace::{TraceEvent, Tracer};
 use isrf_verify::Verifier;
 use proptest::prelude::*;
@@ -36,7 +36,7 @@ const ALU_OPS: &[Opcode] = &[
     Opcode::Select,
 ];
 
-/// One generated kernel-body step (see `proptest_engines.rs`).
+/// One generated kernel-body step (see `isrf-check/tests/proptest_kernels.rs`).
 #[derive(Debug, Clone)]
 struct Step {
     kind: u8,
@@ -112,12 +112,10 @@ fn prepare(
     cfg: ConfigName,
     kernel: &Arc<Kernel>,
     iters: u64,
-    engine: ExecEngine,
 ) -> Option<(Machine, StreamProgram, u32)> {
     let mcfg = MachineConfig::preset(cfg);
     let sched = schedule(kernel, &SchedParams::from_machine(&mcfg)).ok()?;
     let mut m = Machine::new(mcfg).unwrap();
-    m.set_engine(engine);
     m.set_verifier(Some(Arc::new(Verifier::new())));
     let lanes = m.config().lanes as u32;
     let words = iters as u32 * lanes;
@@ -152,13 +150,8 @@ fn drain_events(m: &mut Machine) -> Vec<(u64, TraceEvent)> {
         .collect()
 }
 
-fn run_straight(
-    cfg: ConfigName,
-    kernel: &Arc<Kernel>,
-    iters: u64,
-    engine: ExecEngine,
-) -> Option<Observed> {
-    let (mut m, p, words) = prepare(cfg, kernel, iters, engine)?;
+fn run_straight(cfg: ConfigName, kernel: &Arc<Kernel>, iters: u64) -> Option<Observed> {
+    let (mut m, p, words) = prepare(cfg, kernel, iters)?;
     m.set_tracer(Tracer::recording(1 << 16));
     let stats = m.run(&p);
     let events = drain_events(&mut m);
@@ -168,19 +161,13 @@ fn run_straight(
 
 /// Pause after `at` cycles, snapshot, restore into a *fresh* machine, and
 /// resume to completion. `at` past the end degrades to a straight run.
-fn run_paused(
-    cfg: ConfigName,
-    kernel: &Arc<Kernel>,
-    iters: u64,
-    engine: ExecEngine,
-    at: u64,
-) -> Option<Observed> {
-    let (mut m, p, words) = prepare(cfg, kernel, iters, engine)?;
+fn run_paused(cfg: ConfigName, kernel: &Arc<Kernel>, iters: u64, at: u64) -> Option<Observed> {
+    let (mut m, p, words) = prepare(cfg, kernel, iters)?;
     m.set_tracer(Tracer::recording(1 << 16));
     let Some(stats) = m.run_for(&p, at) else {
         let snapshot = m.save_state(&p);
         let mut events = drain_events(&mut m);
-        let (mut r, p2, _) = prepare(cfg, kernel, iters, engine).expect("same recipe");
+        let (mut r, p2, _) = prepare(cfg, kernel, iters).expect("same recipe");
         r.restore_state(&p2, &snapshot).expect("snapshot fits");
         r.set_tracer(Tracer::recording(1 << 16));
         let stats = r.run_for(&p2, u64::MAX).expect("resumed run completes");
@@ -197,21 +184,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// snapshot(c) → restore → resume == uninterrupted run, for random
-    /// programs, random pause cycles, both engines, with and without
-    /// indexed-SRF support in the configuration.
+    /// programs, random pause cycles, with and without indexed-SRF
+    /// support in the configuration.
     #[test]
     fn snapshot_resume_is_invisible(ss in steps(), iters in 1u64..5, at in 1u64..2000) {
         let Some(kernel) = build_kernel(&ss) else { return Ok(()) };
         for cfg in [ConfigName::Base, ConfigName::Isrf4] {
-            for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-                let Some((stats_s, events_s, out_s)) =
-                    run_straight(cfg, &kernel, iters, engine) else { return Ok(()) };
-                let (stats_p, events_p, out_p) =
-                    run_paused(cfg, &kernel, iters, engine, at).expect("same recipe");
-                prop_assert_eq!(stats_s, stats_p, "stats differ on {} {:?} at {}", cfg, engine, at);
-                prop_assert_eq!(&events_s, &events_p, "trace differs on {} {:?} at {}", cfg, engine, at);
-                prop_assert_eq!(&out_s, &out_p, "output memory differs on {} {:?} at {}", cfg, engine, at);
-            }
+            let Some((stats_s, events_s, out_s)) =
+                run_straight(cfg, &kernel, iters) else { return Ok(()) };
+            let (stats_p, events_p, out_p) =
+                run_paused(cfg, &kernel, iters, at).expect("same recipe");
+            prop_assert_eq!(stats_s, stats_p, "stats differ on {} at {}", cfg, at);
+            prop_assert_eq!(&events_s, &events_p, "trace differs on {} at {}", cfg, at);
+            prop_assert_eq!(&out_s, &out_p, "output memory differs on {} at {}", cfg, at);
         }
     }
 }

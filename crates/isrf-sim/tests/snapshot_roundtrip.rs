@@ -1,14 +1,14 @@
 //! Machine-level snapshot round-trip: pause a run at cycle granularity,
 //! serialize, restore into a fresh machine, and require the resumed run to
 //! be byte-identical — stats, trace events, output memory — to an
-//! uninterrupted one, under both execution engines. Also pins the format
-//! itself: serialize → deserialize → re-serialize is byte-identical, and
-//! mismatched frames are rejected with typed errors.
+//! uninterrupted one. Also pins the format itself: serialize →
+//! deserialize → re-serialize is byte-identical, and mismatched frames are
+//! rejected with typed errors.
 
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigName, MachineConfig};
-use isrf_core::snap::SnapError;
+use isrf_core::snap::{self, Enc, SnapError};
 use isrf_core::stats::RunStats;
 use isrf_core::Word;
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
@@ -16,7 +16,6 @@ use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_mem::AddrPattern;
 use isrf_sim::machine::Machine;
 use isrf_sim::program::StreamProgram;
-use isrf_sim::ExecEngine;
 use isrf_trace::{TraceEvent, Tracer};
 
 const OUT_BASE: u32 = 8192;
@@ -25,10 +24,9 @@ const OUT_WORDS: u32 = 64;
 /// The paper's table-lookup app, small enough to run in tests but long
 /// enough (loads, kernel with an indexed stream, store) that a mid-run
 /// pause lands inside interesting machine state.
-fn build_point(engine: ExecEngine) -> (Machine, StreamProgram) {
+fn build_point() -> (Machine, StreamProgram) {
     let cfg = MachineConfig::preset(ConfigName::Isrf4);
     let mut machine = Machine::new(cfg.clone()).unwrap();
-    machine.set_engine(engine);
 
     let mut b = KernelBuilder::new("lookup");
     let s_in = b.stream("in", StreamKind::SeqIn);
@@ -88,8 +86,8 @@ fn drain_events(m: &mut Machine) -> Vec<(u64, TraceEvent)> {
         .collect()
 }
 
-fn straight(engine: ExecEngine) -> Observed {
-    let (mut m, p) = build_point(engine);
+fn straight() -> Observed {
+    let (mut m, p) = build_point();
     m.set_tracer(Tracer::recording(1 << 20));
     let stats = m.run(&p);
     let events = drain_events(&mut m);
@@ -104,8 +102,8 @@ fn straight(engine: ExecEngine) -> Observed {
 /// Pause after `at` cycles, snapshot, restore into a fresh machine, and
 /// run that to completion. Returns the stitched observation plus the
 /// snapshot bytes.
-fn paused(engine: ExecEngine, at: u64) -> (Observed, Vec<u8>) {
-    let (mut m, p) = build_point(engine);
+fn paused(at: u64) -> (Observed, Vec<u8>) {
+    let (mut m, p) = build_point();
     m.set_tracer(Tracer::recording(1 << 20));
     assert!(
         m.run_for(&p, at).is_none(),
@@ -115,7 +113,7 @@ fn paused(engine: ExecEngine, at: u64) -> (Observed, Vec<u8>) {
     let snapshot = m.save_state(&p);
     let mut events = drain_events(&mut m);
 
-    let (mut r, p2) = build_point(engine);
+    let (mut r, p2) = build_point();
     r.restore_state(&p2, &snapshot).unwrap();
     assert!(r.mid_run());
     r.set_tracer(Tracer::recording(1 << 20));
@@ -132,56 +130,45 @@ fn paused(engine: ExecEngine, at: u64) -> (Observed, Vec<u8>) {
     )
 }
 
-fn engines() -> [ExecEngine; 2] {
-    [ExecEngine::Tape, ExecEngine::Interp]
-}
-
 #[test]
 fn snapshot_resume_matches_uninterrupted_run() {
-    for engine in engines() {
-        let base = straight(engine);
-        let total = base.stats.cycles;
-        assert!(total > 16, "test program too short to pause meaningfully");
-        for at in [1, total / 3, total / 2, total - 1] {
-            let (resumed, _) = paused(engine, at);
-            assert_eq!(
-                resumed.stats, base.stats,
-                "stats diverge (pause at {at}, {engine:?})"
-            );
-            assert_eq!(
-                resumed.events, base.events,
-                "trace diverges (pause at {at}, {engine:?})"
-            );
-            assert_eq!(
-                resumed.output, base.output,
-                "output memory diverges (pause at {at}, {engine:?})"
-            );
-        }
+    let base = straight();
+    let total = base.stats.cycles;
+    assert!(total > 16, "test program too short to pause meaningfully");
+    for at in [1, total / 3, total / 2, total - 1] {
+        let (resumed, _) = paused(at);
+        assert_eq!(resumed.stats, base.stats, "stats diverge (pause at {at})");
+        assert_eq!(
+            resumed.events, base.events,
+            "trace diverges (pause at {at})"
+        );
+        assert_eq!(
+            resumed.output, base.output,
+            "output memory diverges (pause at {at})"
+        );
     }
 }
 
 #[test]
 fn run_for_with_enough_budget_completes() {
-    let (mut m, p) = build_point(ExecEngine::Tape);
+    let (mut m, p) = build_point();
     let stats = m.run_for(&p, u64::MAX).expect("completes");
     assert!(!m.mid_run());
-    assert_eq!(stats, straight(ExecEngine::Tape).stats);
+    assert_eq!(stats, straight().stats);
 }
 
 #[test]
 fn reserialized_snapshot_is_byte_identical() {
-    for engine in engines() {
-        let (_, snapshot) = paused(engine, 20);
-        let (mut r, p) = build_point(engine);
-        r.restore_state(&p, &snapshot).unwrap();
-        assert_eq!(r.save_state(&p), snapshot);
-    }
+    let (_, snapshot) = paused(20);
+    let (mut r, p) = build_point();
+    r.restore_state(&p, &snapshot).unwrap();
+    assert_eq!(r.save_state(&p), snapshot);
 }
 
 #[test]
 fn snapshots_of_identical_state_are_byte_identical() {
-    let (mut a, pa) = build_point(ExecEngine::Tape);
-    let (mut b, pb) = build_point(ExecEngine::Tape);
+    let (mut a, pa) = build_point();
+    let (mut b, pb) = build_point();
     assert!(a.run_for(&pa, 33).is_none());
     assert!(b.run_for(&pb, 33).is_none());
     assert_eq!(a.save_state(&pa), b.save_state(&pb));
@@ -189,7 +176,7 @@ fn snapshots_of_identical_state_are_byte_identical() {
 
 #[test]
 fn diff_localizes_a_perturbed_bank_word() {
-    let (mut a, pa) = build_point(ExecEngine::Tape);
+    let (mut a, pa) = build_point();
     assert!(a.run_for(&pa, 40).is_none());
     let clean = a.save_state(&pa);
     let w = a.srf().read(3, 7);
@@ -202,12 +189,12 @@ fn diff_localizes_a_perturbed_bank_word() {
 
 #[test]
 fn restore_rejects_wrong_program_and_config() {
-    let (mut m, p) = build_point(ExecEngine::Tape);
+    let (mut m, p) = build_point();
     assert!(m.run_for(&p, 20).is_none());
     let snapshot = m.save_state(&p);
 
     // Same machine, structurally different program.
-    let (mut other, _) = build_point(ExecEngine::Tape);
+    let (mut other, _) = build_point();
     let mut p2 = StreamProgram::new();
     let dst = other.alloc_stream(1, 8);
     p2.load(AddrPattern::contiguous(0, 8), dst, false, &[]);
@@ -226,7 +213,7 @@ fn restore_rejects_wrong_program_and_config() {
 
 #[test]
 fn restore_rejects_unknown_version_and_corruption() {
-    let (mut m, p) = build_point(ExecEngine::Tape);
+    let (mut m, p) = build_point();
     assert!(m.run_for(&p, 20).is_none());
     let snapshot = m.save_state(&p);
 
@@ -241,4 +228,36 @@ fn restore_rejects_unknown_version_and_corruption() {
     let mut flipped = snapshot.clone();
     flipped[40] ^= 0x40;
     assert_eq!(m.restore_state(&p, &flipped), Err(SnapError::BadHash));
+}
+
+/// The `meta` byte after the two fingerprints and the first byte of `kctx`
+/// are tags with one valid value, 0; a frame carrying anything else (with
+/// a correct content hash) is refused, not misread.
+#[test]
+fn restore_rejects_nonzero_engine_and_context_tags() {
+    let (mut m, p) = build_point();
+    // Seven eighths through, the kernel is mid-flight and `kctx` non-empty.
+    assert!(m.run_for(&p, straight().stats.cycles * 7 / 8).is_none());
+    let snapshot = m.save_state(&p);
+    for (section, at) in [("meta", 16), ("kctx", 0)] {
+        let payload = snap::unframe(&snapshot).unwrap();
+        let rebuilt: Vec<(String, Vec<u8>)> = snap::read_sections(payload)
+            .unwrap()
+            .into_iter()
+            .map(|mut s| {
+                if s.name == section {
+                    assert_eq!(s.bytes[at], 0, "{section}[{at}] is the tag");
+                    s.bytes[at] = 1;
+                }
+                (s.name, s.bytes)
+            })
+            .collect();
+        let mut e = Enc::new();
+        snap::write_sections(&mut e, &rebuilt);
+        let tampered = snap::frame(&e.into_bytes());
+        assert!(
+            matches!(m.restore_state(&p, &tampered), Err(SnapError::Mismatch(_))),
+            "{section} tag 1 must be a Mismatch"
+        );
+    }
 }

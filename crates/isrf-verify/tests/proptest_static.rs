@@ -1,7 +1,7 @@
 //! Properties of the static analyses over random well-formed programs:
 //!
 //! * the cost model's cycle floor is a true lower bound on simulated
-//!   cycles under BOTH execution engines (tape and interpreter);
+//!   cycles;
 //! * whole-program propagation is monotone at the API level — every
 //!   constant a producer can emit inside the out-of-bounds region keeps
 //!   the V310 verdict (and the reported interval is exact), while every
@@ -16,7 +16,7 @@ use isrf_core::Word;
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_lang::parse_kernel;
 use isrf_mem::AddrPattern;
-use isrf_sim::{ExecEngine, Machine, ProgramVerifier, StreamBinding, StreamProgram};
+use isrf_sim::{Machine, ProgramVerifier, StreamBinding, StreamProgram};
 use isrf_verify::{codes, cost_model, Verifier};
 
 const ARITH_SRC: &str = r#"
@@ -137,26 +137,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn static_cycle_floor_is_sound_under_both_engines(
+    fn static_cycle_floor_is_sound(
         cfg_idx in 0usize..4,
         records_per_lane in 1u32..8,
         use_lookup in any::<bool>(),
         salt in any::<u32>(),
     ) {
         let name = ConfigName::ALL[cfg_idx];
-        let (m, p) = build(name, records_per_lane, use_lookup, salt);
+        let (mut m, p) = build(name, records_per_lane, use_lookup, salt);
         let d = Verifier::new().verify(m.config(), &m.verify_env(), &p);
         prop_assert!(d.is_empty(), "well-formed program rejected: {d:?}");
         let floor = cost_model(m.config(), &p).cycle_floor;
-        for engine in [ExecEngine::Tape, ExecEngine::Interp] {
-            let (mut m, p) = build(name, records_per_lane, use_lookup, salt);
-            m.set_engine(engine);
-            let cycles = m.run(&p).cycles;
-            prop_assert!(
-                floor <= cycles,
-                "floor {floor} exceeds simulated {cycles} on {name} under {engine:?}"
-            );
-        }
+        let cycles = m.run(&p).cycles;
+        prop_assert!(
+            floor <= cycles,
+            "floor {floor} exceeds simulated {cycles} on {name}"
+        );
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! Tier-1 differential suite: every application on every machine
 //! configuration, checked word-for-word against the timing-free reference
 //! executor, plus sweep-level invariants (determinism across reruns,
-//! parallel/serial identity, Isrf1-vs-Isrf4 functional equivalence).
+//! parallel/serial identity, Isrf1-vs-Isrf4 functional equivalence), and a
+//! committed digest of every point's timing (`tests/golden/basket.digest`:
+//! cycles, full stats, and the whole trace-event stream), so a change that
+//! moves *when* something happens fails here even when every value is still
+//! right. Regenerate after an intentional timing change with
+//! `UPDATE_GOLDEN=1 cargo test --test differential`.
 //!
 //! Memory in this simulator moves functionally at request time — the cache
 //! and DRAM models only shape timing and traffic accounting — so the final
@@ -10,10 +15,11 @@
 
 use isrf_apps::common::Prepared;
 use isrf_apps::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
-use isrf_check::{first_divergence, run_differential, run_parallel, run_serial, DiffOutcome};
+use isrf_check::{run_differential, run_parallel, run_serial, DiffOutcome};
 use isrf_core::config::ConfigName;
+use isrf_core::snap::{fnv1a, Enc};
 use isrf_core::stats::RunStats;
-use isrf_sim::ExecEngine;
+use isrf_trace::Tracer;
 
 const APPS: [&str; 8] = [
     "fft2d", "rijndael", "sort", "filter", "igraph", "spmv", "stencil", "bfs",
@@ -91,31 +97,6 @@ fn prepare(app: &str, cfg: ConfigName) -> Prepared {
     }
 }
 
-/// On a differential failure, narrow the blame: run the point under both
-/// execution engines in lockstep and bisect snapshots for the first cycle
-/// where they disagree (DESIGN.md §12). A reported cycle means an engine
-/// bug with an exact location; engines agreeing means the timing model
-/// itself disagrees with the reference semantics.
-fn bisect_engines(app: &str, cfg: ConfigName) -> String {
-    let mut tape = prepare(app, cfg);
-    tape.machine.set_engine(ExecEngine::Tape);
-    let mut interp = prepare(app, cfg);
-    interp.machine.set_engine(ExecEngine::Interp);
-    match first_divergence(
-        &mut tape.machine,
-        &mut interp.machine,
-        &tape.program,
-        256,
-        None,
-    ) {
-        Ok(Some(d)) => format!("tape-vs-interpreter bisection:\n{d}"),
-        Ok(None) => "tape-vs-interpreter bisection: engines agree through completion; \
-                     the divergence is against the reference semantics"
-            .into(),
-        Err(e) => format!("tape-vs-interpreter bisection did not restore cleanly: {e:?}"),
-    }
-}
-
 fn diff_point(app: &str, cfg: ConfigName) -> DiffOutcome {
     let mut pr = prepare(app, cfg);
     run_differential(&mut pr.machine, &pr.program, &pr.outputs).unwrap_or_else(|failure| {
@@ -127,11 +108,10 @@ fn diff_point(app: &str, cfg: ConfigName) -> DiffOutcome {
             .collect();
         panic!(
             "{app} on {cfg:?} diverged from the reference executor \
-             ({} mismatches):\n  {}\nlast trace events:\n{}\n{}",
+             ({} mismatches):\n  {}\nlast trace events:\n{}",
             failure.errors.len(),
             shown.join("\n  "),
-            failure.trace_tail.join("\n"),
-            bisect_engines(app, cfg)
+            failure.trace_tail.join("\n")
         )
     })
 }
@@ -218,4 +198,53 @@ fn isrf1_and_isrf4_are_functionally_equivalent() {
             "{app}: Isrf1 vs Isrf4 reference indexed counts differ"
         );
     }
+}
+
+/// One line of `tests/golden/basket.digest`: the point's cycle count, an
+/// FNV-1a digest of its full `RunStats`, and the length and FNV-1a digest
+/// of its complete trace-event stream (every grant, stall reason, indexed
+/// access and per-cycle attribution, stamped with its cycle).
+fn digest_point(app: &str, cfg: ConfigName) -> String {
+    use std::fmt::Write;
+    let mut pr = prepare(app, cfg);
+    pr.machine.set_tracer(Tracer::recording(1 << 22));
+    let stats = pr.machine.run(&pr.program);
+    let recorder = pr
+        .machine
+        .take_tracer()
+        .into_recorder()
+        .expect("recording tracer was installed");
+    let ring = recorder.ring();
+    assert_eq!(ring.dropped(), 0, "{app} on {cfg}: trace ring too small");
+    let mut enc = Enc::new();
+    stats.encode_state(&mut enc);
+    let mut stream = String::new();
+    for (cycle, ev) in ring.iter() {
+        writeln!(stream, "@{cycle} {ev:?}").expect("write to String");
+    }
+    format!(
+        "{app} {cfg} cycles={} stats={:016x} events={} trace={:016x}\n",
+        stats.cycles,
+        fnv1a(&enc.into_bytes()),
+        ring.len(),
+        fnv1a(stream.as_bytes())
+    )
+}
+
+/// Timing is pinned, not just values: all 32 points reproduce the
+/// committed cycle counts, stats and event streams exactly.
+#[test]
+fn basket_digest_matches_golden_file() {
+    let got: String = run_parallel(&grid(), |&(app, cfg)| digest_point(app, cfg)).concat();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/basket.digest");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "timing drifted from tests/golden/basket.digest");
+    }
+    assert_eq!(got, want, "basket.digest point list changed");
 }
