@@ -2,25 +2,15 @@
 # Full CI gate: build, test, formatting, lints. Run from the repo root.
 #
 #   ./ci.sh           tier-1 gate only
-#   ./ci.sh --check   tier-1 gate, then the perf basket in regression-check
-#                     mode: fails if any point's cycle count differs from
-#                     the committed results/BENCH_perf.json baseline, or if
-#                     simulator throughput drops >25% below it (see
-#                     EXPERIMENTS.md, "Performance"). The fresh measurement
-#                     is written to results/BENCH_perf.current.json as the
-#                     run's trajectory artifact; the committed baseline is
-#                     never overwritten.
 #   ./ci.sh --miri    tier-1 gate, then `cargo miri test` on the pure
 #                     foundation crates (opt-in: miri is slow and needs the
 #                     nightly component; the gate fails if it is missing).
 set -euo pipefail
 cd "$(dirname "$0")"
 
-perf_check=0
 miri=0
 for arg in "$@"; do
   case "$arg" in
-    --check) perf_check=1 ;;
     --miri) miri=1 ;;
     *) echo "unknown flag: $arg" >&2; exit 2 ;;
   esac
@@ -110,25 +100,22 @@ echo "==> snapshot/resume differential + bisector negative test"
 ./target/release/snapshot
 ./target/release/snapshot negative
 
-echo "==> benchmark package (build, unit tests, sim_idx smoke)"
-# benchmark/ is a workspace of its own, so nothing above compiles it: an
-# API change in the crates it drives would break BENCHMARK.json's command
-# unnoticed. Build it, run its unit tests, and run two seconds' worth of
-# the indexed workload, whose every job is checked against an oracle.
+echo "==> benchmark package (build, unit tests, smoke of all four workloads)"
+# benchmark/ is a workspace of its own, so nothing above compiles it, and
+# it is the only harness that times anything: an API change in the crates
+# it drives would break BENCHMARK.json's command unnoticed. Build it, run
+# its unit tests, and run two seconds' worth of every workload, whose
+# every job is checked against an oracle.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
-bash benchmark/run.sh --workload sim_idx --seconds 2 --trace 0 | tail -n 1 \
-  | grep -q '"correct": true'
+for workload in sim_seq sim_idx admit_cold serve_mix; do
+  bash benchmark/run.sh --workload "$workload" --seconds 2 --trace 0 | tail -n 1 \
+    | grep -q '"correct": true'
+done
 
 if [[ "$miri" == 1 ]]; then
   echo "==> cargo miri test (foundation crates)"
   cargo miri test -q -p isrf-core -p isrf-sram
-fi
-
-if [[ "$perf_check" == 1 ]]; then
-  echo "==> perf basket (--check against committed baseline)"
-  ./target/release/perf --check results/BENCH_perf.json \
-    --out results/BENCH_perf.current.json --runs 5
 fi
 
 echo "CI OK"

@@ -1,13 +1,16 @@
 //! Regenerate every evaluation figure and table of the paper as text.
 //!
 //! Usage: `figures [all|table3|table4|area|energy|fig11|fig12|fig13|fig14|
-//! fig15|fig16|fig17|fig18|summary] [--paper] [--list]`
+//! fig15|fig16|fig17|fig18|summary|ablations] [--paper] [--list]`
 //!
 //! `--paper` uses the paper's workload sizes (slower); the default uses
 //! reduced sizes with the same shapes. `--list` prints the known targets,
 //! one per line, and exits. The benchmark-driven figures (11, 12, 13,
 //! summary) additionally write machine-readable JSON next to the text
-//! tables, under `results/bench_<fig>.json`.
+//! tables, under `results/bench_<fig>.json`. `ablations` prints the two
+//! design-choice comparisons EXPERIMENTS.md cites (Sort baseline
+//! mechanism, cross-lane interconnect); they are not the paper's, so `all`
+//! leaves them out.
 
 use isrf_bench as figs;
 use isrf_bench::Profile;
@@ -218,9 +221,33 @@ fn summary(p: Profile) {
     write_json("summary", &figs::summary_json(&rows));
 }
 
-const TARGETS: [&str; 14] = [
-    "all", "table3", "table4", "area", "energy", "fig11", "fig12", "fig13", "fig14", "fig15",
-    "fig16", "fig17", "fig18", "summary",
+fn ablations() {
+    let (cond, bitonic) = figs::sort_baseline_ablation();
+    println!("== Ablation: Sort baseline mechanism (Base) ==");
+    println!("conditional-stream merge: {cond} cycles");
+    println!("bitonic network:          {bitonic} cycles");
+    println!("== Ablation: cross-lane interconnect (1 port/bank, no comm) ==");
+    for (topo, t) in figs::crosslane_topology_ablation() {
+        println!("{topo:?}: {t:.3} words/cycle/lane");
+    }
+}
+
+const TARGETS: [&str; 15] = [
+    "all",
+    "table3",
+    "table4",
+    "area",
+    "energy",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "fig17",
+    "fig18",
+    "summary",
+    "ablations",
 ];
 
 fn main() {
@@ -295,5 +322,8 @@ fn main() {
     }
     if all || what == "summary" {
         summary(p);
+    }
+    if what == "ablations" {
+        ablations();
     }
 }

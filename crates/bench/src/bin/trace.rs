@@ -20,7 +20,8 @@
 
 use isrf_bench::{prepare_app, Profile, DIFF_APPS};
 use isrf_core::config::ConfigName;
-use isrf_trace::{chrome, json, timeline, Tracer};
+use isrf_trace::json::Json;
+use isrf_trace::{chrome, timeline, Tracer};
 
 const DEFAULT_EVENTS: usize = 1 << 20;
 
@@ -131,9 +132,9 @@ fn trace_point(app: &str, cfg: ConfigName, opts: &Options) -> bool {
 
     let events: Vec<_> = rec.ring().iter().cloned().collect();
     let trace_json = chrome::export(&events);
-    if let Err((pos, what)) = json::validate(&trace_json) {
+    if let Err(e) = Json::parse(&trace_json) {
         ok = false;
-        println!("chrome JSON: INVALID at byte {pos}: {what}");
+        println!("chrome JSON: INVALID: {e}");
     }
     if let Err(e) = std::fs::create_dir_all(&opts.out_dir) {
         eprintln!("cannot create {}: {e}", opts.out_dir.display());
@@ -156,7 +157,7 @@ fn trace_point(app: &str, cfg: ConfigName, opts: &Options) -> bool {
     ok
 }
 
-/// `--validate FILE`: check JSON validity with the built-in validator.
+/// `--validate FILE`: check JSON validity with the workspace's parser.
 fn validate_file(path: &str) -> ! {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -165,13 +166,13 @@ fn validate_file(path: &str) -> ! {
             std::process::exit(1);
         }
     };
-    match json::validate(&text) {
-        Ok(()) => {
+    match Json::parse(&text) {
+        Ok(_) => {
             println!("{path}: valid JSON");
             std::process::exit(0);
         }
-        Err((pos, what)) => {
-            eprintln!("{path}: INVALID at byte {pos}: {what}");
+        Err(e) => {
+            eprintln!("{path}: INVALID: {e}");
             std::process::exit(1);
         }
     }

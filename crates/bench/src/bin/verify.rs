@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use isrf_bench::{prepare_app, Profile, DIFF_APPS};
 use isrf_core::config::ConfigName;
+use isrf_trace::json::escaped;
 use isrf_verify::{explain, Report, Verifier};
 
 /// The static floor must recover at least this percentage of the simulated
@@ -48,34 +49,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 fn diag_json(d: &isrf_sim::Diagnostic) -> String {
     let mut s = format!(
         "{{\"code\":\"{}\",\"check\":\"{}\",\"message\":\"{}\"",
-        json_escape(&d.code),
-        json_escape(&d.check),
-        json_escape(&d.message)
+        escaped(&d.code),
+        escaped(&d.check),
+        escaped(&d.message)
     );
     if let Some(op) = d.prog_op {
         let _ = write!(s, ",\"prog_op\":{op}");
     }
     if let Some(k) = &d.kernel {
-        let _ = write!(s, ",\"kernel\":\"{}\"", json_escape(k));
+        let _ = write!(s, ",\"kernel\":\"{}\"", escaped(k));
     }
     if let Some(line) = d.line {
         let _ = write!(s, ",\"line\":{line}");
@@ -105,7 +90,7 @@ fn point_json(app: &str, cfg: ConfigName, report: &Report) -> String {
                 "{{\"name\":\"{}\",\"prog_op\":{},\"iters\":{},\"ii\":{},\"floor\":{},\
                  \"schedule_floor\":{},\"port_floor\":{},\"inlane_pressure_pct\":{},\
                  \"crosslane_pressure_pct\":{}}}",
-                json_escape(&k.name),
+                escaped(&k.name),
                 k.prog_op,
                 k.iters,
                 k.ii,

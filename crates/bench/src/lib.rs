@@ -1,10 +1,10 @@
 //! Figure and table regeneration for the HPCA 2004 indexed-SRF paper.
 //!
 //! Every evaluation artifact of the paper has a generator here returning
-//! structured data; the `figures` binary renders them as text tables, and
-//! the Criterion benches time the underlying simulations. See DESIGN.md
-//! for the experiment index and EXPERIMENTS.md for paper-vs-measured
-//! numbers.
+//! structured data, and the `figures` binary renders them as text tables.
+//! Nothing here is timed: host-time measurement lives in `benchmark/`
+//! alone. See DESIGN.md for the experiment index and EXPERIMENTS.md for
+//! paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,13 +12,11 @@
 use isrf_apps::common::set_separation_override;
 use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort};
 use isrf_check::run_parallel;
-use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
 use isrf_core::stats::RunStats;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sram::{AreaModel, EnergyModel, SrfGeometry, SrfVariant};
-
-pub mod perf;
 
 /// The application benchmarks of Section 5.2, in the paper's figure order.
 pub const BENCHMARKS: [&str; 8] = [
@@ -370,6 +368,32 @@ pub fn summary(profile: Profile) -> Vec<(String, f64, f64, f64)> {
     })
 }
 
+/// Ablation of the Sort baseline mechanism on Base at the Small size:
+/// cycles of the conditional-stream merge the suite uses, then of the
+/// bitonic-network baseline it replaced.
+pub fn sort_baseline_ablation() -> (u64, u64) {
+    let params = sort::SortParams {
+        keys_per_lane: 64,
+        ..Default::default()
+    };
+    (
+        sort::run(ConfigName::Base, &params).cycles,
+        sort::run_base_bitonic(ConfigName::Base, &params).cycles,
+    )
+}
+
+/// Ablation of the Section 7 sparse cross-lane interconnect: sustained
+/// words/cycle/lane with one network port per bank and no inter-cluster
+/// communication, on a full crossbar and on a ring.
+pub fn crosslane_topology_ablation() -> [(CrossLaneTopology, f64); 2] {
+    [CrossLaneTopology::Crossbar, CrossLaneTopology::Ring].map(|topo| {
+        (
+            topo,
+            micro::crosslane_throughput_with_topology(1, 0, topo, 3000),
+        )
+    })
+}
+
 /// Render a list of JSON objects (already-rendered `"key": value` field
 /// strings per row) as a pretty-printed JSON array.
 fn json_array(rows: Vec<Vec<String>>) -> String {
@@ -517,6 +541,14 @@ mod tests {
                 "{flat} should stay flat: {pts:?}"
             );
         }
+    }
+
+    #[test]
+    fn fig12_small_grid_cycle_total_is_pinned() {
+        // 20 of the 32 points are lines of tests/golden/basket.digest; the
+        // IG_DMS, IG_DCS and IG_SCL rows are pinned at this size only here.
+        let total: u64 = fig12(Profile::Small).iter().map(|r| r.cycles).sum();
+        assert_eq!(total, 663_526);
     }
 
     #[test]

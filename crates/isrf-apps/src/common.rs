@@ -33,10 +33,10 @@ pub fn machine(cfg: ConfigName) -> Machine {
         c.sched.crosslane_addr_data_separation = xl;
     }
     let mut m = Machine::new(c).expect("presets validate");
-    // Every benchmark machine carries the static hazard analyzer; with the
-    // default `VerifyPolicy::Debug` it runs before each program in debug
-    // builds (so the test suite proves every shipped program verifies
-    // clean) and costs nothing in release benchmarking.
+    // Every benchmark machine carries the static hazard analyzer; the
+    // machine runs it before each program in debug builds (so the test
+    // suite proves every shipped program verifies clean) and never in
+    // release builds.
     m.set_verifier(Some(Arc::new(Verifier::new())));
     m
 }

@@ -11,11 +11,11 @@ use isrf_core::config::ConfigName;
 use crate::common::Prepared;
 use crate::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
 
-/// Benchmark sizing profile: `Small` keeps unit tests and Criterion quick;
+/// Benchmark sizing profile: `Small` keeps unit tests and CI quick;
 /// `Paper` uses the paper's workload sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Profile {
-    /// Reduced sizes for CI and Criterion.
+    /// Reduced sizes for tests and CI.
     Small,
     /// The paper's workload sizes.
     Paper,

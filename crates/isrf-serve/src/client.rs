@@ -6,7 +6,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use crate::json::Json;
+use crate::Json;
 
 /// A client response.
 #[derive(Debug, Clone)]

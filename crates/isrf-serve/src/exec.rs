@@ -20,8 +20,8 @@ use isrf_sim::{Diagnostic, Machine, ProgramVerifier, StreamBinding, StreamProgra
 use isrf_trace::{chrome, Tracer};
 use isrf_verify::Verifier;
 
-use crate::json::Json;
 use crate::spec::{AppRef, PointSpec};
+use crate::Json;
 
 /// How a finished point's output words are located.
 #[derive(Debug)]

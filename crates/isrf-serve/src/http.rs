@@ -237,7 +237,7 @@ pub struct Response {
 
 impl Response {
     /// A JSON response.
-    pub fn json(status: u16, v: &crate::json::Json) -> Response {
+    pub fn json(status: u16, v: &crate::Json) -> Response {
         Response {
             status,
             headers: Vec::new(),
@@ -270,7 +270,7 @@ impl Response {
     pub fn error(status: u16, msg: &str) -> Response {
         Response::json(
             status,
-            &crate::json::Json::Obj(vec![("error".into(), crate::json::Json::str(msg))]),
+            &crate::Json::Obj(vec![("error".into(), crate::Json::str(msg))]),
         )
     }
 

@@ -33,7 +33,6 @@
 pub mod client;
 pub mod exec;
 pub mod http;
-pub mod json;
 pub mod pool;
 pub mod server;
 pub mod spec;
@@ -41,7 +40,7 @@ pub mod spec;
 pub use client::{Client, ClientResponse};
 pub use exec::{analyze_point, PointOutcome, PointRunner};
 pub use http::{Limits, Request, Response};
-pub use json::{Json, JsonError};
+pub use isrf_trace::json::{Json, JsonError};
 pub use pool::{Pool, WorkerHandle, WorkerStats};
 pub use server::{Server, ServerConfig};
 pub use spec::{AppRef, JobSpec, PointSpec};

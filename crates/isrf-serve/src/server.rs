@@ -30,9 +30,9 @@ use isrf_trace::{Histogram, MetricsRegistry};
 
 use crate::exec::{analyze_point, PointRunner};
 use crate::http::{read_request, HttpError, Limits, Request, Response};
-use crate::json::Json;
 use crate::pool::{Pool, WorkerHandle};
 use crate::spec::JobSpec;
+use crate::Json;
 
 /// Server tunables.
 #[derive(Debug, Clone)]
@@ -213,13 +213,21 @@ fn hex_encode(bytes: &[u8]) -> String {
     s
 }
 
+/// Decodes over bytes: the text comes from a file on disk, and slicing a
+/// `&str` two bytes at a time panics on a multi-byte character.
 fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
+    let nibble = |b: u8| {
+        (b as char)
+            .to_digit(16)
+            .map(|d| d as u8)
+            .ok_or_else(|| format!("bad hex byte {b:#04x}"))
+    };
     if !s.len().is_multiple_of(2) {
         return Err("odd-length hex".into());
     }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad hex: {e}")))
+    s.as_bytes()
+        .chunks_exact(2)
+        .map(|pair| Ok(nibble(pair[0])? << 4 | nibble(pair[1])?))
         .collect()
 }
 

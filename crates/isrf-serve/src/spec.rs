@@ -14,7 +14,7 @@ use isrf_core::config::ConfigName;
 use isrf_kernel::hash::StableHasher;
 use isrf_sim::ExecEngine;
 
-use crate::json::Json;
+use crate::Json;
 
 /// Cap on points per sweep job.
 pub const MAX_SWEEP_POINTS: usize = 256;

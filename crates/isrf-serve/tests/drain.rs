@@ -130,6 +130,28 @@ fn drain_mid_run_then_resume_matches_uninterrupted_run() {
 }
 
 #[test]
+fn corrupt_checkpoint_files_do_not_stop_the_server_starting() {
+    let dir = snapshot_dir("corrupt");
+    std::fs::create_dir_all(&dir).unwrap();
+    // An even number of bytes, with the two-byte 'é' off the hex grid.
+    std::fs::write(
+        dir.join("job-7.json"),
+        r#"{"id":7,"spec":{"app":"sort","config":"ISRF4"},"points":["aé1"]}"#,
+    )
+    .unwrap();
+    // Cut off mid-write.
+    std::fs::write(dir.join("job-8.json"), r#"{"id":8,"spec":{"app":"so"#).unwrap();
+
+    let server = Server::start(config(&dir)).unwrap();
+    let mut client = Client::new(server.addr());
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    assert_eq!(client.get("/jobs/7").unwrap().status, 404);
+    assert_eq!(client.get("/jobs/8").unwrap().status, 404);
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn queued_jobs_survive_a_drain_too() {
     let dir = snapshot_dir("queued");
     // One worker, two long jobs: at drain time one is running (gets a

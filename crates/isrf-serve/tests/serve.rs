@@ -173,29 +173,32 @@ fn queue_bound_produces_429_with_retry_after() {
     // One worker, queue of one, big Paper-profile jobs: the first job
     // occupies the worker, the second fills the queue, the third bounces.
     let (server, mut client) = start(1, 1, 5_000);
-    let mut ids = Vec::new();
-    let mut saw_429 = false;
-    for i in 0..6 {
-        let body = format!(r#"{{"app":"sort","profile":"paper","nonce":"flood-{i}"}}"#);
-        let resp = client.post("/jobs", &body).expect("POST /jobs");
-        match resp.status {
-            202 => {
-                let v = resp.json().unwrap();
-                ids.push(v.get("id").and_then(Json::as_u64).unwrap());
-            }
-            429 => {
-                saw_429 = true;
-                assert_eq!(resp.header("retry-after"), Some("1"));
-                let v = resp.json().unwrap();
-                assert!(v.get("error").is_some());
-            }
-            other => panic!("unexpected status {other}"),
+    let body = |i: u32| format!(r#"{{"app":"sort","profile":"paper","nonce":"flood-{i}"}}"#);
+    let (status, v) = submit(&mut client, &body(0));
+    assert_eq!(status, 202);
+    let first = v.get("id").and_then(Json::as_u64).unwrap();
+    // The queue slot is free again only once the worker has popped the
+    // first job, so wait for that before sending the second.
+    let mut polls = 0;
+    loop {
+        let st = client.get(&format!("/jobs/{first}")).unwrap();
+        let st = st.json().unwrap();
+        if st.get("status").and_then(Json::as_str) == Some("running") {
+            break;
         }
+        polls += 1;
+        assert!(polls < 30_000, "first job never ran: {}", st.render());
+        std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(saw_429, "queue bound never tripped");
-    assert!(ids.len() >= 2, "at least two jobs should be admitted");
+    let (status, v) = submit(&mut client, &body(1));
+    assert_eq!(status, 202, "the free slot should admit the second job");
+    let second = v.get("id").and_then(Json::as_u64).unwrap();
+    let resp = client.post("/jobs", &body(2)).expect("POST /jobs");
+    assert_eq!(resp.status, 429, "queue bound never tripped");
+    assert_eq!(resp.header("retry-after"), Some("1"));
+    assert!(resp.json().unwrap().get("error").is_some());
     // Cancel everything so shutdown is quick.
-    for id in &ids {
+    for id in [first, second] {
         let resp = client.delete(&format!("/jobs/{id}")).expect("DELETE");
         assert_eq!(resp.status, 200);
     }

@@ -102,4 +102,4 @@ pub use snapshot::{diff_snapshots, SnapshotDiff};
 pub use srf::{Srf, SrfRange};
 pub use stream::StreamBinding;
 pub use tape::{cached_tape, tape_cache_stats, CompiledTape};
-pub use verify::{Diagnostic, ProgramVerifier, VerifyEnv, VerifyError, VerifyPolicy};
+pub use verify::{Diagnostic, ProgramVerifier, VerifyEnv, VerifyError};

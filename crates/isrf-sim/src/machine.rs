@@ -65,7 +65,7 @@ struct RunState {
 use crate::program::{ProgOp, StreamProgram};
 use crate::srf::{Srf, SrfRange};
 use crate::stream::StreamBinding;
-use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError, VerifyPolicy};
+use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError};
 
 /// A complete simulated stream processor.
 #[derive(Debug)]
@@ -92,8 +92,6 @@ pub struct Machine {
     quiesce_skip: bool,
     /// Static verifier consulted before simulation, when installed.
     verifier: Option<Arc<dyn ProgramVerifier>>,
-    /// When the installed verifier runs automatically.
-    verify_policy: VerifyPolicy,
     /// Per-bank word intervals known to hold data (sorted, disjoint):
     /// direct `write_stream` setup plus the outputs of completed runs.
     filled: Vec<(u32, u32)>,
@@ -127,7 +125,6 @@ impl Machine {
             store_buf: Vec::new(),
             quiesce_skip: true,
             verifier: None,
-            verify_policy: VerifyPolicy::default(),
             filled: Vec::new(),
             active: None,
             tape_memo: BTreeMap::new(),
@@ -239,19 +236,14 @@ impl Machine {
     }
 
     /// Install a static verifier (or remove one with `None`); returns the
-    /// previous verifier. See [`VerifyPolicy`] for when it runs.
+    /// previous verifier. In debug builds it runs before every fresh
+    /// [`Machine::run`]; in release builds only through
+    /// [`Machine::verify_program`].
     pub fn set_verifier(
         &mut self,
         v: Option<Arc<dyn ProgramVerifier>>,
     ) -> Option<Arc<dyn ProgramVerifier>> {
         std::mem::replace(&mut self.verifier, v)
-    }
-
-    /// Set when the installed verifier runs automatically inside
-    /// [`Machine::run`]; returns the previous policy. The default is
-    /// [`VerifyPolicy::Debug`].
-    pub fn set_verify_policy(&mut self, p: VerifyPolicy) -> VerifyPolicy {
-        std::mem::replace(&mut self.verify_policy, p)
     }
 
     /// The machine-side facts handed to the verifier: allocator high-water
@@ -263,7 +255,7 @@ impl Machine {
         }
     }
 
-    /// Run the installed verifier on `program` now, regardless of policy.
+    /// Run the installed verifier on `program` now, in any build.
     ///
     /// # Errors
     ///
@@ -460,9 +452,9 @@ impl Machine {
 
     /// Execute `program` to completion; returns the stats for this run.
     ///
-    /// When a verifier is installed and the policy is active,
-    /// verification failures panic with the full diagnostic list — use
-    /// [`Machine::run_checked`] to get them as a typed error instead.
+    /// In debug builds with a verifier installed, verification failures
+    /// panic with the full diagnostic list — use [`Machine::run_checked`]
+    /// to get them as a typed error instead.
     ///
     /// # Panics
     ///
@@ -473,19 +465,28 @@ impl Machine {
         self.run_checked(program).unwrap_or_else(|e| panic!("{e}"))
     }
 
+    /// The automatic check at the head of a run: debug builds only, so
+    /// tests get full checking and release runs pay nothing, and only when
+    /// starting fresh, not when resuming a paused program.
+    fn verify_fresh_run(&self, program: &StreamProgram) -> Result<(), VerifyError> {
+        if cfg!(debug_assertions) && self.active.is_none() {
+            self.verify_program(program)
+        } else {
+            Ok(())
+        }
+    }
+
     /// Like [`Machine::run`], but verification failures come back as a
     /// typed [`VerifyError`] instead of a panic. The verifier runs once,
-    /// before the first simulated cycle (per [`VerifyPolicy`]); simulation
+    /// before the first simulated cycle (debug builds only); simulation
     /// itself is unchanged.
     ///
     /// # Errors
     ///
-    /// The verifier's diagnostics, when the policy is active and the
-    /// program is not clean.
+    /// The verifier's diagnostics, in a debug build, when the program is
+    /// not clean.
     pub fn run_checked(&mut self, program: &StreamProgram) -> Result<RunStats, VerifyError> {
-        if self.active.is_none() && self.verifier.is_some() && self.verify_policy.active() {
-            self.verify_program(program)?;
-        }
+        self.verify_fresh_run(program)?;
         let stats = self
             .run_budget(program, u64::MAX)
             .expect("unbounded run completes");
@@ -509,10 +510,8 @@ impl Machine {
     /// As [`Machine::run`]: verification failures (checked only when
     /// starting fresh, not when resuming) and deadlock panic.
     pub fn run_for(&mut self, program: &StreamProgram, max_cycles: u64) -> Option<RunStats> {
-        if self.active.is_none() && self.verifier.is_some() && self.verify_policy.active() {
-            self.verify_program(program)
-                .unwrap_or_else(|e| panic!("{e}"));
-        }
+        self.verify_fresh_run(program)
+            .unwrap_or_else(|e| panic!("{e}"));
         let stats = self.run_budget(program, max_cycles);
         if stats.is_some() {
             self.note_program_fills(program);

@@ -2,8 +2,8 @@
 //!
 //! The simulator does not implement any analysis itself — it defines the
 //! *interface*: a [`ProgramVerifier`] installed on a machine is consulted
-//! before [`Machine::run`](crate::Machine::run) simulates a program
-//! (always, never, or only in debug builds, per [`VerifyPolicy`]). The
+//! before [`Machine::run`](crate::Machine::run) simulates a program, in
+//! debug builds only: tests get full checking, release runs pay nothing. The
 //! concrete analyzer lives in the `isrf-verify` crate; keeping only the
 //! trait here avoids a dependency cycle (`isrf-verify` depends on this
 //! crate for [`StreamProgram`]).
@@ -124,31 +124,6 @@ pub trait ProgramVerifier: Send + Sync + fmt::Debug {
         env: &VerifyEnv,
         program: &StreamProgram,
     ) -> Vec<Diagnostic>;
-}
-
-/// When the installed verifier runs inside [`Machine::run`](crate::Machine::run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VerifyPolicy {
-    /// Never run automatically (explicit
-    /// [`Machine::verify_program`](crate::Machine::verify_program) only).
-    Off,
-    /// Run in debug builds only — the default: tests get full checking,
-    /// release benchmarking pays nothing.
-    #[default]
-    Debug,
-    /// Run before every simulation.
-    Always,
-}
-
-impl VerifyPolicy {
-    /// Whether the policy is active in this build.
-    pub fn active(self) -> bool {
-        match self {
-            VerifyPolicy::Off => false,
-            VerifyPolicy::Debug => cfg!(debug_assertions),
-            VerifyPolicy::Always => true,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -400,7 +400,7 @@ fn emit_transfer(w: &mut Writer, id: u64, end: u64, t: &OpenTransfer, incomplete
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
+    use crate::json::Json;
 
     fn sample_events() -> Vec<(u64, TraceEvent)> {
         vec![
@@ -460,7 +460,7 @@ mod tests {
     #[test]
     fn export_is_valid_json_and_escapes_names() {
         let doc = export(sample_events().iter());
-        json::validate(&doc).unwrap();
+        Json::parse(&doc).unwrap();
         assert!(doc.contains(r#"fft \"stage1\"\n"#), "kernel name escaped");
         assert!(!doc.contains("fft \"stage1\"\n\""), "raw quote leaked");
     }
@@ -515,7 +515,7 @@ mod tests {
             (5, TraceEvent::Cycle(CycleAttr::Advance)),
         ];
         let doc = export(events.iter());
-        json::validate(&doc).unwrap();
+        Json::parse(&doc).unwrap();
         assert_eq!(doc.matches("\"incomplete\":true").count(), 2);
         assert!(doc.contains("store 16w op2"));
     }

@@ -21,8 +21,8 @@
 //! - [`chrome`] — Chrome trace-event JSON export (open in
 //!   `chrome://tracing` or Perfetto).
 //! - [`timeline`] — a plain-text strip-chart renderer.
-//! - [`json`] — string escaping and a syntax validator for the
-//!   hand-rolled emitters.
+//! - [`json`] — the workspace's JSON codec: string escaping for the
+//!   hand-rolled emitters and the [`json::Json`] value model and parser.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

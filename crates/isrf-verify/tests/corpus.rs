@@ -541,8 +541,8 @@ fn machine_hook_rejects_before_simulation() {
     let err = m.verify_program(&p).expect_err("program is ill-formed");
     assert_eq!(err.diagnostics[0].code, codes::UNFILLED_READ);
     if cfg!(debug_assertions) {
-        // The default VerifyPolicy::Debug rejects it at run time too.
-        let err2 = m.run_checked(&p).expect_err("policy active in debug");
+        // A debug-build machine rejects it at run time too.
+        let err2 = m.run_checked(&p).expect_err("debug runs verify first");
         assert_eq!(err2.diagnostics, err.diagnostics);
     }
 }

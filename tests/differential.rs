@@ -13,12 +13,18 @@
 //! memory image of each app must be identical on all four configurations,
 //! and identical to what the ISA-semantics interpreter produces.
 
+use std::sync::Arc;
+
 use isrf_apps::common::Prepared;
 use isrf_apps::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
 use isrf_check::{run_differential, run_parallel, run_serial, DiffOutcome};
-use isrf_core::config::ConfigName;
+use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::{fnv1a, Enc};
 use isrf_core::stats::RunStats;
+use isrf_kernel::ir::{KernelBuilder, StreamKind};
+use isrf_kernel::sched::{schedule, SchedParams};
+use isrf_sim::machine::Machine;
+use isrf_sim::program::StreamProgram;
 use isrf_trace::Tracer;
 
 const APPS: [&str; 8] = [
@@ -204,18 +210,21 @@ fn isrf1_and_isrf4_are_functionally_equivalent() {
 /// FNV-1a digest of its full `RunStats`, and the length and FNV-1a digest
 /// of its complete trace-event stream (every grant, stall reason, indexed
 /// access and per-cycle attribution, stamped with its cycle).
-fn digest_point(app: &str, cfg: ConfigName) -> String {
+fn digest_line(
+    name: &str,
+    cfg: ConfigName,
+    machine: &mut Machine,
+    program: &StreamProgram,
+) -> String {
     use std::fmt::Write;
-    let mut pr = prepare(app, cfg);
-    pr.machine.set_tracer(Tracer::recording(1 << 22));
-    let stats = pr.machine.run(&pr.program);
-    let recorder = pr
-        .machine
+    machine.set_tracer(Tracer::recording(1 << 22));
+    let stats = machine.run(program);
+    let recorder = machine
         .take_tracer()
         .into_recorder()
         .expect("recording tracer was installed");
     let ring = recorder.ring();
-    assert_eq!(ring.dropped(), 0, "{app} on {cfg}: trace ring too small");
+    assert_eq!(ring.dropped(), 0, "{name} on {cfg}: trace ring too small");
     let mut enc = Enc::new();
     stats.encode_state(&mut enc);
     let mut stream = String::new();
@@ -223,7 +232,7 @@ fn digest_point(app: &str, cfg: ConfigName) -> String {
         writeln!(stream, "@{cycle} {ev:?}").expect("write to String");
     }
     format!(
-        "{app} {cfg} cycles={} stats={:016x} events={} trace={:016x}\n",
+        "{name} {cfg} cycles={} stats={:016x} events={} trace={:016x}\n",
         stats.cycles,
         fnv1a(&enc.into_bytes()),
         ring.len(),
@@ -231,11 +240,48 @@ fn digest_point(app: &str, cfg: ConfigName) -> String {
     )
 }
 
-/// Timing is pinned, not just values: all 32 points reproduce the
-/// committed cycle counts, stats and event streams exactly.
+fn digest_point(app: &str, cfg: ConfigName) -> String {
+    let mut pr = prepare(app, cfg);
+    digest_line(app, cfg, &mut pr.machine, &pr.program)
+}
+
+/// The bare cycle loop as the digest's last line: one modulo-scheduled
+/// 6-op ALU kernel over two SRF-resident sequential streams, 1024
+/// iterations on Base, no memory traffic.
+fn digest_hot_loop() -> String {
+    let cfg = MachineConfig::preset(ConfigName::Base);
+    let iters: u64 = 1024;
+    let mut machine = Machine::new(cfg.clone()).expect("preset config is valid");
+
+    let mut b = KernelBuilder::new("hot_loop");
+    let s_in = b.stream("in", StreamKind::SeqIn);
+    let s_out = b.stream("out", StreamKind::SeqOut);
+    let a = b.seq_read(s_in);
+    let sq = b.mul(a, a);
+    let s1 = b.add(sq, a);
+    let s2 = b.mul(s1, s1);
+    let s3 = b.add(s2, sq);
+    b.seq_write(s_out, s3);
+    let kernel = Arc::new(b.build().expect("hot-loop kernel is well-formed"));
+    let sched = schedule(&kernel, &SchedParams::from_machine(&cfg)).expect("hot-loop schedules");
+
+    let records = iters as u32 * cfg.lanes as u32;
+    let input = machine.alloc_stream(1, records);
+    let output = machine.alloc_stream(1, records);
+    let data: Vec<u32> = (0..records).map(|i| i.wrapping_mul(2654435761)).collect();
+    machine.write_stream(&input, &data);
+
+    let mut p = StreamProgram::new();
+    p.kernel(kernel, sched, vec![input, output], iters, &[]);
+    digest_line("hot_loop", ConfigName::Base, &mut machine, &p)
+}
+
+/// Timing is pinned, not just values: all 32 points and the hot loop
+/// reproduce the committed cycle counts, stats and event streams exactly.
 #[test]
 fn basket_digest_matches_golden_file() {
-    let got: String = run_parallel(&grid(), |&(app, cfg)| digest_point(app, cfg)).concat();
+    let mut got: String = run_parallel(&grid(), |&(app, cfg)| digest_point(app, cfg)).concat();
+    got.push_str(&digest_hot_loop());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/basket.digest");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
         std::fs::write(path, &got).expect("write golden");

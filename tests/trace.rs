@@ -13,7 +13,8 @@ use isrf::kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf::kernel::sched::{schedule, SchedParams};
 use isrf::mem::AddrPattern;
 use isrf::sim::{Machine, StreamProgram};
-use isrf::trace::{chrome, json, CycleAttr, TraceEvent, Tracer};
+use isrf::trace::json::Json;
+use isrf::trace::{chrome, CycleAttr, TraceEvent, Tracer};
 use proptest::prelude::*;
 
 fn copy_kernel() -> Arc<Kernel> {
@@ -62,7 +63,7 @@ fn traced_copy(cfg: ConfigName) -> (Vec<(u64, TraceEvent)>, Machine) {
 fn chrome_export_matches_golden_file() {
     let (events, _m) = traced_copy(ConfigName::Base);
     let got = chrome::export(&events);
-    json::validate(&got).expect("exporter emits valid JSON");
+    Json::parse(&got).expect("exporter emits valid JSON");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/copy16_base.trace.json"

@@ -10,7 +10,8 @@
 
 use isrf::core::config::ConfigName;
 use isrf::core::stats::RunStats;
-use isrf::trace::{chrome, json, Recorder, Tracer};
+use isrf::trace::json::Json;
+use isrf::trace::{chrome, Recorder, Tracer};
 use isrf_apps::stencil::{self, StencilParams, COLS, STRIP_ROWS};
 
 /// One 5-point strip (32×64 grid) on ISRF4 under a recording tracer.
@@ -39,7 +40,7 @@ fn export(rec: &Recorder) -> String {
 fn stencil5_chrome_export_matches_golden_file() {
     let (rec, _stats) = traced_stencil();
     let got = export(&rec);
-    json::validate(&got).expect("exporter emits valid JSON");
+    Json::parse(&got).expect("exporter emits valid JSON");
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/stencil5_isrf4.trace.json"
