@@ -22,11 +22,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test --release -p isrf-sim (release-only regressions)"
+echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check (the build users run)"
 # Tests under cfg(not(debug_assertions)): an out-of-range dynamic index
 # trips a debug_assert in debug builds and must clamp, not panic, in the
-# builds users actually run.
-cargo test -q --release -p isrf-sim
+# builds users actually run. The oracle and the lock-step references run
+# here too: the row executor is only vectorised in an optimised build.
+cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check
 
 echo "==> cargo fmt --check"
 cargo fmt --all --check

@@ -9,9 +9,9 @@
 //!   order, every lane of an op before the next op — which is exactly the
 //!   per-stream access order the scheduler's ordering chains guarantee;
 //! * stream cursor/windowing semantics are *shared with the simulator* by
-//!   reusing [`isrf_sim::stream`]'s runtime states with zero latency and
-//!   effectively unbounded buffers (inputs prefetched whole, outputs
-//!   drained at kernel end);
+//!   reusing [`isrf_sim::stream`]'s runtime states with zero latency
+//!   (inputs topped up before every read, outputs drained after every
+//!   write, so no read or write ever waits);
 //! * indexed reads resolve eagerly at address issue, indexed writes apply
 //!   immediately, and every serviced word is counted so the totals can be
 //!   checked against the machine's [`isrf_core::stats::SrfTraffic`].
@@ -83,14 +83,23 @@ impl RefMachine {
         self.counts
     }
 
+    /// Where the `k`-th word of binding `b` lives, `(bank, per-bank
+    /// offset)`, by the closed form of the record-interleaved layout — the
+    /// machine walks bindings by increments instead.
+    fn locate(&self, b: &StreamBinding, k: u32) -> (usize, u32) {
+        let record = b.absolute_record(k / b.record_words);
+        let row = record / self.lanes as u32;
+        let off = b.range.base + row * b.record_words + k % b.record_words;
+        (record as usize % self.lanes, off)
+    }
+
     /// Read a stream's content out of the reference SRF.
     pub fn read_stream(&self, b: &StreamBinding) -> Vec<Word> {
-        (0..b.words())
-            .map(|k| {
-                self.srf
-                    .read_stream_word(b.range, b.record_words, b.stream_word(k))
-            })
-            .collect()
+        let word = |k| {
+            let (bank, off) = self.locate(b, k);
+            self.srf.read(bank, off)
+        };
+        (0..b.words()).map(word).collect()
     }
 
     /// Execute `program` to completion, functionally.
@@ -139,7 +148,6 @@ impl RefMachine {
                 } => {
                     let mut interp = Interp::new(self, kernel, bindings);
                     interp.run(*iters);
-                    interp.flush();
                 }
             }
         }
@@ -147,27 +155,25 @@ impl RefMachine {
 
     fn write_stream_words(&mut self, dst: &StreamBinding, data: &[Word]) {
         for (k, &v) in data.iter().enumerate() {
-            self.srf
-                .write_stream_word(dst.range, dst.record_words, dst.stream_word(k as u32), v);
+            let (bank, off) = self.locate(dst, k as u32);
+            self.srf.write(bank, off, v);
         }
     }
 
     fn dynamic_addrs(&self, index_stream: &StreamBinding, base: u32) -> Vec<u32> {
-        (0..index_stream.words())
-            .map(|k| {
-                base + self.srf.read_stream_word(
-                    index_stream.range,
-                    index_stream.record_words,
-                    index_stream.stream_word(k),
-                )
-            })
-            .collect()
+        let index = self.read_stream(index_stream);
+        index.into_iter().map(|i| base + i).collect()
     }
 }
 
+/// Words per lane of the stream states' buffers: any depth does, since
+/// they are refilled before every read and drained after every write.
+const BUF: usize = 8;
+
 /// Per-slot runtime state of the interpreter. Sequential and conditional
-/// slots reuse the simulator's own stream states (zero latency, unbounded
-/// buffers); indexed slots resolve against the SRF directly.
+/// slots reuse the simulator's own stream states (zero latency, refilled
+/// and drained around every access); indexed slots resolve against the
+/// SRF directly.
 enum RefSlot {
     SeqIn(SeqInState),
     SeqOut(SeqOutState),
@@ -213,40 +219,23 @@ impl<'a> Interp<'a> {
             .streams
             .iter()
             .zip(bindings)
-            .map(|(decl, b)| {
-                let all = b.words() as usize + 1;
-                match decl.kind {
-                    StreamKind::SeqIn => {
-                        let mut st = SeqInState::new(*b, lanes, all);
-                        st.grant(&rm.srf, all, 0, 0);
-                        RefSlot::SeqIn(st)
-                    }
-                    StreamKind::CondLaneIn => {
-                        let mut st = SeqInState::new(*b, lanes, all);
-                        st.grant(&rm.srf, all, 0, 0);
-                        RefSlot::CondLaneIn(st)
-                    }
-                    StreamKind::CondIn => {
-                        let mut st = CondInState::new(*b, lanes, all);
-                        st.grant(&rm.srf, all, 0, 0);
-                        RefSlot::CondIn(st)
-                    }
-                    StreamKind::SeqOut => RefSlot::SeqOut(SeqOutState::new(*b, lanes, usize::MAX)),
-                    StreamKind::CondOut => {
-                        RefSlot::CondOut(CondOutState::new(*b, lanes, usize::MAX / lanes.max(1)))
-                    }
-                    StreamKind::IdxInRead | StreamKind::IdxCrossRead => RefSlot::IdxRead {
-                        binding: *b,
-                        cross: decl.kind == StreamKind::IdxCrossRead,
-                        data: vec![VecDeque::new(); lanes],
-                    },
-                    StreamKind::IdxInWrite => {
-                        assert_eq!(
-                            b.record_words, 1,
-                            "indexed write streams use word-granular addresses"
-                        );
-                        RefSlot::IdxWrite { binding: *b }
-                    }
+            .map(|(decl, b)| match decl.kind {
+                StreamKind::SeqIn => RefSlot::SeqIn(SeqInState::new(*b, lanes, BUF)),
+                StreamKind::CondLaneIn => RefSlot::CondLaneIn(SeqInState::new(*b, lanes, BUF)),
+                StreamKind::CondIn => RefSlot::CondIn(CondInState::new(*b, lanes, BUF)),
+                StreamKind::SeqOut => RefSlot::SeqOut(SeqOutState::new(*b, lanes, BUF)),
+                StreamKind::CondOut => RefSlot::CondOut(CondOutState::new(*b, lanes, BUF)),
+                StreamKind::IdxInRead | StreamKind::IdxCrossRead => RefSlot::IdxRead {
+                    binding: *b,
+                    cross: decl.kind == StreamKind::IdxCrossRead,
+                    data: vec![VecDeque::new(); lanes],
+                },
+                StreamKind::IdxInWrite => {
+                    assert_eq!(
+                        b.record_words, 1,
+                        "indexed write streams use word-granular addresses"
+                    );
+                    RefSlot::IdxWrite { binding: *b }
                 }
             })
             .collect();
@@ -282,25 +271,6 @@ impl<'a> Interp<'a> {
                 for (lane, v) in vals.into_iter().enumerate() {
                     self.ctxs[idx][opi * lanes + lane] = v;
                 }
-            }
-        }
-    }
-
-    /// Drain output buffers into the SRF (the kernel-end flush).
-    fn flush(&mut self) {
-        for slot in &mut self.slots {
-            match slot {
-                RefSlot::SeqOut(st) => {
-                    while !st.drained() {
-                        st.grant(&mut self.rm.srf, 1 << 20, true);
-                    }
-                }
-                RefSlot::CondOut(st) => {
-                    while !st.drained() {
-                        st.grant(&mut self.rm.srf, 1 << 20, true);
-                    }
-                }
-                _ => {}
             }
         }
     }
@@ -342,9 +312,10 @@ impl<'a> Interp<'a> {
                 let RefSlot::SeqIn(st) = &mut self.slots[s.0 as usize] else {
                     unreachable!("validated kind");
                 };
-                (0..lanes)
-                    .map(|l| if st.lane_done(l) { 0 } else { st.pop(l) })
-                    .collect()
+                st.grant(&self.rm.srf, BUF, 0, 0);
+                let mut vals = vec![0; lanes];
+                st.pop_row(&vec![1; lanes], &mut vals);
+                vals
             }
             SeqWrite(s) => {
                 let vals: Vec<Word> = (0..lanes)
@@ -353,53 +324,40 @@ impl<'a> Interp<'a> {
                 let RefSlot::SeqOut(st) = &mut self.slots[s.0 as usize] else {
                     unreachable!();
                 };
-                for (l, &v) in vals.iter().enumerate() {
-                    st.push(l, v);
+                st.push_row(&vals);
+                st.grant(&mut self.rm.srf, BUF, true);
+                vals
+            }
+            CondLaneRead(s) | CondRead(s) => {
+                let conds: Vec<Word> = (0..lanes)
+                    .map(|l| self.resolve(j, &op.operands[0], l))
+                    .collect();
+                let mut vals = vec![0; lanes];
+                match &mut self.slots[s.0 as usize] {
+                    RefSlot::CondLaneIn(st) => {
+                        st.grant(&self.rm.srf, BUF, 0, 0);
+                        st.pop_row(&conds, &mut vals);
+                    }
+                    RefSlot::CondIn(st) => {
+                        st.grant(&self.rm.srf, BUF * lanes, 0, 0);
+                        st.pop_row(&conds, &mut vals);
+                    }
+                    _ => unreachable!(),
                 }
                 vals
             }
-            CondLaneRead(s) => {
-                let conds: Vec<bool> = (0..lanes)
-                    .map(|l| word::as_bool(self.resolve(j, &op.operands[0], l)))
-                    .collect();
-                let RefSlot::CondLaneIn(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                conds
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &c)| if c && !st.lane_done(l) { st.pop(l) } else { 0 })
-                    .collect()
-            }
-            CondRead(s) => {
-                let conds: Vec<bool> = (0..lanes)
-                    .map(|l| word::as_bool(self.resolve(j, &op.operands[0], l)))
-                    .collect();
-                let RefSlot::CondIn(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                let k = conds.iter().filter(|&&c| c).count();
-                let k_eff = k.min(st.remaining_words() as usize);
-                let mut words = st.pop(k_eff).into_iter();
-                conds
-                    .iter()
-                    .map(|&c| if c { words.next().unwrap_or(0) } else { 0 })
-                    .collect()
-            }
             CondWrite(s) => {
-                let pairs: Vec<(bool, Word)> = (0..lanes)
-                    .map(|l| {
-                        (
-                            word::as_bool(self.resolve(j, &op.operands[0], l)),
-                            self.resolve(j, &op.operands[1], l),
-                        )
-                    })
+                let conds: Vec<Word> = (0..lanes)
+                    .map(|l| self.resolve(j, &op.operands[0], l))
+                    .collect();
+                let vals: Vec<Word> = (0..lanes)
+                    .map(|l| self.resolve(j, &op.operands[1], l))
                     .collect();
                 let RefSlot::CondOut(st) = &mut self.slots[s.0 as usize] else {
                     unreachable!();
                 };
-                let vals: Vec<Word> = pairs.iter().filter(|(c, _)| *c).map(|&(_, v)| v).collect();
-                st.push(&vals);
+                st.push_row(&conds, &vals);
+                st.grant(&mut self.rm.srf, BUF * lanes, true);
                 vec![0; lanes]
             }
             IdxAddr(s) => {

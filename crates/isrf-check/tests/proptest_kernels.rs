@@ -12,7 +12,9 @@
 //! resolution or ALU code with the simulator; timing is checked against
 //! `tests/golden/proptest_kernels.digest`, one line per case and config
 //! holding the cycle count and an FNV-1a digest of the whole trace-event
-//! stream.
+//! stream. The same corpus then runs, values only, on 4- and 16-lane
+//! machines, where the executor's eight-lane row chunks have a padded
+//! tail or a second chunk.
 //!
 //! The vendored proptest seeds its generator from a name, so the corpus is
 //! the same on every run. Regenerate the digest after an intentional
@@ -133,9 +135,10 @@ fn recipes() -> impl Strategy<Value = Recipe> {
         })
 }
 
-/// Assemble a kernel from the recipe. Returns `None` when the recipe
-/// happens to violate a structural kernel rule.
-fn build_kernel(r: &Recipe) -> Option<Arc<Kernel>> {
+/// Assemble a kernel from the recipe for `lanes` lanes (which bound the
+/// communication distances). Returns `None` when the recipe happens to
+/// violate a structural kernel rule.
+fn build_kernel(r: &Recipe, lanes: usize) -> Option<Arc<Kernel>> {
     let mut b = KernelBuilder::new("fuzz");
     let in0 = b.stream("in0", StreamKind::SeqIn);
     let in1 = b.stream("in1", StreamKind::SeqIn);
@@ -155,8 +158,8 @@ fn build_kernel(r: &Recipe) -> Option<Arc<Kernel>> {
         let c = vals[st.c % vals.len()];
         let v = match st.kind {
             // A sprinkling of cross-lane permutations among the ALU ops.
-            0 => b.comm_rotate((st.a % 8) as i32, bb),
-            1 => b.comm_xor((st.b % 8) as u32, a),
+            0 => b.comm_rotate((st.a % lanes) as i32, bb),
+            1 => b.comm_xor((st.b % lanes) as u32, a),
             _ => {
                 let op = ALU_OPS[st.op % ALU_OPS.len()];
                 let mut operands: Vec<Operand> = [a, bb, c][..op.arity()]
@@ -197,10 +200,12 @@ const OUT_BASE: u32 = 0x8000;
 /// rejects the program.
 fn setup(
     cfg: ConfigName,
+    lanes: usize,
     kernel: &Arc<Kernel>,
     r: &Recipe,
 ) -> Option<(Machine, StreamProgram, (u32, u32))> {
-    let mcfg = MachineConfig::preset(cfg);
+    let mut mcfg = MachineConfig::preset(cfg);
+    mcfg.lanes = lanes;
     let sched = schedule(kernel, &SchedParams::from_machine(&mcfg)).ok()?;
     let mut m = Machine::new(mcfg).unwrap();
     m.set_verifier(Some(Arc::new(Verifier::new())));
@@ -246,11 +251,11 @@ fn setup(
 /// Run one case on one configuration: values against the reference
 /// executor, then the digest line of a traced run of the same program.
 fn run_case(cfg: ConfigName, kernel: &Arc<Kernel>, r: &Recipe) -> Option<String> {
-    let (mut m, p, written) = setup(cfg, kernel, r)?;
+    let (mut m, p, written) = setup(cfg, 8, kernel, r)?;
     let checked = run_differential(&mut m, &p, &[written])
         .unwrap_or_else(|e| panic!("{cfg}: diverged from the reference executor: {e}\n{r:?}"));
 
-    let (mut m, p, _) = setup(cfg, kernel, r).expect("same program");
+    let (mut m, p, _) = setup(cfg, 8, kernel, r).expect("same program");
     m.set_tracer(Tracer::recording(1 << 18));
     let stats = m.run(&p);
     assert_eq!(stats, checked.stats, "{cfg}: rerun is not deterministic");
@@ -269,9 +274,18 @@ fn run_case(cfg: ConfigName, kernel: &Arc<Kernel>, r: &Recipe) -> Option<String>
     ))
 }
 
+/// Base and ISRF4, or ISRF4 alone for an indexed recipe (Base has no
+/// indexed SRF).
+fn configs_of(r: &Recipe) -> &'static [ConfigName] {
+    if r.indexed {
+        &[ConfigName::Isrf4]
+    } else {
+        &[ConfigName::Base, ConfigName::Isrf4]
+    }
+}
+
 /// Every generated kernel computes what the reference semantics say, on
-/// Base and ISRF4 (indexed recipes on ISRF4 only — Base has no indexed
-/// SRF), in exactly the committed number of cycles with exactly the
+/// Base and ISRF4, in exactly the committed number of cycles with exactly the
 /// committed event stream.
 #[test]
 fn random_kernels_match_reference_and_pinned_timing() {
@@ -280,13 +294,8 @@ fn random_kernels_match_reference_and_pinned_timing() {
     let mut got = String::new();
     for case in 0..48 {
         let r = strategy.sample(&mut rng);
-        let configs: &[ConfigName] = if r.indexed {
-            &[ConfigName::Isrf4]
-        } else {
-            &[ConfigName::Base, ConfigName::Isrf4]
-        };
-        let kernel = build_kernel(&r);
-        for &cfg in configs {
+        let kernel = build_kernel(&r, 8);
+        for &cfg in configs_of(&r) {
             let line = kernel.as_ref().and_then(|k| run_case(cfg, k, &r));
             let line = line.unwrap_or_else(|| format!("{cfg} discarded"));
             writeln!(got, "case {case:02} iters={:02} {line}", r.iters).expect("write to String");
@@ -306,4 +315,33 @@ fn random_kernels_match_reference_and_pinned_timing() {
         assert_eq!(g, w, "timing drifted from the golden digest");
     }
     assert_eq!(got.len(), want.len(), "digest case list changed");
+}
+
+/// The same corpus computes what the reference semantics say on 4 lanes
+/// (half a row chunk: the rest is padding no result may leak from) and on
+/// 16 (two chunks: rotations and butterflies cross between them, lane ids
+/// run past 7). Values only: no timing is pinned for these machines.
+#[test]
+fn random_kernels_match_reference_on_4_and_16_lanes() {
+    let mut rng = TestRng::deterministic("isrf-check::proptest_kernels");
+    let strategy = recipes();
+    let mut ran = 0;
+    for _ in 0..48 {
+        let r = strategy.sample(&mut rng);
+        for lanes in [4, 16] {
+            let Some(kernel) = build_kernel(&r, lanes) else {
+                continue;
+            };
+            for &cfg in configs_of(&r) {
+                let Some((mut m, p, written)) = setup(cfg, lanes, &kernel, &r) else {
+                    continue;
+                };
+                run_differential(&mut m, &p, &[written]).unwrap_or_else(|e| {
+                    panic!("{cfg} x {lanes} lanes: diverged from the reference: {e}\n{r:?}")
+                });
+                ran += 1;
+            }
+        }
+    }
+    assert!(ran >= 100, "only {ran} of the corpus's points ran");
 }

@@ -21,7 +21,7 @@
 //! (completion-time, id) order instead of a per-cycle scan.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use isrf_core::config::MachineConfig;
 use isrf_core::snap::{read_sections, write_sections, Dec, Enc, SnapError};
@@ -255,7 +255,10 @@ pub struct MemorySystem {
     cache_words_per_cycle: f64,
     cache_credit: f64,
     cache_hit_latency: u64,
-    inflight: VecDeque<Inflight>,
+    /// Transfers being served, in round-robin order starting at index
+    /// `rr` and wrapping: service rotates by moving `rr`, not the entries.
+    inflight: Vec<Inflight>,
+    rr: usize,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Transfers waiting out their latency (or already usable but not yet
@@ -289,7 +292,8 @@ impl MemorySystem {
                 .map(|c| c.hit_latency as u64)
                 .unwrap_or(0),
             cache,
-            inflight: VecDeque::new(),
+            inflight: Vec::new(),
+            rr: 0,
             slots: Vec::new(),
             free_slots: Vec::new(),
             ready: BinaryHeap::new(),
@@ -448,7 +452,10 @@ impl MemorySystem {
             self.finish_serving(id, self.now);
             return id;
         }
-        self.inflight.push_back(Inflight {
+        // The newcomer is last in round-robin order.
+        self.inflight.rotate_left(self.rr);
+        self.rr = 0;
+        self.inflight.push(Inflight {
             id,
             pattern,
             len,
@@ -561,23 +568,25 @@ impl MemorySystem {
             self.cache_credit = (self.cache_credit + self.cache_words_per_cycle).min(cache_cap);
         }
 
+        if self.inflight.is_empty() {
+            return;
+        }
         // Serve as many words as credits allow, rotating across transfers.
         // The extra rotation makes the marginal (fractional-credit) word
         // alternate between transfers instead of always favoring the first.
-        if self.inflight.len() > 1 {
-            let t = self.inflight.pop_front().expect("len > 1");
-            self.inflight.push_back(t);
-        }
-        'serve: loop {
+        // Transfers are served where they sit: a round visits them from
+        // `rr` on, wrapping, and removing a finished one keeps the order.
+        let mut inflight = std::mem::take(&mut self.inflight);
+        self.rr = (self.rr + 1) % inflight.len();
+        loop {
             let mut progressed = false;
-            for _ in 0..self.inflight.len() {
-                let Some(mut t) = self.inflight.pop_front() else {
-                    break 'serve;
-                };
-                if self.serve_one(&mut t, tracer) {
-                    progressed = true;
-                }
-                if t.cursor >= t.len {
+            let mut i = self.rr;
+            for _ in 0..inflight.len() {
+                let t = &mut inflight[i];
+                progressed |= self.serve_one(t, tracer);
+                if t.cursor < t.len {
+                    i += 1;
+                } else {
                     let latency = if t.touched_dram || !t.cacheable {
                         self.dram_latency
                     } else {
@@ -585,14 +594,19 @@ impl MemorySystem {
                     };
                     self.finish_serving(t.id, self.now + latency);
                     tracer.emit(self.now, TraceEvent::TransferServed { id: t.id.raw() });
-                } else {
-                    self.inflight.push_back(t);
+                    inflight.remove(i);
+                    self.rr -= usize::from(i < self.rr);
+                }
+                if i == inflight.len() {
+                    i = 0;
                 }
             }
-            if !progressed {
+            self.rr %= inflight.len().max(1);
+            if !progressed || inflight.is_empty() {
                 break;
             }
         }
+        self.inflight = inflight;
     }
 
     /// Serialize every piece of dynamic state — clock, credits, functional
@@ -609,7 +623,8 @@ impl MemorySystem {
         sys.u64(self.next_id);
         self.traffic.encode_state(&mut sys);
         sys.usize(self.inflight.len());
-        for t in &self.inflight {
+        let (before, from) = self.inflight.split_at(self.rr);
+        for t in from.iter().chain(before) {
             sys.u64(t.id.raw);
             sys.u32(t.id.slot);
             sys.u32(t.id.gen);
@@ -729,6 +744,7 @@ impl MemorySystem {
         self.traffic = MemTraffic::decode_state(&mut d)?;
         let n_inflight = d.usize()?;
         self.inflight.clear();
+        self.rr = 0;
         for _ in 0..n_inflight {
             let id = TransferId {
                 raw: d.u64()?,
@@ -760,7 +776,7 @@ impl MemorySystem {
             let cacheable = d.bool()?;
             let touched_dram = d.bool()?;
             let last_burst = if d.bool()? { Some(d.u32()?) } else { None };
-            self.inflight.push_back(Inflight {
+            self.inflight.push(Inflight {
                 id,
                 pattern,
                 len,
@@ -1188,5 +1204,59 @@ mod tests {
         let ca = run_until_complete(&mut a, na, 10_000);
         let cb = run_until_complete(&mut b, nb, 10_000);
         assert_eq!(ca, cb);
+    }
+    /// The service schedule is pinned: three concurrent transfers — a
+    /// contiguous read that finishes while the others are mid-service, a
+    /// strided write paying burst granularity, a cacheable gather — must
+    /// serve the words per tick, complete at the cycles, count the traffic
+    /// and leave the state bytes that the `pop_front`/`push_back` service
+    /// loop did (table generated at c6876bf, the commit before the loop
+    /// served transfers in place).
+    #[test]
+    fn service_schedule_is_pinned() {
+        let mut cfg = MachineConfig::preset(ConfigName::Cache);
+        cfg.dram.burst_words = 4;
+        let mut sys = MemorySystem::new(&cfg);
+        let (contig, _) = sys.start_read(&AddrPattern::contiguous(64, 9), false);
+        let strided = sys.start_write(&AddrPattern::strided(4096, 2, 16, 12), &[5; 24], false);
+        let gather: Vec<u32> = (0..40u32).map(|i| (i * 37) % 64 + 9000).collect();
+        let (gather, _) = sys.start_gather(gather, true);
+        let ids = [contig, strided, gather];
+        let mut served = Vec::new();
+        let mut done_at = [0u64; 3];
+        while sys.busy() {
+            sys.tick();
+            if sys.inflight_count() > 0 || sys.words_served_last_tick() > 0 {
+                served.push(sys.words_served_last_tick());
+            }
+            for (at, id) in done_at.iter_mut().zip(ids) {
+                if *at == 0 && sys.is_complete(id) {
+                    *at = sys.now();
+                }
+            }
+        }
+        assert_eq!(
+            served,
+            [
+                2, 1, 0, 2, 0, 4, 0, 1, 4, 0, 1, 0, 2, 0, 1, 1, 0, 1, 0, 1, 0, 1, 2, 0, 2, 0, 2, 0,
+                2, 1, 0, 1, 0, 1, 0, 1, 2, 0, 2, 0, 2, 0, 2, 1, 0, 1, 0, 1, 0, 1, 2, 0, 1, 0, 1, 0,
+                1, 1, 0, 1, 0, 2, 0, 2, 2, 0, 2, 0, 2, 0, 2, 2, 0, 2, 0, 2, 0, 2
+            ]
+        );
+        assert_eq!(done_at, [115, 151, 178]);
+        let traffic = sys.traffic();
+        assert_eq!(
+            (
+                traffic.bytes_read,
+                traffic.bytes_written,
+                traffic.cache_hit_bytes
+            ),
+            (276, 96, 40)
+        );
+        let bytes = sys.encode_state();
+        assert_eq!(
+            (bytes.len(), isrf_core::snap::fnv1a(&bytes)),
+            (491905, 0xa6f6_1292_9854_c291)
+        );
     }
 }

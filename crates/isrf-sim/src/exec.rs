@@ -34,7 +34,7 @@ use isrf_trace::{StallReason, TraceEvent, Tracer};
 use crate::indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 use crate::srf::Srf;
 use crate::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
-use crate::tape::{cached_tape, rv, src_word, CompiledTape, MicroKind, MicroOp, RSrc, NO_DST};
+use crate::tape::{cached_tape, row_chunk, CompiledTape, MicroKind, MicroOp, RSrc, CHUNK, NO_DST};
 
 /// The kernel execution engine. There is one — every [`KernelRun`]
 /// executes a pre-compiled flat micro-op program
@@ -62,14 +62,18 @@ enum SlotState {
     Idx(usize),
 }
 
-/// Reusable buffers for the kernel hot loop, owned by the machine and
-/// threaded through [`KernelRun::tick`] so back-to-back kernel
-/// invocations (and every cycle within one) recycle their allocations
-/// instead of growing fresh `Vec`s.
-#[derive(Debug, Default)]
-pub struct ExecScratch {
-    /// Stage-1 arbitration requester list.
-    requesters: Vec<usize>,
+impl SlotState {
+    /// The byte a snapshot marks this kind of slot with.
+    fn tag(&self) -> u8 {
+        match self {
+            SlotState::SeqIn(_) => 0,
+            SlotState::SeqOut(_) => 1,
+            SlotState::CondIn(_) => 2,
+            SlotState::CondLaneIn(_) => 3,
+            SlotState::CondOut(_) => 4,
+            SlotState::Idx(_) => 5,
+        }
+    }
 }
 
 /// What a [`KernelRun::tick`] did.
@@ -100,8 +104,13 @@ pub struct KernelRun {
     /// Kernel-local cycle (advances only on non-stall cycles).
     t: u64,
     comm_busy_prev: bool,
-    /// Per-lane staging for conditional-stream distribution within a cycle.
-    cond_scratch: Vec<Word>,
+    /// Staging rows (one word per lane, padded to whole chunks) that a
+    /// stream op's operands are resolved into once per op.
+    rows: [Vec<Word>; 2],
+    /// While stalled: the `(iteration, check index)` that blocked last
+    /// cycle, where the next cycle's stall scan resumes. Host-only (never
+    /// serialized): a full scan names the same blocker.
+    stall_at: Option<(u64, u32)>,
     /// Compiled micro-op program (compiled lazily on first tick unless
     /// pre-set by the machine's per-dispatch memo).
     tape: Option<Arc<CompiledTape>>,
@@ -184,7 +193,8 @@ impl KernelRun {
                 .map(|_| IdxParams::from_machine(cfg)),
             t: 0,
             comm_busy_prev: false,
-            cond_scratch: vec![0; lanes],
+            rows: std::array::from_fn(|_| vec![0; lanes.next_multiple_of(CHUNK)]),
+            stall_at: None,
             tape: None,
             ring: Vec::new(),
             ring_next_zero: 0,
@@ -211,6 +221,7 @@ impl KernelRun {
         self.ring.resize(tape.ring_words(), 0);
         // Rows for iterations `0..depth` start zeroed by the resize.
         self.ring_next_zero = tape.depth as u64;
+        self.stall_at = None;
         self.tape = Some(tape);
     }
 
@@ -234,31 +245,13 @@ impl KernelRun {
         e.bool(self.comm_busy_prev);
         e.usize(self.slots.len());
         for slot in &self.slots {
+            e.u8(slot.tag());
             match slot {
-                SlotState::SeqIn(s) => {
-                    e.u8(0);
-                    s.encode_state(e);
-                }
-                SlotState::SeqOut(s) => {
-                    e.u8(1);
-                    s.encode_state(e);
-                }
-                SlotState::CondIn(s) => {
-                    e.u8(2);
-                    s.encode_state(e);
-                }
-                SlotState::CondLaneIn(s) => {
-                    e.u8(3);
-                    s.encode_state(e);
-                }
-                SlotState::CondOut(s) => {
-                    e.u8(4);
-                    s.encode_state(e);
-                }
-                SlotState::Idx(i) => {
-                    e.u8(5);
-                    e.usize(*i);
-                }
+                SlotState::SeqIn(s) | SlotState::CondLaneIn(s) => s.encode_state(e),
+                SlotState::SeqOut(s) => s.encode_state(e),
+                SlotState::CondIn(s) => s.encode_state(e),
+                SlotState::CondOut(s) => s.encode_state(e),
+                SlotState::Idx(i) => e.usize(*i),
             }
         }
         e.usize(self.idx_states.len());
@@ -291,6 +284,7 @@ impl KernelRun {
         self.rr_grant = d.usize()?;
         self.rr_idx = d.usize()?;
         self.comm_busy_prev = d.bool()?;
+        self.stall_at = None;
         let n_slots = d.usize()?;
         if n_slots != self.slots.len() {
             return Err(SnapError::Mismatch(format!(
@@ -300,24 +294,23 @@ impl KernelRun {
         }
         for slot in &mut self.slots {
             let tag = d.u8()?;
-            match (tag, slot) {
-                (0, SlotState::SeqIn(s)) => s.decode_state(d)?,
-                (1, SlotState::SeqOut(s)) => s.decode_state(d)?,
-                (2, SlotState::CondIn(s)) => s.decode_state(d)?,
-                (3, SlotState::CondLaneIn(s)) => s.decode_state(d)?,
-                (4, SlotState::CondOut(s)) => s.decode_state(d)?,
-                (5, SlotState::Idx(i)) => {
+            if tag != slot.tag() {
+                return Err(SnapError::Mismatch(format!(
+                    "slot kind tag {tag} does not match the program's stream declaration"
+                )));
+            }
+            match slot {
+                SlotState::SeqIn(s) | SlotState::CondLaneIn(s) => s.decode_state(d)?,
+                SlotState::SeqOut(s) => s.decode_state(d)?,
+                SlotState::CondIn(s) => s.decode_state(d)?,
+                SlotState::CondOut(s) => s.decode_state(d)?,
+                SlotState::Idx(i) => {
                     let got = d.usize()?;
                     if got != *i {
                         return Err(SnapError::Mismatch(format!(
                             "indexed slot points at stream {got}, expected {i}"
                         )));
                     }
-                }
-                (t, _) => {
-                    return Err(SnapError::Mismatch(format!(
-                        "slot kind tag {t} does not match the program's stream declaration"
-                    )));
                 }
             }
         }
@@ -387,15 +380,12 @@ impl KernelRun {
     }
 
     /// Advance one machine cycle at time `now`. `scratch` is the machine's
-    /// persistent per-lane scratchpad storage; `es` holds the reusable
-    /// hot-loop buffers shared across kernel invocations.
-    #[allow(clippy::too_many_arguments)]
+    /// persistent per-lane scratchpad storage.
     pub fn tick(
         &mut self,
         now: u64,
         srf: &mut Srf,
         scratch: &mut [Vec<Word>],
-        es: &mut ExecScratch,
         mem_claims_port: bool,
         traffic: &mut SrfTraffic,
         tracer: &mut Tracer,
@@ -416,7 +406,7 @@ impl KernelRun {
             }
         }
         if !mem_claims_port {
-            self.arbitration(now, srf, traffic, tracer, &mut es.requesters);
+            self.arbitration(now, srf, traffic, tracer);
         }
         if self.exec_done() {
             if self.is_done() {
@@ -450,42 +440,31 @@ impl KernelRun {
     }
 
     /// Stage-1 arbitration: one sequential/conditional stream or all
-    /// indexed streams get the port this cycle.
+    /// indexed streams get the port this cycle, round-robin from the slot
+    /// after the last winner (the indexed group is the slot past the last).
     fn arbitration(
         &mut self,
         now: u64,
         srf: &mut Srf,
         traffic: &mut SrfTraffic,
         tracer: &mut Tracer,
-        requesters: &mut Vec<usize>,
     ) {
         let flush = self.exec_done();
         let block = self.lanes * self.m_words;
         let idx_group = self.slots.len();
-        requesters.clear();
-        for (i, s) in self.slots.iter().enumerate() {
-            let wants = match s {
-                SlotState::SeqIn(st) | SlotState::CondLaneIn(st) => st.wants_grant(),
-                SlotState::SeqOut(st) => st.wants_grant(self.m_words, flush),
-                SlotState::CondIn(st) => st.wants_grant(),
-                SlotState::CondOut(st) => st.wants_grant(block, flush),
-                SlotState::Idx(_) => false,
-            };
-            if wants {
-                requesters.push(i);
-            }
-        }
-        if self.idx_states.iter().any(|s| s.pending_addresses()) {
-            requesters.push(idx_group);
-        }
-        if requesters.is_empty() {
+        let wants = |i: usize| match self.slots.get(i) {
+            Some(SlotState::SeqIn(st) | SlotState::CondLaneIn(st)) => st.wants_grant(),
+            Some(SlotState::SeqOut(st)) => st.wants_grant(self.m_words, flush),
+            Some(SlotState::CondIn(st)) => st.wants_grant(),
+            Some(SlotState::CondOut(st)) => st.wants_grant(block, flush),
+            Some(SlotState::Idx(_)) => false,
+            None => self.idx_states.iter().any(|s| s.pending_addresses()),
+        };
+        let from = self.rr_grant.min(idx_group + 1);
+        let Some(winner) = (from..=idx_group).chain(0..from).find(|&i| wants(i)) else {
             return;
-        }
-        let winner = *requesters
-            .iter()
-            .find(|&&r| r >= self.rr_grant)
-            .unwrap_or(&requesters[0]);
-        self.rr_grant = (winner + 1) % (self.slots.len() + 1);
+        };
+        self.rr_grant = (winner + 1) % (idx_group + 1);
         if winner == idx_group {
             if tracer.enabled() {
                 tracer.emit(now, TraceEvent::IdxGroupGrant);
@@ -532,7 +511,7 @@ impl KernelRun {
         scratch: &mut [Vec<Word>],
         tracer: &mut Tracer,
     ) -> bool {
-        let tape = Arc::clone(self.tape.as_ref().expect("tape engine without a tape"));
+        let tape = self.tape.as_deref().expect("tape engine without a tape");
         let t = self.t;
         let ii = tape.ii;
         let span = tape.span;
@@ -549,16 +528,32 @@ impl KernelRun {
         }
         // Stall check in firing order: iterations ascending, op order
         // within each group. Only the precomputed checkable subset is
-        // visited — pure arithmetic never blocks.
-        for j in j_lo..=j_hi {
+        // visited — pure arithmetic never blocks. While the kernel stalls
+        // it pops and pushes nothing, so buffers only fill, FIFOs only
+        // drain and time only passes: a check that passed stays passed,
+        // and the scan resumes at the check that blocked last cycle.
+        let (j_from, ci_from) = self.stall_at.take().unwrap_or((j_lo, 0));
+        for j in j_from..=j_hi {
             let slot = t - j * ii;
             if slot >= span {
                 continue;
             }
             let g = tape.groups[slot as usize];
-            for ci in g.checks.0..g.checks.1 {
-                let mop = tape.ops[tape.checks[ci as usize] as usize];
-                if let Some((slot_id, reason)) = self.tape_blocker(&tape, &mop, j, now) {
+            let first = if j == j_from {
+                ci_from.max(g.checks.0)
+            } else {
+                g.checks.0
+            };
+            for ci in first..g.checks.1 {
+                let mop = &tape.ops[tape.checks[ci as usize] as usize];
+                let cond = stage(
+                    &self.ring,
+                    tape.rsrc(mop.a, j),
+                    &mut self.rows[0],
+                    self.lanes,
+                );
+                let blocked = blocker(mop, cond, now, &self.slots, &self.idx_states);
+                if let Some((slot_id, reason)) = blocked {
                     if tracer.enabled() {
                         tracer.emit(
                             now,
@@ -568,6 +563,7 @@ impl KernelRun {
                             },
                         );
                     }
+                    self.stall_at = Some((j, ci));
                     return false;
                 }
             }
@@ -580,321 +576,248 @@ impl KernelRun {
             }
             let g = tape.groups[slot as usize];
             comm_busy |= g.comm_busy;
-            for oi in g.ops.0..g.ops.1 {
-                self.exec_tape_op(&tape, oi as usize, j, scratch);
+            for mop in &tape.ops[g.ops.0 as usize..g.ops.1 as usize] {
+                exec_tape_op(
+                    tape,
+                    mop,
+                    j,
+                    self.lanes,
+                    &mut self.slots,
+                    &mut self.idx_states,
+                    &mut self.ring,
+                    &mut self.rows,
+                    scratch,
+                );
             }
         }
         self.comm_busy_prev = comm_busy;
         true
     }
+}
 
-    /// Can this checkable micro-op fire for iteration `j`? `None` means it
-    /// can; otherwise the stream slot and why not. The distinction between
-    /// a *starved* sequential input (its stream buffer is empty) and one
-    /// merely waiting out SRF access *latency* (words granted but not yet
-    /// arrived) is what stall attribution reports downstream.
-    fn tape_blocker(
-        &self,
-        tape: &CompiledTape,
-        mop: &MicroOp,
-        j: u64,
-        now: u64,
-    ) -> Option<(u8, StallReason)> {
-        match mop.kind {
-            MicroKind::SeqRead { slot } => {
-                let SlotState::SeqIn(st) = &self.slots[slot as usize] else {
-                    unreachable!("validated kind");
-                };
-                for lane in 0..self.lanes {
-                    if !st.can_pop(lane, now) && !st.lane_done(lane) {
-                        let reason = if st.buffered_words(lane) == 0 {
-                            StallReason::SeqInStarved
-                        } else {
-                            StallReason::SeqInLatency
-                        };
-                        return Some((slot, reason));
-                    }
-                }
-                None
-            }
-            MicroKind::SeqWrite { slot } => {
-                let SlotState::SeqOut(st) = &self.slots[slot as usize] else {
-                    unreachable!();
-                };
-                ((0..self.lanes).any(|l| !st.can_push(l)))
-                    .then_some((slot, StallReason::SeqOutFull))
-            }
-            MicroKind::CondLaneRead { slot } => {
-                let SlotState::CondLaneIn(st) = &self.slots[slot as usize] else {
-                    unreachable!();
-                };
-                for lane in 0..self.lanes {
-                    let cond = word::as_bool(src_word(tape, &self.ring, mop.a, j, lane));
-                    if cond && !st.can_pop(lane, now) && !st.lane_done(lane) {
-                        let reason = if st.buffered_words(lane) == 0 {
-                            StallReason::SeqInStarved
-                        } else {
-                            StallReason::SeqInLatency
-                        };
-                        return Some((slot, reason));
-                    }
-                }
-                None
-            }
-            MicroKind::CondRead { slot } => {
-                let SlotState::CondIn(st) = &self.slots[slot as usize] else {
-                    unreachable!();
-                };
-                let k: usize = (0..self.lanes)
-                    .filter(|&l| word::as_bool(src_word(tape, &self.ring, mop.a, j, l)))
-                    .count();
-                let k_eff = k.min(st.remaining_words() as usize);
-                (!st.can_pop(k_eff, now)).then_some((slot, StallReason::CondInStarved))
-            }
-            MicroKind::CondWrite { slot } => {
-                let SlotState::CondOut(st) = &self.slots[slot as usize] else {
-                    unreachable!();
-                };
-                let k: usize = (0..self.lanes)
-                    .filter(|&l| word::as_bool(src_word(tape, &self.ring, mop.a, j, l)))
-                    .count();
-                (!st.can_push(k)).then_some((slot, StallReason::CondOutFull))
-            }
-            MicroKind::IdxAddr { slot, idx } | MicroKind::IdxWrite { slot, idx } => {
-                (self.idx_states[idx as usize].any_addr_full())
-                    .then_some((slot, StallReason::AddrFifoFull))
-            }
-            MicroKind::IdxRead { slot, idx } => (!self.idx_states[idx as usize].all_data_ready())
-                .then_some((slot, StallReason::IdxDataNotReady)),
-            _ => None,
-        }
+/// Resolve source `r` into the staging row `buf`, whole chunks at a time,
+/// and return its `lanes` real lanes.
+#[inline]
+fn stage<'a>(ring: &[Word], r: RSrc, buf: &'a mut [Word], lanes: usize) -> &'a [Word] {
+    for (c, chunk) in buf.chunks_exact_mut(CHUNK).enumerate() {
+        chunk.copy_from_slice(&row_chunk(ring, r, c));
     }
+    &buf[..lanes]
+}
 
-    /// Execute one micro-op for iteration `j`, all lanes, committing
-    /// results straight into the context ring.
-    fn exec_tape_op(&mut self, tape: &CompiledTape, oi: usize, j: u64, scratch: &mut [Vec<Word>]) {
-        let mop = tape.ops[oi];
-        let lanes = self.lanes;
-        // Split borrows: the ring, the slot states and the staging buffer
-        // are disjoint fields.
-        let slots = &mut self.slots;
-        let idx_states = &mut self.idx_states;
-        let ring = &mut self.ring;
-        let cond_scratch = &mut self.cond_scratch;
-        let dst = mop.dst;
-        let dst_base = if dst == NO_DST {
-            usize::MAX
-        } else {
-            tape.row_base(j, dst)
+/// The stream state behind a slot, borrowed as `$slot` is (`&slots[i]` or
+/// `&mut slots[i]`); the tape's ops were validated against its kind.
+macro_rules! state {
+    ($slot:expr, $($kind:ident)|+) => {
+        match $slot {
+            $(SlotState::$kind(st))|+ => st,
+            _ => unreachable!("stream kind validated at kernel build"),
+        }
+    };
+}
+
+/// Can this checkable micro-op fire? `None` means it can; otherwise the
+/// stream slot and why not. `cond` is its first source as a lane row (the
+/// per-lane condition of the conditional ops). The distinction between a
+/// *starved* sequential input (its stream buffer is empty) and one merely
+/// waiting out SRF access *latency* (words granted but not yet arrived) is
+/// what stall attribution reports downstream.
+fn blocker(
+    mop: &MicroOp,
+    cond: &[Word],
+    now: u64,
+    slots: &[SlotState],
+    idx_states: &[IdxState],
+) -> Option<(u8, StallReason)> {
+    let asserting = || cond.iter().filter(|&&c| word::as_bool(c)).count();
+    match mop.kind {
+        MicroKind::SeqRead { slot } | MicroKind::CondLaneRead { slot } => {
+            // The two differ in their condition row and network cost only.
+            let st = state!(&slots[slot as usize], SeqIn | CondLaneIn);
+            let lane = st.blocked_lane(cond, now)?;
+            let reason = if st.buffered_words(lane) == 0 {
+                StallReason::SeqInStarved
+            } else {
+                StallReason::SeqInLatency
+            };
+            Some((slot, reason))
+        }
+        MicroKind::SeqWrite { slot } => {
+            let full = !state!(&slots[slot as usize], SeqOut).can_push();
+            full.then_some((slot, StallReason::SeqOutFull))
+        }
+        MicroKind::CondRead { slot } => {
+            let st = state!(&slots[slot as usize], CondIn);
+            let k_eff = asserting().min(st.remaining_words() as usize);
+            (!st.can_pop(k_eff, now)).then_some((slot, StallReason::CondInStarved))
+        }
+        MicroKind::CondWrite { slot } => {
+            let full = !state!(&slots[slot as usize], CondOut).can_push(asserting());
+            full.then_some((slot, StallReason::CondOutFull))
+        }
+        MicroKind::IdxAddr { slot, idx } | MicroKind::IdxWrite { slot, idx } => {
+            (idx_states[idx as usize].any_addr_full()).then_some((slot, StallReason::AddrFifoFull))
+        }
+        MicroKind::IdxRead { slot, idx } => (!idx_states[idx as usize].all_data_ready())
+            .then_some((slot, StallReason::IdxDataNotReady)),
+        _ => None,
+    }
+}
+
+/// Execute one micro-op for iteration `j`, all lanes: its sources are
+/// resolved once into the staging `rows`, its result row goes straight
+/// into the context ring (or, when no live op reads it, into a staging row
+/// that is then dropped).
+#[allow(clippy::too_many_arguments)]
+fn exec_tape_op(
+    tape: &CompiledTape,
+    mop: &MicroOp,
+    j: u64,
+    lanes: usize,
+    slots: &mut [SlotState],
+    idx_states: &mut [IdxState],
+    ring: &mut [Word],
+    rows: &mut [Vec<Word>; 2],
+    scratch: &mut [Vec<Word>],
+) {
+    let dst = (mop.dst != NO_DST).then(|| tape.row_base(j, mop.dst));
+    if let MicroKind::Alu(opc) = mop.kind {
+        let (ra, rb, rc) = (
+            tape.rsrc(mop.a, j),
+            tape.rsrc(mop.b, j),
+            tape.rsrc(mop.c, j),
+        );
+        // Dead pure arithmetic is dropped at compile time, so the
+        // destination is always live here.
+        let dst = dst.expect("live ALU destination");
+        return exec_alu_rows(opc, ring, ra, rb, rc, dst, tape.lane_stride / CHUNK);
+    }
+    let [row_a, row_b] = rows;
+    let a = stage(ring, tape.rsrc(mop.a, j), row_a, lanes);
+    // Where the op's result row goes, and a copy of `$row` into it.
+    macro_rules! out {
+        () => {
+            match dst {
+                Some(d) => &mut ring[d..d + lanes],
+                None => &mut row_b[..lanes],
+            }
         };
-        match mop.kind {
-            MicroKind::Alu(opc) => {
-                let ra = tape.rsrc(mop.a, j);
-                let rb = tape.rsrc(mop.b, j);
-                let rc = tape.rsrc(mop.c, j);
-                // Dead pure arithmetic is dropped at compile time, so the
-                // destination is always live here.
-                exec_alu_lanes(opc, ring, ra, rb, rc, dst_base, lanes);
+    }
+    macro_rules! commit {
+        ($row:expr) => {
+            if let Some(d) = dst {
+                ring[d..d + lanes].copy_from_slice($row);
             }
-            MicroKind::SeqRead { slot } => {
-                let SlotState::SeqIn(st) = &mut slots[slot as usize] else {
-                    unreachable!("validated kind");
-                };
-                for lane in 0..lanes {
-                    let v = if st.lane_done(lane) { 0 } else { st.pop(lane) };
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
+        };
+    }
+    match mop.kind {
+        MicroKind::Alu(_) => unreachable!("handled above"),
+        MicroKind::SeqRead { slot } | MicroKind::CondLaneRead { slot } => {
+            state!(&mut slots[slot as usize], SeqIn | CondLaneIn).pop_row(a, out!());
+        }
+        MicroKind::SeqWrite { slot } => {
+            state!(&mut slots[slot as usize], SeqOut).push_row(a);
+            commit!(a);
+        }
+        MicroKind::CondRead { slot } => {
+            state!(&mut slots[slot as usize], CondIn).pop_row(a, out!());
+        }
+        MicroKind::CondWrite { slot } => {
+            let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
+            state!(&mut slots[slot as usize], CondOut).push_row(a, b);
+            // The op's value is all-zero; the row was zeroed at
+            // activation and this is its slot's only writer (SSA), so
+            // no commit is needed.
+        }
+        MicroKind::IdxAddr { idx, .. } => {
+            let st = &mut idx_states[idx as usize];
+            for (lane, &addr) in a.iter().enumerate() {
+                st.push_addr(lane, addr);
             }
-            MicroKind::SeqWrite { slot } => {
-                let ra = tape.rsrc(mop.a, j);
-                let SlotState::SeqOut(st) = &mut slots[slot as usize] else {
-                    unreachable!();
-                };
-                for lane in 0..lanes {
-                    let v = rv(ring, ra, lane);
-                    st.push(lane, v);
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
+            commit!(a);
+        }
+        MicroKind::IdxRead { idx, .. } => {
+            // A dead destination still pops: the data was addressed.
+            idx_states[idx as usize].pop_row(out!());
+        }
+        MicroKind::IdxWrite { idx, .. } => {
+            let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
+            let st = &mut idx_states[idx as usize];
+            for (lane, (&addr, &v)) in a.iter().zip(b).enumerate() {
+                st.push_write_word(lane, addr, v);
             }
-            MicroKind::CondLaneRead { slot } => {
-                let ra = tape.rsrc(mop.a, j);
-                let SlotState::CondLaneIn(st) = &mut slots[slot as usize] else {
-                    unreachable!();
-                };
-                for lane in 0..lanes {
-                    let cond = word::as_bool(rv(ring, ra, lane));
-                    let v = if cond && !st.lane_done(lane) {
-                        st.pop(lane)
-                    } else {
-                        0
-                    };
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
+            commit!(b);
+        }
+        MicroKind::ScratchRead => {
+            for ((o, pad), &addr) in out!().iter_mut().zip(scratch).zip(a) {
+                *o = pad[addr as usize % pad.len()];
             }
-            MicroKind::CondRead { slot } => {
-                let ra = tape.rsrc(mop.a, j);
-                let mut k = 0usize;
-                for (lane, cs) in cond_scratch.iter_mut().enumerate().take(lanes) {
-                    let c = word::as_bool(rv(ring, ra, lane));
-                    *cs = Word::from(c);
-                    k += usize::from(c);
-                }
-                let SlotState::CondIn(st) = &mut slots[slot as usize] else {
-                    unreachable!();
-                };
-                let k_eff = k.min(st.remaining_words() as usize);
-                let mut words = st.pop(k_eff).into_iter();
-                for lane in 0..lanes {
-                    let v = if cond_scratch[lane] != 0 {
-                        words.next().unwrap_or(0)
-                    } else {
-                        0
-                    };
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
+        }
+        MicroKind::ScratchWrite => {
+            let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
+            for ((pad, &addr), &v) in scratch.iter_mut().zip(a).zip(b) {
+                let at = addr as usize % pad.len();
+                pad[at] = v;
             }
-            MicroKind::CondWrite { slot } => {
-                let ra = tape.rsrc(mop.a, j);
-                let rb = tape.rsrc(mop.b, j);
-                let mut k = 0usize;
-                for lane in 0..lanes {
-                    if word::as_bool(rv(ring, ra, lane)) {
-                        cond_scratch[k] = rv(ring, rb, lane);
-                        k += 1;
-                    }
-                }
-                let SlotState::CondOut(st) = &mut slots[slot as usize] else {
-                    unreachable!();
-                };
-                st.push(&cond_scratch[..k]);
-                // The op's value is all-zero; the row was zeroed at
-                // activation and this is its slot's only writer (SSA), so
-                // no commit is needed.
-            }
-            MicroKind::IdxAddr { idx, .. } => {
-                let ra = tape.rsrc(mop.a, j);
-                let st = &mut idx_states[idx as usize];
-                for lane in 0..lanes {
-                    let addr = rv(ring, ra, lane);
-                    st.push_addr(lane, addr);
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = addr;
-                    }
-                }
-            }
-            MicroKind::IdxRead { idx, .. } => {
-                // A dead destination still pops: the data was addressed.
-                let out = if dst == NO_DST {
-                    &mut cond_scratch[..lanes]
-                } else {
-                    &mut ring[dst_base..dst_base + lanes]
-                };
-                idx_states[idx as usize].pop_row(out);
-            }
-            MicroKind::IdxWrite { idx, .. } => {
-                let ra = tape.rsrc(mop.a, j);
-                let rb = tape.rsrc(mop.b, j);
-                let st = &mut idx_states[idx as usize];
-                for lane in 0..lanes {
-                    let addr = rv(ring, ra, lane);
-                    let v = rv(ring, rb, lane);
-                    st.push_write_word(lane, addr, v);
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
-            }
-            MicroKind::ScratchRead => {
-                let ra = tape.rsrc(mop.a, j);
-                for lane in 0..lanes {
-                    let addr = rv(ring, ra, lane) as usize % scratch[lane].len();
-                    let v = scratch[lane][addr];
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
-            }
-            MicroKind::ScratchWrite => {
-                let ra = tape.rsrc(mop.a, j);
-                let rb = tape.rsrc(mop.b, j);
-                for lane in 0..lanes {
-                    let addr = rv(ring, ra, lane) as usize % scratch[lane].len();
-                    let v = rv(ring, rb, lane);
-                    scratch[lane][addr] = v;
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
-            }
-            MicroKind::Comm { rotate } => {
-                let ra = tape.rsrc(mop.a, j);
-                for lane in 0..lanes {
-                    let src_lane = (lane as i64 + rotate as i64).rem_euclid(lanes as i64) as usize;
-                    let v = rv(ring, ra, src_lane);
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
-            }
-            MicroKind::CommXor { mask } => {
-                let ra = tape.rsrc(mop.a, j);
-                for lane in 0..lanes {
-                    let src_lane = (lane ^ mask as usize) % lanes;
-                    let v = rv(ring, ra, src_lane);
-                    if dst != NO_DST {
-                        ring[dst_base + lane] = v;
-                    }
-                }
+            commit!(b);
+        }
+        MicroKind::Comm { rotate } => {
+            // Lane `l` receives lane `(l + rotate) mod lanes`.
+            let (head, tail) = a.split_at((rotate as i64).rem_euclid(lanes as i64) as usize);
+            let out = out!();
+            out[..tail.len()].copy_from_slice(tail);
+            out[tail.len()..].copy_from_slice(head);
+        }
+        MicroKind::CommXor { mask } => {
+            for (lane, o) in out!().iter_mut().enumerate() {
+                *o = a[(lane ^ mask as usize) % lanes];
             }
         }
     }
 }
 
-/// Execute a pure ALU op across all lanes with the opcode dispatch
-/// hoisted out of the per-lane loop: one match, then a tight loop per
-/// opcode. Wrapping `i32` arithmetic, zero divisor yields 0, shift counts
-/// masked to 5 bits, `f32` round-trips through the word encoding, `Select`
-/// reads only the taken operand.
-fn exec_alu_lanes(
+/// Execute a pure ALU op across all lanes, a chunk of lanes at a time:
+/// one opcode match, then per chunk the operands as `[Word; CHUNK]`
+/// arrays and a fixed-width loop over them that the compiler can
+/// vectorise — no per-lane dispatch, no per-lane bounds check. Wrapping
+/// `i32` arithmetic, zero divisor yields 0, shift counts masked to 5
+/// bits, `f32` round-trips through the word encoding.
+fn exec_alu_rows(
     opc: Opcode,
     ring: &mut [Word],
     ra: RSrc,
     rb: RSrc,
     rc: RSrc,
     dst_base: usize,
-    lanes: usize,
+    chunks: usize,
 ) {
     use Opcode::*;
-    macro_rules! un {
+    macro_rules! rows {
         (|$a:ident| $e:expr) => {
-            for lane in 0..lanes {
-                let $a = rv(ring, ra, lane);
-                let v = $e;
-                ring[dst_base + lane] = v;
-            }
+            rows!(|$a, _b, _c| $e)
         };
-    }
-    macro_rules! bin {
         (|$a:ident, $b:ident| $e:expr) => {
-            for lane in 0..lanes {
-                let $a = rv(ring, ra, lane);
-                let $b = rv(ring, rb, lane);
-                let v = $e;
-                ring[dst_base + lane] = v;
+            rows!(|$a, $b, _c| $e)
+        };
+        (|$a:ident, $b:ident, $c:ident| $e:expr) => {
+            for chunk in 0..chunks {
+                let (xa, xb, xc) = (
+                    row_chunk(ring, ra, chunk),
+                    row_chunk(ring, rb, chunk),
+                    row_chunk(ring, rc, chunk),
+                );
+                let mut out = [0; CHUNK];
+                for i in 0..CHUNK {
+                    let ($a, $b, $c) = (xa[i], xb[i], xc[i]);
+                    out[i] = $e;
+                }
+                ring[dst_base + chunk * CHUNK..][..CHUNK].copy_from_slice(&out);
             }
         };
     }
     macro_rules! ibin {
         (|$a:ident, $b:ident| $e:expr) => {
-            bin!(|wa, wb| {
+            rows!(|wa, wb| {
                 let $a = word::as_i32(wa);
                 let $b = word::as_i32(wb);
                 $e
@@ -903,7 +826,7 @@ fn exec_alu_lanes(
     }
     macro_rules! fbin {
         (|$a:ident, $b:ident| $e:expr) => {
-            bin!(|wa, wb| {
+            rows!(|wa, wb| {
                 let $a = word::as_f32(wa);
                 let $b = word::as_f32(wb);
                 $e
@@ -911,28 +834,28 @@ fn exec_alu_lanes(
         };
     }
     match opc {
-        Mov => un!(|a| a),
-        Not => un!(|a| !a),
-        Neg => un!(|a| word::from_i32(word::as_i32(a).wrapping_neg())),
-        FNeg => un!(|a| word::from_f32(-word::as_f32(a))),
-        IToF => un!(|a| word::from_f32(word::as_i32(a) as f32)),
-        FToI => un!(|a| word::from_i32(word::as_f32(a) as i32)),
+        Mov => rows!(|a| a),
+        Not => rows!(|a| !a),
+        Neg => rows!(|a| word::from_i32(word::as_i32(a).wrapping_neg())),
+        FNeg => rows!(|a| word::from_f32(-word::as_f32(a))),
+        IToF => rows!(|a| word::from_f32(word::as_i32(a) as f32)),
+        FToI => rows!(|a| word::from_i32(word::as_f32(a) as i32)),
         Add => ibin!(|a, b| word::from_i32(a.wrapping_add(b))),
         Sub => ibin!(|a, b| word::from_i32(a.wrapping_sub(b))),
         Mul => ibin!(|a, b| word::from_i32(a.wrapping_mul(b))),
         Div => ibin!(|a, b| word::from_i32(if b == 0 { 0 } else { a.wrapping_div(b) })),
         Rem => ibin!(|a, b| word::from_i32(if b == 0 { 0 } else { a.wrapping_rem(b) })),
-        And => bin!(|a, b| a & b),
-        Or => bin!(|a, b| a | b),
-        Xor => bin!(|a, b| a ^ b),
-        Shl => bin!(|a, b| a.wrapping_shl(b & 31)),
-        Shr => bin!(|a, b| a.wrapping_shr(b & 31)),
-        Sra => bin!(|a, b| word::from_i32(word::as_i32(a).wrapping_shr(b & 31))),
+        And => rows!(|a, b| a & b),
+        Or => rows!(|a, b| a | b),
+        Xor => rows!(|a, b| a ^ b),
+        Shl => rows!(|a, b| a.wrapping_shl(b & 31)),
+        Shr => rows!(|a, b| a.wrapping_shr(b & 31)),
+        Sra => rows!(|a, b| word::from_i32(word::as_i32(a).wrapping_shr(b & 31))),
         Lt => ibin!(|a, b| word::from_bool(a < b)),
         Le => ibin!(|a, b| word::from_bool(a <= b)),
-        Eq => bin!(|a, b| word::from_bool(a == b)),
-        Ne => bin!(|a, b| word::from_bool(a != b)),
-        ULt => bin!(|a, b| word::from_bool(a < b)),
+        Eq => rows!(|a, b| word::from_bool(a == b)),
+        Ne => rows!(|a, b| word::from_bool(a != b)),
+        ULt => rows!(|a, b| word::from_bool(a < b)),
         Min => ibin!(|a, b| word::from_i32(a.min(b))),
         Max => ibin!(|a, b| word::from_i32(a.max(b))),
         FAdd => fbin!(|a, b| word::from_f32(a + b)),
@@ -944,16 +867,7 @@ fn exec_alu_lanes(
         FEq => fbin!(|a, b| word::from_bool(a == b)),
         FMin => fbin!(|a, b| word::from_f32(a.min(b))),
         FMax => fbin!(|a, b| word::from_f32(a.max(b))),
-        Select => {
-            for lane in 0..lanes {
-                let v = if word::as_bool(rv(ring, ra, lane)) {
-                    rv(ring, rb, lane)
-                } else {
-                    rv(ring, rc, lane)
-                };
-                ring[dst_base + lane] = v;
-            }
-        }
+        Select => rows!(|a, b, c| if word::as_bool(a) { b } else { c }),
         _ => unreachable!("non-ALU opcode {opc:?} compiled to MicroKind::Alu"),
     }
 }

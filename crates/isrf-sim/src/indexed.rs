@@ -38,7 +38,7 @@ use isrf_core::Word;
 use isrf_trace::{IdxRejectReason, TraceEvent, Tracer};
 
 use crate::srf::Srf;
-use crate::stream::StreamBinding;
+use crate::stream::{slot, StreamBinding};
 
 /// Flavor of an indexed stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,11 +85,6 @@ fn idle() -> LaneCur {
         front,
         ..LaneCur::default()
     }
-}
-
-/// Slot of `count` in lane `lane`'s ring of `1 << shift` entries.
-fn slot(lane: usize, count: u32, shift: u32) -> usize {
-    (lane << shift) | (count as usize & ((1 << shift) - 1))
 }
 
 /// `(x / by, x % by)`, by shift and mask when `shift = log2(by)` is known.

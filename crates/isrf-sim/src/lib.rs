@@ -92,7 +92,7 @@ pub mod stream;
 pub mod tape;
 pub mod verify;
 
-pub use exec::{ExecEngine, ExecScratch, KernelRun, Phase};
+pub use exec::{ExecEngine, KernelRun, Phase};
 pub use indexed::{
     service_indexed, topology_extra_latency, topology_issue_budget, IdxKind, IdxParams, IdxState,
 };

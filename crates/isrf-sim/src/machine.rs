@@ -26,7 +26,7 @@ use isrf_kernel::sched::Schedule;
 use isrf_mem::{MemorySystem, TransferId};
 use isrf_trace::{CycleAttr, TraceEvent, Tracer};
 
-use crate::exec::{ExecScratch, KernelRun, Phase};
+use crate::exec::{KernelRun, Phase};
 use crate::tape::{cached_tape, CompiledTape};
 
 /// A live memory transfer issued by [`Machine::run`]: the program op it
@@ -80,8 +80,6 @@ pub struct Machine {
     /// Fractional SRF-port debt of memory transfers, in words.
     mem_port_words: f64,
     tracer: Tracer,
-    /// Reusable kernel-execution buffers, shared across invocations.
-    exec_scratch: ExecScratch,
     /// Live transfers, indexed by slab slot (mirrors the memory system's
     /// slot allocation).
     pending: Vec<Option<PendingTransfer>>,
@@ -120,7 +118,6 @@ impl Machine {
             stats: RunStats::default(),
             mem_port_words: 0.0,
             tracer: Tracer::Null,
-            exec_scratch: ExecScratch::default(),
             pending: Vec::new(),
             store_buf: Vec::new(),
             quiesce_skip: true,
@@ -333,21 +330,12 @@ impl Machine {
     /// `Vec` per access.
     pub fn read_stream_into(&self, b: &StreamBinding, out: &mut Vec<Word>) {
         out.clear();
-        out.reserve(b.words() as usize);
-        for k in 0..b.words() {
-            out.push(
-                self.srf
-                    .read_stream_word(b.range, b.record_words, b.stream_word(k)),
-            );
-        }
+        self.srf.read_stream(b, out);
     }
 
     /// Write data into a stream's SRF storage directly (test setup).
     pub fn write_stream(&mut self, b: &StreamBinding, data: &[Word]) {
-        for (k, &v) in data.iter().enumerate() {
-            self.srf
-                .write_stream_word(b.range, b.record_words, b.stream_word(k as u32), v);
-        }
+        self.srf.write_stream(b, data);
         self.add_fill(b.range.base, b.range.base + b.range.words_per_bank);
     }
 
@@ -368,15 +356,8 @@ impl Machine {
 
     /// Gather-issue addressing: `base + index_stream[k]` for every element.
     fn collect_indices(&self, index_stream: &StreamBinding, base: u32) -> Vec<u32> {
-        (0..index_stream.words())
-            .map(|k| {
-                base + self.srf.read_stream_word(
-                    index_stream.range,
-                    index_stream.record_words,
-                    index_stream.stream_word(k),
-                )
-            })
-            .collect()
+        let index = self.read_stream(index_stream);
+        index.into_iter().map(|i| base + i).collect()
     }
 
     /// Issue memory op `i`: hand the transfer to the memory system (access
@@ -1037,14 +1018,7 @@ impl Machine {
                 };
                 rs.live_transfers -= 1;
                 if let Some((dst, data)) = pt.fill {
-                    for (k, &v) in data.iter().enumerate() {
-                        self.srf.write_stream_word(
-                            dst.range,
-                            dst.record_words,
-                            dst.stream_word(k as u32),
-                            v,
-                        );
-                    }
+                    self.srf.write_stream(&dst, &data);
                 }
                 complete_op(
                     pt.op,
@@ -1080,7 +1054,6 @@ impl Machine {
                         self.now,
                         &mut self.srf,
                         &mut self.scratch,
-                        &mut self.exec_scratch,
                         mem_claims_port,
                         &mut self.stats.srf,
                         &mut self.tracer,

@@ -18,6 +18,8 @@ use isrf_core::config::MachineConfig;
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::Word;
 
+use crate::stream::StreamBinding;
+
 /// A per-bank word interval, replicated at the same offset in every bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SrfRange {
@@ -43,9 +45,78 @@ pub struct Srf {
     /// `log2(subarray_words)` when it is a power of two, letting
     /// [`Srf::subarray_of`] shift instead of divide on the hot path.
     subarray_shift: Option<u32>,
-    /// `data[lane][offset]`.
-    data: Vec<Vec<Word>>,
+    /// Every bank in one lane-major allocation: word `offset` of bank
+    /// `lane` is `data[lane * bank_words + offset]`.
+    data: Vec<Word>,
     next_free: u32,
+}
+
+/// Walks a binding's words in stream order, yielding each word's `(bank,
+/// per-bank offset)`. Only positioning ([`StreamWalk::new`]) and the step
+/// from one run of a windowed binding to the next divide; within a run the
+/// bank rotates and the offset advances by increments. The walk does not
+/// stop at the binding's end: past it, it continues the run/stride pattern.
+#[derive(Debug, Clone)]
+pub(crate) struct StreamWalk {
+    /// The binding walked.
+    pub(crate) b: StreamBinding,
+    lanes: u32,
+    /// Range record the current run starts at.
+    run_start: u32,
+    /// Records left in the current run, the current one included.
+    run_left: u32,
+    /// Bank of the current record, per-bank offset of its first word, and
+    /// the word within it that comes next.
+    lane: u32,
+    off: u32,
+    word: u32,
+}
+
+impl StreamWalk {
+    /// Position a walk over `b` at its stream word `k`.
+    pub(crate) fn new(b: &StreamBinding, lanes: usize, k: u32) -> Self {
+        let record = k / b.record_words;
+        let mut w = StreamWalk {
+            b: *b,
+            lanes: lanes as u32,
+            run_start: b.start_record + (record / b.run_records) * b.stride_records,
+            run_left: 0,
+            lane: 0,
+            off: 0,
+            word: k % b.record_words,
+        };
+        w.enter_run(record % b.run_records);
+        w
+    }
+
+    /// Point at record `skip` of the run starting at `run_start`.
+    fn enter_run(&mut self, skip: u32) {
+        let record = self.run_start + skip;
+        self.run_left = self.b.run_records - skip;
+        self.lane = record % self.lanes;
+        self.off = self.b.range.base + (record / self.lanes) * self.b.record_words;
+    }
+
+    /// The `(bank, per-bank offset)` of the word the walk stands at; then
+    /// advance to the next.
+    #[inline]
+    pub(crate) fn step(&mut self) -> (usize, u32) {
+        let at = (self.lane as usize, self.off + self.word);
+        self.word += 1;
+        if self.word == self.b.record_words {
+            self.word = 0;
+            self.run_left -= 1;
+            self.lane += 1;
+            if self.run_left == 0 {
+                self.run_start += self.b.stride_records;
+                self.enter_run(0);
+            } else if self.lane == self.lanes {
+                self.lane = 0;
+                self.off += self.b.record_words;
+            }
+        }
+        at
+    }
 }
 
 impl Srf {
@@ -60,7 +131,7 @@ impl Srf {
             subarray_shift: subarray_words
                 .is_power_of_two()
                 .then(|| subarray_words.trailing_zeros()),
-            data: vec![vec![0; bank_words as usize]; cfg.lanes],
+            data: vec![0; bank_words as usize * cfg.lanes],
             next_free: 0,
         }
     }
@@ -133,55 +204,46 @@ impl Srf {
     /// Panics if out of bounds.
     #[inline]
     pub fn read(&self, lane: usize, offset: u32) -> Word {
-        self.data[lane][offset as usize]
+        self.bank(lane)[offset as usize]
     }
 
     /// Write bank `lane` at `offset`.
     #[inline]
     pub fn write(&mut self, lane: usize, offset: u32, value: Word) {
-        self.data[lane][offset as usize] = value;
+        self.bank_mut(lane)[offset as usize] = value;
     }
 
-    /// Bank and per-bank offset of stream word `w` for a stream stored
-    /// record-interleaved over `range` with `record_words`-word records.
-    pub fn locate(&self, range: SrfRange, record_words: u32, w: u32) -> (usize, u32) {
-        let record = w / record_words;
-        let within = w % record_words;
-        let lane = (record as usize) % self.lanes;
-        let offset = range.base + (record / self.lanes as u32) * record_words + within;
-        debug_assert!(
-            offset < range.base + range.words_per_bank,
-            "stream word {w} overflows its range"
-        );
-        (lane, offset)
+    /// The words of bank `lane`.
+    #[inline]
+    pub(crate) fn bank(&self, lane: usize) -> &[Word] {
+        &self.data[lane * self.bank_words as usize..][..self.bank_words as usize]
     }
 
-    /// Read stream word `w` of a record-interleaved stream.
-    pub fn read_stream_word(&self, range: SrfRange, record_words: u32, w: u32) -> Word {
-        let (lane, off) = self.locate(range, record_words, w);
-        self.read(lane, off)
+    /// The words of bank `lane`, mutably.
+    #[inline]
+    pub(crate) fn bank_mut(&mut self, lane: usize) -> &mut [Word] {
+        &mut self.data[lane * self.bank_words as usize..][..self.bank_words as usize]
     }
 
-    /// Write stream word `w` of a record-interleaved stream.
-    pub fn write_stream_word(&mut self, range: SrfRange, record_words: u32, w: u32, v: Word) {
-        let (lane, off) = self.locate(range, record_words, w);
-        self.write(lane, off, v);
-    }
-
-    /// Copy `data` into the range as a record-interleaved stream (used when
-    /// a memory load completes).
-    pub fn fill_stream(&mut self, range: SrfRange, record_words: u32, data: &[Word]) {
-        for (w, &v) in data.iter().enumerate() {
-            self.write_stream_word(range, record_words, w as u32, v);
+    /// Write `data` over the leading words of binding `b`, in stream order
+    /// (a completed load landing, test set-up).
+    pub fn write_stream(&mut self, b: &StreamBinding, data: &[Word]) {
+        let mut walk = StreamWalk::new(b, self.lanes, 0);
+        for &v in data {
+            let (lane, off) = walk.step();
+            self.write(lane, off, v);
         }
     }
 
-    /// Read `words` stream words out of the range in stream order (used
-    /// when a memory store is issued).
-    pub fn drain_stream(&self, range: SrfRange, record_words: u32, words: u32) -> Vec<Word> {
-        (0..words)
-            .map(|w| self.read_stream_word(range, record_words, w))
-            .collect()
+    /// Append the `b.words()` words of binding `b` to `out`, in stream
+    /// order (store staging, gather indices, result read-back).
+    pub fn read_stream(&self, b: &StreamBinding, out: &mut Vec<Word>) {
+        let mut walk = StreamWalk::new(b, self.lanes, 0);
+        out.reserve(b.words() as usize);
+        for _ in 0..b.words() {
+            let (lane, off) = walk.step();
+            out.push(self.read(lane, off));
+        }
     }
 
     /// Serialize the dynamic SRF state: bank contents and the allocator
@@ -191,10 +253,8 @@ impl Srf {
         e.u32(self.next_free);
         e.usize(self.lanes);
         e.u32(self.bank_words);
-        for bank in &self.data {
-            for &w in bank {
-                e.u32(w);
-            }
+        for &w in &self.data {
+            e.u32(w);
         }
     }
 
@@ -209,10 +269,8 @@ impl Srf {
             )));
         }
         self.next_free = next_free;
-        for bank in &mut self.data {
-            for w in bank.iter_mut() {
-                *w = d.u32()?;
-            }
+        for w in &mut self.data {
+            *w = d.u32()?;
         }
         Ok(())
     }
@@ -258,44 +316,86 @@ mod tests {
         s.alloc(5000);
     }
 
+    /// Where stream word `w` of `rw`-word records over `range` lives.
+    fn locate(range: SrfRange, rw: u32, w: u32) -> (usize, u32) {
+        StreamWalk::new(&StreamBinding::whole(range, rw, 8192), 8, w).step()
+    }
+
     #[test]
     fn word_interleaved_layout() {
-        let s = srf();
         let r = SrfRange {
             base: 100,
             words_per_bank: 64,
         };
         // record_words = 1: word w -> lane w % 8, offset base + w/8.
-        assert_eq!(s.locate(r, 1, 0), (0, 100));
-        assert_eq!(s.locate(r, 1, 7), (7, 100));
-        assert_eq!(s.locate(r, 1, 8), (0, 101));
-        assert_eq!(s.locate(r, 1, 17), (1, 102));
+        assert_eq!(locate(r, 1, 0), (0, 100));
+        assert_eq!(locate(r, 1, 7), (7, 100));
+        assert_eq!(locate(r, 1, 8), (0, 101));
+        assert_eq!(locate(r, 1, 17), (1, 102));
     }
 
     #[test]
     fn record_interleaved_layout() {
-        let s = srf();
         let r = SrfRange {
             base: 0,
             words_per_bank: 64,
         };
         // 2-word records: record r -> lane r % 8.
-        assert_eq!(s.locate(r, 2, 0), (0, 0));
-        assert_eq!(s.locate(r, 2, 1), (0, 1));
-        assert_eq!(s.locate(r, 2, 2), (1, 0));
-        assert_eq!(s.locate(r, 2, 16), (0, 2));
-        assert_eq!(s.locate(r, 2, 17), (0, 3));
+        assert_eq!(locate(r, 2, 0), (0, 0));
+        assert_eq!(locate(r, 2, 1), (0, 1));
+        assert_eq!(locate(r, 2, 2), (1, 0));
+        assert_eq!(locate(r, 2, 16), (0, 2));
+        assert_eq!(locate(r, 2, 17), (0, 3));
     }
 
     #[test]
-    fn fill_and_drain_roundtrip() {
+    fn write_and_read_roundtrip() {
         let mut s = srf();
-        let r = s.alloc(16);
+        let b = StreamBinding::whole(s.alloc(16), 4, 25);
         let data: Vec<Word> = (0..100).collect();
-        s.fill_stream(r, 4, &data);
-        assert_eq!(s.drain_stream(r, 4, 100), data);
+        s.write_stream(&b, &data);
+        let mut back = Vec::new();
+        s.read_stream(&b, &mut back);
+        assert_eq!(back, data);
         // Spot-check physical placement: record 9 (words 36..40) in lane 1.
-        assert_eq!(s.read(1, r.base + 4), 36);
+        assert_eq!(s.read(1, b.range.base + 4), 36);
+    }
+
+    #[test]
+    fn walk_steps_where_positioning_lands() {
+        // Whole, strided and periodic (stride 0) windows, on 8 and 4
+        // lanes: stepping from word 0 must pass through exactly the places
+        // the closed form `base + record / lanes * rw + word`, bank
+        // `record % lanes`, gives for every stream word.
+        let range = SrfRange {
+            base: 40,
+            words_per_bank: 512,
+        };
+        let bindings = [
+            StreamBinding::whole(range, 1, 70),
+            StreamBinding::whole(range, 4, 19).slice(5, 11),
+            StreamBinding::windowed(range, 2, 16, 8, 24, 5),
+            StreamBinding::windowed(range, 1, 8, 16, 0, 3),
+        ];
+        for b in bindings {
+            for lanes in [8u32, 4] {
+                let mut walk = StreamWalk::new(&b, lanes as usize, 0);
+                for k in 0..b.words() + 3 {
+                    let record = b.absolute_record(k / b.record_words);
+                    let off = range.base + record / lanes * b.record_words + k % b.record_words;
+                    let expect = ((record % lanes) as usize, off);
+                    assert_eq!(walk.step(), expect, "{b:?} word {k}");
+                    let mut positioned = StreamWalk::new(&b, lanes as usize, k);
+                    assert_eq!(positioned.step(), expect, "{b:?} positioned at {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn out_of_bank_offsets_panic() {
+        srf().read(3, 4096);
     }
 
     #[test]
@@ -303,7 +403,6 @@ mod tests {
         // The 2D-FFT property the ISRF version relies on: a 64x64 complex
         // array stored as 2-word records, element (row, col) = record
         // row*64+col, puts every element of column c in lane c % 8.
-        let s = srf();
         let r = SrfRange {
             base: 0,
             words_per_bank: 1024,
@@ -311,7 +410,7 @@ mod tests {
         for col in 0..64u32 {
             for row in 0..64u32 {
                 let rec = row * 64 + col;
-                let (lane, _) = s.locate(r, 2, rec * 2);
+                let (lane, _) = locate(r, 2, rec * 2);
                 assert_eq!(lane, (col % 8) as usize);
             }
         }

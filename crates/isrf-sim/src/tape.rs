@@ -63,24 +63,29 @@ pub(crate) enum Src {
     Ctx { slot: u16, d: u32, init: Word },
 }
 
-/// Source fully resolved for one `(op, iteration)`: what remains is a
-/// per-lane read.
+/// Lanes per row chunk: context rows are padded to a multiple of it, so
+/// every operand reads as whole `[Word; CHUNK]` arrays.
+pub(crate) const CHUNK: usize = 8;
+
+/// Source fully resolved for one `(op, iteration)`: a lane row, read a
+/// chunk at a time by [`row_chunk`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum RSrc {
     /// A constant for every lane.
     Imm(Word),
     /// The lane index itself.
     Lane,
-    /// `ring[base + lane]`.
+    /// The context row starting at `ring[base]`.
     Base(usize),
 }
 
 /// Kind of one tape micro-op (the single dispatch point of the hot loop).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroKind {
-    /// Pure arithmetic, evaluated by `exec_alu_lanes`.
+    /// Pure arithmetic, evaluated by `exec_alu_rows`.
     Alu(Opcode),
-    /// Sequential stream pop, all lanes.
+    /// Sequential stream pop, all lanes (its condition source is the
+    /// constant 1).
     SeqRead { slot: u8 },
     /// Sequential stream push, all lanes.
     SeqWrite { slot: u8 },
@@ -151,10 +156,11 @@ pub struct CompiledTape {
     pub(crate) depth: usize,
     /// `depth - 1`, for modulo indexing by iteration number.
     pub(crate) mask: u64,
-    /// Words per ring row: `n_ctx * lanes`.
+    /// Words per ring row: `n_ctx * lane_stride`.
     pub(crate) row_words: usize,
-    /// Lane count the tape was specialized for.
-    pub(crate) lanes: usize,
+    /// Words per context slot: the lane count the tape was specialized
+    /// for, rounded up to whole chunks.
+    pub(crate) lane_stride: usize,
 }
 
 impl CompiledTape {
@@ -186,17 +192,12 @@ impl CompiledTape {
                     RSrc::Lane
                 }
             }
-            Src::Ctx0 { slot } => {
-                RSrc::Base((j & self.mask) as usize * self.row_words + slot as usize * self.lanes)
-            }
+            Src::Ctx0 { slot } => RSrc::Base(self.row_base(j, slot)),
             Src::Ctx { slot, d, init } => {
                 if u64::from(d) > j {
                     RSrc::Imm(init)
                 } else {
-                    let pj = j - u64::from(d);
-                    RSrc::Base(
-                        (pj & self.mask) as usize * self.row_words + slot as usize * self.lanes,
-                    )
+                    RSrc::Base(self.row_base(j - u64::from(d), slot))
                 }
             }
         }
@@ -205,32 +206,30 @@ impl CompiledTape {
     /// Ring offset of `(iteration j, context slot)` lane 0.
     #[inline]
     pub(crate) fn row_base(&self, j: u64, slot: u16) -> usize {
-        (j & self.mask) as usize * self.row_words + slot as usize * self.lanes
+        (j & self.mask) as usize * self.row_words + slot as usize * self.lane_stride
     }
 }
 
-/// Read one lane of a resolved source.
+/// Chunk `c` (lanes `c * CHUNK..`) of a resolved source: one match per
+/// chunk is all the dispatch an operand costs. Lanes past the machine's
+/// last hold whatever the same arithmetic makes of them, never read out.
 #[inline]
-pub(crate) fn rv(ring: &[Word], r: RSrc, lane: usize) -> Word {
+pub(crate) fn row_chunk(ring: &[Word], r: RSrc, c: usize) -> [Word; CHUNK] {
     match r {
-        RSrc::Imm(w) => w,
-        RSrc::Lane => lane as Word,
-        RSrc::Base(b) => ring[b + lane],
+        RSrc::Imm(w) => [w; CHUNK],
+        RSrc::Lane => std::array::from_fn(|i| (c * CHUNK + i) as Word),
+        RSrc::Base(b) => {
+            let row = &ring[b + c * CHUNK..][..CHUNK];
+            row.try_into().expect("a chunk-long slice")
+        }
     }
-}
-
-/// Full resolution of one source for `(iteration, lane)` — the stall-check
-/// path, which is not hot enough to warrant the per-op [`RSrc`] hoist.
-#[inline]
-pub(crate) fn src_word(tape: &CompiledTape, ring: &[Word], s: Src, j: u64, lane: usize) -> Word {
-    rv(ring, tape.rsrc(s, j), lane)
 }
 
 fn is_free(opc: Opcode) -> bool {
     matches!(opc.class(), OpClass::Free)
 }
 
-/// Ops `exec_alu_lanes` handles: pure, no machine-state side effects, safe
+/// Ops `exec_alu_rows` handles: pure, no machine-state side effects, safe
 /// to drop when dead. (`ScratchRead` is also pure but is kept: its address
 /// wraps at the scratchpad length.)
 fn is_pure_alu(opc: Opcode) -> bool {
@@ -360,7 +359,7 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
             let zero = Src::Imm(0);
             use Opcode::*;
             let (kind, a, b, c) = match op.opcode {
-                SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, zero, zero, zero),
+                SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, Src::Imm(1), zero, zero),
                 SeqWrite(s) => (MicroKind::SeqWrite { slot: s.0 }, src(0), zero, zero),
                 CondLaneRead(s) => (MicroKind::CondLaneRead { slot: s.0 }, src(0), zero, zero),
                 CondRead(s) => (MicroKind::CondRead { slot: s.0 }, src(0), zero, zero),
@@ -456,6 +455,7 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         .max()
         .unwrap_or(0);
     let depth = u64::from(sched.stages() + max_dist + 1).next_power_of_two() as usize;
+    let lane_stride = lanes.next_multiple_of(CHUNK);
 
     CompiledTape {
         ii: u64::from(sched.ii),
@@ -465,8 +465,8 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         checks,
         depth,
         mask: depth as u64 - 1,
-        row_words: usize::from(n_ctx) * lanes,
-        lanes,
+        row_words: usize::from(n_ctx) * lane_stride,
+        lane_stride,
     }
 }
 
