@@ -114,6 +114,34 @@ for workload in sim_seq sim_idx admit_cold serve_mix; do
     | grep -q '"correct": true'
 done
 
+echo "==> memory plateau (admit_cold peak RSS at 4 s against 16 s)"
+# Every host-side memo is a budgeted `Memo`, so a run four times as long
+# must not hold more. admit_cold fills the schedule and tape memos with a
+# distinct source per job; before they were bounded its peak RSS grew 3.7x
+# between 5 s and 20 s.
+rss() {
+  bash benchmark/run.sh --workload admit_cold --seconds "$1" --trace 0 | tail -n 1 \
+    | sed -n 's/.*"peak_rss_mb": {"value": \([0-9.]*\).*/\1/p'
+}
+rss_short="$(rss 4)"
+rss_long="$(rss 16)"
+echo "peak_rss_mb: $rss_short at 4 s, $rss_long at 16 s"
+awk -v a="$rss_short" -v b="$rss_long" 'BEGIN { exit !(a > 0 && b <= 1.25 * a) }'
+
+echo "==> one memo mechanism (grep gate)"
+# The hand-rolled memo idiom must not come back: no lazily initialised
+# global map anywhere, and no locked map at all outside `Memo` itself and
+# the server's table of live jobs.
+if grep -rn 'OnceLock<Mutex<BTreeMap' crates/*/src; then
+  echo "a hand-rolled memo: use isrf_core::Memo" >&2
+  exit 1
+fi
+if grep -rn 'Mutex<BTreeMap' crates/*/src \
+  | grep -v -e '^crates/isrf-core/src/memo.rs:' -e 'jobs: Mutex<BTreeMap<u64, Arc<Job>>>'; then
+  echo "a locked map outside isrf_core::Memo and the live-jobs table" >&2
+  exit 1
+fi
+
 if [[ "$miri" == 1 ]]; then
   echo "==> cargo miri test (foundation crates)"
   cargo miri test -q -p isrf-core -p isrf-sram

@@ -1,10 +1,11 @@
-//! Figure and table regeneration for the HPCA 2004 indexed-SRF paper.
+//! `isrf-bench` is the tool crate (the `figures`, `verify`, `trace`,
+//! `snapshot` and `loadtest` bins); the timing harness is `benchmark/`, a
+//! package of its own, and nothing here is timed.
 //!
-//! Every evaluation artifact of the paper has a generator here returning
-//! structured data, and the `figures` binary renders them as text tables.
-//! Nothing here is timed: host-time measurement lives in `benchmark/`
-//! alone. See DESIGN.md for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured numbers.
+//! Every evaluation artifact of the HPCA 2004 indexed-SRF paper has a
+//! generator here returning structured data, and the `figures` binary
+//! renders them as text tables. See DESIGN.md for the experiment index and
+//! EXPERIMENTS.md for paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,18 +25,19 @@
 //! compared word-for-word against the host Jacobi.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
 use isrf_core::stats::RunStats;
 use isrf_core::word::Word;
+use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
 use isrf_sim::{StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{machine, memoized, schedule_for};
 
 /// "Unreached" distance; survives `+ 1` per sweep without wrapping into
 /// the sign bit (the cluster `min` is signed).
@@ -167,13 +168,16 @@ fn plan_key(p: &BfsParams) -> PlanKey {
     )
 }
 
-fn plan_cached(params: &BfsParams) -> Arc<Plan> {
-    static MEMO: OnceLock<Mutex<BTreeMap<PlanKey, Arc<Plan>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(hit) = memo.lock().unwrap().get(&plan_key(params)) {
-        return Arc::clone(hit);
-    }
+/// Plans kept: every workload and tool makes one per profile, this crate's
+/// unit tests two.
+const PLAN_BUDGET: u64 = 16;
 
+fn plan_cached(params: &BfsParams) -> Arc<Plan> {
+    static PLANS: Memo<PlanKey, Plan> = Memo::new(PLAN_BUDGET);
+    memoized(&PLANS, plan_key(params), || plan(params))
+}
+
+fn plan(params: &BfsParams) -> Plan {
     let adj = generate(params);
     let n = params.nodes;
     // Sweep count: relax until a sweep changes nothing, capped.
@@ -223,14 +227,12 @@ fn plan_cached(params: &BfsParams) -> Arc<Plan> {
         });
     }
 
-    let fresh = Arc::new(Plan {
+    Plan {
         adj,
         sweeps,
         pad,
         strips,
-    });
-    let mut guard = memo.lock().unwrap();
-    Arc::clone(guard.entry(plan_key(params)).or_insert(fresh))
+    }
 }
 
 /// Build the relaxation kernel: one node per lane per iteration, `pad`

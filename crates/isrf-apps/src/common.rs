@@ -4,6 +4,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::Memo;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule_cached, SchedParams, Schedule};
 use isrf_mem::AddrPattern;
@@ -19,6 +20,13 @@ thread_local! {
 /// parameter studies. Pass `None` to restore the Table 3 defaults.
 pub fn set_separation_override(sep: Option<(u32, u32)>) {
     SEPARATION_OVERRIDE.with(|c| c.set(sep));
+}
+
+/// The host data `memo` holds under `key`, generated on a miss.
+pub(crate) fn memoized<K: Ord, V>(memo: &Memo<K, V>, key: K, make: impl FnOnce() -> V) -> Arc<V> {
+    let Ok(data) =
+        memo.get_or_try_insert_with(key, 1, || Ok::<_, std::convert::Infallible>(make()));
+    data
 }
 
 /// Build a machine for one of the paper's configurations.

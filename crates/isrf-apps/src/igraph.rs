@@ -23,18 +23,19 @@
 //! against a host-side sweep with identical f32 arithmetic.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
 use isrf_core::stats::RunStats;
 use isrf_core::word::{as_f32, from_f32, Word};
+use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf_mem::AddrPattern;
 use isrf_sim::{StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{machine, memoized, schedule_for};
 
 /// One IG dataset (a Table 4 row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,15 +152,14 @@ fn graph_key(ds: &IgDataset) -> GraphKey {
 /// dataset on four configurations (plus the host reference a second
 /// time per run), and generation is deterministic.
 fn generate_cached(ds: &IgDataset) -> Arc<Graph> {
-    static MEMO: OnceLock<Mutex<BTreeMap<GraphKey, Arc<Graph>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(hit) = memo.lock().unwrap().get(&graph_key(ds)) {
-        return Arc::clone(hit);
-    }
-    let fresh = Arc::new(generate(ds));
-    let mut guard = memo.lock().unwrap();
-    Arc::clone(guard.entry(graph_key(ds)).or_insert(fresh))
+    static GRAPHS: Memo<GraphKey, Graph> = Memo::new(DATASET_BUDGET);
+    memoized(&GRAPHS, graph_key(ds), || generate(ds))
 }
+
+/// Entries kept by each igraph memo, two generations of sixteen: four
+/// datasets at two strip sizes and two profiles bound the host images at
+/// sixteen (`figures all` makes eight, four graphs and four references).
+const DATASET_BUDGET: u64 = 32;
 
 /// Host-side preprocessing of one strip (the graph preprocessing the
 /// paper assigns to the host): the condensed pointer stream, the
@@ -183,14 +183,12 @@ struct HostImage {
 /// strip. Deterministic in the key, so it is shared across the four
 /// machine configurations and across sweep repeats.
 fn host_image(ds: &IgDataset, strip_nodes: u32) -> Arc<HostImage> {
-    type Key = (GraphKey, u32);
-    static MEMO: OnceLock<Mutex<BTreeMap<Key, Arc<HostImage>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let key = (graph_key(ds), strip_nodes);
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        return Arc::clone(hit);
-    }
+    static IMAGES: Memo<(GraphKey, u32), HostImage> = Memo::new(DATASET_BUDGET);
+    let build = || build_host_image(ds, strip_nodes);
+    memoized(&IMAGES, (graph_key(ds), strip_nodes), build)
+}
 
+fn build_host_image(ds: &IgDataset, strip_nodes: u32) -> HostImage {
     let g = generate_cached(ds);
     let val_words: Vec<Word> = g
         .values
@@ -231,13 +229,11 @@ fn host_image(ds: &IgDataset, strip_nodes: u32) -> Arc<HostImage> {
             replicated_addrs,
         });
     }
-    let fresh = Arc::new(HostImage {
+    HostImage {
         val_words,
         adj_words,
         strips: out,
-    });
-    let mut guard = memo.lock().unwrap();
-    Arc::clone(guard.entry(key).or_insert(fresh))
+    }
 }
 
 /// The per-neighbor function: exactly `fp_ops` FP operations including the
@@ -255,17 +251,9 @@ fn host_neighbor(acc: f32, v0: f32, v1: f32, fp_ops: u32) -> f32 {
 /// [`reference`] on the memoized graph, itself memoized per dataset —
 /// every configuration of a dataset verifies against the same sweep.
 fn reference_cached(ds: &IgDataset) -> Arc<Vec<(f32, f32)>> {
-    type Key = (GraphKey, u32);
-    #[allow(clippy::type_complexity)]
-    static MEMO: OnceLock<Mutex<BTreeMap<Key, Arc<Vec<(f32, f32)>>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    let key = (graph_key(ds), ds.fp_ops);
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        return Arc::clone(hit);
-    }
-    let fresh = Arc::new(reference(&generate_cached(ds), ds.fp_ops));
-    let mut guard = memo.lock().unwrap();
-    Arc::clone(guard.entry(key).or_insert(fresh))
+    static REFERENCES: Memo<(GraphKey, u32), Vec<(f32, f32)>> = Memo::new(DATASET_BUDGET);
+    let sweep = || reference(&generate_cached(ds), ds.fp_ops);
+    memoized(&REFERENCES, (graph_key(ds), ds.fp_ops), sweep)
 }
 
 /// Host reference: one full sweep.

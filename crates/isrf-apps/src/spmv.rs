@@ -27,18 +27,19 @@
 //! (`bandwidth`), and a controllable fraction of entirely empty rows.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use isrf_core::config::ConfigName;
 use isrf_core::stats::RunStats;
 use isrf_core::word::{from_f32, Word};
+use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
 use isrf_sim::{StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{machine, memoized, schedule_for};
 
 /// Benchmark sizing and matrix-shape knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,18 +161,15 @@ fn gen_key(p: &SpmvParams) -> GenKey {
     )
 }
 
+/// Matrices kept: every workload and tool makes one per profile, this
+/// crate's unit tests four.
+const MATRIX_BUDGET: u64 = 16;
+
 /// [`generate`], memoized: every configuration (and the host reference)
 /// of a parameter point shares one matrix.
 fn generate_cached(params: &SpmvParams) -> Arc<(Csr, Vec<f32>)> {
-    #[allow(clippy::type_complexity)]
-    static MEMO: OnceLock<Mutex<BTreeMap<GenKey, Arc<(Csr, Vec<f32>)>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
-    if let Some(hit) = memo.lock().unwrap().get(&gen_key(params)) {
-        return Arc::clone(hit);
-    }
-    let fresh = Arc::new(generate(params));
-    let mut guard = memo.lock().unwrap();
-    Arc::clone(guard.entry(gen_key(params)).or_insert(fresh))
+    static MATRICES: Memo<GenKey, (Csr, Vec<f32>)> = Memo::new(MATRIX_BUDGET);
+    memoized(&MATRICES, gen_key(params), || generate(params))
 }
 
 /// Common padded row length for `csr`: the longest row, rounded up to a

@@ -10,6 +10,8 @@
 //! * [`stats`] — cycle accounting (the execution-time breakdown of Figure 12),
 //!   off-chip traffic counters (Figure 11) and SRF bandwidth counters
 //!   (Figure 13).
+//! * [`memo`] — [`Memo`], the one bounded, recency-aware memo behind every
+//!   host-side cache (schedules, tapes, host data, verdicts, results).
 //! * [`snap`] — the versioned, content-hashed binary codec behind the
 //!   simulator's cycle-granular snapshot/resume machinery (DESIGN.md §12).
 //!
@@ -28,10 +30,12 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod memo;
 pub mod snap;
 pub mod stats;
 pub mod word;
 
 pub use config::{ConfigName, MachineConfig};
+pub use memo::Memo;
 pub use stats::{Breakdown, MemTraffic, RunStats, SrfTraffic};
 pub use word::Word;

@@ -20,12 +20,11 @@
 //! increasing II with a modulo reservation table and eviction-based
 //! backtracking.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use isrf_core::config::MachineConfig;
+use isrf_core::Memo;
 
 use crate::graph::{build_graph, DepGraph, LatencyModel};
 use crate::ir::{Kernel, OpClass};
@@ -327,14 +326,11 @@ impl Mrt {
 ///
 /// Modulo scheduling dominates per-invocation setup cost in parameter
 /// sweeps where the same kernel is rescheduled at every sweep point that
-/// shares a separation setting. This wrapper keys a process-wide memo by
-/// ([`crate::hash::kernel_hash`], [`crate::hash::sched_params_hash`]) and
-/// returns a shared `Arc<Schedule>`; structurally identical requests —
-/// including from concurrent sweep workers — schedule once.
-///
-/// The memo lock is not held while scheduling, so two workers racing on
-/// the same key may both schedule; the first insert wins and the result is
-/// identical either way (scheduling is deterministic).
+/// shares a separation setting. This wrapper keys the process-wide
+/// [`SCHEDULES`] by ([`crate::hash::kernel_hash`],
+/// [`crate::hash::sched_params_hash`]) and returns a shared `Arc<Schedule>`;
+/// structurally identical requests — including from concurrent sweep
+/// workers — schedule once while the entry is resident.
 ///
 /// # Errors
 ///
@@ -344,38 +340,27 @@ pub fn schedule_cached(
     kernel: &Kernel,
     params: &SchedParams,
 ) -> Result<Arc<Schedule>, ScheduleError> {
-    // BTreeMap rather than HashMap: the simulator's determinism lints ban
-    // randomly-seeded containers, and the memo is small (tens of entries).
-    #[allow(clippy::type_complexity)]
-    static MEMO: OnceLock<Mutex<BTreeMap<(u128, u128), Arc<Schedule>>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| Mutex::new(BTreeMap::new()));
     let key = (
         crate::hash::kernel_hash(kernel),
         crate::hash::sched_params_hash(params),
     );
-    if let Some(hit) = memo.lock().unwrap().get(&key) {
-        SCHED_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Ok(Arc::clone(hit));
-    }
-    SCHED_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let fresh = Arc::new(schedule(kernel, params)?);
-    let mut guard = memo.lock().unwrap();
-    Ok(Arc::clone(guard.entry(key).or_insert(fresh)))
+    SCHEDULES.get_or_try_insert_with(key, 1, || schedule(kernel, params))
 }
 
-static SCHED_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static SCHED_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+/// Schedules kept, two generations of 2048. `admit_cold` schedules 480
+/// distinct sources per 512-job pass and re-reads the apps' 53 once a pass, at
+/// most 850 admissions apart: a generation of 1024 loses no hit, one of 512
+/// one in five (DESIGN.md §11). A resident schedule costs under 2 KiB of RSS.
+pub const SCHEDULE_BUDGET: u64 = 4096;
 
-/// Process-lifetime `(hits, misses)` of the [`schedule_cached`] memo.
-///
-/// A miss that loses the insert race still counts as a miss (the
-/// scheduling work really happened); long-running services export these
-/// through their metrics endpoint.
+/// The process-wide memo behind [`schedule_cached`].
+pub static SCHEDULES: Memo<(u128, u128), Schedule> = Memo::new(SCHEDULE_BUDGET);
+
+/// Process-lifetime `(hits, misses)` of [`SCHEDULES`]; a miss that loses the
+/// insert race still counts as a miss (the scheduling work really happened).
 pub fn schedule_cache_stats() -> (u64, u64) {
-    (
-        SCHED_CACHE_HITS.load(Ordering::Relaxed),
-        SCHED_CACHE_MISSES.load(Ordering::Relaxed),
-    )
+    let [(_, hits), (_, misses), ..] = SCHEDULES.stats();
+    (hits, misses)
 }
 
 /// Schedule `kernel` under `params`.

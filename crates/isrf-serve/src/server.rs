@@ -12,9 +12,11 @@
 //! drain (`POST /shutdown`) take effect within one slice; drain
 //! checkpoints in-flight machines via `Machine::save_state` and persists
 //! them to the snapshot directory, where the next start resumes them
-//! cycle-exactly.
+//! cycle-exactly. A job that turns done, failed or cancelled retires to a
+//! bounded set of finished jobs; an id that has aged out answers `404`.
 
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -24,8 +26,9 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use isrf_kernel::sched::schedule_cache_stats;
-use isrf_sim::tape_cache_stats;
+use isrf_core::Memo;
+use isrf_kernel::sched::SCHEDULES;
+use isrf_sim::tape::TAPES;
 use isrf_trace::{Histogram, MetricsRegistry};
 
 use crate::exec::{analyze_point, PointRunner};
@@ -102,18 +105,20 @@ impl Phase {
 /// Per-point mutable state.
 #[derive(Debug, Default)]
 struct PointState {
-    finished: bool,
     cycles: u64,
     error: Option<String>,
     /// Rendered outcome JSON (kept per point until the job finalizes).
     outcome: Option<Json>,
-    /// Checkpoint captured at drain (`None` = restart from scratch).
+    /// Checkpoint restored at start or captured at drain, taken by the run
+    /// that resumes it (`None` = start from scratch).
     snap: Option<Vec<u8>>,
 }
 
 #[derive(Debug)]
 struct JobState {
     phase: Phase,
+    /// What to run; `None` once the job has retired.
+    spec: Option<Arc<JobSpec>>,
     points: Vec<PointState>,
     done: usize,
     /// Rendered `points` array of the result payload.
@@ -125,37 +130,38 @@ struct JobState {
 
 struct Job {
     id: u64,
-    spec: JobSpec,
     hash: u128,
     cancel: AtomicBool,
     submitted: Instant,
     state: Mutex<JobState>,
-    /// Per-point checkpoints from a previous drain, taken on first run.
-    restored: Mutex<Vec<Option<Vec<u8>>>>,
 }
 
 impl Job {
-    fn new(id: u64, spec: JobSpec, hash: u128, restored: Vec<Option<Vec<u8>>>) -> Arc<Job> {
-        let points = spec.points.iter().map(|_| PointState::default()).collect();
+    /// `snaps`: per-point checkpoints of a previous drain, or empty.
+    fn new(id: u64, spec: JobSpec, hash: u128, mut snaps: Vec<Option<Vec<u8>>>) -> Arc<Job> {
+        snaps.resize(spec.points.len(), None);
+        let point = |snap| PointState {
+            snap,
+            ..PointState::default()
+        };
         // Sanctioned wall-clock read: feeds only the latency histogram,
         // never a result.
         #[allow(clippy::disallowed_methods)]
         let submitted = Instant::now();
         Arc::new(Job {
             id,
-            spec,
             hash,
             cancel: AtomicBool::new(false),
             submitted,
             state: Mutex::new(JobState {
                 phase: Phase::Queued,
-                points,
+                points: snaps.into_iter().map(point).collect(),
+                spec: Some(Arc::new(spec)),
                 done: 0,
                 result: None,
                 trace: None,
                 cached: false,
             }),
-            restored: Mutex::new(restored),
         })
     }
 }
@@ -173,15 +179,16 @@ struct Core {
     cfg: ServerConfig,
     /// The actual bound address (the config may ask for port 0).
     bound: Mutex<Option<SocketAddr>>,
+    /// Queued, running and suspended jobs; [`retire`] moves a job that turns
+    /// terminal to `finished`.
     jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
+    finished: Memo<u64, Job>,
     next_id: AtomicU64,
     /// Jobs admitted but not yet expanded (the bounded queue).
     queued: AtomicUsize,
     draining: AtomicBool,
     /// Rendered `points` arrays keyed by [`JobSpec::hash`].
-    result_cache: Mutex<BTreeMap<u128, Arc<String>>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
+    results: Memo<u128, String>,
     jobs_submitted: AtomicU64,
     jobs_done: AtomicU64,
     jobs_failed: AtomicU64,
@@ -190,14 +197,26 @@ struct Core {
     /// Jobs rejected at admission by static verification (`422`).
     jobs_rejected_static: AtomicU64,
     /// Pre-admission verdicts keyed by [`crate::spec::PointSpec::verify_hash`]:
-    /// `None` = clean, `Some` = the structured diagnostics that reject it.
-    verify_cache: Mutex<BTreeMap<u128, Option<Arc<Vec<Json>>>>>,
-    verify_hits: AtomicU64,
-    verify_misses: AtomicU64,
+    /// the structured diagnostics that reject the point, empty when clean.
+    verdicts: Memo<u128, Vec<Json>>,
+    /// Snapshot files set aside as `*.bad` at start; points whose checkpoint
+    /// the machine rejected and that ran from scratch.
+    restore_skipped: AtomicU64,
+    restore_restarted: AtomicU64,
     latency_ms: Mutex<Histogram>,
     started: Instant,
     pool: Mutex<Option<Pool<WorkItem>>>,
 }
+
+/// Budget of the result memo, in bytes of rendered payload: `serve_mix`
+/// renders 33 KB a result and a generation must hold the 10.3 MB between two
+/// reads of a repeat spec (16 MiB in all loses one hit in twenty).
+pub const RESULT_BUDGET: u64 = 32 << 20;
+/// Budget of the verdict memo, in verdicts: 572 in 20 s of `serve_mix`, 32 hot.
+pub const VERDICT_BUDGET: u64 = 1024;
+/// Budget of the finished jobs, in bytes of result, trace and errors: 35.3 KB
+/// a `serve_mix` job, so one generation covers the 1188 most recent.
+pub const FINISHED_BUDGET: u64 = 80 << 20;
 
 impl Core {
     fn draining(&self) -> bool {
@@ -239,14 +258,15 @@ fn run_item(core: &Core, item: WorkItem, h: &WorkerHandle<'_, WorkItem>) {
     match item {
         WorkItem::Expand(job) => {
             core.queued.fetch_sub(1, Ordering::SeqCst);
-            {
+            let points = {
                 let mut st = job.state.lock().unwrap();
                 if st.phase.terminal() {
                     return;
                 }
                 st.phase = Phase::Running;
-            }
-            for idx in 1..job.spec.points.len() {
+                st.points.len()
+            };
+            for idx in 1..points {
                 h.push(WorkItem::Point(Arc::clone(&job), idx));
             }
             run_point(core, &job, 0);
@@ -267,25 +287,31 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize) {
     if job.cancel.load(Ordering::SeqCst) {
         return settle_point(core, job, idx, PointEnd::Cancelled);
     }
-    let restored = job
-        .restored
-        .lock()
-        .unwrap()
-        .get_mut(idx)
-        .and_then(Option::take);
+    let (spec, restored) = {
+        let mut st = job.state.lock().unwrap();
+        // Retired since the flag was read: nothing is left to run.
+        let Some(spec) = st.spec.clone() else { return };
+        (spec, st.points[idx].snap.take())
+    };
     if core.draining() {
         // Don't start (or resume) new work during drain: hand the restored
         // checkpoint (if any) straight back to the persister.
         return settle_point(core, job, idx, PointEnd::Drained(restored, 0));
     }
-    let spec = &job.spec.points[idx];
-    let trace = job.spec.trace;
+    let (point, trace) = (&spec.points[idx], spec.trace);
     let chunk = core.cfg.chunk_cycles;
     let end = catch_unwind(AssertUnwindSafe(|| {
-        let mut runner = match match &restored {
-            Some(snap) => PointRunner::resume(spec, trace, snap),
-            None => PointRunner::new(spec, trace),
-        } {
+        // A checkpoint the machine rejects (corrupt, or of another `ISRFSNAP`
+        // version) costs its progress, not the job: the point runs from
+        // scratch to the identical result.
+        let resumed = restored.and_then(|snap| {
+            let resumed = PointRunner::resume(point, trace, &snap);
+            if resumed.is_err() {
+                core.restore_restarted.fetch_add(1, Ordering::Relaxed);
+            }
+            resumed.ok()
+        });
+        let mut runner = match resumed.map_or_else(|| PointRunner::new(point, trace), Ok) {
             Ok(r) => r,
             Err(e) => return PointEnd::Failed(e),
         };
@@ -314,11 +340,12 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize) {
 fn settle_point(core: &Core, job: &Arc<Job>, idx: usize, end: PointEnd) {
     let mut st = job.state.lock().unwrap();
     match end {
+        // Retired meanwhile: a late point's payload is not kept.
+        PointEnd::Finished(_) | PointEnd::Drained(..) if st.spec.is_none() => {}
         PointEnd::Finished(out) => {
             let trace_json = out.trace_json.clone();
             st.points[idx].cycles = out.stats.cycles;
             st.points[idx].outcome = Some(out.to_json());
-            st.points[idx].finished = true;
             st.done += 1;
             if let Some(t) = trace_json {
                 st.trace = Some(Arc::new(t));
@@ -331,6 +358,7 @@ fn settle_point(core: &Core, job: &Arc<Job>, idx: usize, end: PointEnd) {
             if !st.phase.terminal() {
                 st.phase = Phase::Cancelled;
                 core.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+                retire(core, job, &mut st);
             }
         }
         PointEnd::Drained(snap, cycles) => {
@@ -350,6 +378,7 @@ fn settle_point(core: &Core, job: &Arc<Job>, idx: usize, end: PointEnd) {
                 // Stop sibling points early; they observe the flag as a
                 // cancellation but the phase stays Failed.
                 job.cancel.store(true, Ordering::SeqCst);
+                retire(core, job, &mut st);
             }
         }
     }
@@ -370,12 +399,9 @@ fn finalize(core: &Core, job: &Arc<Job>, st: &mut JobState) {
     let rendered = Arc::new(body);
     st.result = Some(Arc::clone(&rendered));
     st.phase = Phase::Done;
-    if !job.spec.trace {
-        core.result_cache
-            .lock()
-            .unwrap()
-            .entry(job.hash)
-            .or_insert(rendered);
+    if st.spec.as_ref().is_some_and(|spec| !spec.trace) {
+        let bytes = rendered.len() as u64;
+        core.results.insert(job.hash, rendered, bytes);
     }
     core.jobs_done.fetch_add(1, Ordering::Relaxed);
     let ms = job
@@ -384,6 +410,29 @@ fn finalize(core: &Core, job: &Arc<Job>, st: &mut JobState) {
         .as_millis()
         .min(u128::from(u64::MAX)) as u64;
     core.latency_ms.lock().unwrap().observe(ms);
+    retire(core, job, st);
+}
+
+/// `job` turned terminal: drop what only a live job needs (its spec with any
+/// inline source, checkpoints, per-point outcomes), file it under the finished
+/// jobs, then unlist it from the live ones — in that order, so a concurrent
+/// `GET /jobs/:id` never finds it in neither.
+fn retire(core: &Core, job: &Arc<Job>, st: &mut JobState) {
+    st.spec = None;
+    let mut bytes = std::mem::size_of::<Job>();
+    for p in &mut st.points {
+        (p.snap, p.outcome) = (None, None);
+        bytes += std::mem::size_of::<PointState>() + p.error.as_ref().map_or(0, String::len);
+    }
+    bytes += [&st.result, &st.trace]
+        .iter()
+        .map(|s| s.as_ref().map_or(0, |s| s.len()))
+        .sum::<usize>();
+    // A job larger than a generation is charged a whole one: it is kept
+    // until a generation's worth of later jobs has finished, like any other.
+    let cost = (bytes as u64).min(FINISHED_BUDGET / 2);
+    core.finished.insert(job.id, Arc::clone(job), cost);
+    core.jobs.lock().unwrap().remove(&job.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,23 +486,18 @@ fn submit(core: &Arc<Core>, req: &Request) -> Response {
 
     // Memoized? Complete instantly without touching the queue.
     if !spec.trace {
-        let hit = core.result_cache.lock().unwrap().get(&hash).cloned();
-        if let Some(rendered) = hit {
-            core.cache_hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(rendered) = core.results.get(&hash) {
             let id = core.next_id.fetch_add(1, Ordering::SeqCst);
             let job = Job::new(id, spec, hash, Vec::new());
             {
                 let mut st = job.state.lock().unwrap();
-                let n = st.points.len();
-                for p in st.points.iter_mut() {
-                    p.finished = true;
-                }
-                st.done = n;
+                st.done = st.points.len();
                 st.phase = Phase::Done;
                 st.result = Some(rendered);
                 st.cached = true;
+                core.jobs_done.fetch_add(1, Ordering::Relaxed);
+                retire(core, &job, &mut st);
             }
-            core.jobs.lock().unwrap().insert(id, job);
             return Response::json(
                 200,
                 &Json::Obj(vec![
@@ -463,7 +507,6 @@ fn submit(core: &Arc<Core>, req: &Request) -> Response {
                 ]),
             );
         }
-        core.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     // Pre-admission static verification: every point is analyzed — and
@@ -473,24 +516,11 @@ fn submit(core: &Arc<Core>, req: &Request) -> Response {
     // surfacing as a worker-side failure after admission.
     let mut rejected: Vec<Json> = Vec::new();
     for (idx, point) in spec.points.iter().enumerate() {
-        let key = point.verify_hash();
-        let cached = core.verify_cache.lock().unwrap().get(&key).cloned();
-        let verdict = match cached {
-            Some(v) => {
-                core.verify_hits.fetch_add(1, Ordering::Relaxed);
-                v
-            }
-            None => {
-                core.verify_misses.fetch_add(1, Ordering::Relaxed);
-                let v = match analyze_point(point) {
-                    Ok(()) => None,
-                    Err(diags) => Some(Arc::new(diags)),
-                };
-                core.verify_cache.lock().unwrap().insert(key, v.clone());
-                v
-            }
-        };
-        if let Some(diags) = verdict {
+        let analyze = || Ok::<_, Infallible>(analyze_point(point).err().unwrap_or_default());
+        let Ok(diags) = core
+            .verdicts
+            .get_or_try_insert_with(point.verify_hash(), 1, analyze);
+        if !diags.is_empty() {
             rejected.push(Json::Obj(vec![
                 ("point".into(), Json::u64(idx as u64)),
                 ("diagnostics".into(), Json::Arr(diags.as_ref().clone())),
@@ -583,7 +613,7 @@ fn job_trace(job: &Job) -> Response {
     }
 }
 
-fn cancel_job(core: &Core, job: &Job) -> Response {
+fn cancel_job(core: &Core, job: &Arc<Job>) -> Response {
     job.cancel.store(true, Ordering::SeqCst);
     let mut st = job.state.lock().unwrap();
     if !st.phase.terminal() && st.phase != Phase::Suspended {
@@ -591,6 +621,7 @@ fn cancel_job(core: &Core, job: &Job) -> Response {
         // slice, but report the final state immediately.
         st.phase = Phase::Cancelled;
         core.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
+        retire(core, job, &mut st);
     }
     Response::json(
         200,
@@ -608,57 +639,34 @@ fn metrics(core: &Core) -> Response {
         core.queued.load(Ordering::SeqCst) as u64,
     );
     reg.set("serve_queue_cap", core.cfg.queue_cap as u64);
-    reg.set(
-        "serve_jobs_submitted",
-        core.jobs_submitted.load(Ordering::Relaxed),
-    );
-    reg.set("serve_jobs_done", core.jobs_done.load(Ordering::Relaxed));
-    reg.set(
-        "serve_jobs_failed",
-        core.jobs_failed.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_jobs_cancelled",
-        core.jobs_cancelled.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_jobs_rejected_429",
-        core.jobs_rejected.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_jobs_rejected_static",
-        core.jobs_rejected_static.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_verify_cache_hits",
-        core.verify_hits.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_verify_cache_misses",
-        core.verify_misses.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_verify_cache_entries",
-        core.verify_cache.lock().unwrap().len() as u64,
-    );
-    reg.set(
-        "serve_result_cache_hits",
-        core.cache_hits.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_result_cache_misses",
-        core.cache_misses.load(Ordering::Relaxed),
-    );
-    reg.set(
-        "serve_result_cache_entries",
-        core.result_cache.lock().unwrap().len() as u64,
-    );
-    let (sh, sm) = schedule_cache_stats();
-    reg.set("sched_cache_hits", sh);
-    reg.set("sched_cache_misses", sm);
-    let (th, tm) = tape_cache_stats();
-    reg.set("tape_cache_hits", th);
-    reg.set("tape_cache_misses", tm);
+    for (name, counter) in [
+        ("serve_jobs_submitted", &core.jobs_submitted),
+        ("serve_jobs_done", &core.jobs_done),
+        ("serve_jobs_failed", &core.jobs_failed),
+        ("serve_jobs_cancelled", &core.jobs_cancelled),
+        ("serve_jobs_rejected_429", &core.jobs_rejected),
+        ("serve_jobs_rejected_static", &core.jobs_rejected_static),
+        ("serve_restore_skipped", &core.restore_skipped),
+        ("serve_restore_restarted", &core.restore_restarted),
+    ] {
+        reg.set(name, counter.load(Ordering::Relaxed));
+    }
+    reg.set("serve_jobs_live", core.jobs.lock().unwrap().len() as u64);
+    // Every memo uniformly: hits, misses, evictions, resident entries and
+    // resident cost in the unit of its budget.
+    let finished = core.finished.stats();
+    reg.set("serve_jobs_finished_resident", finished[3].1);
+    for (name, stats) in [
+        ("serve_result_cache", core.results.stats()),
+        ("serve_verify_cache", core.verdicts.stats()),
+        ("serve_jobs_finished", finished),
+        ("sched_cache", SCHEDULES.stats()),
+        ("tape_cache", TAPES.stats()),
+    ] {
+        for (suffix, value) in stats {
+            reg.set(&format!("{name}_{suffix}"), value);
+        }
+    }
     let uptime = core.started.elapsed();
     let uptime_ms = uptime.as_millis().max(1) as u64;
     reg.set("serve_uptime_ms", uptime_ms);
@@ -688,11 +696,9 @@ fn route(core: &Arc<Core>, req: &Request) -> Response {
         let id: u64 = id
             .parse()
             .map_err(|_| Response::error(400, "job id must be an integer"))?;
-        core.jobs
-            .lock()
-            .unwrap()
-            .get(&id)
-            .cloned()
+        // Live first: `retire` files a job as finished before unlisting it.
+        let live = core.jobs.lock().unwrap().get(&id).cloned();
+        live.or_else(|| core.finished.get(&id))
             .ok_or_else(|| Response::error(404, "no such job"))
     };
     match (req.method.as_str(), segs.as_slice()) {
@@ -751,17 +757,19 @@ fn persist_suspended(core: &Core) -> u64 {
     if std::fs::create_dir_all(dir).is_err() {
         return 0;
     }
-    let jobs = core.jobs.lock().unwrap();
+    // Collected first: `retire` takes the table lock under a job's own.
+    let jobs: Vec<Arc<Job>> = core.jobs.lock().unwrap().values().cloned().collect();
     let mut persisted = 0;
-    for job in jobs.values() {
+    for job in jobs {
         let mut st = job.state.lock().unwrap();
-        if st.phase.terminal() {
+        // Retired (terminal) under its own lock since the table was read.
+        let Some(spec) = st.spec.clone() else {
             continue;
-        }
+        };
         st.phase = Phase::Suspended;
         let mut obj = vec![
             ("id".into(), Json::u64(job.id)),
-            ("spec".into(), job.spec.to_json()),
+            ("spec".into(), spec.to_json()),
         ];
         let points: Vec<Json> = st
             .points
@@ -784,7 +792,8 @@ fn persist_suspended(core: &Core) -> u64 {
 }
 
 /// Load drained jobs from the snapshot directory; returns them with their
-/// restored per-point checkpoints. Files are consumed (deleted) on load.
+/// restored per-point checkpoints. Files are consumed on load: deleted, or
+/// set aside as `*.bad` when they do not parse, so no start reads one twice.
 fn restore_jobs(core: &Core) -> Vec<Arc<Job>> {
     let Some(dir) = &core.cfg.snapshot_dir else {
         return Vec::new();
@@ -803,14 +812,14 @@ fn restore_jobs(core: &Core) -> Vec<Arc<Job>> {
         .collect();
     paths.sort();
     for path in paths {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let Some(job) = parse_persisted(core, &text) else {
-            continue;
-        };
-        let _ = std::fs::remove_file(&path);
-        out.push(job);
+        let text = std::fs::read_to_string(&path).unwrap_or_default();
+        if let Some(job) = parse_persisted(core, &text) {
+            let _ = std::fs::remove_file(&path);
+            out.push(job);
+        } else {
+            let _ = std::fs::rename(&path, path.with_extension("json.bad"));
+            core.restore_skipped.fetch_add(1, Ordering::Relaxed);
+        }
     }
     out
 }
@@ -876,21 +885,20 @@ impl Server {
             cfg,
             bound: Mutex::new(Some(addr)),
             jobs: Mutex::new(BTreeMap::new()),
+            finished: Memo::new(FINISHED_BUDGET),
             next_id: AtomicU64::new(1),
             queued: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
-            result_cache: Mutex::new(BTreeMap::new()),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
+            results: Memo::new(RESULT_BUDGET),
             jobs_submitted: AtomicU64::new(0),
             jobs_done: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
             jobs_rejected: AtomicU64::new(0),
             jobs_rejected_static: AtomicU64::new(0),
-            verify_cache: Mutex::new(BTreeMap::new()),
-            verify_hits: AtomicU64::new(0),
-            verify_misses: AtomicU64::new(0),
+            verdicts: Memo::new(VERDICT_BUDGET),
+            restore_skipped: AtomicU64::new(0),
+            restore_restarted: AtomicU64::new(0),
             latency_ms: Mutex::new(Histogram::default()),
             started,
             pool: Mutex::new(None),

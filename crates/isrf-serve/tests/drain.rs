@@ -1,14 +1,16 @@
 //! Graceful drain: killing a server mid-run checkpoints in-flight jobs
 //! to the snapshot directory, and a fresh server on the same directory
 //! resumes them cycle-exactly — the resumed result is word-for-word
-//! identical to an uninterrupted run.
+//! identical to an uninterrupted run. A file that does not parse is set
+//! aside, and a checkpoint the machine rejects costs its progress only.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use isrf_apps::{prepare_app, Profile};
 use isrf_core::config::ConfigName;
-use isrf_serve::{Client, Json, Server, ServerConfig};
+use isrf_serve::{AppRef, Client, Json, PointRunner, PointSpec, Server, ServerConfig};
+use isrf_sim::ExecEngine;
 
 fn snapshot_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("drain-{tag}"));
@@ -142,11 +144,91 @@ fn corrupt_checkpoint_files_do_not_stop_the_server_starting() {
     // Cut off mid-write.
     std::fs::write(dir.join("job-8.json"), r#"{"id":8,"spec":{"app":"so"#).unwrap();
 
+    // The first start sets both aside; the second finds nothing to read.
+    for skipped in [Some(2), None] {
+        let server = Server::start(config(&dir)).unwrap();
+        let mut client = Client::new(server.addr());
+        assert_eq!(client.get("/healthz").unwrap().status, 200);
+        assert_eq!(client.get("/jobs/7").unwrap().status, 404);
+        assert_eq!(client.get("/jobs/8").unwrap().status, 404);
+        assert_eq!(metric(&mut client, "serve_restore_skipped"), skipped);
+        server.stop();
+        for id in [7, 8] {
+            assert!(!dir.join(format!("job-{id}.json")).exists());
+            assert!(dir.join(format!("job-{id}.json.bad")).exists());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One counter of `GET /metrics` (zero counters are not rendered).
+fn metric(client: &mut Client, name: &str) -> Option<u64> {
+    let text = String::from_utf8(client.get("/metrics").unwrap().body).unwrap();
+    text.lines().find_map(|l| {
+        let (key, value) = l.split_once(' ')?;
+        (key == name).then(|| value.trim().parse().unwrap())
+    })
+}
+
+#[test]
+fn a_rejected_checkpoint_restarts_its_point_from_scratch() {
+    let dir = snapshot_dir("rejected");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = PointSpec {
+        app: AppRef::Named("sort".into()),
+        config: ConfigName::Isrf4,
+        profile: Profile::Small,
+        engine: ExecEngine::Tape,
+    };
+    let mut whole = PointRunner::new(&spec, false).unwrap();
+    let want = whole.run(1 << 20, |_| true).unwrap();
+
+    // A real checkpoint, three slices in.
+    let mut paused = PointRunner::new(&spec, false).unwrap();
+    let mut slices = 0;
+    let ran = paused.run(want.stats.cycles / 8, |_| {
+        slices += 1;
+        slices <= 3
+    });
+    assert!(ran.is_none(), "the run must pause mid-way");
+    let good = paused.checkpoint();
+    // Header: the magic (8 bytes), then the version.
+    assert_eq!(&good[..8], b"ISRFSNAP");
+    let mut flipped = good.clone();
+    flipped[good.len() / 2] ^= 0x40;
+    let mut skewed = good.clone();
+    skewed[8] += 1;
+    let truncated = good[..good.len() / 2].to_vec();
+
+    let snaps = [good, flipped, skewed, truncated];
+    for (id, snap) in snaps.iter().enumerate() {
+        let hex: String = snap.iter().map(|b| format!("{b:02x}")).collect();
+        std::fs::write(
+            dir.join(format!("job-{id}.json")),
+            format!(r#"{{"id":{id},"spec":{{"app":"sort","config":"ISRF4"}},"points":["{hex}"]}}"#),
+        )
+        .unwrap();
+    }
     let server = Server::start(config(&dir)).unwrap();
     let mut client = Client::new(server.addr());
-    assert_eq!(client.get("/healthz").unwrap().status, 200);
-    assert_eq!(client.get("/jobs/7").unwrap().status, 404);
-    assert_eq!(client.get("/jobs/8").unwrap().status, 404);
+    for id in 0..snaps.len() as u64 {
+        let st = client.wait_job(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(
+            st.get("status").and_then(Json::as_str),
+            Some("done"),
+            "{}",
+            st.render()
+        );
+        let resp = client.get(&format!("/jobs/{id}/result")).unwrap();
+        let body = String::from_utf8(resp.body).unwrap();
+        assert!(
+            body.contains(&want.to_json().render()),
+            "job {id}: resumed or restarted, the payload is that of a whole run"
+        );
+    }
+    // The good checkpoint resumed; the other three ran from scratch.
+    assert_eq!(metric(&mut client, "serve_restore_restarted"), Some(3));
+    assert_eq!(metric(&mut client, "serve_restore_skipped"), None);
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -446,6 +446,92 @@ fn metrics_report_queue_cache_and_workers() {
 }
 
 #[test]
+fn memos_and_finished_jobs_stay_bounded_under_endless_submissions() {
+    use isrf_serve::server::{FINISHED_BUDGET, RESULT_BUDGET, VERDICT_BUDGET};
+
+    let (server, mut client) = start(2, 8, 50_000);
+    // Cheap to simulate, bulky to keep: two output streams of 8192 words
+    // render to about 180 KB for about a thousand simulated cycles.
+    let spec = |nonce: Option<u64>| {
+        let nonce = nonce.map_or(String::new(), |n| format!(r#","nonce":"fill-{n}""#));
+        format!(
+            r#"{{"source":"kernel two(istream<int> in, ostream<int> a, ostream<int> b) {{ int x, y; while (!eos(in)) {{ in >> x; y = x * 3; a << x; b << y; }} }}","records_per_lane":1024{nonce}}}"#
+        )
+    };
+    let (status, v) = submit(&mut client, &spec(None));
+    assert_eq!(status, 202, "{}", v.render());
+    let first = v.get("id").and_then(Json::as_u64).unwrap();
+    fetch_result(&mut client, first);
+    let resp = client.get(&format!("/jobs/{first}/result")).unwrap();
+    let job_bytes = resp.body.len() as u64;
+
+    // More nonce'd copies than the finished jobs can retain: each costs what
+    // the first did, and two generations' worth retire every older job.
+    let fillers = FINISHED_BUDGET / job_bytes + 2;
+    assert!(
+        fillers * job_bytes > 2 * RESULT_BUDGET,
+        "the result memo sweeps too"
+    );
+    let mut repeats = 0;
+    for n in 0..fillers {
+        let (status, v) = submit(&mut client, &spec(Some(n)));
+        assert_eq!(status, 202, "{}", v.render());
+        let id = v.get("id").and_then(Json::as_u64).unwrap();
+        let st = client.wait_job(id, Duration::from_secs(120)).unwrap();
+        assert_eq!(st.get("status").and_then(Json::as_str), Some("done"));
+        if n % 50 == 49 {
+            // Hit since the last sweep, so it survives the next: the first
+            // spec stays memoized while hundreds of results come and go.
+            let (status, v) = submit(&mut client, &spec(None));
+            assert_eq!(status, 200, "{}", v.render());
+            assert_eq!(v.get("cached").and_then(Json::as_bool), Some(true));
+            repeats += 1;
+        }
+    }
+    assert!(repeats >= 4);
+    // The first job aged out; the latest is still there.
+    assert_eq!(client.get(&format!("/jobs/{first}")).unwrap().status, 404);
+    let last = first + fillers + repeats;
+    assert_eq!(client.get(&format!("/jobs/{last}")).unwrap().status, 200);
+
+    let text = String::from_utf8(client.get("/metrics").unwrap().body).unwrap();
+    let m = |name: &str| metric(&text, name).unwrap_or(0);
+    for (memo, budget) in [
+        ("serve_result_cache", RESULT_BUDGET),
+        ("serve_verify_cache", VERDICT_BUDGET),
+        ("serve_jobs_finished", FINISHED_BUDGET),
+        ("sched_cache", isrf_kernel::sched::SCHEDULE_BUDGET),
+        ("tape_cache", isrf_sim::tape::TAPE_BUDGET),
+    ] {
+        let cost = m(&format!("{memo}_cost"));
+        assert!(cost <= budget, "{memo}: {cost} resident of {budget}");
+        assert!(
+            m(&format!("{memo}_entries")) >= 1,
+            "{memo} is empty:\n{text}"
+        );
+    }
+    assert!(m("serve_result_cache_evictions") > 0, "{text}");
+    assert!(m("serve_jobs_finished_evictions") > 0, "{text}");
+    assert_eq!(m("serve_result_cache_hits"), repeats);
+    assert_eq!(
+        m("serve_jobs_finished_resident"),
+        m("serve_jobs_finished_entries")
+    );
+    assert_eq!(m("serve_jobs_submitted"), 1 + fillers + repeats);
+    assert_eq!(
+        m("serve_jobs_submitted"),
+        m("serve_jobs_done")
+            + m("serve_jobs_failed")
+            + m("serve_jobs_cancelled")
+            + m("serve_jobs_rejected_429")
+            + m("serve_jobs_rejected_static")
+            + m("serve_jobs_live"),
+        "{text}"
+    );
+    server.stop();
+}
+
+#[test]
 fn healthz_and_keepalive() {
     let (server, mut client) = start(1, 4, 50_000);
     // Several requests over one kept-alive connection.

@@ -32,11 +32,10 @@
 //! ([`isrf_kernel::hash`]), so repeated invocations across strip-mined
 //! iterations, machine instances and sweep points compile once.
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::convert::Infallible;
+use std::sync::Arc;
 
-use isrf_core::Word;
+use isrf_core::{Memo, Word};
 use isrf_kernel::hash::{kernel_hash, schedule_hash};
 use isrf_kernel::ir::{Kernel, OpClass, Opcode, Operand};
 use isrf_kernel::sched::Schedule;
@@ -472,37 +471,31 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
 
 /// Compile (or fetch) the tape for `(kernel, sched, lanes)`.
 ///
-/// The cache is process-wide and keyed by content hash, so structurally
+/// [`TAPES`] is process-wide and keyed by content hash, so structurally
 /// identical kernels — across machine instances, strip-mined invocations
-/// and parallel sweep workers — compile exactly once. The lock is not held
-/// during compilation; a rare racing duplicate is dropped on insert.
+/// and parallel sweep workers — compile once while the entry is resident.
 pub fn cached_tape(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Arc<CompiledTape> {
-    #[allow(clippy::type_complexity)]
-    static CACHE: OnceLock<Mutex<BTreeMap<(u128, u128, usize), Arc<CompiledTape>>>> =
-        OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(BTreeMap::new()));
     let key = (kernel_hash(kernel), schedule_hash(sched), lanes);
-    if let Some(hit) = cache.lock().unwrap().get(&key) {
-        TAPE_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
-        return Arc::clone(hit);
-    }
-    TAPE_CACHE_MISSES.fetch_add(1, Ordering::Relaxed);
-    let tape = Arc::new(compile(kernel, sched, lanes));
-    let mut guard = cache.lock().unwrap();
-    Arc::clone(guard.entry(key).or_insert(tape))
+    let compile = || Ok::<_, Infallible>(compile(kernel, sched, lanes));
+    let Ok(tape) = TAPES.get_or_try_insert_with(key, 1, compile);
+    tape
 }
 
-static TAPE_CACHE_HITS: AtomicU64 = AtomicU64::new(0);
-static TAPE_CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
+/// Tapes kept, two generations of 768. `admit_cold` compiles 410 distinct
+/// tapes per 512-job pass and re-reads one four or five times a pass, at most
+/// 452 admissions apart and never two passes: 768 loses none of those hits,
+/// 512 would in one run of twenty (DESIGN.md §11). Not more: a resident tape
+/// costs 18 KiB of peak RSS.
+pub const TAPE_BUDGET: u64 = 1536;
 
-/// Process-lifetime `(hits, misses)` of the [`cached_tape`] memo, for
-/// export by long-running services (a lost insert race still counts as a
-/// miss — the compilation work really happened).
+/// The process-wide memo behind [`cached_tape`].
+pub static TAPES: Memo<(u128, u128, usize), CompiledTape> = Memo::new(TAPE_BUDGET);
+
+/// Process-lifetime `(hits, misses)` of [`TAPES`] (a lost insert race still
+/// counts as a miss — the compilation really happened).
 pub fn tape_cache_stats() -> (u64, u64) {
-    (
-        TAPE_CACHE_HITS.load(Ordering::Relaxed),
-        TAPE_CACHE_MISSES.load(Ordering::Relaxed),
-    )
+    let [(_, hits), (_, misses), ..] = TAPES.stats();
+    (hits, misses)
 }
 
 #[cfg(test)]

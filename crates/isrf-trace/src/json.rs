@@ -404,11 +404,12 @@ impl Parser<'_> {
                 0x00..=0x1f => return Err(self.err("raw control character in string")),
                 _ => {
                     // Consume one UTF-8 scalar (input is &str, so the
-                    // continuation bytes are well-formed).
-                    let rest = std::str::from_utf8(&self.b[self.i..]).expect("input is UTF-8");
-                    let ch = rest.chars().next().expect("peeked non-empty");
-                    out.push(ch);
-                    self.i += ch.len_utf8();
+                    // continuation bytes are well-formed) and re-check only
+                    // it: over the whole rest, a megabyte string is quadratic.
+                    let len = (c.leading_ones() as usize).max(1);
+                    let scalar = &self.b[self.i..self.i + len];
+                    out.push_str(std::str::from_utf8(scalar).expect("input is UTF-8"));
+                    self.i += len;
                 }
             }
         }
