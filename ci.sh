@@ -26,7 +26,9 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check (the build 
 # Tests under cfg(not(debug_assertions)): an out-of-range dynamic index
 # trips a debug_assert in debug builds and must clamp, not panic, in the
 # builds users actually run. The oracle and the lock-step references run
-# here too: the row executor is only vectorised in an optimised build.
+# here too (the indexed arbiter, the memory service walk, the sequencer's
+# phase lists, the memory wait): the row executor is only vectorised in an
+# optimised build.
 cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check
 
 echo "==> cargo fmt --check"
@@ -139,6 +141,15 @@ fi
 if grep -rn 'Mutex<BTreeMap' crates/*/src \
   | grep -v -e '^crates/isrf-core/src/memo.rs:' -e 'jobs: Mutex<BTreeMap<u64, Arc<Job>>>'; then
   echo "a locked map outside isrf_core::Memo and the live-jobs table" >&2
+  exit 1
+fi
+
+echo "==> one memory-wait path (grep gate)"
+# The run loop waits for memory in one place and ticks every cycle of the
+# wait; the skip-ahead knob and the closed-form credit replay it needed must
+# not come back (single-step with `run_for(p, 1)` for a lock-step reference).
+if grep -rn -e 'quiesce_skip' -e 'set_quiescence_skip' -e 'advance_idle' crates/*/src; then
+  echo "a second memory-wait path: extend the wait loop in Machine::run_budget" >&2
   exit 1
 fi
 

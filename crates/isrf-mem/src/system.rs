@@ -217,6 +217,17 @@ struct Inflight {
     /// DRAM burst most recently opened by this transfer (burst-aligned
     /// address / burst_words); words within it are bandwidth-free.
     last_burst: Option<u32>,
+    /// Burst of the word at `cursor`, for a transfer that bypasses the
+    /// cache: derived when the cursor moves, never serialized.
+    next_burst: u32,
+}
+
+impl Inflight {
+    /// The next word rides the burst this transfer has open, so it is
+    /// served whatever the DRAM credit.
+    fn rides_open_burst(&self) -> bool {
+        !self.cacheable && self.last_burst == Some(self.next_burst)
+    }
 }
 
 /// Lifecycle of a slab slot's current occupant.
@@ -251,6 +262,9 @@ pub struct MemorySystem {
     dram_credit: f64,
     dram_latency: u64,
     burst_words: u32,
+    /// `log2(burst_words)` when that is a power of two (it is 1 in every
+    /// preset).
+    burst_shift: Option<u32>,
     cache: Option<VectorCache>,
     cache_words_per_cycle: f64,
     cache_credit: f64,
@@ -273,13 +287,17 @@ impl MemorySystem {
     /// Build the memory system for a machine configuration.
     pub fn new(cfg: &MachineConfig) -> Self {
         let cache = cfg.cache.as_ref().map(VectorCache::new);
+        let burst_words = cfg.dram.burst_words.max(1);
         MemorySystem {
             now: 0,
             mem: Memory::new(),
             dram_words_per_cycle: cfg.dram.words_per_cycle(cfg.clock_ghz),
             dram_credit: 0.0,
             dram_latency: cfg.dram.latency_cycles as u64,
-            burst_words: cfg.dram.burst_words.max(1),
+            burst_words,
+            burst_shift: burst_words
+                .is_power_of_two()
+                .then(|| burst_words.trailing_zeros()),
             cache_words_per_cycle: cfg
                 .cache
                 .as_ref()
@@ -457,6 +475,7 @@ impl MemorySystem {
         self.rr = 0;
         self.inflight.push(Inflight {
             id,
+            next_burst: self.burst_of(pattern.at(0)),
             pattern,
             len,
             cursor: 0,
@@ -501,13 +520,6 @@ impl MemorySystem {
         Some(TransferId { raw, slot, gen })
     }
 
-    /// The cycle at which the earliest outstanding (not yet popped)
-    /// transfer completes, if any. Drives the machine's quiescence
-    /// fast-forward.
-    pub fn next_completion_time(&self) -> Option<u64> {
-        self.ready.peek().map(|&Reverse((t, ..))| t)
-    }
-
     /// Number of transfers still being served word-by-word.
     pub fn inflight_count(&self) -> usize {
         self.inflight.len()
@@ -523,34 +535,6 @@ impl MemorySystem {
     /// in-flight transfers round-robin.
     pub fn tick(&mut self) {
         self.tick_traced(&mut Tracer::Null);
-    }
-
-    /// Advance `cycles` cycles during which no transfer is being served
-    /// (the quiescence fast-forward). Bit-identical to calling
-    /// [`MemorySystem::tick`] `cycles` times while the channel is idle:
-    /// credits saturate through the same per-cycle add-then-clamp.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that no transfer is in service.
-    pub fn advance_idle(&mut self, cycles: u64) {
-        debug_assert!(
-            self.inflight.is_empty(),
-            "advance_idle with transfers in service"
-        );
-        if cycles == 0 {
-            return;
-        }
-        self.served_last_tick = 0;
-        let dram_cap = (self.dram_words_per_cycle * 4.0).max(4.0);
-        let cache_cap = (self.cache_words_per_cycle * 4.0).max(4.0);
-        for _ in 0..cycles {
-            self.dram_credit = (self.dram_credit + self.dram_words_per_cycle).min(dram_cap);
-            if self.cache.is_some() {
-                self.cache_credit = (self.cache_credit + self.cache_words_per_cycle).min(cache_cap);
-            }
-        }
-        self.now += cycles;
     }
 
     /// [`MemorySystem::tick`], emitting transfer/cache events into
@@ -574,36 +558,48 @@ impl MemorySystem {
         // Serve as many words as credits allow, rotating across transfers.
         // The extra rotation makes the marginal (fractional-credit) word
         // alternate between transfers instead of always favoring the first.
-        // Transfers are served where they sit: a round visits them from
+        // Transfers are served where they sit: the walk visits them from
         // `rr` on, wrapping, and removing a finished one keeps the order.
         let mut inflight = std::mem::take(&mut self.inflight);
-        self.rr = (self.rr + 1) % inflight.len();
-        loop {
-            let mut progressed = false;
-            let mut i = self.rr;
-            for _ in 0..inflight.len() {
-                let t = &mut inflight[i];
-                progressed |= self.serve_one(t, tracer);
-                if t.cursor < t.len {
-                    i += 1;
+        self.rr += 1;
+        if self.rr == inflight.len() {
+            self.rr = 0;
+        }
+        // The walk ends the moment no visit could serve a word — a visit
+        // that cannot returns before it touches any state, so the ones not
+        // made are unobservable. A word is servable when it rides an open
+        // burst; otherwise only while there is DRAM credit, and through the
+        // cache only while there is cache credit too.
+        let mut riding = inflight.iter().filter(|t| t.rides_open_burst()).count();
+        let mut uncached = inflight.iter().filter(|t| !t.cacheable).count();
+        let mut i = self.rr;
+        while riding > 0 || self.dram_credit > 0.0 && (uncached > 0 || self.cache_credit > 0.0) {
+            let t = &mut inflight[i];
+            riding -= usize::from(t.rides_open_burst());
+            self.serve_one(t, tracer);
+            if t.cursor < t.len {
+                riding += usize::from(t.rides_open_burst());
+                i += 1;
+            } else {
+                let latency = if t.touched_dram || !t.cacheable {
+                    self.dram_latency
                 } else {
-                    let latency = if t.touched_dram || !t.cacheable {
-                        self.dram_latency
-                    } else {
-                        self.cache_hit_latency
-                    };
-                    self.finish_serving(t.id, self.now + latency);
-                    tracer.emit(self.now, TraceEvent::TransferServed { id: t.id.raw() });
-                    inflight.remove(i);
-                    self.rr -= usize::from(i < self.rr);
+                    self.cache_hit_latency
+                };
+                self.finish_serving(t.id, self.now + latency);
+                tracer.emit(self.now, TraceEvent::TransferServed { id: t.id.raw() });
+                uncached -= usize::from(!t.cacheable);
+                inflight.remove(i);
+                self.rr -= usize::from(i < self.rr);
+                if self.rr == inflight.len() {
+                    self.rr = 0;
                 }
-                if i == inflight.len() {
-                    i = 0;
+                if inflight.is_empty() {
+                    break;
                 }
             }
-            self.rr %= inflight.len().max(1);
-            if !progressed || inflight.is_empty() {
-                break;
+            if i == inflight.len() {
+                i = 0;
             }
         }
         self.inflight = inflight;
@@ -776,8 +772,15 @@ impl MemorySystem {
             let cacheable = d.bool()?;
             let touched_dram = d.bool()?;
             let last_burst = if d.bool()? { Some(d.u32()?) } else { None };
+            if cursor >= len {
+                return Err(SnapError::Mismatch(format!(
+                    "in-flight transfer {} has no word left to serve",
+                    id.raw
+                )));
+            }
             self.inflight.push(Inflight {
                 id,
+                next_burst: self.burst_of(pattern.at(cursor)),
                 pattern,
                 len,
                 cursor,
@@ -815,18 +818,23 @@ impl MemorySystem {
         d.finish()
     }
 
-    /// Try to serve the next word of `t`; returns whether a word was served.
-    fn serve_one(&mut self, t: &mut Inflight, tracer: &mut Tracer) -> bool {
-        if t.cursor >= t.len {
-            return false;
+    /// The DRAM burst holding word address `addr`.
+    fn burst_of(&self, addr: u32) -> u32 {
+        match self.burst_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.burst_words,
         }
-        let addr = t.pattern.at(t.cursor);
+    }
+
+    /// Serve the next word of `t` if the credits allow; if they do not,
+    /// nothing has been touched.
+    fn serve_one(&mut self, t: &mut Inflight, tracer: &mut Tracer) {
         if t.cacheable {
             // Gate on both budgets: a hit consumes only cache bandwidth,
             // but a miss charges DRAM for the fill, and the DRAM debt must
             // be paid down before further cacheable words are served.
             if self.cache_credit <= 0.0 || self.dram_credit <= 0.0 {
-                return false;
+                return;
             }
             // Charge the cache access; a miss additionally charges DRAM for
             // the line fill (and writeback). Credits may go briefly
@@ -835,7 +843,7 @@ impl MemorySystem {
             self.cache_credit -= 1.0;
             let cache = self.cache.as_mut().expect("cacheable implies cache");
             let line_words = cache.line_words() as u64;
-            let probe = cache.probe(addr, t.write);
+            let probe = cache.probe(t.pattern.at(t.cursor), t.write);
             if tracer.enabled() {
                 tracer.emit(
                     self.now,
@@ -859,18 +867,16 @@ impl MemorySystem {
                     self.traffic.bytes_written += line_words * WORD_BYTES;
                 }
             }
+            t.cursor += 1;
         } else {
             // Burst accounting: opening a new burst pays `burst_words` of
             // bandwidth; further words of the same burst ride along free.
-            let burst = addr / self.burst_words;
-            if t.last_burst == Some(burst) {
-                // Same burst: no additional bandwidth.
-            } else {
+            if !t.rides_open_burst() {
                 if self.dram_credit <= 0.0 {
-                    return false;
+                    return;
                 }
                 self.dram_credit -= self.burst_words as f64;
-                t.last_burst = Some(burst);
+                t.last_burst = Some(t.next_burst);
             }
             t.touched_dram = true;
             if t.write {
@@ -878,10 +884,12 @@ impl MemorySystem {
             } else {
                 self.traffic.bytes_read += WORD_BYTES;
             }
+            t.cursor += 1;
+            if t.cursor < t.len {
+                t.next_burst = self.burst_of(t.pattern.at(t.cursor));
+            }
         }
-        t.cursor += 1;
         self.served_last_tick += 1;
-        true
     }
 }
 
@@ -1180,31 +1188,6 @@ mod tests {
         assert!(matches!(err, SnapError::Mismatch(_)), "{err}");
     }
 
-    #[test]
-    fn advance_idle_matches_ticking_while_idle() {
-        let mut a = base_system();
-        let mut b = base_system();
-        // Desynchronize the credit state from its cap first.
-        let (ia, _) = a.start_read(&AddrPattern::contiguous(0, 37), false);
-        let (ib, _) = b.start_read(&AddrPattern::contiguous(0, 37), false);
-        while a.inflight_count() > 0 {
-            a.tick();
-            b.tick();
-        }
-        for _ in 0..23 {
-            a.tick();
-        }
-        b.advance_idle(23);
-        assert_eq!(a.now(), b.now());
-        assert_eq!(a.is_complete(ia), b.is_complete(ib));
-        // Subsequent service timing is identical: credits advanced the
-        // same way on both systems.
-        let (na, _) = a.start_read(&AddrPattern::contiguous(0, 555), false);
-        let (nb, _) = b.start_read(&AddrPattern::contiguous(0, 555), false);
-        let ca = run_until_complete(&mut a, na, 10_000);
-        let cb = run_until_complete(&mut b, nb, 10_000);
-        assert_eq!(ca, cb);
-    }
     /// The service schedule is pinned: three concurrent transfers — a
     /// contiguous read that finishes while the others are mid-service, a
     /// strided write paying burst granularity, a cacheable gather — must

@@ -1,45 +1,52 @@
 //! Property tests for the memory system: traffic accounting, functional
 //! gather/scatter consistency, bandwidth bounds, and the service schedule
-//! against [`reference`], the rotate-the-queue controller it replaced.
+//! in lock-step against [`reference`], the round loop it replaced.
 
 use isrf_core::config::{ConfigName, MachineConfig};
-use isrf_mem::{AddrPattern, MemorySystem};
+use isrf_core::snap::{read_sections, Dec, SnapError};
+use isrf_core::stats::MemTraffic;
+use isrf_mem::{AddrPattern, Memory, MemorySystem};
+use isrf_trace::{TraceEvent, Tracer};
 use proptest::prelude::*;
 
-/// The memory controller's timing side as it stood when every served
-/// word popped its transfer off the front of a queue and pushed it on the
-/// back: the executable specification of credit arithmetic, round-robin
-/// order and completion times.
+/// The memory controller's timing side as it stood when a tick walked
+/// whole rounds over the in-flight transfers — every one of them visited,
+/// its address recomputed and divided into a burst, until a full round
+/// served nothing: the executable specification of credit arithmetic,
+/// round-robin order, completion times and events. `tick` and `serve_one`
+/// are that loop verbatim, over materialized address lists.
 mod reference {
-    use std::collections::VecDeque;
-
     use isrf_core::config::MachineConfig;
     use isrf_core::stats::MemTraffic;
     use isrf_mem::VectorCache;
+    use isrf_trace::{TraceEvent, Tracer};
 
     pub struct Transfer {
-        pub id: usize,
-        pub addrs: Vec<u32>,
-        pub write: bool,
-        pub cacheable: bool,
-        cursor: usize,
+        pub id: u64,
+        addrs: Vec<u32>,
+        write: bool,
+        cacheable: bool,
+        pub cursor: usize,
         touched_dram: bool,
-        last_burst: Option<u32>,
+        pub last_burst: Option<u32>,
     }
 
     pub struct Controller {
         pub now: u64,
         dram_words_per_cycle: f64,
-        dram_credit: f64,
+        pub dram_credit: f64,
         dram_latency: u64,
         burst_words: u32,
         cache: Option<VectorCache>,
         cache_words_per_cycle: f64,
-        cache_credit: f64,
+        pub cache_credit: f64,
         cache_hit_latency: u64,
-        pub inflight: VecDeque<Transfer>,
+        /// In round-robin order from index `rr`, wrapping.
+        pub inflight: Vec<Transfer>,
+        pub rr: usize,
         /// Cycle each issued transfer's data is usable from, once served.
         pub complete_at: Vec<Option<u64>>,
+        popped: Vec<bool>,
         pub traffic: MemTraffic,
         pub served_last_tick: u64,
     }
@@ -57,30 +64,49 @@ mod reference {
                 cache_credit: 0.0,
                 cache_hit_latency: cache.map_or(0, |c| c.hit_latency as u64),
                 cache: cache.map(VectorCache::new),
-                inflight: VecDeque::new(),
+                inflight: Vec::new(),
+                rr: 0,
                 complete_at: Vec::new(),
+                popped: Vec::new(),
                 traffic: MemTraffic::default(),
                 served_last_tick: 0,
             }
         }
 
         pub fn enqueue(&mut self, addrs: Vec<u32>, write: bool, cacheable: bool) {
-            let id = self.complete_at.len();
+            let id = self.complete_at.len() as u64;
             self.complete_at.push(addrs.is_empty().then_some(self.now));
-            if !addrs.is_empty() {
-                self.inflight.push_back(Transfer {
-                    id,
-                    addrs,
-                    write,
-                    cacheable: cacheable && self.cache.is_some(),
-                    cursor: 0,
-                    touched_dram: false,
-                    last_burst: None,
-                });
+            self.popped.push(false);
+            if addrs.is_empty() {
+                return;
             }
+            // The newcomer is last in round-robin order.
+            self.inflight.rotate_left(self.rr);
+            self.rr = 0;
+            self.inflight.push(Transfer {
+                id,
+                addrs,
+                write,
+                cacheable: cacheable && self.cache.is_some(),
+                cursor: 0,
+                touched_dram: false,
+                last_burst: None,
+            });
         }
 
-        pub fn tick(&mut self) {
+        /// The next usable transfer in (completion cycle, issue id) order.
+        pub fn pop_ready(&mut self) -> Option<u64> {
+            let usable = |id: &usize| {
+                !self.popped[*id] && self.complete_at[*id].is_some_and(|t| t <= self.now)
+            };
+            let id = (0..self.complete_at.len())
+                .filter(usable)
+                .min_by_key(|&id| (self.complete_at[id], id))?;
+            self.popped[id] = true;
+            Some(id as u64)
+        }
+
+        pub fn tick(&mut self, tracer: &mut Tracer) {
             self.now += 1;
             self.served_last_tick = 0;
             let dram_cap = (self.dram_words_per_cycle * 4.0).max(4.0);
@@ -89,37 +115,47 @@ mod reference {
                 let cache_cap = (self.cache_words_per_cycle * 4.0).max(4.0);
                 self.cache_credit = (self.cache_credit + self.cache_words_per_cycle).min(cache_cap);
             }
-            if self.inflight.len() > 1 {
-                let t = self.inflight.pop_front().expect("len > 1");
-                self.inflight.push_back(t);
+
+            if self.inflight.is_empty() {
+                return;
             }
-            'serve: loop {
+            let mut inflight = std::mem::take(&mut self.inflight);
+            self.rr = (self.rr + 1) % inflight.len();
+            loop {
                 let mut progressed = false;
-                for _ in 0..self.inflight.len() {
-                    let Some(mut t) = self.inflight.pop_front() else {
-                        break 'serve;
-                    };
-                    if self.serve_one(&mut t) {
-                        progressed = true;
-                    }
-                    if t.cursor >= t.addrs.len() {
+                let mut i = self.rr;
+                for _ in 0..inflight.len() {
+                    let t = &mut inflight[i];
+                    progressed |= self.serve_one(t, tracer);
+                    if t.cursor < t.addrs.len() {
+                        i += 1;
+                    } else {
                         let latency = if t.touched_dram || !t.cacheable {
                             self.dram_latency
                         } else {
                             self.cache_hit_latency
                         };
-                        self.complete_at[t.id] = Some(self.now + latency);
-                    } else {
-                        self.inflight.push_back(t);
+                        self.complete_at[t.id as usize] = Some(self.now + latency);
+                        tracer.emit(self.now, TraceEvent::TransferServed { id: t.id });
+                        inflight.remove(i);
+                        self.rr -= usize::from(i < self.rr);
+                    }
+                    if i == inflight.len() {
+                        i = 0;
                     }
                 }
-                if !progressed {
+                self.rr %= inflight.len().max(1);
+                if !progressed || inflight.is_empty() {
                     break;
                 }
             }
+            self.inflight = inflight;
         }
 
-        fn serve_one(&mut self, t: &mut Transfer) -> bool {
+        fn serve_one(&mut self, t: &mut Transfer, tracer: &mut Tracer) -> bool {
+            if t.cursor >= t.addrs.len() {
+                return false;
+            }
             let addr = t.addrs[t.cursor];
             if t.cacheable {
                 if self.cache_credit <= 0.0 || self.dram_credit <= 0.0 {
@@ -129,6 +165,15 @@ mod reference {
                 let cache = self.cache.as_mut().expect("cacheable implies cache");
                 let line_words = cache.line_words() as u64;
                 let probe = cache.probe(addr, t.write);
+                if tracer.enabled() {
+                    tracer.emit(
+                        self.now,
+                        TraceEvent::CacheProbe {
+                            hit: probe.hit,
+                            writeback: probe.writeback,
+                        },
+                    );
+                }
                 if probe.hit {
                     self.traffic.cache_hit_bytes += 4;
                 } else {
@@ -143,7 +188,9 @@ mod reference {
                 }
             } else {
                 let burst = addr / self.burst_words;
-                if t.last_burst != Some(burst) {
+                if t.last_burst == Some(burst) {
+                    // Same burst: no additional bandwidth.
+                } else {
                     if self.dram_credit <= 0.0 {
                         return false;
                     }
@@ -162,6 +209,44 @@ mod reference {
             true
         }
     }
+}
+
+/// What a snapshot shows of the controller's timing state: the bits of the
+/// two credits, and the transfers in service as `(raw id, cursor, open
+/// burst)` in round-robin order.
+type TimingState = (u64, u64, Vec<(u64, usize, Option<u32>)>);
+
+/// Read [`TimingState`] back out of `MemorySystem::encode_state`'s `sys`
+/// section (layout in `system.rs`).
+fn timing_state(sys: &MemorySystem) -> TimingState {
+    let sections = read_sections(&sys.encode_state()).expect("a section list");
+    assert_eq!(sections[0].name, "sys");
+    let mut d = Dec::new(&sections[0].bytes);
+    let mut parse = || -> Result<TimingState, SnapError> {
+        d.u64()?; // clock
+        let (dram, cache) = (d.f64()?.to_bits(), d.f64()?.to_bits());
+        d.u64()?; // words served last tick
+        d.u64()?; // next id
+        MemTraffic::decode_state(&mut d)?;
+        let mut serving = Vec::new();
+        for _ in 0..d.usize()? {
+            let raw = d.u64()?;
+            d.bytes(8)?; // slot, generation
+            let pattern_words = match d.u8()? {
+                0 => 1,
+                1 => 3,
+                _ => d.usize()?,
+            };
+            d.bytes(4 * pattern_words)?;
+            d.usize()?; // length
+            let cursor = d.usize()?;
+            d.bytes(3)?; // write, cacheable, touched DRAM
+            let open = if d.bool()? { Some(d.u32()?) } else { None };
+            serving.push((raw, cursor, open));
+        }
+        Ok((dram, cache, serving))
+    };
+    parse().expect("a well-formed snapshot")
 }
 
 fn finish(sys: &mut MemorySystem, id: isrf_mem::TransferId) -> u64 {
@@ -289,7 +374,6 @@ proptest! {
         prop_assert!(live.is_empty(), "drain left transfers unpopped: {live:?}");
         prop_assert_eq!(popped.len(), lens.len());
         prop_assert!(sys.pop_ready().is_none());
-        prop_assert!(sys.next_completion_time().is_none());
         // Every popped id reads complete forever, even after slot reuse.
         for id in &popped {
             prop_assert!(sys.is_complete(*id));
@@ -326,38 +410,57 @@ proptest! {
         sorted.sort();
         prop_assert_eq!(&order, &sorted, "pops left (cycle, id) order");
     }
-    /// In-place service keeps the old schedule: over random issue
-    /// schedules of contiguous, strided and gathered transfers, reads and
-    /// writes, cacheable or not, on Base and Cache with one- and four-word
-    /// bursts, every tick serves the words the rotating queue served,
-    /// completes what it completed, and counts the traffic it counted.
+    /// The O(words served) walk keeps the round loop's schedule. Random
+    /// issue schedules of contiguous, strided and gathered transfers — the
+    /// gathers with runs of repeated addresses, so words ride an open burst
+    /// even at one-word bursts — reads and writes, cacheable or not, on
+    /// Base and Cache with bursts of one to four words, enqueued mid-flight
+    /// and finishing mid-round: after every tick the credits are equal to
+    /// the bit, the same words were served to the same transfers in the
+    /// same round-robin order, the same traffic was counted, the same
+    /// events emitted, and the same transfers complete and pop in the same
+    /// order.
     #[test]
-    fn service_matches_the_rotating_queue(
+    fn service_matches_the_round_loop(
         cache in any::<bool>(),
-        burst4 in any::<bool>(),
+        burst in 1u32..=4,
         issues in prop::collection::vec(
-            (0u64..40, 0u8..3, 0u32..90, 0u32..5000, any::<bool>(), any::<bool>()),
+            (0u64..40, 0u8..3, 0u32..90, 0u32..5000, 1u32..4, (any::<bool>(), any::<bool>())),
             1..14,
         ),
     ) {
         let mut cfg = MachineConfig::preset(if cache { ConfigName::Cache } else { ConfigName::Base });
-        cfg.dram.burst_words = if burst4 { 4 } else { 1 };
+        cfg.dram.burst_words = burst;
+        // A 32-line cache: the transfers evict each other's lines, dirty
+        // ones included, and a snapshot a tick stays cheap.
+        if let Some(c) = &mut cfg.cache {
+            c.capacity_bytes = 256;
+        }
         let mut sys = MemorySystem::new(&cfg);
         let mut old = reference::Controller::new(&cfg);
+        let (mut trace, mut old_trace) = (Tracer::recording(1 << 16), Tracer::recording(1 << 16));
+        let events_from = |t: &Tracer, from: usize| -> Vec<(u64, TraceEvent)> {
+            t.recorder().expect("recording").ring().iter().skip(from).cloned().collect()
+        };
+        let mut seen = 0;
         let mut ids = Vec::new();
         let mut pending = issues.iter();
         let mut next = pending.next();
         let mut wait = next.map_or(0, |i| i.0);
         let mut guard = 0;
         while next.is_some() || sys.busy() {
-            while let Some(&(_, kind, len, base, write, cacheable)) = next.filter(|_| wait == 0) {
+            while let Some(&(_, kind, len, base, run, (write, cacheable))) = next.filter(|_| wait == 0) {
                 let pattern = match kind {
                     0 => AddrPattern::contiguous(base, len),
                     1 => AddrPattern::strided(base, 1 + len % 3, 7 + base % 9, len / 3),
-                    _ => AddrPattern::Indexed((0..len).map(|i| base + (i * 37) % 61).collect()),
+                    _ => AddrPattern::Indexed((0..len).map(|i| base + (i / run * 37) % 61).collect()),
                 };
                 let id = if write {
-                    sys.start_write(&pattern, &vec![1; pattern.len()], cacheable)
+                    let id = sys.start_write(&pattern, &vec![1; pattern.len()], cacheable);
+                    // Timing never reads the functional image: dropping it
+                    // keeps it out of every snapshot.
+                    *sys.memory_mut() = Memory::new();
+                    id
                 } else {
                     sys.start_read(&pattern, cacheable).0
                 };
@@ -366,15 +469,28 @@ proptest! {
                 next = pending.next();
                 wait = next.map_or(0, |i| i.0);
             }
-            sys.tick();
-            old.tick();
+            sys.tick_traced(&mut trace);
+            old.tick(&mut old_trace);
             wait = wait.saturating_sub(1);
             prop_assert_eq!(sys.words_served_last_tick(), old.served_last_tick, "cycle {}", old.now);
-            prop_assert_eq!(sys.inflight_count(), old.inflight.len());
             prop_assert_eq!(sys.traffic(), old.traffic);
+            let (from_rr, to_rr) = old.inflight.split_at(old.rr);
+            let serving = to_rr.iter().chain(from_rr).map(|t| (t.id, t.cursor, t.last_burst)).collect();
+            let old_state = (old.dram_credit.to_bits(), old.cache_credit.to_bits(), serving);
+            prop_assert_eq!(timing_state(&sys), old_state, "cycle {}", old.now);
+            let events = events_from(&trace, seen);
+            prop_assert_eq!(&events, &events_from(&old_trace, seen), "cycle {}", old.now);
+            seen += events.len();
             for (id, at) in ids.iter().zip(&old.complete_at) {
                 let done = at.is_some_and(|t| old.now >= t);
                 prop_assert_eq!(sys.is_complete(*id), done, "transfer {} at {}", id.raw(), old.now);
+            }
+            loop {
+                let (popped, old_popped) = (sys.pop_ready(), old.pop_ready());
+                prop_assert_eq!(popped.map(|id| id.raw()), old_popped, "cycle {}", old.now);
+                if popped.is_none() {
+                    break;
+                }
             }
             guard += 1;
             prop_assert!(guard < 100_000, "never drained");

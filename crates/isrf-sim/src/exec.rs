@@ -34,7 +34,9 @@ use isrf_trace::{StallReason, TraceEvent, Tracer};
 use crate::indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 use crate::srf::Srf;
 use crate::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
-use crate::tape::{cached_tape, row_chunk, CompiledTape, MicroKind, MicroOp, RSrc, CHUNK, NO_DST};
+use crate::tape::{
+    cached_tape, iteration, row_chunk, CompiledTape, MicroKind, MicroOp, RSrc, CHUNK, NO_DST,
+};
 
 /// The kernel execution engine. There is one — every [`KernelRun`]
 /// executes a pre-compiled flat micro-op program
@@ -103,14 +105,24 @@ pub struct KernelRun {
     idx_params: Option<IdxParams>,
     /// Kernel-local cycle (advances only on non-stall cycles).
     t: u64,
+    /// `t mod ii` and `t / ii` (the youngest iteration that may be in
+    /// flight), advanced with `t`: the sequencer indexes the tape's phase
+    /// lists by them and never divides.
+    phase: usize,
+    base: u64,
+    /// Kernel cycle by which the last iteration's results are produced.
+    exec_end: u64,
+    /// `len - 1` when the length `Machine::new` gives every scratchpad is a
+    /// power of two: addresses wrap by mask, not by division.
+    scratch_mask: Option<usize>,
     comm_busy_prev: bool,
     /// Staging rows (one word per lane, padded to whole chunks) that a
     /// stream op's operands are resolved into once per op.
     rows: [Vec<Word>; 2],
-    /// While stalled: the `(iteration, check index)` that blocked last
-    /// cycle, where the next cycle's stall scan resumes. Host-only (never
-    /// serialized): a full scan names the same blocker.
-    stall_at: Option<(u64, u32)>,
+    /// While stalled: the position in the tape's check list that blocked
+    /// last cycle, where the next cycle's stall scan resumes. Host-only
+    /// (never serialized): a full scan names the same blocker.
+    stall_at: Option<u32>,
     /// Compiled micro-op program (compiled lazily on first tick unless
     /// pre-set by the machine's per-dispatch memo).
     tape: Option<Arc<CompiledTape>>,
@@ -179,6 +191,7 @@ impl KernelRun {
             };
             slots.push(state);
         }
+        let scratch_words = cfg.cluster.scratchpad_words.max(1);
         KernelRun {
             iters,
             lanes,
@@ -192,6 +205,13 @@ impl KernelRun {
                 .as_ref()
                 .map(|_| IdxParams::from_machine(cfg)),
             t: 0,
+            phase: 0,
+            base: 0,
+            exec_end: match iters {
+                0 => 0,
+                _ => (iters - 1) * u64::from(sched.ii) + u64::from(sched.completion),
+            },
+            scratch_mask: scratch_words.is_power_of_two().then_some(scratch_words - 1),
             comm_busy_prev: false,
             rows: std::array::from_fn(|_| vec![0; lanes.next_multiple_of(CHUNK)]),
             stall_at: None,
@@ -277,6 +297,8 @@ impl KernelRun {
     /// ([`KernelRun::set_tape`]).
     pub(crate) fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
         self.t = d.u64()?;
+        let ii = u64::from(self.sched.ii);
+        (self.phase, self.base) = ((self.t % ii) as usize, self.t / ii);
         self.advance_cycles = d.u64()?;
         self.stall_cycles = d.u64()?;
         self.consecutive_stalls = d.u64()?;
@@ -355,17 +377,9 @@ impl KernelRun {
         self.iters * self.sched.ii as u64
     }
 
-    fn exec_end(&self) -> u64 {
-        if self.iters == 0 {
-            0
-        } else {
-            (self.iters - 1) * self.sched.ii as u64 + self.sched.completion as u64
-        }
-    }
-
     /// All iterations fired and results produced?
     pub fn exec_done(&self) -> bool {
-        self.t >= self.exec_end()
+        self.t >= self.exec_end
     }
 
     /// Fully complete, including output drains?
@@ -420,7 +434,6 @@ impl KernelRun {
             self.set_tape(tape);
         }
         if self.fire_cycle_tape(now, scratch, tracer) {
-            self.t += 1;
             self.advance_cycles += 1;
             self.consecutive_stalls = 0;
             Phase::Advanced
@@ -503,8 +516,8 @@ impl KernelRun {
     }
 
     /// Fire every micro-op scheduled for this kernel cycle, for every
-    /// in-flight iteration; returns false (and changes nothing) when any of
-    /// them cannot proceed.
+    /// in-flight iteration, and advance the kernel cycle; returns false (and
+    /// changes nothing) when any of them cannot proceed.
     fn fire_cycle_tape(
         &mut self,
         now: u64,
@@ -512,16 +525,12 @@ impl KernelRun {
         tracer: &mut Tracer,
     ) -> bool {
         let tape = self.tape.as_deref().expect("tape engine without a tape");
-        let t = self.t;
-        let ii = tape.ii;
-        let span = tape.span;
-        let j_hi = (t / ii).min(self.iters.saturating_sub(1));
-        let j_lo = if t >= span { (t - span) / ii + 1 } else { 0 };
+        let phase = tape.phases[self.phase];
         // Zero the ring rows of newly-active iterations: consumers read
         // slots of not-yet-fired producers as 0. The ring is deep enough
         // (`stages + max_dist + 1` rounded up) that a reused row is fully
         // dead by the time it comes around again.
-        while self.ring_next_zero <= j_hi {
+        while self.ring_next_zero <= self.base.min(self.iters - 1) {
             let row = (self.ring_next_zero & tape.mask) as usize * tape.row_words;
             self.ring[row..row + tape.row_words].fill(0);
             self.ring_next_zero += 1;
@@ -532,49 +541,39 @@ impl KernelRun {
         // it pops and pushes nothing, so buffers only fill, FIFOs only
         // drain and time only passes: a check that passed stays passed,
         // and the scan resumes at the check that blocked last cycle.
-        let (j_from, ci_from) = self.stall_at.take().unwrap_or((j_lo, 0));
-        for j in j_from..=j_hi {
-            let slot = t - j * ii;
-            if slot >= span {
+        let from = self.stall_at.take().unwrap_or(phase.checks.0);
+        for ci in from..phase.checks.1 {
+            let check = tape.checks[ci as usize];
+            let Some(j) = iteration(self.base, check.stage, self.iters) else {
                 continue;
-            }
-            let g = tape.groups[slot as usize];
-            let first = if j == j_from {
-                ci_from.max(g.checks.0)
-            } else {
-                g.checks.0
             };
-            for ci in first..g.checks.1 {
-                let mop = &tape.ops[tape.checks[ci as usize] as usize];
-                let cond = stage(
-                    &self.ring,
-                    tape.rsrc(mop.a, j),
-                    &mut self.rows[0],
-                    self.lanes,
-                );
-                let blocked = blocker(mop, cond, now, &self.slots, &self.idx_states);
-                if let Some((slot_id, reason)) = blocked {
-                    if tracer.enabled() {
-                        tracer.emit(
-                            now,
-                            TraceEvent::KernelStall {
-                                slot: slot_id,
-                                reason,
-                            },
-                        );
-                    }
-                    self.stall_at = Some((j, ci));
-                    return false;
+            let mop = &tape.ops[check.op as usize];
+            let cond = stage(
+                &self.ring,
+                tape.rsrc(mop.a, j),
+                &mut self.rows[0],
+                self.lanes,
+            );
+            let blocked = blocker(mop, cond, now, &self.slots, &self.idx_states);
+            if let Some((slot_id, reason)) = blocked {
+                if tracer.enabled() {
+                    tracer.emit(
+                        now,
+                        TraceEvent::KernelStall {
+                            slot: slot_id,
+                            reason,
+                        },
+                    );
                 }
+                self.stall_at = Some(ci);
+                return false;
             }
         }
         let mut comm_busy = false;
-        for j in j_lo..=j_hi {
-            let slot = t - j * ii;
-            if slot >= span {
+        for g in &tape.groups[phase.groups.0 as usize..phase.groups.1 as usize] {
+            let Some(j) = iteration(self.base, g.stage, self.iters) else {
                 continue;
-            }
-            let g = tape.groups[slot as usize];
+            };
             comm_busy |= g.comm_busy;
             for mop in &tape.ops[g.ops.0 as usize..g.ops.1 as usize] {
                 exec_tape_op(
@@ -587,10 +586,17 @@ impl KernelRun {
                     &mut self.ring,
                     &mut self.rows,
                     scratch,
+                    self.scratch_mask,
                 );
             }
         }
         self.comm_busy_prev = comm_busy;
+        self.t += 1;
+        self.phase += 1;
+        if self.phase == tape.phases.len() {
+            self.phase = 0;
+            self.base += 1;
+        }
         true
     }
 }
@@ -679,6 +685,7 @@ fn exec_tape_op(
     ring: &mut [Word],
     rows: &mut [Vec<Word>; 2],
     scratch: &mut [Vec<Word>],
+    scratch_mask: Option<usize>,
 ) {
     let dst = (mop.dst != NO_DST).then(|| tape.row_base(j, mop.dst));
     if let MicroKind::Alu(opc) = mop.kind {
@@ -710,6 +717,11 @@ fn exec_tape_op(
             }
         };
     }
+    // A scratchpad address wraps at the pad's length.
+    let wrap = |addr: Word, len: usize| match scratch_mask {
+        Some(mask) => addr as usize & mask,
+        None => addr as usize % len,
+    };
     match mop.kind {
         MicroKind::Alu(_) => unreachable!("handled above"),
         MicroKind::SeqRead { slot } | MicroKind::CondLaneRead { slot } => {
@@ -750,13 +762,13 @@ fn exec_tape_op(
         }
         MicroKind::ScratchRead => {
             for ((o, pad), &addr) in out!().iter_mut().zip(scratch).zip(a) {
-                *o = pad[addr as usize % pad.len()];
+                *o = pad[wrap(addr, pad.len())];
             }
         }
         MicroKind::ScratchWrite => {
             let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
             for ((pad, &addr), &v) in scratch.iter_mut().zip(a).zip(b) {
-                let at = addr as usize % pad.len();
+                let at = wrap(addr, pad.len());
                 pad[at] = v;
             }
             commit!(b);

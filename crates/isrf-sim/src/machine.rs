@@ -85,9 +85,6 @@ pub struct Machine {
     pending: Vec<Option<PendingTransfer>>,
     /// Reusable staging buffer for store/scatter source data.
     store_buf: Vec<Word>,
-    /// Fast-forward across cycles where every sequencer is stalled on
-    /// memory (on by default; identical observable behavior either way).
-    quiesce_skip: bool,
     /// Static verifier consulted before simulation, when installed.
     verifier: Option<Arc<dyn ProgramVerifier>>,
     /// Per-bank word intervals known to hold data (sorted, disjoint):
@@ -120,7 +117,6 @@ impl Machine {
             tracer: Tracer::Null,
             pending: Vec::new(),
             store_buf: Vec::new(),
-            quiesce_skip: true,
             verifier: None,
             filled: Vec::new(),
             active: None,
@@ -142,14 +138,6 @@ impl Machine {
             (Arc::clone(kernel), Arc::clone(sched), Arc::clone(&tape)),
         );
         tape
-    }
-
-    /// Enable or disable the quiescence fast-forward (skipping runs of
-    /// cycles where the sequencer is idle and every live transfer is just
-    /// waiting out its access latency). On by default; disabling it only
-    /// slows simulation — cycle counts, stats and traces are identical.
-    pub fn set_quiescence_skip(&mut self, on: bool) {
-        self.quiesce_skip = on;
     }
 
     /// The machine configuration.
@@ -562,9 +550,10 @@ impl Machine {
         meta.u64(snap::fnv1a(format!("{:?}", self.cfg).as_bytes()));
         meta.u64(snap::fnv1a(format!("{program:?}").as_bytes()));
         // Reserved byte of the `meta` layout: always 0, and restore
-        // rejects anything else.
+        // rejects anything else. The flag after it carried a run-loop
+        // option that no longer exists: written `true`, ignored on read.
         meta.u8(0);
-        meta.bool(self.quiesce_skip);
+        meta.bool(true);
         meta.u64(self.now);
         meta.f64(self.mem_port_words);
         self.stats.encode_state(&mut meta);
@@ -713,7 +702,7 @@ impl Machine {
                 "reserved meta byte is {reserved}, not 0"
             )));
         }
-        self.quiesce_skip = meta.bool()?;
+        meta.bool()?;
         self.now = meta.u64()?;
         self.mem_port_words = meta.f64()?;
         self.stats = RunStats::decode_state(&mut meta)?;
@@ -961,178 +950,159 @@ impl Machine {
                 }
             }
 
-            // Quiescence fast-forward: no kernel running or dispatchable,
-            // nothing left to issue, and every live transfer has been
-            // fully served — the machine would spend every cycle up to the
-            // next completion in a pure memory stall, so take them all at
-            // once. `advance_idle` replays the credit refill cycle by
-            // cycle, so this is bit-identical to ticking; the port-debt
-            // gate keeps any PortPreempted cycle on the slow path. The
-            // budget clamp pauses mid-stall without observable difference:
-            // the remaining stall cycles replay identically on resume.
-            if self.quiesce_skip
-                && rs.kernel_run.is_none()
-                && rs.live_transfers > 0
-                && self.mem.inflight_count() == 0
-                && self.mem_port_words < block
-            {
-                if let Some(t) = self.mem.next_completion_time() {
-                    let skip = t.saturating_sub(self.now + 1).min(budget - used - 1);
-                    if skip > 0 {
-                        if self.tracer.enabled() {
-                            for c in 1..=skip {
-                                self.tracer
-                                    .emit(self.now + c, TraceEvent::Cycle(CycleAttr::MemStall));
-                            }
-                        }
-                        self.mem.advance_idle(skip);
-                        self.now += skip;
-                        self.stats.breakdown.mem_stall += skip;
-                        self.stats.cycles += skip;
-                        used += skip;
+            // One machine cycle — and, in a memory wait, every cycle up to
+            // the next retirement: while no kernel runs or can be dispatched,
+            // nothing is left to issue and transfers are live, only a
+            // retiring transfer changes what the loop head decides, so those
+            // cycles tick memory, settle the port debt and look for
+            // completions without passing through it. A slice that ends
+            // mid-wait resumes in the same state.
+            loop {
+                self.now += 1;
+                self.mem.tick_traced(&mut self.tracer);
+                // Memory transfers consume the SRF port: one block grant per
+                // N*m words moved.
+                self.mem_port_words += self.mem.words_served_last_tick() as f64;
+                let mem_claims_port = if self.mem_port_words >= block {
+                    self.mem_port_words -= block;
+                    if self.tracer.enabled() {
+                        self.tracer.emit(self.now, TraceEvent::PortPreempted);
+                    }
+                    true
+                } else {
+                    false
+                };
+
+                // Retire finished transfers in (completion cycle, issue id)
+                // order, landing load data in the SRF.
+                let mut retired = false;
+                while let Some(id) = self.mem.pop_ready() {
+                    let Some(pt) = self.pending.get_mut(id.slot()).and_then(Option::take) else {
+                        continue; // issued directly on the memory system, not ours
+                    };
+                    retired = true;
+                    rs.live_transfers -= 1;
+                    if let Some((dst, data)) = pt.fill {
+                        self.srf.write_stream(&dst, &data);
+                    }
+                    complete_op(
+                        pt.op,
+                        program,
+                        &mut rs.done,
+                        &mut rs.completed,
+                        &mut rs.pending_deps,
+                        &dependents,
+                        &mut rs.ready_mem,
+                    );
+                    if self.tracer.enabled() {
+                        self.tracer.emit(
+                            self.now,
+                            TraceEvent::TransferDone {
+                                op: pt.op as u32,
+                                id: id.raw(),
+                            },
+                        );
                     }
                 }
-            }
 
-            // ---- One machine cycle. ----
-            self.now += 1;
-            self.mem.tick_traced(&mut self.tracer);
-            // Memory transfers consume the SRF port: one block grant per
-            // N*m words moved.
-            self.mem_port_words += self.mem.words_served_last_tick() as f64;
-            let mem_claims_port = if self.mem_port_words >= block {
-                self.mem_port_words -= block;
-                if self.tracer.enabled() {
-                    self.tracer.emit(self.now, TraceEvent::PortPreempted);
-                }
-                true
-            } else {
-                false
-            };
-
-            // Retire finished transfers in (completion cycle, issue id)
-            // order, landing load data in the SRF.
-            while let Some(id) = self.mem.pop_ready() {
-                let Some(pt) = self.pending.get_mut(id.slot()).and_then(Option::take) else {
-                    continue; // issued directly on the memory system, not ours
-                };
-                rs.live_transfers -= 1;
-                if let Some((dst, data)) = pt.fill {
-                    self.srf.write_stream(&dst, &data);
-                }
-                complete_op(
-                    pt.op,
-                    program,
-                    &mut rs.done,
-                    &mut rs.completed,
-                    &mut rs.pending_deps,
-                    &dependents,
-                    &mut rs.ready_mem,
-                );
-                if self.tracer.enabled() {
-                    self.tracer.emit(
-                        self.now,
-                        TraceEvent::TransferDone {
-                            op: pt.op as u32,
-                            id: id.raw(),
-                        },
-                    );
-                }
-            }
-
-            // Advance the kernel (or attribute the idle cycle).
-            if let Some((ki, run)) = &mut rs.kernel_run {
-                if rs.kernel_dispatch_left > 0 {
-                    rs.kernel_dispatch_left -= 1;
+                // Advance the kernel (or attribute the idle cycle).
+                let idle = rs.kernel_run.is_none();
+                if let Some((ki, run)) = &mut rs.kernel_run {
+                    if rs.kernel_dispatch_left > 0 {
+                        rs.kernel_dispatch_left -= 1;
+                        self.stats.breakdown.overhead += 1;
+                        if self.tracer.enabled() {
+                            self.tracer
+                                .emit(self.now, TraceEvent::Cycle(CycleAttr::Dispatch));
+                        }
+                    } else {
+                        let phase = run.tick(
+                            self.now,
+                            &mut self.srf,
+                            &mut self.scratch,
+                            mem_claims_port,
+                            &mut self.stats.srf,
+                            &mut self.tracer,
+                        );
+                        match phase {
+                            Phase::Advanced | Phase::Stalled => {
+                                self.stats.main_loop_cycles += 1;
+                                if phase == Phase::Stalled {
+                                    self.stats.breakdown.srf_stall += 1;
+                                }
+                                // Loop-body vs fill/drain is settled at kernel end.
+                                if self.tracer.enabled() {
+                                    let attr = if phase == Phase::Stalled {
+                                        CycleAttr::SrfStall
+                                    } else {
+                                        CycleAttr::Advance
+                                    };
+                                    self.tracer.emit(self.now, TraceEvent::Cycle(attr));
+                                }
+                            }
+                            Phase::Flushing => {
+                                self.stats.breakdown.overhead += 1;
+                                if self.tracer.enabled() {
+                                    self.tracer
+                                        .emit(self.now, TraceEvent::Cycle(CycleAttr::Flush));
+                                }
+                            }
+                            Phase::Done => {
+                                // Attribute advanced cycles: body = iters*II,
+                                // the rest is software-pipeline fill/drain.
+                                let body = run.body_cycles().min(run.advance_cycles);
+                                self.stats.breakdown.kernel_loop += body;
+                                self.stats.breakdown.overhead += run.advance_cycles - body;
+                                let i = *ki;
+                                if self.tracer.enabled() {
+                                    self.tracer.emit(
+                                        self.now,
+                                        TraceEvent::KernelEnd {
+                                            op: i as u32,
+                                            body_cycles: run.body_cycles(),
+                                            advance_cycles: run.advance_cycles,
+                                            stall_cycles: run.stall_cycles,
+                                            flush_cycles: run.flush_cycles,
+                                        },
+                                    );
+                                    self.tracer
+                                        .emit(self.now, TraceEvent::Cycle(CycleAttr::KernelFinish));
+                                }
+                                complete_op(
+                                    i,
+                                    program,
+                                    &mut rs.done,
+                                    &mut rs.completed,
+                                    &mut rs.pending_deps,
+                                    &dependents,
+                                    &mut rs.ready_mem,
+                                );
+                                rs.kernel_run = None;
+                                self.stats.breakdown.overhead += 1; // this cycle
+                            }
+                        }
+                    }
+                } else if rs.live_transfers > 0 {
+                    self.stats.breakdown.mem_stall += 1;
+                    if self.tracer.enabled() {
+                        self.tracer
+                            .emit(self.now, TraceEvent::Cycle(CycleAttr::MemStall));
+                    }
+                } else if rs.completed < n {
+                    // Waiting on nothing measurable (e.g. dependence chains of
+                    // zero-length ops); attribute to overhead.
                     self.stats.breakdown.overhead += 1;
                     if self.tracer.enabled() {
                         self.tracer
-                            .emit(self.now, TraceEvent::Cycle(CycleAttr::Dispatch));
-                    }
-                } else {
-                    let phase = run.tick(
-                        self.now,
-                        &mut self.srf,
-                        &mut self.scratch,
-                        mem_claims_port,
-                        &mut self.stats.srf,
-                        &mut self.tracer,
-                    );
-                    match phase {
-                        Phase::Advanced | Phase::Stalled => {
-                            self.stats.main_loop_cycles += 1;
-                            if phase == Phase::Stalled {
-                                self.stats.breakdown.srf_stall += 1;
-                            }
-                            // Loop-body vs fill/drain is settled at kernel end.
-                            if self.tracer.enabled() {
-                                let attr = if phase == Phase::Stalled {
-                                    CycleAttr::SrfStall
-                                } else {
-                                    CycleAttr::Advance
-                                };
-                                self.tracer.emit(self.now, TraceEvent::Cycle(attr));
-                            }
-                        }
-                        Phase::Flushing => {
-                            self.stats.breakdown.overhead += 1;
-                            if self.tracer.enabled() {
-                                self.tracer
-                                    .emit(self.now, TraceEvent::Cycle(CycleAttr::Flush));
-                            }
-                        }
-                        Phase::Done => {
-                            // Attribute advanced cycles: body = iters*II,
-                            // the rest is software-pipeline fill/drain.
-                            let body = run.body_cycles().min(run.advance_cycles);
-                            self.stats.breakdown.kernel_loop += body;
-                            self.stats.breakdown.overhead += run.advance_cycles - body;
-                            let i = *ki;
-                            if self.tracer.enabled() {
-                                self.tracer.emit(
-                                    self.now,
-                                    TraceEvent::KernelEnd {
-                                        op: i as u32,
-                                        body_cycles: run.body_cycles(),
-                                        advance_cycles: run.advance_cycles,
-                                        stall_cycles: run.stall_cycles,
-                                        flush_cycles: run.flush_cycles,
-                                    },
-                                );
-                                self.tracer
-                                    .emit(self.now, TraceEvent::Cycle(CycleAttr::KernelFinish));
-                            }
-                            complete_op(
-                                i,
-                                program,
-                                &mut rs.done,
-                                &mut rs.completed,
-                                &mut rs.pending_deps,
-                                &dependents,
-                                &mut rs.ready_mem,
-                            );
-                            rs.kernel_run = None;
-                            self.stats.breakdown.overhead += 1; // this cycle
-                        }
+                            .emit(self.now, TraceEvent::Cycle(CycleAttr::Idle));
                     }
                 }
-            } else if rs.live_transfers > 0 {
-                self.stats.breakdown.mem_stall += 1;
-                if self.tracer.enabled() {
-                    self.tracer
-                        .emit(self.now, TraceEvent::Cycle(CycleAttr::MemStall));
-                }
-            } else if rs.completed < n {
-                // Waiting on nothing measurable (e.g. dependence chains of
-                // zero-length ops); attribute to overhead.
-                self.stats.breakdown.overhead += 1;
-                if self.tracer.enabled() {
-                    self.tracer
-                        .emit(self.now, TraceEvent::Cycle(CycleAttr::Idle));
+                self.stats.cycles += 1;
+                used += 1;
+                if !idle || retired || rs.live_transfers == 0 || used >= budget {
+                    break;
                 }
             }
-            self.stats.cycles += 1;
-            used += 1;
 
             assert!(
                 self.stats.cycles - (rs.start_stats.cycles) < 1_000_000_000,

@@ -12,7 +12,7 @@
 //!
 //! | section   | contents |
 //! |-----------|----------|
-//! | `meta`    | config + program fingerprints, a reserved zero byte, quiescence flag, cycle counter, SRF-port debt, cumulative stats |
+//! | `meta`    | config + program fingerprints, a reserved zero byte, a byte that is always 1 (it carried a run-loop option that is gone; ignored on read), cycle counter, SRF-port debt, cumulative stats |
 //! | `scratch` | per-lane scratchpad words |
 //! | `filled`  | per-bank SRF intervals known to hold data |
 //! | `pending` | the live-transfer slab (op index + pending load fills) |

@@ -9,9 +9,12 @@
 //!
 //! * operand sources fold to `Src` values — immediates, lane/iteration
 //!   specializations, or direct dense context-slot reads;
-//! * ops are grouped by schedule slot (`Group`), with the stall-check
-//!   subset precomputed so pure arithmetic is never rescanned on the
-//!   blocker path;
+//! * the steady state of a software-pipelined loop is `II` instruction
+//!   words, one per phase `t mod II`, and that is what is emitted: per
+//!   phase, the non-empty schedule slots that fire there (`Group`, oldest
+//!   iteration first) and the stall-checkable ops among them (`Check`), so
+//!   the sequencer never asks which in-flight iterations have something to
+//!   do and pure arithmetic is never rescanned on the blocker path;
 //! * context slots are densely renumbered (only values actually read
 //!   through the context get a slot) and live in a flat power-of-two ring
 //!   indexed by iteration;
@@ -122,35 +125,51 @@ pub(crate) struct MicroOp {
     pub c: Src,
 }
 
-/// Micro-ops of one schedule slot.
+/// Micro-ops of one non-empty schedule slot `stage * ii + phase`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Group {
+    /// Pipeline stage: while iteration `b` is the youngest in flight the
+    /// group fires for iteration `b - stage`.
+    pub stage: u32,
     /// `[start, end)` range into [`CompiledTape::ops`].
     pub ops: (u32, u32),
-    /// `[start, end)` range into [`CompiledTape::checks`]: the ops that
-    /// can stall, in firing order.
-    pub checks: (u32, u32),
     /// Firing this group occupies the inter-cluster network (conditional
     /// stream coordination or explicit communication).
     pub comm_busy: bool,
 }
 
+/// One op that can stall, and the pipeline stage it fires in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Check {
+    pub stage: u32,
+    /// Index into [`CompiledTape::ops`].
+    pub op: u32,
+}
+
+/// What fires in one phase `t mod ii`, as `[start, end)` ranges into
+/// [`CompiledTape::groups`] and [`CompiledTape::checks`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Phase {
+    pub groups: (u32, u32),
+    pub checks: (u32, u32),
+}
+
 /// A kernel lowered against one schedule for one lane count: flat
-/// micro-ops grouped by kernel cycle, plus the context-ring geometry.
+/// micro-ops in the order the phases fire them, plus the context-ring
+/// geometry.
 ///
 /// Produced by [`cached_tape`]; executed by `KernelRun`.
 #[derive(Debug)]
 pub struct CompiledTape {
-    /// Initiation interval (copied from the schedule for locality).
-    pub(crate) ii: u64,
-    /// Schedule span (slots per iteration).
-    pub(crate) span: u64,
-    /// One group per schedule slot (`span` entries; possibly empty).
+    /// One entry per phase (`ii` of them).
+    pub(crate) phases: Vec<Phase>,
+    /// The non-empty schedule slots, phase-major and within a phase by
+    /// descending stage, which is oldest iteration first.
     pub(crate) groups: Vec<Group>,
-    /// All live micro-ops, slot-major, op order within a slot.
+    /// All live micro-ops, in `groups` order, op order within a group.
     pub(crate) ops: Vec<MicroOp>,
-    /// Indices into `ops` for the stall-checkable subset, slot-major.
-    pub(crate) checks: Vec<u32>,
+    /// The stall-checkable subset of `ops`, in the same order.
+    pub(crate) checks: Vec<Check>,
     /// Context ring depth in iterations (power of two).
     pub(crate) depth: usize,
     /// `depth - 1`, for modulo indexing by iteration number.
@@ -285,9 +304,27 @@ fn compile_src(kernel: &Kernel, ctx_slot: &[u16], lanes: usize, o: &Operand) -> 
     }
 }
 
-/// Lower `kernel`/`sched` for `lanes` lanes. See the module docs for the
-/// transformation; [`cached_tape`] is the memoized entry point.
-pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> CompiledTape {
+/// Whether an op of this kind can stall the kernel (pure arithmetic, the
+/// scratchpad and the static permutations never do).
+fn can_stall(kind: MicroKind) -> bool {
+    matches!(
+        kind,
+        MicroKind::SeqRead { .. }
+            | MicroKind::SeqWrite { .. }
+            | MicroKind::CondLaneRead { .. }
+            | MicroKind::CondRead { .. }
+            | MicroKind::CondWrite { .. }
+            | MicroKind::IdxAddr { .. }
+            | MicroKind::IdxRead { .. }
+            | MicroKind::IdxWrite { .. }
+    )
+}
+
+/// The live micro-ops of every schedule slot, and how many context slots
+/// they use. Op order is preserved within a slot: ops fire as `(iteration,
+/// op)` pairs sorted by op index, and stall attribution (which blocker a
+/// stalled cycle names) depends on that order.
+fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> (Vec<Vec<MicroOp>>, u16) {
     let n_ops = kernel.ops.len();
 
     // Which values are read through the context? Free producers are
@@ -323,17 +360,6 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         !is_free(opc) && (ctx_read[i] || !is_pure_alu(opc))
     };
 
-    // Group by schedule slot, preserving op order within a slot: ops fire
-    // as `(iteration, op)` pairs sorted by op index, and stall attribution
-    // (which blocker a stalled cycle names) depends on that order.
-    let span = sched.span as usize;
-    let mut by_slot: Vec<Vec<usize>> = vec![Vec::new(); span];
-    for (i, &s) in sched.slots.iter().enumerate() {
-        if live(i) {
-            by_slot[s as usize].push(i);
-        }
-    }
-
     // Indexed streams are numbered by declaration order, exactly as
     // `KernelRun::new` builds its `idx_states`.
     let mut idx_of_stream = vec![u16::MAX; kernel.streams.len()];
@@ -345,100 +371,123 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         }
     }
 
-    let mut ops: Vec<MicroOp> = Vec::new();
-    let mut checks: Vec<u32> = Vec::new();
-    let mut groups: Vec<Group> = Vec::with_capacity(span);
-    for slot_ops in &by_slot {
-        let ops_start = ops.len() as u32;
-        let checks_start = checks.len() as u32;
-        let mut comm_busy = false;
-        for &i in slot_ops {
-            let op = &kernel.ops[i];
-            let src = |k: usize| compile_src(kernel, &ctx_slot, lanes, &op.operands[k]);
-            let zero = Src::Imm(0);
-            use Opcode::*;
-            let (kind, a, b, c) = match op.opcode {
-                SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, Src::Imm(1), zero, zero),
-                SeqWrite(s) => (MicroKind::SeqWrite { slot: s.0 }, src(0), zero, zero),
-                CondLaneRead(s) => (MicroKind::CondLaneRead { slot: s.0 }, src(0), zero, zero),
-                CondRead(s) => (MicroKind::CondRead { slot: s.0 }, src(0), zero, zero),
-                CondWrite(s) => (MicroKind::CondWrite { slot: s.0 }, src(0), src(1), zero),
-                IdxAddr(s) => (
-                    MicroKind::IdxAddr {
-                        slot: s.0,
-                        idx: idx_of_stream[s.0 as usize],
-                    },
-                    src(0),
-                    zero,
-                    zero,
-                ),
-                IdxRead(s) => (
-                    MicroKind::IdxRead {
-                        slot: s.0,
-                        idx: idx_of_stream[s.0 as usize],
-                    },
-                    zero,
-                    zero,
-                    zero,
-                ),
-                IdxWrite(s) => (
-                    MicroKind::IdxWrite {
-                        slot: s.0,
-                        idx: idx_of_stream[s.0 as usize],
-                    },
-                    src(0),
-                    src(1),
-                    zero,
-                ),
-                ScratchRead => (MicroKind::ScratchRead, src(0), zero, zero),
-                ScratchWrite => (MicroKind::ScratchWrite, src(0), src(1), zero),
-                Comm { rotate } => (MicroKind::Comm { rotate }, src(0), zero, zero),
-                CommXor { mask } => (MicroKind::CommXor { mask }, src(0), zero, zero),
-                opc => {
-                    debug_assert!(is_pure_alu(opc));
-                    let n = op.operands.len();
-                    (
-                        MicroKind::Alu(opc),
-                        if n > 0 { src(0) } else { zero },
-                        if n > 1 { src(1) } else { zero },
-                        if n > 2 { src(2) } else { zero },
-                    )
-                }
-            };
-            let needs_check = matches!(
-                kind,
-                MicroKind::SeqRead { .. }
-                    | MicroKind::SeqWrite { .. }
-                    | MicroKind::CondLaneRead { .. }
-                    | MicroKind::CondRead { .. }
-                    | MicroKind::CondWrite { .. }
-                    | MicroKind::IdxAddr { .. }
-                    | MicroKind::IdxRead { .. }
-                    | MicroKind::IdxWrite { .. }
-            );
-            comm_busy |= matches!(
-                kind,
-                MicroKind::CondLaneRead { .. }
-                    | MicroKind::CondRead { .. }
-                    | MicroKind::CondWrite { .. }
-                    | MicroKind::Comm { .. }
-                    | MicroKind::CommXor { .. }
-            );
-            if needs_check {
-                checks.push(ops.len() as u32);
+    let mut by_slot: Vec<Vec<MicroOp>> = vec![Vec::new(); sched.span as usize];
+    for (i, &s) in sched.slots.iter().enumerate() {
+        if !live(i) {
+            continue;
+        }
+        let op = &kernel.ops[i];
+        let src = |k: usize| compile_src(kernel, &ctx_slot, lanes, &op.operands[k]);
+        let zero = Src::Imm(0);
+        use Opcode::*;
+        let (kind, a, b, c) = match op.opcode {
+            SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, Src::Imm(1), zero, zero),
+            SeqWrite(s) => (MicroKind::SeqWrite { slot: s.0 }, src(0), zero, zero),
+            CondLaneRead(s) => (MicroKind::CondLaneRead { slot: s.0 }, src(0), zero, zero),
+            CondRead(s) => (MicroKind::CondRead { slot: s.0 }, src(0), zero, zero),
+            CondWrite(s) => (MicroKind::CondWrite { slot: s.0 }, src(0), src(1), zero),
+            IdxAddr(s) => (
+                MicroKind::IdxAddr {
+                    slot: s.0,
+                    idx: idx_of_stream[s.0 as usize],
+                },
+                src(0),
+                zero,
+                zero,
+            ),
+            IdxRead(s) => (
+                MicroKind::IdxRead {
+                    slot: s.0,
+                    idx: idx_of_stream[s.0 as usize],
+                },
+                zero,
+                zero,
+                zero,
+            ),
+            IdxWrite(s) => (
+                MicroKind::IdxWrite {
+                    slot: s.0,
+                    idx: idx_of_stream[s.0 as usize],
+                },
+                src(0),
+                src(1),
+                zero,
+            ),
+            ScratchRead => (MicroKind::ScratchRead, src(0), zero, zero),
+            ScratchWrite => (MicroKind::ScratchWrite, src(0), src(1), zero),
+            Comm { rotate } => (MicroKind::Comm { rotate }, src(0), zero, zero),
+            CommXor { mask } => (MicroKind::CommXor { mask }, src(0), zero, zero),
+            opc => {
+                debug_assert!(is_pure_alu(opc));
+                let n = op.operands.len();
+                (
+                    MicroKind::Alu(opc),
+                    if n > 0 { src(0) } else { zero },
+                    if n > 1 { src(1) } else { zero },
+                    if n > 2 { src(2) } else { zero },
+                )
             }
-            ops.push(MicroOp {
-                kind,
-                dst: ctx_slot[i],
-                a,
-                b,
-                c,
+        };
+        let dst = ctx_slot[i];
+        by_slot[s as usize].push(MicroOp { kind, dst, a, b, c });
+    }
+    (by_slot, n_ctx)
+}
+
+/// The iteration a group of pipeline stage `stage` fires for while `base`
+/// is the youngest iteration that may be in flight, if it is one of the
+/// `iters`: the prologue (`stage > base`, where the subtraction wraps) and
+/// the epilogue fail the one test.
+#[inline]
+pub(crate) fn iteration(base: u64, stage: u32, iters: u64) -> Option<u64> {
+    let j = base.wrapping_sub(u64::from(stage));
+    (j < iters).then_some(j)
+}
+
+/// Lower `kernel`/`sched` for `lanes` lanes. See the module docs for the
+/// transformation; [`cached_tape`] is the memoized entry point.
+pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> CompiledTape {
+    let (by_slot, n_ctx) = lower(kernel, sched, lanes);
+    let ii = sched.ii as usize;
+    let mut ops: Vec<MicroOp> = Vec::new();
+    let mut checks: Vec<Check> = Vec::new();
+    let mut groups: Vec<Group> = Vec::new();
+    let mut phases: Vec<Phase> = Vec::with_capacity(ii);
+    for p in 0..ii {
+        let (groups_start, checks_start) = (groups.len() as u32, checks.len() as u32);
+        // Slots `p`, `p + ii`, .. fire in this phase, the highest stage
+        // first: it belongs to the oldest iteration in flight.
+        for slot in (p..by_slot.len()).step_by(ii).rev() {
+            if by_slot[slot].is_empty() {
+                continue;
+            }
+            let stage = (slot / ii) as u32;
+            let ops_start = ops.len() as u32;
+            let mut comm_busy = false;
+            for &mop in &by_slot[slot] {
+                comm_busy |= matches!(
+                    mop.kind,
+                    MicroKind::CondLaneRead { .. }
+                        | MicroKind::CondRead { .. }
+                        | MicroKind::CondWrite { .. }
+                        | MicroKind::Comm { .. }
+                        | MicroKind::CommXor { .. }
+                );
+                if can_stall(mop.kind) {
+                    let op = ops.len() as u32;
+                    checks.push(Check { stage, op });
+                }
+                ops.push(mop);
+            }
+            groups.push(Group {
+                stage,
+                ops: (ops_start, ops.len() as u32),
+                comm_busy,
             });
         }
-        groups.push(Group {
-            ops: (ops_start, ops.len() as u32),
+        phases.push(Phase {
+            groups: (groups_start, groups.len() as u32),
             checks: (checks_start, checks.len() as u32),
-            comm_busy,
         });
     }
 
@@ -457,8 +506,7 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
     let lane_stride = lanes.next_multiple_of(CHUNK);
 
     CompiledTape {
-        ii: u64::from(sched.ii),
-        span: u64::from(sched.span),
+        phases,
         groups,
         ops,
         checks,
@@ -540,6 +588,146 @@ mod tests {
         assert_eq!(tape.checks.len(), 2);
         assert!(tape.depth.is_power_of_two());
         assert!(tape.depth as u32 >= sched.stages());
+    }
+
+    /// One firing: `(iteration, schedule slot, position among the slot's
+    /// live ops)`.
+    type Firing = (u64, usize, usize);
+
+    /// The sequencer's walk as it was while groups were indexed by
+    /// schedule slot: at kernel cycle `t` every iteration in flight, oldest
+    /// first, looks up the slot it has reached.
+    fn slot_walk(by_slot: &[Vec<MicroOp>], ii: u64, iters: u64, t: u64) -> Vec<Firing> {
+        let span = by_slot.len() as u64;
+        let j_hi = (t / ii).min(iters.saturating_sub(1));
+        let j_lo = if t >= span { (t - span) / ii + 1 } else { 0 };
+        let mut fired = Vec::new();
+        for j in j_lo..=j_hi {
+            let slot = t - j * ii;
+            if slot >= span {
+                continue;
+            }
+            let slot = slot as usize;
+            fired.extend((0..by_slot[slot].len()).map(|k| (j, slot, k)));
+        }
+        fired
+    }
+
+    /// For every kernel cycle of an `iters`-iteration run, the phase lists
+    /// fire the `(iteration, op)` sequence the slot walk fires and scan the
+    /// checks it scans, in its order.
+    fn assert_phase_lists_match_slot_walk(kernel: &Kernel, sched: &Schedule, iters: u64) {
+        let (by_slot, _) = lower(kernel, sched, 8);
+        let tape = compile(kernel, sched, 8);
+        let ii = u64::from(sched.ii);
+        assert_eq!(tape.phases.len() as u64, ii);
+        // Where each tape op came from, and that it is that op.
+        let mut origin = vec![(usize::MAX, 0); tape.ops.len()];
+        for (p, phase) in tape.phases.iter().enumerate() {
+            for g in &tape.groups[phase.groups.0 as usize..phase.groups.1 as usize] {
+                let slot = g.stage as usize * ii as usize + p;
+                assert_eq!((g.ops.1 - g.ops.0) as usize, by_slot[slot].len());
+                for (k, op) in (g.ops.0..g.ops.1).enumerate() {
+                    origin[op as usize] = (slot, k);
+                    let (got, want) = (tape.ops[op as usize], by_slot[slot][k]);
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                }
+            }
+        }
+        assert!(
+            origin.iter().all(|o| o.0 != usize::MAX),
+            "an op in no group"
+        );
+        let exec_end = (iters - 1) * ii + u64::from(sched.completion);
+        for t in 0..exec_end {
+            let (phase, base) = (tape.phases[(t % ii) as usize], t / ii);
+            let mut fired = Vec::new();
+            for g in &tape.groups[phase.groups.0 as usize..phase.groups.1 as usize] {
+                if let Some(j) = iteration(base, g.stage, iters) {
+                    fired.extend((g.ops.0..g.ops.1).map(|op| {
+                        let (slot, k) = origin[op as usize];
+                        (j, slot, k)
+                    }));
+                }
+            }
+            let old = slot_walk(&by_slot, ii, iters, t);
+            assert_eq!(fired, old, "firing at t = {t} of {exec_end}");
+            let scanned: Vec<Firing> = tape.checks
+                [phase.checks.0 as usize..phase.checks.1 as usize]
+                .iter()
+                .filter_map(|c| {
+                    let (slot, k) = origin[c.op as usize];
+                    iteration(base, c.stage, iters).map(|j| (j, slot, k))
+                })
+                .collect();
+            let old_scan: Vec<Firing> = old
+                .into_iter()
+                .filter(|&(_, slot, k)| can_stall(by_slot[slot][k].kind))
+                .collect();
+            assert_eq!(scanned, old_scan, "stall scan at t = {t} of {exec_end}");
+        }
+    }
+
+    #[test]
+    fn phase_lists_match_the_slot_walk_on_every_app_kernel() {
+        use isrf::apps::{prepare_app, Profile, APPS};
+        use isrf::sim::program::ProgOp;
+        let mut seen = std::collections::BTreeSet::new();
+        for (app, cfg) in APPS.iter().flat_map(|a| ConfigName::ALL.map(|c| (a, c))) {
+            let pr = prepare_app(app, cfg, Profile::Small);
+            for i in 0..pr.program.len() {
+                let (
+                    ProgOp::Kernel {
+                        kernel,
+                        schedule,
+                        iters,
+                        ..
+                    },
+                    _,
+                ) = pr.program.node(i)
+                else {
+                    continue;
+                };
+                if *iters == 0 || !seen.insert((Arc::as_ptr(kernel), Arc::as_ptr(schedule))) {
+                    continue;
+                }
+                // A run shorter than the pipeline is deep, and one with a
+                // steady state between prologue and epilogue.
+                let stages = u64::from(schedule.stages());
+                for iters in [1, stages.saturating_sub(1).max(1), (stages + 3).min(*iters)] {
+                    assert_phase_lists_match_slot_walk(kernel, schedule, iters);
+                }
+            }
+        }
+        assert!(seen.len() >= APPS.len(), "every app runs a kernel");
+    }
+
+    proptest::proptest! {
+        /// Arbitrary schedules, dependences ignored (nothing executes):
+        /// `ii = 1`, spans shorter than `ii`, runs shorter than the
+        /// pipeline is deep, empty slots and crowded ones.
+        #[test]
+        fn phase_lists_match_the_slot_walk_on_random_schedules(
+            ii in 1u32..7,
+            slots in proptest::collection::vec(0u32..24, 9),
+            drain in 0u32..6,
+            iters in 1u64..10,
+        ) {
+            let mut b = KernelBuilder::new("walk");
+            let i = b.stream("in", StreamKind::SeqIn);
+            let o = b.stream("out", StreamKind::SeqOut);
+            let mut x = b.seq_read(i);
+            let k = b.constant(3);
+            for _ in 0..6 {
+                x = b.add(x, k);
+            }
+            b.seq_write(o, x);
+            let kernel = b.build().unwrap();
+            assert_eq!(kernel.ops.len(), slots.len());
+            let span = slots.iter().max().unwrap() + 1;
+            let sched = Schedule { ii, slots, span, completion: span + drain };
+            assert_phase_lists_match_slot_walk(&kernel, &sched, iters);
+        }
     }
 
     #[test]
