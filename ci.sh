@@ -28,7 +28,8 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check (the build 
 # builds users actually run. The oracle and the lock-step references run
 # here too (the indexed arbiter, the memory service walk, the sequencer's
 # phase lists, the memory wait): the row executor is only vectorised in an
-# optimised build.
+# optimised build. So does snapshot_roundtrip.rs's hostile-length test, whose
+# regression is a process abort (an allocation of 2^40 words), not a failure.
 cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check
 
 echo "==> cargo fmt --check"
@@ -49,7 +50,9 @@ echo "==> static verification (all apps x all configs)"
 # Every shipped benchmark program must pass the isrf-verify hazard
 # analyzer on every paper configuration, plus the analyzer's own negative
 # corpus (run above as part of the workspace tests, repeated here so a
-# filtered test run cannot skip it).
+# filtered test run cannot skip it), which also holds the V501 verdict
+# against the machine: the wedge comes back from `Machine::step` as
+# `SimError::Deadlock`, sliced, restored or not, at one cycle.
 ./target/release/verify all all
 cargo test -q -p isrf-verify
 
@@ -149,7 +152,22 @@ echo "==> one memory-wait path (grep gate)"
 # wait; the skip-ahead knob and the closed-form credit replay it needed must
 # not come back (single-step with `run_for(p, 1)` for a lock-step reference).
 if grep -rn -e 'quiesce_skip' -e 'set_quiescence_skip' -e 'advance_idle' crates/*/src; then
-  echo "a second memory-wait path: extend the wait loop in Machine::run_budget" >&2
+  echo "a second memory-wait path: extend the wait loop in Machine::step" >&2
+  exit 1
+fi
+
+echo "==> one run core (grep gate)"
+# `Machine::step` is the one loop that advances a program and `SimError` the
+# one way it fails; `run` and `run_for` are it with the error turned into a
+# panic. The wrappers, the panicking watchdogs and a snapshot codec inside
+# machine.rs must not come back.
+if grep -rn -e 'run_checked' -e 'run_budget' -e 'verify_fresh_run' -e 'fn run_while' \
+  -e 'program appears deadlocked' -e 'stalled for 1M' crates/*/src; then
+  echo "a second run loop or an untyped failure: go through Machine::step / SimError" >&2
+  exit 1
+fi
+if grep -n -e 'fn save_state' -e 'fn restore_state' crates/isrf-sim/src/machine.rs; then
+  echo "the snapshot codec lives in crates/isrf-sim/src/snapshot.rs" >&2
   exit 1
 fi
 

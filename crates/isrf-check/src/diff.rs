@@ -18,6 +18,9 @@ pub enum DiffError {
     /// The machine's static verifier rejected the program before it ran:
     /// `(code, rendered diagnostic)`.
     Verify(String, String),
+    /// The machine could not run the program to completion: the rendered
+    /// [`isrf_sim::SimError`] (a deadlocked kernel, say).
+    Sim(String),
     /// An output-region memory word differs: `(addr, machine, reference)`.
     Memory(u32, u32, u32),
     /// An SRF word differs: `(lane, offset, machine, reference)`.
@@ -35,6 +38,7 @@ impl fmt::Display for DiffError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DiffError::Verify(_, rendered) => write!(f, "static verification: {rendered}"),
+            DiffError::Sim(rendered) => write!(f, "simulation failed: {rendered}"),
             DiffError::Memory(addr, m, r) => {
                 write!(f, "memory[{addr:#x}]: machine {m:#x} != reference {r:#x}")
             }
@@ -57,8 +61,8 @@ impl fmt::Display for DiffError {
 /// trace events leading up to the end of the run for post-mortem context.
 #[derive(Debug, Clone)]
 pub struct DiffFailure {
-    /// The divergences, in scan order (verification, memory, SRF, counts,
-    /// audit).
+    /// The divergences, in scan order (verification, simulation failure,
+    /// memory, SRF, counts, audit).
     pub errors: Vec<DiffError>,
     /// The final `TRACE_TAIL` recorded events, already rendered one per
     /// line as `  @<cycle> <event>`.
@@ -94,8 +98,9 @@ pub struct DiffOutcome {
 /// Run `program` on both the machine and a reference snapshot of it, then
 /// compare final state. The machine's installed static verifier (if any)
 /// runs first; its diagnostics become [`DiffError::Verify`] entries and the
-/// program is never simulated. On a clean verification the comparison
-/// covers:
+/// program is never simulated. A program the machine then fails on is a
+/// [`DiffError::Sim`] carrying the trace tail. On a completed run the
+/// comparison covers:
 ///
 /// * every word of every `(base, words)` output region in memory,
 /// * the entire remaining memory image (stores land functionally at issue
@@ -117,9 +122,8 @@ pub fn run_differential(
     program: &StreamProgram,
     outputs: &[(u32, u32)],
 ) -> Result<DiffOutcome, DiffFailure> {
-    // Static verification first: a program the machine's installed
-    // verifier rejects would panic (or wedge) mid-simulation, so surface
-    // the diagnostics as a structured failure instead.
+    // Static verification first, in any build: the diagnostics name the
+    // cause where a failed simulation only names the symptom.
     if let Err(e) = machine.verify_program(program) {
         return Err(DiffFailure {
             errors: e
@@ -134,11 +138,20 @@ pub fn run_differential(
     let mut reference = RefMachine::from_machine(machine);
     reference.run(program);
     let prev = machine.set_tracer(Tracer::recording(TRACE_TAIL));
-    let stats = machine.run(program);
+    let ran = machine.step(program, u64::MAX);
     let recorder = machine
         .set_tracer(prev)
         .into_recorder()
         .expect("recording tracer was installed");
+    let stats = match ran {
+        Ok(stats) => stats.expect("an unbounded step completes or fails"),
+        Err(e) => {
+            return Err(DiffFailure {
+                errors: vec![DiffError::Sim(e.to_string())],
+                trace_tail: recorder.ring().tail_lines(TRACE_TAIL),
+            })
+        }
+    };
 
     let mut errors = Vec::new();
     const MAX_ERRORS: usize = 32;
@@ -203,5 +216,66 @@ pub fn run_differential(
             errors,
             trace_tail: recorder.ring().tail_lines(TRACE_TAIL),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use isrf_core::config::{ConfigName, MachineConfig};
+    use isrf_kernel::ir::{KernelBuilder, StreamKind};
+    use isrf_kernel::sched::Schedule;
+
+    use super::*;
+
+    /// `out[i] = in[i] + LUT[in[i]]` under a hand-built schedule (II 1, one
+    /// op per cycle) that pops the indexed data 17 cycles after pushing its
+    /// address: 16 records outstanding against an 8-entry FIFO and an 8-word
+    /// buffer, the wedge `isrf-verify` calls V501. The reference executor
+    /// consults no schedule, so it runs the program to the end; the machine
+    /// must come back with a typed failure, not unwind through the caller.
+    #[test]
+    fn a_deadlocked_machine_is_a_diff_failure_with_its_trace_tail() {
+        let mut m = Machine::new(MachineConfig::preset(ConfigName::Isrf4)).unwrap();
+        let mut b = KernelBuilder::new("lookup");
+        let s_in = b.stream("in", StreamKind::SeqIn);
+        let s_lut = b.stream("LUT", StreamKind::IdxInRead);
+        let s_out = b.stream("out", StreamKind::SeqOut);
+        let a = b.seq_read(s_in);
+        let v = b.idx_load(s_lut, a);
+        let c = b.add(a, v);
+        b.seq_write(s_out, c);
+        let kernel = Arc::new(b.build().unwrap());
+        // Ops in order: seq_read, idx_addr, idx_read, add, seq_write.
+        let sched = Schedule {
+            ii: 1,
+            slots: vec![0, 1, 18, 19, 20],
+            span: 21,
+            completion: 21,
+        };
+        assert_eq!(kernel.ops.len(), sched.slots.len());
+        let input = m.alloc_stream(1, 512);
+        let lut = m.alloc_stream(1, 512);
+        let output = m.alloc_stream(1, 512);
+        let indices: Vec<u32> = (0..512).map(|k| k * 7 % 64).collect();
+        m.write_stream(&input, &indices);
+        m.write_stream(&lut, &(0..512).collect::<Vec<u32>>());
+        let mut p = StreamProgram::new();
+        p.kernel(kernel, sched, vec![input, lut, output], 64, &[]);
+
+        let failure = run_differential(&mut m, &p, &[]).expect_err("the schedule wedges");
+        let [DiffError::Sim(msg)] = failure.errors.as_slice() else {
+            panic!("expected one simulation failure, got {failure}");
+        };
+        assert!(
+            msg.contains("deadlock") && msg.contains("`lookup`"),
+            "{msg}"
+        );
+        // The tail is the recorder's last events: the wedged cycles.
+        assert_eq!(failure.trace_tail.len(), TRACE_TAIL);
+        let last = failure.trace_tail.last().unwrap();
+        assert!(last.contains(&format!("@{}", m.now())), "{last}");
+        assert!(m.mid_run(), "the machine is parked for the post-mortem");
     }
 }

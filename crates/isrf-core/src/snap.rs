@@ -147,6 +147,18 @@ impl Enc {
         self.usize(v.len());
         self.buf.extend_from_slice(v.as_bytes());
     }
+
+    /// Write a length-prefixed list of `u32` words.
+    pub fn words(&mut self, v: &[u32]) {
+        self.usize(v.len());
+        v.iter().for_each(|&w| self.u32(w));
+    }
+
+    /// Write a length-prefixed list of `usize` values.
+    pub fn usizes(&mut self, v: &[usize]) {
+        self.usize(v.len());
+        v.iter().for_each(|&w| self.usize(w));
+    }
 }
 
 /// Little-endian binary reader over a borrowed byte slice.
@@ -223,6 +235,34 @@ impl<'a> Dec<'a> {
         let raw = self.take(n)?;
         String::from_utf8(raw.to_vec())
             .map_err(|_| SnapError::Mismatch("invalid UTF-8 in string field".into()))
+    }
+
+    /// Read a length-prefixed list of `width`-byte elements, refusing a
+    /// length the remaining bytes cannot hold before allocating for it.
+    fn list<T>(
+        &mut self,
+        width: usize,
+        read: fn(&mut Self) -> Result<T, SnapError>,
+    ) -> Result<Vec<T>, SnapError> {
+        let n = self.usize()?;
+        if n > self.remaining() / width {
+            return Err(SnapError::UnexpectedEof);
+        }
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(read(self)?);
+        }
+        Ok(out)
+    }
+
+    /// Read a list written by [`Enc::words`].
+    pub fn words(&mut self) -> Result<Vec<u32>, SnapError> {
+        self.list(4, Dec::u32)
+    }
+
+    /// Read a list written by [`Enc::usizes`].
+    pub fn usizes(&mut self) -> Result<Vec<usize>, SnapError> {
+        self.list(8, Dec::usize)
     }
 
     /// Check that every byte has been consumed.
@@ -369,6 +409,28 @@ mod tests {
         let bytes = [1u8, 2, 3];
         let mut d = Dec::new(&bytes);
         assert_eq!(d.u64(), Err(SnapError::UnexpectedEof));
+    }
+
+    #[test]
+    fn lists_round_trip_and_refuse_lengths_the_bytes_cannot_hold() {
+        let mut e = Enc::new();
+        e.words(&[7, 8, 9]);
+        e.usizes(&[1, 2]);
+        let bytes = e.into_bytes();
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.words().unwrap(), [7, 8, 9]);
+        assert_eq!(d.usizes().unwrap(), [1, 2]);
+        d.finish().unwrap();
+        // One word too many for the bytes behind it, then lengths whose
+        // allocation alone would abort the process or overflow `usize`.
+        for len in [4, 1 << 40, 1 << 62] {
+            let mut e = Enc::new();
+            e.u64(len);
+            e.bytes(&[0; 12]);
+            let bytes = e.into_bytes();
+            assert_eq!(Dec::new(&bytes).words(), Err(SnapError::UnexpectedEof));
+            assert_eq!(Dec::new(&bytes).usizes(), Err(SnapError::UnexpectedEof));
+        }
     }
 
     #[test]

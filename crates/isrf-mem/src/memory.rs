@@ -163,6 +163,7 @@ impl Memory {
                 .name
                 .strip_prefix('c')
                 .and_then(|s| s.parse().ok())
+                .filter(|&i| i < Self::MAX_WORDS / CHUNK_WORDS)
                 .ok_or_else(|| {
                     SnapError::Mismatch(format!("bad memory chunk section {:?}", sec.name))
                 })?;
@@ -321,6 +322,17 @@ mod tests {
         let bytes = m.encode_state();
         assert!(m.decode_state(&bytes[..bytes.len() - 1]).is_err());
         assert!(m.decode_state(&[0u8; 4]).is_err());
+        // A chunk index past the address space is refused before the chunk
+        // table is sized for it.
+        let mut secs: Vec<(String, Vec<u8>)> = read_sections(&bytes)
+            .unwrap()
+            .into_iter()
+            .map(|s| (s.name, s.bytes))
+            .collect();
+        secs[1].0 = format!("c{}", 1u64 << 40);
+        let mut e = Enc::new();
+        write_sections(&mut e, &secs);
+        assert!(m.decode_state(&e.into_bytes()).is_err());
     }
 
     #[test]

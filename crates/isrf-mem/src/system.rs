@@ -641,10 +641,7 @@ impl MemorySystem {
                 }
                 PatternCursor::Indexed(addrs) => {
                     sys.u8(2);
-                    sys.usize(addrs.len());
-                    for &a in addrs {
-                        sys.u32(a);
-                    }
+                    sys.words(addrs);
                 }
             }
             sys.usize(t.len);
@@ -672,10 +669,7 @@ impl MemorySystem {
                 SlotState::Retired => sys.u8(2),
             }
         }
-        sys.usize(self.free_slots.len());
-        for &s in &self.free_slots {
-            sys.u32(s);
-        }
+        sys.words(&self.free_slots);
         // The heap iterates in arbitrary order; sort for deterministic
         // bytes (the ordering is recovered by re-pushing on decode).
         let mut ready: Vec<(u64, u64, u32, u32)> = self.ready.iter().map(|&Reverse(t)| t).collect();
@@ -754,14 +748,7 @@ impl MemorySystem {
                     record_words: d.u32()?,
                     stride_words: d.u32()?,
                 },
-                2 => {
-                    let n = d.usize()?;
-                    let mut addrs = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        addrs.push(d.u32()?);
-                    }
-                    PatternCursor::Indexed(addrs)
-                }
+                2 => PatternCursor::Indexed(d.words()?),
                 t => {
                     return Err(SnapError::Mismatch(format!("bad pattern-cursor tag {t}")));
                 }
@@ -804,11 +791,7 @@ impl MemorySystem {
             };
             self.slots.push(Slot { gen, state });
         }
-        let n_free = d.usize()?;
-        self.free_slots.clear();
-        for _ in 0..n_free {
-            self.free_slots.push(d.u32()?);
-        }
+        self.free_slots = d.words()?;
         let n_ready = d.usize()?;
         self.ready.clear();
         for _ in 0..n_ready {

@@ -16,7 +16,7 @@ use isrf_core::stats::RunStats;
 use isrf_core::Word;
 use isrf_kernel::ir::StreamKind;
 use isrf_kernel::sched::{schedule_cached, SchedParams};
-use isrf_sim::{Diagnostic, Machine, ProgramVerifier, StreamBinding, StreamProgram};
+use isrf_sim::{Diagnostic, Machine, ProgramVerifier, SimError, StreamBinding, StreamProgram};
 use isrf_trace::{chrome, Tracer};
 use isrf_verify::Verifier;
 
@@ -108,6 +108,17 @@ impl PointOutcome {
             ),
         ])
     }
+}
+
+/// Why [`PointRunner::run`] returned without an outcome.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Stopped {
+    /// `keep_going` declined the next slice: the machine is paused
+    /// cycle-exactly (checkpoint with [`PointRunner::checkpoint`], or call
+    /// `run` again to continue).
+    Paused,
+    /// The simulation failed; the machine stays parked where it did.
+    Failed(SimError),
 }
 
 /// A point being executed: machine + program + output selectors.
@@ -257,19 +268,30 @@ impl PointRunner {
         self.machine.now()
     }
 
-    /// Advance in `chunk`-cycle slices while `keep_going` approves; see
-    /// [`Machine::run_while`]. `keep_going` receives the machine's current
-    /// cycle (for progress reporting). Returns the outcome on completion,
-    /// `None` when paused cycle-exactly (checkpoint with
-    /// [`PointRunner::checkpoint`]).
+    /// Advance in [`Machine::step`] slices of `chunk` cycles (at least 1)
+    /// while `keep_going` approves. `keep_going` receives the machine's
+    /// current cycle (for progress reporting) and is consulted before every
+    /// slice, including the first — an already-cancelled job never
+    /// simulates a cycle — so a pause lands on an exact cycle boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`Stopped::Paused`] the first time `keep_going` declines,
+    /// [`Stopped::Failed`] with the machine's typed error.
     pub fn run(
         &mut self,
         chunk: u64,
         mut keep_going: impl FnMut(u64) -> bool,
-    ) -> Option<PointOutcome> {
-        let stats = self
-            .machine
-            .run_while(&self.program, chunk, |m| keep_going(m.now()))?;
+    ) -> Result<PointOutcome, Stopped> {
+        let stats = loop {
+            if !keep_going(self.machine.now()) {
+                return Err(Stopped::Paused);
+            }
+            let slice = self.machine.step(&self.program, chunk.max(1));
+            if let Some(stats) = slice.map_err(Stopped::Failed)? {
+                break stats;
+            }
+        };
         let trace_json = if self.trace {
             let recorder = self
                 .machine
@@ -295,7 +317,7 @@ impl PointRunner {
                 (name.clone(), words)
             })
             .collect();
-        Some(PointOutcome {
+        Ok(PointOutcome {
             stats,
             outputs,
             trace_json,
@@ -407,12 +429,11 @@ mod tests {
 
         let mut first = PointRunner::new(&spec, false).unwrap();
         let mut slices = 0;
-        assert!(first
-            .run(full.stats.cycles / 3, |_| {
-                slices += 1;
-                slices <= 1
-            })
-            .is_none());
+        let paused = first.run(full.stats.cycles / 3, |_| {
+            slices += 1;
+            slices <= 1
+        });
+        assert_eq!(paused.unwrap_err(), Stopped::Paused);
         let snap = first.checkpoint();
         let mut resumed = PointRunner::resume(&spec, false, &snap).unwrap();
         let out = resumed.run(1 << 20, |_| true).unwrap();

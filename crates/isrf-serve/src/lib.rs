@@ -17,11 +17,13 @@
 //!   128-bit content hash the schedule/tape memos use, so a repeated
 //!   submission completes instantly; an optional `nonce` defeats the
 //!   cache deliberately.
-//! - **Cycle-exact control** — points execute in bounded cycle slices via
-//!   [`isrf_sim::Machine::run_for`], so `DELETE` (cancel) and
-//!   `POST /shutdown` (drain) take effect within one slice; drain
-//!   checkpoints in-flight machines with `Machine::save_state` and the
-//!   next start resumes them exactly where they stopped.
+//! - **Cycle-exact control** — points execute in bounded cycle slices of
+//!   [`isrf_sim::Machine::step`] ([`PointRunner::run`]), so `DELETE`
+//!   (cancel) and `POST /shutdown` (drain) take effect within one slice;
+//!   drain checkpoints in-flight machines with `Machine::save_state` and
+//!   the next start resumes them exactly where they stopped. A simulation
+//!   that fails — a deadlocked kernel, say — comes back from `step` as a
+//!   typed [`isrf_sim::SimError`] whose text is the job's `failed` message.
 //!
 //! Endpoints: `POST /jobs`, `GET /jobs/:id`, `GET /jobs/:id/result`,
 //! `GET /jobs/:id/trace`, `DELETE /jobs/:id`, `GET /metrics`,
@@ -38,7 +40,7 @@ pub mod server;
 pub mod spec;
 
 pub use client::{Client, ClientResponse};
-pub use exec::{analyze_point, PointOutcome, PointRunner};
+pub use exec::{analyze_point, PointOutcome, PointRunner, Stopped};
 pub use http::{Limits, Request, Response};
 pub use isrf_trace::json::{Json, JsonError};
 pub use pool::{Pool, WorkerHandle, WorkerStats};

@@ -31,7 +31,7 @@ use isrf_kernel::sched::SCHEDULES;
 use isrf_sim::tape::TAPES;
 use isrf_trace::{Histogram, MetricsRegistry};
 
-use crate::exec::{analyze_point, PointRunner};
+use crate::exec::{analyze_point, PointRunner, Stopped};
 use crate::http::{read_request, HttpError, Limits, Request, Response};
 use crate::pool::{Pool, WorkerHandle};
 use crate::spec::JobSpec;
@@ -47,7 +47,8 @@ pub struct ServerConfig {
     /// Max jobs admitted but not yet picked up by a worker; beyond this
     /// `POST /jobs` answers 429.
     pub queue_cap: usize,
-    /// Cycles per execution slice; the cancellation/drain latency bound.
+    /// Cycles per execution slice (clamped to at least 1); the
+    /// cancellation/drain latency bound.
     pub chunk_cycles: u64,
     /// Where drain checkpoints go; `None` disables persistence.
     pub snapshot_dir: Option<PathBuf>,
@@ -315,17 +316,20 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize) {
             Ok(r) => r,
             Err(e) => return PointEnd::Failed(e),
         };
-        // `run` slices internally; it returns None only when the closure
-        // vetoed the next slice (cancellation or drain).
+        // `run` slices internally; it pauses only when the closure vetoed
+        // the next slice (cancellation or drain).
         match runner.run(chunk, |cycles| {
             job.state.lock().unwrap().points[idx].cycles = cycles;
             !job.cancel.load(Ordering::SeqCst) && !core.draining()
         }) {
-            Some(out) => PointEnd::Finished(out),
-            None if job.cancel.load(Ordering::SeqCst) => PointEnd::Cancelled,
-            None => PointEnd::Drained(Some(runner.checkpoint()), runner.cycles()),
+            Ok(out) => PointEnd::Finished(out),
+            Err(Stopped::Failed(e)) => PointEnd::Failed(e.to_string()),
+            Err(Stopped::Paused) if job.cancel.load(Ordering::SeqCst) => PointEnd::Cancelled,
+            Err(Stopped::Paused) => PointEnd::Drained(Some(runner.checkpoint()), runner.cycles()),
         }
     }));
+    // The machine reports its own failures as `SimError`; a panic here is a
+    // broken internal invariant, kept from taking the worker down.
     let end = end.unwrap_or_else(|p| {
         let msg = p
             .downcast_ref::<&str>()

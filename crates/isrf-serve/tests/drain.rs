@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use isrf_apps::{prepare_app, Profile};
 use isrf_core::config::ConfigName;
-use isrf_serve::{AppRef, Client, Json, PointRunner, PointSpec, Server, ServerConfig};
+use isrf_serve::{AppRef, Client, Json, PointRunner, PointSpec, Server, ServerConfig, Stopped};
 use isrf_sim::ExecEngine;
 
 fn snapshot_dir(tag: &str) -> PathBuf {
@@ -190,7 +190,11 @@ fn a_rejected_checkpoint_restarts_its_point_from_scratch() {
         slices += 1;
         slices <= 3
     });
-    assert!(ran.is_none(), "the run must pause mid-way");
+    assert_eq!(
+        ran.unwrap_err(),
+        Stopped::Paused,
+        "the run must pause mid-way"
+    );
     let good = paused.checkpoint();
     // Header: the magic (8 bytes), then the version.
     assert_eq!(&good[..8], b"ISRFSNAP");

@@ -89,18 +89,21 @@ fn fetch_result(client: &mut Client, id: u64) -> Json {
 
 #[test]
 fn single_job_matches_direct_run() {
-    let (server, mut client) = start(2, 16, 50_000);
-    let (status, v) = submit(&mut client, r#"{"app":"sort","config":"ISRF4"}"#);
-    assert_eq!(status, 202, "{}", v.render());
-    let id = v.get("id").and_then(Json::as_u64).unwrap();
-    let result = fetch_result(&mut client, id);
-    let points = result.get("points").and_then(Json::as_arr).unwrap();
-    assert_eq!(points.len(), 1);
-    let (cycles, outs) = point_words(&points[0]);
-    let (want_cycles, want_outs) = direct("sort", ConfigName::Isrf4, Profile::Small);
-    assert_eq!(cycles, want_cycles);
-    assert_eq!(outs, want_outs);
-    server.stop();
+    // `chunk_cycles: 0` is clamped to one-cycle slices, not a failed job.
+    for chunk in [50_000, 0] {
+        let (server, mut client) = start(2, 16, chunk);
+        let (status, v) = submit(&mut client, r#"{"app":"sort","config":"ISRF4"}"#);
+        assert_eq!(status, 202, "{}", v.render());
+        let id = v.get("id").and_then(Json::as_u64).unwrap();
+        let result = fetch_result(&mut client, id);
+        let points = result.get("points").and_then(Json::as_arr).unwrap();
+        assert_eq!(points.len(), 1);
+        let (cycles, outs) = point_words(&points[0]);
+        let (want_cycles, want_outs) = direct("sort", ConfigName::Isrf4, Profile::Small);
+        assert_eq!(cycles, want_cycles, "chunk {chunk}");
+        assert_eq!(outs, want_outs, "chunk {chunk}");
+        server.stop();
+    }
 }
 
 #[test]
@@ -425,9 +428,22 @@ fn metrics_report_queue_cache_and_workers() {
     let id = v.get("id").and_then(Json::as_u64).unwrap();
     fetch_result(&mut client, id);
     submit(&mut client, body); // cache hit
-    let resp = client.get("/metrics").unwrap();
-    assert_eq!(resp.status, 200);
-    let text = String::from_utf8(resp.body).unwrap();
+
+    // A worker books an item after running it, so after the job shows as
+    // done: give its line a moment to appear.
+    let metrics = |client: &mut Client| {
+        let resp = client.get("/metrics").unwrap();
+        assert_eq!(resp.status, 200);
+        String::from_utf8(resp.body).unwrap()
+    };
+    let mut text = metrics(&mut client);
+    for _ in 0..400 {
+        if text.contains("worker_") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        text = metrics(&mut client);
+    }
     for key in [
         "serve_jobs_submitted",
         "serve_jobs_done",

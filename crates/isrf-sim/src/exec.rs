@@ -34,9 +34,13 @@ use isrf_trace::{StallReason, TraceEvent, Tracer};
 use crate::indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 use crate::srf::Srf;
 use crate::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
-use crate::tape::{
-    cached_tape, iteration, row_chunk, CompiledTape, MicroKind, MicroOp, RSrc, CHUNK, NO_DST,
-};
+use crate::tape::{iteration, row_chunk, CompiledTape, MicroKind, MicroOp, RSrc, CHUNK, NO_DST};
+
+/// Consecutive stalled cycles after which a kernel is reported deadlocked
+/// ([`KernelRun::wedged`]). While a kernel stalls it pops and pushes
+/// nothing, so every buffer fills and every FIFO drains within a few
+/// hundred cycles; a stall this long never ends.
+pub(crate) const STALL_LIMIT: u64 = 1_000_000;
 
 /// The kernel execution engine. There is one — every [`KernelRun`]
 /// executes a pre-compiled flat micro-op program
@@ -94,8 +98,8 @@ pub enum Phase {
 /// One kernel invocation in progress.
 #[derive(Debug)]
 pub struct KernelRun {
-    kernel: Arc<Kernel>,
-    sched: Arc<Schedule>,
+    /// The schedule's initiation interval.
+    ii: u64,
     iters: u64,
     lanes: usize,
     m_words: usize,
@@ -123,9 +127,8 @@ pub struct KernelRun {
     /// last cycle, where the next cycle's stall scan resumes. Host-only
     /// (never serialized): a full scan names the same blocker.
     stall_at: Option<u32>,
-    /// Compiled micro-op program (compiled lazily on first tick unless
-    /// pre-set by the machine's per-dispatch memo).
-    tape: Option<Arc<CompiledTape>>,
+    /// Compiled micro-op program.
+    tape: Arc<CompiledTape>,
     /// Flat context ring: `depth` rows of `n_ctx x lanes` words, indexed
     /// by iteration modulo `depth`.
     ring: Vec<Word>,
@@ -144,8 +147,8 @@ pub struct KernelRun {
 }
 
 impl KernelRun {
-    /// Bind `kernel` (already scheduled) to machine streams and prepare to
-    /// execute `iters` iterations per cluster.
+    /// Bind `kernel` (already scheduled, and compiled to `tape`) to machine
+    /// streams and prepare to execute `iters` iterations per cluster.
     ///
     /// # Panics
     ///
@@ -155,8 +158,9 @@ impl KernelRun {
     /// (write addresses are word-granular).
     pub fn new(
         cfg: &MachineConfig,
-        kernel: Arc<Kernel>,
-        sched: Arc<Schedule>,
+        kernel: &Kernel,
+        sched: &Schedule,
+        tape: Arc<CompiledTape>,
         bindings: &[StreamBinding],
         iters: u64,
     ) -> Self {
@@ -193,6 +197,7 @@ impl KernelRun {
         }
         let scratch_words = cfg.cluster.scratchpad_words.max(1);
         KernelRun {
+            ii: u64::from(sched.ii),
             iters,
             lanes,
             m_words: cfg.srf.words_per_seq_access,
@@ -215,39 +220,17 @@ impl KernelRun {
             comm_busy_prev: false,
             rows: std::array::from_fn(|_| vec![0; lanes.next_multiple_of(CHUNK)]),
             stall_at: None,
-            tape: None,
-            ring: Vec::new(),
-            ring_next_zero: 0,
+            // Rows for iterations `0..depth` start zeroed.
+            ring: vec![0; tape.ring_words()],
+            ring_next_zero: tape.depth as u64,
+            tape,
             rr_grant: 0,
             rr_idx: 0,
             advance_cycles: 0,
             stall_cycles: 0,
             consecutive_stalls: 0,
             flush_cycles: 0,
-            kernel,
-            sched,
         }
-    }
-
-    /// The schedule this run executes.
-    pub fn schedule(&self) -> &Schedule {
-        &self.sched
-    }
-
-    /// Install a pre-compiled tape (skipping the lazy per-tick lookup) and
-    /// size the context ring for it.
-    pub(crate) fn set_tape(&mut self, tape: Arc<CompiledTape>) {
-        self.ring.clear();
-        self.ring.resize(tape.ring_words(), 0);
-        // Rows for iterations `0..depth` start zeroed by the resize.
-        self.ring_next_zero = tape.depth as u64;
-        self.stall_at = None;
-        self.tape = Some(tape);
-    }
-
-    /// Iterations per cluster.
-    pub fn iters(&self) -> u64 {
-        self.iters
     }
 
     /// Serialize the dynamic state of an in-flight invocation: counters,
@@ -284,21 +267,16 @@ impl KernelRun {
     /// (0, the context ring — the only one), then the ring.
     pub(crate) fn encode_ctx(&self, e: &mut Enc) {
         e.u8(0);
-        e.usize(self.ring.len());
-        for &w in &self.ring {
-            e.u32(w);
-        }
+        e.words(&self.ring);
         e.u64(self.ring_next_zero);
     }
 
     /// Overwrite the dynamic state of a freshly constructed run from
     /// [`KernelRun::encode_state`] bytes. The run must already have been
-    /// built from the same kernel/schedule/bindings and given its tape
-    /// ([`KernelRun::set_tape`]).
+    /// built from the same kernel/schedule/bindings.
     pub(crate) fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
         self.t = d.u64()?;
-        let ii = u64::from(self.sched.ii);
-        (self.phase, self.base) = ((self.t % ii) as usize, self.t / ii);
+        (self.phase, self.base) = ((self.t % self.ii) as usize, self.t / self.ii);
         self.advance_cycles = d.u64()?;
         self.stall_cycles = d.u64()?;
         self.consecutive_stalls = d.u64()?;
@@ -350,7 +328,6 @@ impl KernelRun {
     }
 
     /// Restore the iteration contexts written by [`KernelRun::encode_ctx`].
-    /// The run must already hold its tape.
     pub(crate) fn decode_ctx(&mut self, d: &mut Dec) -> Result<(), SnapError> {
         let tag = d.u8()?;
         if tag != 0 {
@@ -358,23 +335,22 @@ impl KernelRun {
                 "iteration-context tag {tag} is not the tape ring's"
             )));
         }
-        let ring_len = d.usize()?;
-        if ring_len != self.ring.len() {
+        let ring = d.words()?;
+        if ring.len() != self.ring.len() {
             return Err(SnapError::Mismatch(format!(
-                "tape ring length {ring_len} != {}",
+                "tape ring length {} != {}",
+                ring.len(),
                 self.ring.len()
             )));
         }
-        for w in &mut self.ring {
-            *w = d.u32()?;
-        }
+        self.ring = ring;
         self.ring_next_zero = d.u64()?;
         Ok(())
     }
 
     /// Steady-state loop-body cycles (`iters × II`).
     pub fn body_cycles(&self) -> u64 {
-        self.iters * self.sched.ii as u64
+        self.iters * self.ii
     }
 
     /// All iterations fired and results produced?
@@ -429,10 +405,6 @@ impl KernelRun {
             self.flush_cycles += 1;
             return Phase::Flushing;
         }
-        if self.tape.is_none() {
-            let tape = cached_tape(&self.kernel, &self.sched, self.lanes);
-            self.set_tape(tape);
-        }
         if self.fire_cycle_tape(now, scratch, tracer) {
             self.advance_cycles += 1;
             self.consecutive_stalls = 0;
@@ -440,14 +412,6 @@ impl KernelRun {
         } else {
             self.stall_cycles += 1;
             self.consecutive_stalls += 1;
-            assert!(
-                self.consecutive_stalls < 1_000_000,
-                "kernel `{}` stalled for 1M consecutive cycles — likely an \
-                 indexed stream needs more outstanding records per iteration \
-                 than its address FIFO + stream buffer can hold; split the \
-                 accesses across more indexed streams",
-                self.kernel.name
-            );
             Phase::Stalled
         }
     }
@@ -515,34 +479,34 @@ impl KernelRun {
         }
     }
 
-    /// Fire every micro-op scheduled for this kernel cycle, for every
-    /// in-flight iteration, and advance the kernel cycle; returns false (and
-    /// changes nothing) when any of them cannot proceed.
-    fn fire_cycle_tape(
-        &mut self,
-        now: u64,
-        scratch: &mut [Vec<Word>],
-        tracer: &mut Tracer,
-    ) -> bool {
-        let tape = self.tape.as_deref().expect("tape engine without a tape");
-        let phase = tape.phases[self.phase];
-        // Zero the ring rows of newly-active iterations: consumers read
-        // slots of not-yet-fired producers as 0. The ring is deep enough
-        // (`stages + max_dist + 1` rounded up) that a reused row is fully
-        // dead by the time it comes around again.
-        while self.ring_next_zero <= self.base.min(self.iters - 1) {
-            let row = (self.ring_next_zero & tape.mask) as usize * tape.row_words;
-            self.ring[row..row + tape.row_words].fill(0);
-            self.ring_next_zero += 1;
+    /// `Some` once the kernel has stalled [`STALL_LIMIT`] cycles in a row:
+    /// that count, and the stream slot and reason blocking it at `now`, the
+    /// cycle of its last [`KernelRun::tick`]. Derived from serialized state
+    /// only, so a restored run reports what the run it was saved from did.
+    #[inline]
+    pub(crate) fn wedged(&mut self, now: u64) -> Option<(u64, u8, StallReason)> {
+        if self.consecutive_stalls < STALL_LIMIT {
+            return None;
         }
-        // Stall check in firing order: iterations ascending, op order
-        // within each group. Only the precomputed checkable subset is
-        // visited — pure arithmetic never blocks. While the kernel stalls
-        // it pops and pushes nothing, so buffers only fill, FIFOs only
-        // drain and time only passes: a check that passed stays passed,
-        // and the scan resumes at the check that blocked last cycle.
-        let from = self.stall_at.take().unwrap_or(phase.checks.0);
-        for ci in from..phase.checks.1 {
+        let (slot, reason) = self.blocked(now)?;
+        Some((self.consecutive_stalls, slot, reason))
+    }
+
+    /// The first op of this kernel cycle that cannot fire, as its stream
+    /// slot and why not; `None` when every one can.
+    ///
+    /// Stall check in firing order: iterations ascending, op order within
+    /// each group. Only the precomputed checkable subset is visited — pure
+    /// arithmetic never blocks. While the kernel stalls it pops and pushes
+    /// nothing, so buffers only fill, FIFOs only drain and time only passes:
+    /// a check that passed stays passed, and the scan resumes at the check
+    /// that blocked last cycle.
+    #[inline]
+    fn blocked(&mut self, now: u64) -> Option<(u8, StallReason)> {
+        let tape = &*self.tape;
+        let checks = tape.phases[self.phase].checks;
+        let from = self.stall_at.take().unwrap_or(checks.0);
+        for ci in from..checks.1 {
             let check = tape.checks[ci as usize];
             let Some(j) = iteration(self.base, check.stage, self.iters) else {
                 continue;
@@ -555,20 +519,40 @@ impl KernelRun {
                 self.lanes,
             );
             let blocked = blocker(mop, cond, now, &self.slots, &self.idx_states);
-            if let Some((slot_id, reason)) = blocked {
-                if tracer.enabled() {
-                    tracer.emit(
-                        now,
-                        TraceEvent::KernelStall {
-                            slot: slot_id,
-                            reason,
-                        },
-                    );
-                }
+            if blocked.is_some() {
                 self.stall_at = Some(ci);
-                return false;
+                return blocked;
             }
         }
+        None
+    }
+
+    /// Fire every micro-op scheduled for this kernel cycle, for every
+    /// in-flight iteration, and advance the kernel cycle; returns false (and
+    /// changes nothing) when any of them cannot proceed.
+    fn fire_cycle_tape(
+        &mut self,
+        now: u64,
+        scratch: &mut [Vec<Word>],
+        tracer: &mut Tracer,
+    ) -> bool {
+        // Zero the ring rows of newly-active iterations: consumers read
+        // slots of not-yet-fired producers as 0. The ring is deep enough
+        // (`stages + max_dist + 1` rounded up) that a reused row is fully
+        // dead by the time it comes around again.
+        while self.ring_next_zero <= self.base.min(self.iters - 1) {
+            let row = (self.ring_next_zero & self.tape.mask) as usize * self.tape.row_words;
+            self.ring[row..row + self.tape.row_words].fill(0);
+            self.ring_next_zero += 1;
+        }
+        if let Some((slot, reason)) = self.blocked(now) {
+            if tracer.enabled() {
+                tracer.emit(now, TraceEvent::KernelStall { slot, reason });
+            }
+            return false;
+        }
+        let tape = &*self.tape;
+        let phase = tape.phases[self.phase];
         let mut comm_busy = false;
         for g in &tape.groups[phase.groups.0 as usize..phase.groups.1 as usize] {
             let Some(j) = iteration(self.base, g.stage, self.iters) else {
@@ -628,6 +612,10 @@ macro_rules! state {
 /// *starved* sequential input (its stream buffer is empty) and one merely
 /// waiting out SRF access *latency* (words granted but not yet arrived) is
 /// what stall attribution reports downstream.
+///
+/// The deadlock report is a second, cold caller of the scan; the hint keeps
+/// this inlined in the per-cycle one (a call per check was 2% of `sim_seq`).
+#[inline]
 fn blocker(
     mop: &MicroOp,
     cond: &[Word],

@@ -18,9 +18,12 @@
 //!   functional and cycle-timed.
 //! * [`program`] — stream-level programs (loads/gathers, kernels,
 //!   stores/scatters with explicit dependences).
-//! * [`machine`] — the top-level machine: runs programs, overlaps memory
-//!   with kernels, and attributes every cycle to the Figure 12 breakdown.
-//! * [`snapshot`] — the cycle-granular snapshot format
+//! * [`machine`] — the top-level machine and its one run loop,
+//!   [`Machine::step`]: runs programs in resumable slices, overlaps memory
+//!   with kernels, attributes every cycle to the Figure 12 breakdown, and
+//!   fails with a typed [`SimError`] ([`Machine::run`] and
+//!   [`Machine::run_for`] are `step` with the error turned into a panic).
+//! * [`snapshot`] — the cycle-granular snapshot codec
 //!   ([`Machine::save_state`] / [`Machine::restore_state`]) and the
 //!   structural snapshot diff used by the first-divergence bisector.
 //! * [`verify`] — the static-verification interface: a
@@ -96,7 +99,7 @@ pub use exec::{ExecEngine, KernelRun, Phase};
 pub use indexed::{
     service_indexed, topology_extra_latency, topology_issue_budget, IdxKind, IdxParams, IdxState,
 };
-pub use machine::Machine;
+pub use machine::{Machine, SimError};
 pub use program::{ProgOp, ProgOpId, StreamProgram};
 pub use snapshot::{diff_snapshots, SnapshotDiff};
 pub use srf::{Srf, SrfRange};

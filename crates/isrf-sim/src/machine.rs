@@ -15,83 +15,145 @@
 //! fill/drain, output flush, and everything else).
 
 use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigError, MachineConfig};
-use isrf_core::snap::{self, Dec, Enc, SnapError};
 use isrf_core::stats::{MemTraffic, RunStats};
 use isrf_core::Word;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::Schedule;
 use isrf_mem::{MemorySystem, TransferId};
-use isrf_trace::{CycleAttr, TraceEvent, Tracer};
+use isrf_trace::{CycleAttr, StallReason, TraceEvent, Tracer};
 
 use crate::exec::{KernelRun, Phase};
+use crate::program::{ProgOp, StreamProgram};
+use crate::srf::{Srf, SrfRange};
+use crate::stream::StreamBinding;
 use crate::tape::{cached_tape, CompiledTape};
+use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError};
 
-/// A live memory transfer issued by [`Machine::run`]: the program op it
+/// Why [`Machine::step`] could not advance a program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// The installed verifier rejected the program before its first cycle.
+    Verify(VerifyError),
+    /// A program is paused on the machine and another one was passed in.
+    ProgramMismatch,
+    /// A kernel stalled for a million consecutive cycles, which by
+    /// construction has one cause: its address/data separation needs more
+    /// records outstanding than address FIFO + stream buffer hold (what
+    /// `isrf-verify` reports statically as V501).
+    Deadlock {
+        /// Machine cycle of the last stalled cycle simulated.
+        cycle: u64,
+        /// Program op index of the kernel.
+        op: usize,
+        /// The kernel's name.
+        kernel: String,
+        /// Consecutive stalled cycles up to and including `cycle`.
+        stalled_cycles: u64,
+        /// Stream slot of the first op that cannot fire.
+        slot: u8,
+        /// Why it cannot.
+        reason: StallReason,
+    },
+}
+
+impl fmt::Display for SimError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SimError::Verify(e) => e.fmt(f),
+            SimError::ProgramMismatch => {
+                write!(f, "resumed with a different program than the paused one")
+            }
+            SimError::Deadlock {
+                cycle,
+                op,
+                kernel,
+                stalled_cycles,
+                slot,
+                reason,
+            } => write!(
+                f,
+                "deadlock at cycle {cycle}: kernel `{kernel}` (op {op}) has stalled \
+                 {stalled_cycles} consecutive cycles on stream slot {slot} ({}) — likely \
+                 an indexed stream needs more outstanding records per iteration than \
+                 its address FIFO + stream buffer can hold; split the accesses across \
+                 more indexed streams",
+                reason.as_str()
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+impl From<VerifyError> for SimError {
+    fn from(e: VerifyError) -> Self {
+        SimError::Verify(e)
+    }
+}
+
+/// A live memory transfer issued by [`Machine::step`]: the program op it
 /// completes and, for loads, the destination stream and the data to land
 /// in the SRF at completion. Stored in a slab indexed by the transfer's
 /// slab slot, so completions resolve without scanning.
 #[derive(Debug)]
-struct PendingTransfer {
-    op: usize,
-    fill: Option<(StreamBinding, Vec<Word>)>,
+pub(crate) struct PendingTransfer {
+    pub(crate) op: usize,
+    pub(crate) fill: Option<(StreamBinding, Vec<Word>)>,
 }
 
 /// Sequencer loop state of an in-flight program run, parked on the machine
-/// between [`Machine::run_for`] slices. Structures derivable from the
+/// between [`Machine::step`] slices. Structures derivable from the
 /// program alone (dependents lists, the kernel index list, the port block
 /// size) are rebuilt on every slice instead of being stored.
 #[derive(Debug)]
-struct RunState {
+pub(crate) struct RunState {
     /// Cumulative stats at run start (the final delta subtracts these).
-    start_stats: RunStats,
+    pub(crate) start_stats: RunStats,
     /// Memory traffic at run start.
-    mem_start: MemTraffic,
-    done: Vec<bool>,
-    pending_deps: Vec<u32>,
+    pub(crate) mem_start: MemTraffic,
+    pub(crate) done: Vec<bool>,
+    pub(crate) pending_deps: Vec<u32>,
     /// Memory ops whose dependences are complete, not yet issued.
-    ready_mem: Vec<usize>,
+    pub(crate) ready_mem: Vec<usize>,
     /// Cursor into the program-order kernel list.
-    next_kernel: usize,
+    pub(crate) next_kernel: usize,
     /// The dispatched kernel, if any: `(program op index, run)`.
-    kernel_run: Option<(usize, KernelRun)>,
-    kernel_dispatch_left: u32,
-    completed: usize,
-    live_transfers: usize,
+    pub(crate) kernel_run: Option<(usize, KernelRun)>,
+    pub(crate) kernel_dispatch_left: u32,
+    pub(crate) completed: usize,
+    pub(crate) live_transfers: usize,
 }
 
-use crate::program::{ProgOp, StreamProgram};
-use crate::srf::{Srf, SrfRange};
-use crate::stream::StreamBinding;
-use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError};
-
-/// A complete simulated stream processor.
+/// A complete simulated stream processor. The `pub(crate)` fields are the
+/// dynamic state [`crate::snapshot`] serializes.
 #[derive(Debug)]
 pub struct Machine {
-    cfg: MachineConfig,
-    srf: Srf,
-    mem: MemorySystem,
+    pub(crate) cfg: MachineConfig,
+    pub(crate) srf: Srf,
+    pub(crate) mem: MemorySystem,
     /// Persistent cluster-local scratchpads, `scratch[lane][addr]`.
-    scratch: Vec<Vec<Word>>,
-    now: u64,
-    stats: RunStats,
+    pub(crate) scratch: Vec<Vec<Word>>,
+    pub(crate) now: u64,
+    pub(crate) stats: RunStats,
     /// Fractional SRF-port debt of memory transfers, in words.
-    mem_port_words: f64,
+    pub(crate) mem_port_words: f64,
     tracer: Tracer,
     /// Live transfers, indexed by slab slot (mirrors the memory system's
     /// slot allocation).
-    pending: Vec<Option<PendingTransfer>>,
+    pub(crate) pending: Vec<Option<PendingTransfer>>,
     /// Reusable staging buffer for store/scatter source data.
     store_buf: Vec<Word>,
     /// Static verifier consulted before simulation, when installed.
     verifier: Option<Arc<dyn ProgramVerifier>>,
     /// Per-bank word intervals known to hold data (sorted, disjoint):
     /// direct `write_stream` setup plus the outputs of completed runs.
-    filled: Vec<(u32, u32)>,
-    /// Loop state of a program paused mid-run by [`Machine::run_for`].
-    active: Option<RunState>,
+    pub(crate) filled: Vec<(u32, u32)>,
+    /// Loop state of a program paused mid-run by [`Machine::step`].
+    pub(crate) active: Option<RunState>,
     /// Per-machine tape memo keyed by `(kernel, schedule)` Arc identity,
     /// skipping the content-hash lookup on repeat dispatches. The Arcs
     /// are pinned in the entry so pointer keys stay valid.
@@ -280,12 +342,10 @@ impl Machine {
     /// destinations and every output binding of each kernel.
     fn note_program_fills(&mut self, program: &StreamProgram) {
         use isrf_kernel::ir::StreamKind;
-        let mut ranges: Vec<crate::srf::SrfRange> = Vec::new();
+        let mut wrote = |r: SrfRange| self.add_fill(r.base, r.base + r.words_per_bank);
         for node in &program.nodes {
             match &node.op {
-                ProgOp::Load { dst, .. } | ProgOp::GatherDyn { dst, .. } => {
-                    ranges.push(dst.range);
-                }
+                ProgOp::Load { dst, .. } | ProgOp::GatherDyn { dst, .. } => wrote(dst.range),
                 ProgOp::Kernel {
                     kernel, bindings, ..
                 } => {
@@ -294,15 +354,12 @@ impl Machine {
                             decl.kind,
                             StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite
                         ) {
-                            ranges.push(b.range);
+                            wrote(b.range);
                         }
                     }
                 }
                 ProgOp::Store { .. } | ProgOp::ScatterDyn { .. } => {}
             }
-        }
-        for r in ranges {
-            self.add_fill(r.base, r.base + r.words_per_bank);
         }
     }
 
@@ -421,438 +478,94 @@ impl Machine {
 
     /// Execute `program` to completion; returns the stats for this run.
     ///
-    /// In debug builds with a verifier installed, verification failures
-    /// panic with the full diagnostic list — use [`Machine::run_checked`]
-    /// to get them as a typed error instead.
-    ///
     /// # Panics
     ///
-    /// Panics if the program deadlocks (circular dependences) — programs
-    /// built with [`StreamProgram`]'s checked constructors cannot — or
-    /// fails verification.
+    /// Panics with the [`SimError`] that [`Machine::step`] would have
+    /// returned.
     pub fn run(&mut self, program: &StreamProgram) -> RunStats {
-        self.run_checked(program).unwrap_or_else(|e| panic!("{e}"))
+        self.run_for(program, u64::MAX)
+            .expect("an unbounded run completes")
     }
 
-    /// The automatic check at the head of a run: debug builds only, so
-    /// tests get full checking and release runs pay nothing, and only when
-    /// starting fresh, not when resuming a paused program.
-    fn verify_fresh_run(&self, program: &StreamProgram) -> Result<(), VerifyError> {
-        if cfg!(debug_assertions) && self.active.is_none() {
-            self.verify_program(program)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// Like [`Machine::run`], but verification failures come back as a
-    /// typed [`VerifyError`] instead of a panic. The verifier runs once,
-    /// before the first simulated cycle (debug builds only); simulation
-    /// itself is unchanged.
-    ///
-    /// # Errors
-    ///
-    /// The verifier's diagnostics, in a debug build, when the program is
-    /// not clean.
-    pub fn run_checked(&mut self, program: &StreamProgram) -> Result<RunStats, VerifyError> {
-        self.verify_fresh_run(program)?;
-        let stats = self
-            .run_budget(program, u64::MAX)
-            .expect("unbounded run completes");
-        self.note_program_fills(program);
-        Ok(stats)
-    }
-
-    /// Run `program` for at most `max_cycles` machine cycles, pausing the
-    /// sequencer in place when the budget runs out.
-    ///
-    /// Returns `Some(stats)` when the program completed within the budget
-    /// (the run's stats delta, exactly as [`Machine::run`] would have
-    /// returned), or `None` when it paused; call `run_for` (or
-    /// [`Machine::run`]) again **with the same program** to continue. A
-    /// paused-and-resumed run is byte-identical — stats, traces, memory —
-    /// to an uninterrupted one. Snapshot the paused machine with
-    /// [`Machine::save_state`].
+    /// [`Machine::step`] for callers with nothing to do about a failure:
+    /// `Some(stats)` when the program completed within `max_cycles`, `None`
+    /// when it paused.
     ///
     /// # Panics
     ///
-    /// As [`Machine::run`]: verification failures (checked only when
-    /// starting fresh, not when resuming) and deadlock panic.
+    /// Panics with the [`SimError`] that [`Machine::step`] would have
+    /// returned.
     pub fn run_for(&mut self, program: &StreamProgram, max_cycles: u64) -> Option<RunStats> {
-        self.verify_fresh_run(program)
-            .unwrap_or_else(|e| panic!("{e}"));
-        let stats = self.run_budget(program, max_cycles);
-        if stats.is_some() {
-            self.note_program_fills(program);
-        }
-        stats
+        self.step(program, max_cycles)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// True while a [`Machine::run_for`] slice has left a program paused
-    /// mid-run on this machine.
+    /// True while a program is paused mid-run on this machine: a
+    /// [`Machine::step`] ran out of budget or reported a deadlock.
     pub fn mid_run(&self) -> bool {
         self.active.is_some()
     }
 
-    /// Run `program` in slices of `chunk` cycles while `keep_going`
-    /// approves, pausing in place the first time it declines.
-    ///
-    /// The job-facing run API: a long-running service executes each job in
-    /// bounded slices and polls a cancellation/drain flag between them, so
-    /// a pause lands on an exact cycle boundary and the paused machine can
-    /// be snapshotted with [`Machine::save_state`] (or resumed later by
-    /// calling `run_while` / [`Machine::run_for`] again with the same
-    /// program). Returns `Some(stats)` when the program completed, `None`
-    /// when paused. `keep_going` is consulted before every slice,
-    /// including the first — so an already-cancelled job never simulates a
-    /// cycle — and a paused-and-resumed run remains byte-identical to an
-    /// uninterrupted one.
-    ///
-    /// # Panics
-    ///
-    /// As [`Machine::run_for`]; additionally if `chunk` is zero.
-    pub fn run_while(
-        &mut self,
-        program: &StreamProgram,
-        chunk: u64,
-        mut keep_going: impl FnMut(&Machine) -> bool,
-    ) -> Option<RunStats> {
-        assert!(chunk > 0, "run_while needs a nonzero slice");
-        loop {
-            if !keep_going(self) {
-                return None;
-            }
-            if let Some(stats) = self.run_for(program, chunk) {
-                return Some(stats);
-            }
-        }
+    /// The run of kernel op `ki` of `program`, bound and holding its tape
+    /// but not started; `None` when that op is not a kernel.
+    pub(crate) fn kernel_run(&mut self, program: &StreamProgram, ki: usize) -> Option<KernelRun> {
+        let ProgOp::Kernel {
+            kernel,
+            schedule,
+            bindings,
+            iters,
+        } = &program.nodes.get(ki)?.op
+        else {
+            return None;
+        };
+        let tape = self.tape_for(kernel, schedule);
+        Some(KernelRun::new(
+            &self.cfg, kernel, schedule, tape, bindings, *iters,
+        ))
     }
 
-    /// Serialize the machine's complete dynamic architectural state —
-    /// including a program paused by [`Machine::run_for`] — into the
-    /// versioned, content-hashed snapshot frame (DESIGN.md §12).
+    /// Advance `program` by at most `budget` machine cycles. The one run
+    /// loop: [`Machine::run`] and [`Machine::run_for`] are this with the
+    /// error turned into a panic.
     ///
-    /// The snapshot captures everything the simulation reads: cycle
-    /// counter, statistics, SRF banks, lane scratchpads, the memory system
-    /// (contents, cache arrays, in-flight transfers), the pending-transfer
-    /// slab, and the paused sequencer loop (stream buffers, address FIFOs,
-    /// kernel cursors, iteration contexts). Derived caches (compiled
-    /// tapes, tracers, verifiers) are not stored; they are reconstructed
-    /// deterministically on restore. `program` must be the program the
-    /// paused run executes; restoring requires the same program and
-    /// machine configuration (validated by fingerprint).
-    ///
-    /// Two snapshots of identical architectural state are byte-identical,
-    /// and `snapshot → restore → run` matches an uninterrupted run in
-    /// stats, traces, and memory.
-    pub fn save_state(&self, program: &StreamProgram) -> Vec<u8> {
-        let mut meta = Enc::new();
-        meta.u64(snap::fnv1a(format!("{:?}", self.cfg).as_bytes()));
-        meta.u64(snap::fnv1a(format!("{program:?}").as_bytes()));
-        // Reserved byte of the `meta` layout: always 0, and restore
-        // rejects anything else. The flag after it carried a run-loop
-        // option that no longer exists: written `true`, ignored on read.
-        meta.u8(0);
-        meta.bool(true);
-        meta.u64(self.now);
-        meta.f64(self.mem_port_words);
-        self.stats.encode_state(&mut meta);
-
-        let mut scratch = Enc::new();
-        scratch.usize(self.scratch.len());
-        for lane in &self.scratch {
-            scratch.usize(lane.len());
-            for &w in lane {
-                scratch.u32(w);
-            }
-        }
-
-        let mut filled = Enc::new();
-        filled.usize(self.filled.len());
-        for &(lo, hi) in &self.filled {
-            filled.u32(lo);
-            filled.u32(hi);
-        }
-
-        let mut pending = Enc::new();
-        pending.usize(self.pending.len());
-        for slot in &self.pending {
-            match slot {
-                None => pending.bool(false),
-                Some(pt) => {
-                    pending.bool(true);
-                    pending.usize(pt.op);
-                    match &pt.fill {
-                        None => pending.bool(false),
-                        Some((b, data)) => {
-                            pending.bool(true);
-                            encode_binding(b, &mut pending);
-                            pending.usize(data.len());
-                            for &w in data {
-                                pending.u32(w);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let mut srf = Enc::new();
-        self.srf.encode_state(&mut srf);
-
-        let mut run = Enc::new();
-        let mut kctx = Enc::new();
-        match &self.active {
-            None => run.bool(false),
-            Some(rs) => {
-                run.bool(true);
-                rs.start_stats.encode_state(&mut run);
-                rs.mem_start.encode_state(&mut run);
-                run.usize(rs.done.len());
-                for &d in &rs.done {
-                    run.bool(d);
-                }
-                for &p in &rs.pending_deps {
-                    run.u32(p);
-                }
-                run.usize(rs.ready_mem.len());
-                for &i in &rs.ready_mem {
-                    run.usize(i);
-                }
-                run.usize(rs.next_kernel);
-                run.u32(rs.kernel_dispatch_left);
-                run.usize(rs.completed);
-                run.usize(rs.live_transfers);
-                match &rs.kernel_run {
-                    None => run.bool(false),
-                    Some((ki, kr)) => {
-                        run.bool(true);
-                        run.usize(*ki);
-                        kr.encode_state(&mut run);
-                        // Iteration contexts are the `kctx` section.
-                        kr.encode_ctx(&mut kctx);
-                    }
-                }
-            }
-        }
-
-        let mut payload = Enc::new();
-        snap::write_sections(
-            &mut payload,
-            &[
-                ("meta", meta.into_bytes()),
-                ("scratch", scratch.into_bytes()),
-                ("filled", filled.into_bytes()),
-                ("pending", pending.into_bytes()),
-                ("srf", srf.into_bytes()),
-                ("mem", self.mem.encode_state()),
-                ("run", run.into_bytes()),
-                ("kctx", kctx.into_bytes()),
-            ],
-        );
-        snap::frame(&payload.into_bytes())
-    }
-
-    /// Restore the machine to a snapshot taken by [`Machine::save_state`].
-    ///
-    /// The machine must be built from the same configuration and `program`
-    /// must be (structurally) the same program as at capture — both are
-    /// validated by fingerprint before anything is overwritten. Tracer,
-    /// verifier, and the tape memo are left untouched, so a
-    /// restored machine can trace or verify independently of the one that
-    /// captured the snapshot.
+    /// Returns `Some(stats)`, the run's stats delta, when the program
+    /// completed within the budget, or `None` when the sequencer paused in
+    /// place; call `step` again **with the same program** to continue. A
+    /// paused-and-resumed run is byte-identical — stats, traces, memory —
+    /// to an uninterrupted one. Snapshot the paused machine with
+    /// [`Machine::save_state`].
     ///
     /// # Errors
     ///
-    /// Any [`SnapError`]: frame corruption, version mismatch, or a
-    /// structurally valid snapshot that does not fit this machine or
-    /// program. On error after the fingerprint checks the machine state is
-    /// unspecified; restore again (or rebuild the machine) before use.
-    pub fn restore_state(
+    /// * [`SimError::Verify`]: the installed verifier's diagnostics, before
+    ///   the first simulated cycle. The automatic check runs in debug builds
+    ///   only, so tests get full checking and release runs pay nothing, and
+    ///   only when starting fresh, not when resuming a paused program
+    ///   ([`Machine::verify_program`] checks in any build).
+    /// * [`SimError::ProgramMismatch`]: a paused run is resumed with another
+    ///   program. The paused run is untouched.
+    /// * [`SimError::Deadlock`]: a kernel stalled a million cycles in a row.
+    ///   The machine stays parked mid-run on that cycle — `save_state` and
+    ///   the tracer's tail are the post-mortem — and every further `step`
+    ///   returns the same error at once.
+    pub fn step(
         &mut self,
         program: &StreamProgram,
-        bytes: &[u8],
-    ) -> Result<(), SnapError> {
-        let payload = snap::unframe(bytes)?;
-        let sections = snap::read_sections(payload)?;
-        let get = |name: &str| -> Result<&[u8], SnapError> {
-            sections
-                .iter()
-                .find(|s| s.name == name)
-                .map(|s| s.bytes.as_slice())
-                .ok_or_else(|| SnapError::Mismatch(format!("snapshot lacks section \"{name}\"")))
-        };
-
-        let mut meta = Dec::new(get("meta")?);
-        let cfg_fp = meta.u64()?;
-        if cfg_fp != snap::fnv1a(format!("{:?}", self.cfg).as_bytes()) {
-            return Err(SnapError::Mismatch(
-                "snapshot was taken on a different machine configuration".into(),
-            ));
-        }
-        let prog_fp = meta.u64()?;
-        if prog_fp != snap::fnv1a(format!("{program:?}").as_bytes()) {
-            return Err(SnapError::Mismatch(
-                "snapshot was taken running a different program".into(),
-            ));
-        }
-        let reserved = meta.u8()?;
-        if reserved != 0 {
-            return Err(SnapError::Mismatch(format!(
-                "reserved meta byte is {reserved}, not 0"
-            )));
-        }
-        meta.bool()?;
-        self.now = meta.u64()?;
-        self.mem_port_words = meta.f64()?;
-        self.stats = RunStats::decode_state(&mut meta)?;
-        meta.finish()?;
-
-        let mut sc = Dec::new(get("scratch")?);
-        let lanes = sc.usize()?;
-        if lanes != self.scratch.len() {
-            return Err(SnapError::Mismatch(format!(
-                "scratchpad lane count {lanes} != {}",
-                self.scratch.len()
-            )));
-        }
-        for lane in &mut self.scratch {
-            let len = sc.usize()?;
-            if len != lane.len() {
-                return Err(SnapError::Mismatch(format!(
-                    "scratchpad holds {len} words, expected {}",
-                    lane.len()
-                )));
-            }
-            for w in lane.iter_mut() {
-                *w = sc.u32()?;
-            }
-        }
-        sc.finish()?;
-
-        let mut fl = Dec::new(get("filled")?);
-        let n_filled = fl.usize()?;
-        self.filled.clear();
-        for _ in 0..n_filled {
-            let lo = fl.u32()?;
-            let hi = fl.u32()?;
-            self.filled.push((lo, hi));
-        }
-        fl.finish()?;
-
-        let mut pd = Dec::new(get("pending")?);
-        let slots = pd.usize()?;
-        self.pending.clear();
-        for _ in 0..slots {
-            if !pd.bool()? {
-                self.pending.push(None);
-                continue;
-            }
-            let op = pd.usize()?;
-            let fill = if pd.bool()? {
-                let b = decode_binding(&mut pd)?;
-                let len = pd.usize()?;
-                let mut data = Vec::with_capacity(len);
-                for _ in 0..len {
-                    data.push(pd.u32()?);
-                }
-                Some((b, data))
-            } else {
-                None
-            };
-            self.pending.push(Some(PendingTransfer { op, fill }));
-        }
-        pd.finish()?;
-
-        let mut sr = Dec::new(get("srf")?);
-        self.srf.decode_state(&mut sr)?;
-        sr.finish()?;
-
-        self.mem.decode_state(get("mem")?)?;
-
-        let mut rn = Dec::new(get("run")?);
-        self.active = if rn.bool()? {
-            let start_stats = RunStats::decode_state(&mut rn)?;
-            let mem_start = MemTraffic::decode_state(&mut rn)?;
-            let n_ops = rn.usize()?;
-            if n_ops != program.len() {
-                return Err(SnapError::Mismatch(format!(
-                    "paused run covers {n_ops} ops, program has {}",
-                    program.len()
-                )));
-            }
-            let mut done = Vec::with_capacity(n_ops);
-            for _ in 0..n_ops {
-                done.push(rn.bool()?);
-            }
-            let mut pending_deps = Vec::with_capacity(n_ops);
-            for _ in 0..n_ops {
-                pending_deps.push(rn.u32()?);
-            }
-            let n_ready = rn.usize()?;
-            let mut ready_mem = Vec::with_capacity(n_ready);
-            for _ in 0..n_ready {
-                ready_mem.push(rn.usize()?);
-            }
-            let next_kernel = rn.usize()?;
-            let kernel_dispatch_left = rn.u32()?;
-            let completed = rn.usize()?;
-            let live_transfers = rn.usize()?;
-            let kernel_run = if rn.bool()? {
-                let ki = rn.usize()?;
-                let Some(node) = program.nodes.get(ki) else {
-                    return Err(SnapError::Mismatch(format!(
-                        "paused kernel index {ki} out of program range"
-                    )));
-                };
-                let ProgOp::Kernel {
-                    kernel,
-                    schedule,
-                    bindings,
-                    iters,
-                } = &node.op
-                else {
-                    return Err(SnapError::Mismatch(format!(
-                        "paused run points at op {ki}, which is not a kernel"
-                    )));
-                };
-                let mut kr = KernelRun::new(
-                    &self.cfg,
-                    Arc::clone(kernel),
-                    Arc::clone(schedule),
-                    bindings,
-                    *iters,
-                );
-                kr.set_tape(self.tape_for(kernel, schedule));
-                kr.decode_state(&mut rn)?;
-                let mut kc = Dec::new(get("kctx")?);
-                kr.decode_ctx(&mut kc)?;
-                kc.finish()?;
-                Some((ki, kr))
-            } else {
-                None
-            };
-            Some(RunState {
-                start_stats,
-                mem_start,
-                done,
-                pending_deps,
-                ready_mem,
-                next_kernel,
-                kernel_run,
-                kernel_dispatch_left,
-                completed,
-                live_transfers,
-            })
-        } else {
-            None
-        };
-        rn.finish()?;
-        Ok(())
-    }
-
-    fn run_budget(&mut self, program: &StreamProgram, budget: u64) -> Option<RunStats> {
+        budget: u64,
+    ) -> Result<Option<RunStats>, SimError> {
         let n = program.len();
+        match &mut self.active {
+            None if cfg!(debug_assertions) => self.verify_program(program)?,
+            None => {}
+            Some(rs) if rs.done.len() != n => return Err(SimError::ProgramMismatch),
+            Some(rs) => {
+                if let Some((ki, run)) = &mut rs.kernel_run {
+                    if let Some(e) = deadlock(program, *ki, run, self.now) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
         // Program-derived structures, rebuilt on every slice (cheap, and
         // identical across pause/resume since the program is unchanged):
         // an op becomes ready the moment its last dependence completes —
@@ -869,10 +582,8 @@ impl Machine {
         }
         let block = (self.cfg.lanes * self.cfg.srf.words_per_seq_access) as f64;
         let mut rs = self.active.take().unwrap_or_else(|| {
-            let mut pending_deps: Vec<u32> = vec![0; n];
-            for (i, node) in program.nodes.iter().enumerate() {
-                pending_deps[i] = node.deps.len() as u32;
-            }
+            let deps = program.nodes.iter().map(|node| node.deps.len() as u32);
+            let pending_deps: Vec<u32> = deps.collect();
             let ready_mem: Vec<usize> = (0..n)
                 .filter(|&i| {
                     pending_deps[i] == 0 && !matches!(program.nodes[i].op, ProgOp::Kernel { .. })
@@ -891,18 +602,12 @@ impl Machine {
                 live_transfers: 0,
             }
         });
-        if rs.done.len() != n {
-            panic!(
-                "resumed with a different program ({n} ops, paused run has {})",
-                rs.done.len()
-            );
-        }
         let mut used: u64 = 0;
 
         while rs.completed < n {
             if used >= budget {
                 self.active = Some(rs);
-                return None;
+                return Ok(None);
             }
             // Start ready memory ops (ascending op order, matching the
             // program scan this replaces).
@@ -920,33 +625,17 @@ impl Machine {
             if rs.kernel_run.is_none() && rs.next_kernel < kernels.len() {
                 let ki = kernels[rs.next_kernel];
                 if rs.pending_deps[ki] == 0 {
-                    if let ProgOp::Kernel {
-                        kernel,
-                        schedule,
-                        bindings,
-                        iters,
-                    } = &program.nodes[ki].op
-                    {
-                        if self.tracer.enabled() {
-                            self.tracer.emit(
-                                self.now,
-                                TraceEvent::KernelStart {
-                                    op: ki as u32,
-                                    name: kernel.name.as_str().into(),
-                                },
-                            );
-                        }
-                        let mut run = KernelRun::new(
-                            &self.cfg,
-                            Arc::clone(kernel),
-                            Arc::clone(schedule),
-                            bindings,
-                            *iters,
+                    if self.tracer.enabled() {
+                        self.tracer.emit(
+                            self.now,
+                            TraceEvent::KernelStart {
+                                op: ki as u32,
+                                name: kernel_name(program, ki).into(),
+                            },
                         );
-                        run.set_tape(self.tape_for(kernel, schedule));
-                        rs.kernel_run = Some((ki, run));
-                        rs.kernel_dispatch_left = self.cfg.kernel_dispatch_cycles;
                     }
+                    rs.kernel_run = self.kernel_run(program, ki).map(|run| (ki, run));
+                    rs.kernel_dispatch_left = self.cfg.kernel_dispatch_cycles;
                 }
             }
 
@@ -959,6 +648,8 @@ impl Machine {
             // mid-wait resumes in the same state.
             loop {
                 self.now += 1;
+                self.stats.cycles += 1;
+                used += 1;
                 self.mem.tick_traced(&mut self.tracer);
                 // Memory transfers consume the SRF port: one block grant per
                 // N*m words moved.
@@ -985,15 +676,7 @@ impl Machine {
                     if let Some((dst, data)) = pt.fill {
                         self.srf.write_stream(&dst, &data);
                     }
-                    complete_op(
-                        pt.op,
-                        program,
-                        &mut rs.done,
-                        &mut rs.completed,
-                        &mut rs.pending_deps,
-                        &dependents,
-                        &mut rs.ready_mem,
-                    );
+                    complete_op(pt.op, program, &dependents, &mut rs);
                     if self.tracer.enabled() {
                         self.tracer.emit(
                             self.now,
@@ -1027,17 +710,23 @@ impl Machine {
                         match phase {
                             Phase::Advanced | Phase::Stalled => {
                                 self.stats.main_loop_cycles += 1;
-                                if phase == Phase::Stalled {
-                                    self.stats.breakdown.srf_stall += 1;
-                                }
+                                let stalled = phase == Phase::Stalled;
                                 // Loop-body vs fill/drain is settled at kernel end.
                                 if self.tracer.enabled() {
-                                    let attr = if phase == Phase::Stalled {
+                                    let attr = if stalled {
                                         CycleAttr::SrfStall
                                     } else {
                                         CycleAttr::Advance
                                     };
                                     self.tracer.emit(self.now, TraceEvent::Cycle(attr));
+                                }
+                                if stalled {
+                                    self.stats.breakdown.srf_stall += 1;
+                                    // The cycle is fully accounted: park on it.
+                                    if let Some(e) = deadlock(program, *ki, run, self.now) {
+                                        self.active = Some(rs);
+                                        return Err(e);
+                                    }
                                 }
                             }
                             Phase::Flushing => {
@@ -1068,15 +757,7 @@ impl Machine {
                                     self.tracer
                                         .emit(self.now, TraceEvent::Cycle(CycleAttr::KernelFinish));
                                 }
-                                complete_op(
-                                    i,
-                                    program,
-                                    &mut rs.done,
-                                    &mut rs.completed,
-                                    &mut rs.pending_deps,
-                                    &dependents,
-                                    &mut rs.ready_mem,
-                                );
+                                complete_op(i, program, &dependents, &mut rs);
                                 rs.kernel_run = None;
                                 self.stats.breakdown.overhead += 1; // this cycle
                             }
@@ -1097,19 +778,13 @@ impl Machine {
                             .emit(self.now, TraceEvent::Cycle(CycleAttr::Idle));
                     }
                 }
-                self.stats.cycles += 1;
-                used += 1;
                 if !idle || retired || rs.live_transfers == 0 || used >= budget {
                     break;
                 }
             }
-
-            assert!(
-                self.stats.cycles - (rs.start_stats.cycles) < 1_000_000_000,
-                "program appears deadlocked"
-            );
         }
 
+        self.note_program_fills(program);
         self.stats.mem = self.mem.traffic();
         let mut delta = self.stats;
         delta.cycles -= rs.start_stats.cycles;
@@ -1124,55 +799,43 @@ impl Machine {
         delta.mem.bytes_read -= rs.mem_start.bytes_read;
         delta.mem.bytes_written -= rs.mem_start.bytes_written;
         delta.mem.cache_hit_bytes -= rs.mem_start.cache_hit_bytes;
-        Some(delta)
+        Ok(Some(delta))
     }
 }
 
-/// Write a [`StreamBinding`] into a snapshot encoder (seven `u32` fields).
-fn encode_binding(b: &StreamBinding, e: &mut Enc) {
-    e.u32(b.range.base);
-    e.u32(b.range.words_per_bank);
-    e.u32(b.record_words);
-    e.u32(b.records);
-    e.u32(b.start_record);
-    e.u32(b.run_records);
-    e.u32(b.stride_records);
+/// Name of kernel op `ki` of `program`.
+fn kernel_name(program: &StreamProgram, ki: usize) -> &str {
+    match &program.nodes[ki].op {
+        ProgOp::Kernel { kernel, .. } => &kernel.name,
+        _ => unreachable!("only kernels dispatch on the sequencer"),
+    }
 }
 
-/// Read a [`StreamBinding`] written by [`encode_binding`].
-fn decode_binding(d: &mut Dec) -> Result<StreamBinding, SnapError> {
-    Ok(StreamBinding {
-        range: SrfRange {
-            base: d.u32()?,
-            words_per_bank: d.u32()?,
-        },
-        record_words: d.u32()?,
-        records: d.u32()?,
-        start_record: d.u32()?,
-        run_records: d.u32()?,
-        stride_records: d.u32()?,
+/// The report of kernel op `ki`, once its `run` is [`KernelRun::wedged`] at
+/// machine cycle `now`.
+#[inline]
+fn deadlock(program: &StreamProgram, ki: usize, run: &mut KernelRun, now: u64) -> Option<SimError> {
+    let (stalled_cycles, slot, reason) = run.wedged(now)?;
+    Some(SimError::Deadlock {
+        cycle: now,
+        op: ki,
+        kernel: kernel_name(program, ki).into(),
+        stalled_cycles,
+        slot,
+        reason,
     })
 }
 
 /// Retire op `i`: mark it done and push any newly unblocked memory ops
 /// onto the ready list (kernels wait for the sequencer's program-order
 /// cursor instead).
-#[allow(clippy::too_many_arguments)]
-fn complete_op(
-    i: usize,
-    program: &StreamProgram,
-    done: &mut [bool],
-    completed: &mut usize,
-    pending_deps: &mut [u32],
-    dependents: &[Vec<usize>],
-    ready_mem: &mut Vec<usize>,
-) {
-    done[i] = true;
-    *completed += 1;
+fn complete_op(i: usize, program: &StreamProgram, dependents: &[Vec<usize>], rs: &mut RunState) {
+    rs.done[i] = true;
+    rs.completed += 1;
     for &j in &dependents[i] {
-        pending_deps[j] -= 1;
-        if pending_deps[j] == 0 && !matches!(program.nodes[j].op, ProgOp::Kernel { .. }) {
-            ready_mem.push(j);
+        rs.pending_deps[j] -= 1;
+        if rs.pending_deps[j] == 0 && !matches!(program.nodes[j].op, ProgOp::Kernel { .. }) {
+            rs.ready_mem.push(j);
         }
     }
 }

@@ -82,7 +82,7 @@ pub enum ProgOp {
     Kernel {
         /// The kernel body.
         kernel: Arc<Kernel>,
-        /// Its modulo schedule, shared with each dispatched `KernelRun`.
+        /// Its modulo schedule.
         schedule: Arc<Schedule>,
         /// One binding per kernel stream slot.
         bindings: Vec<StreamBinding>,

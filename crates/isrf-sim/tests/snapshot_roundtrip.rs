@@ -240,24 +240,102 @@ fn restore_rejects_nonzero_engine_and_context_tags() {
     assert!(m.run_for(&p, straight().stats.cycles * 7 / 8).is_none());
     let snapshot = m.save_state(&p);
     for (section, at) in [("meta", 16), ("kctx", 0)] {
-        let payload = snap::unframe(&snapshot).unwrap();
-        let rebuilt: Vec<(String, Vec<u8>)> = snap::read_sections(payload)
+        let bytes = tampered(&snapshot, &[section], &|s| {
+            assert_eq!(s[at], 0, "{section}[{at}] is the tag");
+            s[at] = 1;
+        });
+        assert!(
+            matches!(m.restore_state(&p, &bytes), Err(SnapError::Mismatch(_))),
+            "{section} tag 1 must be a Mismatch"
+        );
+    }
+}
+
+/// `snapshot` with `edit` applied to the bytes of the section at `path`
+/// (nested section names, outermost first), re-framed under a correct hash.
+fn tampered(snapshot: &[u8], path: &[&str], edit: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+    fn rebuild(bytes: &[u8], path: &[&str], edit: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let Some((name, rest)) = path.split_first() else {
+            let mut out = bytes.to_vec();
+            edit(&mut out);
+            return out;
+        };
+        let sections: Vec<(String, Vec<u8>)> = snap::read_sections(bytes)
             .unwrap()
             .into_iter()
-            .map(|mut s| {
-                if s.name == section {
-                    assert_eq!(s.bytes[at], 0, "{section}[{at}] is the tag");
-                    s.bytes[at] = 1;
-                }
-                (s.name, s.bytes)
+            .map(|s| {
+                let bytes = if s.name == *name {
+                    rebuild(&s.bytes, rest, edit)
+                } else {
+                    s.bytes
+                };
+                (s.name, bytes)
             })
             .collect();
         let mut e = Enc::new();
-        snap::write_sections(&mut e, &rebuilt);
-        let tampered = snap::frame(&e.into_bytes());
-        assert!(
-            matches!(m.restore_state(&p, &tampered), Err(SnapError::Mismatch(_))),
-            "{section} tag 1 must be a Mismatch"
-        );
+        snap::write_sections(&mut e, &sections);
+        e.into_bytes()
+    }
+    snap::frame(&rebuild(snap::unframe(snapshot).unwrap(), path, edit))
+}
+
+/// A decoded list length sizes an allocation, so a correctly framed and
+/// hashed snapshot claiming 2^40 or 2^62 elements — in a pending load's
+/// fill data, in the paused run's ready list, in an in-flight indexed
+/// transfer's addresses — must be an error before it is an allocation
+/// (`memory allocation of 4398046511104 bytes failed` aborts the process;
+/// 2^62 words overflow `usize`).
+#[test]
+fn restore_refuses_list_lengths_the_bytes_cannot_hold() {
+    let mut m = Machine::new(MachineConfig::preset(ConfigName::Isrf4)).unwrap();
+    let dst = m.alloc_stream(1, 64);
+    let mut p = StreamProgram::new();
+    p.load(
+        AddrPattern::Indexed((0..64).rev().collect()),
+        dst,
+        false,
+        &[],
+    );
+    // Parked before its first cycle, the run's ready list holds the load...
+    assert!(m.run_for(&p, 0).is_none());
+    let unissued = m.save_state(&p);
+    // ...and five cycles in, the load is a pending fill of 64 words and an
+    // in-flight transfer over 64 addresses.
+    assert!(m.run_for(&p, 5).is_none());
+    let in_flight = m.save_state(&p);
+
+    // `run`: the paused flag, both stats blocks and the op count, then per
+    // op a done byte and a dependence count, then the ready list.
+    let run_at = 1 + 12 * 8 + 3 * 8 + 8 + (1 + 4) * p.len();
+    // `pending`: slot count, occupied flag, op, fill flag and the seven
+    // words of the destination binding, then the fill data.
+    let pending_at = 8 + 1 + 8 + 1 + 7 * 4;
+    // `mem/sys`: clock, two credits, words served, next id and the traffic
+    // block, then the in-flight count, the transfer's id (raw, slot,
+    // generation) and pattern tag 2, then its addresses.
+    let sys_at = 5 * 8 + 3 * 8 + 8 + (8 + 4 + 4) + 1;
+    let cases: [(&[u8], &[&str], usize, u64); 3] = [
+        (&unissued, &["run"], run_at, 1),
+        (&in_flight, &["pending"], pending_at, 64),
+        (&in_flight, &["mem", "sys"], sys_at, 64),
+    ];
+    for (snapshot, path, at, true_len) in cases {
+        for len in [true_len, 1 << 40, 1 << 62] {
+            let bytes = tampered(snapshot, path, &|section| {
+                let field = &mut section[at..at + 8];
+                assert_eq!(
+                    *field,
+                    true_len.to_le_bytes(),
+                    "{path:?}[{at}] is the length"
+                );
+                field.copy_from_slice(&len.to_le_bytes());
+            });
+            let restored = m.restore_state(&p, &bytes);
+            assert_eq!(
+                restored.is_ok(),
+                len == true_len,
+                "{path:?} length {len}: {restored:?}"
+            );
+        }
     }
 }

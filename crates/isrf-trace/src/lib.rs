@@ -9,10 +9,9 @@
 //!   ([`CycleAttr`]), kernel stall reasons ([`StallReason`]),
 //!   indexed-arbiter rejections ([`IdxRejectReason`]), SRF grants, memory
 //!   transfer lifecycle, cache probes.
-//! - [`sink`] — where events land: the [`TraceSink`] trait with
-//!   [`NullSink`] and bounded [`RingBuffer`] impls, the fixed-slot
-//!   [`Recorder`], and the [`Tracer`] handle the simulator owns
-//!   (zero-cost when `Null`).
+//! - [`sink`] — where events land: the bounded [`RingBuffer`], the
+//!   fixed-slot [`Recorder`] around it, and the [`Tracer`] handle the
+//!   simulator owns (an enum, zero-cost when `Null`).
 //! - [`metrics`] — the hierarchical [`MetricsRegistry`] of dot-path-named
 //!   counters and power-of-two [`Histogram`]s, built from a recorder.
 //! - [`audit`] — [`AuditAccumulator`]: streaming reconstruction of the
@@ -38,4 +37,4 @@ pub mod timeline;
 pub use audit::{AuditAccumulator, AuditMismatch};
 pub use event::{CycleAttr, IdxRejectReason, StallReason, TraceEvent};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use sink::{Counters, NullSink, Recorder, RingBuffer, TraceSink, Tracer};
+pub use sink::{Counters, Recorder, RingBuffer, Tracer};

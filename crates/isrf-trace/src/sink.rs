@@ -19,34 +19,6 @@ use crate::event::{CycleAttr, IdxRejectReason, StallReason, TraceEvent};
 use crate::metrics::{Histogram, MetricsRegistry};
 use std::collections::VecDeque;
 
-/// Anything that can receive stamped trace events.
-///
-/// The simulator itself uses the concrete [`Tracer`]; this trait exists so
-/// external tooling (exporters, test harnesses) can consume event streams
-/// generically.
-pub trait TraceSink {
-    /// Whether events should be constructed and recorded at all. Callers
-    /// gate expensive event construction on this.
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    /// Record `ev`, stamped with the machine cycle it occurred on.
-    fn record(&mut self, cycle: u64, ev: TraceEvent);
-}
-
-/// A sink that drops everything; `enabled()` is `false`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _cycle: u64, _ev: TraceEvent) {}
-}
-
 /// A bounded FIFO of stamped events; the oldest are dropped once `cap` is
 /// reached (the drop count is kept).
 #[derive(Debug, Clone, Default)]
@@ -96,10 +68,9 @@ impl RingBuffer {
             .map(|(c, ev)| format!("  @{c} {ev}"))
             .collect()
     }
-}
 
-impl TraceSink for RingBuffer {
-    fn record(&mut self, cycle: u64, ev: TraceEvent) {
+    /// Record `ev`, stamped with the machine cycle it occurred on.
+    pub fn record(&mut self, cycle: u64, ev: TraceEvent) {
         if self.cap == 0 {
             self.dropped += 1;
             return;
@@ -256,10 +227,9 @@ impl Recorder {
         r.put_histogram("srf.idx.crosslane.hops.dist", self.crosslane_hops.clone());
         r
     }
-}
 
-impl TraceSink for Recorder {
-    fn record(&mut self, cycle: u64, ev: TraceEvent) {
+    /// Record `ev`, stamped with the machine cycle it occurred on.
+    pub fn record(&mut self, cycle: u64, ev: TraceEvent) {
         self.audit.observe(&ev);
         let c = &mut self.counters;
         match &ev {
@@ -374,7 +344,6 @@ mod tests {
         assert!(!t.enabled());
         t.emit(0, TraceEvent::IdxGroupGrant);
         assert!(t.recorder().is_none());
-        assert!(!NullSink.enabled());
     }
 
     #[test]

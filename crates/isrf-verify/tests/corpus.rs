@@ -13,7 +13,9 @@ use isrf_kernel::ir::Opcode;
 use isrf_kernel::sched::{schedule, SchedParams, Schedule};
 use isrf_lang::parse_kernel;
 use isrf_mem::AddrPattern;
-use isrf_sim::{Diagnostic, Machine, ProgramVerifier, SrfRange, StreamBinding, StreamProgram};
+use isrf_sim::{
+    Diagnostic, Machine, ProgramVerifier, SimError, SrfRange, StreamBinding, StreamProgram,
+};
 use isrf_verify::{codes, Check, Verifier};
 
 const V101: &str = include_str!("corpus/v101_unfilled_read.isrf");
@@ -542,7 +544,78 @@ fn machine_hook_rejects_before_simulation() {
     assert_eq!(err.diagnostics[0].code, codes::UNFILLED_READ);
     if cfg!(debug_assertions) {
         // A debug-build machine rejects it at run time too.
-        let err2 = m.run_checked(&p).expect_err("debug runs verify first");
-        assert_eq!(err2.diagnostics, err.diagnostics);
+        let err2 = m.step(&p, u64::MAX).expect_err("debug runs verify first");
+        assert_eq!(err2, SimError::Verify(err));
     }
+}
+
+// ---------------------------------------------------------------------------
+// The V501 verdict, checked against the machine
+// ---------------------------------------------------------------------------
+
+/// Machine cycle the V501 case is reported deadlocked at: it advances last
+/// at cycle 54, and the limit is a million stalled cycles in a row.
+const V501_DEADLOCK_CYCLE: u64 = 1_000_054;
+
+/// With no verifier installed the wedge V501 predicts happens, and the
+/// machine reports it as a typed error — the same one from an uninterrupted
+/// `step`, from a repeated `step`, from a run sliced every 1000 cycles and
+/// from a fresh machine restored from the parked one's snapshot.
+#[test]
+fn v501_wedge_is_a_typed_deadlock() {
+    let (mut m, p) = case_v501();
+    let err = m.step(&p, u64::MAX).expect_err("the schedule wedges");
+    let SimError::Deadlock {
+        cycle,
+        op,
+        kernel,
+        stalled_cycles,
+        reason,
+        ..
+    } = &err
+    else {
+        panic!("expected a deadlock, got {err}");
+    };
+    assert_eq!(
+        (*cycle, *op, kernel.as_str()),
+        (V501_DEADLOCK_CYCLE, 0, "lookup")
+    );
+    assert_eq!(*stalled_cycles, 1_000_000);
+    assert!(
+        matches!(reason.as_str(), "addr_fifo_full" | "idx_data_not_ready"),
+        "{err}"
+    );
+
+    // The machine is parked on the failing cycle, not torn down.
+    assert!(m.mid_run());
+    assert_eq!(m.now(), V501_DEADLOCK_CYCLE);
+    assert_eq!(m.step(&p, u64::MAX), Err(err.clone()));
+    assert_eq!(
+        m.now(),
+        V501_DEADLOCK_CYCLE,
+        "a parked machine does not tick"
+    );
+
+    let snapshot = m.save_state(&p);
+    let (mut restored, p2) = case_v501();
+    restored.restore_state(&p2, &snapshot).expect("restores");
+    assert_eq!(restored.step(&p2, u64::MAX), Err(err.clone()));
+    assert_eq!(restored.save_state(&p2), snapshot);
+
+    let (mut sliced, p3) = case_v501();
+    let stopped = loop {
+        match sliced.step(&p3, 1000) {
+            Ok(None) => {}
+            other => break other,
+        }
+    };
+    assert_eq!(stopped, Err(err));
+    assert_eq!(sliced.save_state(&p3), snapshot);
+}
+
+#[test]
+#[should_panic(expected = "lookup")]
+fn v501_wedge_panics_through_run() {
+    let (mut m, p) = case_v501();
+    m.run(&p);
 }
