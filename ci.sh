@@ -32,6 +32,12 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check (the build 
 # regression is a process abort (an allocation of 2^40 words), not a failure.
 cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check
 
+echo "==> cargo test --release --test differential (all 32 x 15 perturbed configs)"
+# The debug run above takes three timing perturbations per point; the
+# optimised build drives all fifteen through both oracles and holds output
+# words, indexed word counts and off-chip bytes to the preset run's.
+cargo test -q --release --test differential
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -64,6 +70,14 @@ echo "==> analyzer report drift check (golden reports)"
 # intentional.
 ./target/release/verify all all --check results/VERIFY_report.json
 ./target/release/verify all all --paper --check results/VERIFY_report_paper.json
+
+echo "==> figures drift check (golden figure text)"
+# Everything `figures all` prints — every table and figure of the paper, at
+# both sizing profiles — must match the committed text byte-for-byte (the
+# output is deterministic). Regenerate with `figures all [--paper]`, less
+# the `[wrote ...]` lines, when a change is intentional.
+./target/release/figures all | grep -v '^\[wrote ' | diff - results/figures_small.txt
+./target/release/figures all --paper | grep -v '^\[wrote ' | diff - results/figures_paper.txt
 
 echo "==> static cycle floor vs simulation (both profiles)"
 # The model's whole-program cycle lower bound must be sound (floor <=
@@ -161,13 +175,40 @@ echo "==> one run core (grep gate)"
 # one way it fails; `run` and `run_for` are it with the error turned into a
 # panic. The wrappers, the panicking watchdogs and a snapshot codec inside
 # machine.rs must not come back.
-if grep -rn -e 'run_checked' -e 'run_budget' -e 'verify_fresh_run' -e 'fn run_while' \
-  -e 'program appears deadlocked' -e 'stalled for 1M' crates/*/src; then
+# (`Prepared::run_checked` in isrf-apps is `Machine::run` plus the app's
+# host check, not a run loop; the name stays out of the simulator.)
+if grep -rn -e 'run_budget' -e 'verify_fresh_run' -e 'fn run_while' \
+  -e 'program appears deadlocked' -e 'stalled for 1M' crates/*/src \
+  || grep -rn 'run_checked' crates/isrf-sim/src; then
   echo "a second run loop or an untyped failure: go through Machine::step / SimError" >&2
   exit 1
 fi
 if grep -n -e 'fn save_state' -e 'fn restore_state' crates/isrf-sim/src/machine.rs; then
   echo "the snapshot codec lives in crates/isrf-sim/src/snapshot.rs" >&2
+  exit 1
+fi
+
+echo "==> one door into the apps (grep gate)"
+# An app is prepared on a `MachineConfig` value through its one `prepare`
+# and run by its caller; `common::machine` builds every machine of
+# isrf-apps and isrf-serve (so each carries the verifier) and the registry
+# holds the one Small/Paper table. The thread-local override, the `run`
+# wrappers, the second sizing tables and the dynamic scatter nobody issued
+# must not come back.
+if grep -rn -e 'thread_local!' -e 'set_separation_override' -e 'run_benchmark' \
+  -e 'DIFF_APPS' -e 'ScatterDyn' -e 'scatter_dyn' crates/*/src; then
+  echo "a way around prepare(&MachineConfig, ..) / prepare_app, or a deleted op" >&2
+  exit 1
+fi
+for f in crates/isrf-apps/src/*.rs crates/isrf-serve/src/*.rs crates/isrf-serve/src/bin/*.rs; do
+  [[ "$f" == crates/isrf-apps/src/common.rs ]] && continue
+  if awk '/^#\[cfg\(test\)\]/{exit} /Machine::new\(/{print FILENAME":"FNR": "$0; found=1} END{exit !found}' "$f"; then
+    echo "build machines with isrf_apps::common::machine, which installs the verifier" >&2
+    exit 1
+  fi
+done
+if grep -n 'pub fn run(' crates/isrf-apps/src/{fft2d,rijndael,sort,filter,igraph,spmv,stencil,bfs,histogram}.rs; then
+  echo "apps prepare, callers run: Prepared::run_checked" >&2
   exit 1
 fi
 

@@ -18,7 +18,8 @@
 //! covers the tail of the run). `--timeline` also prints a plain-text
 //! strip chart of cycle attribution and memory activity.
 
-use isrf_bench::{prepare_app, Profile, DIFF_APPS};
+use isrf_apps::APPS;
+use isrf_bench::{prepare_app, Profile};
 use isrf_core::config::ConfigName;
 use isrf_trace::json::Json;
 use isrf_trace::{chrome, timeline, Tracer};
@@ -39,7 +40,7 @@ fn usage() -> ! {
         "usage: trace [app|all] [config|all] [--paper] [--out-dir DIR] \
          [--events N] [--timeline]\n  apps: {}  all\n  configs: base \
          isrf1 isrf4 cache all",
-        DIFF_APPS.join(" ")
+        APPS.join(" ")
     );
     std::process::exit(2);
 }
@@ -78,9 +79,9 @@ fn parse(args: &[String]) -> Options {
         usage();
     }
     opts.apps = if app_sel == "all" {
-        DIFF_APPS.to_vec()
+        APPS.to_vec()
     } else {
-        match DIFF_APPS.iter().find(|&&a| a == app_sel) {
+        match APPS.iter().find(|&&a| a == app_sel) {
             Some(&a) => vec![a],
             None => usage(),
         }

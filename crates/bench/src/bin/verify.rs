@@ -29,7 +29,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use isrf_bench::{prepare_app, Profile, DIFF_APPS};
+use isrf_apps::APPS;
+use isrf_bench::{prepare_app, Profile};
 use isrf_core::config::ConfigName;
 use isrf_trace::json::escaped;
 use isrf_verify::{explain, Report, Verifier};
@@ -44,7 +45,7 @@ fn usage() -> ! {
         "usage: verify [app|all] [config|all] [--paper] [--report FILE] [--check FILE] \
          [--cycles] [--explain CODE]\n  apps: {}  all\n  \
          configs: base isrf1 isrf4 cache all",
-        DIFF_APPS.join(" ")
+        APPS.join(" ")
     );
     std::process::exit(2);
 }
@@ -183,9 +184,9 @@ fn main() {
     let app_sel = positional.first().copied().unwrap_or("all");
     let cfg_sel = positional.get(1).copied().unwrap_or("all");
     let apps: Vec<&'static str> = if app_sel == "all" {
-        DIFF_APPS.to_vec()
+        APPS.to_vec()
     } else {
-        match DIFF_APPS.iter().find(|&&a| a == app_sel) {
+        match APPS.iter().find(|&&a| a == app_sel) {
             Some(&a) => vec![a],
             None => usage(),
         }

@@ -10,7 +10,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use isrf_apps::common::set_separation_override;
 use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort};
 use isrf_check::run_parallel;
 use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
@@ -19,66 +18,24 @@ use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sram::{AreaModel, EnergyModel, SrfGeometry, SrfVariant};
 
-/// The application benchmarks of Section 5.2, in the paper's figure order.
-pub const BENCHMARKS: [&str; 8] = [
-    "FFT 2D", "Rijndael", "Sort", "Filter", "IG_SML", "IG_DMS", "IG_DCS", "IG_SCL",
+/// The application benchmarks of Section 5.2 in the paper's figure order:
+/// the figure label and the [`prepare_app`] name behind it.
+pub const BENCHMARKS: [(&str, &str); 8] = [
+    ("FFT 2D", "fft2d"),
+    ("Rijndael", "rijndael"),
+    ("Sort", "sort"),
+    ("Filter", "filter"),
+    ("IG_SML", "igraph"),
+    ("IG_DMS", "IG_DMS"),
+    ("IG_DCS", "IG_DCS"),
+    ("IG_SCL", "IG_SCL"),
 ];
 
 pub use isrf_apps::{prepare_app, Profile};
 
-/// The distinct applications, re-exported from the
-/// [`isrf_apps::registry`] under the name the differential suite and the
-/// trace/verify binaries historically used.
-pub const DIFF_APPS: [&str; 8] = isrf_apps::APPS;
-
-/// Run one named benchmark on one configuration.
-///
-/// # Panics
-///
-/// Panics on an unknown benchmark name or a functional-verification
-/// failure inside the benchmark (they all self-check).
-pub fn run_benchmark(name: &str, cfg: ConfigName, profile: Profile) -> RunStats {
-    let small = profile == Profile::Small;
-    match name {
-        "FFT 2D" => fft2d::run(
-            cfg,
-            &fft2d::Fft2dParams {
-                reps: if small { 1 } else { 2 },
-                ..Default::default()
-            },
-        ),
-        "Rijndael" => rijndael::run(
-            cfg,
-            &rijndael::RijndaelParams {
-                chains_per_lane: if small { 2 } else { 8 },
-                waves: if small { 2 } else { 4 },
-                strips: if small { 2 } else { 4 },
-                ..Default::default()
-            },
-        ),
-        "Sort" => sort::run(
-            cfg,
-            &sort::SortParams {
-                keys_per_lane: if small { 64 } else { 512 },
-                ..Default::default()
-            },
-        ),
-        "Filter" => filter::run(
-            cfg,
-            &filter::FilterParams {
-                rows: if small { 32 } else { 256 },
-                ..Default::default()
-            },
-        ),
-        ig => {
-            let mut ds = igraph::dataset(ig);
-            if small {
-                // Shrink the graph, keeping strip structure intact.
-                ds.nodes /= if ds.degree == 4 { 4 } else { 2 };
-            }
-            igraph::run(cfg, &ds)
-        }
-    }
+/// Run one app on `cfg` and hold the result to the app's host reference.
+fn run(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> RunStats {
+    prepare_app(app, cfg, profile).run_checked()
 }
 
 /// Figure 11: off-chip memory traffic of ISRF and Cache normalized to Base.
@@ -90,13 +47,13 @@ pub fn fig11(profile: Profile) -> Vec<(String, f64, f64)> {
     const CFGS: [ConfigName; 3] = [ConfigName::Base, ConfigName::Isrf4, ConfigName::Cache];
     let points: Vec<(&str, ConfigName)> = BENCHMARKS
         .iter()
-        .flat_map(|&name| CFGS.iter().map(move |&cfg| (name, cfg)))
+        .flat_map(|&(_, app)| CFGS.iter().map(move |&cfg| (app, cfg)))
         .collect();
-    let stats = run_parallel(&points, |&(name, cfg)| run_benchmark(name, cfg, profile));
+    let stats = run_parallel(&points, |&(app, cfg)| run(app, cfg, profile));
     BENCHMARKS
         .iter()
         .zip(stats.chunks_exact(CFGS.len()))
-        .map(|(&name, s)| {
+        .map(|(&(name, _), s)| {
             let (base, isrf, cache) = (&s[0], &s[1], &s[2]);
             (
                 name.to_string(),
@@ -138,11 +95,11 @@ impl Fig12Row {
 pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
     let points: Vec<(&str, ConfigName)> = BENCHMARKS
         .iter()
-        .flat_map(|&name| ConfigName::ALL.iter().map(move |&cfg| (name, cfg)))
+        .flat_map(|&(_, app)| ConfigName::ALL.iter().map(move |&cfg| (app, cfg)))
         .collect();
-    let stats = run_parallel(&points, |&(name, cfg)| run_benchmark(name, cfg, profile));
+    let stats = run_parallel(&points, |&(app, cfg)| run(app, cfg, profile));
     let mut rows = Vec::new();
-    for (group, per_cfg) in BENCHMARKS
+    for (&(group, _), per_cfg) in BENCHMARKS
         .iter()
         .zip(stats.chunks_exact(ConfigName::ALL.len()))
     {
@@ -174,8 +131,8 @@ pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
 /// Figure 13: sustained SRF bandwidth demands (words/cycle/lane) per
 /// benchmark on ISRF4, split `[sequential, cross-lane, in-lane]`.
 pub fn fig13(profile: Profile) -> Vec<(String, [f64; 3])> {
-    run_parallel(&BENCHMARKS, |&name| {
-        let s = run_benchmark(name, ConfigName::Isrf4, profile);
+    run_parallel(&BENCHMARKS, |&(name, app)| {
+        let s = run(app, ConfigName::Isrf4, profile);
         (
             name.to_string(),
             s.srf.per_cycle_per_lane(s.main_loop_cycles, 8),
@@ -239,7 +196,7 @@ pub fn fig14() -> Vec<(String, Vec<(u32, f64)>)> {
 /// Returns `(benchmark, Vec<(separation, normalized cycles)>)`.
 pub fn fig15(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
     separation_sweep(
-        &["FFT 2D", "Rijndael", "Sort", "Filter"],
+        &BENCHMARKS[..4], // FFT 2D, Rijndael, Sort, Filter
         &(2..=10u32).step_by(2).collect::<Vec<_>>(),
         |sep| (sep, 20),
         profile,
@@ -250,7 +207,7 @@ pub fn fig15(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
 /// cross-lane separation sweeps, normalized to each benchmark's minimum.
 pub fn fig16(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
     separation_sweep(
-        &["IG_DMS", "IG_DCS"],
+        &BENCHMARKS[5..7], // IG_DMS, IG_DCS
         &(4..=28u32).step_by(4).collect::<Vec<_>>(),
         |sep| (6, sep),
         profile,
@@ -258,29 +215,29 @@ pub fn fig16(profile: Profile) -> Vec<(String, Vec<(u32, f64)>)> {
 }
 
 /// Shared driver for the Figure 15/16 separation sweeps: every
-/// (benchmark, separation) point is its own parallel work item. The
-/// address/data separation override is thread-local, so each worker sets
-/// it just for its point and clears it before returning the stats.
+/// (benchmark, separation) point is its own parallel work item, run on
+/// ISRF4 with the (in-lane, cross-lane) separations `over` gives it.
 fn separation_sweep(
-    names: &[&str],
+    benchmarks: &[(&str, &str)],
     seps: &[u32],
     over: impl Fn(u32) -> (u32, u32) + Sync,
     profile: Profile,
 ) -> Vec<(String, Vec<(u32, f64)>)> {
-    let points: Vec<(&str, u32)> = names
+    let points: Vec<(&str, u32)> = benchmarks
         .iter()
-        .flat_map(|&name| seps.iter().map(move |&sep| (name, sep)))
+        .flat_map(|&(_, app)| seps.iter().map(move |&sep| (app, sep)))
         .collect();
-    let cycles = run_parallel(&points, |&(name, sep)| {
-        set_separation_override(Some(over(sep)));
-        let s = run_benchmark(name, ConfigName::Isrf4, profile);
-        set_separation_override(None);
-        s.cycles as f64
+    let cycles = run_parallel(&points, |&(app, sep)| {
+        let mut cfg = MachineConfig::preset(ConfigName::Isrf4);
+        let (inlane, crosslane) = over(sep);
+        cfg.sched.inlane_addr_data_separation = inlane;
+        cfg.sched.crosslane_addr_data_separation = crosslane;
+        run(app, cfg, profile).cycles as f64
     });
-    names
+    benchmarks
         .iter()
         .zip(cycles.chunks_exact(seps.len()))
-        .map(|(&name, c)| {
+        .map(|(&(name, _), c)| {
             let min = c.iter().copied().fold(f64::MAX, f64::min);
             (
                 name.to_string(),
@@ -357,9 +314,9 @@ pub fn energy_table() -> (f64, f64, f64, f64) {
 pub fn summary(profile: Profile) -> Vec<(String, f64, f64, f64)> {
     let em = EnergyModel::default();
     let geom = SrfGeometry::paper_default();
-    run_parallel(&BENCHMARKS, |&name| {
-        let base = run_benchmark(name, ConfigName::Base, profile);
-        let isrf = run_benchmark(name, ConfigName::Isrf4, profile);
+    run_parallel(&BENCHMARKS, |&(name, app)| {
+        let base = run(app, ConfigName::Base, profile);
+        let isrf = run(app, ConfigName::Isrf4, profile);
         (
             name.to_string(),
             isrf.speedup_over(&base),
@@ -373,13 +330,16 @@ pub fn summary(profile: Profile) -> Vec<(String, f64, f64, f64)> {
 /// cycles of the conditional-stream merge the suite uses, then of the
 /// bitonic-network baseline it replaced.
 pub fn sort_baseline_ablation() -> (u64, u64) {
+    let cfg = MachineConfig::preset(ConfigName::Base);
     let params = sort::SortParams {
         keys_per_lane: 64,
         ..Default::default()
     };
     (
-        sort::run(ConfigName::Base, &params).cycles,
-        sort::run_base_bitonic(ConfigName::Base, &params).cycles,
+        sort::prepare(&cfg, &params).run_checked().cycles,
+        sort::prepare_base_bitonic(&cfg, &params)
+            .run_checked()
+            .cycles,
     )
 }
 

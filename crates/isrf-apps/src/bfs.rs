@@ -27,8 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::word::Word;
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
@@ -287,18 +286,19 @@ const LB_BASE: u32 = 0x8_0000; // level array B
 const PTR_BASE: u32 = 0x10_0000; // padded condensed pointers, strip-major
 
 /// Set up the machine and build the full multi-sweep program without
-/// running it.
+/// running it. The check compares the final level array word-for-word
+/// against the host Jacobi.
 ///
 /// # Panics
 ///
 /// Panics if `strip_nodes` is not a positive multiple of 8 dividing
 /// `nodes`.
-pub fn prepare(cfg: ConfigName, params: &BfsParams) -> crate::common::Prepared {
+pub fn prepare(cfg: &MachineConfig, params: &BfsParams) -> crate::common::Prepared {
     assert!(params.strip_nodes.is_multiple_of(8) && params.strip_nodes > 0);
     assert!(params.nodes.is_multiple_of(params.strip_nodes) && params.nodes > 0);
-    let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
+    let indexed = cfg.srf.indexed.is_some();
+    let cacheable = cfg.cache.is_some();
     let mut m = machine(cfg);
-    let cacheable = m.config().cache.is_some();
 
     let plan = plan_cached(params);
     let (n, strip_n, pad) = (params.nodes, params.strip_nodes, plan.pad);
@@ -427,31 +427,23 @@ pub fn prepare(cfg: ConfigName, params: &BfsParams) -> crate::common::Prepared {
     } else {
         LA_BASE
     };
-    crate::common::Prepared::new(m, p, vec![(final_base, n)])
-}
-
-/// Run the BFS on `cfg`; the final level array is verified word-for-word
-/// against the host Jacobi.
-///
-/// # Panics
-///
-/// Panics if the simulated distances differ from the host reference.
-pub fn run(cfg: ConfigName, params: &BfsParams) -> RunStats {
-    let plan = plan_cached(params);
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    let expect = reference(&plan.adj, plan.sweeps);
-    let base = pr.outputs[0].0;
-    for (v, &e) in expect.iter().enumerate() {
-        let got = pr.machine.mem().memory().read(base + v as u32);
-        assert_eq!(got, e, "node {v}: got {got}, want {e}");
-    }
-    stats
+    crate::common::Prepared::new(m, p, vec![(final_base, n)], move |m| {
+        for (v, &e) in reference(&plan.adj, plan.sweeps).iter().enumerate() {
+            let got = m.mem().memory().read(final_base + v as u32);
+            assert_eq!(got, e, "node {v}: got {got}, want {e}");
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &BfsParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     fn small() -> BfsParams {
         BfsParams {
@@ -468,9 +460,9 @@ mod tests {
 
     #[test]
     fn kernels_build_and_schedule() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         schedule_for(&m, &build_kernel(8, true));
-        let m = machine(ConfigName::Base);
+        let m = machine(&ConfigName::Base.into());
         schedule_for(&m, &build_kernel(8, false));
     }
 

@@ -1,26 +1,15 @@
 //! Shared benchmark plumbing.
 
-use std::cell::Cell;
 use std::sync::Arc;
 
-use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::config::MachineConfig;
+use isrf_core::stats::RunStats;
 use isrf_core::Memo;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule_cached, SchedParams, Schedule};
 use isrf_mem::AddrPattern;
 use isrf_sim::{Machine, StreamProgram};
 use isrf_verify::Verifier;
-
-thread_local! {
-    static SEPARATION_OVERRIDE: Cell<Option<(u32, u32)>> = const { Cell::new(None) };
-}
-
-/// Override the (in-lane, cross-lane) address/data separations used by all
-/// benchmark machines on this thread — the knob behind the Figure 15/16
-/// parameter studies. Pass `None` to restore the Table 3 defaults.
-pub fn set_separation_override(sep: Option<(u32, u32)>) {
-    SEPARATION_OVERRIDE.with(|c| c.set(sep));
-}
 
 /// The host data `memo` holds under `key`, generated on a miss.
 pub(crate) fn memoized<K: Ord, V>(memo: &Memo<K, V>, key: K, make: impl FnOnce() -> V) -> Arc<V> {
@@ -29,22 +18,23 @@ pub(crate) fn memoized<K: Ord, V>(memo: &Memo<K, V>, key: K, make: impl FnOnce()
     data
 }
 
-/// Build a machine for one of the paper's configurations.
+/// Build the machine `cfg` describes, with the static hazard analyzer
+/// installed: the machine runs it before each program in debug builds (so
+/// the test suite proves every shipped program verifies clean) and never
+/// in release builds. Every app, and the server's inline-source harness,
+/// gets its machine here, from the final config — a machine rebuilt
+/// elsewhere would lose the verifier.
 ///
 /// # Panics
 ///
-/// Panics if the preset fails validation (it cannot).
-pub fn machine(cfg: ConfigName) -> Machine {
-    let mut c = MachineConfig::preset(cfg);
-    if let Some((inl, xl)) = SEPARATION_OVERRIDE.with(|c| c.get()) {
-        c.sched.inlane_addr_data_separation = inl;
-        c.sched.crosslane_addr_data_separation = xl;
-    }
-    let mut m = Machine::new(c).expect("presets validate");
-    // Every benchmark machine carries the static hazard analyzer; the
-    // machine runs it before each program in debug builds (so the test
-    // suite proves every shipped program verifies clean) and never in
-    // release builds.
+/// Panics if `cfg.lanes` is not 8 (the apps lay their data out for eight
+/// lanes) or `cfg` fails validation.
+pub fn machine(cfg: &MachineConfig) -> Machine {
+    assert_eq!(
+        cfg.lanes, 8,
+        "MachineConfig::lanes must be 8: the apps lay their data out for eight lanes"
+    );
+    let mut m = Machine::new(cfg.clone()).unwrap_or_else(|e| panic!("{e}"));
     m.set_verifier(Some(Arc::new(Verifier::new())));
     m
 }
@@ -55,7 +45,6 @@ pub fn machine(cfg: ConfigName) -> Machine {
 /// program. `machine.run(&program)` produces the benchmark's stats; the
 /// split exists so a differential harness can execute the same program on
 /// an independent functional reference executor and compare outcomes.
-#[derive(Debug)]
 pub struct Prepared {
     /// The machine, ready to run the measured program.
     pub machine: Machine,
@@ -64,6 +53,10 @@ pub struct Prepared {
     /// Memory regions `(base, words)` holding the benchmark's final
     /// output, for word-level result diffing.
     pub outputs: Vec<(u32, u32)>,
+    /// The app's host-reference check of a finished machine. It holds the
+    /// params and the memoized host data; the reference itself is computed
+    /// when the check is called, so preparing costs nothing for it.
+    check: Box<dyn Fn(&Machine) + Send>,
 }
 
 impl Prepared {
@@ -72,8 +65,15 @@ impl Prepared {
     /// zero either way, so this is invisible to results and cycle
     /// counts — it just keeps the one-time backing-store grow (a
     /// multi-megabyte zeroed `realloc` for apps with high output bases)
-    /// out of the measured `Machine::run` call.
-    pub fn new(mut machine: Machine, program: StreamProgram, outputs: Vec<(u32, u32)>) -> Prepared {
+    /// out of the measured `Machine::run` call. `check` is the app's
+    /// host-reference check: it panics when the machine's final memory
+    /// is not what the host computes.
+    pub fn new(
+        mut machine: Machine,
+        program: StreamProgram,
+        outputs: Vec<(u32, u32)>,
+        check: impl Fn(&Machine) + Send + 'static,
+    ) -> Prepared {
         for &(base, words) in &outputs {
             if words > 0 {
                 let mem = machine.mem_mut().memory_mut();
@@ -85,7 +85,29 @@ impl Prepared {
             machine,
             program,
             outputs,
+            check: Box::new(check),
         }
+    }
+
+    /// Check the machine's memory against the app's host reference; call
+    /// it after the program has run.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first word that differs from the reference.
+    pub fn check(&self) {
+        (self.check)(&self.machine);
+    }
+
+    /// Run the measured program to completion, then [`Prepared::check`].
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`Machine::run`] and [`Prepared::check`] do.
+    pub fn run_checked(&mut self) -> RunStats {
+        let stats = self.machine.run(&self.program);
+        self.check();
+        stats
     }
 }
 
@@ -115,6 +137,7 @@ pub fn replicated_table_pattern(base: u32, entries: u32, lanes: u32) -> AddrPatt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
 
     #[test]
     fn replication_pattern_layout() {
@@ -129,7 +152,7 @@ mod tests {
     #[test]
     fn machines_build() {
         for c in ConfigName::ALL {
-            let m = machine(c);
+            let m = machine(&c.into());
             assert_eq!(m.config().lanes, 8);
         }
     }

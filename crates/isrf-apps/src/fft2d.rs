@@ -23,8 +23,7 @@
 use std::f32::consts::PI;
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::word::{from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
@@ -537,7 +536,9 @@ fn seq_kernels(m: &Machine) -> SeqKernels {
     SeqKernels { high, low }
 }
 
-fn verify(m: &Machine, params: &Fft2dParams) {
+/// The host check: the reference DFT of the input array, which survives
+/// untouched at `IN_BASE`.
+fn verify(m: &Machine) {
     let input: Vec<(f32, f32)> = (0..ELEMS as usize)
         .map(|e| {
             (
@@ -551,7 +552,6 @@ fn verify(m: &Machine, params: &Fft2dParams) {
         .iter()
         .map(|c| c.0.abs().max(c.1.abs()))
         .fold(1.0f32, f32::max);
-    let _ = params;
     for (e, &(er, ei)) in expect.iter().enumerate() {
         let gr = f32::from_bits(m.mem().memory().read(OUT_BASE + 2 * e as u32));
         let gi = f32::from_bits(m.mem().memory().read(OUT_BASE + 2 * e as u32 + 1));
@@ -565,9 +565,9 @@ fn verify(m: &Machine, params: &Fft2dParams) {
 
 /// Prepare the Base/Cache version (reorder through memory between
 /// dimensions).
-fn prepare_base(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepared {
+fn prepare_base(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
-    let cacheable = m.config().cache.is_some();
+    let cacheable = cfg.cache.is_some();
     let su = setup(&mut m, false, params);
     let kernels = seq_kernels(&m);
 
@@ -623,11 +623,11 @@ fn prepare_base(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepare
         );
         last_rep = Some(fin);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, ELEMS * 2)])
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, ELEMS * 2)], verify)
 }
 
 /// Prepare the ISRF version (second dimension in place via indexed access).
-fn prepare_isrf(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepared {
+fn prepare_isrf(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
     let su = setup(&mut m, true, params);
     let kernels = seq_kernels(&m);
@@ -674,33 +674,29 @@ fn prepare_isrf(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepare
         let fin = p.store(cur, isrf_output_scatter(OUT_BASE), false, &[last]);
         last_rep = Some(fin);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, ELEMS * 2)])
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, ELEMS * 2)], verify)
 }
 
 /// Set up the machine (input, twiddles, un-measured setup program) and
-/// build the measured program without running it.
-pub fn prepare(cfg: ConfigName, params: &Fft2dParams) -> crate::common::Prepared {
-    match cfg {
-        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, params),
-        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, params),
+/// build the measured program without running it. The check compares the
+/// result with the reference DFT.
+pub fn prepare(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Prepared {
+    if cfg.srf.indexed.is_some() {
+        prepare_isrf(cfg, params)
+    } else {
+        prepare_base(cfg, params)
     }
-}
-
-/// Run the benchmark; results are verified against the reference DFT.
-///
-/// # Panics
-///
-/// Panics if the simulated result diverges from the reference DFT.
-pub fn run(cfg: ConfigName, params: &Fft2dParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params);
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &Fft2dParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     #[test]
     fn host_dif_stages_match_reference_1d() {
@@ -741,7 +737,7 @@ mod tests {
 
     #[test]
     fn kernels_build_and_schedule() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         for d in [32u32, 16, 8] {
             let k = build_bf_high_kernel(d);
             schedule_for(&m, &k);

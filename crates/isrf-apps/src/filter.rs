@@ -21,8 +21,7 @@
 
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf_mem::AddrPattern;
@@ -253,24 +252,26 @@ fn verify(m: &Machine, rows: u32) {
 }
 
 /// Set up the machine and build the measured program without running it.
+/// The check compares the image with a direct convolution.
 ///
 /// # Panics
 ///
 /// Panics if `params.rows` is not a positive multiple of the strip height.
-pub fn prepare(cfg: ConfigName, params: &FilterParams) -> crate::common::Prepared {
+pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Prepared {
     assert!(
         params.rows.is_multiple_of(STRIP_ROWS) && params.rows >= STRIP_ROWS,
         "rows must be a multiple of {STRIP_ROWS}"
     );
-    let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
-    let mut m = machine(cfg);
-    if !indexed {
+    let indexed = cfg.srf.indexed.is_some();
+    let mut m = if indexed {
+        machine(cfg)
+    } else {
         // The baseline parks a whole lane-block in the scratchpad; give it
         // the capacity (this only ever helps the baseline).
-        let mut c = m.config().clone();
+        let mut c = cfg.clone();
         c.cluster.scratchpad_words = (BLOCK_ROWS * COLS) as usize;
-        m = Machine::new(c).expect("config still valid");
-    }
+        machine(&c)
+    };
     lay_out_image(&mut m, params);
 
     let kernel = Arc::new(if indexed {
@@ -310,25 +311,21 @@ pub fn prepare(cfg: ConfigName, params: &FilterParams) -> crate::common::Prepare
         let st = p.store(window, strip_store_pattern(row0, first_j, js), false, &[k]);
         prev = Some(st);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, params.rows * COLS)])
-}
-
-/// Run the benchmark on `cfg`; verified against direct convolution.
-///
-/// # Panics
-///
-/// Panics if `params.rows` is not a positive multiple of the strip height,
-/// or the simulated result diverges from the reference convolution.
-pub fn run(cfg: ConfigName, params: &FilterParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params.rows);
-    stats
+    let rows = params.rows;
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, rows * COLS)], move |m| {
+        verify(m, rows)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &FilterParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     fn small() -> FilterParams {
         FilterParams { rows: 32, seed: 11 }
@@ -336,9 +333,9 @@ mod tests {
 
     #[test]
     fn kernels_build_and_schedule() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         schedule_for(&m, &build_isrf_kernel());
-        let m = machine(ConfigName::Base);
+        let m = machine(&ConfigName::Base.into());
         schedule_for(&m, &build_base_kernel());
     }
 

@@ -19,12 +19,11 @@
 
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::Word;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
-use isrf_sim::{StreamBinding, StreamProgram};
+use isrf_sim::{Machine, StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -89,15 +88,31 @@ pub fn safe_keys(params: &HistogramParams) -> Vec<Word> {
     out
 }
 
-/// Run the histogram with the given key stream; returns the stats and the
-/// per-lane bins read back from the SRF.
-pub fn run_with_keys(
-    cfg: ConfigName,
+/// The per-lane bins a finished run stored to memory: global record `r`
+/// holds lane `r % 8`'s bin `r / 8`.
+pub fn lane_bins(m: &Machine, buckets: u32) -> Vec<Vec<u32>> {
+    let mut lanes = vec![vec![0u32; buckets as usize]; 8];
+    for r in 0..buckets * 8 {
+        lanes[(r % 8) as usize][(r / 8) as usize] = m.mem().memory().read(OUT_BASE + r);
+    }
+    lanes
+}
+
+/// Set up the machine and build the histogram program over the given key
+/// stream (record `r` goes to lane `r % 8`) without running it. The check
+/// holds every bin to the exact count of its key, which only hazard-free
+/// keys ([`safe_keys`]) reach.
+///
+/// # Panics
+///
+/// Panics if `cfg` has no indexed SRF.
+pub fn prepare(
+    cfg: &MachineConfig,
     params: &HistogramParams,
     keys: &[Word],
-) -> (RunStats, Vec<Vec<u32>>) {
+) -> crate::common::Prepared {
     assert!(
-        matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4),
+        cfg.srf.indexed.is_some(),
         "read-write SRF structures need an indexed SRF"
     );
     let mut m = machine(cfg);
@@ -127,33 +142,29 @@ pub fn run_with_keys(
         false,
         &[k],
     );
-    let stats = m.run(&p);
-
-    // Global record r holds lane r%8's bin r/8.
-    let mut lanes = vec![vec![0u32; params.buckets as usize]; 8];
-    for r in 0..params.buckets * 8 {
-        lanes[(r % 8) as usize][(r / 8) as usize] = m.mem().memory().read(OUT_BASE + r);
-    }
-    (stats, lanes)
-}
-
-/// Run with hazard-free keys and verify every count exactly.
-pub fn run(cfg: ConfigName, params: &HistogramParams) -> RunStats {
-    let keys = safe_keys(params);
-    let (stats, lanes) = run_with_keys(cfg, params, &keys);
-    // Each lane saw keys_per_lane/buckets full permutations.
-    let expect = params.keys_per_lane / params.buckets;
-    for (l, bins) in lanes.iter().enumerate() {
-        for (bin, &count) in bins.iter().enumerate() {
-            assert_eq!(count, expect, "lane {l} bin {bin}");
+    let (buckets, keys) = (params.buckets, keys.to_vec());
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, buckets * 8)], move |m| {
+        let mut expect = vec![vec![0u32; buckets as usize]; 8];
+        for (r, &key) in keys.iter().enumerate() {
+            expect[r % 8][key as usize] += 1;
         }
-    }
-    stats
+        for (l, (bins, want)) in lane_bins(m, buckets).iter().zip(&expect).enumerate() {
+            for (bin, (&count, &e)) in bins.iter().zip(want).enumerate() {
+                assert_eq!(count, e, "lane {l} bin {bin}");
+            }
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &HistogramParams) -> RunStats {
+        prepare(&cfg.into(), params, &safe_keys(params)).run_checked()
+    }
 
     fn small() -> HistogramParams {
         HistogramParams {
@@ -165,7 +176,7 @@ mod tests {
 
     #[test]
     fn kernel_builds_and_schedules() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         let s = schedule_for(&m, &build_kernel());
         assert!(s.ii >= 1);
     }
@@ -195,8 +206,9 @@ mod tests {
         let params = small();
         // Every lane hammers bin 0 on every iteration: maximal conflict.
         let keys = vec![0u32; (params.keys_per_lane * 8) as usize];
-        let (_, lanes) = run_with_keys(ConfigName::Isrf4, &params, &keys);
-        for bins in &lanes {
+        let mut pr = prepare(&ConfigName::Isrf4.into(), &params, &keys);
+        pr.machine.run(&pr.program);
+        for bins in &lane_bins(&pr.machine, params.buckets) {
             assert!(
                 bins[0] < params.keys_per_lane,
                 "back-to-back RMW to one address must lose updates \

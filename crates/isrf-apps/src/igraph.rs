@@ -25,8 +25,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
@@ -356,15 +355,16 @@ const OUT_BASE: u32 = 0x40_0000; // updated records
 const UNIQ_PTR_BASE: u32 = 0x60_0000; // per-strip condensed pointers
 
 /// Set up the machine (graph image, host preprocessing) and build the
-/// measured program without running it.
+/// measured program without running it. The check compares the updated
+/// records with the host reference sweep.
 ///
 /// # Panics
 ///
 /// Panics if the dataset's strips don't tile the graph in lane multiples.
-pub fn prepare(cfg: ConfigName, ds: &IgDataset) -> crate::common::Prepared {
-    let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
+pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
+    let indexed = cfg.srf.indexed.is_some();
+    let cacheable = cfg.cache.is_some();
     let mut m = machine(cfg);
-    let cacheable = m.config().cache.is_some();
 
     let kernel = Arc::new(build_kernel(ds, indexed));
     let sched = schedule_for(&m, &kernel);
@@ -493,37 +493,30 @@ pub fn prepare(cfg: ConfigName, ds: &IgDataset) -> crate::common::Prepared {
         prev_kernel = Some(k);
         buf_free[pick] = Some(st);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)])
-}
-
-/// Run one sweep of the dataset on `cfg`; verified against the reference.
-///
-/// # Panics
-///
-/// Panics if strips don't tile the graph, or the simulated sweep diverges
-/// from the host reference.
-pub fn run(cfg: ConfigName, ds: &IgDataset) -> RunStats {
-    let mut pr = prepare(cfg, ds);
-    let stats = pr.machine.run(&pr.program);
-
-    // Verify against the reference sweep (identical f32 op order). The
-    // graph and reference are deterministic in the dataset, so both come
-    // from the per-dataset caches.
-    let expect = reference_cached(ds);
-    for (i, &(e0, e1)) in expect.iter().enumerate() {
-        let g0 = as_f32(pr.machine.mem().memory().read(OUT_BASE + 2 * i as u32));
-        let g1 = as_f32(pr.machine.mem().memory().read(OUT_BASE + 2 * i as u32 + 1));
-        assert!(
-            (g0 - e0).abs() <= 1e-4 * e0.abs().max(1.0) && g1 == e1,
-            "node {i}: got ({g0}, {g1}), want ({e0}, {e1})"
-        );
-    }
-    stats
+    let ds = *ds;
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)], move |m| {
+        // The reference sweep (identical f32 op order) is deterministic in
+        // the dataset, so it comes from the per-dataset cache.
+        for (i, &(e0, e1)) in reference_cached(&ds).iter().enumerate() {
+            let g0 = as_f32(m.mem().memory().read(OUT_BASE + 2 * i as u32));
+            let g1 = as_f32(m.mem().memory().read(OUT_BASE + 2 * i as u32 + 1));
+            assert!(
+                (g0 - e0).abs() <= 1e-4 * e0.abs().max(1.0) && g1 == e1,
+                "node {i}: got ({g0}, {g1}), want ({e0}, {e1})"
+            );
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, ds: &IgDataset) -> RunStats {
+        prepare(&cfg.into(), ds).run_checked()
+    }
 
     fn tiny() -> IgDataset {
         IgDataset {
@@ -541,9 +534,9 @@ mod tests {
     #[test]
     fn kernels_build_and_schedule() {
         let ds = tiny();
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         schedule_for(&m, &build_kernel(&ds, true));
-        let m = machine(ConfigName::Base);
+        let m = machine(&ConfigName::Base.into());
         schedule_for(&m, &build_kernel(&ds, false));
     }
 

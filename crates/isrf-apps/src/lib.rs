@@ -1,10 +1,13 @@
 //! Benchmarks reproducing the HPCA 2004 indexed-SRF evaluation.
 //!
-//! Each benchmark module builds the paper's workload for all four machine
-//! configurations (`Base`, `ISRF1`, `ISRF4`, `Cache`), runs it on the
-//! simulator, *functionally verifies* the results against an independent
-//! reference implementation, and returns the [`isrf_core::RunStats`] behind
-//! Figures 11–13.
+//! Each benchmark module has one entry point, `prepare(&MachineConfig,
+//! params)`, which builds the paper's workload for the machine it is given
+//! (the presets `Base`, `ISRF1`, `ISRF4`, `Cache`, or any valid 8-lane
+//! config) and returns it as a [`common::Prepared`]: machine, stream
+//! program, output regions, and the app's *functional check* against an
+//! independent reference implementation. The caller runs it —
+//! [`common::Prepared::run_checked`] returns the [`isrf_core::RunStats`]
+//! behind Figures 11–13 — and [`prepare_app`] holds the Small/Paper sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

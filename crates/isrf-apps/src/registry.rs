@@ -6,7 +6,7 @@
 //! ready-to-run machine + program + expected outputs for app X on config Y
 //! at size Z" — so the lookup lives here, below all of them.
 
-use isrf_core::config::ConfigName;
+use isrf_core::config::MachineConfig;
 
 use crate::common::Prepared;
 use crate::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
@@ -28,75 +28,84 @@ pub const APPS: [&str; 8] = [
     "fft2d", "rijndael", "sort", "filter", "igraph", "spmv", "stencil", "bfs",
 ];
 
-/// Build a ready-to-run machine + program + expected outputs for one app,
-/// without running it — the caller installs tracers, runs, and inspects.
+/// Build a ready-to-run machine + program + expected outputs for one app
+/// on `cfg` — a [`isrf_core::config::ConfigName`] for its preset, or any
+/// valid 8-lane [`MachineConfig`] — without running it: the caller
+/// installs tracers, runs, and inspects, or calls
+/// [`Prepared::run_checked`]. This is the one table of Small/Paper sizes.
+/// `"igraph"` is the `IG_SML` dataset; the other Table 4 datasets the
+/// figures run go by their own names (`"IG_SCL"`, `"IG_DMS"`, `"IG_DCS"`).
 ///
 /// # Panics
 ///
-/// Panics on an unknown app name (use [`APPS`]).
-pub fn prepare_app(app: &str, cfg: ConfigName, profile: Profile) -> Prepared {
-    let small = profile == Profile::Small;
+/// Panics on an unknown app name (use [`APPS`]), and as
+/// [`crate::common::machine`] does on a config it refuses.
+pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> Prepared {
+    let cfg = &cfg.into();
+    let size = |small: u32, paper: u32| match profile {
+        Profile::Small => small,
+        Profile::Paper => paper,
+    };
     match app {
         "fft2d" => fft2d::prepare(
             cfg,
             &fft2d::Fft2dParams {
-                reps: if small { 1 } else { 2 },
+                reps: size(1, 2),
                 ..Default::default()
             },
         ),
         "rijndael" => rijndael::prepare(
             cfg,
             &rijndael::RijndaelParams {
-                chains_per_lane: if small { 2 } else { 8 },
-                waves: if small { 2 } else { 4 },
-                strips: if small { 2 } else { 4 },
+                chains_per_lane: size(2, 8),
+                waves: size(2, 4),
+                strips: size(2, 4),
                 ..Default::default()
             },
         ),
         "sort" => sort::prepare(
             cfg,
             &sort::SortParams {
-                keys_per_lane: if small { 64 } else { 512 },
+                keys_per_lane: size(64, 512),
                 ..Default::default()
             },
         ),
         "filter" => filter::prepare(
             cfg,
             &filter::FilterParams {
-                rows: if small { 32 } else { 256 },
+                rows: size(32, 256),
                 ..Default::default()
             },
         ),
-        "igraph" => {
-            let mut ds = igraph::dataset("IG_SML");
-            if small {
-                ds.nodes /= 4;
-            }
+        ig if ig == "igraph" || ig.starts_with("IG_") => {
+            let mut ds = igraph::dataset(if ig == "igraph" { "IG_SML" } else { ig });
+            // Small shrinks the graph, keeping strip structure intact.
+            ds.nodes /= size(if ds.degree == 4 { 4 } else { 2 }, 1);
             igraph::prepare(cfg, &ds)
         }
         "spmv" => spmv::prepare(
             cfg,
             &spmv::SpmvParams {
-                rows: if small { 256 } else { 2048 },
-                strip_rows: if small { 32 } else { 64 },
+                rows: size(256, 2048),
+                strip_rows: size(32, 64),
                 ..Default::default()
             },
         ),
         "stencil" => stencil::prepare(
             cfg,
             &stencil::StencilParams {
-                rows: if small { 64 } else { 256 },
+                rows: size(64, 256),
                 ..Default::default()
             },
         ),
         "bfs" => bfs::prepare(
             cfg,
             &bfs::BfsParams {
-                nodes: if small { 512 } else { 4096 },
-                strip_nodes: if small { 64 } else { 128 },
-                max_degree: if small { 8 } else { 12 },
-                window: if small { 32 } else { 64 },
-                max_sweeps: if small { 8 } else { 12 },
+                nodes: size(512, 4096),
+                strip_nodes: size(64, 128),
+                max_degree: size(8, 12),
+                window: size(32, 64),
+                max_sweeps: size(8, 12),
                 ..Default::default()
             },
         ),
@@ -107,12 +116,27 @@ pub fn prepare_app(app: &str, cfg: ConfigName, profile: Profile) -> Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
 
     #[test]
     fn every_registered_app_prepares() {
         for app in APPS {
-            let pr = prepare_app(app, ConfigName::Base, Profile::Small);
-            assert!(!pr.program.is_empty(), "{app} builds a program");
+            for cfg in ConfigName::ALL {
+                let mut pr = prepare_app(app, cfg, Profile::Small);
+                assert!(!pr.program.is_empty(), "{app} builds a program");
+                assert!(
+                    pr.machine.set_verifier(None).is_some(),
+                    "{app} on {cfg} carries no verifier"
+                );
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::lanes must be 8")]
+    fn other_lane_counts_are_refused() {
+        let mut cfg = MachineConfig::preset(ConfigName::Base);
+        cfg.lanes = 4;
+        prepare_app("sort", cfg, Profile::Small);
     }
 }

@@ -24,8 +24,7 @@
 
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::Word;
 use isrf_kernel::ir::{Kernel, KernelBuilder, Operand, StreamKind, StreamSlot, ValueId};
 use isrf_mem::AddrPattern;
@@ -357,10 +356,13 @@ fn expected_ciphertext(m: &Machine, params: &RijndaelParams, layout: &Layout) ->
     ct
 }
 
-fn verify(m: &Machine, params: &RijndaelParams, layout: &Layout) {
-    let expect = expected_ciphertext(m, params, layout);
+/// The host check: the FIPS-checked reference cipher over the plaintext,
+/// which survives untouched in memory.
+fn verify(m: &Machine, params: &RijndaelParams) {
+    let l = layout();
+    let expect = expected_ciphertext(m, params, &l);
     for (i, &e) in expect.iter().enumerate() {
-        let got = m.mem().memory().read(layout.ct_base + i as u32);
+        let got = m.mem().memory().read(l.ct_base + i as u32);
         assert_eq!(
             got, e,
             "ciphertext word {i} mismatch: got {got:#010x}, want {e:#010x}"
@@ -368,8 +370,14 @@ fn verify(m: &Machine, params: &RijndaelParams, layout: &Layout) {
     }
 }
 
+fn prepared(m: Machine, p: StreamProgram, params: &RijndaelParams) -> crate::common::Prepared {
+    let params = *params;
+    let outputs = vec![(layout().ct_base, params.total_blocks() * 4)];
+    crate::common::Prepared::new(m, p, outputs, move |m| verify(m, &params))
+}
+
 /// Prepare the ISRF version (valid on `Isrf1`/`Isrf4`).
-fn prepare_isrf(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prepared {
+fn prepare_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
     let layout = lay_out_memory(&mut m, params);
     let rk = aes::key_expansion(&aes::FIPS_KEY);
@@ -437,14 +445,14 @@ fn prepare_isrf(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prep
         prev_kernel = Some(k);
         buf_user[pick] = Some(k);
     }
-    crate::common::Prepared::new(m, p, vec![(layout.ct_base, params.total_blocks() * 4)])
+    prepared(m, p, params)
 }
 
 /// Prepare the Base/Cache version: 11 kernels per wave with data-dependent
 /// gathers between them; `cacheable` routes the gathers through the cache.
-fn prepare_base(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prepared {
+fn prepare_base(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
-    let cacheable = m.config().cache.is_some();
+    let cacheable = cfg.cache.is_some();
     let layout = lay_out_memory(&mut m, params);
     let rk = aes::key_expansion(&aes::FIPS_KEY);
     let kernels: Vec<Arc<Kernel>> = (0..=10)
@@ -575,34 +583,29 @@ fn prepare_base(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prep
         );
     }
 
-    crate::common::Prepared::new(m, p, vec![(layout.ct_base, params.total_blocks() * 4)])
+    prepared(m, p, params)
 }
 
 /// Set up the machine (tables, plaintext, any un-measured setup) and build
-/// the measured program without running it.
-pub fn prepare(cfg: ConfigName, params: &RijndaelParams) -> crate::common::Prepared {
-    match cfg {
-        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, params),
-        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, params),
+/// the measured program without running it. The check compares the
+/// ciphertext with the FIPS-checked reference cipher.
+pub fn prepare(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::Prepared {
+    if cfg.srf.indexed.is_some() {
+        prepare_isrf(cfg, params)
+    } else {
+        prepare_base(cfg, params)
     }
-}
-
-/// Run the benchmark on `cfg`; the result is functionally verified against
-/// the FIPS-checked reference before returning.
-///
-/// # Panics
-///
-/// Panics if the simulated ciphertext diverges from the reference cipher.
-pub fn run(cfg: ConfigName, params: &RijndaelParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params, &layout());
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &RijndaelParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     fn small() -> RijndaelParams {
         RijndaelParams {

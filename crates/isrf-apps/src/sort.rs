@@ -25,8 +25,7 @@
 
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::Word;
 use isrf_kernel::ir::{Kernel, KernelBuilder, Operand, StreamKind};
 use isrf_mem::AddrPattern;
@@ -237,8 +236,10 @@ fn lay_out_keys(m: &mut isrf_sim::Machine, params: &SortParams) -> Vec<Word> {
     keys
 }
 
-fn verify(m: &isrf_sim::Machine, params: &SortParams) {
-    let n = params.keys_per_lane * 8;
+/// The host check: every lane's run is sorted and the output is a
+/// permutation of the input.
+fn verify(m: &isrf_sim::Machine, keys_per_lane: u32) {
+    let n = keys_per_lane * 8;
     // The input keys survive untouched at IN_BASE.
     let keys: Vec<Word> = (0..n).map(|i| m.mem().memory().read(IN_BASE + i)).collect();
     let out: Vec<Word> = (0..n)
@@ -246,7 +247,7 @@ fn verify(m: &isrf_sim::Machine, params: &SortParams) {
         .collect();
     // Lane l's run is elements l, l+8, ...: each must be sorted.
     for l in 0..8u32 {
-        let lane: Vec<Word> = (0..params.keys_per_lane)
+        let lane: Vec<Word> = (0..keys_per_lane)
             .map(|k| out[(k * 8 + l) as usize])
             .collect();
         assert!(
@@ -261,8 +262,19 @@ fn verify(m: &isrf_sim::Machine, params: &SortParams) {
     assert_eq!(a, b, "output is not a permutation of the input");
 }
 
+fn prepared(
+    m: isrf_sim::Machine,
+    p: StreamProgram,
+    params: &SortParams,
+) -> crate::common::Prepared {
+    let keys_per_lane = params.keys_per_lane;
+    crate::common::Prepared::new(m, p, vec![(OUT_BASE, keys_per_lane * 8)], move |m| {
+        verify(m, keys_per_lane)
+    })
+}
+
 /// Prepare the ISRF version: log2(n) two-pointer merge passes per lane.
-fn prepare_isrf(cfg: ConfigName, params: &SortParams) -> crate::common::Prepared {
+fn prepare_isrf(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
     lay_out_keys(&mut m, params);
     let n = params.keys_per_lane * 8;
@@ -296,11 +308,11 @@ fn prepare_isrf(cfg: ConfigName, params: &SortParams) -> crate::common::Prepared
         run *= 2;
     }
     p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, n)])
+    prepared(m, p, params)
 }
 
 /// Prepare the Base/Cache version: conditional-stream merge passes.
-fn prepare_base(cfg: ConfigName, params: &SortParams) -> crate::common::Prepared {
+fn prepare_base(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
     lay_out_keys(&mut m, params);
     let n = params.keys_per_lane * 8;
@@ -334,12 +346,12 @@ fn prepare_base(cfg: ConfigName, params: &SortParams) -> crate::common::Prepared
         run *= 2;
     }
     p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, n)])
+    prepared(m, p, params)
 }
 
 /// Ablation: the baseline recast as a bitonic sorting network over strided
 /// stream windows (data-independent accesses; more comparison stages).
-pub fn run_base_bitonic(cfg: ConfigName, params: &SortParams) -> RunStats {
+pub fn prepare_base_bitonic(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
     let mut m = machine(cfg);
     lay_out_keys(&mut m, params);
     let n = params.keys_per_lane * 8;
@@ -373,40 +385,27 @@ pub fn run_base_bitonic(cfg: ConfigName, params: &SortParams) -> RunStats {
             std::mem::swap(&mut cur, &mut other);
         }
     }
-    let st = p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
-    let _ = st;
-    let stats = m.run(&p);
-    verify(&m, params);
-    stats
+    p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
+    prepared(m, p, params)
 }
 
 /// Set up the machine (key layout) and build the measured program without
-/// running it.
+/// running it. The check holds the output to be sorted per lane and a
+/// permutation of the input.
 ///
 /// # Panics
 ///
 /// Panics if `params.keys_per_lane` is not a power of two ≥ 2.
-pub fn prepare(cfg: ConfigName, params: &SortParams) -> crate::common::Prepared {
+pub fn prepare(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
     assert!(
         params.keys_per_lane.is_power_of_two() && params.keys_per_lane >= 2,
         "keys_per_lane must be a power of two"
     );
-    match cfg {
-        ConfigName::Isrf1 | ConfigName::Isrf4 => prepare_isrf(cfg, params),
-        ConfigName::Base | ConfigName::Cache => prepare_base(cfg, params),
+    if cfg.srf.indexed.is_some() {
+        prepare_isrf(cfg, params)
+    } else {
+        prepare_base(cfg, params)
     }
-}
-
-/// Run the benchmark; output sortedness and permutation are verified.
-///
-/// # Panics
-///
-/// Panics on invalid sizing or if the output fails verification.
-pub fn run(cfg: ConfigName, params: &SortParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-    verify(&pr.machine, params);
-    stats
 }
 
 /// The Sort1 kernel used by the parameter studies (Figures 13–15): a
@@ -425,7 +424,13 @@ pub fn sort2_kernel() -> Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
     use isrf_kernel::sched::{schedule, SchedParams};
+
+    fn run(cfg: ConfigName, params: &SortParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     fn small() -> SortParams {
         SortParams {
@@ -436,9 +441,9 @@ mod tests {
 
     #[test]
     fn kernels_build_and_schedule() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         schedule_for(&m, &build_merge_kernel(8, 512));
-        let m = machine(ConfigName::Base);
+        let m = machine(&ConfigName::Base.into());
         schedule_for(&m, &build_bitonic_kernel(3, 4));
     }
 
@@ -473,7 +478,7 @@ mod tests {
         // through the indexed access, so II grows with the separation.
         // Sort2 (serial late pass) shows it most strongly.
         let k = sort2_kernel();
-        let base = SchedParams::from_machine(machine(ConfigName::Isrf4).config());
+        let base = SchedParams::from_machine(machine(&ConfigName::Isrf4.into()).config());
         let mut iis = vec![];
         for sep in [2u32, 6, 10] {
             let p = base.clone().with_separations(sep, 20);

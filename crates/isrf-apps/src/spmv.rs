@@ -29,8 +29,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
+use isrf_core::config::MachineConfig;
 use isrf_core::word::{from_f32, Word};
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
@@ -305,25 +304,26 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
 }
 
 /// Set up the machine and build the measured program for an explicit
-/// matrix and vector (the proptest entry point — [`prepare`] feeds the
-/// deterministic generator through here).
+/// matrix and vector `(csr, x)` (the proptest entry point — [`prepare`]
+/// feeds the deterministic generator through here). The check compares
+/// `y` bit-for-bit with the padded host reference.
 ///
 /// # Panics
 ///
 /// Panics if `strip_rows` is not a positive multiple of 8 dividing
 /// `csr.rows`, or `x.len() != csr.cols`.
 pub fn prepare_csr(
-    cfg: ConfigName,
-    csr: &Csr,
-    x: &[f32],
+    cfg: &MachineConfig,
+    data: Arc<(Csr, Vec<f32>)>,
     strip_rows: u32,
 ) -> crate::common::Prepared {
+    let (csr, x) = (&data.0, &data.1);
     assert!(strip_rows.is_multiple_of(8) && strip_rows > 0);
     assert!(csr.rows.is_multiple_of(strip_rows) && csr.rows > 0);
     assert_eq!(x.len() as u32, csr.cols);
-    let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
+    let indexed = cfg.srf.indexed.is_some();
+    let cacheable = cfg.cache.is_some();
     let mut m = machine(cfg);
-    let cacheable = m.config().cache.is_some();
 
     let pad = pad_of(csr);
     let kernel = Arc::new(build_kernel(pad, indexed));
@@ -441,44 +441,36 @@ pub fn prepare_csr(
         prev_kernel = Some(k);
         buf_free[pick] = Some(st);
     }
-    crate::common::Prepared::new(m, p, vec![(Y_BASE, csr.rows)])
+    let rows = csr.rows;
+    crate::common::Prepared::new(m, p, vec![(Y_BASE, rows)], move |m| {
+        let (csr, x) = (&data.0, &data.1);
+        for (i, &e) in reference(csr, x, pad_of(csr)).iter().enumerate() {
+            let got = m.mem().memory().read(Y_BASE + i as u32);
+            assert_eq!(
+                got,
+                from_f32(e),
+                "row {i}: got {:?}, want {e:?} (bit-exact mirror)",
+                isrf_core::word::as_f32(got)
+            );
+        }
+    })
 }
 
 /// Set up the machine (generated matrix) and build the measured program
-/// without running it.
-pub fn prepare(cfg: ConfigName, params: &SpmvParams) -> crate::common::Prepared {
-    let data = generate_cached(params);
-    prepare_csr(cfg, &data.0, &data.1, params.strip_rows)
-}
-
-/// Run `y = A * x` on `cfg`; verified bit-for-bit against the padded
-/// host reference.
-///
-/// # Panics
-///
-/// Panics if the simulated result differs from the host reference in any
-/// bit.
-pub fn run(cfg: ConfigName, params: &SpmvParams) -> RunStats {
-    let data = generate_cached(params);
-    let (csr, x) = (&data.0, &data.1);
-    let mut pr = prepare_csr(cfg, csr, x, params.strip_rows);
-    let stats = pr.machine.run(&pr.program);
-    let expect = reference(csr, x, pad_of(csr));
-    for (i, &e) in expect.iter().enumerate() {
-        let got = pr.machine.mem().memory().read(Y_BASE + i as u32);
-        assert_eq!(
-            got,
-            from_f32(e),
-            "row {i}: got {:?}, want {e:?} (bit-exact mirror)",
-            isrf_core::word::as_f32(got)
-        );
-    }
-    stats
+/// without running it; checked as [`prepare_csr`] checks.
+pub fn prepare(cfg: &MachineConfig, params: &SpmvParams) -> crate::common::Prepared {
+    prepare_csr(cfg, generate_cached(params), params.strip_rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &SpmvParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     fn small() -> SpmvParams {
         SpmvParams {
@@ -493,9 +485,9 @@ mod tests {
 
     #[test]
     fn kernels_build_and_schedule() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         schedule_for(&m, &build_kernel(8, true));
-        let m = machine(ConfigName::Base);
+        let m = machine(&ConfigName::Base.into());
         schedule_for(&m, &build_kernel(8, false));
     }
 
@@ -525,9 +517,8 @@ mod tests {
             empty_pct: 100,
             ..small()
         };
-        let data = generate_cached(&params);
-        let mut pr = prepare_csr(ConfigName::Isrf4, &data.0, &data.1, params.strip_rows);
-        pr.machine.run(&pr.program);
+        let mut pr = prepare(&ConfigName::Isrf4.into(), &params);
+        pr.run_checked();
         for i in 0..params.rows {
             assert_eq!(pr.machine.mem().memory().read(Y_BASE + i), 0);
         }
@@ -564,14 +555,6 @@ mod tests {
             vals: (0..n).map(|i| 0.5 + i as f32 / 100.0).collect(),
         };
         let x: Vec<f32> = (0..n).map(|i| 1.0 - i as f32 / 50.0).collect();
-        let mut pr = prepare_csr(ConfigName::Isrf4, &csr, &x, 8);
-        pr.machine.run(&pr.program);
-        let expect = reference(&csr, &x, pad_of(&csr));
-        for (i, &e) in expect.iter().enumerate() {
-            assert_eq!(
-                pr.machine.mem().memory().read(Y_BASE + i as u32),
-                from_f32(e)
-            );
-        }
+        prepare_csr(&ConfigName::Isrf4.into(), Arc::new((csr, x)), 8).run_checked();
     }
 }

@@ -22,9 +22,8 @@
 
 use std::sync::Arc;
 
-use isrf_core::config::ConfigName;
-use isrf_core::stats::RunStats;
-use isrf_core::word::{from_f32, Word};
+use isrf_core::config::MachineConfig;
+use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_kernel::sched::Schedule;
 use isrf_mem::AddrPattern;
@@ -334,66 +333,90 @@ fn emit_pass(
     stores
 }
 
-fn lay_out_grid(m: &mut Machine, params: &StencilParams) -> Vec<f32> {
+fn lay_out_grid(m: &mut Machine, params: &StencilParams) {
     let mut rng = SmallRng::seed_from_u64(params.seed);
-    let grid: Vec<f32> = (0..params.rows * COLS)
-        .map(|_| rng.gen_range(0.0f32..1.0))
+    let words: Vec<Word> = (0..params.rows * COLS)
+        .map(|_| from_f32(rng.gen_range(0.0f32..1.0)))
         .collect();
-    let words: Vec<Word> = grid.iter().map(|&v| from_f32(v)).collect();
     m.mem_mut().memory_mut().write_block(IN_BASE, &words);
-    grid
 }
 
-fn check_rows(params: &StencilParams) {
+/// Set up the machine and build `passes` — `(points, input base, output
+/// base)`, each depending on the one before — without running them. The
+/// check holds every pass's output bit-for-bit to the mirrored host
+/// reference of its input grid as memory holds it after the run.
+fn prepare_passes(
+    cfg: &MachineConfig,
+    params: &StencilParams,
+    passes: Vec<(u32, u32, u32)>,
+) -> crate::common::Prepared {
     assert!(
         params.rows.is_multiple_of(STRIP_ROWS) && params.rows >= STRIP_ROWS,
         "rows must be a positive multiple of {STRIP_ROWS}"
     );
+    let indexed = cfg.srf.indexed.is_some();
+    let mut m = machine(cfg);
+    lay_out_grid(&mut m, params);
+
+    let kernels: Vec<_> = passes
+        .iter()
+        .map(|&(points, ..)| {
+            let k = Arc::new(if indexed {
+                build_isrf_kernel(points)
+            } else {
+                build_base_kernel(points)
+            });
+            let s = schedule_for(&m, &k);
+            (k, s)
+        })
+        .collect();
+    let streams = alloc_streams(&mut m, indexed);
+
+    let rows = params.rows;
+    let mut p = StreamProgram::new();
+    let mut barrier = Vec::new();
+    for (&(points, in_base, out_base), (k, s)) in passes.iter().zip(&kernels) {
+        barrier = emit_pass(
+            &mut p, indexed, rows, points, k, s, &streams, in_base, out_base, &barrier,
+        );
+    }
+    let words = (rows * COLS) as usize;
+    let outputs = passes.iter().map(|&(.., out)| (out, rows * COLS)).collect();
+    crate::common::Prepared::new(m, p, outputs, move |m| {
+        for &(points, in_base, out_base) in &passes {
+            let grid: Vec<f32> = m
+                .mem()
+                .memory()
+                .read_block(in_base, words)
+                .into_iter()
+                .map(as_f32)
+                .collect();
+            for (i, &e) in reference(&grid, rows, points).iter().enumerate() {
+                let got = m.mem().memory().read(out_base + i as u32);
+                assert_eq!(
+                    got,
+                    from_f32(e),
+                    "word {i} at {out_base:#x}: got {:?}, want {e:?} (bit-exact mirror)",
+                    as_f32(got)
+                );
+            }
+        }
+    })
 }
 
 /// Set up the machine and build the full two-pass suite (5-point on the
-/// input grid, 9-point on its output) without running it.
+/// input grid, 9-point on its output) without running it; both pass
+/// outputs are checked.
 ///
 /// # Panics
 ///
 /// Panics if `params.rows` is not a positive multiple of 32.
-pub fn prepare(cfg: ConfigName, params: &StencilParams) -> crate::common::Prepared {
-    check_rows(params);
-    let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
-    let mut m = machine(cfg);
-    lay_out_grid(&mut m, params);
-
-    let build = |points| {
-        Arc::new(if indexed {
-            build_isrf_kernel(points)
-        } else {
-            build_base_kernel(points)
-        })
-    };
-    let k5 = build(5);
-    let k9 = build(9);
-    let s5 = schedule_for(&m, &k5);
-    let s9 = schedule_for(&m, &k9);
-    let streams = alloc_streams(&mut m, indexed);
-
-    let mut p = StreamProgram::new();
-    let rows = params.rows;
-    let pass1 = emit_pass(
-        &mut p,
-        indexed,
-        rows,
-        5,
-        &k5,
-        &s5,
-        &streams,
-        IN_BASE,
-        MID_BASE,
-        &[],
-    );
-    emit_pass(
-        &mut p, indexed, rows, 9, &k9, &s9, &streams, MID_BASE, OUT_BASE, &pass1,
-    );
-    crate::common::Prepared::new(m, p, vec![(MID_BASE, rows * COLS), (OUT_BASE, rows * COLS)])
+pub fn prepare(cfg: &MachineConfig, params: &StencilParams) -> crate::common::Prepared {
+    prepare_passes(
+        cfg,
+        params,
+        vec![(5, IN_BASE, MID_BASE), (9, MID_BASE, OUT_BASE)],
+    )
 }
 
 /// Set up a single pass (5- or 9-point, input grid → `OUT_BASE`) — the
@@ -404,73 +427,22 @@ pub fn prepare(cfg: ConfigName, params: &StencilParams) -> crate::common::Prepar
 /// Panics if `params.rows` is not a positive multiple of 32 or `points`
 /// is not 5 or 9.
 pub fn prepare_pass(
-    cfg: ConfigName,
+    cfg: &MachineConfig,
     params: &StencilParams,
     points: u32,
 ) -> crate::common::Prepared {
-    check_rows(params);
-    let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
-    let mut m = machine(cfg);
-    lay_out_grid(&mut m, params);
-    let kernel = Arc::new(if indexed {
-        build_isrf_kernel(points)
-    } else {
-        build_base_kernel(points)
-    });
-    let sched = schedule_for(&m, &kernel);
-    let streams = alloc_streams(&mut m, indexed);
-    let mut p = StreamProgram::new();
-    emit_pass(
-        &mut p,
-        indexed,
-        params.rows,
-        points,
-        &kernel,
-        &sched,
-        &streams,
-        IN_BASE,
-        OUT_BASE,
-        &[],
-    );
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, params.rows * COLS)])
-}
-
-/// Run the two-pass suite on `cfg`; both pass outputs are verified
-/// bit-for-bit against the mirrored host reference.
-///
-/// # Panics
-///
-/// Panics if either pass differs from the host reference in any bit.
-pub fn run(cfg: ConfigName, params: &StencilParams) -> RunStats {
-    let mut pr = prepare(cfg, params);
-    let stats = pr.machine.run(&pr.program);
-
-    let rows = params.rows;
-    let grid: Vec<f32> = {
-        let mut rng = SmallRng::seed_from_u64(params.seed);
-        (0..rows * COLS)
-            .map(|_| rng.gen_range(0.0f32..1.0))
-            .collect()
-    };
-    let mid = reference(&grid, rows, 5);
-    let out = reference(&mid, rows, 9);
-    for (base, expect) in [(MID_BASE, &mid), (OUT_BASE, &out)] {
-        for (i, &e) in expect.iter().enumerate() {
-            let got = pr.machine.mem().memory().read(base + i as u32);
-            assert_eq!(
-                got,
-                from_f32(e),
-                "word {i} at {base:#x}: got {:?}, want {e:?} (bit-exact mirror)",
-                isrf_core::word::as_f32(got)
-            );
-        }
-    }
-    stats
+    prepare_passes(cfg, params, vec![(points, IN_BASE, OUT_BASE)])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::ConfigName;
+    use isrf_core::stats::RunStats;
+
+    fn run(cfg: ConfigName, params: &StencilParams) -> RunStats {
+        prepare(&cfg.into(), params).run_checked()
+    }
 
     fn small() -> StencilParams {
         StencilParams { rows: 32, seed: 13 }
@@ -478,10 +450,10 @@ mod tests {
 
     #[test]
     fn kernels_build_and_schedule() {
-        let m = machine(ConfigName::Isrf4);
+        let m = machine(&ConfigName::Isrf4.into());
         schedule_for(&m, &build_isrf_kernel(5));
         schedule_for(&m, &build_isrf_kernel(9));
-        let m = machine(ConfigName::Base);
+        let m = machine(&ConfigName::Base.into());
         schedule_for(&m, &build_base_kernel(5));
         schedule_for(&m, &build_base_kernel(9));
     }
@@ -504,22 +476,7 @@ mod tests {
     #[test]
     fn single_pass_matches_reference() {
         for points in [5, 9] {
-            let params = small();
-            let mut pr = prepare_pass(ConfigName::Isrf4, &params, points);
-            pr.machine.run(&pr.program);
-            let grid: Vec<f32> = {
-                let mut rng = SmallRng::seed_from_u64(params.seed);
-                (0..params.rows * COLS)
-                    .map(|_| rng.gen_range(0.0f32..1.0))
-                    .collect()
-            };
-            let expect = reference(&grid, params.rows, points);
-            for (i, &e) in expect.iter().enumerate() {
-                assert_eq!(
-                    pr.machine.mem().memory().read(OUT_BASE + i as u32),
-                    from_f32(e)
-                );
-            }
+            prepare_pass(&ConfigName::Isrf4.into(), &small(), points).run_checked();
         }
     }
 

@@ -4,9 +4,11 @@
 //! host reference; plus snapshot/resume at a random mid-run cycle, which
 //! must reproduce the uninterrupted run exactly.
 
-use isrf_apps::spmv::{pad_of, prepare_csr, reference, Csr};
-use isrf_core::config::ConfigName;
-use isrf_core::word::{from_f32, Word};
+use std::sync::Arc;
+
+use isrf_apps::spmv::{prepare_csr, Csr};
+use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::word::Word;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -49,7 +51,7 @@ fn recipes() -> impl Strategy<Value = Recipe> {
         })
 }
 
-fn build(r: &Recipe) -> (Csr, Vec<f32>) {
+fn build(r: &Recipe) -> Arc<(Csr, Vec<f32>)> {
     let n = r.strips * STRIP_ROWS;
     let mut rng = SmallRng::seed_from_u64(r.seed);
     let mut row_ptr = vec![0u32];
@@ -76,7 +78,7 @@ fn build(r: &Recipe) -> (Csr, Vec<f32>) {
         row_ptr.push(col_idx.len() as u32);
     }
     let x = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    (
+    Arc::new((
         Csr {
             rows: n,
             cols: n,
@@ -85,14 +87,7 @@ fn build(r: &Recipe) -> (Csr, Vec<f32>) {
             vals,
         },
         x,
-    )
-}
-
-fn expected_words(csr: &Csr, x: &[f32]) -> Vec<Word> {
-    reference(csr, x, pad_of(csr))
-        .into_iter()
-        .map(from_f32)
-        .collect()
+    ))
 }
 
 fn read_output(pr: &isrf_apps::common::Prepared) -> Vec<Word> {
@@ -104,15 +99,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random CSR × {Base, Isrf4}: the simulated `y = A * x` equals the
-    /// host reference in every bit.
+    /// host reference in every bit (the check `prepare_csr` attaches).
     #[test]
     fn spmv_matches_reference(r in recipes()) {
-        let (csr, x) = build(&r);
-        let expect = expected_words(&csr, &x);
+        let data = build(&r);
         for cfg in [ConfigName::Base, ConfigName::Isrf4] {
-            let mut pr = prepare_csr(cfg, &csr, &x, STRIP_ROWS);
-            pr.machine.run(&pr.program);
-            prop_assert_eq!(&read_output(&pr), &expect, "y diverged on {:?}", cfg);
+            prepare_csr(&cfg.into(), Arc::clone(&data), STRIP_ROWS).run_checked();
         }
     }
 
@@ -121,17 +113,18 @@ proptest! {
     /// identical stats and identical output words.
     #[test]
     fn spmv_snapshot_resume_is_invisible(r in recipes(), at in 1u64..4000) {
-        let (csr, x) = build(&r);
-        let mut straight = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
+        let cfg = MachineConfig::preset(ConfigName::Isrf4);
+        let prepare = || prepare_csr(&cfg, build(&r), STRIP_ROWS);
+        let mut straight = prepare();
         let stats_s = straight.machine.run(&straight.program);
         let out_s = read_output(&straight);
 
-        let mut pr = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
+        let mut pr = prepare();
         let (stats_p, out_p) = match pr.machine.run_for(&pr.program, at) {
             Some(stats) => (stats, read_output(&pr)),
             None => {
                 let snapshot = pr.machine.save_state(&pr.program);
-                let mut fresh = prepare_csr(ConfigName::Isrf4, &csr, &x, STRIP_ROWS);
+                let mut fresh = prepare();
                 fresh
                     .machine
                     .restore_state(&fresh.program, &snapshot)

@@ -19,7 +19,41 @@
 use isrf_core::snap::SnapError;
 use isrf_core::Word;
 use isrf_sim::snapshot::{diff_snapshots, SnapshotDiff};
-use isrf_sim::{Machine, StreamProgram};
+use isrf_sim::{Machine, SimError, StreamProgram};
+
+/// Why a bisection stopped without an answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BisectError {
+    /// A snapshot failed to restore or to diff — only possible when the two
+    /// machines were built from different configurations or programs.
+    Snap(SnapError),
+    /// One of the machines could not advance the program (a deadlocked
+    /// kernel on a perturbed configuration, say).
+    Sim(SimError),
+}
+
+impl std::fmt::Display for BisectError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BisectError::Snap(e) => e.fmt(f),
+            BisectError::Sim(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for BisectError {}
+
+impl From<SnapError> for BisectError {
+    fn from(e: SnapError) -> Self {
+        BisectError::Snap(e)
+    }
+}
+
+impl From<SimError> for BisectError {
+    fn from(e: SimError) -> Self {
+        BisectError::Sim(e)
+    }
+}
 
 /// A deliberate single-word SRF perturbation, applied to the second
 /// machine when the lockstep run crosses `cycle`. Used by the negative
@@ -61,7 +95,7 @@ struct Side<'m> {
     m: &'m mut Machine,
     /// Cycles consumed from run start.
     at: u64,
-    /// The run completed (`run_for` returned `Some`); no further stepping.
+    /// The run completed (`step` returned stats); no further stepping.
     done: bool,
     perturb: Option<PerturbAt>,
 }
@@ -69,25 +103,27 @@ struct Side<'m> {
 impl Side<'_> {
     /// Advance `cycles` forward from `self.at`, applying the injected
     /// perturbation when the step crosses its cycle.
-    fn step(&mut self, program: &StreamProgram, cycles: u64) {
+    fn step(&mut self, program: &StreamProgram, cycles: u64) -> Result<(), SimError> {
         let target = self.at + cycles;
         if let Some(p) = self.perturb {
             // Split the step at the injection point so the perturbation
             // lands exactly after cycle `p.cycle`.
             if self.at < p.cycle && p.cycle <= target {
-                if !self.done && self.m.run_for(program, p.cycle - self.at).is_some() {
-                    self.done = true;
-                }
+                self.advance(program, p.cycle - self.at)?;
                 let w = self.m.srf().read(p.lane, p.offset);
                 self.m.srf_mut().write(p.lane, p.offset, w ^ p.xor);
-                self.at = p.cycle;
                 return self.step(program, target - p.cycle);
             }
         }
-        if !self.done && cycles > 0 && self.m.run_for(program, cycles).is_some() {
+        self.advance(program, cycles)
+    }
+
+    fn advance(&mut self, program: &StreamProgram, cycles: u64) -> Result<(), SimError> {
+        if !self.done && cycles > 0 && self.m.step(program, cycles)?.is_some() {
             self.done = true;
         }
-        self.at = target;
+        self.at += cycles;
+        Ok(())
     }
 
     fn restore(&mut self, program: &StreamProgram, snap: &[u8], at: u64) -> Result<(), SnapError> {
@@ -116,15 +152,17 @@ impl Side<'_> {
 ///
 /// # Errors
 ///
-/// [`SnapError`] if a snapshot fails to restore — only possible when the
-/// two machines were built from different configurations or programs.
+/// [`BisectError::Snap`] if a snapshot fails to restore — only possible
+/// when the two machines were built from different configurations or
+/// programs — and [`BisectError::Sim`] with the [`SimError`] of a machine
+/// that cannot advance the program.
 pub fn first_divergence(
     a: &mut Machine,
     b: &mut Machine,
     program: &StreamProgram,
     initial_chunk: u64,
     perturb_b: Option<PerturbAt>,
-) -> Result<Option<Divergence>, SnapError> {
+) -> Result<Option<Divergence>, BisectError> {
     let mut sa = Side {
         m: a,
         at: 0,
@@ -153,8 +191,8 @@ pub fn first_divergence(
         if sa.done && sb.done {
             return Ok(None);
         }
-        sa.step(program, chunk);
-        sb.step(program, chunk);
+        sa.step(program, chunk)?;
+        sb.step(program, chunk)?;
         let na = sa.m.save_state(program);
         let nb = sb.m.save_state(program);
         if na == nb {

@@ -29,7 +29,7 @@ pub mod diff;
 pub mod refexec;
 pub mod sweep;
 
-pub use bisect::{first_divergence, Divergence, PerturbAt};
+pub use bisect::{first_divergence, BisectError, Divergence, PerturbAt};
 pub use diff::{run_differential, DiffError, DiffFailure, DiffOutcome};
 pub use refexec::{RefCounts, RefMachine};
 pub use sweep::{run_parallel, run_serial};

@@ -130,16 +130,6 @@ impl RefMachine {
                     let data = self.mem.gather(&addrs);
                     self.write_stream_words(dst, &data);
                 }
-                ProgOp::ScatterDyn {
-                    src,
-                    index_stream,
-                    base,
-                    ..
-                } => {
-                    let addrs = self.dynamic_addrs(index_stream, *base);
-                    let data = self.read_stream(src);
-                    self.mem.scatter(&addrs, &data);
-                }
                 ProgOp::Kernel {
                     kernel,
                     bindings,

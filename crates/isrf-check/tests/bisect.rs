@@ -5,12 +5,12 @@
 
 use std::sync::Arc;
 
-use isrf_check::{first_divergence, PerturbAt};
+use isrf_check::{first_divergence, BisectError, PerturbAt};
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_mem::AddrPattern;
-use isrf_sim::{Machine, StreamProgram};
+use isrf_sim::{Machine, SimError, StreamProgram};
 
 const OUT_BASE: u32 = 8192;
 const OUT_WORDS: u32 = 64;
@@ -128,4 +128,23 @@ fn prepared_state_mismatch_reports_cycle_zero() {
         .expect("prepared-state mismatch must be reported");
     assert_eq!(d.cycle, 0);
     assert!(d.diffs.iter().any(|diff| diff.path == "srf"));
+}
+
+#[test]
+fn a_machine_that_cannot_step_is_an_error_not_a_panic() {
+    let (mut a, p) = build_point();
+    let (mut b, _) = build_point();
+    // Both sides paused alike on a program of another length: the starting
+    // snapshots agree, and the first step answers `ProgramMismatch`.
+    let mut shorter = StreamProgram::new();
+    shorter.load(
+        AddrPattern::contiguous(0, OUT_WORDS),
+        a.alloc_stream(1, OUT_WORDS),
+        false,
+        &[],
+    );
+    b.alloc_stream(1, OUT_WORDS);
+    assert!(a.run_for(&shorter, 5).is_none() && b.run_for(&shorter, 5).is_none());
+    let err = first_divergence(&mut a, &mut b, &p, 64, None).unwrap_err();
+    assert_eq!(err, BisectError::Sim(SimError::ProgramMismatch));
 }

@@ -517,6 +517,14 @@ impl MachineConfig {
     }
 }
 
+/// A configuration name stands for its preset wherever a machine
+/// description is taken by value.
+impl From<ConfigName> for MachineConfig {
+    fn from(name: ConfigName) -> Self {
+        MachineConfig::preset(name)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

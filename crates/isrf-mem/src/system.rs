@@ -442,18 +442,6 @@ impl MemorySystem {
         (id, data)
     }
 
-    /// Begin a scatter of `data` to an address list handed over by value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` differs from `addrs.len()`.
-    pub fn start_scatter(&mut self, addrs: Vec<u32>, data: &[Word], cacheable: bool) -> TransferId {
-        assert_eq!(addrs.len(), data.len(), "scatter data length mismatch");
-        self.mem.scatter(&addrs, data);
-        let len = addrs.len();
-        self.enqueue_cursor(PatternCursor::Indexed(addrs), len, true, cacheable)
-    }
-
     fn enqueue(&mut self, pattern: &AddrPattern, write: bool, cacheable: bool) -> TransferId {
         self.enqueue_cursor(PatternCursor::of(pattern), pattern.len(), write, cacheable)
     }

@@ -180,10 +180,13 @@ impl PointRunner {
     fn build(spec: &PointSpec) -> Result<PointRunner, String> {
         match &spec.app {
             AppRef::Named(name) => {
+                // The app's host check is dropped here: a job returns
+                // its words, it does not judge them.
                 let Prepared {
                     machine,
                     program,
                     outputs,
+                    ..
                 } = prepare_app(name, spec.config, spec.profile);
                 Ok(PointRunner {
                     machine,
@@ -219,9 +222,7 @@ impl PointRunner {
             Profile::Paper => records_per_lane.saturating_mul(4).min(4096),
         };
         let kernel = Arc::new(isrf_lang::parse_kernel(src).map_err(|e| format!("{e}"))?);
-        let cfg = MachineConfig::preset(spec.config);
-        let mut machine = Machine::new(cfg).map_err(|e| format!("{e}"))?;
-        machine.set_verifier(Some(Arc::new(Verifier::new())));
+        let mut machine = isrf_apps::common::machine(&MachineConfig::preset(spec.config));
         let lanes = machine.config().lanes as u32;
         let sched = schedule_cached(&kernel, &SchedParams::from_machine(machine.config()))
             .map_err(|e| format!("scheduling failed: {e}"))?;

@@ -145,7 +145,7 @@ pub struct Machine {
     /// Live transfers, indexed by slab slot (mirrors the memory system's
     /// slot allocation).
     pub(crate) pending: Vec<Option<PendingTransfer>>,
-    /// Reusable staging buffer for store/scatter source data.
+    /// Reusable staging buffer for store source data.
     store_buf: Vec<Word>,
     /// Static verifier consulted before simulation, when installed.
     verifier: Option<Arc<dyn ProgramVerifier>>,
@@ -358,7 +358,7 @@ impl Machine {
                         }
                     }
                 }
-                ProgOp::Store { .. } | ProgOp::ScatterDyn { .. } => {}
+                ProgOp::Store { .. } => {}
             }
         }
     }
@@ -444,21 +444,6 @@ impl Machine {
                 let words = data.len() as u32;
                 self.track_transfer(id, i, Some((*dst, data)));
                 (id, words, false, *cacheable)
-            }
-            ProgOp::ScatterDyn {
-                src,
-                index_stream,
-                base,
-                cacheable,
-            } => {
-                let addrs = self.collect_indices(index_stream, *base);
-                let mut buf = std::mem::take(&mut self.store_buf);
-                self.read_stream_into(src, &mut buf);
-                let words = buf.len() as u32;
-                let id = self.mem.start_scatter(addrs, &buf, *cacheable);
-                self.store_buf = buf;
-                self.track_transfer(id, i, None);
-                (id, words, true, *cacheable)
             }
             ProgOp::Kernel { .. } => unreachable!("kernels dispatch on the sequencer"),
         };

@@ -66,18 +66,6 @@ pub enum ProgOp {
         /// Route through the cache.
         cacheable: bool,
     },
-    /// Data-dependent scatter: `src[k]` is stored at `base +
-    /// index_stream[k]`.
-    ScatterDyn {
-        /// Source stream.
-        src: StreamBinding,
-        /// SRF stream of word addresses.
-        index_stream: StreamBinding,
-        /// Added to every index.
-        base: u32,
-        /// Route through the cache.
-        cacheable: bool,
-    },
     /// Run a kernel over bound streams.
     Kernel {
         /// The kernel body.
@@ -228,35 +216,6 @@ impl StreamProgram {
                 index_stream,
                 base,
                 dst,
-                cacheable,
-            },
-            deps,
-        )
-    }
-
-    /// Append a data-dependent scatter.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a length mismatch or a forward dependence.
-    pub fn scatter_dyn(
-        &mut self,
-        src: StreamBinding,
-        index_stream: StreamBinding,
-        base: u32,
-        cacheable: bool,
-        deps: &[ProgOpId],
-    ) -> ProgOpId {
-        assert_eq!(
-            index_stream.words(),
-            src.words(),
-            "scatter needs one index per source word"
-        );
-        self.push(
-            ProgOp::ScatterDyn {
-                src,
-                index_stream,
-                base,
                 cacheable,
             },
             deps,

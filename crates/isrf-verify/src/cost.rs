@@ -29,7 +29,7 @@
 //!   burst most recently opened by that transfer ride along free (see
 //!   `serve_one` in `isrf-mem`). So the floor counts the minimum credit
 //!   each op can be charged — static `Load`/`Store` patterns are walked
-//!   in stream order for the exact opening count; dynamic gather/scatter
+//!   in stream order for the exact opening count; dynamic gather
 //!   indices could all land in one burst, so they charge a single
 //!   opening. Cacheable traffic charges the cache channel exactly one
 //!   credit per word (misses additionally charge DRAM, but a warm cache
@@ -375,11 +375,6 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
                 }
             }
             ProgOp::GatherDyn {
-                index_stream,
-                cacheable,
-                ..
-            }
-            | ProgOp::ScatterDyn {
                 index_stream,
                 cacheable,
                 ..

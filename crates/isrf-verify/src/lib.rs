@@ -463,17 +463,6 @@ impl<'a> Analysis<'a> {
                     );
                     push(*dst, true, false, format!("gather (op {i}) destination"));
                 }
-                ProgOp::ScatterDyn {
-                    src, index_stream, ..
-                } => {
-                    push(*src, false, false, format!("scatter (op {i}) source"));
-                    push(
-                        *index_stream,
-                        false,
-                        false,
-                        format!("scatter (op {i}) index stream"),
-                    );
-                }
                 ProgOp::Kernel {
                     kernel, bindings, ..
                 } => {
@@ -913,7 +902,7 @@ impl<'a> Analysis<'a> {
                         out.push(d);
                     }
                 }
-                ProgOp::GatherDyn { base, .. } | ProgOp::ScatterDyn { base, .. } => {
+                ProgOp::GatherDyn { base, .. } => {
                     let Some(f) = &prop.mem_index[i] else {
                         continue;
                     };
@@ -934,16 +923,11 @@ impl<'a> Analysis<'a> {
                     if !wraps_all {
                         continue;
                     }
-                    let kind = if matches!(op, ProgOp::GatherDyn { .. }) {
-                        "gather"
-                    } else {
-                        "scatter"
-                    };
                     out.push(Diagnostic {
                         code: codes::GATHER_ADDRESS_WRAP.into(),
                         check: check.into(),
                         message: format!(
-                            "{kind} (op {i}): every index in the index stream provably \
+                            "gather (op {i}): every index in the index stream provably \
                              wraps the 32-bit word address space when added to base {base}"
                         ),
                         prog_op: Some(i),

@@ -13,7 +13,7 @@
 //!   slot. Sequential outputs that provably cover the whole binding are
 //!   strong updates; conditional/indexed writes (data-dependent count or
 //!   placement) are weak (join with what was there).
-//! * Kernel inputs and gather/scatter index streams read back the join
+//! * Kernel inputs and gather index streams read back the join
 //!   over their footprint, carrying provenance for diagnostics.
 //!
 //! Pre-existing SRF data (`VerifyEnv::filled`) is ⊤: the machine records
@@ -133,7 +133,7 @@ impl SrfStore {
     }
 }
 
-/// A propagated fact about one stream input (or a gather/scatter index
+/// A propagated fact about one stream input (or a gather index
 /// stream): the joined value interval over the region it reads, and where
 /// those values came from.
 #[derive(Debug, Clone)]
@@ -151,7 +151,7 @@ pub(crate) struct Prop {
     /// For kernel ops: one entry per stream slot (`None` for outputs and
     /// for non-kernel ops the vec is empty).
     pub kernel_in: Vec<Vec<Option<SlotIn>>>,
-    /// For gather/scatter ops: the index-stream fact.
+    /// For gather ops: the index-stream fact.
     pub mem_index: Vec<Option<SlotIn>>,
 }
 
@@ -201,9 +201,6 @@ pub(crate) fn propagate(cfg: &MachineConfig, env: &VerifyEnv, program: &StreamPr
                 mem_index[i] = read_fact(&store, index_stream, false, lanes);
                 let (lo, hi) = range_interval(dst);
                 store.write(lo, hi, None, Some(&format!("gather (op {i})")), true);
-            }
-            ProgOp::ScatterDyn { index_stream, .. } => {
-                mem_index[i] = read_fact(&store, index_stream, false, lanes);
             }
             ProgOp::Kernel {
                 kernel,

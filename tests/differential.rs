@@ -1,11 +1,13 @@
 //! Tier-1 differential suite: every application on every machine
 //! configuration, checked word-for-word against the timing-free reference
-//! executor, plus sweep-level invariants (determinism across reruns,
-//! parallel/serial identity, Isrf1-vs-Isrf4 functional equivalence), and a
-//! committed digest of every point's timing (`tests/golden/basket.digest`:
-//! cycles, full stats, and the whole trace-event stream), so a change that
-//! moves *when* something happens fails here even when every value is still
-//! right. Regenerate after an intentional timing change with
+//! executor and against the app's own host reference, plus sweep-level
+//! invariants (determinism across reruns, parallel/serial identity,
+//! Isrf1-vs-Isrf4 functional equivalence, fifteen timing perturbations per
+//! point that may move cycles and nothing else), and a committed digest
+//! of every point's timing (`tests/golden/basket.digest`: cycles, full
+//! stats, and the whole trace-event stream), so a change that moves *when*
+//! something happens fails here even when every value is still right.
+//! Regenerate after an intentional timing change with
 //! `UPDATE_GOLDEN=1 cargo test --test differential`.
 //!
 //! Memory in this simulator moves functionally at request time — the cache
@@ -16,127 +18,127 @@
 use std::sync::Arc;
 
 use isrf_apps::common::Prepared;
-use isrf_apps::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
+use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_check::{run_differential, run_parallel, run_serial, DiffOutcome};
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::{fnv1a, Enc};
 use isrf_core::stats::RunStats;
+use isrf_core::Word;
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sim::machine::Machine;
 use isrf_sim::program::StreamProgram;
 use isrf_trace::Tracer;
 
-const APPS: [&str; 8] = [
-    "fft2d", "rijndael", "sort", "filter", "igraph", "spmv", "stencil", "bfs",
-];
-const CONFIGS: [ConfigName; 4] = [
-    ConfigName::Base,
-    ConfigName::Isrf1,
-    ConfigName::Isrf4,
-    ConfigName::Cache,
-];
-
-/// Build a ready-to-run machine+program for one sweep point, with the same
-/// shrunk parameters the bench harness uses for its Small profile.
-fn prepare(app: &str, cfg: ConfigName) -> Prepared {
-    match app {
-        "fft2d" => fft2d::prepare(
-            cfg,
-            &fft2d::Fft2dParams {
-                reps: 1,
-                ..Default::default()
-            },
-        ),
-        "rijndael" => rijndael::prepare(
-            cfg,
-            &rijndael::RijndaelParams {
-                chains_per_lane: 2,
-                waves: 2,
-                strips: 2,
-                ..Default::default()
-            },
-        ),
-        "sort" => sort::prepare(
-            cfg,
-            &sort::SortParams {
-                keys_per_lane: 64,
-                ..Default::default()
-            },
-        ),
-        "filter" => filter::prepare(
-            cfg,
-            &filter::FilterParams {
-                rows: 32,
-                ..Default::default()
-            },
-        ),
-        "igraph" => {
-            let mut ds = igraph::dataset("IG_SML");
-            ds.nodes /= 4;
-            igraph::prepare(cfg, &ds)
-        }
-        "spmv" => spmv::prepare(
-            cfg,
-            &spmv::SpmvParams {
-                rows: 256,
-                strip_rows: 32,
-                ..Default::default()
-            },
-        ),
-        "stencil" => stencil::prepare(
-            cfg,
-            &stencil::StencilParams {
-                rows: 64,
-                ..Default::default()
-            },
-        ),
-        "bfs" => bfs::prepare(
-            cfg,
-            &bfs::BfsParams {
-                nodes: 512,
-                strip_nodes: 64,
-                ..Default::default()
-            },
-        ),
-        other => panic!("unknown app {other}"),
-    }
+/// A ready-to-run machine+program for one sweep point at the Small size.
+fn prepare(app: &str, cfg: impl Into<MachineConfig>) -> Prepared {
+    prepare_app(app, cfg, Profile::Small)
 }
 
-fn diff_point(app: &str, cfg: ConfigName) -> DiffOutcome {
+/// One point through both oracles — the reference executor, then the
+/// app's host reference — returning the differential outcome and the
+/// output words. `what` names the machine in a failure report.
+fn diff_point(app: &str, cfg: impl Into<MachineConfig>, what: &str) -> (DiffOutcome, Vec<Word>) {
     let mut pr = prepare(app, cfg);
-    run_differential(&mut pr.machine, &pr.program, &pr.outputs).unwrap_or_else(|failure| {
-        let shown: Vec<String> = failure
-            .errors
-            .iter()
-            .take(8)
-            .map(|e| e.to_string())
-            .collect();
-        panic!(
-            "{app} on {cfg:?} diverged from the reference executor \
-             ({} mismatches):\n  {}\nlast trace events:\n{}",
-            failure.errors.len(),
-            shown.join("\n  "),
-            failure.trace_tail.join("\n")
-        )
-    })
+    let cfg = pr.machine.config().name;
+    let out =
+        run_differential(&mut pr.machine, &pr.program, &pr.outputs).unwrap_or_else(|failure| {
+            let shown: Vec<String> = failure
+                .errors
+                .iter()
+                .take(8)
+                .map(|e| e.to_string())
+                .collect();
+            panic!(
+                "{app} on {cfg:?} ({what}) diverged from the reference executor \
+                 ({} mismatches):\n  {}\nlast trace events:\n{}",
+                failure.errors.len(),
+                shown.join("\n  "),
+                failure.trace_tail.join("\n")
+            )
+        });
+    pr.check();
+    let memory = pr.machine.mem().memory();
+    let words = pr
+        .outputs
+        .iter()
+        .flat_map(|&(base, words)| memory.read_block(base, words as usize))
+        .collect();
+    (out, words)
 }
 
 fn grid() -> Vec<(&'static str, ConfigName)> {
     APPS.iter()
-        .flat_map(|&a| CONFIGS.iter().map(move |&c| (a, c)))
+        .flat_map(|&a| ConfigName::ALL.iter().map(move |&c| (a, c)))
         .collect()
 }
 
+/// A named single-field departure from a preset.
+type Perturbation = (&'static str, fn(&mut MachineConfig));
+
+/// Departures that may move *when* and never *what*: memory timing, buffer
+/// and FIFO depths, SRF geometry, the scheduler's address/data separations.
+const PERTURBATIONS: [Perturbation; 15] = [
+    ("DRAM latency 50", |c| c.dram.latency_cycles = 50),
+    ("DRAM latency 400", |c| c.dram.latency_cycles = 400),
+    ("DRAM bandwidth x1/2", |c| c.dram.peak_gbytes_per_sec /= 2.0),
+    ("DRAM bandwidth x2", |c| c.dram.peak_gbytes_per_sec *= 2.0),
+    ("burst_words 4", |c| c.dram.burst_words = 4),
+    ("stream buffers 4 words", |c| c.srf.stream_buffer_words = 4),
+    ("stream buffers 16 words", |c| {
+        c.srf.stream_buffer_words = 16
+    }),
+    ("address FIFOs 4", |c| set_addr_fifos(c, 4)),
+    ("address FIFOs 16", |c| set_addr_fifos(c, 16)),
+    ("sub-arrays 2", |c| set_subarrays(c, 2)),
+    ("sub-arrays 8", |c| set_subarrays(c, 8)),
+    ("separations (2, 4)", |c| set_separations(c, 2, 4)),
+    ("separations (10, 28)", |c| set_separations(c, 10, 28)),
+    ("2 network ports per bank", |c| {
+        if let Some(idx) = &mut c.srf.indexed {
+            idx.network_ports_per_bank = 2;
+        }
+    }),
+    ("seq_latency 6", |c| c.srf.seq_latency = 6),
+];
+
+fn set_addr_fifos(c: &mut MachineConfig, entries: usize) {
+    if let Some(idx) = &mut c.srf.indexed {
+        idx.addr_fifo_entries = entries;
+    }
+}
+
+/// Fewer sub-arrays than in-lane words per cycle is not a machine
+/// (`MachineConfig::validate`), so ISRF4's bandwidth shrinks with them.
+fn set_subarrays(c: &mut MachineConfig, subarrays: usize) {
+    c.srf.subarrays = subarrays;
+    if let Some(idx) = &mut c.srf.indexed {
+        idx.inlane_words_per_cycle = idx.inlane_words_per_cycle.min(subarrays);
+    }
+}
+
+fn set_separations(c: &mut MachineConfig, inlane: u32, crosslane: u32) {
+    c.sched.inlane_addr_data_separation = inlane;
+    c.sched.crosslane_addr_data_separation = crosslane;
+}
+
 /// The acceptance gate: all 8 apps × 4 configs agree with the reference
-/// on every word of memory and SRF, and on the indexed access counts.
+/// on every word of memory and SRF, and on the indexed access counts, and
+/// with the app's own host reference — on the preset and on perturbed
+/// machines. That is the paper's decoupling claim over the config space:
+/// every perturbed point passes both oracles and equals the preset run of
+/// its (app, config) in every output word, in the indexed word counts and
+/// in off-chip bytes. Cycles may move either way; they are printed
+/// (`--nocapture`), not asserted. A release build runs all 32 × 15 pairs,
+/// a debug build three perturbations per point, staggered so that any five
+/// neighbouring points cover all fifteen.
 /// Points run in parallel — the sweep harness drives its own test load.
 #[test]
 fn all_apps_all_configs_match_reference() {
     let points = grid();
-    let outcomes = run_parallel(&points, |&(app, cfg)| (app, cfg, diff_point(app, cfg)));
-    assert_eq!(outcomes.len(), points.len());
-    for (app, cfg, out) in &outcomes {
+    let presets = run_parallel(&points, |&(app, cfg)| diff_point(app, cfg, "preset"));
+    assert_eq!(presets.len(), points.len());
+    for ((app, cfg), (out, _)) in points.iter().zip(&presets) {
         // Indexed configs must actually exercise indexed access on the
         // indexed apps (otherwise the count check is vacuous).
         if matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4) && *app != "fft2d" {
@@ -145,6 +147,46 @@ fn all_apps_all_configs_match_reference() {
                 "{app} on {cfg:?} performed no indexed accesses"
             );
         }
+    }
+
+    let stride = if cfg!(debug_assertions) { 5 } else { 1 };
+    let pairs: Vec<(usize, usize)> = (0..points.len())
+        .flat_map(|p| (0..PERTURBATIONS.len()).map(move |k| (p, k)))
+        .filter(|&(p, k)| (p + k) % stride == 0)
+        .collect();
+    let perturbed = run_parallel(&pairs, |&(p, k)| {
+        let (app, cfg) = points[p];
+        let (what, mutate) = PERTURBATIONS[k];
+        let mut cfg = MachineConfig::preset(cfg);
+        mutate(&mut cfg);
+        diff_point(app, cfg, what)
+    });
+    for (&(p, k), (out, words)) in pairs.iter().zip(&perturbed) {
+        let ((app, cfg), what) = (points[p], PERTURBATIONS[k].0);
+        let cfg = cfg.to_string();
+        let (preset, preset_words) = &presets[p];
+        assert!(
+            words == preset_words,
+            "{app} on {cfg}, {what}: output words moved"
+        );
+        assert_eq!(
+            (out.stats.srf.inlane_words, out.stats.srf.crosslane_words),
+            (
+                preset.stats.srf.inlane_words,
+                preset.stats.srf.crosslane_words
+            ),
+            "{app} on {cfg}, {what}: indexed word counts moved"
+        );
+        assert_eq!(
+            out.stats.mem.total(),
+            preset.stats.mem.total(),
+            "{app} on {cfg}, {what}: off-chip bytes moved"
+        );
+        let (was, is) = (preset.stats.cycles, out.stats.cycles);
+        println!(
+            "{app:<8} {cfg:<5} {what:<24} {is:>8} cycles ({:+.1}% on {was})",
+            100.0 * (is as f64 - was as f64) / was as f64
+        );
     }
 }
 
@@ -186,8 +228,8 @@ fn parallel_sweep_is_byte_identical_to_serial() {
 #[test]
 fn isrf1_and_isrf4_are_functionally_equivalent() {
     let pairs = run_parallel(&APPS, |&app| {
-        let o1 = diff_point(app, ConfigName::Isrf1);
-        let o4 = diff_point(app, ConfigName::Isrf4);
+        let (o1, _) = diff_point(app, ConfigName::Isrf1, "preset");
+        let (o4, _) = diff_point(app, ConfigName::Isrf4, "preset");
         (app, o1, o4)
     });
     for (app, o1, o4) in &pairs {

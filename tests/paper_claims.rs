@@ -1,22 +1,22 @@
 //! Integration tests pinning the paper's headline claims (at reduced
 //! workload sizes; EXPERIMENTS.md records the paper-size numbers).
 
-use isrf::apps::{igraph, rijndael, sort};
+use isrf::apps::{igraph, prepare_app, Profile};
 use isrf::core::config::ConfigName;
+use isrf::core::RunStats;
 use isrf::sram::{AreaModel, EnergyModel, SrfGeometry, SrfVariant};
+
+/// One app at its Small size, run and held to its host reference.
+fn run(app: &str, cfg: ConfigName) -> RunStats {
+    prepare_app(app, cfg, Profile::Small).run_checked()
+}
 
 /// Section 1: "indexed SRF access provides speedups of 1.03x to 4.1x and
 /// memory bandwidth reductions of up to 95%".
 #[test]
 fn headline_speedups_and_traffic() {
-    let params = rijndael::RijndaelParams {
-        chains_per_lane: 2,
-        waves: 2,
-        strips: 2,
-        ..Default::default()
-    };
-    let base = rijndael::run(ConfigName::Base, &params);
-    let isrf = rijndael::run(ConfigName::Isrf4, &params);
+    let base = run("rijndael", ConfigName::Base);
+    let isrf = run("rijndael", ConfigName::Isrf4);
     let speedup = isrf.speedup_over(&base);
     assert!(
         speedup > 3.0 && speedup < 8.0,
@@ -30,27 +30,17 @@ fn headline_speedups_and_traffic() {
 /// benchmarks despite the cache's much higher area cost.
 #[test]
 fn isrf4_beats_cache_on_rijndael_and_sort() {
-    let params = rijndael::RijndaelParams {
-        chains_per_lane: 2,
-        waves: 2,
-        strips: 2,
-        ..Default::default()
-    };
-    let cache = rijndael::run(ConfigName::Cache, &params);
-    let isrf = rijndael::run(ConfigName::Isrf4, &params);
+    let cache = run("rijndael", ConfigName::Cache);
+    let isrf = run("rijndael", ConfigName::Isrf4);
     assert!(isrf.cycles < cache.cycles, "Rijndael: ISRF4 beats Cache");
 
-    let sp = sort::SortParams {
-        keys_per_lane: 64,
-        ..Default::default()
-    };
-    let cache = sort::run(ConfigName::Cache, &sp);
-    let isrf = sort::run(ConfigName::Isrf4, &sp);
+    let cache = run("sort", ConfigName::Cache);
+    let isrf = run("sort", ConfigName::Isrf4);
     assert!(isrf.cycles < cache.cycles, "Sort: ISRF4 beats Cache");
     // "The cache does not provide the conditional and complex SRF accesses
     // ... and consequently does not provide any speedup for these
     // benchmarks": Cache == Base for Sort.
-    let base = sort::run(ConfigName::Base, &sp);
+    let base = run("sort", ConfigName::Base);
     assert_eq!(cache.cycles, base.cycles, "Cache gives Sort nothing");
 }
 
@@ -90,9 +80,7 @@ fn ig_strips_and_crosslane() {
     for ds in &igraph::DATASETS {
         assert!(ds.isrf_strip_nodes >= 2 * ds.base_strip_nodes);
     }
-    let mut ds = igraph::dataset("IG_SML");
-    ds.nodes = 1152;
-    let s = igraph::run(ConfigName::Isrf4, &ds);
+    let s = run("igraph", ConfigName::Isrf4);
     assert!(s.srf.crosslane_words > 0);
     assert_eq!(s.srf.inlane_words, 0);
 }

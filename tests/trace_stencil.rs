@@ -20,7 +20,7 @@ fn traced_stencil() -> (Recorder, RunStats) {
         rows: STRIP_ROWS,
         ..StencilParams::default()
     };
-    let mut pr = stencil::prepare_pass(ConfigName::Isrf4, &params, 5);
+    let mut pr = stencil::prepare_pass(&ConfigName::Isrf4.into(), &params, 5);
     pr.machine.set_tracer(Tracer::recording(1 << 18));
     let stats = pr.machine.run(&pr.program);
     let rec = pr
