@@ -5,6 +5,8 @@
 #   ./ci.sh --miri    tier-1 gate, then `cargo miri test` on the pure
 #                     foundation crates (opt-in: miri is slow and needs the
 #                     nightly component; the gate fails if it is missing).
+#                     The build container has no miri and no network to
+#                     fetch it, so this stage has never run there.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -22,7 +24,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check (the build users run)"
+echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify (the build users run)"
 # Tests under cfg(not(debug_assertions)): an out-of-range dynamic index
 # trips a debug_assert in debug builds and must clamp, not panic, in the
 # builds users actually run. The oracle and the lock-step references run
@@ -30,7 +32,9 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check (the build 
 # phase lists, the memory wait): the row executor is only vectorised in an
 # optimised build. So does snapshot_roundtrip.rs's hostile-length test, whose
 # regression is a process abort (an allocation of 2^40 words), not a failure.
-cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check
+# isrf-verify's lock-step, scale and work-count tests run here as well: the
+# analyzer admits every served job in this build.
+cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify
 
 echo "==> cargo test --release --test differential (all 32 x 15 perturbed configs)"
 # The debug run above takes three timing perturbations per point; the

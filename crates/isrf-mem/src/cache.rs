@@ -39,8 +39,9 @@ pub struct VectorCache {
     banks: usize,
     sets_per_bank: usize,
     ways: usize,
-    /// `sets[bank][set][way]`.
-    sets: Vec<Vec<Vec<Line>>>,
+    /// Every line in one allocation, bank-major: way `w` of set `s` of bank
+    /// `b` is `lines[(b * sets_per_bank + s) * ways + w]`.
+    lines: Vec<Line>,
     use_counter: u64,
     hits: u64,
     misses: u64,
@@ -61,7 +62,7 @@ impl VectorCache {
             banks: cfg.banks,
             sets_per_bank,
             ways: cfg.associativity,
-            sets: vec![vec![vec![Line::default(); cfg.associativity]; sets_per_bank]; cfg.banks],
+            lines: vec![Line::default(); cfg.banks * sets_per_bank * cfg.associativity],
             use_counter: 0,
             hits: 0,
             misses: 0,
@@ -120,7 +121,8 @@ impl VectorCache {
         let tag = (line_addr / self.banks / self.sets_per_bank) as u32;
         self.use_counter += 1;
         let counter = self.use_counter;
-        let set = &mut self.sets[bank][set_idx];
+        let at = (bank * self.sets_per_bank + set_idx) * self.ways;
+        let set = &mut self.lines[at..at + self.ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = counter;
@@ -161,15 +163,11 @@ impl VectorCache {
         e.usize(self.banks);
         e.usize(self.sets_per_bank);
         e.usize(self.ways);
-        for bank in &self.sets {
-            for set in bank {
-                for line in set {
-                    e.u32(line.tag);
-                    e.bool(line.valid);
-                    e.bool(line.dirty);
-                    e.u64(line.lru);
-                }
-            }
+        for line in &self.lines {
+            e.u32(line.tag);
+            e.bool(line.valid);
+            e.bool(line.dirty);
+            e.u64(line.lru);
         }
     }
 
@@ -191,28 +189,18 @@ impl VectorCache {
         self.use_counter = use_counter;
         self.hits = hits;
         self.misses = misses;
-        for bank in &mut self.sets {
-            for set in bank {
-                for line in set {
-                    line.tag = d.u32()?;
-                    line.valid = d.bool()?;
-                    line.dirty = d.bool()?;
-                    line.lru = d.u64()?;
-                }
-            }
+        for line in &mut self.lines {
+            line.tag = d.u32()?;
+            line.valid = d.bool()?;
+            line.dirty = d.bool()?;
+            line.lru = d.u64()?;
         }
         Ok(())
     }
 
     /// Invalidate all contents and reset statistics.
     pub fn flush(&mut self) {
-        for bank in &mut self.sets {
-            for set in bank {
-                for line in set {
-                    *line = Line::default();
-                }
-            }
-        }
+        self.lines.fill(Line::default());
         self.use_counter = 0;
         self.hits = 0;
         self.misses = 0;

@@ -47,7 +47,7 @@ pub(crate) const STALL_LIMIT: u64 = 1_000_000;
 /// ([`crate::tape::CompiledTape`]) — and this type selects nothing: it
 /// survives only as the value of `isrf_serve::spec::PointSpec::engine`,
 /// which the frozen `benchmark/` package writes, and goes when that field
-/// does (ROADMAP item 3).
+/// does (ROADMAP item 2d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Compiled flat-tape execution.

@@ -47,6 +47,7 @@ use isrf_kernel::ir::{Kernel, StreamKind, StreamSlot};
 use isrf_kernel::sched::Schedule;
 use isrf_mem::AddrPattern;
 use isrf_sim::program::{ProgOp, StreamProgram};
+use isrf_sim::stream::StreamBinding;
 
 /// Static cost facts for one stream slot of a kernel invocation.
 #[derive(Debug, Clone)]
@@ -186,16 +187,17 @@ fn occupancy_bounds(
     (fifo_peak, buf_peak)
 }
 
-fn kernel_cost(cfg: &MachineConfig, prog_op: usize, op: &ProgOp) -> Option<KernelCost> {
-    let ProgOp::Kernel {
-        kernel,
-        schedule,
-        bindings,
-        iters,
-    } = op
-    else {
-        return None;
-    };
+/// The cost of one kernel invocation. It reads nothing of the invocation
+/// beyond its shape ([`crate::shape_ids`]), so [`cost_model`] evaluates it
+/// once per shape.
+fn kernel_cost(
+    cfg: &MachineConfig,
+    prog_op: usize,
+    kernel: &Kernel,
+    schedule: &Schedule,
+    bindings: &[StreamBinding],
+    iters: u64,
+) -> KernelCost {
     let lanes = cfg.lanes as u64;
     let m = cfg.srf.words_per_seq_access.max(1) as u64;
     let ii = schedule.ii.max(1) as u64;
@@ -260,8 +262,7 @@ fn kernel_cost(cfg: &MachineConfig, prog_op: usize, op: &ProgOp) -> Option<Kerne
         }
         if matches!(decl.kind, StreamKind::IdxInRead | StreamKind::IdxCrossRead) {
             let rw = bindings[si].record_words.max(1) as u64;
-            let (fp, bp) =
-                occupancy_bounds(kernel, schedule, slot, rw, *iters, (fifo_cap, buf_cap));
+            let (fp, bp) = occupancy_bounds(kernel, schedule, slot, rw, iters, (fifo_cap, buf_cap));
             sc.addr_fifo_peak = fp;
             sc.buffer_peak = bp;
         }
@@ -298,21 +299,21 @@ fn kernel_cost(cfg: &MachineConfig, prog_op: usize, op: &ProgOp) -> Option<Kerne
     let idx_floor = inlane_floor.max(cross_floor);
 
     let dispatch = cfg.kernel_dispatch_cycles as u64;
-    let schedule_floor = if *iters == 0 {
+    let schedule_floor = if iters == 0 {
         0
     } else {
         (iters - 1) * ii + schedule.completion as u64 + 1
     };
     let port_floor = seq_grants + idx_floor;
-    let floor = if *iters == 0 {
+    let floor = if iters == 0 {
         0
     } else {
         dispatch + schedule_floor.max(port_floor)
     };
-    Some(KernelCost {
+    KernelCost {
         name: kernel.name.clone(),
         prog_op,
-        iters: *iters,
+        iters,
         ii: schedule.ii,
         dispatch_cycles: dispatch,
         schedule_floor,
@@ -324,7 +325,7 @@ fn kernel_cost(cfg: &MachineConfig, prog_op: usize, op: &ProgOp) -> Option<Kerne
             (100 * cross_per_iter * lanes / (ii * cap)).min(u32::MAX as u64) as u32
         },
         streams,
-    })
+    }
 }
 
 /// Minimum DRAM credit a non-cacheable transfer of `p` is charged: one
@@ -351,6 +352,8 @@ fn burst_charge(p: &AddrPattern, burst_words: u64) -> u64 {
 /// Compute the static cost model for `program` on `cfg`.
 pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
     let mut kernels = Vec::new();
+    let (shape_of, shapes) = crate::shape_ids(program);
+    let mut per_shape: Vec<Option<KernelCost>> = vec![None; shapes];
     let mut mem_words = 0u64;
     let burst = u64::from(cfg.dram.burst_words.max(1));
     let has_cache = cfg.cache.is_some();
@@ -389,10 +392,18 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
                     dram_charge += burst;
                 }
             }
-            ProgOp::Kernel { .. } => {
-                if let Some(kc) = kernel_cost(cfg, i, op) {
-                    kernels.push(kc);
-                }
+            ProgOp::Kernel {
+                kernel,
+                schedule,
+                bindings,
+                iters,
+            } => {
+                let cost = per_shape[shape_of[i]]
+                    .get_or_insert_with(|| kernel_cost(cfg, i, kernel, schedule, bindings, *iters));
+                kernels.push(KernelCost {
+                    prog_op: i,
+                    ..cost.clone()
+                });
             }
         }
     }
@@ -418,5 +429,46 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
         mem_words,
         mem_floor,
         cycle_floor: kernel_floor.max(mem_floor),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strips::{generate, Spec};
+    use isrf_core::config::ConfigName;
+
+    /// Costing once per shape says, at every invocation, what costing that
+    /// invocation says: ragged strips of three kernels, one of them reading
+    /// a table, make six shapes over sixty invocations.
+    #[test]
+    fn per_shape_costs_are_each_invocations_own() {
+        let g = generate(&Spec {
+            kernels: 3,
+            lookup: true,
+            ragged: true,
+            ..Spec::bfs_shaped(ConfigName::Isrf4, 20)
+        });
+        assert_eq!(crate::shape_ids(&g.program).1, 6);
+        let model = cost_model(&g.cfg, &g.program);
+        let mut kernels = model.kernels.iter();
+        for i in 0..g.program.len() {
+            if let ProgOp::Kernel {
+                kernel,
+                schedule,
+                bindings,
+                iters,
+            } = g.program.node(i).0
+            {
+                let own = kernel_cost(&g.cfg, i, kernel, schedule, bindings, *iters);
+                let shared = kernels.next().expect("one cost per invocation");
+                assert_eq!(format!("{shared:?}"), format!("{own:?}"));
+            }
+        }
+        assert!(kernels.next().is_none());
+        assert_eq!(
+            model.kernel_floor,
+            model.kernels.iter().map(|k| k.floor).sum()
+        );
     }
 }

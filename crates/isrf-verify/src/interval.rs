@@ -11,7 +11,7 @@ use isrf_kernel::ir::{Kernel, Op, Opcode};
 
 /// A closed interval over `i64` (wide enough to hold any `i32` arithmetic
 /// result exactly before clamping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Iv {
     /// Inclusive lower bound.
     pub lo: i64,

@@ -63,6 +63,11 @@ mod prop;
 
 pub mod cost;
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+use std::sync::Arc;
+
 use isrf_core::config::MachineConfig;
 use isrf_kernel::ir::{Kernel, Opcode, StreamKind};
 use isrf_kernel::sched::Schedule;
@@ -301,8 +306,8 @@ impl Verifier {
     /// plus space warnings and the static cost model. Warnings never
     /// appear in `diagnostics` — a warned program still verifies clean.
     pub fn report(&self, cfg: &MachineConfig, env: &VerifyEnv, program: &StreamProgram) -> Report {
-        let diagnostics = self.verify(cfg, env, program);
         let ctx = Analysis::new(cfg, env, program);
+        let diagnostics = self.hard_checks(&ctx);
         let mut warnings = Vec::new();
         if self.on(Check::Space) {
             ctx.check_space(&mut warnings);
@@ -313,16 +318,8 @@ impl Verifier {
             cost: cost_model(cfg, program),
         }
     }
-}
 
-impl ProgramVerifier for Verifier {
-    fn verify(
-        &self,
-        cfg: &MachineConfig,
-        env: &VerifyEnv,
-        program: &StreamProgram,
-    ) -> Vec<Diagnostic> {
-        let ctx = Analysis::new(cfg, env, program);
+    fn hard_checks(&self, ctx: &Analysis) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         if self.on(Check::Liveness) {
             ctx.check_liveness(&mut out);
@@ -346,33 +343,95 @@ impl ProgramVerifier for Verifier {
     }
 }
 
+impl ProgramVerifier for Verifier {
+    fn verify(
+        &self,
+        cfg: &MachineConfig,
+        env: &VerifyEnv,
+        program: &StreamProgram,
+    ) -> Vec<Diagnostic> {
+        self.hard_checks(&Analysis::new(cfg, env, program))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Shared program model
 // ---------------------------------------------------------------------------
 
-/// One SRF access made by a program op: which binding, read or write, and a
-/// human label for diagnostics.
+/// One SRF access made by a program op: which binding, read or write, and
+/// the words it can reach. Its human label is built only when a diagnostic
+/// needs one ([`Analysis::label`]).
 struct Access {
     prog_op: usize,
     binding: StreamBinding,
     write: bool,
     indexed: bool,
-    label: String,
+    /// [`binding_footprint`] of the binding, computed once.
+    footprint: Option<(u32, u32)>,
 }
 
 struct Analysis<'a> {
     cfg: &'a MachineConfig,
     env: &'a VerifyEnv,
     program: &'a StreamProgram,
+    /// Every access in op order: op `i` makes `accesses[first[i]..first[i + 1]]`.
     accesses: Vec<Access>,
+    first: Vec<usize>,
     /// `before[i]` is the bitset of ops that must complete before op `i`
     /// starts: explicit dependences, transitively closed, plus the implicit
     /// kernel→kernel program-order chain (the machine has one sequencer).
     before: Vec<Vec<u64>>,
+    /// [`shape_ids`] of the program: the per-invocation checks run once per
+    /// distinct shape ([`Analysis::per_shape`]).
+    shape_of: Vec<usize>,
+    shapes: usize,
+    /// [`eval_intervals`] results by (shape, stream inputs). The map lives
+    /// and dies with this one analysis, so it holds at most two entries per
+    /// kernel invocation of the program in hand.
+    evals: RefCell<BTreeMap<(usize, Vec<AbsVal>), Intervals>>,
+    /// Work the unit tests pin: footprint pairs V201 compared, and
+    /// per-invocation analyses evaluated rather than found already done.
+    #[cfg(test)]
+    compared: std::cell::Cell<u64>,
+    #[cfg(test)]
+    evaluated: std::cell::Cell<u64>,
 }
+
+/// One [`eval_intervals`] result, shared by the invocations it holds for.
+type Intervals = Rc<Vec<AbsVal>>;
 
 fn bit_get(row: &[u64], j: usize) -> bool {
     row[j / 64] & (1 << (j % 64)) != 0
+}
+
+/// Dense ids for the distinct *shapes* among a program's kernel invocations:
+/// everything a per-invocation analysis may read besides the machine — the
+/// kernel and its schedule (by `Arc` identity; the program is borrowed for
+/// the whole call, so an address names one allocation), the iteration count
+/// and, per slot, the record width and the range size. One id per program
+/// op (`usize::MAX` for memory ops), and the number of ids.
+pub(crate) fn shape_ids(program: &StreamProgram) -> (Vec<usize>, usize) {
+    let mut ids = BTreeMap::new();
+    let shape_of = (0..program.len())
+        .map(|i| match program.node(i).0 {
+            ProgOp::Kernel {
+                kernel,
+                schedule,
+                bindings,
+                iters,
+            } => {
+                let slots: Vec<(u32, u32)> = bindings
+                    .iter()
+                    .map(|b| (b.record_words, b.range.words_per_bank))
+                    .collect();
+                let next = ids.len();
+                *ids.entry((Arc::as_ptr(kernel), Arc::as_ptr(schedule), *iters, slots))
+                    .or_insert(next)
+            }
+            _ => usize::MAX,
+        })
+        .collect();
+    (shape_of, ids.len())
 }
 
 /// Per-bank `[lo, hi)` word interval an access through `b` can touch.
@@ -426,42 +485,36 @@ impl<'a> Analysis<'a> {
             }
             for j in preds {
                 row[j / 64] |= 1 << (j % 64);
-                for (w, b) in row.iter_mut().zip(&before[j]) {
+                // `before[j]` holds ops below `j` only.
+                for (w, b) in row.iter_mut().zip(&before[j][..=j / 64]) {
                     *w |= b;
                 }
             }
             before.push(row);
         }
 
+        let lanes = cfg.lanes as u32;
         let mut accesses = Vec::new();
+        let mut first = Vec::with_capacity(n + 1);
         for i in 0..n {
-            let (op, _) = program.node(i);
-            let mut push = |binding: StreamBinding, write: bool, indexed: bool, label: String| {
+            first.push(accesses.len());
+            let mut push = |binding: StreamBinding, write: bool, indexed: bool| {
                 accesses.push(Access {
                     prog_op: i,
                     binding,
                     write,
                     indexed,
-                    label,
+                    footprint: binding_footprint(&binding, indexed, lanes),
                 });
             };
-            match op {
-                ProgOp::Load { dst, .. } => {
-                    push(*dst, true, false, format!("load (op {i}) destination"));
-                }
-                ProgOp::Store { src, .. } => {
-                    push(*src, false, false, format!("store (op {i}) source"));
-                }
+            match program.node(i).0 {
+                ProgOp::Load { dst, .. } => push(*dst, true, false),
+                ProgOp::Store { src, .. } => push(*src, false, false),
                 ProgOp::GatherDyn {
                     index_stream, dst, ..
                 } => {
-                    push(
-                        *index_stream,
-                        false,
-                        false,
-                        format!("gather (op {i}) index stream"),
-                    );
-                    push(*dst, true, false, format!("gather (op {i}) destination"));
+                    push(*index_stream, false, false);
+                    push(*dst, true, false);
                 }
                 ProgOp::Kernel {
                     kernel, bindings, ..
@@ -471,32 +524,108 @@ impl<'a> Analysis<'a> {
                             decl.kind,
                             StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite
                         );
-                        push(
-                            *b,
-                            write,
-                            decl.kind.is_indexed(),
-                            format!("kernel `{}` stream `{}`", kernel.name, decl.name),
-                        );
+                        push(*b, write, decl.kind.is_indexed());
                     }
                 }
             }
         }
+        first.push(accesses.len());
 
+        let (shape_of, shapes) = shape_ids(program);
         Analysis {
             cfg,
             env,
             program,
             accesses,
+            first,
             before,
+            shape_of,
+            shapes,
+            evals: RefCell::default(),
+            #[cfg(test)]
+            compared: Default::default(),
+            #[cfg(test)]
+            evaluated: Default::default(),
         }
+    }
+
+    /// The human label of access `k`.
+    fn label(&self, k: usize) -> String {
+        let i = self.accesses[k].prog_op;
+        match (self.program.node(i).0, k - self.first[i]) {
+            (ProgOp::Load { .. }, _) => format!("load (op {i}) destination"),
+            (ProgOp::Store { .. }, _) => format!("store (op {i}) source"),
+            (ProgOp::GatherDyn { .. }, 0) => format!("gather (op {i}) index stream"),
+            (ProgOp::GatherDyn { .. }, _) => format!("gather (op {i}) destination"),
+            (ProgOp::Kernel { kernel, .. }, slot) => {
+                format!(
+                    "kernel `{}` stream `{}`",
+                    kernel.name, kernel.streams[slot].name
+                )
+            }
+        }
+    }
+
+    /// Invocation `i`, taken apart.
+    fn invocation(&self, i: usize) -> (&'a Kernel, &'a Schedule, &'a [StreamBinding], u64) {
+        match self.program.node(i).0 {
+            ProgOp::Kernel {
+                kernel,
+                schedule,
+                bindings,
+                iters,
+            } => (kernel, schedule, bindings, *iters),
+            _ => unreachable!("op {i} is not a kernel invocation"),
+        }
+    }
+
+    /// Run a per-invocation `check` once for each distinct shape, on its
+    /// first invocation, and report what it found at every invocation of
+    /// that shape under that invocation's `prog_op` (nothing such a check
+    /// says names the op otherwise).
+    fn per_shape(&self, out: &mut Vec<Diagnostic>, check: impl Fn(usize, &mut Vec<Diagnostic>)) {
+        let mut found: Vec<Option<Vec<Diagnostic>>> = vec![None; self.shapes];
+        for (i, &shape) in self.shape_of.iter().enumerate() {
+            if shape == usize::MAX {
+                continue;
+            }
+            let found = found[shape].get_or_insert_with(|| {
+                #[cfg(test)]
+                self.evaluated.set(self.evaluated.get() + 1);
+                let mut found = Vec::new();
+                check(i, &mut found);
+                found
+            });
+            out.extend(found.iter().cloned().map(|d| Diagnostic {
+                prog_op: Some(i),
+                ..d
+            }));
+        }
+    }
+
+    /// [`eval_intervals`] over invocation `i`'s kernel with its stream reads
+    /// seeded from `stream_in`, evaluated once per distinct (shape, inputs).
+    fn eval(&self, i: usize, stream_in: &[AbsVal]) -> Intervals {
+        let (kernel, _, _, iters) = self.invocation(i);
+        // `&[]` and all-⊤ inputs ask the same question.
+        let seeds: &[AbsVal] = if stream_in.iter().any(|v| v.is_some()) {
+            stream_in
+        } else {
+            &[]
+        };
+        let mut evals = self.evals.borrow_mut();
+        let vals = evals
+            .entry((self.shape_of[i], seeds.to_vec()))
+            .or_insert_with(|| {
+                #[cfg(test)]
+                self.evaluated.set(self.evaluated.get() + 1);
+                Rc::new(eval_intervals(kernel, iters, self.cfg.lanes as i64, seeds))
+            });
+        Rc::clone(vals)
     }
 
     fn bank_words(&self) -> u32 {
         self.cfg.srf.bank_words(self.cfg.lanes) as u32
-    }
-
-    fn footprint(&self, a: &Access) -> Option<(u32, u32)> {
-        binding_footprint(&a.binding, a.indexed, self.cfg.lanes as u32)
     }
 
     fn exceeds_bank(&self, b: &StreamBinding) -> bool {
@@ -528,26 +657,32 @@ impl<'a> Analysis<'a> {
 
     fn check_liveness(&self, out: &mut Vec<Diagnostic>) {
         let check = Check::Liveness.name();
-        for a in &self.accesses {
+        // Fills are tracked per range and a program writes few distinct
+        // ones: keep, per range, the set of ops that write it.
+        let mut writers: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
+        for w in self.accesses.iter().filter(|w| w.write) {
+            let ops = writers
+                .entry(range_interval(&w.binding))
+                .or_insert_with(|| vec![0; self.program.len().div_ceil(64)]);
+            ops[w.prog_op / 64] |= 1 << (w.prog_op % 64);
+        }
+        for (k, a) in self.accesses.iter().enumerate() {
             let (lo, hi) = range_interval(&a.binding);
             if self.exceeds_bank(&a.binding) {
                 continue; // V202's domain (allocation check)
             }
             if hi > self.env.allocated_words_per_bank {
-                out.push(Diagnostic {
-                    code: codes::UNALLOCATED_BINDING.into(),
-                    check: check.into(),
-                    message: format!(
+                out.push(pdiag(
+                    codes::UNALLOCATED_BINDING,
+                    check,
+                    a.prog_op,
+                    format!(
                         "{} is bound to SRF words [{lo}, {hi}) per bank, but only {} words \
                          have been allocated",
-                        a.label, self.env.allocated_words_per_bank
+                        self.label(k),
+                        self.env.allocated_words_per_bank
                     ),
-                    prog_op: Some(a.prog_op),
-                    kernel: None,
-                    kernel_op: None,
-                    line: None,
-                    notes: Vec::new(),
-                });
+                ));
                 continue; // an unallocated stream is trivially also unfilled
             }
             if a.write {
@@ -556,28 +691,29 @@ impl<'a> Analysis<'a> {
             // A read is satisfied by pre-existing data or by writes of ops
             // ordered strictly before this one (a kernel's own outputs do
             // NOT satisfy its own inputs — the hardware provides no such
-            // forwarding within an invocation).
+            // forwarding within an invocation): the ranges reaching into
+            // `[lo, hi)` whose writer set meets `before[op]`.
+            let before = &self.before[a.prog_op];
             let mut covered: Vec<(u32, u32)> = self.env.filled.clone();
-            for w in &self.accesses {
-                if w.write && bit_get(&self.before[a.prog_op], w.prog_op) {
-                    covered.push(range_interval(&w.binding));
-                }
-            }
+            covered.extend(
+                writers
+                    .range(..(hi, 0))
+                    .filter(|((_, wh), ops)| {
+                        lo < *wh && ops.iter().zip(before).any(|(w, b)| w & b != 0)
+                    })
+                    .map(|(range, _)| *range),
+            );
             if !interval_covers(&mut covered, lo, hi) {
-                out.push(Diagnostic {
-                    code: codes::UNFILLED_READ.into(),
-                    check: check.into(),
-                    message: format!(
+                out.push(pdiag(
+                    codes::UNFILLED_READ,
+                    check,
+                    a.prog_op,
+                    format!(
                         "{} reads SRF words [{lo}, {hi}) per bank, but no memory load, \
                          prior kernel output, or pre-existing data fills them",
-                        a.label
+                        self.label(k)
                     ),
-                    prog_op: Some(a.prog_op),
-                    kernel: None,
-                    kernel_op: None,
-                    line: None,
-                    notes: Vec::new(),
-                });
+                ));
             }
         }
     }
@@ -588,25 +724,21 @@ impl<'a> Analysis<'a> {
 
     fn check_allocation(&self, out: &mut Vec<Diagnostic>) {
         let check = Check::Allocation.name();
-        for a in &self.accesses {
+        for (k, a) in self.accesses.iter().enumerate() {
             let b = &a.binding;
             if self.exceeds_bank(b) {
                 let (lo, hi) = range_interval(b);
-                out.push(Diagnostic {
-                    code: codes::CAPACITY_EXCEEDED.into(),
-                    check: check.into(),
-                    message: format!(
+                out.push(pdiag(
+                    codes::CAPACITY_EXCEEDED,
+                    check,
+                    a.prog_op,
+                    format!(
                         "{} is bound to SRF words [{lo}, {hi}) per bank, beyond the bank \
                          capacity of {} words",
-                        a.label,
+                        self.label(k),
                         self.bank_words()
                     ),
-                    prog_op: Some(a.prog_op),
-                    kernel: None,
-                    kernel_op: None,
-                    line: None,
-                    notes: Vec::new(),
-                });
+                ));
                 continue;
             }
             // Record extent must fit the range (indexed bindings use their
@@ -620,85 +752,90 @@ impl<'a> Analysis<'a> {
                 let lanes = self.cfg.lanes as u32;
                 let need = (max_rec / lanes) * b.record_words + b.record_words;
                 if need > b.range.words_per_bank {
-                    out.push(Diagnostic {
-                        code: codes::BINDING_OVERFLOW.into(),
-                        check: check.into(),
-                        message: format!(
+                    out.push(pdiag(
+                        codes::BINDING_OVERFLOW,
+                        check,
+                        a.prog_op,
+                        format!(
                             "{} needs {need} words per bank for its {} records of {} \
                              word(s), but its range holds only {}",
-                            a.label, b.records, b.record_words, b.range.words_per_bank
+                            self.label(k),
+                            b.records,
+                            b.record_words,
+                            b.range.words_per_bank
                         ),
-                        prog_op: Some(a.prog_op),
-                        kernel: None,
-                        kernel_op: None,
-                        line: None,
-                        notes: Vec::new(),
-                    });
+                    ));
                 }
             }
         }
 
-        // Unordered-pair conflicts. Ops are topologically ordered, so for
-        // i < j it suffices that i is not in before[j].
+        // Unordered-pair conflicts. Ops are topologically ordered, so the
+        // ops unordered against `j` are the unset bits of `before[j]` below
+        // `j`: walk those, word by word.
         for j in 0..self.program.len() {
-            for i in 0..j {
-                if bit_get(&self.before[j], i) {
-                    continue;
+            for (w, word) in self.before[j][..=j / 64].iter().enumerate() {
+                let mut unordered = !word;
+                if w == j / 64 {
+                    unordered &= (1 << (j % 64)) - 1;
                 }
-                // Memory ops snapshot their SRF sources at issue, and ready
-                // memory ops issue before the same cycle's kernel dispatch.
-                // So a WAR pair — memory op `i` reading what a later kernel
-                // `j` overwrites — is benign when everything `i` waits on
-                // is also ordered before `j`: the snapshot then provably
-                // precedes the kernel's first write. (Double-buffered strip
-                // mining relies on exactly this.)
-                let war_exempt = {
-                    let (op_i, deps_i) = self.program.node(i);
-                    let (op_j, _) = self.program.node(j);
-                    !matches!(op_i, ProgOp::Kernel { .. })
-                        && matches!(op_j, ProgOp::Kernel { .. })
-                        && deps_i.iter().all(|d| bit_get(&self.before[j], d.index()))
-                };
-                let conflict = self
-                    .accesses
-                    .iter()
-                    .filter(|a| a.prog_op == i)
-                    .find_map(|a| {
-                        self.accesses
-                            .iter()
-                            .filter(|b| b.prog_op == j)
-                            .find(|b| {
-                                // Conflict when `i` writes, or `j` writes
-                                // and the snapshot exemption does not cover
-                                // this read of `i`.
-                                (a.write || (b.write && !war_exempt))
-                                    && match (self.footprint(a), self.footprint(b)) {
-                                        (Some((al, ah)), Some((bl, bh))) => al < bh && bl < ah,
-                                        _ => false,
-                                    }
-                            })
-                            .map(|b| (a, b))
-                    });
-                if let Some((a, b)) = conflict {
-                    let (al, ah) = self.footprint(a).expect("checked");
-                    let (bl, bh) = self.footprint(b).expect("checked");
-                    let (lo, hi) = (al.max(bl), ah.min(bh));
-                    out.push(Diagnostic {
-                        code: codes::OVERLAP_HAZARD.into(),
-                        check: check.into(),
-                        message: format!(
-                            "{} and {} touch overlapping SRF words [{lo}, {hi}) per bank \
-                             with no ordering dependence between ops {i} and {j}",
-                            a.label, b.label
-                        ),
-                        prog_op: Some(j),
-                        kernel: None,
-                        kernel_op: None,
-                        line: None,
-                        notes: Vec::new(),
-                    });
+                while unordered != 0 {
+                    self.check_pair(w * 64 + unordered.trailing_zeros() as usize, j, out);
+                    unordered &= unordered - 1;
                 }
             }
+        }
+    }
+
+    /// V201 for one unordered pair of ops `i < j`.
+    fn check_pair(&self, i: usize, j: usize, out: &mut Vec<Diagnostic>) {
+        // Memory ops snapshot their SRF sources at issue, and ready memory
+        // ops issue before the same cycle's kernel dispatch. So a WAR pair —
+        // memory op `i` reading what a later kernel `j` overwrites — is
+        // benign when everything `i` waits on is also ordered before `j`:
+        // the snapshot then provably precedes the kernel's first write.
+        // (Double-buffered strip mining relies on exactly this.)
+        let war_exempt = || {
+            let (op_i, deps_i) = self.program.node(i);
+            let (op_j, _) = self.program.node(j);
+            !matches!(op_i, ProgOp::Kernel { .. })
+                && matches!(op_j, ProgOp::Kernel { .. })
+                && deps_i.iter().all(|d| bit_get(&self.before[j], d.index()))
+        };
+        let overlap = |a: usize, b: usize| {
+            #[cfg(test)]
+            self.compared.set(self.compared.get() + 1);
+            match (self.accesses[a].footprint, self.accesses[b].footprint) {
+                (Some((al, ah)), Some((bl, bh))) if al < bh && bl < ah => {
+                    Some((al.max(bl), ah.min(bh)))
+                }
+                _ => None,
+            }
+        };
+        let (of_i, of_j) = (
+            self.first[i]..self.first[i + 1],
+            self.first[j]..self.first[j + 1],
+        );
+        // Conflict when `i` writes, or `j` writes and the snapshot exemption
+        // does not cover this read of `i`.
+        let conflict = of_i
+            .flat_map(|a| of_j.clone().map(move |b| (a, b)))
+            .find_map(|(a, b)| {
+                let words = overlap(a, b)?;
+                let (wa, wb) = (self.accesses[a].write, self.accesses[b].write);
+                (wa || (wb && !war_exempt())).then_some((a, b, words))
+            });
+        if let Some((a, b, (lo, hi))) = conflict {
+            out.push(pdiag(
+                codes::OVERLAP_HAZARD,
+                Check::Allocation.name(),
+                j,
+                format!(
+                    "{} and {} touch overlapping SRF words [{lo}, {hi}) per bank \
+                     with no ordering dependence between ops {i} and {j}",
+                    self.label(a),
+                    self.label(b)
+                ),
+            ));
         }
     }
 
@@ -708,17 +845,8 @@ impl<'a> Analysis<'a> {
 
     fn check_indexed(&self, out: &mut Vec<Diagnostic>) {
         let check = Check::Indexed.name();
-        for i in 0..self.program.len() {
-            let (op, _) = self.program.node(i);
-            let ProgOp::Kernel {
-                kernel,
-                bindings,
-                iters,
-                ..
-            } = op
-            else {
-                continue;
-            };
+        self.per_shape(out, |i, out| {
+            let (kernel, _, bindings, _) = self.invocation(i);
             let Some(idx_cfg) = &self.cfg.srf.indexed else {
                 // No indexed hardware: one finding per indexed stream slot.
                 for (slot, decl) in kernel.streams.iter().enumerate() {
@@ -741,7 +869,7 @@ impl<'a> Analysis<'a> {
                         ));
                     }
                 }
-                continue;
+                return;
             };
             for (slot, decl) in kernel.streams.iter().enumerate() {
                 if decl.kind.is_cross_lane() && !idx_cfg.crosslane {
@@ -766,7 +894,7 @@ impl<'a> Analysis<'a> {
 
             // Interval analysis over the kernel body: flag indices that are
             // *provably* outside the addressable records of their binding.
-            let vals = eval_intervals(kernel, *iters, self.cfg.lanes as i64, &[]);
+            let vals = self.eval(i, &[]);
             for (kop, op) in kernel.ops.iter().enumerate() {
                 let (slot, iv) = match op.opcode {
                     Opcode::IdxAddr(s) => (s, vals[kop]),
@@ -796,7 +924,7 @@ impl<'a> Analysis<'a> {
                     ));
                 }
             }
-        }
+        });
     }
 
     // -----------------------------------------------------------------------
@@ -811,15 +939,12 @@ impl<'a> Analysis<'a> {
     /// overflow on every element).
     fn check_propagation(&self, out: &mut Vec<Diagnostic>) {
         let check = Check::Propagation.name();
-        let prop = propagate(self.cfg, self.env, self.program);
+        let prop = propagate(self);
         for i in 0..self.program.len() {
             let (op, _) = self.program.node(i);
             match op {
                 ProgOp::Kernel {
-                    kernel,
-                    bindings,
-                    iters,
-                    ..
+                    kernel, bindings, ..
                 } => {
                     if self.cfg.srf.indexed.is_none() {
                         continue; // V301's domain
@@ -832,8 +957,7 @@ impl<'a> Analysis<'a> {
                     if stream_in.iter().all(|v| v.is_none()) {
                         continue; // nothing propagated: identical to V303
                     }
-                    let local = eval_intervals(kernel, *iters, self.cfg.lanes as i64, &[]);
-                    let vals = eval_intervals(kernel, *iters, self.cfg.lanes as i64, &stream_in);
+                    let (local, vals) = (self.eval(i, &[]), self.eval(i, &stream_in));
                     for (kop, op) in kernel.ops.iter().enumerate() {
                         let (slot, piv, liv, code) = match op.opcode {
                             Opcode::IdxAddr(s) => {
@@ -923,17 +1047,11 @@ impl<'a> Analysis<'a> {
                     if !wraps_all {
                         continue;
                     }
+                    let message = format!(
+                        "gather (op {i}): every index in the index stream provably \
+                         wraps the 32-bit word address space when added to base {base}"
+                    );
                     out.push(Diagnostic {
-                        code: codes::GATHER_ADDRESS_WRAP.into(),
-                        check: check.into(),
-                        message: format!(
-                            "gather (op {i}): every index in the index stream provably \
-                             wraps the 32-bit word address space when added to base {base}"
-                        ),
-                        prog_op: Some(i),
-                        kernel: None,
-                        kernel_op: None,
-                        line: None,
                         notes: vec![format!(
                             "index stream holds values in [{}, {}] from SRF words \
                              [{}, {}) per bank, filled by {}",
@@ -947,6 +1065,7 @@ impl<'a> Analysis<'a> {
                                 f.sources.join("; ")
                             }
                         )],
+                        ..pdiag(codes::GATHER_ADDRESS_WRAP, check, i, message)
                     });
                 }
                 _ => {}
@@ -963,14 +1082,8 @@ impl<'a> Analysis<'a> {
         if !self.cfg.has_indexed_srf() {
             return; // V301 already rejects indexed kernels here
         }
-        for i in 0..self.program.len() {
-            let (op, _) = self.program.node(i);
-            let ProgOp::Kernel {
-                kernel, schedule, ..
-            } = op
-            else {
-                continue;
-            };
+        self.per_shape(out, |i, out| {
+            let (kernel, schedule, ..) = self.invocation(i);
             for (kop, op) in kernel.ops.iter().enumerate() {
                 let Opcode::IdxRead(slot) = op.opcode else {
                     continue;
@@ -999,7 +1112,7 @@ impl<'a> Analysis<'a> {
                     ));
                 }
             }
-        }
+        });
     }
 
     // -----------------------------------------------------------------------
@@ -1019,30 +1132,20 @@ impl<'a> Analysis<'a> {
         };
         let fifo_cap = idx_cfg.addr_fifo_entries as u64;
         let buf_cap = self.cfg.srf.stream_buffer_words as u64;
-        for i in 0..self.program.len() {
-            let (op, _) = self.program.node(i);
-            let ProgOp::Kernel {
-                kernel,
-                schedule,
-                bindings,
-                iters,
-            } = op
-            else {
-                continue;
-            };
+        self.per_shape(out, |i, out| {
+            let (kernel, schedule, bindings, iters) = self.invocation(i);
             for (slot, decl) in kernel.streams.iter().enumerate() {
                 if !decl.kind.is_indexed() || decl.kind == StreamKind::IdxInWrite {
                     continue;
                 }
                 let rw = bindings[slot].record_words.max(1) as u64;
                 let slot = isrf_kernel::ir::StreamSlot(slot as u8);
-                if let Some(d) =
-                    deadlock_for_stream(kernel, schedule, slot, rw, *iters, (fifo_cap, buf_cap), i)
-                {
-                    out.push(d);
-                }
+                let caps = (fifo_cap, buf_cap);
+                out.extend(deadlock_for_stream(
+                    kernel, schedule, slot, rw, iters, caps, i,
+                ));
             }
-        }
+        });
     }
 
     // -----------------------------------------------------------------------
@@ -1053,83 +1156,54 @@ impl<'a> Analysis<'a> {
         let check = Check::Space.name();
         // W601: a filled region no op ever reads. Any overlapping read —
         // ordered or not, kernel input, store source, or gather/scatter
-        // index stream — counts as consumption.
-        for i in 0..self.program.len() {
-            let (op, _) = self.program.node(i);
-            let mut dead = |region: Option<(u32, u32)>, label: String, d: Option<Diagnostic>| {
-                let Some((lo, hi)) = region else { return };
-                let read_back = self.accesses.iter().any(|r| {
-                    !r.write && matches!(self.footprint(r), Some((rl, rh)) if rl < hi && lo < rh)
-                });
-                if read_back {
-                    return;
-                }
-                out.push(d.unwrap_or(Diagnostic {
-                    code: codes::DEAD_STREAM.into(),
-                    check: check.into(),
-                    message: format!(
-                        "{label} fills SRF words [{lo}, {hi}) per bank, but no kernel, \
-                         store, gather, or scatter ever reads them"
-                    ),
-                    prog_op: Some(i),
-                    kernel: None,
-                    kernel_op: None,
-                    line: None,
-                    notes: Vec::new(),
-                }));
+        // index stream — counts as consumption, so test each fill against
+        // the union of everything the program reads.
+        let reads = merged(
+            self.accesses
+                .iter()
+                .filter(|r| !r.write)
+                .filter_map(|r| r.footprint),
+        );
+        for (k, a) in self.accesses.iter().enumerate().filter(|(_, a)| a.write) {
+            let i = a.prog_op;
+            let op = self.program.node(i).0;
+            let region = match op {
+                ProgOp::Kernel { .. } => a.footprint,
+                _ => Some(range_interval(&a.binding)),
             };
-            match op {
-                ProgOp::Load { dst, .. } => {
-                    dead(Some(range_interval(dst)), format!("load (op {i})"), None);
-                }
-                ProgOp::GatherDyn { dst, .. } => {
-                    dead(Some(range_interval(dst)), format!("gather (op {i})"), None);
-                }
-                ProgOp::Kernel {
-                    kernel, bindings, ..
-                } => {
-                    for (si, decl) in kernel.streams.iter().enumerate() {
-                        let write = matches!(
-                            decl.kind,
-                            StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite
-                        );
-                        if !write {
-                            continue;
-                        }
-                        let b = &bindings[si];
-                        let slot = isrf_kernel::ir::StreamSlot(si as u8);
-                        let kop = kernel
-                            .ops
-                            .iter()
-                            .position(|o| o.opcode.stream() == Some(slot));
-                        let region =
-                            binding_footprint(b, decl.kind.is_indexed(), self.cfg.lanes as u32);
-                        let (lo, hi) = region.unwrap_or((0, 0));
-                        dead(
-                            region,
-                            String::new(),
-                            Some({
-                                let mut d = kdiag(
-                                    codes::DEAD_STREAM,
-                                    check,
-                                    i,
-                                    kernel,
-                                    kop,
-                                    format!(
-                                        "kernel `{}` output `{}` fills SRF words [{lo}, {hi}) \
-                                         per bank, but no kernel, store, gather, or scatter \
-                                         ever reads them",
-                                        kernel.name, decl.name
-                                    ),
-                                );
-                                d.check = check.into();
-                                d
-                            }),
-                        );
-                    }
-                }
-                _ => {}
+            let Some((lo, hi)) = region else { continue };
+            if reads.iter().any(|&(rl, rh)| rl < hi && lo < rh) {
+                continue;
             }
+            let fills = format!(
+                "fills SRF words [{lo}, {hi}) per bank, but no kernel, store, gather, or \
+                 scatter ever reads them"
+            );
+            out.push(match op {
+                ProgOp::Kernel { kernel, .. } => {
+                    let si = k - self.first[i];
+                    let slot = isrf_kernel::ir::StreamSlot(si as u8);
+                    let kop = kernel
+                        .ops
+                        .iter()
+                        .position(|o| o.opcode.stream() == Some(slot));
+                    let name = &kernel.streams[si].name;
+                    let message = format!("kernel `{}` output `{name}` {fills}", kernel.name);
+                    kdiag(codes::DEAD_STREAM, check, i, kernel, kop, message)
+                }
+                ProgOp::Load { .. } => pdiag(
+                    codes::DEAD_STREAM,
+                    check,
+                    i,
+                    format!("load (op {i}) {fills}"),
+                ),
+                _ => pdiag(
+                    codes::DEAD_STREAM,
+                    check,
+                    i,
+                    format!("gather (op {i}) {fills}"),
+                ),
+            });
         }
 
         // W602: a range at least twice what its records need, wasting at
@@ -1137,7 +1211,7 @@ impl<'a> Analysis<'a> {
         // range by definition and are exempt. Deduplicate by range: many
         // ops bind the same buffer.
         let mut seen: Vec<(u32, u32)> = Vec::new();
-        for a in &self.accesses {
+        for (k, a) in self.accesses.iter().enumerate() {
             let b = &a.binding;
             if a.indexed || b.records == 0 || b.record_words == 0 {
                 continue;
@@ -1155,24 +1229,34 @@ impl<'a> Analysis<'a> {
             let need = (max_rec / lanes) * b.record_words + b.record_words;
             if b.range.words_per_bank >= 2 * need && b.range.words_per_bank - need >= 8 {
                 seen.push(key);
-                out.push(Diagnostic {
-                    code: codes::OVER_ALLOCATION.into(),
-                    check: check.into(),
-                    message: format!(
+                out.push(pdiag(
+                    codes::OVER_ALLOCATION,
+                    check,
+                    a.prog_op,
+                    format!(
                         "{} uses {need} of the {} words per bank its range holds \
                          ({} wasted) — consider a tighter allocation",
-                        a.label,
+                        self.label(k),
                         b.range.words_per_bank,
                         b.range.words_per_bank - need
                     ),
-                    prog_op: Some(a.prog_op),
-                    kernel: None,
-                    kernel_op: None,
-                    line: None,
-                    notes: Vec::new(),
-                });
+                ));
             }
         }
+    }
+}
+
+/// Build a program-level diagnostic: no kernel context, no notes.
+fn pdiag(code: &str, check: &str, prog_op: usize, message: String) -> Diagnostic {
+    Diagnostic {
+        code: code.into(),
+        check: check.into(),
+        message,
+        prog_op: Some(prog_op),
+        kernel: None,
+        kernel_op: None,
+        line: None,
+        notes: Vec::new(),
     }
 }
 
@@ -1195,6 +1279,23 @@ fn kdiag(
         line: kernel_op.and_then(|i| kernel.source_line(i)),
         notes: Vec::new(),
     }
+}
+
+/// The union of `intervals` as sorted intervals with overlapping ones joined
+/// — a handful, however many strips read the same few buffers. Touching and
+/// empty intervals stay apart, so "does `[lo, hi)` meet any of them" has the
+/// same answer as over the originals.
+fn merged(intervals: impl Iterator<Item = (u32, u32)>) -> Vec<(u32, u32)> {
+    let mut sorted: Vec<(u32, u32)> = intervals.collect();
+    sorted.sort_unstable();
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    for (lo, hi) in sorted {
+        match out.last_mut() {
+            Some(last) if lo < last.1 => last.1 = last.1.max(hi),
+            _ => out.push((lo, hi)),
+        }
+    }
+    out
 }
 
 /// Does the union of `intervals` cover `[lo, hi)`? Sorts in place.
@@ -1340,6 +1441,47 @@ mod tests {
         assert!(interval_covers(&mut iv2, 0, 20), "unsorted overlapping");
     }
 
+    /// The work a `bfs`-shaped program costs, as counts (ROADMAP item 2b's
+    /// "checks evaluated" for this layer): 384 strips of two loads, a
+    /// gather, one kernel shape and a store. The scans this replaced
+    /// visited all 1 842 240 op pairs, filtered the access list twice for
+    /// each unordered one, and ran five analyses at each of the 384
+    /// invocations.
+    #[test]
+    fn work_is_proportional_to_what_the_program_contains() {
+        use isrf_core::config::ConfigName;
+        let g = strips::generate(&strips::Spec::bfs_shaped(ConfigName::Isrf4, 384));
+        let ctx = Analysis::new(&g.cfg, &g.env, &g.program);
+        assert_eq!(
+            (g.program.len(), ctx.accesses.len(), ctx.shapes),
+            (1920, 3072, 1)
+        );
+        let found = Verifier::new().hard_checks(&ctx);
+        assert!(found.is_empty(), "{found:#?}");
+        // A strip's ops are unordered against its own and its neighbour's
+        // in the other buffer set, so the pairs V201 looks at grow with the
+        // strips, not their square: a footprint comparison for each pair of
+        // their accesses.
+        let ordered: usize = ctx
+            .before
+            .iter()
+            .flatten()
+            .map(|w| w.count_ones() as usize)
+            .sum();
+        assert_eq!(1920 * 1919 / 2 - ordered, 8_422);
+        assert_eq!(ctx.compared.get(), 16_464);
+        // The indexed, slack and deadlock checks and one interval
+        // evaluation (V303's, found again by propagation), once each for
+        // the one shape.
+        assert_eq!(ctx.evaluated.get(), 4);
+    }
+
+    #[test]
+    fn merged_joins_only_what_overlaps() {
+        let m = merged([(8, 12), (0, 4), (2, 6), (6, 8), (20, 20), (9, 10)].into_iter());
+        assert_eq!(m, [(0, 6), (6, 8), (8, 12), (20, 20)]);
+    }
+
     #[test]
     fn explain_covers_every_code() {
         for code in [
@@ -1351,3 +1493,8 @@ mod tests {
         assert!(explain("V999").is_none());
     }
 }
+
+/// The strip-mined program generator of `tests/`, for the unit tests above.
+#[cfg(test)]
+#[path = "../tests/strips/mod.rs"]
+mod strips;

@@ -21,13 +21,11 @@
 
 use std::collections::BTreeSet;
 
-use isrf_core::config::MachineConfig;
 use isrf_kernel::ir::{Kernel, Opcode, StreamKind};
-use isrf_sim::program::{ProgOp, StreamProgram};
-use isrf_sim::verify::VerifyEnv;
+use isrf_sim::program::ProgOp;
 
-use crate::interval::{eval_intervals, operand_interval, union, AbsVal};
-use crate::{binding_footprint, range_interval};
+use crate::interval::{operand_interval, union, AbsVal};
+use crate::{binding_footprint, range_interval, Analysis};
 
 /// One segment of the abstract SRF store.
 #[derive(Debug, Clone)]
@@ -177,12 +175,14 @@ fn write_value_operand(op: &isrf_kernel::ir::Op, slot: usize) -> Option<usize> {
     }
 }
 
-/// Interpret `program` over the abstract store.
-pub(crate) fn propagate(cfg: &MachineConfig, env: &VerifyEnv, program: &StreamProgram) -> Prop {
+/// Interpret the analysed program over the abstract store. Pre-existing
+/// fills are ⊤, the store's initial state. A kernel's transfer function is
+/// [`Analysis::eval`]: evaluated once per distinct (shape, input facts).
+pub(crate) fn propagate(ctx: &Analysis) -> Prop {
+    let (cfg, program) = (ctx.cfg, ctx.program);
     let lanes = cfg.lanes as u32;
     let bank_words = cfg.srf.bank_words(cfg.lanes) as u32;
     let mut store = SrfStore::new(bank_words);
-    let _ = env; // pre-existing fills are ⊤, the store's initial state
     let n = program.len();
     let mut kernel_in: Vec<Vec<Option<SlotIn>>> = vec![Vec::new(); n];
     let mut mem_index: Vec<Option<SlotIn>> = vec![None; n];
@@ -227,7 +227,7 @@ pub(crate) fn propagate(cfg: &MachineConfig, env: &VerifyEnv, program: &StreamPr
                     .iter()
                     .map(|s| s.as_ref().and_then(|f| f.val))
                     .collect();
-                let vals = eval_intervals(kernel, *iters, cfg.lanes as i64, &stream_in);
+                let vals = ctx.eval(i, &stream_in);
 
                 for (slot, decl) in kernel.streams.iter().enumerate() {
                     if is_input(decl.kind) {
