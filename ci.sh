@@ -78,10 +78,10 @@ echo "==> analyzer report drift check (golden reports)"
 echo "==> figures drift check (golden figure text)"
 # Everything `figures all` prints — every table and figure of the paper, at
 # both sizing profiles — must match the committed text byte-for-byte (the
-# output is deterministic). Regenerate with `figures all [--paper]`, less
-# the `[wrote ...]` lines, when a change is intentional.
-./target/release/figures all | grep -v '^\[wrote ' | diff - results/figures_small.txt
-./target/release/figures all --paper | grep -v '^\[wrote ' | diff - results/figures_paper.txt
+# output is deterministic, and stdout is all `figures` writes). Regenerate
+# with `figures all [--paper]` when a change is intentional.
+./target/release/figures all | diff - results/figures_small.txt
+./target/release/figures all --paper | diff - results/figures_paper.txt
 
 echo "==> static cycle floor vs simulation (both profiles)"
 # The model's whole-program cycle lower bound must be sound (floor <=
@@ -115,14 +115,6 @@ echo "==> serve smoke test"
 # (queue bound of 2), the memoized resubmission path, and a clean
 # POST /shutdown drain.
 ./target/release/loadtest smoke --bin target/release/isrf-serve
-
-echo "==> snapshot/resume differential + bisector negative test"
-# Pausing sort/ISRF4 halfway, serializing the machine, restoring into a
-# fresh one and resuming must be byte-identical to an uninterrupted run;
-# and the first-divergence bisector must localize a deliberately injected
-# single-word SRF corruption to its exact cycle.
-./target/release/snapshot
-./target/release/snapshot negative
 
 echo "==> benchmark package (build, unit tests, smoke of all four workloads)"
 # benchmark/ is a workspace of its own, so nothing above compiles it, and
@@ -213,6 +205,40 @@ for f in crates/isrf-apps/src/*.rs crates/isrf-serve/src/*.rs crates/isrf-serve/
 done
 if grep -n 'pub fn run(' crates/isrf-apps/src/{fft2d,rijndael,sort,filter,igraph,spmv,stencil,bfs,histogram}.rs; then
   echo "apps prepare, callers run: Prepared::run_checked" >&2
+  exit 1
+fi
+
+echo "==> one JSON writer (grep gate)"
+# JSON text is rendered by `Json` (isrf-trace/src/json.rs); the Chrome
+# exporter streams a node per event and `job_result` splices a payload that
+# `Json` rendered once, and both say why where they live. No other string in
+# the crates may spell an object brace or a key by hand. Allowed besides: the
+# frame of `verify --report`, which lays one `Json`-rendered point per line
+# so a drifted point is one line of a diff, and a 404 message that quotes a
+# request field.
+if grep -rn -e '{{\\"' -e '\\":' crates/*/src \
+  | grep -v -e '^crates/isrf-trace/src/json.rs:' -e '^crates/isrf-trace/src/chrome.rs:' \
+    -e '^crates/isrf-serve/src/server.rs:.*"{{\\"id\\":{},\\"status\\":\\"done\\"' \
+    -e '^crates/isrf-serve/src/server.rs:.*submit with \\"trace\\": true' \
+    -e '^crates/bench/src/bin/verify.rs:.*("{\\n  \\"profile\\": ")' \
+    -e '^crates/bench/src/bin/verify.rs:.*(",\\n  \\"points\\": \[\\n")'; then
+  echo "hand-written JSON: build a Json and render it" >&2
+  exit 1
+fi
+
+echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
+# Every `.rs` under a `src/` directory, each file cut at its first top-level
+# `#[cfg(test)]`. The ceiling is the total of the last PR that moved it,
+# rounded up to the next 50: a ratchet, held the way the goldens hold cycles.
+# A PR that needs more lines raises it deliberately and says what for; one
+# that deletes lowers it.
+loc_ceiling=25350
+loc="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do
+  awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f"; done; done \
+  | awk '{t+=$1} END{print t}')"
+echo "non-test lines: $loc (ceiling $loc_ceiling)"
+if (( loc > loc_ceiling )); then
+  echo "non-test lines above the committed ceiling: delete, or move loc_ceiling in ci.sh" >&2
   exit 1
 fi
 

@@ -5,38 +5,15 @@
 //!
 //! `--paper` uses the paper's workload sizes (slower); the default uses
 //! reduced sizes with the same shapes. `--list` prints the known targets,
-//! one per line, and exits. The benchmark-driven figures (11, 12, 13,
-//! summary) additionally write machine-readable JSON next to the text
-//! tables, under `results/bench_<fig>.json`. `ablations` prints the two
-//! design-choice comparisons EXPERIMENTS.md cites (Sort baseline
-//! mechanism, cross-lane interconnect); they are not the paper's, so `all`
-//! leaves them out.
+//! one per line, and exits. Text on stdout is the only output: `all` at
+//! both sizes is committed under `results/` and diffed by `./ci.sh`.
+//! `ablations` prints the two design-choice comparisons EXPERIMENTS.md
+//! cites (Sort baseline mechanism, cross-lane interconnect); they are not
+//! the paper's, so `all` leaves them out.
 
 use isrf_bench as figs;
 use isrf_bench::Profile;
 use isrf_core::config::{ConfigName, MachineConfig};
-
-fn profile(args: &[String]) -> Profile {
-    if args.iter().any(|a| a == "--paper") {
-        Profile::Paper
-    } else {
-        Profile::Small
-    }
-}
-
-/// Write a figure's JSON rendering to `results/bench_<fig>.json`.
-fn write_json(fig: &str, json: &str) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("bench_{fig}.json"));
-    match std::fs::write(&path, json) {
-        Ok(()) => println!("[wrote {}]", path.display()),
-        Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-    }
-}
 
 fn table3() {
     println!("== Table 3: machine parameters ==");
@@ -114,11 +91,9 @@ fn energy() {
 fn fig11(p: Profile) {
     println!("== Figure 11: off-chip traffic normalized to Base ==");
     println!("{:<10} {:>8} {:>8}", "benchmark", "ISRF", "Cache");
-    let rows = figs::fig11(p);
-    for (name, isrf, cache) in &rows {
+    for (name, isrf, cache) in figs::fig11(p) {
         println!("{name:<10} {isrf:>8.3} {cache:>8.3}");
     }
-    write_json("fig11", &figs::fig11_json(&rows));
 }
 
 fn fig12(p: Profile) {
@@ -127,12 +102,11 @@ fn fig12(p: Profile) {
         "{:<10} {:<6} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "benchmark", "config", "loop", "mem", "srf", "ovh", "total"
     );
-    let rows = figs::fig12(p);
-    for r in &rows {
+    for r in figs::fig12(p) {
         println!(
             "{:<10} {:<6} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
             r.benchmark,
-            r.config.to_string(),
+            r.config,
             r.parts[0],
             r.parts[1],
             r.parts[2],
@@ -140,7 +114,6 @@ fn fig12(p: Profile) {
             r.total()
         );
     }
-    write_json("fig12", &figs::fig12_json(&rows));
 }
 
 fn fig13(p: Profile) {
@@ -149,14 +122,12 @@ fn fig13(p: Profile) {
         "{:<10} {:>10} {:>10} {:>10} {:>8}",
         "benchmark", "sequential", "cross-lane", "in-lane", "total"
     );
-    let rows = figs::fig13(p);
-    for (name, [seq, xl, inl]) in &rows {
+    for (name, [seq, xl, inl]) in figs::fig13(p) {
         println!(
             "{name:<10} {seq:>10.3} {xl:>10.3} {inl:>10.3} {:>8.3}",
             seq + xl + inl
         );
     }
-    write_json("fig13", &figs::fig13_json(&rows));
 }
 
 fn sweep_table(rows: &[(String, Vec<(u32, f64)>)]) {
@@ -214,11 +185,9 @@ fn summary(p: Profile) {
         "{:<10} {:>8} {:>12} {:>13}",
         "benchmark", "speedup", "traffic cut", "energy ratio"
     );
-    let rows = figs::summary(p);
-    for (name, sp, cut, er) in &rows {
+    for (name, sp, cut, er) in figs::summary(p) {
         println!("{name:<10} {sp:>7.2}x {:>11.1}% {er:>13.2}", cut * 100.0);
     }
-    write_json("summary", &figs::summary_json(&rows));
 }
 
 fn ablations() {
@@ -232,98 +201,57 @@ fn ablations() {
     }
 }
 
-const TARGETS: [&str; 15] = [
-    "all",
-    "table3",
-    "table4",
-    "area",
-    "energy",
-    "fig11",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "fig18",
-    "summary",
-    "ablations",
+type Target = (&'static str, fn(Profile));
+
+/// Every target, in the order `all` prints them.
+const TARGETS: [Target; 14] = [
+    ("table3", |_| table3()),
+    ("table4", |_| table4()),
+    ("area", |_| area()),
+    ("energy", |_| energy()),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", |_| fig14()),
+    ("fig15", fig15),
+    ("fig16", fig16),
+    ("fig17", |_| fig17()),
+    ("fig18", |_| fig18()),
+    ("summary", summary),
+    ("ablations", |_| ablations()),
 ];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let names = || std::iter::once("all").chain(TARGETS.iter().map(|&(name, _)| name));
     if args.iter().any(|a| a == "--list") {
-        for t in TARGETS {
-            println!("{t}");
-        }
+        names().for_each(|name| println!("{name}"));
         return;
     }
-    let p = profile(&args);
+    let profile = if args.iter().any(|a| a == "--paper") {
+        Profile::Paper
+    } else {
+        Profile::Small
+    };
     let what = args
         .iter()
         .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-    if !TARGETS.contains(&what) {
+        .map_or("all", String::as_str);
+    if !names().any(|name| name == what) {
+        let known: Vec<&str> = names().collect();
         eprintln!(
             "unknown target `{what}`; expected one of: {}",
-            TARGETS.join(" ")
+            known.join(" ")
         );
         std::process::exit(2);
     }
-    let all = what == "all";
-    if all || what == "table3" {
-        table3();
-        println!();
-    }
-    if all || what == "table4" {
-        table4();
-        println!();
-    }
-    if all || what == "area" {
-        area();
-        println!();
-    }
-    if all || what == "energy" {
-        energy();
-        println!();
-    }
-    if all || what == "fig11" {
-        fig11(p);
-        println!();
-    }
-    if all || what == "fig12" {
-        fig12(p);
-        println!();
-    }
-    if all || what == "fig13" {
-        fig13(p);
-        println!();
-    }
-    if all || what == "fig14" {
-        fig14();
-        println!();
-    }
-    if all || what == "fig15" {
-        fig15(p);
-        println!();
-    }
-    if all || what == "fig16" {
-        fig16(p);
-        println!();
-    }
-    if all || what == "fig17" {
-        fig17();
-        println!();
-    }
-    if all || what == "fig18" {
-        fig18();
-        println!();
-    }
-    if all || what == "summary" {
-        summary(p);
-    }
-    if what == "ablations" {
-        ablations();
+    for (name, render) in TARGETS {
+        if what == name || (what == "all" && name != "ablations") {
+            render(profile);
+            // No blank line after the target that ends `all`, or the one outside it.
+            if !matches!(name, "summary" | "ablations") {
+                println!();
+            }
+        }
     }
 }

@@ -19,7 +19,7 @@
 //! strip chart of cycle attribution and memory activity.
 
 use isrf_apps::APPS;
-use isrf_bench::{prepare_app, Profile};
+use isrf_bench::{prepare_app, select_points, Profile};
 use isrf_core::config::ConfigName;
 use isrf_trace::json::Json;
 use isrf_trace::{chrome, timeline, Tracer};
@@ -27,8 +27,6 @@ use isrf_trace::{chrome, timeline, Tracer};
 const DEFAULT_EVENTS: usize = 1 << 20;
 
 struct Options {
-    apps: Vec<&'static str>,
-    configs: Vec<ConfigName>,
     profile: Profile,
     out_dir: std::path::PathBuf,
     events: usize,
@@ -45,59 +43,27 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse(args: &[String]) -> Options {
-    let mut opts = Options {
-        apps: vec![],
-        configs: vec![],
-        profile: Profile::Small,
-        out_dir: std::path::PathBuf::from("results/traces"),
-        events: DEFAULT_EVENTS,
-        timeline: false,
-    };
-    let mut positional: Vec<&str> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--paper" => opts.profile = Profile::Paper,
-            "--timeline" => opts.timeline = true,
-            "--out-dir" => match it.next() {
-                Some(d) => opts.out_dir = d.into(),
-                None => usage(),
-            },
-            "--events" => match it.next().and_then(|n| n.parse().ok()) {
-                Some(n) if n > 0 => opts.events = n,
-                _ => usage(),
-            },
-            "--help" | "-h" => usage(),
-            flag if flag.starts_with("--") => usage(),
-            pos => positional.push(pos),
+fn parse(args: &[String]) -> (Vec<(&'static str, ConfigName)>, Options) {
+    let mut out_dir = std::path::PathBuf::from("results/traces");
+    let mut events = DEFAULT_EVENTS;
+    let mut timeline = false;
+    let (points, profile) = select_points(args, |flag, rest| {
+        match flag {
+            "--timeline" => timeline = true,
+            "--out-dir" => out_dir = rest.next()?.into(),
+            "--events" => events = rest.next()?.parse().ok().filter(|&n| n > 0)?,
+            _ => return None,
         }
-    }
-    let app_sel = positional.first().copied().unwrap_or("all");
-    let cfg_sel = positional.get(1).copied().unwrap_or("all");
-    if positional.len() > 2 {
-        usage();
-    }
-    opts.apps = if app_sel == "all" {
-        APPS.to_vec()
-    } else {
-        match APPS.iter().find(|&&a| a == app_sel) {
-            Some(&a) => vec![a],
-            None => usage(),
-        }
+        Some(())
+    })
+    .unwrap_or_else(|| usage());
+    let opts = Options {
+        profile,
+        out_dir,
+        events,
+        timeline,
     };
-    opts.configs = if cfg_sel == "all" {
-        ConfigName::ALL.to_vec()
-    } else {
-        match ConfigName::ALL
-            .iter()
-            .find(|c| c.to_string().eq_ignore_ascii_case(cfg_sel))
-        {
-            Some(&c) => vec![c],
-            None => usage(),
-        }
-    };
-    opts
+    (points, opts)
 }
 
 /// Trace one point; returns false on audit or JSON failure.
@@ -141,10 +107,8 @@ fn trace_point(app: &str, cfg: ConfigName, opts: &Options) -> bool {
         eprintln!("cannot create {}: {e}", opts.out_dir.display());
         return false;
     }
-    let path = opts.out_dir.join(format!(
-        "{app}_{}.trace.json",
-        cfg.to_string().to_lowercase()
-    ));
+    let name = format!("{app}_{cfg}.trace.json").to_lowercase();
+    let path = opts.out_dir.join(name);
     if let Err(e) = std::fs::write(&path, &trace_json) {
         eprintln!("cannot write {}: {e}", path.display());
         return false;
@@ -187,15 +151,11 @@ fn main() {
             _ => usage(),
         }
     }
-    let opts = parse(&args);
-    let mut failures = 0;
-    for &app in &opts.apps {
-        for &cfg in &opts.configs {
-            if !trace_point(app, cfg, &opts) {
-                failures += 1;
-            }
-        }
-    }
+    let (points, opts) = parse(&args);
+    let failures = points
+        .iter()
+        .filter(|&&(app, cfg)| !trace_point(app, cfg, &opts))
+        .count();
     if failures > 0 {
         eprintln!("{failures} point(s) failed");
         std::process::exit(1);

@@ -26,13 +26,13 @@
 //! Apps: `fft2d rijndael sort filter igraph spmv stencil bfs`. Configs:
 //! `base isrf1 isrf4 cache`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use isrf_apps::APPS;
-use isrf_bench::{prepare_app, Profile};
+use isrf_bench::{prepare_app, select_points, Profile};
 use isrf_core::config::ConfigName;
-use isrf_trace::json::escaped;
+use isrf_sim::Diagnostic;
+use isrf_trace::json::Json;
 use isrf_verify::{explain, Report, Verifier};
 
 /// The static floor must recover at least this percentage of the simulated
@@ -50,70 +50,45 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn diag_json(d: &isrf_sim::Diagnostic) -> String {
-    let mut s = format!(
-        "{{\"code\":\"{}\",\"check\":\"{}\",\"message\":\"{}\"",
-        escaped(&d.code),
-        escaped(&d.check),
-        escaped(&d.message)
-    );
-    if let Some(op) = d.prog_op {
-        let _ = write!(s, ",\"prog_op\":{op}");
-    }
-    if let Some(k) = &d.kernel {
-        let _ = write!(s, ",\"kernel\":\"{}\"", escaped(k));
-    }
-    if let Some(line) = d.line {
-        let _ = write!(s, ",\"line\":{line}");
-    }
-    s.push('}');
-    s
+fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
+    Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-/// One analyzer point rendered as a canonical JSON object (keys in fixed
-/// order, streams elided — the golden tracks program-level behavior).
-fn point_json(app: &str, cfg: ConfigName, report: &Report) -> String {
-    let mut s = format!("    {{\"app\":\"{app}\",\"config\":\"{cfg}\",");
-    let diags: Vec<String> = report.diagnostics.iter().map(diag_json).collect();
-    let warns: Vec<String> = report.warnings.iter().map(diag_json).collect();
-    let _ = write!(
-        s,
-        "\"diagnostics\":[{}],\"warnings\":[{}],",
-        diags.join(","),
-        warns.join(",")
-    );
+/// One analyzer point as a JSON object (keys in fixed order, streams
+/// elided — the golden tracks program-level behavior).
+fn point_json(app: &str, cfg: ConfigName, report: &Report) -> Json {
+    let findings = |ds: &[Diagnostic]| Json::Arr(ds.iter().map(Diagnostic::to_json).collect());
     let c = &report.cost;
-    let kernels: Vec<String> = c
-        .kernels
-        .iter()
-        .map(|k| {
-            format!(
-                "{{\"name\":\"{}\",\"prog_op\":{},\"iters\":{},\"ii\":{},\"floor\":{},\
-                 \"schedule_floor\":{},\"port_floor\":{},\"inlane_pressure_pct\":{},\
-                 \"crosslane_pressure_pct\":{}}}",
-                escaped(&k.name),
-                k.prog_op,
-                k.iters,
-                k.ii,
-                k.floor,
-                k.schedule_floor,
-                k.port_floor,
-                k.inlane_pressure_pct,
-                k.crosslane_pressure_pct
-            )
-        })
-        .collect();
-    let _ = write!(
-        s,
-        "\"cycle_floor\":{},\"kernel_floor\":{},\"mem_words\":{},\"mem_floor\":{},\
-         \"kernels\":[{}]}}",
-        c.cycle_floor,
-        c.kernel_floor,
-        c.mem_words,
-        c.mem_floor,
-        kernels.join(",")
-    );
-    s
+    let kernels = c.kernels.iter().map(|k| {
+        obj([
+            ("name", Json::str(k.name.as_str())),
+            ("prog_op", Json::u64(k.prog_op as u64)),
+            ("iters", Json::u64(k.iters)),
+            ("ii", Json::u64(k.ii.into())),
+            ("floor", Json::u64(k.floor)),
+            ("schedule_floor", Json::u64(k.schedule_floor)),
+            ("port_floor", Json::u64(k.port_floor)),
+            (
+                "inlane_pressure_pct",
+                Json::u64(k.inlane_pressure_pct.into()),
+            ),
+            (
+                "crosslane_pressure_pct",
+                Json::u64(k.crosslane_pressure_pct.into()),
+            ),
+        ])
+    });
+    obj([
+        ("app", Json::str(app)),
+        ("config", Json::str(cfg.to_string())),
+        ("diagnostics", findings(&report.diagnostics)),
+        ("warnings", findings(&report.warnings)),
+        ("cycle_floor", Json::u64(c.cycle_floor)),
+        ("kernel_floor", Json::u64(c.kernel_floor)),
+        ("mem_words", Json::u64(c.mem_words)),
+        ("mem_floor", Json::u64(c.mem_floor)),
+        ("kernels", Json::Arr(kernels.collect())),
+    ])
 }
 
 struct Point {
@@ -122,36 +97,33 @@ struct Point {
     report: Report,
 }
 
-fn analyze(apps: &[&'static str], configs: &[ConfigName], profile: Profile) -> Vec<Point> {
+fn analyze(points: &[(&'static str, ConfigName)], profile: Profile) -> Vec<Point> {
     let verifier = Verifier::new();
-    let mut out = Vec::new();
-    for &app in apps {
-        for &cfg in configs {
+    points
+        .iter()
+        .map(|&(app, cfg)| {
             let pr = prepare_app(app, cfg, profile);
             let report =
                 verifier.report(pr.machine.config(), &pr.machine.verify_env(), &pr.program);
-            out.push(Point { app, cfg, report });
-        }
-    }
-    out
+            Point { app, cfg, report }
+        })
+        .collect()
 }
 
+/// The golden report: a hand-laid frame with one compactly rendered point
+/// per line, so a drifted point is one line of a diff.
 fn render_report(points: &[Point], profile: Profile) -> String {
-    let mut s = String::from("{\n");
-    let _ = writeln!(
-        s,
-        "  \"profile\": \"{}\",",
-        if profile == Profile::Paper {
-            "paper"
-        } else {
-            "small"
-        }
-    );
-    s.push_str("  \"points\": [\n");
+    let profile = match profile {
+        Profile::Small => "small",
+        Profile::Paper => "paper",
+    };
     let rows: Vec<String> = points
         .iter()
-        .map(|p| point_json(p.app, p.cfg, &p.report))
+        .map(|p| format!("    {}", point_json(p.app, p.cfg, &p.report)))
         .collect();
+    let mut s = String::from("{\n  \"profile\": ");
+    Json::str(profile).render_into(&mut s);
+    s.push_str(",\n  \"points\": [\n");
     s.push_str(&rows.join(",\n"));
     s.push_str("\n  ]\n}\n");
     s
@@ -159,49 +131,21 @@ fn render_report(points: &[Point], profile: Profile) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut profile = Profile::Small;
-    let mut positional: Vec<&str> = Vec::new();
     let mut report_to: Option<String> = None;
     let mut check_against: Option<String> = None;
     let mut cycles = false;
     let mut explain_code: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--paper" => profile = Profile::Paper,
-            "--report" => report_to = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--check" => check_against = Some(it.next().unwrap_or_else(|| usage()).clone()),
+    let (points, profile) = select_points(&args, |flag, rest| {
+        match flag {
+            "--report" => report_to = Some(rest.next()?.clone()),
+            "--check" => check_against = Some(rest.next()?.clone()),
             "--cycles" => cycles = true,
-            "--explain" => explain_code = Some(it.next().unwrap_or_else(|| usage()).clone()),
-            "--help" | "-h" => usage(),
-            flag if flag.starts_with("--") => usage(),
-            pos => positional.push(pos),
+            "--explain" => explain_code = Some(rest.next()?.clone()),
+            _ => return None,
         }
-    }
-    if positional.len() > 2 {
-        usage();
-    }
-    let app_sel = positional.first().copied().unwrap_or("all");
-    let cfg_sel = positional.get(1).copied().unwrap_or("all");
-    let apps: Vec<&'static str> = if app_sel == "all" {
-        APPS.to_vec()
-    } else {
-        match APPS.iter().find(|&&a| a == app_sel) {
-            Some(&a) => vec![a],
-            None => usage(),
-        }
-    };
-    let configs: Vec<ConfigName> = if cfg_sel == "all" {
-        ConfigName::ALL.to_vec()
-    } else {
-        match ConfigName::ALL
-            .iter()
-            .find(|c| c.to_string().eq_ignore_ascii_case(cfg_sel))
-        {
-            Some(&c) => vec![c],
-            None => usage(),
-        }
-    };
+        Some(())
+    })
+    .unwrap_or_else(|| usage());
 
     if let Some(code) = &explain_code {
         let code = code.to_uppercase();
@@ -213,7 +157,7 @@ fn main() {
             }
         }
         let mut hits = 0;
-        for p in analyze(&apps, &configs, profile) {
+        for p in analyze(&points, profile) {
             for d in p.report.diagnostics.iter().chain(&p.report.warnings) {
                 if d.code != code {
                     continue;
@@ -228,14 +172,14 @@ fn main() {
         if hits == 0 {
             println!(
                 "no {code} findings across {} point(s) — the rule above is the check",
-                apps.len() * configs.len()
+                points.len()
             );
         }
         return;
     }
 
     if report_to.is_some() || check_against.is_some() {
-        let points = analyze(&apps, &configs, profile);
+        let points = analyze(&points, profile);
         let rendered = render_report(&points, profile);
         if let Some(path) = &report_to {
             if path == "-" {
@@ -275,42 +219,40 @@ fn main() {
     }
 
     let mut failures = 0;
-    for &app in &apps {
-        for &cfg in &configs {
-            let mut pr = prepare_app(app, cfg, profile);
-            // Install the analyzer explicitly: a machine without one would
-            // verify vacuously, and this gate must never pass vacuously.
-            pr.machine.set_verifier(Some(Arc::new(Verifier::new())));
-            match pr.machine.verify_program(&pr.program) {
-                Ok(()) => {
-                    if !cycles {
-                        println!("{app} on {cfg}: clean ({} program op(s))", pr.program.len());
-                    }
-                }
-                Err(e) => {
-                    failures += 1;
-                    println!("{app} on {cfg}: {} finding(s)", e.diagnostics.len());
-                    for d in &e.diagnostics {
-                        println!("  {d}");
-                    }
-                    continue;
+    for &(app, cfg) in &points {
+        let mut pr = prepare_app(app, cfg, profile);
+        // Install the analyzer explicitly: a machine without one would
+        // verify vacuously, and this gate must never pass vacuously.
+        pr.machine.set_verifier(Some(Arc::new(Verifier::new())));
+        match pr.machine.verify_program(&pr.program) {
+            Ok(()) => {
+                if !cycles {
+                    println!("{app} on {cfg}: clean ({} program op(s))", pr.program.len());
                 }
             }
-            if !cycles {
+            Err(e) => {
+                failures += 1;
+                println!("{app} on {cfg}: {} finding(s)", e.diagnostics.len());
+                for d in &e.diagnostics {
+                    println!("  {d}");
+                }
                 continue;
             }
-            // Cross-validate the static floor against the simulation.
-            let floor = isrf_verify::cost_model(pr.machine.config(), &pr.program).cycle_floor;
-            let sim = pr.machine.run(&pr.program).cycles;
-            let pct = (floor * 100).checked_div(sim).unwrap_or(100);
-            let ok = floor <= sim && pct >= MIN_FLOOR_PCT;
-            println!(
-                "{app} on {cfg}: floor {floor} <= simulated {sim} ({pct}%){}",
-                if ok { "" } else { "  UNSOUND OR TOO LOOSE" }
-            );
-            if !ok {
-                failures += 1;
-            }
+        }
+        if !cycles {
+            continue;
+        }
+        // Cross-validate the static floor against the simulation.
+        let floor = isrf_verify::cost_model(pr.machine.config(), &pr.program).cycle_floor;
+        let sim = pr.machine.run(&pr.program).cycles;
+        let pct = (floor * 100).checked_div(sim).unwrap_or(100);
+        let ok = floor <= sim && pct >= MIN_FLOOR_PCT;
+        println!(
+            "{app} on {cfg}: floor {floor} <= simulated {sim} ({pct}%){}",
+            if ok { "" } else { "  UNSOUND OR TOO LOOSE" }
+        );
+        if !ok {
+            failures += 1;
         }
     }
     if failures > 0 {

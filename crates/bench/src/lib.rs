@@ -1,16 +1,19 @@
-//! `isrf-bench` is the tool crate (the `figures`, `verify`, `trace`,
-//! `snapshot` and `loadtest` bins); the timing harness is `benchmark/`, a
-//! package of its own, and nothing here is timed.
+//! `isrf-bench` is the tool crate (the `figures`, `verify`, `trace` and
+//! `loadtest` bins); the timing harness is `benchmark/`, a package of its
+//! own, and nothing here is timed.
 //!
 //! Every evaluation artifact of the HPCA 2004 indexed-SRF paper has a
 //! generator here returning structured data, and the `figures` binary
-//! renders them as text tables. See DESIGN.md for the experiment index and
+//! renders them as text tables — the only rendering: two committed goldens
+//! pin that text, and nothing here writes a file. [`select_points`] is the
+//! `[app|all] [config|all] [--paper]` argument grammar the `verify` and
+//! `trace` bins share. See DESIGN.md for the experiment index and
 //! EXPERIMENTS.md for paper-vs-measured numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort};
+use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort, APPS};
 use isrf_check::run_parallel;
 use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
 use isrf_core::stats::RunStats;
@@ -77,10 +80,6 @@ pub struct Fig12Row {
     pub parts: [f64; 4],
     /// Absolute cycle count of this config's run.
     pub cycles: u64,
-    /// The un-normalized breakdown, same component order as `parts`.
-    pub raw: [u64; 4],
-    /// Off-chip bytes moved (reads + writes).
-    pub mem_bytes: u64,
 }
 
 impl Fig12Row {
@@ -120,8 +119,6 @@ pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
                     b.overhead as f64 / d,
                 ],
                 cycles: stats.cycles,
-                raw: [b.kernel_loop, b.mem_stall, b.srf_stall, b.overhead],
-                mem_bytes: stats.mem.total(),
             });
         }
     }
@@ -355,100 +352,43 @@ pub fn crosslane_topology_ablation() -> [(CrossLaneTopology, f64); 2] {
     })
 }
 
-/// Render a list of JSON objects (already-rendered `"key": value` field
-/// strings per row) as a pretty-printed JSON array.
-fn json_array(rows: Vec<Vec<String>>) -> String {
-    let body: Vec<String> = rows
-        .into_iter()
-        .map(|fields| format!("  {{{}}}", fields.join(", ")))
+/// The argument grammar the `verify` and `trace` bins share: `[app|all]
+/// [config|all] [--paper]`, both selectors defaulting to `all`, a config
+/// named in any case. Returns the selected points, apps outermost, and the
+/// sizing profile. Every other `--flag` is handed to `flag` together with
+/// the arguments after it, from which it may take a value; `None` from it,
+/// a third positional, or a name that is neither an app nor a config is a
+/// usage error and comes back as `None`.
+pub fn select_points(
+    args: &[String],
+    mut flag: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Option<()>,
+) -> Option<(Vec<(&'static str, ConfigName)>, Profile)> {
+    let mut profile = Profile::Small;
+    let mut positional = Vec::new();
+    let mut rest = args.iter();
+    while let Some(arg) = rest.next() {
+        match arg.as_str() {
+            "--paper" => profile = Profile::Paper,
+            a if a.starts_with("--") => flag(a, &mut rest)?,
+            a => positional.push(a),
+        }
+    }
+    if positional.len() > 2 {
+        return None;
+    }
+    let apps = match positional.first() {
+        None | Some(&"all") => APPS.to_vec(),
+        Some(name) => vec![*APPS.iter().find(|a| a == &name)?],
+    };
+    let configs = match positional.get(1) {
+        None | Some(&"all") => ConfigName::ALL.to_vec(),
+        Some(name) => vec![name.parse().ok()?],
+    };
+    let points = apps
+        .iter()
+        .flat_map(|&app| configs.iter().map(move |&cfg| (app, cfg)))
         .collect();
-    format!("[\n{}\n]\n", body.join(",\n"))
-}
-
-fn json_str(name: &str, v: &str) -> String {
-    format!("\"{name}\": \"{}\"", isrf_trace::json::escaped(v))
-}
-
-fn json_f64(name: &str, v: f64) -> String {
-    // Finite by construction; fixed precision keeps output diff-stable.
-    format!("\"{name}\": {v:.6}")
-}
-
-fn json_u64(name: &str, v: u64) -> String {
-    format!("\"{name}\": {v}")
-}
-
-/// Figure 11 rows as machine-readable JSON.
-pub fn fig11_json(rows: &[(String, f64, f64)]) -> String {
-    json_array(
-        rows.iter()
-            .map(|(name, isrf, cache)| {
-                vec![
-                    json_str("benchmark", name),
-                    json_f64("isrf", *isrf),
-                    json_f64("cache", *cache),
-                ]
-            })
-            .collect(),
-    )
-}
-
-/// Figure 12 rows as machine-readable JSON, including the absolute cycle
-/// counts and raw breakdown behind the normalized fractions.
-pub fn fig12_json(rows: &[Fig12Row]) -> String {
-    json_array(
-        rows.iter()
-            .map(|r| {
-                vec![
-                    json_str("benchmark", &r.benchmark),
-                    json_str("config", &r.config.to_string()),
-                    json_f64("kernel_loop", r.parts[0]),
-                    json_f64("mem_stall", r.parts[1]),
-                    json_f64("srf_stall", r.parts[2]),
-                    json_f64("overhead", r.parts[3]),
-                    json_f64("total", r.total()),
-                    json_u64("cycles", r.cycles),
-                    json_u64("raw_kernel_loop", r.raw[0]),
-                    json_u64("raw_mem_stall", r.raw[1]),
-                    json_u64("raw_srf_stall", r.raw[2]),
-                    json_u64("raw_overhead", r.raw[3]),
-                    json_u64("mem_bytes", r.mem_bytes),
-                ]
-            })
-            .collect(),
-    )
-}
-
-/// Figure 13 rows as machine-readable JSON.
-pub fn fig13_json(rows: &[(String, [f64; 3])]) -> String {
-    json_array(
-        rows.iter()
-            .map(|(name, [seq, xl, inl])| {
-                vec![
-                    json_str("benchmark", name),
-                    json_f64("sequential", *seq),
-                    json_f64("crosslane", *xl),
-                    json_f64("inlane", *inl),
-                ]
-            })
-            .collect(),
-    )
-}
-
-/// Headline-summary rows as machine-readable JSON.
-pub fn summary_json(rows: &[(String, f64, f64, f64)]) -> String {
-    json_array(
-        rows.iter()
-            .map(|(name, sp, cut, er)| {
-                vec![
-                    json_str("benchmark", name),
-                    json_f64("speedup", *sp),
-                    json_f64("traffic_cut", *cut),
-                    json_f64("energy_ratio", *er),
-                ]
-            })
-            .collect(),
-    )
+    Some((points, profile))
 }
 
 #[cfg(test)]
@@ -501,6 +441,33 @@ mod tests {
                 pts.last().unwrap().1 < 1.15,
                 "{flat} should stay flat: {pts:?}"
             );
+        }
+    }
+
+    #[test]
+    fn select_points_parses_the_shared_grammar() {
+        let parse = |line: &str| {
+            let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+            let mut out = None;
+            let sel = select_points(&args, |flag, rest| {
+                (flag == "--out").then_some(())?;
+                out = Some(rest.next()?.clone());
+                Some(())
+            });
+            sel.map(|(points, profile)| (points, profile, out))
+        };
+        let (points, profile, out) = parse("").expect("everything defaults");
+        assert_eq!((points.len(), profile, out), (32, Profile::Small, None));
+        assert_eq!(
+            points[..2],
+            [("fft2d", ConfigName::Base), ("fft2d", ConfigName::Isrf1)]
+        );
+        let (points, profile, out) = parse("sort --out d iSrF4 --paper").expect("valid");
+        assert_eq!(points, [("sort", ConfigName::Isrf4)]);
+        assert_eq!((profile, out.as_deref()), (Profile::Paper, Some("d")));
+        assert_eq!(parse("all cache").expect("valid").0.len(), 8);
+        for bad in ["nope", "sort isrf2", "sort base x", "--nope", "sort --out"] {
+            assert!(parse(bad).is_none(), "`{bad}` is a usage error");
         }
     }
 

@@ -21,6 +21,7 @@
 //! network ports and address/data separations).
 
 use std::fmt;
+use std::str::FromStr;
 
 use crate::word::WORD_BYTES;
 
@@ -56,11 +57,26 @@ impl fmt::Display for ConfigName {
             ConfigName::Isrf4 => "ISRF4",
             ConfigName::Cache => "Cache",
         };
-        f.write_str(s)
+        f.pad(s)
     }
 }
 
-/// Error returned when a [`MachineConfig`] is internally inconsistent.
+impl FromStr for ConfigName {
+    type Err = ConfigError;
+
+    /// The inverse of `Display`, in any ASCII case.
+    fn from_str(s: &str) -> Result<Self, ConfigError> {
+        ConfigName::ALL
+            .into_iter()
+            .find(|c| c.to_string().eq_ignore_ascii_case(s))
+            .ok_or_else(|| {
+                ConfigError::new(format!("unknown config {s:?} (Base|ISRF1|ISRF4|Cache)"))
+            })
+    }
+}
+
+/// Error returned when a [`MachineConfig`] is internally inconsistent or a
+/// string names no [`ConfigName`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     message: String,
@@ -543,6 +559,33 @@ mod tests {
             assert_eq!(m.srf.stream_buffer_words, 8);
             assert!((m.dram.peak_gbytes_per_sec - 9.14).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn config_names_parse_in_any_case_and_pad_when_displayed() {
+        for name in ConfigName::ALL {
+            let shown = name.to_string();
+            let mixed: String = shown
+                .chars()
+                .enumerate()
+                .map(|(i, c)| match i % 2 {
+                    0 => c.to_ascii_lowercase(),
+                    _ => c.to_ascii_uppercase(),
+                })
+                .collect();
+            for s in [
+                shown.clone(),
+                shown.to_lowercase(),
+                shown.to_uppercase(),
+                mixed,
+            ] {
+                assert_eq!(s.parse::<ConfigName>(), Ok(name), "{s}");
+            }
+        }
+        let err = "isrf2".parse::<ConfigName>().expect_err("no such config");
+        assert!(err.to_string().contains("Base|ISRF1|ISRF4|Cache"), "{err}");
+        assert_eq!(format!("[{:<6}]", ConfigName::Base), "[Base  ]");
+        assert_eq!(format!("[{:>6}]", ConfigName::Isrf4), "[ ISRF4]");
     }
 
     #[test]

@@ -331,31 +331,6 @@ impl PointRunner {
     }
 }
 
-/// Render one verifier finding as a wire JSON object.
-fn diag_json(d: &Diagnostic) -> Json {
-    let mut obj = vec![
-        ("code".into(), Json::str(d.code.clone())),
-        ("check".into(), Json::str(d.check.clone())),
-        ("message".into(), Json::str(d.message.clone())),
-    ];
-    if let Some(op) = d.prog_op {
-        obj.push(("prog_op".into(), Json::u64(op as u64)));
-    }
-    if let Some(k) = &d.kernel {
-        obj.push(("kernel".into(), Json::str(k.clone())));
-    }
-    if let Some(line) = d.line {
-        obj.push(("line".into(), Json::u64(u64::from(line))));
-    }
-    if !d.notes.is_empty() {
-        obj.push((
-            "notes".into(),
-            Json::Arr(d.notes.iter().map(|n| Json::str(n.clone())).collect()),
-        ));
-    }
-    Json::Obj(obj)
-}
-
 /// Statically analyze `spec` without simulating a cycle: build the same
 /// machine + program a worker would run and hand them to the whole-program
 /// verifier. `Ok(())` means the point is admissible; `Err` carries one
@@ -389,7 +364,7 @@ pub fn analyze_point(spec: &PointSpec) -> Result<(), Vec<Json>> {
     if diags.is_empty() {
         Ok(())
     } else {
-        Err(diags.iter().map(diag_json).collect())
+        Err(diags.iter().map(Diagnostic::to_json).collect())
     }
 }
 

@@ -581,6 +581,9 @@ fn job_result(job: &Job) -> Response {
     match st.phase {
         Phase::Done => {
             let points = st.result.as_ref().expect("done job has a result");
+            // The one splice of JSON text outside `isrf-trace`: `Json` rendered
+            // `points` when the job finished, about 33 KB, and every poll and
+            // cache hit serves it, so it goes out without a second render.
             let mut body = String::with_capacity(points.len() + 64);
             body.push_str(&format!(
                 "{{\"id\":{},\"status\":\"done\",\"cached\":{},\"points\":",

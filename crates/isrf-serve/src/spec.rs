@@ -10,7 +10,7 @@
 //! a server restart — key the same cache entry.
 
 use isrf_apps::Profile;
-use isrf_core::config::ConfigName;
+use isrf_core::config::{ConfigError, ConfigName};
 use isrf_kernel::hash::StableHasher;
 use isrf_sim::ExecEngine;
 
@@ -119,10 +119,7 @@ fn parse_config(v: Option<&Json>) -> Result<ConfigName, String> {
         None => Ok(ConfigName::Base),
         Some(j) => {
             let s = j.as_str().ok_or("\"config\" must be a string")?;
-            ConfigName::ALL
-                .into_iter()
-                .find(|c| format!("{c}").eq_ignore_ascii_case(s))
-                .ok_or_else(|| format!("unknown config {s:?} (Base|ISRF1|ISRF4|Cache)"))
+            s.parse().map_err(|e: ConfigError| e.to_string())
         }
     }
 }

@@ -11,6 +11,7 @@
 use std::fmt;
 
 use isrf_core::config::MachineConfig;
+use isrf_trace::json::Json;
 
 use crate::program::StreamProgram;
 
@@ -35,6 +36,33 @@ pub struct Diagnostic {
     /// that produced them. Rendered by explain modes; [`fmt::Display`]
     /// stays single-line.
     pub notes: Vec<String>,
+}
+
+impl Diagnostic {
+    /// The finding's one wire format — the served 422 body and the golden
+    /// analyzer reports: `code`, `check`, `message`, then `prog_op`,
+    /// `kernel`, `line` and `notes`, each only when present.
+    pub fn to_json(&self) -> Json {
+        let mut obj = vec![
+            ("code".into(), Json::str(self.code.as_str())),
+            ("check".into(), Json::str(self.check.as_str())),
+            ("message".into(), Json::str(self.message.as_str())),
+        ];
+        if let Some(op) = self.prog_op {
+            obj.push(("prog_op".into(), Json::u64(op as u64)));
+        }
+        if let Some(k) = &self.kernel {
+            obj.push(("kernel".into(), Json::str(k.as_str())));
+        }
+        if let Some(line) = self.line {
+            obj.push(("line".into(), Json::u64(u64::from(line))));
+        }
+        if !self.notes.is_empty() {
+            let notes = self.notes.iter().map(|n| Json::str(n.as_str())).collect();
+            obj.push(("notes".into(), Json::Arr(notes)));
+        }
+        Json::Obj(obj)
+    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -160,5 +188,29 @@ mod tests {
         for part in ["V101", "liveness", "program op 3", "lookup", "line 9"] {
             assert!(s.contains(part), "missing `{part}` in `{s}`");
         }
+    }
+
+    #[test]
+    fn diagnostic_json_orders_keys_and_omits_what_is_absent() {
+        let mut d = Diagnostic {
+            code: "V101".into(),
+            check: "liveness".into(),
+            message: "stream \"s\" never filled".into(),
+            prog_op: Some(3),
+            kernel: Some("lookup".into()),
+            kernel_op: Some(2),
+            line: Some(9),
+            notes: vec!["interval [0, 7]".into(), "via op 1".into()],
+        };
+        assert_eq!(
+            d.to_json().render(),
+            r#"{"code":"V101","check":"liveness","message":"stream \"s\" never filled","prog_op":3,"kernel":"lookup","line":9,"notes":["interval [0, 7]","via op 1"]}"#
+        );
+        (d.prog_op, d.kernel, d.kernel_op, d.line) = (None, None, None, None);
+        d.notes.clear();
+        assert_eq!(
+            d.to_json().render(),
+            r#"{"code":"V101","check":"liveness","message":"stream \"s\" never filled"}"#
+        );
     }
 }

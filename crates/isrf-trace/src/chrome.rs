@@ -18,7 +18,11 @@
 //!
 //! The exporter is a pure function of the event stream: deterministic
 //! output (BTree-ordered state, stable sort by timestamp) so golden-file
-//! tests are byte-exact.
+//! tests are byte-exact. It writes text straight into one `String` rather
+//! than building a [`Json`](crate::json::Json) tree because an export is a
+//! node per event, a million of them for a Paper-size run, and the
+//! benchmark times it (`isrf-trace.export_ms_per_mevent`); it is the one
+//! writer of JSON text in the workspace beside `json.rs`.
 
 use crate::event::{CycleAttr, StallReason, TraceEvent};
 use crate::json::escape_into;

@@ -1,14 +1,17 @@
-//! The workspace's one JSON codec: string escaping for the hand-rolled
-//! emitters, and a value model with its parser and serializer.
+//! The workspace's one JSON codec: string escaping, and a value model
+//! with its parser and serializer.
 //!
-//! The vendor tree has no serde. The exporters (`chrome`, the `verify` and
-//! `figures` bins) build output by writing into a `String` through
-//! [`escape_into`]. The server parses request bodies into [`Json`],
-//! inspects them field by field, and builds responses as [`Json`] rendered
-//! compactly; tests and the `trace` bin check that an emitted document is
-//! well-formed by parsing it. Objects keep insertion order in a `Vec` —
-//! deterministic output, no hash-order nondeterminism — and duplicate keys
-//! are rejected at parse time.
+//! The vendor tree has no serde. Everything that emits JSON builds a
+//! [`Json`] and renders it compactly — the server's responses, a verifier
+//! finding (`Diagnostic::to_json`), the `verify` bin's golden reports —
+//! except the `chrome` exporter, which streams a node per event into a
+//! `String` through [`escape_into`], and one splice of an already rendered
+//! payload in the server's `job_result`. The server parses request bodies
+//! into [`Json`] and inspects them field by field; tests and the `trace`
+//! bin check that an emitted document is well-formed by parsing it.
+//! Objects keep insertion order in a `Vec` — deterministic output, no
+//! hash-order nondeterminism — and duplicate keys are rejected at parse
+//! time.
 //!
 //! Round-trip contract (covered by proptest in `isrf-serve`'s
 //! `tests/codec.rs`): for any value built from finite numbers,
@@ -35,13 +38,6 @@ pub fn escape_into(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
-}
-
-/// `s` with JSON string escaping applied (no surrounding quotes).
-pub fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    escape_into(&mut out, s);
-    out
 }
 
 /// Maximum nesting depth the parser accepts (arrays + objects combined).
@@ -467,6 +463,12 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn escaping_covers_quotes_backslash_and_controls() {

@@ -6,7 +6,10 @@
 //! point that may move cycles and nothing else), and a committed digest
 //! of every point's timing (`tests/golden/basket.digest`: cycles, full
 //! stats, and the whole trace-event stream), so a change that moves *when*
-//! something happens fails here even when every value is still right.
+//! something happens fails here even when every value is still right —
+//! and every point reproduces its line a second time when paused half-way,
+//! snapshotted, restored into a fresh machine and resumed (the snapshot
+//! bisector, for its part, must find a fault injected into sort/ISRF4).
 //! Regenerate after an intentional timing change with
 //! `UPDATE_GOLDEN=1 cargo test --test differential`.
 //!
@@ -19,7 +22,9 @@ use std::sync::Arc;
 
 use isrf_apps::common::Prepared;
 use isrf_apps::{prepare_app, Profile, APPS};
-use isrf_check::{run_differential, run_parallel, run_serial, DiffOutcome};
+use isrf_check::{
+    first_divergence, run_differential, run_parallel, run_serial, DiffOutcome, PerturbAt,
+};
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::{fnv1a, Enc};
 use isrf_core::stats::RunStats;
@@ -28,7 +33,7 @@ use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sim::machine::Machine;
 use isrf_sim::program::StreamProgram;
-use isrf_trace::Tracer;
+use isrf_trace::{TraceEvent, Tracer};
 
 /// A ready-to-run machine+program for one sweep point at the Small size.
 fn prepare(app: &str, cfg: impl Into<MachineConfig>) -> Prepared {
@@ -163,7 +168,6 @@ fn all_apps_all_configs_match_reference() {
     });
     for (&(p, k), (out, words)) in pairs.iter().zip(&perturbed) {
         let ((app, cfg), what) = (points[p], PERTURBATIONS[k].0);
-        let cfg = cfg.to_string();
         let (preset, preset_words) = &presets[p];
         assert!(
             words == preset_words,
@@ -248,6 +252,22 @@ fn isrf1_and_isrf4_are_functionally_equivalent() {
     }
 }
 
+/// `run` on `machine` under a recording tracer: its result and every event
+/// the machine emitted meanwhile, stamped with its cycle.
+fn traced<T>(
+    machine: &mut Machine,
+    run: impl FnOnce(&mut Machine) -> T,
+) -> (T, Vec<(u64, TraceEvent)>) {
+    machine.set_tracer(Tracer::recording(1 << 22));
+    let out = run(machine);
+    let recorder = machine
+        .take_tracer()
+        .into_recorder()
+        .expect("recording tracer was installed");
+    assert_eq!(recorder.ring().dropped(), 0, "trace ring too small");
+    (out, recorder.ring().iter().cloned().collect())
+}
+
 /// One line of `tests/golden/basket.digest`: the point's cycle count, an
 /// FNV-1a digest of its full `RunStats`, and the length and FNV-1a digest
 /// of its complete trace-event stream (every grant, stall reason, indexed
@@ -255,36 +275,50 @@ fn isrf1_and_isrf4_are_functionally_equivalent() {
 fn digest_line(
     name: &str,
     cfg: ConfigName,
-    machine: &mut Machine,
-    program: &StreamProgram,
+    stats: &RunStats,
+    events: &[(u64, TraceEvent)],
 ) -> String {
     use std::fmt::Write;
-    machine.set_tracer(Tracer::recording(1 << 22));
-    let stats = machine.run(program);
-    let recorder = machine
-        .take_tracer()
-        .into_recorder()
-        .expect("recording tracer was installed");
-    let ring = recorder.ring();
-    assert_eq!(ring.dropped(), 0, "{name} on {cfg}: trace ring too small");
     let mut enc = Enc::new();
     stats.encode_state(&mut enc);
     let mut stream = String::new();
-    for (cycle, ev) in ring.iter() {
+    for (cycle, ev) in events {
         writeln!(stream, "@{cycle} {ev:?}").expect("write to String");
     }
     format!(
         "{name} {cfg} cycles={} stats={:016x} events={} trace={:016x}\n",
         stats.cycles,
         fnv1a(&enc.into_bytes()),
-        ring.len(),
+        events.len(),
         fnv1a(stream.as_bytes())
     )
 }
 
+/// A point's digest line, which it must reproduce twice: run straight, and
+/// paused half-way, saved, restored into a freshly prepared machine and
+/// resumed there (the two event streams stitched), where the memory it
+/// leaves must also pass the app's host check.
 fn digest_point(app: &str, cfg: ConfigName) -> String {
     let mut pr = prepare(app, cfg);
-    digest_line(app, cfg, &mut pr.machine, &pr.program)
+    let (stats, events) = traced(&mut pr.machine, |m| m.run(&pr.program));
+    let straight = digest_line(app, cfg, &stats, &events);
+
+    let mut pr = prepare(app, cfg);
+    let half = stats.cycles / 2;
+    let (paused, mut events) = traced(&mut pr.machine, |m| m.run_for(&pr.program, half));
+    assert_eq!(paused, None, "{app} on {cfg} completed in half its cycles");
+    let snapshot = pr.machine.save_state(&pr.program);
+    let mut fresh = prepare(app, cfg);
+    fresh
+        .machine
+        .restore_state(&fresh.program, &snapshot)
+        .expect("a snapshot restores into an identically prepared machine");
+    let (stats, tail) = traced(&mut fresh.machine, |m| m.run(&fresh.program));
+    events.extend(tail);
+    fresh.check();
+    let resumed = digest_line(app, cfg, &stats, &events);
+    assert_eq!(resumed, straight, "pause, save, restore and resume moved");
+    straight
 }
 
 /// The bare cycle loop as the digest's last line: one modulo-scheduled
@@ -315,11 +349,13 @@ fn digest_hot_loop() -> String {
 
     let mut p = StreamProgram::new();
     p.kernel(kernel, sched, vec![input, output], iters, &[]);
-    digest_line("hot_loop", ConfigName::Base, &mut machine, &p)
+    let (stats, events) = traced(&mut machine, |m| m.run(&p));
+    digest_line("hot_loop", ConfigName::Base, &stats, &events)
 }
 
-/// Timing is pinned, not just values: all 32 points and the hot loop
-/// reproduce the committed cycle counts, stats and event streams exactly.
+/// Timing is pinned, not just values: all 32 points — each run straight
+/// and paused, snapshotted and resumed — and the hot loop reproduce the
+/// committed cycle counts, stats and event streams exactly.
 #[test]
 fn basket_digest_matches_golden_file() {
     let mut got: String = run_parallel(&grid(), |&(app, cfg)| digest_point(app, cfg)).concat();
@@ -335,4 +371,32 @@ fn basket_digest_matches_golden_file() {
         assert_eq!(g, w, "timing drifted from tests/golden/basket.digest");
     }
     assert_eq!(got, want, "basket.digest point list changed");
+}
+
+/// The bisector on a real app: one word of sort/ISRF4's SRF flipped
+/// half-way through the run — the first above the allocator's high-water
+/// mark, which no transfer touches, so the damage stays in architectural
+/// state — is found at exactly that cycle, in the `srf` section.
+#[test]
+fn bisector_localizes_an_injected_srf_fault_on_sort() {
+    let [mut a, mut b, mut c] = [(); 3].map(|()| prepare("sort", ConfigName::Isrf4));
+    let srf = b.machine.srf();
+    assert!(srf.free_words() > 0, "sort fills the entire SRF");
+    let perturb = PerturbAt {
+        cycle: c.machine.run(&c.program).cycles / 2,
+        lane: 0,
+        offset: srf.bank_words() - srf.free_words(),
+        xor: 0x5a5a_5a5a,
+    };
+    let found = first_divergence(
+        &mut a.machine,
+        &mut b.machine,
+        &b.program,
+        256,
+        Some(perturb),
+    )
+    .expect("lockstep snapshots restore")
+    .expect("the injected fault is detected");
+    assert_eq!(found.cycle, perturb.cycle, "{found}");
+    assert!(found.diffs.iter().any(|d| d.path == "srf"), "{found}");
 }
