@@ -24,7 +24,7 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify (the build users run)"
+echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify -p isrf-kernel -p isrf-lang (the build users run)"
 # Tests under cfg(not(debug_assertions)): an out-of-range dynamic index
 # trips a debug_assert in debug builds and must clamp, not panic, in the
 # builds users actually run. The oracle and the lock-step references run
@@ -33,8 +33,10 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-ver
 # optimised build. So does snapshot_roundtrip.rs's hostile-length test, whose
 # regression is a process abort (an allocation of 2^40 words), not a failure.
 # isrf-verify's lock-step, scale and work-count tests run here as well: the
-# analyzer admits every served job in this build.
-cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify
+# analyzer admits every served job in this build. So do the front end's
+# (isrf-kernel, isrf-lang): the scheduler's lock-step against the one it
+# replaced, its work counts, and the allocation bounds of parse and schedule.
+cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify -p isrf-kernel -p isrf-lang
 
 echo "==> cargo test --release --test differential (all 32 x 15 perturbed configs)"
 # The debug run above takes three timing perturbations per point; the

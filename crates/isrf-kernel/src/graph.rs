@@ -20,7 +20,7 @@
 
 use isrf_core::config::{OpLatencies, ScheduleConfig};
 
-use crate::ir::{Kernel, Opcode, StreamKind};
+use crate::ir::{Kernel, OpClass, Opcode, StreamKind};
 
 /// A scheduling dependence edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,42 +35,71 @@ pub struct DepEdge {
     pub distance: u32,
 }
 
-/// The dependence graph of one kernel under a latency model.
+/// The dependence graph of one kernel under a latency model, in compressed
+/// sparse rows: every edge twice, once grouped by producer and once by
+/// consumer, so an op's edges are one contiguous slice either way.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     /// Number of ops.
     pub n: usize,
-    /// All edges.
+    /// All edges, grouped by producer in ascending op order.
     pub edges: Vec<DepEdge>,
-    succ_idx: Vec<Vec<usize>>,
-    pred_idx: Vec<Vec<usize>>,
+    /// `edges[succ_start[v]..succ_start[v + 1]]` leave op `v`.
+    succ_start: Vec<u32>,
+    /// The same edges grouped by consumer, and where each op's begin.
+    pred_edges: Vec<DepEdge>,
+    pred_start: Vec<u32>,
+    /// Edges that do not point at a later op: loop-carried operands, wrap
+    /// edges. A simple path crosses each at most once.
+    pub(crate) back_edges: usize,
+}
+
+/// Stable counting sort of `edges` by `key`: the sorted edges and, per op,
+/// where its group starts (`n + 1` entries).
+fn group_by(
+    n: usize,
+    edges: &[DepEdge],
+    key: impl Fn(&DepEdge) -> usize,
+) -> (Vec<DepEdge>, Vec<u32>) {
+    let mut start = vec![0u32; n + 1];
+    for e in edges {
+        start[key(e) + 1] += 1;
+    }
+    for v in 0..n {
+        start[v + 1] += start[v];
+    }
+    let mut next = start.clone();
+    let mut out = edges.to_vec();
+    for e in edges {
+        out[next[key(e)] as usize] = *e;
+        next[key(e)] += 1;
+    }
+    (out, start)
 }
 
 impl DepGraph {
     /// Build adjacency from an edge list.
     pub fn from_edges(n: usize, edges: Vec<DepEdge>) -> Self {
-        let mut succ_idx = vec![Vec::new(); n];
-        let mut pred_idx = vec![Vec::new(); n];
-        for (i, e) in edges.iter().enumerate() {
-            succ_idx[e.from].push(i);
-            pred_idx[e.to].push(i);
-        }
+        let (pred_edges, pred_start) = group_by(n, &edges, |e| e.to);
+        let (edges, succ_start) = group_by(n, &edges, |e| e.from);
         DepGraph {
             n,
+            back_edges: edges.iter().filter(|e| e.to <= e.from).count(),
             edges,
-            succ_idx,
-            pred_idx,
+            succ_start,
+            pred_edges,
+            pred_start,
         }
     }
 
     /// Outgoing edges of op `v`.
-    pub fn succs(&self, v: usize) -> impl Iterator<Item = &DepEdge> {
-        self.succ_idx[v].iter().map(move |&i| &self.edges[i])
+    pub fn succs(&self, v: usize) -> &[DepEdge] {
+        &self.edges[self.succ_start[v] as usize..self.succ_start[v + 1] as usize]
     }
 
     /// Incoming edges of op `v`.
-    pub fn preds(&self, v: usize) -> impl Iterator<Item = &DepEdge> {
-        self.pred_idx[v].iter().map(move |&i| &self.edges[i])
+    pub fn preds(&self, v: usize) -> &[DepEdge] {
+        &self.pred_edges[self.pred_start[v] as usize..self.pred_start[v + 1] as usize]
     }
 }
 
@@ -133,7 +162,9 @@ impl LatencyModel {
 
 /// Build the dependence graph of `kernel` under `model`.
 pub fn build_graph(kernel: &Kernel, model: &LatencyModel) -> DepGraph {
-    let mut edges = Vec::new();
+    // Every operand is an edge and every chained op ends exactly one.
+    let operands: usize = kernel.ops.iter().map(|op| op.operands.len()).sum();
+    let mut edges = Vec::with_capacity(operands + kernel.ops.len());
 
     // 1. Data edges.
     for (i, op) in kernel.ops.iter().enumerate() {
@@ -154,34 +185,30 @@ pub fn build_graph(kernel: &Kernel, model: &LatencyModel) -> DepGraph {
         }
     }
 
-    // 2 & 3. Stream-order chains and wrap-around edges. The scratchpad is
-    // stateful too, so its accesses are chained in program order likewise.
-    let scratch_chain: Vec<usize> = kernel
-        .ops
-        .iter()
-        .enumerate()
-        .filter(|(_, op)| matches!(op.opcode, Opcode::ScratchRead | Opcode::ScratchWrite))
-        .map(|(i, _)| i)
-        .collect();
-    let mut chains: Vec<Vec<usize>> = vec![scratch_chain];
-    for slot_idx in 0..kernel.streams.len() {
-        let slot = crate::ir::StreamSlot(slot_idx as u8);
-        chains.push(kernel.stream_data_ops(slot));
-        chains.push(kernel.stream_addr_ops(slot));
-    }
-    for chain in chains {
-        if chain.is_empty() {
-            continue;
-        }
-        for w in chain.windows(2) {
+    // 2 & 3. Stream-order chains and wrap-around edges, in one pass: each
+    // port's first and latest access so far. The scratchpad is stateful
+    // too, so its accesses are chained in program order likewise.
+    let mut chains: Vec<Option<(usize, usize)>> = vec![None; 1 + 2 * kernel.streams.len()];
+    for (i, op) in kernel.ops.iter().enumerate() {
+        let chain = match op.opcode.class() {
+            OpClass::Scratch => 0,
+            OpClass::StreamPort(s) => 1 + 2 * s.0 as usize,
+            OpClass::AddrPort(s) => 2 + 2 * s.0 as usize,
+            OpClass::Alu | OpClass::Divider | OpClass::Comm | OpClass::Free => continue,
+        };
+        if let Some((_, last)) = &mut chains[chain] {
             edges.push(DepEdge {
-                from: w[0],
-                to: w[1],
+                from: *last,
+                to: i,
                 latency: 1,
                 distance: 0,
             });
+            *last = i;
+        } else {
+            chains[chain] = Some((i, i));
         }
-        let (&first, &last) = (chain.first().unwrap(), chain.last().unwrap());
+    }
+    for (first, last) in chains.into_iter().flatten() {
         edges.push(DepEdge {
             from: last,
             to: first,
@@ -303,8 +330,8 @@ mod tests {
         let _y = b.add(x, x);
         let k = b.build().unwrap();
         let g = build_graph(&k, &model());
-        assert_eq!(g.succs(0).filter(|e| e.to == 1).count(), 2);
-        assert_eq!(g.preds(1).count(), 2);
+        assert_eq!(g.succs(0).iter().filter(|e| e.to == 1).count(), 2);
+        assert_eq!(g.preds(1).len(), 2);
         let _ = StreamSlot(0);
     }
 }

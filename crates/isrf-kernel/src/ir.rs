@@ -397,6 +397,8 @@ impl Kernel {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), KernelError> {
+        // Address ops some `IdxRead` pairs with.
+        let mut read = vec![false; self.ops.len()];
         for (i, op) in self.ops.iter().enumerate() {
             if op.operands.len() != op.opcode.arity() {
                 return Err(KernelError::new(format!(
@@ -447,8 +449,9 @@ impl Kernel {
                 }
             }
             if let Opcode::IdxRead(slot) = op.opcode {
-                let target = &self.ops[op.operands[0].value.index()];
-                if target.opcode != Opcode::IdxAddr(slot) {
+                let target = op.operands[0].value.index();
+                read[target] = true;
+                if self.ops[target].opcode != Opcode::IdxAddr(slot) {
                     return Err(KernelError::new(format!(
                         "op {i} (IdxRead {slot}) must reference an IdxAddr of the same stream"
                     )));
@@ -464,20 +467,10 @@ impl Kernel {
         // access expands to `record_words` single-word reads, so several
         // reads may pair with one address).
         for (i, op) in self.ops.iter().enumerate() {
-            if let Opcode::IdxAddr(slot) = op.opcode {
-                let readers = self
-                    .ops
-                    .iter()
-                    .filter(|o| {
-                        matches!(o.opcode, Opcode::IdxRead(s) if s == slot)
-                            && o.operands[0].value.index() == i
-                    })
-                    .count();
-                if readers == 0 {
-                    return Err(KernelError::new(format!(
-                        "IdxAddr op {i} on {slot} has no paired IdxRead"
-                    )));
-                }
+            if let (Opcode::IdxAddr(slot), false) = (op.opcode, read[i]) {
+                return Err(KernelError::new(format!(
+                    "IdxAddr op {i} on {slot} has no paired IdxRead"
+                )));
             }
         }
         Ok(())

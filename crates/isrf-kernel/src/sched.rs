@@ -26,7 +26,7 @@ use std::sync::Arc;
 use isrf_core::config::MachineConfig;
 use isrf_core::Memo;
 
-use crate::graph::{build_graph, DepGraph, LatencyModel};
+use crate::graph::{build_graph, DepEdge, DepGraph, LatencyModel};
 use crate::ir::{Kernel, OpClass};
 
 /// Scheduling parameters: resources, latencies and separations.
@@ -118,204 +118,288 @@ impl fmt::Display for ScheduleError {
 
 impl std::error::Error for ScheduleError {}
 
-/// Resource keys of the modulo reservation table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Resource {
-    Alu,
-    Divider,
-    Comm,
-    Scratch,
-    /// Data port of stream slot `n`.
-    StreamPort(u8),
-    /// Address port of stream slot `n`.
-    AddrPort(u8),
-}
+/// Rows of the modulo reservation table: the four singleton resources, then
+/// each stream slot's data and address port interleaved.
+const ALU: usize = 0;
+const DIVIDER: usize = 1;
+const COMM: usize = 2;
+const SCRATCH: usize = 3;
 
-fn resource_of(class: OpClass) -> Option<Resource> {
+/// The reservation-table row `class` issues on; `None` for immediates.
+fn res_index(class: OpClass) -> Option<usize> {
     match class {
-        OpClass::Alu => Some(Resource::Alu),
-        OpClass::Divider => Some(Resource::Divider),
-        OpClass::Comm => Some(Resource::Comm),
-        OpClass::Scratch => Some(Resource::Scratch),
-        OpClass::StreamPort(s) => Some(Resource::StreamPort(s.0)),
-        OpClass::AddrPort(s) => Some(Resource::AddrPort(s.0)),
+        OpClass::Alu => Some(ALU),
+        OpClass::Divider => Some(DIVIDER),
+        OpClass::Comm => Some(COMM),
+        OpClass::Scratch => Some(SCRATCH),
+        OpClass::StreamPort(s) => Some(4 + 2 * s.0 as usize),
+        OpClass::AddrPort(s) => Some(5 + 2 * s.0 as usize),
         OpClass::Free => None,
     }
 }
 
-/// Compute the resource-constrained minimum II.
-fn res_mii(kernel: &Kernel, params: &SchedParams) -> u32 {
-    use std::collections::BTreeMap;
-    let mut demand: BTreeMap<Resource, u32> = BTreeMap::new();
-    for op in &kernel.ops {
-        if let Some(r) = resource_of(op.opcode.class()) {
-            // The unpipelined divider is occupied for the full latency.
-            let units = if r == Resource::Divider {
-                params.model.latency(op.opcode)
-            } else {
-                1
-            };
-            *demand.entry(r).or_insert(0) += units;
+/// What the search reads of each op, looked up once per `schedule`: its row
+/// of the reservation table and its latency.
+struct Needs {
+    res: Vec<Option<usize>>,
+    lat: Vec<u32>,
+    /// Units of each row: `fu_count` ALUs, `divider_count` dividers, one of
+    /// everything else.
+    cap: Vec<u32>,
+}
+
+impl Needs {
+    fn new(kernel: &Kernel, params: &SchedParams) -> Self {
+        let mut cap = vec![1; 4 + 2 * kernel.streams.len()];
+        cap[ALU] = params.fu_count as u32;
+        cap[DIVIDER] = params.divider_count as u32;
+        let ops = kernel.ops.iter();
+        Needs {
+            res: ops.clone().map(|op| res_index(op.opcode.class())).collect(),
+            lat: ops.map(|op| params.model.latency(op.opcode)).collect(),
+            cap,
         }
     }
-    demand
-        .into_iter()
-        .map(|(r, d)| {
-            let avail = match r {
-                Resource::Alu => params.fu_count as u32,
-                Resource::Divider => params.divider_count as u32,
-                _ => 1,
-            };
-            d.div_ceil(avail.max(1))
-        })
-        .max()
-        .unwrap_or(1)
-        .max(1)
+
+    /// Consecutive modulo slots `op` occupies at initiation interval `ii`:
+    /// the unpipelined divider is busy for its whole latency.
+    fn width(&self, op: usize, ii: u32) -> u32 {
+        if self.res[op] == Some(DIVIDER) {
+            self.lat[op].clamp(1, ii)
+        } else {
+            1
+        }
+    }
+
+    /// The resource-constrained minimum II.
+    fn res_mii(&self) -> u32 {
+        let mut demand = vec![0u32; self.cap.len()];
+        for (op, res) in self.res.iter().enumerate() {
+            if let Some(r) = *res {
+                demand[r] += if r == DIVIDER { self.lat[op] } else { 1 };
+            }
+        }
+        let bound = |(d, cap): (&u32, &u32)| d.div_ceil((*cap).max(1));
+        demand
+            .iter()
+            .zip(&self.cap)
+            .map(bound)
+            .max()
+            .unwrap_or(1)
+            .max(1)
+    }
+}
+
+/// Work counts of one `schedule`, for the unit tests that hold it linear.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Work {
+    /// Bellman-Ford fixed points computed ([`heights`] calls).
+    heights: u32,
+    /// Words of the reservation table's free masks read by slot searches.
+    mrt_words: u32,
 }
 
 /// Longest-path heights via bounded Bellman-Ford over edge weights
-/// `latency - ii * distance`; returns `None` when a positive cycle exists
+/// `latency - ii * distance`, into `h`; `false` when a positive cycle exists
 /// (II infeasible for the recurrences).
-fn heights(graph: &DepGraph, ii: u32) -> Option<Vec<i64>> {
+fn heights(graph: &DepGraph, ii: u32, h: &mut Vec<i64>, work: &mut Work) -> bool {
+    work.heights += 1;
     let n = graph.n;
-    // Relax edges by descending `from`: ops are stored topologically, so a
-    // node's successors (larger indices, for loop-independent edges) settle
-    // before the node itself and the fixed point is reached in a couple of
-    // rounds instead of O(dependence depth). The fixed point is unique, so
-    // relaxation order never changes the result — only how fast the round
-    // loop exits. The `n`-round cap still detects positive cycles.
-    let mut order: Vec<u32> = (0..graph.edges.len() as u32).collect();
-    order.sort_unstable_by_key(|&i| std::cmp::Reverse(graph.edges[i as usize].from));
-    let mut h = vec![0i64; n];
-    for round in 0..=n {
+    h.clear();
+    h.resize(n, 0);
+    // Relax by descending producer: an edge to a later op reads a height
+    // this round has already settled, so one round follows a path until it
+    // crosses an edge that points back (a loop-carried operand, a wrap
+    // edge), and a path that crosses `k` of them is found by round `k + 1`.
+    // Without a positive cycle the longest path is simple and crosses each
+    // such edge at most once, so a round that still changes something after
+    // `back_edges + 1` rounds (or `n`, the classic bound) proves a positive
+    // cycle. The fixed point is unique: relaxation order never changes the
+    // result, only how soon the loop exits.
+    for _ in 0..graph.back_edges.min(n) + 2 {
         let mut changed = false;
-        for &i in &order {
-            let e = &graph.edges[i as usize];
-            let w = e.latency as i64 - (ii as i64) * e.distance as i64;
-            if h[e.to] + w > h[e.from] {
-                h[e.from] = h[e.to] + w;
-                changed = true;
+        for v in (0..n).rev() {
+            for e in graph.succs(v) {
+                let w = e.latency as i64 - (ii as i64) * e.distance as i64;
+                if h[e.to] + w > h[v] {
+                    h[v] = h[e.to] + w;
+                    changed = true;
+                }
             }
         }
         if !changed {
-            return Some(h);
-        }
-        if round == n {
-            return None;
+            return true;
         }
     }
-    Some(h)
+    false
 }
 
-/// Dense index of a [`Resource`] into the MRT's flat row array: the four
-/// singleton resources first, then the per-slot stream data/address ports
-/// interleaved.
-fn res_index(r: Resource) -> usize {
-    match r {
-        Resource::Alu => 0,
-        Resource::Divider => 1,
-        Resource::Comm => 2,
-        Resource::Scratch => 3,
-        Resource::StreamPort(n) => 4 + 2 * n as usize,
-        Resource::AddrPort(n) => 5 + 2 * n as usize,
+/// The smallest II in `lo..=max_ii` whose recurrences are feasible, and the
+/// heights at it. Feasibility is monotone in II (loop-carried edge weights
+/// only shrink as II grows), so a kernel that is resource bound — feasible
+/// at `lo`, the resource MII — costs one fixed point, and only a recurrence
+/// bound one pays for the bisection.
+fn rec_mii(graph: &DepGraph, lo: u32, max_ii: u32, work: &mut Work) -> Option<(u32, Vec<i64>)> {
+    let (mut best, mut h) = (Vec::new(), Vec::new());
+    if lo <= max_ii && heights(graph, lo, &mut best, work) {
+        return Some((lo, best));
     }
+    let (mut lo, mut hi) = (lo + 1, max_ii);
+    if lo > hi || !heights(graph, hi, &mut best, work) {
+        return None;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if heights(graph, mid, &mut h, work) {
+            hi = mid;
+            std::mem::swap(&mut best, &mut h);
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some((hi, best))
 }
 
-struct Mrt {
+/// The modulo reservation table at one II.
+struct Mrt<'a> {
     ii: u32,
-    /// Ops occupying each `(resource, modulo slot)`, flat-indexed as
-    /// `res_index * ii + slot`.
-    rows: Vec<Vec<usize>>,
-    /// `rows[i].len()` mirrored as a plain array so the scheduling loop's
-    /// slot probe is one load, no hashing or allocation.
+    needs: &'a Needs,
+    /// 64-slot words to a row of `free`.
+    words: usize,
+    /// Bit `s` of row `r`: modulo slot `s` still has a unit of `r` free.
+    free: Vec<u64>,
+    /// Ops on each `(row, slot)`, `counts[r * ii + s]` of them from
+    /// `users[first[r] + s * cap[r]]` on, in placement order (eviction takes
+    /// the earliest, removal swaps the last into the gap).
     counts: Vec<u32>,
+    users: Vec<u32>,
+    first: Vec<usize>,
 }
 
-impl Mrt {
-    fn new(ii: u32, n_resources: usize) -> Self {
-        let cells = n_resources * ii as usize;
+impl<'a> Mrt<'a> {
+    fn new(ii: u32, needs: &'a Needs) -> Self {
+        let words = (ii as usize).div_ceil(64);
+        let mut free = Vec::with_capacity(needs.cap.len() * words);
+        let mut first = Vec::with_capacity(needs.cap.len());
+        let mut cells = 0;
+        for &cap in &needs.cap {
+            first.push(cells);
+            // A row without units still records the op forced onto it.
+            cells += ii as usize * cap.max(1) as usize;
+            free.extend((0..words).map(|w| match (cap, ii as usize - w * 64) {
+                (0, _) => 0,
+                (_, 64..) => u64::MAX,
+                (_, rest) => (1 << rest) - 1,
+            }));
+        }
         Mrt {
             ii,
-            rows: vec![Vec::new(); cells],
-            counts: vec![0; cells],
+            needs,
+            words,
+            free,
+            counts: vec![0; needs.cap.len() * ii as usize],
+            users: vec![0; cells],
+            first,
         }
     }
 
-    /// True when every modulo slot `op` would occupy at `t` still has
-    /// capacity. Only valid while `op` itself is unplaced (the caller's
-    /// invariant), which makes this exactly `conflicts(..).is_empty()`.
-    fn is_free(
-        &self,
-        class: OpClass,
-        latency: u32,
-        t: u32,
-        capacity: impl Fn(Resource) -> u32,
-    ) -> bool {
-        let Some(r) = resource_of(class) else {
-            return true;
-        };
-        let cap = capacity(r);
-        let base = res_index(r) * self.ii as usize;
-        Self::occupancy(latency, class, t, self.ii)
-            .into_iter()
-            .all(|slot| self.counts[base + slot as usize] < cap)
+    /// The first set bit of `row` in `lo..hi`, for `lo` inside the row.
+    fn scan(row: &[u64], lo: u32, hi: u32, work: &mut Work) -> Option<u32> {
+        let mut w = (lo / 64) as usize;
+        let mut bits = row[w] & (u64::MAX << (lo % 64));
+        loop {
+            work.mrt_words += 1;
+            if bits != 0 {
+                let s = w as u32 * 64 + bits.trailing_zeros();
+                return (s < hi).then_some(s);
+            }
+            w += 1;
+            if w as u32 * 64 >= hi {
+                return None;
+            }
+            bits = row[w];
+        }
     }
 
-    /// The modulo slots `op` would occupy when issued at `t`.
-    fn occupancy(op_latency: u32, class: OpClass, t: u32, ii: u32) -> Vec<u32> {
-        let width = if matches!(class, OpClass::Divider) {
-            op_latency.clamp(1, ii)
-        } else {
-            1
+    /// The first `t` in `estart..estart + limit` (`limit <= ii`) at which
+    /// every modulo slot `op` would occupy has capacity.
+    fn first_free(&self, op: usize, estart: u32, limit: u32, work: &mut Work) -> Option<u32> {
+        let Some(r) = self.needs.res[op] else {
+            return (limit > 0).then_some(estart);
         };
-        (0..width).map(|k| (t + k) % ii).collect()
+        let row = &self.free[r * self.words..(r + 1) * self.words];
+        let width = self.needs.width(op, self.ii);
+        let mut d = 0;
+        while d < limit {
+            // The next free slot at or after `estart + d`, wrapping once.
+            let s = (estart + d) % self.ii;
+            d += match Self::scan(row, s, self.ii, work) {
+                Some(f) => f - s,
+                None => self.ii - s + Self::scan(row, 0, s, work)?,
+            };
+            let busy = |k| {
+                let s = ((estart + d + k) % self.ii) as usize;
+                row[s / 64] & (1 << (s % 64)) == 0
+            };
+            if d < limit && !(1..width).any(busy) {
+                return Some(estart + d);
+            }
+            d += 1;
+        }
+        None
     }
 
-    fn conflicts(
-        &self,
-        op: usize,
-        class: OpClass,
-        latency: u32,
-        t: u32,
-        capacity: impl Fn(Resource) -> u32,
-    ) -> Vec<usize> {
-        let Some(r) = resource_of(class) else {
-            return vec![];
-        };
-        let cap = capacity(r) as usize;
-        let base = res_index(r) * self.ii as usize;
-        let mut out = Vec::new();
-        for slot in Self::occupancy(latency, class, t, self.ii) {
-            let users = &self.rows[base + slot as usize];
-            let users: Vec<usize> = users.iter().copied().filter(|&u| u != op).collect();
-            if users.len() >= cap {
-                // Evicting the earliest-placed user frees the slot.
-                out.extend(users.iter().take(users.len() + 1 - cap));
+    /// `(row, cell)` of each modulo slot `op` occupies when issued at `t`.
+    fn cells(&self, op: usize, t: u32) -> impl Iterator<Item = (usize, usize)> {
+        let ii = self.ii;
+        let width = self.needs.width(op, ii);
+        let r = self.needs.res[op];
+        r.into_iter()
+            .flat_map(move |r| (0..width).map(move |k| (r, ((t + k) % ii) as usize)))
+    }
+
+    fn users_at(&self, r: usize, slot: usize) -> usize {
+        self.first[r] + slot * self.needs.cap[r].max(1) as usize
+    }
+
+    /// The ops to evict so that `op` (unplaced) fits at `t`: from each full
+    /// slot, the earliest-placed users beyond what leaves one unit free.
+    fn conflicts(&self, op: usize, t: u32, out: &mut Vec<usize>) {
+        out.clear();
+        for (r, slot) in self.cells(op, t) {
+            let (count, cap) = (self.counts[r * self.ii as usize + slot], self.needs.cap[r]);
+            if count >= cap {
+                let at = self.users_at(r, slot);
+                let evicted = (count + 1 - cap).min(count) as usize;
+                out.extend(self.users[at..at + evicted].iter().map(|&u| u as usize));
             }
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 
-    fn place(&mut self, op: usize, class: OpClass, latency: u32, t: u32) {
-        if let Some(r) = resource_of(class) {
-            let base = res_index(r) * self.ii as usize;
-            for slot in Self::occupancy(latency, class, t, self.ii) {
-                self.rows[base + slot as usize].push(op);
-                self.counts[base + slot as usize] += 1;
+    fn place(&mut self, op: usize, t: u32) {
+        for (r, slot) in self.cells(op, t) {
+            let at = self.users_at(r, slot);
+            let count = &mut self.counts[r * self.ii as usize + slot];
+            self.users[at + *count as usize] = op as u32;
+            *count += 1;
+            if *count >= self.needs.cap[r] {
+                self.free[r * self.words + slot / 64] &= !(1 << (slot % 64));
             }
         }
     }
 
-    fn remove(&mut self, op: usize, class: OpClass, latency: u32, t: u32) {
-        if let Some(r) = resource_of(class) {
-            let base = res_index(r) * self.ii as usize;
-            for slot in Self::occupancy(latency, class, t, self.ii) {
-                let v = &mut self.rows[base + slot as usize];
-                if let Some(pos) = v.iter().position(|&u| u == op) {
-                    v.swap_remove(pos);
-                    self.counts[base + slot as usize] -= 1;
+    fn remove(&mut self, op: usize, t: u32) {
+        for (r, slot) in self.cells(op, t) {
+            let at = self.users_at(r, slot);
+            let count = &mut self.counts[r * self.ii as usize + slot];
+            let users = &mut self.users[at..at + *count as usize];
+            if let Some(pos) = users.iter().position(|&u| u as usize == op) {
+                users[pos] = users[users.len() - 1];
+                *count -= 1;
+                if *count < self.needs.cap[r] {
+                    self.free[r * self.words + slot / 64] |= 1 << (slot % 64);
                 }
             }
         }
@@ -370,40 +454,30 @@ pub fn schedule_cache_stats() -> (u64, u64) {
 /// Returns [`ScheduleError`] when no schedule exists at `params.max_ii` or
 /// below (e.g. a recurrence longer than `max_ii`).
 pub fn schedule(kernel: &Kernel, params: &SchedParams) -> Result<Schedule, ScheduleError> {
+    schedule_counted(kernel, params, &mut Work::default())
+}
+
+fn schedule_counted(
+    kernel: &Kernel,
+    params: &SchedParams,
+    work: &mut Work,
+) -> Result<Schedule, ScheduleError> {
+    let err = || ScheduleError {
+        kernel: kernel.name.clone(),
+        max_ii: params.max_ii,
+    };
     let graph = build_graph(kernel, &params.model);
-    let res_bound = res_mii(kernel, params);
-    // Recurrence feasibility is monotone in II (loop-carried edge weights
-    // only shrink as II grows), so binary-search the recurrence MII.
-    let mut lo = res_bound;
-    let mut hi = params.max_ii;
-    if heights(&graph, hi).is_none() {
-        return Err(ScheduleError {
-            kernel: kernel.name.clone(),
-            max_ii: params.max_ii,
-        });
-    }
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if heights(&graph, mid).is_some() {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let mii = lo;
+    let needs = Needs::new(kernel, params);
+    let (mii, mut h) = rec_mii(&graph, needs.res_mii(), params.max_ii, work).ok_or_else(err)?;
     for ii in mii..=params.max_ii {
-        let Some(h) = heights(&graph, ii) else {
+        // The heights at the MII came with it; a later II has its own.
+        if ii > mii && !heights(&graph, ii, &mut h, work) {
             continue; // recurrence-infeasible at this II
-        };
-        if let Some(slots) = attempt(kernel, &graph, params, ii, &h) {
+        }
+        if let Some(slots) = attempt(&graph, &needs, ii, &h, work) {
             let span = slots.iter().copied().max().unwrap_or(0) + 1;
-            let completion = kernel
-                .ops
-                .iter()
-                .enumerate()
-                .map(|(i, op)| slots[i] + params.model.latency(op.opcode).max(1))
-                .max()
-                .unwrap_or(1);
+            let done = |(slot, lat): (&u32, &u32)| slot + (*lat).max(1);
+            let completion = slots.iter().zip(&needs.lat).map(done).max().unwrap_or(1);
             return Ok(Schedule {
                 ii,
                 slots,
@@ -412,36 +486,23 @@ pub fn schedule(kernel: &Kernel, params: &SchedParams) -> Result<Schedule, Sched
             });
         }
     }
-    Err(ScheduleError {
-        kernel: kernel.name.clone(),
-        max_ii: params.max_ii,
-    })
+    Err(err())
 }
 
 fn attempt(
-    kernel: &Kernel,
     graph: &DepGraph,
-    params: &SchedParams,
+    needs: &Needs,
     ii: u32,
     heights: &[i64],
+    work: &mut Work,
 ) -> Option<Vec<u32>> {
-    let n = kernel.ops.len();
+    let n = graph.n;
     if n == 0 {
         return Some(vec![]);
     }
-    let capacity = |r: Resource| -> u32 {
-        match r {
-            Resource::Alu => params.fu_count as u32,
-            Resource::Divider => params.divider_count as u32,
-            _ => 1,
-        }
-    };
-    let lat = |i: usize| params.model.latency(kernel.ops[i].opcode);
-    let class = |i: usize| kernel.ops[i].opcode.class();
-    // Edge latency: IdxRead pairing edges carry the separation, so compute
-    // effective edge latency from the graph (already encoded there).
-    let n_resources = 4 + 2 * kernel.streams.len();
-    let mut mrt = Mrt::new(ii, n_resources);
+    // Slack of an edge: `slot(to) - slot(from)` must be at least this.
+    let need = |e: &DepEdge| e.latency as i64 - (ii as i64) * e.distance as i64;
+    let mut mrt = Mrt::new(ii, needs);
     let mut slot: Vec<Option<u32>> = vec![None; n];
     let mut prev_slot: Vec<Option<u32>> = vec![None; n];
     let mut budget = 20 * n as i64 + 200;
@@ -451,11 +512,11 @@ fn attempt(
     // scheduled in the meantime are discarded, and evicted ops are pushed
     // back, so every unscheduled op always has a live entry and each pop
     // yields exactly the op a full `max_by_key` scan would.
-    let mut work: std::collections::BinaryHeap<(i64, std::cmp::Reverse<usize>)> =
+    let mut queue: std::collections::BinaryHeap<(i64, std::cmp::Reverse<usize>)> =
         (0..n).map(|i| (heights[i], std::cmp::Reverse(i))).collect();
     let mut evict: Vec<usize> = Vec::new();
 
-    while let Some((_, std::cmp::Reverse(op))) = work.pop() {
+    while let Some((_, std::cmp::Reverse(op))) = queue.pop() {
         if slot[op].is_some() {
             continue; // stale entry: scheduled since it was pushed
         }
@@ -467,98 +528,68 @@ fn attempt(
         let mut estart: i64 = 0;
         for e in graph.preds(op) {
             if let Some(s) = slot[e.from] {
-                let t = s as i64 + e.latency as i64 - (ii as i64) * e.distance as i64;
-                estart = estart.max(t);
+                estart = estart.max(s as i64 + need(e));
             }
         }
-        let estart = estart.max(0) as u32;
+        let estart = estart as u32;
         // Latest start satisfying the already-scheduled successors, and
-        // self-edge feasibility (t-independent). Together these are the
-        // `succs_ok` check, hoisted out of the per-candidate loop; the
-        // predecessor half of `succs_ok` is implied by `t >= estart`.
-        let mut tmax = i64::MAX;
-        let mut self_ok = true;
+        // self-edge feasibility (t-independent); a start at or after
+        // `estart` satisfies the scheduled predecessors.
+        let mut tmax = estart as i64 + ii as i64 - 1;
         for e in graph.succs(op) {
             if e.to == op {
-                if (ii as i64) * (e.distance as i64) < e.latency as i64 {
-                    self_ok = false;
+                if need(e) > 0 {
+                    tmax = -1;
                 }
-                continue;
-            }
-            if let Some(s) = slot[e.to] {
-                tmax = tmax.min(s as i64 + (ii as i64) * (e.distance as i64) - e.latency as i64);
+            } else if let Some(s) = slot[e.to] {
+                tmax = tmax.min(s as i64 - need(e));
             }
         }
-        // Find a conflict-free slot in [estart, estart + ii).
-        let mut chosen = None;
-        if self_ok {
-            for t in estart..estart + ii {
-                if i64::from(t) > tmax {
-                    break;
+        // A conflict-free slot in `estart..estart + ii` no later than `tmax`.
+        let limit = (tmax + 1 - estart as i64).max(0) as u32;
+        let t = match mrt.first_free(op, estart, limit, work) {
+            Some(t) => t,
+            None => {
+                // Forced: later than last time, evicting who holds the slot.
+                let t = estart.max(prev_slot[op].map_or(0, |p| p + 1));
+                mrt.conflicts(op, t, &mut evict);
+                for &victim in &evict {
+                    if let Some(vs) = slot[victim].take() {
+                        mrt.remove(victim, vs);
+                        queue.push((heights[victim], std::cmp::Reverse(victim)));
+                    }
                 }
-                if mrt.is_free(class(op), lat(op), t, capacity) {
-                    chosen = Some((t, false));
-                    break;
-                }
+                t
             }
-        }
-        let (t, forced) = chosen.unwrap_or_else(|| {
-            let min_forced = prev_slot[op].map(|p| p + 1).unwrap_or(0);
-            (estart.max(min_forced), true)
-        });
-        if forced {
-            // Evict resource conflicts.
-            for victim in mrt.conflicts(op, class(op), lat(op), t, capacity) {
-                if let Some(vs) = slot[victim].take() {
-                    mrt.remove(victim, class(victim), lat(victim), vs);
-                    work.push((heights[victim], std::cmp::Reverse(victim)));
-                }
-            }
-        }
-        mrt.place(op, class(op), lat(op), t);
+        };
+        mrt.place(op, t);
         slot[op] = Some(t);
         prev_slot[op] = Some(t);
         // Evict scheduled ops whose constraints this placement violates.
         evict.clear();
         for e in graph.succs(op) {
-            if e.to == op {
-                continue;
-            }
-            if let Some(s) = slot[e.to] {
-                let need = t as i64 + e.latency as i64 - (ii as i64) * e.distance as i64;
-                if (s as i64) < need {
-                    evict.push(e.to);
-                }
+            if e.to != op && slot[e.to].is_some_and(|s| (s as i64) < t as i64 + need(e)) {
+                evict.push(e.to);
             }
         }
         for e in graph.preds(op) {
-            if e.from == op {
-                continue;
-            }
-            if let Some(s) = slot[e.from] {
-                let need = s as i64 + e.latency as i64 - (ii as i64) * e.distance as i64;
-                if (t as i64) < need {
-                    evict.push(e.from);
-                }
+            if e.from != op && slot[e.from].is_some_and(|s| (t as i64) < s as i64 + need(e)) {
+                evict.push(e.from);
             }
         }
         for &v in &evict {
             if let Some(s) = slot[v].take() {
-                mrt.remove(v, class(v), lat(v), s);
-                work.push((heights[v], std::cmp::Reverse(v)));
+                mrt.remove(v, s);
+                queue.push((heights[v], std::cmp::Reverse(v)));
             }
         }
     }
     // Self-edges (single-op wrap chains) were skipped during eviction; they
     // impose ii * distance >= latency, i.e. ii >= 1, always true here, but
     // verify every constraint as a final safety net.
-    for e in &graph.edges {
-        let (sf, st) = (slot[e.from].unwrap() as i64, slot[e.to].unwrap() as i64);
-        if st + (ii as i64) * (e.distance as i64) < sf + e.latency as i64 {
-            return None;
-        }
-    }
-    Some(slot.into_iter().map(|s| s.unwrap()).collect())
+    let slots: Vec<u32> = slot.into_iter().map(|s| s.unwrap()).collect();
+    let kept = |e: &DepEdge| slots[e.to] as i64 >= slots[e.from] as i64 + need(e);
+    graph.edges.iter().all(kept).then_some(slots)
 }
 
 #[cfg(test)]
@@ -584,30 +615,18 @@ mod tests {
             );
         }
         // Modulo resource check.
-        use std::collections::BTreeMap;
-        let mut mrt: BTreeMap<(Resource, u32), u32> = BTreeMap::new();
-        for (i, op) in kernel.ops.iter().enumerate() {
-            if let Some(r) = resource_of(op.opcode.class()) {
-                for slot in Mrt::occupancy(
-                    p.model.latency(op.opcode),
-                    op.opcode.class(),
-                    s.slots[i],
-                    s.ii,
-                ) {
-                    *mrt.entry((r, slot)).or_insert(0) += 1;
-                }
+        let needs = Needs::new(kernel, p);
+        let mut used = vec![0; needs.cap.len() * s.ii as usize];
+        for op in 0..kernel.ops.len() {
+            let Some(r) = needs.res[op] else { continue };
+            for k in 0..needs.width(op, s.ii) {
+                let slot = (s.slots[op] + k) % s.ii;
+                used[r * s.ii as usize + slot as usize] += 1;
+                assert!(
+                    used[r * s.ii as usize + slot as usize] <= needs.cap[r],
+                    "row {r} oversubscribed at modulo slot {slot}"
+                );
             }
-        }
-        for ((r, slot), count) in mrt {
-            let cap = match r {
-                Resource::Alu => p.fu_count as u32,
-                Resource::Divider => p.divider_count as u32,
-                _ => 1,
-            };
-            assert!(
-                count <= cap,
-                "resource {r:?} oversubscribed at modulo slot {slot}"
-            );
         }
     }
 
@@ -821,6 +840,94 @@ mod tests {
         let k = KernelBuilder::new("empty").build().unwrap();
         let s = schedule(&k, &params()).unwrap();
         assert_eq!(s.slots.len(), 0);
+    }
+
+    /// What one `schedule` costs, as counts (exact in debug and release).
+    /// The scheduler this replaced sorted the edge list on each of fourteen
+    /// Bellman-Ford passes whatever the kernel, and asked the reservation
+    /// table about one modulo slot at a time.
+    #[test]
+    fn work_is_proportional_to_the_ops_of_the_kernel() {
+        // The benchmark's largest shape: 256 taps `acc + (x ^ k) * c` over
+        // four accumulators, 1 288 ops, resource bound (768 ALU ops on 4
+        // units). One fixed point, and fewer mask words read than there
+        // are ops, where a row of the table has four.
+        let mut b = KernelBuilder::new("fir");
+        let sin = b.stream("in", StreamKind::SeqIn);
+        let sout = b.stream("out", StreamKind::SeqOut);
+        let x = b.seq_read(sin);
+        let (_t, v0) = (b.constant(0), b.constant(7));
+        let mut acc = [b.add(x, v0), x, x, x];
+        for i in 0..256 {
+            let (k, c) = (b.constant(i), b.constant(2 * i + 3));
+            let tap = b.xor(x, k);
+            let m = b.mul(tap, c);
+            acc[i as usize % 4] = b.add(acc[i as usize % 4], m);
+        }
+        let a12 = b.xor(acc[1], acc[2]);
+        let a123 = b.xor(a12, acc[3]);
+        let sum = b.add(acc[0], a123);
+        b.seq_write(sout, sum);
+        let k = b.build().unwrap();
+        let mut work = Work::default();
+        let s = schedule_counted(&k, &params(), &mut work).unwrap();
+        assert_eq!((k.ops.len(), s.ii), (1288, 193));
+        let mrt_words = 1043;
+        assert_eq!(
+            work,
+            Work {
+                heights: 1,
+                mrt_words
+            }
+        );
+        assert!(mrt_words as usize <= k.ops.len());
+
+        // Rijndael's shape: each table address is made from the word the
+        // last lookup returned, so the separation sits on a recurrence and
+        // the MII is found by bisection: the resource MII, `max_ii`, then at
+        // most ceil(log2(max_ii)) midpoints. Nothing is sorted on the way:
+        // the relaxation order is the graph's own row order.
+        let mut b = KernelBuilder::new("chain");
+        let lut = b.stream("LUT", StreamKind::IdxCrossRead);
+        let sout = b.stream("out", StreamKind::SeqOut);
+        let mask = b.constant(0xff);
+        let mut word = b.push(Opcode::Mov, vec![Operand::carried(ValueId(13), 1, 0)]);
+        for _ in 0..4 {
+            let addr = b.and(word, mask);
+            word = b.idx_load(lut, addr);
+        }
+        assert_eq!(word, ValueId(13));
+        b.seq_write(sout, word);
+        let k = b.build().unwrap();
+        let mut work = Work::default();
+        let s = schedule_counted(&k, &params(), &mut work).unwrap();
+        assert_eq!(s.ii, 93);
+        let (heights, mrt_words) = (14, 14);
+        assert_eq!(work, Work { heights, mrt_words });
+        assert!(heights <= params().max_ii.ilog2() + 3);
+    }
+
+    #[test]
+    fn heights_settle_within_the_round_bound_or_there_is_a_positive_cycle() {
+        let edge = |from, to, latency, distance| DepEdge {
+            from,
+            to,
+            latency,
+            distance,
+        };
+        // The longest path crosses the one edge that points back and goes
+        // on: found in round two, confirmed in round three, the bound.
+        let mut edges = vec![edge(2, 0, 5, 1), edge(0, 1, 3, 0)];
+        let g = DepGraph::from_edges(3, edges.clone());
+        let (mut h, mut work) = (Vec::new(), Work::default());
+        assert!(heights(&g, 1, &mut h, &mut work));
+        assert_eq!(h, [3, 0, 7]);
+        // Closing the cycle (latency 9, distance 1) makes II 8 infeasible.
+        edges.push(edge(1, 2, 1, 0));
+        let g = DepGraph::from_edges(3, edges);
+        assert!(!heights(&g, 8, &mut h, &mut work));
+        assert!(heights(&g, 9, &mut h, &mut work));
+        assert_eq!(h, [4, 1, 0]);
     }
 
     #[test]

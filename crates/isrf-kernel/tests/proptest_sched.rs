@@ -4,53 +4,13 @@
 
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_kernel::graph::build_graph;
-use isrf_kernel::ir::{Kernel, KernelBuilder, OpClass, Operand, StreamKind, ValueId};
+use isrf_kernel::ir::{Kernel, OpClass};
 use isrf_kernel::sched::{schedule, SchedParams};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone)]
-struct GenOp {
-    code: u8,
-    a: prop::sample::Index,
-    b: prop::sample::Index,
-    carried: bool,
-}
-
-fn build(ops: &[GenOp], with_idx: bool) -> Kernel {
-    let mut b = KernelBuilder::new("prop");
-    let sin = b.stream("in", StreamKind::SeqIn);
-    let lut = b.stream("lut", StreamKind::IdxInRead);
-    let sout = b.stream("out", StreamKind::SeqOut);
-    let x = b.seq_read(sin);
-    let mut ids: Vec<ValueId> = vec![x];
-    for op in ops {
-        let n = ids.len();
-        let a = ids[op.a.index(n)];
-        let c = ids[op.b.index(n)];
-        let a = if op.carried {
-            Operand::carried(a, 1 + (op.code % 3) as u32, 1)
-        } else {
-            Operand::from(a)
-        };
-        let id = match op.code % 6 {
-            0 => b.add(a, c),
-            1 => b.mul(a, c),
-            2 => b.xor(a, c),
-            3 => b.div(a, c),
-            4 if with_idx => {
-                let mask = b.constant(0xff);
-                let masked = b.and(a, mask);
-                b.idx_load(lut, masked)
-            }
-            _ => b.select(a, c, c),
-        };
-        ids.push(id);
-    }
-    let last = *ids.last().unwrap();
-    b.seq_write(sout, last);
-    b.build().expect("generated kernel validates")
-}
+mod gen;
+use gen::build;
 
 fn verify_schedule(k: &Kernel, p: &SchedParams) {
     let s = schedule(k, p).expect("schedulable");
@@ -89,11 +49,7 @@ proptest! {
 
     #[test]
     fn random_kernels_schedule_correctly(
-        ops in prop::collection::vec(
-            (any::<u8>(), any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<bool>())
-                .prop_map(|(code, a, b, carried)| GenOp { code, a, b, carried }),
-            1..30
-        ),
+        ops in gen::ops(30),
         with_idx in any::<bool>(),
         sep in 2u32..12,
     ) {
@@ -106,11 +62,7 @@ proptest! {
     /// II is monotone non-decreasing in the address/data separation.
     #[test]
     fn ii_monotone_in_separation(
-        ops in prop::collection::vec(
-            (any::<u8>(), any::<prop::sample::Index>(), any::<prop::sample::Index>(), any::<bool>())
-                .prop_map(|(code, a, b, carried)| GenOp { code, a, b, carried }),
-            1..20
-        ),
+        ops in gen::ops(20),
     ) {
         let k = build(&ops, true);
         let base = SchedParams::from_machine(&MachineConfig::preset(ConfigName::Isrf4));

@@ -28,10 +28,10 @@ impl fmt::Display for LangError {
 
 impl std::error::Error for LangError {}
 
-/// Token kinds of the subset.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
-    Ident(String),
+/// Token kinds of the subset; an identifier borrows its text from the source.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Tok<'a> {
+    Ident(&'a str),
     Int(i64),
     Float(f32),
     // Punctuation / operators.
@@ -65,139 +65,131 @@ pub enum Tok {
 }
 
 /// A token with its source line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Token<'a> {
     /// Token kind and payload.
-    pub tok: Tok,
+    pub tok: Tok<'a>,
     /// 1-based source line.
     pub line: u32,
 }
 
-/// Tokenize `src`.
-pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LangError> {
-    let mut out = Vec::new();
-    let mut line: u32 = 1;
+/// Tokenize `src`. Every branch matches on bytes and consumes whole ASCII
+/// characters, so `i` is always on a character boundary and a multi-byte
+/// character can only be met whole: skipped inside a comment, refused
+/// outside one.
+pub(crate) fn lex(src: &str) -> Result<Vec<Token<'_>>, LangError> {
     let b = src.as_bytes();
+    let mut out = Vec::with_capacity(b.len() / 3);
+    let mut line: u32 = 1;
     let mut i = 0;
     while i < b.len() {
-        let c = b[i] as char;
-        match c {
-            '\n' => {
+        let two = (b[i], b.get(i + 1).copied().unwrap_or(0));
+        let (tok, len) = match two {
+            (b'\n', _) => {
                 line += 1;
                 i += 1;
+                continue;
             }
-            ' ' | '\t' | '\r' => i += 1,
-            '/' if i + 1 < b.len() && b[i + 1] == b'/' => {
+            (b' ' | b'\t' | b'\r', _) => {
+                i += 1;
+                continue;
+            }
+            (b'/', b'/') => {
                 while i < b.len() && b[i] != b'\n' {
                     i += 1;
                 }
+                continue;
             }
-            '/' if i + 1 < b.len() && b[i + 1] == b'*' => {
+            (b'/', b'*') => {
                 i += 2;
                 while i + 1 < b.len() && !(b[i] == b'*' && b[i + 1] == b'/') {
-                    if b[i] == b'\n' {
-                        line += 1;
-                    }
+                    line += u32::from(b[i] == b'\n');
                     i += 1;
                 }
                 i = (i + 2).min(b.len());
+                continue;
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let start = i;
-                while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
-                    i += 1;
-                }
-                out.push(Token {
-                    tok: Tok::Ident(src[start..i].to_string()),
-                    line,
-                });
+            (b'a'..=b'z' | b'A'..=b'Z' | b'_', _) => {
+                let word = |c: &u8| c.is_ascii_alphanumeric() || *c == b'_';
+                let len = b[i..].iter().take_while(|c| word(c)).count();
+                (Tok::Ident(&src[i..i + len]), len)
             }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                let mut is_float = false;
-                while i < b.len()
-                    && (b[i].is_ascii_digit()
-                        || b[i] == b'.'
-                        || b[i] == b'e'
-                        || b[i] == b'E'
-                        || ((b[i] == b'+' || b[i] == b'-')
-                            && i > start
-                            && (b[i - 1] == b'e' || b[i - 1] == b'E'))
-                        || b[i] == b'f'
-                        || b[i] == b'x'
-                        || (i > start + 1 && b[start + 1] == b'x' && b[i].is_ascii_hexdigit()))
-                {
-                    if b[i] == b'.' || b[i] == b'e' || b[i] == b'E' || b[i] == b'f' {
-                        is_float = b[start + 1] != b'x';
-                    }
-                    i += 1;
-                }
-                let text = &src[start..i];
-                let tok =
-                    if is_float {
-                        let t = text.trim_end_matches('f');
-                        Tok::Float(t.parse::<f32>().map_err(|_| {
-                            LangError::new(line, format!("bad float literal `{text}`"))
-                        })?)
-                    } else if let Some(hex) = text.strip_prefix("0x") {
-                        Tok::Int(i64::from_str_radix(hex, 16).map_err(|_| {
-                            LangError::new(line, format!("bad hex literal `{text}`"))
-                        })?)
-                    } else {
-                        Tok::Int(text.parse::<i64>().map_err(|_| {
-                            LangError::new(line, format!("bad int literal `{text}`"))
-                        })?)
-                    };
-                out.push(Token { tok, line });
+            (b'0'..=b'9', _) => {
+                let text = &src[i..i + number_len(&b[i..])];
+                (
+                    number(text).map_err(|m| LangError::new(line, m))?,
+                    text.len(),
+                )
             }
+            (b'<', b'<') => (Tok::Shl, 2),
+            (b'>', b'>') => (Tok::Shr, 2),
+            (b'<', b'=') => (Tok::Le, 2),
+            (b'>', b'=') => (Tok::Ge, 2),
+            (b'=', b'=') => (Tok::EqEq, 2),
+            (b'!', b'=') => (Tok::Ne, 2),
+            (b'(', _) => (Tok::LParen, 1),
+            (b')', _) => (Tok::RParen, 1),
+            (b'{', _) => (Tok::LBrace, 1),
+            (b'}', _) => (Tok::RBrace, 1),
+            (b'[', _) => (Tok::LBracket, 1),
+            (b']', _) => (Tok::RBracket, 1),
+            (b'<', _) => (Tok::Lt, 1),
+            (b'>', _) => (Tok::Gt, 1),
+            (b'=', _) => (Tok::Assign, 1),
+            (b'+', _) => (Tok::Plus, 1),
+            (b'-', _) => (Tok::Minus, 1),
+            (b'*', _) => (Tok::Star, 1),
+            (b'/', _) => (Tok::Slash, 1),
+            (b'%', _) => (Tok::Percent, 1),
+            (b'&', _) => (Tok::Amp, 1),
+            (b'|', _) => (Tok::Pipe, 1),
+            (b'^', _) => (Tok::Caret, 1),
+            (b'~', _) => (Tok::Tilde, 1),
+            (b'!', _) => (Tok::Bang, 1),
+            (b',', _) => (Tok::Comma, 1),
+            (b';', _) => (Tok::Semi, 1),
             _ => {
-                let two = if i + 1 < b.len() { &src[i..i + 2] } else { "" };
-                let (tok, len) = match two {
-                    "<<" => (Tok::Shl, 2),
-                    ">>" => (Tok::Shr, 2),
-                    "<=" => (Tok::Le, 2),
-                    ">=" => (Tok::Ge, 2),
-                    "==" => (Tok::EqEq, 2),
-                    "!=" => (Tok::Ne, 2),
-                    _ => {
-                        let t = match c {
-                            '(' => Tok::LParen,
-                            ')' => Tok::RParen,
-                            '{' => Tok::LBrace,
-                            '}' => Tok::RBrace,
-                            '[' => Tok::LBracket,
-                            ']' => Tok::RBracket,
-                            '<' => Tok::Lt,
-                            '>' => Tok::Gt,
-                            '=' => Tok::Assign,
-                            '+' => Tok::Plus,
-                            '-' => Tok::Minus,
-                            '*' => Tok::Star,
-                            '/' => Tok::Slash,
-                            '%' => Tok::Percent,
-                            '&' => Tok::Amp,
-                            '|' => Tok::Pipe,
-                            '^' => Tok::Caret,
-                            '~' => Tok::Tilde,
-                            '!' => Tok::Bang,
-                            ',' => Tok::Comma,
-                            ';' => Tok::Semi,
-                            other => {
-                                return Err(LangError::new(
-                                    line,
-                                    format!("unexpected character `{other}`"),
-                                ))
-                            }
-                        };
-                        (t, 1)
-                    }
-                };
-                out.push(Token { tok, line });
-                i += len;
+                let other = src[i..].chars().next().expect("`i` is inside `src`");
+                return Err(LangError::new(
+                    line,
+                    format!("unexpected character `{other}`"),
+                ));
             }
-        }
+        };
+        out.push(Token { tok, line });
+        i += len;
     }
     Ok(out)
+}
+
+/// Bytes of the numeric literal `b` starts with: digits, `.`, exponents with
+/// their sign, an `f` suffix, and the digits of a `0x` literal.
+fn number_len(b: &[u8]) -> usize {
+    let hex = b.get(1) == Some(&b'x');
+    let part = |(i, &c): (usize, &u8)| {
+        c.is_ascii_digit()
+            || matches!(c, b'.' | b'e' | b'E' | b'f' | b'x')
+            || (matches!(c, b'+' | b'-') && i > 0 && matches!(b[i - 1], b'e' | b'E'))
+            || (hex && i > 1 && c.is_ascii_hexdigit())
+    };
+    b.iter().enumerate().take_while(|&p| part(p)).count()
+}
+
+/// The value of numeric literal `text`, or the message refusing it. A
+/// literal whose second byte is `x` is never a float, whatever follows.
+fn number(text: &str) -> Result<Tok<'static>, String> {
+    let b = text.as_bytes();
+    if b.get(1) != Some(&b'x') && b.iter().any(|c| matches!(c, b'.' | b'e' | b'E' | b'f')) {
+        let bad = |_| format!("bad float literal `{text}`");
+        let digits = text.trim_end_matches('f');
+        digits.parse().map(Tok::Float).map_err(bad)
+    } else if let Some(digits) = text.strip_prefix("0x") {
+        let bad = |_| format!("bad hex literal `{text}`");
+        i64::from_str_radix(digits, 16).map(Tok::Int).map_err(bad)
+    } else {
+        let bad = |_| format!("bad int literal `{text}`");
+        text.parse().map(Tok::Int).map_err(bad)
+    }
 }
 
 #[cfg(test)]

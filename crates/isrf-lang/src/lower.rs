@@ -11,51 +11,64 @@ fn err(msg: impl Into<String>) -> LangError {
     LangError::new(0, msg)
 }
 
-struct Ctx {
+/// What a name means. Streams and variables are separate name spaces, so
+/// one name may be both.
+#[derive(Default)]
+struct Symbol {
+    stream: Option<(StreamSlot, StreamTy, Ty)>,
+    /// A variable's type and its current SSA value, once assigned or read.
+    var: Option<(Ty, Option<ValueId>)>,
+}
+
+struct Ctx<'a> {
     b: KernelBuilder,
-    streams: HashMap<String, (StreamSlot, StreamTy, Ty)>,
-    var_ty: HashMap<String, Ty>,
-    /// Current SSA value of each variable, if assigned/read already.
-    var_val: HashMap<String, ValueId>,
+    /// Every declared name, borrowed from the source.
+    symbols: HashMap<&'a str, Symbol>,
     /// Variables first *read* in the loop before any assignment: their
     /// placeholder `Mov`, to be patched into a loop-carried reference to
     /// the variable's final value (the KernelC accumulator idiom).
-    carried: Vec<(String, ValueId)>,
+    carried: Vec<(&'a str, ValueId)>,
     /// Source line of the statement being lowered (0 outside the body).
     cur_line: u32,
 }
 
-impl Ctx {
+impl<'a> Ctx<'a> {
     /// An error attributed to the statement currently being lowered.
     fn err(&self, msg: impl Into<String>) -> LangError {
         LangError::new(self.cur_line, msg)
     }
 
     fn stream(&self, name: &str) -> Result<(StreamSlot, StreamTy, Ty), LangError> {
-        self.streams
-            .get(name)
-            .copied()
+        let symbol = self.symbols.get(name);
+        symbol
+            .and_then(|s| s.stream)
             .ok_or_else(|| self.err(format!("unknown stream `{name}`")))
+    }
+
+    /// The type and value slot of variable `name`.
+    fn var_mut(&mut self, name: &str) -> Result<&mut (Ty, Option<ValueId>), LangError> {
+        let line = self.cur_line;
+        let symbol = self.symbols.get_mut(name);
+        symbol
+            .and_then(|s| s.var.as_mut())
+            .ok_or_else(|| LangError::new(line, format!("unknown variable `{name}`")))
     }
 
     /// Current value of `var`, creating a loop-carried placeholder on
     /// first read-before-write.
-    fn var(&mut self, name: &str) -> Result<(ValueId, Ty), LangError> {
-        let ty = *self
-            .var_ty
-            .get(name)
-            .ok_or_else(|| self.err(format!("unknown variable `{name}`")))?;
-        if let Some(&v) = self.var_val.get(name) {
+    fn var(&mut self, name: &'a str) -> Result<(ValueId, Ty), LangError> {
+        if let (ty, Some(v)) = *self.var_mut(name)? {
             return Ok((v, ty));
         }
         let zero = self.b.constant(0);
         let ph = self.b.mov(zero);
-        self.var_val.insert(name.to_string(), ph);
-        self.carried.push((name.to_string(), ph));
-        Ok((ph, ty))
+        self.carried.push((name, ph));
+        let var = self.var_mut(name)?;
+        var.1 = Some(ph);
+        Ok((ph, var.0))
     }
 
-    fn expr(&mut self, e: &Expr) -> Result<(ValueId, Ty), LangError> {
+    fn expr(&mut self, e: &Expr<'a>) -> Result<(ValueId, Ty), LangError> {
         match e {
             Expr::Int(v) => {
                 let w = i32::try_from(*v).map_err(|_| self.err("int literal out of range"))? as u32;
@@ -85,9 +98,9 @@ impl Ctx {
                     _ => Err(self.err(format!("unary `{op}` not defined for {ty:?}"))),
                 }
             }
-            Expr::Binary(op, l, r) => {
-                let (a, ta) = self.expr(l)?;
-                let (b2, tb) = self.expr(r)?;
+            Expr::Binary(op, sides) => {
+                let (a, ta) = self.expr(&sides[0])?;
+                let (b2, tb) = self.expr(&sides[1])?;
                 if ta != tb {
                     return Err(self.err(format!(
                         "type mismatch in `{op}`: {ta:?} vs {tb:?} (insert a cast)"
@@ -126,7 +139,7 @@ impl Ctx {
         }
     }
 
-    fn call(&mut self, name: &str, args: &[Expr]) -> Result<(ValueId, Ty), LangError> {
+    fn call(&mut self, name: &str, args: &[Expr<'a>]) -> Result<(ValueId, Ty), LangError> {
         let argc = args.len();
         match (name, argc) {
             ("lane", 0) => Ok((self.b.lane_id(), Ty::Int)),
@@ -179,34 +192,30 @@ fn stream_kind(t: StreamTy) -> StreamKind {
 /// Lower a parsed kernel to IR.
 pub(crate) fn lower(def: &KernelDef) -> Result<Kernel, LangError> {
     let mut ctx = Ctx {
-        b: KernelBuilder::new(def.name.clone()),
-        streams: HashMap::new(),
-        var_ty: HashMap::new(),
-        var_val: HashMap::new(),
+        b: KernelBuilder::new(def.name),
+        symbols: HashMap::with_capacity(def.params.len() + def.locals.len()),
         carried: Vec::new(),
         cur_line: 0,
     };
-    for Param {
+    for &Param {
         stream_ty,
         elem,
         name,
     } in &def.params
     {
-        let slot = ctx.b.stream(name.clone(), stream_kind(*stream_ty));
-        if ctx
-            .streams
-            .insert(name.clone(), (slot, *stream_ty, *elem))
-            .is_some()
-        {
+        let slot = ctx.b.stream(name, stream_kind(stream_ty));
+        let stream = &mut ctx.symbols.entry(name).or_default().stream;
+        if stream.replace((slot, stream_ty, elem)).is_some() {
             return Err(err(format!("duplicate stream `{name}`")));
         }
     }
-    for (name, ty) in &def.locals {
-        if ctx.var_ty.insert(name.clone(), *ty).is_some() {
+    for &(name, ty) in &def.locals {
+        let var = &mut ctx.symbols.entry(name).or_default().var;
+        if var.replace((ty, None)).is_some() {
             return Err(err(format!("duplicate variable `{name}`")));
         }
     }
-    let (_, lt, _) = ctx.stream(&def.loop_stream)?;
+    let (_, lt, _) = ctx.stream(def.loop_stream)?;
     if matches!(
         lt,
         StreamTy::SeqOut | StreamTy::CondOut | StreamTy::IdxInWrite
@@ -219,17 +228,14 @@ pub(crate) fn lower(def: &KernelDef) -> Result<Kernel, LangError> {
         ctx.b.set_source_line(s.line());
         match s {
             Stmt::Assign { var, value: e, .. } => {
-                let want = *ctx
-                    .var_ty
-                    .get(var)
-                    .ok_or_else(|| ctx.err(format!("unknown variable `{var}`")))?;
+                let want = ctx.var_mut(var)?.0;
                 let (v, got) = ctx.expr(e)?;
                 if want != got {
                     return Err(ctx.err(format!(
                         "assigning {got:?} to `{var}: {want:?}` (insert a cast)"
                     )));
                 }
-                ctx.var_val.insert(var.clone(), v);
+                ctx.var_mut(var)?.1 = Some(v);
             }
             Stmt::Read {
                 stream,
@@ -239,10 +245,7 @@ pub(crate) fn lower(def: &KernelDef) -> Result<Kernel, LangError> {
                 ..
             } => {
                 let (slot, st, elem) = ctx.stream(stream)?;
-                let want = *ctx
-                    .var_ty
-                    .get(var)
-                    .ok_or_else(|| ctx.err(format!("unknown variable `{var}`")))?;
+                let want = ctx.var_mut(var)?.0;
                 if want != elem {
                     return Err(ctx.err(format!("reading {elem:?} stream into `{var}: {want:?}`")));
                 }
@@ -275,7 +278,7 @@ pub(crate) fn lower(def: &KernelDef) -> Result<Kernel, LangError> {
                         )))
                     }
                 };
-                ctx.var_val.insert(var.clone(), v);
+                ctx.var_mut(var)?.1 = Some(v);
             }
             Stmt::Write {
                 stream,
@@ -319,9 +322,12 @@ pub(crate) fn lower(def: &KernelDef) -> Result<Kernel, LangError> {
 
     // Patch read-before-write placeholders into loop-carried references.
     for (name, ph) in std::mem::take(&mut ctx.carried) {
-        let last = ctx.var_val[&name];
         // If the variable was never assigned, it stays 0 (self-carry of
         // the zero-initialized placeholder).
+        let last = ctx
+            .var_mut(name)?
+            .1
+            .expect("a carried variable has a value");
         ctx.b.set_operand(ph, 0, Operand::carried(last, 1, 0));
     }
     ctx.b

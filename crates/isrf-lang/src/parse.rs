@@ -1,4 +1,5 @@
-//! Recursive-descent parser for the KernelC subset.
+//! Recursive-descent parser for the KernelC subset; expressions by
+//! precedence climbing.
 
 use crate::lex::{LangError, Tok, Token};
 
@@ -37,77 +38,77 @@ pub mod ast {
 
     /// One stream parameter.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct Param {
+    pub struct Param<'a> {
         /// Stream kind.
         pub stream_ty: StreamTy,
         /// Element type.
         pub elem: Ty,
         /// Parameter name.
-        pub name: String,
+        pub name: &'a str,
     }
 
-    /// Expressions.
+    /// Expressions; names borrow from the source text.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Expr {
+    pub enum Expr<'a> {
         /// Integer literal.
         Int(i64),
         /// Float literal.
         Float(f32),
         /// Variable reference.
-        Var(String),
+        Var(&'a str),
         /// Unary op: `-`, `~`, `!`.
-        Unary(char, Box<Expr>),
-        /// Binary op (C spelling, e.g. "+", "<<", "<=").
-        Binary(&'static str, Box<Expr>, Box<Expr>),
+        Unary(char, Box<Expr<'a>>),
+        /// Binary op (C spelling, e.g. "+", "<=") and its two sides.
+        Binary(&'static str, Box<[Expr<'a>; 2]>),
         /// Cast to a type: `(int) e` / `(float) e`.
-        Cast(Ty, Box<Expr>),
+        Cast(Ty, Box<Expr<'a>>),
         /// Intrinsic call: `lane()`, `lanes()`, `iter()`, `select(c,a,b)`,
         /// `min(a,b)`, `max(a,b)`.
-        Call(String, Vec<Expr>),
+        Call(&'a str, Vec<Expr<'a>>),
     }
 
     /// Statements inside the loop.
     #[derive(Debug, Clone, PartialEq)]
-    pub enum Stmt {
+    pub enum Stmt<'a> {
         /// `s >> v;` or, with a condition, `if (c) s >> v;` for
         /// conditional streams.
         Read {
             /// Stream name.
-            stream: String,
+            stream: &'a str,
             /// Optional index expression (`s[i] >> v`).
-            index: Option<Expr>,
+            index: Option<Expr<'a>>,
             /// Optional condition (conditional streams).
-            cond: Option<Expr>,
+            cond: Option<Expr<'a>>,
             /// Destination variable.
-            var: String,
+            var: &'a str,
             /// 1-based source line of the statement.
             line: u32,
         },
         /// `s << e;`, `s[i] << e;`, or `if (c) s << e;`.
         Write {
             /// Stream name.
-            stream: String,
+            stream: &'a str,
             /// Optional index expression.
-            index: Option<Expr>,
+            index: Option<Expr<'a>>,
             /// Optional condition.
-            cond: Option<Expr>,
+            cond: Option<Expr<'a>>,
             /// Value written.
-            value: Expr,
+            value: Expr<'a>,
             /// 1-based source line of the statement.
             line: u32,
         },
         /// `v = e;`.
         Assign {
             /// Assigned variable.
-            var: String,
+            var: &'a str,
             /// Right-hand side.
-            value: Expr,
+            value: Expr<'a>,
             /// 1-based source line of the statement.
             line: u32,
         },
     }
 
-    impl Stmt {
+    impl Stmt<'_> {
         /// The 1-based source line this statement starts on.
         pub fn line(&self) -> u32 {
             match self {
@@ -120,28 +121,29 @@ pub mod ast {
 
     /// A parsed kernel.
     #[derive(Debug, Clone, PartialEq)]
-    pub struct KernelDef {
+    pub struct KernelDef<'a> {
         /// Kernel name.
-        pub name: String,
+        pub name: &'a str,
         /// Stream parameters in declaration order.
-        pub params: Vec<Param>,
+        pub params: Vec<Param<'a>>,
         /// Local declarations: name -> type.
-        pub locals: Vec<(String, Ty)>,
+        pub locals: Vec<(&'a str, Ty)>,
         /// The stream controlling `while (!eos(s))`.
-        pub loop_stream: String,
+        pub loop_stream: &'a str,
         /// Loop-body statements.
-        pub body: Vec<Stmt>,
+        pub body: Vec<Stmt<'a>>,
     }
 }
 
 use ast::*;
 
-struct P<'a> {
-    toks: &'a [Token],
+/// A cursor over the tokens (`'t`) of a source text (`'a`).
+struct P<'t, 'a> {
+    toks: &'t [Token<'a>],
     pos: usize,
 }
 
-impl<'a> P<'a> {
+impl<'a> P<'_, 'a> {
     fn line(&self) -> u32 {
         self.toks
             .get(self.pos.min(self.toks.len().saturating_sub(1)))
@@ -153,26 +155,31 @@ impl<'a> P<'a> {
         LangError::new(self.line(), msg)
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|t| &t.tok)
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|t| t.tok)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).map(|t| t.tok.clone());
+    fn next(&mut self) -> Option<Tok<'a>> {
         self.pos += 1;
-        t
+        self.toks.get(self.pos - 1).map(|t| t.tok)
     }
 
-    fn eat(&mut self, t: &Tok) -> Result<(), LangError> {
-        if self.peek() == Some(t) {
-            self.pos += 1;
+    /// Consume the next token when it is `t`.
+    fn at(&mut self, t: Tok) -> bool {
+        let found = self.peek() == Some(t);
+        self.pos += usize::from(found);
+        found
+    }
+
+    fn eat(&mut self, t: Tok) -> Result<(), LangError> {
+        if self.at(t) {
             Ok(())
         } else {
             Err(self.err(format!("expected {t:?}, found {:?}", self.peek())))
         }
     }
 
-    fn ident(&mut self) -> Result<String, LangError> {
+    fn ident(&mut self) -> Result<&'a str, LangError> {
         match self.next() {
             Some(Tok::Ident(s)) => Ok(s),
             other => Err(self.err(format!("expected identifier, found {other:?}"))),
@@ -189,8 +196,7 @@ impl<'a> P<'a> {
     }
 
     fn elem_ty(&mut self) -> Result<Ty, LangError> {
-        let id = self.ident()?;
-        match id.as_str() {
+        match self.ident()? {
             "int" => Ok(Ty::Int),
             "float" => Ok(Ty::Float),
             other => Err(self.err(format!("unknown element type `{other}`"))),
@@ -199,15 +205,14 @@ impl<'a> P<'a> {
 }
 
 /// Parse one kernel definition from a token stream.
-pub(crate) fn parse(toks: &[Token]) -> Result<KernelDef, LangError> {
+pub(crate) fn parse<'a>(toks: &[Token<'a>]) -> Result<KernelDef<'a>, LangError> {
     let mut p = P { toks, pos: 0 };
     p.eat_kw("kernel")?;
     let name = p.ident()?;
-    p.eat(&Tok::LParen)?;
+    p.eat(Tok::LParen)?;
     let mut params = Vec::new();
     loop {
-        let kind = p.ident()?;
-        let stream_ty = match kind.as_str() {
+        let stream_ty = match p.ident()? {
             "istream" => StreamTy::SeqIn,
             "ostream" => StreamTy::SeqOut,
             "cistream" => StreamTy::CondIn,
@@ -218,14 +223,14 @@ pub(crate) fn parse(toks: &[Token]) -> Result<KernelDef, LangError> {
             "idx_istream" => StreamTy::IdxCrossRead,
             other => return Err(p.err(format!("unknown stream type `{other}`"))),
         };
-        p.eat(&Tok::Lt)?;
+        p.eat(Tok::Lt)?;
         let elem = p.elem_ty()?;
-        p.eat(&Tok::Gt)?;
-        let pname = p.ident()?;
+        p.eat(Tok::Gt)?;
+        let name = p.ident()?;
         params.push(Param {
             stream_ty,
             elem,
-            name: pname,
+            name,
         });
         match p.next() {
             Some(Tok::Comma) => continue,
@@ -233,18 +238,14 @@ pub(crate) fn parse(toks: &[Token]) -> Result<KernelDef, LangError> {
             other => return Err(p.err(format!("expected `,` or `)`, found {other:?}"))),
         }
     }
-    p.eat(&Tok::LBrace)?;
+    p.eat(Tok::LBrace)?;
 
     // Local declarations: `int a, b;` / `float x;` until `while`.
     let mut locals = Vec::new();
-    while let Some(Tok::Ident(id)) = p.peek() {
-        if id == "while" {
-            break;
-        }
+    while matches!(p.peek(), Some(Tok::Ident(id)) if id != "while") {
         let ty = p.elem_ty()?;
         loop {
-            let n = p.ident()?;
-            locals.push((n, ty));
+            locals.push((p.ident()?, ty));
             match p.next() {
                 Some(Tok::Comma) => continue,
                 Some(Tok::Semi) => break,
@@ -255,21 +256,21 @@ pub(crate) fn parse(toks: &[Token]) -> Result<KernelDef, LangError> {
 
     // while (!eos(s)) { body }
     p.eat_kw("while")?;
-    p.eat(&Tok::LParen)?;
-    p.eat(&Tok::Bang)?;
+    p.eat(Tok::LParen)?;
+    p.eat(Tok::Bang)?;
     p.eat_kw("eos")?;
-    p.eat(&Tok::LParen)?;
+    p.eat(Tok::LParen)?;
     let loop_stream = p.ident()?;
-    p.eat(&Tok::RParen)?;
-    p.eat(&Tok::RParen)?;
-    p.eat(&Tok::LBrace)?;
+    p.eat(Tok::RParen)?;
+    p.eat(Tok::RParen)?;
+    p.eat(Tok::LBrace)?;
 
     let mut body = Vec::new();
-    while p.peek() != Some(&Tok::RBrace) {
+    while p.peek() != Some(Tok::RBrace) {
         body.push(stmt(&mut p)?);
     }
-    p.eat(&Tok::RBrace)?;
-    p.eat(&Tok::RBrace)?;
+    p.eat(Tok::RBrace)?;
+    p.eat(Tok::RBrace)?;
     if p.pos != toks.len() {
         return Err(p.err("trailing tokens after kernel"));
     }
@@ -282,178 +283,138 @@ pub(crate) fn parse(toks: &[Token]) -> Result<KernelDef, LangError> {
     })
 }
 
-fn stmt(p: &mut P) -> Result<Stmt, LangError> {
+fn stmt<'a>(p: &mut P<'_, 'a>) -> Result<Stmt<'a>, LangError> {
     let line = p.line();
     // Optional `if (cond)` prefix for conditional stream access.
     let mut cond = None;
-    if let Some(Tok::Ident(id)) = p.peek() {
-        if id == "if" {
-            p.pos += 1;
-            p.eat(&Tok::LParen)?;
-            cond = Some(expr(p)?);
-            p.eat(&Tok::RParen)?;
-        }
+    if p.at(Tok::Ident("if")) {
+        p.eat(Tok::LParen)?;
+        cond = Some(expr(p)?);
+        p.eat(Tok::RParen)?;
     }
     let name = p.ident()?;
     // s[expr] >> v / << e, s >> v / << e, or v = e.
-    let index = if p.peek() == Some(&Tok::LBracket) {
-        p.pos += 1;
-        let e = expr(p)?;
-        p.eat(&Tok::RBracket)?;
-        Some(e)
-    } else {
-        None
-    };
-    match p.next() {
-        Some(Tok::Shr) => {
-            let var = p.ident()?;
-            p.eat(&Tok::Semi)?;
-            Ok(Stmt::Read {
-                stream: name,
-                index,
-                cond,
-                var,
-                line,
-            })
-        }
-        Some(Tok::Shl) => {
-            let value = expr(p)?;
-            p.eat(&Tok::Semi)?;
-            Ok(Stmt::Write {
-                stream: name,
-                index,
-                cond,
-                value,
-                line,
-            })
-        }
-        Some(Tok::Assign) if index.is_none() && cond.is_none() => {
-            let e = expr(p)?;
-            p.eat(&Tok::Semi)?;
-            Ok(Stmt::Assign {
-                var: name,
-                value: e,
-                line,
-            })
-        }
-        other => Err(p.err(format!("expected `>>`, `<<` or `=`, found {other:?}"))),
+    let mut index = None;
+    if p.at(Tok::LBracket) {
+        index = Some(expr(p)?);
+        p.eat(Tok::RBracket)?;
     }
+    let stmt = match p.next() {
+        Some(Tok::Shr) => Stmt::Read {
+            stream: name,
+            index,
+            cond,
+            var: p.ident()?,
+            line,
+        },
+        Some(Tok::Shl) => Stmt::Write {
+            stream: name,
+            index,
+            cond,
+            value: expr(p)?,
+            line,
+        },
+        Some(Tok::Assign) if index.is_none() && cond.is_none() => Stmt::Assign {
+            var: name,
+            value: expr(p)?,
+            line,
+        },
+        other => return Err(p.err(format!("expected `>>`, `<<` or `=`, found {other:?}"))),
+    };
+    p.eat(Tok::Semi)?;
+    Ok(stmt)
 }
 
-// Precedence climbing: | ^ & (== !=) (< <= > >=) (<< >>) (+ -) (* / %) unary.
-fn expr(p: &mut P) -> Result<Expr, LangError> {
-    binary(p, 0)
-}
-
-const LEVELS: [&[&str]; 7] = [
-    &["|"],
-    &["^"],
-    &["&"],
-    &["==", "!="],
-    &["<", "<=", ">", ">="],
-    &["+", "-"],
-    &["*", "/", "%"],
-];
-
-fn op_of(tok: &Tok) -> Option<&'static str> {
+/// The C spelling and binding power of a binary operator token, loosest
+/// first: `|`, `^`, `&`, equality, relational, additive, multiplicative.
+/// `<<` and `>>` are stream I/O only, never expression operators.
+fn binary_op(tok: Tok) -> Option<(&'static str, u8)> {
     Some(match tok {
-        Tok::Pipe => "|",
-        Tok::Caret => "^",
-        Tok::Amp => "&",
-        Tok::EqEq => "==",
-        Tok::Ne => "!=",
-        Tok::Lt => "<",
-        Tok::Le => "<=",
-        Tok::Gt => ">",
-        Tok::Ge => ">=",
-        Tok::Plus => "+",
-        Tok::Minus => "-",
-        Tok::Star => "*",
-        Tok::Slash => "/",
-        Tok::Percent => "%",
-        Tok::Shl => "<<",
-        Tok::Shr => ">>",
+        Tok::Pipe => ("|", 1),
+        Tok::Caret => ("^", 2),
+        Tok::Amp => ("&", 3),
+        Tok::EqEq => ("==", 4),
+        Tok::Ne => ("!=", 4),
+        Tok::Lt => ("<", 5),
+        Tok::Le => ("<=", 5),
+        Tok::Gt => (">", 5),
+        Tok::Ge => (">=", 5),
+        Tok::Plus => ("+", 6),
+        Tok::Minus => ("-", 6),
+        Tok::Star => ("*", 7),
+        Tok::Slash => ("/", 7),
+        Tok::Percent => ("%", 7),
         _ => return None,
     })
 }
 
-fn binary(p: &mut P, level: usize) -> Result<Expr, LangError> {
-    if level >= LEVELS.len() {
-        return unary(p);
-    }
-    let mut lhs = binary(p, level + 1)?;
-    while let Some(op) = p.peek().and_then(op_of) {
-        // `<<`/`>>` are reserved for stream I/O statements; shifts are
-        // spelled as the intrinsic-free binary ops only inside parens is
-        // ambiguous, so we simply don't treat them as expression operators.
-        if !LEVELS[level].contains(&op) {
+fn expr<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
+    binary(p, 0)
+}
+
+/// Precedence climbing: a unary operand, then every operator binding at
+/// least as tightly as `min`, each taking a tighter right-hand side (all
+/// operators associate to the left).
+fn binary<'a>(p: &mut P<'_, 'a>, min: u8) -> Result<Expr<'a>, LangError> {
+    let mut lhs = unary(p)?;
+    while let Some((op, power)) = p.peek().and_then(binary_op) {
+        if power < min {
             break;
         }
         p.pos += 1;
-        let rhs = binary(p, level + 1)?;
-        lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
+        let rhs = binary(p, power + 1)?;
+        lhs = Expr::Binary(op, Box::new([lhs, rhs]));
     }
     Ok(lhs)
 }
 
-fn unary(p: &mut P) -> Result<Expr, LangError> {
-    match p.peek() {
-        Some(Tok::Minus) => {
-            p.pos += 1;
-            Ok(Expr::Unary('-', Box::new(unary(p)?)))
-        }
-        Some(Tok::Tilde) => {
-            p.pos += 1;
-            Ok(Expr::Unary('~', Box::new(unary(p)?)))
-        }
-        Some(Tok::Bang) => {
-            p.pos += 1;
-            Ok(Expr::Unary('!', Box::new(unary(p)?)))
-        }
-        _ => primary(p),
-    }
+fn unary<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
+    let op = match p.peek() {
+        Some(Tok::Minus) => '-',
+        Some(Tok::Tilde) => '~',
+        Some(Tok::Bang) => '!',
+        _ => return primary(p),
+    };
+    p.pos += 1;
+    Ok(Expr::Unary(op, Box::new(unary(p)?)))
 }
 
-fn primary(p: &mut P) -> Result<Expr, LangError> {
+fn primary<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
     match p.next() {
         Some(Tok::Int(v)) => Ok(Expr::Int(v)),
         Some(Tok::Float(v)) => Ok(Expr::Float(v)),
         Some(Tok::LParen) => {
             // Cast `(int) e` / `(float) e`, or parenthesized expression.
-            if let Some(Tok::Ident(id)) = p.peek() {
-                if id == "int" || id == "float" {
-                    let ty = if id == "int" { Ty::Int } else { Ty::Float };
-                    p.pos += 1;
-                    p.eat(&Tok::RParen)?;
-                    return Ok(Expr::Cast(ty, Box::new(unary(p)?)));
-                }
+            let cast = match p.peek() {
+                Some(Tok::Ident("int")) => Some(Ty::Int),
+                Some(Tok::Ident("float")) => Some(Ty::Float),
+                _ => None,
+            };
+            if let Some(ty) = cast {
+                p.pos += 1;
+                p.eat(Tok::RParen)?;
+                return Ok(Expr::Cast(ty, Box::new(unary(p)?)));
             }
             let e = expr(p)?;
-            p.eat(&Tok::RParen)?;
+            p.eat(Tok::RParen)?;
             Ok(e)
         }
         Some(Tok::Ident(id)) => {
-            if p.peek() == Some(&Tok::LParen) {
-                p.pos += 1;
-                let mut args = Vec::new();
-                if p.peek() != Some(&Tok::RParen) {
-                    loop {
-                        args.push(expr(p)?);
-                        match p.next() {
-                            Some(Tok::Comma) => continue,
-                            Some(Tok::RParen) => break,
-                            other => {
-                                return Err(p.err(format!("expected `,` or `)`, found {other:?}")))
-                            }
-                        }
-                    }
-                } else {
-                    p.pos += 1;
-                }
-                Ok(Expr::Call(id, args))
-            } else {
-                Ok(Expr::Var(id))
+            if !p.at(Tok::LParen) {
+                return Ok(Expr::Var(id));
             }
+            let mut args = Vec::new();
+            if !p.at(Tok::RParen) {
+                loop {
+                    args.push(expr(p)?);
+                    match p.next() {
+                        Some(Tok::Comma) => continue,
+                        Some(Tok::RParen) => break,
+                        other => return Err(p.err(format!("expected `,` or `)`, found {other:?}"))),
+                    }
+                }
+            }
+            Ok(Expr::Call(id, args))
         }
         other => Err(p.err(format!("expected expression, found {other:?}"))),
     }
@@ -464,7 +425,7 @@ mod tests {
     use super::*;
     use crate::lex::lex;
 
-    fn parse_src(src: &str) -> Result<KernelDef, LangError> {
+    fn parse_src(src: &str) -> Result<KernelDef<'_>, LangError> {
         parse(&lex(src).unwrap())
     }
 
@@ -498,7 +459,7 @@ kernel lookup(
                 stream,
                 index: Some(_),
                 ..
-            } if stream == "LUT"
+            } if *stream == "LUT"
         ));
     }
 
@@ -513,7 +474,7 @@ kernel lookup(
             panic!("expected write");
         };
         // & binds loosest: (x + (2*3)) & 7.
-        assert!(matches!(value, Expr::Binary("&", _, _)));
+        assert!(matches!(value, Expr::Binary("&", _)));
     }
 
     #[test]

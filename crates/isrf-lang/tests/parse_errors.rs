@@ -127,3 +127,37 @@ fn errors_carry_line_numbers() {
     );
     assert_eq!(e.line, 3, "error should land on the offending line: {e}");
 }
+
+#[test]
+fn multi_byte_characters_are_named_whole_outside_comments_and_skipped_inside() {
+    // The lexer indexes bytes; a character of two, three or four bytes must
+    // neither split (a panic: "byte index is not a char boundary") nor be
+    // reported as its first byte read as Latin-1.
+    for c in ['é', '€', '𝄞'] {
+        let body = |at: &str| format!("kernel k(istream<int> a) {{ while (!eos(a)) {{ {at} }} }}");
+        for src in [
+            body(&format!("a >> x; {c}")),
+            body(&format!("a >> x{c};")),
+            format!("{c}"),
+            format!("{}\n\n{c}", body("")),
+            format!("{} {c}", body("")),
+            format!("{}{c}", body("")),
+        ] {
+            let e = expect_err(&src);
+            assert_eq!(e.message, format!("unexpected character `{c}`"), "{src}");
+            let line = 1 + src[..src.find(c).unwrap()].matches('\n').count();
+            assert_eq!(e.line as usize, line, "{src}");
+        }
+        // Inside either kind of comment, anywhere, including at the very end.
+        for src in [
+            format!("// {c}{c}\n{GOOD}"),
+            format!("/* {c} */ {GOOD} /* {c}*/"),
+            format!("{GOOD} // {c}"),
+            format!("{GOOD} /* unterminated {c}"),
+            GOOD.replace("int x;", &format!("int x; /*{c}*/ //{c}")),
+        ] {
+            let k = parse_kernel(&src).unwrap_or_else(|e| panic!("{e}:\n{src}"));
+            assert_eq!(k.ops.len(), 2);
+        }
+    }
+}

@@ -10,6 +10,7 @@
 //! The pool is deliberately generic over the item type so the tests can
 //! exercise the scheduling logic without dragging in the simulator.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -76,12 +77,35 @@ impl<T> Shared<T> {
 pub struct WorkerHandle<'a, T> {
     shared: &'a Shared<T>,
     id: usize,
+    /// Since when the running item's time is unbooked, and whether it was
+    /// stolen, until it has been counted.
+    since: Cell<Instant>,
+    uncounted: Cell<Option<bool>>,
 }
 
 impl<T> WorkerHandle<'_, T> {
     /// This worker's index in `0..workers`.
     pub fn id(&self) -> usize {
         self.id
+    }
+
+    /// Count the running item as processed, once, and book the time spent
+    /// on it so far. The run function calls this before it publishes the
+    /// item's outcome, so whoever sees the outcome also sees the counters;
+    /// the worker books what remains when the function returns.
+    pub(crate) fn book(&self) {
+        let c = &self.shared.counters[self.id];
+        if let Some(stolen) = self.uncounted.take() {
+            c.processed.fetch_add(1, Ordering::Relaxed);
+            c.stolen.fetch_add(u64::from(stolen), Ordering::Relaxed);
+        }
+        // Sanctioned wall-clock read: feeds only the worker utilization
+        // metrics, never a result.
+        #[allow(clippy::disallowed_methods)]
+        let now = Instant::now();
+        let spent = now.duration_since(self.since.replace(now));
+        c.busy_micros
+            .fetch_add(spent.as_micros() as u64, Ordering::Relaxed);
     }
 
     /// Push follow-on work onto this worker's own deque and wake a
@@ -170,22 +194,18 @@ fn worker_loop<T, F>(id: usize, shared: &Shared<T>, run: &F)
 where
     F: Fn(usize, T, &WorkerHandle<'_, T>),
 {
-    let handle = WorkerHandle { shared, id };
     let mut stolen = false;
     loop {
         if let Some(item) = shared.next(id, &mut stolen) {
-            // Sanctioned wall-clock read: feeds only the worker
-            // utilization metrics, never a result.
-            #[allow(clippy::disallowed_methods)]
-            let t0 = Instant::now();
+            #[allow(clippy::disallowed_methods)] // as in `WorkerHandle::book`
+            let handle = WorkerHandle {
+                shared,
+                id,
+                since: Cell::new(Instant::now()),
+                uncounted: Cell::new(Some(stolen)),
+            };
             run(id, item, &handle);
-            let c = &shared.counters[id];
-            c.processed.fetch_add(1, Ordering::Relaxed);
-            if stolen {
-                c.stolen.fetch_add(1, Ordering::Relaxed);
-            }
-            c.busy_micros
-                .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            handle.book();
             continue;
         }
         if shared.stop.load(Ordering::SeqCst) {

@@ -270,9 +270,9 @@ fn run_item(core: &Core, item: WorkItem, h: &WorkerHandle<'_, WorkItem>) {
             for idx in 1..points {
                 h.push(WorkItem::Point(Arc::clone(&job), idx));
             }
-            run_point(core, &job, 0);
+            run_point(core, &job, 0, h);
         }
-        WorkItem::Point(job, idx) => run_point(core, &job, idx),
+        WorkItem::Point(job, idx) => run_point(core, &job, idx, h),
     }
 }
 
@@ -284,7 +284,7 @@ enum PointEnd {
     Failed(String),
 }
 
-fn run_point(core: &Core, job: &Arc<Job>, idx: usize) {
+fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, WorkItem>) {
     if job.cancel.load(Ordering::SeqCst) {
         return settle_point(core, job, idx, PointEnd::Cancelled);
     }
@@ -338,6 +338,8 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize) {
             .unwrap_or_else(|| "unknown panic".into());
         PointEnd::Failed(format!("simulation panicked: {msg}"))
     });
+    // Before the job can show as done: `/metrics` then has this worker's line.
+    h.book();
     settle_point(core, job, idx, end);
 }
 

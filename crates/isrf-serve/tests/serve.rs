@@ -318,6 +318,22 @@ fn bad_source_fails_with_diagnostics() {
     let diags = rej[0].get("diagnostics").and_then(Json::as_arr).unwrap();
     assert_eq!(diags[0].get("code").and_then(Json::as_str), Some("E000"));
     assert_eq!(diags[0].get("check").and_then(Json::as_str), Some("build"));
+
+    // A multi-byte character outside a comment is one more lexical error,
+    // named whole — the lexer used to slice it in half and panic on the
+    // connection thread, which the client saw as a reset — and the
+    // connection goes on serving.
+    let body = r#"{"source":"kernel k(istream<int> a, ostream<int> o) { int x; while (!eos(a)) { a >> x; € o << x; } }"}"#;
+    let (status, v) = submit(&mut client, body);
+    assert_eq!(status, 422, "{}", v.render());
+    let rej = v.get("rejected_points").and_then(Json::as_arr).unwrap();
+    let diags = rej[0].get("diagnostics").and_then(Json::as_arr).unwrap();
+    assert_eq!(diags[0].get("code").and_then(Json::as_str), Some("E000"));
+    assert_eq!(
+        diags[0].get("message").and_then(Json::as_str),
+        Some("line 1: unexpected character `€`")
+    );
+    assert_eq!(client.get("/metrics").unwrap().status, 200);
     server.stop();
 }
 
@@ -429,21 +445,10 @@ fn metrics_report_queue_cache_and_workers() {
     fetch_result(&mut client, id);
     submit(&mut client, body); // cache hit
 
-    // A worker books an item after running it, so after the job shows as
-    // done: give its line a moment to appear.
-    let metrics = |client: &mut Client| {
-        let resp = client.get("/metrics").unwrap();
-        assert_eq!(resp.status, 200);
-        String::from_utf8(resp.body).unwrap()
-    };
-    let mut text = metrics(&mut client);
-    for _ in 0..400 {
-        if text.contains("worker_") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-        text = metrics(&mut client);
-    }
+    // A worker books an item before its job shows as done.
+    let resp = client.get("/metrics").unwrap();
+    assert_eq!(resp.status, 200);
+    let text = String::from_utf8(resp.body).unwrap();
     for key in [
         "serve_jobs_submitted",
         "serve_jobs_done",
