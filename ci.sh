@@ -28,9 +28,9 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-ver
 # Tests under cfg(not(debug_assertions)): an out-of-range dynamic index
 # trips a debug_assert in debug builds and must clamp, not panic, in the
 # builds users actually run. The oracle and the lock-step references run
-# here too (the indexed arbiter, the memory service walk, the sequencer's
-# phase lists, the memory wait): the row executor is only vectorised in an
-# optimised build. So does snapshot_roundtrip.rs's hostile-length test, whose
+# here too (the indexed arbiter — lane by lane and, over its shared cursors,
+# row by row — the memory service walk, the sequencer's phase lists, the
+# memory wait): the row executor is only vectorised in an optimised build. So does snapshot_roundtrip.rs's hostile-length test, whose
 # regression is a process abort (an allocation of 2^40 words), not a failure.
 # isrf-verify's lock-step, scale and work-count tests run here as well: the
 # analyzer admits every served job in this build. So do the front end's
@@ -93,22 +93,26 @@ echo "==> static cycle floor vs simulation (both profiles)"
 ./target/release/verify all all --paper --cycles
 
 echo "==> trace smoke test"
-# One app on one config: the audit must pass (exit 0) and the emitted
+# Two apps on one config: the audit must pass (exit 0) and the emitted
 # Chrome trace must parse as JSON. Prefer an external JSON parser when one
 # exists; otherwise the trace binary's built-in validator is the gate —
 # either way an invalid trace FAILS the build.
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
-./target/release/trace sort isrf4 --out-dir "$smoke_dir"
-smoke_json="$smoke_dir/sort_isrf4.trace.json"
-if command -v python3 >/dev/null 2>&1; then
-  python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$smoke_json"
-elif command -v node >/dev/null 2>&1; then
-  node -e "JSON.parse(require('fs').readFileSync(process.argv[1]))" "$smoke_json"
-else
-  echo "no python3/node; using the built-in validator"
-  ./target/release/trace --validate "$smoke_json"
-fi
+# sort splits its cursors at once; filter is lane-uniform, so its events are
+# a shared cursor's, replayed lane by lane.
+for app in sort filter; do
+  ./target/release/trace "$app" isrf4 --out-dir "$smoke_dir"
+  smoke_json="$smoke_dir/${app}_isrf4.trace.json"
+  if command -v python3 >/dev/null 2>&1; then
+    python3 -c "import json,sys; json.load(open(sys.argv[1]))" "$smoke_json"
+  elif command -v node >/dev/null 2>&1; then
+    node -e "JSON.parse(require('fs').readFileSync(process.argv[1]))" "$smoke_json"
+  else
+    echo "no python3/node; using the built-in validator"
+    ./target/release/trace --validate "$smoke_json"
+  fi
+done
 
 echo "==> serve smoke test"
 # Spawn the batch server on an ephemeral port with a tiny queue, submit
@@ -233,8 +237,10 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # `#[cfg(test)]`. The ceiling is the total of the last PR that moved it,
 # rounded up to the next 50: a ratchet, held the way the goldens hold cycles.
 # A PR that needs more lines raises it deliberately and says what for; one
-# that deletes lowers it.
-loc_ceiling=25350
+# that deletes lowers it. PR 24 moved it from 25350: the indexed arbiter's
+# shared cursors, one-way split and masks (isrf-sim +222) and isrf-lang's
+# nesting limit (+38).
+loc_ceiling=25600
 loc="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do
   awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f"; done; done \
   | awk '{t+=$1} END{print t}')"

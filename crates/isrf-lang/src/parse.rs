@@ -137,10 +137,20 @@ pub mod ast {
 
 use ast::*;
 
+/// Deepest an expression may nest, parentheses, unary operators, casts,
+/// call arguments and chained operators alike: the parser, `lower`'s walk
+/// and the tree's own `Drop` recurse once per level, so this bounds their
+/// stacks whatever the source's size. The sources of this tree nest a few
+/// levels.
+const MAX_NESTING: u32 = 256;
+
 /// A cursor over the tokens (`'t`) of a source text (`'a`).
 struct P<'t, 'a> {
     toks: &'t [Token<'a>],
     pos: usize,
+    /// Calls of `unary` on the stack — every recursion of the parser
+    /// passes through it.
+    depth: u32,
 }
 
 impl<'a> P<'_, 'a> {
@@ -195,6 +205,16 @@ impl<'a> P<'_, 'a> {
         }
     }
 
+    /// One level on top of `depth`, of the parser's stack or of the tree
+    /// it builds, while that is within [`MAX_NESTING`].
+    fn nest(&self, depth: u32) -> Result<u32, LangError> {
+        if depth < MAX_NESTING {
+            Ok(depth + 1)
+        } else {
+            Err(self.err(format!("expression nests deeper than {MAX_NESTING} levels")))
+        }
+    }
+
     fn elem_ty(&mut self) -> Result<Ty, LangError> {
         match self.ident()? {
             "int" => Ok(Ty::Int),
@@ -206,7 +226,11 @@ impl<'a> P<'_, 'a> {
 
 /// Parse one kernel definition from a token stream.
 pub(crate) fn parse<'a>(toks: &[Token<'a>]) -> Result<KernelDef<'a>, LangError> {
-    let mut p = P { toks, pos: 0 };
+    let mut p = P {
+        toks,
+        pos: 0,
+        depth: 0,
+    };
     p.eat_kw("kernel")?;
     let name = p.ident()?;
     p.eat(Tok::LParen)?;
@@ -349,40 +373,51 @@ fn binary_op(tok: Tok) -> Option<(&'static str, u8)> {
 }
 
 fn expr<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
-    binary(p, 0)
+    Ok(binary(p, 0)?.0)
 }
 
 /// Precedence climbing: a unary operand, then every operator binding at
 /// least as tightly as `min`, each taking a tighter right-hand side (all
-/// operators associate to the left).
-fn binary<'a>(p: &mut P<'_, 'a>, min: u8) -> Result<Expr<'a>, LangError> {
-    let mut lhs = unary(p)?;
+/// operators associate to the left). With the expression, here and below,
+/// comes the depth of its tree.
+fn binary<'a>(p: &mut P<'_, 'a>, min: u8) -> Result<(Expr<'a>, u32), LangError> {
+    let (mut lhs, mut depth) = unary(p)?;
     while let Some((op, power)) = p.peek().and_then(binary_op) {
         if power < min {
             break;
         }
         p.pos += 1;
-        let rhs = binary(p, power + 1)?;
+        let (rhs, right) = binary(p, power + 1)?;
+        depth = p.nest(depth.max(right))?;
         lhs = Expr::Binary(op, Box::new([lhs, rhs]));
     }
-    Ok(lhs)
+    Ok((lhs, depth))
 }
 
-fn unary<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
+fn unary<'a>(p: &mut P<'_, 'a>) -> Result<(Expr<'a>, u32), LangError> {
+    p.depth = p.nest(p.depth)?;
     let op = match p.peek() {
-        Some(Tok::Minus) => '-',
-        Some(Tok::Tilde) => '~',
-        Some(Tok::Bang) => '!',
-        _ => return primary(p),
+        Some(Tok::Minus) => Some('-'),
+        Some(Tok::Tilde) => Some('~'),
+        Some(Tok::Bang) => Some('!'),
+        _ => None,
     };
-    p.pos += 1;
-    Ok(Expr::Unary(op, Box::new(unary(p)?)))
+    let out = match op {
+        None => primary(p)?,
+        Some(op) => {
+            p.pos += 1;
+            let (inner, depth) = unary(p)?;
+            (Expr::Unary(op, Box::new(inner)), p.nest(depth)?)
+        }
+    };
+    p.depth -= 1;
+    Ok(out)
 }
 
-fn primary<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
+fn primary<'a>(p: &mut P<'_, 'a>) -> Result<(Expr<'a>, u32), LangError> {
     match p.next() {
-        Some(Tok::Int(v)) => Ok(Expr::Int(v)),
-        Some(Tok::Float(v)) => Ok(Expr::Float(v)),
+        Some(Tok::Int(v)) => Ok((Expr::Int(v), 0)),
+        Some(Tok::Float(v)) => Ok((Expr::Float(v), 0)),
         Some(Tok::LParen) => {
             // Cast `(int) e` / `(float) e`, or parenthesized expression.
             let cast = match p.peek() {
@@ -393,20 +428,23 @@ fn primary<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
             if let Some(ty) = cast {
                 p.pos += 1;
                 p.eat(Tok::RParen)?;
-                return Ok(Expr::Cast(ty, Box::new(unary(p)?)));
+                let (inner, depth) = unary(p)?;
+                return Ok((Expr::Cast(ty, Box::new(inner)), p.nest(depth)?));
             }
-            let e = expr(p)?;
+            let e = binary(p, 0)?;
             p.eat(Tok::RParen)?;
             Ok(e)
         }
         Some(Tok::Ident(id)) => {
             if !p.at(Tok::LParen) {
-                return Ok(Expr::Var(id));
+                return Ok((Expr::Var(id), 0));
             }
-            let mut args = Vec::new();
+            let (mut args, mut depth) = (Vec::new(), 0);
             if !p.at(Tok::RParen) {
                 loop {
-                    args.push(expr(p)?);
+                    let (arg, below) = binary(p, 0)?;
+                    args.push(arg);
+                    depth = depth.max(below);
                     match p.next() {
                         Some(Tok::Comma) => continue,
                         Some(Tok::RParen) => break,
@@ -414,7 +452,7 @@ fn primary<'a>(p: &mut P<'_, 'a>) -> Result<Expr<'a>, LangError> {
                     }
                 }
             }
-            Ok(Expr::Call(id, args))
+            Ok((Expr::Call(id, args), p.nest(depth)?))
         }
         other => Err(p.err(format!("expected expression, found {other:?}"))),
     }

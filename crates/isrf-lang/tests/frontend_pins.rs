@@ -603,3 +603,54 @@ fn error_text_is_what_the_replaced_front_end_produced() {
     }
     assert!(wrong.is_empty(), "messages moved:\n{}", wrong.join("\n"));
 }
+
+/// `stmt` nested `n` deep in each way an expression can nest, by name.
+fn nested(n: usize) -> [(&'static str, String); 6] {
+    [
+        (
+            "parentheses",
+            format!("x = {}y{};", "(".repeat(n), ")".repeat(n)),
+        ),
+        ("unary operators", format!("x = {}y;", "-".repeat(n))),
+        ("casts", format!("x = {}y;", "(int)".repeat(n))),
+        (
+            "calls",
+            format!("x = {}y{};", "min(x, ".repeat(n), ")".repeat(n)),
+        ),
+        ("a chain to the left", format!("x = y{};", " + y".repeat(n))),
+        (
+            "a chain to the right",
+            format!("x = {}y{};", "y + (".repeat(n), ")".repeat(n)),
+        ),
+    ]
+}
+
+/// A source may be megabytes long, and the parser, the lowering walk and the
+/// tree's `Drop` each recurse once per level of an expression: beyond 256
+/// levels the front end answers with an error instead (a 200 000-deep
+/// parenthesis used to kill the process with a stack overflow). Run on a
+/// 2 MiB stack, the size of a server connection thread's.
+#[test]
+fn a_deeply_nested_expression_is_an_error_not_a_stack_overflow() {
+    let check = || {
+        for (kind, stmt) in nested(100_000) {
+            let got = parse_kernel(&in_body(&stmt)).map(|k| k.ops.len());
+            let want = "line 5: expression nests deeper than 256 levels";
+            assert_eq!(got.map_err(|e| e.to_string()), Err(want.into()), "{kind}");
+        }
+        // The limit counts levels of the tree, however they came about:
+        // 255 of each kind parse, and the 257th is the error.
+        for (kind, stmt) in nested(255) {
+            assert!(parse_kernel(&in_body(&stmt)).is_ok(), "255 {kind}");
+        }
+        for (kind, stmt) in nested(257) {
+            assert!(parse_kernel(&in_body(&stmt)).is_err(), "257 {kind}");
+        }
+    };
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(check)
+        .expect("spawn")
+        .join()
+        .expect("the front end overflowed a 2 MiB stack");
+}

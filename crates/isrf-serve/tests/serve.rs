@@ -334,6 +334,23 @@ fn bad_source_fails_with_diagnostics() {
         Some("line 1: unexpected character `€`")
     );
     assert_eq!(client.get("/metrics").unwrap().status, 200);
+
+    // So is an expression nested past the front end's limit: 30 000
+    // parentheses fit the 64 KiB a source may take and used to overflow
+    // the connection thread's stack, which killed the whole process.
+    let (open, close) = ("(".repeat(30_000), ")".repeat(30_000));
+    let body = format!(
+        r#"{{"source":"kernel k(istream<int> a, ostream<int> o) {{ int x; while (!eos(a)) {{ a >> x; o << {open}x{close}; }} }}"}}"#
+    );
+    let (status, v) = submit(&mut client, &body);
+    assert_eq!(status, 422, "{}", v.render());
+    let rej = v.get("rejected_points").and_then(Json::as_arr).unwrap();
+    let diags = rej[0].get("diagnostics").and_then(Json::as_arr).unwrap();
+    assert_eq!(
+        diags[0].get("message").and_then(Json::as_str),
+        Some("line 1: expression nests deeper than 256 levels")
+    );
+    assert_eq!(client.get("/metrics").unwrap().status, 200);
     server.stop();
 }
 

@@ -730,10 +730,7 @@ fn exec_tape_op(
             // no commit is needed.
         }
         MicroKind::IdxAddr { idx, .. } => {
-            let st = &mut idx_states[idx as usize];
-            for (lane, &addr) in a.iter().enumerate() {
-                st.push_addr(lane, addr);
-            }
+            idx_states[idx as usize].push_row(a, &[]);
             commit!(a);
         }
         MicroKind::IdxRead { idx, .. } => {
@@ -742,10 +739,7 @@ fn exec_tape_op(
         }
         MicroKind::IdxWrite { idx, .. } => {
             let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
-            let st = &mut idx_states[idx as usize];
-            for (lane, (&addr, &v)) in a.iter().zip(b).enumerate() {
-                st.push_write_word(lane, addr, v);
-            }
+            idx_states[idx as usize].push_row(a, b);
             commit!(b);
         }
         MicroKind::ScratchRead => {

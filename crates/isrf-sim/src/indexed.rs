@@ -25,17 +25,30 @@
 //! ## State layout
 //!
 //! Both FIFOs of a stream are bounded, so a stream owns flat lane-major
-//! rings rather than per-lane queues: an address ring and **one** data
-//! ring whose words become ready when the lane's `d_land` count passes
-//! them (DESIGN.md, "Indexed-stream state layout"). Lane bitmasks answer
-//! the kernel's whole-row questions, and each lane caches its FIFO head's
-//! `(bank, sub-array, offset)`, recomputed only when the head changes.
+//! rings rather than per-lane queues (DESIGN.md, "Indexed-stream state
+//! layout"). The unit of arbitration is the **cursor** (`LaneCur`): ring
+//! counts and cached head target of one lane — or, on an in-lane stream
+//! whose lanes have had one history so far, of all of them. Such a lane
+//! touches only its own bank, so equal histories give equal outcomes: one
+//! decision, head advance, arrival and pop per row, the data words alone
+//! moving per lane. The cursor splits into one per lane, for good, at the
+//! first row whose lanes differ, the first per-lane call (`push_addr`,
+//! `push_write_word`, `pop_data`, a budgeted arrival tick), on
+//! `decode_state`, or when an in-lane stream served beside it has split.
+//!
+//! Three lane masks keep the arbiter off heads that cannot issue: `room`
+//! (data ring not full), per bank `want` (lanes whose head targets it) and
+//! `flying` (a word in flight). Each is updated where the state changes,
+//! and a rejection has no side effect but its trace event, so skipping a
+//! head outside `room` or wanting a bank whose ports ran out — under a
+//! tracer, reporting it with the reason read off the masks — decides what
+//! examining it would have.
 
 use isrf_core::config::{CrossLaneTopology, MachineConfig};
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::stats::SrfTraffic;
 use isrf_core::Word;
-use isrf_trace::{IdxRejectReason, TraceEvent, Tracer};
+use isrf_trace::{IdxRejectReason as Why, TraceEvent, Tracer};
 
 use crate::srf::Srf;
 use crate::stream::{slot, StreamBinding};
@@ -53,10 +66,11 @@ pub enum IdxKind {
     CrossLaneRead,
 }
 
-/// Ring cursors and cached head target of one lane of one stream. The
-/// cursors are free-running counts (wrapping `u32`): a ring slot is the
-/// count masked to the ring's power-of-two length, an occupancy the
-/// difference of two counts.
+/// Ring cursors and cached head target of one lane of one stream — or,
+/// while an in-lane stream is shared, of all its lanes. The cursors are
+/// free-running counts (wrapping `u32`): a ring slot is the count masked
+/// to the ring's power-of-two length, an occupancy the difference of two
+/// counts.
 #[derive(Debug, Clone, Copy, Default)]
 struct LaneCur {
     /// Records pushed into / retired from the address FIFO.
@@ -72,7 +86,8 @@ struct LaneCur {
     /// Arrival cycle of the oldest in-flight word (`u64::MAX` when none).
     front: u64,
     /// Target of the next word of the FIFO head (valid while the FIFO is
-    /// non-empty): clamped per-bank offset, bank and sub-array.
+    /// non-empty): clamped per-bank offset, sub-array and, cross-lane,
+    /// bank (an in-lane lane's bank is the lane).
     off: u32,
     bank: u8,
     sub: u8,
@@ -102,7 +117,13 @@ pub struct IdxState {
     pub binding: StreamBinding,
     /// Stream flavor.
     pub kind: IdxKind,
+    /// One cursor for all lanes while shared, one per lane once split:
+    /// cursor `i` stands for the `span` lanes from `i`, the mask
+    /// `group << i`, and keeps its records and arrival cycles in lane `i`'s
+    /// rings.
     cur: Vec<LaneCur>,
+    span: usize,
+    group: u64,
     /// Address rings (`1 << a_shift >= fifo_cap` records per lane): each
     /// queued record index with, on write streams, the word to write there.
     addr: Vec<(u32, Word)>,
@@ -121,13 +142,23 @@ pub struct IdxState {
     sub_words: u32,
     sub_shift: Option<u32>,
     /// Lanes whose address FIFO holds a record / is full / whose data ring
-    /// holds an arrived word.
+    /// holds an arrived word / has room for one more / one in flight.
     addr_nonempty: u64,
     addr_full: u64,
     data_ready: u64,
+    room: u64,
+    flying: u64,
+    /// Per bank, the lanes whose FIFO head targets it (cross-lane streams;
+    /// empty in-lane, where lane `l` wants bank `l`).
+    want: Vec<u64>,
     /// No in-flight word arrives before this cycle; `u64::MAX` exactly
     /// when nothing is in flight.
     next_arrival: u64,
+    /// Scratch of one [`service_indexed`] pass: lanes whose head may still
+    /// issue, and for a tracer the verdict on a cursor's head — `(bank,
+    /// sub-array, hops, FIFO occupancy after)` of an access, or why not.
+    open: u64,
+    seen: Option<Verdict>,
 }
 
 impl IdxState {
@@ -150,10 +181,14 @@ impl IdxState {
         let d_shift = buf_cap.next_power_of_two().trailing_zeros();
         let sub_words = m.srf.subarray_words(m.lanes) as u32;
         let log2 = |x: u32| x.is_power_of_two().then(|| x.trailing_zeros());
+        let cross = kind == IdxKind::CrossLaneRead;
+        let span = if cross { 1 } else { lanes };
         IdxState {
             binding,
             kind,
-            cur: vec![idle(); lanes],
+            cur: vec![idle(); lanes / span],
+            span,
+            group: u64::MAX >> (64 - span),
             addr: vec![(0, 0); lanes << a_shift],
             data: vec![0; lanes << d_shift],
             ready_at: vec![0; lanes << d_shift],
@@ -169,22 +204,52 @@ impl IdxState {
             addr_nonempty: 0,
             addr_full: 0,
             data_ready: 0,
+            room: u64::MAX >> (64 - lanes),
+            flying: 0,
+            want: vec![0; if cross { lanes } else { 0 }],
             next_arrival: u64::MAX,
+            open: 0,
+            seen: None,
         }
     }
 
-    /// Recompute lane `lane`'s cached head target. An out-of-range index
+    /// Every lane of the stream, as a mask.
+    fn all(&self) -> u64 {
+        u64::MAX >> (64 - self.n_lanes)
+    }
+
+    /// The one-way split: every lane gets its own copy of the shared
+    /// cursor, of its queued record indices and of its arrival cycles
+    /// (write and data words are per lane already). Nothing observable
+    /// changes; from here on the lanes may.
+    fn split(&mut self) {
+        if self.span == 1 {
+            return;
+        }
+        let shared = self.cur[0];
+        self.cur.resize(self.n_lanes as usize, shared);
+        for lane in 1..self.n_lanes as usize {
+            for k in 0..1 << self.a_shift {
+                self.addr[(lane << self.a_shift) | k].0 = self.addr[k].0;
+            }
+            self.ready_at
+                .copy_within(..1 << self.d_shift, lane << self.d_shift);
+        }
+        (self.span, self.group) = (1, 1);
+    }
+
+    /// Recompute cursor `i`'s cached head target. An out-of-range index
     /// is clamped to the bank's last word — for the sub-array lookup and
     /// the SRAM access alike — so buggy kernels fail loudly in functional
     /// checks, not with a slice-index panic here.
     #[inline]
-    fn retarget(&mut self, lane: usize) {
-        let c = &mut self.cur[lane];
-        let record = self.addr[slot(lane, c.a_pop, self.a_shift)].0;
+    fn retarget(&mut self, i: usize) {
+        let c = &mut self.cur[i];
+        let record = self.addr[slot(i, c.a_pop, self.a_shift)].0;
         let (row, bank) = if self.kind == IdxKind::CrossLaneRead {
             div_rem(record, self.n_lanes, self.lane_shift)
         } else {
-            (record, lane as u32)
+            (record, i as u32)
         };
         let b = &self.binding;
         let off = u64::from(b.range.base)
@@ -197,21 +262,26 @@ impl IdxState {
         c.off = off.min(u64::from(self.bank_words) - 1) as u32;
         c.bank = bank as u8;
         c.sub = div_rem(c.off, self.sub_words, self.sub_shift).0 as u8;
+        if let Some(w) = self.want.get_mut(bank as usize) {
+            *w |= 1 << i;
+        }
     }
 
-    /// Append `record` to lane `lane`'s address ring; returns its slot.
+    /// Append `record` to cursor `i`'s address ring; returns its count.
     #[inline]
-    fn enqueue(&mut self, lane: usize, record: u32) -> usize {
-        debug_assert!(self.can_push_addr(lane));
-        let c = &mut self.cur[lane];
-        let at = slot(lane, c.a_push, self.a_shift);
-        self.addr[at].0 = record;
-        c.a_push = c.a_push.wrapping_add(1);
+    fn enqueue(&mut self, i: usize, record: u32) -> u32 {
+        debug_assert!(self.can_push_addr(i));
+        let (c, lanes) = (&mut self.cur[i], self.group << i);
+        let at = c.a_push;
+        self.addr[slot(i, at, self.a_shift)].0 = record;
+        c.a_push = at.wrapping_add(1);
         let len = c.a_push.wrapping_sub(c.a_pop);
-        self.addr_nonempty |= 1 << lane;
-        self.addr_full |= u64::from(len == self.fifo_cap) << lane;
+        self.addr_nonempty |= lanes;
+        if len == self.fifo_cap {
+            self.addr_full |= lanes;
+        }
         if len == 1 {
-            self.retarget(lane);
+            self.retarget(i);
         }
         at
     }
@@ -229,6 +299,7 @@ impl IdxState {
     /// Queue a read-record address from lane `l`'s cluster.
     pub fn push_addr(&mut self, lane: usize, record: u32) {
         debug_assert!(self.kind != IdxKind::InLaneWrite);
+        self.split();
         self.enqueue(lane, record);
     }
 
@@ -236,8 +307,34 @@ impl IdxState {
     /// bindings are word-granular).
     pub fn push_write_word(&mut self, lane: usize, record: u32, word: Word) {
         debug_assert_eq!(self.kind, IdxKind::InLaneWrite);
+        self.split();
         let at = self.enqueue(lane, record);
-        self.addr[at].1 = word;
+        self.addr[slot(lane, at, self.a_shift)].1 = word;
+    }
+
+    /// Queue one record per lane — with, on a write stream, the word each
+    /// lane writes there (`words` is empty on a read stream; every lane
+    /// must have room, [`IdxState::can_push_addr`]). A shared cursor takes
+    /// a row whose lanes agree as one record and splits at the first that
+    /// does not.
+    pub fn push_row(&mut self, records: &[u32], words: &[Word]) {
+        debug_assert_eq!(words.is_empty(), self.kind != IdxKind::InLaneWrite);
+        if self.span > 1 {
+            if records.iter().all(|&r| r == records[0]) {
+                let at = self.enqueue(0, records[0]);
+                for (lane, &w) in words.iter().enumerate() {
+                    self.addr[slot(lane, at, self.a_shift)].1 = w;
+                }
+                return;
+            }
+            self.split();
+        }
+        for (lane, &record) in records.iter().enumerate() {
+            let at = slot(lane, self.enqueue(lane, record), self.a_shift);
+            if let Some(&w) = words.get(lane) {
+                self.addr[at].1 = w;
+            }
+        }
     }
 
     /// Is a data word ready for lane `l`?
@@ -247,7 +344,7 @@ impl IdxState {
 
     /// Is a data word ready in every lane (a whole-row pop can proceed)?
     pub(crate) fn all_data_ready(&self) -> bool {
-        self.data_ready == u64::MAX >> (64 - self.n_lanes)
+        self.data_ready == self.all()
     }
 
     /// Pop the next ready data word for lane `l`.
@@ -257,49 +354,75 @@ impl IdxState {
     /// Panics if no data is ready.
     pub fn pop_data(&mut self, lane: usize) -> Word {
         assert!(self.can_pop_data(lane), "no indexed data ready");
+        self.split();
         let c = &mut self.cur[lane];
         let w = self.data[slot(lane, c.d_pop, self.d_shift)];
         c.d_pop = c.d_pop.wrapping_add(1);
         self.data_ready &= !(u64::from(c.d_pop == c.d_land) << lane);
+        self.room |= 1 << lane;
         w
     }
 
-    /// Pop one ready word per lane into `out` (a slot per lane; requires
-    /// [`IdxState::all_data_ready`]).
-    pub(crate) fn pop_row(&mut self, out: &mut [Word]) {
-        assert!(self.all_data_ready() && out.len() == self.cur.len());
+    /// Pop one ready word per lane into `out` (a slot per lane; every lane
+    /// must have one, [`IdxState::can_pop_data`]).
+    pub fn pop_row(&mut self, out: &mut [Word]) {
+        assert!(self.all_data_ready() && out.len() == self.n_lanes as usize);
         let mut emptied = 0;
-        for (lane, (c, o)) in self.cur.iter_mut().zip(out).enumerate() {
-            *o = self.data[slot(lane, c.d_pop, self.d_shift)];
+        if self.span == 1 {
+            for (lane, (c, o)) in self.cur.iter_mut().zip(out).enumerate() {
+                *o = self.data[slot(lane, c.d_pop, self.d_shift)];
+                c.d_pop = c.d_pop.wrapping_add(1);
+                emptied |= u64::from(c.d_pop == c.d_land) << lane;
+            }
+        } else {
+            let c = &mut self.cur[0];
+            for (lane, o) in out.iter_mut().enumerate() {
+                *o = self.data[slot(lane, c.d_pop, self.d_shift)];
+            }
             c.d_pop = c.d_pop.wrapping_add(1);
-            emptied |= u64::from(c.d_pop == c.d_land) << lane;
+            if c.d_pop == c.d_land {
+                emptied = self.group;
+            }
         }
         self.data_ready &= !emptied;
+        self.room = self.all();
     }
 
     /// Mark arrived in-flight words ready.
+    #[inline]
     pub fn tick_arrivals(&mut self, now: u64) {
         self.tick_arrivals_budgeted(now, &mut { usize::MAX });
     }
 
-    /// Mark arrived in-flight words ready, consuming one unit of `budget`
-    /// per word (cross-lane returns share the inter-cluster data network
+    /// Mark arrived in-flight words ready, walking only the cursors with a
+    /// word in flight and consuming one unit of `budget` per word, lanes
+    /// ascending (cross-lane returns share the inter-cluster data network
     /// with explicit communications, which have priority; a queued return
-    /// simply waits for a free slot).
+    /// simply waits for a free slot). A budget short of `usize::MAX` tells
+    /// lanes apart, so a shared cursor splits.
+    #[inline(always)]
     pub fn tick_arrivals_budgeted(&mut self, now: u64, budget: &mut usize) {
         if now < self.next_arrival {
             return; // nothing lands: the common per-cycle case
         }
-        let mut next = u64::MAX;
-        for (lane, c) in self.cur.iter_mut().enumerate() {
+        if self.span > 1 && *budget < usize::MAX {
+            self.split();
+        }
+        let (mut next, mut walk) = (u64::MAX, self.flying);
+        while walk != 0 {
+            let i = walk.trailing_zeros() as usize;
+            let lanes = self.group << i;
+            walk &= !lanes;
+            let c = &mut self.cur[i];
             while c.front <= now && *budget > 0 {
                 c.d_land = c.d_land.wrapping_add(1);
                 *budget -= 1;
-                self.data_ready |= 1 << lane;
+                self.data_ready |= lanes;
                 c.front = if c.d_land == c.d_push {
+                    self.flying &= !lanes;
                     u64::MAX
                 } else {
-                    self.ready_at[slot(lane, c.d_land, self.d_shift)]
+                    self.ready_at[slot(i, c.d_land, self.d_shift)]
                 };
             }
             next = next.min(c.front);
@@ -317,70 +440,79 @@ impl IdxState {
         self.addr_nonempty == 0 && self.next_arrival == u64::MAX
     }
 
-    /// Put `w`, read for lane `lane`, in flight until cycle `ready`.
+    /// The words just written at cursor `i`'s `d_push` slots are in flight
+    /// until cycle `ready`.
     #[inline]
-    fn land(&mut self, lane: usize, ready: u64, w: Word) {
-        let c = &mut self.cur[lane];
-        let at = slot(lane, c.d_push, self.d_shift);
-        self.data[at] = w;
-        self.ready_at[at] = ready;
+    fn land(&mut self, i: usize, ready: u64) {
+        let (c, lanes) = (&mut self.cur[i], self.group << i);
+        self.ready_at[slot(i, c.d_push, self.d_shift)] = ready;
         if c.d_land == c.d_push {
             c.front = ready;
+            self.flying |= lanes;
         }
         c.d_push = c.d_push.wrapping_add(1);
+        if c.d_push.wrapping_sub(c.d_pop) >= self.buf_cap {
+            self.room &= !lanes;
+        }
         self.next_arrival = self.next_arrival.min(ready);
     }
 
-    /// One word of lane `lane`'s FIFO head was issued: advance its
+    /// One word of cursor `i`'s FIFO head was issued: advance its
     /// expansion counter, retire the record when complete, and retarget.
     /// Returns the FIFO occupancy afterwards.
     #[inline]
-    fn advance_head(&mut self, lane: usize) -> u32 {
-        let c = &mut self.cur[lane];
+    fn advance_head(&mut self, i: usize) -> u32 {
+        let (c, lanes) = (&mut self.cur[i], self.group << i);
+        if let Some(w) = self.want.get_mut(c.bank as usize) {
+            *w &= !lanes;
+        }
         c.head_word += 1;
         if c.head_word == self.binding.record_words {
             c.head_word = 0;
             c.a_pop = c.a_pop.wrapping_add(1);
-            self.addr_full &= !(1 << lane);
+            self.addr_full &= !lanes;
             if c.a_pop == c.a_push {
-                self.addr_nonempty &= !(1 << lane);
+                self.addr_nonempty &= !lanes;
                 return 0;
             }
         }
         let len = c.a_push.wrapping_sub(c.a_pop);
-        self.retarget(lane);
+        self.retarget(i);
         len
     }
 
     /// Serialize the dynamic state: every lane's address FIFO (with write
-    /// payloads), head-expansion cursor, in-flight words, and ready data.
+    /// payloads), head-expansion cursor, in-flight words, and ready data —
+    /// the same bytes whether the lanes share a cursor or not.
     pub fn encode_state(&self, e: &mut Enc) {
         let write = self.kind == IdxKind::InLaneWrite;
         let (mut entries, mut flying) = (0, 0);
-        e.usize(self.cur.len());
-        for (lane, c) in self.cur.iter().enumerate() {
+        e.usize(self.n_lanes as usize);
+        for lane in 0..self.n_lanes as usize {
+            let i = lane.min(self.cur.len() - 1);
+            let c = &self.cur[i];
             let reqs = c.a_push.wrapping_sub(c.a_pop);
             e.usize(reqs as usize);
-            for i in 0..reqs {
-                let at = slot(lane, c.a_pop.wrapping_add(i), self.a_shift);
-                e.u32(self.addr[at].0);
+            for k in 0..reqs {
+                let count = c.a_pop.wrapping_add(k);
+                e.u32(self.addr[slot(i, count, self.a_shift)].0);
                 e.u8(u8::from(write));
                 if write {
-                    e.u32(self.addr[at].1);
+                    e.u32(self.addr[slot(lane, count, self.a_shift)].1);
                 }
             }
             e.u32(c.head_word);
             let inflight = c.d_push.wrapping_sub(c.d_land);
             e.usize(inflight as usize);
-            for i in 0..inflight {
-                let at = slot(lane, c.d_land.wrapping_add(i), self.d_shift);
-                e.u64(self.ready_at[at]);
-                e.u32(self.data[at]);
+            for k in 0..inflight {
+                let count = c.d_land.wrapping_add(k);
+                e.u64(self.ready_at[slot(i, count, self.d_shift)]);
+                e.u32(self.data[slot(lane, count, self.d_shift)]);
             }
             let ready = c.d_land.wrapping_sub(c.d_pop);
             e.usize(ready as usize);
-            for i in 0..ready {
-                e.u32(self.data[slot(lane, c.d_pop.wrapping_add(i), self.d_shift)]);
+            for k in 0..ready {
+                e.u32(self.data[slot(lane, c.d_pop.wrapping_add(k), self.d_shift)]);
             }
             entries += reqs as usize;
             flying += inflight as usize;
@@ -390,22 +522,26 @@ impl IdxState {
     }
 
     /// Overwrite the dynamic state from [`IdxState::encode_state`] bytes
-    /// by replaying them as pushes and issues on an emptied stream.
+    /// by replaying them as pushes and issues on an emptied, split stream.
     pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
         let mismatch = |what: &str| Err(SnapError::Mismatch(format!("indexed stream {what}")));
-        if d.usize()? != self.cur.len() {
+        let lanes = self.n_lanes as usize;
+        if d.usize()? != lanes {
             return mismatch("lane count differs");
         }
-        self.cur.fill(idle());
+        self.cur = vec![idle(); lanes];
+        (self.span, self.group) = (1, 1);
         (self.addr_nonempty, self.addr_full, self.data_ready) = (0, 0, 0);
+        (self.room, self.flying) = (self.all(), 0);
+        self.want.fill(0);
         self.next_arrival = u64::MAX;
-        for lane in 0..self.cur.len() {
+        for lane in 0..lanes {
             let reqs = d.usize()?;
             if reqs > self.fifo_cap as usize {
                 return mismatch("address FIFO overflows its capacity");
             }
             for _ in 0..reqs {
-                let at = self.enqueue(lane, d.u32()?);
+                let at = slot(lane, self.enqueue(lane, d.u32()?), self.a_shift);
                 match (d.u8()?, self.kind == IdxKind::InLaneWrite) {
                     (0, false) => {}
                     (1, true) => self.addr[at].1 = d.u32()?,
@@ -425,7 +561,8 @@ impl IdxState {
             let inflight = d.usize()?;
             for _ in 0..inflight.min(self.buf_cap as usize) {
                 let ready = d.u64()?;
-                self.land(lane, ready, d.u32()?);
+                self.data[slot(lane, self.cur[lane].d_push, self.d_shift)] = d.u32()?;
+                self.land(lane, ready);
             }
             let ready = d.usize()?;
             if inflight.saturating_add(ready) > self.buf_cap as usize {
@@ -436,6 +573,7 @@ impl IdxState {
                 self.data[slot(lane, i.wrapping_sub(ready as u32), self.d_shift)] = d.u32()?;
             }
             self.data_ready |= u64::from(ready > 0) << lane;
+            self.room &= !(u64::from(inflight + ready == self.buf_cap as usize) << lane);
         }
         // The frame's occupancy totals repeat what the queues just said.
         d.usize()?;
@@ -517,6 +655,41 @@ pub fn topology_issue_budget(topology: CrossLaneTopology, lanes: usize) -> usize
 /// `MachineConfig::validate` rejects wider indexed machines.
 const MAX_BANKS: usize = 64;
 
+/// FIFO heads [`service_indexed`] has examined in this process: the
+/// arbiter's work, pinned per point by `tests/idx_work.rs`. Debug builds
+/// only — the build users run does not count.
+#[cfg(debug_assertions)]
+pub static HEADS_EXAMINED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+
+/// The verdict on a FIFO head — `(bank, sub-array, hops, FIFO occupancy
+/// after)` of an access, or why it was rejected.
+type Verdict = Result<(u8, u8, u8, u8), Why>;
+
+/// The trace event for `verdict` on lane `lane`'s head of stream `stream`.
+#[inline(always)]
+fn event(st: &IdxState, stream: usize, lane: usize, verdict: Verdict) -> TraceEvent {
+    let crosslane = st.kind == IdxKind::CrossLaneRead;
+    let (stream, lane) = (stream as u8, lane as u8);
+    match verdict {
+        Ok((bank, subarray, hops, fifo_after)) => TraceEvent::IdxAccess {
+            stream,
+            lane,
+            bank: if crosslane { bank } else { lane },
+            subarray,
+            write: st.kind == IdxKind::InLaneWrite,
+            crosslane,
+            hops,
+            fifo_after,
+        },
+        Err(reason) => TraceEvent::IdxReject {
+            stream,
+            lane,
+            crosslane,
+            reason,
+        },
+    }
+}
+
 /// One cycle of stage-2 (local) arbitration and SRAM access for all
 /// indexed streams. Call when stage-1 grants the port to the indexed
 /// group. Cross-lane *issue* uses the dedicated index network and is never
@@ -545,8 +718,46 @@ pub fn service_indexed(
     // Sub-array occupancy per bank for this cycle, shared between in-lane
     // and cross-lane accesses — the SRAM is single-ported per sub-array.
     let mut busy = [0u64; MAX_BANKS];
-    service_pass::<false>(states, srf, now, p, start, &mut busy, traffic, tracer);
-    service_pass::<true>(states, srf, now, p, start, &mut busy, traffic, tracer);
+    // Per pass (in-lane `[0]`, cross-lane `[1]`), the lanes with a head and
+    // with one that may issue.
+    let (mut heads, mut open) = ([0u64; 2], [0u64; 2]);
+    let (mut span, mut widest) = (usize::MAX, 0);
+    for st in states.iter_mut() {
+        st.open = st.addr_nonempty & st.room;
+        if st.kind == IdxKind::CrossLaneRead {
+            if p.network_ports_per_bank == 0 {
+                st.open = 0; // no port: every bank is closed from the start
+            }
+            heads[1] |= st.addr_nonempty;
+            open[1] |= st.open;
+        } else {
+            heads[0] |= st.addr_nonempty;
+            open[0] |= st.open;
+            (span, widest) = (span.min(st.span), widest.max(st.span));
+        }
+    }
+    // A tracer hears of the heads that cannot issue too.
+    let lanes = if tracer.enabled() { heads } else { open };
+    if span < widest {
+        // Lanes of a split stream may occupy different sub-arrays, so the
+        // streams arbitrating beside it stop being lane-uniform too.
+        states.iter_mut().for_each(IdxState::split);
+        span = 1;
+    }
+    // One loop, compiled for the three shapes it runs in (a run-time `span`
+    // cost sort and rijndael a fifth of their host time).
+    if span == 1 {
+        service_pass(
+            states, srf, now, p, start, false, 1, lanes[0], &mut busy, traffic, tracer,
+        );
+    } else {
+        service_pass(
+            states, srf, now, p, start, false, span, lanes[0], &mut busy, traffic, tracer,
+        );
+    }
+    service_pass(
+        states, srf, now, p, start, true, 1, lanes[1], &mut busy, traffic, tracer,
+    );
     *rr = if start + 1 < states.len() {
         start + 1
     } else {
@@ -554,117 +765,134 @@ pub fn service_indexed(
     };
 }
 
-/// Arbitrate the FIFO heads of the in-lane (or, with `CROSS`, cross-lane)
-/// streams: lanes ascending, streams round-robin from `rr`, visiting only
-/// lanes where some such stream has a head. In-lane, a lane serves up to
-/// `inlane_words_per_cycle` accesses to distinct sub-arrays, at most one
-/// per stream. Cross-lane, each lane offers one index per cycle over the
-/// dedicated index network and banks accept up to
-/// `network_ports_per_bank`.
+/// Arbitrate the FIFO heads of the in-lane (or, with `cross`, cross-lane)
+/// streams: cursors ascending — all lanes at once while every in-lane
+/// stream shares its cursor — and streams round-robin from `rr`. In-lane,
+/// a lane serves up to `inlane_words_per_cycle` accesses to distinct
+/// sub-arrays, at most one per stream; cross-lane, each lane offers one
+/// index per cycle and a bank accepts `network_ports_per_bank`. Only heads
+/// in their stream's `open` mask are examined, and when a bank's last port
+/// goes every head that wants it leaves in one `and`; a tracer has the
+/// others walked too, for their `IdxReject`, and hears a shared cursor's
+/// verdicts lane by lane, so events stay lane-major.
 #[allow(clippy::too_many_arguments)]
-fn service_pass<const CROSS: bool>(
+#[inline(always)]
+fn service_pass(
     states: &mut [IdxState],
     srf: &mut Srf,
     now: u64,
     p: &IdxParams,
     rr: usize,
+    cross: bool,
+    span: usize,
+    mut lanes: u64,
     busy: &mut [u64; MAX_BANKS],
     traffic: &mut SrfTraffic,
     tracer: &mut Tracer,
 ) {
-    let mine = |st: &IdxState| (st.kind == IdxKind::CrossLaneRead) == CROSS;
-    let mut lanes = (states.iter().filter(|st| mine(st))).fold(0, |m, st| m | st.addr_nonempty);
     if lanes == 0 {
         return;
     }
+    let mine = |st: &IdxState| (st.kind == IdxKind::CrossLaneRead) == cross;
+    let (n, traced) = (states.len(), tracer.enabled());
+    // The `k`-th stream in round-robin order.
+    let nth = |k: usize| if rr + k < n { rr + k } else { rr + k - n };
     // Cross-lane accesses each bank has accepted this cycle (the issue
     // budget is at most one per lane, so a byte cannot overflow).
     let mut ports_used = [0u8; MAX_BANKS];
-    let (per_lane, mut global) = if CROSS {
+    let (per_lane, mut global, latency) = if cross {
         let global = topology_issue_budget(p.topology, p.lanes);
-        (p.crosslane_words_per_cycle, global)
+        (p.crosslane_words_per_cycle, global, p.crosslane_latency)
     } else {
-        (p.inlane_words_per_cycle, usize::MAX)
+        (p.inlane_words_per_cycle, usize::MAX, p.inlane_latency)
     };
     while lanes != 0 && global != 0 {
-        let lane = lanes.trailing_zeros() as usize;
-        lanes &= lanes - 1;
+        let i = lanes.trailing_zeros() as usize;
+        lanes &= !((u64::MAX >> (64 - span)) << i);
         let mut issues = per_lane;
-        for k in 0..states.len() {
+        for k in 0..n {
             if issues == 0 || global == 0 {
                 break;
             }
-            let si = if rr + k < states.len() {
-                rr + k
+            let st = &mut states[nth(k)];
+            if !mine(st) || st.addr_nonempty & (1 << i) == 0 {
+                continue;
+            }
+            let mut closed = None;
+            let verdict = if st.open & (1 << i) == 0 {
+                // Masked out, the head waits: no room to land the data,
+                // else the bank's network ports are exhausted.
+                Err(if st.room & (1 << i) == 0 {
+                    Why::DataBufferFull
+                } else {
+                    Why::BankPortBusy
+                })
             } else {
-                rr + k - states.len()
+                #[cfg(debug_assertions)]
+                HEADS_EXAMINED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let c = &st.cur[i];
+                let (sub, off, a_pop, d_push) = (c.sub, c.off, c.a_pop, c.d_push);
+                let bank = if cross { c.bank as usize } else { i };
+                if busy[bank] & (1 << sub) != 0 {
+                    Err(Why::SubarrayConflict)
+                } else {
+                    busy[bank] |= 1 << sub;
+                    issues -= 1;
+                    let mut hops = 0;
+                    if cross {
+                        global -= 1;
+                        ports_used[bank] += 1;
+                        if ports_used[bank] as usize >= p.network_ports_per_bank {
+                            closed = Some(bank);
+                        }
+                        traffic.crosslane_words += 1;
+                        hops = topology_extra_latency(p.topology, i, bank, p.lanes);
+                    } else {
+                        traffic.inlane_words += span as u64;
+                    }
+                    if st.kind == IdxKind::InLaneWrite {
+                        for lane in i..i + span {
+                            srf.write(lane, off, st.addr[slot(lane, a_pop, st.a_shift)].1);
+                        }
+                    } else {
+                        for lane in i..i + span {
+                            let from = if cross { bank } else { lane };
+                            st.data[slot(lane, d_push, st.d_shift)] = srf.read(from, off);
+                        }
+                        st.land(i, now + latency + hops);
+                    }
+                    Ok((bank as u8, sub, hops as u8, st.advance_head(i) as u8))
+                }
             };
-            let st = &mut states[si];
-            if !mine(st) || st.addr_nonempty & (1 << lane) == 0 {
-                continue;
+            if traced && span == 1 {
+                tracer.emit(now, event(st, nth(k), i, verdict));
+            } else if traced {
+                st.seen = Some(verdict); // all lanes' events, after this cursor's loop
             }
-            let c = &st.cur[lane];
-            let (bank, sub, off, a_pop) = (c.bank as usize, c.sub, c.off, c.a_pop);
-            let write = st.kind == IdxKind::InLaneWrite;
-            // No room to land the data / bank's network ports exhausted /
-            // sub-array taken: the head waits (head-of-line).
-            let full = !write && c.d_push.wrapping_sub(c.d_pop) >= st.buf_cap;
-            let no_port = CROSS && ports_used[bank] as usize >= p.network_ports_per_bank;
-            if full || no_port || busy[bank] & (1 << sub) != 0 {
-                let reason = if full {
-                    IdxRejectReason::DataBufferFull
-                } else if no_port {
-                    IdxRejectReason::BankPortBusy
-                } else {
-                    IdxRejectReason::SubarrayConflict
-                };
-                let (stream, lane) = (si as u8, lane as u8);
-                tracer.emit(
-                    now,
-                    TraceEvent::IdxReject {
-                        stream,
-                        lane,
-                        crosslane: CROSS,
-                        reason,
-                    },
-                );
-                continue;
+            if let Some(bank) = closed {
+                // The bank is shut for the cycle: every head that wants it,
+                // this stream's included, drops out of the pass.
+                let mut open = 0;
+                for st in states.iter_mut().filter(|st| mine(st)) {
+                    st.open &= !st.want[bank];
+                    open |= st.open;
+                }
+                if !traced {
+                    lanes &= open;
+                }
             }
-            busy[bank] |= 1 << sub;
-            issues -= 1;
-            let mut hops = 0;
-            if CROSS {
-                ports_used[bank] += 1;
-                global -= 1;
-                traffic.crosslane_words += 1;
-                hops = topology_extra_latency(p.topology, lane, bank, p.lanes);
-            } else {
-                traffic.inlane_words += 1;
+        }
+        let occupied = busy[i];
+        busy[i..i + span].fill(occupied);
+        if traced && span > 1 {
+            for lane in i..i + span {
+                for (k, st) in (0..n).map(|k| (nth(k), &states[nth(k)])) {
+                    if let Some(seen) = st.seen {
+                        tracer.emit(now, event(st, k, lane, seen));
+                    }
+                }
             }
-            if write {
-                srf.write(bank, off, st.addr[slot(lane, a_pop, st.a_shift)].1);
-            } else {
-                let latency = if CROSS {
-                    p.crosslane_latency + hops
-                } else {
-                    p.inlane_latency
-                };
-                st.land(lane, now + latency, srf.read(bank, off));
-            }
-            let fifo_after = st.advance_head(lane) as u8;
-            tracer.emit(
-                now,
-                TraceEvent::IdxAccess {
-                    stream: si as u8,
-                    lane: lane as u8,
-                    bank: bank as u8,
-                    subarray: sub,
-                    write,
-                    crosslane: CROSS,
-                    hops: hops as u8,
-                    fifo_after,
-                },
-            );
+            states.iter_mut().for_each(|st| st.seen = None);
         }
     }
 }

@@ -13,6 +13,34 @@
 //! mask-driven arbiter runs in lock-step with [`reference`], the
 //! queue-per-lane arbiter it replaced, and must grant, reject, land and
 //! return exactly what the reference does, cycle by cycle.
+//!
+//! A third drives whole *rows* — the kernel's interface — through the
+//! shared-cursor states the arbiter keeps for lane-uniform in-lane streams,
+//! beside the same history pushed lane by lane (which splits every stream
+//! at once) and the reference: words, traffic, the full event sequence and
+//! the snapshot bytes must agree whatever the cursors look like.
+//!
+//! Seeded mutants of `indexed.rs`, each applied and run; `rows` is
+//! `rows_match_queue_reference_and_per_lane_api`, `lanes` is
+//! `arbiter_matches_queue_reference`:
+//!
+//! | mutant | fails |
+//! |---|---|
+//! | the split copies no arrival cycles (`ready_at`) to the new lanes | `rows` |
+//! | the split copies no queued record indices | `rows` |
+//! | a shared push drops the lanes' write words | `rows` |
+//! | a split stream does not split the shared ones served beside it | `rows` |
+//! | a shared cursor's sub-arrays are not marked busy in every bank | `rows` |
+//! | a shared cursor's events are emitted stream-major | `rows` |
+//! | `pop_row` does not restore `room` | `rows` |
+//! | `pop_data` does not restore `room` | `rows`, `lanes` |
+//! | a closed bank's `want` mask is not applied to the issuing stream | `rows`, `lanes` |
+//! | `want` keeps a retired head's bit | `rows`, `lanes` |
+//! | a masked-out head reports `BankPortBusy` before `DataBufferFull` | `rows`, `lanes` |
+//! | a tracer's walk drops the masked-out heads too (no `IdxReject`) | `rows`, `lanes` |
+//!
+//! (`flying` keeping the bit of a lane whose last word landed fails
+//! nothing: the walk visits a lane with nothing to land.)
 
 use std::collections::VecDeque;
 
@@ -571,16 +599,12 @@ proptest! {
                 // A snapshot round trip mid-run must be invisible, and
                 // re-encoding the restored state must reproduce the bytes.
                 for (s, (pl, &b)) in states.iter_mut().zip(plan.iter().zip(&bindings)) {
-                    let mut e = Enc::new();
-                    s.encode_state(&mut e);
-                    let bytes = e.into_bytes();
+                    let bytes = snapshot(s);
                     let mut fresh = IdxState::new(b, pl.kind, lanes, &m);
                     let mut d = Dec::new(&bytes);
                     fresh.decode_state(&mut d).expect("own snapshot decodes");
                     d.finish().expect("snapshot fully consumed");
-                    let mut again = Enc::new();
-                    fresh.encode_state(&mut again);
-                    prop_assert_eq!(&again.into_bytes(), &bytes);
+                    prop_assert_eq!(&snapshot(&fresh), &bytes);
                     *s = fresh;
                 }
             }
@@ -592,13 +616,315 @@ proptest! {
             }
             prop_assert!(now < 100_000, "arbiters failed to drain: cycle {}", now);
         }
-        let rec = tracer.into_recorder().expect("recording tracer");
-        prop_assert_eq!(rec.ring().dropped(), 0);
-        let events: Vec<(u64, TraceEvent)> = rec.ring().iter().cloned().collect();
-        prop_assert_eq!(events, ref_events);
+        prop_assert_eq!(events_of(tracer), ref_events);
         for bank in 0..lanes {
             for o in 0..srf.bank_words() {
                 prop_assert_eq!(srf.read(bank, o), ref_srf.read(bank, o));
+            }
+        }
+    }
+}
+
+/// One stream of the row-driven comparison: each row holds a raw record
+/// per lane, made uniform (or bank-hot) when the plan is fit to a machine.
+#[derive(Debug, Clone)]
+struct RowPlan {
+    kind: IdxKind,
+    record_words: u32,
+    /// In-lane: rows before this one are lane-uniform. Cross-lane: unused.
+    diverge_at: usize,
+    /// From this cycle on the row-driven side pops lane by lane (a
+    /// per-lane call, which splits a shared cursor with words in flight).
+    lane_pops_from: u64,
+    /// `(seed, the seed of the raw record of each lane, flags)`.
+    rows: Vec<(u32, u64, u8)>,
+}
+
+fn row_plans() -> impl Strategy<Value = Vec<RowPlan>> {
+    let row = (any::<u32>(), any::<u64>(), any::<u8>());
+    prop::collection::vec(
+        (
+            0u8..4,
+            0u8..3,
+            0usize..32,
+            0u64..96,
+            prop::collection::vec(row, 0..24),
+        ),
+        1..5,
+    )
+    .prop_map(|raw| {
+        let mut seen_write = false;
+        raw.into_iter()
+            .map(|(kind_code, rw_code, diverge_at, lane_pops_from, rows)| {
+                // A quarter never diverge or pop by lane, an eighth start split.
+                let diverge_at = match diverge_at {
+                    0..=3 => 0,
+                    24.. => usize::MAX,
+                    at => at,
+                };
+                let lane_pops_from = match lane_pops_from {
+                    64.. => u64::MAX,
+                    at => at,
+                };
+                let mut kind = match kind_code {
+                    0 | 1 => IdxKind::InLaneRead,
+                    2 => IdxKind::CrossLaneRead,
+                    _ => IdxKind::InLaneWrite,
+                };
+                if kind == IdxKind::InLaneWrite && std::mem::replace(&mut seen_write, true) {
+                    kind = IdxKind::InLaneRead;
+                }
+                let record_words = match kind {
+                    IdxKind::InLaneWrite => 1,
+                    _ => [1u32, 2, 4][rw_code as usize],
+                };
+                RowPlan {
+                    kind,
+                    record_words,
+                    diverge_at,
+                    lane_pops_from,
+                    rows,
+                }
+            })
+            .collect()
+    })
+}
+
+/// Row `r` of `plan` on a machine of `lanes` lanes whose streams hold
+/// `records` records: one record per lane.
+fn fit_row(plan: &RowPlan, r: usize, lanes: usize, records: u32) -> Vec<u32> {
+    let (seed, mut lane_seed, flags) = plan.rows[r];
+    let raw: Vec<u32> = (0..lanes)
+        .map(|_| next_bits(&mut lane_seed) as u32)
+        .collect();
+    (0..lanes)
+        .map(|l| match plan.kind {
+            // Every lane to one bank, different rows: the port bottleneck.
+            IdxKind::CrossLaneRead if flags & 1 == 1 => {
+                let rows = records / lanes as u32;
+                (raw[l] % rows) * lanes as u32 + seed % lanes as u32
+            }
+            IdxKind::CrossLaneRead => raw[l] % records,
+            // Lane-uniform until the stream diverges, and now and then after.
+            _ if r < plan.diverge_at || flags & 3 == 0 => seed % records,
+            _ => raw[l] % records,
+        })
+        .collect()
+}
+
+/// Machine shapes of the row-driven comparison: 4, 8 or 16 lanes, one or
+/// two network ports a bank, crossbar or ring.
+fn row_machines() -> impl Strategy<Value = MachineConfig> {
+    (any::<bool>(), any::<bool>(), 0usize..3, 1usize..3).prop_map(|(isrf4, ring, width, ports)| {
+        let mut m = MachineConfig::preset(if isrf4 {
+            ConfigName::Isrf4
+        } else {
+            ConfigName::Isrf1
+        });
+        m.lanes = [4, 8, 16][width];
+        let idx = m.srf.indexed.as_mut().expect("ISRF preset");
+        idx.network_ports_per_bank = ports;
+        if ring {
+            idx.crosslane_topology = CrossLaneTopology::Ring;
+        }
+        m.validate().expect("test machine is valid");
+        m
+    })
+}
+
+fn snapshot(s: &IdxState) -> Vec<u8> {
+    let mut e = Enc::new();
+    s.encode_state(&mut e);
+    e.into_bytes()
+}
+
+fn events_of(tracer: Tracer) -> Vec<(u64, TraceEvent)> {
+    let rec = tracer.into_recorder().expect("recording tracer");
+    assert_eq!(rec.ring().dropped(), 0);
+    rec.ring().iter().cloned().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn rows_match_queue_reference_and_per_lane_api(
+        m in row_machines(),
+        plan in row_plans(),
+        seed in any::<u64>(),
+        snap_cycle in 0u64..64,
+    ) {
+        let lanes = m.lanes;
+        let p = IdxParams::from_machine(&m);
+        let idx = m.srf.indexed.as_ref().expect("ISRF preset");
+        // Two disjoint regions (reads, writes) of half a bank each.
+        let mut srf = Srf::new(&m);
+        let region = srf.bank_words() / 2;
+        let (read_range, write_range) = (srf.alloc(region), srf.alloc(region));
+        for l in 0..lanes {
+            for o in 0..srf.bank_words() {
+                srf.write(l, o, pattern(l, o));
+            }
+        }
+        let (mut lane_srf, mut ref_srf) = (srf.clone(), srf.clone());
+        let records: Vec<u32> = plan
+            .iter()
+            .map(|s| match s.kind {
+                IdxKind::CrossLaneRead => lanes as u32 * region / s.record_words,
+                _ => region / s.record_words,
+            })
+            .collect();
+        let bindings: Vec<StreamBinding> = plan
+            .iter()
+            .zip(&records)
+            .map(|(s, &n)| match s.kind {
+                IdxKind::InLaneWrite => StreamBinding::whole(write_range, s.record_words, n),
+                _ => StreamBinding::whole(read_range, s.record_words, n),
+            })
+            .collect();
+        let fresh = |si: usize| IdxState::new(bindings[si], plan[si].kind, lanes, &m);
+        // Row-driven (shared cursors where the rows allow), lane-driven
+        // (split from the first push), and the queue reference.
+        let mut rows: Vec<IdxState> = (0..plan.len()).map(fresh).collect();
+        let mut by_lane: Vec<IdxState> = (0..plan.len()).map(fresh).collect();
+        let mut refs: Vec<reference::Stream> = plan
+            .iter()
+            .zip(&bindings)
+            .map(|(s, &binding)| reference::Stream {
+                binding,
+                kind: s.kind,
+                lanes: (0..lanes).map(|_| reference::Lane::default()).collect(),
+                fifo_cap: idx.addr_fifo_entries,
+                buf_cap: m.srf.stream_buffer_words,
+            })
+            .collect();
+        let mut next_row = vec![0usize; plan.len()];
+        let (mut row_tracer, mut lane_tracer) =
+            (Tracer::recording(1 << 20), Tracer::recording(1 << 20));
+        let mut ref_events = Vec::new();
+        let mut traffic = [SrfTraffic::default(); 3];
+        let mut rr = [0usize; 3];
+        let (mut rng, mut write_seq, mut now) = (seed, 0usize, 0u64);
+        loop {
+            // Push whole rows while every lane's FIFO has room.
+            for (si, s) in plan.iter().enumerate() {
+                while next_row[si] < s.rows.len() {
+                    let room = refs[si].lanes.iter().all(|l| l.addr_fifo.len() < refs[si].fifo_cap);
+                    for l in 0..lanes {
+                        let lane_room = refs[si].lanes[l].addr_fifo.len() < refs[si].fifo_cap;
+                        prop_assert_eq!(rows[si].can_push_addr(l), lane_room);
+                        prop_assert_eq!(by_lane[si].can_push_addr(l), lane_room);
+                    }
+                    if !room {
+                        break;
+                    }
+                    let recs = fit_row(s, next_row[si], lanes, records[si]);
+                    let words: Vec<Word> = match s.kind {
+                        IdxKind::InLaneWrite => {
+                            (0..lanes).map(|l| write_word(write_seq + l)).collect()
+                        }
+                        _ => Vec::new(),
+                    };
+                    write_seq += words.len();
+                    rows[si].push_row(&recs, &words);
+                    for (l, &rec) in recs.iter().enumerate() {
+                        match words.get(l) {
+                            Some(&w) => by_lane[si].push_write_word(l, rec, w),
+                            None => by_lane[si].push_addr(l, rec),
+                        }
+                        let w = words.get(l).copied().unwrap_or(0);
+                        refs[si].lanes[l].addr_fifo.push_back((rec, w));
+                    }
+                    next_row[si] += 1;
+                }
+            }
+            // Land arrivals: cross-lane returns share a random budget.
+            let returns = (next_bits(&mut rng) as usize) % (lanes + 1);
+            let mut budget = [returns; 3];
+            for si in 0..plan.len() {
+                if plan[si].kind == IdxKind::CrossLaneRead {
+                    rows[si].tick_arrivals_budgeted(now, &mut budget[0]);
+                    by_lane[si].tick_arrivals_budgeted(now, &mut budget[1]);
+                    refs[si].tick(now, &mut budget[2]);
+                } else {
+                    rows[si].tick_arrivals(now);
+                    by_lane[si].tick_arrivals(now);
+                    refs[si].tick(now, &mut { usize::MAX });
+                }
+            }
+            prop_assert_eq!(budget[0], budget[2]);
+            prop_assert_eq!(budget[1], budget[2]);
+            // Stage 1 grants the indexed group on most cycles.
+            if next_bits(&mut rng) & 3 != 0 {
+                service_indexed(
+                    &mut rows, &mut srf, now, &p, &mut rr[0], &mut traffic[0], &mut row_tracer,
+                );
+                service_indexed(
+                    &mut by_lane, &mut lane_srf, now, &p, &mut rr[1], &mut traffic[1],
+                    &mut lane_tracer,
+                );
+                reference::service(
+                    &mut refs, &mut ref_srf, now, &p, &mut rr[2], &mut traffic[2],
+                    &mut ref_events,
+                );
+            }
+            prop_assert_eq!(traffic[0], traffic[2], "cycle {}", now);
+            prop_assert_eq!(traffic[1], traffic[2], "cycle {}", now);
+            prop_assert_eq!((rr[0], rr[1]), (rr[2], rr[2]));
+            // Pop whole rows under random back-pressure.
+            for (si, r) in refs.iter_mut().enumerate() {
+                for l in 0..lanes {
+                    let ready = !r.lanes[l].data.is_empty();
+                    prop_assert_eq!(rows[si].can_pop_data(l), ready, "stream {} lane {}", si, l);
+                    prop_assert_eq!(by_lane[si].can_pop_data(l), ready);
+                }
+                let ready = r.lanes.iter().all(|l| !l.data.is_empty());
+                if ready && next_bits(&mut rng) & 1 == 1 {
+                    let want: Vec<Word> = r
+                        .lanes
+                        .iter_mut()
+                        .map(|l| l.data.pop_front().expect("checked ready"))
+                        .collect();
+                    let mut got = vec![0; lanes];
+                    if now >= plan[si].lane_pops_from {
+                        for (l, g) in got.iter_mut().enumerate() {
+                            *g = rows[si].pop_data(l);
+                        }
+                    } else {
+                        rows[si].pop_row(&mut got);
+                    }
+                    prop_assert_eq!(&got, &want, "stream {} at cycle {}", si, now);
+                    let got: Vec<Word> = (0..lanes).map(|l| by_lane[si].pop_data(l)).collect();
+                    prop_assert_eq!(&got, &want, "stream {} at cycle {}", si, now);
+                }
+                prop_assert_eq!(rows[si].drained(), r.drained());
+                // Shared or split, the snapshot is the same bytes.
+                let bytes = snapshot(&rows[si]);
+                prop_assert_eq!(&bytes, &snapshot(&by_lane[si]), "stream {} cycle {}", si, now);
+                if now == snap_cycle {
+                    // Decode mid-run and go on in lock-step.
+                    let mut restored = fresh(si);
+                    let mut d = Dec::new(&bytes);
+                    restored.decode_state(&mut d).expect("own snapshot decodes");
+                    d.finish().expect("snapshot fully consumed");
+                    prop_assert_eq!(&snapshot(&restored), &bytes);
+                    rows[si] = restored;
+                }
+            }
+            now += 1;
+            let idle = (0..plan.len()).all(|si| next_row[si] == plan[si].rows.len())
+                && refs.iter().all(|r| r.drained() && r.lanes.iter().all(|l| l.data.is_empty()));
+            if idle {
+                break;
+            }
+            prop_assert!(now < 100_000, "arbiters failed to drain: cycle {}", now);
+        }
+        prop_assert_eq!(&events_of(row_tracer), &ref_events);
+        prop_assert_eq!(&events_of(lane_tracer), &ref_events);
+        for bank in 0..lanes {
+            for o in 0..srf.bank_words() {
+                prop_assert_eq!(srf.read(bank, o), ref_srf.read(bank, o));
+                prop_assert_eq!(lane_srf.read(bank, o), ref_srf.read(bank, o));
             }
         }
     }
