@@ -10,6 +10,8 @@
 //! and every point reproduces its line a second time when paused half-way,
 //! snapshotted, restored into a fresh machine and resumed (the snapshot
 //! bisector, for its part, must find a fault injected into sort/ISRF4).
+//! What each app prepares — program, memory image and SRF, Small and Paper
+//! — is pinned beside it (`tests/golden/prepared.digest`, 88 lines).
 //! Regenerate after an intentional timing change with
 //! `UPDATE_GOLDEN=1 cargo test --test differential`.
 //!
@@ -371,6 +373,48 @@ fn basket_digest_matches_golden_file() {
         assert_eq!(g, w, "timing drifted from tests/golden/basket.digest");
     }
     assert_eq!(got, want, "basket.digest point list changed");
+}
+
+/// What an app hands the simulator is pinned byte for byte, at both
+/// profiles: every app and IG dataset on every config, each line the
+/// FNV-1a digest and length of `save_state` right after `prepare_app` —
+/// the config and program fingerprints (op and dependence order, kernel
+/// and stream names), the memory image, the SRF and its fill map.
+/// Regenerate with `UPDATE_GOLDEN=1 cargo test --test differential`.
+#[test]
+fn prepared_digest_matches_golden_file() {
+    let apps = APPS.iter().chain(&["IG_SCL", "IG_DMS", "IG_DCS"]);
+    let points: Vec<(&str, ConfigName, Profile)> = [Profile::Small, Profile::Paper]
+        .into_iter()
+        .flat_map(|p| {
+            apps.clone()
+                .flat_map(move |&a| ConfigName::ALL.map(|c| (a, c, p)))
+        })
+        .collect();
+    let got: String = run_parallel(&points, |&(app, cfg, profile)| {
+        let pr = prepare_app(app, cfg, profile);
+        let state = pr.machine.save_state(&pr.program);
+        format!(
+            "{app} {cfg} {profile:?} state={:016x} bytes={}\n",
+            fnv1a(&state),
+            state.len()
+        )
+    })
+    .concat();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/prepared.digest");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).expect("write golden");
+        return;
+    }
+    let want = std::fs::read_to_string(path)
+        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(
+            g, w,
+            "a prepared point drifted from tests/golden/prepared.digest"
+        );
+    }
+    assert_eq!(got, want, "prepared.digest point list changed");
 }
 
 /// The bisector on a real app: one word of sort/ISRF4's SRF flipped
