@@ -24,7 +24,6 @@
 //! them without control flow. Distances are exact integers: results are
 //! compared word-for-word against the host Jacobi.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use isrf_core::config::MachineConfig;
@@ -32,11 +31,12 @@ use isrf_core::word::Word;
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
-use isrf_sim::{StreamBinding, StreamProgram};
+use isrf_sim::StreamProgram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, memoized, schedule_for};
+use crate::common::{machine, memoized};
+use crate::gather::{condense, Condensed, Gather, Layout, Strips};
 
 /// "Unreached" distance; survives `+ 1` per sweep without wrapping into
 /// the sign bit (the cluster `min` is signed).
@@ -140,16 +140,11 @@ struct Plan {
     sweeps: u32,
     /// Common padded degree (multiple of 4).
     pad: u32,
-    strips: Vec<Strip>,
-}
-
-/// Per-strip gather metadata. Gather targets are *node indices* (the
-/// level arrays alternate, so actual addresses are `base + node`);
-/// index `nodes` is the appended `INF` sentinel the padding points at.
-struct Strip {
-    ptr_words: Vec<Word>,
-    unique_nodes: Vec<u32>,
-    replicated_nodes: Vec<u32>,
+    /// Per strip, the condensed neighbor references. Records are *node
+    /// indices* (the level arrays alternate, so addresses are `base +
+    /// node`); record 0 is node `nodes`, the appended `INF` sentinel the
+    /// padding points at.
+    strips: Vec<Condensed>,
 }
 
 type PlanKey = (u64, u32, u32, u32, u32, u32, u32, u32);
@@ -198,33 +193,15 @@ fn plan(params: &BfsParams) -> Plan {
         .unwrap_or(0)
         .next_multiple_of(4)
         .max(4);
-    let strip_n = params.strip_nodes;
-    let mut strips = Vec::with_capacity((n / strip_n) as usize);
-    for s in 0..n / strip_n {
-        let mut ptr_words = Vec::with_capacity((strip_n * pad) as usize);
-        // Record 0 is always the INF sentinel at node index `n`.
-        let mut unique_nodes = vec![n];
-        let mut pos: BTreeMap<u32, u32> = BTreeMap::new();
-        pos.insert(n, 0);
-        let mut replicated_nodes = Vec::new();
-        for v in s * strip_n..(s + 1) * strip_n {
-            let srcs = &adj[v as usize];
-            for k in 0..pad as usize {
-                let u = srcs.get(k).copied().unwrap_or(n);
-                let p = *pos.entry(u).or_insert_with(|| {
-                    unique_nodes.push(u);
-                    unique_nodes.len() as u32 - 1
-                });
-                ptr_words.push(p);
-                replicated_nodes.push(u);
-            }
-        }
-        strips.push(Strip {
-            ptr_words,
-            unique_nodes,
-            replicated_nodes,
-        });
-    }
+    let strips = adj
+        .chunks(params.strip_nodes as usize)
+        .map(|strip| {
+            let slots = strip
+                .iter()
+                .flat_map(|srcs| (0..pad as usize).map(|k| srcs.get(k).copied().unwrap_or(n)));
+            condense(slots, Some(n))
+        })
+        .collect();
 
     Plan {
         adj,
@@ -246,33 +223,14 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
     ));
     let node = b.stream("node", StreamKind::SeqIn);
     let ptr = b.stream("ptr", StreamKind::SeqIn);
-    let nstreams = if indexed {
-        (pad as usize).div_ceil(4)
-    } else {
-        1
-    };
-    let lvls: Vec<_> = if indexed {
-        (0..nstreams)
-            .map(|k| b.stream(format!("lvl{k}"), StreamKind::IdxCrossRead))
-            .collect()
-    } else {
-        vec![b.stream("gathered", StreamKind::SeqIn)]
-    };
+    let lvls = Gather::new(pad, 1, indexed).declare(&mut b, "lvl", ptr);
     let out = b.stream("out", StreamKind::SeqOut);
 
     let lv = b.seq_read(node);
     let one = b.constant(1);
     let mut acc = b.constant(INF);
     for k in 0..pad {
-        let nl = if indexed {
-            let p = b.seq_read(ptr);
-            b.idx_load(lvls[(k as usize) % nstreams], p)
-        } else {
-            // The pointer stream is still consumed (the gather used it),
-            // but the kernel reads levels directly.
-            let _p = b.seq_read(ptr);
-            b.seq_read(lvls[0])
-        };
+        let nl = lvls.read(&mut b, k)[0];
         let relaxed = b.add(nl, one);
         acc = b.min(acc, relaxed);
     }
@@ -297,130 +255,43 @@ pub fn prepare(cfg: &MachineConfig, params: &BfsParams) -> crate::common::Prepar
     assert!(params.strip_nodes.is_multiple_of(8) && params.strip_nodes > 0);
     assert!(params.nodes.is_multiple_of(params.strip_nodes) && params.nodes > 0);
     let indexed = cfg.srf.indexed.is_some();
-    let cacheable = cfg.cache.is_some();
     let mut m = machine(cfg);
 
     let plan = plan_cached(params);
     let (n, strip_n, pad) = (params.nodes, params.strip_nodes, plan.pad);
-    let kernel = Arc::new(build_kernel(pad, indexed));
-    let sched = schedule_for(&m, &kernel);
-
     // Both level arrays start from the canonical state, with the INF
     // sentinel appended; pointers are static across sweeps.
     let mut init: Vec<Word> = (0..n).map(|v| if v == 0 { 0 } else { INF }).collect();
     init.push(INF);
     m.mem_mut().memory_mut().write_block(LA_BASE, &init);
     m.mem_mut().memory_mut().write_block(LB_BASE, &init);
-    for (s, strip) in plan.strips.iter().enumerate() {
-        m.mem_mut()
-            .memory_mut()
-            .write_block(PTR_BASE + s as u32 * strip_n * pad, &strip.ptr_words);
-    }
 
-    // Streams (double-buffered across strips).
-    let mk = |m: &mut isrf_sim::Machine| {
-        (
-            m.alloc_stream(1, strip_n),   // current levels of the strip
-            m.alloc_stream(pad, strip_n), // pointer records
-            m.alloc_stream(1, strip_n),   // relaxed levels out
-        )
+    let kernel = Arc::new(build_kernel(pad, indexed));
+    let layout = Layout {
+        strip: strip_n,
+        seq: [1, pad, 1], // current level, pointer and relaxed-level records
+        ptr_base: PTR_BASE,
+        cap: None,
     };
-    let bufs = [mk(&mut m), mk(&mut m)];
-    let cap = plan
-        .strips
-        .iter()
-        .map(|s| s.unique_nodes.len() as u32)
-        .max()
-        .unwrap_or(1);
-    let lvl_bufs = if indexed {
-        [m.alloc_stream(1, cap), m.alloc_stream(1, cap)]
-    } else {
-        [m.alloc_stream(pad, strip_n), m.alloc_stream(pad, strip_n)]
-    };
-
+    let gather = Gather::new(pad, 1, indexed);
+    let mut strips = Strips::new(&mut m, kernel, gather, layout, &plan.strips);
     let mut p = StreamProgram::new();
-    let mut buf_free: [Option<isrf_sim::ProgOpId>; 2] = [None, None];
-    let mut prev_kernel: Option<isrf_sim::ProgOpId> = None;
+    let levels = |base: u32, s: u32| AddrPattern::contiguous(base + s * strip_n, strip_n);
     // Barrier between sweeps: sweep t reads what sweep t-1 wrote.
-    let mut prev_sweep_stores: Vec<isrf_sim::ProgOpId> = Vec::new();
+    let mut barrier = Vec::new();
     for t in 0..plan.sweeps {
         let (cur, nxt) = if t % 2 == 0 {
             (LA_BASE, LB_BASE)
         } else {
             (LB_BASE, LA_BASE)
         };
-        let mut sweep_stores = Vec::with_capacity(plan.strips.len());
-        for (s, strip) in plan.strips.iter().enumerate() {
-            let pick = s % 2;
-            let (node_b, ptr_b, out_b) = bufs[pick];
-            let lb = lvl_bufs[pick];
-            let mut ldeps = prev_sweep_stores.clone();
-            if let Some(u) = buf_free[pick] {
-                ldeps.push(u);
-            }
-            let first = s as u32 * strip_n;
-            let l_node = p.load(
-                AddrPattern::contiguous(cur + first, strip_n),
-                node_b,
-                false,
-                &ldeps,
-            );
-            let l_ptr = p.load(
-                AddrPattern::contiguous(PTR_BASE + first * pad, strip_n * pad),
-                ptr_b,
-                false,
-                &ldeps,
-            );
-            let uniq = strip.unique_nodes.len() as u32;
-            let (l_lvl, lvl_binding) = if indexed {
-                let addrs = strip.unique_nodes.iter().map(|&u| cur + u).collect();
-                (
-                    p.load(
-                        AddrPattern::Indexed(addrs),
-                        lb.slice(0, uniq),
-                        cacheable,
-                        &ldeps,
-                    ),
-                    // The kernel addresses the condensed array by record.
-                    StreamBinding::whole(lb.range, 1, uniq),
-                )
-            } else {
-                let addrs = strip.replicated_nodes.iter().map(|&u| cur + u).collect();
-                (
-                    p.load(AddrPattern::Indexed(addrs), lb, cacheable, &ldeps),
-                    lb,
-                )
-            };
-            let mut kdeps = vec![l_node, l_ptr, l_lvl];
-            if let Some(k) = prev_kernel {
-                kdeps.push(k);
-            }
-            let nstreams = if indexed {
-                (pad as usize).div_ceil(4)
-            } else {
-                1
-            };
-            let mut bindings = vec![node_b, ptr_b];
-            bindings.extend(std::iter::repeat_n(lvl_binding, nstreams));
-            bindings.push(out_b);
-            let k = p.kernel(
-                Arc::clone(&kernel),
-                sched.clone(),
-                bindings,
-                (strip_n / 8) as u64,
-                &kdeps,
-            );
-            let st = p.store(
-                out_b,
-                AddrPattern::contiguous(nxt + first, strip_n),
-                false,
-                &[k],
-            );
-            prev_kernel = Some(k);
-            buf_free[pick] = Some(st);
-            sweep_stores.push(st);
-        }
-        prev_sweep_stores = sweep_stores;
+        barrier = strips.sweep(
+            &mut p,
+            &barrier,
+            cur,
+            |s, ptrs| [levels(cur, s), ptrs],
+            |s| levels(nxt, s),
+        );
     }
     let final_base = if plan.sweeps % 2 == 1 {
         LB_BASE
@@ -438,6 +309,7 @@ pub fn prepare(cfg: &MachineConfig, params: &BfsParams) -> crate::common::Prepar
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::schedule_for;
     use isrf_core::config::ConfigName;
     use isrf_core::stats::RunStats;
 

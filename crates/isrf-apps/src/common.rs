@@ -134,6 +134,41 @@ pub fn replicated_table_pattern(base: u32, entries: u32, lanes: u32) -> AddrPatt
     AddrPattern::Indexed((0..entries * lanes).map(|r| base + r / lanes).collect())
 }
 
+/// Load pattern for one strip of per-lane row blocks of a `cols`-wide
+/// image at `base`: lane `l`'s record is rows `row0 + l*b - halo ..` of
+/// the image, `b + 2*halo` of them, clamped to `[0, rows)`.
+pub(crate) fn lane_block_load(
+    base: u32,
+    cols: u32,
+    b: u32,
+    halo: u32,
+    row0: u32,
+    rows: u32,
+) -> AddrPattern {
+    let mut addrs = Vec::with_capacity((8 * (b + 2 * halo) * cols) as usize);
+    for lane in 0..8u32 {
+        for br in 0..b + 2 * halo {
+            let row = (row0 + lane * b + br) as i32 - halo as i32;
+            let row = row.clamp(0, rows as i32 - 1) as u32;
+            addrs.extend((0..cols).map(|c| base + row * cols + c));
+        }
+    }
+    AddrPattern::Indexed(addrs)
+}
+
+/// Store pattern for one strip of per-lane row blocks: row record
+/// `l + 8*j` is row `j` of lane `l`'s block, image row `row0 + l*b + j`.
+pub(crate) fn lane_block_store(base: u32, cols: u32, b: u32, row0: u32) -> AddrPattern {
+    let mut addrs = Vec::with_capacity((8 * b * cols) as usize);
+    for j in 0..b {
+        for lane in 0..8u32 {
+            let row = row0 + lane * b + j;
+            addrs.extend((0..cols).map(|c| base + row * cols + c));
+        }
+    }
+    AddrPattern::Indexed(addrs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,12 +24,11 @@ use std::sync::Arc;
 use isrf_core::config::MachineConfig;
 use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
-use isrf_mem::AddrPattern;
 use isrf_sim::{Machine, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{lane_block_load, lane_block_store, machine, schedule_for};
 
 /// Image width in pixels (fixed; rows are configurable).
 pub const COLS: u32 = 256;
@@ -185,43 +184,6 @@ pub fn build_isrf_kernel() -> Kernel {
     b.build().expect("filter ISRF kernel is well-formed")
 }
 
-/// Load pattern for one strip: per lane block, image rows
-/// `strip_row0 + lane*B - 2 .. + BLOCK_ROWS`, clamped vertically.
-fn strip_load_pattern(strip_row0: u32, rows: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((8 * BLOCK_ROWS * COLS) as usize);
-    // Stream record r -> lane r % 8; emit in stream order: the k-th word
-    // of record l is word k of lane l's block. Record = whole block, so
-    // stream order is block words of record 0, then record 1, ...
-    // Records are lane-blocks in lane order.
-    for lane in 0..8u32 {
-        for br in 0..BLOCK_ROWS {
-            let row = (strip_row0 + lane * B + br) as i32 - 2;
-            let row = row.clamp(0, rows as i32 - 1) as u32;
-            for c in 0..COLS {
-                addrs.push(IN_BASE + row * COLS + c);
-            }
-        }
-    }
-    AddrPattern::Indexed(addrs)
-}
-
-/// Store pattern mapping valid output records to natural image layout.
-/// Stream records are rows: record `l + 8*j` is row `j` of lane `l`
-/// (global row `strip_row0 + l*B + j - skew`), for the record window the
-/// caller selects.
-fn strip_store_pattern(strip_row0: u32, first_j: u32, js: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((8 * js * COLS) as usize);
-    for j in first_j..first_j + js {
-        for lane in 0..8u32 {
-            let row = strip_row0 + lane * B + (j - first_j);
-            for c in 0..COLS {
-                addrs.push(OUT_BASE + row * COLS + c);
-            }
-        }
-    }
-    AddrPattern::Indexed(addrs)
-}
-
 fn lay_out_image(m: &mut Machine, params: &FilterParams) -> Vec<f32> {
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let img: Vec<f32> = (0..params.rows * COLS)
@@ -294,7 +256,8 @@ pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Pre
         if let Some(pk) = prev {
             deps.push(pk);
         }
-        let load = p.load(strip_load_pattern(row0, params.rows), input, false, &deps);
+        let pattern = lane_block_load(IN_BASE, COLS, B, 2, row0, params.rows);
+        let load = p.load(pattern, input, false, &deps);
         let bindings = if indexed {
             // Four in-lane indexed views of the block + the output.
             let view = isrf_sim::StreamBinding::whole(input.range, 1, BLOCK_ROWS * COLS * 8);
@@ -306,9 +269,9 @@ pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Pre
         let k = p.kernel(Arc::clone(&kernel), sched.clone(), bindings, iters, &[load]);
         // Store only the valid rows: for Base the first 4 per lane are the
         // scratch-priming skew, for ISRF everything is valid.
-        let (first_j, js) = if indexed { (0, B) } else { (4, B) };
-        let window = output.slice(first_j * 8, js * 8);
-        let st = p.store(window, strip_store_pattern(row0, first_j, js), false, &[k]);
+        let window = output.slice(if indexed { 0 } else { 4 * 8 }, B * 8);
+        let pattern = lane_block_store(OUT_BASE, COLS, B, row0);
+        let st = p.store(window, pattern, false, &[k]);
         prev = Some(st);
     }
     let rows = params.rows;

@@ -22,7 +22,6 @@
 //! giving the intra-strip locality the ISRF exploits. Results are verified
 //! against a host-side sweep with identical f32 arithmetic.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use isrf_core::config::MachineConfig;
@@ -30,11 +29,12 @@ use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf_mem::AddrPattern;
-use isrf_sim::{StreamBinding, StreamProgram};
+use isrf_sim::StreamProgram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, memoized, schedule_for};
+use crate::common::{machine, memoized};
+use crate::gather::{condense, Condensed, Gather, Layout, Strips};
 
 /// One IG dataset (a Table 4 row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,22 +160,13 @@ fn generate_cached(ds: &IgDataset) -> Arc<Graph> {
 /// sixteen (`figures all` makes eight, four graphs and four references).
 const DATASET_BUDGET: u64 = 32;
 
-/// Host-side preprocessing of one strip (the graph preprocessing the
-/// paper assigns to the host): the condensed pointer stream, the
-/// unique-record gather list, and the per-reference (replicated) gather
-/// list the Base configurations use.
-struct Strip {
-    ptr_words: Vec<Word>,
-    unique_addrs: Vec<u32>,
-    unique_records: u32,
-    replicated_addrs: Vec<u32>,
-}
-
-/// The dataset's full host-prepared memory image for one strip size.
+/// The dataset's full host-prepared memory image for one strip size: the
+/// value records, the adjacency, and each strip's condensed neighbor
+/// references (the graph preprocessing the paper assigns to the host).
 struct HostImage {
     val_words: Vec<Word>,
     adj_words: Vec<Word>,
-    strips: Vec<Strip>,
+    strips: Vec<Condensed>,
 }
 
 /// Compute (or fetch) the host image for `ds` at `strip_nodes` nodes per
@@ -195,43 +186,15 @@ fn build_host_image(ds: &IgDataset, strip_nodes: u32) -> HostImage {
         .flat_map(|&(a, b)| [from_f32(a), from_f32(b)])
         .collect();
     let adj_words: Vec<Word> = g.adj.iter().flatten().copied().collect();
-    let mut out = Vec::with_capacity((ds.nodes / strip_nodes) as usize);
-    for s in 0..ds.nodes / strip_nodes {
-        let first = s * strip_nodes;
-        let mut ptr_words = Vec::new();
-        let mut unique_addrs = Vec::new();
-        let mut pos: BTreeMap<u32, u32> = BTreeMap::new();
-        for i in first..first + strip_nodes {
-            for &j in &g.adj[i as usize] {
-                let p = *pos.entry(j).or_insert_with(|| {
-                    unique_addrs.push(VAL_BASE + 2 * j);
-                    unique_addrs.push(VAL_BASE + 2 * j + 1);
-                    (unique_addrs.len() as u32 / 2) - 1
-                });
-                ptr_words.push(p);
-            }
-        }
-        let unique_records = unique_addrs.len() as u32 / 2;
-        let replicated_addrs: Vec<u32> = ptr_words
-            .iter()
-            .flat_map(|&pp| {
-                [
-                    unique_addrs[2 * pp as usize],
-                    unique_addrs[2 * pp as usize + 1],
-                ]
-            })
-            .collect();
-        out.push(Strip {
-            ptr_words,
-            unique_addrs,
-            unique_records,
-            replicated_addrs,
-        });
-    }
+    let strips = g
+        .adj
+        .chunks(strip_nodes as usize)
+        .map(|nodes| condense(nodes.iter().flatten().copied(), None))
+        .collect();
     HostImage {
         val_words,
         adj_words,
-        strips: out,
+        strips,
     }
 }
 
@@ -304,21 +267,7 @@ pub fn build_kernel(ds: &IgDataset, indexed: bool) -> Kernel {
     ));
     let node = b.stream("node", StreamKind::SeqIn);
     let idx = b.stream("idx", StreamKind::SeqIn);
-    // Cross-lane accesses are spread over several streams so the per-
-    // stream outstanding records fit the address FIFO + stream buffer
-    // (at most 4 two-word records per stream per iteration).
-    let nstreams = if indexed {
-        (ds.degree as usize).div_ceil(4)
-    } else {
-        1
-    };
-    let vals: Vec<_> = if indexed {
-        (0..nstreams)
-            .map(|k| b.stream(format!("unique{k}"), StreamKind::IdxCrossRead))
-            .collect()
-    } else {
-        vec![b.stream("gathered", StreamKind::SeqIn)]
-    };
+    let vals = Gather::new(ds.degree, 2, indexed).declare(&mut b, "unique", idx);
     let out = b.stream("out", StreamKind::SeqOut);
 
     let n0 = b.seq_read(node);
@@ -326,20 +275,8 @@ pub fn build_kernel(ds: &IgDataset, indexed: bool) -> Kernel {
     let zero = b.constant_f(0.0);
     let mut acc = zero;
     for k in 0..ds.degree {
-        let (v0, v1) = if indexed {
-            let p = b.seq_read(idx);
-            let s = vals[(k as usize) % nstreams];
-            let rec = b.idx_load_record(s, p, 2);
-            (rec[0], rec[1])
-        } else {
-            // The pointer stream is still consumed (the gather used it),
-            // but the kernel reads values directly.
-            let _p = b.seq_read(idx);
-            let v0 = b.seq_read(vals[0]);
-            let v1 = b.seq_read(vals[0]);
-            (v0, v1)
-        };
-        acc = emit_neighbor(&mut b, acc, v0, v1, ds.fp_ops);
+        let rec = vals.read(&mut b, k);
+        acc = emit_neighbor(&mut b, acc, rec[0], rec[1], ds.fp_ops);
     }
     let half = b.constant_f(0.5);
     let scaled = b.fmul(acc, half);
@@ -363,12 +300,7 @@ const UNIQ_PTR_BASE: u32 = 0x60_0000; // per-strip condensed pointers
 /// Panics if the dataset's strips don't tile the graph in lane multiples.
 pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
     let indexed = cfg.srf.indexed.is_some();
-    let cacheable = cfg.cache.is_some();
     let mut m = machine(cfg);
-
-    let kernel = Arc::new(build_kernel(ds, indexed));
-    let sched = schedule_for(&m, &kernel);
-
     let strip_nodes = if indexed {
         ds.isrf_strip_nodes
     } else {
@@ -376,123 +308,35 @@ pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
     };
     assert_eq!(ds.nodes % strip_nodes, 0, "strips must tile the graph");
     assert_eq!(strip_nodes % 8, 0, "strips must fill all lanes");
-    let strips = ds.nodes / strip_nodes;
-    let d = ds.degree;
 
-    // Memory image: values, adjacency, and (for ISRF) per-strip condensed
-    // pointer streams prepared by the host (graph preprocessing). All
+    // Memory image: values, adjacency, and per-strip condensed pointer
+    // streams prepared by the host (graph preprocessing). All
     // deterministic in the dataset, so computed once and shared.
     let img = host_image(ds, strip_nodes);
-    m.mem_mut()
-        .memory_mut()
-        .write_block(VAL_BASE, &img.val_words);
-    m.mem_mut()
-        .memory_mut()
-        .write_block(ADJ_BASE, &img.adj_words);
-    for (s, strip) in img.strips.iter().enumerate() {
-        m.mem_mut()
-            .memory_mut()
-            .write_block(UNIQ_PTR_BASE + s as u32 * strip_nodes * d, &strip.ptr_words);
-    }
+    let mem = m.mem_mut().memory_mut();
+    mem.write_block(VAL_BASE, &img.val_words);
+    mem.write_block(ADJ_BASE, &img.adj_words);
 
-    // Streams (double-buffered across strips).
-    let mk = |m: &mut isrf_sim::Machine| {
-        (
-            m.alloc_stream(2, strip_nodes), // node records
-            m.alloc_stream(d, strip_nodes), // pointer records
-            m.alloc_stream(2, strip_nodes), // out records
-        )
+    let kernel = Arc::new(build_kernel(ds, indexed));
+    let layout = Layout {
+        strip: strip_nodes,
+        seq: [2, ds.degree, 2], // node, pointer and out records
+        ptr_base: UNIQ_PTR_BASE,
+        // Worst-case unique count: strip + 2*window + slack.
+        cap: Some(strip_nodes + 2 * ds.window + 64),
     };
-    let bufs = [mk(&mut m), mk(&mut m)];
-    // Neighbor values: replicated (base) or condensed unique (ISRF).
-    let val_bufs = if indexed {
-        // Sized for the worst-case unique count: strip + 2*window + slack.
-        let cap = strip_nodes + 2 * ds.window + 64;
-        [m.alloc_stream(2, cap), m.alloc_stream(2, cap)]
-    } else {
-        [
-            m.alloc_stream(2 * d, strip_nodes),
-            m.alloc_stream(2 * d, strip_nodes),
-        ]
-    };
-
+    let gather = Gather::new(ds.degree, 2, indexed);
+    let mut strips = Strips::new(&mut m, kernel, gather, layout, &img.strips);
     let mut p = StreamProgram::new();
-    let mut buf_free: [Option<isrf_sim::ProgOpId>; 2] = [None, None];
-    let mut prev_kernel: Option<isrf_sim::ProgOpId> = None;
-    for s in 0..strips {
-        let info = &img.strips[s as usize];
-        let pick = (s % 2) as usize;
-        let (node_b, ptr_b, out_b) = bufs[pick];
-        let vb = val_bufs[pick];
-        let mut ldeps: Vec<isrf_sim::ProgOpId> = Vec::new();
-        if let Some(u) = buf_free[pick] {
-            ldeps.push(u);
-        }
-        let first = s * strip_nodes;
-        let l_node = p.load(
-            AddrPattern::contiguous(VAL_BASE + 2 * first, 2 * strip_nodes),
-            node_b,
-            false,
-            &ldeps,
-        );
-        let l_ptr = p.load(
-            AddrPattern::contiguous(UNIQ_PTR_BASE + s * strip_nodes * d, strip_nodes * d),
-            ptr_b,
-            false,
-            &ldeps,
-        );
-        let (l_vals, vals_binding) = if indexed {
-            let b = vb.slice(0, info.unique_records);
-            (
-                p.load(
-                    AddrPattern::Indexed(info.unique_addrs.clone()),
-                    b,
-                    cacheable,
-                    &ldeps,
-                ),
-                // The kernel addresses the condensed array by record.
-                StreamBinding::whole(vb.range, 2, info.unique_records),
-            )
-        } else {
-            // Replicated gather: every reference fetched individually.
-            (
-                p.load(
-                    AddrPattern::Indexed(info.replicated_addrs.clone()),
-                    vb,
-                    cacheable,
-                    &ldeps,
-                ),
-                vb,
-            )
-        };
-        let mut kdeps = vec![l_node, l_ptr, l_vals];
-        if let Some(k) = prev_kernel {
-            kdeps.push(k);
-        }
-        let nstreams = if indexed {
-            (ds.degree as usize).div_ceil(4)
-        } else {
-            1
-        };
-        let mut bindings = vec![node_b, ptr_b];
-        bindings.extend(std::iter::repeat_n(vals_binding, nstreams));
-        bindings.push(out_b);
-        let k = p.kernel(
-            Arc::clone(&kernel),
-            sched.clone(),
-            bindings,
-            (strip_nodes / 8) as u64,
-            &kdeps,
-        );
-        let st = p.store(
-            out_b,
-            AddrPattern::contiguous(OUT_BASE + 2 * first, 2 * strip_nodes),
-            false,
-            &[k],
-        );
-        prev_kernel = Some(k);
-        buf_free[pick] = Some(st);
-    }
+    let records =
+        |base: u32, s: u32| AddrPattern::contiguous(base + 2 * s * strip_nodes, 2 * strip_nodes);
+    strips.sweep(
+        &mut p,
+        &[],
+        VAL_BASE,
+        |s, ptrs| [records(VAL_BASE, s), ptrs],
+        |s| records(OUT_BASE, s),
+    );
     let ds = *ds;
     crate::common::Prepared::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)], move |m| {
         // The reference sweep (identical f32 op order) is deterministic in
@@ -511,6 +355,7 @@ pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::schedule_for;
     use isrf_core::config::ConfigName;
     use isrf_core::stats::RunStats;
 

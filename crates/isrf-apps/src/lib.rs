@@ -17,6 +17,7 @@ pub mod bfs;
 pub mod common;
 pub mod fft2d;
 pub mod filter;
+mod gather;
 pub mod histogram;
 pub mod igraph;
 pub mod micro;

@@ -26,7 +26,6 @@
 //! matrices with controllable density (`avg_nnz`), locality
 //! (`bandwidth`), and a controllable fraction of entirely empty rows.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use isrf_core::config::MachineConfig;
@@ -34,11 +33,12 @@ use isrf_core::word::{from_f32, Word};
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
-use isrf_sim::{StreamBinding, StreamProgram};
+use isrf_sim::StreamProgram;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, memoized, schedule_for};
+use crate::common::{machine, memoized};
+use crate::gather::{condense, Condensed, Gather, Layout, Strips};
 
 /// Benchmark sizing and matrix-shape knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -178,61 +178,16 @@ pub fn pad_of(csr: &Csr) -> u32 {
     csr.max_nnz().next_multiple_of(4).max(4)
 }
 
-/// Host-prepared gather metadata for one strip.
-struct Strip {
-    /// Condensed pointer words, `strip_rows * pad` entries (row-major).
-    ptr_words: Vec<Word>,
-    /// Padded matrix values, `strip_rows * pad` entries (row-major).
-    val_words: Vec<Word>,
-    /// Gather addresses of the strip's unique `x` records (record 0 is
-    /// the `x[0]` sentinel the padding points at).
-    unique_addrs: Vec<u32>,
-    /// Per-reference gather addresses for the Base configurations.
-    replicated_addrs: Vec<u32>,
-}
-
 const X_BASE: u32 = 0; // the dense vector
 const VAL_BASE: u32 = 0x10_0000; // padded matrix values, strip-major
 const PTR_BASE: u32 = 0x30_0000; // padded condensed pointers, strip-major
 const Y_BASE: u32 = 0x40_0000; // the result vector
 
-fn host_strips(csr: &Csr, strip_rows: u32, pad: u32) -> Vec<Strip> {
-    let strips = csr.rows / strip_rows;
-    let mut out = Vec::with_capacity(strips as usize);
-    for s in 0..strips {
-        let mut ptr_words = Vec::with_capacity((strip_rows * pad) as usize);
-        let mut val_words = Vec::with_capacity((strip_rows * pad) as usize);
-        // Record 0 is always x[0]: the sentinel the padding entries
-        // multiply by 0.0, valid even for an all-empty strip.
-        let mut unique_addrs = vec![X_BASE];
-        let mut pos: BTreeMap<u32, u32> = BTreeMap::new();
-        pos.insert(0, 0);
-        let mut replicated_addrs = Vec::new();
-        for i in s * strip_rows..(s + 1) * strip_rows {
-            let (cols, vals) = csr.row(i);
-            for k in 0..pad as usize {
-                let (col, v) = if k < cols.len() {
-                    (cols[k], vals[k])
-                } else {
-                    (0, 0.0)
-                };
-                let p = *pos.entry(col).or_insert_with(|| {
-                    unique_addrs.push(X_BASE + col);
-                    unique_addrs.len() as u32 - 1
-                });
-                ptr_words.push(p);
-                val_words.push(from_f32(v));
-                replicated_addrs.push(X_BASE + col);
-            }
-        }
-        out.push(Strip {
-            ptr_words,
-            val_words,
-            unique_addrs,
-            replicated_addrs,
-        });
-    }
-    out
+/// Row `i`'s `pad` slots as `(column, value)`: its stored entries, then
+/// `(0, 0.0)` padding.
+fn padded(csr: &Csr, i: u32, pad: u32) -> impl Iterator<Item = (u32, f32)> + '_ {
+    let (cols, vals) = csr.row(i);
+    (0..pad as usize).map(move |k| cols.get(k).map_or((0, 0.0), |&c| (c, vals[k])))
 }
 
 /// Host reference mirroring the padded accumulation order bit-for-bit:
@@ -241,15 +196,9 @@ fn host_strips(csr: &Csr, strip_rows: u32, pad: u32) -> Vec<Strip> {
 pub fn reference(csr: &Csr, x: &[f32], pad: u32) -> Vec<f32> {
     (0..csr.rows)
         .map(|i| {
-            let (cols, vals) = csr.row(i);
             let mut acc = 0.0f32;
-            for k in 0..pad as usize {
-                let (v, xv) = if k < cols.len() {
-                    (vals[k], x[cols[k] as usize])
-                } else {
-                    (0.0, x[0])
-                };
-                acc += v * xv;
+            for (col, v) in padded(csr, i, pad) {
+                acc += v * x[col as usize];
             }
             acc
         })
@@ -269,32 +218,13 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
     ));
     let ptr = b.stream("ptr", StreamKind::SeqIn);
     let vals = b.stream("vals", StreamKind::SeqIn);
-    let nstreams = if indexed {
-        (pad as usize).div_ceil(4)
-    } else {
-        1
-    };
-    let xs: Vec<_> = if indexed {
-        (0..nstreams)
-            .map(|k| b.stream(format!("x{k}"), StreamKind::IdxCrossRead))
-            .collect()
-    } else {
-        vec![b.stream("gathered", StreamKind::SeqIn)]
-    };
+    let xs = Gather::new(pad, 1, indexed).declare(&mut b, "x", ptr);
     let y = b.stream("y", StreamKind::SeqOut);
 
     let zero = b.constant_f(0.0);
     let mut acc = zero;
     for k in 0..pad {
-        let xv = if indexed {
-            let p = b.seq_read(ptr);
-            b.idx_load(xs[(k as usize) % nstreams], p)
-        } else {
-            // The pointer stream is still consumed (the gather used it),
-            // but the kernel reads values directly.
-            let _p = b.seq_read(ptr);
-            b.seq_read(xs[0])
-        };
+        let xv = xs.read(&mut b, k)[0];
         let v = b.seq_read(vals);
         let prod = b.fmul(v, xv);
         acc = b.fadd(acc, prod);
@@ -311,7 +241,8 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
 /// # Panics
 ///
 /// Panics if `strip_rows` is not a positive multiple of 8 dividing
-/// `csr.rows`, or `x.len() != csr.cols`.
+/// `csr.rows`, `x.len() != csr.cols`, or a column index is not below
+/// `csr.cols`.
 pub fn prepare_csr(
     cfg: &MachineConfig,
     data: Arc<(Csr, Vec<f32>)>,
@@ -321,126 +252,52 @@ pub fn prepare_csr(
     assert!(strip_rows.is_multiple_of(8) && strip_rows > 0);
     assert!(csr.rows.is_multiple_of(strip_rows) && csr.rows > 0);
     assert_eq!(x.len() as u32, csr.cols);
+    assert!(
+        csr.col_idx.iter().all(|&c| c < csr.cols),
+        "column out of range"
+    );
     let indexed = cfg.srf.indexed.is_some();
-    let cacheable = cfg.cache.is_some();
     let mut m = machine(cfg);
 
+    // Host-prepared gather metadata per strip. Record 0 is always x[0]:
+    // the sentinel the padding entries multiply by 0.0, valid even for an
+    // all-empty strip.
     let pad = pad_of(csr);
-    let kernel = Arc::new(build_kernel(pad, indexed));
-    let sched = schedule_for(&m, &kernel);
-
-    let strips = host_strips(csr, strip_rows, pad);
+    let condensed: Vec<Condensed> = (0..csr.rows / strip_rows)
+        .map(|s| {
+            let rows = s * strip_rows..(s + 1) * strip_rows;
+            condense(
+                rows.flat_map(|i| padded(csr, i, pad).map(|(c, _)| c)),
+                Some(0),
+            )
+        })
+        .collect();
+    let val_words: Vec<Word> = (0..csr.rows)
+        .flat_map(|i| padded(csr, i, pad).map(|(_, v)| from_f32(v)))
+        .collect();
     let x_words: Vec<Word> = x.iter().map(|&v| from_f32(v)).collect();
-    m.mem_mut().memory_mut().write_block(X_BASE, &x_words);
-    for (s, strip) in strips.iter().enumerate() {
-        let off = s as u32 * strip_rows * pad;
-        m.mem_mut()
-            .memory_mut()
-            .write_block(VAL_BASE + off, &strip.val_words);
-        m.mem_mut()
-            .memory_mut()
-            .write_block(PTR_BASE + off, &strip.ptr_words);
-    }
+    let mem = m.mem_mut().memory_mut();
+    mem.write_block(X_BASE, &x_words);
+    mem.write_block(VAL_BASE, &val_words);
 
-    // Streams (double-buffered across strips).
-    let mk = |m: &mut isrf_sim::Machine| {
-        (
-            m.alloc_stream(pad, strip_rows), // pointer records
-            m.alloc_stream(pad, strip_rows), // matrix-value records
-            m.alloc_stream(1, strip_rows),   // y records
-        )
+    let kernel = Arc::new(build_kernel(pad, indexed));
+    let layout = Layout {
+        strip: strip_rows,
+        seq: [pad, pad, 1], // pointer, matrix-value and y records
+        ptr_base: PTR_BASE,
+        cap: None,
     };
-    let bufs = [mk(&mut m), mk(&mut m)];
-    // x entries: condensed unique (ISRF) or replicated per entry (Base).
-    let x_cap = strips
-        .iter()
-        .map(|s| s.unique_addrs.len() as u32)
-        .max()
-        .unwrap_or(1);
-    let x_bufs = if indexed {
-        [m.alloc_stream(1, x_cap), m.alloc_stream(1, x_cap)]
-    } else {
-        [
-            m.alloc_stream(pad, strip_rows),
-            m.alloc_stream(pad, strip_rows),
-        ]
-    };
-
+    let gather = Gather::new(pad, 1, indexed);
+    let mut strips = Strips::new(&mut m, kernel, gather, layout, &condensed);
     let mut p = StreamProgram::new();
-    let mut buf_free: [Option<isrf_sim::ProgOpId>; 2] = [None, None];
-    let mut prev_kernel: Option<isrf_sim::ProgOpId> = None;
-    for (s, strip) in strips.iter().enumerate() {
-        let pick = s % 2;
-        let (ptr_b, val_b, y_b) = bufs[pick];
-        let xb = x_bufs[pick];
-        let mut ldeps: Vec<isrf_sim::ProgOpId> = Vec::new();
-        if let Some(u) = buf_free[pick] {
-            ldeps.push(u);
-        }
-        let off = s as u32 * strip_rows * pad;
-        let l_ptr = p.load(
-            AddrPattern::contiguous(PTR_BASE + off, strip_rows * pad),
-            ptr_b,
-            false,
-            &ldeps,
-        );
-        let l_val = p.load(
-            AddrPattern::contiguous(VAL_BASE + off, strip_rows * pad),
-            val_b,
-            false,
-            &ldeps,
-        );
-        let uniq = strip.unique_addrs.len() as u32;
-        let (l_x, x_binding) = if indexed {
-            (
-                p.load(
-                    AddrPattern::Indexed(strip.unique_addrs.clone()),
-                    xb.slice(0, uniq),
-                    cacheable,
-                    &ldeps,
-                ),
-                // The kernel addresses the condensed array by record.
-                StreamBinding::whole(xb.range, 1, uniq),
-            )
-        } else {
-            (
-                p.load(
-                    AddrPattern::Indexed(strip.replicated_addrs.clone()),
-                    xb,
-                    cacheable,
-                    &ldeps,
-                ),
-                xb,
-            )
-        };
-        let mut kdeps = vec![l_ptr, l_val, l_x];
-        if let Some(k) = prev_kernel {
-            kdeps.push(k);
-        }
-        let nstreams = if indexed {
-            (pad as usize).div_ceil(4)
-        } else {
-            1
-        };
-        let mut bindings = vec![ptr_b, val_b];
-        bindings.extend(std::iter::repeat_n(x_binding, nstreams));
-        bindings.push(y_b);
-        let k = p.kernel(
-            Arc::clone(&kernel),
-            sched.clone(),
-            bindings,
-            (strip_rows / 8) as u64,
-            &kdeps,
-        );
-        let st = p.store(
-            y_b,
-            AddrPattern::contiguous(Y_BASE + s as u32 * strip_rows, strip_rows),
-            false,
-            &[k],
-        );
-        prev_kernel = Some(k);
-        buf_free[pick] = Some(st);
-    }
+    let span = strip_rows * pad;
+    strips.sweep(
+        &mut p,
+        &[],
+        X_BASE,
+        |s, ptrs| [ptrs, AddrPattern::contiguous(VAL_BASE + s * span, span)],
+        |s| AddrPattern::contiguous(Y_BASE + s * strip_rows, strip_rows),
+    );
     let rows = csr.rows;
     crate::common::Prepared::new(m, p, vec![(Y_BASE, rows)], move |m| {
         let (csr, x) = (&data.0, &data.1);
@@ -465,6 +322,7 @@ pub fn prepare(cfg: &MachineConfig, params: &SpmvParams) -> crate::common::Prepa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::schedule_for;
     use isrf_core::config::ConfigName;
     use isrf_core::stats::RunStats;
 
@@ -556,5 +414,13 @@ mod tests {
         };
         let x: Vec<f32> = (0..n).map(|i| 1.0 - i as f32 / 50.0).collect();
         prepare_csr(&ConfigName::Isrf4.into(), Arc::new((csr, x)), 8).run_checked();
+    }
+
+    #[test]
+    #[should_panic(expected = "column out of range")]
+    fn a_column_past_x_is_refused() {
+        let (mut csr, x) = generate(&small());
+        csr.col_idx[0] = u32::MAX;
+        prepare_csr(&ConfigName::Base.into(), Arc::new((csr, x)), 32);
     }
 }

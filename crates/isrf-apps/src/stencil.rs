@@ -31,7 +31,7 @@ use isrf_sim::{Machine, ProgOpId, StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{lane_block_load, lane_block_store, machine, schedule_for};
 
 /// Grid width in words (fixed; rows are configurable).
 pub const COLS: u32 = 64;
@@ -188,37 +188,6 @@ pub fn build_base_kernel(points: u32) -> Kernel {
     b.build().expect("stencil base kernel is well-formed")
 }
 
-/// ISRF load pattern: lane `l`'s block holds grid rows
-/// `row0 + l*B - 1 .. + BLOCK_ROWS`, clamped vertically to the grid.
-fn block_load_pattern(base: u32, row0: u32, rows: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((8 * BLOCK_ROWS * COLS) as usize);
-    for lane in 0..8u32 {
-        for br in 0..BLOCK_ROWS {
-            let row = (row0 + lane * B + br) as i32 - 1;
-            let row = row.clamp(0, rows as i32 - 1) as u32;
-            for c in 0..COLS {
-                addrs.push(base + row * COLS + c);
-            }
-        }
-    }
-    AddrPattern::Indexed(addrs)
-}
-
-/// ISRF store pattern: output record `l + 8*j` is row `j` of lane `l`
-/// (grid row `row0 + l*B + j`).
-fn block_store_pattern(base: u32, row0: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((STRIP_ROWS * COLS) as usize);
-    for j in 0..B {
-        for lane in 0..8u32 {
-            let row = row0 + lane * B + j;
-            for c in 0..COLS {
-                addrs.push(base + row * COLS + c);
-            }
-        }
-    }
-    AddrPattern::Indexed(addrs)
-}
-
 /// Base load pattern for one tap: record `r` is strip row `row0 + r`
 /// shifted by `(dy, dx)` and clamped to the grid.
 fn shifted_load_pattern(base: u32, row0: u32, rows: u32, dy: i32, dx: i32) -> AddrPattern {
@@ -287,7 +256,7 @@ fn emit_pass(
         let (loads, bindings, iters) = if indexed {
             let block = streams.block.expect("indexed pool has a block");
             let load = p.load(
-                block_load_pattern(in_base, row0, rows),
+                lane_block_load(in_base, COLS, B, 1, row0, rows),
                 block,
                 false,
                 &ldeps,
@@ -322,7 +291,7 @@ fn emit_pass(
             &loads,
         );
         let pattern = if indexed {
-            block_store_pattern(out_base, row0)
+            lane_block_store(out_base, COLS, B, row0)
         } else {
             AddrPattern::contiguous(out_base + row0 * COLS, STRIP_ROWS * COLS)
         };

@@ -65,11 +65,6 @@ impl StableHasher {
         }
     }
 
-    /// Write an `i32` (two's-complement little-endian).
-    pub fn write_i32(&mut self, v: i32) {
-        self.write_u32(v as u32);
-    }
-
     /// Write a `u64` (little-endian byte order).
     pub fn write_u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {

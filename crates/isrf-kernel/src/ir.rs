@@ -312,18 +312,6 @@ impl Opcode {
             _ => None,
         }
     }
-
-    /// True if the op produces a value other ops may consume.
-    pub fn produces_value(self) -> bool {
-        use Opcode::*;
-        !matches!(
-            self,
-            SeqWrite(_) | CondWrite(_) | IdxWrite(_) | ScratchWrite | IdxAddr(_)
-        )
-        // IdxAddr "produces" only a token consumed by its IdxRead pairing;
-        // it is still referenced as an operand, so it counts as a value.
-        || matches!(self, IdxAddr(_))
-    }
 }
 
 /// One operation of a kernel body.

@@ -93,11 +93,6 @@ impl AuditAccumulator {
         self.attr[a.index()]
     }
 
-    /// Kernels seen starting / ending so far.
-    pub fn kernel_counts(&self) -> (u64, u64) {
-        (self.kernels_started, self.kernels_ended)
-    }
-
     /// The breakdown reconstructed from the events observed so far.
     ///
     /// Only meaningful once every dispatched kernel has retired (advanced

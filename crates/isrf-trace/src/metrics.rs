@@ -106,26 +106,9 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `by` to counter `name` (creating it at zero).
-    pub fn inc(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
-    }
-
     /// Set counter `name` to `value` (creating it).
     pub fn set(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
-    }
-
-    /// Record a histogram sample under `name` (creating the histogram).
-    pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(v);
     }
 
     /// Insert a pre-built histogram under `name` (skipped when empty).
@@ -143,25 +126,6 @@ impl MetricsRegistry {
     /// The histogram stored under `name`, if any.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// All counters, sorted by name.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All histograms, sorted by name.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Fold another registry into this one (counters add, histograms
-    /// merge bucket-wise via re-observation of summary stats is lossy, so
-    /// histograms from `other` overwrite only when absent here).
-    pub fn absorb_counters(&mut self, other: &MetricsRegistry) {
-        for (k, v) in other.counters() {
-            self.inc(k, v);
-        }
     }
 
     /// Render as an aligned plain-text table (counters, then histograms),
@@ -209,15 +173,22 @@ mod tests {
     #[test]
     fn registry_roundtrip_and_render() {
         let mut r = MetricsRegistry::new();
-        r.inc("srf.seq.grants", 3);
-        r.inc("srf.seq.grants", 2);
-        r.inc("srf.idx.inlane.words", 0);
-        r.observe("mem.transfer.words", 64);
+        r.set("srf.seq.grants", 3);
+        r.set("srf.seq.grants", 5);
+        r.set("srf.idx.inlane.words", 0);
+        let mut h = Histogram::default();
+        h.observe(64);
+        r.put_histogram("mem.transfer.words", h);
+        r.put_histogram("mem.empty", Histogram::default());
         assert_eq!(r.counter("srf.seq.grants"), 5);
         assert_eq!(r.counter("missing"), 0);
         let text = r.render();
         assert!(text.contains("srf.seq.grants"));
         assert!(!text.contains("inlane.words"), "zero counters dropped");
         assert!(text.contains("mem.transfer.words"));
+        assert!(
+            r.histogram("mem.empty").is_none(),
+            "empty histograms skipped"
+        );
     }
 }

@@ -163,11 +163,6 @@ impl Recorder {
         &self.audit
     }
 
-    /// Address-FIFO occupancy samples (one per indexed access).
-    pub fn fifo_occupancy(&self) -> &Histogram {
-        &self.fifo_occupancy
-    }
-
     /// Build the hierarchical metrics registry from the recorded counters
     /// and histograms. Names are dot paths: `cycles.<attr>`,
     /// `kernel.stall.<reason>`, `srf.seq.*`, `srf.idx.*`, `mem.*`.
