@@ -6,14 +6,31 @@
 //! `--paper` uses the paper's workload sizes (slower); the default uses
 //! reduced sizes with the same shapes. `--list` prints the known targets,
 //! one per line, and exits. Text on stdout is the only output: `all` at
-//! both sizes is committed under `results/` and diffed by `./ci.sh`.
+//! both sizes is committed under `results/` and held there by
+//! `crates/bench/tests/figures_cli.rs`. Figures 11–13 and `summary` read
+//! one benchmark × config grid, simulated once however many of them run.
 //! `ablations` prints the two design-choice comparisons EXPERIMENTS.md
 //! cites (Sort baseline mechanism, cross-lane interconnect); they are not
 //! the paper's, so `all` leaves them out.
 
+use std::cell::OnceCell;
+
 use isrf_bench as figs;
-use isrf_bench::Profile;
+use isrf_bench::{Fig12Row, Profile};
 use isrf_core::config::{ConfigName, MachineConfig};
+
+/// What a target renders from: the sizing profile, and the grid of
+/// [`figs::fig12`], simulated by the first target that reads it.
+struct Ctx {
+    profile: Profile,
+    grid: OnceCell<Vec<Fig12Row>>,
+}
+
+impl Ctx {
+    fn grid(&self) -> &[Fig12Row] {
+        self.grid.get_or_init(|| figs::fig12(self.profile))
+    }
+}
 
 fn table3() {
     println!("== Table 3: machine parameters ==");
@@ -88,21 +105,21 @@ fn energy() {
     println!("DRAM access      {dram:.2} nJ ({:.0}x indexed)", dram / inl);
 }
 
-fn fig11(p: Profile) {
+fn fig11(ctx: &Ctx) {
     println!("== Figure 11: off-chip traffic normalized to Base ==");
     println!("{:<10} {:>8} {:>8}", "benchmark", "ISRF", "Cache");
-    for (name, isrf, cache) in figs::fig11(p) {
+    for (name, isrf, cache) in figs::fig11(ctx.grid()) {
         println!("{name:<10} {isrf:>8.3} {cache:>8.3}");
     }
 }
 
-fn fig12(p: Profile) {
+fn fig12(ctx: &Ctx) {
     println!("== Figure 12: execution time normalized to Base ==");
     println!(
         "{:<10} {:<6} {:>7} {:>7} {:>7} {:>7} {:>7}",
         "benchmark", "config", "loop", "mem", "srf", "ovh", "total"
     );
-    for r in figs::fig12(p) {
+    for r in ctx.grid() {
         println!(
             "{:<10} {:<6} {:>7.3} {:>7.3} {:>7.3} {:>7.3} {:>7.3}",
             r.benchmark,
@@ -116,13 +133,13 @@ fn fig12(p: Profile) {
     }
 }
 
-fn fig13(p: Profile) {
+fn fig13(ctx: &Ctx) {
     println!("== Figure 13: sustained SRF bandwidth on ISRF4 (words/cycle/lane) ==");
     println!(
         "{:<10} {:>10} {:>10} {:>10} {:>8}",
         "benchmark", "sequential", "cross-lane", "in-lane", "total"
     );
-    for (name, [seq, xl, inl]) in figs::fig13(p) {
+    for (name, [seq, xl, inl]) in figs::fig13(ctx.grid()) {
         println!(
             "{name:<10} {seq:>10.3} {xl:>10.3} {inl:>10.3} {:>8.3}",
             seq + xl + inl
@@ -145,14 +162,14 @@ fn fig14() {
     sweep_table(&figs::fig14());
 }
 
-fn fig15(p: Profile) {
+fn fig15(ctx: &Ctx) {
     println!("== Figure 15: in-lane benchmark time vs separation (normalized to min) ==");
-    sweep_table(&figs::fig15(p));
+    sweep_table(&figs::fig15(ctx.profile));
 }
 
-fn fig16(p: Profile) {
+fn fig16(ctx: &Ctx) {
     println!("== Figure 16: cross-lane benchmark time vs separation (normalized to min) ==");
-    sweep_table(&figs::fig16(p));
+    sweep_table(&figs::fig16(ctx.profile));
 }
 
 fn fig17() {
@@ -179,13 +196,13 @@ fn fig18() {
     }
 }
 
-fn summary(p: Profile) {
+fn summary(ctx: &Ctx) {
     println!("== Headline: ISRF4 vs Base (paper: 1.03x-4.1x speedup, up to 95% traffic cut) ==");
     println!(
         "{:<10} {:>8} {:>12} {:>13}",
         "benchmark", "speedup", "traffic cut", "energy ratio"
     );
-    for (name, sp, cut, er) in figs::summary(p) {
+    for (name, sp, cut, er) in figs::summary(ctx.grid()) {
         println!("{name:<10} {sp:>7.2}x {:>11.1}% {er:>13.2}", cut * 100.0);
     }
 }
@@ -201,7 +218,7 @@ fn ablations() {
     }
 }
 
-type Target = (&'static str, fn(Profile));
+type Target = (&'static str, fn(&Ctx));
 
 /// Every target, in the order `all` prints them.
 const TARGETS: [Target; 14] = [
@@ -228,10 +245,13 @@ fn main() {
         names().for_each(|name| println!("{name}"));
         return;
     }
-    let profile = if args.iter().any(|a| a == "--paper") {
-        Profile::Paper
-    } else {
-        Profile::Small
+    let ctx = Ctx {
+        profile: if args.iter().any(|a| a == "--paper") {
+            Profile::Paper
+        } else {
+            Profile::Small
+        },
+        grid: OnceCell::new(),
     };
     let what = args
         .iter()
@@ -247,7 +267,7 @@ fn main() {
     }
     for (name, render) in TARGETS {
         if what == name || (what == "all" && name != "ablations") {
-            render(profile);
+            render(&ctx);
             // No blank line after the target that ends `all`, or the one outside it.
             if !matches!(name, "summary" | "ablations") {
                 println!();

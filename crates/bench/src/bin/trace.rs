@@ -1,9 +1,7 @@
 //! Trace any application × configuration to a Chrome trace-event file.
 //!
 //! Usage: `trace [app|all] [config|all] [--paper] [--out-dir DIR]
-//! [--events N] [--timeline]`, or `trace --validate FILE` to only check an
-//! existing trace file for JSON validity (used by CI when no external JSON
-//! tool is available).
+//! [--events N] [--timeline]`
 //!
 //! Runs the chosen points under a recording tracer, writes
 //! `<out-dir>/<app>_<config>.trace.json` (loadable in Perfetto or
@@ -12,11 +10,11 @@
 //! cycle breakdown. Exits non-zero if any point fails the audit or
 //! produces invalid JSON.
 //!
-//! Apps: `fft2d rijndael sort filter igraph`. Configs: `base isrf1 isrf4
-//! cache`. `--events N` bounds the event ring (default 1M; the audit
-//! stays exact even when the ring wraps, but the exported trace then only
-//! covers the tail of the run). `--timeline` also prints a plain-text
-//! strip chart of cycle attribution and memory activity.
+//! Apps: `fft2d rijndael sort filter igraph spmv stencil bfs`. Configs:
+//! `base isrf1 isrf4 cache`. `--events N` bounds the event ring (default
+//! 1M; the audit stays exact even when the ring wraps, but the exported
+//! trace then only covers the tail of the run). `--timeline` also prints a
+//! plain-text strip chart of cycle attribution and memory activity.
 
 use isrf_apps::APPS;
 use isrf_bench::{prepare_app, select_points, Profile};
@@ -122,35 +120,8 @@ fn trace_point(app: &str, cfg: ConfigName, opts: &Options) -> bool {
     ok
 }
 
-/// `--validate FILE`: check JSON validity with the workspace's parser.
-fn validate_file(path: &str) -> ! {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match Json::parse(&text) {
-        Ok(_) => {
-            println!("{path}: valid JSON");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("{path}: INVALID: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().is_some_and(|a| a == "--validate") {
-        match args.get(1) {
-            Some(path) if args.len() == 2 => validate_file(path),
-            _ => usage(),
-        }
-    }
     let (points, opts) = parse(&args);
     let failures = points
         .iter()

@@ -1,32 +1,22 @@
 //! Statically verify every application × configuration point.
 //!
-//! Usage: `verify [app|all] [config|all] [--paper] [--report FILE]
-//! [--check FILE] [--cycles] [--explain CODE]`
+//! Usage: `verify [app|all] [config|all] [--paper] [--report]
+//! [--explain CODE]`
 //!
 //! Builds each benchmark exactly as the harness would run it, then runs the
 //! `isrf-verify` analyzer over the prepared program instead of simulating
-//! it. Prints every diagnostic and exits non-zero if any point fails — the
-//! CI gate proving all shipped programs are hazard-free on all four paper
-//! configurations.
+//! it. Prints every diagnostic and exits non-zero if any point has one.
 //!
-//! Modes beyond the plain gate:
-//!
-//! * `--report FILE` — write the full analyzer report (diagnostics,
-//!   warnings, static cycle floor) for every point as canonical JSON to
-//!   `FILE` (`-` for stdout).
-//! * `--check FILE` — regenerate the report and diff it against the
-//!   committed golden `FILE`; exit non-zero on drift.
-//! * `--cycles` — additionally *simulate* each point and check the static
-//!   cycle floor is a true lower bound (and not uselessly loose: floor ≥
-//!   `MIN_FLOOR_PCT`% of the simulated cycles).
+//! * `--report` — print the full analyzer report (diagnostics, warnings,
+//!   static cycle floor) for every point as canonical JSON. At both
+//!   profiles it is committed as `results/VERIFY_report{,_paper}.json` and
+//!   held there by `crates/bench/tests/analyzer.rs`.
 //! * `--explain CODE` — print the rule behind a diagnostic code, then any
 //!   findings with that code across the selected points, including the
 //!   derived intervals and dataflow path notes.
 //!
 //! Apps: `fft2d rijndael sort filter igraph spmv stencil bfs`. Configs:
 //! `base isrf1 isrf4 cache`.
-
-use std::sync::Arc;
 
 use isrf_apps::APPS;
 use isrf_bench::{prepare_app, select_points, Profile};
@@ -35,16 +25,10 @@ use isrf_sim::Diagnostic;
 use isrf_trace::json::Json;
 use isrf_verify::{explain, Report, Verifier};
 
-/// The static floor must recover at least this percentage of the simulated
-/// cycle count on every app × config point (both profiles). Committed so
-/// CI catches the model drifting uselessly loose, not just unsound.
-const MIN_FLOOR_PCT: u64 = 10;
-
 fn usage() -> ! {
     eprintln!(
-        "usage: verify [app|all] [config|all] [--paper] [--report FILE] [--check FILE] \
-         [--cycles] [--explain CODE]\n  apps: {}  all\n  \
-         configs: base isrf1 isrf4 cache all",
+        "usage: verify [app|all] [config|all] [--paper] [--report] [--explain CODE]\n  \
+         apps: {}  all\n  configs: base isrf1 isrf4 cache all",
         APPS.join(" ")
     );
     std::process::exit(2);
@@ -94,6 +78,7 @@ fn point_json(app: &str, cfg: ConfigName, report: &Report) -> Json {
 struct Point {
     app: &'static str,
     cfg: ConfigName,
+    ops: usize,
     report: Report,
 }
 
@@ -105,7 +90,12 @@ fn analyze(points: &[(&'static str, ConfigName)], profile: Profile) -> Vec<Point
             let pr = prepare_app(app, cfg, profile);
             let report =
                 verifier.report(pr.machine.config(), &pr.machine.verify_env(), &pr.program);
-            Point { app, cfg, report }
+            Point {
+                app,
+                cfg,
+                ops: pr.program.len(),
+                report,
+            }
         })
         .collect()
 }
@@ -131,15 +121,11 @@ fn render_report(points: &[Point], profile: Profile) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut report_to: Option<String> = None;
-    let mut check_against: Option<String> = None;
-    let mut cycles = false;
+    let mut report = false;
     let mut explain_code: Option<String> = None;
     let (points, profile) = select_points(&args, |flag, rest| {
         match flag {
-            "--report" => report_to = Some(rest.next()?.clone()),
-            "--check" => check_against = Some(rest.next()?.clone()),
-            "--cycles" => cycles = true,
+            "--report" => report = true,
             "--explain" => explain_code = Some(rest.next()?.clone()),
             _ => return None,
         }
@@ -178,81 +164,22 @@ fn main() {
         return;
     }
 
-    if report_to.is_some() || check_against.is_some() {
-        let points = analyze(&points, profile);
-        let rendered = render_report(&points, profile);
-        if let Some(path) = &report_to {
-            if path == "-" {
-                print!("{rendered}");
-            } else {
-                std::fs::write(path, &rendered).unwrap_or_else(|e| {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                });
-                println!(
-                    "wrote analyzer report for {} point(s) to {path}",
-                    points.len()
-                );
-            }
-        }
-        if let Some(path) = &check_against {
-            let golden = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("cannot read golden report {path}: {e}");
-                std::process::exit(1);
-            });
-            if golden != rendered {
-                let first_diff = golden
-                    .lines()
-                    .zip(rendered.lines())
-                    .position(|(a, b)| a != b)
-                    .map(|i| i + 1)
-                    .unwrap_or_else(|| golden.lines().count().min(rendered.lines().count()) + 1);
-                eprintln!(
-                    "analyzer report drifted from {path} (first differing line {first_diff}); \
-                     regenerate with `verify --report {path}` and review the diff"
-                );
-                std::process::exit(1);
-            }
-            println!("analyzer report matches {path} ({} point(s))", points.len());
-        }
+    if report {
+        print!("{}", render_report(&analyze(&points, profile), profile));
         return;
     }
 
     let mut failures = 0;
-    for &(app, cfg) in &points {
-        let mut pr = prepare_app(app, cfg, profile);
-        // Install the analyzer explicitly: a machine without one would
-        // verify vacuously, and this gate must never pass vacuously.
-        pr.machine.set_verifier(Some(Arc::new(Verifier::new())));
-        match pr.machine.verify_program(&pr.program) {
-            Ok(()) => {
-                if !cycles {
-                    println!("{app} on {cfg}: clean ({} program op(s))", pr.program.len());
-                }
-            }
-            Err(e) => {
-                failures += 1;
-                println!("{app} on {cfg}: {} finding(s)", e.diagnostics.len());
-                for d in &e.diagnostics {
-                    println!("  {d}");
-                }
-                continue;
-            }
-        }
-        if !cycles {
+    for p in analyze(&points, profile) {
+        let found = &p.report.diagnostics;
+        if found.is_empty() {
+            println!("{} on {}: clean ({} program op(s))", p.app, p.cfg, p.ops);
             continue;
         }
-        // Cross-validate the static floor against the simulation.
-        let floor = isrf_verify::cost_model(pr.machine.config(), &pr.program).cycle_floor;
-        let sim = pr.machine.run(&pr.program).cycles;
-        let pct = (floor * 100).checked_div(sim).unwrap_or(100);
-        let ok = floor <= sim && pct >= MIN_FLOOR_PCT;
-        println!(
-            "{app} on {cfg}: floor {floor} <= simulated {sim} ({pct}%){}",
-            if ok { "" } else { "  UNSOUND OR TOO LOOSE" }
-        );
-        if !ok {
-            failures += 1;
+        failures += 1;
+        println!("{} on {}: {} finding(s)", p.app, p.cfg, found.len());
+        for d in found {
+            println!("  {d}");
         }
     }
     if failures > 0 {

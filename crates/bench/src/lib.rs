@@ -1,6 +1,6 @@
-//! `isrf-bench` is the tool crate (the `figures`, `verify`, `trace` and
-//! `loadtest` bins); the timing harness is `benchmark/`, a package of its
-//! own, and nothing here is timed.
+//! `isrf-bench` is the tool crate (the `figures`, `verify` and `trace`
+//! bins); the timing harness is `benchmark/`, a package of its own, and
+//! nothing here is timed.
 //!
 //! Every evaluation artifact of the HPCA 2004 indexed-SRF paper has a
 //! generator here returning structured data, and the `figures` binary
@@ -41,34 +41,9 @@ fn run(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> RunStats {
     prepare_app(app, cfg, profile).run_checked()
 }
 
-/// Figure 11: off-chip memory traffic of ISRF and Cache normalized to Base.
-///
-/// All benchmark × config points run concurrently via the sweep driver;
-/// results are grouped back per benchmark in input order, so the output is
-/// identical to a serial sweep.
-pub fn fig11(profile: Profile) -> Vec<(String, f64, f64)> {
-    const CFGS: [ConfigName; 3] = [ConfigName::Base, ConfigName::Isrf4, ConfigName::Cache];
-    let points: Vec<(&str, ConfigName)> = BENCHMARKS
-        .iter()
-        .flat_map(|&(_, app)| CFGS.iter().map(move |&cfg| (app, cfg)))
-        .collect();
-    let stats = run_parallel(&points, |&(app, cfg)| run(app, cfg, profile));
-    BENCHMARKS
-        .iter()
-        .zip(stats.chunks_exact(CFGS.len()))
-        .map(|(&(name, _), s)| {
-            let (base, isrf, cache) = (&s[0], &s[1], &s[2]);
-            (
-                name.to_string(),
-                isrf.mem.normalized_to(&base.mem),
-                cache.mem.normalized_to(&base.mem),
-            )
-        })
-        .collect()
-}
-
-/// One Figure 12 row: a config's execution-time breakdown normalized to
-/// its benchmark's Base total.
+/// One point of the benchmark × config grid, simulated once and read by
+/// Figures 11–13 and the headline summary: Figure 12's row, plus the run
+/// behind it.
 #[derive(Debug, Clone)]
 pub struct Fig12Row {
     /// Benchmark name.
@@ -78,8 +53,8 @@ pub struct Fig12Row {
     /// `[kernel loop, memory stall, SRF stall, overheads]`, as fractions
     /// of the Base configuration's total cycles.
     pub parts: [f64; 4],
-    /// Absolute cycle count of this config's run.
-    pub cycles: u64,
+    /// The run on this config.
+    pub stats: RunStats,
 }
 
 impl Fig12Row {
@@ -90,51 +65,62 @@ impl Fig12Row {
 }
 
 /// Figure 12: execution-time breakdowns for all benchmarks and configs,
-/// with every benchmark × config point simulated concurrently.
+/// benchmark by benchmark in [`ConfigName::ALL`] order, with every point
+/// simulated concurrently by the sweep driver (results come back in input
+/// order, so the output is identical to a serial sweep).
 pub fn fig12(profile: Profile) -> Vec<Fig12Row> {
-    let points: Vec<(&str, ConfigName)> = BENCHMARKS
+    let points: Vec<(&str, &str, ConfigName)> = BENCHMARKS
         .iter()
-        .flat_map(|&(_, app)| ConfigName::ALL.iter().map(move |&cfg| (app, cfg)))
+        .flat_map(|&(name, app)| ConfigName::ALL.map(|cfg| (name, app, cfg)))
         .collect();
-    let stats = run_parallel(&points, |&(app, cfg)| run(app, cfg, profile));
+    let stats = run_parallel(&points, |&(_, app, cfg)| run(app, cfg, profile));
+    let per_benchmark = ConfigName::ALL.len();
     let mut rows = Vec::new();
-    for (&(group, _), per_cfg) in BENCHMARKS
-        .iter()
-        .zip(stats.chunks_exact(ConfigName::ALL.len()))
+    for (points, stats) in points
+        .chunks_exact(per_benchmark)
+        .zip(stats.chunks_exact(per_benchmark))
     {
-        let base = per_cfg[ConfigName::ALL
-            .iter()
-            .position(|&c| c == ConfigName::Base)
-            .expect("Base is a config")];
-        let d = base.cycles.max(1) as f64;
-        for (&cfg, stats) in ConfigName::ALL.iter().zip(per_cfg) {
-            let b = stats.breakdown;
+        let base = stats[0].cycles; // ConfigName::ALL starts with Base
+        for (&(name, _, config), &stats) in points.iter().zip(stats) {
             rows.push(Fig12Row {
-                benchmark: group.to_string(),
-                config: cfg,
-                parts: [
-                    b.kernel_loop as f64 / d,
-                    b.mem_stall as f64 / d,
-                    b.srf_stall as f64 / d,
-                    b.overhead as f64 / d,
-                ],
-                cycles: stats.cycles,
+                benchmark: name.to_string(),
+                config,
+                parts: stats.breakdown.normalized_to(base),
+                stats,
             });
         }
     }
     rows
 }
 
+/// The [`fig12`] grid benchmark by benchmark: its name and its runs on
+/// `[Base, ISRF1, ISRF4, Cache]`.
+fn by_benchmark(grid: &[Fig12Row]) -> impl Iterator<Item = (String, [&RunStats; 4])> {
+    grid.chunks_exact(ConfigName::ALL.len())
+        .map(|r| (r[0].benchmark.clone(), [0, 1, 2, 3].map(|i| &r[i].stats)))
+}
+
+/// Figure 11: off-chip memory traffic of ISRF and Cache normalized to Base.
+pub fn fig11(grid: &[Fig12Row]) -> Vec<(String, f64, f64)> {
+    by_benchmark(grid)
+        .map(|(name, [base, _, isrf, cache])| {
+            (
+                name,
+                isrf.mem.normalized_to(&base.mem),
+                cache.mem.normalized_to(&base.mem),
+            )
+        })
+        .collect()
+}
+
 /// Figure 13: sustained SRF bandwidth demands (words/cycle/lane) per
 /// benchmark on ISRF4, split `[sequential, cross-lane, in-lane]`.
-pub fn fig13(profile: Profile) -> Vec<(String, [f64; 3])> {
-    run_parallel(&BENCHMARKS, |&(name, app)| {
-        let s = run(app, ConfigName::Isrf4, profile);
-        (
-            name.to_string(),
-            s.srf.per_cycle_per_lane(s.main_loop_cycles, 8),
-        )
-    })
+pub fn fig13(grid: &[Fig12Row]) -> Vec<(String, [f64; 3])> {
+    by_benchmark(grid)
+        .map(|(name, [_, _, isrf, _])| {
+            (name, isrf.srf.per_cycle_per_lane(isrf.main_loop_cycles, 8))
+        })
+        .collect()
 }
 
 /// The kernels of the Figure 14–16 studies, by paper name.
@@ -308,19 +294,19 @@ pub fn energy_table() -> (f64, f64, f64, f64) {
 /// Headline summary: per benchmark, ISRF4 speedup over Base, traffic
 /// reduction (Section 1's 1.03x–4.1x and up-to-95% claims), and the
 /// data-movement energy ratio implied by the Section 4.5 model.
-pub fn summary(profile: Profile) -> Vec<(String, f64, f64, f64)> {
+pub fn summary(grid: &[Fig12Row]) -> Vec<(String, f64, f64, f64)> {
     let em = EnergyModel::default();
     let geom = SrfGeometry::paper_default();
-    run_parallel(&BENCHMARKS, |&(name, app)| {
-        let base = run(app, ConfigName::Base, profile);
-        let isrf = run(app, ConfigName::Isrf4, profile);
-        (
-            name.to_string(),
-            isrf.speedup_over(&base),
-            1.0 - isrf.mem.normalized_to(&base.mem),
-            em.run_energy_nj(&geom, &isrf) / em.run_energy_nj(&geom, &base).max(1e-9),
-        )
-    })
+    by_benchmark(grid)
+        .map(|(name, [base, _, isrf, _])| {
+            (
+                name,
+                isrf.speedup_over(base),
+                1.0 - isrf.mem.normalized_to(&base.mem),
+                em.run_energy_nj(&geom, isrf) / em.run_energy_nj(&geom, base).max(1e-9),
+            )
+        })
+        .collect()
 }
 
 /// Ablation of the Sort baseline mechanism on Base at the Small size:
@@ -397,7 +383,7 @@ mod tests {
 
     #[test]
     fn fig11_shape_matches_paper() {
-        let rows = fig11(Profile::Small);
+        let rows = fig11(&fig12(Profile::Small));
         let get = |n: &str| rows.iter().find(|r| r.0 == n).unwrap().clone();
         // Rijndael and FFT 2D save big; Sort and Filter save nothing.
         assert!(get("Rijndael").1 < 0.15);
@@ -414,7 +400,7 @@ mod tests {
         // Section 5.3: "Cache outperforms ISRF in terms of locality
         // capture for the irregular (IG) benchmarks as it is also able to
         // capture inter-strip reuse".
-        let rows = fig11(Profile::Small);
+        let rows = fig11(&fig12(Profile::Small));
         for ig in ["IG_DMS", "IG_DCS"] {
             let (_, isrf, cache) = rows.iter().find(|r| r.0 == ig).unwrap();
             assert!(cache < isrf, "{ig}: cache {cache:.3} vs isrf {isrf:.3}");
@@ -475,7 +461,7 @@ mod tests {
     fn fig12_small_grid_cycle_total_is_pinned() {
         // 20 of the 32 points are lines of tests/golden/basket.digest; the
         // IG_DMS, IG_DCS and IG_SCL rows are pinned at this size only here.
-        let total: u64 = fig12(Profile::Small).iter().map(|r| r.cycles).sum();
+        let total: u64 = fig12(Profile::Small).iter().map(|r| r.stats.cycles).sum();
         assert_eq!(total, 663_526);
     }
 

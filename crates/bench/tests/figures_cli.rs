@@ -1,8 +1,12 @@
 //! The `figures` binary's target list and its one output, stdout, driven
-//! as a user would.
+//! as a user would. Everything `figures all` prints — every table and
+//! figure of the paper, at both sizing profiles — is committed under
+//! `results/` and must come out byte for byte.
 
 use std::path::Path;
 use std::process::Command;
+
+use isrf_check::golden;
 
 fn figures(args: &[&str]) -> (Option<i32>, String) {
     figures_in(Path::new("."), args)
@@ -77,4 +81,25 @@ fn a_figure_is_its_text_and_leaves_no_file_behind() {
     assert!(text.starts_with("== Figure 11"), "{text}");
     assert!(!text.contains("[wrote"), "{text}");
     assert!(left.is_empty(), "figures wrote {left:?}");
+}
+
+fn figures_all_matches_golden(args: &[&str], file: &str) {
+    let (code, text) = figures(args);
+    assert_eq!(code, Some(0));
+    golden(
+        Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results")
+            .join(file),
+        &text,
+    );
+}
+
+#[test]
+fn figures_all_matches_golden_small() {
+    figures_all_matches_golden(&["all"], "figures_small.txt");
+}
+
+#[test]
+fn figures_all_matches_golden_paper() {
+    figures_all_matches_golden(&["all", "--paper"], "figures_paper.txt");
 }

@@ -20,6 +20,7 @@
 //! * [`bisect`] — when two machines that should agree don't, binary-search
 //!   over cycle-granular state snapshots for the first diverging cycle and
 //!   a structural diff of what differs (DESIGN.md §12).
+//! * [`golden()`] — the one way a test holds output to a committed file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -33,3 +34,37 @@ pub use bisect::{first_divergence, BisectError, Divergence, PerturbAt};
 pub use diff::{run_differential, DiffError, DiffFailure, DiffOutcome};
 pub use refexec::{RefCounts, RefMachine};
 pub use sweep::{run_parallel, run_serial};
+
+/// Hold `got` to the committed golden file at `path`, panicking with the
+/// first line that drifted. With `UPDATE_GOLDEN` set in the environment it
+/// writes `got` to `path` instead, so `UPDATE_GOLDEN=1 cargo test`
+/// regenerates every golden of the workspace.
+pub fn golden(path: impl AsRef<std::path::Path>, got: &str) {
+    let path = path.as_ref();
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, got).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        return;
+    }
+    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        panic!(
+            "read {}: {e} (create it with UPDATE_GOLDEN=1)",
+            path.display()
+        )
+    });
+    if got == want {
+        return;
+    }
+    let line = got
+        .lines()
+        .zip(want.lines())
+        .take_while(|(g, w)| g == w)
+        .count();
+    panic!(
+        "output drifted from {} at line {}\n  got:  {}\n  want: {}\n\
+         regenerate with UPDATE_GOLDEN=1 cargo test if the change is intended",
+        path.display(),
+        line + 1,
+        got.lines().nth(line).unwrap_or("<end of output>"),
+        want.lines().nth(line).unwrap_or("<end of file>"),
+    );
+}

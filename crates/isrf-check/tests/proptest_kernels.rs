@@ -24,7 +24,7 @@
 use std::fmt::Write;
 use std::sync::Arc;
 
-use isrf_check::run_differential;
+use isrf_check::{golden, run_differential};
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::fnv1a;
 use isrf_core::Word;
@@ -301,20 +301,13 @@ fn random_kernels_match_reference_and_pinned_timing() {
             writeln!(got, "case {case:02} iters={:02} {line}", r.iters).expect("write to String");
         }
     }
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/proptest_kernels.digest"
+    golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/proptest_kernels.digest"
+        ),
+        &got,
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
-    for (g, w) in got.lines().zip(want.lines()) {
-        assert_eq!(g, w, "timing drifted from the golden digest");
-    }
-    assert_eq!(got.len(), want.len(), "digest case list changed");
 }
 
 /// The same corpus computes what the reference semantics say on 4 lanes

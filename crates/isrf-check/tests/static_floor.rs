@@ -2,9 +2,9 @@
 //! model: on synthetic programs that pass the reference-executor
 //! differential, `isrf_verify::cost_model`'s whole-program cycle floor
 //! must be a true lower bound on the cycle-accurate machine. The
-//! app-suite version of this check runs in CI via
-//! `verify all all --cycles`; this test keeps the property wired into the
-//! differential suite itself, on programs the apps never exercise.
+//! app-suite version of this check is `crates/bench/tests/analyzer.rs`;
+//! this test keeps the property wired into the differential suite itself,
+//! on programs the apps never exercise.
 
 use std::sync::Arc;
 

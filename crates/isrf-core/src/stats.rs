@@ -11,7 +11,6 @@
 //! configuration.
 
 use std::fmt;
-use std::ops::AddAssign;
 
 use crate::snap::{Dec, Enc, SnapError};
 
@@ -46,15 +45,6 @@ impl Breakdown {
             self.srf_stall as f64 / d,
             self.overhead as f64 / d,
         ]
-    }
-}
-
-impl AddAssign for Breakdown {
-    fn add_assign(&mut self, rhs: Self) {
-        self.kernel_loop += rhs.kernel_loop;
-        self.mem_stall += rhs.mem_stall;
-        self.srf_stall += rhs.srf_stall;
-        self.overhead += rhs.overhead;
     }
 }
 
@@ -111,14 +101,6 @@ impl MemTraffic {
     }
 }
 
-impl AddAssign for MemTraffic {
-    fn add_assign(&mut self, rhs: Self) {
-        self.bytes_read += rhs.bytes_read;
-        self.bytes_written += rhs.bytes_written;
-        self.cache_hit_bytes += rhs.cache_hit_bytes;
-    }
-}
-
 impl fmt::Display for MemTraffic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -157,14 +139,6 @@ impl SrfTraffic {
             self.crosslane_words as f64 / d,
             self.inlane_words as f64 / d,
         ]
-    }
-}
-
-impl AddAssign for SrfTraffic {
-    fn add_assign(&mut self, rhs: Self) {
-        self.seq_words += rhs.seq_words;
-        self.inlane_words += rhs.inlane_words;
-        self.crosslane_words += rhs.crosslane_words;
     }
 }
 
@@ -228,19 +202,34 @@ impl RunStats {
         })
     }
 
+    /// What accrued since `start`, an earlier reading of these counters.
+    pub fn since(&self, start: &RunStats) -> RunStats {
+        let (b, m, s) = (&start.breakdown, &start.mem, &start.srf);
+        RunStats {
+            cycles: self.cycles - start.cycles,
+            breakdown: Breakdown {
+                kernel_loop: self.breakdown.kernel_loop - b.kernel_loop,
+                mem_stall: self.breakdown.mem_stall - b.mem_stall,
+                srf_stall: self.breakdown.srf_stall - b.srf_stall,
+                overhead: self.breakdown.overhead - b.overhead,
+            },
+            mem: MemTraffic {
+                bytes_read: self.mem.bytes_read - m.bytes_read,
+                bytes_written: self.mem.bytes_written - m.bytes_written,
+                cache_hit_bytes: self.mem.cache_hit_bytes - m.cache_hit_bytes,
+            },
+            srf: SrfTraffic {
+                seq_words: self.srf.seq_words - s.seq_words,
+                inlane_words: self.srf.inlane_words - s.inlane_words,
+                crosslane_words: self.srf.crosslane_words - s.crosslane_words,
+            },
+            main_loop_cycles: self.main_loop_cycles - start.main_loop_cycles,
+        }
+    }
+
     /// Speedup of this run relative to `base` (ratio of total cycles).
     pub fn speedup_over(&self, base: &RunStats) -> f64 {
         base.cycles as f64 / self.cycles.max(1) as f64
-    }
-}
-
-impl AddAssign for RunStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.cycles += rhs.cycles;
-        self.breakdown += rhs.breakdown;
-        self.mem += rhs.mem;
-        self.srf += rhs.srf;
-        self.main_loop_cycles += rhs.main_loop_cycles;
     }
 }
 
@@ -274,14 +263,6 @@ mod tests {
         let n = b.normalized_to(2000);
         assert_eq!(n, [0.3, 0.1, 0.05, 0.05]);
         assert!((n.iter().sum::<f64>() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn breakdown_accumulates() {
-        let mut b = sample();
-        b += sample();
-        assert_eq!(b.total(), 2000);
-        assert_eq!(b.kernel_loop, 1200);
     }
 
     #[test]
@@ -333,14 +314,38 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_accumulate() {
-        let mut a = RunStats {
+    fn run_stats_since_an_earlier_reading() {
+        let start = RunStats {
             cycles: 10,
+            breakdown: sample(),
+            mem: MemTraffic {
+                bytes_read: 64,
+                bytes_written: 32,
+                cache_hit_bytes: 16,
+            },
+            srf: SrfTraffic {
+                seq_words: 8,
+                inlane_words: 4,
+                crosslane_words: 2,
+            },
             main_loop_cycles: 5,
-            ..RunStats::default()
         };
-        a += a;
-        assert_eq!(a.cycles, 20);
-        assert_eq!(a.main_loop_cycles, 10);
+        assert_eq!(start.since(&start), RunStats::default());
+        assert_eq!(start.since(&RunStats::default()), start);
+        let mut later = start;
+        later.cycles += 7;
+        later.breakdown.srf_stall += 3;
+        later.mem.cache_hit_bytes += 8;
+        later.srf.crosslane_words += 1;
+        let delta = later.since(&start);
+        assert_eq!(
+            (
+                delta.cycles,
+                delta.breakdown.srf_stall,
+                delta.breakdown.total()
+            ),
+            (7, 3, 3)
+        );
+        assert_eq!((delta.mem.cache_hit_bytes, delta.srf.total()), (8, 1));
     }
 }

@@ -7,8 +7,8 @@
 //! ```
 //!
 //! `--port-file` writes the bound address (host:port, one line) once the
-//! listener is up — the CI smoke stage and the load tester use it with
-//! `--addr 127.0.0.1:0` to avoid port collisions.
+//! listener is up — `tests/serve.rs` uses it with `--addr 127.0.0.1:0` to
+//! avoid port collisions.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,5 +1,5 @@
 //! A minimal blocking HTTP/1.1 client for talking to the server — used by
-//! the integration tests, the CI smoke stage and the bench load tester.
+//! the integration tests and `benchmark/`'s `serve_mix` workload.
 //! One connection per [`Client`], kept alive across requests.
 
 use std::io::{self, BufRead, BufReader, Read, Write};

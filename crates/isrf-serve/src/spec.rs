@@ -63,13 +63,16 @@ impl PointSpec {
     pub fn verify_hash(&self) -> u128 {
         let mut h = StableHasher::new();
         h.write_u8(b'V');
+        self.hash_into(&mut h);
+        h.finish128()
+    }
+
+    /// Feed the app, config and profile to `h`: everything but the engine.
+    fn hash_into(&self, h: &mut StableHasher) {
         match &self.app {
             AppRef::Named(name) => {
                 h.write_u8(0);
-                h.write_usize(name.len());
-                for b in name.bytes() {
-                    h.write_u8(b);
-                }
+                write_str(h, name);
             }
             AppRef::Source {
                 src,
@@ -78,10 +81,7 @@ impl PointSpec {
                 seed,
             } => {
                 h.write_u8(1);
-                h.write_usize(src.len());
-                for b in src.bytes() {
-                    h.write_u8(b);
-                }
+                write_str(h, src);
                 h.write_u32(*records_per_lane);
                 h.write_u32(*table_records_per_lane);
                 h.write_u32(*seed);
@@ -97,8 +97,13 @@ impl PointSpec {
             Profile::Small => 0,
             Profile::Paper => 1,
         });
-        h.finish128()
     }
+}
+
+/// A string as its length, then its bytes.
+fn write_str(h: &mut StableHasher, s: &str) {
+    h.write_usize(s.len());
+    s.bytes().for_each(|b| h.write_u8(b));
 }
 
 /// A full job: one or more points plus job-level options.
@@ -269,40 +274,7 @@ impl JobSpec {
         h.write_u8(b'J');
         h.write_usize(self.points.len());
         for p in &self.points {
-            match &p.app {
-                AppRef::Named(name) => {
-                    h.write_u8(0);
-                    h.write_usize(name.len());
-                    for b in name.bytes() {
-                        h.write_u8(b);
-                    }
-                }
-                AppRef::Source {
-                    src,
-                    records_per_lane,
-                    table_records_per_lane,
-                    seed,
-                } => {
-                    h.write_u8(1);
-                    h.write_usize(src.len());
-                    for b in src.bytes() {
-                        h.write_u8(b);
-                    }
-                    h.write_u32(*records_per_lane);
-                    h.write_u32(*table_records_per_lane);
-                    h.write_u32(*seed);
-                }
-            }
-            h.write_u8(
-                ConfigName::ALL
-                    .iter()
-                    .position(|&c| c == p.config)
-                    .expect("preset config") as u8,
-            );
-            h.write_u8(match p.profile {
-                Profile::Small => 0,
-                Profile::Paper => 1,
-            });
+            p.hash_into(&mut h);
             h.write_u8(match p.engine {
                 ExecEngine::Tape => 0,
             });
@@ -312,10 +284,7 @@ impl JobSpec {
             None => h.write_u8(0),
             Some(n) => {
                 h.write_u8(1);
-                h.write_usize(n.len());
-                for b in n.bytes() {
-                    h.write_u8(b);
-                }
+                write_str(&mut h, n);
             }
         }
         h.finish128()
@@ -404,6 +373,36 @@ mod tests {
         assert_ne!(a.hash(), c.hash());
         let d = parse(r#"{"app":"sort","config":"ISRF1","nonce":"n"}"#).unwrap();
         assert_ne!(a.hash(), d.hash());
+    }
+
+    /// Both hashes key caches a restarted server reads back (results on
+    /// disk, verdicts), so they are pinned on a fixed sweep.
+    #[test]
+    fn hashes_are_pinned() {
+        let j = parse(
+            r#"{"sweep":[{"app":"sort","config":"ISRF4"},
+                {"app":"bfs","config":"cache","profile":"paper"},
+                {"source":"kernel k(istream<int> a, ostream<int> b) { int x; a >> x; b << x + 1; }",
+                 "records_per_lane":8,"table_records_per_lane":16,"seed":7,"config":"isrf1"}],
+                "nonce":"pin"}"#,
+        )
+        .unwrap();
+        assert_eq!(j.hash(), 0xb5e038bd5c25ecdfd2755f08d09dadbe);
+        let verify: Vec<u128> = j.points.iter().map(PointSpec::verify_hash).collect();
+        assert_eq!(
+            verify,
+            [
+                0x6dba483d14d91a8114342e5af82b6977,
+                0xb09d4117c51aa48b8e1bf5964879d512,
+                0x7c9f7115d765dde0c3949382e9ad2414,
+            ]
+        );
+        let t = parse(r#"{"app":"filter","trace":true}"#).unwrap();
+        assert_eq!(t.hash(), 0xac0959f57f3ffe884712c77ebace3ef0);
+        assert_eq!(
+            t.points[0].verify_hash(),
+            0xe74eb4d368dcd8dd39ad45004755078d
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! End-to-end coverage of the job server over real sockets: submissions
 //! match direct in-process runs word-for-word, sweeps shard across
 //! workers, memoization serves repeats from cache, the queue bound
-//! produces 429 + `Retry-After`, cancellation lands within a slice, and
-//! the error paths return the right statuses.
+//! produces 429 + `Retry-After`, cancellation lands within a slice, the
+//! error paths return the right statuses, and the `isrf-serve` binary
+//! serves and drains like the in-process server.
 
+use std::path::Path;
+use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use isrf_apps::{prepare_app, Profile};
@@ -579,4 +582,69 @@ fn healthz_and_keepalive() {
         assert_eq!(resp.body, b"ok\n");
     }
     server.stop();
+}
+
+/// Kills and reaps a spawned server on every exit path, so a failed test
+/// leaves no process behind.
+struct Spawned(std::process::Child);
+
+impl Drop for Spawned {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// The binary as a user starts it: it publishes its ephemeral port through
+/// `--port-file`, serves a job word-for-word like a direct run, and exits 0
+/// once `POST /shutdown` has drained it.
+#[test]
+fn binary_serves_a_job_and_exits_zero_on_shutdown() {
+    let port_file = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("isrf-serve-{}.port", std::process::id()));
+    let _ = std::fs::remove_file(&port_file);
+    let mut server = Spawned(
+        Command::new(env!("CARGO_BIN_EXE_isrf-serve"))
+            .args(["--addr", "127.0.0.1:0", "--workers", "2", "--port-file"])
+            .arg(&port_file)
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("spawn isrf-serve"),
+    );
+    let tick = Duration::from_millis(20);
+    let addr = (0..1500)
+        .find_map(|_| {
+            if let Some(status) = server.0.try_wait().expect("poll isrf-serve") {
+                panic!("isrf-serve exited with {status} before it listened");
+            }
+            std::thread::sleep(tick);
+            std::fs::read_to_string(&port_file)
+                .ok()?
+                .trim()
+                .parse()
+                .ok()
+        })
+        .expect("isrf-serve writes its port file within 30 s");
+    let _ = std::fs::remove_file(&port_file);
+    let mut client = Client::new(addr);
+
+    let (status, v) = submit(&mut client, r#"{"app":"sort","config":"ISRF4"}"#);
+    assert_eq!(status, 202, "{}", v.render());
+    let id = v.get("id").and_then(Json::as_u64).unwrap();
+    let result = fetch_result(&mut client, id);
+    let points = result.get("points").and_then(Json::as_arr).unwrap();
+    assert_eq!(
+        point_words(&points[0]),
+        direct("sort", ConfigName::Isrf4, Profile::Small)
+    );
+
+    let resp = client.post("/shutdown", "").expect("POST /shutdown");
+    assert_eq!(resp.status, 200);
+    let exit = (0..3000)
+        .find_map(|_| {
+            std::thread::sleep(tick);
+            server.0.try_wait().expect("poll isrf-serve")
+        })
+        .expect("isrf-serve exits within 60 s of a shutdown");
+    assert!(exit.success(), "isrf-serve exited with {exit}");
 }

@@ -771,20 +771,10 @@ impl Machine {
 
         self.note_program_fills(program);
         self.stats.mem = self.mem.traffic();
-        let mut delta = self.stats;
-        delta.cycles -= rs.start_stats.cycles;
-        delta.main_loop_cycles -= rs.start_stats.main_loop_cycles;
-        delta.breakdown.kernel_loop -= rs.start_stats.breakdown.kernel_loop;
-        delta.breakdown.mem_stall -= rs.start_stats.breakdown.mem_stall;
-        delta.breakdown.srf_stall -= rs.start_stats.breakdown.srf_stall;
-        delta.breakdown.overhead -= rs.start_stats.breakdown.overhead;
-        delta.srf.seq_words -= rs.start_stats.srf.seq_words;
-        delta.srf.inlane_words -= rs.start_stats.srf.inlane_words;
-        delta.srf.crosslane_words -= rs.start_stats.srf.crosslane_words;
-        delta.mem.bytes_read -= rs.mem_start.bytes_read;
-        delta.mem.bytes_written -= rs.mem_start.bytes_written;
-        delta.mem.cache_hit_bytes -= rs.mem_start.cache_hit_bytes;
-        Ok(Some(delta))
+        Ok(Some(self.stats.since(&RunStats {
+            mem: rs.mem_start,
+            ..rs.start_stats
+        })))
     }
 }
 

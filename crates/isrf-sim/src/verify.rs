@@ -120,28 +120,6 @@ pub struct VerifyEnv {
     pub filled: Vec<(u32, u32)>,
 }
 
-impl VerifyEnv {
-    /// Whether `[lo, hi)` is entirely covered by filled intervals.
-    pub fn is_filled(&self, lo: u32, hi: u32) -> bool {
-        if lo >= hi {
-            return true;
-        }
-        let mut need = lo;
-        for &(s, e) in &self.filled {
-            if s > need {
-                return false;
-            }
-            if e > need {
-                need = e;
-                if need >= hi {
-                    return true;
-                }
-            }
-        }
-        false
-    }
-}
-
 /// A static analysis run against a program before simulation.
 pub trait ProgramVerifier: Send + Sync + fmt::Debug {
     /// Analyze `program` against machine `cfg` and SRF state `env`;
@@ -157,20 +135,6 @@ pub trait ProgramVerifier: Send + Sync + fmt::Debug {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn filled_coverage() {
-        let env = VerifyEnv {
-            allocated_words_per_bank: 64,
-            filled: vec![(0, 16), (16, 32), (40, 48)],
-        };
-        assert!(env.is_filled(0, 32));
-        assert!(env.is_filled(4, 20));
-        assert!(env.is_filled(42, 48));
-        assert!(!env.is_filled(30, 41));
-        assert!(!env.is_filled(48, 49));
-        assert!(env.is_filled(5, 5), "empty interval is trivially filled");
-    }
 
     #[test]
     fn diagnostic_display_mentions_everything() {

@@ -313,19 +313,11 @@ where
         );
     }
     for (ts, c) in &buckets.stalls {
-        let args: Vec<(&str, String)> = [
-            StallReason::SeqInStarved,
-            StallReason::SeqInLatency,
-            StallReason::SeqOutFull,
-            StallReason::CondInStarved,
-            StallReason::CondOutFull,
-            StallReason::AddrFifoFull,
-            StallReason::IdxDataNotReady,
-        ]
-        .into_iter()
-        .filter(|r| c[r.index()] > 0)
-        .map(|r| (r.as_str(), c[r.index()].to_string()))
-        .collect();
+        let args: Vec<(&str, String)> = StallReason::ALL
+            .into_iter()
+            .filter(|r| c[r.index()] > 0)
+            .map(|r| (r.as_str(), c[r.index()].to_string()))
+            .collect();
         w.counter(PID_SIM, TID_STALLS, *ts, "kernel stalls", &args);
     }
     for (ts, m) in &buckets.fifo_max {

@@ -101,6 +101,17 @@ impl StallReason {
     /// Number of variants.
     pub const COUNT: usize = 7;
 
+    /// All variants, in counter-slot order.
+    pub const ALL: [StallReason; StallReason::COUNT] = [
+        StallReason::SeqInStarved,
+        StallReason::SeqInLatency,
+        StallReason::SeqOutFull,
+        StallReason::CondInStarved,
+        StallReason::CondOutFull,
+        StallReason::AddrFifoFull,
+        StallReason::IdxDataNotReady,
+    ];
+
     /// Stable counter-slot index.
     pub fn index(self) -> usize {
         match self {
@@ -142,6 +153,13 @@ pub enum IdxRejectReason {
 impl IdxRejectReason {
     /// Number of variants.
     pub const COUNT: usize = 3;
+
+    /// All variants, in counter-slot order.
+    pub const ALL: [IdxRejectReason; IdxRejectReason::COUNT] = [
+        IdxRejectReason::SubarrayConflict,
+        IdxRejectReason::BankPortBusy,
+        IdxRejectReason::DataBufferFull,
+    ];
 
     /// Stable counter-slot index.
     pub fn index(self) -> usize {
@@ -363,6 +381,12 @@ mod tests {
     fn attr_indices_are_dense_and_stable() {
         for (i, a) in CycleAttr::ALL.iter().enumerate() {
             assert_eq!(a.index(), i);
+        }
+        for (i, r) in StallReason::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i);
+        }
+        for (i, r) in IdxRejectReason::ALL.iter().enumerate() {
+            assert_eq!(r.index(), i);
         }
     }
 

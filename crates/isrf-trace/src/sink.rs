@@ -172,34 +172,16 @@ impl Recorder {
         for a in CycleAttr::ALL {
             r.set(&format!("cycles.{}", a.as_str()), c.cycle_attr[a.index()]);
         }
-        for (i, reason) in [
-            StallReason::SeqInStarved,
-            StallReason::SeqInLatency,
-            StallReason::SeqOutFull,
-            StallReason::CondInStarved,
-            StallReason::CondOutFull,
-            StallReason::AddrFifoFull,
-            StallReason::IdxDataNotReady,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for reason in StallReason::ALL {
             r.set(
                 &format!("kernel.stall.{}", reason.as_str()),
-                c.stall_reason[i],
+                c.stall_reason[reason.index()],
             );
         }
-        for (i, reason) in [
-            IdxRejectReason::SubarrayConflict,
-            IdxRejectReason::BankPortBusy,
-            IdxRejectReason::DataBufferFull,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for reason in IdxRejectReason::ALL {
             r.set(
                 &format!("srf.idx.reject.{}", reason.as_str()),
-                c.idx_reject[i],
+                c.idx_reject[reason.index()],
             );
         }
         r.set("kernel.dispatched", c.kernels);

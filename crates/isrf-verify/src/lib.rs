@@ -1439,6 +1439,16 @@ mod tests {
         assert!(!interval_covers(&mut iv1, 5, 25));
         let mut iv2 = vec![(10, 20), (0, 12)];
         assert!(interval_covers(&mut iv2, 0, 20), "unsorted overlapping");
+        let mut adjacent = vec![(0, 16), (16, 32), (40, 48)];
+        assert!(interval_covers(&mut adjacent, 0, 32));
+        assert!(interval_covers(&mut adjacent, 4, 20));
+        assert!(interval_covers(&mut adjacent, 42, 48));
+        assert!(!interval_covers(&mut adjacent, 30, 41));
+        assert!(!interval_covers(&mut adjacent, 48, 49));
+        assert!(
+            interval_covers(&mut adjacent, 5, 5),
+            "empty is trivially covered"
+        );
     }
 
     /// The work a `bfs`-shaped program costs, as counts (ROADMAP item 2b's

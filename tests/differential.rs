@@ -8,8 +8,9 @@
 //! stats, and the whole trace-event stream), so a change that moves *when*
 //! something happens fails here even when every value is still right —
 //! and every point reproduces its line a second time when paused half-way,
-//! snapshotted, restored into a fresh machine and resumed (the snapshot
-//! bisector, for its part, must find a fault injected into sort/ISRF4).
+//! snapshotted, restored into a fresh machine and resumed, with an event
+//! stream that passes the trace audit both times (the snapshot bisector,
+//! for its part, must find a fault injected into sort/ISRF4).
 //! What each app prepares — program, memory image and SRF, Small and Paper
 //! — is pinned beside it (`tests/golden/prepared.digest`, 88 lines).
 //! Regenerate after an intentional timing change with
@@ -25,7 +26,7 @@ use std::sync::Arc;
 use isrf_apps::common::Prepared;
 use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_check::{
-    first_divergence, run_differential, run_parallel, run_serial, DiffOutcome, PerturbAt,
+    first_divergence, golden, run_differential, run_parallel, run_serial, DiffOutcome, PerturbAt,
 };
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::{fnv1a, Enc};
@@ -35,7 +36,7 @@ use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_sim::machine::Machine;
 use isrf_sim::program::StreamProgram;
-use isrf_trace::{TraceEvent, Tracer};
+use isrf_trace::{AuditAccumulator, TraceEvent, Tracer};
 
 /// A ready-to-run machine+program for one sweep point at the Small size.
 fn prepare(app: &str, cfg: impl Into<MachineConfig>) -> Prepared {
@@ -273,7 +274,9 @@ fn traced<T>(
 /// One line of `tests/golden/basket.digest`: the point's cycle count, an
 /// FNV-1a digest of its full `RunStats`, and the length and FNV-1a digest
 /// of its complete trace-event stream (every grant, stall reason, indexed
-/// access and per-cycle attribution, stamped with its cycle).
+/// access and per-cycle attribution, stamped with its cycle). The stream
+/// must also pass the audit: its per-cycle attributions add up to the
+/// reported Figure-12 breakdown.
 fn digest_line(
     name: &str,
     cfg: ConfigName,
@@ -281,6 +284,13 @@ fn digest_line(
     events: &[(u64, TraceEvent)],
 ) -> String {
     use std::fmt::Write;
+    let mut audit = AuditAccumulator::new();
+    events.iter().for_each(|(_, ev)| audit.observe(ev));
+    let mismatches = audit.verify(&stats.breakdown);
+    assert!(
+        mismatches.is_empty(),
+        "{name} on {cfg}: the events do not add up to the breakdown: {mismatches:?}"
+    );
     let mut enc = Enc::new();
     stats.encode_state(&mut enc);
     let mut stream = String::new();
@@ -362,17 +372,10 @@ fn digest_hot_loop() -> String {
 fn basket_digest_matches_golden_file() {
     let mut got: String = run_parallel(&grid(), |&(app, cfg)| digest_point(app, cfg)).concat();
     got.push_str(&digest_hot_loop());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/basket.digest");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
-    for (g, w) in got.lines().zip(want.lines()) {
-        assert_eq!(g, w, "timing drifted from tests/golden/basket.digest");
-    }
-    assert_eq!(got, want, "basket.digest point list changed");
+    golden(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/basket.digest"),
+        &got,
+    );
 }
 
 /// What an app hands the simulator is pinned byte for byte, at both
@@ -401,20 +404,10 @@ fn prepared_digest_matches_golden_file() {
         )
     })
     .concat();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/prepared.digest");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
-    for (g, w) in got.lines().zip(want.lines()) {
-        assert_eq!(
-            g, w,
-            "a prepared point drifted from tests/golden/prepared.digest"
-        );
-    }
-    assert_eq!(got, want, "prepared.digest point list changed");
+    golden(
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/prepared.digest"),
+        &got,
+    );
 }
 
 /// The bisector on a real app: one word of sort/ISRF4's SRF flipped

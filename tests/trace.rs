@@ -1,13 +1,14 @@
 //! End-to-end tests of the tracing subsystem: Chrome-trace export on a
-//! real simulation (golden file + structural checks), and a property test
-//! that the event-stream audit reconstructs the machine's Figure-12 cycle
-//! breakdown on randomly generated programs.
+//! real simulation (golden file + structural checks) and on two apps, and a
+//! property test that the event-stream audit reconstructs the machine's
+//! Figure-12 cycle breakdown on randomly generated programs.
 //!
 //! Regenerate the golden file after an intentional exporter or simulator
 //! change with `UPDATE_GOLDEN=1 cargo test --test trace`.
 
 use std::sync::Arc;
 
+use isrf::apps::{prepare_app, Profile};
 use isrf::core::config::{ConfigName, MachineConfig};
 use isrf::kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf::kernel::sched::{schedule, SchedParams};
@@ -15,6 +16,7 @@ use isrf::mem::AddrPattern;
 use isrf::sim::{Machine, StreamProgram};
 use isrf::trace::json::Json;
 use isrf::trace::{chrome, CycleAttr, TraceEvent, Tracer};
+use isrf_check::golden;
 use proptest::prelude::*;
 
 fn copy_kernel() -> Arc<Kernel> {
@@ -64,17 +66,13 @@ fn chrome_export_matches_golden_file() {
     let (events, _m) = traced_copy(ConfigName::Base);
     let got = chrome::export(&events);
     Json::parse(&got).expect("exporter emits valid JSON");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/copy16_base.trace.json"
+    golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/copy16_base.trace.json"
+        ),
+        &got,
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
-    assert_eq!(got, want, "trace output drifted from the golden file");
 }
 
 /// Structural invariants of the exported trace: timestamps sorted, one
@@ -109,6 +107,22 @@ fn chrome_export_is_ordered_and_complete() {
         .filter(|(_, e)| matches!(e, TraceEvent::Cycle(_)))
         .count() as u64;
     assert!(total_attr > 0);
+}
+
+/// The Chrome export of whole apps parses as JSON: sort/ISRF4 splits its
+/// indexed cursors at once, filter/ISRF4 is lane-uniform, so its events are
+/// a shared cursor's, replayed lane by lane.
+#[test]
+fn app_chrome_exports_parse() {
+    for app in ["sort", "filter"] {
+        let mut pr = prepare_app(app, ConfigName::Isrf4, Profile::Small);
+        pr.machine.set_tracer(Tracer::recording(1 << 20));
+        pr.machine.run(&pr.program);
+        let rec = pr.machine.take_tracer().into_recorder().expect("recording");
+        let events: Vec<_> = rec.ring().iter().cloned().collect();
+        Json::parse(&chrome::export(&events))
+            .unwrap_or_else(|e| panic!("{app} on ISRF4: invalid Chrome JSON: {e}"));
+    }
 }
 
 // ---- Audit property test on random programs ----

@@ -13,6 +13,7 @@ use isrf::core::stats::RunStats;
 use isrf::trace::json::Json;
 use isrf::trace::{chrome, Recorder, Tracer};
 use isrf_apps::stencil::{self, StencilParams, COLS, STRIP_ROWS};
+use isrf_check::golden;
 
 /// One 5-point strip (32×64 grid) on ISRF4 under a recording tracer.
 fn traced_stencil() -> (Recorder, RunStats) {
@@ -41,17 +42,13 @@ fn stencil5_chrome_export_matches_golden_file() {
     let (rec, _stats) = traced_stencil();
     let got = export(&rec);
     Json::parse(&got).expect("exporter emits valid JSON");
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/stencil5_isrf4.trace.json"
+    golden(
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/stencil5_isrf4.trace.json"
+        ),
+        &got,
     );
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("write golden");
-        return;
-    }
-    let want = std::fs::read_to_string(path)
-        .expect("golden file exists (regenerate with UPDATE_GOLDEN=1)");
-    assert_eq!(got, want, "trace output drifted from the golden file");
 }
 
 #[test]
