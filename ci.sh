@@ -189,10 +189,17 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # A PR that needs more lines raises it deliberately and says what for; one
 # that deletes lowers it. Last lowered from 25350: the tool binaries lost
 # their gate modes to tests and `loadtest` went (bench -345, total 24955).
-loc_ceiling=25000
-loc="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do
-  awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f"; done; done \
-  | awk '{t+=$1} END{print t}')"
+# Raised from 25000 by exactly its overshoot: the memory channel's one walk
+# with stepped addresses and maintained counts (isrf-mem +60) and the bfs
+# and spmv strips reachable from gather.rs's padding census (isrf-apps +13).
+loc_ceiling=25028
+# Per directory, as ROADMAP's housekeeping command prints it; the total is
+# their sum.
+split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do
+  awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f"; done |
+  awk -v d="$d" '{t+=$1} END{printf "%-24s %6d\n", d, t}'; done)"
+echo "$split"
+loc="$(echo "$split" | awk '{t+=$2} END{print t}')"
 echo "non-test lines: $loc (ceiling $loc_ceiling)"
 if (( loc > loc_ceiling )); then
   echo "non-test lines above the committed ceiling: delete, or move loc_ceiling in ci.sh" >&2

@@ -133,18 +133,18 @@ pub fn reference(adj: &[Vec<u32>], sweeps: u32) -> Vec<Word> {
 
 /// The host-side plan: graph, padded gather metadata per strip, and the
 /// convergence-derived sweep count shared by every configuration.
-struct Plan {
-    adj: Vec<Vec<u32>>,
+pub(crate) struct Plan {
+    pub(crate) adj: Vec<Vec<u32>>,
     /// Relaxation sweeps to run (to convergence, capped at
     /// `max_sweeps`, at least 1).
     sweeps: u32,
     /// Common padded degree (multiple of 4).
-    pad: u32,
+    pub(crate) pad: u32,
     /// Per strip, the condensed neighbor references. Records are *node
     /// indices* (the level arrays alternate, so addresses are `base +
     /// node`); record 0 is node `nodes`, the appended `INF` sentinel the
     /// padding points at.
-    strips: Vec<Condensed>,
+    pub(crate) strips: Vec<Condensed>,
 }
 
 type PlanKey = (u64, u32, u32, u32, u32, u32, u32, u32);
@@ -166,7 +166,7 @@ fn plan_key(p: &BfsParams) -> PlanKey {
 /// unit tests two.
 const PLAN_BUDGET: u64 = 16;
 
-fn plan_cached(params: &BfsParams) -> Arc<Plan> {
+pub(crate) fn plan_cached(params: &BfsParams) -> Arc<Plan> {
     static PLANS: Memo<PlanKey, Plan> = Memo::new(PLAN_BUDGET);
     memoized(&PLANS, plan_key(params), || plan(params))
 }

@@ -276,8 +276,64 @@ fn record_addrs(records: &[u32], at: u32, words: u32) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{bfs_params, spmv_params, Profile};
+    use crate::{bfs, spmv};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    /// Per strip, `(padded slots, slots, slots reading bank 0)` of a gather
+    /// whose rows hold `lens` references each, padded to `pad` slots.
+    /// Record `r` of a strip's condensed array lives in bank `r % 8` (the
+    /// SRF interleaves records across the eight lanes' banks), so the
+    /// sentinel, record 0, lives in bank 0: every padded slot must read it.
+    fn census(strips: &[Condensed], lens: &[usize], pad: usize) -> Vec<[usize; 3]> {
+        let rows = lens.len() / strips.len();
+        let strip = |(c, lens): (&Condensed, &[usize])| {
+            let padded = (0..c.ptrs.len()).filter(|k| k % pad >= lens[k / pad]);
+            assert!(
+                padded.clone().all(|k| c.ptrs[k] == 0),
+                "a pad reads record 0"
+            );
+            let bank0 = c.ptrs.iter().filter(|&&p| p % 8 == 0).count();
+            [padded.count(), c.ptrs.len(), bank0]
+        };
+        strips.iter().zip(lens.chunks(rows)).map(strip).collect()
+    }
+
+    /// ROADMAP item 9(a), measured with no change in behaviour: the share
+    /// of BFS and SpMV pointer slots that are padding, per strip at both
+    /// profiles, all of them cross-lane reads of record 0 in bank 0, which
+    /// therefore takes far more than its eighth of every strip's reads.
+    /// Pinned as `(strips, padded, slots, reads of bank 0, fewest and most
+    /// padded slots in a strip)`.
+    #[test]
+    fn padding_reads_the_sentinel_in_bank_0() {
+        let summary = |per_strip: Vec<[usize; 3]>| {
+            let sum = |i: usize| per_strip.iter().map(|s| s[i]).sum::<usize>();
+            let padded = per_strip.iter().map(|s| s[0]);
+            let (min, max) = (padded.clone().min().unwrap(), padded.max().unwrap());
+            (per_strip.len(), sum(0), sum(1), sum(2), min, max)
+        };
+        let mut got = Vec::new();
+        for profile in [Profile::Small, Profile::Paper] {
+            let plan = bfs::plan_cached(&bfs_params(profile));
+            let lens: Vec<usize> = plan.adj.iter().map(Vec::len).collect();
+            got.push(summary(census(&plan.strips, &lens, plan.pad as usize)));
+            let params = spmv_params(profile);
+            let (csr, _) = spmv::generate(&params);
+            let pad = spmv::pad_of(&csr);
+            let strips = spmv::condense_strips(&csr, params.strip_rows, pad);
+            let lens: Vec<usize> = (0..csr.rows).map(|i| csr.row(i).0.len()).collect();
+            got.push(summary(census(&strips, &lens, pad as usize)));
+        }
+        let want = [
+            (8, 1975, 4096, 2219, 220, 277), // bfs, Small: 48% padding, 54% to bank 0
+            (8, 2318, 4096, 2540, 254, 343), // spmv, Small: 57%, 62%
+            (32, 25515, 49152, 28472, 714, 885), // bfs, Paper: 52%, 58%
+            (32, 18947, 32768, 20714, 541, 649), // spmv, Paper: 58%, 63%
+        ];
+        assert_eq!(got, want);
+    }
 
     proptest! {
         /// The contract the three hosts rely on: the sentinel is record 0,

@@ -42,10 +42,7 @@ pub const APPS: [&str; 8] = [
 /// [`crate::common::machine`] does on a config it refuses.
 pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> Prepared {
     let cfg = &cfg.into();
-    let size = |small: u32, paper: u32| match profile {
-        Profile::Small => small,
-        Profile::Paper => paper,
-    };
+    let size = |small, paper| sized(profile, small, paper);
     match app {
         "fft2d" => fft2d::prepare(
             cfg,
@@ -83,14 +80,7 @@ pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -
             ds.nodes /= size(if ds.degree == 4 { 4 } else { 2 }, 1);
             igraph::prepare(cfg, &ds)
         }
-        "spmv" => spmv::prepare(
-            cfg,
-            &spmv::SpmvParams {
-                rows: size(256, 2048),
-                strip_rows: size(32, 64),
-                ..Default::default()
-            },
-        ),
+        "spmv" => spmv::prepare(cfg, &spmv_params(profile)),
         "stencil" => stencil::prepare(
             cfg,
             &stencil::StencilParams {
@@ -98,18 +88,37 @@ pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -
                 ..Default::default()
             },
         ),
-        "bfs" => bfs::prepare(
-            cfg,
-            &bfs::BfsParams {
-                nodes: size(512, 4096),
-                strip_nodes: size(64, 128),
-                max_degree: size(8, 12),
-                window: size(32, 64),
-                max_sweeps: size(8, 12),
-                ..Default::default()
-            },
-        ),
+        "bfs" => bfs::prepare(cfg, &bfs_params(profile)),
         other => panic!("unknown app {other}; expected one of {APPS:?}"),
+    }
+}
+
+/// `small` at the Small profile, `paper` at the Paper one.
+fn sized(profile: Profile, small: u32, paper: u32) -> u32 {
+    match profile {
+        Profile::Small => small,
+        Profile::Paper => paper,
+    }
+}
+
+/// The SpMV point [`prepare_app`] prepares at `profile`.
+pub(crate) fn spmv_params(profile: Profile) -> spmv::SpmvParams {
+    spmv::SpmvParams {
+        rows: sized(profile, 256, 2048),
+        strip_rows: sized(profile, 32, 64),
+        ..Default::default()
+    }
+}
+
+/// The BFS point [`prepare_app`] prepares at `profile`.
+pub(crate) fn bfs_params(profile: Profile) -> bfs::BfsParams {
+    bfs::BfsParams {
+        nodes: sized(profile, 512, 4096),
+        strip_nodes: sized(profile, 64, 128),
+        max_degree: sized(profile, 8, 12),
+        window: sized(profile, 32, 64),
+        max_sweeps: sized(profile, 8, 12),
+        ..Default::default()
     }
 }
 

@@ -190,6 +190,21 @@ fn padded(csr: &Csr, i: u32, pad: u32) -> impl Iterator<Item = (u32, f32)> + '_ 
     (0..pad as usize).map(move |k| cols.get(k).map_or((0, 0.0), |&c| (c, vals[k])))
 }
 
+/// Host-prepared gather metadata per strip of `strip_rows` rows padded to
+/// `pad`. Record 0 is always x[0]: the sentinel the padding entries
+/// multiply by 0.0, valid even for an all-empty strip.
+pub(crate) fn condense_strips(csr: &Csr, strip_rows: u32, pad: u32) -> Vec<Condensed> {
+    (0..csr.rows / strip_rows)
+        .map(|s| {
+            let rows = s * strip_rows..(s + 1) * strip_rows;
+            condense(
+                rows.flat_map(|i| padded(csr, i, pad).map(|(c, _)| c)),
+                Some(0),
+            )
+        })
+        .collect()
+}
+
 /// Host reference mirroring the padded accumulation order bit-for-bit:
 /// `acc = acc + v * xv` over all `pad` slots per row, padding slots
 /// contributing `0.0 * x[0]`.
@@ -259,19 +274,8 @@ pub fn prepare_csr(
     let indexed = cfg.srf.indexed.is_some();
     let mut m = machine(cfg);
 
-    // Host-prepared gather metadata per strip. Record 0 is always x[0]:
-    // the sentinel the padding entries multiply by 0.0, valid even for an
-    // all-empty strip.
     let pad = pad_of(csr);
-    let condensed: Vec<Condensed> = (0..csr.rows / strip_rows)
-        .map(|s| {
-            let rows = s * strip_rows..(s + 1) * strip_rows;
-            condense(
-                rows.flat_map(|i| padded(csr, i, pad).map(|(c, _)| c)),
-                Some(0),
-            )
-        })
-        .collect();
+    let condensed = condense_strips(csr, strip_rows, pad);
     let val_words: Vec<Word> = (0..csr.rows)
         .flat_map(|i| padded(csr, i, pad).map(|(_, v)| from_f32(v)))
         .collect();

@@ -14,6 +14,8 @@
 use isrf_core::config::CacheConfig;
 use isrf_core::snap::{Dec, Enc, SnapError};
 
+use crate::Divisor;
+
 /// Result of one word-granularity cache probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeResult {
@@ -45,6 +47,9 @@ pub struct VectorCache {
     use_counter: u64,
     hits: u64,
     misses: u64,
+    /// `line_words`, `banks` and `sets_per_bank` as divisors of a probe's
+    /// address.
+    div: [Divisor; 3],
 }
 
 impl VectorCache {
@@ -66,6 +71,7 @@ impl VectorCache {
             use_counter: 0,
             hits: 0,
             misses: 0,
+            div: [cfg.line_words, cfg.banks, sets_per_bank].map(|d| Divisor::new(d as u32)),
         }
     }
 
@@ -89,11 +95,6 @@ impl VectorCache {
         self.misses
     }
 
-    /// Total probes observed so far (hits + misses).
-    pub fn probes(&self) -> u64 {
-        self.hits + self.misses
-    }
-
     /// Hit rate over all probes (0 if never probed).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -106,8 +107,17 @@ impl VectorCache {
 
     /// Which bank serves `word_addr` (line-interleaved across banks).
     pub fn bank_of(&self, word_addr: u32) -> usize {
-        let line = word_addr as usize / self.line_words;
-        line % self.banks
+        self.locate(word_addr).0
+    }
+
+    /// The `(bank, set, tag)` of `word_addr`: line `word_addr / line_words`
+    /// is interleaved across banks, then across a bank's sets.
+    fn locate(&self, word_addr: u32) -> (usize, usize, u32) {
+        let [line_words, banks, sets] = self.div;
+        let (line, _) = line_words.div_rem(word_addr);
+        let (in_bank, bank) = banks.div_rem(line);
+        let (tag, set) = sets.div_rem(in_bank);
+        (bank as usize, set as usize, tag)
     }
 
     /// Probe (and update) the cache for a word access.
@@ -115,10 +125,7 @@ impl VectorCache {
     /// On a miss the line is allocated (write-allocate for stores), evicting
     /// the LRU way; the result reports whether the victim was dirty.
     pub fn probe(&mut self, word_addr: u32, write: bool) -> ProbeResult {
-        let line_addr = word_addr as usize / self.line_words;
-        let bank = line_addr % self.banks;
-        let set_idx = (line_addr / self.banks) % self.sets_per_bank;
-        let tag = (line_addr / self.banks / self.sets_per_bank) as u32;
+        let (bank, set_idx, tag) = self.locate(word_addr);
         self.use_counter += 1;
         let counter = self.use_counter;
         let at = (bank * self.sets_per_bank + set_idx) * self.ways;
@@ -228,6 +235,35 @@ mod tests {
         let c = VectorCache::new(&CacheConfig::default());
         assert_eq!(c.sets_per_bank, 1024);
         assert_eq!(c.ways(), 4);
+    }
+
+    /// Shift and mask place a line where the division form does, on the
+    /// preset (all powers of two) and on three banks of 3 sets, where
+    /// `locate` divides. The lock-step test of the memory system shares
+    /// this cache with its reference, so only this test holds the mapping.
+    #[test]
+    fn locate_matches_the_division_form() {
+        let three_banks = CacheConfig {
+            capacity_bytes: 3 * 3 * 2 * 4 * 4,
+            associativity: 2,
+            banks: 3,
+            line_words: 4,
+            ..CacheConfig::default()
+        };
+        for cfg in [CacheConfig::default(), three_banks] {
+            let c = VectorCache::new(&cfg);
+            let sets = cfg.sets_per_bank();
+            let addrs = (0..5000u32).chain([u32::MAX - 1, u32::MAX, 0x3F_FFFF, 1 << 31]);
+            for a in addrs {
+                let line = a as usize / cfg.line_words;
+                let want = (
+                    line % cfg.banks,
+                    (line / cfg.banks) % sets,
+                    (line / cfg.banks / sets) as u32,
+                );
+                assert_eq!(c.locate(a), want, "address {a} on {cfg:?}");
+            }
+        }
     }
 
     #[test]

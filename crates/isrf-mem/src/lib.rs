@@ -40,4 +40,26 @@ pub mod system;
 
 pub use cache::VectorCache;
 pub use memory::Memory;
+#[cfg(debug_assertions)]
+pub use system::MemWork;
 pub use system::{AddrPattern, MemorySystem, TransferId};
+
+/// Division by a divisor fixed at construction: shift and mask when it is
+/// a power of two (every preset's burst, line, bank and set counts), `/`
+/// and `%` otherwise.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Divisor(u32, Option<u32>);
+
+impl Divisor {
+    pub(crate) fn new(d: u32) -> Self {
+        Divisor(d, d.is_power_of_two().then(|| d.trailing_zeros()))
+    }
+
+    /// `(x / d, x % d)`.
+    pub(crate) fn div_rem(self, x: u32) -> (u32, u32) {
+        match self.1 {
+            Some(s) => (x >> s, x & (self.0 - 1)),
+            None => (x / self.0, x % self.0),
+        }
+    }
+}

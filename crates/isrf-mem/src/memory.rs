@@ -80,10 +80,19 @@ impl Memory {
         self.len = self.len.max(a + 1);
     }
 
-    /// Read `data.len()` consecutive words starting at `base`.
-    pub fn read_block_into(&self, base: u32, data: &mut [Word]) {
-        for (i, d) in data.iter_mut().enumerate() {
-            *d = self.read(base + i as u32);
+    /// Read `data.len()` consecutive words starting at `base`, a chunk's
+    /// slice at a time (zeros where no chunk is backed).
+    pub fn read_block_into(&self, base: u32, mut data: &mut [Word]) {
+        let mut a = base as usize;
+        while !data.is_empty() {
+            let off = a % CHUNK_WORDS;
+            let n = data.len().min(CHUNK_WORDS - off);
+            let (head, rest) = std::mem::take(&mut data).split_at_mut(n);
+            match self.chunks.get(a / CHUNK_WORDS) {
+                Some(Some(chunk)) => head.copy_from_slice(&chunk[off..off + n]),
+                _ => head.fill(0),
+            }
+            (data, a) = (rest, a + n);
         }
     }
 
@@ -265,6 +274,27 @@ mod tests {
         m.write(base + 2, 7);
         assert_eq!(m.read_block(base, 4), vec![5, 6, 7, 0]);
         assert_eq!(m.touched_chunks(), 2);
+    }
+
+    /// A block read copies chunk slices: across a boundary, through a whole
+    /// unbacked chunk and into a backed one, it reads what word-by-word
+    /// reads do.
+    #[test]
+    fn block_read_spans_backed_and_unbacked_chunks() {
+        let mut m = Memory::new();
+        let c = CHUNK_WORDS as u32;
+        m.write_block(c - 3, &[1, 2, 3, 4, 5]);
+        m.write_block(3 * c, &[6, 7]);
+        let base = c - 4;
+        let words = 2 * c as usize + 8;
+        let want: Vec<Word> = (0..words as u32).map(|i| m.read(base + i)).collect();
+        assert_eq!(m.read_block(base, words), want);
+        assert_eq!(&want[..6], [0, 1, 2, 3, 4, 5]);
+        assert_eq!(&want[words - 4..], [6, 7, 0, 0]);
+        assert_eq!(m.touched_chunks(), 3, "chunk 2 stays unbacked");
+        let mut dirty = vec![9; words];
+        m.read_block_into(base, &mut dirty);
+        assert_eq!(dirty, want, "unbacked words are zeroed, not left");
     }
 
     #[test]

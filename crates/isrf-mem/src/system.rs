@@ -33,6 +33,7 @@ use isrf_trace::{TraceEvent, Tracer};
 
 use crate::cache::VectorCache;
 use crate::memory::Memory;
+use crate::Divisor;
 
 /// Handle for an in-flight or completed stream transfer.
 ///
@@ -156,59 +157,10 @@ impl AddrPattern {
     }
 }
 
-/// The timing-side view of a pattern: address generation without a
-/// materialized `Vec<u32>` for the regular (contiguous/strided) shapes.
-#[derive(Debug)]
-enum PatternCursor {
-    Contiguous {
-        base: u32,
-    },
-    Strided {
-        base: u32,
-        record_words: u32,
-        stride_words: u32,
-    },
-    Indexed(Vec<u32>),
-}
-
-impl PatternCursor {
-    fn of(p: &AddrPattern) -> Self {
-        match p {
-            AddrPattern::Contiguous { base, .. } => PatternCursor::Contiguous { base: *base },
-            AddrPattern::Strided {
-                base,
-                record_words,
-                stride_words,
-                ..
-            } => PatternCursor::Strided {
-                base: *base,
-                record_words: *record_words,
-                stride_words: *stride_words,
-            },
-            AddrPattern::Indexed(addrs) => PatternCursor::Indexed(addrs.clone()),
-        }
-    }
-
-    fn at(&self, i: usize) -> u32 {
-        match self {
-            PatternCursor::Contiguous { base } => base + i as u32,
-            PatternCursor::Strided {
-                base,
-                record_words,
-                stride_words,
-            } => {
-                let (r, w) = (i as u32 / record_words, i as u32 % record_words);
-                base + r * stride_words + w
-            }
-            PatternCursor::Indexed(addrs) => addrs[i],
-        }
-    }
-}
-
 #[derive(Debug)]
 struct Inflight {
     id: TransferId,
-    pattern: PatternCursor,
+    pattern: AddrPattern,
     len: usize,
     cursor: usize,
     write: bool,
@@ -217,9 +169,12 @@ struct Inflight {
     /// DRAM burst most recently opened by this transfer (burst-aligned
     /// address / burst_words); words within it are bandwidth-free.
     last_burst: Option<u32>,
-    /// Burst of the word at `cursor`, for a transfer that bypasses the
-    /// cache: derived when the cursor moves, never serialized.
+    /// The word at `cursor`: its address, its burst, and the words of its
+    /// record from there (a contiguous pattern is one record). Stepped as
+    /// the cursor moves, derived at enqueue and decode, never serialized.
+    next_addr: u32,
     next_burst: u32,
+    record_left: u32,
 }
 
 impl Inflight {
@@ -228,6 +183,44 @@ impl Inflight {
     fn rides_open_burst(&self) -> bool {
         !self.cacheable && self.last_burst == Some(self.next_burst)
     }
+
+    /// Move past the word just served: the address steps by one within a
+    /// record and by the stride across, or is read from the list. False
+    /// when no word is left.
+    fn step(&mut self, burst: Divisor) -> bool {
+        self.cursor += 1;
+        if self.cursor == self.len {
+            return false;
+        }
+        self.next_addr = match &self.pattern {
+            AddrPattern::Indexed(addrs) => addrs[self.cursor],
+            AddrPattern::Strided {
+                record_words,
+                stride_words,
+                ..
+            } if self.record_left == 1 => {
+                self.record_left = *record_words;
+                self.next_addr + 1 - record_words + stride_words
+            }
+            _ => {
+                self.record_left -= 1;
+                self.next_addr + 1
+            }
+        };
+        self.next_burst = burst.div_rem(self.next_addr).0;
+        true
+    }
+}
+
+/// What one [`MemorySystem`]'s service walk has done: transfers visited
+/// and words served. Counted in debug builds only, never serialized.
+#[cfg(debug_assertions)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemWork {
+    /// Transfers the walk visited, whether or not the visit served a word.
+    pub visits: u64,
+    /// Words served.
+    pub words: u64,
 }
 
 /// Lifecycle of a slab slot's current occupant.
@@ -262,9 +255,8 @@ pub struct MemorySystem {
     dram_credit: f64,
     dram_latency: u64,
     burst_words: u32,
-    /// `log2(burst_words)` when that is a power of two (it is 1 in every
-    /// preset).
-    burst_shift: Option<u32>,
+    /// `burst_words` as the divisor of an address (1 in every preset).
+    burst: Divisor,
     cache: Option<VectorCache>,
     cache_words_per_cycle: f64,
     cache_credit: f64,
@@ -273,6 +265,11 @@ pub struct MemorySystem {
     /// `rr` and wrapping: service rotates by moving `rr`, not the entries.
     inflight: Vec<Inflight>,
     rr: usize,
+    /// Transfers in `inflight` whose next word rides an open burst, and those
+    /// that bypass the cache: kept where a transfer is enqueued, served,
+    /// finished or decoded, so the walk knows without a scan when to stop.
+    riding: usize,
+    uncached: usize,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
     /// Transfers waiting out their latency (or already usable but not yet
@@ -281,6 +278,8 @@ pub struct MemorySystem {
     next_id: u64,
     traffic: MemTraffic,
     served_last_tick: u64,
+    #[cfg(debug_assertions)]
+    work: MemWork,
 }
 
 impl MemorySystem {
@@ -295,9 +294,7 @@ impl MemorySystem {
             dram_credit: 0.0,
             dram_latency: cfg.dram.latency_cycles as u64,
             burst_words,
-            burst_shift: burst_words
-                .is_power_of_two()
-                .then(|| burst_words.trailing_zeros()),
+            burst: Divisor::new(burst_words),
             cache_words_per_cycle: cfg
                 .cache
                 .as_ref()
@@ -312,12 +309,16 @@ impl MemorySystem {
             cache,
             inflight: Vec::new(),
             rr: 0,
+            riding: 0,
+            uncached: 0,
             slots: Vec::new(),
             free_slots: Vec::new(),
             ready: BinaryHeap::new(),
             next_id: 0,
             traffic: MemTraffic::default(),
             served_last_tick: 0,
+            #[cfg(debug_assertions)]
+            work: MemWork::default(),
         }
     }
 
@@ -399,12 +400,9 @@ impl MemorySystem {
         let data = match pattern {
             AddrPattern::Contiguous { base, words } => self.mem.read_block(*base, *words as usize),
             AddrPattern::Indexed(addrs) => self.mem.gather(addrs),
-            strided => {
-                let n = strided.len();
-                (0..n).map(|i| self.mem.read(strided.addr_at(i))).collect()
-            }
+            strided => self.mem.gather(&strided.to_addrs()),
         };
-        let id = self.enqueue(pattern, false, cacheable);
+        let id = self.enqueue(pattern.clone(), false, cacheable);
         (id, data)
     }
 
@@ -423,13 +421,9 @@ impl MemorySystem {
         match pattern {
             AddrPattern::Contiguous { base, .. } => self.mem.write_block(*base, data),
             AddrPattern::Indexed(addrs) => self.mem.scatter(addrs, data),
-            strided => {
-                for (i, &w) in data.iter().enumerate() {
-                    self.mem.write(strided.addr_at(i), w);
-                }
-            }
+            strided => self.mem.scatter(&strided.to_addrs(), data),
         }
-        self.enqueue(pattern, true, cacheable)
+        self.enqueue(pattern.clone(), true, cacheable)
     }
 
     /// Begin a gather whose address list is handed over by value — the
@@ -437,23 +431,13 @@ impl MemorySystem {
     /// so moving it into the transfer avoids a second copy.
     pub fn start_gather(&mut self, addrs: Vec<u32>, cacheable: bool) -> (TransferId, Vec<Word>) {
         let data = self.mem.gather(&addrs);
-        let len = addrs.len();
-        let id = self.enqueue_cursor(PatternCursor::Indexed(addrs), len, false, cacheable);
+        let id = self.enqueue(AddrPattern::Indexed(addrs), false, cacheable);
         (id, data)
     }
 
-    fn enqueue(&mut self, pattern: &AddrPattern, write: bool, cacheable: bool) -> TransferId {
-        self.enqueue_cursor(PatternCursor::of(pattern), pattern.len(), write, cacheable)
-    }
-
-    fn enqueue_cursor(
-        &mut self,
-        pattern: PatternCursor,
-        len: usize,
-        write: bool,
-        cacheable: bool,
-    ) -> TransferId {
+    fn enqueue(&mut self, pattern: AddrPattern, write: bool, cacheable: bool) -> TransferId {
         let id = self.alloc_id();
+        let len = pattern.len();
         if len == 0 {
             self.finish_serving(id, self.now);
             return id;
@@ -461,9 +445,8 @@ impl MemorySystem {
         // The newcomer is last in round-robin order.
         self.inflight.rotate_left(self.rr);
         self.rr = 0;
-        self.inflight.push(Inflight {
+        self.push_inflight(Inflight {
             id,
-            next_burst: self.burst_of(pattern.at(0)),
             pattern,
             len,
             cursor: 0,
@@ -471,8 +454,27 @@ impl MemorySystem {
             cacheable: cacheable && self.cache.is_some(),
             touched_dram: false,
             last_burst: None,
+            next_addr: 0,
+            next_burst: 0,
+            record_left: 0,
         });
         id
+    }
+
+    /// Append `t` to the walk, standing at the word its cursor names, and
+    /// count it in `riding` and `uncached`.
+    fn push_inflight(&mut self, mut t: Inflight) {
+        t.next_addr = t.pattern.addr_at(t.cursor);
+        t.next_burst = self.burst.div_rem(t.next_addr).0;
+        t.record_left = match t.pattern {
+            AddrPattern::Strided { record_words, .. } => {
+                record_words - t.cursor as u32 % record_words
+            }
+            _ => (t.len - t.cursor) as u32,
+        };
+        self.riding += usize::from(t.rides_open_burst());
+        self.uncached += usize::from(!t.cacheable);
+        self.inflight.push(t);
     }
 
     /// True once transfer `id`'s data is usable (all words served and the
@@ -495,6 +497,7 @@ impl MemorySystem {
     /// freeing its slab slot for reuse. Transfers drain in deterministic
     /// (completion cycle, issue id) order. Returns `None` when nothing
     /// (more) is ready this cycle.
+    #[inline]
     pub fn pop_ready(&mut self) -> Option<TransferId> {
         let &Reverse((complete_at, raw, slot, gen)) = self.ready.peek()?;
         if complete_at > self.now {
@@ -519,6 +522,13 @@ impl MemorySystem {
         self.served_last_tick
     }
 
+    /// What the service walk has done since this system was built (debug
+    /// builds only; a snapshot neither saves nor restores it).
+    #[cfg(debug_assertions)]
+    pub fn work(&self) -> MemWork {
+        self.work
+    }
+
     /// Advance one cycle: replenish bandwidth credits and serve words of
     /// in-flight transfers round-robin.
     pub fn tick(&mut self) {
@@ -526,7 +536,8 @@ impl MemorySystem {
     }
 
     /// [`MemorySystem::tick`], emitting transfer/cache events into
-    /// `tracer`.
+    /// `tracer`. Inlined: an idle cycle only refills the credits.
+    #[inline]
     pub fn tick_traced(&mut self, tracer: &mut Tracer) {
         self.now += 1;
         self.served_last_tick = 0;
@@ -539,18 +550,20 @@ impl MemorySystem {
             let cache_cap = (self.cache_words_per_cycle * 4.0).max(4.0);
             self.cache_credit = (self.cache_credit + self.cache_words_per_cycle).min(cache_cap);
         }
-
-        if self.inflight.is_empty() {
-            return;
+        if !self.inflight.is_empty() {
+            self.serve(tracer);
         }
+    }
+
+    /// The service walk of one cycle, with transfers in flight.
+    fn serve(&mut self, tracer: &mut Tracer) {
         // Serve as many words as credits allow, rotating across transfers.
         // The extra rotation makes the marginal (fractional-credit) word
         // alternate between transfers instead of always favoring the first.
         // Transfers are served where they sit: the walk visits them from
         // `rr` on, wrapping, and removing a finished one keeps the order.
-        let mut inflight = std::mem::take(&mut self.inflight);
         self.rr += 1;
-        if self.rr == inflight.len() {
+        if self.rr == self.inflight.len() {
             self.rr = 0;
         }
         // The walk ends the moment no visit could serve a word — a visit
@@ -558,17 +571,16 @@ impl MemorySystem {
         // made are unobservable. A word is servable when it rides an open
         // burst; otherwise only while there is DRAM credit, and through the
         // cache only while there is cache credit too.
-        let mut riding = inflight.iter().filter(|t| t.rides_open_burst()).count();
-        let mut uncached = inflight.iter().filter(|t| !t.cacheable).count();
         let mut i = self.rr;
-        while riding > 0 || self.dram_credit > 0.0 && (uncached > 0 || self.cache_credit > 0.0) {
-            let t = &mut inflight[i];
-            riding -= usize::from(t.rides_open_burst());
-            self.serve_one(t, tracer);
-            if t.cursor < t.len {
-                riding += usize::from(t.rides_open_burst());
-                i += 1;
-            } else {
+        while self.riding > 0
+            || self.dram_credit > 0.0 && (self.uncached > 0 || self.cache_credit > 0.0)
+        {
+            #[cfg(debug_assertions)]
+            {
+                self.work.visits += 1;
+            }
+            if self.serve_one(i, tracer) {
+                let t = self.inflight.remove(i);
                 let latency = if t.touched_dram || !t.cacheable {
                     self.dram_latency
                 } else {
@@ -576,21 +588,25 @@ impl MemorySystem {
                 };
                 self.finish_serving(t.id, self.now + latency);
                 tracer.emit(self.now, TraceEvent::TransferServed { id: t.id.raw() });
-                uncached -= usize::from(!t.cacheable);
-                inflight.remove(i);
+                self.uncached -= usize::from(!t.cacheable);
                 self.rr -= usize::from(i < self.rr);
-                if self.rr == inflight.len() {
+                if self.rr == self.inflight.len() {
                     self.rr = 0;
                 }
-                if inflight.is_empty() {
+                if self.inflight.is_empty() {
                     break;
                 }
+            } else if self.riding != 1
+                || self.dram_credit > 0.0
+                || !self.inflight[i].rides_open_burst()
+            {
+                // With DRAM credit out, a lone rider is all a round serves.
+                i += 1;
             }
-            if i == inflight.len() {
+            if i == self.inflight.len() {
                 i = 0;
             }
         }
-        self.inflight = inflight;
     }
 
     /// Serialize every piece of dynamic state — clock, credits, functional
@@ -613,21 +629,22 @@ impl MemorySystem {
             sys.u32(t.id.slot);
             sys.u32(t.id.gen);
             match &t.pattern {
-                PatternCursor::Contiguous { base } => {
+                AddrPattern::Contiguous { base, .. } => {
                     sys.u8(0);
                     sys.u32(*base);
                 }
-                PatternCursor::Strided {
+                AddrPattern::Strided {
                     base,
                     record_words,
                     stride_words,
+                    ..
                 } => {
                     sys.u8(1);
                     sys.u32(*base);
                     sys.u32(*record_words);
                     sys.u32(*stride_words);
                 }
-                PatternCursor::Indexed(addrs) => {
+                AddrPattern::Indexed(addrs) => {
                     sys.u8(2);
                     sys.words(addrs);
                 }
@@ -722,26 +739,32 @@ impl MemorySystem {
         self.traffic = MemTraffic::decode_state(&mut d)?;
         let n_inflight = d.usize()?;
         self.inflight.clear();
-        self.rr = 0;
+        (self.rr, self.riding, self.uncached) = (0, 0, 0);
         for _ in 0..n_inflight {
             let id = TransferId {
                 raw: d.u64()?,
                 slot: d.u32()?,
                 gen: d.u32()?,
             };
-            let pattern = match d.u8()? {
-                0 => PatternCursor::Contiguous { base: d.u32()? },
-                1 => PatternCursor::Strided {
-                    base: d.u32()?,
-                    record_words: d.u32()?,
-                    stride_words: d.u32()?,
-                },
-                2 => PatternCursor::Indexed(d.words()?),
+            // The pattern's length is written after it, as the transfer's.
+            let mut pattern = match d.u8()? {
+                0 => AddrPattern::contiguous(d.u32()?, 0),
+                1 => AddrPattern::strided(d.u32()?, d.u32()?, d.u32()?, 0),
+                2 => AddrPattern::Indexed(d.words()?),
                 t => {
-                    return Err(SnapError::Mismatch(format!("bad pattern-cursor tag {t}")));
+                    return Err(SnapError::Mismatch(format!("bad pattern tag {t}")));
                 }
             };
             let len = d.usize()?;
+            match &mut pattern {
+                AddrPattern::Contiguous { words, .. } => *words = len as u32,
+                AddrPattern::Strided {
+                    record_words,
+                    records,
+                    ..
+                } => *records = len as u32 / (*record_words).max(1),
+                AddrPattern::Indexed(_) => {}
+            }
             let cursor = d.usize()?;
             let write = d.bool()?;
             let cacheable = d.bool()?;
@@ -753,9 +776,8 @@ impl MemorySystem {
                     id.raw
                 )));
             }
-            self.inflight.push(Inflight {
+            self.push_inflight(Inflight {
                 id,
-                next_burst: self.burst_of(pattern.at(cursor)),
                 pattern,
                 len,
                 cursor,
@@ -763,6 +785,9 @@ impl MemorySystem {
                 cacheable,
                 touched_dram,
                 last_burst,
+                next_addr: 0,
+                next_burst: 0,
+                record_left: 0,
             });
         }
         let n_slots = d.usize()?;
@@ -789,23 +814,18 @@ impl MemorySystem {
         d.finish()
     }
 
-    /// The DRAM burst holding word address `addr`.
-    fn burst_of(&self, addr: u32) -> u32 {
-        match self.burst_shift {
-            Some(shift) => addr >> shift,
-            None => addr / self.burst_words,
-        }
-    }
-
-    /// Serve the next word of `t` if the credits allow; if they do not,
-    /// nothing has been touched.
-    fn serve_one(&mut self, t: &mut Inflight, tracer: &mut Tracer) {
+    /// Serve the next word of in-flight transfer `i` if the credits allow
+    /// (if they do not, nothing has been touched), and step it to the word
+    /// after, keeping `riding` current. True when that was its last word.
+    fn serve_one(&mut self, i: usize, tracer: &mut Tracer) -> bool {
+        let t = &mut self.inflight[i];
+        let rode = t.rides_open_burst();
         if t.cacheable {
             // Gate on both budgets: a hit consumes only cache bandwidth,
             // but a miss charges DRAM for the fill, and the DRAM debt must
             // be paid down before further cacheable words are served.
             if self.cache_credit <= 0.0 || self.dram_credit <= 0.0 {
-                return;
+                return false;
             }
             // Charge the cache access; a miss additionally charges DRAM for
             // the line fill (and writeback). Credits may go briefly
@@ -814,7 +834,7 @@ impl MemorySystem {
             self.cache_credit -= 1.0;
             let cache = self.cache.as_mut().expect("cacheable implies cache");
             let line_words = cache.line_words() as u64;
-            let probe = cache.probe(t.pattern.at(t.cursor), t.write);
+            let probe = cache.probe(t.next_addr, t.write);
             if tracer.enabled() {
                 tracer.emit(
                     self.now,
@@ -838,13 +858,12 @@ impl MemorySystem {
                     self.traffic.bytes_written += line_words * WORD_BYTES;
                 }
             }
-            t.cursor += 1;
         } else {
             // Burst accounting: opening a new burst pays `burst_words` of
             // bandwidth; further words of the same burst ride along free.
-            if !t.rides_open_burst() {
+            if !rode {
                 if self.dram_credit <= 0.0 {
-                    return;
+                    return false;
                 }
                 self.dram_credit -= self.burst_words as f64;
                 t.last_burst = Some(t.next_burst);
@@ -855,12 +874,15 @@ impl MemorySystem {
             } else {
                 self.traffic.bytes_read += WORD_BYTES;
             }
-            t.cursor += 1;
-            if t.cursor < t.len {
-                t.next_burst = self.burst_of(t.pattern.at(t.cursor));
-            }
         }
         self.served_last_tick += 1;
+        #[cfg(debug_assertions)]
+        {
+            self.work.words += 1;
+        }
+        let more = t.step(self.burst);
+        self.riding = self.riding + usize::from(more && t.rides_open_burst()) - usize::from(rode);
+        !more
     }
 }
 
@@ -1149,6 +1171,53 @@ mod tests {
             assert_eq!(straight.encode_state(), resumed.encode_state());
             assert_eq!(straight.traffic(), resumed.traffic());
         }
+    }
+
+    /// A tick ends only once no transfer rides an open burst, so every
+    /// snapshot `encode_state` writes counts none; one made by hand may, and
+    /// `decode_state` must count it, or the walk would stop short of its
+    /// free words (and miscount them when it serves one).
+    #[test]
+    fn decode_counts_a_transfer_riding_an_open_burst() {
+        let mut sys = base_system();
+        let (id, _) = sys.start_read(&AddrPattern::Indexed(vec![7, 7, 7, 9]), false);
+        sys.inflight[0].last_burst = Some(7);
+        let mut restored = base_system();
+        restored.decode_state(&sys.encode_state()).unwrap();
+        assert_eq!((restored.riding, restored.uncached), (1, 1));
+        // Without DRAM credit the three words at address 7 are served; the
+        // fourth must open a burst.
+        restored.dram_credit = -10.0;
+        restored.tick();
+        assert_eq!(restored.words_served_last_tick(), 3);
+        assert_eq!((restored.riding, restored.inflight[0].cursor), (0, 3));
+        assert!(!restored.is_complete(id));
+    }
+
+    /// With DRAM credit out and two transfers riding open bursts, the walk
+    /// still alternates between them, so the one with fewer free words
+    /// left finishes first though the other is visited first. (Only a lone
+    /// rider is served without going round.)
+    #[test]
+    fn riders_alternate_once_credit_is_out() {
+        let mut sys = base_system();
+        let (b, _) = sys.start_read(&AddrPattern::Indexed(vec![6]), false);
+        let (a, _) = sys.start_read(&AddrPattern::Indexed(vec![5, 5, 5]), false);
+        for (t, burst) in sys.inflight.iter_mut().zip([6, 5]) {
+            t.last_burst = Some(burst);
+        }
+        (sys.riding, sys.dram_credit) = (2, -10.0);
+        let mut tracer = Tracer::recording(16);
+        sys.tick_traced(&mut tracer);
+        let rec = tracer.recorder().expect("recording");
+        let served: Vec<u64> = (rec.ring().iter())
+            .filter_map(|(_, e)| match e {
+                TraceEvent::TransferServed { id } => Some(*id),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(served, [b.raw(), a.raw()]);
+        assert_eq!(sys.words_served_last_tick(), 4);
     }
 
     #[test]

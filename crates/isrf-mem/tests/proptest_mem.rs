@@ -419,7 +419,12 @@ proptest! {
     /// the bit, the same words were served to the same transfers in the
     /// same round-robin order, the same traffic was counted, the same
     /// events emitted, and the same transfers complete and pop in the same
-    /// order.
+    /// order. Once, at cycle `restore_at`, the system is replaced by one
+    /// decoded from its snapshot, which must carry on as if nothing
+    /// happened: the count of uncached transfers, and each transfer's next
+    /// address, burst and place in its record, are rebuilt there, not read
+    /// back. (No transfer rides an open burst between ticks; `system.rs`'s
+    /// unit tests decode one that does.)
     #[test]
     fn service_matches_the_round_loop(
         cache in any::<bool>(),
@@ -428,6 +433,7 @@ proptest! {
             (0u64..40, 0u8..3, 0u32..90, 0u32..5000, 1u32..4, (any::<bool>(), any::<bool>())),
             1..14,
         ),
+        restore_at in 0u64..160,
     ) {
         let mut cfg = MachineConfig::preset(if cache { ConfigName::Cache } else { ConfigName::Base });
         cfg.dram.burst_words = burst;
@@ -468,6 +474,11 @@ proptest! {
                 old.enqueue(pattern.to_addrs(), write, cacheable);
                 next = pending.next();
                 wait = next.map_or(0, |i| i.0);
+            }
+            if old.now == restore_at {
+                let mut restored = MemorySystem::new(&cfg);
+                restored.decode_state(&sys.encode_state()).expect("its own snapshot");
+                sys = restored;
             }
             sys.tick_traced(&mut trace);
             old.tick(&mut old_trace);
