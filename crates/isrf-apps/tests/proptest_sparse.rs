@@ -19,7 +19,7 @@ const STRIP_ROWS: u32 = 16;
 /// proptest (so shrinking peels away rows and entries), the numeric
 /// content from a seeded RNG.
 #[derive(Debug, Clone)]
-struct Recipe {
+struct MatrixRecipe {
     /// 1–3 strips of 16 rows.
     strips: u32,
     /// 0 = banded, 1 = single-column, 2 = uniform (bandwidth = whole
@@ -34,7 +34,7 @@ struct Recipe {
     seed: u64,
 }
 
-fn recipes() -> impl Strategy<Value = Recipe> {
+fn recipes() -> impl Strategy<Value = MatrixRecipe> {
     (
         1u32..=3,
         0u8..3,
@@ -42,7 +42,7 @@ fn recipes() -> impl Strategy<Value = Recipe> {
         prop::collection::vec(any::<u8>(), 1..48),
         any::<u64>(),
     )
-        .prop_map(|(strips, shape, bw, row_nnz, seed)| Recipe {
+        .prop_map(|(strips, shape, bw, row_nnz, seed)| MatrixRecipe {
             strips,
             shape,
             bw,
@@ -51,7 +51,7 @@ fn recipes() -> impl Strategy<Value = Recipe> {
         })
 }
 
-fn build(r: &Recipe) -> Arc<(Csr, Vec<f32>)> {
+fn build(r: &MatrixRecipe) -> Arc<(Csr, Vec<f32>)> {
     let n = r.strips * STRIP_ROWS;
     let mut rng = SmallRng::seed_from_u64(r.seed);
     let mut row_ptr = vec![0u32];

@@ -435,20 +435,21 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strips::{generate, Spec};
     use isrf_core::config::ConfigName;
+    use isrf_gen::Spec;
 
     /// Costing once per shape says, at every invocation, what costing that
     /// invocation says: ragged strips of three kernels, one of them reading
     /// a table, make six shapes over sixty invocations.
     #[test]
     fn per_shape_costs_are_each_invocations_own() {
-        let g = generate(&Spec {
+        let g = Spec {
             kernels: 3,
             lookup: true,
             ragged: true,
             ..Spec::bfs_shaped(ConfigName::Isrf4, 20)
-        });
+        }
+        .generate();
         assert_eq!(crate::shape_ids(&g.program).1, 6);
         let model = cost_model(&g.cfg, &g.program);
         let mut kernels = model.kernels.iter();

@@ -1460,7 +1460,7 @@ mod tests {
     #[test]
     fn work_is_proportional_to_what_the_program_contains() {
         use isrf_core::config::ConfigName;
-        let g = strips::generate(&strips::Spec::bfs_shaped(ConfigName::Isrf4, 384));
+        let g = isrf_gen::Spec::bfs_shaped(ConfigName::Isrf4, 384).generate();
         let ctx = Analysis::new(&g.cfg, &g.env, &g.program);
         assert_eq!(
             (g.program.len(), ctx.accesses.len(), ctx.shapes),
@@ -1503,8 +1503,3 @@ mod tests {
         assert!(explain("V999").is_none());
     }
 }
-
-/// The strip-mined program generator of `tests/`, for the unit tests above.
-#[cfg(test)]
-#[path = "../tests/strips/mod.rs"]
-mod strips;

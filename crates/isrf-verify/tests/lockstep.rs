@@ -10,14 +10,12 @@
 //! pattern): over random strip-mined programs with one seeded defect the
 //! two diagnostic lists must be equal — code, op, message, order.
 
-mod strips;
-
 use proptest::prelude::*;
 
 use isrf_core::config::ConfigName;
+use isrf_gen::{Defect, Generated, Spec};
 use isrf_sim::{Diagnostic, ProgramVerifier};
 use isrf_verify::{codes, Check, Verifier};
-use strips::{generate, Defect, Generated, Spec};
 
 mod reference {
     use isrf_core::config::MachineConfig;
@@ -378,9 +376,12 @@ proptest! {
             lookup: flags & 4 != 0,
             ragged: flags & 8 != 0,
             late_drain: flags & 16 != 0,
+            cacheable: false,
+            repeat: 0,
+            side_gathers: 0,
             defect: DEFECTS[defect_idx].map(|d| (d, strike % strips)),
         };
-        let g = generate(&spec);
+        let g = spec.generate();
         let want = reference_findings(&g);
         let all = Verifier::new().verify(&g.cfg, &g.env, &g.program);
 
@@ -464,7 +465,7 @@ fn seeded_defects_are_reported_where_they_bite() {
         ..Spec::bfs_shaped(ConfigName::Isrf4, 8)
     };
     let run = |s: &Spec| {
-        let g = generate(s);
+        let g = s.generate();
         let found = Verifier::new().verify(&g.cfg, &g.env, &g.program);
         let want = reference_findings(&g);
         assert_eq!(found[..want.len()], want[..]);
@@ -506,13 +507,13 @@ fn twenty_thousand_ops_verify_clean_and_one_dropped_dependence_is_one_finding() 
         kernels: 2,
         ..Spec::bfs_shaped(ConfigName::Isrf4, 3400)
     };
-    let g = generate(&spec);
+    let g = spec.generate();
     assert!(g.program.len() >= 20_000, "{} ops", g.program.len());
     let found = Verifier::new().verify(&g.cfg, &g.env, &g.program);
     assert!(found.is_empty(), "{found:#?}");
 
     spec.defect = Some((Defect::DropDep, 1700));
-    let g = generate(&spec);
+    let g = spec.generate();
     let (i, j) = g.dropped.expect("the strip has a load");
     let found = Verifier::new().verify(&g.cfg, &g.env, &g.program);
     assert_eq!(found.len(), 1, "{found:#?}");

@@ -1,107 +1,39 @@
 //! Property: any program the verifier passes must simulate to completion —
-//! no runtime hazard asserts, no wedges. Random well-formed programs
-//! (plain copy/arithmetic kernels everywhere, masked in-lane lookups on
-//! indexed configurations) are verified and then run; the verifier
-//! rejecting one, or the machine panicking on a clean one, fails the test.
+//! no runtime hazard asserts, no wedges — and a well-formed one must pass.
+//! The [`isrf_gen::Recipe`] corpus runs on all four presets: the verifier
+//! must turn away exactly the recipes with an in-lane lookup on the presets
+//! without an indexed SRF, and the machine panicking on a program it passed
+//! fails the test.
 
 use std::sync::Arc;
 
-use proptest::prelude::*;
-
 use isrf_core::config::{ConfigName, MachineConfig};
-use isrf_core::Word;
-use isrf_kernel::sched::{schedule, SchedParams};
-use isrf_lang::parse_kernel;
-use isrf_sim::{Machine, ProgramVerifier, StreamBinding, StreamProgram};
+use isrf_gen::Recipe;
 use isrf_verify::Verifier;
 
-const ARITH_SRC: &str = r#"
-kernel arith(istream<int> in, ostream<int> out) {
-  int a, c;
-  while (!eos(in)) {
-    in >> a;
-    c = a * 3 + 1;
-    out << c;
-  }
-}
-"#;
-
-/// Masked in-lane lookup; `{MASK}` is substituted so the index provably
-/// stays inside the table (the verifier's V303 only flags *definite*
-/// overruns, so the mask must really bound the index at runtime too).
-const LOOKUP_SRC: &str = r#"
-kernel lookup(
-    istream<int> in,
-    idxl_istream<int> LUT,
-    ostream<int> out) {
-  int a, b, c;
-  while (!eos(in)) {
-    in >> a;
-    LUT[a & {MASK}] >> b;
-    c = a + b;
-    out << c;
-  }
-}
-"#;
-
-fn fill(m: &mut Machine, b: &StreamBinding, salt: u32) {
-    let data: Vec<Word> = (0..b.words())
-        .map(|k| k.wrapping_mul(2654435761).wrapping_add(salt) as Word)
-        .collect();
-    m.write_stream(b, &data);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn verified_clean_programs_run_to_completion(
-        cfg_idx in 0usize..4,
-        records_per_lane in 1u32..8,
-        use_lookup in any::<bool>(),
-        mask_idx in 0usize..3,
-        salt in any::<u32>(),
-    ) {
-        let name = ConfigName::ALL[cfg_idx];
-        let cfg = MachineConfig::preset(name);
-        let indexed = cfg.srf.indexed.is_some();
-        let mut m = Machine::new(cfg).expect("preset validates");
-        let lanes = m.config().lanes as u32;
-        let records = records_per_lane * lanes;
-
-        let mut p = StreamProgram::new();
-        if use_lookup && indexed {
-            let mask = [15u32, 31, 63][mask_idx];
-            let src = LOOKUP_SRC.replace("{MASK}", &mask.to_string());
-            let k = Arc::new(parse_kernel(&src).expect("lookup parses"));
-            let s = schedule(&k, &SchedParams::from_machine(m.config()))
-                .expect("lookup schedules");
-            let input = m.alloc_stream(1, records);
-            fill(&mut m, &input, salt);
-            // (mask + 1) records per lane: every masked index is a valid
-            // table entry at runtime, so the clean verdict must hold up.
-            let lut = m.alloc_stream(1, (mask + 1) * lanes);
-            fill(&mut m, &lut, salt ^ 0xa5a5);
-            let out = m.alloc_stream(1, records);
-            p.kernel(k, s, vec![input, lut, out], records_per_lane as u64, &[]);
-        } else {
-            let k = Arc::new(parse_kernel(ARITH_SRC).expect("arith parses"));
-            let s = schedule(&k, &SchedParams::from_machine(m.config()))
-                .expect("arith schedules");
-            let input = m.alloc_stream(1, records);
-            fill(&mut m, &input, salt);
-            let out = m.alloc_stream(1, records);
-            p.kernel(k, s, vec![input, out], records_per_lane as u64, &[]);
+#[test]
+fn verified_clean_programs_run_to_completion() {
+    let (mut ran, mut cases) = ([0; 4], [0; 4]);
+    for r in Recipe::corpus(48) {
+        for cfg in ConfigName::ALL {
+            let mcfg = MachineConfig::preset(cfg);
+            cases[cfg as usize] += usize::from(!r.indexed || mcfg.srf.indexed.is_some());
+            let Some(g) = r.generate(&mcfg) else {
+                continue;
+            };
+            let Ok(mut m) = g.materialise(Arc::new(Verifier::new())) else {
+                continue;
+            };
+            // A clean verdict must mean a clean run: any panic here (runtime
+            // hazard assert, wedge detector) is a verifier soundness hole.
+            assert!(m.run(&g.program).cycles > 0);
+            ran[cfg as usize] += 1;
         }
-
-        let v = Verifier::new();
-        let d = v.verify(m.config(), &m.verify_env(), &p);
-        prop_assert!(d.is_empty(), "well-formed program rejected: {d:?}");
-
-        // A clean verdict must mean a clean run: any panic here (runtime
-        // hazard assert, wedge detector) is a verifier soundness hole.
-        m.set_verifier(Some(Arc::new(v)));
-        let stats = m.run(&p);
-        prop_assert!(stats.cycles > 0);
     }
+    assert_eq!(
+        ran,
+        cases,
+        "programs run per config of {:?}",
+        ConfigName::ALL
+    );
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the tracing subsystem: Chrome-trace export on a
 //! real simulation (golden file + structural checks) and on two apps, and a
 //! property test that the event-stream audit reconstructs the machine's
-//! Figure-12 cycle breakdown on randomly generated programs.
+//! Figure-12 cycle breakdown on random kernels.
 //!
 //! Regenerate the golden file after an intentional exporter or simulator
 //! change with `UPDATE_GOLDEN=1 cargo test --test trace`.
@@ -10,14 +10,15 @@ use std::sync::Arc;
 
 use isrf::apps::{prepare_app, Profile};
 use isrf::core::config::{ConfigName, MachineConfig};
-use isrf::kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
+use isrf::kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf::kernel::sched::{schedule, SchedParams};
 use isrf::mem::AddrPattern;
 use isrf::sim::{Machine, StreamProgram};
 use isrf::trace::json::Json;
 use isrf::trace::{chrome, CycleAttr, TraceEvent, Tracer};
 use isrf_check::golden;
-use proptest::prelude::*;
+use isrf_gen::Recipe;
+use isrf_verify::Verifier;
 
 fn copy_kernel() -> Arc<Kernel> {
     let mut b = KernelBuilder::new("copy16");
@@ -125,96 +126,32 @@ fn app_chrome_exports_parse() {
     }
 }
 
-// ---- Audit property test on random programs ----
-
-#[derive(Debug, Clone)]
-enum Node {
-    Input,
-    Op(u8, usize, usize),
-}
-
-fn build_kernel(nodes: &[Node]) -> Kernel {
-    let mut b = KernelBuilder::new("random");
-    let input = b.stream("in", StreamKind::SeqIn);
-    let output = b.stream("out", StreamKind::SeqOut);
-    let x = b.seq_read(input);
-    let mut ids: Vec<ValueId> = Vec::with_capacity(nodes.len());
-    for n in nodes {
-        let id = match *n {
-            Node::Input => x,
-            Node::Op(code, i, j) => {
-                let (a, c) = (ids[i], ids[j]);
-                match code % 7 {
-                    0 => b.add(a, c),
-                    1 => b.sub(a, c),
-                    2 => b.mul(a, c),
-                    3 => b.and(a, c),
-                    4 => b.or(a, c),
-                    5 => b.xor(a, c),
-                    _ => b.shr(a, c),
-                }
-            }
-        };
-        ids.push(id);
-    }
-    b.seq_write(output, *ids.last().expect("nonempty"));
-    b.build().expect("generated kernel is valid")
-}
-
-fn node_dag() -> impl Strategy<Value = Vec<Node>> {
-    prop::collection::vec(
-        (
-            any::<u8>(),
-            any::<prop::sample::Index>(),
-            any::<prop::sample::Index>(),
-        ),
-        1..16,
-    )
-    .prop_map(|ops| {
-        let mut nodes = vec![Node::Input];
-        for (code, i, j) in ops {
-            let n = nodes.len();
-            nodes.push(Node::Op(code, i.index(n), j.index(n)));
-        }
-        nodes
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// For any generated program, on both a sequential-only and an indexed
-    /// configuration, the audit reconstructed purely from trace events
-    /// matches the machine's reported breakdown component for component —
-    /// and the per-attribution cycle counts are internally consistent.
-    #[test]
-    fn audit_reconstructs_breakdown_on_random_programs(
-        nodes in node_dag(),
-        words in (1u32..8).prop_map(|k| k * 8),
-    ) {
-        let kernel = Arc::new(build_kernel(&nodes));
-        for cfg in [ConfigName::Base, ConfigName::Isrf4] {
-            let mcfg = MachineConfig::preset(cfg);
-            let sched = schedule(&kernel, &SchedParams::from_machine(&mcfg)).unwrap();
-            let mut m = Machine::new(mcfg).unwrap();
-            m.set_tracer(Tracer::recording(1 << 16));
-            let ib = m.alloc_stream(1, words);
-            let ob = m.alloc_stream(1, words);
-            let mut p = StreamProgram::new();
-            let l = p.load(AddrPattern::contiguous(0, words), ib, false, &[]);
-            let kk = p.kernel(Arc::clone(&kernel), sched, vec![ib, ob], (words / 8) as u64, &[l]);
-            p.store(ob, AddrPattern::contiguous(0x1_0000, words), false, &[kk]);
-            let stats = m.run(&p);
-            let rec = m.take_tracer().into_recorder().unwrap();
+/// For the first 16 programs of the [`isrf_gen::Recipe`] corpus, on every
+/// configuration each runs on, the audit reconstructed purely from trace
+/// events matches the machine's reported breakdown component for component
+/// — and the per-attribution cycle counts are internally consistent.
+#[test]
+fn audit_reconstructs_breakdown_on_random_programs() {
+    for r in Recipe::corpus(16) {
+        for &cfg in r.configs() {
+            let g = r
+                .generate(&MachineConfig::preset(cfg))
+                .expect("the corpus schedules");
+            let mut m = g
+                .materialise(Arc::new(Verifier::new()))
+                .expect("the corpus verifies clean");
+            m.set_tracer(Tracer::recording(1 << 18));
+            let stats = m.run(&g.program);
+            let rec = m.take_tracer().into_recorder().expect("recording");
             let mismatches = rec.audit().verify(&stats.breakdown);
-            prop_assert!(mismatches.is_empty(), "config {}: {:?}", cfg, mismatches);
+            assert!(mismatches.is_empty(), "{cfg}: {mismatches:?}\n{r:?}");
             // The recorder's fixed-slot counters agree with the audit's
             // per-attribution tallies (two independent accumulations).
             for attr in CycleAttr::ALL {
-                prop_assert_eq!(
+                assert_eq!(
                     rec.counters().cycle_attr[attr.index()],
                     rec.audit().attr_cycles(attr),
-                    "attr {:?}", attr
+                    "{cfg} attr {attr:?}"
                 );
             }
         }
