@@ -245,6 +245,8 @@ pub struct HostWork {
     pub visits: u64,
     /// Words the memory channel served.
     pub words: u64,
+    /// Kernel micro-ops fired (one per op and iteration, all lanes).
+    pub ops: u64,
 }
 
 impl fmt::Display for RunStats {

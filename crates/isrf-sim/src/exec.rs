@@ -144,6 +144,10 @@ pub struct KernelRun {
     consecutive_stalls: u64,
     /// Cycles spent draining outputs after the last fire.
     pub flush_cycles: u64,
+    /// Micro-ops fired: the `ops` of `Machine::work` (debug builds only;
+    /// never serialized).
+    #[cfg(debug_assertions)]
+    pub(crate) ops: u64,
 }
 
 impl KernelRun {
@@ -230,6 +234,8 @@ impl KernelRun {
             stall_cycles: 0,
             consecutive_stalls: 0,
             flush_cycles: 0,
+            #[cfg(debug_assertions)]
+            ops: 0,
         }
     }
 
@@ -559,6 +565,10 @@ impl KernelRun {
                 continue;
             };
             comm_busy |= g.comm_busy;
+            #[cfg(debug_assertions)]
+            {
+                self.ops += u64::from(g.ops.1 - g.ops.0);
+            }
             for mop in &tape.ops[g.ops.0 as usize..g.ops.1 as usize] {
                 exec_tape_op(
                     tape,

@@ -163,6 +163,10 @@ pub struct Machine {
     /// are pinned in the entry so pointer keys stay valid.
     #[allow(clippy::type_complexity)]
     tape_memo: BTreeMap<(usize, usize), (Arc<Kernel>, Arc<Schedule>, Arc<CompiledTape>)>,
+    /// Micro-ops the finished kernel runs fired (debug builds only; never
+    /// serialized).
+    #[cfg(debug_assertions)]
+    ops: u64,
 }
 
 impl Machine {
@@ -187,6 +191,8 @@ impl Machine {
             filled: Vec::new(),
             active: None,
             tape_memo: BTreeMap::new(),
+            #[cfg(debug_assertions)]
+            ops: 0,
             cfg,
         })
     }
@@ -265,12 +271,15 @@ impl Machine {
     }
 
     /// Host work since this machine was built: heads its indexed arbiter
-    /// examined and its [`MemorySystem::work`]. Debug builds only; neither
-    /// a snapshot nor [`Machine::reset_stats`] touches it.
+    /// examined, micro-ops its kernels fired and its
+    /// [`MemorySystem::work`]. Debug builds only; neither a snapshot nor
+    /// [`Machine::reset_stats`] touches it.
     #[cfg(all(debug_assertions, not(doctest)))]
     pub fn work(&self) -> HostWork {
+        let running = self.active.as_ref().and_then(|rs| rs.kernel_run.as_ref());
         HostWork {
             heads: self.srf.heads,
+            ops: self.ops + running.map_or(0, |(_, run)| run.ops),
             ..self.mem.work()
         }
     }
@@ -756,6 +765,10 @@ impl Machine {
                                     );
                                     self.tracer
                                         .emit(self.now, TraceEvent::Cycle(CycleAttr::KernelFinish));
+                                }
+                                #[cfg(debug_assertions)]
+                                {
+                                    self.ops += run.ops;
                                 }
                                 complete_op(i, program, &dependents, &mut rs);
                                 rs.kernel_run = None;

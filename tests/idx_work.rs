@@ -2,12 +2,13 @@
 //! on every configuration at both profiles, one line of
 //! `tests/golden/hostwork.digest` each — simulated cycles, then the
 //! machine's `HostWork` (FIFO heads the indexed arbiter examined, transfers
-//! the memory service walk visited, words the channel served) and the
-//! indexed events a recording tracer hears. Counted in debug builds only;
-//! the build users run does not count. A time drifts with the machine; a
-//! count cannot, so a change that makes the simulator do more for the same
-//! cycles fails here whatever the clock says. Each point is simulated
-//! once; `mem_work.rs` checks the memory columns of the lines written here.
+//! the memory service walk visited, words the channel served, kernel
+//! micro-ops fired) and the indexed events a recording tracer hears.
+//! Counted in debug builds only; the build users run does not count. A time
+//! drifts with the machine; a count cannot, so a change that makes the
+//! simulator do more for the same cycles fails here whatever the clock
+//! says. Each point is simulated once; `mem_work.rs` checks the memory
+//! columns of the lines written here.
 //!
 //! `events` is one `IdxAccess` or `IdxReject` per lane and head, which is
 //! what a per-lane arbiter examined. Beside `heads` it shows what the
@@ -28,7 +29,8 @@ use isrf_trace::Tracer;
 
 const DIGEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/hostwork.digest");
 
-/// `app config profile cycles heads events visits words`, from one run.
+/// `app config profile cycles heads events visits words ops`, from one
+/// run.
 fn line(app: &str, cfg: ConfigName, profile: Profile) -> String {
     let indexed = matches!(cfg, ConfigName::Isrf1 | ConfigName::Isrf4);
     let mut pr = prepare_app(app, cfg, profile);
@@ -45,8 +47,8 @@ fn line(app: &str, cfg: ConfigName, profile: Profile) -> String {
         "-".to_string()
     };
     format!(
-        "{app} {cfg} {profile:?} cycles={cycles} heads={} events={events} visits={} words={}\n",
-        w.heads, w.visits, w.words
+        "{app} {cfg} {profile:?} cycles={cycles} heads={} events={events} visits={} words={} ops={}\n",
+        w.heads, w.visits, w.words, w.ops
     )
 }
 
