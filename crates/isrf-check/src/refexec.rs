@@ -304,7 +304,7 @@ impl<'a> Interp<'a> {
                 };
                 st.grant(&self.rm.srf, BUF, 0, 0);
                 let mut vals = vec![0; lanes];
-                st.pop_row(&vec![1; lanes], &mut vals);
+                st.pop_row(None, &mut vals);
                 vals
             }
             SeqWrite(s) => {
@@ -326,7 +326,7 @@ impl<'a> Interp<'a> {
                 match &mut self.slots[s.0 as usize] {
                     RefSlot::CondLaneIn(st) => {
                         st.grant(&self.rm.srf, BUF, 0, 0);
-                        st.pop_row(&conds, &mut vals);
+                        st.pop_row(Some(&conds), &mut vals);
                     }
                     RefSlot::CondIn(st) => {
                         st.grant(&self.rm.srf, BUF * lanes, 0, 0);

@@ -34,7 +34,7 @@ use isrf_trace::{StallReason, TraceEvent, Tracer};
 use crate::indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 use crate::srf::Srf;
 use crate::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
-use crate::tape::{iteration, row_chunk, CompiledTape, MicroKind, MicroOp, RSrc, CHUNK, NO_DST};
+use crate::tape::{iteration, CompiledTape, Frame, MicroKind, MicroOp, Ring, CHUNK};
 
 /// Consecutive stalled cycles after which a kernel is reported deadlocked
 /// ([`KernelRun::wedged`]). While a kernel stalls it pops and pushes
@@ -120,9 +120,6 @@ pub struct KernelRun {
     /// power of two: addresses wrap by mask, not by division.
     scratch_mask: Option<usize>,
     comm_busy_prev: bool,
-    /// Staging rows (one word per lane, padded to whole chunks) that a
-    /// stream op's operands are resolved into once per op.
-    rows: [Vec<Word>; 2],
     /// While stalled: the position in the tape's check list that blocked
     /// last cycle, where the next cycle's stall scan resumes. Host-only
     /// (never serialized): a full scan names the same blocker.
@@ -130,8 +127,8 @@ pub struct KernelRun {
     /// Compiled micro-op program.
     tape: Arc<CompiledTape>,
     /// Flat context ring: `depth` rows of `n_ctx x lanes` words, indexed
-    /// by iteration modulo `depth`.
-    ring: Vec<Word>,
+    /// by iteration modulo `depth`, and the rows the run appends past it.
+    ring: Ring,
     /// First iteration whose ring row has not been zeroed yet.
     ring_next_zero: u64,
     rr_grant: usize,
@@ -222,10 +219,9 @@ impl KernelRun {
             },
             scratch_mask: scratch_words.is_power_of_two().then_some(scratch_words - 1),
             comm_busy_prev: false,
-            rows: std::array::from_fn(|_| vec![0; lanes.next_multiple_of(CHUNK)]),
             stall_at: None,
             // Rows for iterations `0..depth` start zeroed.
-            ring: vec![0; tape.ring_words()],
+            ring: Ring::new(&tape, kernel, lanes),
             ring_next_zero: tape.depth as u64,
             tape,
             rr_grant: 0,
@@ -273,7 +269,7 @@ impl KernelRun {
     /// (0, the context ring — the only one), then the ring.
     pub(crate) fn encode_ctx(&self, e: &mut Enc) {
         e.u8(0);
-        e.words(&self.ring);
+        e.words(&self.ring.words[..self.tape.ring_words()]);
         e.u64(self.ring_next_zero);
     }
 
@@ -342,15 +338,17 @@ impl KernelRun {
             )));
         }
         let ring = d.words()?;
-        if ring.len() != self.ring.len() {
+        let ctx = &mut self.ring.words[..self.tape.ring_words()];
+        if ring.len() != ctx.len() {
             return Err(SnapError::Mismatch(format!(
                 "tape ring length {} != {}",
                 ring.len(),
-                self.ring.len()
+                ctx.len()
             )));
         }
-        self.ring = ring;
+        ctx.copy_from_slice(&ring);
         self.ring_next_zero = d.u64()?;
+        self.ring.restore_ids(self.ring_next_zero);
         Ok(())
     }
 
@@ -518,12 +516,18 @@ impl KernelRun {
                 continue;
             };
             let mop = &tape.ops[check.op as usize];
-            let cond = stage(
-                &self.ring,
-                tape.rsrc(mop.a, j),
-                &mut self.rows[0],
-                self.lanes,
-            );
+            // Only the conditional streams read a condition row.
+            let cond = match mop.kind {
+                MicroKind::CondLaneRead { .. }
+                | MicroKind::CondRead { .. }
+                | MicroKind::CondWrite { .. } => {
+                    let mut frame = self.ring.frame(j);
+                    let [a, ..] = frame.operands(mop, false);
+                    let words: &[Word] = frame.words;
+                    Some(&words[a..a + self.lanes])
+                }
+                _ => None,
+            };
             let blocked = blocker(mop, cond, now, &self.slots, &self.idx_states);
             if blocked.is_some() {
                 self.stall_at = Some(ci);
@@ -542,13 +546,11 @@ impl KernelRun {
         scratch: &mut [Vec<Word>],
         tracer: &mut Tracer,
     ) -> bool {
-        // Zero the ring rows of newly-active iterations: consumers read
-        // slots of not-yet-fired producers as 0. The ring is deep enough
+        // Activate newly-active iterations. The ring is deep enough
         // (`stages + max_dist + 1` rounded up) that a reused row is fully
         // dead by the time it comes around again.
         while self.ring_next_zero <= self.base.min(self.iters - 1) {
-            let row = (self.ring_next_zero & self.tape.mask) as usize * self.tape.row_words;
-            self.ring[row..row + self.tape.row_words].fill(0);
+            self.ring.activate(self.ring_next_zero);
             self.ring_next_zero += 1;
         }
         if let Some((slot, reason)) = self.blocked(now) {
@@ -569,16 +571,16 @@ impl KernelRun {
             {
                 self.ops += u64::from(g.ops.1 - g.ops.0);
             }
+            let steady = j >= u64::from(tape.warm);
+            let mut frame = self.ring.frame(j);
             for mop in &tape.ops[g.ops.0 as usize..g.ops.1 as usize] {
                 exec_tape_op(
-                    tape,
                     mop,
-                    j,
+                    &mut frame,
+                    steady,
                     self.lanes,
                     &mut self.slots,
                     &mut self.idx_states,
-                    &mut self.ring,
-                    &mut self.rows,
                     scratch,
                     self.scratch_mask,
                 );
@@ -595,16 +597,6 @@ impl KernelRun {
     }
 }
 
-/// Resolve source `r` into the staging row `buf`, whole chunks at a time,
-/// and return its `lanes` real lanes.
-#[inline]
-fn stage<'a>(ring: &[Word], r: RSrc, buf: &'a mut [Word], lanes: usize) -> &'a [Word] {
-    for (c, chunk) in buf.chunks_exact_mut(CHUNK).enumerate() {
-        chunk.copy_from_slice(&row_chunk(ring, r, c));
-    }
-    &buf[..lanes]
-}
-
 /// The stream state behind a slot, borrowed as `$slot` is (`&slots[i]` or
 /// `&mut slots[i]`); the tape's ops were validated against its kind.
 macro_rules! state {
@@ -617,8 +609,8 @@ macro_rules! state {
 }
 
 /// Can this checkable micro-op fire? `None` means it can; otherwise the
-/// stream slot and why not. `cond` is its first source as a lane row (the
-/// per-lane condition of the conditional ops). The distinction between a
+/// stream slot and why not. `cond` is the per-lane condition row of a
+/// conditional stream op. The distinction between a
 /// *starved* sequential input (its stream buffer is empty) and one merely
 /// waiting out SRF access *latency* (words granted but not yet arrived) is
 /// what stall attribution reports downstream.
@@ -628,15 +620,19 @@ macro_rules! state {
 #[inline]
 fn blocker(
     mop: &MicroOp,
-    cond: &[Word],
+    cond: Option<&[Word]>,
     now: u64,
     slots: &[SlotState],
     idx_states: &[IdxState],
 ) -> Option<(u8, StallReason)> {
-    let asserting = || cond.iter().filter(|&&c| word::as_bool(c)).count();
+    let asserting = || {
+        let cond = cond.expect("a conditional op's row");
+        cond.iter().filter(|&&c| word::as_bool(c)).count()
+    };
     match mop.kind {
         MicroKind::SeqRead { slot } | MicroKind::CondLaneRead { slot } => {
-            // The two differ in their condition row and network cost only.
+            // The two differ in their condition (none: every lane pops)
+            // and network cost only.
             let st = state!(&slots[slot as usize], SeqIn | CondLaneIn);
             let lane = st.blocked_lane(cond, now)?;
             let reason = if st.buffered_words(lane) == 0 {
@@ -668,53 +664,29 @@ fn blocker(
     }
 }
 
-/// Execute one micro-op for iteration `j`, all lanes: its sources are
-/// resolved once into the staging `rows`, its result row goes straight
-/// into the context ring (or, when no live op reads it, into a staging row
-/// that is then dropped).
+/// Execute one micro-op, all lanes, for the iteration `frame` points at
+/// (`steady`: past the tape's largest distance): its operands are rows of
+/// the ring, read where they sit, and its result row goes straight into
+/// the ring (or, when no live op reads it, into the sink row).
 #[allow(clippy::too_many_arguments)]
+#[inline]
 fn exec_tape_op(
-    tape: &CompiledTape,
     mop: &MicroOp,
-    j: u64,
+    frame: &mut Frame,
+    steady: bool,
     lanes: usize,
     slots: &mut [SlotState],
     idx_states: &mut [IdxState],
-    ring: &mut [Word],
-    rows: &mut [Vec<Word>; 2],
     scratch: &mut [Vec<Word>],
     scratch_mask: Option<usize>,
 ) {
-    let dst = (mop.dst != NO_DST).then(|| tape.row_base(j, mop.dst));
+    let [a, b, c] = frame.operands(mop, steady);
+    let dst = frame.dst(mop.dst);
+    let w = &mut *frame.words;
     if let MicroKind::Alu(opc) = mop.kind {
-        let (ra, rb, rc) = (
-            tape.rsrc(mop.a, j),
-            tape.rsrc(mop.b, j),
-            tape.rsrc(mop.c, j),
-        );
-        // Dead pure arithmetic is dropped at compile time, so the
-        // destination is always live here.
-        let dst = dst.expect("live ALU destination");
-        return exec_alu_rows(opc, ring, ra, rb, rc, dst, tape.lane_stride / CHUNK);
+        return exec_alu_rows(opc, w, [a, b, c], dst, lanes.div_ceil(CHUNK));
     }
-    let [row_a, row_b] = rows;
-    let a = stage(ring, tape.rsrc(mop.a, j), row_a, lanes);
-    // Where the op's result row goes, and a copy of `$row` into it.
-    macro_rules! out {
-        () => {
-            match dst {
-                Some(d) => &mut ring[d..d + lanes],
-                None => &mut row_b[..lanes],
-            }
-        };
-    }
-    macro_rules! commit {
-        ($row:expr) => {
-            if let Some(d) = dst {
-                ring[d..d + lanes].copy_from_slice($row);
-            }
-        };
-    }
+    let row = |at: usize| at..at + lanes;
     // A scratchpad address wraps at the pad's length.
     let wrap = |addr: Word, len: usize| match scratch_mask {
         Some(mask) => addr as usize & mask,
@@ -722,100 +694,117 @@ fn exec_tape_op(
     };
     match mop.kind {
         MicroKind::Alu(_) => unreachable!("handled above"),
-        MicroKind::SeqRead { slot } | MicroKind::CondLaneRead { slot } => {
-            state!(&mut slots[slot as usize], SeqIn | CondLaneIn).pop_row(a, out!());
+        MicroKind::SeqRead { slot } => {
+            state!(&mut slots[slot as usize], SeqIn).pop_row(None, &mut w[row(dst)]);
+        }
+        MicroKind::CondLaneRead { slot } => {
+            let (cond, out) = beside(w, a, dst, lanes);
+            state!(&mut slots[slot as usize], CondLaneIn).pop_row(Some(cond), out);
         }
         MicroKind::SeqWrite { slot } => {
-            state!(&mut slots[slot as usize], SeqOut).push_row(a);
-            commit!(a);
+            state!(&mut slots[slot as usize], SeqOut).push_row(&w[row(a)]);
+            w.copy_within(row(a), dst);
         }
         MicroKind::CondRead { slot } => {
-            state!(&mut slots[slot as usize], CondIn).pop_row(a, out!());
+            let (cond, out) = beside(w, a, dst, lanes);
+            state!(&mut slots[slot as usize], CondIn).pop_row(cond, out);
         }
         MicroKind::CondWrite { slot } => {
-            let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
-            state!(&mut slots[slot as usize], CondOut).push_row(a, b);
+            state!(&mut slots[slot as usize], CondOut).push_row(&w[row(a)], &w[row(b)]);
             // The op's value is all-zero; the row was zeroed at
             // activation and this is its slot's only writer (SSA), so
             // no commit is needed.
         }
         MicroKind::IdxAddr { idx, .. } => {
-            idx_states[idx as usize].push_row(a, &[]);
-            commit!(a);
+            idx_states[idx as usize].push_row(&w[row(a)], &[]);
+            w.copy_within(row(a), dst);
         }
         MicroKind::IdxRead { idx, .. } => {
             // A dead destination still pops: the data was addressed.
-            idx_states[idx as usize].pop_row(out!());
+            idx_states[idx as usize].pop_row(&mut w[row(dst)]);
         }
         MicroKind::IdxWrite { idx, .. } => {
-            let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
-            idx_states[idx as usize].push_row(a, b);
-            commit!(b);
+            idx_states[idx as usize].push_row(&w[row(a)], &w[row(b)]);
+            w.copy_within(row(b), dst);
         }
         MicroKind::ScratchRead => {
-            for ((o, pad), &addr) in out!().iter_mut().zip(scratch).zip(a) {
+            let (addrs, out) = beside(w, a, dst, lanes);
+            for ((o, pad), &addr) in out.iter_mut().zip(scratch).zip(addrs) {
                 *o = pad[wrap(addr, pad.len())];
             }
         }
         MicroKind::ScratchWrite => {
-            let b = stage(ring, tape.rsrc(mop.b, j), row_b, lanes);
-            for ((pad, &addr), &v) in scratch.iter_mut().zip(a).zip(b) {
+            for ((pad, &addr), &v) in scratch.iter_mut().zip(&w[row(a)]).zip(&w[row(b)]) {
                 let at = wrap(addr, pad.len());
                 pad[at] = v;
             }
-            commit!(b);
+            w.copy_within(row(b), dst);
         }
         MicroKind::Comm { rotate } => {
             // Lane `l` receives lane `(l + rotate) mod lanes`.
-            let (head, tail) = a.split_at((rotate as i64).rem_euclid(lanes as i64) as usize);
-            let out = out!();
+            let (src, out) = beside(w, a, dst, lanes);
+            let (head, tail) = src.split_at((rotate as i64).rem_euclid(lanes as i64) as usize);
             out[..tail.len()].copy_from_slice(tail);
             out[tail.len()..].copy_from_slice(head);
         }
         MicroKind::CommXor { mask } => {
-            for (lane, o) in out!().iter_mut().enumerate() {
-                *o = a[(lane ^ mask as usize) % lanes];
+            let (src, out) = beside(w, a, dst, lanes);
+            for (lane, o) in out.iter_mut().enumerate() {
+                *o = src[(lane ^ mask as usize) % lanes];
             }
         }
     }
 }
 
+/// The `lanes`-long rows at `src` and `dst` of `w`, read and written side by
+/// side: an operand is never its own op's result row, and rows never
+/// overlap.
+fn beside(w: &mut [Word], src: usize, dst: usize, lanes: usize) -> (&[Word], &mut [Word]) {
+    if src < dst {
+        let (lo, hi) = w.split_at_mut(dst);
+        (&lo[src..src + lanes], &mut hi[..lanes])
+    } else {
+        let (lo, hi) = w.split_at_mut(src);
+        (&hi[..lanes], &mut lo[dst..dst + lanes])
+    }
+}
+
 /// Execute a pure ALU op across all lanes, a chunk of lanes at a time:
-/// one opcode match, then per chunk the operands as `[Word; CHUNK]`
-/// arrays and a fixed-width loop over them that the compiler can
-/// vectorise — no per-lane dispatch, no per-lane bounds check. Wrapping
-/// `i32` arithmetic, zero divisor yields 0, shift counts masked to 5
-/// bits, `f32` round-trips through the word encoding.
-fn exec_alu_rows(
-    opc: Opcode,
-    ring: &mut [Word],
-    ra: RSrc,
-    rb: RSrc,
-    rc: RSrc,
-    dst_base: usize,
-    chunks: usize,
-) {
+/// one opcode match, then per chunk the operands it reads as
+/// `[Word; CHUNK]` arrays and a fixed-width loop over them that the
+/// compiler can vectorise — no per-lane dispatch, no per-lane bounds
+/// check. `at` are the operand rows' offsets in `ring`. Wrapping `i32`
+/// arithmetic, zero divisor yields 0, shift counts masked to 5 bits, `f32`
+/// round-trips through the word encoding.
+fn exec_alu_rows(opc: Opcode, ring: &mut [Word], at: [usize; 3], dst: usize, chunks: usize) {
     use Opcode::*;
+    // Chunk `c` of operand `k`.
+    let chunk = |ring: &[Word], k: usize, c: usize| -> [Word; CHUNK] {
+        let from = at[k] + c * CHUNK;
+        ring[from..from + CHUNK]
+            .try_into()
+            .expect("a chunk-long slice")
+    };
     macro_rules! rows {
         (|$a:ident| $e:expr) => {
-            rows!(|$a, _b, _c| $e)
+            rows!($e; $a 0)
         };
         (|$a:ident, $b:ident| $e:expr) => {
-            rows!(|$a, $b, _c| $e)
+            rows!($e; $a 0, $b 1)
         };
         (|$a:ident, $b:ident, $c:ident| $e:expr) => {
-            for chunk in 0..chunks {
-                let (xa, xb, xc) = (
-                    row_chunk(ring, ra, chunk),
-                    row_chunk(ring, rb, chunk),
-                    row_chunk(ring, rc, chunk),
-                );
+            rows!($e; $a 0, $b 1, $c 2)
+        };
+        ($e:expr; $($x:ident $k:literal),+) => {
+            for c in 0..chunks {
+                $(let $x = chunk(ring, $k, c);)+
                 let mut out = [0; CHUNK];
                 for i in 0..CHUNK {
-                    let ($a, $b, $c) = (xa[i], xb[i], xc[i]);
+                    $(let $x = $x[i];)+
                     out[i] = $e;
                 }
-                ring[dst_base + chunk * CHUNK..][..CHUNK].copy_from_slice(&out);
+                let to = dst + c * CHUNK;
+                ring[to..to + CHUNK].copy_from_slice(&out);
             }
         };
     }

@@ -381,24 +381,43 @@ impl SeqInState {
         moved
     }
 
-    /// The first lane asserting `cond` that can neither pop at `now` nor
-    /// is done: the lane a whole-row pop would have to wait for.
-    pub fn blocked_lane(&self, cond: &[Word], now: u64) -> Option<usize> {
-        let mut lanes = self.lanes.iter().zip(cond).enumerate();
-        lanes.position(|(lane, (l, &c))| c != 0 && l.waits(lane, &self.buf, now))
+    /// The first lane asserting `cond` (every lane, without one) that can
+    /// neither pop at `now` nor is done: the lane a whole-row pop would
+    /// have to wait for.
+    pub fn blocked_lane(&self, cond: Option<&[Word]>, now: u64) -> Option<usize> {
+        match cond {
+            Some(c) => self.first_waiting(c.iter().map(|&c| c != 0), now),
+            None => self.first_waiting(std::iter::repeat(true), now),
+        }
     }
 
-    /// Pop one word into `out` for every lane asserting `cond` that holds
-    /// one; the other lanes (condition false, or done: reads past the end
-    /// of a lane's data return zero instead of stalling, so lanes with
-    /// less data stay occupied until the last lane finishes — the
-    /// load-imbalance behavior the paper describes) get zero. No asserting
-    /// lane may be blocked ([`SeqInState::blocked_lane`]).
-    pub fn pop_row(&mut self, cond: &[Word], out: &mut [Word]) {
-        debug_assert!(cond.len() == self.lanes.len() && out.len() == self.lanes.len());
-        for (lane, (l, (&c, o))) in self.lanes.iter_mut().zip(cond.iter().zip(out)).enumerate() {
+    /// [`SeqInState::blocked_lane`] with the lanes' conditions as `asserts`.
+    fn first_waiting(&self, asserts: impl Iterator<Item = bool>, now: u64) -> Option<usize> {
+        let mut lanes = self.lanes.iter().zip(asserts).enumerate();
+        lanes.position(|(lane, (l, a))| a && l.waits(lane, &self.buf, now))
+    }
+
+    /// Pop one word into `out` for every lane asserting `cond` (every lane,
+    /// without one) that holds one; the other lanes (condition false, or
+    /// done: reads past the end of a lane's data return zero instead of
+    /// stalling, so lanes with less data stay occupied until the last lane
+    /// finishes — the load-imbalance behavior the paper describes) get
+    /// zero. No asserting lane may be blocked ([`SeqInState::blocked_lane`]).
+    pub fn pop_row(&mut self, cond: Option<&[Word]>, out: &mut [Word]) {
+        debug_assert!(cond.is_none_or(|c| c.len() == self.lanes.len()));
+        debug_assert!(out.len() == self.lanes.len());
+        match cond {
+            Some(c) => self.pop_lanes(c.iter().map(|&c| c != 0), out),
+            None => self.pop_lanes(std::iter::repeat(true), out),
+        }
+    }
+
+    /// [`SeqInState::pop_row`] with the lanes' conditions as `asserts`.
+    fn pop_lanes(&mut self, asserts: impl Iterator<Item = bool>, out: &mut [Word]) {
+        let lanes = self.lanes.iter_mut().zip(asserts).zip(out);
+        for (lane, ((l, a), o)) in lanes.enumerate() {
             *o = 0;
-            if c != 0 && l.ring.len() > 0 {
+            if a && l.ring.len() > 0 {
                 *o = self.buf.words[self.buf.nth(lane, l.ring, 0)];
                 // A full ring kept the lane from wanting a grant.
                 self.wanting += u32::from(l.cur.remaining > 0 && !l.wants(self.buf.cap));
@@ -746,7 +765,7 @@ mod tests {
         let mut cond = [0; 8];
         cond[lane] = 1;
         let mut out = [0; 8];
-        s.pop_row(&cond, &mut out);
+        s.pop_row(Some(&cond), &mut out);
         out[lane]
     }
 
@@ -757,14 +776,14 @@ mod tests {
         assert!(s.wants_grant());
         s.grant(&srf, 4, 0, 0);
         // Lane 0 sees words 0, 8, 16, 24; lane 3 sees 3, 11, ...
-        assert_eq!(s.blocked_lane(&[1; 8], 0), None);
+        assert_eq!(s.blocked_lane(None, 0), None);
         assert_eq!(pop(&mut s, 0), 0);
         assert_eq!(pop(&mut s, 0), 8);
         assert_eq!(pop(&mut s, 3), 3);
         assert_eq!(pop(&mut s, 3), 11);
         // A whole row: every lane's next word.
         let mut row = [0; 8];
-        s.pop_row(&[1; 8], &mut row);
+        s.pop_row(None, &mut row);
         assert_eq!(row, [16, 1, 2, 19, 4, 5, 6, 7]);
     }
 
@@ -772,11 +791,11 @@ mod tests {
     fn seq_in_latency_delays_availability() {
         let (srf, b) = srf_with_stream(1, 8);
         let mut s = SeqInState::new(b, 8, 8);
-        assert_eq!(s.blocked_lane(&[1; 8], 0), Some(0), "starved");
+        assert_eq!(s.blocked_lane(Some(&[1; 8]), 0), Some(0), "starved");
         s.grant(&srf, 4, 10, 3);
-        assert_eq!(s.blocked_lane(&[1; 8], 12), Some(0), "in flight");
-        assert_eq!(s.blocked_lane(&[0, 0, 1, 0, 0, 0, 0, 0], 12), Some(2));
-        assert_eq!(s.blocked_lane(&[1; 8], 13), None);
+        assert_eq!(s.blocked_lane(Some(&[1; 8]), 12), Some(0), "in flight");
+        assert_eq!(s.blocked_lane(Some(&[0, 0, 1, 0, 0, 0, 0, 0]), 12), Some(2));
+        assert_eq!(s.blocked_lane(None, 13), None);
     }
 
     #[test]
@@ -802,12 +821,12 @@ mod tests {
             s.grant(&srf, 4, 0, 0);
         }
         let mut row = [0; 8];
-        s.pop_row(&[1; 8], &mut row);
+        s.pop_row(None, &mut row);
         assert_eq!(row, [0, 1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(s.buffered_words(7), 0, "lane 7 has exactly one record");
         assert_eq!(s.buffered_words(1), 1);
-        assert_eq!(s.blocked_lane(&[1; 8], 0), None, "done lanes never block");
-        s.pop_row(&[1; 8], &mut row);
+        assert_eq!(s.blocked_lane(None, 0), None, "done lanes never block");
+        s.pop_row(None, &mut row);
         assert_eq!(
             row,
             [8, 9, 0, 0, 0, 0, 0, 0],

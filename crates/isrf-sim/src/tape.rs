@@ -7,8 +7,11 @@
 //! of per-iteration contexts. This module performs all of that
 //! decision-making once per `(Kernel, Schedule, lanes)` triple:
 //!
-//! * operand sources fold to `Src` values — immediates, lane/iteration
-//!   specializations, or direct dense context-slot reads;
+//! * operands fold to `Opnd` values: a ring row a fixed number of
+//!   iterations behind the firing one plus a slot's offset, or a constant
+//!   row (immediates, lane ids) a run appends past its ring, or an
+//!   iteration-id row — so in steady state every operand is a direct slice
+//!   and the executor never asks what kind of source it reads;
 //! * the steady state of a software-pipelined loop is `II` instruction
 //!   words, one per phase `t mod II`, and that is what is emitted: per
 //!   phase, the non-empty schedule slots that fire there (`Group`, oldest
@@ -43,51 +46,39 @@ use isrf_kernel::hash::{kernel_hash, schedule_hash};
 use isrf_kernel::ir::{Kernel, OpClass, Opcode, Operand};
 use isrf_kernel::sched::Schedule;
 
-/// Sentinel context slot for ops whose value is never read.
-pub(crate) const NO_DST: u16 = u16::MAX;
+/// Sentinel destination of ops whose value is never read.
+pub(crate) const NO_DST: u32 = u32::MAX;
 
-/// A pre-resolved operand source.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Src {
-    /// Compile-time constant (`Const`, `LaneCount`, folded inits).
-    Imm(Word),
-    /// The lane index (`LaneId` producer at distance 0).
-    Lane,
-    /// The iteration id `j - d`, or `init` while `j < d`.
-    Iter { d: u32, init: Word },
-    /// A constant once `j >= d`, `init` before (carried `Const`/`LaneCount`).
-    CarriedImm { d: u32, init: Word, val: Word },
-    /// The lane index once `j >= d`, `init` before (carried `LaneId`).
-    CarriedLane { d: u32, init: Word },
-    /// Context slot of the current iteration (distance 0).
-    Ctx0 { slot: u16 },
-    /// Context slot of iteration `j - d`, or `init` while `j < d`.
-    Ctx { slot: u16, d: u32, init: Word },
+/// A pre-resolved operand: where its lane row sits once the firing
+/// iteration `j` has reached `d`, and the word every lane reads before.
+///
+/// The row is `off` words past `bases[base]`, one of the bases a run keeps
+/// for the ring row iteration `j` sits in ([`Ring::frame`]):
+/// [`CONST_BASE`], the first constant row past the ring; `1 + d`, the ring
+/// row of iteration `j - d` (`off` is the context slot's offset in it); or
+/// `1 + dists + d`, the iteration-id row of `j - d`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Opnd {
+    pub base: u32,
+    pub off: u32,
+    /// Loop-carried distance: while `j < d` every lane reads `init`.
+    pub d: u32,
+    pub init: Word,
 }
+
+/// The base of the constant rows: a run's first row past its ring.
+pub(crate) const CONST_BASE: u32 = 0;
 
 /// Lanes per row chunk: context rows are padded to a multiple of it, so
 /// every operand reads as whole `[Word; CHUNK]` arrays.
 pub(crate) const CHUNK: usize = 8;
-
-/// Source fully resolved for one `(op, iteration)`: a lane row, read a
-/// chunk at a time by [`row_chunk`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum RSrc {
-    /// A constant for every lane.
-    Imm(Word),
-    /// The lane index itself.
-    Lane,
-    /// The context row starting at `ring[base]`.
-    Base(usize),
-}
 
 /// Kind of one tape micro-op (the single dispatch point of the hot loop).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum MicroKind {
     /// Pure arithmetic, evaluated by `exec_alu_rows`.
     Alu(Opcode),
-    /// Sequential stream pop, all lanes (its condition source is the
-    /// constant 1).
+    /// Sequential stream pop, all lanes (no condition row).
     SeqRead { slot: u8 },
     /// Sequential stream push, all lanes.
     SeqWrite { slot: u8 },
@@ -113,16 +104,17 @@ pub(crate) enum MicroKind {
     CommXor { mask: u32 },
 }
 
-/// One pre-resolved micro-op. Unused sources are `Src::Imm(0)`.
+/// One pre-resolved micro-op. An operand it does not read is
+/// `Opnd::default()`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MicroOp {
     pub kind: MicroKind,
-    /// Dense context slot receiving the per-lane results ([`NO_DST`] when
-    /// no live op reads this value).
-    pub dst: u16,
-    pub a: Src,
-    pub b: Src,
-    pub c: Src,
+    /// Offset in a ring row of the dense context slot receiving the
+    /// per-lane results ([`NO_DST`] when no live op reads this value).
+    pub dst: u32,
+    pub a: Opnd,
+    pub b: Opnd,
+    pub c: Opnd,
 }
 
 /// Micro-ops of one non-empty schedule slot `stage * ii + phase`.
@@ -179,6 +171,15 @@ pub struct CompiledTape {
     /// Words per context slot: the lane count the tape was specialized
     /// for, rounded up to whole chunks.
     pub(crate) lane_stride: usize,
+    /// Ring bases a run keeps per iteration: one per distance `0..dists`
+    /// at which a context slot is read (at least 1: results land at 0).
+    pub(crate) dists: u32,
+    /// Iteration-id bases: one per distance at which `IterId` is read (0
+    /// when it is not).
+    pub(crate) iter_dists: u32,
+    /// The largest distance any operand reads at: from iteration `warm` on,
+    /// every operand is its steady-state row.
+    pub(crate) warm: u32,
 }
 
 impl CompiledTape {
@@ -187,58 +188,180 @@ impl CompiledTape {
         self.depth * self.row_words
     }
 
-    /// Resolve `s` for iteration `j` down to a per-lane read.
-    #[inline]
-    pub(crate) fn rsrc(&self, s: Src, j: u64) -> RSrc {
-        match s {
-            Src::Imm(w) => RSrc::Imm(w),
-            Src::Lane => RSrc::Lane,
-            Src::Iter { d, init } => {
-                if u64::from(d) > j {
-                    RSrc::Imm(init)
-                } else {
-                    RSrc::Imm((j - u64::from(d)) as Word)
-                }
+    /// Test support, not API: the lane rows (whole chunks) each micro-op of
+    /// this tape, compiled from `kernel` for `lanes` lanes, reads as its
+    /// three operands in tape order, at iteration `j` of a run whose
+    /// context ring holds `ctx` once iterations up to `j` are active. An
+    /// operand the op does not read yields some row.
+    #[doc(hidden)]
+    pub fn operand_rows(
+        &self,
+        kernel: &Kernel,
+        lanes: usize,
+        ctx: &[Word],
+        j: u64,
+    ) -> Vec<[Vec<Word>; 3]> {
+        let mut ring = Ring::new(self, kernel, lanes);
+        for k in self.depth as u64..=j {
+            ring.activate(k);
+        }
+        ring.words[..self.ring_words()].copy_from_slice(ctx);
+        let mut frame = ring.frame(j);
+        let steady = j >= u64::from(self.warm);
+        (self.ops.iter())
+            .map(|mop| {
+                let at = frame.operands(mop, steady);
+                at.map(|at| frame.words[at..at + self.lane_stride].to_vec())
+            })
+            .collect()
+    }
+}
+
+/// A run's context ring and the rows it appends past it, where every
+/// operand reads: `words` is the ring (`ring_words`, what a snapshot
+/// holds), then one constant row per constant producer of the kernel
+/// ([`const_word`]), the iteration-id rows (one per ring row, holding the
+/// id of the iteration in it, when the kernel reads `IterId`), three rows
+/// a warm-up iteration stages `init` operands in, and a sink row for
+/// results no op reads. Rows are `lane_stride` words; the ring's are
+/// `row_words`.
+#[derive(Debug)]
+pub(crate) struct Ring {
+    pub words: Vec<Word>,
+    /// Per ring row `r`, `width` bases: where each [`Opnd::base`] points
+    /// while the iteration firing sits in row `r`.
+    bases: Vec<usize>,
+    width: usize,
+    mask: u64,
+    row_words: usize,
+    stride: usize,
+    /// First iteration-id row, when the kernel reads `IterId`.
+    ids: Option<usize>,
+    /// First warm-up row; the sink follows the third.
+    warm: usize,
+}
+
+impl Ring {
+    /// The ring of a fresh run of `tape`, compiled from `kernel` for
+    /// `lanes` lanes: context zeroed, iterations `0..depth` active.
+    pub(crate) fn new(tape: &CompiledTape, kernel: &Kernel, lanes: usize) -> Ring {
+        let (stride, depth, ring_words) = (tape.lane_stride, tape.depth, tape.ring_words());
+        let consts = (kernel.ops.iter().map(|op| op.opcode))
+            .filter(|&opc| const_word(opc, lanes, 0).is_some());
+        let ids = ring_words + consts.clone().count() * stride;
+        let id_rows = if tape.iter_dists > 0 { depth } else { 0 };
+        let warm = ids + id_rows * stride;
+        // One allocation of the final size: a ring can be hundreds of KiB.
+        let mut words = vec![0; warm + 4 * stride];
+        let rows = words[ring_words..ids].chunks_exact_mut(stride);
+        for (row, opc) in rows.zip(consts) {
+            for (lane, w) in row.iter_mut().enumerate() {
+                *w = const_word(opc, lanes, lane).unwrap_or(0);
             }
-            Src::CarriedImm { d, init, val } => {
-                RSrc::Imm(if u64::from(d) > j { init } else { val })
-            }
-            Src::CarriedLane { d, init } => {
-                if u64::from(d) > j {
-                    RSrc::Imm(init)
-                } else {
-                    RSrc::Lane
-                }
-            }
-            Src::Ctx0 { slot } => RSrc::Base(self.row_base(j, slot)),
-            Src::Ctx { slot, d, init } => {
-                if u64::from(d) > j {
-                    RSrc::Imm(init)
-                } else {
-                    RSrc::Base(self.row_base(j - u64::from(d), slot))
-                }
+        }
+        let ids = (tape.iter_dists > 0).then_some(ids);
+        let (dists, iter_dists) = (tape.dists as usize, tape.iter_dists as usize);
+        let width = 1 + dists + iter_dists;
+        let mut bases = Vec::with_capacity(depth * width);
+        for r in 0..depth {
+            // The ring row `d` iterations behind row `r` (`d < depth`).
+            let back = |d: usize| (r + depth - d) % depth;
+            bases.push(ring_words);
+            bases.extend((0..dists).map(|d| back(d) * tape.row_words));
+            let id_at = ids.unwrap_or(0);
+            bases.extend((0..iter_dists).map(|d| id_at + back(d) * stride));
+        }
+        let mut ring = Ring {
+            words,
+            bases,
+            width,
+            mask: tape.mask,
+            row_words: tape.row_words,
+            stride,
+            ids,
+            warm,
+        };
+        ring.restore_ids(depth as u64);
+        ring
+    }
+
+    /// Iteration `k` enters the pipeline: its ring row is zeroed (consumers
+    /// read slots of not-yet-fired producers as 0) and its id recorded.
+    pub(crate) fn activate(&mut self, k: u64) {
+        let r = (k & self.mask) as usize;
+        self.words[r * self.row_words..][..self.row_words].fill(0);
+        if let Some(ids) = self.ids {
+            self.words[ids + r * self.stride..][..self.stride].fill(k as Word);
+        }
+    }
+
+    /// Rewrite the iteration-id rows of the iterations active when `next`
+    /// is the first not yet activated (after a snapshot restore).
+    pub(crate) fn restore_ids(&mut self, next: u64) {
+        if let Some(ids) = self.ids {
+            for k in next.saturating_sub(self.mask + 1)..next {
+                let r = (k & self.mask) as usize;
+                self.words[ids + r * self.stride..][..self.stride].fill(k as Word);
             }
         }
     }
 
-    /// Ring offset of `(iteration j, context slot)` lane 0.
+    /// The rows, the bases pointing at iteration `j`: its ring row and
+    /// those behind it, its id row and those behind it.
     #[inline]
-    pub(crate) fn row_base(&self, j: u64, slot: u16) -> usize {
-        (j & self.mask) as usize * self.row_words + slot as usize * self.lane_stride
+    pub(crate) fn frame(&mut self, j: u64) -> Frame<'_> {
+        let r = (j & self.mask) as usize;
+        Frame {
+            words: &mut self.words,
+            bases: &self.bases[r * self.width..][..self.width],
+            j,
+            stride: self.stride,
+            warm: self.warm,
+        }
     }
 }
 
-/// Chunk `c` (lanes `c * CHUNK..`) of a resolved source: one match per
-/// chunk is all the dispatch an operand costs. Lanes past the machine's
-/// last hold whatever the same arithmetic makes of them, never read out.
-#[inline]
-pub(crate) fn row_chunk(ring: &[Word], r: RSrc, c: usize) -> [Word; CHUNK] {
-    match r {
-        RSrc::Imm(w) => [w; CHUNK],
-        RSrc::Lane => std::array::from_fn(|i| (c * CHUNK + i) as Word),
-        RSrc::Base(b) => {
-            let row = &ring[b + c * CHUNK..][..CHUNK];
-            row.try_into().expect("a chunk-long slice")
+/// A [`Ring`] with its bases pointing at iteration `j`: where the ops of
+/// one group read and write.
+pub(crate) struct Frame<'a> {
+    pub words: &'a mut [Word],
+    bases: &'a [usize],
+    j: u64,
+    stride: usize,
+    /// First warm-up row; the sink follows the third.
+    warm: usize,
+}
+
+impl Frame<'_> {
+    /// Where `mop`'s operands read. In `steady` state, past the tape's
+    /// largest distance, that is a base plus an offset each. Before it, an
+    /// operand still inside its own distance has `init` staged in a
+    /// warm-up row.
+    #[inline]
+    pub(crate) fn operands(&mut self, mop: &MicroOp, steady: bool) -> [usize; 3] {
+        let ops = [mop.a, mop.b, mop.c];
+        if steady {
+            return ops.map(|o| self.bases[o.base as usize] + o.off as usize);
+        }
+        std::array::from_fn(|k| {
+            let o = ops[k];
+            if self.j >= u64::from(o.d) {
+                return self.bases[o.base as usize] + o.off as usize;
+            }
+            let at = self.warm + k * self.stride;
+            self.words[at..at + self.stride].fill(o.init);
+            at
+        })
+    }
+
+    /// Where a result for the context slot at `dst` in a ring row goes:
+    /// there in the iteration's row, or the sink when no op reads it.
+    #[inline]
+    pub(crate) fn dst(&self, dst: u32) -> usize {
+        if dst == NO_DST {
+            self.warm + 3 * self.stride
+        } else {
+            self.bases[1] + dst as usize
         }
     }
 }
@@ -254,54 +377,31 @@ fn is_pure_alu(opc: Opcode) -> bool {
     matches!(opc.class(), OpClass::Alu | OpClass::Divider)
 }
 
-fn compile_src(kernel: &Kernel, ctx_slot: &[u16], lanes: usize, o: &Operand) -> Src {
-    let producer = kernel.ops[o.value.index()].opcode;
-    let d = o.distance;
-    match producer {
-        Opcode::Const(w) => {
-            if d == 0 {
-                Src::Imm(w)
-            } else {
-                Src::CarriedImm {
-                    d,
-                    init: o.init,
-                    val: w,
-                }
-            }
-        }
-        Opcode::LaneCount => {
-            if d == 0 {
-                Src::Imm(lanes as Word)
-            } else {
-                Src::CarriedImm {
-                    d,
-                    init: o.init,
-                    val: lanes as Word,
-                }
-            }
-        }
-        Opcode::LaneId => {
-            if d == 0 {
-                Src::Lane
-            } else {
-                Src::CarriedLane { d, init: o.init }
-            }
-        }
-        Opcode::IterId => Src::Iter { d, init: o.init },
-        _ => {
-            let slot = ctx_slot[o.value.index()];
-            debug_assert_ne!(slot, NO_DST, "ctx-read of an unslotted value");
-            if d == 0 {
-                Src::Ctx0 { slot }
-            } else {
-                Src::Ctx {
-                    slot,
-                    d,
-                    init: o.init,
-                }
-            }
-        }
+/// The word lane `lane` of a constant row holds, for a producer that has
+/// one: every `Const`, `LaneCount` and `LaneId` op of a kernel, in op
+/// order, gets a row that each run of its tapes appends past the ring
+/// ([`Ring::new`]). Tapes store none of them.
+pub(crate) fn const_word(opc: Opcode, lanes: usize, lane: usize) -> Option<Word> {
+    match opc {
+        Opcode::Const(w) => Some(w),
+        Opcode::LaneCount => Some(lanes as Word),
+        Opcode::LaneId => Some(lane as Word),
+        _ => None,
     }
+}
+
+/// Where an operand reads: see [`Opnd`]. `row_of` is the context slot of
+/// every op read through the context and the constant row of every
+/// constant producer, in words.
+fn compile_opnd(kernel: &Kernel, row_of: &[u32], dists: u32, o: &Operand) -> Opnd {
+    let v = o.value.index();
+    let (d, init) = (o.distance, o.init);
+    let (base, off) = match kernel.ops[v].opcode {
+        Opcode::IterId => (1 + dists + d, 0),
+        opc if is_free(opc) => (CONST_BASE, row_of[v]),
+        _ => (1 + d, row_of[v]),
+    };
+    Opnd { base, off, d, init }
 }
 
 /// Whether an op of this kind can stall the kernel (pure arithmetic, the
@@ -320,35 +420,55 @@ fn can_stall(kind: MicroKind) -> bool {
     )
 }
 
-/// The live micro-ops of every schedule slot, and how many context slots
-/// they use. Op order is preserved within a slot: ops fire as `(iteration,
-/// op)` pairs sorted by op index, and stall attribution (which blocker a
-/// stalled cycle names) depends on that order.
-fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> (Vec<Vec<MicroOp>>, u16) {
-    let n_ops = kernel.ops.len();
+/// A kernel's live micro-ops, per schedule slot, and the ring geometry
+/// they read.
+struct Lowered {
+    by_slot: Vec<Vec<MicroOp>>,
+    n_ctx: u32,
+    dists: u32,
+    iter_dists: u32,
+}
 
-    // Which values are read through the context? Free producers are
-    // resolved inline by consumers (folded into `Src`), and the operand of
-    // an `IdxRead` is a scheduling token that is never resolved at all.
+/// The live micro-ops of every schedule slot, and the context slots and
+/// bases they use. Op order is preserved within a slot: ops fire as
+/// `(iteration, op)` pairs sorted by op index, and stall attribution (which
+/// blocker a stalled cycle names) depends on that order.
+fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Lowered {
+    let n_ops = kernel.ops.len();
+    let stride = lanes.next_multiple_of(CHUNK) as u32;
+
+    // Which values are read through the context, and at what distances?
+    // Free producers are read from the rows a run appends past its ring,
+    // and the operand of an `IdxRead` is a scheduling token that is never
+    // resolved at all.
     let mut ctx_read = vec![false; n_ops];
+    let (mut dists, mut iter_dists) = (1, 0);
     for op in &kernel.ops {
         if matches!(op.opcode, Opcode::IdxRead(_)) {
             continue;
         }
         for o in &op.operands {
-            if !is_free(kernel.ops[o.value.index()].opcode) {
-                ctx_read[o.value.index()] = true;
+            match kernel.ops[o.value.index()].opcode {
+                Opcode::IterId => iter_dists = iter_dists.max(o.distance + 1),
+                opc if is_free(opc) => {}
+                _ => {
+                    ctx_read[o.value.index()] = true;
+                    dists = dists.max(o.distance + 1);
+                }
             }
         }
     }
 
-    // Dense context slots, in op order.
-    let mut ctx_slot = vec![NO_DST; n_ops];
-    let mut n_ctx: u16 = 0;
-    for i in 0..n_ops {
+    // Dense context slots and constant rows, in op order.
+    let mut row_of = vec![0; n_ops];
+    let (mut n_ctx, mut n_const) = (0, 0);
+    for (i, op) in kernel.ops.iter().enumerate() {
         if ctx_read[i] {
-            ctx_slot[i] = n_ctx;
+            row_of[i] = n_ctx * stride;
             n_ctx += 1;
+        } else if const_word(op.opcode, lanes, 0).is_some() {
+            row_of[i] = n_const * stride;
+            n_const += 1;
         }
     }
 
@@ -377,11 +497,11 @@ fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> (Vec<Vec<MicroOp>>,
             continue;
         }
         let op = &kernel.ops[i];
-        let src = |k: usize| compile_src(kernel, &ctx_slot, lanes, &op.operands[k]);
-        let zero = Src::Imm(0);
+        let src = |k: usize| compile_opnd(kernel, &row_of, dists, &op.operands[k]);
+        let zero = Opnd::default();
         use Opcode::*;
         let (kind, a, b, c) = match op.opcode {
-            SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, Src::Imm(1), zero, zero),
+            SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, zero, zero, zero),
             SeqWrite(s) => (MicroKind::SeqWrite { slot: s.0 }, src(0), zero, zero),
             CondLaneRead(s) => (MicroKind::CondLaneRead { slot: s.0 }, src(0), zero, zero),
             CondRead(s) => (MicroKind::CondRead { slot: s.0 }, src(0), zero, zero),
@@ -428,10 +548,15 @@ fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> (Vec<Vec<MicroOp>>,
                 )
             }
         };
-        let dst = ctx_slot[i];
+        let dst = if ctx_read[i] { row_of[i] } else { NO_DST };
         by_slot[s as usize].push(MicroOp { kind, dst, a, b, c });
     }
-    (by_slot, n_ctx)
+    Lowered {
+        by_slot,
+        n_ctx,
+        dists,
+        iter_dists,
+    }
 }
 
 /// The iteration a group of pipeline stage `stage` fires for while `base`
@@ -447,7 +572,12 @@ pub(crate) fn iteration(base: u64, stage: u32, iters: u64) -> Option<u64> {
 /// Lower `kernel`/`sched` for `lanes` lanes. See the module docs for the
 /// transformation; [`cached_tape`] is the memoized entry point.
 pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> CompiledTape {
-    let (by_slot, n_ctx) = lower(kernel, sched, lanes);
+    let Lowered {
+        by_slot,
+        n_ctx,
+        dists,
+        iter_dists,
+    } = lower(kernel, sched, lanes);
     let ii = sched.ii as usize;
     let mut ops: Vec<MicroOp> = Vec::new();
     let mut checks: Vec<Check> = Vec::new();
@@ -512,8 +642,11 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         checks,
         depth,
         mask: depth as u64 - 1,
-        row_words: usize::from(n_ctx) * lane_stride,
+        row_words: n_ctx as usize * lane_stride,
         lane_stride,
+        dists,
+        iter_dists,
+        warm: max_dist,
     }
 }
 
@@ -582,12 +715,22 @@ mod tests {
             .iter()
             .find(|m| matches!(m.kind, MicroKind::Alu(Opcode::Mul)))
             .expect("mul survives");
-        assert!(matches!(mul.a, Src::Ctx0 { .. }));
-        assert!(matches!(mul.b, Src::Imm(7)));
+        // `x` from this iteration's row, `7` from the first constant row.
+        assert_eq!((mul.a.base, mul.a.off, mul.a.d), (1, 0, 0));
+        assert_eq!((mul.b.base, mul.b.off), (CONST_BASE, 0));
+        assert_eq!((tape.dists, tape.iter_dists), (1, 0));
         // Stall checks cover exactly the two stream ops.
         assert_eq!(tape.checks.len(), 2);
         assert!(tape.depth.is_power_of_two());
         assert!(tape.depth as u32 >= sched.stages());
+    }
+
+    /// A resident tape costs its micro-ops: the operand form may not grow
+    /// them past the 60 bytes of the three-`Src` form it replaced, and a
+    /// tape stores no constant rows (a run appends them).
+    #[test]
+    fn micro_ops_stay_within_sixty_bytes() {
+        assert!(std::mem::size_of::<MicroOp>() <= 60);
     }
 
     /// One firing: `(iteration, schedule slot, position among the slot's
@@ -617,7 +760,7 @@ mod tests {
     /// fire the `(iteration, op)` sequence the slot walk fires and scan the
     /// checks it scans, in its order.
     fn assert_phase_lists_match_slot_walk(kernel: &Kernel, sched: &Schedule, iters: u64) {
-        let (by_slot, _) = lower(kernel, sched, 8);
+        let by_slot = lower(kernel, sched, 8).by_slot;
         let tape = compile(kernel, sched, 8);
         let ii = u64::from(sched.ii);
         assert_eq!(tape.phases.len() as u64, ii);

@@ -5,6 +5,12 @@
 //! output memory. The programs are the first 24 of the
 //! [`isrf_gen::Recipe`] corpus, on every configuration each runs on; a
 //! third of them pause with an in-lane indexed lookup in flight.
+//!
+//! A kernel run's constant rows (immediates, lane ids, iteration ids, the
+//! warm-up rows) live past its context ring and are rebuilt when the run
+//! binds, never saved: the second test pauses loop-carried kernels inside
+//! their warm-up iterations and in steady state and holds the restored
+//! machine's snapshot bytes and finish to the paused one's.
 
 use std::sync::Arc;
 
@@ -13,7 +19,8 @@ use isrf_core::stats::RunStats;
 use isrf_core::Word;
 use isrf_gen::{Generated, Recipe};
 use isrf_sim::Machine;
-use isrf_trace::{TraceEvent, Tracer};
+use isrf_sim::ProgOp;
+use isrf_trace::{CycleAttr, TraceEvent, Tracer};
 use isrf_verify::Verifier;
 use proptest::test_runner::TestRng;
 
@@ -92,4 +99,56 @@ fn snapshot_resume_is_invisible() {
         }
     }
     assert_eq!(ran, cases, "cases run per config of {:?}", ConfigName::ALL);
+}
+
+/// Paused at the second advancing cycle of a loop-carried kernel (inside
+/// its warm-up iterations) and half-way through its advancing cycles
+/// (steady state), a machine and its restored copy save the same
+/// `ISRFSNAP` bytes and finish the same way, as the straight run does.
+#[test]
+fn constant_rows_are_rebuilt_not_saved() {
+    let mut paused = 0;
+    for r in Recipe::corpus(24).into_iter().filter(|r| r.iters >= 16) {
+        for &cfg in r.configs() {
+            let Some(g) = r.generate(&MachineConfig::preset(cfg)) else {
+                continue;
+            };
+            let carried = (0..g.program.len()).any(|i| match g.program.node(i).0 {
+                ProgOp::Kernel { kernel, .. } => kernel
+                    .ops
+                    .iter()
+                    .any(|op| op.operands.iter().any(|o| o.distance > 0)),
+                _ => false,
+            });
+            if !carried {
+                continue;
+            }
+            let straight = run_straight(&g);
+            let advances: Vec<u64> = (straight.1.iter())
+                .filter(|(_, e)| *e == TraceEvent::Cycle(CycleAttr::Advance))
+                .map(|&(at, _)| at)
+                .collect();
+            for at in [advances[1], advances[advances.len() / 2]] {
+                let mut m = fresh(&g);
+                assert!(m.run_for(&g.program, at + 1).is_none(), "ended by {at}");
+                let snapshot = m.save_state(&g.program);
+                let mut r2 = fresh(&g);
+                r2.restore_state(&g.program, &snapshot)
+                    .expect("snapshot fits");
+                assert!(
+                    r2.save_state(&g.program) == snapshot,
+                    "restored bytes differ on {cfg} at {at}: {r:?}"
+                );
+                drain_events(&mut m);
+                drain_events(&mut r2);
+                let (a, b) = (m.run(&g.program), r2.run(&g.program));
+                assert_eq!(a, b, "finish differs on {cfg} at {at}: {r:?}");
+                assert_eq!(a, straight.0, "stats differ on {cfg} at {at}: {r:?}");
+                assert_eq!(outputs(&m, &g), outputs(&r2, &g));
+                assert_eq!(outputs(&r2, &g), straight.2);
+                paused += 1;
+            }
+        }
+    }
+    assert!(paused >= 8, "only {paused} pauses");
 }

@@ -473,7 +473,7 @@ proptest! {
                 // pop, an empty one that need not wait is done.
                 let mut only = vec![0; s.lanes];
                 only[lane] = 1;
-                let waits = new.blocked_lane(&only, now).is_some();
+                let waits = new.blocked_lane(Some(&only), now).is_some();
                 let held = new.buffered_words(lane);
                 prop_assert_eq!(held, old.buffered_words(lane));
                 prop_assert_eq!(held > 0 && !waits, old.can_pop(lane, now));
@@ -482,7 +482,9 @@ proptest! {
                     blocked = Some(lane);
                 }
             }
-            prop_assert_eq!(new.blocked_lane(&vec![1; s.lanes], now), blocked);
+            // No condition is every lane asserting.
+            prop_assert_eq!(new.blocked_lane(None, now), blocked);
+            prop_assert_eq!(new.blocked_lane(Some(&vec![1; s.lanes]), now), blocked);
             match what {
                 0 | 1 => {
                     let moved = new.grant(&srf, s.m, now, s.latency);
@@ -496,9 +498,9 @@ proptest! {
                             *c = 0;
                         }
                     }
-                    prop_assert_eq!(new.blocked_lane(&cond, now), None);
+                    prop_assert_eq!(new.blocked_lane(Some(&cond), now), None);
                     let mut row = vec![9; s.lanes];
-                    new.pop_row(&cond, &mut row);
+                    new.pop_row(Some(&cond), &mut row);
                     for (lane, &c) in cond.iter().enumerate() {
                         let want = if c != 0 && !old.lane_done(lane) { old.pop(lane) } else { 0 };
                         prop_assert_eq!(row[lane], want, "lane {}", lane);
