@@ -46,7 +46,9 @@ cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify -p 
 echo "==> cargo test --release --test differential (all 32 x 15 perturbed configs)"
 # The debug run above takes three timing perturbations per point; the
 # optimised build drives all fifteen through both oracles and holds output
-# words, indexed word counts and off-chip bytes to the preset run's.
+# words, indexed word counts and off-chip bytes to the committed preset
+# line. Its writer checks every column of tests/golden/points.digest but the
+# four HostWork ones, which only a debug build counts.
 cargo test -q --release --test differential
 
 echo "==> cargo fmt --check"
@@ -181,17 +183,35 @@ fi
 echo "==> one way to count work (grep gate)"
 # The simulator's host work is counted per machine, in debug builds only, in
 # `isrf_core::stats::HostWork` (read with `Machine::work`), and held by one
-# golden, tests/golden/hostwork.digest. No process-global counter in the
+# golden, tests/golden/points.digest. No process-global counter in the
 # crates; the global head counter and the memory channel's own work type
-# must not come back, nor a hand-kept table of counts in the two tests that
-# write and read the digest (a count has four digits or more).
+# must not come back, nor a hand-kept table of counts in the tests that
+# read the digest (a count has four digits or more).
 if grep -rnE 'static +(mut +)?[A-Za-z_0-9]+ *:.*Atomic' crates/*/src \
   || grep -rn -e 'HEADS_EXAMINED' -e 'MemWork' src crates tests examples; then
   echo "a second work counter: add a field to isrf_core::stats::HostWork" >&2
   exit 1
 fi
-if grep -nE '[0-9]_?[0-9]{3}' tests/idx_work.rs tests/mem_work.rs; then
-  echo "a hand-kept work table: the counts live in tests/golden/hostwork.digest" >&2
+if grep -nE '[0-9]_?[0-9]{3}' tests/mem_work.rs tests/idx_work.rs tests/paper_claims.rs \
+  crates/bench/tests/analyzer.rs; then
+  echo "a hand-kept table of counts: they live in tests/golden/points.digest" >&2
+  exit 1
+fi
+
+echo "==> one record per point (grep gate)"
+# Every number a (app, config, profile) point has is one line of
+# tests/golden/points.digest, which tests/differential.rs alone writes;
+# every other test reads it with isrf_check::Columns. The three digests it
+# replaced must not come back, nor a second per-point golden.
+for f in tests/golden/{basket,hostwork,prepared}.digest; do
+  if [[ -e "$f" ]]; then
+    echo "$f is back: its columns are lines of tests/golden/points.digest" >&2
+    exit 1
+  fi
+done
+if grep -rn '\.digest"' tests crates/*/tests \
+  | grep -v -e '[/"]points\.digest"' -e '/proptest_kernels\.digest"'; then
+  echo "a second per-point golden: add a column to tests/golden/points.digest" >&2
   exit 1
 fi
 
@@ -236,7 +256,12 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # pop condition, `Machine::work`'s micro-op count, the lock-step hook; less
 # `Src`, `RSrc`, `rsrc`, `row_chunk`, `stage` and the staging rows) and
 # isrf-core +2 (`HostWork::ops`).
-loc_ceiling=25959
+# Raised by exactly its net +83 when one digest line per point replaced
+# three goldens: isrf-check +83 (`POINTS_DIGEST` and `Columns`, the one
+# place that names the file and the one reader of a line's `key=value`
+# columns; `words_digest`, the `out` column; and `run_differential` keeping
+# a recording tracer its caller installed).
+loc_ceiling=26042
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

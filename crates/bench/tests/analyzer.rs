@@ -3,13 +3,15 @@
 //! find no diagnostic and reproduce the committed golden
 //! (`results/VERIFY_report{,_paper}.json`) byte for byte; and the static
 //! cycle floor must be a sound and useful lower bound on simulation
-//! (`-- --nocapture` prints each point's floor and simulated cycles).
+//! (`-- --nocapture` prints each point's floor and simulated cycles). The
+//! simulated cycles are the committed ones of `tests/golden/points.digest`,
+//! so the floor tests prepare each point but run none.
 
 use std::path::Path;
 use std::process::Command;
 
 use isrf_apps::{prepare_app, Profile, APPS};
-use isrf_check::{golden, run_parallel};
+use isrf_check::{golden, points_digest, run_parallel, Columns};
 use isrf_core::config::ConfigName;
 use isrf_trace::json::Json;
 
@@ -53,14 +55,16 @@ fn report_matches_golden_paper() {
 }
 
 fn floor_is_sound_and_tight(profile: Profile) {
+    let digest = points_digest();
     let points: Vec<(&str, ConfigName)> = APPS
         .iter()
+        .chain(&["IG_SCL", "IG_DMS", "IG_DCS"])
         .flat_map(|&app| ConfigName::ALL.map(|cfg| (app, cfg)))
         .collect();
     let failed: Vec<String> = run_parallel(&points, |&(app, cfg)| {
-        let mut pr = prepare_app(app, cfg, profile);
+        let pr = prepare_app(app, cfg, profile);
         let floor = isrf_verify::cost_model(pr.machine.config(), &pr.program).cycle_floor;
-        let sim = pr.machine.run(&pr.program).cycles;
+        let sim = Columns::find(&digest, &format!("{app} {cfg} {profile:?}")).u64("cycles");
         let pct = (floor * 100).checked_div(sim).unwrap_or(100);
         println!("{app:<8} {cfg:<5} floor {floor:>8} of {sim:>8} simulated ({pct}%)");
         (floor > sim || pct < MIN_FLOOR_PCT)

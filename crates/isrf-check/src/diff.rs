@@ -3,9 +3,9 @@
 use std::fmt;
 
 use isrf_core::stats::RunStats;
-use isrf_sim::machine::Machine;
+use isrf_sim::machine::{Machine, SimError};
 use isrf_sim::program::StreamProgram;
-use isrf_trace::Tracer;
+use isrf_trace::{Recorder, Tracer};
 
 use crate::refexec::{RefCounts, RefMachine};
 
@@ -108,10 +108,11 @@ pub struct DiffOutcome {
 /// * the entire SRF,
 /// * the machine's indexed SRF word counts against the reference's.
 ///
-/// The machine additionally runs under a recording [`Tracer`]; the
-/// event-stream audit must reconstruct the machine's reported Figure-12
-/// cycle breakdown exactly, and any failure report carries the last few
-/// trace events for context.
+/// The machine additionally runs under a recording [`Tracer`]: the one the
+/// caller installed, which stays installed and holds the whole run, or
+/// else one kept for the run alone. The event-stream audit must
+/// reconstruct the machine's reported Figure-12 cycle breakdown exactly,
+/// and any failure report carries the last few trace events for context.
 ///
 /// # Errors
 ///
@@ -137,12 +138,29 @@ pub fn run_differential(
     }
     let mut reference = RefMachine::from_machine(machine);
     reference.run(program);
-    let prev = machine.set_tracer(Tracer::recording(TRACE_TAIL));
+    let own = !machine.tracer().enabled();
+    if own {
+        machine.set_tracer(Tracer::recording(TRACE_TAIL));
+    }
     let ran = machine.step(program, u64::MAX);
-    let recorder = machine
-        .set_tracer(prev)
-        .into_recorder()
-        .expect("recording tracer was installed");
+    let tracer = machine.take_tracer();
+    let recorder = tracer.recorder().expect("recording tracer was installed");
+    let result = compare(machine, &reference, outputs, ran, recorder);
+    if !own {
+        machine.set_tracer(tracer);
+    }
+    result
+}
+
+/// The rest of [`run_differential`], once both sides have run: the
+/// machine's outcome `ran`, recorded by `recorder`, against `reference`.
+fn compare(
+    machine: &Machine,
+    reference: &RefMachine,
+    outputs: &[(u32, u32)],
+    ran: Result<Option<RunStats>, SimError>,
+    recorder: &Recorder,
+) -> Result<DiffOutcome, DiffFailure> {
     let stats = match ran {
         Ok(stats) => stats.expect("an unbounded step completes or fails"),
         Err(e) => {

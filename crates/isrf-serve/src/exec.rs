@@ -387,14 +387,16 @@ mod tests {
     fn named_point_runs_and_matches_direct() {
         let mut r = PointRunner::new(&sort_spec(), false).unwrap();
         let out = r.run(10_000, |_| true).unwrap();
-        // Direct run through the same preparation path.
-        let mut pr = prepare_app("sort", ConfigName::Isrf4, Profile::Small);
-        let stats = pr.machine.run(&pr.program);
-        assert_eq!(out.stats, stats);
-        for ((_, got), &(base, words)) in out.outputs.iter().zip(&pr.outputs) {
-            let want = pr.machine.mem().memory().read_block(base, words as usize);
-            assert_eq!(*got, want);
-        }
+        // The direct run through the same preparation path, as
+        // `tests/golden/points.digest` commits it: full stats and words.
+        let digest = isrf_check::points_digest();
+        let direct = isrf_check::Columns::find(&digest, "sort ISRF4 Small");
+        let mut enc = isrf_core::snap::Enc::new();
+        out.stats.encode_state(&mut enc);
+        let stats = format!("{:016x}", isrf_core::snap::fnv1a(&enc.into_bytes()));
+        assert_eq!(stats, direct.get("stats"));
+        let words = out.outputs.iter().flat_map(|(_, w)| w.iter().copied());
+        assert_eq!(isrf_check::words_digest(words), direct.get("out"));
     }
 
     #[test]

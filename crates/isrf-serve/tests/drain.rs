@@ -1,16 +1,26 @@
 //! Graceful drain: killing a server mid-run checkpoints in-flight jobs
 //! to the snapshot directory, and a fresh server on the same directory
-//! resumes them cycle-exactly — the resumed result is word-for-word
-//! identical to an uninterrupted run. A file that does not parse is set
+//! resumes them cycle-exactly — the resumed result has the cycles and
+//! output words of the uninterrupted run `tests/golden/points.digest`
+//! commits. A file that does not parse is set
 //! aside, and a checkpoint the machine rejects costs its progress only.
 
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use isrf_apps::{prepare_app, Profile};
+use isrf_apps::Profile;
+use isrf_check::{points_digest, words_digest, Columns};
 use isrf_core::config::ConfigName;
 use isrf_serve::{AppRef, Client, Json, PointRunner, PointSpec, Server, ServerConfig, Stopped};
 use isrf_sim::ExecEngine;
+
+/// sort/ISRF4 at Paper size as `tests/golden/points.digest` commits it:
+/// `(cycles, digest of the output words)`.
+fn committed_sort_paper() -> (u64, String) {
+    let digest = points_digest();
+    let point = Columns::find(&digest, "sort ISRF4 Paper");
+    (point.u64("cycles"), point.get("out").to_string())
+}
 
 fn snapshot_dir(tag: &str) -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("drain-{tag}"));
@@ -100,33 +110,21 @@ fn drain_mid_run_then_resume_matches_uninterrupted_run() {
     let result = resp.json().unwrap();
     let point = &result.get("points").and_then(Json::as_arr).unwrap()[0];
 
-    // Oracle: the same point run uninterrupted in-process.
-    let mut pr = prepare_app("sort", ConfigName::Isrf4, Profile::Paper);
-    let stats = pr.machine.run(&pr.program);
+    // Oracle: the same point run uninterrupted in-process, as committed.
+    let (cycles, out) = committed_sort_paper();
     assert_eq!(
         point.get("cycles").and_then(Json::as_u64),
-        Some(stats.cycles),
+        Some(cycles),
         "resumed run must be cycle-exact"
     );
     let outs = point.get("outputs").and_then(Json::as_arr).unwrap();
-    for (o, &(base, words)) in outs.iter().zip(&pr.outputs) {
-        let want: Vec<u64> = pr
-            .machine
-            .mem()
-            .memory()
-            .read_block(base, words as usize)
-            .into_iter()
-            .map(u64::from)
-            .collect();
-        let got: Vec<u64> = o
-            .get("words")
-            .and_then(Json::as_arr)
-            .unwrap()
+    let words = outs.iter().flat_map(|o| {
+        let words = o.get("words").and_then(Json::as_arr).unwrap();
+        words
             .iter()
-            .map(|w| w.as_u64().unwrap())
-            .collect();
-        assert_eq!(got, want, "resumed outputs diverge");
-    }
+            .map(|w| u32::try_from(w.as_u64().unwrap()).unwrap())
+    });
+    assert_eq!(words_digest(words), out, "resumed outputs diverge");
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -271,10 +269,7 @@ fn queued_jobs_survive_a_drain_too() {
 
     let server = Server::start(cfg).unwrap();
     let mut client = Client::new(server.addr());
-    let want_cycles = {
-        let mut pr = prepare_app("sort", ConfigName::Isrf4, Profile::Paper);
-        pr.machine.run(&pr.program).cycles
-    };
+    let (want_cycles, _) = committed_sort_paper();
     for id in ids {
         let st = client.wait_job(id, Duration::from_secs(240)).unwrap();
         assert_eq!(

@@ -1,5 +1,6 @@
 //! End-to-end coverage of the job server over real sockets: submissions
-//! match direct in-process runs word-for-word, sweeps shard across
+//! match the committed in-process runs of `tests/golden/points.digest`
+//! (cycles and the digest of every output word), sweeps shard across
 //! workers, memoization serves repeats from cache, the queue bound
 //! produces 429 + `Retry-After`, cancellation lands within a slice, the
 //! error paths return the right statuses, and the `isrf-serve` binary
@@ -9,7 +10,8 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Duration;
 
-use isrf_apps::{prepare_app, Profile};
+use isrf_apps::Profile;
+use isrf_check::{points_digest, words_digest, Columns};
 use isrf_core::config::ConfigName;
 use isrf_serve::{Client, Json, Server, ServerConfig};
 
@@ -27,24 +29,24 @@ fn start(workers: usize, queue_cap: usize, chunk: u64) -> (Server, Client) {
     (server, client)
 }
 
-/// Direct in-process run: the oracle the server must match word-for-word.
-fn direct(app: &str, cfg: ConfigName, profile: Profile) -> (u64, Vec<Vec<u64>>) {
-    let mut pr = prepare_app(app, cfg, profile);
-    let stats = pr.machine.run(&pr.program);
-    let outs = pr
-        .outputs
-        .iter()
-        .map(|&(base, words)| {
-            pr.machine
-                .mem()
-                .memory()
-                .read_block(base, words as usize)
-                .into_iter()
-                .map(u64::from)
-                .collect()
-        })
-        .collect();
-    (stats.cycles, outs)
+/// `app` on `cfg` at `profile` as `tests/golden/points.digest` commits it,
+/// `(cycles, digest of the output words)`: the oracle the server must
+/// match. The digest's writer ran the point in-process.
+fn direct(app: &str, cfg: ConfigName, profile: Profile) -> (u64, String) {
+    let digest = points_digest();
+    let point = Columns::find(&digest, &format!("{app} {cfg} {profile:?}"));
+    (point.u64("cycles"), point.get("out").to_string())
+}
+
+/// `(cycles, digest of the output words)` of a result payload point, as
+/// [`direct`] reads them.
+fn point_digest(point: &Json) -> (u64, String) {
+    let (cycles, outs) = point_words(point);
+    let words = outs
+        .into_iter()
+        .flatten()
+        .map(|w| u32::try_from(w).unwrap());
+    (cycles, words_digest(words))
 }
 
 /// Pull `(cycles, outputs-as-words)` out of a result payload point.
@@ -101,10 +103,9 @@ fn single_job_matches_direct_run() {
         let result = fetch_result(&mut client, id);
         let points = result.get("points").and_then(Json::as_arr).unwrap();
         assert_eq!(points.len(), 1);
-        let (cycles, outs) = point_words(&points[0]);
-        let (want_cycles, want_outs) = direct("sort", ConfigName::Isrf4, Profile::Small);
-        assert_eq!(cycles, want_cycles, "chunk {chunk}");
-        assert_eq!(outs, want_outs, "chunk {chunk}");
+        let got = point_digest(&points[0]);
+        let want = direct("sort", ConfigName::Isrf4, Profile::Small);
+        assert_eq!(got, want, "chunk {chunk}");
         server.stop();
     }
 }
@@ -133,10 +134,8 @@ fn sweep_shards_and_every_point_matches() {
     ];
     assert_eq!(points.len(), expect.len());
     for (point, (app, cfg)) in points.iter().zip(expect) {
-        let (cycles, outs) = point_words(point);
-        let (want_cycles, want_outs) = direct(app, cfg, Profile::Small);
-        assert_eq!(cycles, want_cycles, "{app}/{cfg}");
-        assert_eq!(outs, want_outs, "{app}/{cfg}");
+        let got = point_digest(point);
+        assert_eq!(got, direct(app, cfg, Profile::Small), "{app}/{cfg}");
     }
     server.stop();
 }
@@ -596,7 +595,7 @@ impl Drop for Spawned {
 }
 
 /// The binary as a user starts it: it publishes its ephemeral port through
-/// `--port-file`, serves a job word-for-word like a direct run, and exits 0
+/// `--port-file`, serves a job like the committed in-process run, and exits 0
 /// once `POST /shutdown` has drained it.
 #[test]
 fn binary_serves_a_job_and_exits_zero_on_shutdown() {
@@ -634,7 +633,7 @@ fn binary_serves_a_job_and_exits_zero_on_shutdown() {
     let result = fetch_result(&mut client, id);
     let points = result.get("points").and_then(Json::as_arr).unwrap();
     assert_eq!(
-        point_words(&points[0]),
+        point_digest(&points[0]),
         direct("sort", ConfigName::Isrf4, Profile::Small)
     );
 

@@ -31,7 +31,7 @@
 //! semantics) on the app grid and on random kernels
 //! (`isrf-check/tests/proptest_kernels.rs`), and timing — cycles, stall
 //! attribution, the whole event stream — is pinned by
-//! `tests/golden/basket.digest` and the digest beside the random-kernel
+//! `tests/golden/points.digest` and the digest beside the random-kernel
 //! test.
 //!
 //! Compiled tapes are cached process-wide, keyed by content hash

@@ -1,8 +1,8 @@
 //! The memory channel's work, per configuration: what the `visits` and
-//! `words` columns of `tests/golden/hostwork.digest` must satisfy. The
-//! columns are measured and pinned by `idx_work.rs`; these tests read the
-//! committed lines and simulate nothing, so a regeneration that breaks a
-//! rule below fails here.
+//! `words` columns of `tests/golden/points.digest` must satisfy. The
+//! columns are measured and pinned by `tests/differential.rs`; these tests
+//! read the committed lines and simulate nothing, so a regeneration that
+//! breaks a rule below fails here.
 //!
 //! A visit serves at most one word. A visit that serves none finds its
 //! transfer blocked while another can still be served: cacheable and
@@ -11,36 +11,25 @@
 //! address; a lone rider is served in place, so they pay only for the
 //! visits on the way to it. Two riders alternate, as rijndael's ISRF
 //! tables do.
-#![cfg(debug_assertions)]
 
 use isrf_apps::{Profile, APPS};
+use isrf_check::{points_digest, Columns};
 use isrf_core::config::ConfigName;
 
-const DIGEST: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/hostwork.digest");
-
-/// `((app, profile), (visits, words))` per app and profile on one
-/// configuration.
+/// `((app, profile), (visits, words))` per app and IG dataset and profile
+/// on one configuration.
 type Column = Vec<((&'static str, Profile), (u64, u64))>;
 
 /// `cfg`'s column, read from the digest; each point is checked to serve a
 /// word and to visit at least once per word.
 fn column(cfg: ConfigName) -> Column {
-    let digest = std::fs::read_to_string(DIGEST).expect("hostwork.digest");
+    let digest = points_digest();
     let mut col = Vec::new();
     for profile in [Profile::Small, Profile::Paper] {
-        for app in APPS {
-            let key = format!("{app} {cfg} {profile:?} ");
-            let line = digest
-                .lines()
-                .find_map(|l| l.strip_prefix(&key))
-                .unwrap_or_else(|| panic!("no digest line for {key}"));
-            let field = |name: &str| -> u64 {
-                line.split_whitespace()
-                    .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('='))
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("{key}: no {name}"))
-            };
-            let (visits, words) = (field("visits"), field("words"));
+        for &app in APPS.iter().chain(&["IG_SCL", "IG_DMS", "IG_DCS"]) {
+            let key = format!("{app} {cfg} {profile:?}");
+            let line = Columns::find(&digest, &key);
+            let (visits, words) = (line.u64("visits"), line.u64("words"));
             assert!(words > 0, "{key}: no word served");
             assert!(visits >= words, "{key}: {words} words in {visits} visits");
             col.push(((app, profile), (visits, words)));
