@@ -215,6 +215,15 @@ if grep -rn '\.digest"' tests crates/*/tests \
   exit 1
 fi
 
+echo "==> one work queue (grep gate)"
+# The server's pool is one locked FIFO of jobs whose points workers take in
+# turn. Per-worker deques, the global injector, stealing, typed work items
+# and a polling park must not come back.
+if grep -rn -e 'steal' -e 'injector' -e 'WorkItem' -e 'wait_timeout' crates/isrf-serve/src; then
+  echo "a second work queue: queue parts on isrf_serve::Pool's one FIFO" >&2
+  exit 1
+fi
+
 echo "==> one JSON writer (grep gate)"
 # JSON text is rendered by `Json` (isrf-trace/src/json.rs); the Chrome
 # exporter streams a node per event and `job_result` splices a payload that
@@ -261,7 +270,11 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # place that names the file and the one reader of a line's `key=value`
 # columns; `words_digest`, the `out` column; and `run_differential` keeping
 # a recording tracer its caller installed).
-loc_ceiling=26042
+# Lowered by exactly its net -65 when one locked FIFO of jobs, whose points
+# workers take in turn, replaced the work-stealing pool: isrf-serve -65
+# (per-worker deques, injector, stealing, `WorkItem`, `run_item`,
+# `WorkerHandle::push`, the stolen counter and the polling park).
+loc_ceiling=25977
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

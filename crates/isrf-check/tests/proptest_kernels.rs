@@ -29,22 +29,18 @@ use isrf_gen::Recipe;
 use isrf_trace::Tracer;
 use isrf_verify::Verifier;
 
-/// Run one case on one configuration: values against the reference
-/// executor, then the digest line of a traced run of the same program;
-/// `None` when the kernel does not schedule or the verifier rejects the
-/// program.
+/// Run one case on one configuration, once: values against the reference
+/// executor, and the digest line of that run's trace (`run_differential`
+/// keeps the recording tracer installed here); `None` when the kernel does
+/// not schedule or the verifier rejects the program. The digest pins cycles
+/// and events, so a run that is not deterministic still fails.
 fn run_case(cfg: ConfigName, r: &Recipe) -> Option<String> {
     let g = r.generate(&MachineConfig::preset(cfg))?;
     let mut m = g.materialise(Arc::new(Verifier::new())).ok()?;
-    let checked = run_differential(&mut m, &g.program, &g.outputs)
-        .unwrap_or_else(|e| panic!("{cfg}: diverged from the reference executor: {e}\n{r:?}"));
-
-    let mut m = g
-        .materialise(Arc::new(Verifier::new()))
-        .expect("same program");
     m.set_tracer(Tracer::recording(1 << 18));
-    let stats = m.run(&g.program);
-    assert_eq!(stats, checked.stats, "{cfg}: rerun is not deterministic");
+    let stats = run_differential(&mut m, &g.program, &g.outputs)
+        .unwrap_or_else(|e| panic!("{cfg}: diverged from the reference executor: {e}\n{r:?}"))
+        .stats;
     let recorder = m.take_tracer().into_recorder().expect("recording");
     let ring = recorder.ring();
     assert_eq!(ring.dropped(), 0, "{cfg}: trace ring too small");

@@ -5,11 +5,11 @@
 //! inline KernelC-subset kernel, times a machine configuration and sizing
 //! profile — over a hand-rolled HTTP/1.1 + JSON
 //! wire protocol (the build environment has no tokio/hyper/serde), and
-//! runs them on a work-stealing worker pool:
+//! runs them on a worker pool with one work queue:
 //!
-//! - **Sharded sweeps** — a sweep job's points fan out onto the accepting
-//!   worker's deque and siblings steal them, so one big sweep saturates
-//!   the pool while small jobs still slip through the global injector.
+//! - **Sharded sweeps** — workers take the front job's next point and a
+//!   job with points left goes to the back, so a sweep spreads over every
+//!   idle worker and a job behind it waits for one of its points per worker.
 //! - **Backpressure** — admission is bounded (`queue_cap`); beyond it
 //!   `POST /jobs` answers `429` with `Retry-After` instead of buffering
 //!   without limit.

@@ -5,14 +5,14 @@
 //! cache (a hit completes instantly), statically verifies every point
 //! before admission (`422` with the verifier's structured diagnostics on
 //! failure; verdicts memoized per point), applies the queue bound (429 +
-//! `Retry-After` on overflow), then enqueues an *expand* item on the
-//! pool's injector. The worker that picks it up fans the sweep's points
-//! onto its own deque — stealable by siblings — and runs point 0 inline.
-//! Points execute in bounded cycle slices so cancellation (`DELETE`) and
-//! drain (`POST /shutdown`) take effect within one slice; drain
-//! checkpoints in-flight machines via `Machine::save_state` and persists
-//! them to the snapshot directory, where the next start resumes them
-//! cycle-exactly. A job that turns done, failed or cancelled retires to a
+//! `Retry-After` on overflow), then queues the job on the pool's one FIFO,
+//! where workers take its points in turn: a job with points left goes to
+//! the back, so a sweep spreads over idle workers without holding up the
+//! jobs behind it. Points execute in bounded cycle slices so cancellation
+//! (`DELETE`) and drain (`POST /shutdown`) take effect within one slice;
+//! drain checkpoints in-flight machines via `Machine::save_state` and
+//! persists them to the snapshot directory, where the next start resumes
+//! them cycle-exactly. A job that turns done, failed or cancelled retires to a
 //! bounded set of finished jobs; an id that has aged out answers `404`.
 
 use std::collections::BTreeMap;
@@ -167,14 +167,6 @@ impl Job {
     }
 }
 
-/// A unit of pool work.
-enum WorkItem {
-    /// Fan a job's points out (runs point 0 inline).
-    Expand(Arc<Job>),
-    /// Run one point of a job.
-    Point(Arc<Job>, usize),
-}
-
 /// Shared server state.
 struct Core {
     cfg: ServerConfig,
@@ -185,7 +177,7 @@ struct Core {
     jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     finished: Memo<u64, Job>,
     next_id: AtomicU64,
-    /// Jobs admitted but not yet expanded (the bounded queue).
+    /// Jobs admitted with no point taken yet (the bounded queue).
     queued: AtomicUsize,
     draining: AtomicBool,
     /// Rendered `points` arrays keyed by [`JobSpec::hash`].
@@ -206,7 +198,7 @@ struct Core {
     restore_restarted: AtomicU64,
     latency_ms: Mutex<Histogram>,
     started: Instant,
-    pool: Mutex<Option<Pool<WorkItem>>>,
+    pool: Mutex<Option<Pool<Arc<Job>>>>,
 }
 
 /// Budget of the result memo, in bytes of rendered payload: `serve_mix`
@@ -255,24 +247,13 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 // Point execution on the worker pool
 // ---------------------------------------------------------------------------
 
-fn run_item(core: &Core, item: WorkItem, h: &WorkerHandle<'_, WorkItem>) {
-    match item {
-        WorkItem::Expand(job) => {
-            core.queued.fetch_sub(1, Ordering::SeqCst);
-            let points = {
-                let mut st = job.state.lock().unwrap();
-                if st.phase.terminal() {
-                    return;
-                }
-                st.phase = Phase::Running;
-                st.points.len()
-            };
-            for idx in 1..points {
-                h.push(WorkItem::Point(Arc::clone(&job), idx));
-            }
-            run_point(core, &job, 0, h);
-        }
-        WorkItem::Point(job, idx) => run_point(core, &job, idx, h),
+/// List `job` live, count it queued and put its points on the pool.
+fn enqueue(core: &Core, job: Arc<Job>) {
+    let points = job.state.lock().unwrap().points.len();
+    core.jobs.lock().unwrap().insert(job.id, Arc::clone(&job));
+    core.queued.fetch_add(1, Ordering::SeqCst);
+    if let Some(pool) = core.pool.lock().unwrap().as_ref() {
+        pool.inject(job, points);
     }
 }
 
@@ -284,7 +265,14 @@ enum PointEnd {
     Failed(String),
 }
 
-fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, WorkItem>) {
+fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, Arc<Job>>) {
+    // The pool hands out a job's points in order, so point 0 is the first
+    // one taken: the job leaves the bounded queue here, whatever follows.
+    if idx == 0 {
+        core.queued.fetch_sub(1, Ordering::SeqCst);
+    }
+    // A cancelled (or failed) job's remaining points settle at once; so do a
+    // draining server's, below.
     if job.cancel.load(Ordering::SeqCst) {
         return settle_point(core, job, idx, PointEnd::Cancelled);
     }
@@ -292,6 +280,11 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, WorkI
         let mut st = job.state.lock().unwrap();
         // Retired since the flag was read: nothing is left to run.
         let Some(spec) = st.spec.clone() else { return };
+        // Whichever point starts first marks the job running: another worker
+        // may take point 1 right after point 0 and get here first.
+        if st.phase == Phase::Queued {
+            st.phase = Phase::Running;
+        }
         (spec, st.points[idx].snap.take())
     };
     if core.draining() {
@@ -562,12 +555,7 @@ fn submit(core: &Arc<Core>, req: &Request) -> Response {
     }
 
     let id = core.next_id.fetch_add(1, Ordering::SeqCst);
-    let job = Job::new(id, spec, hash, Vec::new());
-    core.jobs.lock().unwrap().insert(id, Arc::clone(&job));
-    core.queued.fetch_add(1, Ordering::SeqCst);
-    if let Some(pool) = core.pool.lock().unwrap().as_ref() {
-        pool.inject(WorkItem::Expand(job));
-    }
+    enqueue(core, Job::new(id, spec, hash, Vec::new()));
     Response::json(
         202,
         &Json::Obj(vec![
@@ -684,7 +672,6 @@ fn metrics(core: &Core) -> Response {
     if let Some(pool) = core.pool.lock().unwrap().as_ref() {
         for (i, w) in pool.worker_stats().iter().enumerate() {
             reg.set(&format!("worker_{i}_items"), w.processed);
-            reg.set(&format!("worker_{i}_stolen"), w.stolen);
             reg.set(&format!("worker_{i}_busy_micros"), w.busy_micros);
             reg.set(
                 &format!("worker_{i}_utilization_pct"),
@@ -744,7 +731,7 @@ fn shutdown(core: &Arc<Core>) -> Response {
     if core.draining.swap(true, Ordering::SeqCst) {
         return Response::error(409, "already draining");
     }
-    // Workers observe the flag within one slice; queued items settle as
+    // Workers observe the flag within one slice; queued points settle as
     // Suspended. Then join the pool and persist every non-terminal job.
     if let Some(pool) = core.pool.lock().unwrap().as_mut() {
         pool.shutdown();
@@ -914,20 +901,14 @@ impl Server {
         });
 
         let weak: Weak<Core> = Arc::downgrade(&core);
-        let pool = Pool::new(workers, move |_, item, h| {
+        let pool = Pool::new(workers, move |job, idx, h| {
             if let Some(core) = weak.upgrade() {
-                run_item(&core, item, h);
+                run_point(&core, &job, idx, h);
             }
         });
         *core.pool.lock().unwrap() = Some(pool);
-
-        let restored = restore_jobs(&core);
-        for job in restored {
-            core.jobs.lock().unwrap().insert(job.id, Arc::clone(&job));
-            core.queued.fetch_add(1, Ordering::SeqCst);
-            if let Some(pool) = core.pool.lock().unwrap().as_ref() {
-                pool.inject(WorkItem::Expand(job));
-            }
+        for job in restore_jobs(&core) {
+            enqueue(&core, job);
         }
 
         let accept_core = Arc::clone(&core);

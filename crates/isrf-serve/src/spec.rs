@@ -109,7 +109,7 @@ fn write_str(h: &mut StableHasher, s: &str) {
 /// A full job: one or more points plus job-level options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
-    /// The points, executed as independently stealable work items.
+    /// The points, which workers take in turn from the pool's one queue.
     pub points: Vec<PointSpec>,
     /// Record trace events and expose a Chrome trace at
     /// `GET /jobs/:id/trace` (single-point jobs only).
