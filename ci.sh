@@ -152,7 +152,7 @@ for f in crates/isrf-apps/src/*.rs crates/isrf-serve/src/*.rs crates/isrf-serve/
     exit 1
   fi
 done
-if grep -n 'pub fn run(' crates/isrf-apps/src/{fft2d,rijndael,sort,filter,igraph,spmv,stencil,bfs,histogram}.rs; then
+if grep -n 'pub fn run(' crates/isrf-apps/src/{fft2d,rijndael,sort,filter,igraph,spmv,stencil,bfs}.rs; then
   echo "apps prepare, callers run: Prepared::run_checked" >&2
   exit 1
 fi

@@ -18,7 +18,6 @@ pub mod common;
 pub mod fft2d;
 pub mod filter;
 mod gather;
-pub mod histogram;
 pub mod igraph;
 pub mod micro;
 pub mod registry;
