@@ -19,10 +19,11 @@
 //!   **cross-lane** indexed reads driven by a static pointer stream
 //!   (pointers are degree data, identical across sweeps).
 //!
-//! Rows are padded to a common degree `pad`; padding entries point at a
-//! sentinel `INF` slot appended to the level arrays, so `min` ignores
-//! them without control flow. Distances are exact integers: results are
-//! compared word-for-word against the host Jacobi.
+//! Rows are padded to a common degree `pad`. A padding entry gathers a
+//! sentinel `INF` slot appended to the level arrays, or on an indexed SRF
+//! re-reads its row's last neighbor ([`crate::gather::condense`]), so
+//! `min` ignores it without control flow. Distances are exact integers:
+//! results are compared word-for-word against the host Jacobi.
 
 use std::sync::Arc;
 
@@ -142,8 +143,8 @@ pub(crate) struct Plan {
     pub(crate) pad: u32,
     /// Per strip, the condensed neighbor references. Records are *node
     /// indices* (the level arrays alternate, so addresses are `base +
-    /// node`); record 0 is node `nodes`, the appended `INF` sentinel the
-    /// padding points at.
+    /// node`); record 0 is node `nodes`, the appended `INF` sentinel an
+    /// isolated node's padding reads.
     pub(crate) strips: Vec<Condensed>,
 }
 
@@ -195,12 +196,7 @@ fn plan(params: &BfsParams) -> Plan {
         .max(4);
     let strips = adj
         .chunks(params.strip_nodes as usize)
-        .map(|strip| {
-            let slots = strip
-                .iter()
-                .flat_map(|srcs| (0..pad as usize).map(|k| srcs.get(k).copied().unwrap_or(n)));
-            condense(slots, Some(n))
-        })
+        .map(|strip| condense(strip.iter().map(Vec::as_slice), pad, Some(n)))
         .collect();
 
     Plan {

@@ -3,7 +3,8 @@
 //!
 //! Each strip's kernel records read `slots` gathered records apiece. The
 //! host condenses the strip's references ([`condense`]): every distinct
-//! record once, in first-reference order, and a pointer per reference.
+//! record once, in first-reference order, and a pointer per slot, a short
+//! row's padding included.
 //!
 //! * **Indexed SRF**: only the unique records are gathered into a condensed
 //!   array, which the kernel reaches with **cross-lane** indexed reads
@@ -28,35 +29,67 @@ use crate::common::schedule_for;
 
 /// A strip's references, condensed.
 pub(crate) struct Condensed {
-    /// The references themselves, what a sequential SRF gathers.
+    /// The references, each row padded with the sentinel: what a
+    /// sequential SRF gathers.
     refs: Vec<u32>,
-    /// Per reference, its record's position in `unique`.
+    /// Per slot, the position in `unique` of the record an indexed SRF
+    /// reads.
     ptrs: Vec<Word>,
     /// Each referenced record once, in first-reference order, after the
     /// sentinel when there is one.
     unique: Vec<u32>,
 }
 
-/// Condense `refs`, with `sentinel` (the record padding slots point at)
-/// as record 0 whether or not anything references it. Records are small
-/// indices (nodes, columns), so positions live in a table by record.
-pub(crate) fn condense(refs: impl IntoIterator<Item = u32>, sentinel: Option<u32>) -> Condensed {
-    let refs: Vec<u32> = refs.into_iter().collect();
-    let top = refs.iter().chain(&sentinel).max();
-    let mut pos = vec![u32::MAX; top.map_or(0, |&r| r as usize + 1)];
-    let mut unique = Vec::new();
+/// Condense a strip of `rows`, each padded to `pad` slots, with
+/// `sentinel` as record 0 whether or not anything references it. Records
+/// are small indices (nodes, columns), so positions live in a table by
+/// record.
+///
+/// A sequential SRF gathers the sentinel for a pad. An indexed one reads
+/// the last record the pad's own row reads, so pads spread over the banks
+/// their rows already use; only an empty row's pads read record 0. That
+/// is exact for the two kernels that pad: BFS reduces with `min`, which
+/// is idempotent, and an SpMV pad adds `0.0 × x`, a zero.
+///
+/// # Panics
+///
+/// Panics if a row holds more than `pad` references, or if a row is short
+/// and there is no sentinel.
+pub(crate) fn condense<'r>(
+    rows: impl IntoIterator<Item = &'r [u32]>,
+    pad: u32,
+    sentinel: Option<u32>,
+) -> Condensed {
+    let (pad, rows) = (pad as usize, rows.into_iter());
+    // A plan keeps its strips, so hold them without growth slack.
+    let slots = rows.size_hint().0 * pad;
+    let (mut refs, mut ptrs) = (Vec::with_capacity(slots), Vec::with_capacity(slots));
+    let (mut unique, mut pos) = (Vec::new(), Vec::new());
     let mut place = |r: u32| {
-        let p = &mut pos[r as usize];
-        if *p == u32::MAX {
-            *p = unique.len() as u32;
+        let i = r as usize;
+        if i >= pos.len() {
+            pos.resize(i + 1, u32::MAX);
+        }
+        if pos[i] == u32::MAX {
+            pos[i] = unique.len() as u32;
             unique.push(r);
         }
-        *p
+        pos[i]
     };
     if let Some(s) = sentinel {
         place(s);
     }
-    let ptrs = refs.iter().map(|&r| place(r)).collect();
+    for row in rows {
+        assert!(row.len() <= pad, "a row overflows its {pad} slots");
+        refs.extend_from_slice(row);
+        ptrs.extend(row.iter().map(|&r| place(r)));
+        if row.len() < pad {
+            let s = sentinel.expect("a short row pads with the sentinel");
+            let last = ptrs.last().copied().filter(|_| !row.is_empty());
+            refs.resize(refs.len() + pad - row.len(), s);
+            ptrs.resize(ptrs.len() + pad - row.len(), last.unwrap_or(0));
+        }
+    }
     Condensed { refs, ptrs, unique }
 }
 
@@ -284,30 +317,36 @@ mod tests {
     /// Per strip, `(padded slots, slots, slots reading bank 0)` of a gather
     /// whose rows hold `lens` references each, padded to `pad` slots.
     /// Record `r` of a strip's condensed array lives in bank `r % 8` (the
-    /// SRF interleaves records across the eight lanes' banks), so the
-    /// sentinel, record 0, lives in bank 0: every padded slot must read it.
+    /// SRF interleaves records across the eight lanes' banks). Checks that
+    /// a pad reads a record its own row reads, and only an empty row's pads
+    /// read the sentinel, record 0.
     fn census(strips: &[Condensed], lens: &[usize], pad: usize) -> Vec<[usize; 3]> {
         let rows = lens.len() / strips.len();
         let strip = |(c, lens): (&Condensed, &[usize])| {
-            let padded = (0..c.ptrs.len()).filter(|k| k % pad >= lens[k / pad]);
-            assert!(
-                padded.clone().all(|k| c.ptrs[k] == 0),
-                "a pad reads record 0"
-            );
+            let mut padded = 0;
+            for (row, &len) in c.ptrs.chunks(pad).zip(lens) {
+                let (real, pads) = row.split_at(len);
+                padded += pads.len();
+                let own = |p: &Word| if len == 0 { *p == 0 } else { real.contains(p) };
+                assert!(pads.iter().all(own), "a pad reads what its row reads");
+            }
             let bank0 = c.ptrs.iter().filter(|&&p| p % 8 == 0).count();
-            [padded.count(), c.ptrs.len(), bank0]
+            [padded, c.ptrs.len(), bank0]
         };
         strips.iter().zip(lens.chunks(rows)).map(strip).collect()
     }
 
-    /// ROADMAP item 9(a), measured with no change in behaviour: the share
-    /// of BFS and SpMV pointer slots that are padding, per strip at both
-    /// profiles, all of them cross-lane reads of record 0 in bank 0, which
-    /// therefore takes far more than its eighth of every strip's reads.
-    /// Pinned as `(strips, padded, slots, reads of bank 0, fewest and most
-    /// padded slots in a strip)`.
+    /// The share of BFS and SpMV pointer slots that are padding, per strip
+    /// at both profiles, and how many slots read bank 0. Pinned as
+    /// `(strips, padded, slots, reads of bank 0, fewest and most padded
+    /// slots in a strip)`. Before pads re-read their row's last record,
+    /// every pad read the sentinel in bank 0, which took far more than its
+    /// eighth of every strip's reads:
+    /// `(8, 1975, 4096, 2219, 220, 277)`, `(8, 2318, 4096, 2540, 254, 343)`,
+    /// `(32, 25515, 49152, 28472, 714, 885)`,
+    /// `(32, 18947, 32768, 20714, 541, 649)`.
     #[test]
-    fn padding_reads_the_sentinel_in_bank_0() {
+    fn a_pad_reads_a_record_its_row_reads() {
         let summary = |per_strip: Vec<[usize; 3]>| {
             let sum = |i: usize| per_strip.iter().map(|s| s[i]).sum::<usize>();
             let padded = per_strip.iter().map(|s| s[0]);
@@ -327,10 +366,10 @@ mod tests {
             got.push(summary(census(&strips, &lens, pad as usize)));
         }
         let want = [
-            (8, 1975, 4096, 2219, 220, 277), // bfs, Small: 48% padding, 54% to bank 0
-            (8, 2318, 4096, 2540, 254, 343), // spmv, Small: 57%, 62%
-            (32, 25515, 49152, 28472, 714, 885), // bfs, Paper: 52%, 58%
-            (32, 18947, 32768, 20714, 541, 649), // spmv, Paper: 58%, 63%
+            (8, 1975, 4096, 856, 220, 277), // bfs, Small: 48% padding, 21% to bank 0 (was 54%)
+            (8, 2318, 4096, 769, 254, 343), // spmv, Small: 57%, 19% (62%)
+            (32, 25515, 49152, 10417, 714, 885), // bfs, Paper: 52%, 21% (58%)
+            (32, 18947, 32768, 7147, 541, 649), // spmv, Paper: 58%, 22% (63%)
         ];
         assert_eq!(got, want);
     }
@@ -338,30 +377,50 @@ mod tests {
     proptest! {
         /// The contract the three hosts rely on: the sentinel is record 0,
         /// `unique` lists each referenced record once in first-reference
-        /// order, and every pointer leads back to its reference.
+        /// order, a sequential gather reads each row padded with the
+        /// sentinel, and an indexed one reads every reference's record and,
+        /// for a pad, its row's last record (the sentinel for an empty row).
         #[test]
         fn condense_keeps_its_contract(
-            refs in prop::collection::vec(0u32..40, 0..200),
-            with_sentinel in any::<bool>(),
+            rows in prop::collection::vec(prop::collection::vec(0u32..40, 0..6), 0..40),
+            pad in 5u32..8,
             s in 0u32..40,
         ) {
-            let sentinel = with_sentinel.then_some(s);
-            let c = condense(refs.iter().copied(), sentinel);
-            let mut want: Vec<u32> = sentinel.into_iter().collect();
-            for &r in &refs {
+            let c = condense(rows.iter().map(Vec::as_slice), pad, Some(s));
+            let mut want = vec![s];
+            for &r in rows.iter().flatten() {
                 if !want.contains(&r) {
                     want.push(r);
                 }
             }
             prop_assert_eq!(&c.unique, &want);
             prop_assert_eq!(c.unique.iter().collect::<BTreeSet<_>>().len(), c.unique.len());
-            if let Some(s) = sentinel {
-                prop_assert_eq!(c.unique[0], s);
+            let pad = pad as usize;
+            prop_assert_eq!(c.refs.len(), rows.len() * pad);
+            prop_assert_eq!(c.ptrs.len(), rows.len() * pad);
+            for (i, row) in rows.iter().enumerate() {
+                let (refs, ptrs) = (&c.refs[i * pad..][..pad], &c.ptrs[i * pad..][..pad]);
+                for k in 0..pad {
+                    let (r, read) = match row.get(k) {
+                        Some(&r) => (r, r),
+                        None => (s, row.last().copied().unwrap_or(s)),
+                    };
+                    prop_assert_eq!(refs[k], r);
+                    prop_assert_eq!(c.unique[ptrs[k] as usize], read);
+                }
             }
+        }
+
+        /// Rows that fill their slots need no sentinel, as IG's do.
+        #[test]
+        fn full_rows_condense_without_a_sentinel(
+            rows in prop::collection::vec(prop::collection::vec(0u32..40, 4), 0..40),
+        ) {
+            let c = condense(rows.iter().map(Vec::as_slice), 4, None);
+            let refs: Vec<u32> = rows.concat();
             prop_assert_eq!(&c.refs, &refs);
-            prop_assert_eq!(c.ptrs.len(), refs.len());
-            for (i, &r) in refs.iter().enumerate() {
-                prop_assert_eq!(c.unique[c.ptrs[i] as usize], r);
+            for (k, &r) in refs.iter().enumerate() {
+                prop_assert_eq!(c.unique[c.ptrs[k] as usize], r);
             }
         }
     }

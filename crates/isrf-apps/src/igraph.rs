@@ -189,7 +189,7 @@ fn build_host_image(ds: &IgDataset, strip_nodes: u32) -> HostImage {
     let strips = g
         .adj
         .chunks(strip_nodes as usize)
-        .map(|nodes| condense(nodes.iter().flatten().copied(), None))
+        .map(|nodes| condense(nodes.iter().map(Vec::as_slice), ds.degree, None))
         .collect();
     HostImage {
         val_words,

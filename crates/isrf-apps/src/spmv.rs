@@ -17,10 +17,14 @@
 //!   stream into the condensed array (row entries live in whichever bank
 //!   holds the unique record, not the row's lane).
 //!
-//! Padding entries carry a 0.0 matrix value and point at the condensed
-//! sentinel record 0 (`x[0]`), so empty and short rows are handled with
-//! no control flow. The host reference mirrors the padded accumulation
-//! order exactly, so results are compared **bit-for-bit**.
+//! Padding entries carry a 0.0 matrix value, so empty and short rows are
+//! handled with no control flow. Base and Cache gather `x[0]` for a pad;
+//! an indexed SRF re-reads the row's last `x` entry, or an empty row's
+//! sentinel record 0, `x[0]` ([`crate::gather::condense`]). Either way a
+//! pad adds a zero to an accumulator that is never −0.0 (it starts at
+//! +0.0 and no `x` entry is −0.0), which leaves it unchanged bit for bit.
+//! The host reference mirrors the padded accumulation order exactly, so
+//! results are compared **bit-for-bit**.
 //!
 //! The generator is deterministic in the parameter struct: banded random
 //! matrices with controllable density (`avg_nnz`), locality
@@ -191,16 +195,13 @@ fn padded(csr: &Csr, i: u32, pad: u32) -> impl Iterator<Item = (u32, f32)> + '_ 
 }
 
 /// Host-prepared gather metadata per strip of `strip_rows` rows padded to
-/// `pad`. Record 0 is always x[0]: the sentinel the padding entries
-/// multiply by 0.0, valid even for an all-empty strip.
+/// `pad`. Record 0 is always x[0]: the sentinel an empty row's padding
+/// multiplies by 0.0, valid even for an all-empty strip.
 pub(crate) fn condense_strips(csr: &Csr, strip_rows: u32, pad: u32) -> Vec<Condensed> {
     (0..csr.rows / strip_rows)
         .map(|s| {
             let rows = s * strip_rows..(s + 1) * strip_rows;
-            condense(
-                rows.flat_map(|i| padded(csr, i, pad).map(|(c, _)| c)),
-                Some(0),
-            )
+            condense(rows.map(|i| csr.row(i).0), pad, Some(0))
         })
         .collect()
 }
@@ -256,8 +257,9 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
 /// # Panics
 ///
 /// Panics if `strip_rows` is not a positive multiple of 8 dividing
-/// `csr.rows`, `x.len() != csr.cols`, or a column index is not below
-/// `csr.cols`.
+/// `csr.rows`, `x.len() != csr.cols`, a column index is not below
+/// `csr.cols`, or an `x` entry is not finite (a pad multiplies one by
+/// 0.0).
 pub fn prepare_csr(
     cfg: &MachineConfig,
     data: Arc<(Csr, Vec<f32>)>,
@@ -270,6 +272,10 @@ pub fn prepare_csr(
     assert!(
         csr.col_idx.iter().all(|&c| c < csr.cols),
         "column out of range"
+    );
+    assert!(
+        x.iter().all(|v| v.is_finite()),
+        "x holds a non-finite entry"
     );
     let indexed = cfg.srf.indexed.is_some();
     let mut m = machine(cfg);
@@ -418,6 +424,32 @@ mod tests {
         };
         let x: Vec<f32> = (0..n).map(|i| 1.0 - i as f32 / 50.0).collect();
         prepare_csr(&ConfigName::Isrf4.into(), Arc::new((csr, x)), 8).run_checked();
+    }
+
+    /// The padding is exact because every `x` entry a pad may read is a
+    /// finite word that is not −0.0 (module docs): the generator draws
+    /// them from [−1, 1).
+    #[test]
+    fn x_holds_no_negative_zero_and_no_non_finite_word() {
+        use crate::registry::{spmv_params, Profile};
+        for params in [
+            small(),
+            spmv_params(Profile::Small),
+            spmv_params(Profile::Paper),
+        ] {
+            let (_, x) = generate(&params);
+            assert!(x
+                .iter()
+                .all(|v| v.is_finite() && from_f32(*v) != from_f32(-0.0)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn a_non_finite_x_is_refused() {
+        let (csr, mut x) = generate(&small());
+        x[3] = f32::INFINITY;
+        prepare_csr(&ConfigName::Base.into(), Arc::new((csr, x)), 32);
     }
 
     #[test]
