@@ -21,7 +21,7 @@
 //!
 //! Rows are padded to a common degree `pad`. A padding entry gathers a
 //! sentinel `INF` slot appended to the level arrays, or on an indexed SRF
-//! re-reads its row's last neighbor ([`crate::gather::condense`]), so
+//! re-reads its row's last neighbor (`gather::condense`), so
 //! `min` ignores it without control flow. Distances are exact integers:
 //! results are compared word-for-word against the host Jacobi.
 

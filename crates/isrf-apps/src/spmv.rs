@@ -20,7 +20,7 @@
 //! Padding entries carry a 0.0 matrix value, so empty and short rows are
 //! handled with no control flow. Base and Cache gather `x[0]` for a pad;
 //! an indexed SRF re-reads the row's last `x` entry, or an empty row's
-//! sentinel record 0, `x[0]` ([`crate::gather::condense`]). Either way a
+//! sentinel record 0, `x[0]` (`gather::condense`). Either way a
 //! pad adds a zero to an accumulator that is never −0.0 (it starts at
 //! +0.0 and no `x` entry is −0.0), which leaves it unchanged bit for bit.
 //! The host reference mirrors the padded accumulation order exactly, so
