@@ -44,11 +44,12 @@ echo "==> cargo test --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-ver
 cargo test -q --release -p isrf-sim -p isrf-mem -p isrf-check -p isrf-verify -p isrf-kernel -p isrf-lang
 
 echo "==> cargo test --release --test differential (all 32 x 15 perturbed configs)"
-# The debug run above takes three timing perturbations per point; the
-# optimised build drives all fifteen through both oracles and holds output
-# words, indexed word counts and off-chip bytes to the committed preset
-# line. Its writer checks every column of tests/golden/points.digest but the
-# four HostWork ones, which only a debug build counts.
+# The debug run above drives all fifteen timing perturbations of every point
+# as well; this runs them again on the optimised executor, through both
+# oracles, holding output words, indexed word counts and off-chip bytes to
+# the committed preset line. Its writer checks every column of
+# tests/golden/points.digest but the four HostWork ones, which only a debug
+# build counts.
 cargo test -q --release --test differential
 
 echo "==> cargo fmt --check"
@@ -198,6 +199,17 @@ if grep -nE '[0-9]_?[0-9]{3}' tests/mem_work.rs tests/idx_work.rs tests/paper_cl
   exit 1
 fi
 
+echo "==> one cross-lane network (grep gate)"
+# The cross-lane network is the paper's crossbar, one word per lane per cycle
+# (`isrf_core::config::CROSSLANE_WORDS_PER_CYCLE`). The ring topology, the
+# cross-lane width knob, and the hop latency and global issue budget they
+# kept in the arbiter, the trace events and the recorder must not come back.
+if grep -rn -e 'CrossLaneTopology' -e 'topology_issue_budget' -e 'topology_extra_latency' \
+  -e 'crosslane_words_per_cycle' -e 'idx_hops' -e 'extra_hops' src crates tests examples; then
+  echo "a second cross-lane network: the crossbar is CROSSLANE_WORDS_PER_CYCLE" >&2
+  exit 1
+fi
+
 echo "==> one record per point (grep gate)"
 # Every number a (app, config, profile) point has is one line of
 # tests/golden/points.digest, which tests/differential.rs alone writes;
@@ -278,7 +290,16 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # one caller, examples/histogram.rs (isrf-apps -158), and condense took the
 # padding policy, a pad reading what its own row reads (isrf-apps +34:
 # gather +33, spmv +6 for the finite-x precondition, bfs -4, lib -1).
-loc_ceiling=25853
+# Lowered by exactly its net -127 when the cross-lane network became the
+# paper's crossbar alone, one word per lane per cycle: isrf-sim -44 (the
+# topology helpers, the global issue budget, the hop latency and
+# `IdxParams`' topology, width and lane-count fields), isrf-verify -19 (the
+# width, topology and port terms of the cross-lane floor and pressure),
+# isrf-apps -17 (`micro::crosslane_throughput_with_topology`), isrf-trace
+# -17 (`IdxAccess::hops`, `Counters::idx_hops`, the hop histogram),
+# bench -16 (the ring ablation) and isrf-core -14 (`CrossLaneTopology` and
+# two `IndexedSrfConfig` fields, for `CROSSLANE_WORDS_PER_CYCLE`).
+loc_ceiling=25726
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

@@ -9,15 +9,15 @@
 //! both sizes is committed under `results/` and held there by
 //! `crates/bench/tests/figures_cli.rs`. Figures 11–13 and `summary` read
 //! one benchmark × config grid, simulated once however many of them run.
-//! `ablations` prints the two design-choice comparisons EXPERIMENTS.md
-//! cites (Sort baseline mechanism, cross-lane interconnect); they are not
-//! the paper's, so `all` leaves them out.
+//! `ablations` prints the design-choice comparison EXPERIMENTS.md cites
+//! (the Sort baseline mechanism); it is not the paper's, so `all` leaves it
+//! out.
 
 use std::cell::OnceCell;
 
 use isrf_bench as figs;
 use isrf_bench::{Fig12Row, Profile};
-use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::config::{ConfigName, MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
 
 /// What a target renders from: the sizing profile, and the grid of
 /// [`figs::fig12`], simulated by the first target that reads it.
@@ -48,7 +48,7 @@ fn table3() {
             print!(
                 " | idx: inlane={}w/c xl={}w/c lat={}/{} fifo={}",
                 i.inlane_words_per_cycle,
-                i.crosslane_words_per_cycle,
+                CROSSLANE_WORDS_PER_CYCLE,
                 i.inlane_latency,
                 i.crosslane_latency,
                 i.addr_fifo_entries
@@ -212,10 +212,6 @@ fn ablations() {
     println!("== Ablation: Sort baseline mechanism (Base) ==");
     println!("conditional-stream merge: {cond} cycles");
     println!("bitonic network:          {bitonic} cycles");
-    println!("== Ablation: cross-lane interconnect (1 port/bank, no comm) ==");
-    for (topo, t) in figs::crosslane_topology_ablation() {
-        println!("{topo:?}: {t:.3} words/cycle/lane");
-    }
 }
 
 type Target = (&'static str, fn(&Ctx));

@@ -15,7 +15,7 @@
 
 use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort, APPS};
 use isrf_check::run_parallel;
-use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
+use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::stats::RunStats;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::{schedule, SchedParams};
@@ -324,18 +324,6 @@ pub fn sort_baseline_ablation() -> (u64, u64) {
             .run_checked()
             .cycles,
     )
-}
-
-/// Ablation of the Section 7 sparse cross-lane interconnect: sustained
-/// words/cycle/lane with one network port per bank and no inter-cluster
-/// communication, on a full crossbar and on a ring.
-pub fn crosslane_topology_ablation() -> [(CrossLaneTopology, f64); 2] {
-    [CrossLaneTopology::Crossbar, CrossLaneTopology::Ring].map(|topo| {
-        (
-            topo,
-            micro::crosslane_throughput_with_topology(1, 0, topo, 3000),
-        )
-    })
 }
 
 /// The argument grammar the `verify` and `trace` bins share: `[app|all]

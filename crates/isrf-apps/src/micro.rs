@@ -14,7 +14,7 @@
 //!   cycles carrying explicit inter-cluster communication, which has
 //!   priority over cross-lane data returns.
 
-use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
+use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::stats::SrfTraffic;
 use isrf_sim::{service_indexed, IdxKind, IdxParams, IdxState, Srf, StreamBinding};
 use isrf_trace::Tracer;
@@ -99,26 +99,9 @@ pub fn inlane_throughput(subarrays: usize, fifo: usize, separation: u64, cycles:
 /// sequential streams per cluster stay active, competing for the SRF port
 /// as in the paper's setup.
 pub fn crosslane_throughput(ports_per_bank: usize, comm_percent: u32, cycles: u64) -> f64 {
-    crosslane_throughput_with_topology(
-        ports_per_bank,
-        comm_percent,
-        CrossLaneTopology::Crossbar,
-        cycles,
-    )
-}
-
-/// [`crosslane_throughput`] with an explicit interconnect topology — the
-/// sparse-interconnect study the paper's Section 7 proposes.
-pub fn crosslane_throughput_with_topology(
-    ports_per_bank: usize,
-    comm_percent: u32,
-    topology: CrossLaneTopology,
-    cycles: u64,
-) -> f64 {
     let mut cfg = MachineConfig::preset(ConfigName::Isrf4);
     let idx = cfg.srf.indexed.as_mut().expect("ISRF preset");
     idx.network_ports_per_bank = ports_per_bank;
-    idx.crosslane_topology = topology;
     cfg.validate().expect("micro config is valid");
 
     let lanes = cfg.lanes;
@@ -253,16 +236,6 @@ mod tests {
         let s2 = inlane_throughput(4, 8, 2, 2000);
         // The paper reports ~50% loss at separation 2.
         assert!(s2 < 0.75 * s8, "sep2 {s2} vs sep8 {s8}");
-    }
-
-    #[test]
-    fn ring_topology_costs_throughput() {
-        // Section 7's sparse-interconnect question: a bisection-limited
-        // ring with hop latency must underperform the crossbar.
-        let xbar = crosslane_throughput_with_topology(4, 0, CrossLaneTopology::Crossbar, 3000);
-        let ring = crosslane_throughput_with_topology(4, 0, CrossLaneTopology::Ring, 3000);
-        assert!(ring < xbar, "ring {ring} vs crossbar {xbar}");
-        assert!(ring > 0.1, "the ring still makes progress: {ring}");
     }
 
     #[test]

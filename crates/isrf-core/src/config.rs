@@ -171,19 +171,11 @@ impl Default for OpLatencies {
     }
 }
 
-/// Topology of the cross-lane index/data interconnect. The paper's
-/// evaluation uses fully connected crossbars (like Imagine's inter-cluster
-/// network) and leaves "the impact of sparse interconnects for the address
-/// and data networks" to future work (Section 7); [`CrossLaneTopology::Ring`]
-/// realizes that study: bisection-limited issue plus hop latency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CrossLaneTopology {
-    /// Fully connected crossbar (the paper's design).
-    #[default]
-    Crossbar,
-    /// Bidirectional ring: cheap wiring, limited bisection.
-    Ring,
-}
+/// Peak cross-lane indexed bandwidth in words per cycle per lane: the paper
+/// evaluates only fully connected crossbars, one index per cluster per cycle
+/// to any bank ("sparse interconnects" are Section 7's future work). The
+/// indexed arbiter, the static cost floor and Table 3 read it.
+pub const CROSSLANE_WORDS_PER_CYCLE: usize = 1;
 
 /// Capabilities added by indexed-SRF support (absent on `Base`/`Cache`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,8 +185,6 @@ pub struct IndexedSrfConfig {
     /// Peak in-lane indexed bandwidth in words per cycle per lane
     /// (1 for ISRF1 — no sub-banking — and `s` = 4 for ISRF4).
     pub inlane_words_per_cycle: usize,
-    /// Peak cross-lane indexed bandwidth in words per cycle per lane.
-    pub crosslane_words_per_cycle: usize,
     /// In-lane indexed access latency, address to data, absent conflicts.
     pub inlane_latency: u32,
     /// Cross-lane indexed access latency absent conflicts.
@@ -203,8 +193,6 @@ pub struct IndexedSrfConfig {
     pub crosslane: bool,
     /// Cross-lane network ports per SRF bank (Figure 18 sweeps 1/2/4).
     pub network_ports_per_bank: usize,
-    /// Interconnect topology for cross-lane accesses.
-    pub crosslane_topology: CrossLaneTopology,
 }
 
 impl IndexedSrfConfig {
@@ -213,12 +201,10 @@ impl IndexedSrfConfig {
         IndexedSrfConfig {
             addr_fifo_entries: 8,
             inlane_words_per_cycle: 1,
-            crosslane_words_per_cycle: 1,
             inlane_latency: 4,
             crosslane_latency: 6,
             crosslane: true,
             network_ports_per_bank: 1,
-            crosslane_topology: CrossLaneTopology::Crossbar,
         }
     }
 
@@ -596,7 +582,10 @@ mod tests {
         let i4 = m4.srf.indexed.unwrap();
         assert_eq!(i1.inlane_words_per_cycle, 1);
         assert_eq!(i4.inlane_words_per_cycle, 4);
-        assert_eq!(i1.crosslane_words_per_cycle, i4.crosslane_words_per_cycle);
+        assert_eq!(
+            (i1.crosslane_latency, i1.network_ports_per_bank),
+            (i4.crosslane_latency, i4.network_ports_per_bank)
+        );
         assert_eq!(i1.inlane_latency, 4);
         assert_eq!(i1.crosslane_latency, 6);
         assert_eq!(i1.addr_fifo_entries, 8);

@@ -44,7 +44,7 @@
 //! tracer, reporting it with the reason read off the masks — decides what
 //! examining it would have.
 
-use isrf_core::config::{CrossLaneTopology, MachineConfig};
+use isrf_core::config::{MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::stats::SrfTraffic;
 use isrf_core::Word;
@@ -156,7 +156,7 @@ pub struct IdxState {
     next_arrival: u64,
     /// Scratch of one [`service_indexed`] pass: lanes whose head may still
     /// issue, and for a tracer the verdict on a cursor's head — `(bank,
-    /// sub-array, hops, FIFO occupancy after)` of an access, or why not.
+    /// sub-array, FIFO occupancy after)` of an access, or why not.
     open: u64,
     seen: Option<Verdict>,
 }
@@ -585,20 +585,14 @@ impl IdxState {
 /// Arbitration parameters extracted from the machine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct IdxParams {
-    /// Lanes in the machine.
-    pub lanes: usize,
     /// Peak in-lane indexed accesses per lane per cycle (1 or `s`).
     pub inlane_words_per_cycle: usize,
-    /// Peak cross-lane issues per lane per cycle.
-    pub crosslane_words_per_cycle: usize,
     /// In-lane access latency.
     pub inlane_latency: u64,
     /// Cross-lane access latency.
     pub crosslane_latency: u64,
     /// Cross-lane network ports per SRF bank.
     pub network_ports_per_bank: usize,
-    /// Cross-lane interconnect topology.
-    pub topology: CrossLaneTopology,
 }
 
 impl IdxParams {
@@ -610,42 +604,11 @@ impl IdxParams {
     pub fn from_machine(m: &MachineConfig) -> Self {
         let idx = m.srf.indexed.as_ref().expect("machine lacks indexed SRF");
         IdxParams {
-            lanes: m.lanes,
             inlane_words_per_cycle: idx.inlane_words_per_cycle,
-            crosslane_words_per_cycle: idx.crosslane_words_per_cycle,
             inlane_latency: idx.inlane_latency as u64,
             crosslane_latency: idx.crosslane_latency as u64,
             network_ports_per_bank: idx.network_ports_per_bank,
-            topology: idx.crosslane_topology,
         }
-    }
-}
-
-/// Extra cycles a cross-lane access pays on a sparse interconnect:
-/// crossbars deliver in one traversal; rings pay one cycle per hop beyond
-/// the first (shortest direction).
-pub fn topology_extra_latency(
-    topology: CrossLaneTopology,
-    from: usize,
-    to: usize,
-    lanes: usize,
-) -> u64 {
-    match topology {
-        CrossLaneTopology::Crossbar => 0,
-        CrossLaneTopology::Ring => {
-            let d = from.abs_diff(to);
-            (d.min(lanes - d).saturating_sub(1)) as u64
-        }
-    }
-}
-
-/// Per-cycle global cross-lane grant budget of the interconnect: a
-/// crossbar can move one access per lane; a bidirectional ring is
-/// bisection-limited to 4 concurrent traversals.
-pub fn topology_issue_budget(topology: CrossLaneTopology, lanes: usize) -> usize {
-    match topology {
-        CrossLaneTopology::Crossbar => lanes,
-        CrossLaneTopology::Ring => 4.min(lanes),
     }
 }
 
@@ -655,9 +618,9 @@ pub fn topology_issue_budget(topology: CrossLaneTopology, lanes: usize) -> usize
 /// `MachineConfig::validate` rejects wider indexed machines.
 const MAX_BANKS: usize = 64;
 
-/// The verdict on a FIFO head — `(bank, sub-array, hops, FIFO occupancy
-/// after)` of an access, or why it was rejected.
-type Verdict = Result<(u8, u8, u8, u8), Why>;
+/// The verdict on a FIFO head — `(bank, sub-array, FIFO occupancy after)`
+/// of an access, or why it was rejected.
+type Verdict = Result<(u8, u8, u8), Why>;
 
 /// The trace event for `verdict` on lane `lane`'s head of stream `stream`.
 #[inline(always)]
@@ -665,14 +628,13 @@ fn event(st: &IdxState, stream: usize, lane: usize, verdict: Verdict) -> TraceEv
     let crosslane = st.kind == IdxKind::CrossLaneRead;
     let (stream, lane) = (stream as u8, lane as u8);
     match verdict {
-        Ok((bank, subarray, hops, fifo_after)) => TraceEvent::IdxAccess {
+        Ok((bank, subarray, fifo_after)) => TraceEvent::IdxAccess {
             stream,
             lane,
             bank: if crosslane { bank } else { lane },
             subarray,
             write: st.kind == IdxKind::InLaneWrite,
             crosslane,
-            hops,
             fifo_after,
         },
         Err(reason) => TraceEvent::IdxReject {
@@ -794,18 +756,17 @@ fn service_pass(
     // Cross-lane accesses each bank has accepted this cycle (the issue
     // budget is at most one per lane, so a byte cannot overflow).
     let mut ports_used = [0u8; MAX_BANKS];
-    let (per_lane, mut global, latency) = if cross {
-        let global = topology_issue_budget(p.topology, p.lanes);
-        (p.crosslane_words_per_cycle, global, p.crosslane_latency)
+    let (per_lane, latency) = if cross {
+        (CROSSLANE_WORDS_PER_CYCLE, p.crosslane_latency)
     } else {
-        (p.inlane_words_per_cycle, usize::MAX, p.inlane_latency)
+        (p.inlane_words_per_cycle, p.inlane_latency)
     };
-    while lanes != 0 && global != 0 {
+    while lanes != 0 {
         let i = lanes.trailing_zeros() as usize;
         lanes &= !((u64::MAX >> (64 - span)) << i);
         let mut issues = per_lane;
         for k in 0..n {
-            if issues == 0 || global == 0 {
+            if issues == 0 {
                 break;
             }
             let st = &mut states[nth(k)];
@@ -834,15 +795,12 @@ fn service_pass(
                 } else {
                     busy[bank] |= 1 << sub;
                     issues -= 1;
-                    let mut hops = 0;
                     if cross {
-                        global -= 1;
                         ports_used[bank] += 1;
                         if ports_used[bank] as usize >= p.network_ports_per_bank {
                             closed = Some(bank);
                         }
                         traffic.crosslane_words += 1;
-                        hops = topology_extra_latency(p.topology, i, bank, p.lanes);
                     } else {
                         traffic.inlane_words += span as u64;
                     }
@@ -855,9 +813,9 @@ fn service_pass(
                             let from = if cross { bank } else { lane };
                             st.data[slot(lane, d_push, st.d_shift)] = srf.read(from, off);
                         }
-                        st.land(i, now + latency + hops);
+                        st.land(i, now + latency);
                     }
-                    Ok((bank as u8, sub, hops as u8, st.advance_head(i) as u8))
+                    Ok((bank as u8, sub, st.advance_head(i) as u8))
                 }
             };
             if traced && span == 1 {

@@ -96,9 +96,7 @@ pub mod tape;
 pub mod verify;
 
 pub use exec::{ExecEngine, KernelRun, Phase};
-pub use indexed::{
-    service_indexed, topology_extra_latency, topology_issue_budget, IdxKind, IdxParams, IdxState,
-};
+pub use indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 pub use machine::{Machine, SimError};
 pub use program::{ProgOp, ProgOpId, StreamProgram};
 pub use snapshot::{diff_snapshots, SnapshotDiff};

@@ -44,7 +44,7 @@
 
 use std::collections::VecDeque;
 
-use isrf_core::config::{ConfigName, CrossLaneTopology, MachineConfig};
+use isrf_core::config::{ConfigName, MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
 use isrf_core::snap::{Dec, Enc};
 use isrf_core::stats::SrfTraffic;
 use isrf_core::Word;
@@ -170,7 +170,6 @@ fn setup(m: &MachineConfig, plan: &[StreamPlan]) -> (Srf, SrfRange, SrfRange, Ve
 /// as the executable specification of stage-2 arbitration order.
 mod reference {
     use super::*;
-    use isrf_sim::indexed::{topology_extra_latency, topology_issue_budget};
     use isrf_trace::IdxRejectReason as Why;
 
     #[derive(Default)]
@@ -215,19 +214,18 @@ mod reference {
         traffic: &mut SrfTraffic,
         events: &mut Vec<(u64, TraceEvent)>,
     ) {
-        let n = states.len();
-        let mut busy = vec![0u64; p.lanes];
-        let mut bank_ports = vec![p.network_ports_per_bank; p.lanes];
-        let mut global = topology_issue_budget(p.topology, p.lanes);
+        let (n, lanes) = (states.len(), states[0].lanes.len());
+        let mut busy = vec![0u64; lanes];
+        let mut bank_ports = vec![p.network_ports_per_bank; lanes];
         for crosslane in [false, true] {
-            for lane in 0..p.lanes {
+            for lane in 0..lanes {
                 let mut budget = if crosslane {
-                    p.crosslane_words_per_cycle
+                    CROSSLANE_WORDS_PER_CYCLE
                 } else {
                     p.inlane_words_per_cycle
                 };
                 for k in 0..n {
-                    if budget == 0 || (crosslane && global == 0) {
+                    if budget == 0 {
                         break;
                     }
                     let si = (*rr + k) % n;
@@ -242,7 +240,7 @@ mod reference {
                     let b = st.binding;
                     let write = st.kind == IdxKind::InLaneWrite;
                     let (bank, row) = if crosslane {
-                        (record as usize % p.lanes, record / p.lanes as u32)
+                        (record as usize % lanes, record / lanes as u32)
                     } else {
                         (lane, record)
                     };
@@ -270,12 +268,9 @@ mod reference {
                     }
                     busy[bank] |= 1 << sub;
                     budget -= 1;
-                    let mut hops = 0;
                     if crosslane {
                         bank_ports[bank] -= 1;
-                        global -= 1;
                         traffic.crosslane_words += 1;
-                        hops = topology_extra_latency(p.topology, lane, bank, p.lanes);
                     } else {
                         traffic.inlane_words += 1;
                     }
@@ -283,7 +278,7 @@ mod reference {
                         srf.write(bank, offset, wdata);
                     } else {
                         let latency = if crosslane {
-                            p.crosslane_latency + hops
+                            p.crosslane_latency
                         } else {
                             p.inlane_latency
                         };
@@ -302,7 +297,6 @@ mod reference {
                         subarray: sub as u8,
                         write,
                         crosslane,
-                        hops: hops as u8,
                         fifo_after: l.addr_fifo.len() as u8,
                     };
                     events.push((now, ev));
@@ -478,7 +472,7 @@ proptest! {
 
 /// Machine shapes the lock-step comparison covers.
 fn machines() -> impl Strategy<Value = MachineConfig> {
-    (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(isrf4, ring, narrow)| {
+    (any::<bool>(), any::<bool>()).prop_map(|(isrf4, narrow)| {
         let mut m = MachineConfig::preset(if isrf4 {
             ConfigName::Isrf4
         } else {
@@ -486,10 +480,6 @@ fn machines() -> impl Strategy<Value = MachineConfig> {
         });
         if narrow {
             m.lanes = 4;
-        }
-        if ring {
-            let idx = m.srf.indexed.as_mut().expect("ISRF preset");
-            idx.crosslane_topology = CrossLaneTopology::Ring;
         }
         m.validate().expect("test machine is valid");
         m
@@ -713,9 +703,9 @@ fn fit_row(plan: &RowPlan, r: usize, lanes: usize, records: u32) -> Vec<u32> {
 }
 
 /// Machine shapes of the row-driven comparison: 4, 8 or 16 lanes, one or
-/// two network ports a bank, crossbar or ring.
+/// two network ports a bank.
 fn row_machines() -> impl Strategy<Value = MachineConfig> {
-    (any::<bool>(), any::<bool>(), 0usize..3, 1usize..3).prop_map(|(isrf4, ring, width, ports)| {
+    (any::<bool>(), 0usize..3, 1usize..3).prop_map(|(isrf4, width, ports)| {
         let mut m = MachineConfig::preset(if isrf4 {
             ConfigName::Isrf4
         } else {
@@ -724,9 +714,6 @@ fn row_machines() -> impl Strategy<Value = MachineConfig> {
         m.lanes = [4, 8, 16][width];
         let idx = m.srf.indexed.as_mut().expect("ISRF preset");
         idx.network_ports_per_bank = ports;
-        if ring {
-            idx.crosslane_topology = CrossLaneTopology::Ring;
-        }
         m.validate().expect("test machine is valid");
         m
     })

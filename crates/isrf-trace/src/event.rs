@@ -236,9 +236,6 @@ pub enum TraceEvent {
         write: bool,
         /// Cross-lane access over the index network?
         crosslane: bool,
-        /// Extra interconnect hops beyond the first traversal (ring
-        /// topologies; zero on a crossbar).
-        hops: u8,
         /// Address-FIFO occupancy of `(stream, lane)` after the access.
         fifo_after: u8,
     },
@@ -322,18 +319,12 @@ impl fmt::Display for TraceEvent {
                 subarray,
                 write,
                 crosslane,
-                hops,
                 fifo_after,
             } => write!(
                 f,
-                "idx-{} stream={stream} lane={lane} bank={bank} sub={subarray}{}{} fifo={fifo_after}",
+                "idx-{} stream={stream} lane={lane} bank={bank} sub={subarray}{} fifo={fifo_after}",
                 if *write { "write" } else { "read" },
                 if *crosslane { " crosslane" } else { "" },
-                if *hops > 0 {
-                    format!(" hops={hops}")
-                } else {
-                    String::new()
-                },
             ),
             TraceEvent::IdxReject {
                 stream,
@@ -399,12 +390,11 @@ mod tests {
             subarray: 3,
             write: false,
             crosslane: true,
-            hops: 2,
             fifo_after: 4,
         };
         assert_eq!(
             e.to_string(),
-            "idx-read stream=1 lane=2 bank=5 sub=3 crosslane hops=2 fifo=4"
+            "idx-read stream=1 lane=2 bank=5 sub=3 crosslane fifo=4"
         );
         assert_eq!(
             TraceEvent::Cycle(CycleAttr::SrfStall).to_string(),

@@ -108,8 +108,6 @@ pub struct Counters {
     pub idx_crosslane: u64,
     /// Indexed writes (in-lane scatter) among the above.
     pub idx_writes: u64,
-    /// Total extra interconnect hops across cross-lane accesses.
-    pub idx_hops: u64,
     /// Cycles the SRF port was pre-empted by a memory transfer.
     pub port_preemptions: u64,
     /// Memory transfers issued.
@@ -134,7 +132,6 @@ pub struct Recorder {
     audit: AuditAccumulator,
     fifo_occupancy: Histogram,
     transfer_words: Histogram,
-    crosslane_hops: Histogram,
 }
 
 impl Recorder {
@@ -191,7 +188,6 @@ impl Recorder {
         r.set("srf.idx.inlane.accesses", c.idx_inlane);
         r.set("srf.idx.crosslane.accesses", c.idx_crosslane);
         r.set("srf.idx.writes", c.idx_writes);
-        r.set("srf.idx.crosslane.extra_hops", c.idx_hops);
         r.set("srf.port.preemptions", c.port_preemptions);
         r.set("mem.transfers", c.transfers);
         r.set("mem.transfer.words", c.transfer_words);
@@ -201,7 +197,6 @@ impl Recorder {
         r.set("trace.ring.dropped", self.ring.dropped());
         r.put_histogram("srf.idx.fifo_occupancy", self.fifo_occupancy.clone());
         r.put_histogram("mem.transfer.words.dist", self.transfer_words.clone());
-        r.put_histogram("srf.idx.crosslane.hops.dist", self.crosslane_hops.clone());
         r
     }
 
@@ -222,14 +217,11 @@ impl Recorder {
             TraceEvent::IdxAccess {
                 write,
                 crosslane,
-                hops,
                 fifo_after,
                 ..
             } => {
                 if *crosslane {
                     c.idx_crosslane += 1;
-                    c.idx_hops += u64::from(*hops);
-                    self.crosslane_hops.observe(u64::from(*hops));
                 } else {
                     c.idx_inlane += 1;
                 }
@@ -364,7 +356,6 @@ mod tests {
                 subarray: 0,
                 write: false,
                 crosslane: true,
-                hops: 2,
                 fifo_after: 5,
             },
         );
@@ -386,7 +377,6 @@ mod tests {
         );
         let r = t.recorder().unwrap().registry();
         assert_eq!(r.counter("srf.idx.crosslane.accesses"), 1);
-        assert_eq!(r.counter("srf.idx.crosslane.extra_hops"), 2);
         assert_eq!(r.counter("srf.idx.reject.bank_port_busy"), 1);
         assert_eq!(r.counter("mem.cache.hits"), 1);
         assert_eq!(r.histogram("srf.idx.fifo_occupancy").unwrap().count(), 1);

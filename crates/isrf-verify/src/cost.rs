@@ -16,14 +16,13 @@
 //!   service cycles. A sequential stream moving `iters·n` words per lane
 //!   needs `⌈iters·n / m⌉` grants; conditional streams move a
 //!   data-dependent word count and are floored at zero. Indexed service
-//!   obeys three hard caps from [`service_indexed`]: at most one access
-//!   per stream per lane per cycle, `inlane_words_per_cycle` in-lane
-//!   accesses per lane per cycle shared across streams, and for
-//!   cross-lane streams both the per-lane issue width and the global
-//!   topology budget (crossbar: `lanes`; ring: `min(4, lanes)`) and the
-//!   per-bank network ports. In-lane and cross-lane accesses are serviced
-//!   in the same indexed cycle, so the indexed floor is the max of the
-//!   two groups, not their sum.
+//!   obeys two hard caps from [`service_indexed`]: at most one access
+//!   per stream per lane per cycle, and `inlane_words_per_cycle` in-lane
+//!   or `CROSSLANE_WORDS_PER_CYCLE` cross-lane accesses per lane per
+//!   cycle shared across streams (the crossbar's per-bank network ports
+//!   only lower the rate further). In-lane and cross-lane accesses are
+//!   serviced in the same indexed cycle, so the indexed floor is the max
+//!   of the two groups, not their sum.
 //! * **Memory floor.** The channel model charges bandwidth per DRAM
 //!   *burst opening*, not per word: words of a transfer landing in the
 //!   burst most recently opened by that transfer ride along free (see
@@ -42,7 +41,7 @@
 //!
 //! [`service_indexed`]: ../isrf_sim/index.html
 
-use isrf_core::config::MachineConfig;
+use isrf_core::config::{MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
 use isrf_kernel::ir::{Kernel, StreamKind, StreamSlot};
 use isrf_kernel::sched::Schedule;
 use isrf_mem::AddrPattern;
@@ -198,7 +197,6 @@ fn kernel_cost(
     bindings: &[StreamBinding],
     iters: u64,
 ) -> KernelCost {
-    let lanes = cfg.lanes as u64;
     let m = cfg.srf.words_per_seq_access.max(1) as u64;
     let ii = schedule.ii.max(1) as u64;
     let (fifo_cap, buf_cap) = (
@@ -211,9 +209,9 @@ fn kernel_cost(
 
     let mut streams = Vec::with_capacity(kernel.streams.len());
     let mut seq_grants = 0u64;
-    // (accesses per lane over the run, per-iteration count) per group.
-    let mut inlane: Vec<u64> = Vec::new();
-    let mut cross: Vec<u64> = Vec::new();
+    // Accesses per lane over the run: per in-lane stream, and summed over
+    // the cross-lane ones; then each group's per-iteration count.
+    let (mut inlane, mut cross_sum) = (Vec::new(), 0u64);
     let (mut inlane_per_iter, mut cross_per_iter) = (0u64, 0u64);
     for (si, decl) in kernel.streams.iter().enumerate() {
         let slot = StreamSlot(si as u8);
@@ -256,7 +254,7 @@ fn kernel_cost(
             StreamKind::IdxCrossRead => {
                 sc.service_floor = apl;
                 sc.pressure_pct = (100 * n / ii).min(u32::MAX as u64) as u32;
-                cross.push(apl);
+                cross_sum += apl;
                 cross_per_iter += n;
             }
         }
@@ -271,11 +269,7 @@ fn kernel_cost(
 
     let idx = cfg.srf.indexed.as_ref();
     let w_in = idx.map_or(1, |i| i.inlane_words_per_cycle.max(1)) as u64;
-    let w_cross = idx.map_or(1, |i| i.crosslane_words_per_cycle.max(1)) as u64;
-    let ports = idx.map_or(1, |i| i.network_ports_per_bank.max(1)) as u64;
-    let topo_budget = idx.map_or(1, |i| {
-        isrf_sim::topology_issue_budget(i.crosslane_topology, cfg.lanes).max(1) as u64
-    });
+    let w_cross = CROSSLANE_WORDS_PER_CYCLE as u64;
 
     let inlane_floor = inlane
         .iter()
@@ -283,17 +277,7 @@ fn kernel_cost(
         .max()
         .unwrap_or(0)
         .max(div_ceil(inlane.iter().sum::<u64>(), w_in));
-    let cross_sum: u64 = cross.iter().sum();
-    // Per-lane issue width, global topology budget, and per-bank network
-    // ports each cap a cross-lane service cycle independently.
-    let cross_floor = cross
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(0)
-        .max(div_ceil(cross_sum, w_cross))
-        .max(div_ceil(cross_sum * lanes, topo_budget))
-        .max(div_ceil(cross_sum, ports));
+    let cross_floor = div_ceil(cross_sum, w_cross);
     // In-lane and cross-lane streams are serviced in the same indexed
     // cycle: the groups overlap, so take the max, not the sum.
     let idx_floor = inlane_floor.max(cross_floor);
@@ -320,10 +304,7 @@ fn kernel_cost(
         port_floor,
         floor,
         inlane_pressure_pct: (100 * inlane_per_iter / (ii * w_in)).min(u32::MAX as u64) as u32,
-        crosslane_pressure_pct: {
-            let cap = topo_budget.min(ports * lanes).min(w_cross * lanes).max(1);
-            (100 * cross_per_iter * lanes / (ii * cap)).min(u32::MAX as u64) as u32
-        },
+        crosslane_pressure_pct: (100 * cross_per_iter / (ii * w_cross)).min(u32::MAX as u64) as u32,
         streams,
     }
 }

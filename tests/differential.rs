@@ -174,10 +174,9 @@ fn set_separations(c: &mut MachineConfig, inlane: u32, crosslane: u32) {
 /// claim over the config space: every perturbed point passes both oracles
 /// and equals the committed line of its (app, config) in its output words,
 /// in the indexed word counts and in off-chip bytes. Cycles may move
-/// either way; they are printed (`--nocapture`), not asserted. A release
-/// build runs all 32 × 15 pairs, a debug build three perturbations per
-/// point, staggered so that any five neighbouring points cover all fifteen.
-/// Points run in parallel — the sweep harness drives its own test load.
+/// either way; they are printed (`--nocapture`), not asserted. Every build
+/// runs all 32 × 15 pairs. Points run in parallel — the sweep harness
+/// drives its own test load.
 #[test]
 fn all_apps_all_configs_match_reference() {
     let digest = committed();
@@ -197,10 +196,8 @@ fn all_apps_all_configs_match_reference() {
         }
     }
 
-    let stride = if cfg!(debug_assertions) { 5 } else { 1 };
     let pairs: Vec<(usize, usize)> = (0..points.len())
         .flat_map(|p| (0..PERTURBATIONS.len()).map(move |k| (p, k)))
-        .filter(|&(p, k)| (p + k) % stride == 0)
         .collect();
     let perturbed = run_parallel(&pairs, |&(p, k)| {
         let (app, cfg) = points[p];
