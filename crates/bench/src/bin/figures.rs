@@ -17,7 +17,10 @@ use std::cell::OnceCell;
 
 use isrf_bench as figs;
 use isrf_bench::{Fig12Row, Profile};
-use isrf_core::config::{ConfigName, MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
+use isrf_core::config::{
+    ConfigName, MachineConfig, CLOCK_GHZ, CROSSLANE_LATENCY, CROSSLANE_WORDS_PER_CYCLE,
+    INLANE_LATENCY, SRF_BYTES,
+};
 
 /// What a target renders from: the sizing profile, and the grid of
 /// [`figs::fig12`], simulated by the first target that reads it.
@@ -39,9 +42,9 @@ fn table3() {
         print!(
             "{name:<6} lanes={} clock={} GHz peak={} GFLOPs SRF={} KB seq-bw={} w/c",
             m.lanes,
-            m.clock_ghz,
+            CLOCK_GHZ,
             m.peak_gflops(),
-            m.srf.capacity_bytes / 1024,
+            SRF_BYTES / 1024,
             m.srf.seq_words_per_cycle(m.lanes),
         );
         if let Some(i) = &m.srf.indexed {
@@ -49,8 +52,8 @@ fn table3() {
                 " | idx: inlane={}w/c xl={}w/c lat={}/{} fifo={}",
                 i.inlane_words_per_cycle,
                 CROSSLANE_WORDS_PER_CYCLE,
-                i.inlane_latency,
-                i.crosslane_latency,
+                INLANE_LATENCY,
+                CROSSLANE_LATENCY,
                 i.addr_fifo_entries
             );
         }

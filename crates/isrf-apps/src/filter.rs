@@ -231,7 +231,7 @@ pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Pre
         // The baseline parks a whole lane-block in the scratchpad; give it
         // the capacity (this only ever helps the baseline).
         let mut c = cfg.clone();
-        c.cluster.scratchpad_words = (BLOCK_ROWS * COLS) as usize;
+        c.scratchpad_words = (BLOCK_ROWS * COLS) as usize;
         machine(&c)
     };
     lay_out_image(&mut m, params);

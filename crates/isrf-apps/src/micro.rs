@@ -14,7 +14,7 @@
 //!   cycles carrying explicit inter-cluster communication, which has
 //!   priority over cross-lane data returns.
 
-use isrf_core::config::{ConfigName, MachineConfig};
+use isrf_core::config::{ConfigName, MachineConfig, SEQ_ACCESS_WORDS};
 use isrf_core::stats::SrfTraffic;
 use isrf_sim::{service_indexed, IdxKind, IdxParams, IdxState, Srf, StreamBinding};
 use isrf_trace::Tracer;
@@ -105,7 +105,7 @@ pub fn crosslane_throughput(ports_per_bank: usize, comm_percent: u32, cycles: u6
     cfg.validate().expect("micro config is valid");
 
     let lanes = cfg.lanes;
-    let m = cfg.srf.words_per_seq_access as u64;
+    let m = SEQ_ACCESS_WORDS as u64;
     let mut srf = Srf::new(&cfg);
     let range = srf.alloc(srf.bank_words());
     let total_records = srf.bank_words() * lanes as u32;

@@ -16,9 +16,13 @@
 //! | ISRF4  | indexed      | 4 words/cycle/lane in-lane   | DRAM          |
 //! | Cache  | sequential   | none                         | cache + DRAM  |
 //!
-//! All parameters are plain public fields so experiments can sweep them (the
-//! parameter studies of Section 5.4 vary sub-array counts, FIFO sizes,
-//! network ports and address/data separations).
+//! A value is a field only where an experiment varies it: Section 5.4
+//! sweeps sub-array counts, address-FIFO sizes, network ports and the
+//! address/data separations, and the differential suite's perturbation grid
+//! adds DRAM latency, bandwidth and burst size, stream-buffer depth and
+//! sequential SRF latency (Filter also sizes its scratchpad). The rest of
+//! Table 3 is fixed by the paper and is a `const` here; an indexed SRF
+//! always has the cross-lane crossbar.
 
 use std::fmt;
 use std::str::FromStr;
@@ -98,44 +102,25 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Functional-unit and local-storage description of one compute cluster.
-///
-/// All four paper configurations use identical clusters: four fully
-/// pipelined units supporting integer and floating-point add and multiply,
-/// plus a single unpipelined divider (Section 5).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClusterConfig {
-    /// Fully pipelined arithmetic units per cluster.
-    pub fu_count: usize,
-    /// Unpipelined dividers per cluster.
-    pub divider_count: usize,
-    /// Words of cluster-local scratchpad memory (Imagine provides a small
-    /// scratchpad; the `Filter` baseline depends on it).
-    pub scratchpad_words: usize,
-    /// Operation latencies in cycles.
-    pub latency: OpLatencies,
-    /// Latency of an explicit inter-cluster network transfer.
-    pub comm_latency: u32,
-}
+/// System clock in GHz (Table 3).
+pub const CLOCK_GHZ: f64 = 1.0;
 
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            fu_count: 4,
-            divider_count: 1,
-            scratchpad_words: 256,
-            latency: OpLatencies::default(),
-            comm_latency: 2,
-        }
-    }
-}
+/// Fully pipelined arithmetic units per cluster, each supporting integer
+/// and floating-point add and multiply (Section 5).
+pub const FU_COUNT: usize = 4;
+
+/// Unpipelined dividers per cluster (Section 5).
+pub const DIVIDER_COUNT: usize = 1;
+
+/// Latency of an explicit inter-cluster network transfer, in cycles.
+pub const COMM_LATENCY: u32 = 2;
 
 /// Per-operation-class latencies, in cycles.
 ///
-/// The exact values are not given in the paper; these defaults follow the
-/// published Imagine pipeline depths and may be swept freely — the
-/// reproduction's conclusions depend on their relative order (divide ≫
-/// multiply > add ≥ simple ops), not the absolute values.
+/// The exact values are not given in the paper; [`OP_LATENCIES`] follows
+/// the published Imagine pipeline depths. The reproduction's conclusions
+/// depend on their relative order (divide ≫ multiply > add ≥ simple ops),
+/// not the absolute values.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpLatencies {
     /// Integer add/sub/logic/shift/compare.
@@ -156,20 +141,35 @@ pub struct OpLatencies {
     pub sb_access: u32,
 }
 
-impl Default for OpLatencies {
-    fn default() -> Self {
-        OpLatencies {
-            int_alu: 2,
-            int_mul: 4,
-            fp_add: 3,
-            fp_mul: 4,
-            divide: 16,
-            select: 1,
-            scratch: 2,
-            sb_access: 1,
-        }
-    }
-}
+/// The cluster's operation latencies, in cycles.
+pub const OP_LATENCIES: OpLatencies = OpLatencies {
+    int_alu: 2,
+    int_mul: 4,
+    fp_add: 3,
+    fp_mul: 4,
+    divide: 16,
+    select: 1,
+    scratch: 2,
+    sb_access: 1,
+};
+
+/// Total SRF capacity in bytes across all banks (Table 3).
+pub const SRF_BYTES: usize = 128 * 1024;
+
+/// Words accessed per lane by one sequential SRF access (`m` = 4).
+pub const SEQ_ACCESS_WORDS: usize = 4;
+
+/// In-lane indexed access latency, address to data, absent conflicts
+/// (Table 3).
+pub const INLANE_LATENCY: u32 = 4;
+
+/// Cross-lane indexed access latency absent conflicts (Table 3).
+pub const CROSSLANE_LATENCY: u32 = 6;
+
+/// Fixed per-invocation kernel overhead in cycles: sequencer dispatch plus
+/// pre/post-loop kernel code (part of the "kernel overheads" component of
+/// Figure 12).
+pub const KERNEL_DISPATCH_CYCLES: u32 = 32;
 
 /// Peak cross-lane indexed bandwidth in words per cycle per lane: the paper
 /// evaluates only fully connected crossbars, one index per cluster per cycle
@@ -185,12 +185,6 @@ pub struct IndexedSrfConfig {
     /// Peak in-lane indexed bandwidth in words per cycle per lane
     /// (1 for ISRF1 — no sub-banking — and `s` = 4 for ISRF4).
     pub inlane_words_per_cycle: usize,
-    /// In-lane indexed access latency, address to data, absent conflicts.
-    pub inlane_latency: u32,
-    /// Cross-lane indexed access latency absent conflicts.
-    pub crosslane_latency: u32,
-    /// Whether cross-lane indexed access is supported at all.
-    pub crosslane: bool,
     /// Cross-lane network ports per SRF bank (Figure 18 sweeps 1/2/4).
     pub network_ports_per_bank: usize,
 }
@@ -201,9 +195,6 @@ impl IndexedSrfConfig {
         IndexedSrfConfig {
             addr_fifo_entries: 8,
             inlane_words_per_cycle: 1,
-            inlane_latency: 4,
-            crosslane_latency: 6,
-            crosslane: true,
             network_ports_per_bank: 1,
         }
     }
@@ -220,10 +211,6 @@ impl IndexedSrfConfig {
 /// SRF organization (Section 4.1–4.2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SrfConfig {
-    /// Total SRF capacity in bytes across all banks (128 KB in the paper).
-    pub capacity_bytes: usize,
-    /// Words accessed per lane by one sequential SRF access (`m` = 4).
-    pub words_per_seq_access: usize,
     /// Sub-arrays per bank (`s` = 4). Determines peak in-lane indexed
     /// parallelism when sub-banked access is enabled.
     pub subarrays: usize,
@@ -239,8 +226,6 @@ impl SrfConfig {
     /// Sequential-only SRF with the paper's Table 3 parameters.
     pub fn sequential() -> Self {
         SrfConfig {
-            capacity_bytes: 128 * 1024,
-            words_per_seq_access: 4,
             subarrays: 4,
             seq_latency: 3,
             stream_buffer_words: 8,
@@ -250,7 +235,7 @@ impl SrfConfig {
 
     /// Total capacity in words.
     pub fn capacity_words(&self) -> usize {
-        self.capacity_bytes / WORD_BYTES as usize
+        SRF_BYTES / WORD_BYTES as usize
     }
 
     /// Words per bank for an `lanes`-lane machine.
@@ -265,7 +250,7 @@ impl SrfConfig {
 
     /// Peak sequential SRF bandwidth in words per cycle across all lanes.
     pub fn seq_words_per_cycle(&self, lanes: usize) -> usize {
-        lanes * self.words_per_seq_access
+        lanes * SEQ_ACCESS_WORDS
     }
 }
 
@@ -300,9 +285,9 @@ impl Default for DramConfig {
 }
 
 impl DramConfig {
-    /// Peak bandwidth in words per processor cycle at `clock_ghz`.
-    pub fn words_per_cycle(&self, clock_ghz: f64) -> f64 {
-        self.peak_gbytes_per_sec / (WORD_BYTES as f64) / clock_ghz
+    /// Peak bandwidth in words per processor cycle at [`CLOCK_GHZ`].
+    pub fn words_per_cycle(&self) -> f64 {
+        self.peak_gbytes_per_sec / (WORD_BYTES as f64) / CLOCK_GHZ
     }
 }
 
@@ -338,9 +323,9 @@ impl Default for CacheConfig {
 }
 
 impl CacheConfig {
-    /// Peak bandwidth in words per processor cycle at `clock_ghz`.
-    pub fn words_per_cycle(&self, clock_ghz: f64) -> f64 {
-        self.peak_gbytes_per_sec / (WORD_BYTES as f64) / clock_ghz
+    /// Peak bandwidth in words per processor cycle at [`CLOCK_GHZ`].
+    pub fn words_per_cycle(&self) -> f64 {
+        self.peak_gbytes_per_sec / (WORD_BYTES as f64) / CLOCK_GHZ
     }
 
     /// Number of sets per bank.
@@ -377,10 +362,10 @@ pub struct MachineConfig {
     pub name: ConfigName,
     /// Number of lanes (SRF bank + compute cluster pairs).
     pub lanes: usize,
-    /// System clock in GHz.
-    pub clock_ghz: f64,
-    /// Compute cluster description.
-    pub cluster: ClusterConfig,
+    /// Words of cluster-local scratchpad memory per lane (Imagine provides
+    /// a small scratchpad; the `Filter` baseline depends on it and sizes
+    /// it to its block).
+    pub scratchpad_words: usize,
     /// SRF organization.
     pub srf: SrfConfig,
     /// Off-chip DRAM channel.
@@ -389,10 +374,6 @@ pub struct MachineConfig {
     pub cache: Option<CacheConfig>,
     /// Kernel-scheduling defaults.
     pub sched: ScheduleConfig,
-    /// Fixed per-invocation kernel overhead in cycles: sequencer dispatch
-    /// plus pre/post-loop kernel code (part of the "kernel overheads"
-    /// component of Figure 12).
-    pub kernel_dispatch_cycles: u32,
 }
 
 impl MachineConfig {
@@ -409,13 +390,11 @@ impl MachineConfig {
         let mut m = MachineConfig {
             name,
             lanes: 8,
-            clock_ghz: 1.0,
-            cluster: ClusterConfig::default(),
+            scratchpad_words: 256,
             srf: SrfConfig::sequential(),
             dram: DramConfig::default(),
             cache: None,
             sched: ScheduleConfig::default(),
-            kernel_dispatch_cycles: 32,
         };
         match name {
             ConfigName::Base => {}
@@ -428,7 +407,7 @@ impl MachineConfig {
 
     /// Peak compute rate in GFLOP/s (`lanes × FUs × clock`): 32 in Table 3.
     pub fn peak_gflops(&self) -> f64 {
-        self.lanes as f64 * self.cluster.fu_count as f64 * self.clock_ghz
+        self.lanes as f64 * FU_COUNT as f64 * CLOCK_GHZ
     }
 
     /// True when the SRF supports indexed access.
@@ -443,20 +422,16 @@ impl MachineConfig {
     /// Returns a [`ConfigError`] describing the first violated invariant:
     /// zero lanes, SRF capacity not divisible into banks/sub-arrays,
     /// indexed bandwidth exceeding the sub-array count, an indexed machine
-    /// wider than the arbiter's 64-lane / 64-sub-array masks, or zero-sized
-    /// buffers/FIFOs.
+    /// wider than the arbiter's 64-lane / 64-sub-array masks, zero-sized
+    /// buffers/FIFOs, or a DRAM or cache bandwidth that is not finite and
+    /// positive.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.lanes == 0 {
             return Err(ConfigError::new("machine must have at least one lane"));
         }
-        if self.clock_ghz <= 0.0 {
-            return Err(ConfigError::new("clock must be positive"));
-        }
-        if self.cluster.fu_count == 0 {
-            return Err(ConfigError::new("clusters need at least one FU"));
-        }
+        check_bandwidth("DRAM", self.dram.peak_gbytes_per_sec)?;
         let srf = &self.srf;
-        if srf.capacity_words() == 0 || !srf.capacity_words().is_multiple_of(self.lanes) {
+        if !srf.capacity_words().is_multiple_of(self.lanes) {
             return Err(ConfigError::new(format!(
                 "SRF capacity ({} words) must divide evenly into {} banks",
                 srf.capacity_words(),
@@ -467,9 +442,6 @@ impl MachineConfig {
             return Err(ConfigError::new(
                 "bank capacity must divide evenly into sub-arrays",
             ));
-        }
-        if srf.words_per_seq_access == 0 {
-            return Err(ConfigError::new("sequential access width must be nonzero"));
         }
         if srf.stream_buffer_words == 0 {
             return Err(ConfigError::new("stream buffers must be nonzero"));
@@ -495,7 +467,7 @@ impl MachineConfig {
                     idx.inlane_words_per_cycle, srf.subarrays
                 )));
             }
-            if idx.crosslane && idx.network_ports_per_bank == 0 {
+            if idx.network_ports_per_bank == 0 {
                 return Err(ConfigError::new(
                     "cross-lane indexing requires at least one network port per bank",
                 ));
@@ -509,6 +481,7 @@ impl MachineConfig {
             {
                 return Err(ConfigError::new("cache parameters must be nonzero"));
             }
+            check_bandwidth("cache", cache.peak_gbytes_per_sec)?;
             if cache.sets_per_bank() == 0 {
                 return Err(ConfigError::new(
                     "cache must have at least one set per bank",
@@ -517,6 +490,17 @@ impl MachineConfig {
         }
         Ok(())
     }
+}
+
+/// Memory credit accrues at `gbytes_per_sec`: at zero or below no word is
+/// ever served, and NaN serves every word at once.
+fn check_bandwidth(what: &str, gbytes_per_sec: f64) -> Result<(), ConfigError> {
+    if gbytes_per_sec.is_finite() && gbytes_per_sec > 0.0 {
+        return Ok(());
+    }
+    Err(ConfigError::new(format!(
+        "{what} bandwidth ({gbytes_per_sec} GB/s) must be finite and positive"
+    )))
 }
 
 /// A configuration name stands for its preset wherever a machine
@@ -537,9 +521,8 @@ mod tests {
             let m = MachineConfig::preset(name);
             m.validate().expect("preset must validate");
             assert_eq!(m.lanes, 8);
-            assert_eq!(m.clock_ghz, 1.0);
             assert_eq!(m.peak_gflops(), 32.0);
-            assert_eq!(m.srf.capacity_bytes, 128 * 1024);
+            assert_eq!(m.srf.capacity_words() * WORD_BYTES as usize, 128 * 1024);
             assert_eq!(m.srf.seq_words_per_cycle(m.lanes), 32);
             assert_eq!(m.srf.seq_latency, 3);
             assert_eq!(m.srf.stream_buffer_words, 8);
@@ -583,11 +566,12 @@ mod tests {
         assert_eq!(i1.inlane_words_per_cycle, 1);
         assert_eq!(i4.inlane_words_per_cycle, 4);
         assert_eq!(
-            (i1.crosslane_latency, i1.network_ports_per_bank),
-            (i4.crosslane_latency, i4.network_ports_per_bank)
+            IndexedSrfConfig {
+                inlane_words_per_cycle: 1,
+                ..i4
+            },
+            i1
         );
-        assert_eq!(i1.inlane_latency, 4);
-        assert_eq!(i1.crosslane_latency, 6);
         assert_eq!(i1.addr_fifo_entries, 8);
     }
 
@@ -599,7 +583,7 @@ mod tests {
         assert_eq!(c.associativity, 4);
         assert_eq!(c.banks, 4);
         assert_eq!(c.line_words, 2);
-        assert_eq!(c.words_per_cycle(1.0), 4.0);
+        assert_eq!(c.words_per_cycle(), 4.0);
         // 128 KB / (2 words * 4 B) = 16384 lines; /4 ways /4 banks = 1024 sets.
         assert_eq!(c.sets_per_bank(), 1024);
     }
@@ -607,7 +591,7 @@ mod tests {
     #[test]
     fn dram_bandwidth_in_words() {
         let d = DramConfig::default();
-        let wpc = d.words_per_cycle(1.0);
+        let wpc = d.words_per_cycle();
         assert!((wpc - 2.285).abs() < 0.001, "got {wpc}");
     }
 
@@ -630,12 +614,23 @@ mod tests {
         assert!(m.validate().is_err(), "indexed bw beyond sub-arrays");
 
         let mut m = MachineConfig::preset(ConfigName::Base);
-        m.srf.capacity_bytes = 1000; // 250 words, not divisible by 8 banks
+        m.lanes = 3; // 32768 words do not divide into 3 banks
         assert!(m.validate().is_err());
 
         let mut m = MachineConfig::preset(ConfigName::Cache);
         m.cache.as_mut().unwrap().associativity = 0;
         assert!(m.validate().is_err());
+
+        // A bandwidth at which memory never (or instantly) serves a word.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut m = MachineConfig::preset(ConfigName::Cache);
+            m.dram.peak_gbytes_per_sec = bad;
+            assert!(m.validate().is_err(), "DRAM at {bad} GB/s");
+
+            let mut m = MachineConfig::preset(ConfigName::Cache);
+            m.cache.as_mut().unwrap().peak_gbytes_per_sec = bad;
+            assert!(m.validate().is_err(), "cache at {bad} GB/s");
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!    stream to issue before the next iteration's first access — keeping
 //!    FIFO order well-defined under software pipelining.
 
-use isrf_core::config::{OpLatencies, ScheduleConfig};
+use isrf_core::config::{COMM_LATENCY, OP_LATENCIES};
 
 use crate::ir::{Kernel, OpClass, Opcode, StreamKind};
 
@@ -103,13 +103,10 @@ impl DepGraph {
     }
 }
 
-/// Latency model: op latencies plus the address/data separations.
+/// Latency model: the cluster's fixed op latencies ([`OP_LATENCIES`],
+/// [`COMM_LATENCY`]) plus the address/data separations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
-    /// Per-class op latencies.
-    pub ops: OpLatencies,
-    /// Inter-cluster network latency (for `Comm` and conditional streams).
-    pub comm_latency: u32,
     /// In-lane indexed address/data separation, in cycles.
     pub inlane_separation: u32,
     /// Cross-lane indexed address/data separation, in cycles.
@@ -117,21 +114,10 @@ pub struct LatencyModel {
 }
 
 impl LatencyModel {
-    /// Model with the paper's Section 5.1 separations (6 and 20 cycles).
-    pub fn with_defaults(ops: OpLatencies, comm_latency: u32) -> Self {
-        let sched = ScheduleConfig::default();
-        LatencyModel {
-            ops,
-            comm_latency,
-            inlane_separation: sched.inlane_addr_data_separation,
-            crosslane_separation: sched.crosslane_addr_data_separation,
-        }
-    }
-
     /// Issue-to-result latency of `opcode`.
     pub fn latency(&self, opcode: Opcode) -> u32 {
         use Opcode::*;
-        let l = &self.ops;
+        let l = &OP_LATENCIES;
         match opcode {
             Const(_) | LaneId | LaneCount | IterId => 0,
             Mov | Not | Neg | FNeg | IToF | FToI | Select => l.select,
@@ -144,9 +130,9 @@ impl LatencyModel {
             FMul => l.fp_mul,
             FDiv => l.divide,
             SeqRead(_) | SeqWrite(_) | IdxRead(_) | IdxWrite(_) | IdxAddr(_) => l.sb_access,
-            CondRead(_) | CondLaneRead(_) | CondWrite(_) => self.comm_latency + l.sb_access,
+            CondRead(_) | CondLaneRead(_) | CondWrite(_) => COMM_LATENCY + l.sb_access,
             ScratchRead | ScratchWrite => l.scratch,
-            Comm { .. } | CommXor { .. } => self.comm_latency,
+            Comm { .. } | CommXor { .. } => COMM_LATENCY,
         }
     }
 
@@ -225,8 +211,12 @@ mod tests {
     use super::*;
     use crate::ir::{KernelBuilder, StreamKind, StreamSlot};
 
+    /// The paper's Section 5.1 separations (6 and 20 cycles).
     fn model() -> LatencyModel {
-        LatencyModel::with_defaults(OpLatencies::default(), 2)
+        LatencyModel {
+            inlane_separation: 6,
+            crosslane_separation: 20,
+        }
     }
 
     #[test]

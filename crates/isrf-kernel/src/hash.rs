@@ -15,7 +15,6 @@
 //! do not affect scheduling or execution, so kernels differing only there
 //! share cache entries.
 
-use crate::graph::LatencyModel;
 use crate::ir::{Kernel, Opcode, Operand};
 use crate::sched::{SchedParams, Schedule};
 
@@ -202,34 +201,17 @@ pub fn schedule_hash(s: &Schedule) -> u128 {
     h.finish128()
 }
 
-fn hash_latency_model(h: &mut StableHasher, m: &LatencyModel) {
-    let l = &m.ops;
-    for v in [
-        l.int_alu,
-        l.int_mul,
-        l.fp_add,
-        l.fp_mul,
-        l.divide,
-        l.select,
-        l.scratch,
-        l.sb_access,
-    ] {
-        h.write_u32(v);
-    }
-    h.write_u32(m.comm_latency);
-    h.write_u32(m.inlane_separation);
-    h.write_u32(m.crosslane_separation);
-}
-
-/// Content hash of scheduling parameters (resources, latency model,
-/// separations, II bound) — together with [`kernel_hash`] this keys the
-/// schedule memo in [`crate::sched::schedule_cached`].
+/// Content hash of scheduling parameters (resources, separations, II
+/// bound) — together with [`kernel_hash`] this keys the in-process schedule
+/// memo in [`crate::sched::schedule_cached`]. The op latencies are
+/// constants, so no key needs them.
 pub fn sched_params_hash(p: &SchedParams) -> u128 {
     let mut h = StableHasher::new();
     h.write_u8(b'P');
     h.write_usize(p.fu_count);
     h.write_usize(p.divider_count);
-    hash_latency_model(&mut h, &p.model);
+    h.write_u32(p.model.inlane_separation);
+    h.write_u32(p.model.crosslane_separation);
     h.write_u32(p.max_ii);
     h.finish128()
 }

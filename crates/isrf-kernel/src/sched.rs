@@ -23,13 +23,15 @@
 use std::fmt;
 use std::sync::Arc;
 
-use isrf_core::config::MachineConfig;
+use isrf_core::config::{MachineConfig, DIVIDER_COUNT, FU_COUNT};
 use isrf_core::Memo;
 
 use crate::graph::{build_graph, DepEdge, DepGraph, LatencyModel};
 use crate::ir::{Kernel, OpClass};
 
-/// Scheduling parameters: resources, latencies and separations.
+/// Scheduling parameters: resources, separations and the II bound. The
+/// resources are the machine's [`FU_COUNT`] and [`DIVIDER_COUNT`] unless a
+/// caller sets them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedParams {
     /// Pipelined arithmetic units per cluster.
@@ -46,11 +48,9 @@ impl SchedParams {
     /// Parameters matching a machine configuration.
     pub fn from_machine(m: &MachineConfig) -> Self {
         SchedParams {
-            fu_count: m.cluster.fu_count,
-            divider_count: m.cluster.divider_count,
+            fu_count: FU_COUNT,
+            divider_count: DIVIDER_COUNT,
             model: LatencyModel {
-                ops: m.cluster.latency.clone(),
-                comm_latency: m.cluster.comm_latency,
                 inlane_separation: m.sched.inlane_addr_data_separation,
                 crosslane_separation: m.sched.crosslane_addr_data_separation,
             },
@@ -596,7 +596,7 @@ fn attempt(
 mod tests {
     use super::*;
     use crate::ir::{KernelBuilder, Opcode, Operand, StreamKind, ValueId};
-    use isrf_core::config::{ConfigName, OpLatencies};
+    use isrf_core::config::ConfigName;
 
     fn params() -> SchedParams {
         SchedParams::from_machine(&MachineConfig::preset(ConfigName::Isrf4))
@@ -932,7 +932,7 @@ mod tests {
 
     #[test]
     fn latency_model_sanity() {
-        let m = LatencyModel::with_defaults(OpLatencies::default(), 2);
+        let m = params().model;
         assert_eq!(m.latency(Opcode::Const(0)), 0);
         assert_eq!(m.latency(Opcode::Mul), 4);
         assert_eq!(m.latency(Opcode::Div), 16);

@@ -283,7 +283,7 @@ impl MemorySystem {
         MemorySystem {
             now: 0,
             mem: Memory::new(),
-            dram_words_per_cycle: cfg.dram.words_per_cycle(cfg.clock_ghz),
+            dram_words_per_cycle: cfg.dram.words_per_cycle(),
             dram_credit: 0.0,
             dram_latency: cfg.dram.latency_cycles as u64,
             burst_words,
@@ -291,7 +291,7 @@ impl MemorySystem {
             cache_words_per_cycle: cfg
                 .cache
                 .as_ref()
-                .map(|c| c.words_per_cycle(cfg.clock_ghz))
+                .map(|c| c.words_per_cycle())
                 .unwrap_or(0.0),
             cache_credit: 0.0,
             cache_hit_latency: cfg

@@ -56,11 +56,11 @@ mod reference {
             let cache = cfg.cache.as_ref();
             Controller {
                 now: 0,
-                dram_words_per_cycle: cfg.dram.words_per_cycle(cfg.clock_ghz),
+                dram_words_per_cycle: cfg.dram.words_per_cycle(),
                 dram_credit: 0.0,
                 dram_latency: cfg.dram.latency_cycles as u64,
                 burst_words: cfg.dram.burst_words.max(1),
-                cache_words_per_cycle: cache.map_or(0.0, |c| c.words_per_cycle(cfg.clock_ghz)),
+                cache_words_per_cycle: cache.map_or(0.0, |c| c.words_per_cycle()),
                 cache_credit: 0.0,
                 cache_hit_latency: cache.map_or(0, |c| c.hit_latency as u64),
                 cache: cache.map(VectorCache::new),

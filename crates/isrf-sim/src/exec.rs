@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use isrf_core::config::MachineConfig;
+use isrf_core::config::{MachineConfig, SEQ_ACCESS_WORDS};
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::stats::SrfTraffic;
 use isrf_core::{word, Word};
@@ -102,7 +102,6 @@ pub struct KernelRun {
     ii: u64,
     iters: u64,
     lanes: usize,
-    m_words: usize,
     seq_latency: u64,
     slots: Vec<SlotState>,
     idx_states: Vec<IdxState>,
@@ -196,12 +195,11 @@ impl KernelRun {
             };
             slots.push(state);
         }
-        let scratch_words = cfg.cluster.scratchpad_words.max(1);
+        let scratch_words = cfg.scratchpad_words.max(1);
         KernelRun {
             ii: u64::from(sched.ii),
             iters,
             lanes,
-            m_words: cfg.srf.words_per_seq_access,
             seq_latency: cfg.srf.seq_latency as u64,
             slots,
             idx_states,
@@ -431,11 +429,11 @@ impl KernelRun {
         tracer: &mut Tracer,
     ) {
         let flush = self.exec_done();
-        let block = self.lanes * self.m_words;
+        let block = self.lanes * SEQ_ACCESS_WORDS;
         let idx_group = self.slots.len();
         let wants = |i: usize| match self.slots.get(i) {
             Some(SlotState::SeqIn(st) | SlotState::CondLaneIn(st)) => st.wants_grant(),
-            Some(SlotState::SeqOut(st)) => st.wants_grant(self.m_words, flush),
+            Some(SlotState::SeqOut(st)) => st.wants_grant(SEQ_ACCESS_WORDS, flush),
             Some(SlotState::CondIn(st)) => st.wants_grant(),
             Some(SlotState::CondOut(st)) => st.wants_grant(block, flush),
             Some(SlotState::Idx(_)) => false,
@@ -463,9 +461,9 @@ impl KernelRun {
         } else {
             let moved = match &mut self.slots[winner] {
                 SlotState::SeqIn(st) | SlotState::CondLaneIn(st) => {
-                    st.grant(srf, self.m_words, now, self.seq_latency)
+                    st.grant(srf, SEQ_ACCESS_WORDS, now, self.seq_latency)
                 }
-                SlotState::SeqOut(st) => st.grant(srf, self.m_words, flush),
+                SlotState::SeqOut(st) => st.grant(srf, SEQ_ACCESS_WORDS, flush),
                 SlotState::CondIn(st) => st.grant(srf, block, now, self.seq_latency),
                 SlotState::CondOut(st) => st.grant(srf, block, flush),
                 SlotState::Idx(_) => unreachable!("idx slots never request individually"),

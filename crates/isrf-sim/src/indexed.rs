@@ -18,7 +18,7 @@
 //!   cross-lane accesses per cycle, and the returning data shares the
 //!   inter-cluster network, where explicit communications have priority.
 //!
-//! Read data arrives `inlane_latency`/`crosslane_latency` cycles later into
+//! Read data arrives `INLANE_LATENCY`/`CROSSLANE_LATENCY` cycles later into
 //! the stream's data buffer, from which the cluster's split data-read op
 //! pops it in issue order.
 //!
@@ -44,7 +44,9 @@
 //! tracer, reporting it with the reason read off the masks — decides what
 //! examining it would have.
 
-use isrf_core::config::{MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
+use isrf_core::config::{
+    MachineConfig, CROSSLANE_LATENCY, CROSSLANE_WORDS_PER_CYCLE, INLANE_LATENCY,
+};
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::stats::SrfTraffic;
 use isrf_core::Word;
@@ -587,10 +589,6 @@ impl IdxState {
 pub struct IdxParams {
     /// Peak in-lane indexed accesses per lane per cycle (1 or `s`).
     pub inlane_words_per_cycle: usize,
-    /// In-lane access latency.
-    pub inlane_latency: u64,
-    /// Cross-lane access latency.
-    pub crosslane_latency: u64,
     /// Cross-lane network ports per SRF bank.
     pub network_ports_per_bank: usize,
 }
@@ -605,8 +603,6 @@ impl IdxParams {
         let idx = m.srf.indexed.as_ref().expect("machine lacks indexed SRF");
         IdxParams {
             inlane_words_per_cycle: idx.inlane_words_per_cycle,
-            inlane_latency: idx.inlane_latency as u64,
-            crosslane_latency: idx.crosslane_latency as u64,
             network_ports_per_bank: idx.network_ports_per_bank,
         }
     }
@@ -757,9 +753,9 @@ fn service_pass(
     // budget is at most one per lane, so a byte cannot overflow).
     let mut ports_used = [0u8; MAX_BANKS];
     let (per_lane, latency) = if cross {
-        (CROSSLANE_WORDS_PER_CYCLE, p.crosslane_latency)
+        (CROSSLANE_WORDS_PER_CYCLE, u64::from(CROSSLANE_LATENCY))
     } else {
-        (p.inlane_words_per_cycle, p.inlane_latency)
+        (p.inlane_words_per_cycle, u64::from(INLANE_LATENCY))
     };
     while lanes != 0 {
         let i = lanes.trailing_zeros() as usize;

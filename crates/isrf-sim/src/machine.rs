@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use isrf_core::config::{ConfigError, MachineConfig};
+use isrf_core::config::{ConfigError, MachineConfig, KERNEL_DISPATCH_CYCLES, SEQ_ACCESS_WORDS};
 // `not(doctest)` wherever `HostWork` is named: rustdoc collects release
 // doctests with debug assertions on, against an isrf-core built without.
 #[cfg(all(debug_assertions, not(doctest)))]
@@ -180,7 +180,7 @@ impl Machine {
         Ok(Machine {
             srf: Srf::new(&cfg),
             mem: MemorySystem::new(&cfg),
-            scratch: vec![vec![0; cfg.cluster.scratchpad_words.max(1)]; cfg.lanes],
+            scratch: vec![vec![0; cfg.scratchpad_words.max(1)]; cfg.lanes],
             now: 0,
             stats: RunStats::default(),
             mem_port_words: 0.0,
@@ -589,7 +589,7 @@ impl Machine {
                 kernels.push(i);
             }
         }
-        let block = (self.cfg.lanes * self.cfg.srf.words_per_seq_access) as f64;
+        let block = (self.cfg.lanes * SEQ_ACCESS_WORDS) as f64;
         let mut rs = self.active.take().unwrap_or_else(|| {
             let deps = program.nodes.iter().map(|node| node.deps.len() as u32);
             let pending_deps: Vec<u32> = deps.collect();
@@ -644,7 +644,7 @@ impl Machine {
                         );
                     }
                     rs.kernel_run = self.kernel_run(program, ki).map(|run| (ki, run));
-                    rs.kernel_dispatch_left = self.cfg.kernel_dispatch_cycles;
+                    rs.kernel_dispatch_left = KERNEL_DISPATCH_CYCLES;
                 }
             }
 

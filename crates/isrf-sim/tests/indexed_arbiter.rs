@@ -44,7 +44,9 @@
 
 use std::collections::VecDeque;
 
-use isrf_core::config::{ConfigName, MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
+use isrf_core::config::{
+    ConfigName, MachineConfig, CROSSLANE_LATENCY, CROSSLANE_WORDS_PER_CYCLE, INLANE_LATENCY,
+};
 use isrf_core::snap::{Dec, Enc};
 use isrf_core::stats::SrfTraffic;
 use isrf_core::Word;
@@ -278,12 +280,12 @@ mod reference {
                         srf.write(bank, offset, wdata);
                     } else {
                         let latency = if crosslane {
-                            p.crosslane_latency
+                            CROSSLANE_LATENCY
                         } else {
-                            p.inlane_latency
+                            INLANE_LATENCY
                         };
                         l.inflight
-                            .push_back((now + latency, srf.read(bank, offset)));
+                            .push_back((now + u64::from(latency), srf.read(bank, offset)));
                     }
                     l.head_word += 1;
                     if l.head_word == b.record_words {

@@ -1,7 +1,5 @@
 //! Physical SRF geometry shared by the area and energy models.
 
-use isrf_core::config::{MachineConfig, SrfConfig};
-
 /// Which SRF design is being costed (Section 4.6's three design points plus
 /// the sequential baseline).
 ///
@@ -33,22 +31,6 @@ impl SrfVariant {
         SrfVariant::Inlane4,
         SrfVariant::CrossLane,
     ];
-
-    /// The variant matching a machine configuration's SRF capabilities.
-    pub fn for_machine(m: &MachineConfig) -> SrfVariant {
-        match &m.srf.indexed {
-            None => SrfVariant::Sequential,
-            Some(idx) => {
-                if idx.crosslane {
-                    SrfVariant::CrossLane
-                } else if idx.inlane_words_per_cycle > 1 {
-                    SrfVariant::Inlane4
-                } else {
-                    SrfVariant::Inlane1
-                }
-            }
-        }
-    }
 }
 
 /// Physical organization of the SRF SRAM (Figure 6/7).
@@ -83,34 +65,6 @@ impl SrfGeometry {
             cols: 256,
             word_bits: 32,
             seq_access_words: 4,
-        }
-    }
-
-    /// Derive a geometry from an [`SrfConfig`], keeping sub-arrays near the
-    /// paper's 2:1 column-mux aspect ratio.
-    ///
-    /// The sub-array is sized so that `rows * cols = capacity_bits /
-    /// (banks * subarrays)` with `cols = 2 * seq_access_bits` when possible
-    /// (matching the hierarchical-bitline floorplan of Figure 6).
-    pub fn from_config(srf: &SrfConfig, lanes: usize) -> Self {
-        let word_bits = 32usize;
-        let bank_bits = srf.bank_words(lanes) * word_bits;
-        let sub_bits = bank_bits / srf.subarrays;
-        let seq_bits = srf.words_per_seq_access * word_bits;
-        // Prefer twice the access width (2:1 column mux); fall back to a
-        // square-ish array for tiny capacities.
-        let mut cols = 2 * seq_bits;
-        while cols > 1 && sub_bits / cols == 0 {
-            cols /= 2;
-        }
-        let rows = (sub_bits / cols).max(1);
-        SrfGeometry {
-            banks: lanes,
-            subarrays_per_bank: srf.subarrays,
-            rows,
-            cols,
-            word_bits,
-            seq_access_words: srf.words_per_seq_access,
         }
     }
 
@@ -150,7 +104,7 @@ impl SrfGeometry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isrf_core::config::{ConfigName, MachineConfig};
+    use isrf_core::config::{ConfigName, MachineConfig, SEQ_ACCESS_WORDS, SRF_BYTES};
 
     #[test]
     fn paper_geometry_is_128kb() {
@@ -163,40 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn from_config_matches_paper_default() {
-        let m = MachineConfig::preset(ConfigName::Isrf4);
-        let g = SrfGeometry::from_config(&m.srf, m.lanes);
-        assert_eq!(g, SrfGeometry::paper_default());
-    }
-
-    #[test]
-    fn from_config_small_capacity_does_not_panic() {
-        let mut srf = isrf_core::config::SrfConfig::sequential();
-        srf.capacity_bytes = 1024;
-        let g = SrfGeometry::from_config(&srf, 8);
-        assert!(g.rows >= 1 && g.cols >= 1);
-        assert_eq!(g.capacity_bytes(), 1024);
-    }
-
-    #[test]
-    fn variant_for_machine() {
-        assert_eq!(
-            SrfVariant::for_machine(&MachineConfig::preset(ConfigName::Base)),
-            SrfVariant::Sequential
-        );
-        assert_eq!(
-            SrfVariant::for_machine(&MachineConfig::preset(ConfigName::Cache)),
-            SrfVariant::Sequential
-        );
-        // Both evaluation ISRF configs include cross-lane support.
-        assert_eq!(
-            SrfVariant::for_machine(&MachineConfig::preset(ConfigName::Isrf1)),
-            SrfVariant::CrossLane
-        );
-        let mut m = MachineConfig::preset(ConfigName::Isrf4);
-        m.srf.indexed.as_mut().unwrap().crosslane = false;
-        assert_eq!(SrfVariant::for_machine(&m), SrfVariant::Inlane4);
-        m.srf.indexed.as_mut().unwrap().inlane_words_per_cycle = 1;
-        assert_eq!(SrfVariant::for_machine(&m), SrfVariant::Inlane1);
+    fn paper_geometry_is_the_preset_srf() {
+        let g = SrfGeometry::paper_default();
+        assert_eq!(g.capacity_bytes(), SRF_BYTES);
+        assert_eq!(g.seq_access_words, SEQ_ACCESS_WORDS);
+        for name in ConfigName::ALL {
+            let m = MachineConfig::preset(name);
+            assert_eq!((g.banks, g.subarrays_per_bank), (m.lanes, m.srf.subarrays));
+        }
     }
 }

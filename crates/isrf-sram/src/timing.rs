@@ -93,15 +93,10 @@ impl TimingModel {
         self.array_ns(geom) + idx_levels * p.colmux_level_ns + p.output_ns + p.addr_route_ns
     }
 
-    /// Pipeline stages at `clock_ghz` for each path (the Table 3 latency
-    /// arithmetic: sequential 3 cycles, in-lane indexed 4).
-    pub fn pipeline_stages(
-        &self,
-        geom: &SrfGeometry,
-        variant: SrfVariant,
-        clock_ghz: f64,
-    ) -> (u32, u32) {
-        let period = 1.0 / clock_ghz;
+    /// Pipeline stages at a clock of `ghz` GHz for each path (the Table 3
+    /// latency arithmetic: sequential 3 cycles, in-lane indexed 4).
+    pub fn pipeline_stages(&self, geom: &SrfGeometry, variant: SrfVariant, ghz: f64) -> (u32, u32) {
+        let period = 1.0 / ghz;
         // One stage each for address transport and data return, plus the
         // array access itself.
         let seq = (self.sequential_access_ns(geom, variant) / period).ceil() as u32 + 2;
@@ -117,6 +112,7 @@ impl TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use isrf_core::config::{ConfigName, MachineConfig, CLOCK_GHZ, INLANE_LATENCY};
 
     fn model() -> (TimingModel, SrfGeometry) {
         (TimingModel::default(), SrfGeometry::paper_default())
@@ -147,9 +143,13 @@ mod tests {
     #[test]
     fn table3_pipeline_stages() {
         let (m, g) = model();
-        let (seq, idx) = m.pipeline_stages(&g, SrfVariant::Inlane4, 1.0);
-        assert_eq!(seq, 3, "Table 3: sequential SRF latency 3 cycles");
-        assert_eq!(idx, 4, "Table 3: in-lane indexed latency 4 cycles");
+        let (seq, idx) = m.pipeline_stages(&g, SrfVariant::Inlane4, CLOCK_GHZ);
+        let preset = MachineConfig::preset(ConfigName::Isrf4);
+        assert_eq!(
+            seq, preset.srf.seq_latency,
+            "Table 3: sequential SRF latency"
+        );
+        assert_eq!(idx, INLANE_LATENCY, "Table 3: in-lane indexed latency");
     }
 
     #[test]

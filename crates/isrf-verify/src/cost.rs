@@ -8,7 +8,7 @@
 //!
 //! * **Schedule floor.** A kernel invocation ticks at least
 //!   `(iters-1)·II + completion + 1` cycles (the final `+1` is the `Done`
-//!   tick), preceded by `kernel_dispatch_cycles` of dispatch. Stalls and
+//!   tick), preceded by `KERNEL_DISPATCH_CYCLES` of dispatch. Stalls and
 //!   flush cycles only add to this.
 //! * **Port floor.** Stage-1 arbitration grants, per tick, either ONE
 //!   sequential/conditional stream (moving `m` words per lane) or ALL
@@ -41,7 +41,9 @@
 //!
 //! [`service_indexed`]: ../isrf_sim/index.html
 
-use isrf_core::config::{MachineConfig, CROSSLANE_WORDS_PER_CYCLE};
+use isrf_core::config::{
+    MachineConfig, CROSSLANE_WORDS_PER_CYCLE, KERNEL_DISPATCH_CYCLES, SEQ_ACCESS_WORDS,
+};
 use isrf_kernel::ir::{Kernel, StreamKind, StreamSlot};
 use isrf_kernel::sched::Schedule;
 use isrf_mem::AddrPattern;
@@ -197,7 +199,7 @@ fn kernel_cost(
     bindings: &[StreamBinding],
     iters: u64,
 ) -> KernelCost {
-    let m = cfg.srf.words_per_seq_access.max(1) as u64;
+    let m = SEQ_ACCESS_WORDS as u64;
     let ii = schedule.ii.max(1) as u64;
     let (fifo_cap, buf_cap) = (
         cfg.srf
@@ -282,7 +284,7 @@ fn kernel_cost(
     // cycle: the groups overlap, so take the max, not the sum.
     let idx_floor = inlane_floor.max(cross_floor);
 
-    let dispatch = cfg.kernel_dispatch_cycles as u64;
+    let dispatch = KERNEL_DISPATCH_CYCLES as u64;
     let schedule_floor = if iters == 0 {
         0
     } else {
@@ -397,10 +399,10 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
     // possible end-of-run debt from the demand first.
     let line = cfg.cache.as_ref().map_or(0, |c| c.line_words as u64);
     let dram_debt = 2 * burst.max(line);
-    let dram_rate_milli = ((cfg.dram.words_per_cycle(cfg.clock_ghz) * 1000.0).ceil() as u64).max(1);
+    let dram_rate_milli = ((cfg.dram.words_per_cycle() * 1000.0).ceil() as u64).max(1);
     let dram_floor = dram_charge.saturating_sub(dram_debt) * 1000 / dram_rate_milli;
     let cache_floor = cfg.cache.as_ref().map_or(0, |c| {
-        let rate_milli = ((c.words_per_cycle(cfg.clock_ghz) * 1000.0).ceil() as u64).max(1);
+        let rate_milli = ((c.words_per_cycle() * 1000.0).ceil() as u64).max(1);
         cache_words.saturating_sub(1) * 1000 / rate_milli
     });
     let mem_floor = dram_floor.max(cache_floor);

@@ -14,11 +14,10 @@
 //!   the bank, and no two *unordered* ops touch overlapping SRF words with
 //!   at least one writer.
 //! * **Indexed** ([`codes::INDEXED_ON_NON_INDEXED_CONFIG`],
-//!   [`codes::CROSS_LANE_WITHOUT_NETWORK`], [`codes::INDEX_OUT_OF_BOUNDS`])
-//!   — indexed streams only run on configurations with indexed-SRF
-//!   hardware, cross-lane streams only where the inter-lane index network
-//!   exists, and interval analysis over each kernel body flags index
-//!   expressions *provably* outside their stream's record range.
+//!   [`codes::INDEX_OUT_OF_BOUNDS`]) — indexed streams only run on
+//!   configurations with indexed-SRF hardware, and interval analysis over
+//!   each kernel body flags index expressions *provably* outside their
+//!   stream's record range.
 //! * **Propagation** ([`codes::PROPAGATED_INDEX_OOB`],
 //!   [`codes::PROPAGATED_WRITE_OOB`], [`codes::GATHER_ADDRESS_WRAP`]) —
 //!   whole-program abstract interpretation flows value intervals from
@@ -94,8 +93,6 @@ pub mod codes {
     pub const CAPACITY_EXCEEDED: &str = "V202";
     /// An indexed stream on a configuration without indexed-SRF hardware.
     pub const INDEXED_ON_NON_INDEXED_CONFIG: &str = "V301";
-    /// A cross-lane indexed stream where the index network is disabled.
-    pub const CROSS_LANE_WITHOUT_NETWORK: &str = "V302";
     /// An index expression provably outside the stream's record range.
     pub const INDEX_OUT_OF_BOUNDS: &str = "V303";
     /// A cross-kernel index overrun: the index is in bounds under
@@ -147,10 +144,6 @@ pub fn explain(code: &str) -> Option<&'static str> {
         codes::INDEXED_ON_NON_INDEXED_CONFIG => {
             "Indexed streams (in-lane or cross-lane) require indexed-SRF hardware; the \
              Base and Cache configurations have none."
-        }
-        codes::CROSS_LANE_WITHOUT_NETWORK => {
-            "Cross-lane indexed streams require the inter-lane index network, which this \
-             configuration disables."
         }
         codes::INDEX_OUT_OF_BOUNDS => {
             "Interval analysis over the kernel body (constants, lane/iteration IDs, \
@@ -211,7 +204,7 @@ pub enum Check {
     /// V103/V201/V202: bindings fit ranges, ranges fit the bank, unordered
     /// ops do not conflict.
     Allocation,
-    /// V301/V302/V303: indexed streams match the hardware and index
+    /// V301/V303: indexed streams match the hardware and index
     /// expressions stay in bounds.
     Indexed,
     /// V310/V311/V312: cross-kernel interval propagation over the SRF.
@@ -840,14 +833,14 @@ impl<'a> Analysis<'a> {
     }
 
     // -----------------------------------------------------------------------
-    // Indexed: V301 / V302 / V303
+    // Indexed: V301 / V303
     // -----------------------------------------------------------------------
 
     fn check_indexed(&self, out: &mut Vec<Diagnostic>) {
         let check = Check::Indexed.name();
         self.per_shape(out, |i, out| {
             let (kernel, _, bindings, _) = self.invocation(i);
-            let Some(idx_cfg) = &self.cfg.srf.indexed else {
+            if !self.cfg.has_indexed_srf() {
                 // No indexed hardware: one finding per indexed stream slot.
                 for (slot, decl) in kernel.streams.iter().enumerate() {
                     if decl.kind.is_indexed() {
@@ -870,28 +863,7 @@ impl<'a> Analysis<'a> {
                     }
                 }
                 return;
-            };
-            for (slot, decl) in kernel.streams.iter().enumerate() {
-                if decl.kind.is_cross_lane() && !idx_cfg.crosslane {
-                    let kop = kernel
-                        .ops
-                        .iter()
-                        .position(|o| o.opcode.stream().map(|s| s.0 as usize) == Some(slot));
-                    out.push(kdiag(
-                        codes::CROSS_LANE_WITHOUT_NETWORK,
-                        check,
-                        i,
-                        kernel,
-                        kop,
-                        format!(
-                            "kernel `{}` declares cross-lane indexed stream `{}`, but the \
-                             configuration's cross-lane index network is disabled",
-                            kernel.name, decl.name
-                        ),
-                    ));
-                }
             }
-
             // Interval analysis over the kernel body: flag indices that are
             // *provably* outside the addressable records of their binding.
             let vals = self.eval(i, &[]);
@@ -1495,8 +1467,8 @@ mod tests {
     #[test]
     fn explain_covers_every_code() {
         for code in [
-            "V101", "V102", "V103", "V201", "V202", "V301", "V302", "V303", "V310", "V311", "V312",
-            "V401", "V501", "W601", "W602",
+            "V101", "V102", "V103", "V201", "V202", "V301", "V303", "V310", "V311", "V312", "V401",
+            "V501", "W601", "W602",
         ] {
             assert!(explain(code).is_some(), "no rule text for {code}");
         }

@@ -24,7 +24,6 @@ const V103: &str = include_str!("corpus/v103_binding_overflow.isrf");
 const V201: &str = include_str!("corpus/v201_overlap.isrf");
 const V202: &str = include_str!("corpus/v202_capacity.isrf");
 const V301: &str = include_str!("corpus/v301_indexed_on_base.isrf");
-const V302: &str = include_str!("corpus/v302_crosslane_disabled.isrf");
 const V303: &str = include_str!("corpus/v303_oob_index.isrf");
 const V310P: &str = include_str!("corpus/v310_producer.isrf");
 const V310C: &str = include_str!("corpus/v310_consumer.isrf");
@@ -337,30 +336,6 @@ fn v301_indexed_on_non_indexed_config() {
     );
     assert_eq!(d[0].kernel.as_deref(), Some("lookup"));
     assert_eq!(d[0].line, Some(line_of(V301, "LUT[")), "{}", d[0]);
-}
-
-#[test]
-fn v302_crosslane_without_network() {
-    let mut cfg = MachineConfig::preset(ConfigName::Isrf1);
-    cfg.srf
-        .indexed
-        .as_mut()
-        .expect("ISRF1 is indexed")
-        .crosslane = false;
-    let k = Arc::new(parse_kernel(V302).expect("corpus kernel parses"));
-    let s = schedule(&k, &SchedParams::from_machine(&cfg)).expect("corpus kernel schedules");
-    let mut m = Machine::new(cfg).expect("config validates");
-    let input = m.alloc_stream(1, 64);
-    fill(&mut m, &input);
-    let lut = m.alloc_stream(1, 512);
-    fill(&mut m, &lut);
-    let out = m.alloc_stream(1, 64);
-    let mut p = StreamProgram::new();
-    p.kernel(k, s, vec![input, lut, out], 8, &[]);
-    let d = diags(&m, &p, &Verifier::new());
-    assert_eq!(codes_of(&d), [codes::CROSS_LANE_WITHOUT_NETWORK], "{d:?}");
-    assert_eq!(d[0].kernel.as_deref(), Some("lookup"));
-    assert_eq!(d[0].line, Some(line_of(V302, "LUT[")), "{}", d[0]);
 }
 
 #[test]

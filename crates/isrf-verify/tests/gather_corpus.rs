@@ -1,4 +1,4 @@
-//! Gather-pattern negative corpus: the indexed-bounds checks (V301–V303)
+//! Gather-pattern negative corpus: the indexed-bounds checks (V301 and V303)
 //! exercised by the access shapes the sparse workloads introduce —
 //! pointer-stream-driven condensed gathers, index streams exceeding the
 //! SRF allocation, and unaligned (lane-skewed) cross-lane gathers. Each
@@ -14,7 +14,6 @@ use isrf_sim::{Diagnostic, Machine, ProgramVerifier, StreamBinding, StreamProgra
 use isrf_verify::{codes, Check, Verifier};
 
 const G301: &str = include_str!("corpus/g301_gather_on_base.isrf");
-const G302: &str = include_str!("corpus/g302_gather_crosslane_disabled.isrf");
 const G303_OVERRUN: &str = include_str!("corpus/g303_gather_overrun.isrf");
 const G303_UNALIGNED: &str = include_str!("corpus/g303_unaligned_lane_gather.isrf");
 
@@ -84,34 +83,6 @@ fn gather_on_base_is_v301() {
     assert_eq!(d[0].kernel.as_deref(), Some("spmv_gather"));
     assert_eq!(d[0].line, Some(line_of(G301, "X[")), "{}", d[0]);
     assert!(d[0].message.contains("indexed stream `X`"), "{}", d[0]);
-}
-
-#[test]
-fn gather_without_crosslane_network_is_v302() {
-    let mut cfg = MachineConfig::preset(ConfigName::Isrf1);
-    cfg.srf
-        .indexed
-        .as_mut()
-        .expect("ISRF1 is indexed")
-        .crosslane = false;
-    // Schedule under the same crippled configuration: the latencies are
-    // valid, only the network capability differs.
-    let k = Arc::new(parse_kernel(G302).expect("corpus kernel parses"));
-    let s = schedule(&k, &SchedParams::from_machine(&cfg)).expect("corpus kernel schedules");
-    let mut m = Machine::new(cfg).expect("config validates");
-    let ptr = m.alloc_stream(1, 64);
-    fill(&mut m, &ptr);
-    let val = m.alloc_stream(1, 64);
-    fill(&mut m, &val);
-    let x = m.alloc_stream(1, 256);
-    fill(&mut m, &x);
-    let out = m.alloc_stream(1, 64);
-    let mut p = StreamProgram::new();
-    p.kernel(k, s, vec![ptr, val, x, out], 8, &[]);
-    let d = diags(&m, &p, &Verifier::new());
-    assert_eq!(codes_of(&d), [codes::CROSS_LANE_WITHOUT_NETWORK], "{d:?}");
-    assert_eq!(d[0].kernel.as_deref(), Some("spmv_gather"));
-    assert_eq!(d[0].line, Some(line_of(G302, "X[")), "{}", d[0]);
 }
 
 /// The three-stream shape (no val stream) used by the V303 cases.
