@@ -121,8 +121,9 @@ echo "==> one run core (grep gate)"
 # one way it fails; `run` and `run_for` are it with the error turned into a
 # panic. The wrappers, the panicking watchdogs and a snapshot codec inside
 # machine.rs must not come back.
-# (`Prepared::run_checked` in isrf-apps is `Machine::run` plus the app's
-# host check, not a run loop; the name stays out of the simulator.)
+# (`Prepared::run_checked` in isrf-apps is `Machine::verify_program`,
+# `Machine::run` and the app's host check, not a run loop; the name stays
+# out of the simulator.)
 if grep -rn -e 'run_budget' -e 'verify_fresh_run' -e 'fn run_while' \
   -e 'program appears deadlocked' -e 'stalled for 1M' crates/*/src \
   || grep -rn 'run_checked' crates/isrf-sim/src; then
@@ -225,6 +226,18 @@ if grep -rn -e 'ClusterConfig' -e 'clock_ghz' -e 'kernel_dispatch_cycles' \
   exit 1
 fi
 
+echo "==> one verification pass (grep gate)"
+# The analyzer has no switches, and the machine never runs it on its own:
+# whoever builds a program calls `Machine::verify_program` once, in every
+# build (`Prepared::run_checked`, `run_differential`, `materialise`,
+# `PointRunner::new`). The check toggles, a verifier arm of `SimError` and
+# a build-dependent branch in the run loop must not come back.
+if grep -rn -e 'enum Check' -e 'fn without(' -e 'SimError::Verify' src crates tests examples \
+  || grep -n 'cfg!(debug_assertions)' crates/isrf-sim/src/machine.rs; then
+  echo "a second verification pass: call Machine::verify_program where the program is built" >&2
+  exit 1
+fi
+
 echo "==> one record per point (grep gate)"
 # Every number a (app, config, profile) point has is one line of
 # tests/golden/points.digest, which tests/differential.rs alone writes;
@@ -323,7 +336,14 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # cross-lane checks of `validate`, for ten constants and the bandwidth
 # check), isrf-sim -6 (`IdxParams`' latencies, `KernelRun::m_words`) and
 # bench +3 (Table 3 names the constants).
-loc_ceiling=25598
+# Lowered by exactly its net -101 when the analyzer lost its switches and
+# the machine its debug-only second verification: isrf-verify -97 (`Check`,
+# `Verifier::{without, on}` and the seven guards; V501 and the occupancy
+# bounds replay one `cost::fifo_events`), isrf-sim -14 (`SimError::Verify`,
+# its `Display` arm and `From`, the `cfg!(debug_assertions)` arm of `step`),
+# isrf-apps +7 (`run_checked` verifies, the fft2d and rijndael setup
+# programs `debug_assert` it) and isrf-serve +3 (one `lock` helper).
+loc_ceiling=25497
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

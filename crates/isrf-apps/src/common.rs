@@ -19,11 +19,11 @@ pub(crate) fn memoized<K: Ord, V>(memo: &Memo<K, V>, key: K, make: impl FnOnce()
 }
 
 /// Build the machine `cfg` describes, with the static hazard analyzer
-/// installed: the machine runs it before each program in debug builds (so
-/// the test suite proves every shipped program verifies clean) and never
-/// in release builds. Every app, and the server's inline-source harness,
-/// gets its machine here, from the final config — a machine rebuilt
-/// elsewhere would lose the verifier.
+/// installed for [`Machine::verify_program`], which
+/// [`Prepared::run_checked`] and the server's runner call before they
+/// simulate (the machine never runs it on its own). Every app, and the
+/// server's inline-source harness, gets its machine here, from the final
+/// config — a machine rebuilt elsewhere would lose the verifier.
 ///
 /// # Panics
 ///
@@ -99,12 +99,17 @@ impl Prepared {
         (self.check)(&self.machine);
     }
 
-    /// Run the measured program to completion, then [`Prepared::check`].
+    /// Verify the measured program ([`Machine::verify_program`]), run it to
+    /// completion, then [`Prepared::check`].
     ///
     /// # Panics
     ///
-    /// Panics as [`Machine::run`] and [`Prepared::check`] do.
+    /// Panics with the verifier's findings, and as [`Machine::run`] and
+    /// [`Prepared::check`] do.
     pub fn run_checked(&mut self) -> RunStats {
+        self.machine
+            .verify_program(&self.program)
+            .unwrap_or_else(|e| panic!("{e}"));
         let stats = self.machine.run(&self.program);
         self.check();
         stats

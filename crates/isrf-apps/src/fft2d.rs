@@ -459,6 +459,7 @@ fn setup(m: &mut Machine, indexed: bool, params: &Fft2dParams) -> Setup {
         );
     }
     p.kernel(Arc::clone(&init), init_sched, vec![lane_consts], 1, &[lc]);
+    debug_assert_eq!(m.verify_program(&p), Ok(()));
     m.run(&p);
     m.reset_stats();
     Setup {

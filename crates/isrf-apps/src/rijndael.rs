@@ -410,6 +410,7 @@ fn prepare_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::
             &[],
         );
     }
+    debug_assert_eq!(m.verify_program(&setup), Ok(()));
     m.run(&setup);
     m.reset_stats();
 

@@ -116,7 +116,7 @@ proptest! {
         let cfg = MachineConfig::preset(ConfigName::Isrf4);
         let prepare = || prepare_csr(&cfg, build(&r), STRIP_ROWS);
         let mut straight = prepare();
-        let stats_s = straight.machine.run(&straight.program);
+        let stats_s = straight.run_checked();
         let out_s = read_output(&straight);
 
         let mut pr = prepare();

@@ -46,3 +46,12 @@ pub use isrf_trace::json::{Json, JsonError};
 pub use pool::{Pool, WorkerHandle, WorkerStats};
 pub use server::{Server, ServerConfig};
 pub use spec::{AppRef, JobSpec, PointSpec};
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, the one way this crate takes a lock. Every update under one of
+/// its locks leaves the guarded data whole at each step, so a lock poisoned
+/// by a panicking holder still guards consistent data and is taken as is.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}

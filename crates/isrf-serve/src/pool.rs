@@ -13,9 +13,11 @@
 
 use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+use crate::lock;
 
 /// One worker's counters, for `/metrics`.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -40,16 +42,10 @@ struct Shared<T> {
 }
 
 impl<T: Clone> Shared<T> {
-    /// Each update under the lock leaves the queue whole at every step, so
-    /// a poisoned lock still guards a consistent queue.
-    fn lock(&self) -> MutexGuard<'_, Queue<T>> {
-        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The front item's next part, waiting for one, or `None` once stopped
     /// and empty. The item goes to the back while it has parts left.
     fn next(&self) -> Option<(T, usize)> {
-        let mut queue = self.lock();
+        let mut queue = lock(&self.queue);
         loop {
             if let Some((item, part, parts)) = queue.items.pop_front() {
                 if part + 1 < parts {
@@ -86,7 +82,7 @@ impl<T: Clone> WorkerHandle<'_, T> {
         // metrics, never a result.
         #[allow(clippy::disallowed_methods)]
         let now = Instant::now();
-        let stats = &mut self.shared.lock().stats[self.id];
+        let stats = &mut lock(&self.shared.queue).stats[self.id];
         stats.processed += u64::from(!self.counted.replace(true));
         stats.busy_micros += now.duration_since(self.since.replace(now)).as_micros() as u64;
     }
@@ -134,20 +130,20 @@ impl<T: Clone + Send + 'static> Pool<T> {
     /// Queue `item` to run as parts `0..parts`, in that order, and wake the
     /// workers.
     pub fn inject(&self, item: T, parts: usize) {
-        self.shared.lock().items.push_back((item, 0, parts));
+        lock(&self.shared.queue).items.push_back((item, 0, parts));
         self.shared.cv.notify_all();
     }
 
     /// Per-worker counter snapshots, indexed by worker id.
     pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.shared.lock().stats.clone()
+        lock(&self.shared.queue).stats.clone()
     }
 
     /// Tell the workers to stop once the queue drains, then join them.
     /// Parts already queued are still run; in-flight work observes the
     /// stop flag only through its own cancellation checks. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.lock().stop = true;
+        lock(&self.shared.queue).stop = true;
         self.shared.cv.notify_all();
         for h in self.handles.drain(..) {
             let _ = h.join();

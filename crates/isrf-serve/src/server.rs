@@ -33,6 +33,7 @@ use isrf_trace::{Histogram, MetricsRegistry};
 
 use crate::exec::{analyze_point, PointRunner, Stopped};
 use crate::http::{read_request, HttpError, Limits, Request, Response};
+use crate::lock;
 use crate::pool::{Pool, WorkerHandle};
 use crate::spec::JobSpec;
 use crate::Json;
@@ -249,10 +250,10 @@ fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
 
 /// List `job` live, count it queued and put its points on the pool.
 fn enqueue(core: &Core, job: Arc<Job>) {
-    let points = job.state.lock().unwrap().points.len();
-    core.jobs.lock().unwrap().insert(job.id, Arc::clone(&job));
+    let points = lock(&job.state).points.len();
+    lock(&core.jobs).insert(job.id, Arc::clone(&job));
     core.queued.fetch_add(1, Ordering::SeqCst);
-    if let Some(pool) = core.pool.lock().unwrap().as_ref() {
+    if let Some(pool) = lock(&core.pool).as_ref() {
         pool.inject(job, points);
     }
 }
@@ -277,7 +278,7 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, Arc<J
         return settle_point(core, job, idx, PointEnd::Cancelled);
     }
     let (spec, restored) = {
-        let mut st = job.state.lock().unwrap();
+        let mut st = lock(&job.state);
         // Retired since the flag was read: nothing is left to run.
         let Some(spec) = st.spec.clone() else { return };
         // Whichever point starts first marks the job running: another worker
@@ -312,7 +313,7 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, Arc<J
         // `run` slices internally; it pauses only when the closure vetoed
         // the next slice (cancellation or drain).
         match runner.run(chunk, |cycles| {
-            job.state.lock().unwrap().points[idx].cycles = cycles;
+            lock(&job.state).points[idx].cycles = cycles;
             !job.cancel.load(Ordering::SeqCst) && !core.draining()
         }) {
             Ok(out) => PointEnd::Finished(out),
@@ -337,7 +338,7 @@ fn run_point(core: &Core, job: &Arc<Job>, idx: usize, h: &WorkerHandle<'_, Arc<J
 }
 
 fn settle_point(core: &Core, job: &Arc<Job>, idx: usize, end: PointEnd) {
-    let mut st = job.state.lock().unwrap();
+    let mut st = lock(&job.state);
     match end {
         // Retired meanwhile: a late point's payload is not kept.
         PointEnd::Finished(_) | PointEnd::Drained(..) if st.spec.is_none() => {}
@@ -408,7 +409,7 @@ fn finalize(core: &Core, job: &Arc<Job>, st: &mut JobState) {
         .elapsed()
         .as_millis()
         .min(u128::from(u64::MAX)) as u64;
-    core.latency_ms.lock().unwrap().observe(ms);
+    lock(&core.latency_ms).observe(ms);
     retire(core, job, st);
 }
 
@@ -431,7 +432,7 @@ fn retire(core: &Core, job: &Arc<Job>, st: &mut JobState) {
     // until a generation's worth of later jobs has finished, like any other.
     let cost = (bytes as u64).min(FINISHED_BUDGET / 2);
     core.finished.insert(job.id, Arc::clone(job), cost);
-    core.jobs.lock().unwrap().remove(&job.id);
+    lock(&core.jobs).remove(&job.id);
 }
 
 // ---------------------------------------------------------------------------
@@ -439,7 +440,7 @@ fn retire(core: &Core, job: &Arc<Job>, st: &mut JobState) {
 // ---------------------------------------------------------------------------
 
 fn job_status_json(job: &Job) -> Json {
-    let st = job.state.lock().unwrap();
+    let st = lock(&job.state);
     let mut obj = vec![
         ("id".into(), Json::u64(job.id)),
         ("status".into(), Json::str(st.phase.as_str())),
@@ -489,7 +490,7 @@ fn submit(core: &Arc<Core>, req: &Request) -> Response {
             let id = core.next_id.fetch_add(1, Ordering::SeqCst);
             let job = Job::new(id, spec, hash, Vec::new());
             {
-                let mut st = job.state.lock().unwrap();
+                let mut st = lock(&job.state);
                 st.done = st.points.len();
                 st.phase = Phase::Done;
                 st.result = Some(rendered);
@@ -567,7 +568,7 @@ fn submit(core: &Arc<Core>, req: &Request) -> Response {
 }
 
 fn job_result(job: &Job) -> Response {
-    let st = job.state.lock().unwrap();
+    let st = lock(&job.state);
     match st.phase {
         Phase::Done => {
             let points = st.result.as_ref().expect("done job has a result");
@@ -603,7 +604,7 @@ fn job_result(job: &Job) -> Response {
 }
 
 fn job_trace(job: &Job) -> Response {
-    let st = job.state.lock().unwrap();
+    let st = lock(&job.state);
     match &st.trace {
         Some(t) => Response::json_raw(200, t.as_ref().clone()),
         None => Response::error(404, "no trace for this job (submit with \"trace\": true)"),
@@ -612,7 +613,7 @@ fn job_trace(job: &Job) -> Response {
 
 fn cancel_job(core: &Core, job: &Arc<Job>) -> Response {
     job.cancel.store(true, Ordering::SeqCst);
-    let mut st = job.state.lock().unwrap();
+    let mut st = lock(&job.state);
     if !st.phase.terminal() && st.phase != Phase::Suspended {
         // A queued job dies right here; a running one settles within a
         // slice, but report the final state immediately.
@@ -648,7 +649,7 @@ fn metrics(core: &Core) -> Response {
     ] {
         reg.set(name, counter.load(Ordering::Relaxed));
     }
-    reg.set("serve_jobs_live", core.jobs.lock().unwrap().len() as u64);
+    reg.set("serve_jobs_live", lock(&core.jobs).len() as u64);
     // Every memo uniformly: hits, misses, evictions, resident entries and
     // resident cost in the unit of its budget.
     let finished = core.finished.stats();
@@ -669,7 +670,7 @@ fn metrics(core: &Core) -> Response {
     reg.set("serve_uptime_ms", uptime_ms);
     let done = core.jobs_done.load(Ordering::Relaxed);
     reg.set("serve_jobs_per_sec_x1000", done * 1_000_000 / uptime_ms);
-    if let Some(pool) = core.pool.lock().unwrap().as_ref() {
+    if let Some(pool) = lock(&core.pool).as_ref() {
         for (i, w) in pool.worker_stats().iter().enumerate() {
             reg.set(&format!("worker_{i}_items"), w.processed);
             reg.set(&format!("worker_{i}_busy_micros"), w.busy_micros);
@@ -679,10 +680,7 @@ fn metrics(core: &Core) -> Response {
             );
         }
     }
-    reg.put_histogram(
-        "serve_job_latency_ms",
-        core.latency_ms.lock().unwrap().clone(),
-    );
+    reg.put_histogram("serve_job_latency_ms", lock(&core.latency_ms).clone());
     Response::text(200, reg.render())
 }
 
@@ -693,7 +691,7 @@ fn route(core: &Arc<Core>, req: &Request) -> Response {
             .parse()
             .map_err(|_| Response::error(400, "job id must be an integer"))?;
         // Live first: `retire` files a job as finished before unlisting it.
-        let live = core.jobs.lock().unwrap().get(&id).cloned();
+        let live = lock(&core.jobs).get(&id).cloned();
         live.or_else(|| core.finished.get(&id))
             .ok_or_else(|| Response::error(404, "no such job"))
     };
@@ -733,7 +731,7 @@ fn shutdown(core: &Arc<Core>) -> Response {
     }
     // Workers observe the flag within one slice; queued points settle as
     // Suspended. Then join the pool and persist every non-terminal job.
-    if let Some(pool) = core.pool.lock().unwrap().as_mut() {
+    if let Some(pool) = lock(&core.pool).as_mut() {
         pool.shutdown();
     }
     let persisted = persist_suspended(core);
@@ -754,10 +752,10 @@ fn persist_suspended(core: &Core) -> u64 {
         return 0;
     }
     // Collected first: `retire` takes the table lock under a job's own.
-    let jobs: Vec<Arc<Job>> = core.jobs.lock().unwrap().values().cloned().collect();
+    let jobs: Vec<Arc<Job>> = lock(&core.jobs).values().cloned().collect();
     let mut persisted = 0;
     for job in jobs {
-        let mut st = job.state.lock().unwrap();
+        let mut st = lock(&job.state);
         // Retired (terminal) under its own lock since the table was read.
         let Some(spec) = st.spec.clone() else {
             continue;
@@ -906,7 +904,7 @@ impl Server {
                 run_point(&core, &job, idx, h);
             }
         });
-        *core.pool.lock().unwrap() = Some(pool);
+        *lock(&core.pool) = Some(pool);
         for job in restore_jobs(&core) {
             enqueue(&core, job);
         }

@@ -27,8 +27,9 @@
 //!   ([`Machine::save_state`] / [`Machine::restore_state`]) and the
 //!   structural snapshot diff used by the first-divergence bisector.
 //! * [`verify`] — the static-verification interface: a
-//!   [`ProgramVerifier`] installed on a machine checks programs before
-//!   they are simulated (the analyzer itself lives in `isrf-verify`).
+//!   [`ProgramVerifier`] installed on a machine checks a program when the
+//!   caller asks ([`Machine::verify_program`]), never on its own (the
+//!   analyzer itself lives in `isrf-verify`).
 //!
 //! # Example: the paper's table-lookup kernel end to end
 //!

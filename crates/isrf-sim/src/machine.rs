@@ -40,8 +40,6 @@ use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError};
 /// Why [`Machine::step`] could not advance a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The installed verifier rejected the program before its first cycle.
-    Verify(VerifyError),
     /// A program is paused on the machine and another one was passed in.
     ProgramMismatch,
     /// A kernel stalled for a million consecutive cycles, which by
@@ -67,7 +65,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Verify(e) => e.fmt(f),
             SimError::ProgramMismatch => {
                 write!(f, "resumed with a different program than the paused one")
             }
@@ -92,12 +89,6 @@ impl fmt::Display for SimError {
 }
 
 impl std::error::Error for SimError {}
-
-impl From<VerifyError> for SimError {
-    fn from(e: VerifyError) -> Self {
-        SimError::Verify(e)
-    }
-}
 
 /// A live memory transfer issued by [`Machine::step`]: the program op it
 /// completes and, for loads, the destination stream and the data to land
@@ -151,7 +142,7 @@ pub struct Machine {
     pub(crate) pending: Vec<Option<PendingTransfer>>,
     /// Reusable staging buffer for store source data.
     store_buf: Vec<Word>,
-    /// Static verifier consulted before simulation, when installed.
+    /// Static verifier [`Machine::verify_program`] runs, when installed.
     verifier: Option<Arc<dyn ProgramVerifier>>,
     /// Per-bank word intervals known to hold data (sorted, disjoint):
     /// direct `write_stream` setup plus the outputs of completed runs.
@@ -307,9 +298,8 @@ impl Machine {
     }
 
     /// Install a static verifier (or remove one with `None`); returns the
-    /// previous verifier. In debug builds it runs before every fresh
-    /// [`Machine::run`]; in release builds only through
-    /// [`Machine::verify_program`].
+    /// previous verifier. Only [`Machine::verify_program`] runs it: the
+    /// machine never verifies a program on its own.
     pub fn set_verifier(
         &mut self,
         v: Option<Arc<dyn ProgramVerifier>>,
@@ -546,11 +536,6 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// * [`SimError::Verify`]: the installed verifier's diagnostics, before
-    ///   the first simulated cycle. The automatic check runs in debug builds
-    ///   only, so tests get full checking and release runs pay nothing, and
-    ///   only when starting fresh, not when resuming a paused program
-    ///   ([`Machine::verify_program`] checks in any build).
     /// * [`SimError::ProgramMismatch`]: a paused run is resumed with another
     ///   program. The paused run is untouched.
     /// * [`SimError::Deadlock`]: a kernel stalled a million cycles in a row.
@@ -564,7 +549,6 @@ impl Machine {
     ) -> Result<Option<RunStats>, SimError> {
         let n = program.len();
         match &mut self.active {
-            None if cfg!(debug_assertions) => self.verify_program(program)?,
             None => {}
             Some(rs) if rs.done.len() != n => return Err(SimError::ProgramMismatch),
             Some(rs) => {

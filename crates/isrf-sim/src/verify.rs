@@ -1,12 +1,13 @@
 //! Static verification hook for [`Machine`](crate::Machine).
 //!
 //! The simulator does not implement any analysis itself — it defines the
-//! *interface*: a [`ProgramVerifier`] installed on a machine is consulted
-//! before [`Machine::run`](crate::Machine::run) simulates a program, in
-//! debug builds only: tests get full checking, release runs pay nothing. The
-//! concrete analyzer lives in the `isrf-verify` crate; keeping only the
-//! trait here avoids a dependency cycle (`isrf-verify` depends on this
-//! crate for [`StreamProgram`]).
+//! *interface*: a [`ProgramVerifier`] installed on a machine runs when the
+//! caller asks, through
+//! [`Machine::verify_program`](crate::Machine::verify_program), once per
+//! program and in every build; [`Machine::step`](crate::Machine::step)
+//! never runs it. The concrete analyzer lives in the `isrf-verify` crate;
+//! keeping only the trait here avoids a dependency cycle (`isrf-verify`
+//! depends on this crate for [`StreamProgram`]).
 
 use std::fmt;
 

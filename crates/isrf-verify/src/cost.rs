@@ -141,39 +141,48 @@ fn div_ceil(a: u64, b: u64) -> u64 {
     }
 }
 
-/// Peak address-FIFO (records) and stream-buffer (words) occupancy bounds
-/// for one indexed read stream, by replaying the schedule's address pushes
-/// and data pops (same event model as the V501 deadlock check): a pushed
-/// record is outstanding until all its `rw` words have been popped, and a
-/// serviced-but-unpopped word sits in the stream buffer.
-fn occupancy_bounds(
+/// One indexed read stream's address pushes and data pops, as
+/// `(cycle, push, op)` sorted so that within a cycle the pops come first
+/// and each kind runs in op order: the replay [`occupancy_bounds`] and the
+/// V501 deadlock check walk. Every op repeats at its slot + j·II, so
+/// occupancy is eventually periodic with period II; a window comfortably
+/// larger than the capacities plus the pipeline depth reaches that steady
+/// state.
+pub(crate) fn fifo_events(
     kernel: &Kernel,
     schedule: &Schedule,
     slot: StreamSlot,
-    rw: u64,
     iters: u64,
     (fifo_cap, buf_cap): (u64, u64),
-) -> (u64, u64) {
-    let addr_ops = kernel.stream_addr_ops(slot);
-    let data_ops = kernel.stream_data_ops(slot);
-    if addr_ops.is_empty() {
-        return (0, 0);
-    }
+) -> Vec<(u64, bool, usize)> {
     let window = fifo_cap + buf_cap + 2 * schedule.stages() as u64 + 8;
-    let sim_iters = iters.min(window);
-    let mut events: Vec<(u64, bool)> = Vec::new();
-    for j in 0..sim_iters {
-        for &a in &addr_ops {
-            events.push((schedule.slots[a] as u64 + j * schedule.ii as u64, true));
-        }
-        for &r in &data_ops {
-            events.push((schedule.slots[r] as u64 + j * schedule.ii as u64, false));
+    let kinds = [
+        (kernel.stream_addr_ops(slot), true),
+        (kernel.stream_data_ops(slot), false),
+    ];
+    let mut events = Vec::new();
+    for j in 0..iters.min(window) {
+        for (ops, push) in &kinds {
+            let at = |op: usize| schedule.slots[op] as u64 + j * schedule.ii as u64;
+            events.extend(ops.iter().map(|&op| (at(op), *push, op)));
         }
     }
     events.sort_unstable();
+    events
+}
+
+/// Peak address-FIFO (records) and stream-buffer (words) occupancy bounds
+/// for one indexed read stream, over its [`fifo_events`]: a pushed record
+/// is outstanding until all its `rw` words have been popped, and a
+/// serviced-but-unpopped word sits in the stream buffer.
+fn occupancy_bounds(
+    events: &[(u64, bool, usize)],
+    rw: u64,
+    (fifo_cap, buf_cap): (u64, u64),
+) -> (u64, u64) {
     let (mut pushed, mut popped) = (0u64, 0u64);
     let (mut fifo_peak, mut buf_peak) = (0u64, 0u64);
-    for (_, is_push) in events {
+    for &(_, is_push, _) in events {
         if is_push {
             pushed += 1;
         } else {
@@ -262,9 +271,9 @@ fn kernel_cost(
         }
         if matches!(decl.kind, StreamKind::IdxInRead | StreamKind::IdxCrossRead) {
             let rw = bindings[si].record_words.max(1) as u64;
-            let (fp, bp) = occupancy_bounds(kernel, schedule, slot, rw, iters, (fifo_cap, buf_cap));
-            sc.addr_fifo_peak = fp;
-            sc.buffer_peak = bp;
+            let caps = (fifo_cap, buf_cap);
+            let events = fifo_events(kernel, schedule, slot, iters, caps);
+            (sc.addr_fifo_peak, sc.buffer_peak) = occupancy_bounds(&events, rw, caps);
         }
         streams.push(sc);
     }

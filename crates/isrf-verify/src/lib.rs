@@ -3,7 +3,9 @@
 //! [`Verifier`] implements [`isrf_sim::ProgramVerifier`]: a dataflow
 //! analysis over a [`StreamProgram`] and the kernel bodies it invokes that
 //! proves, *before* a single cycle is simulated, that the program cannot
-//! trip the simulator's runtime hazards. Seven check families:
+//! trip the simulator's runtime hazards. It has no settings, and the caller
+//! runs it once per program ([`isrf_sim::Machine::verify_program`]). Seven
+//! check families, each named in its findings' [`Diagnostic::check`]:
 //!
 //! * **Liveness** ([`codes::UNFILLED_READ`], [`codes::UNALLOCATED_BINDING`])
 //!   — every stream a kernel or store reads is filled by a memory load, a
@@ -193,78 +195,10 @@ pub fn explain(code: &str) -> Option<&'static str> {
     })
 }
 
-/// The seven independent check families. Disabling one (for triage, or in
-/// the test suite to prove each check is load-bearing) drops exactly its
-/// diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Check {
-    /// V101/V102: streams are filled before they are read and bindings
-    /// stay inside allocated SRF space.
-    Liveness,
-    /// V103/V201/V202: bindings fit ranges, ranges fit the bank, unordered
-    /// ops do not conflict.
-    Allocation,
-    /// V301/V303: indexed streams match the hardware and index
-    /// expressions stay in bounds.
-    Indexed,
-    /// V310/V311/V312: cross-kernel interval propagation over the SRF.
-    Propagation,
-    /// V401: address→data decoupling slack is respected.
-    Slack,
-    /// V501: address FIFOs cannot deadlock.
-    Deadlock,
-    /// W601/W602: SRF space warnings (report-only, never fail verify).
-    Space,
-}
-
-impl Check {
-    /// All checks, in reporting order.
-    pub const ALL: [Check; 7] = [
-        Check::Liveness,
-        Check::Allocation,
-        Check::Indexed,
-        Check::Propagation,
-        Check::Slack,
-        Check::Deadlock,
-        Check::Space,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Check::Liveness => "liveness",
-            Check::Allocation => "allocation",
-            Check::Indexed => "indexed",
-            Check::Propagation => "propagation",
-            Check::Slack => "slack",
-            Check::Deadlock => "deadlock",
-            Check::Space => "space",
-        }
-    }
-
-    fn bit(self) -> usize {
-        match self {
-            Check::Liveness => 0,
-            Check::Allocation => 1,
-            Check::Indexed => 2,
-            Check::Propagation => 3,
-            Check::Slack => 4,
-            Check::Deadlock => 5,
-            Check::Space => 6,
-        }
-    }
-}
-
-/// The analyzer: all checks enabled by default.
-#[derive(Debug, Clone)]
-pub struct Verifier {
-    enabled: [bool; 7],
-}
-
-impl Default for Verifier {
-    fn default() -> Self {
-        Verifier::new()
-    }
-}
+/// The analyzer. It has no settings: every program gets every check, and
+/// each finding's [`Diagnostic::check`] names the family that made it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Verifier;
 
 /// Everything the analyzer can say about a program: hard findings (the
 /// same list [`Verifier::verify`] returns), space warnings, and the static
@@ -280,19 +214,9 @@ pub struct Report {
 }
 
 impl Verifier {
-    /// A verifier with every check enabled.
+    /// The analyzer.
     pub fn new() -> Self {
-        Verifier { enabled: [true; 7] }
-    }
-
-    /// Disable one check family (builder-style).
-    pub fn without(mut self, check: Check) -> Self {
-        self.enabled[check.bit()] = false;
-        self
-    }
-
-    fn on(&self, check: Check) -> bool {
-        self.enabled[check.bit()]
+        Verifier
     }
 
     /// Full analysis: the diagnostics [`Verifier::verify`] would return,
@@ -300,39 +224,14 @@ impl Verifier {
     /// appear in `diagnostics` — a warned program still verifies clean.
     pub fn report(&self, cfg: &MachineConfig, env: &VerifyEnv, program: &StreamProgram) -> Report {
         let ctx = Analysis::new(cfg, env, program);
-        let diagnostics = self.hard_checks(&ctx);
+        let diagnostics = ctx.hard_checks();
         let mut warnings = Vec::new();
-        if self.on(Check::Space) {
-            ctx.check_space(&mut warnings);
-        }
+        ctx.check_space(&mut warnings);
         Report {
             diagnostics,
             warnings,
             cost: cost_model(cfg, program),
         }
-    }
-
-    fn hard_checks(&self, ctx: &Analysis) -> Vec<Diagnostic> {
-        let mut out = Vec::new();
-        if self.on(Check::Liveness) {
-            ctx.check_liveness(&mut out);
-        }
-        if self.on(Check::Allocation) {
-            ctx.check_allocation(&mut out);
-        }
-        if self.on(Check::Indexed) {
-            ctx.check_indexed(&mut out);
-        }
-        if self.on(Check::Propagation) {
-            ctx.check_propagation(&mut out);
-        }
-        if self.on(Check::Slack) {
-            ctx.check_slack(&mut out);
-        }
-        if self.on(Check::Deadlock) {
-            ctx.check_deadlock(&mut out);
-        }
-        out
     }
 }
 
@@ -343,7 +242,7 @@ impl ProgramVerifier for Verifier {
         env: &VerifyEnv,
         program: &StreamProgram,
     ) -> Vec<Diagnostic> {
-        self.hard_checks(&Analysis::new(cfg, env, program))
+        Analysis::new(cfg, env, program).hard_checks()
     }
 }
 
@@ -644,12 +543,25 @@ impl<'a> Analysis<'a> {
         })
     }
 
+    /// The six hard families, in reporting order: a non-empty list fails
+    /// verification.
+    fn hard_checks(&self) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
+        self.check_liveness(&mut out);
+        self.check_allocation(&mut out);
+        self.check_indexed(&mut out);
+        self.check_propagation(&mut out);
+        self.check_slack(&mut out);
+        self.check_deadlock(&mut out);
+        out
+    }
+
     // -----------------------------------------------------------------------
     // Liveness: V101 / V102
     // -----------------------------------------------------------------------
 
     fn check_liveness(&self, out: &mut Vec<Diagnostic>) {
-        let check = Check::Liveness.name();
+        let check = "liveness";
         // Fills are tracked per range and a program writes few distinct
         // ones: keep, per range, the set of ops that write it.
         let mut writers: BTreeMap<(u32, u32), Vec<u64>> = BTreeMap::new();
@@ -716,7 +628,7 @@ impl<'a> Analysis<'a> {
     // -----------------------------------------------------------------------
 
     fn check_allocation(&self, out: &mut Vec<Diagnostic>) {
-        let check = Check::Allocation.name();
+        let check = "allocation";
         for (k, a) in self.accesses.iter().enumerate() {
             let b = &a.binding;
             if self.exceeds_bank(b) {
@@ -820,7 +732,7 @@ impl<'a> Analysis<'a> {
         if let Some((a, b, (lo, hi))) = conflict {
             out.push(pdiag(
                 codes::OVERLAP_HAZARD,
-                Check::Allocation.name(),
+                "allocation",
                 j,
                 format!(
                     "{} and {} touch overlapping SRF words [{lo}, {hi}) per bank \
@@ -837,7 +749,7 @@ impl<'a> Analysis<'a> {
     // -----------------------------------------------------------------------
 
     fn check_indexed(&self, out: &mut Vec<Diagnostic>) {
-        let check = Check::Indexed.name();
+        let check = "indexed";
         self.per_shape(out, |i, out| {
             let (kernel, _, bindings, _) = self.invocation(i);
             if !self.cfg.has_indexed_srf() {
@@ -910,7 +822,7 @@ impl<'a> Analysis<'a> {
     /// 32-bit address wrap (the simulator's address arithmetic would
     /// overflow on every element).
     fn check_propagation(&self, out: &mut Vec<Diagnostic>) {
-        let check = Check::Propagation.name();
+        let check = "propagation";
         let prop = propagate(self);
         for i in 0..self.program.len() {
             let (op, _) = self.program.node(i);
@@ -1050,7 +962,7 @@ impl<'a> Analysis<'a> {
     // -----------------------------------------------------------------------
 
     fn check_slack(&self, out: &mut Vec<Diagnostic>) {
-        let check = Check::Slack.name();
+        let check = "slack";
         if !self.cfg.has_indexed_srf() {
             return; // V301 already rejects indexed kernels here
         }
@@ -1125,7 +1037,7 @@ impl<'a> Analysis<'a> {
     // -----------------------------------------------------------------------
 
     fn check_space(&self, out: &mut Vec<Diagnostic>) {
-        let check = Check::Space.name();
+        let check = "space";
         // W601: a filled region no op ever reads. Any overlapping read —
         // ordered or not, kernel input, store source, or gather/scatter
         // index stream — counts as consumption, so test each fill against
@@ -1304,29 +1216,11 @@ fn deadlock_for_stream(
     (fifo_cap, buf_cap): (u64, u64),
     prog_op: usize,
 ) -> Option<Diagnostic> {
-    let check = Check::Deadlock.name();
-    let addr_ops = kernel.stream_addr_ops(slot);
-    let data_ops = kernel.stream_data_ops(slot);
-    if addr_ops.is_empty() || data_ops.is_empty() {
+    let check = "deadlock";
+    if kernel.stream_addr_ops(slot).is_empty() || kernel.stream_data_ops(slot).is_empty() {
         return None;
     }
-
-    // Simulate enough iterations for the FIFO/buffer interplay to reach
-    // steady state: every op repeats at its slot + j*II, so occupancy is
-    // eventually periodic with period II; a window comfortably larger than
-    // the capacities plus the pipeline depth suffices.
-    let window = fifo_cap + buf_cap + 2 * schedule.stages() as u64 + 8;
-    let sim_iters = iters.min(window);
-    let mut events: Vec<(u64, usize, bool)> = Vec::new();
-    for j in 0..sim_iters {
-        for &a in &addr_ops {
-            events.push((schedule.slots[a] as u64 + j * schedule.ii as u64, a, true));
-        }
-        for &r in &data_ops {
-            events.push((schedule.slots[r] as u64 + j * schedule.ii as u64, r, false));
-        }
-    }
-    events.sort_unstable();
+    let events = cost::fifo_events(kernel, schedule, slot, iters, (fifo_cap, buf_cap));
 
     // `pushed` counts records queued, `popped` counts words consumed, both
     // *before* the current cycle (the issue group is all-or-nothing with
@@ -1341,7 +1235,7 @@ fn deadlock_for_stream(
         let mut first_push = None;
         let mut first_pop = None;
         while k < events.len() && events[k].0 == t {
-            let (_, op, is_push) = events[k];
+            let (_, is_push, op) = events[k];
             if is_push {
                 pushes_at += 1;
                 first_push.get_or_insert(op);
@@ -1438,7 +1332,7 @@ mod tests {
             (g.program.len(), ctx.accesses.len(), ctx.shapes),
             (1920, 3072, 1)
         );
-        let found = Verifier::new().hard_checks(&ctx);
+        let found = ctx.hard_checks();
         assert!(found.is_empty(), "{found:#?}");
         // A strip's ops are unordered against its own and its neighbour's
         // in the other buffer set, so the pairs V201 looks at grow with the

@@ -1,9 +1,8 @@
 //! The negative corpus: one deliberately ill-formed program per diagnostic
 //! code, each asserting the *exact* finding list (no cascades, no noise)
 //! and — for kernel-scoped findings — that the span resolves to the right
-//! `.isrf` source line. A final test disables each check family in turn
-//! and proves its corpus entry goes undetected, so every check is
-//! load-bearing.
+//! `.isrf` source line. A final test proves each check family's corpus
+//! entry is found by that family, named in the finding's `check`.
 
 use std::sync::Arc;
 
@@ -16,7 +15,7 @@ use isrf_mem::AddrPattern;
 use isrf_sim::{
     Diagnostic, Machine, ProgramVerifier, SimError, SrfRange, StreamBinding, StreamProgram,
 };
-use isrf_verify::{codes, Check, Verifier};
+use isrf_verify::{codes, Verifier};
 
 const V101: &str = include_str!("corpus/v101_unfilled_read.isrf");
 const V102: &str = include_str!("corpus/v102_unallocated.isrf");
@@ -474,54 +473,39 @@ fn gather_index_stream_must_be_filled() {
 #[test]
 fn each_check_is_load_bearing() {
     type Case = fn() -> (Machine, StreamProgram);
-    let cases: [(Case, Check, &str); 6] = [
-        (case_v101, Check::Liveness, codes::UNFILLED_READ),
-        (case_v201, Check::Allocation, codes::OVERLAP_HAZARD),
-        (
-            case_v301,
-            Check::Indexed,
-            codes::INDEXED_ON_NON_INDEXED_CONFIG,
-        ),
-        (case_v310, Check::Propagation, codes::PROPAGATED_INDEX_OOB),
-        (case_v401, Check::Slack, codes::INSUFFICIENT_SLACK),
-        (case_v501, Check::Deadlock, codes::FIFO_DEADLOCK),
+    let cases: [(Case, &str, &str); 6] = [
+        (case_v101, "liveness", codes::UNFILLED_READ),
+        (case_v201, "allocation", codes::OVERLAP_HAZARD),
+        (case_v301, "indexed", codes::INDEXED_ON_NON_INDEXED_CONFIG),
+        (case_v310, "propagation", codes::PROPAGATED_INDEX_OOB),
+        (case_v401, "slack", codes::INSUFFICIENT_SLACK),
+        (case_v501, "deadlock", codes::FIFO_DEADLOCK),
     ];
     for (build, check, code) in cases {
         let (m, p) = build();
-        let with = diags(&m, &p, &Verifier::new());
-        assert_eq!(codes_of(&with), [code], "{check:?} with all checks on");
-        let without = diags(&m, &p, &Verifier::new().without(check));
-        assert!(
-            without.is_empty(),
-            "disabling {check:?} must drop {code}, got {without:?}"
-        );
+        let found = diags(&m, &p, &Verifier::new());
+        assert_eq!(codes_of(&found), [code], "{check}: {found:?}");
+        assert_eq!(found[0].check, check, "{code} comes from {check}");
     }
-    // Space findings surface through `report`, so the load-bearing proof
-    // goes through it too.
+    // Space findings surface through `report` alone, never as a hard
+    // finding.
     let (m, p) = case_w601();
-    let with = Verifier::new().report(m.config(), &m.verify_env(), &p);
-    assert_eq!(codes_of(&with.warnings), [codes::DEAD_STREAM]);
-    let without = Verifier::new()
-        .without(Check::Space)
-        .report(m.config(), &m.verify_env(), &p);
-    assert!(
-        without.warnings.is_empty(),
-        "disabling Space must drop W601, got {:?}",
-        without.warnings
-    );
+    let r = Verifier::new().report(m.config(), &m.verify_env(), &p);
+    assert!(r.diagnostics.is_empty(), "{:?}", r.diagnostics);
+    assert_eq!(codes_of(&r.warnings), [codes::DEAD_STREAM]);
+    assert_eq!(r.warnings[0].check, "space");
 }
 
+/// The installed verifier runs when asked and only then: a machine that
+/// carries one still simulates the V101 case when told to.
 #[test]
-fn machine_hook_rejects_before_simulation() {
+fn machine_hook_verifies_only_when_asked() {
     let (mut m, p) = case_v101();
     m.set_verifier(Some(Arc::new(Verifier::new())));
     let err = m.verify_program(&p).expect_err("program is ill-formed");
     assert_eq!(err.diagnostics[0].code, codes::UNFILLED_READ);
-    if cfg!(debug_assertions) {
-        // A debug-build machine rejects it at run time too.
-        let err2 = m.step(&p, u64::MAX).expect_err("debug runs verify first");
-        assert_eq!(err2, SimError::Verify(err));
-    }
+    let stats = m.step(&p, u64::MAX).expect("step does not verify");
+    assert!(stats.expect("the kernel completes").cycles > 0);
 }
 
 // ---------------------------------------------------------------------------

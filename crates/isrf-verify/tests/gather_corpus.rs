@@ -11,7 +11,7 @@ use isrf_core::Word;
 use isrf_kernel::sched::{schedule, SchedParams, Schedule};
 use isrf_lang::parse_kernel;
 use isrf_sim::{Diagnostic, Machine, ProgramVerifier, StreamBinding, StreamProgram};
-use isrf_verify::{codes, Check, Verifier};
+use isrf_verify::{codes, Verifier};
 
 const G301: &str = include_str!("corpus/g301_gather_on_base.isrf");
 const G303_OVERRUN: &str = include_str!("corpus/g303_gather_overrun.isrf");
@@ -126,9 +126,8 @@ fn unaligned_lane_skewed_gather_is_v303() {
 
 #[test]
 fn indexed_check_carries_all_gather_findings() {
-    // Disabling the Indexed family silences every gather case: the
-    // findings come from that one check, not incidental cascades.
-    let verifier = Verifier::new().without(Check::Indexed);
+    // Every gather case's findings come from the Indexed family, not
+    // incidental cascades.
     for (m, p) in [
         gather_case(
             G301,
@@ -138,7 +137,8 @@ fn indexed_check_carries_all_gather_findings() {
         overrun_case(G303_OVERRUN),
         overrun_case(G303_UNALIGNED),
     ] {
-        let d = diags(&m, &p, &verifier);
-        assert!(d.is_empty(), "expected no findings, got {d:?}");
+        let d = diags(&m, &p, &Verifier::new());
+        assert!(!d.is_empty(), "expected a finding");
+        assert!(d.iter().all(|d| d.check == "indexed"), "{d:?}");
     }
 }
