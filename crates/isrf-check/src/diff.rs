@@ -3,6 +3,7 @@
 use std::fmt;
 
 use isrf_core::stats::RunStats;
+use isrf_core::Word;
 use isrf_sim::machine::{Machine, SimError};
 use isrf_sim::program::StreamProgram;
 use isrf_trace::{Recorder, Tracer};
@@ -11,6 +12,13 @@ use crate::refexec::{RefCounts, RefMachine};
 
 /// How many trailing trace events a [`DiffFailure`] carries.
 const TRACE_TAIL: usize = 32;
+
+/// How many memory and SRF word divergences a [`DiffFailure`] lists.
+const MAX_ERRORS: usize = 32;
+
+/// Words compared at a time: a block that matches on both sides is never
+/// walked word by word.
+const BLOCK: usize = 1 << 12;
 
 /// Where a differential run diverged.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -171,42 +179,31 @@ fn compare(
         }
     };
 
-    let mut errors = Vec::new();
-    const MAX_ERRORS: usize = 32;
-
     // Output regions first, so the report leads with the words callers
     // actually consume, then a linear scan of the full memory image (a
     // mismatch inside an output region may appear twice; both scans cap).
-    let mem_words = machine.mem().memory().len().max(reference.mem().len()) as u32;
-    let mut regions: Vec<(u32, u32)> = outputs.to_vec();
-    regions.push((0, mem_words));
-    'mem: for &(base, words) in &regions {
-        for k in 0..words {
-            let addr = base + k;
-            let m = machine.mem().memory().read(addr);
-            let r = reference.mem().read(addr);
-            if m != r {
-                errors.push(DiffError::Memory(addr, m, r));
-                if errors.len() >= MAX_ERRORS {
-                    break 'mem;
-                }
+    let mut errors = Vec::new();
+    let (mm, rm) = (machine.mem().memory(), reference.mem());
+    let mut regions = outputs.to_vec();
+    regions.push((0, mm.len().max(rm.len()) as u32));
+    let mut uncapped = regions.iter().all(|&(base, words)| {
+        let fill = |at, m: &mut [Word], r: &mut [Word]| {
+            mm.read_block_into(at, m);
+            rm.read_block_into(at, r);
+        };
+        diff_blocks(base, words, fill, DiffError::Memory, &mut errors)
+    });
+    // Then the SRF bank by bank, filled a word at a time: `Srf` lends
+    // other crates words, not bank slices.
+    let (ms, rs) = (machine.srf(), reference.srf());
+    for lane in 0..machine.config().lanes {
+        let fill = |at, m: &mut [Word], r: &mut [Word]| {
+            for (off, (m, r)) in (at..).zip(m.iter_mut().zip(r)) {
+                (*m, *r) = (ms.read(lane, off), rs.read(lane, off));
             }
-        }
-    }
-
-    if errors.len() < MAX_ERRORS {
-        'srf: for lane in 0..machine.config().lanes {
-            for off in 0..machine.srf().bank_words() {
-                let m = machine.srf().read(lane, off);
-                let r = reference.srf().read(lane, off);
-                if m != r {
-                    errors.push(DiffError::Srf(lane, off, m, r));
-                    if errors.len() >= MAX_ERRORS {
-                        break 'srf;
-                    }
-                }
-            }
-        }
+        };
+        let error = |off, m, r| DiffError::Srf(lane, off, m, r);
+        uncapped = uncapped && diff_blocks(0, ms.bank_words(), fill, error, &mut errors);
     }
 
     let counts = reference.counts();
@@ -237,6 +234,40 @@ fn compare(
     }
 }
 
+/// Compare words `base..base + words` of the machine's image and the
+/// reference's a block of [`BLOCK`] words at a time, `fill(at, machine,
+/// reference)` reading both sides of the block at `at`. Only a block that
+/// differs is walked word by word, each differing word pushing
+/// `error(addr, machine, reference)` onto `errors`. Returns `false` once
+/// `errors` holds [`MAX_ERRORS`].
+fn diff_blocks(
+    base: u32,
+    words: u32,
+    fill: impl Fn(u32, &mut [Word], &mut [Word]),
+    error: impl Fn(u32, Word, Word) -> DiffError,
+    errors: &mut Vec<DiffError>,
+) -> bool {
+    let (mut m, mut r) = ([0; BLOCK], [0; BLOCK]);
+    let end = base as u64 + words as u64;
+    for at in (base as u64..end).step_by(BLOCK) {
+        let n = (end - at).min(BLOCK as u64) as usize;
+        let (m, r) = (&mut m[..n], &mut r[..n]);
+        fill(at as u32, m, r);
+        if m == r {
+            continue;
+        }
+        for (addr, (&m, &r)) in (at as u32..).zip(m.iter().zip(r.iter())) {
+            if m != r {
+                errors.push(error(addr, m, r));
+                if errors.len() >= MAX_ERRORS {
+                    return false;
+                }
+            }
+        }
+    }
+    true
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::Arc;
@@ -244,8 +275,63 @@ mod tests {
     use isrf_core::config::{ConfigName, MachineConfig};
     use isrf_kernel::ir::{KernelBuilder, StreamKind};
     use isrf_kernel::sched::Schedule;
+    use isrf_trace::Recorder;
 
     use super::*;
+
+    /// The block-wise compare lists what a word-by-word scan does, in its
+    /// order: an output region's divergence first (and again in the full
+    /// scan), one word on each side of a block boundary, one in a memory
+    /// chunk only the machine ever wrote, then an SRF word. Past
+    /// `MAX_ERRORS` the list stops at the cap and the SRF goes unscanned.
+    #[test]
+    fn compare_lists_seeded_divergences_as_a_word_by_word_scan_does() {
+        let mut m = Machine::new(MachineConfig::preset(ConfigName::Base)).unwrap();
+        let b = BLOCK as u32;
+        let image: Vec<u32> = (1..=3 * b).collect();
+        m.mem_mut().memory_mut().write_block(0, &image);
+        let reference = RefMachine::from_machine(&m);
+        // 2.5 Mi words up: a 64 Ki-word chunk the reference never backed.
+        let far = 40 << 16;
+        for (addr, v) in [(100, 7), (b - 1, 8), (b, 9), (far + 3, 10)] {
+            m.mem_mut().memory_mut().write(addr, v);
+        }
+        m.srf_mut().write(5, 17, 11);
+        let outputs = [(96, 8)];
+        let errors = |m: &Machine| {
+            let ran = Ok(Some(RunStats::default()));
+            compare(m, &reference, &outputs, ran, &Recorder::new(TRACE_TAIL))
+                .expect_err("seeded divergences")
+                .errors
+        };
+        use DiffError::{Memory, Srf};
+        assert_eq!(
+            errors(&m),
+            [
+                Memory(100, 7, 101),
+                Memory(100, 7, 101),
+                Memory(b - 1, 8, b),
+                Memory(b, 9, b + 1),
+                Memory(far + 3, 10, 0),
+                Srf(5, 17, 11, 0),
+            ]
+        );
+
+        // Forty more, every other word of the third block: the list stops
+        // at the cap, 28 of them in.
+        for k in 0..40 {
+            m.mem_mut().memory_mut().write(2 * b + 2 * k, 0);
+        }
+        let mut want = vec![
+            Memory(100, 7, 101),
+            Memory(100, 7, 101),
+            Memory(b - 1, 8, b),
+            Memory(b, 9, b + 1),
+        ];
+        want.extend((0..28).map(|k| Memory(2 * b + 2 * k, 0, 2 * b + 2 * k + 1)));
+        assert_eq!(want.len(), MAX_ERRORS);
+        assert_eq!(errors(&m), want);
+    }
 
     /// `out[i] = in[i] + LUT[in[i]]` under a hand-built schedule (II 1, one
     /// op per cycle) that pops the indexed data 17 cycles after pushing its

@@ -8,6 +8,9 @@
 //! * kernels run iteration-major — iteration `j`'s ops in operation
 //!   order, every lane of an op before the next op — which is exactly the
 //!   per-stream access order the scheduler's ordering chains guarantee;
+//!   each operand resolves once per iteration, by the oracle's own rule,
+//!   to `init`, a constant, the lane or iteration id, or the producer's
+//!   lanes in a ring of `max distance + 1` context rows;
 //! * stream cursor/windowing semantics are *shared with the simulator* by
 //!   reusing [`isrf_sim::stream`]'s runtime states with zero latency
 //!   (inputs topped up before every read, outputs drained after every
@@ -18,7 +21,10 @@
 //!
 //! Schedules, stream buffers, arbitration, FIFO depths and latencies are
 //! never consulted: any final-state difference from the cycle-accurate
-//! machine on a race-free program is a simulator bug.
+//! machine on a race-free program is a simulator bug. Nothing of the
+//! machine's executor is either — its tape, row executor and indexed
+//! arbiter (`ci.sh`, "one independent oracle"): the stream states and
+//! [`Srf`] are all this module shares with it.
 
 use std::collections::VecDeque;
 
@@ -182,16 +188,46 @@ enum RefSlot {
     },
 }
 
+/// Where an operand's lanes come from in one iteration, resolved once per
+/// operand: lane `l` reads [`Arg::at`]`(ctx, l)`.
+#[derive(Debug, Clone, Copy)]
+enum Arg {
+    /// Every lane reads this word: the operand's `init` while the
+    /// iteration is below its distance, a constant, the lane count or the
+    /// producer's iteration id.
+    Splat(Word),
+    /// Lane `l` reads `l` (a `LaneId` producer).
+    Lane,
+    /// Lane `l` reads `ctx[at + l]`: the producer's lanes in the context
+    /// row of iteration `j - distance`.
+    Ctx(usize),
+}
+
+impl Arg {
+    #[inline]
+    fn at(self, ctx: &[Word], lane: usize) -> Word {
+        match self {
+            Arg::Splat(w) => w,
+            Arg::Lane => lane as Word,
+            Arg::Ctx(at) => ctx[at + lane],
+        }
+    }
+}
+
 /// One kernel invocation of the reference executor.
 struct Interp<'a> {
     rm: &'a mut RefMachine,
     kernel: &'a Kernel,
     slots: Vec<RefSlot>,
-    /// Rolling value contexts: `ctxs[j - ctx_base]` holds `ops × lanes`
-    /// words, windowed to the largest loop-carried distance plus one.
-    ctxs: VecDeque<Vec<Word>>,
-    ctx_base: u64,
-    max_dist: u32,
+    /// Value contexts, a ring of `rows` rows of `ops × lanes` words:
+    /// iteration `j`'s row is `j % rows`, and `rows` is the largest
+    /// loop-carried distance plus one, so a row is overwritten only once
+    /// no operand can read it.
+    ctx: Vec<Word>,
+    rows: usize,
+    /// Lanes of a condition operand, which the conditional stream states
+    /// take as a slice beside the op's own row.
+    cond: Vec<Word>,
 }
 
 impl<'a> Interp<'a> {
@@ -235,125 +271,115 @@ impl<'a> Interp<'a> {
             .flat_map(|o| o.operands.iter().map(|p| p.distance))
             .max()
             .unwrap_or(0);
+        let rows = max_dist as usize + 1;
         Interp {
             rm,
             kernel,
             slots,
-            ctxs: VecDeque::new(),
-            ctx_base: 0,
-            max_dist,
+            ctx: vec![0; rows * kernel.ops.len() * lanes],
+            rows,
+            cond: vec![0; lanes],
         }
     }
 
     fn run(&mut self, iters: u64) {
-        let lanes = self.rm.lanes;
-        let n_ops = self.kernel.ops.len();
+        let kernel = self.kernel;
+        let mut row = 0;
         for j in 0..iters {
-            self.ctxs.push_back(vec![0; n_ops * lanes]);
-            while self.ctxs.len() > self.max_dist as usize + 1 {
-                self.ctxs.pop_front();
-                self.ctx_base += 1;
+            for (opi, op) in kernel.ops.iter().enumerate() {
+                self.exec_op(j, row, opi, op);
             }
-            for opi in 0..n_ops {
-                let op = self.kernel.ops[opi].clone();
-                let vals = self.exec_op(j, &op);
-                let idx = (j - self.ctx_base) as usize;
-                for (lane, v) in vals.into_iter().enumerate() {
-                    self.ctxs[idx][opi * lanes + lane] = v;
-                }
-            }
+            row = if row + 1 == self.rows { 0 } else { row + 1 };
         }
     }
 
-    /// Resolve an operand for iteration `j`, lane `lane` — mirror of the
-    /// machine executor's rule: past-the-start distances read `init`, and
-    /// `Free`-class producers are recomputed rather than looked up.
-    fn resolve(&self, j: u64, operand: &Operand, lane: usize) -> Word {
-        let d = operand.distance as u64;
-        if d > j {
-            return operand.init;
-        }
-        let pj = j - d;
-        if pj < self.ctx_base {
-            return operand.init; // retired far-past context (distance misuse)
+    /// Where the lanes of op `opi` live in context row `row`.
+    fn slot_of(&self, row: usize, opi: usize) -> usize {
+        (row * self.kernel.ops.len() + opi) * self.rm.lanes
+    }
+
+    /// Resolve an operand for iteration `j`, whose context row is `row` —
+    /// mirror of the machine executor's rule: past-the-start distances
+    /// read `init`, and `Free`-class producers are recomputed rather than
+    /// looked up.
+    fn arg(&self, j: u64, row: usize, operand: &Operand) -> Arg {
+        let d = operand.distance as usize;
+        if d as u64 > j {
+            return Arg::Splat(operand.init);
         }
         match self.kernel.ops[operand.value.index()].opcode {
-            Opcode::Const(w) => w,
-            Opcode::LaneId => lane as Word,
-            Opcode::LaneCount => self.rm.lanes as Word,
-            Opcode::IterId => pj as Word,
+            Opcode::Const(w) => Arg::Splat(w),
+            Opcode::LaneId => Arg::Lane,
+            Opcode::LaneCount => Arg::Splat(self.rm.lanes as Word),
+            Opcode::IterId => Arg::Splat((j - d as u64) as Word),
+            // Iteration `j - d`'s row, `d < rows` rows back round the ring.
             _ => {
-                let idx = (pj - self.ctx_base) as usize;
-                self.ctxs[idx][operand.value.index() * self.rm.lanes + lane]
+                let back = row.checked_sub(d).unwrap_or(row + self.rows - d);
+                Arg::Ctx(self.slot_of(back, operand.value.index()))
             }
         }
     }
 
-    /// Execute one op for all lanes of iteration `j`.
-    fn exec_op(&mut self, j: u64, op: &Op) -> Vec<Word> {
+    /// Execute op `opi` for all lanes of iteration `j`, writing its lanes
+    /// into its context row `row`.
+    fn exec_op(&mut self, j: u64, row: usize, opi: usize, op: &Op) {
         use Opcode::*;
         let lanes = self.rm.lanes;
+        let dst = self.slot_of(row, opi);
+        let args: [Arg; 3] = std::array::from_fn(|k| match op.operands.get(k) {
+            Some(operand) => self.arg(j, row, operand),
+            None => Arg::Splat(0),
+        });
+        let ctx = &mut self.ctx;
         match op.opcode {
-            Const(w) => vec![w; lanes],
-            LaneId => (0..lanes).map(|l| l as Word).collect(),
-            LaneCount => vec![lanes as Word; lanes],
-            IterId => vec![j as Word; lanes],
             SeqRead(s) => {
                 let RefSlot::SeqIn(st) = &mut self.slots[s.0 as usize] else {
                     unreachable!("validated kind");
                 };
                 st.grant(&self.rm.srf, BUF, 0, 0);
-                let mut vals = vec![0; lanes];
-                st.pop_row(None, &mut vals);
-                vals
+                st.pop_row(None, &mut ctx[dst..dst + lanes]);
             }
             SeqWrite(s) => {
-                let vals: Vec<Word> = (0..lanes)
-                    .map(|l| self.resolve(j, &op.operands[0], l))
-                    .collect();
+                for l in 0..lanes {
+                    ctx[dst + l] = args[0].at(ctx, l);
+                }
                 let RefSlot::SeqOut(st) = &mut self.slots[s.0 as usize] else {
                     unreachable!();
                 };
-                st.push_row(&vals);
+                st.push_row(&ctx[dst..dst + lanes]);
                 st.grant(&mut self.rm.srf, BUF, true);
-                vals
             }
             CondLaneRead(s) | CondRead(s) => {
-                let conds: Vec<Word> = (0..lanes)
-                    .map(|l| self.resolve(j, &op.operands[0], l))
-                    .collect();
-                let mut vals = vec![0; lanes];
+                for (l, c) in self.cond.iter_mut().enumerate() {
+                    *c = args[0].at(ctx, l);
+                }
+                let out = &mut ctx[dst..dst + lanes];
                 match &mut self.slots[s.0 as usize] {
                     RefSlot::CondLaneIn(st) => {
                         st.grant(&self.rm.srf, BUF, 0, 0);
-                        st.pop_row(Some(&conds), &mut vals);
+                        st.pop_row(Some(&self.cond), out);
                     }
                     RefSlot::CondIn(st) => {
                         st.grant(&self.rm.srf, BUF * lanes, 0, 0);
-                        st.pop_row(&conds, &mut vals);
+                        st.pop_row(&self.cond, out);
                     }
                     _ => unreachable!(),
                 }
-                vals
             }
             CondWrite(s) => {
-                let conds: Vec<Word> = (0..lanes)
-                    .map(|l| self.resolve(j, &op.operands[0], l))
-                    .collect();
-                let vals: Vec<Word> = (0..lanes)
-                    .map(|l| self.resolve(j, &op.operands[1], l))
-                    .collect();
+                // The values stage in the op's own row, which then reads 0.
+                for l in 0..lanes {
+                    self.cond[l] = args[0].at(ctx, l);
+                    ctx[dst + l] = args[1].at(ctx, l);
+                }
                 let RefSlot::CondOut(st) = &mut self.slots[s.0 as usize] else {
                     unreachable!();
                 };
-                st.push_row(&conds, &vals);
+                st.push_row(&self.cond, &ctx[dst..dst + lanes]);
                 st.grant(&mut self.rm.srf, BUF * lanes, true);
-                vec![0; lanes]
+                ctx[dst..dst + lanes].fill(0);
             }
             IdxAddr(s) => {
-                let addrs: Vec<Word> = (0..lanes)
-                    .map(|l| self.resolve(j, &op.operands[0], l))
-                    .collect();
                 let RefSlot::IdxRead {
                     binding,
                     cross,
@@ -363,7 +389,9 @@ impl<'a> Interp<'a> {
                     unreachable!("IdxAddr on a non-read slot");
                 };
                 let rw = binding.record_words;
-                for (l, &record) in addrs.iter().enumerate() {
+                for (l, fifo) in data.iter_mut().enumerate() {
+                    let record = args[0].at(ctx, l);
+                    ctx[dst + l] = record;
                     for w in 0..rw {
                         let v = if *cross {
                             // Global record: record r lives in bank r mod N.
@@ -377,92 +405,81 @@ impl<'a> Interp<'a> {
                             self.rm.counts.inlane_words += 1;
                             self.rm.srf.read(l, off)
                         };
-                        data[l].push_back(v);
+                        fifo.push_back(v);
                     }
                 }
-                addrs
             }
             IdxRead(s) => {
                 let RefSlot::IdxRead { data, .. } = &mut self.slots[s.0 as usize] else {
                     unreachable!();
                 };
-                (0..lanes)
-                    .map(|l| {
-                        data[l]
-                            .pop_front()
-                            .expect("IdxRead with no issued address (machine would deadlock)")
-                    })
-                    .collect()
+                for (l, fifo) in data.iter_mut().enumerate() {
+                    ctx[dst + l] = fifo
+                        .pop_front()
+                        .expect("IdxRead with no issued address (machine would deadlock)");
+                }
             }
             IdxWrite(s) => {
-                let pairs: Vec<(Word, Word)> = (0..lanes)
-                    .map(|l| {
-                        (
-                            self.resolve(j, &op.operands[0], l),
-                            self.resolve(j, &op.operands[1], l),
-                        )
-                    })
-                    .collect();
                 let RefSlot::IdxWrite { binding } = &self.slots[s.0 as usize] else {
                     unreachable!();
                 };
-                let base = binding.range.base;
-                pairs
-                    .iter()
-                    .enumerate()
-                    .map(|(l, &(addr, v))| {
-                        self.rm.srf.write(l, base + addr, v);
-                        self.rm.counts.inlane_words += 1;
-                        v
-                    })
-                    .collect()
+                for l in 0..lanes {
+                    let (addr, v) = (args[0].at(ctx, l), args[1].at(ctx, l));
+                    self.rm.srf.write(l, binding.range.base + addr, v);
+                    self.rm.counts.inlane_words += 1;
+                    ctx[dst + l] = v;
+                }
             }
-            ScratchRead => (0..lanes)
-                .map(|l| {
-                    let addr =
-                        self.resolve(j, &op.operands[0], l) as usize % self.rm.scratch[l].len();
-                    self.rm.scratch[l][addr]
-                })
-                .collect(),
-            ScratchWrite => (0..lanes)
-                .map(|l| {
-                    let addr =
-                        self.resolve(j, &op.operands[0], l) as usize % self.rm.scratch[l].len();
-                    let v = self.resolve(j, &op.operands[1], l);
-                    self.rm.scratch[l][addr] = v;
-                    v
-                })
-                .collect(),
-            Comm { rotate } => (0..lanes)
-                .map(|l| {
+            ScratchRead => {
+                for l in 0..lanes {
+                    let pad = &self.rm.scratch[l];
+                    ctx[dst + l] = pad[args[0].at(ctx, l) as usize % pad.len()];
+                }
+            }
+            ScratchWrite => {
+                for l in 0..lanes {
+                    let pad = &mut self.rm.scratch[l];
+                    let addr = args[0].at(ctx, l) as usize % pad.len();
+                    let v = args[1].at(ctx, l);
+                    pad[addr] = v;
+                    ctx[dst + l] = v;
+                }
+            }
+            Comm { rotate } => {
+                for l in 0..lanes {
                     let src = (l as i64 + rotate as i64).rem_euclid(lanes as i64) as usize;
-                    self.resolve(j, &op.operands[0], src)
-                })
-                .collect(),
-            CommXor { mask } => (0..lanes)
-                .map(|l| {
-                    let src = (l ^ mask as usize) % lanes;
-                    self.resolve(j, &op.operands[0], src)
-                })
-                .collect(),
-            _ => (0..lanes)
-                .map(|lane| ref_alu(op.opcode, |k, l| self.resolve(j, &op.operands[k], l), lane))
-                .collect(),
+                    ctx[dst + l] = args[0].at(ctx, src);
+                }
+            }
+            CommXor { mask } => {
+                for l in 0..lanes {
+                    ctx[dst + l] = args[0].at(ctx, (l ^ mask as usize) % lanes);
+                }
+            }
+            // `Free`-class producers: every consumer recomputes them
+            // (`Interp::arg`), so their rows are never read.
+            Const(_) | LaneId | LaneCount | IterId => {}
+            _ => {
+                for l in 0..lanes {
+                    ctx[dst + l] = ref_alu(op.opcode, |k| args[k].at(ctx, l));
+                }
+            }
         }
     }
 }
 
-/// Evaluate a pure ALU opcode for one lane — definitionally identical to
-/// the machine executor's ALU (wrapping two's-complement integers, IEEE
-/// `f32` bit-cast floats, divide-by-zero yields zero).
-fn ref_alu(opcode: Opcode, resolve: impl Fn(usize, usize) -> Word, lane: usize) -> Word {
+/// Evaluate a pure ALU opcode for one lane, its operand `k` being
+/// `operand(k)` — definitionally identical to the machine executor's ALU
+/// (wrapping two's-complement integers, IEEE `f32` bit-cast floats,
+/// divide-by-zero yields zero).
+fn ref_alu(opcode: Opcode, operand: impl Fn(usize) -> Word) -> Word {
     use Opcode::*;
-    let a = || resolve(0, lane);
-    let b = || resolve(1, lane);
-    let ia = || word::as_i32(resolve(0, lane));
-    let ib = || word::as_i32(resolve(1, lane));
-    let fa = || word::as_f32(resolve(0, lane));
-    let fb = || word::as_f32(resolve(1, lane));
+    let a = || operand(0);
+    let b = || operand(1);
+    let ia = || word::as_i32(operand(0));
+    let ib = || word::as_i32(operand(1));
+    let fa = || word::as_f32(operand(0));
+    let fb = || word::as_f32(operand(1));
     match opcode {
         Mov => a(),
         Not => !a(),
@@ -506,10 +523,10 @@ fn ref_alu(opcode: Opcode, resolve: impl Fn(usize, usize) -> Word, lane: usize) 
         FMin => word::from_f32(fa().min(fb())),
         FMax => word::from_f32(fa().max(fb())),
         Select => {
-            if word::as_bool(resolve(0, lane)) {
-                resolve(1, lane)
+            if word::as_bool(operand(0)) {
+                operand(1)
             } else {
-                resolve(2, lane)
+                operand(2)
             }
         }
         _ => unreachable!("non-ALU opcode {opcode:?} reached ref_alu"),
