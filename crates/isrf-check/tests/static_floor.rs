@@ -9,7 +9,7 @@
 //! build. The sample is spread over the cores. Each differential run
 //! compares the whole memory image, which reaches past the outputs at 8 Mi
 //! words, a block at a time: the 512 programs take about half a second in
-//! a debug build on two cores, where 24 took 0.6–0.7 s while the compare
+//! a debug build on two cores, where 24 took 0.55–0.70 s while the compare
 //! walked the image word by word. The first 24 run no lookup kernel on
 //! ISRF1; an in-lane issue budget one short (`service_pass`'s `issues`)
 //! deadlocks 39 of the 512 and none of those 24.
