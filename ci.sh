@@ -249,6 +249,18 @@ if grep -nE -e '(^|[^A-Za-z0-9_])(tape|exec|indexed)::' -e 'isrf_sim::\{[^}]*(ta
   exit 1
 fi
 
+echo "==> one oracle path (grep gate)"
+# `run_differential` runs its two sides at once on every program: the
+# machine on a scoped worker thread, the reference on the caller. An
+# environment variable or the core count read there would be a knob or a
+# serial fork. The reference moves a transfer a word at a time, so it
+# builds no address list and no gathered or scattered data per transfer.
+if grep -nE -e 'env::|env!\(' -e 'available_parallelism' crates/isrf-check/src/diff.rs \
+  || grep -nE -e 'to_addrs\(' -e '\.gather\(' -e '\.scatter\(' crates/isrf-check/src/refexec.rs; then
+  echo "a second oracle path: run both sides at once, and stream the reference's transfers" >&2
+  exit 1
+fi
+
 echo "==> one record per point (grep gate)"
 # Every number a (app, config, profile) point has is one line of
 # tests/golden/points.digest, which tests/differential.rs alone writes;
@@ -359,7 +371,12 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # isrf-check +48 (diff +31: `diff_blocks`, `BLOCK` and `MAX_ERRORS` as
 # constants; refexec +17: `Arg`, resolved once per operand, the context
 # ring and the module doc's independence rule, less `resolve` per lane).
-loc_ceiling=25545
+# Raised by exactly its net +13 when the oracle's two sides began to run
+# at once: isrf-check +9 (diff +10: the scoped worker and the doc saying
+# which side runs where; refexec -1: transfers stream a word at a time,
+# `write_stream_words` and `dynamic_addrs` gone) and isrf-trace +4 (the
+# ring overwrites in place from a head index).
+loc_ceiling=25558
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

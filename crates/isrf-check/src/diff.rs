@@ -1,6 +1,6 @@
 //! Differential execution: cycle-accurate machine vs reference executor.
 
-use std::fmt;
+use std::{fmt, panic, thread};
 
 use isrf_core::stats::RunStats;
 use isrf_core::Word;
@@ -122,6 +122,13 @@ pub struct DiffOutcome {
 /// reconstruct the machine's reported Figure-12 cycle breakdown exactly,
 /// and any failure report carries the last few trace events for context.
 ///
+/// The two sides share nothing until the comparison, so they run at once:
+/// the machine steps on a scoped worker thread while the reference runs on
+/// the calling thread. The machine is the side that moves because peak
+/// memory rose less that way round than the other (EXPERIMENTS.md, "The
+/// oracle's two sides at once"). A panic on the worker is raised again on
+/// the caller with its own message.
+///
 /// # Errors
 ///
 /// Returns every divergence found (memory first, then SRF, then counts,
@@ -145,12 +152,15 @@ pub fn run_differential(
         });
     }
     let mut reference = RefMachine::from_machine(machine);
-    reference.run(program);
     let own = !machine.tracer().enabled();
     if own {
         machine.set_tracer(Tracer::recording(TRACE_TAIL));
     }
-    let ran = machine.step(program, u64::MAX);
+    let ran = thread::scope(|s| {
+        let worker = s.spawn(|| machine.step(program, u64::MAX));
+        reference.run(program);
+        worker.join().unwrap_or_else(|e| panic::resume_unwind(e))
+    });
     let tracer = machine.take_tracer();
     let recorder = tracer.recorder().expect("recording tracer was installed");
     let result = compare(machine, &reference, outputs, ran, recorder);

@@ -118,23 +118,34 @@ impl RefMachine {
         for i in 0..program.len() {
             let (op, _deps) = program.node(i);
             match op {
+                // Transfers move a word at a time: a load writes SRF words
+                // from memory and a store the reverse, so no word read can
+                // see one the same transfer wrote.
                 ProgOp::Load { pattern, dst, .. } => {
-                    let data = self.mem.gather(&pattern.to_addrs());
-                    self.write_stream_words(dst, &data);
+                    for k in 0..pattern.len() {
+                        let (bank, off) = self.locate(dst, k as u32);
+                        self.srf.write(bank, off, self.mem.read(pattern.addr_at(k)));
+                    }
                 }
                 ProgOp::Store { src, pattern, .. } => {
-                    let data = self.read_stream(src);
-                    self.mem.scatter(&pattern.to_addrs(), &data);
+                    for k in 0..pattern.len() {
+                        let (bank, off) = self.locate(src, k as u32);
+                        self.mem.write(pattern.addr_at(k), self.srf.read(bank, off));
+                    }
                 }
+                // The whole index stream is read before the destination is
+                // written, as the machine reads it at issue: an index stream
+                // the destination aliases reads the same words on both sides.
                 ProgOp::GatherDyn {
                     index_stream,
                     base,
                     dst,
                     ..
                 } => {
-                    let addrs = self.dynamic_addrs(index_stream, *base);
-                    let data = self.mem.gather(&addrs);
-                    self.write_stream_words(dst, &data);
+                    for (k, i) in self.read_stream(index_stream).into_iter().enumerate() {
+                        let (bank, off) = self.locate(dst, k as u32);
+                        self.srf.write(bank, off, self.mem.read(base + i));
+                    }
                 }
                 ProgOp::Kernel {
                     kernel,
@@ -147,18 +158,6 @@ impl RefMachine {
                 }
             }
         }
-    }
-
-    fn write_stream_words(&mut self, dst: &StreamBinding, data: &[Word]) {
-        for (k, &v) in data.iter().enumerate() {
-            let (bank, off) = self.locate(dst, k as u32);
-            self.srf.write(bank, off, v);
-        }
-    }
-
-    fn dynamic_addrs(&self, index_stream: &StreamBinding, base: u32) -> Vec<u32> {
-        let index = self.read_stream(index_stream);
-        index.into_iter().map(|i| base + i).collect()
     }
 }
 

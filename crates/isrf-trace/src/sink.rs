@@ -17,14 +17,17 @@
 use crate::audit::AuditAccumulator;
 use crate::event::{CycleAttr, IdxRejectReason, StallReason, TraceEvent};
 use crate::metrics::{Histogram, MetricsRegistry};
-use std::collections::VecDeque;
 
 /// A bounded FIFO of stamped events; the oldest are dropped once `cap` is
-/// reached (the drop count is kept).
+/// reached (the drop count is kept). It fills to `cap` and is then
+/// overwritten in place, oldest first, so recording never moves an event.
 #[derive(Debug, Clone, Default)]
 pub struct RingBuffer {
     cap: usize,
-    events: VecDeque<(u64, TraceEvent)>,
+    /// At most `cap` events; once full, `events[head]` is the oldest and
+    /// the next record overwrites it.
+    events: Vec<(u64, TraceEvent)>,
+    head: usize,
     dropped: u64,
 }
 
@@ -33,7 +36,8 @@ impl RingBuffer {
     pub fn new(cap: usize) -> Self {
         RingBuffer {
             cap,
-            events: VecDeque::with_capacity(cap.min(4096)),
+            events: Vec::with_capacity(cap.min(4096)),
+            head: 0,
             dropped: 0,
         }
     }
@@ -55,31 +59,31 @@ impl RingBuffer {
 
     /// The held events, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = &(u64, TraceEvent)> {
-        self.events.iter()
+        let (newer, older) = self.events.split_at(self.head);
+        older.iter().chain(newer)
     }
 
     /// The last `n` events, oldest first, rendered one per line as
     /// `"  @<cycle> <event>"` — the trace tail attached to differential
     /// failure reports.
     pub fn tail_lines(&self, n: usize) -> Vec<String> {
-        self.events
-            .iter()
-            .skip(self.events.len().saturating_sub(n))
+        self.iter()
+            .skip(self.len().saturating_sub(n))
             .map(|(c, ev)| format!("  @{c} {ev}"))
             .collect()
     }
 
     /// Record `ev`, stamped with the machine cycle it occurred on.
     pub fn record(&mut self, cycle: u64, ev: TraceEvent) {
-        if self.cap == 0 {
-            self.dropped += 1;
+        if self.events.len() < self.cap {
+            self.events.push((cycle, ev));
             return;
         }
-        if self.events.len() == self.cap {
-            self.events.pop_front();
-            self.dropped += 1;
+        self.dropped += 1;
+        if self.cap > 0 {
+            self.events[self.head] = (cycle, ev);
+            self.head = (self.head + 1) % self.cap;
         }
-        self.events.push_back((cycle, ev));
     }
 }
 
@@ -306,6 +310,88 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The ring it replaced: a `VecDeque` that pops the oldest event and
+    /// pushes the new one on every record past `cap`.
+    mod reference {
+        use std::collections::VecDeque;
+
+        use crate::event::TraceEvent;
+
+        pub struct RingBuffer {
+            cap: usize,
+            events: VecDeque<(u64, TraceEvent)>,
+            dropped: u64,
+        }
+
+        impl RingBuffer {
+            pub fn new(cap: usize) -> Self {
+                RingBuffer {
+                    cap,
+                    events: VecDeque::new(),
+                    dropped: 0,
+                }
+            }
+
+            pub fn len(&self) -> usize {
+                self.events.len()
+            }
+
+            pub fn dropped(&self) -> u64 {
+                self.dropped
+            }
+
+            pub fn iter(&self) -> impl Iterator<Item = &(u64, TraceEvent)> {
+                self.events.iter()
+            }
+
+            pub fn tail_lines(&self, n: usize) -> Vec<String> {
+                self.events
+                    .iter()
+                    .skip(self.events.len().saturating_sub(n))
+                    .map(|(c, ev)| format!("  @{c} {ev}"))
+                    .collect()
+            }
+
+            pub fn record(&mut self, cycle: u64, ev: TraceEvent) {
+                if self.cap == 0 {
+                    self.dropped += 1;
+                    return;
+                }
+                if self.events.len() == self.cap {
+                    self.events.pop_front();
+                    self.dropped += 1;
+                }
+                self.events.push_back((cycle, ev));
+            }
+        }
+    }
+
+    /// The in-place ring against the one it replaced, after every record:
+    /// caps 0 to 3 and 32, event counts below, at and past multiples of
+    /// the cap, and tails shorter and longer than what is held.
+    #[test]
+    fn ring_matches_the_deque_it_replaced_in_lock_step() {
+        for cap in [0, 1, 2, 3, 32] {
+            let (mut ring, mut old) = (RingBuffer::new(cap), reference::RingBuffer::new(cap));
+            for k in 0..4 * cap as u64 + 5 {
+                let ev = TraceEvent::Cycle(CycleAttr::ALL[k as usize % CycleAttr::COUNT]);
+                ring.record(3 * k, ev.clone());
+                old.record(3 * k, ev);
+                assert!(ring.iter().eq(old.iter()), "cap {cap}, after {k}");
+                assert_eq!((ring.len(), ring.dropped()), (old.len(), old.dropped()));
+                for n in [
+                    0,
+                    1,
+                    ring.len().saturating_sub(1),
+                    ring.len(),
+                    ring.len() + 2,
+                ] {
+                    assert_eq!(ring.tail_lines(n), old.tail_lines(n), "cap {cap}, n {n}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn null_sink_is_disabled_and_silent() {

@@ -426,9 +426,147 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use isrf_core::config::ConfigName;
     use isrf_gen::Spec;
+    use isrf_kernel::ir::KernelBuilder;
+    use isrf_sim::machine::Machine;
+
+    /// One op a cycle in op order, a new iteration every `ii` cycles.
+    fn one_op_a_cycle(kernel: &Kernel, ii: u32) -> Schedule {
+        let n = kernel.ops.len() as u32;
+        Schedule {
+            ii,
+            slots: (0..n).collect(),
+            span: n,
+            completion: n,
+        }
+    }
+
+    /// Peak DRAM refill in milli-words per cycle, rounded up.
+    fn dram_rate_milli(cfg: &MachineConfig) -> u64 {
+        (cfg.dram.words_per_cycle() * 1000.0).ceil() as u64
+    }
+
+    /// `out = in + 1` at II 3 over ten iterations, after a load of its
+    /// input: the schedule floor counts nine intervals of 3 past the first
+    /// iteration, whose four ops complete at 4, and the program floor is
+    /// the larger of the kernel and memory floors, as they overlap.
+    #[test]
+    fn ii_spaces_iterations_and_memory_overlaps_kernels() {
+        let cfg = MachineConfig::preset(ConfigName::Base);
+        let mut m = Machine::new(cfg.clone()).unwrap();
+        let mut b = KernelBuilder::new("inc");
+        let (s_in, s_out) = (
+            b.stream("in", StreamKind::SeqIn),
+            b.stream("out", StreamKind::SeqOut),
+        );
+        let a = b.seq_read(s_in);
+        let one = b.constant(1);
+        let c = b.add(a, one);
+        b.seq_write(s_out, c);
+        let kernel = Arc::new(b.build().unwrap());
+        let (input, output) = (m.alloc_stream(1, 80), m.alloc_stream(1, 80));
+        let mut p = StreamProgram::new();
+        let load = p.load(AddrPattern::contiguous(0, 80), input, false, &[]);
+        let sched = one_op_a_cycle(&kernel, 3);
+        p.kernel(kernel, sched, vec![input, output], 10, &[load]);
+
+        let model = cost_model(&cfg, &p);
+        let k = &model.kernels[0];
+        assert_eq!(k.schedule_floor, (10 - 1) * 3 + 4 + 1);
+        assert_eq!(k.port_floor, 2 * 10u64.div_ceil(SEQ_ACCESS_WORDS as u64));
+        assert_eq!(k.floor, KERNEL_DISPATCH_CYCLES as u64 + 32);
+        // Eighty one-word bursts less the two-burst debt, over the peak rate.
+        assert_eq!(model.mem_floor, (80 - 2) * 1000 / dram_rate_milli(&cfg));
+        assert_eq!((model.kernel_floor, model.mem_floor), (64, 34));
+        assert_eq!(model.cycle_floor, 64);
+    }
+
+    /// An ISRF4 kernel reading five in-lane tables and one cross-lane table
+    /// per iteration. The in-lane group's floor is its busiest stream or its
+    /// accesses over the four in-lane words a cycle, whichever is more: here
+    /// the second, 320 / 4. The cross-lane group is served in the same
+    /// indexed cycles, so the indexed floor is the larger group, not both.
+    #[test]
+    fn inlane_and_crosslane_groups_overlap_and_inlane_shares_w_in() {
+        let cfg = MachineConfig::preset(ConfigName::Isrf4);
+        let w_in = cfg.srf.indexed.as_ref().unwrap().inlane_words_per_cycle as u64;
+        assert_eq!(w_in, 4);
+        let mut m = Machine::new(cfg.clone()).unwrap();
+        let mut b = KernelBuilder::new("tables");
+        let s_in = b.stream("in", StreamKind::SeqIn);
+        let cross = b.stream("x", StreamKind::IdxCrossRead);
+        let tables: Vec<_> = (0..5)
+            .map(|t| b.stream(format!("t{t}"), StreamKind::IdxInRead))
+            .collect();
+        let s_out = b.stream("out", StreamKind::SeqOut);
+        let a = b.seq_read(s_in);
+        let mut sum = b.idx_load(cross, a);
+        for t in tables {
+            let v = b.idx_load(t, a);
+            sum = b.add(sum, v);
+        }
+        b.seq_write(s_out, sum);
+        let kernel = Arc::new(b.build().unwrap());
+        let (iters, lanes) = (64u64, cfg.lanes as u32);
+        let mut bindings = vec![m.alloc_stream(1, 64 * lanes)];
+        bindings.extend((0..6).map(|_| m.alloc_stream(1, 64)));
+        bindings.push(m.alloc_stream(1, 64 * lanes));
+        let mut p = StreamProgram::new();
+        let sched = one_op_a_cycle(&kernel, 1);
+        p.kernel(kernel, sched, bindings, iters, &[]);
+
+        let k = &cost_model(&cfg, &p).kernels[0];
+        let seq = 2 * iters.div_ceil(SEQ_ACCESS_WORDS as u64);
+        let inlane = iters.max((5 * iters).div_ceil(w_in));
+        let crosslane = iters.div_ceil(CROSSLANE_WORDS_PER_CYCLE as u64);
+        assert_eq!((seq, inlane, crosslane), (32, 80, 64));
+        assert_eq!(k.port_floor, seq + inlane.max(crosslane));
+        // Nineteen ops at II 1, one a cycle.
+        assert_eq!(k.schedule_floor, (iters - 1) + 19 + 1);
+        assert_eq!(k.floor, KERNEL_DISPATCH_CYCLES as u64 + 112);
+    }
+
+    /// A cacheable load on Cache charges the cache channel a credit a word,
+    /// less the one charge a credit may run ahead by, and DRAM nothing.
+    #[test]
+    fn cacheable_load_floors_on_the_cache_less_one_word() {
+        let cfg = MachineConfig::preset(ConfigName::Cache);
+        let mut m = Machine::new(cfg.clone()).unwrap();
+        let dst = m.alloc_stream(1, 1024);
+        let mut p = StreamProgram::new();
+        p.load(AddrPattern::contiguous(0, 1024), dst, true, &[]);
+        let model = cost_model(&cfg, &p);
+        let rate_milli = (cfg.cache.as_ref().unwrap().words_per_cycle() * 1000.0).ceil() as u64;
+        assert_eq!(rate_milli, 4000);
+        assert_eq!(model.mem_floor, (1024 - 1) * 1000 / rate_milli);
+        assert_eq!(
+            (model.mem_words, model.mem_floor, model.cycle_floor),
+            (1024, 255, 255)
+        );
+    }
+
+    /// A non-cacheable load whose DRAM charge, 100 bursts of 16 words,
+    /// exceeds the debt of two bursts the credit may run into: the floor is
+    /// the charge less that debt over the peak rate.
+    #[test]
+    fn dram_floor_subtracts_a_two_burst_debt_from_the_charge() {
+        let mut cfg = MachineConfig::preset(ConfigName::Base);
+        cfg.dram.burst_words = 16;
+        let mut m = Machine::new(cfg.clone()).unwrap();
+        let dst = m.alloc_stream(1, 1600);
+        let mut p = StreamProgram::new();
+        p.load(AddrPattern::contiguous(0, 1600), dst, false, &[]);
+        let model = cost_model(&cfg, &p);
+        assert_eq!(
+            model.mem_floor,
+            (1600 - 2 * 16) * 1000 / dram_rate_milli(&cfg)
+        );
+        assert_eq!((model.mem_floor, model.cycle_floor), (686, 686));
+    }
 
     /// Costing once per shape says, at every invocation, what costing that
     /// invocation says: ragged strips of three kernels, one of them reading
