@@ -121,7 +121,7 @@ echo "==> one run core (grep gate)"
 # one way it fails; `run` and `run_for` are it with the error turned into a
 # panic. The wrappers, the panicking watchdogs and a snapshot codec inside
 # machine.rs must not come back.
-# (`Prepared::run_checked` in isrf-apps is `Machine::verify_program`,
+# (`Prepared::run_checked` in isrf-apps is `Verifier::verify`,
 # `Machine::run` and the app's host check, not a run loop; the name stays
 # out of the simulator.)
 if grep -rn -e 'run_budget' -e 'verify_fresh_run' -e 'fn run_while' \
@@ -138,7 +138,7 @@ fi
 echo "==> one door into the apps (grep gate)"
 # An app is prepared on a `MachineConfig` value through its one `prepare`
 # and run by its caller; `common::machine` builds every machine of
-# isrf-apps and isrf-serve (so each carries the verifier) and the registry
+# isrf-apps and isrf-serve (each from the final config) and the registry
 # holds the one Small/Paper table. The thread-local override, the `run`
 # wrappers, the second sizing tables and the dynamic scatter nobody issued
 # must not come back.
@@ -150,7 +150,7 @@ fi
 for f in crates/isrf-apps/src/*.rs crates/isrf-serve/src/*.rs crates/isrf-serve/src/bin/*.rs; do
   [[ "$f" == crates/isrf-apps/src/common.rs ]] && continue
   if awk '/^#\[cfg\(test\)\]/{exit} /Machine::new\(/{print FILENAME":"FNR": "$0; found=1} END{exit !found}' "$f"; then
-    echo "build machines with isrf_apps::common::machine, which installs the verifier" >&2
+    echo "build machines with isrf_apps::common::machine" >&2
     exit 1
   fi
 done
@@ -227,14 +227,19 @@ if grep -rn -e 'ClusterConfig' -e 'clock_ghz' -e 'kernel_dispatch_cycles' \
 fi
 
 echo "==> one verification pass (grep gate)"
-# The analyzer has no switches, and the machine never runs it on its own:
-# whoever builds a program calls `Machine::verify_program` once, in every
-# build (`Prepared::run_checked`, `run_differential`, `materialise`,
-# `PointRunner::new`). The check toggles, a verifier arm of `SimError` and
-# a build-dependent branch in the run loop must not come back.
-if grep -rn -e 'enum Check' -e 'fn without(' -e 'SimError::Verify' src crates tests examples \
+# The analyzer has no switches, and verification is a call, not a slot on
+# the machine: whoever builds a program calls `isrf_verify::Verifier::verify`
+# once, in every build (`Prepared::run_checked`, `run_differential` on every
+# program, `PointRunner::new`, `analyze_point`; tests before
+# `Generated::materialise`). The check toggles, a verifier arm of
+# `SimError`, a build-dependent branch in the run loop, and the machine's
+# verifier hook (the trait, `set_verifier`, `verify_program`, a verifier
+# handed to `materialise`) must not come back.
+if grep -rn -e 'enum Check' -e 'fn without(' -e 'SimError::Verify' -e 'ProgramVerifier' \
+  -e 'set_verifier' -e 'verify_program' -e 'materialise( *Arc' -e 'materialise($' \
+  src crates tests examples \
   || grep -n 'cfg!(debug_assertions)' crates/isrf-sim/src/machine.rs; then
-  echo "a second verification pass: call Machine::verify_program where the program is built" >&2
+  echo "a second way to verify: call isrf_verify::Verifier::verify where the program is built" >&2
   exit 1
 fi
 
@@ -376,7 +381,17 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # which side runs where; refexec -1: transfers stream a word at a time,
 # `write_stream_words` and `dynamic_addrs` gone) and isrf-trace +4 (the
 # ring overwrites in place from a head index).
-loc_ceiling=25558
+# Lowered by exactly its net -45 when verification became a call, not a
+# slot on the machine: isrf-sim -157 (the `verify` module with the
+# `ProgramVerifier` trait, the verifier field, `set_verifier` and
+# `verify_program`; `VerifyEnv` moved into machine.rs, `Diagnostic` and
+# `VerifyError` into isrf-verify), isrf-verify +115 (those two types and the
+# inherent `Verifier::verify`), isrf-check +11 (`run_differential` verifies
+# every program itself, then `run_both`), isrf-gen -10 (`materialise` takes
+# and runs no verifier), isrf-serve -7 (`E000` is a `Diagnostic`, one
+# verdict in `analyze_point`), isrf-apps +3 (the setup `debug_assert`s call
+# the verifier), bench -1 and isrf-trace +1.
+loc_ceiling=25513
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

@@ -21,9 +21,8 @@
 use isrf_apps::APPS;
 use isrf_bench::{prepare_app, select_points, Profile};
 use isrf_core::config::ConfigName;
-use isrf_sim::Diagnostic;
 use isrf_trace::json::Json;
-use isrf_verify::{explain, Report, Verifier};
+use isrf_verify::{explain, Diagnostic, Report, Verifier};
 
 fn usage() -> ! {
     eprintln!(

@@ -18,12 +18,10 @@ pub(crate) fn memoized<K: Ord, V>(memo: &Memo<K, V>, key: K, make: impl FnOnce()
     data
 }
 
-/// Build the machine `cfg` describes, with the static hazard analyzer
-/// installed for [`Machine::verify_program`], which
-/// [`Prepared::run_checked`] and the server's runner call before they
-/// simulate (the machine never runs it on its own). Every app, and the
-/// server's inline-source harness, gets its machine here, from the final
-/// config — a machine rebuilt elsewhere would lose the verifier.
+/// Build the machine `cfg` describes. Every app, and the server's
+/// inline-source harness, gets its machine here, from the final config.
+/// The machine never verifies: [`Prepared::run_checked`] and the server's
+/// runner call [`Verifier::verify`] before they simulate.
 ///
 /// # Panics
 ///
@@ -34,9 +32,7 @@ pub fn machine(cfg: &MachineConfig) -> Machine {
         cfg.lanes, 8,
         "MachineConfig::lanes must be 8: the apps lay their data out for eight lanes"
     );
-    let mut m = Machine::new(cfg.clone()).unwrap_or_else(|e| panic!("{e}"));
-    m.set_verifier(Some(Arc::new(Verifier::new())));
-    m
+    Machine::new(cfg.clone()).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A benchmark run split at the machine/program boundary: the machine is
@@ -99,7 +95,7 @@ impl Prepared {
         (self.check)(&self.machine);
     }
 
-    /// Verify the measured program ([`Machine::verify_program`]), run it to
+    /// Verify the measured program ([`Verifier::verify`]), run it to
     /// completion, then [`Prepared::check`].
     ///
     /// # Panics
@@ -107,8 +103,9 @@ impl Prepared {
     /// Panics with the verifier's findings, and as [`Machine::run`] and
     /// [`Prepared::check`] do.
     pub fn run_checked(&mut self) -> RunStats {
-        self.machine
-            .verify_program(&self.program)
+        let m = &self.machine;
+        Verifier::new()
+            .verify(m.config(), &m.verify_env(), &self.program)
             .unwrap_or_else(|e| panic!("{e}"));
         let stats = self.machine.run(&self.program);
         self.check();

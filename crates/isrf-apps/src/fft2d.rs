@@ -459,7 +459,10 @@ fn setup(m: &mut Machine, indexed: bool, params: &Fft2dParams) -> Setup {
         );
     }
     p.kernel(Arc::clone(&init), init_sched, vec![lane_consts], 1, &[lc]);
-    debug_assert_eq!(m.verify_program(&p), Ok(()));
+    debug_assert_eq!(
+        isrf_verify::Verifier::new().verify(m.config(), &m.verify_env(), &p),
+        Ok(())
+    );
     m.run(&p);
     m.reset_stats();
     Setup {

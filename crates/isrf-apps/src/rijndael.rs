@@ -410,7 +410,10 @@ fn prepare_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::
             &[],
         );
     }
-    debug_assert_eq!(m.verify_program(&setup), Ok(()));
+    debug_assert_eq!(
+        isrf_verify::Verifier::new().verify(m.config(), &m.verify_env(), &setup),
+        Ok(())
+    );
     m.run(&setup);
     m.reset_stats();
 

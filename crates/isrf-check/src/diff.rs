@@ -7,6 +7,7 @@ use isrf_core::Word;
 use isrf_sim::machine::{Machine, SimError};
 use isrf_sim::program::StreamProgram;
 use isrf_trace::{Recorder, Tracer};
+use isrf_verify::Verifier;
 
 use crate::refexec::{RefCounts, RefMachine};
 
@@ -23,7 +24,7 @@ const BLOCK: usize = 1 << 12;
 /// Where a differential run diverged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DiffError {
-    /// The machine's static verifier rejected the program before it ran:
+    /// The static verifier rejected the program before it ran:
     /// `(code, rendered diagnostic)`.
     Verify(String, String),
     /// The machine could not run the program to completion: the rendered
@@ -104,9 +105,9 @@ pub struct DiffOutcome {
 }
 
 /// Run `program` on both the machine and a reference snapshot of it, then
-/// compare final state. The machine's installed static verifier (if any)
-/// runs first; its diagnostics become [`DiffError::Verify`] entries and the
-/// program is never simulated. A program the machine then fails on is a
+/// compare final state. [`Verifier::verify`] runs first, whatever machine
+/// is passed in; its diagnostics become [`DiffError::Verify`] entries and
+/// the program is never simulated. A program the machine then fails on is a
 /// [`DiffError::Sim`] carrying the trace tail. On a completed run the
 /// comparison covers:
 ///
@@ -140,17 +141,27 @@ pub fn run_differential(
 ) -> Result<DiffOutcome, DiffFailure> {
     // Static verification first, in any build: the diagnostics name the
     // cause where a failed simulation only names the symptom.
-    if let Err(e) = machine.verify_program(program) {
+    if let Err(e) = Verifier::new().verify(machine.config(), &machine.verify_env(), program) {
         return Err(DiffFailure {
             errors: e
                 .diagnostics
                 .iter()
-                .take(32)
+                .take(MAX_ERRORS)
                 .map(|d| DiffError::Verify(d.code.clone(), d.to_string()))
                 .collect(),
             trace_tail: Vec::new(),
         });
     }
+    run_both(machine, program, outputs)
+}
+
+/// The rest of [`run_differential`], once the program has verified: both
+/// sides run at once, then [`compare`].
+fn run_both(
+    machine: &mut Machine,
+    program: &StreamProgram,
+    outputs: &[(u32, u32)],
+) -> Result<DiffOutcome, DiffFailure> {
     let mut reference = RefMachine::from_machine(machine);
     let own = !machine.tracer().enabled();
     if own {
@@ -170,8 +181,8 @@ pub fn run_differential(
     result
 }
 
-/// The rest of [`run_differential`], once both sides have run: the
-/// machine's outcome `ran`, recorded by `recorder`, against `reference`.
+/// The rest of [`run_both`], once both sides have run: the machine's
+/// outcome `ran`, recorded by `recorder`, against `reference`.
 fn compare(
     machine: &Machine,
     reference: &RefMachine,
@@ -347,10 +358,8 @@ mod tests {
     /// op per cycle) that pops the indexed data 17 cycles after pushing its
     /// address: 16 records outstanding against an 8-entry FIFO and an 8-word
     /// buffer, the wedge `isrf-verify` calls V501. The reference executor
-    /// consults no schedule, so it runs the program to the end; the machine
-    /// must come back with a typed failure, not unwind through the caller.
-    #[test]
-    fn a_deadlocked_machine_is_a_diff_failure_with_its_trace_tail() {
+    /// consults no schedule, so it runs the program to the end.
+    fn wedged_lookup() -> (Machine, StreamProgram) {
         let mut m = Machine::new(MachineConfig::preset(ConfigName::Isrf4)).unwrap();
         let mut b = KernelBuilder::new("lookup");
         let s_in = b.stream("in", StreamKind::SeqIn);
@@ -377,8 +386,33 @@ mod tests {
         m.write_stream(&lut, &(0..512).collect::<Vec<u32>>());
         let mut p = StreamProgram::new();
         p.kernel(kernel, sched, vec![input, lut, output], 64, &[]);
+        (m, p)
+    }
 
+    /// A bare `Machine::new` carries nothing that verifies, yet the wedge
+    /// comes back as the verifier's V501 and the machine never moves.
+    #[test]
+    fn a_wedging_program_is_rejected_before_the_machine_moves() {
+        let (mut m, p) = wedged_lookup();
         let failure = run_differential(&mut m, &p, &[]).expect_err("the schedule wedges");
+        assert!(!failure.errors.is_empty());
+        for e in &failure.errors {
+            assert!(
+                matches!(e, DiffError::Verify(code, _) if code.as_str() == "V501"),
+                "{failure}"
+            );
+        }
+        assert!(failure.trace_tail.is_empty());
+        assert_eq!(m.now(), 0);
+        assert!(!m.mid_run());
+    }
+
+    /// Past verification, the machine must come back from the wedge with a
+    /// typed failure, not unwind through the caller.
+    #[test]
+    fn a_deadlocked_machine_is_a_diff_failure_with_its_trace_tail() {
+        let (mut m, p) = wedged_lookup();
+        let failure = run_both(&mut m, &p, &[]).expect_err("the schedule wedges");
         let [DiffError::Sim(msg)] = failure.errors.as_slice() else {
             panic!("expected one simulation failure, got {failure}");
         };

@@ -20,7 +20,6 @@
 //! `UPDATE_GOLDEN=1 cargo test -p isrf-check --test proptest_kernels`.
 
 use std::fmt::Write;
-use std::sync::Arc;
 
 use isrf_check::{golden, run_differential};
 use isrf_core::config::{ConfigName, MachineConfig};
@@ -36,7 +35,8 @@ use isrf_verify::Verifier;
 /// and events, so a run that is not deterministic still fails.
 fn run_case(cfg: ConfigName, r: &Recipe) -> Option<String> {
     let g = r.generate(&MachineConfig::preset(cfg))?;
-    let mut m = g.materialise(Arc::new(Verifier::new())).ok()?;
+    Verifier::new().verify(&g.cfg, &g.env, &g.program).ok()?;
+    let mut m = g.materialise();
     m.set_tracer(Tracer::recording(1 << 18));
     let stats = run_differential(&mut m, &g.program, &g.outputs)
         .unwrap_or_else(|e| panic!("{cfg}: diverged from the reference executor: {e}\n{r:?}"))
@@ -92,9 +92,10 @@ fn random_kernels_match_reference_on_4_and_16_lanes() {
                 let Some(g) = r.generate(&mcfg) else {
                     continue;
                 };
-                let Ok(mut m) = g.materialise(Arc::new(Verifier::new())) else {
+                if Verifier::new().verify(&g.cfg, &g.env, &g.program).is_err() {
                     continue;
-                };
+                }
+                let mut m = g.materialise();
                 run_differential(&mut m, &g.program, &g.outputs).unwrap_or_else(|e| {
                     panic!("{cfg} x {lanes} lanes: diverged from the reference: {e}\n{r:?}")
                 });

@@ -15,8 +15,8 @@
 //! verifier needs beside it, worked out without a machine (SRF ranges come
 //! from a bump allocator), so a 20 000-op program costs what its ops cost.
 //! [`Generated::materialise`] builds the machine those facts describe. The
-//! caller passes the verifier in: this crate does not depend on
-//! `isrf-verify`, whose own unit tests use it. [`Recipe::corpus`] and
+//! caller verifies `(cfg, env, program)` first: this crate does not depend
+//! on `isrf-verify`, whose own unit tests use it. [`Recipe::corpus`] and
 //! [`Spec::corpus`] are fixed samples; the vendored proptest seeds its
 //! generator from a name, so a corpus is the same on every run.
 
@@ -26,13 +26,9 @@
 mod kernels;
 mod strips;
 
-use std::sync::Arc;
-
 use isrf_core::config::MachineConfig;
 use isrf_core::Word;
-use isrf_sim::{
-    Machine, ProgramVerifier, SrfRange, StreamBinding, StreamProgram, VerifyEnv, VerifyError,
-};
+use isrf_sim::{Machine, SrfRange, StreamBinding, StreamProgram, VerifyEnv};
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 
@@ -64,15 +60,10 @@ impl Generated {
     /// A fresh machine holding what the program expects to find: the SRF
     /// allocated up to `env.allocated_words_per_bank`, a table written over
     /// every interval `env.filled` names (so `verify_env()` equals `env`),
-    /// `inputs` in memory, and `verifier` installed. Read the results from
-    /// `outputs`.
-    ///
-    /// # Errors
-    ///
-    /// The verifier's findings, when it rejects the program.
-    pub fn materialise(&self, verifier: Arc<dyn ProgramVerifier>) -> Result<Machine, VerifyError> {
+    /// and `inputs` in memory. It does not verify: check `(cfg, env,
+    /// program)` before. Read the results from `outputs`.
+    pub fn materialise(&self) -> Machine {
         let mut m = Machine::new(self.cfg.clone()).expect("generated for a valid configuration");
-        m.set_verifier(Some(verifier));
         m.srf_mut().alloc(self.env.allocated_words_per_bank);
         let lanes = self.cfg.lanes as u32;
         for &(base, end) in &self.env.filled {
@@ -87,8 +78,7 @@ impl Generated {
         for (at, words) in &self.inputs {
             m.mem_mut().memory_mut().write_block(*at, words);
         }
-        m.verify_program(&self.program)?;
-        Ok(m)
+        m
     }
 }
 

@@ -16,9 +16,9 @@ use isrf_core::stats::RunStats;
 use isrf_core::Word;
 use isrf_kernel::ir::StreamKind;
 use isrf_kernel::sched::{schedule_cached, SchedParams};
-use isrf_sim::{Diagnostic, Machine, ProgramVerifier, SimError, StreamBinding, StreamProgram};
+use isrf_sim::{Machine, SimError, StreamBinding, StreamProgram};
 use isrf_trace::{chrome, Tracer};
-use isrf_verify::Verifier;
+use isrf_verify::{Diagnostic, Verifier, VerifyError};
 
 use crate::spec::{AppRef, PointSpec};
 use crate::Json;
@@ -141,9 +141,9 @@ impl PointRunner {
         let mut runner = Self::build(spec)?;
         // Verify up front on both paths so a hazardous program surfaces as
         // a structured failure instead of a worker panic mid-simulation.
-        runner
-            .machine
-            .verify_program(&runner.program)
+        let m = &runner.machine;
+        Verifier::new()
+            .verify(m.config(), &m.verify_env(), &runner.program)
             .map_err(|e| format!("static verification failed: {e}"))?;
         runner.trace = trace;
         if trace {
@@ -332,11 +332,12 @@ impl PointRunner {
 }
 
 /// Statically analyze `spec` without simulating a cycle: build the same
-/// machine + program a worker would run and hand them to the whole-program
-/// verifier. `Ok(())` means the point is admissible; `Err` carries one
-/// wire-ready JSON object per finding. Build failures (parse, lowering,
-/// scheduling) are reported as a single `E000`/`build` pseudo-diagnostic
-/// so every rejection reaches the client in the same structured shape.
+/// machine + program a worker would run and hand them to
+/// [`Verifier::verify`]. `Ok(())` means the point is admissible; `Err`
+/// carries one [`Diagnostic::to_json`] object per finding. Build failures
+/// (parse, lowering, scheduling) are reported as a single `E000`/`build`
+/// [`Diagnostic`], so every rejection reaches the client in the same
+/// structured shape.
 ///
 /// This is the server's pre-admission gate (`POST /jobs` rejects with
 /// `422` before anything is queued); workers still re-verify in
@@ -346,26 +347,18 @@ impl PointRunner {
 ///
 /// The structured diagnostics that make the point inadmissible.
 pub fn analyze_point(spec: &PointSpec) -> Result<(), Vec<Json>> {
-    let runner = match PointRunner::build(spec) {
-        Ok(r) => r,
-        Err(msg) => {
-            return Err(vec![Json::Obj(vec![
-                ("code".into(), Json::str("E000")),
-                ("check".into(), Json::str("build")),
-                ("message".into(), Json::str(msg)),
-            ])])
-        }
+    let verdict = match PointRunner::build(spec) {
+        Ok(r) => Verifier::new().verify(r.machine.config(), &r.machine.verify_env(), &r.program),
+        Err(message) => Err(VerifyError {
+            diagnostics: vec![Diagnostic {
+                code: "E000".into(),
+                check: "build".into(),
+                message,
+                ..Diagnostic::default()
+            }],
+        }),
     };
-    let diags = Verifier::new().verify(
-        runner.machine.config(),
-        &runner.machine.verify_env(),
-        &runner.program,
-    );
-    if diags.is_empty() {
-        Ok(())
-    } else {
-        Err(diags.iter().map(Diagnostic::to_json).collect())
-    }
+    verdict.map_err(|e| e.diagnostics.iter().map(Diagnostic::to_json).collect())
 }
 
 #[cfg(test)]

@@ -23,13 +23,11 @@
 //!   with kernels, attributes every cycle to the Figure 12 breakdown, and
 //!   fails with a typed [`SimError`] ([`Machine::run`] and
 //!   [`Machine::run_for`] are `step` with the error turned into a panic).
+//!   The machine never verifies a program: [`Machine::verify_env`] hands
+//!   the caller the [`VerifyEnv`] that `isrf-verify`'s analyzer reads.
 //! * [`snapshot`] — the cycle-granular snapshot codec
 //!   ([`Machine::save_state`] / [`Machine::restore_state`]) and the
 //!   structural snapshot diff used by the first-divergence bisector.
-//! * [`verify`] — the static-verification interface: a
-//!   [`ProgramVerifier`] installed on a machine checks a program when the
-//!   caller asks ([`Machine::verify_program`]), never on its own (the
-//!   analyzer itself lives in `isrf-verify`).
 //!
 //! # Example: the paper's table-lookup kernel end to end
 //!
@@ -94,14 +92,12 @@ pub mod snapshot;
 pub mod srf;
 pub mod stream;
 pub mod tape;
-pub mod verify;
 
 pub use exec::{ExecEngine, KernelRun, Phase};
 pub use indexed::{service_indexed, IdxKind, IdxParams, IdxState};
-pub use machine::{Machine, SimError};
+pub use machine::{Machine, SimError, VerifyEnv};
 pub use program::{ProgOp, ProgOpId, StreamProgram};
 pub use snapshot::{diff_snapshots, SnapshotDiff};
 pub use srf::{Srf, SrfRange};
 pub use stream::StreamBinding;
 pub use tape::{cached_tape, tape_cache_stats, CompiledTape};
-pub use verify::{Diagnostic, ProgramVerifier, VerifyEnv, VerifyError};

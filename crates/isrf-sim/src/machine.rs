@@ -35,7 +35,6 @@ use crate::program::{ProgOp, StreamProgram};
 use crate::srf::{Srf, SrfRange};
 use crate::stream::StreamBinding;
 use crate::tape::{cached_tape, CompiledTape};
-use crate::verify::{ProgramVerifier, VerifyEnv, VerifyError};
 
 /// Why [`Machine::step`] could not advance a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,6 +89,20 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// Machine-side facts a static verifier (`isrf-verify`) needs beside the
+/// program: how much SRF space the bump allocator has handed out, and which
+/// per-bank word intervals already hold live data (from earlier runs or
+/// direct [`Machine::write_stream`] setup). [`Machine::verify_env`] reads
+/// them off a machine; the machine itself never verifies.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct VerifyEnv {
+    /// Words per bank handed out by the SRF allocator so far.
+    pub allocated_words_per_bank: u32,
+    /// Per-bank `[start, end)` word intervals known to hold data, sorted
+    /// and non-overlapping.
+    pub filled: Vec<(u32, u32)>,
+}
+
 /// A live memory transfer issued by [`Machine::step`]: the program op it
 /// completes and, for loads, the destination stream and the data to land
 /// in the SRF at completion. Stored in a slab indexed by the transfer's
@@ -142,8 +155,6 @@ pub struct Machine {
     pub(crate) pending: Vec<Option<PendingTransfer>>,
     /// Reusable staging buffer for store source data.
     store_buf: Vec<Word>,
-    /// Static verifier [`Machine::verify_program`] runs, when installed.
-    verifier: Option<Arc<dyn ProgramVerifier>>,
     /// Per-bank word intervals known to hold data (sorted, disjoint):
     /// direct `write_stream` setup plus the outputs of completed runs.
     pub(crate) filled: Vec<(u32, u32)>,
@@ -178,7 +189,6 @@ impl Machine {
             tracer: Tracer::Null,
             pending: Vec::new(),
             store_buf: Vec::new(),
-            verifier: None,
             filled: Vec::new(),
             active: None,
             tape_memo: BTreeMap::new(),
@@ -297,40 +307,12 @@ impl Machine {
         self.filled.clear();
     }
 
-    /// Install a static verifier (or remove one with `None`); returns the
-    /// previous verifier. Only [`Machine::verify_program`] runs it: the
-    /// machine never verifies a program on its own.
-    pub fn set_verifier(
-        &mut self,
-        v: Option<Arc<dyn ProgramVerifier>>,
-    ) -> Option<Arc<dyn ProgramVerifier>> {
-        std::mem::replace(&mut self.verifier, v)
-    }
-
-    /// The machine-side facts handed to the verifier: allocator high-water
-    /// mark and the per-bank intervals known to hold data.
+    /// The facts a static verifier reads beside the program: allocator
+    /// high-water mark and the per-bank intervals known to hold data.
     pub fn verify_env(&self) -> VerifyEnv {
         VerifyEnv {
             allocated_words_per_bank: self.srf.bank_words() - self.srf.free_words(),
             filled: self.filled.clone(),
-        }
-    }
-
-    /// Run the installed verifier on `program` now, in any build.
-    ///
-    /// # Errors
-    ///
-    /// Returns every diagnostic the verifier produced. `Ok` when no
-    /// verifier is installed or the program is clean.
-    pub fn verify_program(&self, program: &StreamProgram) -> Result<(), VerifyError> {
-        let Some(v) = &self.verifier else {
-            return Ok(());
-        };
-        let diagnostics = v.verify(&self.cfg, &self.verify_env(), program);
-        if diagnostics.is_empty() {
-            Ok(())
-        } else {
-            Err(VerifyError { diagnostics })
         }
     }
 

@@ -15,8 +15,6 @@
 //! breakdown) and byte-identical trace event streams, and the trace
 //! audit's reconstruction must match the reported breakdown.
 
-use std::sync::Arc;
-
 use isrf_core::config::ConfigName;
 use isrf_core::stats::RunStats;
 use isrf_gen::Spec;
@@ -47,9 +45,10 @@ fn run_strips(
         ..spec.clone()
     }
     .generate();
-    let mut m = g
-        .materialise(Arc::new(Verifier::new()))
+    Verifier::new()
+        .verify(&g.cfg, &g.env, &g.program)
         .expect("the corpus verifies clean");
+    let mut m = g.materialise();
     m.set_tracer(Tracer::recording(1 << 16));
     let p = &g.program;
     let stats = match slicing {

@@ -12,8 +12,6 @@
 //! their warm-up iterations and in steady state and holds the restored
 //! machine's snapshot bytes and finish to the paused one's.
 
-use std::sync::Arc;
-
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::stats::RunStats;
 use isrf_core::Word;
@@ -28,9 +26,10 @@ type Observed = (RunStats, Vec<(u64, TraceEvent)>, Vec<Word>);
 
 /// A fresh machine holding `g`, recording.
 fn fresh(g: &Generated) -> Machine {
-    let mut m = g
-        .materialise(Arc::new(Verifier::new()))
+    Verifier::new()
+        .verify(&g.cfg, &g.env, &g.program)
         .expect("the corpus verifies clean");
+    let mut m = g.materialise();
     m.set_tracer(Tracer::recording(1 << 18));
     m
 }

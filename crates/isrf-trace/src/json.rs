@@ -3,7 +3,8 @@
 //!
 //! The vendor tree has no serde. Everything that emits JSON builds a
 //! [`Json`] and renders it compactly — the server's responses, a verifier
-//! finding (`Diagnostic::to_json`), the `verify` bin's golden reports —
+//! finding or the server's `E000` build failure (`isrf-verify`'s
+//! `Diagnostic::to_json`), the `verify` bin's golden reports —
 //! except the `chrome` exporter, which streams a node per event into a
 //! `String` through [`escape_into`], and one splice of an already rendered
 //! payload in the server's `job_result`. The server parses request bodies

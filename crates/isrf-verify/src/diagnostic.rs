@@ -1,23 +1,13 @@
-//! Static verification hook for [`Machine`](crate::Machine).
-//!
-//! The simulator does not implement any analysis itself — it defines the
-//! *interface*: a [`ProgramVerifier`] installed on a machine runs when the
-//! caller asks, through
-//! [`Machine::verify_program`](crate::Machine::verify_program), once per
-//! program and in every build; [`Machine::step`](crate::Machine::step)
-//! never runs it. The concrete analyzer lives in the `isrf-verify` crate;
-//! keeping only the trait here avoids a dependency cycle (`isrf-verify`
-//! depends on this crate for [`StreamProgram`]).
+//! A finding and the error that carries a program's findings, with the
+//! finding's one wire format ([`Diagnostic::to_json`]).
 
 use std::fmt;
 
-use isrf_core::config::MachineConfig;
 use isrf_trace::json::Json;
 
-use crate::program::StreamProgram;
-
-/// One finding from a [`ProgramVerifier`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One finding of [`Verifier::verify`](crate::Verifier::verify) or
+/// [`Verifier::report`](crate::Verifier::report).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Diagnostic {
     /// Stable code, e.g. `V101`.
     pub code: String,
@@ -25,7 +15,8 @@ pub struct Diagnostic {
     pub check: String,
     /// Human-readable description.
     pub message: String,
-    /// Index of the offending op in the [`StreamProgram`], when known.
+    /// Index of the offending op in the
+    /// [`StreamProgram`](isrf_sim::StreamProgram), when known.
     pub prog_op: Option<usize>,
     /// Name of the offending kernel, when the finding is inside one.
     pub kernel: Option<String>,
@@ -85,7 +76,8 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Typed error returned when verification finds problems.
+/// Typed error [`Verifier::verify`](crate::Verifier::verify) returns when
+/// it finds problems.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerifyError {
     /// All findings, most severe first (analyzer-defined order).
@@ -107,31 +99,6 @@ impl fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
-
-/// Machine-side facts a verifier needs beyond the program itself: how much
-/// SRF space the bump allocator has handed out, and which per-bank word
-/// intervals already hold live data (from earlier runs or direct
-/// [`Machine::write_stream`](crate::Machine::write_stream) setup).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct VerifyEnv {
-    /// Words per bank handed out by the SRF allocator so far.
-    pub allocated_words_per_bank: u32,
-    /// Per-bank `[start, end)` word intervals known to hold data, sorted
-    /// and non-overlapping.
-    pub filled: Vec<(u32, u32)>,
-}
-
-/// A static analysis run against a program before simulation.
-pub trait ProgramVerifier: Send + Sync + fmt::Debug {
-    /// Analyze `program` against machine `cfg` and SRF state `env`;
-    /// returns all findings (empty = clean).
-    fn verify(
-        &self,
-        cfg: &MachineConfig,
-        env: &VerifyEnv,
-        program: &StreamProgram,
-    ) -> Vec<Diagnostic>;
-}
 
 #[cfg(test)]
 mod tests {

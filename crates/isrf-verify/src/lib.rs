@@ -1,11 +1,13 @@
 //! Static hazard analyzer and cost model for ISRF stream programs.
 //!
-//! [`Verifier`] implements [`isrf_sim::ProgramVerifier`]: a dataflow
-//! analysis over a [`StreamProgram`] and the kernel bodies it invokes that
-//! proves, *before* a single cycle is simulated, that the program cannot
-//! trip the simulator's runtime hazards. It has no settings, and the caller
-//! runs it once per program ([`isrf_sim::Machine::verify_program`]). Seven
-//! check families, each named in its findings' [`Diagnostic::check`]:
+//! [`Verifier::verify`] is a dataflow analysis over a [`StreamProgram`]
+//! and the kernel bodies it invokes that proves, *before* a single cycle is
+//! simulated, that the program cannot trip the simulator's runtime hazards.
+//! It has no settings and is the one way to verify: the machine holds no
+//! hook for it, so whoever builds a program calls it once, against the
+//! machine's [`isrf_sim::Machine::verify_env`]. Its findings are
+//! [`Diagnostic`]s in a [`VerifyError`]. Seven check families, each named
+//! in its findings' [`Diagnostic::check`]:
 //!
 //! * **Liveness** ([`codes::UNFILLED_READ`], [`codes::UNALLOCATED_BINDING`])
 //!   — every stream a kernel or store reads is filled by a memory load, a
@@ -59,6 +61,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod diagnostic;
 mod interval;
 mod prop;
 
@@ -74,9 +77,10 @@ use isrf_kernel::ir::{Kernel, Opcode, StreamKind};
 use isrf_kernel::sched::Schedule;
 use isrf_sim::program::{ProgOp, StreamProgram};
 use isrf_sim::stream::StreamBinding;
-use isrf_sim::verify::{Diagnostic, ProgramVerifier, VerifyEnv};
+use isrf_sim::VerifyEnv;
 
 pub use cost::{cost_model, CostModel, KernelCost, StreamCost};
+pub use diagnostic::{Diagnostic, VerifyError};
 
 use interval::{eval_intervals, operand_interval, AbsVal};
 use prop::{input_slots_feeding, propagate};
@@ -200,9 +204,9 @@ pub fn explain(code: &str) -> Option<&'static str> {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Verifier;
 
-/// Everything the analyzer can say about a program: hard findings (the
-/// same list [`Verifier::verify`] returns), space warnings, and the static
-/// cost model.
+/// Everything the analyzer can say about a program: hard findings (those
+/// [`Verifier::verify`] rejects a program with), space warnings, and the
+/// static cost model.
 #[derive(Debug, Clone)]
 pub struct Report {
     /// Hard findings — a non-empty list fails verification.
@@ -219,6 +223,26 @@ impl Verifier {
         Verifier
     }
 
+    /// Check `program` against machine `cfg` and the SRF state `env`
+    /// ([`isrf_sim::Machine::verify_env`]) before it runs.
+    ///
+    /// # Errors
+    ///
+    /// Every hard finding, when there is one.
+    pub fn verify(
+        &self,
+        cfg: &MachineConfig,
+        env: &VerifyEnv,
+        program: &StreamProgram,
+    ) -> Result<(), VerifyError> {
+        let diagnostics = Analysis::new(cfg, env, program).hard_checks();
+        if diagnostics.is_empty() {
+            Ok(())
+        } else {
+            Err(VerifyError { diagnostics })
+        }
+    }
+
     /// Full analysis: the diagnostics [`Verifier::verify`] would return,
     /// plus space warnings and the static cost model. Warnings never
     /// appear in `diagnostics` — a warned program still verifies clean.
@@ -232,17 +256,6 @@ impl Verifier {
             warnings,
             cost: cost_model(cfg, program),
         }
-    }
-}
-
-impl ProgramVerifier for Verifier {
-    fn verify(
-        &self,
-        cfg: &MachineConfig,
-        env: &VerifyEnv,
-        program: &StreamProgram,
-    ) -> Vec<Diagnostic> {
-        Analysis::new(cfg, env, program).hard_checks()
     }
 }
 

@@ -12,10 +12,8 @@ use isrf_kernel::ir::Opcode;
 use isrf_kernel::sched::{schedule, SchedParams, Schedule};
 use isrf_lang::parse_kernel;
 use isrf_mem::AddrPattern;
-use isrf_sim::{
-    Diagnostic, Machine, ProgramVerifier, SimError, SrfRange, StreamBinding, StreamProgram,
-};
-use isrf_verify::{codes, Verifier};
+use isrf_sim::{Machine, SimError, SrfRange, StreamBinding, StreamProgram};
+use isrf_verify::{codes, Diagnostic, Verifier};
 
 const V101: &str = include_str!("corpus/v101_unfilled_read.isrf");
 const V102: &str = include_str!("corpus/v102_unallocated.isrf");
@@ -34,6 +32,8 @@ const W601: &str = include_str!("corpus/w601_dead_output.isrf");
 
 fn diags(m: &Machine, p: &StreamProgram, v: &Verifier) -> Vec<Diagnostic> {
     v.verify(m.config(), &m.verify_env(), p)
+        .err()
+        .map_or_else(Vec::new, |e| e.diagnostics)
 }
 
 fn codes_of(d: &[Diagnostic]) -> Vec<&str> {
@@ -496,13 +496,14 @@ fn each_check_is_load_bearing() {
     assert_eq!(r.warnings[0].check, "space");
 }
 
-/// The installed verifier runs when asked and only then: a machine that
-/// carries one still simulates the V101 case when told to.
+/// Verification is a call, never the machine's: `Verifier::verify` turns
+/// the V101 case away, and the machine still simulates it when told to.
 #[test]
-fn machine_hook_verifies_only_when_asked() {
+fn the_machine_never_verifies() {
     let (mut m, p) = case_v101();
-    m.set_verifier(Some(Arc::new(Verifier::new())));
-    let err = m.verify_program(&p).expect_err("program is ill-formed");
+    let err = Verifier::new()
+        .verify(m.config(), &m.verify_env(), &p)
+        .expect_err("program is ill-formed");
     assert_eq!(err.diagnostics[0].code, codes::UNFILLED_READ);
     let stats = m.step(&p, u64::MAX).expect("step does not verify");
     assert!(stats.expect("the kernel completes").cycles > 0);
@@ -516,8 +517,8 @@ fn machine_hook_verifies_only_when_asked() {
 /// at cycle 54, and the limit is a million stalled cycles in a row.
 const V501_DEADLOCK_CYCLE: u64 = 1_000_054;
 
-/// With no verifier installed the wedge V501 predicts happens, and the
-/// machine reports it as a typed error — the same one from an uninterrupted
+/// Run unverified, the wedge V501 predicts happens, and the machine
+/// reports it as a typed error — the same one from an uninterrupted
 /// `step`, from a repeated `step`, from a run sliced every 1000 cycles and
 /// from a fresh machine restored from the parked one's snapshot.
 #[test]

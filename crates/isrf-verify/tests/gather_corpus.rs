@@ -10,8 +10,8 @@ use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::Word;
 use isrf_kernel::sched::{schedule, SchedParams, Schedule};
 use isrf_lang::parse_kernel;
-use isrf_sim::{Diagnostic, Machine, ProgramVerifier, StreamBinding, StreamProgram};
-use isrf_verify::{codes, Verifier};
+use isrf_sim::{Machine, StreamBinding, StreamProgram};
+use isrf_verify::{codes, Diagnostic, Verifier};
 
 const G301: &str = include_str!("corpus/g301_gather_on_base.isrf");
 const G303_OVERRUN: &str = include_str!("corpus/g303_gather_overrun.isrf");
@@ -19,6 +19,8 @@ const G303_UNALIGNED: &str = include_str!("corpus/g303_unaligned_lane_gather.isr
 
 fn diags(m: &Machine, p: &StreamProgram, v: &Verifier) -> Vec<Diagnostic> {
     v.verify(m.config(), &m.verify_env(), p)
+        .err()
+        .map_or_else(Vec::new, |e| e.diagnostics)
 }
 
 fn codes_of(d: &[Diagnostic]) -> Vec<&str> {

@@ -14,13 +14,13 @@ use proptest::prelude::*;
 
 use isrf_core::config::ConfigName;
 use isrf_gen::{Defect, Generated, Spec};
-use isrf_sim::{Diagnostic, ProgramVerifier};
-use isrf_verify::{codes, Verifier};
+use isrf_verify::{codes, Diagnostic, Verifier};
 
 mod reference {
     use isrf_core::config::MachineConfig;
     use isrf_kernel::ir::StreamKind;
-    use isrf_sim::{Diagnostic, ProgOp, StreamBinding, StreamProgram, VerifyEnv};
+    use isrf_sim::{ProgOp, StreamBinding, StreamProgram, VerifyEnv};
+    use isrf_verify::Diagnostic;
 
     struct Access {
         prog_op: usize,
@@ -351,6 +351,14 @@ const DEFECTS: [Option<Defect>; 10] = [
     Some(Defect::BadFlow),
 ];
 
+/// Everything [`Verifier::verify`] finds in `g`, in its order.
+fn findings(g: &Generated) -> Vec<Diagnostic> {
+    Verifier::new()
+        .verify(&g.cfg, &g.env, &g.program)
+        .err()
+        .map_or_else(Vec::new, |e| e.diagnostics)
+}
+
 fn codes_of(d: &[Diagnostic]) -> Vec<&str> {
     d.iter().map(|d| d.code.as_str()).collect()
 }
@@ -383,7 +391,7 @@ proptest! {
         };
         let g = spec.generate();
         let want = reference_findings(&g);
-        let all = Verifier::new().verify(&g.cfg, &g.env, &g.program);
+        let all = findings(&g);
 
         // Liveness and allocation report first, in the reference's order.
         prop_assert!(all.len() >= want.len(), "{spec:?}: {all:#?} against {want:#?}");
@@ -465,7 +473,7 @@ fn seeded_defects_are_reported_where_they_bite() {
     };
     let run = |s: &Spec| {
         let g = s.generate();
-        let found = Verifier::new().verify(&g.cfg, &g.env, &g.program);
+        let found = findings(&g);
         let want = reference_findings(&g);
         assert_eq!(found[..want.len()], want[..]);
         found
@@ -508,13 +516,13 @@ fn twenty_thousand_ops_verify_clean_and_one_dropped_dependence_is_one_finding() 
     };
     let g = spec.generate();
     assert!(g.program.len() >= 20_000, "{} ops", g.program.len());
-    let found = Verifier::new().verify(&g.cfg, &g.env, &g.program);
+    let found = findings(&g);
     assert!(found.is_empty(), "{found:#?}");
 
     spec.defect = Some((Defect::DropDep, 1700));
     let g = spec.generate();
     let (i, j) = g.dropped.expect("the strip has a load");
-    let found = Verifier::new().verify(&g.cfg, &g.env, &g.program);
+    let found = findings(&g);
     assert_eq!(found.len(), 1, "{found:#?}");
     assert_eq!(
         (found[0].code.as_str(), found[0].prog_op),

@@ -5,8 +5,6 @@
 //! without an indexed SRF, and the machine panicking on a program it passed
 //! fails the test.
 
-use std::sync::Arc;
-
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_gen::Recipe;
 use isrf_verify::Verifier;
@@ -21,9 +19,11 @@ fn verified_clean_programs_run_to_completion() {
             let Some(g) = r.generate(&mcfg) else {
                 continue;
             };
-            let Ok(mut m) = g.materialise(Arc::new(Verifier::new())) else {
+            let mut m = g.materialise();
+            assert_eq!(m.verify_env(), g.env, "{cfg}: {r:?}");
+            if Verifier::new().verify(&g.cfg, &g.env, &g.program).is_err() {
                 continue;
-            };
+            }
             // A clean verdict must mean a clean run: any panic here (runtime
             // hazard assert, wedge detector) is a verifier soundness hole.
             assert!(m.run(&g.program).cycles > 0);

@@ -15,7 +15,7 @@ use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_gen::Recipe;
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_lang::parse_kernel;
-use isrf_sim::{ProgramVerifier, SrfRange, StreamBinding, StreamProgram, VerifyEnv};
+use isrf_sim::{SrfRange, StreamBinding, StreamProgram, VerifyEnv};
 use isrf_verify::{codes, cost_model, Verifier};
 
 /// Producer writing the constant `{C}` into every record of `idx`.
@@ -83,9 +83,10 @@ fn static_cycle_floor_is_sound() {
                 continue;
             }
             let g = r.generate(&mcfg).expect("the corpus schedules");
-            let mut m = g
-                .materialise(Arc::new(Verifier::new()))
+            Verifier::new()
+                .verify(&g.cfg, &g.env, &g.program)
                 .expect("the corpus verifies clean");
+            let mut m = g.materialise();
             let floor = cost_model(&g.cfg, &g.program).cycle_floor;
             let cycles = m.run(&g.program).cycles;
             assert!(
@@ -102,7 +103,7 @@ proptest! {
     #[test]
     fn propagation_flags_exactly_the_oob_constants(c in 0i64..512) {
         let (cfg, env, p) = build_pair(c);
-        let d = Verifier::new().verify(&cfg, &env, &p);
+        let d = Verifier::new().verify(&cfg, &env, &p).err().map_or_else(Vec::new, |e| e.diagnostics);
         if c > 63 {
             // Everywhere in the OOB region the verdict (and the exact
             // propagated interval) must hold — widening the constant can

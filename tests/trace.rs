@@ -137,9 +137,10 @@ fn audit_reconstructs_breakdown_on_random_programs() {
             let g = r
                 .generate(&MachineConfig::preset(cfg))
                 .expect("the corpus schedules");
-            let mut m = g
-                .materialise(Arc::new(Verifier::new()))
+            Verifier::new()
+                .verify(&g.cfg, &g.env, &g.program)
                 .expect("the corpus verifies clean");
+            let mut m = g.materialise();
             m.set_tracer(Tracer::recording(1 << 18));
             let stats = m.run(&g.program);
             let rec = m.take_tracer().into_recorder().expect("recording");
