@@ -160,7 +160,30 @@ fn hash_opcode(h: &mut StableHasher, opc: Opcode) {
 
 /// Content hash of a kernel: stream kinds and the full op list (opcodes
 /// and operands). The name and source lines are diagnostic and excluded.
+///
+/// It is the value [`crate::ir::KernelBuilder::build`] stored, so reading it
+/// walks nothing. Debug builds walk the content again and assert that it
+/// still matches: a kernel's `pub` fields are not to be changed after it
+/// is built.
 pub fn kernel_hash(k: &Kernel) -> u128 {
+    debug_assert_eq!(
+        k.hash,
+        walk(k),
+        "kernel `{}` changed after it was built",
+        k.name
+    );
+    k.hash
+}
+
+/// The walk behind [`kernel_hash`], counted: only
+/// [`crate::ir::KernelBuilder::build`] calls it, once per kernel.
+pub(crate) fn content_hash(k: &Kernel) -> u128 {
+    #[cfg(debug_assertions)]
+    k.walks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    walk(k)
+}
+
+fn walk(k: &Kernel) -> u128 {
     let mut h = StableHasher::new();
     h.write_u8(b'K');
     h.write_usize(k.streams.len());

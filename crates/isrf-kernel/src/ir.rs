@@ -346,7 +346,11 @@ impl fmt::Display for KernelError {
 impl std::error::Error for KernelError {}
 
 /// A kernel: name, stream declarations and loop-body ops.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// [`KernelBuilder::build`] walks the content once and stores its
+/// [`crate::hash::kernel_hash`]; the schedule and tape memos read that value.
+/// The fields stay `pub` for reading: a kernel changed after it was built no
+/// longer matches its hash, which debug builds assert on every read.
 pub struct Kernel {
     /// Kernel name (for reporting).
     pub name: String,
@@ -358,9 +362,70 @@ pub struct Kernel {
     /// Source line per op (same length as `ops`, or empty when the kernel
     /// was hand-built). 0 means "no line known" for that op.
     pub lines: Vec<u32>,
+    /// The content hash, walked once by [`KernelBuilder::build`].
+    pub(crate) hash: u128,
+    /// Content walks that produced a hash (debug builds; see
+    /// [`Kernel::hash_walks`]).
+    #[cfg(debug_assertions)]
+    pub(crate) walks: std::sync::atomic::AtomicU32,
+}
+
+impl Clone for Kernel {
+    fn clone(&self) -> Kernel {
+        Kernel {
+            hash: self.hash,
+            ..Kernel::new(
+                self.name.clone(),
+                self.streams.clone(),
+                self.ops.clone(),
+                self.lines.clone(),
+            )
+        }
+    }
+}
+
+/// The four content fields, as a derived `Debug` would print them: the
+/// stored hash is not part of a kernel's text.
+impl fmt::Debug for Kernel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Kernel")
+            .field("name", &self.name)
+            .field("streams", &self.streams)
+            .field("ops", &self.ops)
+            .field("lines", &self.lines)
+            .finish()
+    }
+}
+
+impl PartialEq for Kernel {
+    fn eq(&self, other: &Kernel) -> bool {
+        (&self.name, &self.streams, &self.ops, &self.lines)
+            == (&other.name, &other.streams, &other.ops, &other.lines)
+    }
 }
 
 impl Kernel {
+    fn new(name: String, streams: Vec<StreamDecl>, ops: Vec<Op>, lines: Vec<u32>) -> Kernel {
+        Kernel {
+            name,
+            streams,
+            ops,
+            lines,
+            hash: 0,
+            #[cfg(debug_assertions)]
+            walks: Default::default(),
+        }
+    }
+
+    /// How many times this kernel's content was walked to produce its hash:
+    /// once, by [`KernelBuilder::build`] (a clone copies the hash and walks
+    /// nothing). The debug re-walk inside [`crate::hash::kernel_hash`]
+    /// checks the stored value and does not count. Debug builds only.
+    #[cfg(debug_assertions)]
+    pub fn hash_walks(&self) -> u32 {
+        self.walks.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
     /// The declaration for `slot`.
     ///
     /// # Panics
@@ -577,13 +642,9 @@ impl KernelBuilder {
     ///
     /// Propagates [`Kernel::validate`] failures.
     pub fn build(self) -> Result<Kernel, KernelError> {
-        let k = Kernel {
-            name: self.name,
-            streams: self.streams,
-            ops: self.ops,
-            lines: self.lines,
-        };
+        let mut k = Kernel::new(self.name, self.streams, self.ops, self.lines);
         k.validate()?;
+        k.hash = crate::hash::content_hash(&k);
         Ok(k)
     }
 
@@ -800,15 +861,11 @@ mod tests {
 
     #[test]
     fn validate_rejects_forward_reference() {
-        let k = Kernel {
-            name: "fwd".into(),
-            streams: vec![],
-            ops: vec![Op {
-                opcode: Opcode::Mov,
-                operands: vec![Operand::from(ValueId(0))],
-            }],
-            lines: vec![],
-        };
+        let ops = vec![Op {
+            opcode: Opcode::Mov,
+            operands: vec![Operand::from(ValueId(0))],
+        }];
+        let k = Kernel::new("fwd".into(), vec![], ops, vec![]);
         assert!(k.validate().is_err());
     }
 

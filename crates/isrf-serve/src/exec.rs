@@ -439,6 +439,45 @@ mod tests {
         }
     }
 
+    /// A cold job keys the schedule memo and the tape memo on its kernel's
+    /// hash, and both read the value the kernel stored when it was built:
+    /// its content is walked once, where each memo used to walk it again.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn a_cold_job_walks_its_kernel_once() {
+        use isrf_kernel::sched::schedule_cache_stats;
+        use isrf_sim::tape_cache_stats;
+
+        let spec = PointSpec {
+            app: AppRef::Source {
+                src: "kernel walked_once(istream<int> in, ostream<int> out) {\n\
+                      int a, c;\n while (!eos(in)) { in >> a; c = a * 5 - 3; out << c; } }"
+                    .into(),
+                records_per_lane: 8,
+                table_records_per_lane: 4,
+                seed: 11,
+            },
+            config: ConfigName::Isrf1,
+            profile: Profile::Small,
+            engine: ExecEngine::Tape,
+        };
+        let looked_up = || {
+            let [(sh, sm), (th, tm)] = [schedule_cache_stats(), tape_cache_stats()];
+            (sh + sm, th + tm)
+        };
+        let before = looked_up();
+        let mut r = PointRunner::new(&spec, false).unwrap();
+        r.run(10_000, |_| true).unwrap();
+        let after = looked_up();
+        assert!(after.0 > before.0 && after.1 > before.1, "both memos keyed");
+        let kernels = (0..r.program.len()).filter_map(|i| match r.program.node(i).0 {
+            isrf_sim::ProgOp::Kernel { kernel, .. } => Some(kernel),
+            _ => None,
+        });
+        let walks: Vec<u32> = kernels.map(|k| k.hash_walks()).collect();
+        assert_eq!(walks, [1]);
+    }
+
     #[test]
     fn bad_source_is_a_structured_error() {
         let spec = PointSpec {

@@ -82,7 +82,11 @@ impl RingBuffer {
         self.dropped += 1;
         if self.cap > 0 {
             self.events[self.head] = (cycle, ev);
-            self.head = (self.head + 1) % self.cap;
+            // Wrap by compare: a `%` is a divide on every recorded event.
+            self.head += 1;
+            if self.head == self.cap {
+                self.head = 0;
+            }
         }
     }
 }

@@ -157,17 +157,40 @@ pub(crate) fn fifo_events(
 ) -> Vec<(u64, bool, usize)> {
     let window = fifo_cap + buf_cap + 2 * schedule.stages() as u64 + 8;
     let kinds = [
-        (kernel.stream_addr_ops(slot), true),
         (kernel.stream_data_ops(slot), false),
+        (kernel.stream_addr_ops(slot), true),
     ];
-    let mut events = Vec::new();
-    for j in 0..iters.min(window) {
-        for (ops, push) in &kinds {
-            let at = |op: usize| schedule.slots[op] as u64 + j * schedule.ii as u64;
-            events.extend(ops.iter().map(|&op| (at(op), *push, op)));
+    let reps = iters.min(window);
+    let at = |op: usize, j: u64| (schedule.slots[op] as u64 + j * schedule.ii as u64) as usize;
+    let Some(last) = kinds
+        .iter()
+        .flat_map(|(ops, _)| ops)
+        .map(|&op| at(op, 0))
+        .max()
+    else {
+        return Vec::new();
+    };
+    // A counting sort by cycle, filled pops first and each kind in op
+    // order: being stable, it leaves every cycle in that order.
+    let mut next = vec![0; last + reps.saturating_sub(1) as usize * schedule.ii as usize + 2];
+    for (ops, _) in &kinds {
+        for j in 0..reps {
+            ops.iter().for_each(|&op| next[at(op, j) + 1] += 1);
         }
     }
-    events.sort_unstable();
+    for t in 1..next.len() {
+        next[t] += next[t - 1];
+    }
+    let mut events = vec![(0, false, 0); next[next.len() - 1]];
+    for (ops, push) in &kinds {
+        for &op in ops {
+            for j in 0..reps {
+                let t = at(op, j);
+                events[next[t]] = (t as u64, *push, op);
+                next[t] += 1;
+            }
+        }
+    }
     events
 }
 
@@ -443,6 +466,74 @@ mod tests {
             span: n,
             completion: n,
         }
+    }
+
+    /// `fifo_events` as it was: every event pushed, then the list sorted.
+    fn fifo_events_sorted(
+        kernel: &Kernel,
+        schedule: &Schedule,
+        slot: StreamSlot,
+        iters: u64,
+        (fifo_cap, buf_cap): (u64, u64),
+    ) -> Vec<(u64, bool, usize)> {
+        let window = fifo_cap + buf_cap + 2 * schedule.stages() as u64 + 8;
+        let kinds = [
+            (kernel.stream_addr_ops(slot), true),
+            (kernel.stream_data_ops(slot), false),
+        ];
+        let mut events = Vec::new();
+        for j in 0..iters.min(window) {
+            for (ops, push) in &kinds {
+                let at = |op: usize| schedule.slots[op] as u64 + j * schedule.ii as u64;
+                events.extend(ops.iter().map(|&op| (at(op), *push, op)));
+            }
+        }
+        events.sort_unstable();
+        events
+    }
+
+    /// The counting sort in lock-step with the sort it replaced, for every
+    /// indexed read stream of the lock-step programs, at their iteration
+    /// counts and at one iteration.
+    #[test]
+    fn fifo_events_match_the_sorted_list() {
+        let mut streams = 0;
+        for case in crate::tests::lockstep_cases() {
+            let Some(idx) = &case.cfg.srf.indexed else {
+                continue;
+            };
+            let caps = (
+                idx.addr_fifo_entries as u64,
+                case.cfg.srf.stream_buffer_words as u64,
+            );
+            for i in 0..case.program.len() {
+                let ProgOp::Kernel {
+                    kernel,
+                    schedule,
+                    iters,
+                    ..
+                } = case.program.node(i).0
+                else {
+                    continue;
+                };
+                for (s, decl) in kernel.streams.iter().enumerate() {
+                    if !decl.kind.is_indexed() || decl.kind == StreamKind::IdxInWrite {
+                        continue;
+                    }
+                    let slot = StreamSlot(s as u8);
+                    for iters in [*iters, 1] {
+                        assert_eq!(
+                            fifo_events(kernel, schedule, slot, iters, caps),
+                            fifo_events_sorted(kernel, schedule, slot, iters, caps),
+                            "{}: op {i} stream {s}",
+                            case.name
+                        );
+                    }
+                    streams += 1;
+                }
+            }
+        }
+        assert!(streams > 1000, "{streams} indexed read streams");
     }
 
     /// Peak DRAM refill in milli-words per cycle, rounded up.

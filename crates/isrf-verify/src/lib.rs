@@ -282,18 +282,18 @@ struct Analysis<'a> {
     /// Every access in op order: op `i` makes `accesses[first[i]..first[i + 1]]`.
     accesses: Vec<Access>,
     first: Vec<usize>,
-    /// `before[i]` is the bitset of ops that must complete before op `i`
-    /// starts: explicit dependences, transitively closed, plus the implicit
-    /// kernel→kernel program-order chain (the machine has one sequencer).
-    before: Vec<Vec<u64>>,
+    /// The ops that must complete before each op starts.
+    before: Before,
+    /// Words in one lane's SRF bank.
+    bank_words: u32,
     /// [`shape_ids`] of the program: the per-invocation checks run once per
     /// distinct shape ([`Analysis::per_shape`]).
     shape_of: Vec<usize>,
     shapes: usize,
-    /// [`eval_intervals`] results by (shape, stream inputs). The map lives
-    /// and dies with this one analysis, so it holds at most two entries per
-    /// kernel invocation of the program in hand.
-    evals: RefCell<BTreeMap<(usize, Vec<AbsVal>), Intervals>>,
+    /// [`eval_intervals`] results by shape, then by stream inputs. The maps
+    /// live and die with this one analysis, so they hold at most two
+    /// entries per kernel invocation of the program in hand.
+    evals: RefCell<Vec<BTreeMap<Vec<AbsVal>, Intervals>>>,
     /// Work the unit tests pin: footprint pairs V201 compared, and
     /// per-invocation analyses evaluated rather than found already done.
     #[cfg(test)]
@@ -307,6 +307,100 @@ type Intervals = Rc<Vec<AbsVal>>;
 
 fn bit_get(row: &[u64], j: usize) -> bool {
     row[j / 64] & (1 << (j % 64)) != 0
+}
+
+/// Row `i` is the bitset of ops that must complete before op `i` starts:
+/// explicit dependences, transitively closed, plus the implicit
+/// kernel→kernel program-order chain (the machine has one sequencer). It
+/// holds ops below `i` only, and its leading all-ones words are kept as a
+/// count: in a strip-mined program an op follows all but the last few
+/// strips, so a row costs the few words where it has gaps.
+struct Before {
+    /// Per row: its leading all-ones words, and where its other words up
+    /// to op `i` start in `tails`.
+    rows: Vec<(usize, usize)>,
+    tails: Vec<u64>,
+}
+
+impl Before {
+    fn new(program: &StreamProgram) -> Before {
+        let n = program.len();
+        let mut before = Before {
+            rows: Vec::with_capacity(n),
+            tails: Vec::new(),
+        };
+        let mut row = vec![0u64; n.div_ceil(64)];
+        let mut last_kernel: Option<usize> = None;
+        for i in 0..n {
+            let (op, deps) = program.node(i);
+            let chain = match op {
+                ProgOp::Kernel { .. } => last_kernel.replace(i),
+                _ => None,
+            };
+            let len = i.div_ceil(64);
+            row[..len].fill(0);
+            // Words below `ones` are all ones, whatever `row` holds there.
+            let mut ones = 0;
+            // A pred already in the row is before one merged earlier, whose
+            // row holds all of its own: skip it. Later preds cover more, so
+            // take them first (dependences are listed oldest first).
+            let preds = deps.iter().rev().map(|d| d.index());
+            for j in chain.into_iter().chain(preds) {
+                if j / 64 < ones || bit_get(&row, j) {
+                    continue;
+                }
+                row[j / 64] |= 1 << (j % 64);
+                let (full, start) = before.rows[j];
+                ones = ones.max(full);
+                let words = ones.min(j.div_ceil(64))..j.div_ceil(64);
+                let tail = &before.tails[start + words.start - full..];
+                for (w, t) in row[words].iter_mut().zip(tail) {
+                    *w |= t;
+                }
+            }
+            let full = ones + row[ones..len].iter().take_while(|&&w| w == !0).count();
+            before.rows.push((full, before.tails.len()));
+            before.tails.extend_from_slice(&row[full..len]);
+        }
+        before
+    }
+
+    /// Word `w` of row `i`.
+    fn word(&self, i: usize, w: usize) -> u64 {
+        let (full, start) = self.rows[i];
+        if w < full {
+            !0
+        } else if w < i.div_ceil(64) {
+            self.tails[start + w - full]
+        } else {
+            0
+        }
+    }
+
+    /// Must op `j` complete before op `i` starts?
+    fn get(&self, i: usize, j: usize) -> bool {
+        self.word(i, j / 64) & (1 << (j % 64)) != 0
+    }
+
+    /// Does row `i` meet the bitset `ops`?
+    fn meets(&self, i: usize, ops: &[u64]) -> bool {
+        (0..i.div_ceil(64)).any(|w| ops[w] & self.word(i, w) != 0)
+    }
+
+    /// The ops below `j` that `j` is not ordered after, in order.
+    fn unordered(&self, j: usize) -> impl Iterator<Item = usize> + '_ {
+        (self.rows[j].0..j.div_ceil(64)).flat_map(move |w| {
+            let mut gaps = !self.word(j, w);
+            if w == j / 64 {
+                gaps &= (1 << (j % 64)) - 1;
+            }
+            std::iter::from_fn(move || {
+                let bit = (gaps != 0).then(|| gaps.trailing_zeros() as usize)?;
+                gaps &= gaps - 1;
+                Some(w * 64 + bit)
+            })
+        })
+    }
 }
 
 /// Dense ids for the distinct *shapes* among a program's kernel invocations:
@@ -375,28 +469,7 @@ pub(crate) fn range_interval(b: &StreamBinding) -> (u32, u32) {
 impl<'a> Analysis<'a> {
     fn new(cfg: &'a MachineConfig, env: &'a VerifyEnv, program: &'a StreamProgram) -> Self {
         let n = program.len();
-        let wlen = n.div_ceil(64).max(1);
-        let mut before: Vec<Vec<u64>> = Vec::with_capacity(n);
-        let mut last_kernel: Option<usize> = None;
-        for i in 0..n {
-            let (op, deps) = program.node(i);
-            let mut row = vec![0u64; wlen];
-            let mut preds: Vec<usize> = deps.iter().map(|d| d.index()).collect();
-            if let ProgOp::Kernel { .. } = op {
-                if let Some(k) = last_kernel {
-                    preds.push(k);
-                }
-                last_kernel = Some(i);
-            }
-            for j in preds {
-                row[j / 64] |= 1 << (j % 64);
-                // `before[j]` holds ops below `j` only.
-                for (w, b) in row.iter_mut().zip(&before[j][..=j / 64]) {
-                    *w |= b;
-                }
-            }
-            before.push(row);
-        }
+        let before = Before::new(program);
 
         let lanes = cfg.lanes as u32;
         let mut accesses = Vec::new();
@@ -444,14 +517,21 @@ impl<'a> Analysis<'a> {
             accesses,
             first,
             before,
+            bank_words: cfg.srf.bank_words(cfg.lanes) as u32,
             shape_of,
             shapes,
-            evals: RefCell::default(),
+            evals: RefCell::new(vec![BTreeMap::new(); shapes]),
             #[cfg(test)]
             compared: Default::default(),
             #[cfg(test)]
             evaluated: Default::default(),
         }
+    }
+
+    /// The [`binding_footprint`] of op `i`'s `k`-th access (a kernel's
+    /// stream slot `k`; a gather's index stream, then its destination).
+    fn footprint(&self, i: usize, k: usize) -> Option<(u32, u32)> {
+        self.accesses[self.first[i] + k].footprint
     }
 
     /// The human label of access `k`.
@@ -519,22 +599,19 @@ impl<'a> Analysis<'a> {
             &[]
         };
         let mut evals = self.evals.borrow_mut();
-        let vals = evals
-            .entry((self.shape_of[i], seeds.to_vec()))
-            .or_insert_with(|| {
-                #[cfg(test)]
-                self.evaluated.set(self.evaluated.get() + 1);
-                Rc::new(eval_intervals(kernel, iters, self.cfg.lanes as i64, seeds))
-            });
-        Rc::clone(vals)
-    }
-
-    fn bank_words(&self) -> u32 {
-        self.cfg.srf.bank_words(self.cfg.lanes) as u32
+        let evals = &mut evals[self.shape_of[i]];
+        if let Some(vals) = evals.get(seeds) {
+            return Rc::clone(vals);
+        }
+        #[cfg(test)]
+        self.evaluated.set(self.evaluated.get() + 1);
+        let vals = Rc::new(eval_intervals(kernel, iters, self.cfg.lanes as i64, seeds));
+        evals.insert(seeds.to_vec(), Rc::clone(&vals));
+        vals
     }
 
     fn exceeds_bank(&self, b: &StreamBinding) -> bool {
-        b.range.base + b.range.words_per_bank > self.bank_words()
+        b.range.base + b.range.words_per_bank > self.bank_words
     }
 
     /// Valid record indices for an index into `slot` of `kernel` bound to
@@ -611,14 +688,15 @@ impl<'a> Analysis<'a> {
             // NOT satisfy its own inputs — the hardware provides no such
             // forwarding within an invocation): the ranges reaching into
             // `[lo, hi)` whose writer set meets `before[op]`.
-            let before = &self.before[a.prog_op];
+            let ordered = |ops: &Vec<u64>| self.before.meets(a.prog_op, ops);
+            if writers.get(&(lo, hi)).is_some_and(ordered) {
+                continue; // the usual case: an earlier op filled this range
+            }
             let mut covered: Vec<(u32, u32)> = self.env.filled.clone();
             covered.extend(
                 writers
                     .range(..(hi, 0))
-                    .filter(|((_, wh), ops)| {
-                        lo < *wh && ops.iter().zip(before).any(|(w, b)| w & b != 0)
-                    })
+                    .filter(|((_, wh), ops)| lo < *wh && ordered(ops))
                     .map(|(range, _)| *range),
             );
             if !interval_covers(&mut covered, lo, hi) {
@@ -654,7 +732,7 @@ impl<'a> Analysis<'a> {
                         "{} is bound to SRF words [{lo}, {hi}) per bank, beyond the bank \
                          capacity of {} words",
                         self.label(k),
-                        self.bank_words()
+                        self.bank_words
                     ),
                 ));
                 continue;
@@ -688,18 +766,10 @@ impl<'a> Analysis<'a> {
         }
 
         // Unordered-pair conflicts. Ops are topologically ordered, so the
-        // ops unordered against `j` are the unset bits of `before[j]` below
-        // `j`: walk those, word by word.
+        // ops unordered against `j` are the gaps of `before[j]` below `j`.
         for j in 0..self.program.len() {
-            for (w, word) in self.before[j][..=j / 64].iter().enumerate() {
-                let mut unordered = !word;
-                if w == j / 64 {
-                    unordered &= (1 << (j % 64)) - 1;
-                }
-                while unordered != 0 {
-                    self.check_pair(w * 64 + unordered.trailing_zeros() as usize, j, out);
-                    unordered &= unordered - 1;
-                }
+            for i in self.before.unordered(j) {
+                self.check_pair(i, j, out);
             }
         }
     }
@@ -717,31 +787,21 @@ impl<'a> Analysis<'a> {
             let (op_j, _) = self.program.node(j);
             !matches!(op_i, ProgOp::Kernel { .. })
                 && matches!(op_j, ProgOp::Kernel { .. })
-                && deps_i.iter().all(|d| bit_get(&self.before[j], d.index()))
+                && deps_i.iter().all(|d| self.before.get(j, d.index()))
         };
-        let overlap = |a: usize, b: usize| {
-            #[cfg(test)]
-            self.compared.set(self.compared.get() + 1);
-            match (self.accesses[a].footprint, self.accesses[b].footprint) {
-                (Some((al, ah)), Some((bl, bh))) if al < bh && bl < ah => {
-                    Some((al.max(bl), ah.min(bh)))
-                }
-                _ => None,
-            }
-        };
-        let (of_i, of_j) = (
-            self.first[i]..self.first[i + 1],
-            self.first[j]..self.first[j + 1],
-        );
         // Conflict when `i` writes, or `j` writes and the snapshot exemption
         // does not cover this read of `i`.
-        let conflict = of_i
-            .flat_map(|a| of_j.clone().map(move |b| (a, b)))
-            .find_map(|(a, b)| {
-                let words = overlap(a, b)?;
-                let (wa, wb) = (self.accesses[a].write, self.accesses[b].write);
-                (wa || (wb && !war_exempt())).then_some((a, b, words))
-            });
+        let conflict = (self.first[i]..self.first[i + 1]).find_map(|a| {
+            let x = &self.accesses[a];
+            (self.first[j]..self.first[j + 1]).find_map(|b| {
+                #[cfg(test)]
+                self.compared.set(self.compared.get() + 1);
+                let y = &self.accesses[b];
+                let ((al, ah), (bl, bh)) = (x.footprint?, y.footprint?);
+                let words = (al < bh && bl < ah).then(|| (al.max(bl), ah.min(bh)))?;
+                (x.write || (y.write && !war_exempt())).then_some((a, b, words))
+            })
+        });
         if let Some((a, b, (lo, hi))) = conflict {
             out.push(pdiag(
                 codes::OVERLAP_HAZARD,
@@ -897,11 +957,7 @@ impl<'a> Analysis<'a> {
                                 fv.hi,
                                 f.region.0,
                                 f.region.1,
-                                if f.sources.is_empty() {
-                                    "pre-existing data".to_string()
-                                } else {
-                                    f.sources.join("; ")
-                                }
+                                prop.render(self.program, f)
                             ));
                         }
                         let mut d = kdiag(
@@ -956,11 +1012,7 @@ impl<'a> Analysis<'a> {
                             iv.hi,
                             f.region.0,
                             f.region.1,
-                            if f.sources.is_empty() {
-                                "pre-existing data".to_string()
-                            } else {
-                                f.sources.join("; ")
-                            }
+                            prop.render(self.program, f)
                         )],
                         ..pdiag(codes::GATHER_ADDRESS_WRAP, check, i, message)
                     });
@@ -1309,6 +1361,152 @@ fn deadlock_for_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    use isrf_apps::{prepare_app, Profile, APPS};
+    use isrf_core::config::ConfigName;
+
+    /// A program the lock-step tests replay, with its name.
+    pub(crate) struct Case {
+        pub name: String,
+        pub cfg: MachineConfig,
+        pub env: VerifyEnv,
+        pub program: StreamProgram,
+    }
+
+    /// The programs every lock-step test replays, built once: 512 random
+    /// strip-mined programs and all 64 app programs (eight apps, both
+    /// profiles, four presets).
+    pub(crate) fn lockstep_cases() -> &'static [Case] {
+        static CASES: OnceLock<Vec<Case>> = OnceLock::new();
+        CASES.get_or_init(|| {
+            let specs = isrf_gen::Spec::corpus(512)
+                .into_iter()
+                .enumerate()
+                .map(|(k, spec)| {
+                    let g = spec.generate();
+                    let (cfg, env, program) = (g.cfg, g.env, g.program);
+                    let name = format!("spec {k}");
+                    Case {
+                        name,
+                        cfg,
+                        env,
+                        program,
+                    }
+                });
+            let apps = APPS.iter().flat_map(|app| {
+                [Profile::Small, Profile::Paper]
+                    .into_iter()
+                    .flat_map(move |profile| {
+                        ConfigName::ALL.map(move |config| {
+                            let pr = prepare_app(app, config, profile);
+                            Case {
+                                name: format!("{app}/{config}/{profile:?}"),
+                                cfg: pr.machine.config().clone(),
+                                env: pr.machine.verify_env(),
+                                program: pr.program,
+                            }
+                        })
+                    })
+            });
+            specs.chain(apps).chain([joined_provenance()]).collect()
+        })
+    }
+
+    /// A program whose notes join provenances: a producer fills a range
+    /// with 3 and a conditional write of 7 joins onto it, a kernel reads
+    /// it, then one kernel writes it through two outputs of the same name
+    /// (sequentially, then conditionally with 9), and a kernel reads it.
+    fn joined_provenance() -> Case {
+        use isrf_kernel::ir::{KernelBuilder, StreamKind};
+        use isrf_kernel::sched::{schedule, SchedParams};
+
+        let cfg = MachineConfig::preset(ConfigName::Isrf4);
+        let mut m = isrf_sim::Machine::new(cfg.clone()).expect("preset validates");
+        let [input, shared, out] = [(); 3].map(|()| m.alloc_stream(1, 64));
+        m.write_stream(&input, &[1; 64]);
+        let mut p = StreamProgram::new();
+        // Outputs `(name, None)` write 3 in order, `(name, Some(c))` write
+        // `c` when the input is non-zero.
+        let mut at = |name: &str, outs: &[(&str, Option<u32>)], binds, deps: &[_]| {
+            let mut b = KernelBuilder::new(name);
+            let i = b.stream("in", StreamKind::SeqIn);
+            let x = b.seq_read(i);
+            for &(o, value) in outs {
+                let kind = [StreamKind::SeqOut, StreamKind::CondOut][value.is_some() as usize];
+                let (o, c) = (b.stream(o, kind), b.constant(value.unwrap_or(3)));
+                match value {
+                    Some(_) => b.cond_write(o, x, c),
+                    None => b.seq_write(o, c),
+                };
+            }
+            let kernel = Arc::new(b.build().expect("kernel validates"));
+            let sched = schedule(&kernel, &SchedParams::from_machine(&cfg)).expect("schedules");
+            p.kernel(kernel, sched, binds, 8, deps)
+        };
+        let fill = at("fill", &[("o", None)], vec![input, shared], &[]);
+        let patch = at("patch", &[("o", Some(7))], vec![input, shared], &[fill]);
+        let read = at("read", &[("o", None)], vec![shared, out], &[patch]);
+        let outs = [("o", None), ("o", Some(9))];
+        let twice = at("twice", &outs, vec![input, shared, shared], &[read]);
+        at("read", &[("o", None)], vec![shared, out], &[twice]);
+        Case {
+            name: "joined provenance".into(),
+            env: m.verify_env(),
+            cfg,
+            program: p,
+        }
+    }
+
+    /// The `before` rows as they were built before [`Before`]: one dense
+    /// row per op, every predecessor's row merged in, in the order listed.
+    mod reference {
+        use isrf_sim::program::{ProgOp, StreamProgram};
+
+        pub fn before(program: &StreamProgram) -> Vec<Vec<u64>> {
+            let n = program.len();
+            let wlen = n.div_ceil(64).max(1);
+            let mut before: Vec<Vec<u64>> = Vec::with_capacity(n);
+            let mut last_kernel: Option<usize> = None;
+            for i in 0..n {
+                let (op, deps) = program.node(i);
+                let mut row = vec![0u64; wlen];
+                let mut preds: Vec<usize> = deps.iter().map(|d| d.index()).collect();
+                if let ProgOp::Kernel { .. } = op {
+                    if let Some(k) = last_kernel {
+                        preds.push(k);
+                    }
+                    last_kernel = Some(i);
+                }
+                for j in preds {
+                    row[j / 64] |= 1 << (j % 64);
+                    for (w, b) in row.iter_mut().zip(&before[j][..=j / 64]) {
+                        *w |= b;
+                    }
+                }
+                before.push(row);
+            }
+            before
+        }
+    }
+
+    #[test]
+    fn before_rows_match_the_per_edge_construction() {
+        assert_eq!(lockstep_cases().len(), 512 + 64 + 1);
+        for case in lockstep_cases() {
+            let ctx = Analysis::new(&case.cfg, &case.env, &case.program);
+            for (i, row) in reference::before(&case.program).iter().enumerate() {
+                let got: Vec<u64> = (0..row.len()).map(|w| ctx.before.word(i, w)).collect();
+                assert_eq!(&got, row, "{}: row {i}", case.name);
+                let gaps = (0..i).filter(|&j| !ctx.before.get(i, j));
+                assert!(
+                    gaps.eq(ctx.before.unordered(i)),
+                    "{}: gaps of row {i}",
+                    case.name
+                );
+            }
+        }
+    }
 
     #[test]
     fn interval_covers_checks_gaps() {
@@ -1351,13 +1549,8 @@ mod tests {
         // in the other buffer set, so the pairs V201 looks at grow with the
         // strips, not their square: a footprint comparison for each pair of
         // their accesses.
-        let ordered: usize = ctx
-            .before
-            .iter()
-            .flatten()
-            .map(|w| w.count_ones() as usize)
-            .sum();
-        assert_eq!(1920 * 1919 / 2 - ordered, 8_422);
+        let unordered: usize = (0..1920).map(|j| ctx.before.unordered(j).count()).sum();
+        assert_eq!(unordered, 8_422);
         assert_eq!(ctx.compared.get(), 16_464);
         // The indexed, slack and deadlock checks and one interval
         // evaluation (V303's, found again by propagation), once each for
