@@ -3,9 +3,10 @@
 //! Usage: `verify [app|all] [config|all] [--paper] [--report]
 //! [--explain CODE]`
 //!
-//! Builds each benchmark exactly as the harness would run it, then runs the
-//! `isrf-verify` analyzer over the prepared program instead of simulating
-//! it. Prints every diagnostic and exits non-zero if any point has one.
+//! Plans each benchmark exactly as the harness would run it
+//! (`isrf_apps::plan_app`: no data loaded), then runs the `isrf-verify`
+//! analyzer over the planned program instead of simulating it. Prints
+//! every diagnostic and exits non-zero if any point has one.
 //!
 //! * `--report` — print the full analyzer report (diagnostics, warnings,
 //!   static cycle floor) for every point as canonical JSON. At both
@@ -18,8 +19,8 @@
 //! Apps: `fft2d rijndael sort filter igraph spmv stencil bfs`. Configs:
 //! `base isrf1 isrf4 cache`.
 
-use isrf_apps::APPS;
-use isrf_bench::{prepare_app, select_points, Profile};
+use isrf_apps::{plan_app, APPS};
+use isrf_bench::{select_points, Profile};
 use isrf_core::config::ConfigName;
 use isrf_trace::json::Json;
 use isrf_verify::{explain, Diagnostic, Report, Verifier};
@@ -86,7 +87,7 @@ fn analyze(points: &[(&'static str, ConfigName)], profile: Profile) -> Vec<Point
     points
         .iter()
         .map(|&(app, cfg)| {
-            let pr = prepare_app(app, cfg, profile);
+            let pr = plan_app(app, cfg, profile);
             let report =
                 verifier.report(pr.machine.config(), &pr.machine.verify_env(), &pr.program);
             Point {

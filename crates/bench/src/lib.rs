@@ -319,7 +319,7 @@ pub fn sort_baseline_ablation() -> (u64, u64) {
         ..Default::default()
     };
     (
-        sort::prepare(&cfg, &params).run_checked().cycles,
+        sort::plan(&cfg, &params).load().run_checked().cycles,
         sort::prepare_base_bitonic(&cfg, &params)
             .run_checked()
             .cycles,

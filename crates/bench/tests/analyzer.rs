@@ -10,7 +10,7 @@
 use std::path::Path;
 use std::process::Command;
 
-use isrf_apps::{prepare_app, Profile, APPS};
+use isrf_apps::{plan_app, Profile, APPS};
 use isrf_check::{golden, points_digest, run_parallel, Columns};
 use isrf_core::config::ConfigName;
 use isrf_trace::json::Json;
@@ -62,7 +62,7 @@ fn floor_is_sound_and_tight(profile: Profile) {
         .flat_map(|&app| ConfigName::ALL.map(|cfg| (app, cfg)))
         .collect();
     let failed: Vec<String> = run_parallel(&points, |&(app, cfg)| {
-        let pr = prepare_app(app, cfg, profile);
+        let pr = plan_app(app, cfg, profile);
         let floor = isrf_verify::cost_model(pr.machine.config(), &pr.program).cycle_floor;
         let sim = Columns::find(&digest, &format!("{app} {cfg} {profile:?}")).u64("cycles");
         let pct = (floor * 100).checked_div(sim).unwrap_or(100);

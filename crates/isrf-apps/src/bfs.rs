@@ -32,12 +32,12 @@ use isrf_core::word::Word;
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
-use isrf_sim::StreamProgram;
+use isrf_sim::{Machine, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, memoized};
-use crate::gather::{condense, Condensed, Gather, Layout, Strips};
+use crate::common::{machine, memoized, Plan};
+use crate::gather::{condense, load_pointers, Condensed, Gather, Layout, Strips};
 
 /// "Unreached" distance; survives `+ 1` per sweep without wrapping into
 /// the sign bit (the cluster `min` is signed).
@@ -132,9 +132,9 @@ pub fn reference(adj: &[Vec<u32>], sweeps: u32) -> Vec<Word> {
     dist
 }
 
-/// The host-side plan: graph, padded gather metadata per strip, and the
-/// convergence-derived sweep count shared by every configuration.
-pub(crate) struct Plan {
+/// The host's preprocessing: graph, padded gather metadata per strip, and
+/// the convergence-derived sweep count shared by every configuration.
+pub(crate) struct Graph {
     pub(crate) adj: Vec<Vec<u32>>,
     /// Relaxation sweeps to run (to convergence, capped at
     /// `max_sweeps`, at least 1).
@@ -148,9 +148,9 @@ pub(crate) struct Plan {
     pub(crate) strips: Vec<Condensed>,
 }
 
-type PlanKey = (u64, u32, u32, u32, u32, u32, u32, u32);
+type GraphKey = (u64, u32, u32, u32, u32, u32, u32, u32);
 
-fn plan_key(p: &BfsParams) -> PlanKey {
+fn graph_key(p: &BfsParams) -> GraphKey {
     (
         p.seed,
         p.nodes,
@@ -163,16 +163,16 @@ fn plan_key(p: &BfsParams) -> PlanKey {
     )
 }
 
-/// Plans kept: every workload and tool makes one per profile, this crate's
-/// unit tests two.
-const PLAN_BUDGET: u64 = 16;
+/// Graphs kept: every workload and tool makes one per profile, this
+/// crate's unit tests two.
+const GRAPH_BUDGET: u64 = 16;
 
-pub(crate) fn plan_cached(params: &BfsParams) -> Arc<Plan> {
-    static PLANS: Memo<PlanKey, Plan> = Memo::new(PLAN_BUDGET);
-    memoized(&PLANS, plan_key(params), || plan(params))
+pub(crate) fn graph_cached(params: &BfsParams) -> Arc<Graph> {
+    static GRAPHS: Memo<GraphKey, Graph> = Memo::new(GRAPH_BUDGET);
+    memoized(&GRAPHS, graph_key(params), || preprocess(params))
 }
 
-fn plan(params: &BfsParams) -> Plan {
+fn preprocess(params: &BfsParams) -> Graph {
     let adj = generate(params);
     let n = params.nodes;
     // Sweep count: relax until a sweep changes nothing, capped.
@@ -199,7 +199,7 @@ fn plan(params: &BfsParams) -> Plan {
         .map(|strip| condense(strip.iter().map(Vec::as_slice), pad, Some(n)))
         .collect();
 
-    Plan {
+    Graph {
         adj,
         sweeps,
         pad,
@@ -239,29 +239,34 @@ const LA_BASE: u32 = 0; // level array A (n + 1 words, sentinel last)
 const LB_BASE: u32 = 0x8_0000; // level array B
 const PTR_BASE: u32 = 0x10_0000; // padded condensed pointers, strip-major
 
-/// Set up the machine and build the full multi-sweep program without
-/// running it. The check compares the final level array word-for-word
-/// against the host Jacobi.
+/// The load stage: both level arrays from the canonical state, with the
+/// `INF` sentinel appended, then the strips' pointers (static across
+/// sweeps).
+fn load_levels(m: &mut Machine, g: &Graph, gather: Gather, layout: Layout) {
+    let n = g.adj.len() as u32;
+    let mut init: Vec<Word> = (0..n).map(|v| if v == 0 { 0 } else { INF }).collect();
+    init.push(INF);
+    m.mem_mut().memory_mut().write_block(LA_BASE, &init);
+    m.mem_mut().memory_mut().write_block(LB_BASE, &init);
+    load_pointers(m, gather, layout, &g.strips);
+}
+
+/// Build the full multi-sweep program and its machine's SRF allocation;
+/// the load lays out the level arrays. The check compares the final level
+/// array word-for-word against the host Jacobi.
 ///
 /// # Panics
 ///
 /// Panics if `strip_nodes` is not a positive multiple of 8 dividing
 /// `nodes`.
-pub fn prepare(cfg: &MachineConfig, params: &BfsParams) -> crate::common::Prepared {
+pub fn plan(cfg: &MachineConfig, params: &BfsParams) -> Plan {
     assert!(params.strip_nodes.is_multiple_of(8) && params.strip_nodes > 0);
     assert!(params.nodes.is_multiple_of(params.strip_nodes) && params.nodes > 0);
     let indexed = cfg.srf.indexed.is_some();
     let mut m = machine(cfg);
 
-    let plan = plan_cached(params);
-    let (n, strip_n, pad) = (params.nodes, params.strip_nodes, plan.pad);
-    // Both level arrays start from the canonical state, with the INF
-    // sentinel appended; pointers are static across sweeps.
-    let mut init: Vec<Word> = (0..n).map(|v| if v == 0 { 0 } else { INF }).collect();
-    init.push(INF);
-    m.mem_mut().memory_mut().write_block(LA_BASE, &init);
-    m.mem_mut().memory_mut().write_block(LB_BASE, &init);
-
+    let g = graph_cached(params);
+    let (n, strip_n, pad) = (params.nodes, params.strip_nodes, g.pad);
     let kernel = Arc::new(build_kernel(pad, indexed));
     let layout = Layout {
         strip: strip_n,
@@ -270,12 +275,12 @@ pub fn prepare(cfg: &MachineConfig, params: &BfsParams) -> crate::common::Prepar
         cap: None,
     };
     let gather = Gather::new(pad, 1, indexed);
-    let mut strips = Strips::new(&mut m, kernel, gather, layout, &plan.strips);
+    let mut strips = Strips::new(&mut m, kernel, gather, layout, &g.strips);
     let mut p = StreamProgram::new();
     let levels = |base: u32, s: u32| AddrPattern::contiguous(base + s * strip_n, strip_n);
     // Barrier between sweeps: sweep t reads what sweep t-1 wrote.
     let mut barrier = Vec::new();
-    for t in 0..plan.sweeps {
+    for t in 0..g.sweeps {
         let (cur, nxt) = if t % 2 == 0 {
             (LA_BASE, LB_BASE)
         } else {
@@ -289,13 +294,11 @@ pub fn prepare(cfg: &MachineConfig, params: &BfsParams) -> crate::common::Prepar
             |s| levels(nxt, s),
         );
     }
-    let final_base = if plan.sweeps % 2 == 1 {
-        LB_BASE
-    } else {
-        LA_BASE
-    };
-    crate::common::Prepared::new(m, p, vec![(final_base, n)], move |m| {
-        for (v, &e) in reference(&plan.adj, plan.sweeps).iter().enumerate() {
+    let final_base = if g.sweeps % 2 == 1 { LB_BASE } else { LA_BASE };
+    let loaded = Arc::clone(&g);
+    let load = move |m: &mut Machine| load_levels(m, &loaded, gather, layout);
+    Plan::new(m, p, vec![(final_base, n)], load, move |m| {
+        for (v, &e) in reference(&g.adj, g.sweeps).iter().enumerate() {
             let got = m.mem().memory().read(final_base + v as u32);
             assert_eq!(got, e, "node {v}: got {got}, want {e}");
         }
@@ -310,7 +313,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, params: &BfsParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     fn small() -> BfsParams {
@@ -352,8 +355,8 @@ mod tests {
     #[test]
     fn source_reaches_neighborhood_but_not_isolated_nodes() {
         let params = small();
-        let plan = plan_cached(&params);
-        let dist = reference(&plan.adj, plan.sweeps);
+        let g = graph_cached(&params);
+        let dist = reference(&g.adj, g.sweeps);
         assert_eq!(dist[0], 0);
         assert!(
             dist.iter().filter(|&&d| d < INF).count() > 1,
@@ -361,7 +364,7 @@ mod tests {
         );
         // An isolated node other than the source must stay at INF.
         let isolated = (1..params.nodes)
-            .find(|&v| plan.adj[v as usize].is_empty())
+            .find(|&v| g.adj[v as usize].is_empty())
             .expect("isolated_pct > 0 yields isolated nodes");
         assert_eq!(dist[isolated as usize], INF);
     }

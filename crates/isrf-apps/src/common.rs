@@ -35,6 +35,59 @@ pub fn machine(cfg: &MachineConfig) -> Machine {
     Machine::new(cfg.clone()).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// An app's run before its data: everything [`Verifier::verify`] reads,
+/// and the load stage that builds the rest. The machine has its config,
+/// its SRF allocation and every interval the load will fill marked
+/// ([`Machine::note_program_fills`] for a setup program,
+/// [`Machine::note_filled`] for a stream the load writes); its memory is
+/// empty and it has not simulated a cycle. [`Plan::load`] runs the load —
+/// host data generation, memory image, SRF data, setup program — and
+/// returns the [`Prepared`] run.
+pub struct Plan {
+    /// The machine, SRF allocated, nothing loaded.
+    pub machine: Machine,
+    /// The measured stream program.
+    pub program: StreamProgram,
+    /// Memory regions `(base, words)` the program's output lands in.
+    pub outputs: Vec<(u32, u32)>,
+    load: Box<dyn FnOnce(&mut Machine) + Send>,
+    check: Box<dyn Fn(&Machine) + Send>,
+}
+
+impl Plan {
+    /// Assemble a plan. `load` builds the machine's data and runs any
+    /// setup program; `check` is the app's host-reference check (see
+    /// [`Prepared::new`]).
+    pub fn new(
+        machine: Machine,
+        program: StreamProgram,
+        outputs: Vec<(u32, u32)>,
+        load: impl FnOnce(&mut Machine) + Send + 'static,
+        check: impl Fn(&Machine) + Send + 'static,
+    ) -> Plan {
+        Plan {
+            machine,
+            program,
+            outputs,
+            load: Box::new(load),
+            check: Box::new(check),
+        }
+    }
+
+    /// Run the load stage: the machine ready to run the measured program.
+    pub fn load(self) -> Prepared {
+        let Plan {
+            mut machine,
+            program,
+            outputs,
+            load,
+            check,
+        } = self;
+        load(&mut machine);
+        Prepared::new(machine, program, outputs, check)
+    }
+}
+
 /// A benchmark run split at the machine/program boundary: the machine is
 /// fully set up (data laid out in memory and the SRF, any un-measured
 /// setup program already executed) and `program` is the measured stream
@@ -56,14 +109,15 @@ pub struct Prepared {
 }
 
 impl Prepared {
-    /// Assemble a prepared benchmark, growing the functional memory over
-    /// the declared output regions up front. Unwritten words read as
-    /// zero either way, so this is invisible to results and cycle
-    /// counts — it just keeps the one-time backing-store grow (a
-    /// multi-megabyte zeroed `realloc` for apps with high output bases)
-    /// out of the measured `Machine::run` call. `check` is the app's
-    /// host-reference check: it panics when the machine's final memory
-    /// is not what the host computes.
+    /// Assemble a prepared benchmark, backing the memory chunk that holds
+    /// the last word of each output region up front. Unwritten words read
+    /// as zero either way, so this is invisible to results and cycle
+    /// counts; it keeps that chunk's zeroed allocation out of the measured
+    /// `Machine::run` call. No output region of the registry's 64 points
+    /// spans two chunks, so a run backs a new chunk only for data outside
+    /// them (fft2d Base/Cache's reorder scratch). `check` is the app's
+    /// host-reference check: it panics when the machine's final memory is
+    /// not what the host computes.
     pub fn new(
         mut machine: Machine,
         program: StreamProgram,

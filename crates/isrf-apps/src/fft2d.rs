@@ -31,7 +31,7 @@ use isrf_sim::{Machine, StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{machine, schedule_for, Plan};
 
 /// Transform size per dimension.
 pub const N: u32 = 64;
@@ -395,30 +395,15 @@ struct Setup {
     y: StreamBinding,
     tw_high: Vec<StreamBinding>,
     tw_table: Option<StreamBinding>,
+    /// The un-measured program that loads the twiddles and primes the
+    /// scratchpads; the load runs it.
+    program: StreamProgram,
 }
 
-/// Load input, twiddles and scratch constants; excluded from measurement.
-fn setup(m: &mut Machine, indexed: bool, params: &Fft2dParams) -> Setup {
+/// Allocate the data and twiddle streams and build the setup program,
+/// marking what it fills.
+fn plan_setup(m: &mut Machine, indexed: bool) -> Setup {
     let lanes = m.config().lanes as u32;
-    // Input data in memory.
-    let mut rng = SmallRng::seed_from_u64(params.seed);
-    let input: Vec<Word> = (0..ELEMS * 2)
-        .map(|_| from_f32(rng.gen_range(-1.0f32..1.0)))
-        .collect();
-    m.mem_mut().memory_mut().write_block(IN_BASE, &input);
-    // Twiddle streams and tables.
-    for (i, d) in [HALF, 16, 8].iter().enumerate() {
-        m.mem_mut()
-            .memory_mut()
-            .write_block(CONST_BASE + (i as u32) * ELEMS, &high_stage_twiddles(*d));
-    }
-    m.mem_mut()
-        .memory_mut()
-        .write_block(CONST_BASE + 3 * ELEMS, &low_stage_lane_constants(lanes));
-    m.mem_mut()
-        .memory_mut()
-        .write_block(CONST_BASE + 4 * ELEMS, &idx_twiddle_table_words(lanes));
-
     let x = m.alloc_stream(2, ELEMS);
     let y = m.alloc_stream(2, ELEMS);
     // One twiddle period per stage; the stage kernels re-read it with a
@@ -463,14 +448,46 @@ fn setup(m: &mut Machine, indexed: bool, params: &Fft2dParams) -> Setup {
         isrf_verify::Verifier::new().verify(m.config(), &m.verify_env(), &p),
         Ok(())
     );
-    m.run(&p);
-    m.reset_stats();
+    m.note_program_fills(&p);
     Setup {
         x,
         y,
         tw_high,
         tw_table,
+        program: p,
     }
+}
+
+/// The load stage: input, twiddles and scratch constants in memory, then
+/// the setup program, excluded from measurement.
+fn load_and_set_up(m: &mut Machine, params: &Fft2dParams, setup: &StreamProgram) {
+    let lanes = m.config().lanes as u32;
+    let mut rng = SmallRng::seed_from_u64(params.seed);
+    let input: Vec<Word> = (0..ELEMS * 2)
+        .map(|_| from_f32(rng.gen_range(-1.0f32..1.0)))
+        .collect();
+    m.mem_mut().memory_mut().write_block(IN_BASE, &input);
+    for (i, d) in [HALF, 16, 8].iter().enumerate() {
+        m.mem_mut()
+            .memory_mut()
+            .write_block(CONST_BASE + (i as u32) * ELEMS, &high_stage_twiddles(*d));
+    }
+    m.mem_mut()
+        .memory_mut()
+        .write_block(CONST_BASE + 3 * ELEMS, &low_stage_lane_constants(lanes));
+    m.mem_mut()
+        .memory_mut()
+        .write_block(CONST_BASE + 4 * ELEMS, &idx_twiddle_table_words(lanes));
+    m.run(setup);
+    m.reset_stats();
+}
+
+/// The plan of either version: `m` holds the setup's allocation, `p` is
+/// the measured program; the load lays out memory and runs `setup`.
+fn planned(m: Machine, p: StreamProgram, params: &Fft2dParams, setup: StreamProgram) -> Plan {
+    let params = *params;
+    let load = move |m: &mut Machine| load_and_set_up(m, &params, &setup);
+    Plan::new(m, p, vec![(OUT_BASE, ELEMS * 2)], load, verify)
 }
 
 /// Append one pass of six sequential butterfly stages over `x`/`y`,
@@ -567,12 +584,12 @@ fn verify(m: &Machine) {
     }
 }
 
-/// Prepare the Base/Cache version (reorder through memory between
+/// Plan the Base/Cache version (reorder through memory between
 /// dimensions).
-fn prepare_base(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Prepared {
+fn plan_base(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
     let mut m = machine(cfg);
     let cacheable = cfg.cache.is_some();
-    let su = setup(&mut m, false, params);
+    let su = plan_setup(&mut m, false);
     let kernels = seq_kernels(&m);
 
     let mut p = StreamProgram::new();
@@ -627,13 +644,13 @@ fn prepare_base(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Pre
         );
         last_rep = Some(fin);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, ELEMS * 2)], verify)
+    planned(m, p, params, su.program)
 }
 
-/// Prepare the ISRF version (second dimension in place via indexed access).
-fn prepare_isrf(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Prepared {
+/// Plan the ISRF version (second dimension in place via indexed access).
+fn plan_isrf(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
     let mut m = machine(cfg);
-    let su = setup(&mut m, true, params);
+    let su = plan_setup(&mut m, true);
     let kernels = seq_kernels(&m);
     let idx_kernels: Vec<(Arc<Kernel>, Arc<isrf_kernel::Schedule>)> = [HALF, 16, 8, 4, 2, 1]
         .iter()
@@ -678,17 +695,17 @@ fn prepare_isrf(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Pre
         let fin = p.store(cur, isrf_output_scatter(OUT_BASE), false, &[last]);
         last_rep = Some(fin);
     }
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, ELEMS * 2)], verify)
+    planned(m, p, params, su.program)
 }
 
-/// Set up the machine (input, twiddles, un-measured setup program) and
-/// build the measured program without running it. The check compares the
-/// result with the reference DFT.
-pub fn prepare(cfg: &MachineConfig, params: &Fft2dParams) -> crate::common::Prepared {
+/// Build the measured program, the un-measured setup program and their
+/// machine's SRF allocation; the load lays out input and twiddles and runs
+/// the setup. The check compares the result with the reference DFT.
+pub fn plan(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
     if cfg.srf.indexed.is_some() {
-        prepare_isrf(cfg, params)
+        plan_isrf(cfg, params)
     } else {
-        prepare_base(cfg, params)
+        plan_base(cfg, params)
     }
 }
 
@@ -699,7 +716,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, params: &Fft2dParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     #[test]

@@ -28,7 +28,7 @@ use isrf_sim::{Machine, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{lane_block_load, lane_block_store, machine, schedule_for};
+use crate::common::{lane_block_load, lane_block_store, machine, schedule_for, Plan};
 
 /// Image width in pixels (fixed; rows are configurable).
 pub const COLS: u32 = 256;
@@ -184,14 +184,13 @@ pub fn build_isrf_kernel() -> Kernel {
     b.build().expect("filter ISRF kernel is well-formed")
 }
 
-fn lay_out_image(m: &mut Machine, params: &FilterParams) -> Vec<f32> {
+/// The load stage: the seeded image at `IN_BASE`.
+fn load_image(m: &mut Machine, params: &FilterParams) {
     let mut rng = SmallRng::seed_from_u64(params.seed);
-    let img: Vec<f32> = (0..params.rows * COLS)
-        .map(|_| rng.gen_range(0.0f32..1.0))
+    let words: Vec<Word> = (0..params.rows * COLS)
+        .map(|_| from_f32(rng.gen_range(0.0f32..1.0)))
         .collect();
-    let words: Vec<Word> = img.iter().map(|&v| from_f32(v)).collect();
     m.mem_mut().memory_mut().write_block(IN_BASE, &words);
-    img
 }
 
 fn verify(m: &Machine, rows: u32) {
@@ -213,13 +212,14 @@ fn verify(m: &Machine, rows: u32) {
     }
 }
 
-/// Set up the machine and build the measured program without running it.
-/// The check compares the image with a direct convolution.
+/// Build the measured program and its machine's SRF allocation; the load
+/// lays out the image. The check compares the image with a direct
+/// convolution.
 ///
 /// # Panics
 ///
 /// Panics if `params.rows` is not a positive multiple of the strip height.
-pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Prepared {
+pub fn plan(cfg: &MachineConfig, params: &FilterParams) -> Plan {
     assert!(
         params.rows.is_multiple_of(STRIP_ROWS) && params.rows >= STRIP_ROWS,
         "rows must be a multiple of {STRIP_ROWS}"
@@ -234,7 +234,6 @@ pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Pre
         c.scratchpad_words = (BLOCK_ROWS * COLS) as usize;
         machine(&c)
     };
-    lay_out_image(&mut m, params);
 
     let kernel = Arc::new(if indexed {
         build_isrf_kernel()
@@ -274,8 +273,9 @@ pub fn prepare(cfg: &MachineConfig, params: &FilterParams) -> crate::common::Pre
         let st = p.store(window, pattern, false, &[k]);
         prev = Some(st);
     }
-    let rows = params.rows;
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, rows * COLS)], move |m| {
+    let (params, rows) = (*params, params.rows);
+    let load = move |m: &mut Machine| load_image(m, &params);
+    Plan::new(m, p, vec![(OUT_BASE, rows * COLS)], load, move |m| {
         verify(m, rows)
     })
 }
@@ -287,7 +287,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, params: &FilterParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     fn small() -> FilterParams {

@@ -164,6 +164,7 @@ impl GatherReads {
 }
 
 /// Where an app's strips live, beside its [`Gather`].
+#[derive(Clone, Copy)]
 pub(crate) struct Layout {
     /// Kernel records per strip, one per lane per iteration.
     pub strip: u32,
@@ -196,9 +197,9 @@ pub(crate) struct Strips<'a> {
 }
 
 impl<'a> Strips<'a> {
-    /// Write the strips' pointers to memory, schedule `kernel` and allocate
-    /// both buffer sets: per set the two inputs and the output, then both
-    /// gather buffers.
+    /// Schedule `kernel` and allocate both buffer sets: per set the two
+    /// inputs and the output, then both gather buffers. The strips'
+    /// pointers are the load's ([`load_pointers`]).
     pub fn new(
         m: &mut Machine,
         kernel: Arc<Kernel>,
@@ -207,10 +208,6 @@ impl<'a> Strips<'a> {
         strips: &'a [Condensed],
     ) -> Strips<'a> {
         let strip = layout.strip;
-        for (s, c) in strips.iter().enumerate() {
-            let at = layout.ptr_base + s as u32 * strip * gather.slots;
-            m.mem_mut().memory_mut().write_block(at, &c.ptrs);
-        }
         let sched = schedule_for(m, &kernel);
         let seq = [(); 2].map(|()| layout.seq.map(|words| m.alloc_stream(words, strip)));
         let (words, records) = if gather.indexed {
@@ -292,6 +289,16 @@ impl<'a> Strips<'a> {
     }
 }
 
+/// The load stage of a strip loop: each strip's pointers in memory, strip
+/// `s`'s at `layout.ptr_base + s * layout.strip * gather.slots`.
+pub(crate) fn load_pointers(m: &mut Machine, gather: Gather, layout: Layout, strips: &[Condensed]) {
+    let span = layout.strip * gather.slots;
+    for (s, c) in strips.iter().enumerate() {
+        let at = layout.ptr_base + s as u32 * span;
+        m.mem_mut().memory_mut().write_block(at, &c.ptrs);
+    }
+}
+
 /// The word addresses of `records`, `words` apiece, record 0 at `at`, as
 /// maps the compiler sizes exactly and vectorises: a sequential gather
 /// lists over half a million of them per BFS job at Paper size.
@@ -355,9 +362,9 @@ mod tests {
         };
         let mut got = Vec::new();
         for profile in [Profile::Small, Profile::Paper] {
-            let plan = bfs::plan_cached(&bfs_params(profile));
-            let lens: Vec<usize> = plan.adj.iter().map(Vec::len).collect();
-            got.push(summary(census(&plan.strips, &lens, plan.pad as usize)));
+            let g = bfs::graph_cached(&bfs_params(profile));
+            let lens: Vec<usize> = g.adj.iter().map(Vec::len).collect();
+            got.push(summary(census(&g.strips, &lens, g.pad as usize)));
             let params = spmv_params(profile);
             let (csr, _) = spmv::generate(&params);
             let pad = spmv::pad_of(&csr);

@@ -29,12 +29,12 @@ use isrf_core::word::{as_f32, from_f32, Word};
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind, ValueId};
 use isrf_mem::AddrPattern;
-use isrf_sim::StreamProgram;
+use isrf_sim::{Machine, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, memoized};
-use crate::gather::{condense, Condensed, Gather, Layout, Strips};
+use crate::common::{machine, memoized, Plan};
+use crate::gather::{condense, load_pointers, Condensed, Gather, Layout, Strips};
 
 /// One IG dataset (a Table 4 row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,14 +291,23 @@ const ADJ_BASE: u32 = 0x10_0000; // adjacency lists (d words per node)
 const OUT_BASE: u32 = 0x40_0000; // updated records
 const UNIQ_PTR_BASE: u32 = 0x60_0000; // per-strip condensed pointers
 
-/// Set up the machine (graph image, host preprocessing) and build the
-/// measured program without running it. The check compares the updated
-/// records with the host reference sweep.
+/// The load stage: the graph's values and adjacency in memory, then the
+/// strips' pointers.
+fn load_image(m: &mut Machine, img: &HostImage, gather: Gather, layout: Layout) {
+    let mem = m.mem_mut().memory_mut();
+    mem.write_block(VAL_BASE, &img.val_words);
+    mem.write_block(ADJ_BASE, &img.adj_words);
+    load_pointers(m, gather, layout, &img.strips);
+}
+
+/// Build the measured program and its machine's SRF allocation from the
+/// host's graph preprocessing; the load lays out the graph image. The
+/// check compares the updated records with the host reference sweep.
 ///
 /// # Panics
 ///
 /// Panics if the dataset's strips don't tile the graph in lane multiples.
-pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
+pub fn plan(cfg: &MachineConfig, ds: &IgDataset) -> Plan {
     let indexed = cfg.srf.indexed.is_some();
     let mut m = machine(cfg);
     let strip_nodes = if indexed {
@@ -313,10 +322,6 @@ pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
     // streams prepared by the host (graph preprocessing). All
     // deterministic in the dataset, so computed once and shared.
     let img = host_image(ds, strip_nodes);
-    let mem = m.mem_mut().memory_mut();
-    mem.write_block(VAL_BASE, &img.val_words);
-    mem.write_block(ADJ_BASE, &img.adj_words);
-
     let kernel = Arc::new(build_kernel(ds, indexed));
     let layout = Layout {
         strip: strip_nodes,
@@ -338,7 +343,8 @@ pub fn prepare(cfg: &MachineConfig, ds: &IgDataset) -> crate::common::Prepared {
         |s| records(OUT_BASE, s),
     );
     let ds = *ds;
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)], move |m| {
+    let load = move |m: &mut Machine| load_image(m, &img, gather, layout);
+    Plan::new(m, p, vec![(OUT_BASE, 2 * ds.nodes)], load, move |m| {
         // The reference sweep (identical f32 op order) is deterministic in
         // the dataset, so it comes from the per-dataset cache.
         for (i, &(e0, e1)) in reference_cached(&ds).iter().enumerate() {
@@ -360,7 +366,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, ds: &IgDataset) -> RunStats {
-        prepare(&cfg.into(), ds).run_checked()
+        plan(&cfg.into(), ds).load().run_checked()
     }
 
     fn tiny() -> IgDataset {

@@ -4,11 +4,14 @@
 //! The figure harness, the differential suite, the trace/verify binaries
 //! and the batch simulation server all need the same thing — "give me a
 //! ready-to-run machine + program + expected outputs for app X on config Y
-//! at size Z" — so the lookup lives here, below all of them.
+//! at size Z" — so the lookup lives here, below all of them. Each app is a
+//! plan plus a load: [`plan_app`] is what a static analysis reads (config,
+//! SRF allocation, program, output regions, `VerifyEnv`), and
+//! [`prepare_app`] is that plan with its data loaded.
 
 use isrf_core::config::MachineConfig;
 
-use crate::common::Prepared;
+use crate::common::{Plan, Prepared};
 use crate::{bfs, fft2d, filter, igraph, rijndael, sort, spmv, stencil};
 
 /// Benchmark sizing profile: `Small` keeps unit tests and CI quick;
@@ -32,26 +35,38 @@ pub const APPS: [&str; 8] = [
 /// on `cfg` — a [`isrf_core::config::ConfigName`] for its preset, or any
 /// valid 8-lane [`MachineConfig`] — without running it: the caller
 /// installs tracers, runs, and inspects, or calls
-/// [`Prepared::run_checked`]. This is the one table of Small/Paper sizes.
-/// `"igraph"` is the `IG_SML` dataset; the other Table 4 datasets the
-/// figures run go by their own names (`"IG_SCL"`, `"IG_DMS"`, `"IG_DCS"`).
+/// [`Prepared::run_checked`]. [`plan_app`], then [`Plan::load`].
+///
+/// # Panics
+///
+/// As [`plan_app`].
+pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> Prepared {
+    plan_app(app, cfg, profile).load()
+}
+
+/// The [`Plan`] of one app on `cfg`: its machine with the SRF allocated
+/// and the fills of any setup program marked, the measured program and
+/// its output regions — no memory image built, no setup simulated. This
+/// is the one table of Small/Paper sizes. `"igraph"` is the `IG_SML`
+/// dataset; the other Table 4 datasets the figures run go by their own
+/// names (`"IG_SCL"`, `"IG_DMS"`, `"IG_DCS"`).
 ///
 /// # Panics
 ///
 /// Panics on an unknown app name (use [`APPS`]), and as
 /// [`crate::common::machine`] does on a config it refuses.
-pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> Prepared {
+pub fn plan_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -> Plan {
     let cfg = &cfg.into();
     let size = |small, paper| sized(profile, small, paper);
     match app {
-        "fft2d" => fft2d::prepare(
+        "fft2d" => fft2d::plan(
             cfg,
             &fft2d::Fft2dParams {
                 reps: size(1, 2),
                 ..Default::default()
             },
         ),
-        "rijndael" => rijndael::prepare(
+        "rijndael" => rijndael::plan(
             cfg,
             &rijndael::RijndaelParams {
                 chains_per_lane: size(2, 8),
@@ -60,14 +75,14 @@ pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -
                 ..Default::default()
             },
         ),
-        "sort" => sort::prepare(
+        "sort" => sort::plan(
             cfg,
             &sort::SortParams {
                 keys_per_lane: size(64, 512),
                 ..Default::default()
             },
         ),
-        "filter" => filter::prepare(
+        "filter" => filter::plan(
             cfg,
             &filter::FilterParams {
                 rows: size(32, 256),
@@ -78,17 +93,17 @@ pub fn prepare_app(app: &str, cfg: impl Into<MachineConfig>, profile: Profile) -
             let mut ds = igraph::dataset(if ig == "igraph" { "IG_SML" } else { ig });
             // Small shrinks the graph, keeping strip structure intact.
             ds.nodes /= size(if ds.degree == 4 { 4 } else { 2 }, 1);
-            igraph::prepare(cfg, &ds)
+            igraph::plan(cfg, &ds)
         }
-        "spmv" => spmv::prepare(cfg, &spmv_params(profile)),
-        "stencil" => stencil::prepare(
+        "spmv" => spmv::plan(cfg, &spmv_params(profile)),
+        "stencil" => stencil::plan(
             cfg,
             &stencil::StencilParams {
                 rows: size(64, 256),
                 ..Default::default()
             },
         ),
-        "bfs" => bfs::prepare(cfg, &bfs_params(profile)),
+        "bfs" => bfs::plan(cfg, &bfs_params(profile)),
         other => panic!("unknown app {other}; expected one of {APPS:?}"),
     }
 }

@@ -33,7 +33,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::aes;
-use crate::common::{machine, replicated_table_pattern, schedule_for};
+use crate::common::{machine, replicated_table_pattern, schedule_for, Plan};
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -301,7 +301,17 @@ fn layout() -> Layout {
     }
 }
 
-fn lay_out_memory(m: &mut Machine, params: &RijndaelParams) -> Layout {
+/// What the load does after laying out memory, excluded from measurement.
+enum Setup {
+    /// Run the ISRF version's table-loading program.
+    Program(StreamProgram),
+    /// Zero the Base version's IV streams.
+    ZeroIvs(Vec<StreamBinding>),
+}
+
+/// The load stage: tables and the seeded plaintext in memory, then the
+/// `setup`.
+fn load_and_set_up(m: &mut Machine, params: &RijndaelParams, setup: &Setup) {
     let l = layout();
     let te = aes::te_tables();
     for (t, &base) in te.iter().zip(&l.te_bases) {
@@ -317,7 +327,17 @@ fn lay_out_memory(m: &mut Machine, params: &RijndaelParams) -> Layout {
     let total_words = params.total_blocks() * 4;
     let pt: Vec<Word> = (0..total_words).map(|_| rng.gen()).collect();
     m.mem_mut().memory_mut().write_block(l.pt_base, &pt);
-    l
+    match setup {
+        Setup::Program(p) => {
+            m.run(p);
+            m.reset_stats();
+        }
+        Setup::ZeroIvs(ivs) => {
+            for iv in ivs {
+                m.write_stream(iv, &vec![0; iv.words() as usize]);
+            }
+        }
+    }
 }
 
 /// Expected ciphertext for the whole run, using the reference cipher.
@@ -370,16 +390,19 @@ fn verify(m: &Machine, params: &RijndaelParams) {
     }
 }
 
-fn prepared(m: Machine, p: StreamProgram, params: &RijndaelParams) -> crate::common::Prepared {
+/// The plan of either version: `m` holds the allocation, `p` is the
+/// measured program; the load lays out memory, then does `setup`.
+fn planned(m: Machine, p: StreamProgram, params: &RijndaelParams, setup: Setup) -> Plan {
     let params = *params;
     let outputs = vec![(layout().ct_base, params.total_blocks() * 4)];
-    crate::common::Prepared::new(m, p, outputs, move |m| verify(m, &params))
+    let load = move |m: &mut Machine| load_and_set_up(m, &params, &setup);
+    Plan::new(m, p, outputs, load, move |m| verify(m, &params))
 }
 
-/// Prepare the ISRF version (valid on `Isrf1`/`Isrf4`).
-fn prepare_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::Prepared {
+/// Plan the ISRF version (valid on `Isrf1`/`Isrf4`).
+fn plan_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> Plan {
     let mut m = machine(cfg);
-    let layout = lay_out_memory(&mut m, params);
+    let layout = layout();
     let rk = aes::key_expansion(&aes::FIPS_KEY);
     let kernel = Arc::new(build_isrf_kernel(&rk, params.chains_per_lane));
     let sched = schedule_for(&m, &kernel);
@@ -414,8 +437,7 @@ fn prepare_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::
         isrf_verify::Verifier::new().verify(m.config(), &m.verify_env(), &setup),
         Ok(())
     );
-    m.run(&setup);
-    m.reset_stats();
+    m.note_program_fills(&setup);
 
     let mut p = StreamProgram::new();
     let mut prev_kernel = None;
@@ -449,15 +471,15 @@ fn prepare_isrf(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::
         prev_kernel = Some(k);
         buf_user[pick] = Some(k);
     }
-    prepared(m, p, params)
+    planned(m, p, params, Setup::Program(setup))
 }
 
-/// Prepare the Base/Cache version: 11 kernels per wave with data-dependent
+/// Plan the Base/Cache version: 11 kernels per wave with data-dependent
 /// gathers between them; `cacheable` routes the gathers through the cache.
-fn prepare_base(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::Prepared {
+fn plan_base(cfg: &MachineConfig, params: &RijndaelParams) -> Plan {
     let mut m = machine(cfg);
     let cacheable = cfg.cache.is_some();
-    let layout = lay_out_memory(&mut m, params);
+    let layout = layout();
     let rk = aes::key_expansion(&aes::FIPS_KEY);
     let kernels: Vec<Arc<Kernel>> = (0..=10)
         .map(|r| Arc::new(build_base_kernel(&rk, r, &layout.te_bases)))
@@ -494,10 +516,9 @@ fn prepare_base(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::
             ct: m.alloc_stream(4, strip_blocks),
         })
         .collect();
-    // Zero the wave-0 chain state (the IV).
+    // The wave-0 chain state (the IV) is zeroed by the load.
     for b in &bufs {
-        let zeros = vec![0u32; (wave_blocks * 4) as usize];
-        m.write_stream(&b.iv, &zeros);
+        m.note_filled(&b.iv);
     }
 
     let mut p = StreamProgram::new();
@@ -587,17 +608,19 @@ fn prepare_base(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::
         );
     }
 
-    prepared(m, p, params)
+    let ivs = bufs.iter().map(|b| b.iv).collect();
+    planned(m, p, params, Setup::ZeroIvs(ivs))
 }
 
-/// Set up the machine (tables, plaintext, any un-measured setup) and build
-/// the measured program without running it. The check compares the
-/// ciphertext with the FIPS-checked reference cipher.
-pub fn prepare(cfg: &MachineConfig, params: &RijndaelParams) -> crate::common::Prepared {
+/// Build the measured program, any un-measured setup program and their
+/// machine's SRF allocation; the load lays out tables and plaintext and
+/// runs the setup. The check compares the ciphertext with the
+/// FIPS-checked reference cipher.
+pub fn plan(cfg: &MachineConfig, params: &RijndaelParams) -> Plan {
     if cfg.srf.indexed.is_some() {
-        prepare_isrf(cfg, params)
+        plan_isrf(cfg, params)
     } else {
-        prepare_base(cfg, params)
+        plan_base(cfg, params)
     }
 }
 
@@ -608,7 +631,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, params: &RijndaelParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     fn small() -> RijndaelParams {

@@ -33,7 +33,7 @@ use isrf_sim::{StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, schedule_for};
+use crate::common::{machine, schedule_for, Plan, Prepared};
 
 /// Benchmark sizing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,13 +227,13 @@ pub fn build_bitonic_kernel(k: u32, d: u32) -> Kernel {
     b.build().expect("bitonic kernel is well-formed")
 }
 
-fn lay_out_keys(m: &mut isrf_sim::Machine, params: &SortParams) -> Vec<Word> {
+/// The load stage: the seeded keys at `IN_BASE`.
+fn load_keys(m: &mut isrf_sim::Machine, params: &SortParams) {
     let n = params.keys_per_lane * 8;
     let mut rng = SmallRng::seed_from_u64(params.seed);
     // Keys below 2^31 so signed min/max in the bitonic kernel is exact.
     let keys: Vec<Word> = (0..n).map(|_| rng.gen_range(0..0x7fff_ffff)).collect();
     m.mem_mut().memory_mut().write_block(IN_BASE, &keys);
-    keys
 }
 
 /// The host check: every lane's run is sorted and the output is a
@@ -262,21 +262,16 @@ fn verify(m: &isrf_sim::Machine, keys_per_lane: u32) {
     assert_eq!(a, b, "output is not a permutation of the input");
 }
 
-fn prepared(
-    m: isrf_sim::Machine,
-    p: StreamProgram,
-    params: &SortParams,
-) -> crate::common::Prepared {
-    let keys_per_lane = params.keys_per_lane;
-    crate::common::Prepared::new(m, p, vec![(OUT_BASE, keys_per_lane * 8)], move |m| {
-        verify(m, keys_per_lane)
-    })
+fn planned(m: isrf_sim::Machine, p: StreamProgram, params: &SortParams) -> Plan {
+    let (params, keys_per_lane) = (*params, params.keys_per_lane);
+    let outputs = vec![(OUT_BASE, keys_per_lane * 8)];
+    let load = move |m: &mut isrf_sim::Machine| load_keys(m, &params);
+    Plan::new(m, p, outputs, load, move |m| verify(m, keys_per_lane))
 }
 
-/// Prepare the ISRF version: log2(n) two-pointer merge passes per lane.
-fn prepare_isrf(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
+/// Plan the ISRF version: log2(n) two-pointer merge passes per lane.
+fn plan_isrf(cfg: &MachineConfig, params: &SortParams) -> Plan {
     let mut m = machine(cfg);
-    lay_out_keys(&mut m, params);
     let n = params.keys_per_lane * 8;
     // One extra word per lane pads the regions for exhausted-cursor loads.
     let x = m.alloc_stream(1, n + 8).slice(0, n);
@@ -308,13 +303,12 @@ fn prepare_isrf(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prep
         run *= 2;
     }
     p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
-    prepared(m, p, params)
+    planned(m, p, params)
 }
 
-/// Prepare the Base/Cache version: conditional-stream merge passes.
-fn prepare_base(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
+/// Plan the Base/Cache version: conditional-stream merge passes.
+fn plan_base(cfg: &MachineConfig, params: &SortParams) -> Plan {
     let mut m = machine(cfg);
-    lay_out_keys(&mut m, params);
     let n = params.keys_per_lane * 8;
     let x = m.alloc_stream(1, n);
     let y = m.alloc_stream(1, n);
@@ -346,14 +340,13 @@ fn prepare_base(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prep
         run *= 2;
     }
     p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
-    prepared(m, p, params)
+    planned(m, p, params)
 }
 
 /// Ablation: the baseline recast as a bitonic sorting network over strided
 /// stream windows (data-independent accesses; more comparison stages).
-pub fn prepare_base_bitonic(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
+pub fn prepare_base_bitonic(cfg: &MachineConfig, params: &SortParams) -> Prepared {
     let mut m = machine(cfg);
-    lay_out_keys(&mut m, params);
     let n = params.keys_per_lane * 8;
     let x = m.alloc_stream(1, n);
     let y = m.alloc_stream(1, n);
@@ -386,25 +379,25 @@ pub fn prepare_base_bitonic(cfg: &MachineConfig, params: &SortParams) -> crate::
         }
     }
     p.store(cur, AddrPattern::contiguous(OUT_BASE, n), false, &[last]);
-    prepared(m, p, params)
+    planned(m, p, params).load()
 }
 
-/// Set up the machine (key layout) and build the measured program without
-/// running it. The check holds the output to be sorted per lane and a
-/// permutation of the input.
+/// Build the measured program and its machine's SRF allocation; the load
+/// lays out the keys. The check holds the output to be sorted per lane
+/// and a permutation of the input.
 ///
 /// # Panics
 ///
 /// Panics if `params.keys_per_lane` is not a power of two ≥ 2.
-pub fn prepare(cfg: &MachineConfig, params: &SortParams) -> crate::common::Prepared {
+pub fn plan(cfg: &MachineConfig, params: &SortParams) -> Plan {
     assert!(
         params.keys_per_lane.is_power_of_two() && params.keys_per_lane >= 2,
         "keys_per_lane must be a power of two"
     );
     if cfg.srf.indexed.is_some() {
-        prepare_isrf(cfg, params)
+        plan_isrf(cfg, params)
     } else {
-        prepare_base(cfg, params)
+        plan_base(cfg, params)
     }
 }
 
@@ -429,7 +422,7 @@ mod tests {
     use isrf_kernel::sched::{schedule, SchedParams};
 
     fn run(cfg: ConfigName, params: &SortParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     fn small() -> SortParams {

@@ -37,12 +37,12 @@ use isrf_core::word::{from_f32, Word};
 use isrf_core::Memo;
 use isrf_kernel::ir::{Kernel, KernelBuilder, StreamKind};
 use isrf_mem::AddrPattern;
-use isrf_sim::StreamProgram;
+use isrf_sim::{Machine, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{machine, memoized};
-use crate::gather::{condense, Condensed, Gather, Layout, Strips};
+use crate::common::{machine, memoized, Plan, Prepared};
+use crate::gather::{condense, load_pointers, Condensed, Gather, Layout, Strips};
 
 /// Benchmark sizing and matrix-shape knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,11 +168,48 @@ fn gen_key(p: &SpmvParams) -> GenKey {
 /// crate's unit tests four.
 const MATRIX_BUDGET: u64 = 16;
 
-/// [`generate`], memoized: every configuration (and the host reference)
-/// of a parameter point shares one matrix.
-fn generate_cached(params: &SpmvParams) -> Arc<(Csr, Vec<f32>)> {
-    static MATRICES: Memo<GenKey, (Csr, Vec<f32>)> = Memo::new(MATRIX_BUDGET);
-    memoized(&MATRICES, gen_key(params), || generate(params))
+/// A matrix and its `x`, with the matrix padded and condensed per strip
+/// for the gather: what every configuration of a parameter point shares.
+struct Matrix {
+    data: Arc<(Csr, Vec<f32>)>,
+    strip_rows: u32,
+    pad: u32,
+    strips: Vec<Condensed>,
+}
+
+impl Matrix {
+    /// Check `(csr, x)` as [`prepare_csr`] documents, then condense it.
+    fn new(data: Arc<(Csr, Vec<f32>)>, strip_rows: u32) -> Matrix {
+        let (csr, x) = (&data.0, &data.1);
+        assert!(strip_rows.is_multiple_of(8) && strip_rows > 0);
+        assert!(csr.rows.is_multiple_of(strip_rows) && csr.rows > 0);
+        assert_eq!(x.len() as u32, csr.cols);
+        assert!(
+            csr.col_idx.iter().all(|&c| c < csr.cols),
+            "column out of range"
+        );
+        assert!(
+            x.iter().all(|v| v.is_finite()),
+            "x holds a non-finite entry"
+        );
+        let pad = pad_of(csr);
+        let strips = condense_strips(csr, strip_rows, pad);
+        Matrix {
+            data,
+            strip_rows,
+            pad,
+            strips,
+        }
+    }
+}
+
+/// [`generate`] and [`condense_strips`], memoized: every configuration
+/// (and the host reference) of a parameter point shares one matrix.
+fn matrix_cached(params: &SpmvParams) -> Arc<Matrix> {
+    static MATRICES: Memo<GenKey, Matrix> = Memo::new(MATRIX_BUDGET);
+    memoized(&MATRICES, gen_key(params), || {
+        Matrix::new(Arc::new(generate(params)), params.strip_rows)
+    })
 }
 
 /// Common padded row length for `csr`: the longest row, rounded up to a
@@ -250,9 +287,9 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
 }
 
 /// Set up the machine and build the measured program for an explicit
-/// matrix and vector `(csr, x)` (the proptest entry point — [`prepare`]
-/// feeds the deterministic generator through here). The check compares
-/// `y` bit-for-bit with the padded host reference.
+/// matrix and vector `(csr, x)` (the proptest entry point — [`plan`]
+/// feeds the deterministic generator through the same plan). The check
+/// compares `y` bit-for-bit with the padded host reference.
 ///
 /// # Panics
 ///
@@ -260,36 +297,28 @@ pub fn build_kernel(pad: u32, indexed: bool) -> Kernel {
 /// `csr.rows`, `x.len() != csr.cols`, a column index is not below
 /// `csr.cols`, or an `x` entry is not finite (a pad multiplies one by
 /// 0.0).
-pub fn prepare_csr(
-    cfg: &MachineConfig,
-    data: Arc<(Csr, Vec<f32>)>,
-    strip_rows: u32,
-) -> crate::common::Prepared {
-    let (csr, x) = (&data.0, &data.1);
-    assert!(strip_rows.is_multiple_of(8) && strip_rows > 0);
-    assert!(csr.rows.is_multiple_of(strip_rows) && csr.rows > 0);
-    assert_eq!(x.len() as u32, csr.cols);
-    assert!(
-        csr.col_idx.iter().all(|&c| c < csr.cols),
-        "column out of range"
-    );
-    assert!(
-        x.iter().all(|v| v.is_finite()),
-        "x holds a non-finite entry"
-    );
-    let indexed = cfg.srf.indexed.is_some();
-    let mut m = machine(cfg);
+pub fn prepare_csr(cfg: &MachineConfig, data: Arc<(Csr, Vec<f32>)>, strip_rows: u32) -> Prepared {
+    plan_matrix(cfg, Arc::new(Matrix::new(data, strip_rows))).load()
+}
 
-    let pad = pad_of(csr);
-    let condensed = condense_strips(csr, strip_rows, pad);
+/// The load stage: `x` and the padded matrix values in memory, then the
+/// strips' pointers.
+fn load_matrix(m: &mut Machine, mx: &Matrix, gather: Gather, layout: Layout) {
+    let (csr, x) = (&mx.data.0, &mx.data.1);
     let val_words: Vec<Word> = (0..csr.rows)
-        .flat_map(|i| padded(csr, i, pad).map(|(_, v)| from_f32(v)))
+        .flat_map(|i| padded(csr, i, mx.pad).map(|(_, v)| from_f32(v)))
         .collect();
     let x_words: Vec<Word> = x.iter().map(|&v| from_f32(v)).collect();
     let mem = m.mem_mut().memory_mut();
     mem.write_block(X_BASE, &x_words);
     mem.write_block(VAL_BASE, &val_words);
+    load_pointers(m, gather, layout, &mx.strips);
+}
 
+/// One sweep of `mx`'s strips on `cfg`; the load lays out the matrix.
+fn plan_matrix(cfg: &MachineConfig, mx: Arc<Matrix>) -> Plan {
+    let (indexed, pad, strip_rows) = (cfg.srf.indexed.is_some(), mx.pad, mx.strip_rows);
+    let mut m = machine(cfg);
     let kernel = Arc::new(build_kernel(pad, indexed));
     let layout = Layout {
         strip: strip_rows,
@@ -298,7 +327,7 @@ pub fn prepare_csr(
         cap: None,
     };
     let gather = Gather::new(pad, 1, indexed);
-    let mut strips = Strips::new(&mut m, kernel, gather, layout, &condensed);
+    let mut strips = Strips::new(&mut m, kernel, gather, layout, &mx.strips);
     let mut p = StreamProgram::new();
     let span = strip_rows * pad;
     strips.sweep(
@@ -308,10 +337,12 @@ pub fn prepare_csr(
         |s, ptrs| [ptrs, AddrPattern::contiguous(VAL_BASE + s * span, span)],
         |s| AddrPattern::contiguous(Y_BASE + s * strip_rows, strip_rows),
     );
-    let rows = csr.rows;
-    crate::common::Prepared::new(m, p, vec![(Y_BASE, rows)], move |m| {
-        let (csr, x) = (&data.0, &data.1);
-        for (i, &e) in reference(csr, x, pad_of(csr)).iter().enumerate() {
+    let rows = mx.data.0.rows;
+    let loaded = Arc::clone(&mx);
+    let load = move |m: &mut Machine| load_matrix(m, &loaded, gather, layout);
+    Plan::new(m, p, vec![(Y_BASE, rows)], load, move |m| {
+        let (csr, x) = (&mx.data.0, &mx.data.1);
+        for (i, &e) in reference(csr, x, mx.pad).iter().enumerate() {
             let got = m.mem().memory().read(Y_BASE + i as u32);
             assert_eq!(
                 got,
@@ -323,10 +354,11 @@ pub fn prepare_csr(
     })
 }
 
-/// Set up the machine (generated matrix) and build the measured program
-/// without running it; checked as [`prepare_csr`] checks.
-pub fn prepare(cfg: &MachineConfig, params: &SpmvParams) -> crate::common::Prepared {
-    prepare_csr(cfg, generate_cached(params), params.strip_rows)
+/// Build the measured program and its machine's SRF allocation for the
+/// generated matrix; the load lays out the matrix. Checked as
+/// [`prepare_csr`] checks.
+pub fn plan(cfg: &MachineConfig, params: &SpmvParams) -> Plan {
+    plan_matrix(cfg, matrix_cached(params))
 }
 
 #[cfg(test)]
@@ -337,7 +369,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, params: &SpmvParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     fn small() -> SpmvParams {
@@ -385,7 +417,7 @@ mod tests {
             empty_pct: 100,
             ..small()
         };
-        let mut pr = prepare(&ConfigName::Isrf4.into(), &params);
+        let mut pr = plan(&ConfigName::Isrf4.into(), &params).load();
         pr.run_checked();
         for i in 0..params.rows {
             assert_eq!(pr.machine.mem().memory().read(Y_BASE + i), 0);

@@ -31,7 +31,7 @@ use isrf_sim::{Machine, ProgOpId, StreamBinding, StreamProgram};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::common::{lane_block_load, lane_block_store, machine, schedule_for};
+use crate::common::{lane_block_load, lane_block_store, machine, schedule_for, Plan, Prepared};
 
 /// Grid width in words (fixed; rows are configurable).
 pub const COLS: u32 = 64;
@@ -302,7 +302,8 @@ fn emit_pass(
     stores
 }
 
-fn lay_out_grid(m: &mut Machine, params: &StencilParams) {
+/// The load stage: the seeded grid at `IN_BASE`.
+fn load_grid(m: &mut Machine, params: &StencilParams) {
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let words: Vec<Word> = (0..params.rows * COLS)
         .map(|_| from_f32(rng.gen_range(0.0f32..1.0)))
@@ -310,23 +311,18 @@ fn lay_out_grid(m: &mut Machine, params: &StencilParams) {
     m.mem_mut().memory_mut().write_block(IN_BASE, &words);
 }
 
-/// Set up the machine and build `passes` — `(points, input base, output
-/// base)`, each depending on the one before — without running them. The
-/// check holds every pass's output bit-for-bit to the mirrored host
-/// reference of its input grid as memory holds it after the run.
-fn prepare_passes(
-    cfg: &MachineConfig,
-    params: &StencilParams,
-    passes: Vec<(u32, u32, u32)>,
-) -> crate::common::Prepared {
+/// Build `passes` — `(points, input base, output base)`, each depending
+/// on the one before — and their machine's SRF allocation; the load lays
+/// out the grid. The check holds every pass's output bit-for-bit to the
+/// mirrored host reference of its input grid as memory holds it after the
+/// run.
+fn plan_passes(cfg: &MachineConfig, params: &StencilParams, passes: Vec<(u32, u32, u32)>) -> Plan {
     assert!(
         params.rows.is_multiple_of(STRIP_ROWS) && params.rows >= STRIP_ROWS,
         "rows must be a positive multiple of {STRIP_ROWS}"
     );
     let indexed = cfg.srf.indexed.is_some();
     let mut m = machine(cfg);
-    lay_out_grid(&mut m, params);
-
     let kernels: Vec<_> = passes
         .iter()
         .map(|&(points, ..)| {
@@ -351,7 +347,9 @@ fn prepare_passes(
     }
     let words = (rows * COLS) as usize;
     let outputs = passes.iter().map(|&(.., out)| (out, rows * COLS)).collect();
-    crate::common::Prepared::new(m, p, outputs, move |m| {
+    let params = *params;
+    let load = move |m: &mut Machine| load_grid(m, &params);
+    Plan::new(m, p, outputs, load, move |m| {
         for &(points, in_base, out_base) in &passes {
             let grid: Vec<f32> = m
                 .mem()
@@ -373,15 +371,14 @@ fn prepare_passes(
     })
 }
 
-/// Set up the machine and build the full two-pass suite (5-point on the
-/// input grid, 9-point on its output) without running it; both pass
-/// outputs are checked.
+/// Plan the full two-pass suite (5-point on the input grid, 9-point on
+/// its output); both pass outputs are checked.
 ///
 /// # Panics
 ///
 /// Panics if `params.rows` is not a positive multiple of 32.
-pub fn prepare(cfg: &MachineConfig, params: &StencilParams) -> crate::common::Prepared {
-    prepare_passes(
+pub fn plan(cfg: &MachineConfig, params: &StencilParams) -> Plan {
+    plan_passes(
         cfg,
         params,
         vec![(5, IN_BASE, MID_BASE), (9, MID_BASE, OUT_BASE)],
@@ -395,12 +392,8 @@ pub fn prepare(cfg: &MachineConfig, params: &StencilParams) -> crate::common::Pr
 ///
 /// Panics if `params.rows` is not a positive multiple of 32 or `points`
 /// is not 5 or 9.
-pub fn prepare_pass(
-    cfg: &MachineConfig,
-    params: &StencilParams,
-    points: u32,
-) -> crate::common::Prepared {
-    prepare_passes(cfg, params, vec![(points, IN_BASE, OUT_BASE)])
+pub fn prepare_pass(cfg: &MachineConfig, params: &StencilParams, points: u32) -> Prepared {
+    plan_passes(cfg, params, vec![(points, IN_BASE, OUT_BASE)]).load()
 }
 
 #[cfg(test)]
@@ -410,7 +403,7 @@ mod tests {
     use isrf_core::stats::RunStats;
 
     fn run(cfg: ConfigName, params: &StencilParams) -> RunStats {
-        prepare(&cfg.into(), params).run_checked()
+        plan(&cfg.into(), params).load().run_checked()
     }
 
     fn small() -> StencilParams {

@@ -1,16 +1,20 @@
 //! Point execution: turn a [`PointSpec`] into a running machine, advance
 //! it in bounded slices, checkpoint it, and collect the outcome.
 //!
-//! Named apps go through [`isrf_apps::prepare_app`]; inline kernels go
-//! through a canonical source harness (deterministic input fill, one
-//! kernel invocation, outputs read back from the SRF). Both paths share
-//! the process-global schedule and tape memos, so a warm server compiles
-//! each distinct kernel exactly once no matter how many jobs reference it.
+//! Every point is a plan plus a load ([`isrf_apps::common::Plan`]). Named
+//! apps are planned by [`isrf_apps::plan_app`]; inline kernels by a
+//! canonical source harness (deterministic input fill, one kernel
+//! invocation, outputs read back from the SRF). Admission
+//! ([`analyze_point`]) verifies the plan and builds no data; a worker
+//! ([`PointRunner::new`]) verifies the same plan, then loads it, so a
+//! refused program never has its data built. Both paths share the
+//! process-global schedule and tape memos, so a warm server compiles each
+//! distinct kernel exactly once no matter how many jobs reference it.
 
 use std::sync::Arc;
 
-use isrf_apps::common::Prepared;
-use isrf_apps::{prepare_app, Profile};
+use isrf_apps::common::{Plan, Prepared};
+use isrf_apps::{plan_app, Profile};
 use isrf_core::config::MachineConfig;
 use isrf_core::stats::RunStats;
 use isrf_core::Word;
@@ -130,7 +134,8 @@ pub struct PointRunner {
 }
 
 impl PointRunner {
-    /// Prepare a fresh runner for `spec`.
+    /// Prepare a fresh runner for `spec`: plan it, verify the plan, then
+    /// load it.
     ///
     /// # Errors
     ///
@@ -138,18 +143,26 @@ impl PointRunner {
     /// lowering failures of inline source, scheduling failure, or static
     /// verification diagnostics.
     pub fn new(spec: &PointSpec, trace: bool) -> Result<PointRunner, String> {
-        let mut runner = Self::build(spec)?;
+        let (plan, outputs) = plan(spec)?;
         // Verify up front on both paths so a hazardous program surfaces as
         // a structured failure instead of a worker panic mid-simulation.
-        let m = &runner.machine;
-        Verifier::new()
-            .verify(m.config(), &m.verify_env(), &runner.program)
-            .map_err(|e| format!("static verification failed: {e}"))?;
-        runner.trace = trace;
+        verify(&plan).map_err(|e| format!("static verification failed: {e}"))?;
+        // The app's host check is dropped here: a job returns its words,
+        // it does not judge them.
+        let Prepared {
+            mut machine,
+            program,
+            ..
+        } = plan.load();
         if trace {
-            runner.machine.set_tracer(Tracer::recording(1 << 20));
+            machine.set_tracer(Tracer::recording(1 << 20));
         }
-        Ok(runner)
+        Ok(PointRunner {
+            machine,
+            program,
+            outputs,
+            trace,
+        })
     }
 
     /// Prepare a runner and restore a checkpoint into it (drain/restart
@@ -171,97 +184,6 @@ impl PointRunner {
         }
         runner.trace = trace;
         Ok(runner)
-    }
-
-    /// Construct machine + program for `spec` without verifying or
-    /// installing a tracer. Shared between execution
-    /// ([`PointRunner::new`]) and pre-admission analysis
-    /// ([`analyze_point`]) so the two can never drift apart.
-    fn build(spec: &PointSpec) -> Result<PointRunner, String> {
-        match &spec.app {
-            AppRef::Named(name) => {
-                // The app's host check is dropped here: a job returns
-                // its words, it does not judge them.
-                let Prepared {
-                    machine,
-                    program,
-                    outputs,
-                    ..
-                } = prepare_app(name, spec.config, spec.profile);
-                Ok(PointRunner {
-                    machine,
-                    program,
-                    outputs: outputs
-                        .iter()
-                        .map(|&(base, words)| {
-                            (format!("mem@{base:#x}"), OutputSel::Mem(base, words))
-                        })
-                        .collect(),
-                    trace: false,
-                })
-            }
-            AppRef::Source {
-                src,
-                records_per_lane,
-                table_records_per_lane,
-                seed,
-            } => Self::from_source(src, *records_per_lane, *table_records_per_lane, *seed, spec),
-        }
-    }
-
-    fn from_source(
-        src: &str,
-        records_per_lane: u32,
-        table_records_per_lane: u32,
-        seed: u32,
-        spec: &PointSpec,
-    ) -> Result<PointRunner, String> {
-        // `Paper` quadruples the workload for inline kernels.
-        let rpl = match spec.profile {
-            Profile::Small => records_per_lane,
-            Profile::Paper => records_per_lane.saturating_mul(4).min(4096),
-        };
-        let kernel = Arc::new(isrf_lang::parse_kernel(src).map_err(|e| format!("{e}"))?);
-        let mut machine = isrf_apps::common::machine(&MachineConfig::preset(spec.config));
-        let lanes = machine.config().lanes as u32;
-        let sched = schedule_cached(&kernel, &SchedParams::from_machine(machine.config()))
-            .map_err(|e| format!("scheduling failed: {e}"))?;
-
-        let mut bindings = Vec::new();
-        let mut outputs = Vec::new();
-        for (i, decl) in kernel.streams.iter().enumerate() {
-            let records = match decl.kind {
-                StreamKind::IdxInRead | StreamKind::IdxCrossRead => table_records_per_lane * lanes,
-                _ => rpl * lanes,
-            };
-            let b = machine.alloc_stream(1, records);
-            match decl.kind {
-                StreamKind::SeqIn
-                | StreamKind::CondIn
-                | StreamKind::CondLaneIn
-                | StreamKind::IdxInRead
-                | StreamKind::IdxCrossRead => {
-                    let salt = seed.wrapping_add(i as u32).wrapping_mul(0x9e37_79b9);
-                    let data: Vec<Word> = (0..b.words())
-                        .map(|k| k.wrapping_mul(2654435761).wrapping_add(salt))
-                        .collect();
-                    machine.write_stream(&b, &data);
-                }
-                StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite => {
-                    outputs.push((decl.name.clone(), OutputSel::Stream(b)));
-                }
-            }
-            bindings.push(b);
-        }
-
-        let mut program = StreamProgram::new();
-        program.kernel(kernel, sched, bindings, u64::from(rpl), &[]);
-        Ok(PointRunner {
-            machine,
-            program,
-            outputs,
-            trace: false,
-        })
     }
 
     /// Cycles simulated so far on this machine (progress reporting).
@@ -331,9 +253,102 @@ impl PointRunner {
     }
 }
 
-/// Statically analyze `spec` without simulating a cycle: build the same
-/// machine + program a worker would run and hand them to
-/// [`Verifier::verify`]. `Ok(())` means the point is admissible; `Err`
+/// [`Verifier::verify`] on what a plan's machine and program hold.
+fn verify(plan: &Plan) -> Result<(), VerifyError> {
+    let m = &plan.machine;
+    Verifier::new().verify(m.config(), &m.verify_env(), &plan.program)
+}
+
+/// The plan of `spec` and where its outputs are read. Shared between
+/// execution ([`PointRunner::new`]) and pre-admission analysis
+/// ([`analyze_point`]) so the two can never drift apart.
+fn plan(spec: &PointSpec) -> Result<(Plan, Vec<(String, OutputSel)>), String> {
+    match &spec.app {
+        AppRef::Named(name) => {
+            let plan = plan_app(name, spec.config, spec.profile);
+            let outputs = plan
+                .outputs
+                .iter()
+                .map(|&(base, words)| (format!("mem@{base:#x}"), OutputSel::Mem(base, words)))
+                .collect();
+            Ok((plan, outputs))
+        }
+        AppRef::Source {
+            src,
+            records_per_lane,
+            table_records_per_lane,
+            seed,
+        } => plan_source(src, *records_per_lane, *table_records_per_lane, *seed, spec),
+    }
+}
+
+/// The source harness: one invocation of the kernel `src` over streams of
+/// `records_per_lane` records (`table_records_per_lane` for indexed
+/// tables); the load fills its inputs with words derived from `seed`.
+fn plan_source(
+    src: &str,
+    records_per_lane: u32,
+    table_records_per_lane: u32,
+    seed: u32,
+    spec: &PointSpec,
+) -> Result<(Plan, Vec<(String, OutputSel)>), String> {
+    // `Paper` quadruples the workload for inline kernels.
+    let rpl = match spec.profile {
+        Profile::Small => records_per_lane,
+        Profile::Paper => records_per_lane.saturating_mul(4).min(4096),
+    };
+    let kernel = Arc::new(isrf_lang::parse_kernel(src).map_err(|e| format!("{e}"))?);
+    let mut machine = isrf_apps::common::machine(&MachineConfig::preset(spec.config));
+    let lanes = machine.config().lanes as u32;
+    let sched = schedule_cached(&kernel, &SchedParams::from_machine(machine.config()))
+        .map_err(|e| format!("scheduling failed: {e}"))?;
+
+    let mut bindings = Vec::new();
+    let mut inputs = Vec::new();
+    let mut outputs = Vec::new();
+    for (i, decl) in kernel.streams.iter().enumerate() {
+        let records = match decl.kind {
+            StreamKind::IdxInRead | StreamKind::IdxCrossRead => table_records_per_lane * lanes,
+            _ => rpl * lanes,
+        };
+        let b = machine.alloc_stream(1, records);
+        match decl.kind {
+            StreamKind::SeqIn
+            | StreamKind::CondIn
+            | StreamKind::CondLaneIn
+            | StreamKind::IdxInRead
+            | StreamKind::IdxCrossRead => {
+                machine.note_filled(&b);
+                inputs.push((b, seed.wrapping_add(i as u32).wrapping_mul(0x9e37_79b9)));
+            }
+            StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite => {
+                outputs.push((decl.name.clone(), OutputSel::Stream(b)));
+            }
+        }
+        bindings.push(b);
+    }
+
+    let mut program = StreamProgram::new();
+    program.kernel(kernel, sched, bindings, u64::from(rpl), &[]);
+    let load = move |m: &mut Machine| load_inputs(m, &inputs);
+    Ok((Plan::new(machine, program, vec![], load, |_| {}), outputs))
+}
+
+/// The source harness's load stage: input stream `b` salted `salt` holds
+/// `k * 2654435761 + salt` at word `k`.
+fn load_inputs(m: &mut Machine, inputs: &[(StreamBinding, u32)]) {
+    for (b, salt) in inputs {
+        let data: Vec<Word> = (0..b.words())
+            .map(|k| k.wrapping_mul(2654435761).wrapping_add(*salt))
+            .collect();
+        m.write_stream(b, &data);
+    }
+}
+
+/// Statically analyze `spec` without simulating a cycle: plan the point a
+/// worker would run — config, SRF allocation, program, `VerifyEnv`, but
+/// no memory image, no input data and no setup program run — and hand it
+/// to [`Verifier::verify`]. `Ok(())` means the point is admissible; `Err`
 /// carries one [`Diagnostic::to_json`] object per finding. Build failures
 /// (parse, lowering, scheduling) are reported as a single `E000`/`build`
 /// [`Diagnostic`], so every rejection reaches the client in the same
@@ -347,8 +362,8 @@ impl PointRunner {
 ///
 /// The structured diagnostics that make the point inadmissible.
 pub fn analyze_point(spec: &PointSpec) -> Result<(), Vec<Json>> {
-    let verdict = match PointRunner::build(spec) {
-        Ok(r) => Verifier::new().verify(r.machine.config(), &r.machine.verify_env(), &r.program),
+    let verdict = match plan(spec) {
+        Ok((plan, _)) => verify(&plan),
         Err(message) => Err(VerifyError {
             diagnostics: vec![Diagnostic {
                 code: "E000".into(),
@@ -476,6 +491,62 @@ mod tests {
         });
         let walks: Vec<u32> = kernels.map(|k| k.hash_walks()).collect();
         assert_eq!(walks, [1]);
+    }
+
+    fn inline(src: &str) -> PointSpec {
+        PointSpec {
+            app: AppRef::Source {
+                src: src.into(),
+                records_per_lane: 8,
+                table_records_per_lane: 4,
+                seed: 1,
+            },
+            config: ConfigName::Isrf4,
+            profile: Profile::Small,
+            engine: ExecEngine::Tape,
+        }
+    }
+
+    /// Admission's answers, pinned to what they were when analysis still
+    /// built every point's data: every named point admits, and a hazardous
+    /// and an unparsable source come back as the same JSON, byte for byte.
+    #[test]
+    fn analyze_point_answers_as_it_did_before_plans() {
+        for profile in [Profile::Small, Profile::Paper] {
+            for app in isrf_apps::APPS {
+                for config in ConfigName::ALL {
+                    let spec = PointSpec {
+                        app: AppRef::Named(app.into()),
+                        config,
+                        profile,
+                        engine: ExecEngine::Tape,
+                    };
+                    assert_eq!(analyze_point(&spec), Ok(()), "{app}/{config}/{profile:?}");
+                }
+            }
+        }
+        let hazard = inline(
+            "kernel hazard(istream<int> in, idxl_istream<int> T, ostream<int> out) {\n  \
+             int x, t;\n  while (!eos(in)) {\n    in >> x;\n    T[100] >> t;\n    \
+             out << x + t;\n  }\n}\n",
+        );
+        let json = |spec| Json::Arr(analyze_point(spec).unwrap_err()).render();
+        assert_eq!(
+            json(&hazard),
+            r#"[{"code":"V303","check":"indexed","message":"index into stream `T` is provably out of bounds: value in [100, 100] but valid records are 0..=3","prog_op":0,"kernel":"hazard","line":5}]"#
+        );
+        assert_eq!(
+            json(&inline("kernel oops(istream<int> in) { € }")),
+            r#"[{"code":"E000","check":"build","message":"line 1: unexpected character `€`"}]"#
+        );
+        assert_eq!(
+            PointRunner::new(&hazard, false).err().as_deref(),
+            Some(
+                "static verification failed: program failed verification with 1 finding(s):\n  \
+                 V303 [indexed] program op 0 kernel `hazard` op 2 (line 5): index into stream \
+                 `T` is provably out of bounds: value in [100, 100] but valid records are 0..=3\n"
+            )
+        );
     }
 
     #[test]

@@ -334,9 +334,12 @@ impl Machine {
         self.filled = merged;
     }
 
-    /// Record the SRF intervals a completed `program` wrote: load/gather
-    /// destinations and every output binding of each kernel.
-    fn note_program_fills(&mut self, program: &StreamProgram) {
+    /// Record the SRF intervals `program` writes: load/gather destinations
+    /// and every output binding of each kernel. The one rule for what a
+    /// program fills: [`Machine::step`] applies it when a program
+    /// completes, and an app's plan applies it to the setup program its
+    /// load will run, so the [`VerifyEnv`] is known before anything runs.
+    pub fn note_program_fills(&mut self, program: &StreamProgram) {
         use isrf_kernel::ir::StreamKind;
         let mut wrote = |r: SrfRange| self.add_fill(r.base, r.base + r.words_per_bank);
         for node in &program.nodes {
@@ -377,6 +380,13 @@ impl Machine {
     /// Write data into a stream's SRF storage directly (test setup).
     pub fn write_stream(&mut self, b: &StreamBinding, data: &[Word]) {
         self.srf.write_stream(b, data);
+        self.note_filled(b);
+    }
+
+    /// Record that `b`'s storage holds data without writing it: a plan
+    /// marks what its load will write, so the [`VerifyEnv`] is known
+    /// before the data is built.
+    pub fn note_filled(&mut self, b: &StreamBinding) {
         self.add_fill(b.range.base, b.range.base + b.range.words_per_bank);
     }
 

@@ -2,14 +2,15 @@
 //! configurations and compare: the table lookups that hammer off-chip
 //! memory on the sequential-SRF baseline become cheap in-lane indexed SRF
 //! accesses (the paper's headline 4.1x speedup, ~95% traffic reduction).
-//! Each point is `rijndael::prepare(&config, &params).run_checked()`: the
-//! app's one entry point, then the run and its host check.
+//! Each point is `rijndael::plan(&config, &params).load().run_checked()`:
+//! the app's one entry point, its data loaded, then the run and its host
+//! check.
 //!
 //! ```sh
 //! cargo run --release --example aes_encrypt
 //! ```
 
-use isrf::apps::rijndael::{prepare, RijndaelParams};
+use isrf::apps::rijndael::{plan, RijndaelParams};
 use isrf::core::config::ConfigName;
 
 fn main() {
@@ -23,7 +24,7 @@ fn main() {
         "{:<8} {:>10} {:>10} {:>12} {:>10}",
         "config", "cycles", "speedup", "DRAM bytes", "MB/s@1GHz"
     );
-    let run = |cfg: ConfigName| prepare(&cfg.into(), &params).run_checked();
+    let run = |cfg: ConfigName| plan(&cfg.into(), &params).load().run_checked();
     let base = run(ConfigName::Base);
     for cfg in ConfigName::ALL {
         let s = if cfg == ConfigName::Base {

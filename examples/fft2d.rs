@@ -2,15 +2,15 @@
 //! array through off-chip memory between dimensions (Figure 3a), the
 //! indexed SRF transforms the second dimension in place with in-lane
 //! indexed accesses (Figure 3b), and the cache captures the reorder but
-//! still executes it. Each point is `fft2d::prepare(&config,
-//! &params).run_checked()`: the app's one entry point, then the run and its
-//! host check.
+//! still executes it. Each point is `fft2d::plan(&config,
+//! &params).load().run_checked()`: the app's one entry point, its data
+//! loaded, then the run and its host check.
 //!
 //! ```sh
 //! cargo run --release --example fft2d
 //! ```
 
-use isrf::apps::fft2d::{prepare, Fft2dParams};
+use isrf::apps::fft2d::{plan, Fft2dParams};
 use isrf::core::config::ConfigName;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
         "{:<8} {:>10} {:>9} {:>12} {:>13}",
         "config", "cycles", "speedup", "DRAM bytes", "idx SRF words"
     );
-    let run = |cfg: ConfigName| prepare(&cfg.into(), &params).run_checked();
+    let run = |cfg: ConfigName| plan(&cfg.into(), &params).load().run_checked();
     let base = run(ConfigName::Base);
     for cfg in ConfigName::ALL {
         let s = if cfg == ConfigName::Base {

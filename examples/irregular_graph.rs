@@ -2,14 +2,14 @@
 //! replicated neighbor records from memory; the indexed SRF keeps one
 //! condensed copy per strip and reaches it with cross-lane indexed reads,
 //! roughly doubling the strip size in the same SRF budget. Each point is
-//! `igraph::prepare(&config, &dataset).run_checked()`: the app's one entry
-//! point, then the run and its host check.
+//! `igraph::plan(&config, &dataset).load().run_checked()`: the app's one
+//! entry point, its data loaded, then the run and its host check.
 //!
 //! ```sh
 //! cargo run --release --example irregular_graph
 //! ```
 
-use isrf::apps::igraph::{prepare, DATASETS};
+use isrf::apps::igraph::{plan, DATASETS};
 use isrf::core::config::ConfigName;
 
 fn main() {
@@ -18,8 +18,8 @@ fn main() {
         "dataset", "FP/nbr", "degree", "Base cyc", "ISRF4 cyc", "speedup", "traffic ratio"
     );
     for ds in &DATASETS {
-        let base = prepare(&ConfigName::Base.into(), ds).run_checked();
-        let isrf = prepare(&ConfigName::Isrf4.into(), ds).run_checked();
+        let base = plan(&ConfigName::Base.into(), ds).load().run_checked();
+        let isrf = plan(&ConfigName::Isrf4.into(), ds).load().run_checked();
         println!(
             "{:<8} {:>7} {:>7} {:>11} {:>11} {:>8.2}x {:>13.3}",
             ds.name,
