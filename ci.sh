@@ -136,15 +136,15 @@ if grep -n -e 'fn save_state' -e 'fn restore_state' crates/isrf-sim/src/machine.
 fi
 
 echo "==> one door into the apps (grep gate)"
-# An app is prepared on a `MachineConfig` value through its one `prepare`
-# and run by its caller; `common::machine` builds every machine of
-# isrf-apps and isrf-serve (each from the final config) and the registry
-# holds the one Small/Paper table. The thread-local override, the `run`
-# wrappers, the second sizing tables and the dynamic scatter nobody issued
-# must not come back.
+# An app is planned on a `MachineConfig` value through its one `plan`,
+# loaded with `Plan::load` and run by its caller; `common::machine` builds
+# every machine of isrf-apps and isrf-serve (each from the final config)
+# and the registry holds the one Small/Paper table. The thread-local
+# override, the `run` wrappers, the second sizing tables and the dynamic
+# scatter nobody issued must not come back.
 if grep -rn -e 'thread_local!' -e 'set_separation_override' -e 'run_benchmark' \
   -e 'DIFF_APPS' -e 'ScatterDyn' -e 'scatter_dyn' crates/*/src; then
-  echo "a way around prepare(&MachineConfig, ..) / prepare_app, or a deleted op" >&2
+  echo "a way around plan(&MachineConfig, ..) / plan_app, or a deleted op" >&2
   exit 1
 fi
 for f in crates/isrf-apps/src/*.rs crates/isrf-serve/src/*.rs crates/isrf-serve/src/bin/*.rs; do
@@ -155,7 +155,19 @@ for f in crates/isrf-apps/src/*.rs crates/isrf-serve/src/*.rs crates/isrf-serve/
   fi
 done
 if grep -n 'pub fn run(' crates/isrf-apps/src/{fft2d,rijndael,sort,filter,igraph,spmv,stencil,bfs}.rs; then
-  echo "apps prepare, callers run: Prepared::run_checked" >&2
+  echo "apps plan, callers load and run: Plan::load, Prepared::run_checked" >&2
+  exit 1
+fi
+
+echo "==> one model of the indexed SRF (grep gate)"
+# Figures 17 and 18 run two microkernels on `Machine` (crates/bench/src/
+# micro.rs), as every app runs: outside the simulator nothing drives the
+# indexed arbiter, builds its stream state or an SRF, or lands its data.
+# The side model that did, with its own stage-1 arbitration and comm-busy
+# return rule, must not come back.
+if grep -rn -e 'service_indexed(' -e 'IdxState::new' -e 'tick_arrivals' -e 'Srf::new(' \
+  crates/*/src | grep -v '^crates/isrf-sim/src/'; then
+  echo "a second model of the indexed SRF: run a kernel on isrf_sim::Machine" >&2
   exit 1
 fi
 

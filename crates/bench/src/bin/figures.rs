@@ -177,9 +177,9 @@ fn fig16(ctx: &Ctx) {
 
 fn fig17() {
     println!("== Figure 17: in-lane indexed throughput (words/cycle/lane) ==");
-    println!("{:<12} FIFO size : throughput", "sub-arrays");
-    for (s, pts) in figs::fig17(4000) {
-        print!("{s:<12}");
+    println!("sub-arrays   FIFO size : throughput, at separation 8 unless named");
+    for (row, pts) in figs::fig17() {
+        print!("{row:<12}");
         for (f, t) in pts {
             print!(" {f}:{t:<6.3}");
         }
@@ -189,11 +189,11 @@ fn fig17() {
 
 fn fig18() {
     println!("== Figure 18: cross-lane throughput vs comm occupancy (words/cycle/lane) ==");
-    println!("{:<12} occupancy% : throughput", "ports/bank");
-    for (ports, pts) in figs::fig18(4000) {
+    println!("ports/bank   occupancy (Comm ops per II) : throughput");
+    for (ports, pts) in figs::fig18() {
         print!("{ports:<12}");
         for (c, t) in pts {
-            print!(" {c}:{t:<6.3}");
+            print!(" {c:.2}:{t:<6.3}");
         }
         println!();
     }

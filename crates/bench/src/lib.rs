@@ -13,7 +13,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use isrf_apps::{fft2d, filter, igraph, micro, rijndael, sort, APPS};
+pub mod micro;
+
+use isrf_apps::common::Plan;
+use isrf_apps::{fft2d, filter, igraph, rijndael, sort, APPS};
 use isrf_check::run_parallel;
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::stats::RunStats;
@@ -230,35 +233,57 @@ fn separation_sweep(
         .collect()
 }
 
-/// Figure 17: in-lane indexed throughput vs sub-arrays and FIFO depth.
-/// Returns `(subarrays, Vec<(fifo, words/cycle/lane)>)`.
-pub fn fig17(cycles: u64) -> Vec<(usize, Vec<(usize, f64)>)> {
-    [1usize, 2, 4, 8]
+/// Indexed words of `class` (an index of `per_cycle_per_lane`'s
+/// `[seq, crosslane, inlane]`) per kernel cycle per lane, row by row, of
+/// `plan(row, x)` for every x: the Figure 17/18 sweeps, each point its own
+/// parallel work item.
+fn throughputs<R: Copy + Sync, X: Copy + Sync>(
+    rows: &[R],
+    xs: &[X],
+    class: usize,
+    plan: impl Fn(R, X) -> Plan + Sync,
+) -> Vec<Vec<f64>> {
+    let points: Vec<(R, X)> = rows
         .iter()
-        .map(|&s| {
-            let pts = [1usize, 2, 4, 6, 8]
-                .iter()
-                .map(|&f| (f, micro::inlane_throughput(s, f, 8, cycles)))
-                .collect();
-            (s, pts)
-        })
-        .collect()
+        .flat_map(|&r| xs.iter().map(move |&x| (r, x)))
+        .collect();
+    let words = run_parallel(&points, |&(r, x)| {
+        let s = plan(r, x).load().run_checked();
+        s.srf.per_cycle_per_lane(s.main_loop_cycles, 8)[class]
+    });
+    words.chunks_exact(xs.len()).map(<[f64]>::to_vec).collect()
 }
 
-/// Figure 18: cross-lane throughput vs network ports per bank and
-/// inter-cluster communication occupancy.
-/// Returns `(ports, Vec<(occupancy%, words/cycle/lane)>)`.
-pub fn fig18(cycles: u64) -> Vec<(usize, Vec<(u32, f64)>)> {
-    [1usize, 2, 4]
-        .iter()
-        .map(|&ports| {
-            let pts = (0..=80u32)
-                .step_by(10)
-                .map(|c| (c, micro::crosslane_throughput(ports, c, cycles)))
-                .collect();
-            (ports, pts)
-        })
-        .collect()
+/// Figure 17: in-lane indexed throughput ([`micro::inlane`]) vs sub-arrays
+/// per bank and address-FIFO entries, at separation 8 and, for 4
+/// sub-arrays, 2. Returns `(row, Vec<(fifo, words/cycle/lane)>)`.
+pub fn fig17() -> Vec<(&'static str, Vec<(usize, f64)>)> {
+    let rows = [
+        ("1", 1, 8),
+        ("2", 2, 8),
+        ("4", 4, 8),
+        ("8", 8, 8),
+        ("4, sep 2", 4, 2),
+    ];
+    let fifos = [1, 2, 4, 6, 8];
+    let t = throughputs(&rows, &fifos, 2, |(_, s, sep), f| micro::inlane(s, f, sep));
+    let row = |(&(name, _, _), t): (_, Vec<f64>)| (name, fifos.into_iter().zip(t).collect());
+    rows.iter().zip(t).map(row).collect()
+}
+
+/// Figure 18: cross-lane throughput ([`micro::crosslane`]) vs network
+/// ports per bank and the share of cycles explicit communication occupies:
+/// `k` Comm ops per II, the fractions a schedule reaches. Returns `(ports,
+/// Vec<(occupancy, words/cycle/lane)>)`.
+pub fn fig18() -> Vec<(usize, Vec<(f64, f64)>)> {
+    let (ports, comms) = ([1, 2, 4], [0, 1, 2]);
+    let params = SchedParams::from_machine(&MachineConfig::preset(ConfigName::Isrf4));
+    let kernel = |k| micro::crosslane_kernel(k).build().expect("well-formed");
+    let ii = |k| schedule(&kernel(k), &params).expect("schedules").ii;
+    let occupancy = comms.map(|k| f64::from(k) / f64::from(ii(k)));
+    let t = throughputs(&ports, &comms, 1, micro::crosslane);
+    let row = |(p, t): (_, Vec<f64>)| (p, occupancy.into_iter().zip(t).collect());
+    ports.into_iter().zip(t).map(row).collect()
 }
 
 /// Section 4.6 area results: `(variant, SRF overhead, die overhead)`.

@@ -25,7 +25,6 @@ pub mod fft2d;
 pub mod filter;
 mod gather;
 pub mod igraph;
-pub mod micro;
 pub mod registry;
 pub mod rijndael;
 pub mod sort;

@@ -94,7 +94,6 @@ pub mod stream;
 pub mod tape;
 
 pub use exec::{ExecEngine, KernelRun, Phase};
-pub use indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 pub use machine::{Machine, SimError, VerifyEnv};
 pub use program::{ProgOp, ProgOpId, StreamProgram};
 pub use snapshot::{diff_snapshots, SnapshotDiff};
