@@ -309,8 +309,10 @@ pub fn plan(cfg: &MachineConfig, params: &BfsParams) -> Plan {
 mod tests {
     use super::*;
     use crate::common::schedule_for;
+    use crate::registry::{bfs_params, Profile};
     use isrf_core::config::ConfigName;
     use isrf_core::stats::RunStats;
+    use isrf_sim::ProgOp;
 
     fn run(cfg: ConfigName, params: &BfsParams) -> RunStats {
         plan(&cfg.into(), params).load().run_checked()
@@ -367,6 +369,36 @@ mod tests {
             .find(|&v| g.adj[v as usize].is_empty())
             .expect("isolated_pct > 0 yields isolated nodes");
         assert_eq!(dist[isolated as usize], INF);
+    }
+
+    /// Sweeps gather through their strips' lists, not copies: across every
+    /// sweep of bfs Base at Paper size there are two lists per strip, one
+    /// per level array a sweep reads.
+    #[test]
+    fn sweeps_share_each_strips_gather_lists() {
+        let params = bfs_params(Profile::Paper);
+        let g = graph_cached(&params);
+        let plan = plan(&ConfigName::Base.into(), &params);
+        let mut lists: Vec<&Arc<[u32]>> = Vec::new();
+        let mut gathers = 0;
+        for i in 0..plan.program.len() {
+            if let (
+                ProgOp::Load {
+                    pattern: AddrPattern::Indexed(l),
+                    ..
+                },
+                _,
+            ) = plan.program.node(i)
+            {
+                gathers += 1;
+                if !lists.iter().any(|k| Arc::ptr_eq(k, l)) {
+                    lists.push(l);
+                }
+            }
+        }
+        assert!(g.sweeps > 2, "{} sweeps reuse no list", g.sweeps);
+        assert_eq!(gathers, g.sweeps as usize * g.strips.len());
+        assert_eq!(lists.len(), 2 * g.strips.len());
     }
 
     #[test]

@@ -209,7 +209,7 @@ pub(crate) fn lane_block_load(
             addrs.extend((0..cols).map(|c| base + row * cols + c));
         }
     }
-    AddrPattern::Indexed(addrs)
+    AddrPattern::Indexed(addrs.into())
 }
 
 /// Store pattern for one strip of per-lane row blocks: row record
@@ -222,7 +222,7 @@ pub(crate) fn lane_block_store(base: u32, cols: u32, b: u32, row0: u32) -> AddrP
             addrs.extend((0..cols).map(|c| base + row * cols + c));
         }
     }
-    AddrPattern::Indexed(addrs)
+    AddrPattern::Indexed(addrs.into())
 }
 
 #[cfg(test)]

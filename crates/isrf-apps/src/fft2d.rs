@@ -318,47 +318,30 @@ const SCRATCH_BASE: u32 = 0x8_0000;
 const OUT_BASE: u32 = 0x10_0000;
 const CONST_BASE: u32 = 0x18_0000;
 
+/// The list that moves stream record `i*64 + j`, two words, from or to
+/// record `at(i, j)` of the array at `base`; a plan builds each once.
+fn reorder(base: u32, at: impl Fn(u32, u32) -> u32) -> AddrPattern {
+    let word = |w: u32| base + 2 * at(w / 2 / N, w / 2 % N) + w % 2;
+    AddrPattern::Indexed((0..ELEMS * 2).map(word).collect())
+}
+
 /// Gather pattern for the Base reorder: new record `k*64 + r` reads stored
 /// record `r*64 + bitrev(k)`.
 fn transpose_gather_pattern(store_base: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((ELEMS * 2) as usize);
-    for k in 0..N {
-        for r in 0..N {
-            let src = r * N + bitrev6(k);
-            addrs.push(store_base + 2 * src);
-            addrs.push(store_base + 2 * src + 1);
-        }
-    }
-    AddrPattern::Indexed(addrs)
+    reorder(store_base, |k, r| r * N + bitrev6(k))
 }
 
 /// Gather for the Base output reorder: after pass 2 the stored record
 /// `k*64 + r` holds G(bitrev(r), k); natural-order record `a*64 + k` is
 /// therefore fetched from stored record `k*64 + bitrev(a)`.
 fn base_unshuffle_gather(store_base: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((ELEMS * 2) as usize);
-    for a in 0..N {
-        for k in 0..N {
-            let src = k * N + bitrev6(a);
-            addrs.push(store_base + 2 * src);
-            addrs.push(store_base + 2 * src + 1);
-        }
-    }
-    AddrPattern::Indexed(addrs)
+    reorder(store_base, |a, k| k * N + bitrev6(a))
 }
 
 /// Final scatter for ISRF: stream record `r*64 + c` holds
 /// G(bitrev(r), bitrev(c)).
 fn isrf_output_scatter(out_base: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((ELEMS * 2) as usize);
-    for r in 0..N {
-        for c in 0..N {
-            let dst = bitrev6(r) * N + bitrev6(c);
-            addrs.push(out_base + 2 * dst);
-            addrs.push(out_base + 2 * dst + 1);
-        }
-    }
-    AddrPattern::Indexed(addrs)
+    reorder(out_base, |r, c| bitrev6(r) * N + bitrev6(c))
 }
 
 /// One period of a high stage's twiddle stream: record `j` is
@@ -591,6 +574,10 @@ fn plan_base(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
     let cacheable = cfg.cache.is_some();
     let su = plan_setup(&mut m, false);
     let kernels = seq_kernels(&m);
+    let (transpose, unshuffle) = (
+        transpose_gather_pattern(SCRATCH_BASE),
+        base_unshuffle_gather(SCRATCH_BASE),
+    );
 
     let mut p = StreamProgram::new();
     let mut last_rep: Option<isrf_sim::ProgOpId> = None;
@@ -619,12 +606,7 @@ fn plan_base(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
         } else {
             (su.y, su.x)
         };
-        let gt = p.load(
-            transpose_gather_pattern(SCRATCH_BASE),
-            dst,
-            cacheable,
-            &[st],
-        );
+        let gt = p.load(transpose.clone(), dst, cacheable, &[st]);
         let (pos2, k2) = push_sequential_pass(&mut p, &su, &kernels, dst, other, gt);
         // Reorder #2: rotate back to natural row-major coefficient order,
         // again through memory.
@@ -635,7 +617,7 @@ fn plan_base(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
             &[k2],
         );
         let dst2 = if pos2 == su.x { su.y } else { su.x };
-        let gt2 = p.load(base_unshuffle_gather(SCRATCH_BASE), dst2, cacheable, &[st2]);
+        let gt2 = p.load(unshuffle.clone(), dst2, cacheable, &[st2]);
         let fin = p.store(
             dst2,
             AddrPattern::contiguous(OUT_BASE, ELEMS * 2),
@@ -661,6 +643,7 @@ fn plan_isrf(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
         })
         .collect();
     let twt = su.tw_table.expect("indexed setup allocates the table");
+    let scatter = isrf_output_scatter(OUT_BASE);
 
     let mut p = StreamProgram::new();
     let mut last_rep: Option<isrf_sim::ProgOpId> = None;
@@ -692,7 +675,7 @@ fn plan_isrf(cfg: &MachineConfig, params: &Fft2dParams) -> Plan {
             );
             std::mem::swap(&mut cur, &mut other);
         }
-        let fin = p.store(cur, isrf_output_scatter(OUT_BASE), false, &[last]);
+        let fin = p.store(cur, scatter.clone(), false, &[last]);
         last_rep = Some(fin);
     }
     planned(m, p, params, su.program)

@@ -192,6 +192,9 @@ pub(crate) struct Strips<'a> {
     seq: [[StreamBinding; 3]; 2],
     /// Per buffer set: the gathered records.
     gathered: [StreamBinding; 2],
+    /// Per record base a sweep gathered from, each strip's gather list:
+    /// built by the first such sweep, shared by the later ones.
+    lists: Vec<(u32, Vec<Arc<[u32]>>)>,
     buf_free: [Option<ProgOpId>; 2],
     prev_kernel: Option<ProgOpId>,
 }
@@ -226,16 +229,18 @@ impl<'a> Strips<'a> {
             sched,
             seq,
             gathered,
+            lists: Vec::new(),
             buf_free: [None, None],
             prev_kernel: None,
         }
     }
 
     /// Emit one pass over every strip, gathering records that start at
-    /// memory address `records_at`; `inputs(s, ptrs)` places strip `s`'s
-    /// pointer load among its two sequential loads, `output(s)` is where
-    /// it stores. Returns the pass's stores, the barrier for a pass that
-    /// reads what this one wrote.
+    /// memory address `records_at` through the strip's list for that base,
+    /// which the first pass to gather there builds; `inputs(s, ptrs)`
+    /// places strip `s`'s pointer load among its two sequential loads,
+    /// `output(s)` is where it stores. Returns the pass's stores, the
+    /// barrier for a pass that reads what this one wrote.
     pub fn sweep(
         &mut self,
         p: &mut StreamProgram,
@@ -245,6 +250,18 @@ impl<'a> Strips<'a> {
         output: impl Fn(u32) -> AddrPattern,
     ) -> Vec<ProgOpId> {
         let (g, strip) = (self.gather, self.layout.strip);
+        let known = self.lists.iter().position(|&(at, _)| at == records_at);
+        let lists = match known {
+            Some(i) => &self.lists[i].1,
+            None => {
+                let lists = (self.strips.iter())
+                    .map(|c| if g.indexed { &c.unique } else { &c.refs })
+                    .map(|records| record_addrs(records, records_at, g.words))
+                    .collect();
+                self.lists.push((records_at, lists));
+                &self.lists[self.lists.len() - 1].1
+            }
+        };
         let mut stores = Vec::with_capacity(self.strips.len());
         for (s, c) in self.strips.iter().enumerate() {
             let pick = s % 2;
@@ -265,9 +282,8 @@ impl<'a> Strips<'a> {
             } else {
                 (buf, buf)
             };
-            let gathers = if g.indexed { &c.unique } else { &c.refs };
-            let addrs = record_addrs(gathers, records_at, g.words);
-            let lg = p.load(AddrPattern::Indexed(addrs), dst, self.cacheable, &ldeps);
+            let addrs = AddrPattern::Indexed(Arc::clone(&lists[s as usize]));
+            let lg = p.load(addrs, dst, self.cacheable, &ldeps);
             let mut kdeps = vec![la, lb, lg];
             kdeps.extend(self.prev_kernel);
             let mut bindings = vec![a, b];
@@ -300,15 +316,17 @@ pub(crate) fn load_pointers(m: &mut Machine, gather: Gather, layout: Layout, str
 }
 
 /// The word addresses of `records`, `words` apiece, record 0 at `at`, as
-/// maps the compiler sizes exactly and vectorises: a sequential gather
-/// lists over half a million of them per BFS job at Paper size.
-fn record_addrs(records: &[u32], at: u32, words: u32) -> Vec<u32> {
+/// maps the compiler sizes exactly and vectorises: one list a strip's
+/// gathers from `at` share. A two-word record's pair goes through a `Vec`,
+/// whose copy into the list costs less than indexing `records` per word.
+fn record_addrs(records: &[u32], at: u32, words: u32) -> Arc<[u32]> {
     match words {
         1 => records.iter().map(|&r| at + r).collect(),
         2 => records
             .iter()
             .flat_map(|&r| [at + 2 * r, at + 2 * r + 1])
-            .collect(),
+            .collect::<Vec<u32>>()
+            .into(),
         _ => unreachable!("gathered records are one word (SpMV, BFS) or two (IG)"),
     }
 }

@@ -191,15 +191,12 @@ pub fn build_base_kernel(points: u32) -> Kernel {
 /// Base load pattern for one tap: record `r` is strip row `row0 + r`
 /// shifted by `(dy, dx)` and clamped to the grid.
 fn shifted_load_pattern(base: u32, row0: u32, rows: u32, dy: i32, dx: i32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((STRIP_ROWS * COLS) as usize);
-    for r in 0..STRIP_ROWS {
-        let row = ((row0 + r) as i32 + dy).clamp(0, rows as i32 - 1) as u32;
-        for c in 0..COLS as i32 {
-            let col = (c + dx).clamp(0, COLS as i32 - 1) as u32;
-            addrs.push(base + row * COLS + col);
-        }
-    }
-    AddrPattern::Indexed(addrs)
+    let at = |i: u32| {
+        let row = ((row0 + i / COLS) as i32 + dy).clamp(0, rows as i32 - 1) as u32;
+        let col = ((i % COLS) as i32 + dx).clamp(0, COLS as i32 - 1) as u32;
+        base + row * COLS + col
+    };
+    AddrPattern::Indexed((0..STRIP_ROWS * COLS).map(at).collect())
 }
 
 /// The SRF stream pool, shared by both passes (the suite's passes are

@@ -1,8 +1,8 @@
 //! Memory substrate for the indexed-SRF stream processor.
 //!
 //! Stream processors tolerate long memory latencies by issuing stream-sized
-//! transfers — sequential, strided, gather (indexed load) and scatter
-//! (indexed store) — that overlap with kernel execution. This crate models
+//! transfers — sequential, gather (indexed load) and scatter (indexed
+//! store) — that overlap with kernel execution. This crate models
 //! everything below the SRF:
 //!
 //! * [`memory::Memory`] — the functional, word-addressed off-chip store.

@@ -22,6 +22,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use isrf_core::config::MachineConfig;
 use isrf_core::snap::{read_sections, write_sections, Dec, Enc, SnapError};
@@ -67,7 +68,9 @@ impl TransferId {
     }
 }
 
-/// Address pattern of a stream memory operation.
+/// Address pattern of a stream memory operation: a run of consecutive
+/// words, or a list of word addresses (gather/scatter) that a program and
+/// every transfer issued from it share.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AddrPattern {
     /// `words` consecutive words from `base`.
@@ -77,22 +80,10 @@ pub enum AddrPattern {
         /// Number of words.
         words: u32,
     },
-    /// `records` records of `record_words` words, record `i` starting at
-    /// `base + i * stride_words`.
-    Strided {
-        /// First word address of record 0.
-        base: u32,
-        /// Words per record.
-        record_words: u32,
-        /// Word distance between record starts.
-        stride_words: u32,
-        /// Number of records.
-        records: u32,
-    },
     /// Arbitrary word addresses (gather/scatter).
     Indexed(
         /// Word address of each element, in stream order.
-        Vec<u32>,
+        Arc<[u32]>,
     ),
 }
 
@@ -102,25 +93,10 @@ impl AddrPattern {
         AddrPattern::Contiguous { base, words }
     }
 
-    /// Convenience constructor for [`AddrPattern::Strided`].
-    pub fn strided(base: u32, record_words: u32, stride_words: u32, records: u32) -> Self {
-        AddrPattern::Strided {
-            base,
-            record_words,
-            stride_words,
-            records,
-        }
-    }
-
     /// Number of words the pattern touches.
     pub fn len(&self) -> usize {
         match self {
             AddrPattern::Contiguous { words, .. } => *words as usize,
-            AddrPattern::Strided {
-                record_words,
-                records,
-                ..
-            } => (*record_words as usize) * (*records as usize),
             AddrPattern::Indexed(addrs) => addrs.len(),
         }
     }
@@ -140,16 +116,6 @@ impl AddrPattern {
             AddrPattern::Contiguous { base, words } => {
                 assert!(i < *words as usize);
                 base + i as u32
-            }
-            AddrPattern::Strided {
-                base,
-                record_words,
-                stride_words,
-                records,
-            } => {
-                assert!(i < (*record_words as usize) * (*records as usize));
-                let (r, w) = (i as u32 / record_words, i as u32 % record_words);
-                base + r * stride_words + w
             }
             AddrPattern::Indexed(addrs) => addrs[i],
         }
@@ -173,12 +139,10 @@ struct Inflight {
     /// DRAM burst most recently opened by this transfer (burst-aligned
     /// address / burst_words); words within it are bandwidth-free.
     last_burst: Option<u32>,
-    /// The word at `cursor`: its address, its burst, and the words of its
-    /// record from there (a contiguous pattern is one record). Stepped as
-    /// the cursor moves, derived at enqueue and decode, never serialized.
+    /// The word at `cursor`: its address and its burst. Stepped as the
+    /// cursor moves, derived at enqueue and decode, never serialized.
     next_addr: u32,
     next_burst: u32,
-    record_left: u32,
 }
 
 impl Inflight {
@@ -188,28 +152,16 @@ impl Inflight {
         !self.cacheable && self.last_burst == Some(self.next_burst)
     }
 
-    /// Move past the word just served: the address steps by one within a
-    /// record and by the stride across, or is read from the list. False
-    /// when no word is left.
+    /// Move past the word just served: the address steps by one, or is
+    /// read from the list. False when no word is left.
     fn step(&mut self, burst: Divisor) -> bool {
         self.cursor += 1;
         if self.cursor == self.len {
             return false;
         }
         self.next_addr = match &self.pattern {
+            AddrPattern::Contiguous { .. } => self.next_addr + 1,
             AddrPattern::Indexed(addrs) => addrs[self.cursor],
-            AddrPattern::Strided {
-                record_words,
-                stride_words,
-                ..
-            } if self.record_left == 1 => {
-                self.record_left = *record_words;
-                self.next_addr + 1 - record_words + stride_words
-            }
-            _ => {
-                self.record_left -= 1;
-                self.next_addr + 1
-            }
         };
         self.next_burst = burst.div_rem(self.next_addr).0;
         true
@@ -384,7 +336,8 @@ impl MemorySystem {
     ///
     /// `cacheable` marks streams with temporal-locality potential; the
     /// paper's `Cache` configuration caches only those to avoid pollution.
-    /// The flag is ignored when no cache is configured.
+    /// The flag is ignored when no cache is configured. An indexed
+    /// transfer holds `pattern`'s list, not a copy of it.
     pub fn start_read(
         &mut self,
         pattern: &AddrPattern,
@@ -393,7 +346,6 @@ impl MemorySystem {
         let data = match pattern {
             AddrPattern::Contiguous { base, words } => self.mem.read_block(*base, *words as usize),
             AddrPattern::Indexed(addrs) => self.mem.gather(addrs),
-            strided => self.mem.gather(&strided.to_addrs()),
         };
         let id = self.enqueue(pattern.clone(), false, cacheable);
         (id, data)
@@ -414,18 +366,8 @@ impl MemorySystem {
         match pattern {
             AddrPattern::Contiguous { base, .. } => self.mem.write_block(*base, data),
             AddrPattern::Indexed(addrs) => self.mem.scatter(addrs, data),
-            strided => self.mem.scatter(&strided.to_addrs(), data),
         }
         self.enqueue(pattern.clone(), true, cacheable)
-    }
-
-    /// Begin a gather whose address list is handed over by value — the
-    /// simulator's dynamic-index path builds the list afresh each issue,
-    /// so moving it into the transfer avoids a second copy.
-    pub fn start_gather(&mut self, addrs: Vec<u32>, cacheable: bool) -> (TransferId, Vec<Word>) {
-        let data = self.mem.gather(&addrs);
-        let id = self.enqueue(AddrPattern::Indexed(addrs), false, cacheable);
-        (id, data)
     }
 
     fn enqueue(&mut self, pattern: AddrPattern, write: bool, cacheable: bool) -> TransferId {
@@ -449,7 +391,6 @@ impl MemorySystem {
             last_burst: None,
             next_addr: 0,
             next_burst: 0,
-            record_left: 0,
         });
         id
     }
@@ -459,12 +400,6 @@ impl MemorySystem {
     fn push_inflight(&mut self, mut t: Inflight) {
         t.next_addr = t.pattern.addr_at(t.cursor);
         t.next_burst = self.burst.div_rem(t.next_addr).0;
-        t.record_left = match t.pattern {
-            AddrPattern::Strided { record_words, .. } => {
-                record_words - t.cursor as u32 % record_words
-            }
-            _ => (t.len - t.cursor) as u32,
-        };
         self.riding += usize::from(t.rides_open_burst());
         self.uncached += usize::from(!t.cacheable);
         self.inflight.push(t);
@@ -627,17 +562,6 @@ impl MemorySystem {
                     sys.u8(0);
                     sys.u32(*base);
                 }
-                AddrPattern::Strided {
-                    base,
-                    record_words,
-                    stride_words,
-                    ..
-                } => {
-                    sys.u8(1);
-                    sys.u32(*base);
-                    sys.u32(*record_words);
-                    sys.u32(*stride_words);
-                }
                 AddrPattern::Indexed(addrs) => {
                     sys.u8(2);
                     sys.words(addrs);
@@ -743,21 +667,14 @@ impl MemorySystem {
             // The pattern's length is written after it, as the transfer's.
             let mut pattern = match d.u8()? {
                 0 => AddrPattern::contiguous(d.u32()?, 0),
-                1 => AddrPattern::strided(d.u32()?, d.u32()?, d.u32()?, 0),
-                2 => AddrPattern::Indexed(d.words()?),
+                2 => AddrPattern::Indexed(d.words()?.into()),
                 t => {
                     return Err(SnapError::Mismatch(format!("bad pattern tag {t}")));
                 }
             };
             let len = d.usize()?;
-            match &mut pattern {
-                AddrPattern::Contiguous { words, .. } => *words = len as u32,
-                AddrPattern::Strided {
-                    record_words,
-                    records,
-                    ..
-                } => *records = len as u32 / (*record_words).max(1),
-                AddrPattern::Indexed(_) => {}
+            if let AddrPattern::Contiguous { words, .. } = &mut pattern {
+                *words = len as u32;
             }
             let cursor = d.usize()?;
             let write = d.bool()?;
@@ -781,7 +698,6 @@ impl MemorySystem {
                 last_burst,
                 next_addr: 0,
                 next_burst: 0,
-                record_left: 0,
             });
         }
         let n_slots = d.usize()?;
@@ -899,6 +815,17 @@ mod tests {
         MemorySystem::new(&MachineConfig::preset(ConfigName::Cache))
     }
 
+    /// `count` records of `words` words, record `i` from
+    /// `base + i * stride`, as a list.
+    fn records(base: u32, words: u32, stride: u32, count: u32) -> AddrPattern {
+        let n = words * count;
+        AddrPattern::Indexed(
+            (0..n)
+                .map(|i| base + i / words * stride + i % words)
+                .collect(),
+        )
+    }
+
     fn run_until_complete(sys: &mut MemorySystem, id: TransferId, max: u64) -> u64 {
         let start = sys.now();
         while !sys.is_complete(id) {
@@ -914,11 +841,8 @@ mod tests {
     #[test]
     fn pattern_lengths_and_addresses() {
         assert_eq!(AddrPattern::contiguous(10, 3).to_addrs(), [10, 11, 12]);
-        assert_eq!(
-            AddrPattern::strided(0, 2, 10, 3).to_addrs(),
-            [0, 1, 10, 11, 20, 21]
-        );
-        let g = AddrPattern::Indexed(vec![5, 1, 5]);
+        assert_eq!(records(0, 2, 10, 3).to_addrs(), [0, 1, 10, 11, 20, 21]);
+        let g = AddrPattern::Indexed([5, 1, 5].into());
         assert_eq!(g.len(), 3);
         assert_eq!(g.addr_at(2), 5);
         assert!(AddrPattern::contiguous(0, 0).is_empty());
@@ -978,9 +902,22 @@ mod tests {
         let mut sys = base_system();
         // Gathering the same address repeatedly still pays per-word DRAM
         // traffic (this is exactly the replication cost the ISRF removes).
-        let (id, _) = sys.start_read(&AddrPattern::Indexed(vec![7; 64]), false);
+        let (id, _) = sys.start_read(&AddrPattern::Indexed([7; 64].into()), false);
         run_until_complete(&mut sys, id, 10_000);
         assert_eq!(sys.traffic().bytes_read, 64 * 4);
+    }
+
+    /// A transfer holds its pattern's list, not a copy: one more owner
+    /// while it is served, none once it retires.
+    #[test]
+    fn transfers_share_their_list() {
+        let mut sys = base_system();
+        let list: Arc<[u32]> = (0..64).rev().collect();
+        let (id, _) = sys.start_read(&AddrPattern::Indexed(Arc::clone(&list)), false);
+        assert_eq!(Arc::strong_count(&list), 2);
+        run_until_complete(&mut sys, id, 10_000);
+        assert_eq!(sys.pop_ready(), Some(id));
+        assert_eq!(Arc::strong_count(&list), 1);
     }
 
     #[test]
@@ -1058,8 +995,8 @@ mod tests {
         let mut sys = burst4_system();
         // 512 random words, each in its own burst: 512 bursts x 4 words of
         // bandwidth = 2048 credits, ~4x slower than a contiguous load.
-        let addrs: Vec<u32> = (0..512u32).map(|i| i * 16).collect();
-        let (g, _) = sys.start_read(&AddrPattern::Indexed(addrs), false);
+        let addrs = AddrPattern::Indexed((0..512u32).map(|i| i * 16).collect());
+        let (g, _) = sys.start_read(&addrs, false);
         let gather_cycles = run_until_complete(&mut sys, g, 100_000);
         let mut sys2 = burst4_system();
         let (c, _) = sys2.start_read(&AddrPattern::contiguous(0, 512), false);
@@ -1078,7 +1015,7 @@ mod tests {
     fn strided_two_word_records_pay_half_burst_waste() {
         let mut sys = burst4_system();
         // 2-word records at stride 64: each record opens a fresh burst.
-        let (g, _) = sys.start_read(&AddrPattern::strided(0, 2, 64, 256), false);
+        let (g, _) = sys.start_read(&records(0, 2, 64, 256), false);
         let cycles = run_until_complete(&mut sys, g, 100_000);
         let serve = cycles as f64 - 100.0;
         let ideal = 512.0 / 2.285; // if bandwidth were perfectly used
@@ -1143,7 +1080,7 @@ mod tests {
             let mut straight = make();
             straight.memory_mut().write_block(0, &[9; 600]);
             let (_, _) = straight.start_read(&AddrPattern::contiguous(0, 500), true);
-            let _ = straight.start_write(&AddrPattern::strided(4096, 2, 8, 50), &[3; 100], false);
+            let _ = straight.start_write(&records(4096, 2, 8, 50), &[3; 100], false);
             for _ in 0..40 {
                 straight.tick();
             }
@@ -1174,7 +1111,7 @@ mod tests {
     #[test]
     fn decode_counts_a_transfer_riding_an_open_burst() {
         let mut sys = base_system();
-        let (id, _) = sys.start_read(&AddrPattern::Indexed(vec![7, 7, 7, 9]), false);
+        let (id, _) = sys.start_read(&AddrPattern::Indexed([7, 7, 7, 9].into()), false);
         sys.inflight[0].last_burst = Some(7);
         let mut restored = base_system();
         restored.decode_state(&sys.encode_state()).unwrap();
@@ -1195,8 +1132,8 @@ mod tests {
     #[test]
     fn riders_alternate_once_credit_is_out() {
         let mut sys = base_system();
-        let (b, _) = sys.start_read(&AddrPattern::Indexed(vec![6]), false);
-        let (a, _) = sys.start_read(&AddrPattern::Indexed(vec![5, 5, 5]), false);
+        let (b, _) = sys.start_read(&AddrPattern::Indexed([6].into()), false);
+        let (a, _) = sys.start_read(&AddrPattern::Indexed([5, 5, 5].into()), false);
         for (t, burst) in sys.inflight.iter_mut().zip([6, 5]) {
             t.last_burst = Some(burst);
         }
@@ -1224,10 +1161,10 @@ mod tests {
 
     /// The service schedule is pinned: three concurrent transfers — a
     /// contiguous read that finishes while the others are mid-service, a
-    /// strided write paying burst granularity, a cacheable gather — must
-    /// serve the words per tick, complete at the cycles, count the traffic
-    /// and leave the state bytes that the `pop_front`/`push_back` service
-    /// loop did (table generated at c6876bf, the commit before the loop
+    /// write of two-word records paying burst granularity, a cacheable
+    /// gather — must serve the words per tick, complete at the cycles,
+    /// count the traffic and leave the state bytes that the
+    /// `pop_front`/`push_back` service loop did (table generated at c6876bf, the commit before the loop
     /// served transfers in place).
     #[test]
     fn service_schedule_is_pinned() {
@@ -1235,10 +1172,10 @@ mod tests {
         cfg.dram.burst_words = 4;
         let mut sys = MemorySystem::new(&cfg);
         let (contig, _) = sys.start_read(&AddrPattern::contiguous(64, 9), false);
-        let strided = sys.start_write(&AddrPattern::strided(4096, 2, 16, 12), &[5; 24], false);
-        let gather: Vec<u32> = (0..40u32).map(|i| (i * 37) % 64 + 9000).collect();
-        let (gather, _) = sys.start_gather(gather, true);
-        let ids = [contig, strided, gather];
+        let spread = sys.start_write(&records(4096, 2, 16, 12), &[5; 24], false);
+        let gather = AddrPattern::Indexed((0..40u32).map(|i| (i * 37) % 64 + 9000).collect());
+        let (gather, _) = sys.start_read(&gather, true);
+        let ids = [contig, spread, gather];
         let mut served = Vec::new();
         let mut done_at = [0u64; 3];
         while sys.busy() {

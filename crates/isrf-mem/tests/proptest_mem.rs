@@ -234,7 +234,6 @@ fn timing_state(sys: &MemorySystem) -> TimingState {
             d.bytes(8)?; // slot, generation
             let pattern_words = match d.u8()? {
                 0 => 1,
-                1 => 3,
                 _ => d.usize()?,
             };
             d.bytes(4 * pattern_words)?;
@@ -274,7 +273,7 @@ proptest! {
         for (i, &a) in addrs.iter().enumerate() {
             sys.memory_mut().write(a, i as u32 ^ 0xABCD);
         }
-        let (id, data) = sys.start_read(&AddrPattern::Indexed(addrs.clone()), false);
+        let (id, data) = sys.start_read(&AddrPattern::Indexed(addrs.as_slice().into()), false);
         // Functional: last write to each address wins.
         for (i, &a) in addrs.iter().enumerate() {
             let last = addrs.iter().rposition(|&x| x == a).unwrap();
@@ -296,10 +295,10 @@ proptest! {
         let cfg = MachineConfig::preset(ConfigName::Base);
         let mut sys = MemorySystem::new(&cfg);
         let n = data.len() as u32;
-        let addrs: Vec<u32> = (0..n).map(|i| base + i * 3).collect();
-        let w = sys.start_write(&AddrPattern::Indexed(addrs.clone()), &data, false);
+        let addrs = AddrPattern::Indexed((0..n).map(|i| base + i * 3).collect());
+        let w = sys.start_write(&addrs, &data, false);
         finish(&mut sys, w);
-        let (r, got) = sys.start_read(&AddrPattern::Indexed(addrs), false);
+        let (r, got) = sys.start_read(&addrs, false);
         prop_assert_eq!(got, data);
         finish(&mut sys, r);
         prop_assert_eq!(sys.traffic().bytes_written, n as u64 * 4);
@@ -411,20 +410,20 @@ proptest! {
         prop_assert_eq!(&order, &sorted, "pops left (cycle, id) order");
     }
     /// The O(words served) walk keeps the round loop's schedule. Random
-    /// issue schedules of contiguous, strided and gathered transfers — the
-    /// gathers with runs of repeated addresses, so words ride an open burst
-    /// even at one-word bursts — reads and writes, cacheable or not, on
-    /// Base and Cache with bursts of one to four words, enqueued mid-flight
-    /// and finishing mid-round: after every tick the credits are equal to
-    /// the bit, the same words were served to the same transfers in the
-    /// same round-robin order, the same traffic was counted, the same
-    /// events emitted, and the same transfers complete and pop in the same
-    /// order. Once, at cycle `restore_at`, the system is replaced by one
+    /// issue schedules of contiguous transfers and of lists, some of
+    /// records with gaps between, some with runs of repeated addresses so
+    /// words ride an open burst even at one-word bursts — reads and
+    /// writes, cacheable or not, on Base and Cache with bursts of one to
+    /// four words, enqueued mid-flight and finishing mid-round: after
+    /// every tick the credits are equal to the bit, the same words were
+    /// served to the same transfers in the same round-robin order, the
+    /// same traffic was counted, the same events emitted, and the same
+    /// transfers complete and pop in the same order. Once, at cycle `restore_at`, the system is replaced by one
     /// decoded from its snapshot, which must carry on as if nothing
     /// happened: the count of uncached transfers, and each transfer's next
-    /// address, burst and place in its record, are rebuilt there, not read
-    /// back. (No transfer rides an open burst between ticks; `system.rs`'s
-    /// unit tests decode one that does.)
+    /// address and burst, are rebuilt there, not read back. (No transfer
+    /// rides an open burst between ticks; `system.rs`'s unit tests decode
+    /// one that does.)
     #[test]
     fn service_matches_the_round_loop(
         cache in any::<bool>(),
@@ -458,7 +457,12 @@ proptest! {
             while let Some(&(_, kind, len, base, run, (write, cacheable))) = next.filter(|_| wait == 0) {
                 let pattern = match kind {
                     0 => AddrPattern::contiguous(base, len),
-                    1 => AddrPattern::strided(base, 1 + len % 3, 7 + base % 9, len / 3),
+                    1 => {
+                        // Records of one to three words with gaps between.
+                        let (words, stride) = (1 + len % 3, 7 + base % 9);
+                        let n = len / 3 * words;
+                        AddrPattern::Indexed((0..n).map(|i| base + i / words * stride + i % words).collect())
+                    }
                     _ => AddrPattern::Indexed((0..len).map(|i| base + (i / run * 37) % 61).collect()),
                 };
                 let id = if write {

@@ -27,7 +27,7 @@ use isrf_core::stats::{MemTraffic, RunStats};
 use isrf_core::Word;
 use isrf_kernel::ir::Kernel;
 use isrf_kernel::sched::Schedule;
-use isrf_mem::{MemorySystem, TransferId};
+use isrf_mem::{AddrPattern, MemorySystem, TransferId};
 use isrf_trace::{CycleAttr, StallReason, TraceEvent, Tracer};
 
 use crate::exec::{KernelRun, Phase};
@@ -405,8 +405,9 @@ impl Machine {
         self.pending[slot] = Some(PendingTransfer { op, fill });
     }
 
-    /// Gather-issue addressing: `base + index_stream[k]` for every element.
-    fn collect_indices(&self, index_stream: &StreamBinding, base: u32) -> Vec<u32> {
+    /// Gather-issue addressing: `base + index_stream[k]` for every element,
+    /// collected straight into the list the transfer holds.
+    fn collect_indices(&self, index_stream: &StreamBinding, base: u32) -> Arc<[u32]> {
         let index = self.read_stream(index_stream);
         index.into_iter().map(|i| base + i).collect()
     }
@@ -445,8 +446,8 @@ impl Machine {
                 dst,
                 cacheable,
             } => {
-                let addrs = self.collect_indices(index_stream, *base);
-                let (id, data) = self.mem.start_gather(addrs, *cacheable);
+                let addrs = AddrPattern::Indexed(self.collect_indices(index_stream, *base));
+                let (id, data) = self.mem.start_read(&addrs, *cacheable);
                 let words = data.len() as u32;
                 self.track_transfer(id, i, Some((*dst, data)));
                 (id, words, false, *cacheable)
