@@ -201,28 +201,31 @@ pub(crate) fn lane_block_load(
     row0: u32,
     rows: u32,
 ) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((8 * (b + 2 * halo) * cols) as usize);
-    for lane in 0..8u32 {
-        for br in 0..b + 2 * halo {
-            let row = (row0 + lane * b + br) as i32 - halo as i32;
-            let row = row.clamp(0, rows as i32 - 1) as u32;
-            addrs.extend((0..cols).map(|c| base + row * cols + c));
-        }
-    }
-    AddrPattern::Indexed(addrs.into())
+    let span = b + 2 * halo;
+    let lines = (0..8 * span).map(|i| {
+        let row = (row0 + i / span * b + i % span) as i32 - halo as i32;
+        row.clamp(0, rows as i32 - 1) as u32
+    });
+    image_rows(base, cols, lines)
 }
 
 /// Store pattern for one strip of per-lane row blocks: row record
 /// `l + 8*j` is row `j` of lane `l`'s block, image row `row0 + l*b + j`.
 pub(crate) fn lane_block_store(base: u32, cols: u32, b: u32, row0: u32) -> AddrPattern {
-    let mut addrs = Vec::with_capacity((8 * b * cols) as usize);
-    for j in 0..b {
-        for lane in 0..8u32 {
-            let row = row0 + lane * b + j;
-            addrs.extend((0..cols).map(|c| base + row * cols + c));
+    image_rows(base, cols, (0..8 * b).map(|i| row0 + i % 8 * b + i / 8))
+}
+
+/// The word addresses of image rows `lines`, in order, of a `cols`-wide
+/// image at `base`, written in place into the list's one allocation.
+fn image_rows(base: u32, cols: u32, lines: impl ExactSizeIterator<Item = u32>) -> AddrPattern {
+    let mut addrs: Arc<[u32]> = std::iter::repeat_n(0, lines.len() * cols as usize).collect();
+    let words = Arc::get_mut(&mut addrs).expect("a list just built has one owner");
+    for (out, row) in words.chunks_exact_mut(cols as usize).zip(lines) {
+        for (a, w) in out.iter_mut().zip(base + row * cols..) {
+            *a = w;
         }
     }
-    AddrPattern::Indexed(addrs.into())
+    AddrPattern::Indexed(addrs)
 }
 
 #[cfg(test)]
