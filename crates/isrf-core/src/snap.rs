@@ -20,7 +20,7 @@ pub const MAGIC: &[u8; 8] = b"ISRFSNAP";
 
 /// Current snapshot format version. Bump on any layout change; decoders
 /// reject other versions with [`SnapError::UnsupportedVersion`].
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Errors surfaced while decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -214,9 +214,14 @@ impl<'a> Dec<'a> {
         usize::try_from(v).map_err(|_| SnapError::Mismatch(format!("length {v} overflows usize")))
     }
 
-    /// Read a bool encoded as one byte.
+    /// Read a bool encoded as one byte, refusing any byte but 0 or 1: two
+    /// frames that differ must not decode to the same state.
     pub fn bool(&mut self) -> Result<bool, SnapError> {
-        Ok(self.u8()? != 0)
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(SnapError::Mismatch(format!("bool byte {b} is not 0 or 1"))),
+        }
     }
 
     /// Read an `f64` from its exact bit pattern.
@@ -405,6 +410,21 @@ mod tests {
     }
 
     #[test]
+    fn bool_refuses_bytes_but_0_and_1() {
+        let bytes = [0, 1, 2, 0xff];
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.bool(), Ok(false));
+        assert_eq!(d.bool(), Ok(true));
+        for b in [2, 0xff] {
+            let err = d.bool().unwrap_err();
+            assert_eq!(
+                err,
+                SnapError::Mismatch(format!("bool byte {b} is not 0 or 1"))
+            );
+        }
+    }
+
+    #[test]
     fn truncated_reads_error() {
         let bytes = [1u8, 2, 3];
         let mut d = Dec::new(&bytes);
@@ -452,15 +472,19 @@ mod tests {
 
     #[test]
     fn unknown_version_is_rejected_with_clear_error() {
-        let mut framed = frame(b"x");
-        framed[8..12].copy_from_slice(&99u32.to_le_bytes());
-        // Re-hash so only the version is wrong.
-        let hash_at = framed.len() - 8;
-        let h = fnv1a(&framed[..hash_at]);
-        framed[hash_at..].copy_from_slice(&h.to_le_bytes());
-        let err = unframe(&framed).unwrap_err();
-        assert_eq!(err, SnapError::UnsupportedVersion(99));
-        assert!(err.to_string().contains("unsupported snapshot version 99"));
+        // Version 1, the layout before this one, and one from the future.
+        for version in [1u32, 99] {
+            let mut framed = frame(b"x");
+            framed[8..12].copy_from_slice(&version.to_le_bytes());
+            // Re-hash so only the version is wrong.
+            let hash_at = framed.len() - 8;
+            let h = fnv1a(&framed[..hash_at]);
+            framed[hash_at..].copy_from_slice(&h.to_le_bytes());
+            let err = unframe(&framed).unwrap_err();
+            assert_eq!(err, SnapError::UnsupportedVersion(version));
+            let text = format!("unsupported snapshot version {version}");
+            assert!(err.to_string().contains(&text));
+        }
     }
 
     #[test]

@@ -131,7 +131,6 @@ impl AddrPattern {
 struct Inflight {
     id: TransferId,
     pattern: AddrPattern,
-    len: usize,
     cursor: usize,
     write: bool,
     cacheable: bool,
@@ -156,7 +155,7 @@ impl Inflight {
     /// read from the list. False when no word is left.
     fn step(&mut self, burst: Divisor) -> bool {
         self.cursor += 1;
-        if self.cursor == self.len {
+        if self.cursor == self.pattern.len() {
             return false;
         }
         self.next_addr = match &self.pattern {
@@ -372,8 +371,7 @@ impl MemorySystem {
 
     fn enqueue(&mut self, pattern: AddrPattern, write: bool, cacheable: bool) -> TransferId {
         let id = self.alloc_id();
-        let len = pattern.len();
-        if len == 0 {
+        if pattern.is_empty() {
             self.finish_serving(id, self.now);
             return id;
         }
@@ -383,7 +381,6 @@ impl MemorySystem {
         self.push_inflight(Inflight {
             id,
             pattern,
-            len,
             cursor: 0,
             write,
             cacheable: cacheable && self.cache.is_some(),
@@ -558,16 +555,16 @@ impl MemorySystem {
             sys.u32(t.id.slot);
             sys.u32(t.id.gen);
             match &t.pattern {
-                AddrPattern::Contiguous { base, .. } => {
+                AddrPattern::Contiguous { base, words } => {
                     sys.u8(0);
                     sys.u32(*base);
+                    sys.u32(*words);
                 }
                 AddrPattern::Indexed(addrs) => {
                     sys.u8(2);
                     sys.words(addrs);
                 }
             }
-            sys.usize(t.len);
             sys.usize(t.cursor);
             sys.bool(t.write);
             sys.bool(t.cacheable);
@@ -664,24 +661,19 @@ impl MemorySystem {
                 slot: d.u32()?,
                 gen: d.u32()?,
             };
-            // The pattern's length is written after it, as the transfer's.
-            let mut pattern = match d.u8()? {
-                0 => AddrPattern::contiguous(d.u32()?, 0),
+            let pattern = match d.u8()? {
+                0 => AddrPattern::contiguous(d.u32()?, d.u32()?),
                 2 => AddrPattern::Indexed(d.words()?.into()),
                 t => {
                     return Err(SnapError::Mismatch(format!("bad pattern tag {t}")));
                 }
             };
-            let len = d.usize()?;
-            if let AddrPattern::Contiguous { words, .. } = &mut pattern {
-                *words = len as u32;
-            }
             let cursor = d.usize()?;
             let write = d.bool()?;
             let cacheable = d.bool()?;
             let touched_dram = d.bool()?;
             let last_burst = if d.bool()? { Some(d.u32()?) } else { None };
-            if cursor >= len {
+            if cursor >= pattern.len() {
                 return Err(SnapError::Mismatch(format!(
                     "in-flight transfer {} has no word left to serve",
                     id.raw
@@ -690,7 +682,6 @@ impl MemorySystem {
             self.push_inflight(Inflight {
                 id,
                 pattern,
-                len,
                 cursor,
                 write,
                 cacheable,

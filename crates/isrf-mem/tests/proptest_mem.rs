@@ -233,11 +233,10 @@ fn timing_state(sys: &MemorySystem) -> TimingState {
             let raw = d.u64()?;
             d.bytes(8)?; // slot, generation
             let pattern_words = match d.u8()? {
-                0 => 1,
+                0 => 2, // base, length
                 _ => d.usize()?,
             };
             d.bytes(4 * pattern_words)?;
-            d.usize()?; // length
             let cursor = d.usize()?;
             d.bytes(3)?; // write, cacheable, touched DRAM
             let open = if d.bool()? { Some(d.u32()?) } else { None };

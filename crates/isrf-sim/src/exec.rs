@@ -64,8 +64,9 @@ enum SlotState {
     /// only the pop condition and the network cost differ.
     CondLaneIn(SeqInState),
     CondOut(CondOutState),
-    /// Index into `KernelRun::idx_states`.
-    Idx(usize),
+    /// An indexed stream; the tape names its `KernelRun::idx_states`
+    /// entry.
+    Idx,
 }
 
 impl SlotState {
@@ -77,7 +78,7 @@ impl SlotState {
             SlotState::CondIn(_) => 2,
             SlotState::CondLaneIn(_) => 3,
             SlotState::CondOut(_) => 4,
-            SlotState::Idx(_) => 5,
+            SlotState::Idx => 5,
         }
     }
 }
@@ -190,7 +191,7 @@ impl KernelRun {
                         _ => IdxKind::CrossLaneRead,
                     };
                     idx_states.push(IdxState::new(*b, kind, lanes, cfg));
-                    SlotState::Idx(idx_states.len() - 1)
+                    SlotState::Idx
                 }
             };
             slots.push(state);
@@ -234,8 +235,9 @@ impl KernelRun {
     }
 
     /// Serialize the dynamic state of an in-flight invocation: counters,
-    /// per-slot stream states and indexed streams (the iteration contexts
-    /// are [`KernelRun::encode_ctx`]'s). Static structure (kernel, schedule,
+    /// each slot's kind tag and stream state (an indexed slot's is in the
+    /// indexed-stream list that follows), and the indexed streams (the
+    /// iteration contexts are [`KernelRun::encode_ctx`]'s). Static structure (kernel, schedule,
     /// bindings, slot layout) is reconstructed from the program on restore.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         e.u64(self.t);
@@ -254,7 +256,7 @@ impl KernelRun {
                 SlotState::SeqOut(s) => s.encode_state(e),
                 SlotState::CondIn(s) => s.encode_state(e),
                 SlotState::CondOut(s) => s.encode_state(e),
-                SlotState::Idx(i) => e.usize(*i),
+                SlotState::Idx => {}
             }
         }
         e.usize(self.idx_states.len());
@@ -263,10 +265,9 @@ impl KernelRun {
         }
     }
 
-    /// Serialize the in-flight iteration contexts: the representation tag
-    /// (0, the context ring — the only one), then the ring.
+    /// Serialize the in-flight iteration contexts: the context ring, then
+    /// the first iteration whose row is not zeroed yet.
     pub(crate) fn encode_ctx(&self, e: &mut Enc) {
-        e.u8(0);
         e.words(&self.ring.words[..self.tape.ring_words()]);
         e.u64(self.ring_next_zero);
     }
@@ -304,14 +305,7 @@ impl KernelRun {
                 SlotState::SeqOut(s) => s.decode_state(d)?,
                 SlotState::CondIn(s) => s.decode_state(d)?,
                 SlotState::CondOut(s) => s.decode_state(d)?,
-                SlotState::Idx(i) => {
-                    let got = d.usize()?;
-                    if got != *i {
-                        return Err(SnapError::Mismatch(format!(
-                            "indexed slot points at stream {got}, expected {i}"
-                        )));
-                    }
-                }
+                SlotState::Idx => {}
             }
         }
         let n_idx = d.usize()?;
@@ -329,12 +323,6 @@ impl KernelRun {
 
     /// Restore the iteration contexts written by [`KernelRun::encode_ctx`].
     pub(crate) fn decode_ctx(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        let tag = d.u8()?;
-        if tag != 0 {
-            return Err(SnapError::Mismatch(format!(
-                "iteration-context tag {tag} is not the tape ring's"
-            )));
-        }
         let ring = d.words()?;
         let ctx = &mut self.ring.words[..self.tape.ring_words()];
         if ring.len() != ctx.len() {
@@ -436,7 +424,7 @@ impl KernelRun {
             Some(SlotState::SeqOut(st)) => st.wants_grant(SEQ_ACCESS_WORDS, flush),
             Some(SlotState::CondIn(st)) => st.wants_grant(),
             Some(SlotState::CondOut(st)) => st.wants_grant(block, flush),
-            Some(SlotState::Idx(_)) => false,
+            Some(SlotState::Idx) => false,
             None => self.idx_states.iter().any(|s| s.pending_addresses()),
         };
         let from = self.rr_grant.min(idx_group + 1);
@@ -466,7 +454,7 @@ impl KernelRun {
                 SlotState::SeqOut(st) => st.grant(srf, SEQ_ACCESS_WORDS, flush),
                 SlotState::CondIn(st) => st.grant(srf, block, now, self.seq_latency),
                 SlotState::CondOut(st) => st.grant(srf, block, flush),
-                SlotState::Idx(_) => unreachable!("idx slots never request individually"),
+                SlotState::Idx => unreachable!("idx slots never request individually"),
             };
             traffic.seq_words += moved;
             if tracer.enabled() {

@@ -246,8 +246,12 @@ impl IdxState {
     /// checks, not with a slice-index panic here.
     #[inline]
     fn retarget(&mut self, i: usize) {
+        let record = self.addr[slot(i, self.cur[i].a_pop, self.a_shift)].0;
+        debug_assert!(
+            self.in_range(record),
+            "indexed record {record} out of range"
+        );
         let c = &mut self.cur[i];
-        let record = self.addr[slot(i, c.a_pop, self.a_shift)].0;
         let (row, bank) = if self.kind == IdxKind::CrossLaneRead {
             div_rem(record, self.n_lanes, self.lane_shift)
         } else {
@@ -257,16 +261,23 @@ impl IdxState {
         let off = u64::from(b.range.base)
             + u64::from(row) * u64::from(b.record_words)
             + u64::from(c.head_word);
-        debug_assert!(
-            off < u64::from(b.range.base) + u64::from(b.range.words_per_bank),
-            "indexed record {record} out of range"
-        );
         c.off = off.min(u64::from(self.bank_words) - 1) as u32;
         c.bank = bank as u8;
         c.sub = div_rem(c.off, self.sub_words, self.sub_shift).0 as u8;
         if let Some(w) = self.want.get_mut(bank as usize) {
             *w |= 1 << i;
         }
+    }
+
+    /// Does every word of `record` lie inside the binding (cross-lane: in
+    /// the bank that owns it)?
+    fn in_range(&self, record: u32) -> bool {
+        let row = match self.kind {
+            IdxKind::CrossLaneRead => record / self.n_lanes,
+            _ => record,
+        };
+        let b = &self.binding;
+        (u64::from(row) + 1) * u64::from(b.record_words) <= u64::from(b.range.words_per_bank)
     }
 
     /// Append `record` to cursor `i`'s address ring; returns its count.
@@ -483,12 +494,12 @@ impl IdxState {
         len
     }
 
-    /// Serialize the dynamic state: every lane's address FIFO (with write
-    /// payloads), head-expansion cursor, in-flight words, and ready data —
-    /// the same bytes whether the lanes share a cursor or not.
+    /// Serialize the dynamic state: every lane's address FIFO (each record,
+    /// and on a write stream the word to write there), head-expansion
+    /// cursor, in-flight words, and ready data — the same bytes whether the
+    /// lanes share a cursor or not.
     pub fn encode_state(&self, e: &mut Enc) {
         let write = self.kind == IdxKind::InLaneWrite;
-        let (mut entries, mut flying) = (0, 0);
         e.usize(self.n_lanes as usize);
         for lane in 0..self.n_lanes as usize {
             let i = lane.min(self.cur.len() - 1);
@@ -498,7 +509,6 @@ impl IdxState {
             for k in 0..reqs {
                 let count = c.a_pop.wrapping_add(k);
                 e.u32(self.addr[slot(i, count, self.a_shift)].0);
-                e.u8(u8::from(write));
                 if write {
                     e.u32(self.addr[slot(lane, count, self.a_shift)].1);
                 }
@@ -516,11 +526,7 @@ impl IdxState {
             for k in 0..ready {
                 e.u32(self.data[slot(lane, c.d_pop.wrapping_add(k), self.d_shift)]);
             }
-            entries += reqs as usize;
-            flying += inflight as usize;
         }
-        e.usize(entries);
-        e.usize(flying);
     }
 
     /// Overwrite the dynamic state from [`IdxState::encode_state`] bytes
@@ -543,11 +549,13 @@ impl IdxState {
                 return mismatch("address FIFO overflows its capacity");
             }
             for _ in 0..reqs {
-                let at = slot(lane, self.enqueue(lane, d.u32()?), self.a_shift);
-                match (d.u8()?, self.kind == IdxKind::InLaneWrite) {
-                    (0, false) => {}
-                    (1, true) => self.addr[at].1 = d.u32()?,
-                    (t, _) => return mismatch(&format!("request tag {t} unsupported")),
+                let record = d.u32()?;
+                if !self.in_range(record) {
+                    return mismatch("address FIFO holds a record outside the stream");
+                }
+                let at = slot(lane, self.enqueue(lane, record), self.a_shift);
+                if self.kind == IdxKind::InLaneWrite {
+                    self.addr[at].1 = d.u32()?;
                 }
             }
             self.cur[lane].head_word = d.u32()?;
@@ -577,9 +585,6 @@ impl IdxState {
             self.data_ready |= u64::from(ready > 0) << lane;
             self.room &= !(u64::from(inflight + ready == self.buf_cap as usize) << lane);
         }
-        // The frame's occupancy totals repeat what the queues just said.
-        d.usize()?;
-        d.usize()?;
         Ok(())
     }
 }
@@ -1085,12 +1090,12 @@ mod tests {
         assert!(states[0].drained());
     }
 
-    /// The snapshot layout is pinned byte for byte: per lane the address
-    /// FIFO (`record`, tag 0 for a read / tag 1 plus the word for a write),
-    /// the head cursor, in-flight `(cycle, word)` pairs, ready words; then
-    /// the two occupancy totals.
+    /// The snapshot layout is pinned byte for byte: the lane count, then
+    /// per lane the address FIFO (each record, and on a write stream the
+    /// word after it), the head cursor, in-flight `(cycle, word)` pairs and
+    /// ready words.
     #[test]
-    fn snapshot_bytes_are_pinned_and_tag_2_is_rejected() {
+    fn snapshot_bytes_are_pinned() {
         let (mut srf, _, p, m) = setup(IdxKind::InLaneRead);
         let range = SrfRange {
             base: 100,
@@ -1123,7 +1128,6 @@ mod tests {
                 e.usize(reqs.len());
                 for &(record, w) in reqs {
                     e.u32(record);
-                    e.u8(u8::from(w.is_some()));
                     if let Some(w) = w {
                         e.u32(w);
                     }
@@ -1157,22 +1161,10 @@ mod tests {
                     lane(&mut want, &[], &[], &[]);
                 }
             }
-            want.usize(reqs.len());
-            want.usize(flying.len());
             let mut got = Enc::new();
             st.encode_state(&mut got);
             assert_eq!(got.into_bytes(), want.into_bytes());
         }
-        // Tag 2 was the multi-word write payload; no stream produces it.
-        let mut e = Enc::new();
-        wr.encode_state(&mut e);
-        let mut bytes = e.into_bytes();
-        let empty_lane = 8 + 4 + 8 + 8; // FIFO length, head cursor, in-flight, ready
-        let tag_at = 8 + empty_lane + 8 + 4; // lane count, lane 0, lane 1's length and record
-        assert_eq!(bytes[tag_at], 1, "the queued write's tag byte");
-        bytes[tag_at] = 2;
-        let err = wr.decode_state(&mut Dec::new(&bytes)).unwrap_err();
-        assert!(matches!(err, SnapError::Mismatch(_)), "{err}");
     }
 
     /// A dynamic index past the end of the bank is clamped once, so the

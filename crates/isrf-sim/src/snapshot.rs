@@ -13,14 +13,14 @@
 //!
 //! | section   | contents |
 //! |-----------|----------|
-//! | `meta`    | config + program fingerprints, a reserved zero byte, a byte that is always 1 (it carried a run-loop option that is gone; ignored on read), cycle counter, SRF-port debt, cumulative stats |
+//! | `meta`    | config + program fingerprints, cycle counter, SRF-port debt, cumulative stats |
 //! | `scratch` | per-lane scratchpad words |
 //! | `filled`  | per-bank SRF intervals known to hold data |
 //! | `pending` | the live-transfer slab (op index + pending load fills) |
 //! | `srf`     | allocator high-water mark + every bank word |
 //! | `mem`     | nested sections from `isrf_mem`: `sys` (credits, in-flight slab, ready heap, traffic), `data` (touched memory chunks), `cache` (tag/valid/dirty/LRU arrays, when configured) |
 //! | `run`     | the paused sequencer loop: dependence state, kernel cursor, and the stream half of the in-flight `KernelRun` (stream buffers, address FIFOs, arbitration state) |
-//! | `kctx`    | in-flight iteration contexts of the `KernelRun` (tag 0, then the tape's context ring); empty when no kernel is mid-flight |
+//! | `kctx`    | in-flight iteration contexts of the `KernelRun` (the tape's context ring and the next row to zero); empty when no kernel is mid-flight |
 //!
 //! Every field is little-endian and fixed-width (`f64` by IEEE-754 bit
 //! pattern), so re-serializing a decoded snapshot is byte-identical and
@@ -65,11 +65,6 @@ impl Machine {
         let mut meta = Enc::new();
         meta.u64(snap::fnv1a(format!("{:?}", self.cfg).as_bytes()));
         meta.u64(snap::fnv1a(format!("{program:?}").as_bytes()));
-        // Reserved byte of the `meta` layout: always 0, and restore
-        // rejects anything else. The flag after it carried a run-loop
-        // option that no longer exists: written `true`, ignored on read.
-        meta.u8(0);
-        meta.bool(true);
         meta.u64(self.now);
         meta.f64(self.mem_port_words);
         self.stats.encode_state(&mut meta);
@@ -182,11 +177,6 @@ impl Machine {
         if meta.u64()? != snap::fnv1a(format!("{program:?}").as_bytes()) {
             return mismatch("snapshot was taken running a different program".into());
         }
-        let reserved = meta.u8()?;
-        if reserved != 0 {
-            return mismatch(format!("reserved meta byte is {reserved}, not 0"));
-        }
-        meta.bool()?;
         self.now = meta.u64()?;
         self.mem_port_words = meta.f64()?;
         self.stats = RunStats::decode_state(&mut meta)?;

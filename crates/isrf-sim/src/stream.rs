@@ -218,8 +218,6 @@ struct LaneCursor {
     walk: StreamWalk,
     /// Words remaining for this lane.
     remaining: u32,
-    /// The lane's first stream record, which a snapshot counts from.
-    first_k: u32,
 }
 
 fn lane_cursors(b: &StreamBinding, lanes: usize) -> Vec<LaneCursor> {
@@ -237,33 +235,25 @@ fn lane_cursors(b: &StreamBinding, lanes: usize) -> Vec<LaneCursor> {
         // Lane of stream record k is absolute_record(k) % n. For aligned
         // windows this equals (start + k) % n; scan for this lane's first k.
         let first = (0..n.min(b.records)).find(|&k| b.absolute_record(k) % n == l);
-        let first_k = first.unwrap_or(0);
         let records = first.map_or(0, |f| (b.records - f).div_ceil(n));
         let mut local = StreamBinding::whole(b.range, b.record_words, records);
-        local.start_record = b.absolute_record(first_k) / n;
+        local.start_record = b.absolute_record(first.unwrap_or(0)) / n;
         if windowed {
             (local.run_records, local.stride_records) = (b.run_records / n, b.stride_records / n);
         }
         LaneCursor {
             walk: StreamWalk::new(&local, 1, 0),
             remaining: local.words(),
-            first_k,
         }
     };
     (0..n).map(cursor).collect()
 }
 
 /// Serialize a cursor set (count-prefixed for validation on decode): per
-/// lane its next stream record, the word within it, and the words left.
+/// lane the words it has left, which place its walk.
 fn encode_cursors<'a>(cursors: impl ExactSizeIterator<Item = &'a LaneCursor>, e: &mut Enc) {
-    let n = cursors.len() as u32;
-    e.usize(n as usize);
-    for c in cursors {
-        let used = c.walk.b.words() - c.remaining;
-        e.u32(c.first_k + used / c.walk.b.record_words * n);
-        e.u32(used % c.walk.b.record_words);
-        e.u32(c.remaining);
-    }
+    e.usize(cursors.len());
+    cursors.for_each(|c| e.u32(c.remaining));
 }
 
 /// Move a cursor set to where [`encode_cursors`] bytes say.
@@ -276,15 +266,13 @@ fn decode_cursors<'a>(
         return Err(SnapError::Mismatch(format!("lane cursor count != {n}")));
     }
     for c in cursors {
-        let (next_k, next_word, remaining) = (d.u32()?, d.u32()?, d.u32()?);
-        let (local, rw) = (c.walk.b, c.walk.b.record_words);
-        let used = local.words().wrapping_sub(remaining);
-        let at = (c.first_k + used / rw * n as u32, used % rw);
-        if used > local.words() || (next_k, next_word) != at {
+        let (local, remaining) = (c.walk.b, d.u32()?);
+        let Some(used) = local.words().checked_sub(remaining) else {
             return Err(SnapError::Mismatch(format!(
-                "lane cursor at record {next_k} word {next_word} with {remaining} words left"
+                "lane cursor with {remaining} of {} words left",
+                local.words()
             )));
-        }
+        };
         c.walk = StreamWalk::new(&local, 1, used);
         c.remaining = remaining;
     }
@@ -574,15 +562,22 @@ impl GlobalCursor {
         binding.words() - self.moved
     }
 
-    /// Restore from the serialized `moved`, once the ring is decoded.
-    fn seek(&mut self, b: &StreamBinding, moved: u32, ring: RingCur) -> Result<(), SnapError> {
+    /// Serialize the cursor and the words `buf`, its ring, holds.
+    fn encode(&self, buf: &Rings, e: &mut Enc) {
+        e.u32(self.moved);
+        buf.encode(0, self.ring, e);
+    }
+
+    /// Move to where [`GlobalCursor::encode`] bytes say, refilling `buf`.
+    fn decode(&mut self, b: &StreamBinding, buf: &mut Rings, d: &mut Dec) -> Result<(), SnapError> {
+        let moved = d.u32()?;
         if moved > b.words() {
             return Err(SnapError::Mismatch(format!(
                 "conditional stream at word {moved} of {}",
                 b.words()
             )));
         }
-        (self.moved, self.ring) = (moved, ring);
+        (self.moved, self.ring) = (moved, buf.decode(0, d)?);
         self.walk = StreamWalk::new(b, self.lanes, moved);
         Ok(())
     }
@@ -653,15 +648,12 @@ impl CondInState {
 
     /// Serialize the dynamic state (cursor and buffered words).
     pub fn encode_state(&self, e: &mut Enc) {
-        e.u32(self.at.moved);
-        self.buf.encode(0, self.at.ring, e);
+        self.at.encode(&self.buf, e);
     }
 
     /// Overwrite the dynamic state from [`CondInState::encode_state`] bytes.
     pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        let moved = d.u32()?;
-        let ring = self.buf.decode(0, d)?;
-        self.at.seek(&self.binding, moved, ring)
+        self.at.decode(&self.binding, &mut self.buf, d)
     }
 }
 
@@ -733,15 +725,12 @@ impl CondOutState {
 
     /// Serialize the dynamic state (cursor and buffered words).
     pub fn encode_state(&self, e: &mut Enc) {
-        e.u32(self.at.moved);
-        self.buf.encode(0, self.at.ring, e);
+        self.at.encode(&self.buf, e);
     }
 
     /// Overwrite the dynamic state from [`CondOutState::encode_state`] bytes.
     pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        let moved = d.u32()?;
-        let ring = self.buf.decode(0, d)?;
-        self.at.seek(&self.binding, moved, ring)
+        self.at.decode(&self.binding, &mut self.buf, d)
     }
 }
 

@@ -66,8 +66,6 @@ mod reference {
     fn encode_cursors(cursors: &[LaneCursor], e: &mut Enc) {
         e.usize(cursors.len());
         for c in cursors {
-            e.u32(c.next_k);
-            e.u32(c.next_word);
             e.u32(c.remaining);
         }
     }
@@ -661,16 +659,16 @@ fn decoding_rejects_impossible_states() {
         sizes: (5, 1, 0, 1),
     };
     let (_, b) = setup(&s);
-    // A cursor not at the word its count of remaining words implies.
+    // A lane with more words left than it owns.
     let mut snap = bytes(|e| SeqInState::new(b, 8, 8).encode_state(e));
-    snap[8 + 4] ^= 1; // lane 0's word-within-record
+    snap[8] += 1; // lane 0's words left
     let err = SeqInState::new(b, 8, 8).decode_state(&mut Dec::new(&snap));
     assert!(matches!(err, Err(SnapError::Mismatch(_))), "{err:?}");
     // Output lanes that buffer different numbers of words.
     let mut out = SeqOutState::new(b, 8, 8);
     out.push_row(&[1; 8]);
     let good = bytes(|e| out.encode_state(e));
-    let cursors = 8 + 8 * 12;
+    let cursors = 8 + 8 * 4;
     let mut e = Enc::new();
     e.usize(0); // lane 0 claims an empty buffer; the others keep a word
     let mut snap = good[..cursors].to_vec();

@@ -5,6 +5,7 @@
 //! deserialize → re-serialize is byte-identical, and mismatched frames are
 //! rejected with typed errors.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigName, MachineConfig};
@@ -224,31 +225,20 @@ fn restore_rejects_unknown_version_and_corruption() {
         err,
         SnapError::UnsupportedVersion(9) | SnapError::BadHash
     ));
+    // A frame of the previous layout, version 1, under a correct hash.
+    let mut v1 = snapshot.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    let hash_at = v1.len() - 8;
+    let h = snap::fnv1a(&v1[..hash_at]);
+    v1[hash_at..].copy_from_slice(&h.to_le_bytes());
+    assert_eq!(
+        m.restore_state(&p, &v1),
+        Err(SnapError::UnsupportedVersion(1))
+    );
 
     let mut flipped = snapshot.clone();
     flipped[40] ^= 0x40;
     assert_eq!(m.restore_state(&p, &flipped), Err(SnapError::BadHash));
-}
-
-/// The `meta` byte after the two fingerprints and the first byte of `kctx`
-/// are tags with one valid value, 0; a frame carrying anything else (with
-/// a correct content hash) is refused, not misread.
-#[test]
-fn restore_rejects_nonzero_engine_and_context_tags() {
-    let (mut m, p) = build_point();
-    // Seven eighths through, the kernel is mid-flight and `kctx` non-empty.
-    assert!(m.run_for(&p, straight().stats.cycles * 7 / 8).is_none());
-    let snapshot = m.save_state(&p);
-    for (section, at) in [("meta", 16), ("kctx", 0)] {
-        let bytes = tampered(&snapshot, &[section], &|s| {
-            assert_eq!(s[at], 0, "{section}[{at}] is the tag");
-            s[at] = 1;
-        });
-        assert!(
-            matches!(m.restore_state(&p, &bytes), Err(SnapError::Mismatch(_))),
-            "{section} tag 1 must be a Mismatch"
-        );
-    }
 }
 
 /// `snapshot` with `edit` applied to the bytes of the section at `path`
@@ -338,4 +328,166 @@ fn restore_refuses_list_lengths_the_bytes_cannot_hold() {
             );
         }
     }
+}
+
+/// A lookup kernel with an in-lane indexed read (`LUT`), an in-lane indexed
+/// write (`hist`) and a conditional output (`odd`), run beside a chain of
+/// two loads whose second is still serving words while the kernel runs.
+/// The kernel's inputs are written straight into the SRF and the loads
+/// read memory nothing has written, so the frame backs no memory chunk.
+fn mixed_point() -> (Machine, StreamProgram) {
+    const WORDS: u32 = 512;
+    let cfg = MachineConfig::preset(ConfigName::Isrf4);
+    let mut machine = Machine::new(cfg).unwrap();
+
+    let mut b = KernelBuilder::new("mixed");
+    let s_in = b.stream("in", StreamKind::SeqIn);
+    let s_lut = b.stream("LUT", StreamKind::IdxInRead);
+    let s_hist = b.stream("hist", StreamKind::IdxInWrite);
+    let s_odd = b.stream("odd", StreamKind::CondOut);
+    let s_out = b.stream("out", StreamKind::SeqOut);
+    let a = b.seq_read(s_in);
+    let v = b.idx_load(s_lut, a);
+    b.idx_write(s_hist, a, v);
+    let one = b.constant(1);
+    let odd = b.and(a, one);
+    b.cond_write(s_odd, odd, v);
+    let c = b.add(a, v);
+    b.seq_write(s_out, c);
+    let kernel = Arc::new(b.build().unwrap());
+    let sched = schedule(&kernel, &SchedParams::from_machine(machine.config())).unwrap();
+
+    let lut = machine.alloc_stream(1, 256 * 8);
+    let hist = machine.alloc_stream(1, 256 * 8);
+    let input = machine.alloc_stream(1, WORDS);
+    let odds = machine.alloc_stream(1, WORDS);
+    let output = machine.alloc_stream(1, WORDS);
+    let (few, many) = (machine.alloc_stream(1, 8), machine.alloc_stream(1, 64));
+    machine.write_stream(
+        &lut,
+        &(0..256 * 8).map(|i| 1000 + i / 8).collect::<Vec<_>>(),
+    );
+    machine.write_stream(&input, &(0..WORDS).map(|i| i * 7 % 256).collect::<Vec<_>>());
+
+    let mut p = StreamProgram::new();
+    let first = p.load(
+        AddrPattern::Indexed((0..8).rev().collect()),
+        few,
+        false,
+        &[],
+    );
+    p.load(AddrPattern::contiguous(64, 64), many, false, &[first]);
+    let bindings = vec![input, lut, hist, odds, output];
+    p.kernel(kernel, sched, bindings, u64::from(WORDS / 8), &[]);
+    (machine, p)
+}
+
+/// A cycle at which a `mixed_point` run, paused there, holds the kernel
+/// mid-flight, the LUT store still serving words, an indexed read in flight
+/// and an indexed write queued, read off a traced run. Each condition holds
+/// a cycle either side too, so it does not hang on which side of a cycle's
+/// events a pause falls: a read issued two or three cycles before lands
+/// (`INLANE_LATENCY` = 4) after, and a write queue nonempty after an access
+/// then is drained by none in the two cycles around the pause.
+fn busy_cycle() -> u64 {
+    let (mut m, p) = mixed_point();
+    m.set_tracer(Tracer::recording(1 << 20));
+    m.run(&p);
+    let events = drain_events(&mut m);
+    let cycle =
+        |want: &dyn Fn(&TraceEvent) -> bool| events.iter().find(|(_, e)| want(e)).map(|e| e.0);
+    let store = events.iter().find_map(|(c, e)| match e {
+        TraceEvent::TransferStart { op: 1, id, .. } => Some((*c, *id)),
+        _ => None,
+    });
+    let (store_at, store) = store.expect("the second load starts");
+    let served = cycle(&|e| *e == TraceEvent::TransferServed { id: store }).unwrap();
+    let start = cycle(&|e| matches!(e, TraceEvent::KernelStart { .. })).unwrap();
+    let end = cycle(&|e| matches!(e, TraceEvent::KernelEnd { .. })).unwrap();
+    let access = |c: u64, stream: u8, queued: bool| {
+        events.iter().any(|(at, e)| {
+            *at == c
+                && matches!(e, &TraceEvent::IdxAccess { stream: s, fifo_after, .. }
+                    if s == stream && (!queued || fifo_after > 0))
+        })
+    };
+    (start.max(store_at) + 3..end.min(served) - 2)
+        .find(|&t| {
+            let before = [t - 3, t - 2];
+            before.iter().any(|&c| access(c, 0, false))
+                && before.iter().any(|&c| access(c, 1, true))
+                && !access(t - 1, 1, false)
+                && !access(t, 1, false)
+        })
+        .expect("a cycle with every kind of state in flight")
+}
+
+/// Restore reads every byte it is handed. In a frame that holds an
+/// in-flight transfer, in-flight indexed reads, queued indexed writes and a
+/// conditional stream, flipping bit 0 or bit 1 of a byte of `meta`, `run`,
+/// `pending`, `mem/sys` or the head of `kctx`, under a correct hash, must
+/// make restore refuse the frame or restore a machine whose own snapshot
+/// differs; restore must never panic. Every byte of `meta` is tried, and
+/// elsewhere one byte of each 8-byte window, drawn with a fixed seed: that
+/// covers every field of 8 bytes or more in under a second.
+#[test]
+fn no_byte_is_ignored_on_restore() {
+    let (mut m, p) = mixed_point();
+    assert!(m.run_for(&p, busy_cycle()).is_none());
+    let frame = m.save_state(&p);
+    let payload = snap::unframe(&frame).unwrap();
+    let (mut r, p2) = mixed_point();
+    let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut findings = Vec::new();
+    for (path, head, window) in [
+        (&["meta"][..], usize::MAX, 1),
+        (&["run"], usize::MAX, 8),
+        (&["pending"], usize::MAX, 8),
+        (&["mem", "sys"], usize::MAX, 8),
+        (&["kctx"], 64, 8),
+    ] {
+        let section = locate(payload, path);
+        let end = section.end.min(section.start + head.min(section.len()));
+        assert!(end > section.start, "{path:?} is empty");
+        for from in (section.start..end).step_by(window) {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let at = from + rng as usize % window.min(end - from);
+            for bit in [1, 2] {
+                let mut flipped = payload.to_vec();
+                flipped[at] ^= bit;
+                let bytes = snap::frame(&flipped);
+                let what = format!("{path:?} byte {} ^ {bit}", at - section.start);
+                let restored = catch_unwind(AssertUnwindSafe(|| r.restore_state(&p2, &bytes)));
+                match restored {
+                    Err(_) => findings.push(format!("{what}: restore panics")),
+                    Ok(Ok(())) if r.save_state(&p2) == frame => {
+                        findings.push(format!("{what}: ignored"))
+                    }
+                    Ok(_) => {}
+                }
+            }
+        }
+    }
+    assert!(findings.is_empty(), "{findings:#?}");
+}
+
+/// The byte range of the section at `path` (nested section names,
+/// outermost first) within `payload`.
+fn locate(payload: &[u8], path: &[&str]) -> std::ops::Range<usize> {
+    let Some((name, rest)) = path.split_first() else {
+        return 0..payload.len();
+    };
+    let mut d = snap::Dec::new(payload);
+    for _ in 0..d.usize().unwrap() {
+        let (found, len) = (d.str().unwrap(), d.usize().unwrap());
+        let start = payload.len() - d.remaining();
+        d.bytes(len).unwrap();
+        if found == *name {
+            let inner = locate(&payload[start..start + len], rest);
+            return start + inner.start..start + inner.end;
+        }
+    }
+    panic!("no section {name}");
 }
