@@ -237,8 +237,9 @@ impl KernelRun {
     /// Serialize the dynamic state of an in-flight invocation: counters,
     /// each slot's kind tag and stream state (an indexed slot's is in the
     /// indexed-stream list that follows), and the indexed streams (the
-    /// iteration contexts are [`KernelRun::encode_ctx`]'s). Static structure (kernel, schedule,
-    /// bindings, slot layout) is reconstructed from the program on restore.
+    /// iteration contexts are [`KernelRun::encode_ctx`]'s). Static
+    /// structure (kernel, schedule, bindings, slot layout) is reconstructed
+    /// from the program on restore.
     pub(crate) fn encode_state(&self, e: &mut Enc) {
         e.u64(self.t);
         e.u64(self.advance_cycles);

@@ -383,7 +383,7 @@ fn mixed_point() -> (Machine, StreamProgram) {
 }
 
 /// A cycle at which a `mixed_point` run, paused there, holds the kernel
-/// mid-flight, the LUT store still serving words, an indexed read in flight
+/// mid-flight, the second load still serving words, an indexed read in flight
 /// and an indexed write queued, read off a traced run. Each condition holds
 /// a cycle either side too, so it does not hang on which side of a cycle's
 /// events a pause falls: a read issued two or three cycles before lands
@@ -396,12 +396,12 @@ fn busy_cycle() -> u64 {
     let events = drain_events(&mut m);
     let cycle =
         |want: &dyn Fn(&TraceEvent) -> bool| events.iter().find(|(_, e)| want(e)).map(|e| e.0);
-    let store = events.iter().find_map(|(c, e)| match e {
+    let load = events.iter().find_map(|(c, e)| match e {
         TraceEvent::TransferStart { op: 1, id, .. } => Some((*c, *id)),
         _ => None,
     });
-    let (store_at, store) = store.expect("the second load starts");
-    let served = cycle(&|e| *e == TraceEvent::TransferServed { id: store }).unwrap();
+    let (load_at, load) = load.expect("the second load starts");
+    let served = cycle(&|e| *e == TraceEvent::TransferServed { id: load }).unwrap();
     let start = cycle(&|e| matches!(e, TraceEvent::KernelStart { .. })).unwrap();
     let end = cycle(&|e| matches!(e, TraceEvent::KernelEnd { .. })).unwrap();
     let access = |c: u64, stream: u8, queued: bool| {
@@ -411,7 +411,7 @@ fn busy_cycle() -> u64 {
                     if s == stream && (!queued || fifo_after > 0))
         })
     };
-    (start.max(store_at) + 3..end.min(served) - 2)
+    (start.max(load_at) + 3..end.min(served) - 2)
         .find(|&t| {
             let before = [t - 3, t - 2];
             before.iter().any(|&c| access(c, 0, false))
@@ -447,7 +447,7 @@ fn no_byte_is_ignored_on_restore() {
         (&["kctx"], 64, 8),
     ] {
         let section = locate(payload, path);
-        let end = section.end.min(section.start + head.min(section.len()));
+        let end = section.start + section.len().min(head);
         assert!(end > section.start, "{path:?} is empty");
         for from in (section.start..end).step_by(window) {
             rng ^= rng << 13;
