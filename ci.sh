@@ -498,18 +498,18 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # exact-size `reorder`, built once a plan; stencil -3; gather +18, each
 # strip's list per record base, built by the first sweep and shared by the
 # later ones) and isrf-sim +1 (`collect_indices` names the list).
-# Lowered by exactly its net -28 when snapshot format 2 wrote each fact
-# once: isrf-sim -27 (`meta`'s reserved byte and ignored flag, `kctx`'s
+# Lowered by exactly its net -40 when snapshot format 2 wrote each fact
+# once: isrf-sim -39 (`meta`'s reserved byte and ignored flag, `kctx`'s
 # one-valued tag, the indexed slot's index, an indexed request's read/write
 # tag and the two occupancy totals, each lane cursor's record and word
 # with `LaneCursor::first_k`, one `GlobalCursor` codec for both
-# conditional streams; +15 for the check that refuses a queued indexed
-# record outside its stream, which restore used to meet as a debug-build
-# panic), isrf-mem -9 (an in-flight transfer's separate length, on the
-# wire and in `Inflight`), isrf-core +5 (`Dec::bool` refuses bytes but 0
-# and 1) and isrf-apps +3 (filter's and stencil's row lists built in their
-# one allocation).
-loc_ceiling=25782
+# conditional streams; +3 for the range debug assertion moving from the
+# head retarget, which restore also runs, to the three push paths),
+# isrf-mem -9 (an in-flight transfer's separate length, on the wire and in
+# `Inflight`), isrf-core +5 (`Dec::bool` refuses bytes but 0 and 1) and
+# isrf-apps +3 (filter's and stencil's row lists built in their one
+# allocation).
+loc_ceiling=25770
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

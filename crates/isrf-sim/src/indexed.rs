@@ -153,6 +153,8 @@ pub struct IdxState {
     /// Per bank, the lanes whose FIFO head targets it (cross-lane streams;
     /// empty in-lane, where lane `l` wants bank `l`).
     want: Vec<u64>,
+    /// Records below this lie in the binding; debug builds assert each push does.
+    limit: u32,
     /// No in-flight word arrives before this cycle; `u64::MAX` exactly
     /// when nothing is in flight.
     next_arrival: u64,
@@ -209,6 +211,8 @@ impl IdxState {
             room: u64::MAX >> (64 - lanes),
             flying: 0,
             want: vec![0; if cross { lanes } else { 0 }],
+            limit: binding.range.words_per_bank / binding.record_words.max(1)
+                * (lanes / span) as u32,
             next_arrival: u64::MAX,
             open: 0,
             seen: None,
@@ -246,12 +250,8 @@ impl IdxState {
     /// checks, not with a slice-index panic here.
     #[inline]
     fn retarget(&mut self, i: usize) {
-        let record = self.addr[slot(i, self.cur[i].a_pop, self.a_shift)].0;
-        debug_assert!(
-            self.in_range(record),
-            "indexed record {record} out of range"
-        );
         let c = &mut self.cur[i];
+        let record = self.addr[slot(i, c.a_pop, self.a_shift)].0;
         let (row, bank) = if self.kind == IdxKind::CrossLaneRead {
             div_rem(record, self.n_lanes, self.lane_shift)
         } else {
@@ -267,17 +267,6 @@ impl IdxState {
         if let Some(w) = self.want.get_mut(bank as usize) {
             *w |= 1 << i;
         }
-    }
-
-    /// Does every word of `record` lie inside the binding (cross-lane: in
-    /// the bank that owns it)?
-    fn in_range(&self, record: u32) -> bool {
-        let row = match self.kind {
-            IdxKind::CrossLaneRead => record / self.n_lanes,
-            _ => record,
-        };
-        let b = &self.binding;
-        (u64::from(row) + 1) * u64::from(b.record_words) <= u64::from(b.range.words_per_bank)
     }
 
     /// Append `record` to cursor `i`'s address ring; returns its count.
@@ -312,6 +301,7 @@ impl IdxState {
     /// Queue a read-record address from lane `l`'s cluster.
     pub fn push_addr(&mut self, lane: usize, record: u32) {
         debug_assert!(self.kind != IdxKind::InLaneWrite);
+        debug_assert!(record < self.limit, "indexed record {record} out of range");
         self.split();
         self.enqueue(lane, record);
     }
@@ -320,6 +310,7 @@ impl IdxState {
     /// bindings are word-granular).
     pub fn push_write_word(&mut self, lane: usize, record: u32, word: Word) {
         debug_assert_eq!(self.kind, IdxKind::InLaneWrite);
+        debug_assert!(record < self.limit, "indexed record {record} out of range");
         self.split();
         let at = self.enqueue(lane, record);
         self.addr[slot(lane, at, self.a_shift)].1 = word;
@@ -332,6 +323,7 @@ impl IdxState {
     /// does not.
     pub fn push_row(&mut self, records: &[u32], words: &[Word]) {
         debug_assert_eq!(words.is_empty(), self.kind != IdxKind::InLaneWrite);
+        debug_assert!(records.iter().all(|&r| r < self.limit));
         if self.span > 1 {
             if records.iter().all(|&r| r == records[0]) {
                 let at = self.enqueue(0, records[0]);
@@ -549,11 +541,7 @@ impl IdxState {
                 return mismatch("address FIFO overflows its capacity");
             }
             for _ in 0..reqs {
-                let record = d.u32()?;
-                if !self.in_range(record) {
-                    return mismatch("address FIFO holds a record outside the stream");
-                }
-                let at = slot(lane, self.enqueue(lane, record), self.a_shift);
+                let at = slot(lane, self.enqueue(lane, d.u32()?), self.a_shift);
                 if self.kind == IdxKind::InLaneWrite {
                     self.addr[at].1 = d.u32()?;
                 }

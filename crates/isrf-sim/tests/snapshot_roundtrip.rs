@@ -244,29 +244,31 @@ fn restore_rejects_unknown_version_and_corruption() {
 /// `snapshot` with `edit` applied to the bytes of the section at `path`
 /// (nested section names, outermost first), re-framed under a correct hash.
 fn tampered(snapshot: &[u8], path: &[&str], edit: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
-    fn rebuild(bytes: &[u8], path: &[&str], edit: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
-        let Some((name, rest)) = path.split_first() else {
-            let mut out = bytes.to_vec();
-            edit(&mut out);
-            return out;
-        };
-        let sections: Vec<(String, Vec<u8>)> = snap::read_sections(bytes)
-            .unwrap()
-            .into_iter()
-            .map(|s| {
-                let bytes = if s.name == *name {
-                    rebuild(&s.bytes, rest, edit)
-                } else {
-                    s.bytes
-                };
-                (s.name, bytes)
-            })
-            .collect();
-        let mut e = Enc::new();
-        snap::write_sections(&mut e, &sections);
-        e.into_bytes()
-    }
-    snap::frame(&rebuild(snap::unframe(snapshot).unwrap(), path, edit))
+    snap::frame(&rebuilt(snap::unframe(snapshot).unwrap(), path, edit))
+}
+
+/// The section list `bytes` with `edit` applied to the section at `path`.
+fn rebuilt(bytes: &[u8], path: &[&str], edit: &dyn Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let Some((name, rest)) = path.split_first() else {
+        let mut out = bytes.to_vec();
+        edit(&mut out);
+        return out;
+    };
+    let sections: Vec<(String, Vec<u8>)> = snap::read_sections(bytes)
+        .unwrap()
+        .into_iter()
+        .map(|s| {
+            let bytes = if s.name == *name {
+                rebuilt(&s.bytes, rest, edit)
+            } else {
+                s.bytes
+            };
+            (s.name, bytes)
+        })
+        .collect();
+    let mut e = Enc::new();
+    snap::write_sections(&mut e, &sections);
+    e.into_bytes()
 }
 
 /// A decoded list length sizes an allocation, so a correctly framed and
@@ -446,19 +448,20 @@ fn no_byte_is_ignored_on_restore() {
         (&["mem", "sys"], usize::MAX, 8),
         (&["kctx"], 64, 8),
     ] {
-        let section = locate(payload, path);
-        let end = section.start + section.len().min(head);
-        assert!(end > section.start, "{path:?} is empty");
-        for from in (section.start..end).step_by(window) {
+        let section = path.iter().fold(payload.to_vec(), |bytes, name| {
+            let mut sections = snap::read_sections(&bytes).unwrap().into_iter();
+            sections.find(|s| s.name == *name).unwrap().bytes
+        });
+        let end = section.len().min(head);
+        assert!(end > 0, "{path:?} is empty");
+        for from in (0..end).step_by(window) {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
             let at = from + rng as usize % window.min(end - from);
             for bit in [1, 2] {
-                let mut flipped = payload.to_vec();
-                flipped[at] ^= bit;
-                let bytes = snap::frame(&flipped);
-                let what = format!("{path:?} byte {} ^ {bit}", at - section.start);
+                let bytes = snap::frame(&rebuilt(payload, path, &|s| s[at] ^= bit));
+                let what = format!("{path:?} byte {at} ^ {bit}");
                 let restored = catch_unwind(AssertUnwindSafe(|| r.restore_state(&p2, &bytes)));
                 match restored {
                     Err(_) => findings.push(format!("{what}: restore panics")),
@@ -471,23 +474,4 @@ fn no_byte_is_ignored_on_restore() {
         }
     }
     assert!(findings.is_empty(), "{findings:#?}");
-}
-
-/// The byte range of the section at `path` (nested section names,
-/// outermost first) within `payload`.
-fn locate(payload: &[u8], path: &[&str]) -> std::ops::Range<usize> {
-    let Some((name, rest)) = path.split_first() else {
-        return 0..payload.len();
-    };
-    let mut d = snap::Dec::new(payload);
-    for _ in 0..d.usize().unwrap() {
-        let (found, len) = (d.str().unwrap(), d.usize().unwrap());
-        let start = payload.len() - d.remaining();
-        d.bytes(len).unwrap();
-        if found == *name {
-            let inner = locate(&payload[start..start + len], rest);
-            return start + inner.start..start + inner.end;
-        }
-    }
-    panic!("no section {name}");
 }
