@@ -388,6 +388,18 @@ if grep -rn -e '{{\\"' -e '\\":' crates/*/src \
   exit 1
 fi
 
+echo "==> snapshots are for resume (grep gate)"
+# A snapshot pauses a run and resumes it: save_state, restore_state and the
+# section list restore reads. The first-divergence bisector, the schema-free
+# snapshot diff and the heuristic section reader they used compared two
+# machines of one build, one config and one program, which a deterministic
+# simulator never makes diverge; they must not come back.
+if grep -rnE -e 'first_divergence|diff_snapshots|try_read_sections|PerturbAt' \
+  -e 'mod bisect' crates/*/src crates/*/tests src tests; then
+  echo "snapshot diffing is back: snapshots are for resume; the oracle checks runs" >&2
+  exit 1
+fi
+
 echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # Every `.rs` under a `src/` directory, each file cut at its first top-level
 # `#[cfg(test)]`. The ceiling is the total of the last PR that moved it,
@@ -509,7 +521,14 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # `Inflight`), isrf-core +5 (`Dec::bool` refuses bytes but 0 and 1) and
 # isrf-apps +3 (filter's and stencil's row lists built in their one
 # allocation).
-loc_ceiling=25770
+# Lowered by exactly its net -376 when snapshots became for resume only:
+# isrf-check -221 (`bisect.rs` with `first_divergence`, `BisectError`,
+# `Divergence` and `PerturbAt`, and its re-exports), isrf-sim -116
+# (`diff_snapshots`, `SnapshotDiff`, `MAX_DIFFS` and `display_path` -102;
+# `Machine::free_srf` -8 and `Srf::free_all`, its one callee, -6),
+# isrf-core -28 (`snap::try_read_sections`) and isrf-kernel -11
+# (`Schedule::alu_utilization`).
+loc_ceiling=25394
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

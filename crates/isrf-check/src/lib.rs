@@ -17,21 +17,16 @@
 //! * [`sweep`] — a deterministic parallel driver fanning independent
 //!   simulation points across OS threads, with results in input order so
 //!   parallel and serial sweeps are byte-identical.
-//! * [`bisect`] — when two machines that should agree don't, binary-search
-//!   over cycle-granular state snapshots for the first diverging cycle and
-//!   a structural diff of what differs (DESIGN.md §12).
 //! * [`golden()`] — the one way a test holds output to a committed file,
 //!   and [`Columns`], the one way a test reads a committed digest's line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bisect;
 pub mod diff;
 pub mod refexec;
 pub mod sweep;
 
-pub use bisect::{first_divergence, BisectError, Divergence, PerturbAt};
 pub use diff::{run_differential, DiffError, DiffFailure, DiffOutcome};
 pub use refexec::{RefCounts, RefMachine};
 pub use sweep::{run_parallel, run_serial};

@@ -4,9 +4,8 @@
 //! every piece of dynamic architectural state into a versioned,
 //! content-hashed byte stream. This module provides the primitives: a
 //! little-endian writer ([`Enc`]) and reader ([`Dec`]), the outer frame
-//! (magic + version + payload + trailing FNV-1a hash), and a named-section
-//! convention that lets tooling diff two snapshots structurally without
-//! knowing every field.
+//! (magic + version + payload + trailing FNV-1a hash), and the named-section
+//! list the payload is made of.
 //!
 //! The format is deliberately simple — fixed-width little-endian integers,
 //! `f64` via its IEEE-754 bit pattern, length-prefixed byte strings — so
@@ -352,33 +351,6 @@ pub fn read_sections(bytes: &[u8]) -> Result<Vec<Section>, SnapError> {
     Ok(out)
 }
 
-/// Heuristically parse `bytes` as a section list: succeeds only when the
-/// buffer decodes exactly as [`read_sections`] expects, the count is small
-/// (≤ 64), and every name is short printable ASCII. Lets structural diff
-/// tooling recurse into nested sections without a schema.
-pub fn try_read_sections(bytes: &[u8]) -> Option<Vec<Section>> {
-    let mut d = Dec::new(bytes);
-    let n = d.usize().ok()?;
-    if n > 64 {
-        return None;
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = d.str().ok()?;
-        if name.is_empty() || name.len() > 32 || !name.bytes().all(|b| (0x20..0x7f).contains(&b)) {
-            return None;
-        }
-        let len = d.usize().ok()?;
-        let payload = d.bytes(len).ok()?;
-        out.push(Section {
-            name,
-            bytes: payload.to_vec(),
-        });
-    }
-    d.finish().ok()?;
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -505,18 +477,6 @@ mod tests {
         assert_eq!(secs[0].bytes, vec![1, 2, 3]);
         assert_eq!(secs[1].name, "beta");
         assert!(secs[1].bytes.is_empty());
-        assert_eq!(try_read_sections(&bytes).unwrap(), secs);
-    }
-
-    #[test]
-    fn try_read_sections_rejects_non_section_bytes() {
-        assert!(try_read_sections(&[0xff; 16]).is_none());
-        // A valid-looking count with garbage names.
-        let mut e = Enc::new();
-        e.usize(1);
-        e.str("\u{1}bad");
-        e.usize(0);
-        assert!(try_read_sections(&e.into_bytes()).is_none());
     }
 
     #[test]

@@ -86,17 +86,6 @@ impl Schedule {
     pub fn stages(&self) -> u32 {
         self.span.div_ceil(self.ii.max(1)).max(1)
     }
-
-    /// Steady-state ALU utilization: issue slots used by arithmetic ops
-    /// per iteration over the slots `fu_count` units provide in one II.
-    pub fn alu_utilization(&self, kernel: &crate::ir::Kernel, fu_count: usize) -> f64 {
-        let alu_ops = kernel
-            .ops
-            .iter()
-            .filter(|o| matches!(o.opcode.class(), crate::ir::OpClass::Alu))
-            .count();
-        alu_ops as f64 / (self.ii.max(1) as u64 * fu_count as u64) as f64
-    }
 }
 
 /// Scheduling failure.
@@ -824,15 +813,6 @@ mod tests {
         assert!(s.stages() >= 1);
         assert!(s.completion >= s.span);
         assert_eq!(s.stages(), s.span.div_ceil(s.ii));
-    }
-
-    #[test]
-    fn alu_utilization_is_a_fraction() {
-        let k = simple_mac_kernel(8);
-        let p = params();
-        let s = schedule(&k, &p).unwrap();
-        let u = s.alu_utilization(&k, p.fu_count);
-        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
     }
 
     #[test]

@@ -25,9 +25,9 @@
 //!   [`Machine::run_for`] are `step` with the error turned into a panic).
 //!   The machine never verifies a program: [`Machine::verify_env`] hands
 //!   the caller the [`VerifyEnv`] that `isrf-verify`'s analyzer reads.
-//! * [`snapshot`] — the cycle-granular snapshot codec
-//!   ([`Machine::save_state`] / [`Machine::restore_state`]) and the
-//!   structural snapshot diff used by the first-divergence bisector.
+//! * `snapshot` — the cycle-granular snapshot codec behind
+//!   [`Machine::save_state`] / [`Machine::restore_state`], which pause a
+//!   run and resume it elsewhere.
 //!
 //! # Example: the paper's table-lookup kernel end to end
 //!
@@ -88,7 +88,7 @@ pub mod exec;
 pub mod indexed;
 pub mod machine;
 pub mod program;
-pub mod snapshot;
+mod snapshot;
 pub mod srf;
 pub mod stream;
 pub mod tape;
@@ -96,7 +96,6 @@ pub mod tape;
 pub use exec::{ExecEngine, KernelRun, Phase};
 pub use machine::{Machine, SimError, VerifyEnv};
 pub use program::{ProgOp, ProgOpId, StreamProgram};
-pub use snapshot::{diff_snapshots, SnapshotDiff};
 pub use srf::{Srf, SrfRange};
 pub use stream::StreamBinding;
 pub use tape::{cached_tape, tape_cache_stats, CompiledTape};

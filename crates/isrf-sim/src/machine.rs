@@ -137,7 +137,7 @@ pub(crate) struct RunState {
 }
 
 /// A complete simulated stream processor. The `pub(crate)` fields are the
-/// dynamic state [`crate::snapshot`] serializes.
+/// dynamic state [`Machine::save_state`] serializes.
 #[derive(Debug)]
 pub struct Machine {
     pub(crate) cfg: MachineConfig,
@@ -297,14 +297,6 @@ impl Machine {
         let per_bank = records.div_ceil(lanes) * record_words;
         let range = self.srf.alloc(per_bank);
         StreamBinding::whole(range, record_words, records)
-    }
-
-    /// Release all SRF allocations. Also forgets which intervals held
-    /// data: ranges handed out earlier must no longer be used, so nothing
-    /// inside them counts as live for verification.
-    pub fn free_srf(&mut self) {
-        self.srf.free_all();
-        self.filled.clear();
     }
 
     /// The facts a static verifier reads beside the program: allocator
@@ -1427,18 +1419,6 @@ mod edge_tests {
         for i in 0..16u32 {
             assert_eq!(m.mem().memory().read(0x1000 + i), 100 + i % 16);
         }
-    }
-
-    #[test]
-    fn free_srf_allows_region_reuse() {
-        let cfg = MachineConfig::preset(ConfigName::Base);
-        let mut m = Machine::new(cfg).unwrap();
-        let a = m.alloc_stream(1, 1024);
-        m.write_stream(&a, &vec![5; 1024]);
-        m.free_srf();
-        let b = m.alloc_stream(1, 1024);
-        // Same storage, new binding: old contents still visible.
-        assert_eq!(m.read_stream(&b), vec![5; 1024]);
     }
 
     #[test]

@@ -185,12 +185,6 @@ impl Srf {
         r
     }
 
-    /// Release all allocations (contents are preserved; ranges handed out
-    /// earlier must no longer be used).
-    pub fn free_all(&mut self) {
-        self.next_free = 0;
-    }
-
     /// Words per bank still unallocated.
     pub fn free_words(&self) -> u32 {
         self.bank_words - self.next_free
@@ -304,8 +298,6 @@ mod tests {
         assert_eq!(a.base, 0);
         assert_eq!(b.base, 1000);
         assert_eq!(s.free_words(), 96);
-        s.free_all();
-        assert_eq!(s.free_words(), 4096);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use isrf_core::Word;
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
 use isrf_mem::AddrPattern;
-use isrf_sim::machine::Machine;
+use isrf_sim::machine::{Machine, SimError};
 use isrf_sim::program::StreamProgram;
 use isrf_trace::{TraceEvent, Tracer};
 
@@ -166,26 +166,39 @@ fn reserialized_snapshot_is_byte_identical() {
     assert_eq!(r.save_state(&p), snapshot);
 }
 
+/// Two machines built alike and stepped alike hold the same state: their
+/// snapshots are byte-identical at cycle 33 and at every 64-cycle
+/// boundary after it, through completion.
 #[test]
 fn snapshots_of_identical_state_are_byte_identical() {
     let (mut a, pa) = build_point();
     let (mut b, pb) = build_point();
-    assert!(a.run_for(&pa, 33).is_none());
-    assert!(b.run_for(&pb, 33).is_none());
-    assert_eq!(a.save_state(&pa), b.save_state(&pb));
+    let mut at = 0;
+    for budget in std::iter::once(33).chain(std::iter::repeat(64)) {
+        let done = a.run_for(&pa, budget);
+        assert_eq!(b.run_for(&pb, budget), done, "cycle {at} + {budget}");
+        at += budget;
+        assert_eq!(a.save_state(&pa), b.save_state(&pb), "cycle {at}");
+        if done.is_some() {
+            break;
+        }
+    }
+    assert!(at > 33 + 64, "the run spans several boundaries");
 }
 
+/// Resuming a paused run with a program of another length is an error,
+/// not a panic, and leaves the paused run as it was.
 #[test]
-fn diff_localizes_a_perturbed_bank_word() {
-    let (mut a, pa) = build_point();
-    assert!(a.run_for(&pa, 40).is_none());
-    let clean = a.save_state(&pa);
-    let w = a.srf().read(3, 7);
-    a.srf_mut().write(3, 7, w ^ 0x1);
-    let dirty = a.save_state(&pa);
-    let diffs = isrf_sim::diff_snapshots(&clean, &dirty).unwrap();
-    assert_eq!(diffs.len(), 1);
-    assert_eq!(diffs[0].path, "srf");
+fn stepping_a_paused_run_with_another_program_is_refused() {
+    let (mut m, p) = build_point();
+    let mut other = StreamProgram::new();
+    let dst = m.alloc_stream(1, 8);
+    other.load(AddrPattern::contiguous(0, 8), dst, false, &[]);
+    assert_ne!(other.len(), p.len());
+    assert!(m.run_for(&p, 20).is_none());
+    let paused = m.save_state(&p);
+    assert_eq!(m.step(&other, 64), Err(SimError::ProgramMismatch));
+    assert_eq!(m.save_state(&p), paused);
 }
 
 #[test]

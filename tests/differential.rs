@@ -28,9 +28,8 @@
 //! every other column and copies those four.
 //!
 //! Beside the writer: fifteen timing perturbations per Small point that may
-//! move cycles and nothing else, ISRF1 ≡ ISRF4 on the committed columns,
-//! and the snapshot bisector, which must find a fault injected into
-//! sort/ISRF4.
+//! move cycles and nothing else, and ISRF1 ≡ ISRF4 on the committed
+//! columns.
 //!
 //! Memory in this simulator moves functionally at request time — the cache
 //! and DRAM models only shape timing and traffic accounting — so the final
@@ -42,8 +41,7 @@ use std::sync::{Arc, OnceLock};
 use isrf_apps::common::Prepared;
 use isrf_apps::{prepare_app, Profile, APPS};
 use isrf_check::{
-    first_divergence, golden, run_differential, run_parallel, words_digest, Columns, DiffOutcome,
-    PerturbAt, POINTS_DIGEST,
+    golden, run_differential, run_parallel, words_digest, Columns, DiffOutcome, POINTS_DIGEST,
 };
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::{fnv1a, Enc};
@@ -512,32 +510,4 @@ fn basket_digest_matches_golden_file() {
             "{app} {cfg} Small: pause, save, restore and resume moved"
         );
     });
-}
-
-/// The bisector on a real app: one word of sort/ISRF4's SRF flipped
-/// half-way through the run — the first above the allocator's high-water
-/// mark, which no transfer touches, so the damage stays in architectural
-/// state — is found at exactly that cycle, in the `srf` section.
-#[test]
-fn bisector_localizes_an_injected_srf_fault_on_sort() {
-    let [mut a, mut b, mut c] = [(); 3].map(|()| prepare("sort", ConfigName::Isrf4));
-    let srf = b.machine.srf();
-    assert!(srf.free_words() > 0, "sort fills the entire SRF");
-    let perturb = PerturbAt {
-        cycle: c.machine.run(&c.program).cycles / 2,
-        lane: 0,
-        offset: srf.bank_words() - srf.free_words(),
-        xor: 0x5a5a_5a5a,
-    };
-    let found = first_divergence(
-        &mut a.machine,
-        &mut b.machine,
-        &b.program,
-        256,
-        Some(perturb),
-    )
-    .expect("lockstep snapshots restore")
-    .expect("the injected fault is detected");
-    assert_eq!(found.cycle, perturb.cycle, "{found}");
-    assert!(found.diffs.iter().any(|d| d.path == "srf"), "{found}");
 }
