@@ -528,7 +528,12 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # `Machine::free_srf` -8 and `Srf::free_all`, its one callee, -6),
 # isrf-core -28 (`snap::try_read_sections`) and isrf-kernel -11
 # (`Schedule::alu_utilization`).
-loc_ceiling=25394
+# Raised by exactly its net +36 when a compiled tape's operands lost their
+# distance and `init`: isrf-sim +36 (tape.rs +34: the `Warmup` table, its
+# search in `Frame::warm_up` and its construction in `compile`, exact-length
+# slices; exec.rs +2: the op number passed to `Frame::operands`), isrf-verify
+# 0 (a comment).
+loc_ceiling=25430
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

@@ -80,6 +80,69 @@ fn loop_carried_accumulation_matches_reference() {
     run_differential(&mut m, &p, &[(1000, n)]).unwrap_or_else(|e| panic!("diverged: {e}"));
 }
 
+/// Every kind of operand the tape's warm-up table serves, read before and
+/// after its distance, on half a row chunk, one chunk and two: a producer
+/// read at distances 1 and 2 with different `init`s, a `Const` read at
+/// distance 2 and `IterId` at distance 1. Each feeds a subtraction, so two
+/// operands that trade their `init`s or distances change the result, and
+/// the first three iterations are held to the values the IR defines.
+#[test]
+fn warm_up_operands_match_reference_on_4_8_and_16_lanes() {
+    let mut b = KernelBuilder::new("warm");
+    let si = b.stream("in", StreamKind::SeqIn);
+    let (o1, o2) = (
+        b.stream("o1", StreamKind::SeqOut),
+        b.stream("o2", StreamKind::SeqOut),
+    );
+    let x = b.seq_read(si);
+    let k = b.constant(7);
+    let it = b.iter_id();
+    let y = b.sub(Operand::carried(x, 1, 1000), Operand::carried(x, 2, 2000));
+    let z = b.sub(Operand::carried(k, 2, 3000), Operand::carried(it, 1, 4000));
+    b.seq_write(o1, y);
+    b.seq_write(o2, z);
+    let kernel = Arc::new(b.build().unwrap());
+    for lanes in [4u32, 8, 16] {
+        let mut cfg = MachineConfig::preset(ConfigName::Base);
+        cfg.lanes = lanes as usize;
+        let mut m = Machine::new(cfg).unwrap();
+        let s = sched_for(&m, &kernel);
+        let iters = 6;
+        let n = lanes * iters;
+        for i in 0..n {
+            m.mem_mut().memory_mut().write(i, i + 1);
+        }
+        let inp = m.alloc_stream(1, n);
+        let (out1, out2) = (m.alloc_stream(1, n), m.alloc_stream(1, n));
+        let mut p = StreamProgram::new();
+        let l = p.load(AddrPattern::contiguous(0, n), inp, false, &[]);
+        let kk = p.kernel(
+            Arc::clone(&kernel),
+            s,
+            vec![inp, out1, out2],
+            iters.into(),
+            &[l],
+        );
+        p.store(out1, AddrPattern::contiguous(1000, n), false, &[kk]);
+        p.store(out2, AddrPattern::contiguous(2000, n), false, &[kk]);
+        run_differential(&mut m, &p, &[(1000, n), (2000, n)])
+            .unwrap_or_else(|e| panic!("{lanes} lanes: diverged: {e}"));
+        let x = |j: u32, lane: u32| j * lanes + lane + 1;
+        let read = |at: u32| m.mem().memory().read(at);
+        for lane in 0..lanes {
+            let y: Vec<u32> = (0..3).map(|j| read(1000 + j * lanes + lane)).collect();
+            let y0 = [1000u32.wrapping_sub(2000), x(0, lane).wrapping_sub(2000)];
+            assert_eq!(y, [y0[0], y0[1], x(1, lane) - x(0, lane)], "{lanes} lanes");
+            let z: Vec<u32> = (0..3).map(|j| read(2000 + j * lanes + lane)).collect();
+            assert_eq!(
+                z,
+                [3000u32.wrapping_sub(4000), 3000, 7 - 1],
+                "{lanes} lanes"
+            );
+        }
+    }
+}
+
 #[test]
 fn inlane_indexed_lookup_matches_reference_with_exact_counts() {
     let mut m = machine(ConfigName::Isrf4);

@@ -47,7 +47,7 @@ pub(crate) const STALL_LIMIT: u64 = 1_000_000;
 /// ([`crate::tape::CompiledTape`]) — and this type selects nothing: it
 /// survives only as the value of `isrf_serve::spec::PointSpec::engine`,
 /// which the frozen `benchmark/` package writes, and goes when that field
-/// does (ROADMAP item 2d).
+/// does, with the change that next opens `benchmark/` to edits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecEngine {
     /// Compiled flat-tape execution.
@@ -508,8 +508,8 @@ impl KernelRun {
                 MicroKind::CondLaneRead { .. }
                 | MicroKind::CondRead { .. }
                 | MicroKind::CondWrite { .. } => {
-                    let mut frame = self.ring.frame(j);
-                    let [a, ..] = frame.operands(mop, false);
+                    let mut frame = self.ring.frame(tape, j);
+                    let [a, ..] = frame.operands(check.op, mop);
                     let words: &[Word] = frame.words;
                     Some(&words[a..a + self.lanes])
                 }
@@ -558,13 +558,15 @@ impl KernelRun {
             {
                 self.ops += u64::from(g.ops.1 - g.ops.0);
             }
-            let steady = j >= u64::from(tape.warm);
-            let mut frame = self.ring.frame(j);
-            for mop in &tape.ops[g.ops.0 as usize..g.ops.1 as usize] {
+            let mut frame = self.ring.frame(tape, j);
+            for (mop, op) in tape.ops[g.ops.0 as usize..g.ops.1 as usize]
+                .iter()
+                .zip(g.ops.0..)
+            {
                 exec_tape_op(
+                    op,
                     mop,
                     &mut frame,
-                    steady,
                     self.lanes,
                     &mut self.slots,
                     &mut self.idx_states,
@@ -651,23 +653,23 @@ fn blocker(
     }
 }
 
-/// Execute one micro-op, all lanes, for the iteration `frame` points at
-/// (`steady`: past the tape's largest distance): its operands are rows of
-/// the ring, read where they sit, and its result row goes straight into
-/// the ring (or, when no live op reads it, into the sink row).
+/// Execute `mop`, the tape's op number `op`, all lanes, for the iteration
+/// `frame` points at: its operands are rows of the ring, read where they
+/// sit, and its result row goes straight into the ring (or, when no live op
+/// reads it, into the sink row).
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn exec_tape_op(
+    op: u32,
     mop: &MicroOp,
     frame: &mut Frame,
-    steady: bool,
     lanes: usize,
     slots: &mut [SlotState],
     idx_states: &mut [IdxState],
     scratch: &mut [Vec<Word>],
     scratch_mask: Option<usize>,
 ) {
-    let [a, b, c] = frame.operands(mop, steady);
+    let [a, b, c] = frame.operands(op, mop);
     let dst = frame.dst(mop.dst);
     let w = &mut *frame.words;
     if let MicroKind::Alu(opc) = mop.kind {

@@ -50,7 +50,8 @@ use isrf_kernel::sched::Schedule;
 pub(crate) const NO_DST: u32 = u32::MAX;
 
 /// A pre-resolved operand: where its lane row sits once the firing
-/// iteration `j` has reached `d`, and the word every lane reads before.
+/// iteration `j` has reached the operand's distance `d` (before, a
+/// [`Warmup`] says what every lane reads).
 ///
 /// The row is `off` words past `bases[base]`, one of the bases a run keeps
 /// for the ring row iteration `j` sits in ([`Ring::frame`]):
@@ -61,7 +62,18 @@ pub(crate) const NO_DST: u32 = u32::MAX;
 pub(crate) struct Opnd {
     pub base: u32,
     pub off: u32,
-    /// Loop-carried distance: while `j < d` every lane reads `init`.
+}
+
+/// An operand read at a loop-carried distance `d > 0`: while the firing
+/// iteration is below `d`, every lane reads `init`. Only a run's first
+/// [`CompiledTape::warm`] iterations ask, so these sit in a table of their
+/// own ([`CompiledTape::warmups`]), not in the micro-ops the hot loop reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Warmup {
+    /// Index into [`CompiledTape::ops`].
+    pub op: u32,
+    /// Which of the op's three operands.
+    pub k: u8,
     pub d: u32,
     pub init: Word,
 }
@@ -154,14 +166,16 @@ pub(crate) struct Phase {
 #[derive(Debug)]
 pub struct CompiledTape {
     /// One entry per phase (`ii` of them).
-    pub(crate) phases: Vec<Phase>,
+    pub(crate) phases: Box<[Phase]>,
     /// The non-empty schedule slots, phase-major and within a phase by
     /// descending stage, which is oldest iteration first.
-    pub(crate) groups: Vec<Group>,
+    pub(crate) groups: Box<[Group]>,
     /// All live micro-ops, in `groups` order, op order within a group.
-    pub(crate) ops: Vec<MicroOp>,
+    pub(crate) ops: Box<[MicroOp]>,
     /// The stall-checkable subset of `ops`, in the same order.
-    pub(crate) checks: Vec<Check>,
+    pub(crate) checks: Box<[Check]>,
+    /// Every operand of `ops` read at a distance, by op and operand.
+    pub(crate) warmups: Box<[Warmup]>,
     /// Context ring depth in iterations (power of two).
     pub(crate) depth: usize,
     /// `depth - 1`, for modulo indexing by iteration number.
@@ -206,11 +220,10 @@ impl CompiledTape {
             ring.activate(k);
         }
         ring.words[..self.ring_words()].copy_from_slice(ctx);
-        let mut frame = ring.frame(j);
-        let steady = j >= u64::from(self.warm);
-        (self.ops.iter())
-            .map(|mop| {
-                let at = frame.operands(mop, steady);
+        let mut frame = ring.frame(self, j);
+        (self.ops.iter().zip(0..))
+            .map(|(mop, op)| {
+                let at = frame.operands(op, mop);
                 at.map(|at| frame.words[at..at + self.lane_stride].to_vec())
             })
             .collect()
@@ -306,14 +319,18 @@ impl Ring {
         }
     }
 
-    /// The rows, the bases pointing at iteration `j`: its ring row and
-    /// those behind it, its id row and those behind it.
+    /// The rows, the bases pointing at iteration `j` of a run of `tape`:
+    /// its ring row and those behind it, its id row and those behind it.
+    /// In steady state, from iteration `tape.warm` on, the frame holds no
+    /// warm-up entries and its operands never look for one.
     #[inline]
-    pub(crate) fn frame(&mut self, j: u64) -> Frame<'_> {
+    pub(crate) fn frame<'a>(&'a mut self, tape: &'a CompiledTape, j: u64) -> Frame<'a> {
         let r = (j & self.mask) as usize;
+        let steady = j >= u64::from(tape.warm);
         Frame {
             words: &mut self.words,
             bases: &self.bases[r * self.width..][..self.width],
+            warmups: if steady { &[] } else { &tape.warmups },
             j,
             stride: self.stride,
             warm: self.warm,
@@ -326,6 +343,8 @@ impl Ring {
 pub(crate) struct Frame<'a> {
     pub words: &'a mut [Word],
     bases: &'a [usize],
+    /// The tape's [`Warmup`]s before its steady state, else none.
+    warmups: &'a [Warmup],
     j: u64,
     stride: usize,
     /// First warm-up row; the sink follows the third.
@@ -333,25 +352,30 @@ pub(crate) struct Frame<'a> {
 }
 
 impl Frame<'_> {
-    /// Where `mop`'s operands read. In `steady` state, past the tape's
-    /// largest distance, that is a base plus an offset each. Before it, an
-    /// operand still inside its own distance has `init` staged in a
-    /// warm-up row.
+    /// Where the operands of `mop`, the tape's op number `op`, read: a
+    /// base plus an offset each, but for an operand still inside its own
+    /// distance, which reads its `init` staged in a warm-up row.
     #[inline]
-    pub(crate) fn operands(&mut self, mop: &MicroOp, steady: bool) -> [usize; 3] {
-        let ops = [mop.a, mop.b, mop.c];
-        if steady {
-            return ops.map(|o| self.bases[o.base as usize] + o.off as usize);
+    pub(crate) fn operands(&mut self, op: u32, mop: &MicroOp) -> [usize; 3] {
+        let mut at = [mop.a, mop.b, mop.c].map(|o| self.bases[o.base as usize] + o.off as usize);
+        if !self.warmups.is_empty() {
+            self.warm_up(op, &mut at);
         }
-        std::array::from_fn(|k| {
-            let o = ops[k];
-            if self.j >= u64::from(o.d) {
-                return self.bases[o.base as usize] + o.off as usize;
+        at
+    }
+
+    /// Point each operand of op `op` that iteration `j` reads before its
+    /// distance at a warm-up row holding its `init`.
+    #[cold]
+    fn warm_up(&mut self, op: u32, at: &mut [usize; 3]) {
+        let from = self.warmups.partition_point(|w| w.op < op);
+        for w in self.warmups[from..].iter().take_while(|w| w.op == op) {
+            if self.j < u64::from(w.d) {
+                let k = usize::from(w.k);
+                at[k] = self.warm + k * self.stride;
+                self.words[at[k]..at[k] + self.stride].fill(w.init);
             }
-            let at = self.warm + k * self.stride;
-            self.words[at..at + self.stride].fill(o.init);
-            at
-        })
+        }
     }
 
     /// Where a result for the context slot at `dst` in a ring row goes:
@@ -390,18 +414,22 @@ pub(crate) fn const_word(opc: Opcode, lanes: usize, lane: usize) -> Option<Word>
     }
 }
 
-/// Where an operand reads: see [`Opnd`]. `row_of` is the context slot of
-/// every op read through the context and the constant row of every
-/// constant producer, in words.
-fn compile_opnd(kernel: &Kernel, row_of: &[u32], dists: u32, o: &Operand) -> Opnd {
+/// An operand's distance and the word every lane reads while the firing
+/// iteration is below it.
+type Carried = (u32, Word);
+
+/// Where an operand reads, see [`Opnd`], and its [`Carried`] pair.
+/// `row_of` is the context slot of every op read through the context and
+/// the constant row of every constant producer, in words.
+fn compile_opnd(kernel: &Kernel, row_of: &[u32], dists: u32, o: &Operand) -> (Opnd, Carried) {
     let v = o.value.index();
-    let (d, init) = (o.distance, o.init);
+    let d = o.distance;
     let (base, off) = match kernel.ops[v].opcode {
         Opcode::IterId => (1 + dists + d, 0),
         opc if is_free(opc) => (CONST_BASE, row_of[v]),
         _ => (1 + d, row_of[v]),
     };
-    Opnd { base, off, d, init }
+    (Opnd { base, off }, (d, o.init))
 }
 
 /// Whether an op of this kind can stall the kernel (pure arithmetic, the
@@ -420,10 +448,10 @@ fn can_stall(kind: MicroKind) -> bool {
     )
 }
 
-/// A kernel's live micro-ops, per schedule slot, and the ring geometry
-/// they read.
+/// A kernel's live micro-ops, per schedule slot, each with its operands'
+/// [`Carried`] pairs, and the ring geometry they read.
 struct Lowered {
-    by_slot: Vec<Vec<MicroOp>>,
+    by_slot: Vec<Vec<(MicroOp, [Carried; 3])>>,
     n_ctx: u32,
     dists: u32,
     iter_dists: u32,
@@ -491,14 +519,14 @@ fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Lowered {
         }
     }
 
-    let mut by_slot: Vec<Vec<MicroOp>> = vec![Vec::new(); sched.span as usize];
+    let mut by_slot: Vec<Vec<_>> = vec![Vec::new(); sched.span as usize];
     for (i, &s) in sched.slots.iter().enumerate() {
         if !live(i) {
             continue;
         }
         let op = &kernel.ops[i];
         let src = |k: usize| compile_opnd(kernel, &row_of, dists, &op.operands[k]);
-        let zero = Opnd::default();
+        let zero = (Opnd::default(), (0, 0));
         use Opcode::*;
         let (kind, a, b, c) = match op.opcode {
             SeqRead(s) => (MicroKind::SeqRead { slot: s.0 }, zero, zero, zero),
@@ -549,7 +577,8 @@ fn lower(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Lowered {
             }
         };
         let dst = if ctx_read[i] { row_of[i] } else { NO_DST };
-        by_slot[s as usize].push(MicroOp { kind, dst, a, b, c });
+        let [(a, ca), (b, cb), (c, cc)] = [a, b, c];
+        by_slot[s as usize].push((MicroOp { kind, dst, a, b, c }, [ca, cb, cc]));
     }
     Lowered {
         by_slot,
@@ -579,10 +608,11 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
         iter_dists,
     } = lower(kernel, sched, lanes);
     let ii = sched.ii as usize;
-    let mut ops: Vec<MicroOp> = Vec::new();
-    let mut checks: Vec<Check> = Vec::new();
-    let mut groups: Vec<Group> = Vec::new();
-    let mut phases: Vec<Phase> = Vec::with_capacity(ii);
+    let mut ops = Vec::with_capacity(by_slot.iter().map(Vec::len).sum());
+    let mut checks = Vec::new();
+    let mut warmups = Vec::new();
+    let mut groups = Vec::with_capacity(by_slot.iter().filter(|s| !s.is_empty()).count());
+    let mut phases = Vec::with_capacity(ii);
     for p in 0..ii {
         let (groups_start, checks_start) = (groups.len() as u32, checks.len() as u32);
         // Slots `p`, `p + ii`, .. fire in this phase, the highest stage
@@ -594,7 +624,7 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
             let stage = (slot / ii) as u32;
             let ops_start = ops.len() as u32;
             let mut comm_busy = false;
-            for &mop in &by_slot[slot] {
+            for &(mop, carried) in &by_slot[slot] {
                 comm_busy |= matches!(
                     mop.kind,
                     MicroKind::CondLaneRead { .. }
@@ -603,10 +633,12 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
                         | MicroKind::Comm { .. }
                         | MicroKind::CommXor { .. }
                 );
+                let op = ops.len() as u32;
                 if can_stall(mop.kind) {
-                    let op = ops.len() as u32;
                     checks.push(Check { stage, op });
                 }
+                let read_back = (0..).zip(carried).filter(|&(_, (d, _))| d > 0);
+                warmups.extend(read_back.map(|(k, (d, init))| Warmup { op, k, d, init }));
                 ops.push(mop);
             }
             groups.push(Group {
@@ -636,10 +668,11 @@ pub(crate) fn compile(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Compil
     let lane_stride = lanes.next_multiple_of(CHUNK);
 
     CompiledTape {
-        phases,
-        groups,
-        ops,
-        checks,
+        phases: phases.into_boxed_slice(),
+        groups: groups.into_boxed_slice(),
+        ops: ops.into_boxed_slice(),
+        checks: checks.into_boxed_slice(),
+        warmups: warmups.into_boxed_slice(),
         depth,
         mask: depth as u64 - 1,
         row_words: n_ctx as usize * lane_stride,
@@ -665,8 +698,9 @@ pub fn cached_tape(kernel: &Kernel, sched: &Schedule, lanes: usize) -> Arc<Compi
 /// Tapes kept, two generations of 768. `admit_cold` compiles 410 distinct
 /// tapes per 512-job pass and re-reads one four or five times a pass, at most
 /// 452 admissions apart and never two passes: 768 loses none of those hits,
-/// 512 would in one run of twenty (DESIGN.md §11). Not more: a resident tape
-/// costs 18 KiB of peak RSS.
+/// 512 would in one run of twenty (DESIGN.md §11). Not more: a full memo holds
+/// 10.6 MiB of `admit_cold`'s 28.9 MiB peak RSS (what a budget of 16 saves),
+/// about 7 KiB a tape.
 pub const TAPE_BUDGET: u64 = 1536;
 
 /// The process-wide memo behind [`cached_tape`].
@@ -683,7 +717,7 @@ pub fn tape_cache_stats() -> (u64, u64) {
 mod tests {
     use super::*;
     use isrf_core::config::{ConfigName, MachineConfig};
-    use isrf_kernel::ir::{KernelBuilder, StreamKind};
+    use isrf_kernel::ir::{KernelBuilder, Operand, StreamKind, ValueId};
     use isrf_kernel::sched::{schedule, SchedParams};
 
     fn lowered() -> (Kernel, Schedule) {
@@ -716,21 +750,24 @@ mod tests {
             .find(|m| matches!(m.kind, MicroKind::Alu(Opcode::Mul)))
             .expect("mul survives");
         // `x` from this iteration's row, `7` from the first constant row.
-        assert_eq!((mul.a.base, mul.a.off, mul.a.d), (1, 0, 0));
+        assert_eq!((mul.a.base, mul.a.off), (1, 0));
         assert_eq!((mul.b.base, mul.b.off), (CONST_BASE, 0));
         assert_eq!((tape.dists, tape.iter_dists), (1, 0));
+        // Nothing is read at a distance.
+        assert!(tape.warmups.is_empty());
         // Stall checks cover exactly the two stream ops.
         assert_eq!(tape.checks.len(), 2);
         assert!(tape.depth.is_power_of_two());
         assert!(tape.depth as u32 >= sched.stages());
     }
 
-    /// A resident tape costs its micro-ops: the operand form may not grow
-    /// them past the 60 bytes of the three-`Src` form it replaced, and a
-    /// tape stores no constant rows (a run appends them).
+    /// A resident tape costs its micro-ops: an operand is a base and an
+    /// offset, its distance and `init` live in the warm-up table, and a
+    /// tape stores no constant rows (a run appends them). 60 bytes while
+    /// every operand carried its own distance and `init`.
     #[test]
-    fn micro_ops_stay_within_sixty_bytes() {
-        assert!(std::mem::size_of::<MicroOp>() <= 60);
+    fn micro_ops_stay_within_forty_bytes() {
+        assert!(std::mem::size_of::<MicroOp>() <= 40);
     }
 
     /// One firing: `(iteration, schedule slot, position among the slot's
@@ -740,7 +777,7 @@ mod tests {
     /// The sequencer's walk as it was while groups were indexed by
     /// schedule slot: at kernel cycle `t` every iteration in flight, oldest
     /// first, looks up the slot it has reached.
-    fn slot_walk(by_slot: &[Vec<MicroOp>], ii: u64, iters: u64, t: u64) -> Vec<Firing> {
+    fn slot_walk<T>(by_slot: &[Vec<T>], ii: u64, iters: u64, t: u64) -> Vec<Firing> {
         let span = by_slot.len() as u64;
         let j_hi = (t / ii).min(iters.saturating_sub(1));
         let j_lo = if t >= span { (t - span) / ii + 1 } else { 0 };
@@ -772,8 +809,13 @@ mod tests {
                 assert_eq!((g.ops.1 - g.ops.0) as usize, by_slot[slot].len());
                 for (k, op) in (g.ops.0..g.ops.1).enumerate() {
                     origin[op as usize] = (slot, k);
-                    let (got, want) = (tape.ops[op as usize], by_slot[slot][k]);
+                    let (got, (want, carried)) = (tape.ops[op as usize], by_slot[slot][k]);
                     assert_eq!(format!("{got:?}"), format!("{want:?}"));
+                    // Its warm-up entries are the operands it reads back.
+                    let warm = tape.warmups.iter().filter(|w| w.op == op);
+                    let warm: Vec<_> = warm.map(|w| (usize::from(w.k), (w.d, w.init))).collect();
+                    let read_back = carried.into_iter().enumerate().filter(|c| c.1 .0 > 0);
+                    assert_eq!(warm, read_back.collect::<Vec<_>>());
                 }
             }
         }
@@ -781,6 +823,9 @@ mod tests {
             origin.iter().all(|o| o.0 != usize::MAX),
             "an op in no group"
         );
+        // `Frame::warm_up` searches the table by op.
+        let keys: Vec<_> = tape.warmups.iter().map(|w| (w.op, w.k)).collect();
+        assert!(keys.windows(2).all(|p| p[0] < p[1]), "{keys:?}");
         let exec_end = (iters - 1) * ii + u64::from(sched.completion);
         for t in 0..exec_end {
             let (phase, base) = (tape.phases[(t % ii) as usize], t / ii);
@@ -805,7 +850,7 @@ mod tests {
                 .collect();
             let old_scan: Vec<Firing> = old
                 .into_iter()
-                .filter(|&(_, slot, k)| can_stall(by_slot[slot][k].kind))
+                .filter(|&(_, slot, k)| can_stall(by_slot[slot][k].0.kind))
                 .collect();
             assert_eq!(scanned, old_scan, "stall scan at t = {t} of {exec_end}");
         }
@@ -861,7 +906,10 @@ mod tests {
             let o = b.stream("out", StreamKind::SeqOut);
             let mut x = b.seq_read(i);
             let k = b.constant(3);
-            for _ in 0..6 {
+            // The first add also reads the last one's value (op 7) two
+            // iterations back, so the tape has a warm-up table.
+            x = b.add(x, Operand::carried(ValueId(7), 2, 9));
+            for _ in 0..5 {
                 x = b.add(x, k);
             }
             b.seq_write(o, x);

@@ -1528,12 +1528,11 @@ mod tests {
         );
     }
 
-    /// The work a `bfs`-shaped program costs, as counts (ROADMAP item 2b's
-    /// "checks evaluated" for this layer): 384 strips of two loads, a
-    /// gather, one kernel shape and a store. The scans this replaced
-    /// visited all 1 842 240 op pairs, filtered the access list twice for
-    /// each unordered one, and ran five analyses at each of the 384
-    /// invocations.
+    /// The work a `bfs`-shaped program costs, as counts of the checks the
+    /// analyzer evaluates: 384 strips of two loads, a gather, one kernel
+    /// shape and a store. The scans this replaced visited all 1 842 240 op
+    /// pairs, filtered the access list twice for each unordered one, and
+    /// ran five analyses at each of the 384 invocations.
     #[test]
     fn work_is_proportional_to_what_the_program_contains() {
         use isrf_core::config::ConfigName;
