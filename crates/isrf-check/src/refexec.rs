@@ -122,15 +122,15 @@ impl RefMachine {
                 // from memory and a store the reverse, so no word read can
                 // see one the same transfer wrote.
                 ProgOp::Load { pattern, dst, .. } => {
-                    for k in 0..pattern.len() {
+                    for (k, addr) in pattern.addrs().enumerate() {
                         let (bank, off) = self.locate(dst, k as u32);
-                        self.srf.write(bank, off, self.mem.read(pattern.addr_at(k)));
+                        self.srf.write(bank, off, self.mem.read(addr));
                     }
                 }
                 ProgOp::Store { src, pattern, .. } => {
-                    for k in 0..pattern.len() {
+                    for (k, addr) in pattern.addrs().enumerate() {
                         let (bank, off) = self.locate(src, k as u32);
-                        self.mem.write(pattern.addr_at(k), self.srf.read(bank, off));
+                        self.mem.write(addr, self.srf.read(bank, off));
                     }
                 }
                 // The whole index stream is read before the destination is

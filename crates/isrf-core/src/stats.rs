@@ -245,6 +245,9 @@ pub struct HostWork {
     pub visits: u64,
     /// Words the memory channel served.
     pub words: u64,
+    /// DRAM bursts the memory channel opened for uncached words, each
+    /// charged `burst_words` of credit.
+    pub bursts: u64,
     /// Kernel micro-ops fired (one per op and iteration, all lanes).
     pub ops: u64,
 }

@@ -121,9 +121,47 @@ impl AddrPattern {
         }
     }
 
+    /// The word addresses in stream order, with one `match` for the whole
+    /// pattern rather than one per word.
+    pub fn addrs(&self) -> impl Iterator<Item = u32> + '_ {
+        let (base, words, list): (u32, u32, &[u32]) = match self {
+            AddrPattern::Contiguous { base, words } => (*base, *words, &[]),
+            AddrPattern::Indexed(addrs) => (0, 0, addrs),
+        };
+        (0..words)
+            .map(move |i| base + i)
+            .chain(list.iter().copied())
+    }
+
     /// Materialize the word addresses in stream order.
     pub fn to_addrs(&self) -> Vec<u32> {
-        (0..self.len()).map(|i| self.addr_at(i)).collect()
+        self.addrs().collect()
+    }
+
+    /// DRAM bursts of `burst_words` words a transfer of this pattern opens
+    /// when [`MemorySystem`] serves it uncached: one at its first word and
+    /// one at every word outside the burst of the word before it, each
+    /// charged `burst_words` of credit by `serve_one`. A run opens each
+    /// burst it spans once, so it is counted in closed form; a list is
+    /// walked once.
+    pub fn burst_openings(&self, burst_words: u32) -> u64 {
+        match self {
+            AddrPattern::Contiguous { words: 0, .. } => 0,
+            AddrPattern::Contiguous { base, words } => {
+                let b = u64::from(burst_words.max(1));
+                let (first, last) = (u64::from(*base), u64::from(*base) + u64::from(*words) - 1);
+                last / b - first / b + 1
+            }
+            AddrPattern::Indexed(addrs) => {
+                let burst = Divisor::new(burst_words.max(1));
+                let mut open = None;
+                let opens = |&&a: &&u32| {
+                    let b = Some(burst.div_rem(a).0);
+                    std::mem::replace(&mut open, b) != b
+                };
+                addrs.iter().filter(opens).count() as u64
+            }
+        }
     }
 }
 
@@ -448,8 +486,8 @@ impl MemorySystem {
     }
 
     /// What the service walk has done since this system was built: its
-    /// visits and words served, `heads` left zero (debug builds only; a
-    /// snapshot neither saves nor restores it).
+    /// visits, words served and bursts opened, `heads` left zero (debug
+    /// builds only; a snapshot neither saves nor restores it).
     #[cfg(all(debug_assertions, not(doctest)))]
     pub fn work(&self) -> HostWork {
         self.work
@@ -768,6 +806,10 @@ impl MemorySystem {
                 }
                 self.dram_credit -= self.burst_words as f64;
                 t.last_burst = Some(t.next_burst);
+                #[cfg(all(debug_assertions, not(doctest)))]
+                {
+                    self.work.bursts += 1;
+                }
             }
             t.touched_dram = true;
             if t.write {

@@ -511,3 +511,41 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The channel opens, for a pattern served alone and uncached on an
+    /// idle system, the bursts `AddrPattern::burst_openings` counts without
+    /// serving it: runs of every length from zero, across burst boundaries,
+    /// and lists that repeat an address, step on and step back.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn the_channel_opens_the_bursts_the_pattern_counts(
+        (contiguous, base, words) in (any::<bool>(), 0u32..64, 0u32..200),
+        steps in prop::collection::vec((0u32..3, 1u32..12), 0..200),
+        (burst, write) in (0usize..5, any::<bool>()),
+    ) {
+        let mut cfg = MachineConfig::preset(ConfigName::Base);
+        cfg.dram.burst_words = [1, 2, 3, 4, 8][burst];
+        let pattern = if contiguous {
+            AddrPattern::contiguous(base, words)
+        } else {
+            // 0 repeats the address before, 1 steps on by `k`, 2 steps back.
+            let mut at = 500 + base;
+            let list = steps.iter().map(|&(how, k)| {
+                at = [at, at + k, at.saturating_sub(k)][how as usize];
+                at
+            });
+            AddrPattern::Indexed(list.collect())
+        };
+        let mut sys = MemorySystem::new(&cfg);
+        let id = if write {
+            sys.start_write(&pattern, &vec![0; pattern.len()], false)
+        } else {
+            sys.start_read(&pattern, false).0
+        };
+        finish(&mut sys, id);
+        prop_assert_eq!(sys.work().bursts, pattern.burst_openings(cfg.dram.burst_words));
+    }
+}

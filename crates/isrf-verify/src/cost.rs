@@ -27,19 +27,23 @@
 //!   *burst opening*, not per word: words of a transfer landing in the
 //!   burst most recently opened by that transfer ride along free (see
 //!   `serve_one` in `isrf-mem`). So the floor counts the minimum credit
-//!   each op can be charged — static `Load`/`Store` patterns are walked
-//!   in stream order for the exact opening count; dynamic gather
-//!   indices could all land in one burst, so they charge a single
-//!   opening. Cacheable traffic charges the cache channel exactly one
-//!   credit per word (misses additionally charge DRAM, but a warm cache
-//!   could make that zero, so misses contribute nothing to the minimum).
-//!   Each channel's charge is divided by its peak refill rate, rounded
-//!   *up* to milli-words per cycle, after subtracting the largest single
-//!   deduction (credits may go briefly negative by one charge). Memory
-//!   overlaps kernels, so the program floor is `max(Σ kernel floors,
-//!   memory floor)`, not their sum.
+//!   each op can be charged — a static `Load`/`Store` pattern its exact
+//!   opening count, [`AddrPattern::burst_openings`]: a contiguous run in
+//!   closed form, an indexed list by one walk per list, however many
+//!   transfers share it; dynamic gather indices could all land in one
+//!   burst, so they charge a single opening. Cacheable traffic charges
+//!   the cache channel exactly one credit per word (misses additionally
+//!   charge DRAM, but a warm cache could make that zero, so misses
+//!   contribute nothing to the minimum). Each channel's charge is divided
+//!   by its peak refill rate, rounded *up* to milli-words per cycle, after
+//!   subtracting the largest single deduction (credits may go briefly
+//!   negative by one charge). Memory overlaps kernels, so the program
+//!   floor is `max(Σ kernel floors, memory floor)`, not their sum.
 //!
 //! [`service_indexed`]: ../isrf_sim/index.html
+
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use isrf_core::config::{
     MachineConfig, CROSSLANE_WORDS_PER_CYCLE, KERNEL_DISPATCH_CYCLES, SEQ_ACCESS_WORDS,
@@ -343,41 +347,29 @@ fn kernel_cost(
     }
 }
 
-/// Minimum DRAM credit a non-cacheable transfer of `p` is charged: one
-/// `burst_words` deduction per burst *opening*, walking the pattern in
-/// stream order (the channel tracks only the most recent burst per
-/// transfer, so revisiting a burst after leaving it pays again).
-fn burst_charge(p: &AddrPattern, burst_words: u64) -> u64 {
-    let n = p.len();
-    if n == 0 {
-        return 0;
-    }
-    let mut openings = 1u64;
-    let mut last = u64::from(p.addr_at(0)) / burst_words;
-    for i in 1..n {
-        let b = u64::from(p.addr_at(i)) / burst_words;
-        if b != last {
-            openings += 1;
-            last = b;
-        }
-    }
-    openings * burst_words
+/// Words a program's memory ops move, and the least credit each channel
+/// can be charged for them (see the module docs).
+#[derive(Debug, Default)]
+struct MemCharge {
+    words: u64,
+    dram: u64,
+    cache: u64,
+    /// Addresses walked to count indexed lists' burst openings.
+    #[cfg(test)]
+    walked: u64,
 }
 
-/// Compute the static cost model for `program` on `cfg`.
-pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
-    let mut kernels = Vec::new();
-    let (shape_of, shapes) = crate::shape_ids(program);
-    let mut per_shape: Vec<Option<KernelCost>> = vec![None; shapes];
-    let mut mem_words = 0u64;
-    let burst = u64::from(cfg.dram.burst_words.max(1));
+fn mem_charge(cfg: &MachineConfig, program: &StreamProgram) -> MemCharge {
+    let burst_words = cfg.dram.burst_words.max(1);
     let has_cache = cfg.cache.is_some();
-    // Minimum credit charged per channel (see module docs).
-    let mut dram_charge = 0u64;
-    let mut cache_words = 0u64;
+    // Burst openings per indexed list, keyed by its `Arc` address as
+    // `shape_ids` keys kernels (the program is borrowed for the whole
+    // call, so an address names one list): every transfer sharing a list
+    // is charged what one walk of it counted.
+    let mut lists = BTreeMap::new();
+    let mut charge = MemCharge::default();
     for i in 0..program.len() {
-        let (op, _) = program.node(i);
-        match op {
+        match program.node(i).0 {
             ProgOp::Load {
                 pattern, cacheable, ..
             }
@@ -385,12 +377,24 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
                 pattern, cacheable, ..
             } => {
                 let w = pattern.len() as u64;
-                mem_words += w;
+                charge.words += w;
                 if *cacheable && has_cache {
-                    cache_words += w;
-                } else {
-                    dram_charge += burst_charge(pattern, burst);
+                    charge.cache += w;
+                    continue;
                 }
+                let openings = match pattern {
+                    AddrPattern::Contiguous { .. } => pattern.burst_openings(burst_words),
+                    AddrPattern::Indexed(list) => {
+                        *lists.entry(Arc::as_ptr(list)).or_insert_with(|| {
+                            #[cfg(test)]
+                            {
+                                charge.walked += w;
+                            }
+                            pattern.burst_openings(burst_words)
+                        })
+                    }
+                };
+                charge.dram += openings * u64::from(burst_words);
             }
             ProgOp::GatherDyn {
                 index_stream,
@@ -398,50 +402,64 @@ pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
                 ..
             } => {
                 let w = index_stream.words() as u64;
-                mem_words += w;
+                charge.words += w;
                 if *cacheable && has_cache {
-                    cache_words += w;
+                    charge.cache += w;
                 } else if w > 0 {
                     // Index values are dynamic: every address could land in
                     // one burst, so the provable minimum is one opening.
-                    dram_charge += burst;
+                    charge.dram += u64::from(burst_words);
                 }
             }
-            ProgOp::Kernel {
-                kernel,
-                schedule,
-                bindings,
-                iters,
-            } => {
-                let cost = per_shape[shape_of[i]]
-                    .get_or_insert_with(|| kernel_cost(cfg, i, kernel, schedule, bindings, *iters));
-                kernels.push(KernelCost {
-                    prog_op: i,
-                    ..cost.clone()
-                });
-            }
+            ProgOp::Kernel { .. } => {}
+        }
+    }
+    charge
+}
+
+/// Compute the static cost model for `program` on `cfg`.
+pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
+    let mut kernels = Vec::new();
+    let (shape_of, shapes) = crate::shape_ids(program);
+    let mut per_shape: Vec<Option<KernelCost>> = vec![None; shapes];
+    for i in 0..program.len() {
+        if let ProgOp::Kernel {
+            kernel,
+            schedule,
+            bindings,
+            iters,
+        } = program.node(i).0
+        {
+            let cost = per_shape[shape_of[i]]
+                .get_or_insert_with(|| kernel_cost(cfg, i, kernel, schedule, bindings, *iters));
+            kernels.push(KernelCost {
+                prog_op: i,
+                ..cost.clone()
+            });
         }
     }
     let kernel_floor: u64 = kernels.iter().map(|k| k.floor).sum();
+    let mem = mem_charge(cfg, program);
     // Per-channel floors: charge over peak refill rate, rounded UP to
     // milli-words/cycle so integer division keeps the bound an
     // underestimate. Credits may go briefly negative (a serve is gated on
     // `credit > 0` *before* the deduction, and a cacheable miss with
     // writeback deducts two line fills at once), so subtract the largest
     // possible end-of-run debt from the demand first.
+    let burst = u64::from(cfg.dram.burst_words.max(1));
     let line = cfg.cache.as_ref().map_or(0, |c| c.line_words as u64);
     let dram_debt = 2 * burst.max(line);
     let dram_rate_milli = ((cfg.dram.words_per_cycle() * 1000.0).ceil() as u64).max(1);
-    let dram_floor = dram_charge.saturating_sub(dram_debt) * 1000 / dram_rate_milli;
+    let dram_floor = mem.dram.saturating_sub(dram_debt) * 1000 / dram_rate_milli;
     let cache_floor = cfg.cache.as_ref().map_or(0, |c| {
         let rate_milli = ((c.words_per_cycle() * 1000.0).ceil() as u64).max(1);
-        cache_words.saturating_sub(1) * 1000 / rate_milli
+        mem.cache.saturating_sub(1) * 1000 / rate_milli
     });
     let mem_floor = dram_floor.max(cache_floor);
     CostModel {
         kernels,
         kernel_floor,
-        mem_words,
+        mem_words: mem.words,
         mem_floor,
         cycle_floor: kernel_floor.max(mem_floor),
     }
@@ -534,6 +552,153 @@ mod tests {
             }
         }
         assert!(streams > 1000, "{streams} indexed read streams");
+    }
+
+    /// The memory charge as it was computed before each run was counted in
+    /// closed form and each list once: every pattern walked address by
+    /// address, in stream order, at every transfer.
+    mod reference {
+        use isrf_core::config::MachineConfig;
+        use isrf_mem::AddrPattern;
+        use isrf_sim::program::{ProgOp, StreamProgram};
+
+        fn burst_charge(p: &AddrPattern, burst_words: u64) -> u64 {
+            let n = p.len();
+            if n == 0 {
+                return 0;
+            }
+            let mut openings = 1u64;
+            let mut last = u64::from(p.addr_at(0)) / burst_words;
+            for i in 1..n {
+                let b = u64::from(p.addr_at(i)) / burst_words;
+                if b != last {
+                    openings += 1;
+                    last = b;
+                }
+            }
+            openings * burst_words
+        }
+
+        /// `(DRAM charge, mem_floor)`.
+        pub fn mem(cfg: &MachineConfig, program: &StreamProgram) -> (u64, u64) {
+            let burst = u64::from(cfg.dram.burst_words.max(1));
+            let has_cache = cfg.cache.is_some();
+            let mut dram_charge = 0u64;
+            let mut cache_words = 0u64;
+            for i in 0..program.len() {
+                let (op, _) = program.node(i);
+                match op {
+                    ProgOp::Load {
+                        pattern, cacheable, ..
+                    }
+                    | ProgOp::Store {
+                        pattern, cacheable, ..
+                    } => {
+                        let w = pattern.len() as u64;
+                        if *cacheable && has_cache {
+                            cache_words += w;
+                        } else {
+                            dram_charge += burst_charge(pattern, burst);
+                        }
+                    }
+                    ProgOp::GatherDyn {
+                        index_stream,
+                        cacheable,
+                        ..
+                    } => {
+                        let w = index_stream.words() as u64;
+                        if *cacheable && has_cache {
+                            cache_words += w;
+                        } else if w > 0 {
+                            dram_charge += burst;
+                        }
+                    }
+                    ProgOp::Kernel { .. } => {}
+                }
+            }
+            let line = cfg.cache.as_ref().map_or(0, |c| c.line_words as u64);
+            let dram_debt = 2 * burst.max(line);
+            let dram_rate_milli = ((cfg.dram.words_per_cycle() * 1000.0).ceil() as u64).max(1);
+            let dram_floor = dram_charge.saturating_sub(dram_debt) * 1000 / dram_rate_milli;
+            let cache_floor = cfg.cache.as_ref().map_or(0, |c| {
+                let rate_milli = ((c.words_per_cycle() * 1000.0).ceil() as u64).max(1);
+                cache_words.saturating_sub(1) * 1000 / rate_milli
+            });
+            (dram_charge, dram_floor.max(cache_floor))
+        }
+    }
+
+    /// `mem_charge`'s DRAM charge and `cost_model`'s memory floor against
+    /// [`reference`], at the program's own burst and at 3 and 8 words.
+    fn assert_mem_matches(name: &str, cfg: &MachineConfig, program: &StreamProgram) {
+        for burst_words in [cfg.dram.burst_words, 3, 8] {
+            let mut cfg = cfg.clone();
+            cfg.dram.burst_words = burst_words;
+            let got = (
+                mem_charge(&cfg, program).dram,
+                cost_model(&cfg, program).mem_floor,
+            );
+            assert_eq!(
+                got,
+                reference::mem(&cfg, program),
+                "{name}, burst {burst_words}"
+            );
+        }
+    }
+
+    /// The closed form and the once-per-list count in lock-step with the
+    /// walk they replaced, on 512 random programs and all 64 app programs.
+    #[test]
+    fn burst_charge_matches_the_address_walk() {
+        for case in crate::tests::lockstep_cases() {
+            assert_mem_matches(&case.name, &case.cfg, &case.program);
+        }
+    }
+
+    /// Three loads share one list and a fourth has an equal list of its
+    /// own: each list is walked once, and the four transfers are charged
+    /// what four walks charge.
+    #[test]
+    fn a_shared_list_is_walked_once() {
+        let cfg = MachineConfig::preset(ConfigName::Base);
+        let mut m = Machine::new(cfg.clone()).unwrap();
+        let dst = m.alloc_stream(1, 96);
+        let addrs: Vec<u32> = (0..96).map(|i| (i * 7) % 40 + 1000).collect();
+        let (shared, own): (Arc<[u32]>, Arc<[u32]>) = (addrs.as_slice().into(), addrs.into());
+        let mut p = StreamProgram::new();
+        for list in [&shared, &shared, &shared, &own] {
+            p.load(AddrPattern::Indexed(Arc::clone(list)), dst, false, &[]);
+        }
+        assert_mem_matches("four loads", &cfg, &p);
+        let mem = mem_charge(&cfg, &p);
+        assert_eq!((mem.words, mem.walked), (4 * 96, 2 * 96));
+    }
+
+    /// Counting bursts walks each distinct list once and no run: bfs at
+    /// Paper size walks its 64 lists' 98 304 addresses, where the walk
+    /// per transfer visited 1 277 952, and a contiguous-only program of
+    /// 1 920 ops walks none.
+    #[test]
+    fn burst_count_walks_each_list_once_and_no_run() {
+        let bfs = crate::tests::lockstep_cases()
+            .iter()
+            .find(|c| c.name == "bfs/Base/Paper")
+            .expect("bfs is a named point");
+        let walked_per_transfer: usize = (0..bfs.program.len())
+            .map(|i| match bfs.program.node(i).0 {
+                ProgOp::Load { pattern, .. } | ProgOp::Store { pattern, .. } => pattern.len(),
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(walked_per_transfer, 1_277_952);
+        assert_eq!(mem_charge(&bfs.cfg, &bfs.program).walked, 98_304);
+
+        let g = Spec::bfs_shaped(ConfigName::Base, 384).generate();
+        assert_eq!(g.program.len(), 1920);
+        let mem = mem_charge(&g.cfg, &g.program);
+        assert!(mem.dram > 0);
+        assert_eq!(mem.walked, 0);
+        assert_mem_matches("contiguous bfs-shaped", &g.cfg, &g.program);
     }
 
     /// Peak DRAM refill in milli-words per cycle, rounded up.
