@@ -9,8 +9,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use isrf_core::config::{ConfigName, MachineConfig};
-use isrf_core::snap::{self, Enc, SnapError};
-use isrf_core::stats::RunStats;
+use isrf_core::snap::{self, Dec, Enc, SnapError};
+use isrf_core::stats::{MemTraffic, RunStats};
 use isrf_core::Word;
 use isrf_kernel::ir::{KernelBuilder, StreamKind};
 use isrf_kernel::sched::{schedule, SchedParams};
@@ -476,4 +476,168 @@ fn no_byte_is_ignored_on_restore() {
         }
     }
     assert!(findings.is_empty(), "{findings:#?}");
+}
+
+/// A kernel with a stream of every sequential and conditional kind — `SeqIn`,
+/// `CondIn`, `CondLaneIn`, `SeqOut`, `CondOut` — and an in-lane indexed
+/// read, its inputs written straight into the SRF. The odd input words
+/// assert both conditional reads and the conditional write.
+fn every_kind_point() -> (Machine, StreamProgram) {
+    const WORDS: u32 = 512;
+    let cfg = MachineConfig::preset(ConfigName::Isrf4);
+    let mut machine = Machine::new(cfg).unwrap();
+
+    let mut b = KernelBuilder::new("every_kind");
+    let s_in = b.stream("in", StreamKind::SeqIn);
+    let s_lut = b.stream("LUT", StreamKind::IdxInRead);
+    let s_cin = b.stream("cin", StreamKind::CondIn);
+    let s_lin = b.stream("lin", StreamKind::CondLaneIn);
+    let s_odd = b.stream("odd", StreamKind::CondOut);
+    let s_out = b.stream("out", StreamKind::SeqOut);
+    let a = b.seq_read(s_in);
+    let v = b.idx_load(s_lut, a);
+    let one = b.constant(1);
+    let odd = b.and(a, one);
+    let x = b.cond_read(s_cin, odd);
+    let y = b.cond_lane_read(s_lin, odd);
+    let vx = b.add(v, x);
+    b.cond_write(s_odd, odd, vx);
+    let ay = b.add(a, y);
+    b.seq_write(s_out, ay);
+    let kernel = Arc::new(b.build().unwrap());
+    let sched = schedule(&kernel, &SchedParams::from_machine(machine.config())).unwrap();
+
+    let lut = machine.alloc_stream(1, 256 * 8);
+    let input = machine.alloc_stream(1, WORDS);
+    let cin = machine.alloc_stream(1, WORDS);
+    let lin = machine.alloc_stream(1, WORDS);
+    let odds = machine.alloc_stream(1, WORDS);
+    let output = machine.alloc_stream(1, WORDS);
+    machine.write_stream(
+        &lut,
+        &(0..256 * 8).map(|i| 1000 + i / 8).collect::<Vec<_>>(),
+    );
+    machine.write_stream(&input, &(0..WORDS).map(|i| i * 7 % 256).collect::<Vec<_>>());
+    machine.write_stream(&cin, &(0..WORDS).map(|i| 5000 + i).collect::<Vec<_>>());
+    machine.write_stream(&lin, &(0..WORDS).map(|i| 9000 + i).collect::<Vec<_>>());
+
+    let mut p = StreamProgram::new();
+    let bindings = vec![input, lut, cin, lin, odds, output];
+    p.kernel(kernel, sched, bindings, u64::from(WORDS / 8), &[]);
+    (machine, p)
+}
+
+/// Per sequential or conditional stream slot of the kernel a frame holds
+/// mid-flight, in slot order: its snapshot tag and the words each of its
+/// rings buffers, read off the `run` section (per-lane slots, tags 0, 1 and
+/// 3, write their lanes' words left and then one ring a lane; global slots,
+/// tags 2 and 4, their words moved and then one ring; inputs keep each
+/// word's arrival cycle).
+fn rings_in_flight(frame: &[u8]) -> Vec<(u8, Vec<usize>)> {
+    let sections = snap::read_sections(snap::unframe(frame).unwrap()).unwrap();
+    let run = sections.into_iter().find(|s| s.name == "run").unwrap();
+    let d = &mut Dec::new(&run.bytes);
+    assert!(d.bool().unwrap(), "a paused run");
+    RunStats::decode_state(d).unwrap();
+    MemTraffic::decode_state(d).unwrap();
+    let ops = d.usize().unwrap();
+    for _ in 0..ops {
+        d.bool().unwrap();
+    }
+    for _ in 0..ops {
+        d.u32().unwrap();
+    }
+    d.usizes().unwrap();
+    // The next kernel, its dispatch countdown, ops completed, live transfers.
+    d.usize().unwrap();
+    d.u32().unwrap();
+    d.usize().unwrap();
+    d.usize().unwrap();
+    assert!(d.bool().unwrap(), "a kernel mid-flight");
+    d.usize().unwrap();
+    // Five cycle counters, two round-robin pointers, the network flag.
+    for _ in 0..5 {
+        d.u64().unwrap();
+    }
+    d.usize().unwrap();
+    d.usize().unwrap();
+    d.bool().unwrap();
+    let ring = |d: &mut Dec, timed: bool| {
+        let n = d.usize().unwrap();
+        for _ in 0..n {
+            if timed {
+                d.u64().unwrap();
+            }
+            d.u32().unwrap();
+        }
+        n
+    };
+    let slots = d.usize().unwrap();
+    let mut found = Vec::new();
+    for _ in 0..slots {
+        let tag = d.u8().unwrap();
+        let rings = match tag {
+            0 | 1 | 3 => {
+                let lanes = d.usize().unwrap();
+                for _ in 0..lanes {
+                    d.u32().unwrap();
+                }
+                (0..lanes).map(|_| ring(d, tag != 1)).collect()
+            }
+            2 | 4 => {
+                d.u32().unwrap();
+                vec![ring(d, tag == 2)]
+            }
+            _ => continue,
+        };
+        found.push((tag, rings));
+    }
+    found
+}
+
+/// A whole-machine frame with every sequential and conditional stream kind
+/// in flight: paused at the first cycle where every ring of every such slot
+/// holds a word, restored into a fresh machine and resumed, it must finish
+/// as a straight run does, and its bytes are pinned.
+#[test]
+fn every_stream_kind_resumes_mid_flight() {
+    let (mut m, p) = every_kind_point();
+    m.set_tracer(Tracer::recording(1 << 20));
+    let stats = m.run(&p);
+    let events = drain_events(&mut m);
+
+    let (mut paused, p2) = every_kind_point();
+    paused.set_tracer(Tracer::recording(1 << 20));
+    let mut at = 0;
+    let frame = loop {
+        assert!(
+            paused.run_for(&p2, 1).is_none(),
+            "ran out before every ring held a word"
+        );
+        at += 1;
+        let frame = paused.save_state(&p2);
+        let rings = rings_in_flight(&frame);
+        let tags: Vec<u8> = rings.iter().map(|r| r.0).collect();
+        assert_eq!(tags, [0, 2, 3, 4, 1], "every kind, in slot order");
+        if rings.iter().all(|(_, r)| r.iter().all(|&n| n > 0)) {
+            break frame;
+        }
+    };
+    let mut stitched = drain_events(&mut paused);
+    let (mut r, p3) = every_kind_point();
+    r.restore_state(&p3, &frame).unwrap();
+    r.set_tracer(Tracer::recording(1 << 20));
+    let resumed = r.run_for(&p3, u64::MAX).expect("resumed run completes");
+    stitched.extend(drain_events(&mut r));
+    assert_eq!(resumed, stats, "stats diverge (pause at {at})");
+    assert_eq!(stitched, events, "trace diverges (pause at {at})");
+    assert!(
+        r.save_state(&p3) == m.save_state(&p),
+        "machines diverge (pause at {at})"
+    );
+    assert_eq!(
+        (at, frame.len(), snap::fnv1a(&frame)),
+        (55, 146_790, 0x9024_12ce_c4f6_062c),
+        "the mid-flight frame"
+    );
 }
