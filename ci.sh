@@ -343,10 +343,22 @@ echo "==> one independent oracle (grep gate)"
 # `RefMachine` checks the machine's executor, so it resolves operands and
 # evaluates ops on its own: refexec.rs names nothing of the tape, the row
 # executor or the indexed arbiter. It shares only what its module doc says,
-# `isrf_sim::stream`'s cursor states and `Srf`.
+# `isrf_sim::stream`'s port and `Srf`.
 if grep -nE -e '(^|[^A-Za-z0-9_])(tape|exec|indexed)::' -e 'isrf_sim::\{[^}]*(tape|exec|indexed)' \
   -e '\bOpnd\b' -e 'CompiledTape' -e 'cached_tape' -e 'KernelRun' crates/isrf-check/src/refexec.rs; then
   echo "the oracle borrows from the machine's executor: keep refexec.rs its own" >&2
+  exit 1
+fi
+
+echo "==> one stream port (grep gate)"
+# Every sequential and conditional stream is one `isrf_sim::stream::Port`,
+# its ways (an address walk, the words left, a ring) behind one grant rule.
+# The four per-kind states it replaced, each with its own `wants_grant`,
+# `grant` and codec, must not come back, nor a second grant beside the one.
+port_fns="$(awk '/^#\[cfg\(test\)\]/{exit} /fn (wants_grant|grant)\(/' crates/isrf-sim/src/stream.rs)"
+if [[ "$(grep -c 'fn wants_grant(' <<<"$port_fns")" != 1 || "$(grep -c 'fn grant(' <<<"$port_fns")" != 1 ]] \
+  || grep -rnE 'SeqInState|SeqOutState|CondInState|CondOutState' crates/*/src; then
+  echo "a second stream state or grant: serve every sequential and conditional stream with stream::Port" >&2
   exit 1
 fi
 
@@ -558,7 +570,14 @@ echo "==> least code (non-test lines under src/, ROADMAP housekeeping)"
 # pattern), isrf-verify +18 (`MemCharge` and `mem_charge`, each list counted
 # once by its `Arc` address, for `burst_charge`) and isrf-core +3
 # (`HostWork::bursts`).
-loc_ceiling=25493
+# Lowered by exactly its net -236 when every sequential and conditional
+# stream became one `stream::Port`: isrf-sim -230 (stream.rs 736 -> 543, the
+# four states, their cursors and codecs; exec.rs -33, the per-variant arms
+# and `state!`; machine.rs -4), isrf-check -13 (`RefSlot`'s five stream
+# variants), isrf-serve -7 and isrf-kernel +8 (`StreamKind::writes`, used
+# where three places spelled out the written kinds), isrf-verify +6 (`report`
+# hands its shape ids to the cost model).
+loc_ceiling=25257
 # Per directory, as ROADMAP's housekeeping command prints it; the total is
 # their sum.
 split="$(for d in src crates/*/src; do find "$d" -name '*.rs' | sort | while read -r f; do

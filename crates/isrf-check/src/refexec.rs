@@ -12,9 +12,9 @@
 //!   to `init`, a constant, the lane or iteration id, or the producer's
 //!   lanes in a ring of `max distance + 1` context rows;
 //! * stream cursor/windowing semantics are *shared with the simulator* by
-//!   reusing [`isrf_sim::stream`]'s runtime states with zero latency
-//!   (inputs topped up before every read, outputs drained after every
-//!   write, so no read or write ever waits);
+//!   reusing [`isrf_sim::stream`]'s port with zero latency (inputs topped
+//!   up before every read, outputs drained after every write, so no read
+//!   or write ever waits);
 //! * indexed reads resolve eagerly at address issue, indexed writes apply
 //!   immediately, and every serviced word is counted so the totals can be
 //!   checked against the machine's [`isrf_core::stats::SrfTraffic`].
@@ -23,7 +23,7 @@
 //! never consulted: any final-state difference from the cycle-accurate
 //! machine on a race-free program is a simulator bug. Nothing of the
 //! machine's executor is either — its tape, row executor and indexed
-//! arbiter (`ci.sh`, "one independent oracle"): the stream states and
+//! arbiter (`ci.sh`, "one independent oracle"): the stream port and
 //! [`Srf`] are all this module shares with it.
 
 use std::collections::VecDeque;
@@ -34,7 +34,7 @@ use isrf_mem::Memory;
 use isrf_sim::machine::Machine;
 use isrf_sim::program::{ProgOp, StreamProgram};
 use isrf_sim::srf::Srf;
-use isrf_sim::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
+use isrf_sim::stream::{Port, StreamBinding};
 
 /// Indexed-access word counts accumulated by the reference executor.
 ///
@@ -161,20 +161,16 @@ impl RefMachine {
     }
 }
 
-/// Words per lane of the stream states' buffers: any depth does, since
+/// Words per lane of the stream ports' buffers: any depth does, since
 /// they are refilled before every read and drained after every write.
 const BUF: usize = 8;
 
 /// Per-slot runtime state of the interpreter. Sequential and conditional
-/// slots reuse the simulator's own stream states (zero latency, refilled
-/// and drained around every access); indexed slots resolve against the
-/// SRF directly.
+/// slots reuse the simulator's own stream port (zero latency, refilled and
+/// drained around every access); indexed slots resolve against the SRF
+/// directly.
 enum RefSlot {
-    SeqIn(SeqInState),
-    SeqOut(SeqOutState),
-    CondIn(CondInState),
-    CondLaneIn(SeqInState),
-    CondOut(CondOutState),
+    Stream(Port),
     /// Indexed read stream: per-lane data FIFO filled eagerly at address
     /// issue, popped by `IdxRead` in issue order.
     IdxRead {
@@ -224,8 +220,8 @@ struct Interp<'a> {
     /// no operand can read it.
     ctx: Vec<Word>,
     rows: usize,
-    /// Lanes of a condition operand, which the conditional stream states
-    /// take as a slice beside the op's own row.
+    /// Lanes of a condition operand, which the stream port takes as a
+    /// slice beside the op's own row.
     cond: Vec<Word>,
 }
 
@@ -245,11 +241,6 @@ impl<'a> Interp<'a> {
             .iter()
             .zip(bindings)
             .map(|(decl, b)| match decl.kind {
-                StreamKind::SeqIn => RefSlot::SeqIn(SeqInState::new(*b, lanes, BUF)),
-                StreamKind::CondLaneIn => RefSlot::CondLaneIn(SeqInState::new(*b, lanes, BUF)),
-                StreamKind::CondIn => RefSlot::CondIn(CondInState::new(*b, lanes, BUF)),
-                StreamKind::SeqOut => RefSlot::SeqOut(SeqOutState::new(*b, lanes, BUF)),
-                StreamKind::CondOut => RefSlot::CondOut(CondOutState::new(*b, lanes, BUF)),
                 StreamKind::IdxInRead | StreamKind::IdxCrossRead => RefSlot::IdxRead {
                     binding: *b,
                     cross: decl.kind == StreamKind::IdxCrossRead,
@@ -262,6 +253,7 @@ impl<'a> Interp<'a> {
                     );
                     RefSlot::IdxWrite { binding: *b }
                 }
+                kind => RefSlot::Stream(Port::new(kind, *b, lanes, BUF)),
             })
             .collect();
         let max_dist = kernel
@@ -331,39 +323,28 @@ impl<'a> Interp<'a> {
         });
         let ctx = &mut self.ctx;
         match op.opcode {
-            SeqRead(s) => {
-                let RefSlot::SeqIn(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!("validated kind");
+            SeqRead(s) | CondLaneRead(s) | CondRead(s) => {
+                // A sequential read has no condition: every lane pops.
+                let cond = match op.opcode {
+                    SeqRead(_) => None,
+                    _ => {
+                        for (l, c) in self.cond.iter_mut().enumerate() {
+                            *c = args[0].at(ctx, l);
+                        }
+                        Some(&self.cond[..])
+                    }
                 };
-                st.grant(&self.rm.srf, BUF, 0, 0);
-                st.pop_row(None, &mut ctx[dst..dst + lanes]);
+                let p = port(&mut self.slots[s.0 as usize]);
+                p.grant(&mut self.rm.srf, BUF, false, 0);
+                p.pop_row(cond, &mut ctx[dst..dst + lanes]);
             }
             SeqWrite(s) => {
                 for l in 0..lanes {
                     ctx[dst + l] = args[0].at(ctx, l);
                 }
-                let RefSlot::SeqOut(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                st.push_row(&ctx[dst..dst + lanes]);
-                st.grant(&mut self.rm.srf, BUF, true);
-            }
-            CondLaneRead(s) | CondRead(s) => {
-                for (l, c) in self.cond.iter_mut().enumerate() {
-                    *c = args[0].at(ctx, l);
-                }
-                let out = &mut ctx[dst..dst + lanes];
-                match &mut self.slots[s.0 as usize] {
-                    RefSlot::CondLaneIn(st) => {
-                        st.grant(&self.rm.srf, BUF, 0, 0);
-                        st.pop_row(Some(&self.cond), out);
-                    }
-                    RefSlot::CondIn(st) => {
-                        st.grant(&self.rm.srf, BUF * lanes, 0, 0);
-                        st.pop_row(&self.cond, out);
-                    }
-                    _ => unreachable!(),
-                }
+                let p = port(&mut self.slots[s.0 as usize]);
+                p.push_row(None, &ctx[dst..dst + lanes]);
+                p.grant(&mut self.rm.srf, BUF, true, 0);
             }
             CondWrite(s) => {
                 // The values stage in the op's own row, which then reads 0.
@@ -371,11 +352,9 @@ impl<'a> Interp<'a> {
                     self.cond[l] = args[0].at(ctx, l);
                     ctx[dst + l] = args[1].at(ctx, l);
                 }
-                let RefSlot::CondOut(st) = &mut self.slots[s.0 as usize] else {
-                    unreachable!();
-                };
-                st.push_row(&self.cond, &ctx[dst..dst + lanes]);
-                st.grant(&mut self.rm.srf, BUF * lanes, true);
+                let p = port(&mut self.slots[s.0 as usize]);
+                p.push_row(Some(&self.cond), &ctx[dst..dst + lanes]);
+                p.grant(&mut self.rm.srf, BUF, true, 0);
                 ctx[dst..dst + lanes].fill(0);
             }
             IdxAddr(s) => {
@@ -464,6 +443,14 @@ impl<'a> Interp<'a> {
                 }
             }
         }
+    }
+}
+
+/// The port of a sequential or conditional slot.
+fn port(slot: &mut RefSlot) -> &mut Port {
+    match slot {
+        RefSlot::Stream(p) => p,
+        _ => unreachable!("validated kind"),
     }
 }
 

@@ -76,6 +76,14 @@ impl StreamKind {
         )
     }
 
+    /// True for the kinds whose stream the kernel writes into the SRF.
+    pub fn writes(self) -> bool {
+        matches!(
+            self,
+            StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite
+        )
+    }
+
     /// True for cross-lane kinds.
     pub fn is_cross_lane(self) -> bool {
         matches!(self, StreamKind::IdxCrossRead)

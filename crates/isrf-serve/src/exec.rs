@@ -312,18 +312,11 @@ fn plan_source(
             _ => rpl * lanes,
         };
         let b = machine.alloc_stream(1, records);
-        match decl.kind {
-            StreamKind::SeqIn
-            | StreamKind::CondIn
-            | StreamKind::CondLaneIn
-            | StreamKind::IdxInRead
-            | StreamKind::IdxCrossRead => {
-                machine.note_filled(&b);
-                inputs.push((b, seed.wrapping_add(i as u32).wrapping_mul(0x9e37_79b9)));
-            }
-            StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite => {
-                outputs.push((decl.name.clone(), OutputSel::Stream(b)));
-            }
+        if decl.kind.writes() {
+            outputs.push((decl.name.clone(), OutputSel::Stream(b)));
+        } else {
+            machine.note_filled(&b);
+            inputs.push((b, seed.wrapping_add(i as u32).wrapping_mul(0x9e37_79b9)));
         }
         bindings.push(b);
     }

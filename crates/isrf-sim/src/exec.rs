@@ -33,7 +33,7 @@ use isrf_trace::{StallReason, TraceEvent, Tracer};
 
 use crate::indexed::{service_indexed, IdxKind, IdxParams, IdxState};
 use crate::srf::Srf;
-use crate::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
+use crate::stream::{Port, StreamBinding};
 use crate::tape::{iteration, CompiledTape, Frame, MicroKind, MicroOp, Ring, CHUNK};
 
 /// Consecutive stalled cycles after which a kernel is reported deadlocked
@@ -57,13 +57,8 @@ pub enum ExecEngine {
 /// Per-slot runtime state.
 #[derive(Debug)]
 enum SlotState {
-    SeqIn(SeqInState),
-    SeqOut(SeqOutState),
-    CondIn(CondInState),
-    /// Per-lane conditional substreams share the sequential-input state;
-    /// only the pop condition and the network cost differ.
-    CondLaneIn(SeqInState),
-    CondOut(CondOutState),
+    /// A sequential or conditional stream.
+    Stream(Port),
     /// An indexed stream; the tape names its `KernelRun::idx_states`
     /// entry.
     Idx,
@@ -73,12 +68,32 @@ impl SlotState {
     /// The byte a snapshot marks this kind of slot with.
     fn tag(&self) -> u8 {
         match self {
-            SlotState::SeqIn(_) => 0,
-            SlotState::SeqOut(_) => 1,
-            SlotState::CondIn(_) => 2,
-            SlotState::CondLaneIn(_) => 3,
-            SlotState::CondOut(_) => 4,
+            SlotState::Stream(p) => match p.kind() {
+                StreamKind::SeqIn => 0,
+                StreamKind::SeqOut => 1,
+                StreamKind::CondIn => 2,
+                StreamKind::CondLaneIn => 3,
+                StreamKind::CondOut => 4,
+                kind => unreachable!("{kind:?} streams have no port"),
+            },
             SlotState::Idx => 5,
+        }
+    }
+
+    /// The port of a stream slot; the tape's ops were validated against its
+    /// kind.
+    fn port(&self) -> &Port {
+        match self {
+            SlotState::Stream(p) => p,
+            SlotState::Idx => unreachable!("stream kind validated at kernel build"),
+        }
+    }
+
+    /// [`SlotState::port`], to move words.
+    fn port_mut(&mut self) -> &mut Port {
+        match self {
+            SlotState::Stream(p) => p,
+            SlotState::Idx => unreachable!("stream kind validated at kernel build"),
         }
     }
 }
@@ -179,11 +194,6 @@ impl KernelRun {
         let mut idx_states = Vec::new();
         for (decl, b) in kernel.streams.iter().zip(bindings) {
             let state = match decl.kind {
-                StreamKind::SeqIn => SlotState::SeqIn(SeqInState::new(*b, lanes, cap)),
-                StreamKind::SeqOut => SlotState::SeqOut(SeqOutState::new(*b, lanes, cap)),
-                StreamKind::CondIn => SlotState::CondIn(CondInState::new(*b, lanes, cap)),
-                StreamKind::CondLaneIn => SlotState::CondLaneIn(SeqInState::new(*b, lanes, cap)),
-                StreamKind::CondOut => SlotState::CondOut(CondOutState::new(*b, lanes, cap)),
                 StreamKind::IdxInRead | StreamKind::IdxInWrite | StreamKind::IdxCrossRead => {
                     let kind = match decl.kind {
                         StreamKind::IdxInRead => IdxKind::InLaneRead,
@@ -193,6 +203,7 @@ impl KernelRun {
                     idx_states.push(IdxState::new(*b, kind, lanes, cfg));
                     SlotState::Idx
                 }
+                kind => SlotState::Stream(Port::new(kind, *b, lanes, cap)),
             };
             slots.push(state);
         }
@@ -252,12 +263,8 @@ impl KernelRun {
         e.usize(self.slots.len());
         for slot in &self.slots {
             e.u8(slot.tag());
-            match slot {
-                SlotState::SeqIn(s) | SlotState::CondLaneIn(s) => s.encode_state(e),
-                SlotState::SeqOut(s) => s.encode_state(e),
-                SlotState::CondIn(s) => s.encode_state(e),
-                SlotState::CondOut(s) => s.encode_state(e),
-                SlotState::Idx => {}
+            if let SlotState::Stream(p) = slot {
+                p.encode_state(e);
             }
         }
         e.usize(self.idx_states.len());
@@ -301,12 +308,8 @@ impl KernelRun {
                     "slot kind tag {tag} does not match the program's stream declaration"
                 )));
             }
-            match slot {
-                SlotState::SeqIn(s) | SlotState::CondLaneIn(s) => s.decode_state(d)?,
-                SlotState::SeqOut(s) => s.decode_state(d)?,
-                SlotState::CondIn(s) => s.decode_state(d)?,
-                SlotState::CondOut(s) => s.decode_state(d)?,
-                SlotState::Idx => {}
+            if let SlotState::Stream(p) = slot {
+                p.decode_state(d)?;
             }
         }
         let n_idx = d.usize()?;
@@ -354,9 +357,8 @@ impl KernelRun {
         self.exec_done()
             && self.idx_states.iter().all(|s| s.drained())
             && self.slots.iter().all(|s| match s {
-                SlotState::SeqOut(o) => o.drained(),
-                SlotState::CondOut(o) => o.drained(),
-                _ => true,
+                SlotState::Stream(p) => p.drained(),
+                SlotState::Idx => true,
             })
     }
 
@@ -418,13 +420,9 @@ impl KernelRun {
         tracer: &mut Tracer,
     ) {
         let flush = self.exec_done();
-        let block = self.lanes * SEQ_ACCESS_WORDS;
         let idx_group = self.slots.len();
         let wants = |i: usize| match self.slots.get(i) {
-            Some(SlotState::SeqIn(st) | SlotState::CondLaneIn(st)) => st.wants_grant(),
-            Some(SlotState::SeqOut(st)) => st.wants_grant(SEQ_ACCESS_WORDS, flush),
-            Some(SlotState::CondIn(st)) => st.wants_grant(),
-            Some(SlotState::CondOut(st)) => st.wants_grant(block, flush),
+            Some(SlotState::Stream(p)) => p.wants_grant(SEQ_ACCESS_WORDS, flush),
             Some(SlotState::Idx) => false,
             None => self.idx_states.iter().any(|s| s.pending_addresses()),
         };
@@ -448,15 +446,10 @@ impl KernelRun {
                 tracer,
             );
         } else {
-            let moved = match &mut self.slots[winner] {
-                SlotState::SeqIn(st) | SlotState::CondLaneIn(st) => {
-                    st.grant(srf, SEQ_ACCESS_WORDS, now, self.seq_latency)
-                }
-                SlotState::SeqOut(st) => st.grant(srf, SEQ_ACCESS_WORDS, flush),
-                SlotState::CondIn(st) => st.grant(srf, block, now, self.seq_latency),
-                SlotState::CondOut(st) => st.grant(srf, block, flush),
-                SlotState::Idx => unreachable!("idx slots never request individually"),
+            let SlotState::Stream(p) = &mut self.slots[winner] else {
+                unreachable!("idx slots never request individually")
             };
+            let moved = p.grant(srf, SEQ_ACCESS_WORDS, flush, now + self.seq_latency);
             traffic.seq_words += moved;
             if tracer.enabled() {
                 tracer.emit(
@@ -586,17 +579,6 @@ impl KernelRun {
     }
 }
 
-/// The stream state behind a slot, borrowed as `$slot` is (`&slots[i]` or
-/// `&mut slots[i]`); the tape's ops were validated against its kind.
-macro_rules! state {
-    ($slot:expr, $($kind:ident)|+) => {
-        match $slot {
-            $(SlotState::$kind(st))|+ => st,
-            _ => unreachable!("stream kind validated at kernel build"),
-        }
-    };
-}
-
 /// Can this checkable micro-op fire? `None` means it can; otherwise the
 /// stream slot and why not. `cond` is the per-lane condition row of a
 /// conditional stream op. The distinction between a
@@ -614,36 +596,22 @@ fn blocker(
     slots: &[SlotState],
     idx_states: &[IdxState],
 ) -> Option<(u8, StallReason)> {
-    let asserting = || {
-        let cond = cond.expect("a conditional op's row");
-        cond.iter().filter(|&&c| word::as_bool(c)).count()
-    };
+    let blocked = |slot: u8| slots[slot as usize].port().blocked_lane(cond, now);
     match mop.kind {
         MicroKind::SeqRead { slot } | MicroKind::CondLaneRead { slot } => {
             // The two differ in their condition (none: every lane pops)
             // and network cost only.
-            let st = state!(&slots[slot as usize], SeqIn | CondLaneIn);
-            let lane = st.blocked_lane(cond, now)?;
-            let reason = if st.buffered_words(lane) == 0 {
+            let lane = blocked(slot)?;
+            let reason = if slots[slot as usize].port().buffered_words(lane) == 0 {
                 StallReason::SeqInStarved
             } else {
                 StallReason::SeqInLatency
             };
             Some((slot, reason))
         }
-        MicroKind::SeqWrite { slot } => {
-            let full = !state!(&slots[slot as usize], SeqOut).can_push();
-            full.then_some((slot, StallReason::SeqOutFull))
-        }
-        MicroKind::CondRead { slot } => {
-            let st = state!(&slots[slot as usize], CondIn);
-            let k_eff = asserting().min(st.remaining_words() as usize);
-            (!st.can_pop(k_eff, now)).then_some((slot, StallReason::CondInStarved))
-        }
-        MicroKind::CondWrite { slot } => {
-            let full = !state!(&slots[slot as usize], CondOut).can_push(asserting());
-            full.then_some((slot, StallReason::CondOutFull))
-        }
+        MicroKind::SeqWrite { slot } => blocked(slot).map(|_| (slot, StallReason::SeqOutFull)),
+        MicroKind::CondRead { slot } => blocked(slot).map(|_| (slot, StallReason::CondInStarved)),
+        MicroKind::CondWrite { slot } => blocked(slot).map(|_| (slot, StallReason::CondOutFull)),
         MicroKind::IdxAddr { slot, idx } | MicroKind::IdxWrite { slot, idx } => {
             (idx_states[idx as usize].any_addr_full()).then_some((slot, StallReason::AddrFifoFull))
         }
@@ -684,22 +652,21 @@ fn exec_tape_op(
     match mop.kind {
         MicroKind::Alu(_) => unreachable!("handled above"),
         MicroKind::SeqRead { slot } => {
-            state!(&mut slots[slot as usize], SeqIn).pop_row(None, &mut w[row(dst)]);
+            slots[slot as usize]
+                .port_mut()
+                .pop_row(None, &mut w[row(dst)]);
         }
-        MicroKind::CondLaneRead { slot } => {
+        MicroKind::CondLaneRead { slot } | MicroKind::CondRead { slot } => {
             let (cond, out) = beside(w, a, dst, lanes);
-            state!(&mut slots[slot as usize], CondLaneIn).pop_row(Some(cond), out);
+            slots[slot as usize].port_mut().pop_row(Some(cond), out);
         }
         MicroKind::SeqWrite { slot } => {
-            state!(&mut slots[slot as usize], SeqOut).push_row(&w[row(a)]);
+            slots[slot as usize].port_mut().push_row(None, &w[row(a)]);
             w.copy_within(row(a), dst);
         }
-        MicroKind::CondRead { slot } => {
-            let (cond, out) = beside(w, a, dst, lanes);
-            state!(&mut slots[slot as usize], CondIn).pop_row(cond, out);
-        }
         MicroKind::CondWrite { slot } => {
-            state!(&mut slots[slot as usize], CondOut).push_row(&w[row(a)], &w[row(b)]);
+            let (cond, row) = (&w[row(a)], &w[row(b)]);
+            slots[slot as usize].port_mut().push_row(Some(cond), row);
             // The op's value is all-zero; the row was zeroed at
             // activation and this is its slot's only writer (SSA), so
             // no commit is needed.

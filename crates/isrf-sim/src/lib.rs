@@ -10,8 +10,8 @@
 //!
 //! * [`srf`] — banked, sub-arrayed SRF storage with record-interleaved
 //!   stream layout.
-//! * [`stream`] — runtime stream-buffer state for sequential and
-//!   conditional streams.
+//! * [`stream`] — the one port (address walk plus stream buffer) of
+//!   sequential and conditional streams.
 //! * [`indexed`] — address FIFOs, record expansion, two-stage arbitration
 //!   and cross-lane routing (Sections 4.2–4.5).
 //! * [`exec`] — lock-step SIMD execution of modulo-scheduled kernels,

@@ -332,7 +332,6 @@ impl Machine {
     /// completes, and an app's plan applies it to the setup program its
     /// load will run, so the [`VerifyEnv`] is known before anything runs.
     pub fn note_program_fills(&mut self, program: &StreamProgram) {
-        use isrf_kernel::ir::StreamKind;
         let mut wrote = |r: SrfRange| self.add_fill(r.base, r.base + r.words_per_bank);
         for node in &program.nodes {
             match &node.op {
@@ -341,10 +340,7 @@ impl Machine {
                     kernel, bindings, ..
                 } => {
                     for (decl, b) in kernel.streams.iter().zip(bindings) {
-                        if matches!(
-                            decl.kind,
-                            StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite
-                        ) {
+                        if decl.kind.writes() {
                             wrote(b.range);
                         }
                     }

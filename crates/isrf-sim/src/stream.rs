@@ -1,27 +1,33 @@
 //! Runtime state of machine-level streams during a kernel invocation.
 //!
 //! Each kernel stream slot is bound to an SRF-resident stream described by
-//! a [`StreamBinding`]. During execution the binding gets a per-invocation
-//! runtime state holding the stream buffers (8 words per lane per stream in
-//! the paper), the per-stream address FIFOs of indexed streams, and the
-//! cursors tracking progress through the stream.
+//! a [`StreamBinding`]. A sequential or conditional slot runs as one
+//! [`Port`]: the stream descriptor's address walk plus a stream buffer (8
+//! words per lane per stream in the paper) behind the one stage-1 SRF
+//! arbiter, which moves a block of `m` words per lane on each grant while
+//! clusters pop or push one word per access. Indexed streams keep per-lane
+//! address FIFOs instead (`indexed.rs`), whose heads are expanded to
+//! single-word accesses by the hardware counters described in Section 4.4.
 //!
-//! Sequential streams exchange `m` words per lane with the SRF on each
-//! port grant; clusters pop/push one word per access. Conditional streams
-//! keep a *global* buffer because elements are distributed dynamically to
-//! whichever lanes assert their condition. Indexed streams keep per-lane
-//! address FIFOs whose heads are expanded to single-word accesses by the
-//! hardware counters described in Section 4.4.
+//! A port is a set of *ways*, each an address walk, the words it has left
+//! to move and a ring. Sequential streams and per-lane conditional
+//! substreams have one way per lane, walking that lane's bank; conditional
+//! streams have one global way through the stream in order across the
+//! banks, because their elements go to whichever lanes assert their
+//! condition. The direction decides only whether a grant moves words
+//! SRF → ring or ring → SRF, and the shape of the ways only which way a
+//! lane's word belongs to.
 //!
 //! ## State layout
 //!
-//! Every buffer here is bounded, so each state owns flat power-of-two
-//! rings addressed by free-running counts, the layout indexed streams use,
-//! and the kernel moves whole rows (DESIGN.md, "Sequential-path state
+//! Every buffer here is bounded, so a port owns flat power-of-two rings
+//! addressed by free-running counts, the layout indexed streams use, and
+//! the kernel moves whole rows (DESIGN.md, "Sequential-path state
 //! layout").
 
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::Word;
+use isrf_kernel::ir::StreamKind;
 
 use crate::srf::{Srf, SrfRange, StreamWalk};
 
@@ -133,8 +139,8 @@ impl RingCur {
     }
 }
 
-/// One ring of `cap` words per lane (`1 << shift >= cap` slots each) in a
-/// single lane-major allocation; input rings keep each word's arrival
+/// One ring of `cap` words per way (`1 << shift >= cap` slots each) in a
+/// single way-major allocation; input rings keep each word's arrival
 /// cycle beside it.
 #[derive(Debug, Clone)]
 struct Rings {
@@ -146,20 +152,20 @@ struct Rings {
 }
 
 impl Rings {
-    fn new(lanes: usize, cap: usize, timed: bool) -> Self {
+    fn new(ways: usize, cap: usize, timed: bool) -> Self {
         let cap = u32::try_from(cap).expect("stream buffer capacity fits a u32 count");
         let shift = cap.next_power_of_two().trailing_zeros();
         Rings {
-            words: vec![0; lanes << shift],
-            at: vec![0; if timed { lanes << shift } else { 0 }],
+            words: vec![0; ways << shift],
+            at: vec![0; if timed { ways << shift } else { 0 }],
             shift,
             cap,
         }
     }
 
     #[inline]
-    fn push(&mut self, lane: usize, r: &mut RingCur, at: u64, word: Word) {
-        let s = slot(lane, r.push, self.shift);
+    fn push(&mut self, way: usize, r: &mut RingCur, at: u64, word: Word) {
+        let s = slot(way, r.push, self.shift);
         self.words[s] = word;
         if let Some(t) = self.at.get_mut(s) {
             *t = at;
@@ -167,18 +173,18 @@ impl Rings {
         r.push = r.push.wrapping_add(1);
     }
 
-    /// Slot of the `i`-th oldest word of lane `lane`'s ring.
+    /// Slot of the `i`-th oldest word of way `way`'s ring.
     #[inline]
-    fn nth(&self, lane: usize, r: RingCur, i: u32) -> usize {
-        slot(lane, r.pop.wrapping_add(i), self.shift)
+    fn nth(&self, way: usize, r: RingCur, i: u32) -> usize {
+        slot(way, r.pop.wrapping_add(i), self.shift)
     }
 
     /// Serialize one ring: occupancy, then its words oldest first, each
     /// behind its arrival cycle if the ring keeps them.
-    fn encode(&self, lane: usize, r: RingCur, e: &mut Enc) {
+    fn encode(&self, way: usize, r: RingCur, e: &mut Enc) {
         e.usize(r.len() as usize);
         for i in 0..r.len() {
-            let s = self.nth(lane, r, i);
+            let s = self.nth(way, r, i);
             if let Some(&t) = self.at.get(s) {
                 e.u64(t);
             }
@@ -186,8 +192,8 @@ impl Rings {
         }
     }
 
-    /// Refill lane `lane`'s ring from [`Rings::encode`] bytes.
-    fn decode(&mut self, lane: usize, d: &mut Dec) -> Result<RingCur, SnapError> {
+    /// Refill way `way`'s ring from [`Rings::encode`] bytes.
+    fn decode(&mut self, way: usize, d: &mut Dec) -> Result<RingCur, SnapError> {
         let n = d.usize()?;
         if n > self.cap as usize {
             return Err(SnapError::Mismatch(format!(
@@ -198,29 +204,54 @@ impl Rings {
         let mut r = RingCur::default();
         for _ in 0..n {
             let at = if self.at.is_empty() { 0 } else { d.u64()? };
-            self.push(lane, &mut r, at, d.u32()?);
+            self.push(way, &mut r, at, d.u32()?);
         }
         Ok(r)
     }
 }
 
-/// Per-lane word cursor over the records a lane owns.
+/// One way of a [`Port`]: the walk standing at its next SRF word, the
+/// words it has left to move, and its ring's counts.
+#[derive(Debug, Clone)]
+struct Way {
+    walk: StreamWalk,
+    left: u32,
+    ring: RingCur,
+}
+
+impl Way {
+    /// A way at the start of `b`, interleaved over `lanes` banks.
+    fn new(b: &StreamBinding, lanes: usize) -> Self {
+        Way {
+            walk: StreamWalk::new(b, lanes, 0),
+            left: b.words(),
+            ring: RingCur::default(),
+        }
+    }
+
+    /// Would a grant of up to `unit` words move anything here? The one
+    /// rule: an input asks while it has words left and a free slot, an
+    /// output once it holds a whole unit or, on `flush`, any word.
+    #[inline]
+    fn wants(&self, writes: bool, cap: u32, unit: u32, flush: bool) -> bool {
+        let len = self.ring.len();
+        match writes {
+            false => self.left > 0 && len < cap,
+            true => len >= unit || flush && len > 0,
+        }
+    }
+}
+
+/// One way per lane over the records the lane owns.
 ///
 /// For an unwindowed binding with `start % lanes == 0`, lane `l` owns
 /// stream records `l, l+N, l+2N, …`. Windowed bindings must keep the lane
 /// pattern aligned: `lanes` must divide `start_record`, `run_records` and
 /// `stride_records`, so that stream record `k` still lands in lane
-/// `k % lanes` (asserted at construction). Either way the lane's records
-/// are themselves a binding over its one bank, in records of that bank,
-/// which `walk` steps through by increments.
-#[derive(Debug, Clone)]
-struct LaneCursor {
-    walk: StreamWalk,
-    /// Words remaining for this lane.
-    remaining: u32,
-}
-
-fn lane_cursors(b: &StreamBinding, lanes: usize) -> Vec<LaneCursor> {
+/// `k % lanes` (asserted here). Either way the lane's records are
+/// themselves a binding over its one bank, in records of that bank, which
+/// its way walks as bank 0 of one.
+fn lane_ways(b: &StreamBinding, lanes: usize) -> Vec<Way> {
     let n = lanes as u32;
     let windowed = b.run_records < b.records;
     // Windowed: keep record->lane assignment equal to k % lanes.
@@ -231,7 +262,7 @@ fn lane_cursors(b: &StreamBinding, lanes: usize) -> Vec<LaneCursor> {
                 && b.stride_records.is_multiple_of(n),
         "windowed stream must be lane-aligned (start/run/stride divisible by {n})"
     );
-    let cursor = |l| {
+    let way = |l| {
         // Lane of stream record k is absolute_record(k) % n. For aligned
         // windows this equals (start + k) % n; scan for this lane's first k.
         let first = (0..n.min(b.records)).find(|&k| b.absolute_record(k) % n == l);
@@ -241,496 +272,272 @@ fn lane_cursors(b: &StreamBinding, lanes: usize) -> Vec<LaneCursor> {
         if windowed {
             (local.run_records, local.stride_records) = (b.run_records / n, b.stride_records / n);
         }
-        LaneCursor {
-            walk: StreamWalk::new(&local, 1, 0),
-            remaining: local.words(),
-        }
+        Way::new(&local, 1)
     };
-    (0..n).map(cursor).collect()
+    (0..n).map(way).collect()
 }
 
-/// Serialize a cursor set (count-prefixed for validation on decode): per
-/// lane the words it has left, which place its walk.
-fn encode_cursors<'a>(cursors: impl ExactSizeIterator<Item = &'a LaneCursor>, e: &mut Enc) {
-    e.usize(cursors.len());
-    cursors.for_each(|c| e.u32(c.remaining));
-}
-
-/// Move a cursor set to where [`encode_cursors`] bytes say.
-fn decode_cursors<'a>(
-    cursors: impl ExactSizeIterator<Item = &'a mut LaneCursor>,
-    d: &mut Dec,
-) -> Result<(), SnapError> {
-    let n = cursors.len();
-    if d.usize()? != n {
-        return Err(SnapError::Mismatch(format!("lane cursor count != {n}")));
-    }
-    for c in cursors {
-        let (local, remaining) = (c.walk.b, d.u32()?);
-        let Some(used) = local.words().checked_sub(remaining) else {
-            return Err(SnapError::Mismatch(format!(
-                "lane cursor with {remaining} of {} words left",
-                local.words()
-            )));
-        };
-        c.walk = StreamWalk::new(&local, 1, used);
-        c.remaining = remaining;
-    }
-    Ok(())
-}
-
-impl LaneCursor {
-    /// Per-bank SRF offset of the next word, then advance.
-    #[inline]
-    fn step(&mut self) -> usize {
-        debug_assert!(self.remaining > 0);
-        self.remaining -= 1;
-        self.walk.step().1 as usize
-    }
-}
-
-/// One lane of a sequential input: its cursor and its ring's counts.
+/// A sequential or conditional stream's port: its ways and their rings.
+///
+/// A sequential stream or a per-lane conditional substream (`CondLaneIn`)
+/// has one way per lane, and lane `l`'s words are way `l`'s. A conditional
+/// stream (`CondIn`, `CondOut`) has one global way of `lanes × cap` words,
+/// and the `i`-th lane asserting its condition in a row takes its `i`-th
+/// word or slot. A grant moves up to a *unit* per way: `m` words, or
+/// `lanes × m` for a global way.
 #[derive(Debug, Clone)]
-struct InLane {
-    cur: LaneCursor,
-    ring: RingCur,
-}
-
-impl InLane {
-    /// Would a grant fetch for this lane: words remaining, room for them?
-    fn wants(&self, cap: u32) -> bool {
-        self.cur.remaining > 0 && self.ring.len() < cap
-    }
-
-    /// Must a pop at `now` wait: the oldest word still in flight, or none
-    /// buffered with words still to fetch (a done lane never waits)?
-    fn waits(&self, lane: usize, buf: &Rings, now: u64) -> bool {
-        if self.ring.len() > 0 {
-            buf.at[buf.nth(lane, self.ring, 0)] > now
-        } else {
-            self.cur.remaining > 0
-        }
-    }
-}
-
-/// Sequential input stream state.
-#[derive(Debug, Clone)]
-pub struct SeqInState {
-    /// The binding this state reads.
-    pub binding: StreamBinding,
-    lanes: Vec<InLane>,
+pub struct Port {
+    kind: StreamKind,
+    /// Grants move ring → SRF (the kernel writes the stream), not SRF → ring.
+    writes: bool,
+    /// One way serves every lane.
+    global: bool,
+    lanes: usize,
+    ways: Vec<Way>,
     buf: Rings,
-    /// Lanes a grant would fetch for.
+    /// Input ways a grant would fetch for.
     wanting: u32,
 }
 
-impl SeqInState {
-    /// Create the runtime state for `binding` on an `lanes`-lane machine.
-    pub fn new(binding: StreamBinding, lanes: usize, buf_cap: usize) -> Self {
-        let ring = RingCur::default();
-        let cursors = lane_cursors(&binding, lanes).into_iter();
-        let mut s = SeqInState {
-            binding,
-            lanes: cursors.map(|cur| InLane { cur, ring }).collect(),
-            buf: Rings::new(lanes, buf_cap, true),
+impl Port {
+    /// The port of a `kind` stream over `binding` on a `lanes`-lane
+    /// machine, with stream buffers of `cap` words per lane.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an indexed kind, or on a windowed binding of a per-lane
+    /// kind whose start, run or stride the lane count does not divide.
+    pub fn new(kind: StreamKind, binding: StreamBinding, lanes: usize, cap: usize) -> Self {
+        assert!(!kind.is_indexed(), "an indexed stream has no port");
+        let global = matches!(kind, StreamKind::CondIn | StreamKind::CondOut);
+        let ways = match global {
+            true => vec![Way::new(&binding, lanes)],
+            false => lane_ways(&binding, lanes),
+        };
+        let mut p = Port {
+            kind,
+            writes: kind.writes(),
+            global,
+            lanes,
+            buf: Rings::new(ways.len(), cap * lanes / ways.len(), !kind.writes()),
+            ways,
             wanting: 0,
         };
-        s.recount();
-        s
+        p.recount();
+        p
     }
 
-    /// Count the lanes a grant would fetch for.
+    /// Count the input ways a grant would fetch for (the input rule reads
+    /// no unit).
     fn recount(&mut self) {
-        let wanting = self.lanes.iter().filter(|l| l.wants(self.buf.cap));
+        let (writes, cap) = (self.writes, self.buf.cap);
+        let wanting = self
+            .ways
+            .iter()
+            .filter(|w| !writes && w.wants(false, cap, 0, false));
         self.wanting = wanting.count() as u32;
     }
 
-    /// Whether an SRF grant would make progress.
-    pub fn wants_grant(&self) -> bool {
-        self.wanting > 0
+    /// The kind of stream this port serves.
+    pub fn kind(&self) -> StreamKind {
+        self.kind
     }
 
-    /// Apply one SRF grant: fetch up to `m` words per lane; returns words
-    /// moved (for traffic accounting).
-    pub fn grant(&mut self, srf: &Srf, m: usize, now: u64, latency: u64) -> u64 {
-        let m = u32::try_from(m).unwrap_or(u32::MAX);
+    /// The way lane `lane`'s words belong to: its own, or the global way 0.
+    #[inline]
+    fn way(&self, lane: usize) -> usize {
+        lane * usize::from(!self.global)
+    }
+
+    /// A way's unit for grants of `m` words per lane.
+    fn unit(&self, m: usize) -> u32 {
+        let lanes = if self.global { self.lanes } else { 1 };
+        u32::try_from(m.saturating_mul(lanes)).unwrap_or(u32::MAX)
+    }
+
+    /// Whether a grant of `m` words per lane would move anything: an input
+    /// asks while a way has words left and a free slot, an output once a
+    /// way holds a whole unit or, on `flush`, any word (`Way::wants`). An
+    /// input counts its wanting ways as they change; an output's ways fill
+    /// and drain together (every lane pushes each row into its own way, and
+    /// a global port has one), so its first way answers for all.
+    pub fn wants_grant(&self, m: usize, flush: bool) -> bool {
+        match self.writes {
+            false => self.wanting > 0,
+            true => self.ways[0].wants(true, self.buf.cap, self.unit(m), flush),
+        }
+    }
+
+    /// Apply one SRF grant of up to `m` words per lane: every way that
+    /// wants it moves up to a unit, an input's from the SRF into its ring
+    /// (each word arriving at cycle `arrive`), an output's from its ring
+    /// into the SRF. Returns the words moved (for traffic accounting).
+    pub fn grant(&mut self, srf: &mut Srf, m: usize, flush: bool, arrive: u64) -> u64 {
+        let unit = self.unit(m);
+        let Port {
+            writes,
+            ways,
+            buf,
+            wanting,
+            ..
+        } = self;
         let mut moved = 0;
-        self.wanting = 0;
-        for (lane, l) in self.lanes.iter_mut().enumerate() {
-            let n = m.min(self.buf.cap - l.ring.len()).min(l.cur.remaining);
-            let bank = srf.bank(lane);
-            for _ in 0..n {
-                self.buf
-                    .push(lane, &mut l.ring, now + latency, bank[l.cur.step()]);
+        *wanting = 0;
+        for (way, w) in ways.iter_mut().enumerate() {
+            if !w.wants(*writes, buf.cap, unit, flush) {
+                continue;
             }
-            moved += u64::from(n);
-            self.wanting += u32::from(l.wants(self.buf.cap));
+            // A lane's way walks its own bank as bank 0 of one; the global
+            // way, way 0, walks every bank.
+            if *writes {
+                let n = w.ring.len().min(unit);
+                // Overproduced words (the kernel wrote more than the
+                // binding holds) are dropped: callers size bindings to
+                // iterations.
+                let kept = n.min(w.left);
+                for i in 0..kept {
+                    let (bank, off) = w.walk.step();
+                    srf.write(way + bank, off, buf.words[buf.nth(way, w.ring, i)]);
+                }
+                w.ring.pop = w.ring.pop.wrapping_add(n);
+                (w.left, moved) = (w.left - kept, moved + kept);
+            } else {
+                let n = unit.min(buf.cap - w.ring.len()).min(w.left);
+                for _ in 0..n {
+                    let (bank, off) = w.walk.step();
+                    buf.push(way, &mut w.ring, arrive, srf.read(way + bank, off));
+                }
+                (w.left, moved) = (w.left - n, moved + n);
+                *wanting += u32::from(w.wants(false, buf.cap, unit, flush));
+            }
         }
-        moved
+        u64::from(moved)
     }
 
-    /// The first lane asserting `cond` (every lane, without one) that can
-    /// neither pop at `now` nor is done: the lane a whole-row pop would
-    /// have to wait for.
+    /// The first lane asserting `cond` (every lane, without one) that a
+    /// whole-row pop or push would have to wait for at `now`: an input
+    /// lane whose word is still in flight, or not yet fetched while its way
+    /// has words left (a done lane never waits); an output lane whose slot
+    /// is past its way's capacity.
     pub fn blocked_lane(&self, cond: Option<&[Word]>, now: u64) -> Option<usize> {
-        match cond {
-            Some(c) => self.first_waiting(c.iter().map(|&c| c != 0), now),
-            None => self.first_waiting(std::iter::repeat(true), now),
+        // Words that earlier asserting lanes take from a global way.
+        let mut before = 0;
+        for lane in 0..self.lanes {
+            if cond.is_some_and(|c| c[lane] == 0) {
+                continue;
+            }
+            let way = self.way(lane);
+            let (w, i) = (&self.ways[way], if self.global { before } else { 0 });
+            before += 1;
+            let waits = match self.writes {
+                false if i < w.ring.len() => self.buf.at[self.buf.nth(way, w.ring, i)] > now,
+                false => w.left > 0,
+                true => w.ring.len() + i >= self.buf.cap,
+            };
+            if waits {
+                return Some(lane);
+            }
         }
-    }
-
-    /// [`SeqInState::blocked_lane`] with the lanes' conditions as `asserts`.
-    fn first_waiting(&self, asserts: impl Iterator<Item = bool>, now: u64) -> Option<usize> {
-        let mut lanes = self.lanes.iter().zip(asserts).enumerate();
-        lanes.position(|(lane, (l, a))| a && l.waits(lane, &self.buf, now))
+        None
     }
 
     /// Pop one word into `out` for every lane asserting `cond` (every lane,
-    /// without one) that holds one; the other lanes (condition false, or
-    /// done: reads past the end of a lane's data return zero instead of
-    /// stalling, so lanes with less data stay occupied until the last lane
-    /// finishes — the load-imbalance behavior the paper describes) get
-    /// zero. No asserting lane may be blocked ([`SeqInState::blocked_lane`]).
+    /// without one) whose way holds one, in lane order; the other lanes
+    /// (condition false, or done: reads past the end of a lane's data, or
+    /// of a conditional stream, return zero instead of stalling, so lanes
+    /// with less data stay occupied until the last lane finishes — the
+    /// load-imbalance behavior the paper describes) get zero. No asserting
+    /// lane may be blocked ([`Port::blocked_lane`]).
     pub fn pop_row(&mut self, cond: Option<&[Word]>, out: &mut [Word]) {
-        debug_assert!(cond.is_none_or(|c| c.len() == self.lanes.len()));
-        debug_assert!(out.len() == self.lanes.len());
-        match cond {
-            Some(c) => self.pop_lanes(c.iter().map(|&c| c != 0), out),
-            None => self.pop_lanes(std::iter::repeat(true), out),
-        }
-    }
-
-    /// [`SeqInState::pop_row`] with the lanes' conditions as `asserts`.
-    fn pop_lanes(&mut self, asserts: impl Iterator<Item = bool>, out: &mut [Word]) {
-        let lanes = self.lanes.iter_mut().zip(asserts).zip(out);
-        for (lane, ((l, a), o)) in lanes.enumerate() {
+        debug_assert!(!self.writes && out.len() == self.lanes);
+        for (lane, o) in out.iter_mut().enumerate() {
             *o = 0;
-            if a && l.ring.len() > 0 {
-                *o = self.buf.words[self.buf.nth(lane, l.ring, 0)];
-                // A full ring kept the lane from wanting a grant.
-                self.wanting += u32::from(l.cur.remaining > 0 && !l.wants(self.buf.cap));
-                l.ring.pop = l.ring.pop.wrapping_add(1);
+            let way = self.way(lane);
+            let w = &mut self.ways[way];
+            if cond.is_none_or(|c| c[lane] != 0) && w.ring.len() > 0 {
+                *o = self.buf.words[self.buf.nth(way, w.ring, 0)];
+                // The freed slot may make the way want a grant again.
+                let was = w.wants(false, self.buf.cap, 0, false);
+                w.ring.pop = w.ring.pop.wrapping_add(1);
+                self.wanting += u32::from(!was && w.wants(false, self.buf.cap, 0, false));
             }
         }
     }
 
-    /// Words buffered for lane `l` (ready or still in their SRF access
-    /// latency) — distinguishes a starved buffer from one whose data is
-    /// merely in flight when attributing stalls.
-    pub fn buffered_words(&self, lane: usize) -> usize {
-        self.lanes[lane].ring.len() as usize
-    }
-
-    /// Serialize the dynamic state (cursors and buffered words). The
-    /// binding and capacities come from the constructor on decode.
-    pub fn encode_state(&self, e: &mut Enc) {
-        encode_cursors(self.lanes.iter().map(|l| &l.cur), e);
-        for (lane, l) in self.lanes.iter().enumerate() {
-            self.buf.encode(lane, l.ring, e);
+    /// Push `row[l]` of every lane `l` asserting `cond` (every lane,
+    /// without one) into its way, in lane order. No asserting lane may be
+    /// blocked ([`Port::blocked_lane`]).
+    pub fn push_row(&mut self, cond: Option<&[Word]>, row: &[Word]) {
+        debug_assert!(self.writes && row.len() == self.lanes);
+        for (lane, &word) in row.iter().enumerate() {
+            if cond.is_none_or(|c| c[lane] != 0) {
+                let way = self.way(lane);
+                self.buf.push(way, &mut self.ways[way].ring, 0, word);
+            }
         }
     }
 
-    /// Overwrite the dynamic state from [`SeqInState::encode_state`] bytes.
+    /// Words buffered for lane `lane`'s way (ready or still in their SRF
+    /// access latency) — distinguishes a starved buffer from one whose data
+    /// is merely in flight when attributing stalls.
+    pub fn buffered_words(&self, lane: usize) -> usize {
+        self.ways[self.way(lane)].ring.len() as usize
+    }
+
+    /// True unless an output still holds words for the SRF.
+    pub fn drained(&self) -> bool {
+        !self.writes || self.ways.iter().all(|w| w.ring.len() == 0)
+    }
+
+    /// Serialize the dynamic state: the cursors, then every way's ring. A
+    /// per-lane port writes its way count and each way's words left; a
+    /// global port the words it has moved. The binding and capacities come
+    /// from the constructor on decode.
+    pub fn encode_state(&self, e: &mut Enc) {
+        if !self.global {
+            e.usize(self.ways.len());
+        }
+        for w in &self.ways {
+            let moved = w.walk.b.words() - w.left;
+            e.u32(if self.global { moved } else { w.left });
+        }
+        for (way, w) in self.ways.iter().enumerate() {
+            self.buf.encode(way, w.ring, e);
+        }
+    }
+
+    /// Overwrite the dynamic state from [`Port::encode_state`] bytes.
     pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        decode_cursors(self.lanes.iter_mut().map(|l| &mut l.cur), d)?;
-        for (lane, l) in self.lanes.iter_mut().enumerate() {
-            l.ring = self.buf.decode(lane, d)?;
+        let n = self.ways.len();
+        if !self.global && d.usize()? != n {
+            return Err(SnapError::Mismatch(format!("lane cursor count != {n}")));
+        }
+        let lanes = if self.global { self.lanes } else { 1 };
+        for w in &mut self.ways {
+            let (words, at) = (w.walk.b.words(), d.u32()?);
+            let left = match self.global {
+                true => words.checked_sub(at),
+                false => (at <= words).then_some(at),
+            };
+            let Some(left) = left else {
+                return Err(SnapError::Mismatch(format!(
+                    "stream cursor at {at} of {words} words"
+                )));
+            };
+            w.walk = StreamWalk::new(&w.walk.b, lanes, words - left);
+            w.left = left;
+        }
+        for (way, w) in self.ways.iter_mut().enumerate() {
+            w.ring = self.buf.decode(way, d)?;
+        }
+        // An output's ways fill and drain together.
+        let len = self.ways[0].ring.len();
+        if self.writes && self.ways.iter().any(|w| w.ring.len() != len) {
+            let msg = "output lanes buffer unequal numbers of words";
+            return Err(SnapError::Mismatch(msg.into()));
         }
         self.recount();
         Ok(())
-    }
-}
-
-/// Sequential output stream state. The kernel pushes a word for every
-/// lane at once and a grant drains every lane alike, so all lanes buffer
-/// the same number of words: one pair of counts serves them all.
-#[derive(Debug, Clone)]
-pub struct SeqOutState {
-    /// The binding this state writes.
-    pub binding: StreamBinding,
-    cursors: Vec<LaneCursor>,
-    ring: RingCur,
-    buf: Rings,
-}
-
-impl SeqOutState {
-    /// Create the runtime state.
-    pub fn new(binding: StreamBinding, lanes: usize, buf_cap: usize) -> Self {
-        SeqOutState {
-            binding,
-            cursors: lane_cursors(&binding, lanes),
-            ring: RingCur::default(),
-            buf: Rings::new(lanes, buf_cap, false),
-        }
-    }
-
-    /// Whether a grant would drain anything. When `flush` is false only
-    /// full `m`-word blocks are drained (the hardware writes whole blocks);
-    /// after the kernel finishes, partial blocks flush too.
-    pub fn wants_grant(&self, m: usize, flush: bool) -> bool {
-        let len = self.ring.len() as usize;
-        len >= m || (flush && len > 0)
-    }
-
-    /// Apply one SRF grant: drain up to `m` words per lane into the SRF.
-    pub fn grant(&mut self, srf: &mut Srf, m: usize, flush: bool) -> u64 {
-        if !self.wants_grant(m, flush) {
-            return 0;
-        }
-        let n = self.ring.len().min(u32::try_from(m).unwrap_or(u32::MAX));
-        let mut moved = 0;
-        for (lane, c) in self.cursors.iter_mut().enumerate() {
-            // Overproduced words (the kernel wrote more than the binding
-            // holds) are dropped: callers size bindings to iterations.
-            let kept = n.min(c.remaining);
-            let bank = srf.bank_mut(lane);
-            for i in 0..kept {
-                bank[c.step()] = self.buf.words[self.buf.nth(lane, self.ring, i)];
-            }
-            moved += u64::from(kept);
-        }
-        self.ring.pop = self.ring.pop.wrapping_add(n);
-        moved
-    }
-
-    /// Can every lane accept a word?
-    pub fn can_push(&self) -> bool {
-        self.ring.len() < self.buf.cap
-    }
-
-    /// Push `row[l]` from every lane `l`'s cluster.
-    pub fn push_row(&mut self, row: &[Word]) {
-        debug_assert!(self.can_push() && row.len() == self.cursors.len());
-        for (lane, &w) in row.iter().enumerate() {
-            // Every lane's ring takes its word at the one shared count.
-            self.buf.push(lane, &mut { self.ring }, 0, w);
-        }
-        self.ring.push = self.ring.push.wrapping_add(1);
-    }
-
-    /// True when all buffered output has been written to the SRF.
-    pub fn drained(&self) -> bool {
-        self.ring.len() == 0
-    }
-
-    /// Serialize the dynamic state (cursors and buffered words).
-    pub fn encode_state(&self, e: &mut Enc) {
-        encode_cursors(self.cursors.iter(), e);
-        for lane in 0..self.cursors.len() {
-            self.buf.encode(lane, self.ring, e);
-        }
-    }
-
-    /// Overwrite the dynamic state from [`SeqOutState::encode_state`] bytes.
-    pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        decode_cursors(self.cursors.iter_mut(), d)?;
-        for lane in 0..self.cursors.len() {
-            let ring = self.buf.decode(lane, d)?;
-            if lane > 0 && ring.len() != self.ring.len() {
-                let msg = "output lanes buffer unequal numbers of words";
-                return Err(SnapError::Mismatch(msg.into()));
-            }
-            self.ring = ring;
-        }
-        Ok(())
-    }
-}
-
-/// The stream-order half of a conditional stream: a single global cursor
-/// (stream words moved to or from the SRF so far), the walk standing at
-/// the next one, and the counts of the one global ring.
-#[derive(Debug, Clone)]
-struct GlobalCursor {
-    lanes: usize,
-    moved: u32,
-    walk: StreamWalk,
-    ring: RingCur,
-}
-
-impl GlobalCursor {
-    fn new(binding: &StreamBinding, lanes: usize) -> Self {
-        GlobalCursor {
-            lanes,
-            moved: 0,
-            walk: StreamWalk::new(binding, lanes, 0),
-            ring: RingCur::default(),
-        }
-    }
-
-    /// Words of `binding` not yet moved.
-    fn left(&self, binding: &StreamBinding) -> u32 {
-        binding.words() - self.moved
-    }
-
-    /// Serialize the cursor and the words `buf`, its ring, holds.
-    fn encode(&self, buf: &Rings, e: &mut Enc) {
-        e.u32(self.moved);
-        buf.encode(0, self.ring, e);
-    }
-
-    /// Move to where [`GlobalCursor::encode`] bytes say, refilling `buf`.
-    fn decode(&mut self, b: &StreamBinding, buf: &mut Rings, d: &mut Dec) -> Result<(), SnapError> {
-        let moved = d.u32()?;
-        if moved > b.words() {
-            return Err(SnapError::Mismatch(format!(
-                "conditional stream at word {moved} of {}",
-                b.words()
-            )));
-        }
-        (self.moved, self.ring) = (moved, buf.decode(0, d)?);
-        self.walk = StreamWalk::new(b, self.lanes, moved);
-        Ok(())
-    }
-}
-
-/// Conditional input stream state (\[16\]): a single global cursor; elements
-/// go to whichever lanes assert their condition, in lane order.
-#[derive(Debug, Clone)]
-pub struct CondInState {
-    /// The binding this state reads.
-    pub binding: StreamBinding,
-    at: GlobalCursor,
-    buf: Rings,
-}
-
-impl CondInState {
-    /// Create the runtime state; capacity scales with lanes since the
-    /// buffer is global.
-    pub fn new(binding: StreamBinding, lanes: usize, per_lane_cap: usize) -> Self {
-        CondInState {
-            binding,
-            at: GlobalCursor::new(&binding, lanes),
-            buf: Rings::new(1, per_lane_cap * lanes, true),
-        }
-    }
-
-    /// Whether an SRF grant would make progress.
-    pub fn wants_grant(&self) -> bool {
-        self.at.left(&self.binding) > 0 && self.at.ring.len() < self.buf.cap
-    }
-
-    /// Fetch the next block of words (up to `lanes * m`) in stream order.
-    pub fn grant(&mut self, srf: &Srf, block_words: usize, now: u64, latency: u64) -> u64 {
-        let room = (self.buf.cap - self.at.ring.len()).min(self.at.left(&self.binding));
-        let n = room.min(u32::try_from(block_words).unwrap_or(u32::MAX));
-        for _ in 0..n {
-            let (lane, off) = self.at.walk.step();
-            self.buf
-                .push(0, &mut self.at.ring, now + latency, srf.read(lane, off));
-        }
-        self.at.moved += n;
-        u64::from(n)
-    }
-
-    /// Are `k` words ready at `now`?
-    pub fn can_pop(&self, k: usize, now: u64) -> bool {
-        self.at.ring.len() as usize >= k
-            && (0..k as u32).all(|i| self.buf.at[self.buf.nth(0, self.at.ring, i)] <= now)
-    }
-
-    /// Hand the next stream words, in lane order, to the lanes asserting
-    /// `cond`; the other lanes, and asserting lanes once the buffer runs
-    /// out (the stream's end), get zero.
-    pub fn pop_row(&mut self, cond: &[Word], out: &mut [Word]) {
-        for (&c, o) in cond.iter().zip(out) {
-            *o = 0;
-            if c != 0 && self.at.ring.len() > 0 {
-                *o = self.buf.words[self.buf.nth(0, self.at.ring, 0)];
-                self.at.ring.pop = self.at.ring.pop.wrapping_add(1);
-            }
-        }
-    }
-
-    /// Words of the stream not yet consumed (fetched or not).
-    pub fn remaining_words(&self) -> u32 {
-        self.at.left(&self.binding) + self.at.ring.len()
-    }
-
-    /// Serialize the dynamic state (cursor and buffered words).
-    pub fn encode_state(&self, e: &mut Enc) {
-        self.at.encode(&self.buf, e);
-    }
-
-    /// Overwrite the dynamic state from [`CondInState::encode_state`] bytes.
-    pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        self.at.decode(&self.binding, &mut self.buf, d)
-    }
-}
-
-/// Conditional output stream state: lanes asserting their condition append
-/// in lane order; a global buffer drains to the SRF in stream order.
-#[derive(Debug, Clone)]
-pub struct CondOutState {
-    /// The binding this state writes.
-    pub binding: StreamBinding,
-    at: GlobalCursor,
-    buf: Rings,
-}
-
-impl CondOutState {
-    /// Create the runtime state.
-    pub fn new(binding: StreamBinding, lanes: usize, per_lane_cap: usize) -> Self {
-        CondOutState {
-            binding,
-            at: GlobalCursor::new(&binding, lanes),
-            buf: Rings::new(1, per_lane_cap * lanes, false),
-        }
-    }
-
-    /// Room for `k` more words?
-    pub fn can_push(&self, k: usize) -> bool {
-        self.at.ring.len() as usize + k <= self.buf.cap as usize
-    }
-
-    /// Append, in lane order, `row[l]` of every lane `l` asserting `cond`.
-    pub fn push_row(&mut self, cond: &[Word], row: &[Word]) {
-        for (_, &w) in cond.iter().zip(row).filter(|(&c, _)| c != 0) {
-            debug_assert!(self.can_push(1));
-            self.buf.push(0, &mut self.at.ring, 0, w);
-        }
-    }
-
-    /// Whether a grant would drain anything.
-    pub fn wants_grant(&self, block_words: usize, flush: bool) -> bool {
-        let len = self.at.ring.len() as usize;
-        len >= block_words || (flush && len > 0)
-    }
-
-    /// Drain up to a block into the SRF.
-    pub fn grant(&mut self, srf: &mut Srf, block_words: usize, flush: bool) -> u64 {
-        if !self.wants_grant(block_words, flush) {
-            return 0;
-        }
-        let n = (self.at.ring.len()).min(u32::try_from(block_words).unwrap_or(u32::MAX));
-        // Overproduced words are dropped.
-        let kept = n.min(self.at.left(&self.binding));
-        for i in 0..kept {
-            let (lane, off) = self.at.walk.step();
-            srf.write(lane, off, self.buf.words[self.buf.nth(0, self.at.ring, i)]);
-        }
-        self.at.ring.pop = self.at.ring.pop.wrapping_add(n);
-        self.at.moved += kept;
-        u64::from(kept)
-    }
-
-    /// Words written to the SRF so far.
-    pub fn written(&self) -> u32 {
-        self.at.moved
-    }
-
-    /// True when all buffered output has drained.
-    pub fn drained(&self) -> bool {
-        self.at.ring.len() == 0
-    }
-
-    /// Serialize the dynamic state (cursor and buffered words).
-    pub fn encode_state(&self, e: &mut Enc) {
-        self.at.encode(&self.buf, e);
-    }
-
-    /// Overwrite the dynamic state from [`CondOutState::encode_state`] bytes.
-    pub fn decode_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        self.at.decode(&self.binding, &mut self.buf, d)
     }
 }
 
@@ -738,6 +545,7 @@ impl CondOutState {
 mod tests {
     use super::*;
     use isrf_core::config::{ConfigName, MachineConfig};
+    use StreamKind::{CondIn, CondOut, SeqIn, SeqOut};
 
     fn srf_with_stream(record_words: u32, records: u32) -> (Srf, StreamBinding) {
         let mut srf = Srf::new(&MachineConfig::preset(ConfigName::Base));
@@ -750,7 +558,7 @@ mod tests {
     }
 
     /// Pop one word of `lane` alone.
-    fn pop(s: &mut SeqInState, lane: usize) -> Word {
+    fn pop(s: &mut Port, lane: usize) -> Word {
         let mut cond = [0; 8];
         cond[lane] = 1;
         let mut out = [0; 8];
@@ -760,10 +568,10 @@ mod tests {
 
     #[test]
     fn seq_in_pops_lane_elements_in_order() {
-        let (srf, b) = srf_with_stream(1, 32);
-        let mut s = SeqInState::new(b, 8, 8);
-        assert!(s.wants_grant());
-        s.grant(&srf, 4, 0, 0);
+        let (mut srf, b) = srf_with_stream(1, 32);
+        let mut s = Port::new(SeqIn, b, 8, 8);
+        assert!(s.wants_grant(4, false));
+        s.grant(&mut srf, 4, false, 0);
         // Lane 0 sees words 0, 8, 16, 24; lane 3 sees 3, 11, ...
         assert_eq!(s.blocked_lane(None, 0), None);
         assert_eq!(pop(&mut s, 0), 0);
@@ -778,10 +586,10 @@ mod tests {
 
     #[test]
     fn seq_in_latency_delays_availability() {
-        let (srf, b) = srf_with_stream(1, 8);
-        let mut s = SeqInState::new(b, 8, 8);
+        let (mut srf, b) = srf_with_stream(1, 8);
+        let mut s = Port::new(SeqIn, b, 8, 8);
         assert_eq!(s.blocked_lane(Some(&[1; 8]), 0), Some(0), "starved");
-        s.grant(&srf, 4, 10, 3);
+        s.grant(&mut srf, 4, false, 10 + 3);
         assert_eq!(s.blocked_lane(Some(&[1; 8]), 12), Some(0), "in flight");
         assert_eq!(s.blocked_lane(Some(&[0, 0, 1, 0, 0, 0, 0, 0]), 12), Some(2));
         assert_eq!(s.blocked_lane(None, 13), None);
@@ -789,25 +597,25 @@ mod tests {
 
     #[test]
     fn seq_in_respects_buffer_capacity() {
-        let (srf, b) = srf_with_stream(1, 800);
-        let mut s = SeqInState::new(b, 8, 8);
-        let m1 = s.grant(&srf, 4, 0, 0);
-        let m2 = s.grant(&srf, 4, 0, 0);
+        let (mut srf, b) = srf_with_stream(1, 800);
+        let mut s = Port::new(SeqIn, b, 8, 8);
+        let m1 = s.grant(&mut srf, 4, false, 0);
+        let m2 = s.grant(&mut srf, 4, false, 0);
         assert_eq!(m1 + m2, 64, "two grants of 4 words x 8 lanes");
-        let m3 = s.grant(&srf, 4, 0, 0);
+        let m3 = s.grant(&mut srf, 4, false, 0);
         assert_eq!(m3, 0, "buffers are full at 8 words per lane");
-        assert!(!s.wants_grant());
+        assert!(!s.wants_grant(4, false));
         pop(&mut s, 5);
-        assert!(s.wants_grant(), "lane 5 has room again");
+        assert!(s.wants_grant(4, false), "lane 5 has room again");
     }
 
     #[test]
     fn seq_in_exhaustion_and_tail() {
         // 10 records on 8 lanes: lanes 0 and 1 get 2 records, rest 1.
-        let (srf, b) = srf_with_stream(1, 10);
-        let mut s = SeqInState::new(b, 8, 8);
-        while s.wants_grant() {
-            s.grant(&srf, 4, 0, 0);
+        let (mut srf, b) = srf_with_stream(1, 10);
+        let mut s = Port::new(SeqIn, b, 8, 8);
+        while s.wants_grant(4, false) {
+            s.grant(&mut srf, 4, false, 0);
         }
         let mut row = [0; 8];
         s.pop_row(None, &mut row);
@@ -821,14 +629,14 @@ mod tests {
             [8, 9, 0, 0, 0, 0, 0, 0],
             "reads past a lane's end are 0"
         );
-        assert!(!s.wants_grant() && (0..8).all(|l| s.buffered_words(l) == 0));
+        assert!(!s.wants_grant(4, false) && (0..8).all(|l| s.buffered_words(l) == 0));
     }
 
     #[test]
     fn seq_in_records_are_lane_local() {
-        let (srf, b) = srf_with_stream(4, 16);
-        let mut s = SeqInState::new(b, 8, 8);
-        s.grant(&srf, 4, 0, 0);
+        let (mut srf, b) = srf_with_stream(4, 16);
+        let mut s = Port::new(SeqIn, b, 8, 8);
+        s.grant(&mut srf, 4, false, 0);
         // Lane 2 owns record 2 = words 8..12.
         assert_eq!(pop(&mut s, 2), 8);
         assert_eq!(pop(&mut s, 2), 9);
@@ -838,11 +646,11 @@ mod tests {
 
     #[test]
     fn seq_in_start_record_windows_the_range() {
-        let (srf, mut b) = srf_with_stream(1, 64);
+        let (mut srf, mut b) = srf_with_stream(1, 64);
         b.start_record = 32;
         b.records = 16;
-        let mut s = SeqInState::new(b, 8, 8);
-        s.grant(&srf, 4, 0, 0);
+        let mut s = Port::new(SeqIn, b, 8, 8);
+        s.grant(&mut srf, 4, false, 0);
         // Record 32 belongs to lane 0 and holds word value 32.
         assert_eq!(pop(&mut s, 0), 32);
         assert_eq!(pop(&mut s, 1), 33);
@@ -851,12 +659,12 @@ mod tests {
     #[test]
     fn seq_out_roundtrip() {
         let (mut srf, b) = srf_with_stream(1, 16);
-        let mut s = SeqOutState::new(b, 8, 8);
-        s.push_row(&[100, 101, 102, 103, 104, 105, 106, 107]);
-        s.push_row(&[200, 201, 202, 203, 204, 205, 206, 207]);
+        let mut s = Port::new(SeqOut, b, 8, 8);
+        s.push_row(None, &[100, 101, 102, 103, 104, 105, 106, 107]);
+        s.push_row(None, &[200, 201, 202, 203, 204, 205, 206, 207]);
         assert!(!s.wants_grant(4, false), "blocks of 4 not yet full");
         assert!(s.wants_grant(4, true));
-        s.grant(&mut srf, 4, true);
+        s.grant(&mut srf, 4, true, 0);
         assert!(s.drained());
         // Record r -> lane r%8: stream word 3 came from lane 3's first push.
         assert_eq!(srf.read(3, b.range.base), 103);
@@ -866,35 +674,37 @@ mod tests {
     #[test]
     fn seq_out_backpressure() {
         let (_, b) = srf_with_stream(1, 100);
-        let mut s = SeqOutState::new(b, 8, 4);
+        let mut s = Port::new(SeqOut, b, 8, 4);
         for _ in 0..4 {
-            assert!(s.can_push());
-            s.push_row(&[1; 8]);
+            assert_eq!(s.blocked_lane(None, 0), None, "every lane can push");
+            s.push_row(None, &[1; 8]);
         }
-        assert!(!s.can_push());
+        assert_eq!(s.blocked_lane(None, 0), Some(0));
     }
 
     #[test]
     fn cond_in_global_order() {
-        let (srf, b) = srf_with_stream(1, 16);
-        let mut s = CondInState::new(b, 8, 8);
-        s.grant(&srf, 32, 0, 0);
-        assert!(s.can_pop(3, 0));
+        let (mut srf, b) = srf_with_stream(1, 16);
+        let mut s = Port::new(CondIn, b, 8, 8);
+        s.grant(&mut srf, 4, false, 0);
+        // Three asserting lanes find three words ready.
+        assert_eq!(s.blocked_lane(Some(&[1, 1, 1, 0, 0, 0, 0, 0]), 0), None);
         let mut row = [9; 8];
-        s.pop_row(&[0, 1, 1, 0, 0, 7, 0, 0], &mut row);
+        s.pop_row(Some(&[0, 1, 1, 0, 0, 7, 0, 0]), &mut row);
         assert_eq!(row, [0, 0, 1, 0, 0, 2, 0, 0]);
-        s.pop_row(&[1, 0, 0, 0, 0, 0, 0, 1], &mut row);
+        s.pop_row(Some(&[1, 0, 0, 0, 0, 0, 0, 1]), &mut row);
         assert_eq!(row, [3, 0, 0, 0, 0, 0, 0, 4]);
-        assert_eq!(s.remaining_words(), 11);
+        let w = &s.ways[0];
+        assert_eq!(w.left + w.ring.len(), 11, "words not yet consumed");
     }
 
     #[test]
     fn cond_out_writes_stream_order() {
         let (mut srf, b) = srf_with_stream(1, 8);
-        let mut s = CondOutState::new(b, 8, 8);
-        s.push_row(&[1, 0, 1, 0, 0, 0, 0, 1], &[9, 1, 8, 1, 1, 1, 1, 7]);
-        s.grant(&mut srf, 64, true);
-        assert_eq!(s.written(), 3);
+        let mut s = Port::new(CondOut, b, 8, 8);
+        s.push_row(Some(&[1, 0, 1, 0, 0, 0, 0, 1]), &[9, 1, 8, 1, 1, 1, 1, 7]);
+        s.grant(&mut srf, 8, true, 0);
+        assert_eq!(b.words() - s.ways[0].left, 3, "words written");
         assert_eq!(srf.read(0, b.range.base), 9);
         assert_eq!(srf.read(2, b.range.base), 7);
         assert!(s.drained());

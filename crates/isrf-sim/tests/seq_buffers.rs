@@ -1,22 +1,23 @@
 //! Lock-step property tests for the sequential and conditional stream
 //! buffers.
 //!
-//! The flat-ring states of `isrf_sim::stream` (lane-major power-of-two
-//! rings, free-running counts, per-stream occupancy, whole-row pops and
-//! pushes, incremental SRF offsets) run beside [`reference`], the
-//! queue-per-lane states they replaced, over random plans of grants, row
-//! pops, row pushes and flushes. After every step both must answer every
-//! query alike, hand out the same words, move the same number of words and
-//! leave the same SRF; their snapshot bytes must be equal, and a state
-//! decoded from them mid-run must carry on indistinguishably.
+//! The one port of `isrf_sim::stream` (ways of lane-major power-of-two
+//! rings, free-running counts, whole-row pops and pushes, incremental SRF
+//! offsets, one grant rule), built per stream kind, runs beside
+//! [`reference`], the queue-per-lane states it replaced, over random plans
+//! of grants, row pops, row pushes and flushes. After every step both must
+//! answer every query alike, hand out the same words, move the same number
+//! of words and leave the same SRF; their snapshot bytes must be equal,
+//! and a port decoded from them mid-run must carry on indistinguishably.
 
 use std::collections::VecDeque;
 
 use isrf_core::config::{ConfigName, MachineConfig};
 use isrf_core::snap::{Dec, Enc, SnapError};
 use isrf_core::Word;
+use isrf_kernel::ir::StreamKind;
 use isrf_sim::srf::Srf;
-use isrf_sim::stream::{CondInState, CondOutState, SeqInState, SeqOutState, StreamBinding};
+use isrf_sim::stream::{Port, StreamBinding};
 use proptest::prelude::*;
 
 /// The `VecDeque` stream states as they stood before the flat rings,
@@ -428,6 +429,11 @@ fn conds(bits: u64, lanes: usize) -> Vec<Word> {
     (0..lanes).map(|l| (bits >> l & 1) as Word * 7).collect()
 }
 
+/// The first `k` of `lanes` lanes asserting.
+fn first(k: usize, lanes: usize) -> Vec<Word> {
+    (0..lanes).map(|l| Word::from(l < k)).collect()
+}
+
 /// Snapshot bytes of a state.
 fn bytes(encode: impl FnOnce(&mut Enc)) -> Vec<u8> {
     let mut e = Enc::new();
@@ -454,16 +460,19 @@ fn restored<S>(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `SeqInState` — also what backs per-lane conditional substreams,
-    /// whose pops take a lane mask.
+    /// A `SeqIn` port — as a `CondLaneIn` port, what backs per-lane
+    /// conditional substreams, whose pops take a lane mask.
     #[test]
-    fn seq_in_matches_queue_reference(s in shapes(), plan in plans()) {
-        let (srf, b) = setup(&s);
-        let mut new = SeqInState::new(b, s.lanes, s.cap);
+    fn seq_in_matches_queue_reference(s in shapes(), plan in plans(), lane_cond in any::<bool>()) {
+        let (mut srf, b) = setup(&s);
+        let kind = [StreamKind::SeqIn, StreamKind::CondLaneIn][usize::from(lane_cond)];
+        let mut new = Port::new(kind, b, s.lanes, s.cap);
         let mut old = reference::SeqIn::new(b, s.lanes, s.cap);
         let mut now = 0u64;
         for (i, &(what, bits)) in plan.iter().enumerate() {
-            prop_assert_eq!(new.wants_grant(), old.wants_grant());
+            for flush in [false, true] {
+                prop_assert_eq!(new.wants_grant(s.m, flush), old.wants_grant());
+            }
             let mut blocked = None;
             for lane in 0..s.lanes {
                 // The row states answer for one lane through a one-lane
@@ -485,7 +494,7 @@ proptest! {
             prop_assert_eq!(new.blocked_lane(Some(&vec![1; s.lanes]), now), blocked);
             match what {
                 0 | 1 => {
-                    let moved = new.grant(&srf, s.m, now, s.latency);
+                    let moved = new.grant(&mut srf, s.m, what == 1, now + s.latency);
                     prop_assert_eq!(moved, old.grant(&srf, s.m, now, s.latency));
                 }
                 2 => {
@@ -509,36 +518,37 @@ proptest! {
             let snap = bytes(|e| new.encode_state(e));
             prop_assert_eq!(&snap, &bytes(|e| old.encode_state(e)), "step {}", i);
             if i == plan.len() / 2 {
-                let fresh = SeqInState::new(b, s.lanes, s.cap);
+                let fresh = Port::new(kind, b, s.lanes, s.cap);
                 new = restored(fresh, &snap, |st, d| st.decode_state(d), |st, e| st.encode_state(e));
             }
         }
     }
 
-    /// `SeqOutState`, with more rows pushed than the binding holds.
+    /// A `SeqOut` port, with more rows pushed than the binding holds.
     #[test]
     fn seq_out_matches_queue_reference(s in shapes(), plan in plans()) {
         let (mut srf, b) = setup(&s);
         let mut old_srf = srf.clone();
-        let mut new = SeqOutState::new(b, s.lanes, s.cap);
+        let mut new = Port::new(StreamKind::SeqOut, b, s.lanes, s.cap);
         let mut old = reference::SeqOut::new(b, s.lanes, s.cap);
         for (i, &(what, bits)) in plan.iter().enumerate() {
-            prop_assert_eq!(new.can_push(), (0..s.lanes).all(|l| old.can_push(l)));
+            let can_push = (0..s.lanes).all(|l| old.can_push(l));
+            prop_assert_eq!(new.blocked_lane(None, 0).is_none(), can_push);
             prop_assert_eq!(new.drained(), old.drained());
             for flush in [false, true] {
                 prop_assert_eq!(new.wants_grant(s.m, flush), old.wants_grant(s.m, flush));
             }
             match what {
-                0 | 1 if new.can_push() => {
+                0 | 1 if can_push => {
                     let row: Vec<Word> = (0..s.lanes).map(|l| (bits as Word) ^ l as Word).collect();
-                    new.push_row(&row);
+                    new.push_row(None, &row);
                     for (lane, &w) in row.iter().enumerate() {
                         old.push(lane, w);
                     }
                 }
                 _ => {
                     let flush = what == 3;
-                    let moved = new.grant(&mut srf, s.m, flush);
+                    let moved = new.grant(&mut srf, s.m, flush, 0);
                     prop_assert_eq!(moved, old.grant(&mut old_srf, s.m, flush));
                     prop_assert_eq!(region(&srf, s.lanes), region(&old_srf, s.lanes));
                 }
@@ -546,29 +556,34 @@ proptest! {
             let snap = bytes(|e| new.encode_state(e));
             prop_assert_eq!(&snap, &bytes(|e| old.encode_state(e)), "step {}", i);
             if i == plan.len() / 2 {
-                let fresh = SeqOutState::new(b, s.lanes, s.cap);
+                let fresh = Port::new(StreamKind::SeqOut, b, s.lanes, s.cap);
                 new = restored(fresh, &snap, |st, d| st.decode_state(d), |st, e| st.encode_state(e));
             }
         }
     }
 
-    /// `CondInState`: one global buffer handed out in lane order.
+    /// A `CondIn` port: one global buffer handed out in lane order. The
+    /// first `k` lanes asserting must wait exactly when the reference
+    /// cannot pop the `k` words, or what is left of the stream.
     #[test]
     fn cond_in_matches_queue_reference(s in shapes(), plan in plans()) {
-        let (srf, b) = setup(&s);
+        let (mut srf, b) = setup(&s);
         let block = s.lanes * s.m;
-        let mut new = CondInState::new(b, s.lanes, s.cap);
+        let mut new = Port::new(StreamKind::CondIn, b, s.lanes, s.cap);
         let mut old = reference::CondIn::new(b, s.lanes, s.cap);
         let mut now = 0u64;
         for (i, &(what, bits)) in plan.iter().enumerate() {
-            prop_assert_eq!(new.wants_grant(), old.wants_grant());
-            prop_assert_eq!(new.remaining_words(), old.remaining_words());
+            for flush in [false, true] {
+                prop_assert_eq!(new.wants_grant(s.m, flush), old.wants_grant());
+            }
             for k in 0..=s.lanes {
-                prop_assert_eq!(new.can_pop(k, now), old.can_pop(k, now), "{} words", k);
+                let k_eff = k.min(old.remaining_words() as usize);
+                let waits = new.blocked_lane(Some(&first(k, s.lanes)), now).is_some();
+                prop_assert_eq!(!waits, old.can_pop(k_eff, now), "{} words", k);
             }
             match what {
                 0 | 1 => {
-                    let moved = new.grant(&srf, block, now, s.latency);
+                    let moved = new.grant(&mut srf, s.m, what == 1, now + s.latency);
                     prop_assert_eq!(moved, old.grant(&srf, block, now, s.latency));
                 }
                 2 => {
@@ -576,13 +591,14 @@ proptest! {
                     let k = cond.iter().filter(|&&c| c != 0).count();
                     let k_eff = k.min(old.remaining_words() as usize);
                     if old.can_pop(k_eff, now) {
+                        prop_assert_eq!(new.blocked_lane(Some(&cond), now), None);
                         let mut words = old.pop(k_eff).into_iter();
                         let want: Vec<Word> = cond
                             .iter()
                             .map(|&c| if c != 0 { words.next().unwrap_or(0) } else { 0 })
                             .collect();
                         let mut row = vec![9; s.lanes];
-                        new.pop_row(&cond, &mut row);
+                        new.pop_row(Some(&cond), &mut row);
                         prop_assert_eq!(row, want);
                     }
                 }
@@ -591,36 +607,38 @@ proptest! {
             let snap = bytes(|e| new.encode_state(e));
             prop_assert_eq!(&snap, &bytes(|e| old.encode_state(e)), "step {}", i);
             if i == plan.len() / 2 {
-                let fresh = CondInState::new(b, s.lanes, s.cap);
+                let fresh = Port::new(StreamKind::CondIn, b, s.lanes, s.cap);
                 new = restored(fresh, &snap, |st, d| st.decode_state(d), |st, e| st.encode_state(e));
             }
         }
     }
 
-    /// `CondOutState`: compacting pushes, stream-order drain, overflow of
-    /// the binding dropped.
+    /// A `CondOut` port: compacting pushes, stream-order drain, overflow
+    /// of the binding dropped. The first `k` lanes asserting must wait
+    /// exactly when the reference has no room for `k` words.
     #[test]
     fn cond_out_matches_queue_reference(s in shapes(), plan in plans()) {
         let (mut srf, b) = setup(&s);
         let mut old_srf = srf.clone();
         let block = s.lanes * s.m;
-        let mut new = CondOutState::new(b, s.lanes, s.cap);
+        let mut new = Port::new(StreamKind::CondOut, b, s.lanes, s.cap);
         let mut old = reference::CondOut::new(b, s.lanes, s.cap);
         for (i, &(what, bits)) in plan.iter().enumerate() {
             prop_assert_eq!(new.drained(), old.drained());
-            prop_assert_eq!(new.written(), old.written());
             for k in 0..=s.lanes {
-                prop_assert_eq!(new.can_push(k), old.can_push(k), "{} words", k);
+                let waits = new.blocked_lane(Some(&first(k, s.lanes)), 0).is_some();
+                prop_assert_eq!(!waits, old.can_push(k), "{} words", k);
             }
             for flush in [false, true] {
-                prop_assert_eq!(new.wants_grant(block, flush), old.wants_grant(block, flush));
+                prop_assert_eq!(new.wants_grant(s.m, flush), old.wants_grant(block, flush));
             }
             let cond = conds(bits, s.lanes);
             let k = cond.iter().filter(|&&c| c != 0).count();
             match what {
                 0 | 1 if old.can_push(k) => {
+                    prop_assert_eq!(new.blocked_lane(Some(&cond), 0), None);
                     let row: Vec<Word> = (0..s.lanes).map(|l| (bits >> 16) as Word + l as Word).collect();
-                    new.push_row(&cond, &row);
+                    new.push_row(Some(&cond), &row);
                     let kept: Vec<Word> = cond
                         .iter()
                         .zip(&row)
@@ -631,15 +649,17 @@ proptest! {
                 }
                 _ => {
                     let flush = what == 3;
-                    let moved = new.grant(&mut srf, block, flush);
+                    let moved = new.grant(&mut srf, s.m, flush, 0);
                     prop_assert_eq!(moved, old.grant(&mut old_srf, block, flush));
                     prop_assert_eq!(region(&srf, s.lanes), region(&old_srf, s.lanes));
                 }
             }
             let snap = bytes(|e| new.encode_state(e));
             prop_assert_eq!(&snap, &bytes(|e| old.encode_state(e)), "step {}", i);
+            // A global port's snapshot leads with the words it has written.
+            prop_assert_eq!(Dec::new(&snap).u32().unwrap(), old.written());
             if i == plan.len() / 2 {
-                let fresh = CondOutState::new(b, s.lanes, s.cap);
+                let fresh = Port::new(StreamKind::CondOut, b, s.lanes, s.cap);
                 new = restored(fresh, &snap, |st, d| st.decode_state(d), |st, e| st.encode_state(e));
             }
         }
@@ -660,13 +680,14 @@ fn decoding_rejects_impossible_states() {
     };
     let (_, b) = setup(&s);
     // A lane with more words left than it owns.
-    let mut snap = bytes(|e| SeqInState::new(b, 8, 8).encode_state(e));
+    let port = |kind| Port::new(kind, b, 8, 8);
+    let mut snap = bytes(|e| port(StreamKind::SeqIn).encode_state(e));
     snap[8] += 1; // lane 0's words left
-    let err = SeqInState::new(b, 8, 8).decode_state(&mut Dec::new(&snap));
+    let err = port(StreamKind::SeqIn).decode_state(&mut Dec::new(&snap));
     assert!(matches!(err, Err(SnapError::Mismatch(_))), "{err:?}");
     // Output lanes that buffer different numbers of words.
-    let mut out = SeqOutState::new(b, 8, 8);
-    out.push_row(&[1; 8]);
+    let mut out = port(StreamKind::SeqOut);
+    out.push_row(None, &[1; 8]);
     let good = bytes(|e| out.encode_state(e));
     let cursors = 8 + 8 * 4;
     let mut e = Enc::new();
@@ -674,14 +695,14 @@ fn decoding_rejects_impossible_states() {
     let mut snap = good[..cursors].to_vec();
     snap.extend(e.into_bytes());
     snap.extend(&good[cursors + 8 + 4..]);
-    let err = SeqOutState::new(b, 8, 8).decode_state(&mut Dec::new(&snap));
+    let err = port(StreamKind::SeqOut).decode_state(&mut Dec::new(&snap));
     assert!(matches!(err, Err(SnapError::Mismatch(_))), "{err:?}");
     // More buffered words than the ring holds.
     let mut e = Enc::new();
     e.u32(0);
     e.usize(65);
     let snap = e.into_bytes();
-    let err = CondInState::new(b, 8, 8).decode_state(&mut Dec::new(&snap));
+    let err = port(StreamKind::CondIn).decode_state(&mut Dec::new(&snap));
     assert!(matches!(err, Err(SnapError::Mismatch(_))), "{err:?}");
 }
 

@@ -419,8 +419,18 @@ fn mem_charge(cfg: &MachineConfig, program: &StreamProgram) -> MemCharge {
 
 /// Compute the static cost model for `program` on `cfg`.
 pub fn cost_model(cfg: &MachineConfig, program: &StreamProgram) -> CostModel {
-    let mut kernels = Vec::new();
     let (shape_of, shapes) = crate::shape_ids(program);
+    shaped_cost_model(cfg, program, &shape_of, shapes)
+}
+
+/// [`cost_model`] given the program's [`crate::shape_ids`].
+pub(crate) fn shaped_cost_model(
+    cfg: &MachineConfig,
+    program: &StreamProgram,
+    shape_of: &[usize],
+    shapes: usize,
+) -> CostModel {
+    let mut kernels = Vec::new();
     let mut per_shape: Vec<Option<KernelCost>> = vec![None; shapes];
     for i in 0..program.len() {
         if let ProgOp::Kernel {

@@ -254,7 +254,7 @@ impl Verifier {
         Report {
             diagnostics,
             warnings,
-            cost: cost_model(cfg, program),
+            cost: cost::shaped_cost_model(cfg, program, &ctx.shape_of, ctx.shapes),
         }
     }
 }
@@ -498,11 +498,7 @@ impl<'a> Analysis<'a> {
                     kernel, bindings, ..
                 } => {
                     for (decl, b) in kernel.streams.iter().zip(bindings) {
-                        let write = matches!(
-                            decl.kind,
-                            StreamKind::SeqOut | StreamKind::CondOut | StreamKind::IdxInWrite
-                        );
-                        push(*b, write, decl.kind.is_indexed());
+                        push(*b, decl.kind.writes(), decl.kind.is_indexed());
                     }
                 }
             }
